@@ -1,6 +1,10 @@
 # Verification tiers.
 #
-#   tier1      — the commit gate: everything builds, all tests pass.
+#   tier1      — the commit gate: everything builds, all tests pass —
+#                including the tests of benchmark/, a module of its own
+#                that imports this one's internals, so a change that
+#                breaks what it uses fails here rather than in the bench
+#                pipeline.
 #   tier2      — the merge gate: gofmt-clean, vet clean, the full
 #                suite under the race detector (the stress/oracle tests
 #                run 500 seeds concurrently, so this is where sync bugs
@@ -47,6 +51,7 @@ GO ?= go
 tier1:
 	$(GO) build ./...
 	$(GO) test ./...
+	cd benchmark && GOFLAGS=-mod=mod GOWORK=off $(GO) test ./...
 
 tier2:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \

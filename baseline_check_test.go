@@ -33,10 +33,6 @@ func TestStrongOrderingBitIdenticalBaseline(t *testing.T) {
 		// timeline reproduces exactly.
 		cfg.ZeroCopyRead = false
 		cfg.FrameShards = 1
-		// Likewise the history-prefetch engine (ISSUE 9): with the knob off
-		// no recorder or replay state is allocated and the timeline must be
-		// bit-identical to the pre-history build.
-		cfg.HistoryPrefetch = false
 		// And the checkpoint engine (ISSUE 10): with no capture installed
 		// its entire hot-path footprint is one nil atomic load on the
 		// gwrite path, and the zero-default byte budget allocates nothing.

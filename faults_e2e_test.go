@@ -121,7 +121,7 @@ func TestFaultsWriteErrorSurfacesAtFsync(t *testing.T) {
 // must come back empty (no leaked frames) and the GPU must keep working.
 func TestRestartUnderFaults(t *testing.T) {
 	cfg := ScaledConfig(1.0 / 64)
-	cfg.ReadAheadPages = 4
+	cfg.PageSize = 16 << 10 // 32-page streams per block: the detector speculates
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -241,9 +241,7 @@ func NewSystemWithMetrics(cfg Config, reg *metrics.Registry) (*System, error) {
 			RadixLookupLockFree:  cfg.RadixLookupLockFree,
 			RadixLookupLocked:    cfg.RadixLookupLocked,
 			ForceLockedTraversal: cfg.ForceLockedTraversal,
-			ReadAheadPages:       cfg.ReadAheadPages,
 			ReadAheadAdaptive:    cfg.ReadAheadAdaptive,
-			HistoryPrefetch:      cfg.HistoryPrefetch,
 			CleanerWorkers:       cfg.CleanerWorkers,
 			DisableFastReopen:    cfg.DisableFastReopen,
 			ZeroCopyRead:         cfg.ZeroCopyRead,

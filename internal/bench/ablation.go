@@ -11,15 +11,13 @@ import (
 // Ablation quantifies the design choices DESIGN.md calls out, beyond the
 // paper's own figures:
 //
-//  1. GPU-side buffer-cache read-ahead (§3.3 lists it among the
-//     optimizations a buffer cache enables; the prototype ships without
-//     it) — measured on sequential AND random greads, since greedy
-//     read-ahead must help the former and tax the latter.
-//  2. The number of asynchronous DMA channels per direction (§4.3 uses
+//  1. The number of asynchronous DMA channels per direction (§4.3 uses
 //     "multiple" channels to overlap transfers with disk access).
-//  3. The closed-file-table fast reopen (§4.1): reopening files that a
+//  2. The closed-file-table fast reopen (§4.1): reopening files that a
 //     GPU already caches without any CPU communication, priced on a
 //     gopen/gclose-heavy many-small-files workload.
+//
+// Read-ahead has its own experiment (Readahead).
 func Ablation(scale float64) (*Table, error) {
 	t := &Table{
 		ID:     "Ablation",
@@ -27,9 +25,6 @@ func Ablation(scale float64) (*Table, error) {
 		Header: []string{"experiment", "baseline", "variant", "effect"},
 	}
 
-	if err := ablateReadAhead(scale, t); err != nil {
-		return nil, err
-	}
 	if err := ablateDMAChannels(scale, t); err != nil {
 		return nil, err
 	}
@@ -37,67 +32,6 @@ func Ablation(scale float64) (*Table, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-func ablateReadAhead(scale float64, t *Table) error {
-	base := params.Scaled(scale)
-	fileBytes := seqFileBytes(&base)
-	blocks := 2 * base.MPsPerGPU
-
-	seq := func(ra int) (*workloads.MicroResult, error) {
-		return meanMicro(reps, func() (*workloads.MicroResult, error) {
-			sys, err := seqSystemRA(scale, 256<<10, fileBytes, ra)
-			if err != nil {
-				return nil, err
-			}
-			if err := workloads.MakeDataFile(sys.Host(), sys.HostClock(), "/abl/seq.bin", fileBytes, 21); err != nil {
-				return nil, err
-			}
-			sys.ResetTime()
-			return workloads.SeqReadGPUfsGread(sys, 0, "/abl/seq.bin", fileBytes, blocks, 256, 64<<10)
-		})
-	}
-	off, err := seq(0)
-	if err != nil {
-		return fmt.Errorf("ablation seq ra=0: %w", err)
-	}
-	on, err := seq(4)
-	if err != nil {
-		return fmt.Errorf("ablation seq ra=4: %w", err)
-	}
-	t.AddRow("read-ahead, sequential gread (64K chunks)",
-		fmt.Sprintf("off: %s MB/s", mbps(off.Throughput)),
-		fmt.Sprintf("4 pages: %s MB/s", mbps(on.Throughput)),
-		fmt.Sprintf("%+.0f%%", 100*(float64(on.Throughput)/float64(off.Throughput)-1)))
-
-	// Random reads: greedy read-ahead fetches pages nobody wants.
-	rnd := func(ra int) (*workloads.MicroResult, error) {
-		return meanMicro(reps, func() (*workloads.MicroResult, error) {
-			sys, err := seqSystemRA(scale, 256<<10, fileBytes, ra)
-			if err != nil {
-				return nil, err
-			}
-			if err := workloads.MakeDataFile(sys.Host(), sys.HostClock(), "/abl/rand.bin", fileBytes, 22); err != nil {
-				return nil, err
-			}
-			sys.ResetTime()
-			return workloads.RandReadGPUfs(sys, 0, "/abl/rand.bin", fileBytes, 4*base.MPsPerGPU, 128, 4, 32<<10)
-		})
-	}
-	roff, err := rnd(0)
-	if err != nil {
-		return fmt.Errorf("ablation rand ra=0: %w", err)
-	}
-	ron, err := rnd(4)
-	if err != nil {
-		return fmt.Errorf("ablation rand ra=4: %w", err)
-	}
-	t.AddRow("read-ahead, random 32K greads",
-		fmt.Sprintf("off: %s MB/s eff.", mbps(roff.Throughput)),
-		fmt.Sprintf("4 pages: %s MB/s eff.", mbps(ron.Throughput)),
-		fmt.Sprintf("%+.0f%%", 100*(float64(ron.Throughput)/float64(roff.Throughput)-1)))
-	t.AddNote("read-ahead helps streaming greads and taxes random ones — why it is off by default, like the prototype")
-	return nil
 }
 
 func ablateDMAChannels(scale float64, t *Table) error {
@@ -183,23 +117,4 @@ func ablateFastReopen(scale float64, t *Table) error {
 		fmt.Sprintf("without: %s", msec(slow.Elapsed)+"ms"),
 		fmt.Sprintf("%.1fx slower without", float64(slow.Elapsed)/float64(fast.Elapsed)))
 	return nil
-}
-
-// seqSystemRA is seqSystem plus a read-ahead setting. The adaptive engine
-// and the cleaner are pinned off so the greedy window under test (ra) is
-// the only speculation in play — PR-3 behavior, bit for bit.
-func seqSystemRA(scale float64, pageSize, fileBytes int64, ra int) (*gpufs.System, error) {
-	cfg := gpufs.ScaledConfig(scale)
-	cfg.PageSize = pageSize
-	cfg.ReadAheadPages = ra
-	cfg.ReadAheadAdaptive = false
-	cfg.CleanerWorkers = 0
-	need := fileBytes + 16*pageSize
-	if cfg.BufferCacheBytes < need {
-		cfg.BufferCacheBytes = need
-	}
-	if cfg.GPUMemBytes < cfg.BufferCacheBytes+fileBytes {
-		cfg.GPUMemBytes = cfg.BufferCacheBytes + fileBytes
-	}
-	return newSystem(cfg)
 }

@@ -129,7 +129,7 @@ func TestAblationShapeTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != 4 {
+	if len(tb.Rows) != 2 {
 		t.Fatalf("ablation rows: %d", len(tb.Rows))
 	}
 	// Fast reopen must win on the reopen-storm row.
@@ -140,9 +140,9 @@ func TestAblationShapeTiny(t *testing.T) {
 }
 
 // TestReadaheadShapeTiny checks the read-ahead policy table's directional
-// claims: adaptive wins sequential streams outright (coalescing), matches
-// the detector to strides greedy cannot follow, and issues nothing on
-// random reads where greedy's fixed window is mostly waste.
+// claims: adaptive wins sequential streams outright (coalescing), follows
+// a fixed stride without fetching the pages between, and issues nothing on
+// random reads.
 func TestReadaheadShapeTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness in -short mode")
@@ -164,16 +164,17 @@ func TestReadaheadShapeTiny(t *testing.T) {
 	}
 	seq, stride, random := tb.Rows[0], tb.Rows[1], tb.Rows[2]
 	// Sequential: coalesced speculation must clearly beat no read-ahead.
-	if ad, off := numericCell(t, seq[1]), numericCell(t, seq[3]); ad < 1.5*off {
+	if ad, off := numericCell(t, seq[1]), numericCell(t, seq[2]); ad < 1.5*off {
 		t.Fatalf("sequential adaptive %v not >1.5x off %v", ad, off)
 	}
-	// Strided: the detector's hit rate must beat the greedy window's (which
-	// fetches the skipped pages for nothing).
-	if ap, gp := usedPct(stride[4]), usedPct(stride[5]); ap <= gp {
-		t.Fatalf("stride adaptive used%% %v not above greedy %v", ap, gp)
+	// Strided: the detector speculates along the stride, so most of what
+	// it fetches is read (a window that ignored the stride would fetch the
+	// three skipped pages in four for nothing: 25%).
+	if ap := usedPct(stride[3]); ap <= 50 {
+		t.Fatalf("stride adaptive used%% %v: the detector is not following the stride", ap)
 	}
 	// Random: the confidence gate keeps the detector silent.
-	if issued := numericCell(t, random[4]); issued != 0 {
+	if issued := numericCell(t, random[3]); issued != 0 {
 		t.Fatalf("random adaptive speculated %v pages", issued)
 	}
 }

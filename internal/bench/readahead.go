@@ -8,15 +8,14 @@ import (
 	"gpufs/internal/workloads"
 )
 
-// Readahead quantifies the adaptive read-ahead engine (the PR-4 tentpole)
-// against the greedy fixed window and no read-ahead at all, across the
-// three access patterns that separate them: sequential streams (both
-// speculate usefully; adaptive also coalesces), fixed-stride scans (only
-// the detector follows the stride — the greedy window fetches the skipped
-// pages for nothing), and random reads (any speculation is waste; the
-// detector's confidence gate keeps it quiet). Cells report effective
-// throughput; prefetch columns report pages speculated and the fraction a
-// demand access actually consumed.
+// Readahead quantifies the read-ahead engine against no read-ahead at
+// all, across the three access patterns that matter to it: sequential
+// streams (speculation coalesces into vectored RPCs), fixed-stride scans
+// (the detector follows the stride and skips the pages between), and
+// random reads (any speculation is waste; the detector's confidence gate
+// keeps it quiet). Cells report effective throughput; the prefetch column
+// reports pages speculated and the fraction a demand access actually
+// consumed.
 func Readahead(scale float64) (*Table, error) {
 	base := params.Scaled(scale)
 	fileBytes := seqFileBytes(&base)
@@ -35,7 +34,7 @@ func Readahead(scale float64) (*Table, error) {
 		ID: "Readahead",
 		Title: fmt.Sprintf("read-ahead policy vs access pattern (file %s, %s pages, %d threadblocks)",
 			sizeLabel(fileBytes), sizeLabel(ps), blocks),
-		Header: []string{"pattern", "adaptive MB/s", "greedy MB/s", "off MB/s", "adaptive pf (used%)", "greedy pf (used%)"},
+		Header: []string{"pattern", "adaptive MB/s", "off MB/s", "adaptive pf (used%)"},
 	}
 
 	type mode struct {
@@ -44,11 +43,6 @@ func Readahead(scale float64) (*Table, error) {
 	}
 	modes := []mode{
 		{"adaptive", func(cfg *gpufs.Config) {}}, // the defaults
-		{"greedy", func(cfg *gpufs.Config) {
-			cfg.ReadAheadAdaptive = false
-			cfg.CleanerWorkers = 0
-			cfg.ReadAheadPages = 8
-		}},
 		{"off", func(cfg *gpufs.Config) {
 			cfg.ReadAheadAdaptive = false
 			cfg.CleanerWorkers = 0
@@ -82,7 +76,7 @@ func Readahead(scale float64) (*Table, error) {
 
 	for _, p := range patterns {
 		row := []string{p.name}
-		var pf [2]string
+		var pf string
 		for mi, m := range modes {
 			var issued, used int64
 			res, err := meanMicro(reps, func() (*workloads.MicroResult, error) {
@@ -115,17 +109,16 @@ func Readahead(scale float64) (*Table, error) {
 				return nil, fmt.Errorf("readahead %s/%s: %w", p.name, m.name, err)
 			}
 			row = append(row, mbps(res.Throughput))
-			if mi < 2 {
+			if mi == 0 {
 				rate := 0.0
 				if issued > 0 {
 					rate = 100 * float64(used) / float64(issued)
 				}
-				pf[mi] = fmt.Sprintf("%d (%.0f%%)", issued, rate)
+				pf = fmt.Sprintf("%d (%.0f%%)", issued, rate)
 			}
 		}
-		row = append(row, pf[0], pf[1])
-		t.AddRow(row...)
+		t.AddRow(append(row, pf)...)
 	}
-	t.AddNote("adaptive matches greedy on sequential streams (and beats it at small pages via coalescing), follows strides greedy cannot, and stays quiet on random reads where greedy's window is pure waste")
+	t.AddNote("adaptive coalesces sequential streams into vectored RPCs, follows fixed strides, and stays quiet on random reads where any fixed window would be pure waste")
 	return t, nil
 }

@@ -92,18 +92,20 @@ type PageImage struct {
 	Data  []byte
 }
 
-// ProfileImage is one history-prefetch profile (ISSUE 9 detector state).
+// ProfileImage is one file's read-ahead profile: what the detector knew
+// at the file's last gclose.
 type ProfileImage struct {
 	Path    string
 	Size    int64
 	Gen     int64
-	Burst   []int64
 	Strides []StrideImage
 }
 
-// StrideImage is one confirmed read-ahead detector slot.
+// StrideImage is one confirmed read-ahead detector slot: the stream's
+// first page, stride and window depth.
 type StrideImage struct {
 	Slot   int64
+	First  int64
 	Stride int64
 	Window int64
 }

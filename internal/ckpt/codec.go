@@ -18,7 +18,7 @@ import (
 
 const (
 	codecMagic   = 0x47434B50 // "GCKP"
-	codecVersion = 1
+	codecVersion = 2
 )
 
 // ErrTruncated is returned when the image ends mid-field.
@@ -64,11 +64,11 @@ func (img *Image) Encode() []byte {
 			e.str(p.Path)
 			e.i64(p.Size)
 			e.i64(p.Gen)
-			e.i64s(p.Burst)
 			e.u64(uint64(len(p.Strides)))
 			for k := range p.Strides {
 				s := &p.Strides[k]
 				e.i64(s.Slot)
+				e.i64(s.First)
 				e.i64(s.Stride)
 				e.i64(s.Window)
 			}
@@ -154,11 +154,11 @@ func Decode(data []byte) (*Image, error) {
 			p.Path = d.str()
 			p.Size = d.i64()
 			p.Gen = d.i64()
-			p.Burst = d.i64s()
 			ns := d.count()
 			for k := uint64(0); k < ns && d.err == nil; k++ {
 				p.Strides = append(p.Strides, StrideImage{
 					Slot:   d.i64(),
+					First:  d.i64(),
 					Stride: d.i64(),
 					Window: d.i64(),
 				})

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -66,14 +67,14 @@ func randImage(seed int64) *Image {
 		}
 		for p := 0; p < rng.Intn(3); p++ {
 			prof := ProfileImage{
-				Path:  "/data/" + rs(12),
-				Size:  rng.Int63n(1 << 20),
-				Gen:   rng.Int63n(100),
-				Burst: ri64s(16),
+				Path: "/data/" + rs(12),
+				Size: rng.Int63n(1 << 20),
+				Gen:  rng.Int63n(100),
 			}
 			for s := 0; s < rng.Intn(3); s++ {
 				prof.Strides = append(prof.Strides, StrideImage{
 					Slot:   int64(rng.Intn(4)),
+					First:  rng.Int63n(256),
 					Stride: int64(rng.Intn(9) - 4),
 					Window: int64(1 + rng.Intn(32)),
 				})
@@ -138,6 +139,12 @@ func TestCodecRejectsGarbage(t *testing.T) {
 		if _, err := Decode(c); err == nil {
 			t.Errorf("case %d: decode of garbage succeeded", i)
 		}
+	}
+	// An empty image in the version-1 layout (profiles carried a burst, no
+	// first page): an unknown version, not a truncation.
+	v1 := []byte("\xd0\x96\x8d\xba\x04\x01\x00\x00\x00\x00\x00\x00")
+	if _, err := Decode(v1); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("decode of a version-1 image: %v, want ErrCorrupt", err)
 	}
 	// Trailing junk after a valid image must be rejected too.
 	good := randImage(1).Encode()

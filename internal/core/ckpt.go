@@ -345,8 +345,8 @@ func (fs *FS) CheckpointImage(start simtime.Time) (*ckpt.FSImage, simtime.Time, 
 	return img, ck.Now(), nil
 }
 
-// exportProfiles serializes the history-prefetch table, oldest first, so
-// a restore replaying them through store() reproduces the LRU order.
+// exportProfiles lists the read-ahead profile table, oldest first, so a
+// restore replaying it through store() reproduces the LRU order.
 func (fs *FS) exportProfiles() []ckpt.ProfileImage {
 	h := fs.history
 	if h == nil {
@@ -356,21 +356,7 @@ func (fs *FS) exportProfiles() []ckpt.ProfileImage {
 	defer h.mu.Unlock()
 	var out []ckpt.ProfileImage
 	for el := h.lru.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*histEntry)
-		p := ckpt.ProfileImage{
-			Path:  e.path,
-			Size:  e.prof.size,
-			Gen:   e.prof.gen,
-			Burst: append([]int64(nil), e.prof.burst...),
-		}
-		for _, s := range e.prof.strides {
-			p.Strides = append(p.Strides, ckpt.StrideImage{
-				Slot:   int64(s.slot),
-				Stride: s.stride,
-				Window: int64(s.window),
-			})
-		}
-		out = append(out, p)
+		out = append(out, *el.Value.(*ckpt.ProfileImage))
 	}
 	return out
 }
@@ -394,20 +380,8 @@ func (fs *FS) RestoreImage(b *gpu.Block, img *ckpt.FSImage) error {
 		}
 	}
 	if fs.history != nil {
-		for _, p := range img.Profiles {
-			prof := &histProfile{
-				size:  p.Size,
-				gen:   p.Gen,
-				burst: append([]int64(nil), p.Burst...),
-			}
-			for _, s := range p.Strides {
-				prof.strides = append(prof.strides, histStride{
-					slot:   int(s.Slot),
-					stride: s.Stride,
-					window: int(s.Window),
-				})
-			}
-			fs.history.store(p.Path, prof)
+		for i := range img.Profiles {
+			fs.history.store(&img.Profiles[i])
 		}
 	}
 	return firstErr

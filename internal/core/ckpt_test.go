@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -361,21 +362,21 @@ func TestCkptWbErrRoundTrip(t *testing.T) {
 	})
 }
 
-// TestCkptHistoryProfileRoundTrip: the history-prefetch table migrates, so
-// the replacement host's first opens replay the source's footprints.
+// TestCkptHistoryProfileRoundTrip: the read-ahead profile table migrates,
+// so the replacement host's first opens start from the source's streams.
 func TestCkptHistoryProfileRoundTrip(t *testing.T) {
 	opt := defaultOpt()
-	opt.HistoryPrefetch = true
+	opt.ReadAheadAdaptive = true
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
 
-	prof := &histProfile{
-		size:    1 << 20,
-		gen:     1,
-		burst:   []int64{0, 1, 2, 7},
-		strides: []histStride{{slot: 3, stride: 2, window: 8}},
+	prof := &ckpt.ProfileImage{
+		Path:    "/ck-hist",
+		Size:    1 << 20,
+		Gen:     1,
+		Strides: []ckpt.StrideImage{{Slot: 3, First: 5, Stride: 2, Window: 8}},
 	}
-	fs.history.store("/ck-hist", prof)
+	fs.history.store(prof)
 
 	img, _, err := fs.CheckpointImage(0)
 	if err != nil {
@@ -393,9 +394,7 @@ func TestCkptHistoryProfileRoundTrip(t *testing.T) {
 	if got == nil {
 		t.Fatal("profile missing after restore")
 	}
-	if got.size != prof.size || got.gen != prof.gen ||
-		len(got.burst) != len(prof.burst) || len(got.strides) != 1 ||
-		got.strides[0] != prof.strides[0] {
+	if !reflect.DeepEqual(got, prof) {
 		t.Errorf("restored profile diverges: %+v vs %+v", got, prof)
 	}
 }

@@ -822,10 +822,10 @@ func TestStatsSnapshot(t *testing.T) {
 
 func TestReadAheadCorrectAndFaster(t *testing.T) {
 	want := pattern(512<<10, 8) // 32 pages of 16K
-	run := func(ra int) simtime.Duration {
+	run := func(ra bool) simtime.Duration {
 		opt := defaultOpt()
 		opt.CacheBytes = 64 * opt.PageSize
-		opt.ReadAheadPages = ra
+		opt.ReadAheadAdaptive = ra
 		h := newHarness(t, 1, opt)
 		fs := h.fss[0]
 		h.write(t, "/ra", want)
@@ -850,18 +850,20 @@ func TestReadAheadCorrectAndFaster(t *testing.T) {
 		})
 		return simtime.Duration(end)
 	}
-	noRA := run(0)
-	withRA := run(4)
+	noRA := run(false)
+	withRA := run(true)
 	if withRA >= noRA {
 		t.Fatalf("sequential gread with read-ahead (%v) should beat without (%v)", withRA, noRA)
 	}
 }
 
 func TestReadAheadNeverEvicts(t *testing.T) {
-	// A full cache must abort speculation rather than evict real data.
+	// A cache too small for the window must shrink the speculation rather
+	// than evict real data: the third sequential page confirms the stride
+	// and the detector wants four more pages from a pool with one free.
 	opt := defaultOpt()
 	opt.CacheBytes = 4 * opt.PageSize
-	opt.ReadAheadPages = 8
+	opt.ReadAheadAdaptive = true
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
 	h.write(t, "/ra2", pattern(int(32*opt.PageSize), 9))
@@ -872,9 +874,11 @@ func TestReadAheadNeverEvicts(t *testing.T) {
 			return err
 		}
 		defer fs.Close(b, fd)
-		buf := make([]byte, 4<<10)
-		if _, err := fs.Read(b, fd, buf, 0); err != nil {
-			return err
+		buf := make([]byte, opt.PageSize)
+		for p := int64(0); p < 3; p++ {
+			if _, err := fs.Read(b, fd, buf, p*opt.PageSize); err != nil {
+				return err
+			}
 		}
 		return nil
 	})

@@ -166,11 +166,11 @@ func runFaultStress(t *testing.T, seed int64, shards, workers int, totalInjected
 	// deferred-error protocols.
 	opt.ReadAheadAdaptive = true
 	opt.CleanerWorkers = 1
-	// History prefetch rides along (ISSUE 9): profile replay on reopen
+	// History rides along (ISSUE 9): the open-time pre-warm on reopen
 	// races demand faults and injected read errors through the same
-	// 6-frame pool, and the open/close cycles below keep recording and
-	// replaying profiles whose pages the tiny cache immediately evicts.
-	opt.HistoryPrefetch = true
+	// 6-frame pool, and the open/close cycles below keep recording
+	// profiles and seeding from them while the tiny cache immediately
+	// evicts their pages.
 	// GPUFS_FAULT_ZEROCOPY=1 (the nightly CI variant) reruns the whole
 	// oracle with the ISSUE 8 hot path on: zero-copy completions landing in
 	// pinned frames and a sharded allocator, under the same fault schedules.

@@ -81,27 +81,16 @@ type Options struct {
 	// ForceLockedTraversal disables the lock-free read protocol,
 	// reproducing Figure 7's locked baseline.
 	ForceLockedTraversal bool
-	// ReadAheadPages, when positive, makes gread prefetch that many
-	// pages beyond each read asynchronously — one of the optimizations
-	// the paper notes a GPU buffer cache enables (§3.3). The prototype
-	// ships with it off; the ablation bench quantifies it.
-	ReadAheadPages int
-	// ReadAheadAdaptive replaces the greedy window with the per-open-file
-	// pattern detector of ISSUE 4: sequential or strided access streaks
-	// ramp a speculation window up Linux-style (and wasted prefetch
-	// shrinks it), stride-1 windows coalesce into multi-page RPCs, and
-	// random access speculates nothing. Takes precedence over
-	// ReadAheadPages; false restores the greedy (or no) read-ahead path
-	// bit-identically.
+	// ReadAheadAdaptive enables read-ahead (§3.3): a per-open-file pattern
+	// detector whose sequential or strided access streaks ramp a
+	// speculation window up Linux-style (and wasted prefetch shrinks it),
+	// whose stride-1 windows coalesce into multi-page RPCs, and which
+	// speculates nothing on random access. What the detector knew at the
+	// final gclose (per stream: first page, stride, window) is kept in a
+	// bounded FS-level profile table, and a re-open of an unchanged file
+	// (same host generation and size) starts from it — see history.go.
+	// False is the prototype's setting: no read-ahead.
 	ReadAheadAdaptive bool
-	// HistoryPrefetch layers the per-file access-history engine of ISSUE 9
-	// over the detector: each open's first-touch burst and confirmed
-	// strides are recorded into a bounded FS-level profile table, and a
-	// re-open of an unchanged file (same host generation and size)
-	// replays them — burst pages pre-warm through vectored RPCs, detector
-	// slots start confident. Off disables recording and replay
-	// bit-identically.
-	HistoryPrefetch bool
 	// CleanerWorkers is the number of background writeback-cleaner lanes.
 	// When the free-frame pool drops below the low watermark, a demand
 	// fault kicks an idle lane, which — on its own virtual clock, so the
@@ -191,18 +180,20 @@ type FS struct {
 	cleanedPages   atomic.Int64
 	cleanerKicks   atomic.Int64
 
-	// History-prefetch accounting (ISSUE 9): pages issued by profile
-	// replay (a subset of prefetchIssued), their used/wasted outcomes,
-	// opens that replayed a profile, and profiles dropped because the
-	// host copy changed between opens.
-	replayIssued         atomic.Int64
-	replayUsed           atomic.Int64
-	replayWasted         atomic.Int64
+	// History accounting (ISSUE 9), surfaced as CacheStats.Replay* and
+	// History*: pages issued on a recorded profile's word (a subset of
+	// prefetchIssued), their used/wasted outcomes, opens that started from
+	// a profile, and profiles dropped because the host copy changed
+	// between opens.
+	historyIssued        atomic.Int64
+	historyUsed          atomic.Int64
+	historyWasted        atomic.Int64
 	historyReplays       atomic.Int64
 	historyInvalidations atomic.Int64
 
-	// history is the per-file access-profile table of the ISSUE 9
-	// history-prefetch engine; nil when Options.HistoryPrefetch is off.
+	// history is the per-file access-profile table the read-ahead
+	// detector records into at gclose and seeds from at gopen; nil when
+	// Options.ReadAheadAdaptive is off.
 	history *historyTable
 
 	// specPending gauges speculative pages currently in the cache that no
@@ -282,14 +273,6 @@ type file struct {
 	// rather than the chaotic interleaving of all of them — the reason
 	// the paper dismissed per-file stride detection (§3.3).
 	ra [raStreams]raStream
-
-	// rec and replay are this open's history-prefetch state (ISSUE 9):
-	// rec accumulates the first-touch burst for the profile recorded at
-	// close; replay drives the pre-warm of a previously recorded profile.
-	// Both nil when the engine is off (or, for replay, no profile
-	// matched).
-	rec    *histRecorder
-	replay *replayState
 }
 
 // fileCache is a file's GPU-resident cache state. It survives gclose in the
@@ -399,7 +382,7 @@ func New(gpuID int, opt Options, client *rpc.Client, mem *memsys.Arena) (*FS, er
 	if opt.CleanerWorkers > 0 {
 		fs.cleaner = newCleaner(fs, opt.CleanerWorkers)
 	}
-	if opt.HistoryPrefetch {
+	if opt.ReadAheadAdaptive {
 		fs.history = newHistoryTable(histMaxFiles)
 	}
 	if opt.Metrics != nil {
@@ -439,10 +422,10 @@ func (fs *FS) attachMetrics(reg *metrics.Registry) {
 	reg.SetHelp("gpufs_core_zero_copy_reads_total", "Cache-hit page reads served in place from the pinned frame")
 	reg.SetHelp("gpufs_core_frame_steals_total", "Frame allocations satisfied by stealing from another shard")
 	reg.SetHelp("gpufs_core_leaf_recycles_total", "Radix leaves reused from the epoch-reclaimed pool")
-	reg.SetHelp("gpufs_core_replay_issued_total", "Pages issued by history-profile replay")
-	reg.SetHelp("gpufs_core_replay_used_total", "Replayed pages later consumed by a demand access")
-	reg.SetHelp("gpufs_core_replay_wasted_total", "Replayed pages reclaimed unconsumed")
-	reg.SetHelp("gpufs_core_history_replays_total", "Opens that replayed a recorded access profile")
+	reg.SetHelp("gpufs_core_replay_issued_total", "Pages issued on a recorded access profile's word (open-time pre-warm, seeded first access)")
+	reg.SetHelp("gpufs_core_replay_used_total", "Profile-issued pages later consumed by a demand access")
+	reg.SetHelp("gpufs_core_replay_wasted_total", "Profile-issued pages reclaimed unconsumed")
+	reg.SetHelp("gpufs_core_history_replays_total", "Opens that started from a recorded access profile")
 	reg.SetHelp("gpufs_core_history_invalidations_total", "Profiles dropped because the host copy changed between opens")
 	reg.SetHelp("gpufs_ckpt_snapshot_bytes_total", "Bytes captured by value into checkpoint images")
 	reg.SetHelp("gpufs_ckpt_cow_faults_total", "Pages preserved by the checkpoint copy-on-write write hook")
@@ -465,9 +448,9 @@ func (fs *FS) attachMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("gpufs_core_zero_copy_reads_total", fs.zeroCopyReads.Load, "gpu", gpuL)
 	reg.CounterFunc("gpufs_core_frame_steals_total", fs.cache.Steals, "gpu", gpuL)
 	reg.CounterFunc("gpufs_core_leaf_recycles_total", fs.leafRecycles, "gpu", gpuL)
-	reg.CounterFunc("gpufs_core_replay_issued_total", fs.replayIssued.Load, "gpu", gpuL)
-	reg.CounterFunc("gpufs_core_replay_used_total", fs.replayUsed.Load, "gpu", gpuL)
-	reg.CounterFunc("gpufs_core_replay_wasted_total", fs.replayWasted.Load, "gpu", gpuL)
+	reg.CounterFunc("gpufs_core_replay_issued_total", fs.historyIssued.Load, "gpu", gpuL)
+	reg.CounterFunc("gpufs_core_replay_used_total", fs.historyUsed.Load, "gpu", gpuL)
+	reg.CounterFunc("gpufs_core_replay_wasted_total", fs.historyWasted.Load, "gpu", gpuL)
 	reg.CounterFunc("gpufs_core_history_replays_total", fs.historyReplays.Load, "gpu", gpuL)
 	reg.CounterFunc("gpufs_core_history_invalidations_total", fs.historyInvalidations.Load, "gpu", gpuL)
 	reg.CounterFunc("gpufs_ckpt_snapshot_bytes_total", fs.ckptSnapshotBytes.Load, "gpu", gpuL)
@@ -748,18 +731,25 @@ func (fs *FS) hostOpen(b *gpu.Block, f *file) error {
 			if old := fc.keepFd.Swap(0); old != 0 {
 				fs.lane(b).Close(b.Clock, old)
 			}
-			f.fc = fc
-			f.hostFd = hfd
+			fs.publishCache(f, fc, hfd)
 			return nil
 		}
 		// Stale: discard the cached pages (lazy invalidation, §4.4).
 		fs.discardCache(b, fc)
 	}
 
-	f.fc = fs.newFileCache(f.path, info.Ino, info.Generation, info.Size)
-	f.hostFd = hfd
+	fs.publishCache(f, fs.newFileCache(f.path, info.Ino, info.Generation, info.Size), hfd)
 	fs.client.RecordCached(info.Ino, info.Generation)
 	return nil
+}
+
+// publishCache installs a pending open's cache and host descriptor. The
+// entry has been in fs.fds since before the host open, and the table
+// scans (paging victims, stats, checkpoint) read both fields under fs.mu.
+func (fs *FS) publishCache(f *file, fc *fileCache, hostFd int64) {
+	fs.mu.Lock()
+	f.fc, f.hostFd = fc, hostFd
+	fs.mu.Unlock()
 }
 
 // Close implements gclose: it decrements the file's reference count and, at
@@ -934,7 +924,7 @@ func (fs *FS) noteSpecDrop(fc *fileCache, fr *pcache.Frame) bool {
 	case pcache.SpecReplay:
 		fs.prefetchWasted.Add(1)
 		fc.prefetchWasted.Add(1)
-		fs.replayWasted.Add(1)
+		fs.historyWasted.Add(1)
 		fs.specPending.Add(-1)
 		return true
 	}
@@ -944,8 +934,8 @@ func (fs *FS) noteSpecDrop(fc *fileCache, fr *pcache.Frame) bool {
 // CacheStats are the speculation and cleaning counters of ISSUE 4,
 // surfaced per GPU by the serving layer next to its affinity hit rate.
 type CacheStats struct {
-	// PrefetchIssued counts pages issued speculatively by read-ahead
-	// (adaptive or greedy). Multi-page gread batching is NOT counted:
+	// PrefetchIssued counts pages issued speculatively by read-ahead.
+	// Multi-page gread batching is NOT counted:
 	// those pages are known-needed pipelining, not a guess.
 	PrefetchIssued int64
 	// PrefetchUsed counts speculative pages later consumed by a demand
@@ -956,9 +946,10 @@ type CacheStats struct {
 	// pre-evicted; CleanerKicks counts cleaner wake-ups.
 	CleanedPages int64
 	CleanerKicks int64
-	// ReplayIssued/Used/Wasted count history-profile replay pages (a
-	// subset of the Prefetch* counters above); HistoryReplays counts
-	// opens that replayed a profile, and HistoryInvalidations counts
+	// ReplayIssued/Used/Wasted count pages issued on a recorded profile's
+	// word — the open-time pre-warm and a seeded stream's first access
+	// (a subset of the Prefetch* counters above); HistoryReplays counts
+	// opens that started from a profile, and HistoryInvalidations counts
 	// profiles dropped because the host copy changed between opens
 	// (ISSUE 9).
 	ReplayIssued         int64
@@ -1027,9 +1018,9 @@ func (fs *FS) CacheStats() CacheStats {
 		PrefetchWasted:       fs.prefetchWasted.Load(),
 		CleanedPages:         fs.cleanedPages.Load(),
 		CleanerKicks:         fs.cleanerKicks.Load(),
-		ReplayIssued:         fs.replayIssued.Load(),
-		ReplayUsed:           fs.replayUsed.Load(),
-		ReplayWasted:         fs.replayWasted.Load(),
+		ReplayIssued:         fs.historyIssued.Load(),
+		ReplayUsed:           fs.historyUsed.Load(),
+		ReplayWasted:         fs.historyWasted.Load(),
 		HistoryReplays:       fs.historyReplays.Load(),
 		HistoryInvalidations: fs.historyInvalidations.Load(),
 	}

@@ -3,77 +3,44 @@ package core
 import (
 	"container/list"
 	"sync"
-	"sync/atomic"
 
+	"gpufs/internal/ckpt"
 	"gpufs/internal/core/pcache"
 	"gpufs/internal/gpu"
 )
 
-// History-based prefetching (ISSUE 9): the adaptive detector of ISSUE 4
-// speculates only on LIVE strides — it goes blind on re-opens (the window
-// re-earns confidence from zero), on block schedules that look random page
-// to page but repeat run to run, and on the first-touch burst before any
-// stride exists. This engine closes that gap the way Dimitsas &
-// Silberstein's readahead prefetcher does: record what each open actually
-// touched, and on the next open of the same (unchanged) file replay it —
-// pre-warm the recorded first-touch burst through the vectored read path
-// before demand reads arrive, and seed the detector slots with their
-// previously confirmed strides so the window ramp starts hot.
+// Access history (ISSUE 9) is the read-ahead detector's memory across
+// opens. Left alone the detector speculates only on LIVE strides: every
+// re-open re-earns confidence from zero, and the first pages of each
+// stream are demand faults. So the final gclose records what the detector
+// knew — per slot, the stream's first page, confirmed stride and window —
+// and the next gopen of the same (unchanged) file hands it back: the slots
+// start confident, and each stream's first window is issued at open time,
+// before the demand reads arrive (the approach of Dimitsas & Silberstein's
+// readahead prefetcher). There is no second engine: the pre-warm is the
+// detector's own issue routine, under the detector's own clamps.
 //
-// Profiles are only ever a hint: replayed pages are fetched through the
+// Profiles are only ever a hint: pre-warmed pages are fetched through the
 // file's current host descriptor, so a stale profile can waste transfers
-// but never serve dead bytes. Staleness is bounded twice over — the
-// profile is validated against the file's host generation and size at
-// attach time (host-side mutation drops it), and replay depth is
-// feedback-controlled by the same used/wasted counters the adaptive
-// window consults, so a changed access pattern stands the engine down
-// within one open.
+// but never serve dead bytes. Staleness is bounded twice over — the profile
+// is validated against the file's host generation and size at attach time
+// (host-side mutation drops it), and a stream that changed its pattern
+// breaks the seeded streak on its second access like any other.
 
-const (
-	// histMaxFiles bounds the FS-level profile table (LRU eviction).
-	histMaxFiles = 128
-	// histMaxBurst bounds one profile's recorded first-touch burst: the
-	// head of the access footprint is what replay can usefully pre-warm;
-	// beyond it the live detector has long taken over.
-	histMaxBurst = 64
-	// histReplayChunk is how many burst pages one replay step issues; the
-	// attach-time pre-warm issues a double chunk so transfers are in
-	// flight before the first demand read.
-	histReplayChunk = 8
-	// histMinOutcome is the minimum used+wasted sample before the
-	// feedback controller may stand replay down (same idea as the
-	// adaptive window's stand-down threshold, scaled to one open).
-	histMinOutcome = 16
-)
-
-// histStride is one detector slot's confirmed pattern at close time.
-type histStride struct {
-	slot   int   // detector slot index (block-hash position)
-	stride int64 // confirmed page stride
-	window int   // window depth the ramp had reached
-}
-
-// histProfile is one file's recorded access footprint. Immutable once
-// stored; replay only reads it.
-type histProfile struct {
-	size    int64 // file size the profile was recorded against
-	gen     int64 // host generation the profile was recorded against
-	burst   []int64
-	strides []histStride
-}
-
-// histEntry is one LRU cell of the history table.
-type histEntry struct {
-	path string
-	prof *histProfile
-}
+// histMaxFiles bounds the FS-level profile table (LRU eviction).
+const histMaxFiles = 128
 
 // historyTable is the FS-level bounded profile store, keyed by pathname.
+// A profile is kept in its checkpoint-image form (ckpt.ProfileImage: path,
+// the size and host generation it was recorded against, and per confirmed
+// detector slot the stream's first page, stride and window), so a
+// checkpoint carries the table as it is. Profiles are immutable once
+// stored.
 type historyTable struct {
 	mu      sync.Mutex
 	max     int
-	entries map[string]*list.Element
-	lru     *list.List // front = most recently used
+	entries map[string]*list.Element // of *ckpt.ProfileImage
+	lru     *list.List               // front = most recently used
 }
 
 func newHistoryTable(max int) *historyTable {
@@ -86,7 +53,7 @@ func newHistoryTable(max int) *historyTable {
 
 // lookup returns the profile recorded for path (and refreshes its LRU
 // position), or nil.
-func (h *historyTable) lookup(path string) *histProfile {
+func (h *historyTable) lookup(path string) *ckpt.ProfileImage {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	el, ok := h.entries[path]
@@ -94,24 +61,24 @@ func (h *historyTable) lookup(path string) *histProfile {
 		return nil
 	}
 	h.lru.MoveToFront(el)
-	return el.Value.(*histEntry).prof
+	return el.Value.(*ckpt.ProfileImage)
 }
 
-// store inserts or replaces the profile for path, evicting the least
+// store inserts or replaces the profile for prof.Path, evicting the least
 // recently used entry past the bound.
-func (h *historyTable) store(path string, prof *histProfile) {
+func (h *historyTable) store(prof *ckpt.ProfileImage) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if el, ok := h.entries[path]; ok {
-		el.Value.(*histEntry).prof = prof
+	if el, ok := h.entries[prof.Path]; ok {
+		el.Value = prof
 		h.lru.MoveToFront(el)
 		return
 	}
-	h.entries[path] = h.lru.PushFront(&histEntry{path: path, prof: prof})
+	h.entries[prof.Path] = h.lru.PushFront(prof)
 	for h.lru.Len() > h.max {
 		last := h.lru.Back()
 		h.lru.Remove(last)
-		delete(h.entries, last.Value.(*histEntry).path)
+		delete(h.entries, last.Value.(*ckpt.ProfileImage).Path)
 	}
 }
 
@@ -134,236 +101,80 @@ func (h *historyTable) clear() {
 	h.lru.Init()
 }
 
-// len reports the entry count (tests).
-func (h *historyTable) len() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.lru.Len()
-}
-
-// histRecorder accumulates one open's first-touch burst.
-type histRecorder struct {
-	mu    sync.Mutex
-	burst []int64
-	seen  map[int64]struct{}
-	full  bool
-}
-
-// replayState drives one open's profile replay.
-type replayState struct {
-	done atomic.Bool // fast-path gate for the per-read hook
-
-	mu         sync.Mutex
-	burst      []int64
-	pos        int
-	baseUsed   int64 // fc.prefetchUsed at attach (feedback baseline)
-	baseWasted int64
-}
-
-// historyAttach wires the engine into a freshly opened file: always a
-// recorder (so this open's footprint is captured for the next one), and —
-// when a profile recorded against the same host generation and size
-// exists — detector-slot seeding plus a replay of the first-touch burst.
-// Called once per open-table entry, by the opener or the fast-reopen
-// path, never by coalesced waiters.
+// historyAttach hands a freshly opened file the profile its previous open
+// recorded, provided the host generation and size still match: every
+// recorded slot starts confident (streak at the ramp threshold, old
+// window), and its first window is issued now with the recorded first page
+// as the predicted access. Called once per open-table entry, by the opener
+// or the fast-reopen path, never by coalesced waiters.
 func (fs *FS) historyAttach(b *gpu.Block, f *file) {
-	if fs.history == nil || !f.readable || f.writeOnce {
+	if fs.history == nil || !f.readable || f.writeOnce || fs.raDeadZone() {
 		return
 	}
-	f.rec = &histRecorder{seen: make(map[int64]struct{})}
-
 	prof := fs.history.lookup(f.path)
 	if prof == nil {
 		return
 	}
 	fc := f.fc
-	if prof.gen != fc.gen.Load() || prof.size != fc.size.Load() {
+	if prof.Gen != fc.gen.Load() || prof.Size != fc.size.Load() {
 		// The host copy moved on (or the file was resized) since the
 		// profile was recorded: drop it and fall back to the cold
-		// detector. Replay would only prefetch dead bytes' worth of
-		// transfers — never dead bytes themselves, since fetches go
-		// through the live descriptor — but even the waste is pointless.
+		// detector.
 		fs.history.remove(f.path)
 		fs.historyInvalidations.Add(1)
 		return
 	}
-
-	// Seed detector slots with their previously confirmed strides: the
-	// slot starts confident (streak at the ramp threshold) with its old
-	// window, so the second access of a re-run pattern speculates a full
-	// window instead of re-earning confidence access by access. A stream
-	// that changed its pattern overwrites the seed on its first
-	// non-matching delta, exactly like a broken streak.
-	for _, hs := range prof.strides {
-		if hs.slot < 0 || hs.slot >= raStreams {
+	lastFile := (prof.Size - 1) / fs.opt.PageSize
+	seeded := false
+	for _, hs := range prof.Strides {
+		// Profiles also arrive in checkpoint images, so the fields are
+		// checked rather than trusted.
+		if hs.Slot < 0 || hs.Slot >= raStreams || hs.First < 0 || hs.First > lastFile ||
+			hs.Stride == 0 || hs.Stride > maxRAStride || hs.Stride < -maxRAStride {
 			continue
 		}
-		st := &f.ra[hs.slot]
+		st := &f.ra[hs.Slot]
 		st.mu.Lock()
-		if !st.seen {
-			st.stride = hs.stride
-			st.streak = raRampStreak
-			if st.window = hs.window; st.window < raInitWindow {
-				st.window = raInitWindow
-			}
-		}
-		st.mu.Unlock()
-	}
-
-	if len(prof.burst) == 0 {
-		return
-	}
-	// The same dead-zone economics as the adaptive engine: at page sizes
-	// where speculated pages neither coalesce nor dwarf their own issue
-	// cost, replay would net a loss too.
-	if ps := fs.opt.PageSize; 2*ps > raMaxSpanBytes && ps < 2*raMaxSpanBytes {
-		return
-	}
-	// A closed-table fast reopen usually finds the pages still resident;
-	// probing a fully warm cache page by page is pure cost. Skip replay
-	// when the cache already holds at least the burst's worth of this
-	// file's frames.
-	if fc.frames.Load() >= int64(len(prof.burst)) {
-		return
-	}
-	f.replay = &replayState{
-		burst:      prof.burst,
-		baseUsed:   fc.prefetchUsed.Load(),
-		baseWasted: fc.prefetchWasted.Load(),
-	}
-	fs.historyReplays.Add(1)
-	// Pre-warm: put the head of the burst in flight before the first
-	// demand read arrives (a double chunk; the per-read hook trickles the
-	// rest as the feedback counters confirm the pattern still holds).
-	fs.replayIssue(b, f, 2*histReplayChunk)
-}
-
-// historyObserve is the per-gread hook: record the access into this open's
-// burst and advance the replay by one chunk. Costs two atomic loads when
-// recording is complete and replay is done (or absent).
-func (fs *FS) historyObserve(b *gpu.Block, f *file, first, last int64) {
-	if rec := f.rec; rec != nil && !rec.full {
-		rec.mu.Lock()
-		for p := first; p <= last && !rec.full; p++ {
-			if _, ok := rec.seen[p]; ok {
-				continue
-			}
-			rec.seen[p] = struct{}{}
-			rec.burst = append(rec.burst, p)
-			if len(rec.burst) >= histMaxBurst {
-				rec.full = true
-			}
-		}
-		rec.mu.Unlock()
-	}
-	if rp := f.replay; rp != nil && !rp.done.Load() {
-		fs.replayIssue(b, f, histReplayChunk)
-	}
-}
-
-// replayIssue issues up to chunk pages of the replay burst as SpecReplay
-// prefetches, coalescing consecutive runs into vectored RPCs via
-// spanFetch. It honors the frame-pool fetch budget and the global
-// speculation cap, and stands the replay down permanently once this
-// open's wasted prefetch overtakes its used prefetch — the recorded
-// pattern no longer matches reality, and the live detector is a better
-// guide than history.
-func (fs *FS) replayIssue(b *gpu.Block, f *file, chunk int) {
-	rp := f.replay
-	fc := f.fc
-
-	rp.mu.Lock()
-	if rp.done.Load() || rp.pos >= len(rp.burst) {
-		rp.done.Store(true)
-		rp.mu.Unlock()
-		return
-	}
-	used := fc.prefetchUsed.Load() - rp.baseUsed
-	wasted := fc.prefetchWasted.Load() - rp.baseWasted
-	if wasted > used && used+wasted >= histMinOutcome {
-		rp.done.Store(true)
-		rp.mu.Unlock()
-		return
-	}
-	n := chunk
-	if budget := fs.fetchBudget(); n > budget {
-		n = budget
-	}
-	if room := int64(fs.cache.NumFrames()/4) - fs.specPending.Load(); int64(n) > room {
-		n = int(room)
-	}
-	if n <= 0 {
-		rp.mu.Unlock()
-		return
-	}
-	// Hysteresis, same reasoning as the adaptive engine's async mark: a
-	// pre-warm at the cap leaves room for only a page or two until demand
-	// consumes it, and issuing those dribbles one RPC per page —
-	// forfeiting the coalescing that makes replay cheap. Hold the
-	// position until a whole chunk (or the final tail) fits.
-	if remaining := len(rp.burst) - rp.pos; n < chunk && n < remaining {
-		rp.mu.Unlock()
-		return
-	}
-	pages := rp.burst[rp.pos:]
-	if len(pages) > n {
-		pages = pages[:n]
-	}
-	rp.pos += len(pages)
-	if rp.pos >= len(rp.burst) {
-		rp.done.Store(true)
-	}
-	rp.mu.Unlock()
-
-	lastFile := (fc.size.Load() - 1) / fs.opt.PageSize
-	for i := 0; i < len(pages); {
-		j := i + 1
-		for j < len(pages) && pages[j] == pages[j-1]+1 {
-			j++
-		}
-		start, count := pages[i], int64(j-i)
-		i = j
-		if start < 0 || start > lastFile {
+		if st.seen {
+			// A fast reopen publishes the descriptor before attaching;
+			// this stream is already live.
+			st.mu.Unlock()
 			continue
 		}
-		if start+count-1 > lastFile {
-			count = lastFile - start + 1
+		st.stride = hs.Stride
+		st.streak = raRampStreak
+		if st.window = int(hs.Window); st.window < raInitWindow {
+			st.window = raInitWindow
 		}
-		fs.spanFetch(b, f, start, count, pcache.SpecReplay, fs.lane(b))
+		fs.raIssue(b, f, st, hs.First, pcache.SpecReplay)
+		seeded = true
+	}
+	if seeded {
+		fs.historyReplays.Add(1)
 	}
 }
 
-// historyRecord snapshots a closing open's footprint into the table: the
-// first-touch burst from the recorder, plus every detector slot holding a
-// confirmed stride. Called at the final gclose; O_NOSYNC and unlinked
-// files record nothing (their content dies with the close).
+// historyRecord snapshots a closing open into the table: every detector
+// slot holding a confirmed stride. Called at the final gclose; O_NOSYNC and
+// unlinked files record nothing (their content dies with the close).
 func (fs *FS) historyRecord(f *file) {
-	rec := f.rec
-	if fs.history == nil || rec == nil || f.noSync || f.unlinked {
+	if fs.history == nil || f.noSync || f.unlinked {
 		return
 	}
-	rec.mu.Lock()
-	burst := append([]int64(nil), rec.burst...)
-	rec.mu.Unlock()
-
-	var strides []histStride
+	var strides []ckpt.StrideImage
 	for i := range f.ra {
 		st := &f.ra[i]
 		st.mu.Lock()
 		if st.seen && st.streak >= 2 && st.stride != 0 &&
 			st.stride <= maxRAStride && st.stride >= -maxRAStride {
-			strides = append(strides, histStride{slot: i, stride: st.stride, window: st.window})
+			strides = append(strides, ckpt.StrideImage{
+				Slot: int64(i), First: st.first, Stride: st.stride, Window: int64(st.window)})
 		}
 		st.mu.Unlock()
 	}
-	if len(burst) == 0 && len(strides) == 0 {
+	if len(strides) == 0 {
 		return
 	}
 	fc := f.fc
-	fs.history.store(f.path, &histProfile{
-		size:    fc.size.Load(),
-		gen:     fc.gen.Load(),
-		burst:   burst,
-		strides: strides,
-	})
+	fs.history.store(&ckpt.ProfileImage{Path: f.path, Size: fc.size.Load(), Gen: fc.gen.Load(), Strides: strides})
 }

@@ -87,7 +87,7 @@ func (fs *FS) getPage(b *gpu.Block, f *file, pageIdx int64) (pageRef, error) {
 						} else if fr.Spec.CompareAndSwap(pcache.SpecReplay, pcache.SpecUsed) {
 							fs.prefetchUsed.Add(1)
 							fc.prefetchUsed.Add(1)
-							fs.replayUsed.Add(1)
+							fs.historyUsed.Add(1)
 							fs.specPending.Add(-1)
 						}
 					}
@@ -274,20 +274,8 @@ func (fs *FS) readImpl(b *gpu.Block, fd int, dst []byte, off int64) (int, error)
 		ref.release()
 		done += n
 	}
-	// While a history replay is actively in flight it owns prediction for
-	// this file: the burst already names the future accesses, and letting
-	// the stride detector race it just splits the same stream across two
-	// issuers — fragmenting the vectored spans and saturating the
-	// speculation cap with duplicate guesses. The detector resumes (with
-	// its seeded slots) the moment the replay completes or stands down.
-	replaying := f.replay != nil && !f.replay.done.Load()
-	if fs.opt.ReadAheadAdaptive && !replaying {
+	if fs.opt.ReadAheadAdaptive {
 		fs.adaptiveReadAhead(b, f, firstPage, (off+done-1)/ps)
-	} else if fs.opt.ReadAheadPages > 0 && !replaying {
-		fs.readAhead(b, f, (off+done-1)/ps+1)
-	}
-	if fs.history != nil {
-		fs.historyObserve(b, f, firstPage, (off+done-1)/ps)
 	}
 	return int(done), nil
 }

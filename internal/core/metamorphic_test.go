@@ -13,7 +13,7 @@ import (
 // pipelines the later pages' fetches), multi-page chunked greads,
 // page-at-a-time greads, and odd-sized chunks that straddle page
 // boundaries — must yield identical bytes under every read-ahead policy
-// (off, greedy, adaptive). With read-ahead off the post-run CacheStats
+// (off, adaptive). With read-ahead off the post-run CacheStats
 // must also be identical across shapes: multi-page gread batching is
 // known-needed pipelining, not speculation, so it must never leak into the
 // prefetch counters. Finally, every (shape, policy) pair must be
@@ -68,7 +68,6 @@ type readPolicy struct {
 
 var readPolicies = []readPolicy{
 	{"off", func(o *Options) {}, true},
-	{"greedy", func(o *Options) { o.ReadAheadPages = 4 }, false},
 	{"adaptive", func(o *Options) { o.ReadAheadAdaptive = true }, false},
 }
 

@@ -25,7 +25,7 @@ const (
 	SpecNone    int32 = iota // demand-faulted (or free) frame
 	SpecPending              // prefetched, no consumer has claimed it yet
 	SpecUsed                 // prefetched and consumed by a demand access
-	SpecReplay               // prefetched by a history-profile replay, unclaimed
+	SpecReplay               // prefetched on a recorded profile's word, unclaimed
 )
 
 // Frame is a pframe: metadata for one buffer-cache page.

@@ -93,9 +93,14 @@ func (p *FPage) TryBeginInit() bool {
 // FinishInit publishes the frame index and makes the slot Ready with one
 // reference held by the initializer (protecting the page during its first
 // use, as reference counts protect pages during memory transfers, §4.1).
+//
+// The reference is added, not stored: a racing TryRef bumps the count
+// before it looks at the state, and overwriting that transient bump would
+// leave either the TryRef that then sees Ready, or the initializer, holding
+// a page whose count says nobody does.
 func (p *FPage) FinishInit(frame int32) {
 	p.frame.Store(frame)
-	p.refs.Store(1)
+	p.refs.Add(1)
 	p.state.Store(slotReady)
 }
 

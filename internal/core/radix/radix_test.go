@@ -139,6 +139,27 @@ func TestFPageStateMachine(t *testing.T) {
 	}
 }
 
+// TestFinishInitKeepsRacingRef replays the interleaving behind the
+// rand_evict "stale or mixed page" reports: a TryRef bumps the count, the
+// initializer (or an evictor putting a page back) publishes Ready, and only
+// then does the TryRef look at the state — and succeed. Both now hold the
+// page, so the count must say two; when FinishInit overwrote it with one,
+// the first Unref made a page that was still being read evictable.
+func TestFinishInitKeepsRacingRef(t *testing.T) {
+	var p FPage
+	p.frame.Store(-1)
+	p.TryBeginInit()
+	p.refs.Add(1) // first half of a racing TryRef
+	p.FinishInit(3)
+	if p.state.Load() != slotReady { // second half: it sees Ready and keeps its ref
+		t.Fatalf("slot not ready after FinishInit")
+	}
+	p.Unref() // the initializer is done with the page
+	if p.TryEvict() {
+		t.Fatalf("evicted a page the racing TryRef still holds")
+	}
+}
+
 func TestRefEvictExclusion(t *testing.T) {
 	// Torture: referencing and evicting must never both succeed at once.
 	var p FPage

@@ -11,23 +11,18 @@ import (
 	"gpufs/internal/trace"
 )
 
-// Read-ahead comes in two flavors (§3.3 lists read-ahead among the
-// optimizations a GPU buffer cache enables):
-//
-//   - readAhead is the original greedy window: Options.ReadAheadPages
-//     pages past every gread, unconditionally. Sequential greads gain;
-//     random greads pay for unused transfers (the ablation bench
-//     quantifies the trade). The paper's justification for greed — GPU
-//     access patterns look chaotic because of non-deterministic block
-//     scheduling — is what the adaptive engine below works around.
-//   - adaptiveReadAhead (ISSUE 4) hashes threadblocks onto per-open-file
-//     detector slots, so each slot observes one block's access stream in
-//     isolation. A slot speculates only after two accesses confirm a
-//     stride, ramps its window up Linux-style while the streak holds,
-//     shrinks it when the file's wasted-prefetch counter overtakes its
-//     used counter, and — for stride-1 runs — coalesces the whole window
-//     into multi-page RPCs, amortizing per-transaction PCIe latency at
-//     small page sizes.
+// Read-ahead (§3.3 lists it among the optimizations a GPU buffer cache
+// enables) is one engine, adaptiveReadAhead. The paper's objection to
+// stride detection — GPU access patterns look chaotic because of
+// non-deterministic block scheduling — is worked around by hashing
+// threadblocks onto per-open-file detector slots, so each slot observes one
+// block's access stream in isolation. A slot speculates only after two
+// accesses confirm a stride (or a profile recorded by the previous open
+// vouches for it, see history.go), ramps its window up Linux-style while
+// the streak holds, shrinks it when the file's wasted-prefetch counter
+// overtakes its used counter, and — for stride-1 runs — coalesces the whole
+// window into multi-page RPCs, amortizing per-transaction PCIe latency at
+// small page sizes.
 
 // Adaptive read-ahead parameters.
 const (
@@ -72,7 +67,8 @@ const (
 // one open file.
 type raStream struct {
 	mu       sync.Mutex
-	seen     bool  // lastPage is meaningful
+	seen     bool  // first and lastPage are meaningful
+	first    int64 // first page this stream accessed (kept for the profile)
 	lastPage int64 // last page index this stream accessed
 	stride   int64 // page delta of the current run
 	streak   int   // consecutive accesses matching stride
@@ -90,81 +86,81 @@ func (fs *FS) probeCost() simtime.Duration {
 	return fs.opt.APICostPerPage >> probeCostShift
 }
 
-// readAhead prefetches up to Options.ReadAheadPages pages starting at
-// firstPage, asynchronously: each prefetched page's RPC is enqueued at the
-// block's current time but the block does not wait — the page's frame
-// records the transfer's virtual completion, which any later consumer
-// observes through Frame.ReadyAt.
-func (fs *FS) readAhead(b *gpu.Block, f *file, firstPage int64) {
-	if f.writeOnce || !f.readable {
-		return
-	}
+// raDeadZone reports whether the page size sits where speculation cannot
+// pay its fixed issue cost (API call + probe on the block's clock) back. It
+// is repaid in one of two ways — coalescing several pages into one RPC
+// (needs 2*PageSize <= raMaxSpanBytes), or hiding a transfer long enough to
+// dwarf the issue itself (one page already spans 2*raMaxSpanBytes). Between
+// the two, every speculated page is its own RPC and too small to amortize
+// it: measured at 32K pages, a 100% hit rate still nets a small throughput
+// LOSS. Such streams speculate nothing.
+func (fs *FS) raDeadZone() bool {
 	ps := fs.opt.PageSize
-	lastPage := (f.fc.size.Load() - 1) / ps
-
-	for i := 0; i < fs.opt.ReadAheadPages; i++ {
-		pageIdx := firstPage + int64(i)
-		if pageIdx > lastPage {
-			return
-		}
-		if !fs.prefetchPage(b, f, pageIdx, pcache.SpecPending) {
-			b.Busy(fs.probeCost())
-		}
-	}
+	return 2*ps > raMaxSpanBytes && ps < 2*raMaxSpanBytes
 }
 
-// adaptiveReadAhead is the per-access hook of the adaptive engine: the
-// calling block just accessed pages [first, last] of f. It updates the
-// block's detector slot and, when the slot is confident, issues the
-// speculation window beyond the access — stride-1 windows as coalesced
-// multi-page RPCs, larger strides page by page.
+// adaptiveReadAhead is the per-access hook of the engine: the calling
+// block just accessed pages [first, last] of f. It updates the block's
+// detector slot and, when the slot is confident, issues the speculation
+// window beyond the access.
 func (fs *FS) adaptiveReadAhead(b *gpu.Block, f *file, first, last int64) {
-	if f.writeOnce || !f.readable {
+	if f.writeOnce || !f.readable || fs.raDeadZone() {
 		return
 	}
-	// Dead-zone gate: speculation pays its fixed issue cost (API call +
-	// probe on the block's clock) back in one of two ways — coalescing
-	// several pages into one RPC (needs 2*PageSize <= raMaxSpanBytes), or
-	// hiding a transfer long enough to dwarf the issue itself (one page
-	// already spans 2*raMaxSpanBytes). Between the two, every speculated
-	// page is its own RPC and too small to amortize it: measured at 32K
-	// pages, a 100% hit rate still nets a small throughput LOSS. Such
-	// streams speculate nothing.
-	if ps := fs.opt.PageSize; 2*ps > raMaxSpanBytes && ps < 2*raMaxSpanBytes {
-		return
-	}
-	fc := f.fc
 	st := &f.ra[b.Idx&(raStreams-1)]
+	spec := pcache.SpecPending
 
 	st.mu.Lock()
 	if !st.seen {
 		st.seen = true
+		st.first = first
 		st.lastPage = last
-		st.mu.Unlock()
-		return
-	}
-	delta := first - st.lastPage
-	if delta == 0 {
-		// Re-access of the same page: no new direction information.
-		st.mu.Unlock()
-		return
-	}
-	if st.streak > 0 && delta == st.stride {
-		st.streak++
+		if st.streak == 0 {
+			st.mu.Unlock()
+			return
+		}
+		// Seeded from the previous open's profile (historyAttach): the
+		// stride is already confirmed, so the first access speculates —
+		// still on the profile's word, so it tops up whatever the
+		// open-time pre-warm could not place (a dry pool, usually) under
+		// the same tag. A stream that changed its pattern breaks the
+		// streak on its next access like any other.
+		spec = pcache.SpecReplay
 	} else {
-		st.stride = delta
-		st.streak = 1
-		st.window = raInitWindow
-		st.frontierOK = false
+		delta := first - st.lastPage
+		if delta == 0 {
+			// Re-access of the same page: no new direction information.
+			st.mu.Unlock()
+			return
+		}
+		if st.streak > 0 && delta == st.stride {
+			st.streak++
+		} else {
+			st.stride = delta
+			st.streak = 1
+			st.window = raInitWindow
+			st.frontierOK = false
+		}
+		st.lastPage = last
 	}
-	st.lastPage = last
-	stride := st.stride
-	if st.streak < 2 || stride > maxRAStride || stride < -maxRAStride {
-		// Not confident: random-looking streams speculate nothing —
-		// exactly the waste the greedy window pays on Figure 6.
+	if st.streak < 2 || st.stride > maxRAStride || st.stride < -maxRAStride {
+		// Not confident: random-looking streams speculate nothing.
 		st.mu.Unlock()
 		return
 	}
+	fs.raIssue(b, f, st, last+st.stride, spec)
+}
+
+// raIssue is the issue half of the engine: it sizes slot st's window from
+// the file's used/wasted feedback and issues the part of it not yet in
+// flight, given that the stream's predicted next access is page base —
+// stride-1 windows as coalesced multi-page RPCs, larger strides page by
+// page. spec is the speculation state stamped on the fetched frames. The
+// caller holds st.mu; raIssue releases it.
+func (fs *FS) raIssue(b *gpu.Block, f *file, st *raStream, base int64, spec int32) {
+	fc := f.fc
+	ps := fs.opt.PageSize
+	stride := st.stride
 
 	// Window feedback: wasted prefetch overtaking used prefetch shrinks
 	// the window back toward the initial size; a sustained streak doubles
@@ -180,7 +176,7 @@ func (fs *FS) adaptiveReadAhead(b *gpu.Block, f *file, first, last int64) {
 		return
 	}
 	maxWindow := raMaxWindow
-	if byBytes := int(raMaxWindowBytes / fs.opt.PageSize); byBytes < maxWindow {
+	if byBytes := int(raMaxWindowBytes / ps); byBytes < maxWindow {
 		maxWindow = byBytes
 	}
 	if maxWindow < raInitWindow {
@@ -206,7 +202,6 @@ func (fs *FS) adaptiveReadAhead(b *gpu.Block, f *file, first, last int64) {
 
 	// The window starts at the predicted next access; skip the part
 	// already issued by previous calls (the frontier).
-	base := last + stride
 	start := base
 	if st.frontierOK {
 		if (stride > 0 && st.nextPf > start) || (stride < 0 && st.nextPf < start) {
@@ -223,14 +218,14 @@ func (fs *FS) adaptiveReadAhead(b *gpu.Block, f *file, first, last int64) {
 	// one RPC per page regardless, and deferred refills just dump the
 	// whole window's API cost on the block in a burst — continuous 1-page
 	// top-up spreads it evenly instead.
-	if st.frontierOK && ahead > int64(st.window)/2 && fs.opt.PageSize < raMaxSpanBytes {
+	if ahead > int64(st.window)/2 && ps < raMaxSpanBytes {
 		st.mu.Unlock()
 		return
 	}
 	n := int64(st.window) - ahead
 	// Clamp to the file and to the frame-pool budget (speculation never
 	// evicts, so a tight pool shrinks the issue, not resident data).
-	if lastFile := (fc.size.Load() - 1) / fs.opt.PageSize; stride > 0 {
+	if lastFile := (fc.size.Load() - 1) / ps; stride > 0 {
 		if start > lastFile {
 			n = 0
 		} else if maxN := (lastFile-start)/stride + 1; n > maxN {
@@ -243,6 +238,7 @@ func (fs *FS) adaptiveReadAhead(b *gpu.Block, f *file, first, last int64) {
 			n = maxN
 		}
 	}
+	want := n
 	if budget := int64(fs.fetchBudget()); n > budget {
 		n = budget
 	}
@@ -254,7 +250,11 @@ func (fs *FS) adaptiveReadAhead(b *gpu.Block, f *file, first, last int64) {
 	if room := int64(fs.cache.NumFrames()/4) - fs.specPending.Load(); n > room {
 		n = room
 	}
-	if n <= 0 {
+	// Hold rule: a pool or cap that leaves room for less than one
+	// coalesced span would turn the refill into 1-page RPCs, one per
+	// access, until demand frees more. While runway is in flight nothing
+	// is lost by waiting for a whole span to fit.
+	if n <= 0 || (n < want && ahead > 0 && n < raMaxSpanBytes/ps) {
 		st.mu.Unlock()
 		return
 	}
@@ -263,11 +263,11 @@ func (fs *FS) adaptiveReadAhead(b *gpu.Block, f *file, first, last int64) {
 	st.mu.Unlock()
 
 	if stride == 1 {
-		fs.prefetchSpan(b, f, start, n)
+		fs.spanFetch(b, f, start, n, spec, fs.lane(b))
 		return
 	}
 	for i := int64(0); i < n; i++ {
-		if !fs.prefetchPage(b, f, start+i*stride, pcache.SpecPending) {
+		if !fs.prefetchPage(b, f, start+i*stride, spec) {
 			b.Busy(fs.probeCost())
 		}
 	}
@@ -281,11 +281,13 @@ func (fs *FS) adaptiveReadAhead(b *gpu.Block, f *file, first, last int64) {
 // path in gread, which calls this directly, stays cost-identical.
 //
 // spec is the speculation state stamped on the fetched frame:
-// pcache.SpecPending (adaptive read-ahead) and pcache.SpecReplay (history
-// replay) join the prefetch-issued/used/wasted accounting and the global
-// in-flight cap; pcache.SpecNone is the batched-fetch path — those pages
-// are known-needed pipelining of the current gread, not a guess, and
-// counting them would report a flattering hit rate the engine didn't earn.
+// pcache.SpecPending (a stride this open's own accesses confirmed) and
+// pcache.SpecReplay (a stride only the previous open's profile vouches for:
+// the open-time pre-warm and a seeded stream's first access) join the
+// prefetch-issued/used/wasted accounting and the global in-flight cap;
+// pcache.SpecNone is the batched-fetch path — those pages are known-needed
+// pipelining of the current gread, not a guess, and counting them would
+// report a flattering hit rate the engine didn't earn.
 func (fs *FS) prefetchPage(b *gpu.Block, f *file, pageIdx int64, spec int32) bool {
 	fc := f.fc
 	g := fc.tree.Pin()
@@ -343,31 +345,26 @@ func (fs *FS) prefetchPage(b *gpu.Block, f *file, pageIdx int64, spec int32) boo
 		fs.prefetchIssued.Add(1)
 		fs.specPending.Add(1)
 		if spec == pcache.SpecReplay {
-			fs.replayIssued.Add(1)
+			fs.historyIssued.Add(1)
 		}
 		fs.record(b, trace.OpPrefetch, f.path, pageIdx*fs.opt.PageSize, fs.opt.PageSize, start, nil)
 	}
 	return true
 }
 
-// prefetchSpan speculates count consecutive pages starting at start,
-// coalescing adjacent claimable pages into single multi-page RPCs
-// (rpc.ReadPagesVecAsync): one ring transaction and one DMA per run
-// instead of one per page, which is what closes the per-transaction
-// latency gap at small page sizes. Pages that cannot be claimed (already
-// resident or in flight) split the run; a dry frame pool stops the span —
-// speculation never evicts.
-func (fs *FS) prefetchSpan(b *gpu.Block, f *file, start, count int64) {
-	fs.spanFetch(b, f, start, count, pcache.SpecPending, fs.lane(b))
-}
-
-// spanFetch is the engine behind prefetchSpan, parameterized so the
-// warp-read and history-replay paths can reuse it: spec selects the
-// speculation state (prefetch counters, the Spec flag, the OpPrefetch
-// trace — pcache.SpecNone for known-needed warp reads), and cli is the
-// syscall view the vectored RPCs ride — gpread_warp passes a
-// warp-granularity view so its coalesced descriptors are stamped GranWarp
-// on the wire.
+// spanFetch fetches count consecutive pages starting at start without
+// blocking the caller, coalescing adjacent claimable pages into single
+// multi-page RPCs (rpc.ReadPagesVecAsync): one ring transaction and one DMA
+// per run instead of one per page, which is what closes the
+// per-transaction latency gap at small page sizes. Pages that cannot be
+// claimed (already resident or in flight) split the run; a dry frame pool
+// stops the span — speculation never evicts.
+//
+// spec selects the speculation state (prefetch counters, the Spec flag, the
+// OpPrefetch trace — pcache.SpecNone for known-needed warp reads and
+// checkpoint restores), and cli is the syscall view the vectored RPCs ride
+// — gpread_warp passes a warp-granularity view so its coalesced descriptors
+// are stamped GranWarp on the wire.
 func (fs *FS) spanFetch(b *gpu.Block, f *file, start, count int64, spec int32, cli *gsys.Client) {
 	fc := f.fc
 	ps := fs.opt.PageSize
@@ -427,7 +424,7 @@ func (fs *FS) spanFetch(b *gpu.Block, f *file, start, count int64, spec int32, c
 			fs.prefetchIssued.Add(int64(len(run)))
 			fs.specPending.Add(int64(len(run)))
 			if spec == pcache.SpecReplay {
-				fs.replayIssued.Add(int64(len(run)))
+				fs.historyIssued.Add(int64(len(run)))
 			}
 			fs.record(b, trace.OpPrefetch, f.path, runFirst*ps, int64(len(run))*ps, issueStart, nil)
 		}

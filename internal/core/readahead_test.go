@@ -58,7 +58,6 @@ func TestEvictFromFileLargeTargetSingleCall(t *testing.T) {
 // it used to cost nothing.
 func TestReadAheadChargesProbeCost(t *testing.T) {
 	opt := defaultOpt()
-	opt.ReadAheadPages = 8
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
 	h.write(t, "/f", pattern(16*16<<10, 2))
@@ -77,7 +76,7 @@ func TestReadAheadChargesProbeCost(t *testing.T) {
 		}
 		f := fs.fds[fd]
 		before := b.Clock.Now()
-		fs.readAhead(b, f, 0) // all 8 pages resident: 8 skips
+		fs.spanFetch(b, f, 0, 8, pcache.SpecPending, fs.lane(b)) // all 8 pages resident: 8 skips
 		got := b.Clock.Now().Sub(before)
 		if want := 8 * fs.probeCost(); got != want {
 			t.Errorf("8 resident-page probes cost %v, want %v", got, want)
@@ -121,7 +120,7 @@ func TestFetchBudgetScaling(t *testing.T) {
 
 // TestPrefetchNeverEvictsFullCache: speculation aborts rather than paging
 // out resident data — with the pool 100% occupied, prefetchPage and
-// prefetchSpan must allocate nothing and evict nothing.
+// spanFetch must allocate nothing and evict nothing.
 func TestPrefetchNeverEvictsFullCache(t *testing.T) {
 	opt := defaultOpt() // 64 frames of 16K
 	h := newHarness(t, 1, opt)
@@ -152,7 +151,7 @@ func TestPrefetchNeverEvictsFullCache(t *testing.T) {
 		if fs.prefetchPage(b, fB, 0, pcache.SpecPending) {
 			t.Error("prefetchPage launched a fetch with a full pool")
 		}
-		fs.prefetchSpan(b, fB, 0, 4)
+		fs.spanFetch(b, fB, 0, 4, pcache.SpecPending, fs.lane(b))
 		if got := fs.cache.Allocs(); got != allocs {
 			t.Errorf("speculation allocated %d frames from a full pool", got-allocs)
 		}
@@ -210,8 +209,7 @@ func TestAdaptiveSequentialSpeculates(t *testing.T) {
 }
 
 // TestAdaptiveRandomStaysQuiet: accesses with no repeated stride never
-// clear the detector's confidence gate, so nothing is speculated — the
-// waste the greedy window would have paid.
+// clear the detector's confidence gate, so nothing is speculated.
 func TestAdaptiveRandomStaysQuiet(t *testing.T) {
 	opt := defaultOpt()
 	opt.ReadAheadAdaptive = true

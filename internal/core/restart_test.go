@@ -15,7 +15,7 @@ import (
 func TestRestartReclaimsPrefetchedFrames(t *testing.T) {
 	opt := defaultOpt()
 	opt.CacheBytes = 8 * opt.PageSize
-	opt.ReadAheadPages = 4
+	opt.ReadAheadAdaptive = true
 	opt.EvictBatch = 64 // drain whole leaves so RemoveLeaf fires
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]

@@ -105,8 +105,7 @@ func (fs *FS) OpenAhead(b *gpu.Block, path string, flags int) *OpenFuture {
 		fs.discardCache(b, fc)
 	}
 
-	f.fc = fs.newFileCache(path, info.Ino, info.Generation, info.Size)
-	f.hostFd = reply.FD
+	fs.publishCache(f, fs.newFileCache(path, info.Ino, info.Generation, info.Size), reply.FD)
 	fs.client.RecordCached(info.Ino, info.Generation)
 	close(f.ready)
 

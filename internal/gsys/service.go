@@ -2,6 +2,7 @@ package gsys
 
 import (
 	"fmt"
+	"sync"
 
 	"gpufs/internal/hostfs"
 	"gpufs/internal/pcie"
@@ -147,6 +148,11 @@ func (s *Service) sysRead(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 	return c.cli.rpc.Link().Charge(cclk.Now(), pcie.HostToDevice, int64(n)), nil
 }
 
+// stagingPool recycles sysReadVec's contiguous read buffer. The buffer is
+// only this simulation's scattering mechanism (one pread, then a copy-out
+// per destination frame); nothing reads it after the handler returns.
+var stagingPool = sync.Pool{New: func() any { return new([]byte) }}
+
 func (s *Service) sysReadVec(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 	f, err := s.srv.FileByFD(int64(c.fr.Args[0]))
 	if err != nil {
@@ -156,7 +162,12 @@ func (s *Service) sysReadVec(c *call, cclk *simtime.Clock) (simtime.Time, error)
 	for _, d := range c.dsts {
 		total += len(d)
 	}
-	staging := make([]byte, total)
+	bp := stagingPool.Get().(*[]byte)
+	defer stagingPool.Put(bp)
+	if cap(*bp) < total {
+		*bp = make([]byte, total)
+	}
+	staging := (*bp)[:total]
 	n, err := c.cli.rpc.ReadFull(cclk, f, staging, int64(c.fr.Args[1]))
 	if err != nil {
 		return 0, err

@@ -131,32 +131,19 @@ type Config struct {
 	// ForceLockedTraversal disables lock-free radix-tree reads on every
 	// GPU, reproducing Figure 7's locked baseline.
 	ForceLockedTraversal bool
-	// ReadAheadPages enables greedy GPU-side buffer-cache read-ahead on
-	// gread (§3.3 lists read-ahead among the optimizations a GPU buffer
-	// cache enables). 0 — the prototype's setting — disables it. Ignored
-	// while ReadAheadAdaptive is set.
-	ReadAheadPages int
-	// ReadAheadAdaptive replaces the fixed greedy read-ahead window with a
-	// per-open-file, per-stream pattern detector: sequential and strided
-	// access ramp a Linux-style window up on confirmed prefetch hits and
-	// shrink it on waste, and adjacent speculative pages coalesce into one
-	// multi-page RPC. Random access builds no confidence and triggers no
-	// speculation. On by default; false restores the PR-3 behavior
-	// bit-identically (ReadAheadPages then governs the greedy window).
+	// ReadAheadAdaptive enables GPU-side buffer-cache read-ahead on gread
+	// (§3.3 lists read-ahead among the optimizations a GPU buffer cache
+	// enables): a per-open-file, per-stream pattern detector. Sequential
+	// and strided access ramp a Linux-style window up on confirmed
+	// prefetch hits and shrink it on waste, and adjacent speculative pages
+	// coalesce into one multi-page RPC. Random access builds no confidence
+	// and triggers no speculation. What each stream's detector knew at the
+	// final gclose (first page, stride, window) is kept per path in a
+	// bounded FS-level LRU table, validated against file size and
+	// generation, and seeds the detector at the next gopen, which issues
+	// each stream's first window before the demand reads arrive. On by
+	// default; false — the prototype's setting — disables read-ahead.
 	ReadAheadAdaptive bool
-	// HistoryPrefetch layers a per-file access-history engine over the
-	// adaptive detector: each open records its page-access footprint (the
-	// ordered first-touch burst plus confirmed detector strides) into a
-	// compact profile kept in a bounded FS-level LRU table, keyed by path
-	// and validated against file size and generation. A re-open replays
-	// the profile — the burst is pre-warmed through vectored read RPCs
-	// before demand reads arrive and detector slots start with their
-	// previously confirmed strides — with replay depth feedback-controlled
-	// by the used/wasted prefetch counters so a changed access pattern
-	// stands the engine down within one open. On by default; false
-	// disables recording and replay bit-identically (requires
-	// ReadAheadAdaptive to have any effect on stride seeding).
-	HistoryPrefetch bool
 	// CleanerWorkers is the number of background writeback-cleaner lanes
 	// per GPU. When a low watermark on free buffer-cache frames is
 	// crossed, the cleaner writes cold dirty pages back and pre-evicts
@@ -276,7 +263,6 @@ func Default() Config {
 		RPCPollInterval:     10 * simtime.Microsecond,
 		RPCHandleCost:       12 * simtime.Microsecond,
 		ReadAheadAdaptive:   true,
-		HistoryPrefetch:     true,
 		CleanerWorkers:      1,
 		ZeroCopyRead:        true,
 		FrameShards:         0, // auto: one shard per multiprocessor

@@ -44,11 +44,12 @@ type GPUStats struct {
 	// buffer-cache read-ahead counters (core.CacheStats): speculative
 	// pages launched, consumed by a demand access, and reclaimed unused.
 	PrefetchIssued, PrefetchUsed, PrefetchWasted int64
-	// ReplayIssued/ReplayUsed/ReplayWasted are the history-prefetch
-	// subset of the counters above (pages issued by profile replay);
-	// HistoryReplays counts opens that replayed a recorded profile and
+	// ReplayIssued/ReplayUsed/ReplayWasted are the subset of the counters
+	// above issued on a recorded profile's word (the open-time pre-warm
+	// and a seeded stream's first access); HistoryReplays counts opens
+	// that started from a profile and
 	// HistoryInvalidations counts profiles dropped because the host copy
-	// changed between opens. All 0 with HistoryPrefetch off.
+	// changed between opens. All 0 with ReadAheadAdaptive off.
 	ReplayIssued, ReplayUsed, ReplayWasted int64
 	HistoryReplays, HistoryInvalidations   int64
 	// CleanedPages counts pages the background writeback cleaner wrote

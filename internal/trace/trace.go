@@ -50,8 +50,8 @@ const (
 	// OpDispatch marks a serving-layer kernel dispatch: the span covers
 	// the batched launch from start to completion.
 	OpDispatch
-	// OpPrefetch marks a speculative read issue (adaptive or greedy
-	// read-ahead, ISSUE 4); Bytes is the coalesced extent of the issue.
+	// OpPrefetch marks a speculative read issue (read-ahead, ISSUE 4);
+	// Bytes is the coalesced extent of the issue.
 	OpPrefetch
 	// OpPrefetchWaste marks speculative pages reclaimed before any demand
 	// access consumed them; Bytes is the wasted extent.

@@ -240,8 +240,8 @@ func RandReadGPUfs(sys *gpufs.System, gpuID int, path string, fileBytes int64, b
 
 // StrideReadGPUfs reads readBytes from the head of every stridePages-th
 // page of each block's contiguous file range — a fixed-stride pattern that
-// a pattern detector should recognize (and speculate along) while greedy
-// sequential read-ahead mostly fetches the skipped pages for nothing.
+// a pattern detector should recognize (and speculate along) while a fixed
+// sequential window would mostly fetch the skipped pages for nothing.
 func StrideReadGPUfs(sys *gpufs.System, gpuID int, path string, fileBytes int64, blocks, threads int, stridePages, readBytes int64) (*MicroResult, error) {
 	res := &MicroResult{}
 	ps := sys.GPU(gpuID).FS().PageSize()

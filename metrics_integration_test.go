@@ -3,6 +3,7 @@ package gpufs_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -93,6 +94,13 @@ func metricsWorkload(t *testing.T, sys *gpufs.System) (ends []gpufs.Time, stats 
 // are observation-only, so enabling them must not move a single virtual
 // timestamp or counter.
 func TestMetricsDisabledBitIdentical(t *testing.T) {
+	// Two multi-block virtual timelines are compared tick for tick, and
+	// which block books a shared resource first is the Go scheduler's
+	// choice (ROADMAP item 1). Until virtual time is deterministic, one P
+	// makes both runs interleave the same way.
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+
 	run := func(enabled bool) ([]gpufs.Time, []gpufs.Stats) {
 		cfg := gpufs.ScaledConfig(1.0 / 128)
 		cfg.NumGPUs = 2
