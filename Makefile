@@ -5,7 +5,9 @@
 #                that imports this one's internals, so a change that
 #                breaks what it uses fails here rather than in the bench
 #                pipeline.
-#   tier2      — the merge gate: gofmt-clean, vet clean, the full
+#   tier2      — the merge gate: gofmt-clean, vet clean, internal/rpc
+#                still only a transport (it imports neither hostfs nor
+#                gsys: the file protocol lives above it), the full
 #                suite under the race detector (the stress/oracle tests
 #                run 500 seeds concurrently, so this is where sync bugs
 #                die), the bench guardrail pinning the Fig4 16K/32K
@@ -57,7 +59,10 @@ tier2:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
-	$(GO) test -race ./...
+	@leaked=$$($(GO) list -f '{{join .Imports "\n"}}' ./internal/rpc | \
+		grep -xE 'gpufs/internal/(hostfs|gsys)'); if [ -n "$$leaked" ]; then \
+		echo "internal/rpc is the ring transport and may not import:"; echo "$$leaked"; exit 1; fi
+	$(GO) test -race -timeout 30m ./...
 	GPUFS_BENCH_GUARDRAIL=1 $(GO) test -count=1 -run TestBenchGuardrail ./internal/bench
 	mkdir -p artifacts
 	$(GO) test -run '^$$' -bench BenchmarkContention -benchtime 1x \

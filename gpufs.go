@@ -133,11 +133,10 @@ type System struct {
 
 // GPU is one device together with its GPUfs instance.
 type GPU struct {
-	sys    *System
-	dev    *gpu.Device
-	link   *pcie.Link
-	client *rpc.Client
-	fs     *core.FS
+	sys  *System
+	dev  *gpu.Device
+	link *pcie.Link
+	fs   *core.FS
 }
 
 // NewSystem builds a simulated machine from the configuration. With
@@ -195,11 +194,7 @@ func NewSystemWithMetrics(cfg Config, reg *metrics.Registry) (*System, error) {
 	// One syscall service for the whole machine: the syscall table is
 	// stateless, but the gpipe table must be shared so kernels on
 	// different GPUs can meet at a named pipe.
-	syscalls := gsys.NewService(server)
-	ordering, err := gsys.ParseOrdering(cfg.SyscallOrdering)
-	if err != nil {
-		return nil, err
-	}
+	syscalls := gsys.NewService(server, cfg.ZeroCopyRead)
 
 	sys := &System{
 		cfg:       cfg,
@@ -249,12 +244,11 @@ func NewSystemWithMetrics(cfg Config, reg *metrics.Registry) (*System, error) {
 			FrameShards:          frameShards,
 			Metrics:              reg,
 			Syscalls:             syscalls,
-			SyscallOrdering:      ordering,
 		}, client, dev.Mem)
 		if err != nil {
 			return nil, fmt.Errorf("gpufs: initializing GPU %d: %w", i, err)
 		}
-		sys.gpus = append(sys.gpus, &GPU{sys: sys, dev: dev, link: link, client: client, fs: fs})
+		sys.gpus = append(sys.gpus, &GPU{sys: sys, dev: dev, link: link, fs: fs})
 	}
 	return sys, nil
 }

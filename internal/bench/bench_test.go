@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"gpufs/internal/simtime/simtest"
 )
 
 func TestTableRendering(t *testing.T) {
@@ -183,6 +185,7 @@ func TestFig5ShapeTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness in -short mode")
 	}
+	simtest.OneP(t)
 	tb, err := Fig5(1.0 / 256)
 	if err != nil {
 		t.Fatal(err)
@@ -232,6 +235,7 @@ func TestTable2ShapeTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness in -short mode")
 	}
+	simtest.OneP(t)
 	tb, err := Table2(1.0 / 256)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gpufs/internal/serve"
+	"gpufs/internal/simtime/simtest"
 )
 
 // TestServeShapes checks the serving bench's headline claims at test
@@ -11,6 +12,7 @@ import (
 // rate (and page faults), and continuous batching beats
 // one-launch-per-request on virtual-time throughput.
 func TestServeShapes(t *testing.T) {
+	simtest.OneP(t)
 	// Much lighter than the real table — fewer tenants, jobs, and pages —
 	// but the same capacity crossover: half the corpus fits one GPU's
 	// cache, the whole corpus does not.

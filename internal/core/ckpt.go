@@ -290,7 +290,7 @@ func (ck *Ckpt) Commit() (*ckpt.FSImage, error) {
 		e.img.Clean = append(e.img.Clean, cowClean...)
 
 		needsCheck := len(e.img.Clean) > 0 || (e.closed && len(e.img.Dirty) > 0)
-		if needsCheck && !fs.client.PeekValid(ck.clk, e.img.Ino, e.img.Gen) {
+		if needsCheck && !fs.sys.PeekValid(ck.clk, e.img.Ino, e.img.Gen) {
 			// The host moved underneath the speculation window: the
 			// clean pages' by-reference capture is worthless (a restore
 			// would fetch the NEW host content and call it the old).

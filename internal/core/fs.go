@@ -96,8 +96,8 @@ type Options struct {
 	// fault kicks an idle lane, which — on its own virtual clock, so the
 	// faulting threadblock pays nothing — writes back cold dirty pages and
 	// pre-evicts closed-file frames until the high watermark. 0 disables
-	// the cleaner (all write-back happens synchronously under eviction,
-	// as before ISSUE 4).
+	// the cleaner: all write-back happens synchronously under eviction,
+	// on the faulting block's clock.
 	CleanerWorkers int
 	// DisableFastReopen forces every gopen to take the full host-RPC
 	// path even when the closed file table holds a valid cache
@@ -109,13 +109,15 @@ type Options struct {
 	// pinned page frame (one device-memory pass — the gmmap mechanism)
 	// instead of a two-pass copy through a staging buffer, and makes the
 	// host daemon pread RPC completions directly into the pinned DMA
-	// region (skipping the staging pass on the host memory bus). The flag
-	// also propagates to the client's rpc server. Off restores the
-	// copying path bit-identically.
+	// region (skipping the staging pass on the host memory bus). The host
+	// half lives in the syscall service: New passes the flag to the
+	// private service it builds when Syscalls is nil, and a shared service
+	// must have been built with the same value. Off selects the copying
+	// path.
 	ZeroCopyRead bool
 	// FrameShards is the number of free-list shards in the frame
 	// allocator; lanes hash to shards and steal on empty. Values < 1
-	// select 1 (the single-LIFO allocator, bit-identical to PR 7).
+	// select 1 (a single LIFO free list).
 	FrameShards int
 	// CkptMaxBytes bounds the bytes a checkpoint may capture by value
 	// (dirty pages plus pipe buffers); a capture that would exceed it
@@ -133,20 +135,15 @@ type Options struct {
 	// server — file semantics are identical; only cross-GPU pipes need
 	// the shared table.
 	Syscalls *gsys.Service
-	// SyscallOrdering selects the default ordering class workloads see
-	// through Config(); the file API itself always issues strong where
-	// the paper's semantics require it. Parsed by gsys.ParseOrdering.
-	SyscallOrdering gsys.Ordering
 }
 
 // FS is the GPUfs instance of a single GPU: the top software layer of
 // Figure 2, resident in GPU memory and linked into the application kernel.
 type FS struct {
-	gpuID  int
-	opt    Options
-	client *rpc.Client
-	sys    *gsys.Client
-	cache  *pcache.Cache
+	gpuID int
+	opt   Options
+	sys   *gsys.Client
+	cache *pcache.Cache
 
 	mu     sync.Mutex
 	byPath map[string]int // path -> fd for open files
@@ -359,19 +356,13 @@ func New(gpuID int, opt Options, client *rpc.Client, mem *memsys.Arena) (*FS, er
 	if err != nil {
 		return nil, err
 	}
-	// The host half of the zero-copy read path lives in the daemon (the
-	// staging pass skipped in gsys/rpc read handlers); every GPU of a
-	// system is built with the same Options, so the per-FS store is
-	// idempotent.
-	client.Server().SetZeroCopyRead(opt.ZeroCopyRead)
 	svc := opt.Syscalls
 	if svc == nil {
-		svc = gsys.NewService(client.Server())
+		svc = gsys.NewService(client.Server(), opt.ZeroCopyRead)
 	}
 	fs := &FS{
 		gpuID:        gpuID,
 		opt:          opt,
-		client:       client,
 		sys:          gsys.NewClient(svc, client),
 		cache:        cache,
 		byPath:       make(map[string]int),
@@ -493,7 +484,7 @@ func (fs *FS) PageSize() int64 { return fs.opt.PageSize }
 func (fs *FS) Cache() *pcache.Cache { return fs.cache }
 
 // Client exposes the RPC transport endpoint (stats and tests).
-func (fs *FS) Client() *rpc.Client { return fs.client }
+func (fs *FS) Client() *rpc.Client { return fs.sys.RPC() }
 
 // Syscalls exposes the syscall endpoint (workloads and tests).
 func (fs *FS) Syscalls() *gsys.Client { return fs.sys }
@@ -501,7 +492,7 @@ func (fs *FS) Syscalls() *gsys.Client { return fs.sys }
 // lane returns the syscall client view bound to the block's home ring
 // shard, so a threadblock's calls keep FIFO order on one ring while
 // blocks on different shards overlap across daemon workers. Strong
-// ordering (the default for every call below) rides the per-lane fence.
+// ordering (the default for every call below) blocks the lane's clock.
 func (fs *FS) lane(b *gpu.Block) *gsys.Client { return fs.sys.Bind(b.Idx) }
 
 // newFileCache builds an empty cache for a file.
@@ -581,7 +572,7 @@ func (fs *FS) openImpl(b *gpu.Block, path string, flags int) (int, error) {
 		if ino, ok := fs.closedByPath[path]; ok && !fs.opt.DisableFastReopen {
 			fc := fs.closed[ino]
 			if fc != nil && fc.lastFlags == flags && fc.keepFd.Load() != 0 &&
-				fs.client.PeekValid(b.Clock, fc.ino, fc.gen.Load()) {
+				fs.sys.PeekValid(b.Clock, fc.ino, fc.gen.Load()) {
 				delete(fs.closed, ino)
 				delete(fs.closedByPath, path)
 				ready := make(chan struct{})
@@ -605,7 +596,7 @@ func (fs *FS) openImpl(b *gpu.Block, path string, flags int) (int, error) {
 				fs.mu.Unlock()
 
 				if writable {
-					if err := fs.client.BeginWrite(fc.ino, writeShrd || writeOnce); err != nil {
+					if err := fs.sys.BeginWrite(fc.ino, writeShrd || writeOnce); err != nil {
 						fs.mu.Lock()
 						fs.fds[fd] = nil
 						delete(fs.byPath, path)
@@ -705,7 +696,7 @@ func (fs *FS) hostOpen(b *gpu.Block, f *file) error {
 		// byte is written at most once and diff-against-zeros merges
 		// disjoint updates (§3.1). Other writes are single-writer
 		// unless opened O_GWRSHARED.
-		if err := fs.client.BeginWrite(info.Ino, f.writeShrd || f.writeOnce); err != nil {
+		if err := fs.sys.BeginWrite(info.Ino, f.writeShrd || f.writeOnce); err != nil {
 			fs.lane(b).Close(b.Clock, hfd)
 			return err
 		}
@@ -739,7 +730,7 @@ func (fs *FS) hostOpen(b *gpu.Block, f *file) error {
 	}
 
 	fs.publishCache(f, fs.newFileCache(f.path, info.Ino, info.Generation, info.Size), hfd)
-	fs.client.RecordCached(info.Ino, info.Generation)
+	fs.sys.RecordCached(info.Ino, info.Generation)
 	return nil
 }
 
@@ -795,7 +786,7 @@ func (fs *FS) closeImpl(b *gpu.Block, fd int) error {
 	}
 
 	if f.writable {
-		fs.client.EndWrite(fc.ino)
+		fs.sys.EndWrite(fc.ino)
 	}
 
 	if f.noSync || f.unlinked {
@@ -862,7 +853,7 @@ func (fs *FS) discardCache(b *gpu.Block, fc *fileCache) {
 	if old := fc.keepFd.Swap(0); old != 0 {
 		fs.lane(b).Close(b.Clock, old)
 	}
-	fs.client.Forget(fc.ino)
+	fs.sys.Forget(fc.ino)
 }
 
 // ResidentPages reports how many buffer-cache pages of path are resident
@@ -1035,8 +1026,8 @@ func (fs *FS) Snapshot() Stats {
 		Opens:             fs.opens.Load(),
 		HostOpens:         fs.hostOpens.Load(),
 		ClosedTableReuses: fs.closedReuses.Load(),
-		RPCRetries:        fs.client.Retries(),
-		RPCTimeouts:       fs.client.Timeouts(),
+		RPCRetries:        fs.sys.RPC().Retries(),
+		RPCTimeouts:       fs.sys.RPC().Timeouts(),
 	}
 	fs.mu.Lock()
 	for _, f := range fs.fds {
@@ -1084,7 +1075,7 @@ func (fs *FS) Restart(b *gpu.Block) {
 			continue
 		}
 		if f.writable {
-			fs.client.EndWrite(f.fc.ino)
+			fs.sys.EndWrite(f.fc.ino)
 		}
 		fs.dropCacheNoWriteback(f.fc)
 		fs.lane(b).Close(b.Clock, f.hostFd)
@@ -1116,5 +1107,5 @@ func (fs *FS) dropCacheNoWriteback(fc *fileCache) {
 		p.FinishEvict()
 		return true
 	})
-	fs.client.Forget(fc.ino)
+	fs.sys.Forget(fc.ino)
 }

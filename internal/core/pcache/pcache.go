@@ -151,8 +151,7 @@ type frameShard struct {
 
 // New carves a single-shard cache of totalBytes (rounded down to whole
 // pages) out of the given device-memory arena. With one shard the
-// allocator is ONE LIFO free list handing out frame 0 first — the exact
-// pre-sharding behavior, which the pinned virtual-time baselines rely on.
+// allocator is ONE LIFO free list handing out frame 0 first.
 func New(mem *memsys.Arena, totalBytes, pageSize int64) (*Cache, error) {
 	return NewSharded(mem, totalBytes, pageSize, 1)
 }
@@ -192,7 +191,7 @@ func NewSharded(mem *memsys.Arena, totalBytes, pageSize int64, nshards int) (*Ca
 		f.Offset.Store(-1)
 	}
 	// Each shard's free list in reverse so its lowest frame index is on
-	// top (with one shard: frame 0 is handed out first, as before).
+	// top (with one shard: frame 0 is handed out first).
 	for i := int32(n) - 1; i >= 0; i-- {
 		s := &c.shards[int(i)%nshards]
 		s.free = append(s.free, i)

@@ -354,8 +354,8 @@ func (fs *FS) prefetchPage(b *gpu.Block, f *file, pageIdx int64, spec int32) boo
 
 // spanFetch fetches count consecutive pages starting at start without
 // blocking the caller, coalescing adjacent claimable pages into single
-// multi-page RPCs (rpc.ReadPagesVecAsync): one ring transaction and one DMA
-// per run instead of one per page, which is what closes the
+// multi-page syscalls (gsys.Client.ReadPagesVecAsync): one ring transaction
+// and one DMA per run instead of one per page, which is what closes the
 // per-transaction latency gap at small page sizes. Pages that cannot be
 // claimed (already resident or in flight) split the run; a dry frame pool
 // stops the span — speculation never evicts.

@@ -83,7 +83,7 @@ func (fs *FS) refreshGenerationOn(lane *gsys.Client, clk *simtime.Clock, fc *fil
 		return // stale generation only costs an extra invalidation
 	}
 	fc.gen.Store(info.Generation)
-	fs.client.RecordCached(fc.ino, info.Generation)
+	fs.sys.RecordCached(fc.ino, info.Generation)
 }
 
 // Fsync implements gfsync: it synchronously writes back to the host every

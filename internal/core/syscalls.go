@@ -60,7 +60,7 @@ func (fs *FS) OpenAhead(b *gpu.Block, path string, flags int) *OpenFuture {
 	}
 	// Cold open: insert the pending open-table entry (so concurrent
 	// gopens coalesce onto this open, exactly as with a strong opener)
-	// and issue the host open past the fence.
+	// and issue the host open without blocking the lane.
 	f := &file{
 		path:     path,
 		flags:    flags,
@@ -106,7 +106,7 @@ func (fs *FS) OpenAhead(b *gpu.Block, path string, flags int) *OpenFuture {
 	}
 
 	fs.publishCache(f, fs.newFileCache(path, info.Ino, info.Generation, info.Size), reply.FD)
-	fs.client.RecordCached(info.Ino, info.Generation)
+	fs.sys.RecordCached(info.Ino, info.Generation)
 	close(f.ready)
 
 	of.eager, of.fd, of.fut = true, fd, fut

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"gpufs/internal/hostfs"
@@ -20,72 +19,45 @@ import (
 //
 // Ordering classes route differently:
 //
-//   - OrderStrong calls go through the per-lane FIFO fence: each strong
-//     call on a lane is ordered after the previous strong call's
-//     completion. For the block-collective API the fence is structurally
-//     satisfied — a blocking call already holds its lane's clock until
-//     completion, so the fence never stalls and the strong path's virtual
-//     timing is bit-identical to the pre-gsys protocol. A lane clock that
-//     jumps backwards (a harness timing reset) restarts the fence.
-//   - OrderRelaxed calls bypass the fence and ride the out-of-order
-//     completion queue: the block's clock is untouched, results are
-//     available through a Future, and the caller joins explicitly with
-//     Future.Wait or Client.Fence. Detached speculation (prefetch) is
-//     relaxed traffic that is intentionally never joined.
+//   - OrderStrong calls block: the call holds its lane's clock until the
+//     response is delivered, so each strong call on a lane is issued
+//     after the previous one completed. That is the whole of strong
+//     ordering — there is no fence state to maintain.
+//   - OrderRelaxed calls ride the out-of-order completion queue: the
+//     block's clock is untouched, results are available through a Future,
+//     and the caller joins explicitly with Future.Wait. Detached
+//     speculation (prefetch) is relaxed traffic that is intentionally
+//     never joined.
 
-// rpcOp maps a syscall to the ring-transport op it rides, keeping the
-// daemon's per-op accounting identical for the subsumed file operations
-// (SysRead and SysReadVec are both "read" transactions, as before).
-func rpcOp(s Sysno) rpc.Op {
-	switch s {
-	case SysOpen:
-		return rpc.OpOpen
-	case SysClose:
-		return rpc.OpClose
-	case SysRead, SysReadVec:
-		return rpc.OpReadPages
-	case SysWrite:
-		return rpc.OpWritePages
-	case SysTruncate:
-		return rpc.OpTruncate
-	case SysUnlink:
-		return rpc.OpUnlink
-	case SysStat:
-		return rpc.OpStat
-	case SysFsync:
-		return rpc.OpFsync
-	case SysValidate:
-		return rpc.OpValidate
-	case SysReaddir:
-		return rpc.OpReaddir
-	case SysPipeOpen:
-		return rpc.OpPipeOpen
-	case SysPipeRead:
-		return rpc.OpPipeRead
-	case SysPipeWrite:
-		return rpc.OpPipeWrite
-	case SysPipeClose:
-		return rpc.OpPipeClose
-	}
-	panic("gsys: no transport op for " + s.String())
+// rpcOp maps a syscall to the ring-transport op it rides, which is the
+// class the daemon counts it under (SysRead and SysReadVec are both
+// "read" transactions). The length assignment below is the drift guard:
+// a Sysno appended without an entry here fails to compile instead of
+// riding the zero Op.
+var rpcOp = [...]rpc.Op{
+	SysOpen:      rpc.OpOpen,
+	SysClose:     rpc.OpClose,
+	SysRead:      rpc.OpReadPages,
+	SysReadVec:   rpc.OpReadPages,
+	SysWrite:     rpc.OpWritePages,
+	SysTruncate:  rpc.OpTruncate,
+	SysUnlink:    rpc.OpUnlink,
+	SysStat:      rpc.OpStat,
+	SysFsync:     rpc.OpFsync,
+	SysValidate:  rpc.OpValidate,
+	SysReaddir:   rpc.OpReaddir,
+	SysPipeOpen:  rpc.OpPipeOpen,
+	SysPipeRead:  rpc.OpPipeRead,
+	SysPipeWrite: rpc.OpPipeWrite,
+	SysPipeClose: rpc.OpPipeClose,
 }
 
-// laneState is the dispatcher's per-lane ordering state.
-type laneState struct {
-	// fence is the completion time of the lane's last strong call; the
-	// next strong call is ordered after it.
-	fence simtime.Time
-	// pending are the lane's un-joined relaxed futures.
-	pending []*Future
-}
+var _ [numSysno]struct{} = [len(rpcOp)]struct{}{}
 
 // clientRoot is the state shared by every Bind/Gran view of one GPU's
 // syscall client.
 type clientRoot struct {
 	seq atomic.Uint64
-
-	mu    sync.Mutex
-	lanes map[int]*laneState
 
 	// latency holds per-op per-ordering-class issue-to-completion
 	// histograms; the array stays nil without a metrics registry.
@@ -125,7 +97,7 @@ func (f *Future) Wait(blk *simtime.Clock) error {
 
 // Client is one GPU's syscall endpoint: a thin dispatcher over the GPU's
 // rpc ring transport. Like rpc.Client, Bind (and Gran) derive cheap
-// views; views share the root's sequence space and lane table.
+// views; views share the root's sequence space and counters.
 type Client struct {
 	svc  *Service
 	rpc  *rpc.Client
@@ -137,7 +109,7 @@ type Client struct {
 // NewClient creates the syscall endpoint for one GPU over its rpc
 // endpoint.
 func NewClient(svc *Service, rc *rpc.Client) *Client {
-	c := &Client{svc: svc, rpc: rc, root: &clientRoot{lanes: make(map[int]*laneState)}, gran: GranBlock}
+	c := &Client{svc: svc, rpc: rc, root: &clientRoot{}, gran: GranBlock}
 	if reg := svc.srv.Metrics(); reg != nil {
 		gpu := strconv.Itoa(rc.GPUID())
 		reg.SetHelp(sysLatencyMetric,
@@ -155,7 +127,7 @@ func NewClient(svc *Service, rc *rpc.Client) *Client {
 const sysLatencyMetric = "gpufs_sys_latency_seconds"
 
 // Bind returns a view of the client whose calls ride the ring shard that
-// lane hashes to, with per-lane ordering state.
+// lane hashes to.
 func (c *Client) Bind(lane int) *Client {
 	view := *c
 	view.lane = lane
@@ -177,24 +149,10 @@ func (c *Client) Gran(g Granularity) *Client {
 // RPC returns the underlying transport endpoint of this view.
 func (c *Client) RPC() *rpc.Client { return c.rpc }
 
-// Service returns the host syscall service.
-func (c *Client) Service() *Service { return c.svc }
-
 // StrongCalls and RelaxedCalls report how many calls each ordering class
 // has dispatched on this GPU.
 func (c *Client) StrongCalls() int64  { return c.root.strong.Load() }
 func (c *Client) RelaxedCalls() int64 { return c.root.relaxed.Load() }
-
-func (c *Client) laneState() *laneState {
-	c.root.mu.Lock()
-	st := c.root.lanes[c.lane]
-	if st == nil {
-		st = &laneState{}
-		c.root.lanes[c.lane] = st
-	}
-	c.root.mu.Unlock()
-	return st
-}
 
 func (c *Client) observe(sys Sysno, ord Ordering, start, end simtime.Time) {
 	if h := c.root.latency[sys][ord]; h != nil {
@@ -224,75 +182,35 @@ func (c *Client) handlerFor(wire []byte, cl *call) rpc.Handler {
 	}
 }
 
-// do dispatches one strong-ordered blocking call through the lane fence.
+// do dispatches one strong-ordered blocking call: the lane's clock
+// advances to response delivery.
 func (c *Client) do(blk *simtime.Clock, sys Sysno, args []uint64, path string, data []byte, cl *call) error {
 	cl.cli = c
 	d := Desc{Sysno: sys, Gran: c.gran, Order: OrderStrong, Block: CallBlocking}
 	wire := c.frame(d, args, path, data)
-	st := c.laneState()
-	c.root.mu.Lock()
-	if blk.Now() < st.fence {
-		// The lane's clock restarted (timing reset between runs): a new
-		// ordering epoch. Within one epoch a strong call is issued from
-		// the lane's own clock, which the previous strong call already
-		// advanced past the fence, so the fence never stalls the lane.
-		st.fence = 0
-	}
-	c.root.mu.Unlock()
 	c.root.strong.Add(1)
 	sent := blk.Now()
-	err := c.rpc.Do(blk, rpcOp(sys), c.handlerFor(wire, cl))
-	c.root.mu.Lock()
-	if blk.Now() > st.fence {
-		st.fence = blk.Now()
-	}
-	c.root.mu.Unlock()
+	err := c.rpc.Do(blk, rpcOp[sys], c.handlerFor(wire, cl))
 	c.observe(sys, OrderStrong, sent, blk.Now())
 	return err
 }
 
-// doRelaxed dispatches one relaxed non-blocking call past the fence: the
-// block's clock is untouched and the returned Future joins it. Detached
-// calls (speculation with no waiter) skip the lane's pending set.
-func (c *Client) doRelaxed(blk *simtime.Clock, sys Sysno, args []uint64, path string, data []byte, cl *call, detached bool) *Future {
+// doRelaxed dispatches one relaxed non-blocking call: the block's clock
+// is untouched and the returned Future joins it.
+func (c *Client) doRelaxed(blk *simtime.Clock, sys Sysno, args []uint64, path string, data []byte, cl *call) *Future {
 	cl.cli = c
 	d := Desc{Sysno: sys, Gran: c.gran, Order: OrderRelaxed, Block: CallNonBlocking}
 	wire := c.frame(d, args, path, data)
 	c.root.relaxed.Add(1)
 	sent := blk.Now()
-	done, err := c.rpc.DoAsync(blk, rpcOp(sys), c.handlerFor(wire, cl))
-	fut := &Future{call: cl, done: done, err: err}
+	done, err := c.rpc.DoAsync(blk, rpcOp[sys], c.handlerFor(wire, cl))
 	if err == nil {
 		c.observe(sys, OrderRelaxed, sent, done)
 	}
-	if !detached {
-		st := c.laneState()
-		c.root.mu.Lock()
-		st.pending = append(st.pending, fut)
-		c.root.mu.Unlock()
-	}
-	return fut
+	return &Future{call: cl, done: done, err: err}
 }
 
-// Fence joins every un-joined relaxed call on this view's lane: the
-// block's clock advances past all their completions. The first error is
-// returned (all futures are still drained).
-func (c *Client) Fence(blk *simtime.Clock) error {
-	st := c.laneState()
-	c.root.mu.Lock()
-	pending := st.pending
-	st.pending = nil
-	c.root.mu.Unlock()
-	var firstErr error
-	for _, f := range pending {
-		if err := f.Wait(blk); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// --- The file syscalls (subsuming the rpc protocol layer's typed ops) ---
+// --- The file syscalls ---
 
 // Open opens the host file, returning a daemon descriptor handle and the
 // file's metadata.
@@ -311,7 +229,7 @@ func (c *Client) Open(blk *simtime.Clock, path string, flags int, mode hostfs.Mo
 // transient fault the caller falls back to a strong Open.
 func (c *Client) OpenRelaxed(blk *simtime.Clock, path string, flags int, mode hostfs.Mode) *Future {
 	cl := &call{}
-	return c.doRelaxed(blk, SysOpen, []uint64{uint64(flags), uint64(mode)}, path, nil, cl, true)
+	return c.doRelaxed(blk, SysOpen, []uint64{uint64(flags), uint64(mode)}, path, nil, cl)
 }
 
 // Close closes a daemon descriptor handle.
@@ -329,19 +247,12 @@ func (c *Client) ReadPages(blk *simtime.Clock, fd, off int64, dst []byte) (int, 
 	return cl.reply.N, nil
 }
 
-// ReadPagesRelaxed is ReadPages as a joinable relaxed call: issued past
-// the fence, joined via the Future (or a lane Fence).
-func (c *Client) ReadPagesRelaxed(blk *simtime.Clock, fd, off int64, dst []byte) *Future {
-	cl := &call{dst: dst}
-	return c.doRelaxed(blk, SysRead, []uint64{uint64(fd), uint64(off)}, "", nil, cl, false)
-}
-
 // ReadPagesAsync is detached relaxed speculation (prefetch): the block
 // does not wait and nobody joins; the returned time says when the page
 // becomes usable. Never retried.
 func (c *Client) ReadPagesAsync(blk *simtime.Clock, fd, off int64, dst []byte) (int, simtime.Time, error) {
 	cl := &call{dst: dst}
-	fut := c.doRelaxed(blk, SysRead, []uint64{uint64(fd), uint64(off)}, "", nil, cl, true)
+	fut := c.doRelaxed(blk, SysRead, []uint64{uint64(fd), uint64(off)}, "", nil, cl)
 	if fut.err != nil {
 		return 0, 0, fut.err
 	}
@@ -353,7 +264,7 @@ func (c *Client) ReadPagesAsync(blk *simtime.Clock, fd, off int64, dst []byte) (
 // DMA whose completion every page shares.
 func (c *Client) ReadPagesVecAsync(blk *simtime.Clock, fd, off int64, dsts [][]byte) ([]int, simtime.Time, error) {
 	cl := &call{dsts: dsts}
-	fut := c.doRelaxed(blk, SysReadVec, []uint64{uint64(fd), uint64(off)}, "", nil, cl, true)
+	fut := c.doRelaxed(blk, SysReadVec, []uint64{uint64(fd), uint64(off)}, "", nil, cl)
 	if fut.err != nil {
 		return nil, 0, fut.err
 	}
@@ -403,31 +314,38 @@ func (c *Client) Validate(blk *simtime.Clock, ino, gen int64) bool {
 	return err == nil && cl.reply.Valid
 }
 
-// The consistency-metadata operations below are not ring syscalls (they
-// ride write-shared memory or piggyback on other traffic, as in the rpc
-// layer) and delegate unchanged.
+// The consistency-metadata operations below are not ring syscalls: they
+// ride write-shared memory or piggyback on other traffic.
 
-// PeekValid checks a cached generation through write-shared memory — a
-// single PCIe read, no daemon involvement.
+// PeekValid checks the GPU's cached copy of ino against the host through
+// the generation table the consistency module keeps in write-shared memory
+// — a single PCIe read, with no daemon involvement (this is what makes
+// reopening a closed-file-table entry cheap, §4.1/§5.1.3).
 func (c *Client) PeekValid(blk *simtime.Clock, ino, gen int64) bool {
-	return c.rpc.PeekValid(blk, ino, gen)
+	blk.Advance(2 * simtime.Microsecond) // uncached read over the bus
+	return c.svc.srv.Layer().PeekValid(c.rpc.GPUID(), ino, gen)
 }
 
-// RecordCached registers this GPU as caching ino at generation gen.
-func (c *Client) RecordCached(ino, gen int64) { c.rpc.RecordCached(ino, gen) }
+// RecordCached registers this GPU as caching ino at generation gen with the
+// consistency layer. Metadata-only; piggybacked on other traffic in the
+// real system, so it costs no separate round trip here.
+func (c *Client) RecordCached(ino, gen int64) {
+	c.svc.srv.Layer().RecordCached(c.rpc.GPUID(), ino, gen)
+}
 
 // Forget drops the consistency layer's record of this GPU caching ino.
-func (c *Client) Forget(ino int64) { c.rpc.Forget(ino) }
+func (c *Client) Forget(ino int64) { c.svc.srv.Layer().Forget(c.rpc.GPUID(), ino) }
 
-// BeginWrite registers this GPU as a writer of ino.
+// BeginWrite registers this GPU as a writer of ino (single-writer unless
+// multiWriter).
 func (c *Client) BeginWrite(ino int64, multiWriter bool) error {
-	return c.rpc.BeginWrite(ino, multiWriter)
+	return c.svc.srv.Layer().BeginWrite(c.rpc.GPUID(), ino, multiWriter)
 }
 
 // EndWrite releases the writer registration.
-func (c *Client) EndWrite(ino int64) { c.rpc.EndWrite(ino) }
+func (c *Client) EndWrite(ino int64) { c.svc.srv.Layer().EndWrite(c.rpc.GPUID(), ino) }
 
-// --- The new syscall surface ---
+// --- Directory and pipe syscalls ---
 
 // Readdir enumerates one page of directory entries starting at cookie
 // (0 for the first call), returning up to max entries and the next

@@ -6,17 +6,14 @@
 // and is framed into a wire format before a host-side handler registered
 // in a syscall table executes it on a daemon worker's clock.
 //
-// The split of responsibilities with internal/rpc is deliberate: rpc keeps
-// the transport (sharded rings, retry/timeout/dedup, completion queue) and
-// the timing model; gsys owns the call semantics. Strong-ordered calls are
-// routed through a per-lane FIFO fence — each strong call on a lane is
-// ordered after the previous strong call's completion — while relaxed
-// calls ride the out-of-order completion queue unfenced and are joined
-// explicitly (Future.Wait or Client.Fence). The strong-ordered path is
-// bit-identical in virtual time to the pre-gsys protocol: the fence is
-// structurally idle for the collective block-granularity API (a blocking
-// call already occupies its lane until completion), so strong ordering
-// costs nothing, and relaxation is where the new semantics show up.
+// The split of responsibilities with internal/rpc is deliberate: rpc is
+// the transport (sharded rings, retry/timeout/dedup, completion queue,
+// daemon pool) and the timing model, and knows nothing about files; gsys
+// is the protocol — the syscall table, the host descriptor table, the
+// wire frames and the consistency-metadata calls. A strong-ordered call
+// blocks its lane's clock until the response is delivered, which is all
+// strong ordering needs; relaxed calls ride the out-of-order completion
+// queue and are joined explicitly through Future.Wait.
 package gsys
 
 import "fmt"
@@ -24,8 +21,8 @@ import "fmt"
 // Sysno identifies a system call in the generic syscall table.
 type Sysno uint8
 
-// System calls. The first ten subsume the file operations the rpc
-// protocol layer exposed; the rest are new surface (ISSUE 7).
+// System calls: the file operations, then directory enumeration and
+// pipes.
 const (
 	SysOpen Sysno = iota
 	SysClose
@@ -138,10 +135,11 @@ type Ordering uint8
 
 // Ordering classes.
 const (
-	// OrderStrong calls are FIFO-fenced per lane: a strong call is
-	// ordered after every earlier strong call on its lane has completed.
+	// OrderStrong calls are FIFO per lane: a strong call blocks its
+	// lane's clock until it completes, so it is ordered after every
+	// earlier strong call on the lane.
 	OrderStrong Ordering = iota
-	// OrderRelaxed calls bypass the lane fence: they complete out of
+	// OrderRelaxed calls do not block the lane: they complete out of
 	// order on the completion queue and are joined explicitly.
 	OrderRelaxed
 	numOrdering

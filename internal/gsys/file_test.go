@@ -1,0 +1,626 @@
+package gsys
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+
+	"gpufs/internal/faults"
+	"gpufs/internal/hostfs"
+	"gpufs/internal/pcie"
+	"gpufs/internal/rpc"
+	"gpufs/internal/simtime"
+	"gpufs/internal/wrapfs"
+)
+
+// The file syscalls, driven through Client against the handlers that run
+// in production. Tests whose handler path branches on the zero-copy flag
+// (sysRead, sysReadVec) run in both modes.
+
+// The rig's timing parameters, named so the golden cost tests can compute
+// expected values from them.
+var (
+	rigHost = hostfs.Options{
+		DiskBandwidth:   132 * simtime.MBps,
+		DiskSeek:        simtime.Millisecond,
+		MemBandwidth:    6600 * simtime.MBps,
+		CacheBytes:      64 << 20,
+		SyscallOverhead: 4 * simtime.Microsecond,
+	}
+	rigBus = pcie.Config{
+		Bandwidth:        5731 * simtime.MBps,
+		DMALatency:       15 * simtime.Microsecond,
+		Channels:         4,
+		HostMemBandwidth: 6600 * simtime.MBps,
+	}
+	rigRPC = rpc.Config{
+		PollInterval:  10 * simtime.Microsecond,
+		HandleCost:    12 * simtime.Microsecond,
+		ReturnLatency: 2 * simtime.Microsecond,
+	}
+)
+
+// rig is a one-GPU machine up to the syscall client: host fs, consistency
+// layer, bus, daemon, syscall service.
+type rig struct {
+	host *hostfs.FS
+	srv  *rpc.Server
+	svc  *Service
+	link *pcie.Link
+	cl   *Client
+	inj  *faults.Injector
+}
+
+func newRig(t *testing.T, zeroCopy bool) *rig {
+	t.Helper()
+	host := hostfs.New(rigHost)
+	bus := pcie.New(rigBus, host.MemBus())
+	srv := rpc.NewServer(rigRPC, wrapfs.New(host))
+	svc := NewService(srv, zeroCopy)
+	link := bus.NewLink(0, nil, 0)
+	return &rig{host: host, srv: srv, svc: svc, link: link, cl: NewClient(svc, srv.NewClient(0, link))}
+}
+
+// newFaultyRig is newRig with an injector installed on the daemon and the
+// host fs.
+func newFaultyRig(t *testing.T, zeroCopy bool, cfg faults.Config) *rig {
+	t.Helper()
+	r := newRig(t, zeroCopy)
+	r.inj = faults.New(cfg)
+	r.srv.SetFaultInjector(r.inj)
+	r.host.SetFaultInjector(r.inj)
+	return r
+}
+
+// bothReadPaths runs fn against the copying and the zero-copy read
+// handlers.
+func bothReadPaths(t *testing.T, fn func(t *testing.T, zeroCopy bool)) {
+	t.Helper()
+	t.Run("copying", func(t *testing.T) { fn(t, false) })
+	t.Run("zerocopy", func(t *testing.T) { fn(t, true) })
+}
+
+const rwMode = hostfs.ModeRead | hostfs.ModeWrite
+
+func (r *rig) write(t *testing.T, path string, data []byte) {
+	t.Helper()
+	if err := r.host.WriteFile(simtime.NewClock(0), path, data, rwMode); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func (r *rig) open(t *testing.T, c *simtime.Clock, path string, flags int) int64 {
+	t.Helper()
+	fd, _, err := r.cl.Open(c, path, flags, rwMode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fd
+}
+
+func TestOpenReadWriteRoundTrip(t *testing.T) {
+	bothReadPaths(t, func(t *testing.T, zeroCopy bool) {
+		r := newRig(t, zeroCopy)
+		cl, srv := r.cl, r.srv
+		c := simtime.NewClock(0)
+		want := []byte("through the ring and back")
+		r.write(t, "/f", want)
+
+		fd, info, err := cl.Open(c, "/f", hostfs.O_RDWR, rwMode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Size != int64(len(want)) {
+			t.Fatalf("size %d", info.Size)
+		}
+
+		dst := make([]byte, len(want))
+		n, err := cl.ReadPages(c, fd, 0, dst)
+		if err != nil || n != len(want) {
+			t.Fatalf("read: n=%d err=%v", n, err)
+		}
+		if !bytes.Equal(dst, want) {
+			t.Fatalf("payload mismatch")
+		}
+
+		if _, err := cl.WritePages(c, fd, int64(len(want)), []byte("!")); err != nil {
+			t.Fatal(err)
+		}
+		st, err := cl.Stat(c, fd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Size != int64(len(want))+1 {
+			t.Fatalf("after write, size %d", st.Size)
+		}
+		if err := cl.Close(c, fd); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Close(c, fd); err == nil {
+			t.Fatalf("double close should fail")
+		}
+		if srv.Requests(rpc.OpOpen) != 1 || srv.Requests(rpc.OpReadPages) != 1 || srv.Requests(rpc.OpWritePages) != 1 {
+			t.Fatalf("request counts wrong: %d %d %d",
+				srv.Requests(rpc.OpOpen), srv.Requests(rpc.OpReadPages), srv.Requests(rpc.OpWritePages))
+		}
+		if c.Now() == 0 {
+			t.Fatalf("syscalls should cost virtual time")
+		}
+		if got := cl.StrongCalls(); got != 6 {
+			t.Fatalf("StrongCalls = %d, want 6", got)
+		}
+	})
+}
+
+func TestUnknownFd(t *testing.T) {
+	r := newRig(t, false)
+	c := simtime.NewClock(0)
+	if _, err := r.cl.ReadPages(c, 999, 0, make([]byte, 8)); err == nil {
+		t.Fatalf("unknown fd read must fail")
+	}
+	if _, err := r.cl.Stat(c, 999); err == nil {
+		t.Fatalf("unknown fd stat must fail")
+	}
+}
+
+func TestTruncateAndUnlink(t *testing.T) {
+	r := newRig(t, false)
+	c := simtime.NewClock(0)
+	r.write(t, "/f", make([]byte, 100))
+
+	fd := r.open(t, c, "/f", hostfs.O_RDWR)
+	if err := r.cl.Truncate(c, fd, 10); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := r.cl.Stat(c, fd)
+	if st.Size != 10 {
+		t.Fatalf("truncate: size %d", st.Size)
+	}
+	r.cl.Close(c, fd)
+	if err := r.cl.Unlink(c, "/f"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.host.Stat("/f"); err == nil {
+		t.Fatalf("file survived unlink")
+	}
+}
+
+func TestValidatePiggybacksConsistency(t *testing.T) {
+	r := newRig(t, false)
+	cl, srv := r.cl, r.srv
+	c := simtime.NewClock(0)
+	r.write(t, "/f", []byte("x"))
+	info, _ := r.host.Stat("/f")
+
+	cl.RecordCached(info.Ino, info.Generation)
+	if !cl.Validate(c, info.Ino, info.Generation) {
+		t.Fatalf("validate failed for fresh record")
+	}
+	if srv.Requests(rpc.OpValidate) != 1 {
+		t.Fatalf("validate should be a daemon request")
+	}
+	// PeekValid costs no daemon request, only the read over the bus.
+	before, at := srv.TotalRequests(), c.Now()
+	if !cl.PeekValid(c, info.Ino, info.Generation) {
+		t.Fatalf("peek failed")
+	}
+	if srv.TotalRequests() != before {
+		t.Fatalf("peek must not go through the daemon")
+	}
+	if c.Now() == at {
+		t.Fatalf("peek cost no virtual time")
+	}
+	cl.Forget(info.Ino)
+	if cl.PeekValid(c, info.Ino, info.Generation) {
+		t.Fatalf("peek after forget")
+	}
+}
+
+func TestWriterRegistration(t *testing.T) {
+	r := newRig(t, false)
+	r.write(t, "/f", []byte("x"))
+	info, _ := r.host.Stat("/f")
+	cl, cl2 := r.cl, NewClient(r.svc, r.srv.NewClient(1, r.link))
+
+	if err := cl.BeginWrite(info.Ino, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl2.BeginWrite(info.Ino, false); err == nil {
+		t.Fatalf("second exclusive writer allowed")
+	}
+	cl.EndWrite(info.Ino)
+	if err := cl2.BeginWrite(info.Ino, false); err != nil {
+		t.Fatal(err)
+	}
+	cl2.EndWrite(info.Ino)
+}
+
+func TestReadPagesAsync(t *testing.T) {
+	bothReadPaths(t, func(t *testing.T, zeroCopy bool) {
+		r := newRig(t, zeroCopy)
+		want := []byte("prefetch me")
+		r.write(t, "/f", want)
+
+		c := simtime.NewClock(0)
+		fd := r.open(t, c, "/f", hostfs.O_RDONLY)
+		before := c.Now()
+		dst := make([]byte, len(want))
+		n, done, err := r.cl.ReadPagesAsync(c, fd, 0, dst)
+		if err != nil || n != len(want) {
+			t.Fatalf("async read: n=%d err=%v", n, err)
+		}
+		if !bytes.Equal(dst, want) {
+			t.Fatalf("payload")
+		}
+		if c.Now() != before {
+			t.Fatalf("async read must not advance the caller's clock (moved %v)", c.Now()-before)
+		}
+		if done <= before {
+			t.Fatalf("completion time %v not in the future of %v", done, before)
+		}
+		if _, _, err := r.cl.ReadPagesAsync(c, 999, 0, dst); err == nil {
+			t.Fatalf("unknown fd must fail")
+		}
+		if got := r.cl.RelaxedCalls(); got != 2 {
+			t.Fatalf("RelaxedCalls = %d, want 2", got)
+		}
+	})
+}
+
+// TestServerErrorPaths drives the daemon's error returns table-style:
+// unknown descriptors across every fd-taking op, double close, and a
+// truncation racing an in-flight read.
+func TestServerErrorPaths(t *testing.T) {
+	bothReadPaths(t, func(t *testing.T, zeroCopy bool) {
+		t.Run("unknown fd", func(t *testing.T) {
+			cl := newRig(t, zeroCopy).cl
+			c := simtime.NewClock(0)
+			cases := []struct {
+				name string
+				call func() error
+			}{
+				{"close", func() error { return cl.Close(c, 404) }},
+				{"read", func() error { _, err := cl.ReadPages(c, 404, 0, make([]byte, 8)); return err }},
+				{"readAsync", func() error { _, _, err := cl.ReadPagesAsync(c, 404, 0, make([]byte, 8)); return err }},
+				{"readVecAsync", func() error {
+					_, _, err := cl.ReadPagesVecAsync(c, 404, 0, [][]byte{make([]byte, 8)})
+					return err
+				}},
+				{"write", func() error { _, err := cl.WritePages(c, 404, 0, []byte("x")); return err }},
+				{"truncate", func() error { return cl.Truncate(c, 404, 0) }},
+				{"stat", func() error { _, err := cl.Stat(c, 404); return err }},
+				{"fsync", func() error { return cl.Fsync(c, 404) }},
+			}
+			for _, tc := range cases {
+				err := tc.call()
+				if err == nil {
+					t.Errorf("%s on unknown fd succeeded", tc.name)
+				} else if rpc.Retryable(err) || errors.Is(err, rpc.ErrTimeout) {
+					t.Errorf("%s: unknown fd classified transient: %v", tc.name, err)
+				}
+			}
+		})
+
+		t.Run("double close", func(t *testing.T) {
+			r := newRig(t, zeroCopy)
+			c := simtime.NewClock(0)
+			r.write(t, "/f", []byte("x"))
+			fd := r.open(t, c, "/f", hostfs.O_RDONLY)
+			if err := r.cl.Close(c, fd); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.cl.Close(c, fd); err == nil {
+				t.Fatalf("second close of %d succeeded", fd)
+			}
+		})
+
+		t.Run("truncate while read in flight", func(t *testing.T) {
+			r := newRig(t, zeroCopy)
+			want := bytes.Repeat([]byte("ab"), 4096)
+			r.write(t, "/f", want)
+			cr, ct := simtime.NewClock(0), simtime.NewClock(0)
+			fd := r.open(t, cr, "/f", hostfs.O_RDWR)
+			// Both requests enter the ring at the same instant; the
+			// single-threaded daemon serializes them in either order. The
+			// read must return a prefix of the original content (full or
+			// truncated), never garbage, and never a protocol error.
+			type res struct {
+				n   int
+				err error
+			}
+			readDone := make(chan res)
+			dst := make([]byte, 8192)
+			go func() {
+				n, err := r.cl.ReadPages(cr, fd, 0, dst)
+				readDone <- res{n, err}
+			}()
+			if err := r.cl.Truncate(ct, fd, 16); err != nil {
+				t.Fatal(err)
+			}
+			got := <-readDone
+			if got.err != nil {
+				t.Fatalf("in-flight read failed: %v", got.err)
+			}
+			if got.n != 16 && got.n != 8192 {
+				t.Fatalf("read observed a partial truncate: n=%d", got.n)
+			}
+			if !bytes.Equal(dst[:got.n], want[:got.n]) {
+				t.Fatalf("read returned corrupt data")
+			}
+		})
+	})
+}
+
+func TestShortReadsAreCompleted(t *testing.T) {
+	// The daemon's read loop must assemble full pages despite injected
+	// short reads, or fillPage would zero-fill mid-file data.
+	bothReadPaths(t, func(t *testing.T, zeroCopy bool) {
+		r := newFaultyRig(t, zeroCopy, faults.Config{Seed: 5, HostShortReadProb: 0.7})
+		want := bytes.Repeat([]byte{0xA5, 0x5A, 0x33}, 3000)
+		r.write(t, "/f", want)
+		c := simtime.NewClock(0)
+
+		fd := r.open(t, c, "/f", hostfs.O_RDONLY)
+		for i := 0; i < 20; i++ {
+			dst := make([]byte, len(want))
+			n, err := r.cl.ReadPages(c, fd, 0, dst)
+			if err != nil || n != len(want) {
+				t.Fatalf("read %d: n=%d err=%v", i, n, err)
+			}
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("short-read completion returned corrupt data")
+			}
+		}
+		if r.inj.Injected(faults.HostShortRead) == 0 {
+			t.Fatalf("short reads never fired")
+		}
+	})
+}
+
+func TestHostEIOIsNotRetried(t *testing.T) {
+	// A real I/O error from the host fs is a valid reply: it must come
+	// back on the first attempt, not burn the retry budget.
+	bothReadPaths(t, func(t *testing.T, zeroCopy bool) {
+		r := newFaultyRig(t, zeroCopy, faults.Config{Seed: 4, HostReadEIOProb: 1.0})
+		r.write(t, "/f", []byte("data"))
+		c := simtime.NewClock(0)
+
+		fd := r.open(t, c, "/f", hostfs.O_RDONLY)
+		base := r.cl.RPC().Retries()
+		_, err := r.cl.ReadPages(c, fd, 0, make([]byte, 4))
+		if !errors.Is(err, hostfs.ErrIO) {
+			t.Fatalf("read error = %v, want ErrIO", err)
+		}
+		if r.cl.RPC().Retries() != base {
+			t.Fatalf("EIO consumed retries")
+		}
+	})
+}
+
+func TestDroppedResponsesApplySyscallsOnce(t *testing.T) {
+	// Every response has a 40% chance of being lost. A retried syscall is
+	// answered from the ring's dedup table, so the handler's side effects
+	// land once — the host inode's generation counts every applied
+	// mutation, so N logical writes must move it by exactly N — and the
+	// reply the first execution filled (descriptor, byte count) is what
+	// the caller sees after the retry.
+	r := newFaultyRig(t, false, faults.Config{Seed: 2, RPCDropResponseProb: 0.4})
+	r.write(t, "/f", nil)
+	before, _ := r.host.Stat("/f")
+	c := simtime.NewClock(0)
+
+	const writes = 40
+	fds := make(map[int64]bool)
+	for i := 0; i < writes; i++ {
+		fd := r.open(t, c, "/f", hostfs.O_RDWR)
+		if fd < 3 || fds[fd] {
+			t.Fatalf("open %d returned descriptor %d (seen: %v)", i, fd, fds[fd])
+		}
+		fds[fd] = true
+		n, err := r.cl.WritePages(c, fd, int64(i), []byte{byte(i)})
+		if err != nil || n != 1 {
+			t.Fatalf("write %d: n=%d err=%v", i, n, err)
+		}
+		if err := r.cl.Close(c, fd); err != nil {
+			t.Fatalf("close %d: %v (a re-applied close reports an unknown descriptor)", i, err)
+		}
+	}
+	after, _ := r.host.Stat("/f")
+	if got := after.Generation - before.Generation; got != writes {
+		t.Fatalf("%d writes moved generation by %d: dedup broken", writes, got)
+	}
+	if r.cl.RPC().Timeouts() == 0 {
+		t.Fatalf("0.4 drop rate over %d writes caused no timeouts", writes)
+	}
+}
+
+func TestValidateConservativeUnderTimeout(t *testing.T) {
+	r := newFaultyRig(t, false, faults.Config{Seed: 6, RPCDropResponseProb: 1.0})
+	r.write(t, "/f", []byte("x"))
+	info, _ := r.host.Stat("/f")
+	r.cl.RecordCached(info.Ino, info.Generation)
+	c := simtime.NewClock(0)
+	if r.cl.Validate(c, info.Ino, info.Generation) {
+		t.Fatalf("validate with all responses lost reported valid")
+	}
+}
+
+// vecFile stages /vec with size bytes of a deterministic pattern and
+// returns its content and an open descriptor.
+func vecFile(t *testing.T, r *rig, size int) (int64, []byte) {
+	t.Helper()
+	data := make([]byte, size)
+	for i := range data {
+		data[i] = byte(i*7 + 3)
+	}
+	r.write(t, "/vec", data)
+	return r.open(t, simtime.NewClock(0), "/vec", hostfs.O_RDONLY), data
+}
+
+// sentinelVec builds pages destination frames of pageBytes each, filled
+// with a sentinel so an untouched byte is distinguishable from a copied
+// zero.
+func sentinelVec(pages, pageBytes int) [][]byte {
+	dsts := make([][]byte, pages)
+	for i := range dsts {
+		dsts[i] = bytes.Repeat([]byte{0xEE}, pageBytes)
+	}
+	return dsts
+}
+
+// TestReadPagesVecShortAtEOF pins the per-page count contract when the
+// vector runs past end of file: full counts for covered pages, a short
+// count for the page straddling EOF, zero for pages wholly past it — and
+// the bytes of every untouched tail still hold the caller's sentinel.
+func TestReadPagesVecShortAtEOF(t *testing.T) {
+	bothReadPaths(t, func(t *testing.T, zeroCopy bool) {
+		r := newRig(t, zeroCopy)
+		const page = 1024
+		fd, data := vecFile(t, r, 2*page+512) // 2.5 pages
+
+		dsts := sentinelVec(4, page)
+		c := simtime.NewClock(0)
+		ns, done, err := r.cl.ReadPagesVecAsync(c, fd, 0, dsts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done <= 0 {
+			t.Fatalf("completion time %v not in the future", done)
+		}
+		want := []int{page, page, 512, 0}
+		if len(ns) != len(want) {
+			t.Fatalf("ns = %v, want %v", ns, want)
+		}
+		for i, n := range ns {
+			if n != want[i] {
+				t.Fatalf("page %d count = %d, want %d (ns=%v)", i, n, want[i], ns)
+			}
+			if n > 0 && !bytes.Equal(dsts[i][:n], data[i*page:i*page+n]) {
+				t.Fatalf("page %d bytes differ from file content", i)
+			}
+			for j := n; j < page; j++ {
+				if dsts[i][j] != 0xEE {
+					t.Fatalf("page %d byte %d overwritten past the short count", i, j)
+				}
+			}
+		}
+		// Speculative reads must not advance the issuing block's clock.
+		if c.Now() != 0 {
+			t.Fatalf("async vec read advanced the block clock to %v", c.Now())
+		}
+	})
+}
+
+// TestReadPagesVecPersistentShortReads forces EVERY host pread short
+// (probability 1) and checks the daemon's reassembly loop still delivers
+// the full extent: short reads are a host artifact the vec op must hide,
+// not a result the GPU ever sees.
+func TestReadPagesVecPersistentShortReads(t *testing.T) {
+	bothReadPaths(t, func(t *testing.T, zeroCopy bool) {
+		r := newFaultyRig(t, zeroCopy, faults.Config{Seed: 7, HostShortReadProb: 1})
+		const page = 1024
+		fd, data := vecFile(t, r, 4*page)
+
+		dsts := sentinelVec(4, page)
+		ns, _, err := r.cl.ReadPagesVecAsync(simtime.NewClock(0), fd, 0, dsts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ns) != len(dsts) {
+			t.Fatalf("%d counts for %d pages", len(ns), len(dsts))
+		}
+		for i, n := range ns {
+			if n != page {
+				t.Fatalf("page %d count = %d under short reads, want %d", i, n, page)
+			}
+			if !bytes.Equal(dsts[i], data[i*page:(i+1)*page]) {
+				t.Fatalf("page %d bytes differ after short-read reassembly", i)
+			}
+		}
+		if r.inj.Injected(faults.HostShortRead) < 2 {
+			t.Fatalf("only %d short reads injected; the reassembly loop never ran",
+				r.inj.Injected(faults.HostShortRead))
+		}
+	})
+}
+
+// TestReadPagesVecMidVectorEIO is the partial-failure oracle: short reads
+// at probability 1 force the daemon's reassembly loop to issue several
+// preads per vec op, and a 30% EIO rate makes some of those CONTINUATION
+// preads fail — an error striking after part of the extent has already
+// been read. The contract under any such fault is all-or-nothing: either
+// the call succeeds with exact per-page counts and bytes, or it returns
+// the error with no counts and every destination frame untouched. No seed
+// may leak a partially filled vector.
+func TestReadPagesVecMidVectorEIO(t *testing.T) {
+	const (
+		page  = 1024
+		pages = 4
+		seeds = 120
+	)
+	bothReadPaths(t, func(t *testing.T, zeroCopy bool) {
+		var sawClean, sawFirst, sawMid int
+		for seed := int64(1); seed <= seeds; seed++ {
+			r := newFaultyRig(t, zeroCopy, faults.Config{
+				Seed:              seed,
+				HostShortReadProb: 1,
+				HostReadEIOProb:   0.3,
+			})
+			fd, data := vecFile(t, r, pages*page)
+
+			dsts := sentinelVec(pages, page)
+			ns, _, err := r.cl.ReadPagesVecAsync(simtime.NewClock(0), fd, 0, dsts)
+			if err == nil {
+				sawClean++
+				if len(ns) != pages {
+					t.Fatalf("seed %d: clean run returned %d counts", seed, len(ns))
+				}
+				for i, n := range ns {
+					if n != page {
+						t.Fatalf("seed %d: clean run page %d count = %d, want %d", seed, i, n, page)
+					}
+					if !bytes.Equal(dsts[i], data[i*page:(i+1)*page]) {
+						t.Fatalf("seed %d: clean run page %d bytes differ", seed, i)
+					}
+				}
+				continue
+			}
+			// Failed run: the fault may have hit the first pread or a
+			// continuation pread after bytes were already staged; the
+			// caller-visible result must be identical either way.
+			if r.inj.Injected(faults.HostReadEIO) == 0 {
+				t.Fatalf("seed %d: vec read failed without an injected EIO: %v", seed, err)
+			}
+			if r.inj.Injected(faults.HostShortRead) > 0 {
+				sawMid++ // a short pread landed before the EIO: mid-vector failure
+			} else {
+				sawFirst++
+			}
+			if len(ns) != 0 {
+				t.Fatalf("seed %d: failed vec read leaked counts %v", seed, ns)
+			}
+			for i := range dsts {
+				if !bytes.Equal(dsts[i], bytes.Repeat([]byte{0xEE}, page)) {
+					t.Fatalf("seed %d: failed vec read wrote into page %d", seed, i)
+				}
+			}
+		}
+		t.Logf("vec EIO oracle: %d clean, %d failed on first pread, %d failed mid-vector", sawClean, sawFirst, sawMid)
+		if sawClean == 0 || sawMid == 0 {
+			t.Fatalf("seed sweep unbalanced (clean=%d first=%d mid=%d); faults not exercising the mid-vector path",
+				sawClean, sawFirst, sawMid)
+		}
+	})
+}
+
+// TestSyscallTableComplete is the runtime half of the Sysno drift guard:
+// every syscall has a handler, so a missing registration fails here and
+// not at a kernel's first dispatch.
+func TestSyscallTableComplete(t *testing.T) {
+	svc := newRig(t, false).svc
+	for sys := Sysno(0); sys < numSysno; sys++ {
+		if svc.table[sys] == nil {
+			t.Errorf("%v has no handler in Service.table", sys)
+		}
+	}
+}

@@ -11,16 +11,12 @@ import (
 )
 
 // The host side of the syscall subsystem: a table of registered handlers
-// indexed by Sysno, replacing the protocol layer's hard-coded typed
-// operations. A handler runs on a daemon worker's clock with the decoded
-// request frame and the call's out-of-band device buffers, and returns
-// the completion time of any asynchronous DMA it started. The file-op
-// handler bodies mirror the rpc protocol layer's exactly — same staging
-// copies, same link charges, same host-fs calls on the same clocks — so
-// routing the existing file API through the table is timing-identical.
-// Both layers consult the server's ZeroCopyRead flag the same way, so the
-// zero-copy read path (pread into pinned frames, ChargePinned) stays
-// mirrored too.
+// indexed by Sysno. A handler runs on a daemon worker's clock with the
+// decoded request frame and the call's out-of-band device buffers, and
+// returns the completion time of any asynchronous DMA it started. These
+// handlers are the only place a file op's host work is defined: which
+// host-fs calls run on which clock, the staging copies, and the link
+// charges.
 
 // Reply carries a syscall's typed results back to the issuing client.
 // Result scalars ride the response slot; bulk data never does (it is
@@ -55,18 +51,30 @@ type call struct {
 type handlerFunc func(s *Service, c *call, cclk *simtime.Clock) (simtime.Time, error)
 
 // Service is the host-side syscall service shared by every GPU of a
-// system: the syscall table plus subsystem state that is not per-file
-// (the pipe table). It layers over the rpc daemon, which keeps the
-// descriptor table, worker pool, and consistency layer.
+// system: the syscall table, the daemon's descriptor table, and the pipe
+// table. It layers over the rpc daemon, which keeps the worker pool and
+// the consistency layer.
 type Service struct {
 	srv   *rpc.Server
 	table [numSysno]handlerFunc
 	pipes pipeTable
+
+	// zeroCopy makes read handlers pread file data directly into the
+	// pinned device destination and charge the DMA without the staging
+	// pass (pcie.ChargePinned), instead of copying through a per-request
+	// staging buffer.
+	zeroCopy bool
+
+	mu     sync.Mutex
+	fds    map[int64]*hostfs.File
+	nextFd int64
 }
 
 // NewService builds the syscall table over the given rpc daemon.
-func NewService(srv *rpc.Server) *Service {
-	s := &Service{srv: srv}
+// zeroCopyRead selects the read handlers' zero-copy path (the host half of
+// params.Config.ZeroCopyRead).
+func NewService(srv *rpc.Server, zeroCopyRead bool) *Service {
+	s := &Service{srv: srv, zeroCopy: zeroCopyRead, fds: make(map[int64]*hostfs.File), nextFd: 3}
 	s.pipes.init()
 	s.table = [numSysno]handlerFunc{
 		SysOpen:      (*Service).sysOpen,
@@ -88,9 +96,6 @@ func NewService(srv *rpc.Server) *Service {
 	return s
 }
 
-// Server returns the rpc daemon under the syscall table.
-func (s *Service) Server() *rpc.Server { return s.srv }
-
 // dispatch routes a decoded frame to its table entry.
 func (s *Service) dispatch(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 	h := s.table[c.fr.Desc.Sysno]
@@ -98,6 +103,39 @@ func (s *Service) dispatch(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 		return 0, fmt.Errorf("gsys: no handler registered for %v", c.fr.Desc.Sysno)
 	}
 	return h(s, c, cclk)
+}
+
+// file resolves a descriptor handle to its host file.
+func (s *Service) file(fd int64) (*hostfs.File, error) {
+	s.mu.Lock()
+	f, ok := s.fds[fd]
+	s.mu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("gsys: unknown host fd %d", fd)
+	}
+	return f, nil
+}
+
+// readFull reads into buf at off, looping past injected short reads
+// (n == 0 is true EOF). With no injector the single pread below is already
+// full-or-EOF, so the loop never iterates and the happy-path timing is
+// untouched.
+func (s *Service) readFull(cclk *simtime.Clock, f *hostfs.File, buf []byte, off int64) (int, error) {
+	n, err := f.Pread(cclk, buf, off)
+	if err != nil || n == len(buf) || !s.srv.FaultInjector().Enabled() {
+		return n, err
+	}
+	for n < len(buf) {
+		m, err := f.Pread(cclk, buf[n:], off+int64(n))
+		if err != nil {
+			return n, err
+		}
+		if m == 0 {
+			break // true EOF
+		}
+		n += m
+	}
+	return n, nil
 }
 
 func (s *Service) sysOpen(c *call, cclk *simtime.Clock) (simtime.Time, error) {
@@ -110,28 +148,43 @@ func (s *Service) sysOpen(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 		f.Close()
 		return 0, err
 	}
-	c.reply.FD, c.reply.Info = s.srv.AllocFD(f), fi
+	s.mu.Lock()
+	c.reply.FD = s.nextFd
+	s.nextFd++
+	s.fds[c.reply.FD] = f
+	s.mu.Unlock()
+	c.reply.Info = fi
 	return 0, nil
 }
 
 func (s *Service) sysClose(c *call, cclk *simtime.Clock) (simtime.Time, error) {
-	f := s.srv.ReleaseFD(int64(c.fr.Args[0]))
-	if f == nil {
-		return 0, fmt.Errorf("gsys: unknown host fd %d", int64(c.fr.Args[0]))
+	fd := int64(c.fr.Args[0])
+	s.mu.Lock()
+	f, ok := s.fds[fd]
+	delete(s.fds, fd)
+	s.mu.Unlock()
+	if !ok {
+		return 0, fmt.Errorf("gsys: unknown host fd %d", fd)
 	}
 	return 0, f.Close()
 }
 
+// sysRead reads len(dst) bytes from the host file and DMAs them into the
+// device memory slice dst. The daemon worker performs the file read
+// synchronously (ordering file accesses per ring) and then hands the bulk
+// transfer to an asynchronous DMA channel; a blocking caller's clock
+// advances to DMA completion, while the worker is free as soon as the
+// read finishes.
 func (s *Service) sysRead(c *call, cclk *simtime.Clock) (simtime.Time, error) {
-	f, err := s.srv.FileByFD(int64(c.fr.Args[0]))
+	f, err := s.file(int64(c.fr.Args[0]))
 	if err != nil {
 		return 0, err
 	}
-	if s.srv.ZeroCopyRead() {
-		// Zero-copy (ISSUE 8): the daemon preads straight into the pinned
-		// page frame the GPU supplied, so the DMA charge skips the staging
+	if s.zeroCopy {
+		// Zero-copy: the daemon preads straight into the pinned page
+		// frame the GPU supplied, so the DMA charge skips the staging
 		// pass on the host memory bus.
-		n, err := c.cli.rpc.ReadFull(cclk, f, c.dst, int64(c.fr.Args[1]))
+		n, err := s.readFull(cclk, f, c.dst, int64(c.fr.Args[1]))
 		if err != nil {
 			return 0, err
 		}
@@ -139,7 +192,7 @@ func (s *Service) sysRead(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 		return c.cli.rpc.Link().ChargePinned(cclk.Now(), pcie.HostToDevice, int64(n)), nil
 	}
 	staging := make([]byte, len(c.dst)) // pinned staging buffer
-	n, err := c.cli.rpc.ReadFull(cclk, f, staging, int64(c.fr.Args[1]))
+	n, err := s.readFull(cclk, f, staging, int64(c.fr.Args[1]))
 	if err != nil {
 		return 0, err
 	}
@@ -154,7 +207,7 @@ func (s *Service) sysRead(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 var stagingPool = sync.Pool{New: func() any { return new([]byte) }}
 
 func (s *Service) sysReadVec(c *call, cclk *simtime.Clock) (simtime.Time, error) {
-	f, err := s.srv.FileByFD(int64(c.fr.Args[0]))
+	f, err := s.file(int64(c.fr.Args[0]))
 	if err != nil {
 		return 0, err
 	}
@@ -168,7 +221,7 @@ func (s *Service) sysReadVec(c *call, cclk *simtime.Clock) (simtime.Time, error)
 		*bp = make([]byte, total)
 	}
 	staging := (*bp)[:total]
-	n, err := c.cli.rpc.ReadFull(cclk, f, staging, int64(c.fr.Args[1]))
+	n, err := s.readFull(cclk, f, staging, int64(c.fr.Args[1]))
 	if err != nil {
 		return 0, err
 	}
@@ -187,7 +240,7 @@ func (s *Service) sysReadVec(c *call, cclk *simtime.Clock) (simtime.Time, error)
 		got += take
 	}
 	c.reply.Ns = ns
-	if s.srv.ZeroCopyRead() {
+	if s.zeroCopy {
 		// Zero-copy: the host read is a preadv over an iovec of pinned
 		// frames (the staging slice above is only this simulation's
 		// scattering mechanism, not a modelled copy), so the vectored DMA
@@ -197,8 +250,12 @@ func (s *Service) sysReadVec(c *call, cclk *simtime.Clock) (simtime.Time, error)
 	return c.cli.rpc.Link().ChargeScatter(cclk.Now(), pcie.HostToDevice, int64(n), len(c.dsts)), nil
 }
 
+// sysWrite DMAs len(src) bytes out of device memory and writes them to
+// the host file. The D2H transfer must complete before the file write
+// begins (the daemon worker needs the bytes), so the worker's file access
+// is ordered after the DMA.
 func (s *Service) sysWrite(c *call, cclk *simtime.Clock) (simtime.Time, error) {
-	f, err := s.srv.FileByFD(int64(c.fr.Args[0]))
+	f, err := s.file(int64(c.fr.Args[0]))
 	if err != nil {
 		return 0, err
 	}
@@ -212,7 +269,7 @@ func (s *Service) sysWrite(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 }
 
 func (s *Service) sysTruncate(c *call, cclk *simtime.Clock) (simtime.Time, error) {
-	f, err := s.srv.FileByFD(int64(c.fr.Args[0]))
+	f, err := s.file(int64(c.fr.Args[0]))
 	if err != nil {
 		return 0, err
 	}
@@ -224,7 +281,7 @@ func (s *Service) sysUnlink(c *call, cclk *simtime.Clock) (simtime.Time, error) 
 }
 
 func (s *Service) sysStat(c *call, cclk *simtime.Clock) (simtime.Time, error) {
-	f, err := s.srv.FileByFD(int64(c.fr.Args[0]))
+	f, err := s.file(int64(c.fr.Args[0]))
 	if err != nil {
 		return 0, err
 	}
@@ -234,7 +291,7 @@ func (s *Service) sysStat(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 }
 
 func (s *Service) sysFsync(c *call, cclk *simtime.Clock) (simtime.Time, error) {
-	f, err := s.srv.FileByFD(int64(c.fr.Args[0]))
+	f, err := s.file(int64(c.fr.Args[0]))
 	if err != nil {
 		return 0, err
 	}

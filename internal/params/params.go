@@ -122,11 +122,12 @@ type Config struct {
 	// pinned to worker s mod DaemonWorkers. 0 or 1 reproduces the
 	// single-threaded daemon.
 	DaemonWorkers int
-	// SyscallOrdering selects the default ordering class of the generic
-	// syscall layer (ISSUE 7): "" or "strong" keeps every call on the
-	// per-lane FIFO fence (the prototype's semantics, bit-identical
-	// timing); "relaxed" lets workloads opt into out-of-order completion
-	// (open-ahead pipelining past the fence, joined explicitly).
+	// SyscallOrdering selects the ordering class workloads may use for
+	// calls the file API does not require to be strong: "" or "strong"
+	// makes every call block its lane's clock until the response is
+	// delivered (the prototype's semantics); "relaxed" lets workloads
+	// opt into out-of-order completion (open-ahead: the next file's
+	// gopen is issued without blocking and joined explicitly).
 	SyscallOrdering string
 	// ForceLockedTraversal disables lock-free radix-tree reads on every
 	// GPU, reproducing Figure 7's locked baseline.
@@ -148,8 +149,8 @@ type Config struct {
 	// per GPU. When a low watermark on free buffer-cache frames is
 	// crossed, the cleaner writes cold dirty pages back and pre-evicts
 	// closed-file frames on the host daemon's timeline instead of the
-	// faulting threadblock's. 0 disables the cleaner (all write-back
-	// happens synchronously inside eviction, the PR-3 behavior).
+	// faulting threadblock's. 0 disables the cleaner: all write-back
+	// happens synchronously inside eviction, on the faulting block's clock.
 	CleanerWorkers int
 	// DisableFastReopen forces reopens of closed-table files through the
 	// full host RPC path (ablation of the §4.1 closed-table
@@ -161,8 +162,9 @@ type Config struct {
 	// (the application's own read of the aliased frame, the gmmap
 	// mechanism) rather than a two-pass copy, and the host daemon preads
 	// straight into the pinned DMA region, skipping the staging pass on
-	// the host memory bus. On by default; false restores the copying read
-	// path bit-identically (the PR-7 pinned baselines set it off).
+	// the host memory bus. On by default; false selects the copying read
+	// path: a staging buffer and one extra host-memory-bus pass per read
+	// RPC, two device-memory passes per cache hit.
 	ZeroCopyRead bool
 	// MigrateOnDrain selects migrate-first remediation in the fleet
 	// control plane: a cordoned host is checkpointed (buffer caches,
@@ -170,9 +172,10 @@ type Config struct {
 	// finish) and the image restored onto its replacement, so tenants
 	// land on a warm cache instead of a cold one. Checkpoint failure, a
 	// budget overrun, or a fatal XID during the snapshot falls back to
-	// the plain drain+restart path. Off by default: false is
-	// bit-identical to the pre-migration behavior (the capture hook is
-	// one nil pointer test on the write path).
+	// the plain drain+restart path. Off by default: with false a
+	// cordoned host is drained and its replacement starts cold (no
+	// checkpoint is ever taken, so the write path's capture hook stays
+	// one nil pointer test).
 	MigrateOnDrain bool
 	// CkptMaxBytes bounds the bytes a checkpoint may capture by value
 	// (dirty pages plus pipe buffers). A capture that exceeds it fails
@@ -183,7 +186,7 @@ type Config struct {
 	// allocator. Lanes (threadblocks, cleaner workers) allocate from the
 	// shard they hash to and steal from neighbors when it is empty. 0
 	// (the default) auto-sizes to the GPU's multiprocessor count; 1 is
-	// the single-LIFO pre-sharding allocator, preserved bit-identically.
+	// a single LIFO free list: no lane steering and nothing to steal.
 	FrameShards int
 	// MetricsEnabled attaches a metrics registry (internal/metrics) to
 	// the system: per-op latency histograms and counters across the rpc,

@@ -3,40 +3,8 @@ package rpc
 import (
 	"testing"
 
-	"gpufs/internal/hostfs"
-	"gpufs/internal/pcie"
 	"gpufs/internal/simtime"
-	"gpufs/internal/wrapfs"
 )
-
-// shardedHarness is harness with an explicit ring-shard and daemon-worker
-// count, for exercising the layered transport beyond the single-ring
-// prototype shape.
-func shardedHarness(t *testing.T, shards, workers int) (*Server, *Client, *hostfs.FS) {
-	t.Helper()
-	host := hostfs.New(hostfs.Options{
-		DiskBandwidth:   132 * simtime.MBps,
-		DiskSeek:        simtime.Millisecond,
-		MemBandwidth:    6600 * simtime.MBps,
-		CacheBytes:      64 << 20,
-		SyscallOverhead: 4 * simtime.Microsecond,
-	})
-	layer := wrapfs.New(host)
-	bus := pcie.New(pcie.Config{
-		Bandwidth:        5731 * simtime.MBps,
-		DMALatency:       15 * simtime.Microsecond,
-		Channels:         4,
-		HostMemBandwidth: 6600 * simtime.MBps,
-	}, host.MemBus())
-	srv := NewServer(Config{
-		PollInterval:  10 * simtime.Microsecond,
-		HandleCost:    12 * simtime.Microsecond,
-		ReturnLatency: 2 * simtime.Microsecond,
-		Shards:        shards,
-		Workers:       workers,
-	}, layer)
-	return srv, srv.NewClient(0, bus.NewLink(0, nil, 0)), host
-}
 
 // TestOpNamesUnique checks every op renders a distinct wire name. The
 // enum-to-name drift itself is caught at compile time by the knownOps
@@ -61,7 +29,7 @@ func TestOpNamesUnique(t *testing.T) {
 // all shards for a realistic block count.
 func TestShardRoutingStableAndCovering(t *testing.T) {
 	const shards = 4
-	srv, cl, _ := shardedHarness(t, shards, shards)
+	srv, cl := shardedHarness(t, shards, shards)
 	if cl.Shards() != shards {
 		t.Fatalf("Shards() = %d, want %d", cl.Shards(), shards)
 	}
@@ -99,7 +67,7 @@ func TestShardRoutingStableAndCovering(t *testing.T) {
 	}
 
 	// A single-ring transport routes everything to shard 0.
-	_, one, _ := shardedHarness(t, 1, 1)
+	_, one := shardedHarness(t, 1, 1)
 	for lane := -3; lane < 40; lane++ {
 		if s := one.ShardFor(lane); s != 0 {
 			t.Fatalf("single-ring transport routed lane %d to shard %d", lane, s)
@@ -112,7 +80,7 @@ func TestShardRoutingStableAndCovering(t *testing.T) {
 // ring, so a fault burst on shard A can never satisfy (or poison) a retry
 // on shard B.
 func TestDedupIsolationAcrossShards(t *testing.T) {
-	_, cl, _ := shardedHarness(t, 4, 4)
+	_, cl := shardedHarness(t, 4, 4)
 	sh0, sh1 := cl.t.shards[0], cl.t.shards[1]
 
 	sh0.dedupStore(7, nil)
@@ -124,48 +92,30 @@ func TestDedupIsolationAcrossShards(t *testing.T) {
 	}
 }
 
-// TestOutOfOrderCompletions drives a slow multi-page read on one ring and
-// a metadata stat on another: the stat is sent later but must be delivered
-// first, and the completion queue must match every response to its frame.
+// TestOutOfOrderCompletions drives a slow request on one ring and a quick
+// one on another: the quick one is sent later but must be delivered first,
+// and the completion queue must match every response to its frame.
 func TestOutOfOrderCompletions(t *testing.T) {
-	_, cl, host := shardedHarness(t, 4, 4)
-
-	big := make([]byte, 4<<20)
-	for i := range big {
-		big[i] = byte(i)
-	}
-	if err := host.WriteFile(simtime.NewClock(0), "/big", big, rwMode); err != nil {
-		t.Fatal(err)
-	}
-
-	c0 := simtime.NewClock(0)
-	fd, _, err := cl.Open(c0, "/big", hostfs.O_RDONLY, hostfs.ModeRead)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, cl := shardedHarness(t, 4, 4)
 
 	// Two lanes on distinct rings.
 	slowLane, fastLane := 0, 1
 	for cl.ShardFor(fastLane) == cl.ShardFor(slowLane) {
 		fastLane++
 	}
-	base := c0.Now().Add(simtime.Millisecond)
+	base := simtime.Time(simtime.Millisecond)
 
-	slow := cl.Bind(slowLane)
 	slowClk := simtime.NewClock(base)
-	dst := make([]byte, len(big))
-	if n, err := slow.ReadPages(slowClk, fd, 0, dst); err != nil || n != len(big) {
-		t.Fatalf("read: n=%d err=%v", n, err)
+	if err := cl.Bind(slowLane).Do(slowClk, OpReadPages, busy(simtime.Millisecond)); err != nil {
+		t.Fatal(err)
 	}
-
-	fast := cl.Bind(fastLane)
 	fastClk := simtime.NewClock(base.Add(simtime.Microsecond))
-	if _, err := fast.Stat(fastClk, fd); err != nil {
+	if err := cl.Bind(fastLane).Do(fastClk, OpStat, nop); err != nil {
 		t.Fatal(err)
 	}
 
 	if fastClk.Now() >= slowClk.Now() {
-		t.Fatalf("stat (done %v) did not overtake the big read (done %v)",
+		t.Fatalf("stat (done %v) did not overtake the slow read (done %v)",
 			fastClk.Now(), slowClk.Now())
 	}
 	if ooo := cl.OutOfOrderCompletions(); ooo < 1 {
@@ -174,31 +124,23 @@ func TestOutOfOrderCompletions(t *testing.T) {
 	if un := cl.UnmatchedCompletions(); un != 0 {
 		t.Fatalf("UnmatchedCompletions = %d, want 0", un)
 	}
-	if m := cl.Completions(); m < 3 {
-		t.Fatalf("Completions = %d, want >= 3 (open + read + stat)", m)
+	if m := cl.Completions(); m != 2 {
+		t.Fatalf("Completions = %d, want 2", m)
 	}
 }
 
-// TestWorkerPoolOverlap launches the same burst of metadata ops on a
-// four-worker and a one-worker host service (ring count held fixed): the
+// TestWorkerPoolOverlap launches the same burst of requests on a
+// four-worker and a one-worker daemon pool (ring count held fixed): the
 // pool must finish strictly earlier, and the single worker must reproduce
 // the serialized daemon.
 func TestWorkerPoolOverlap(t *testing.T) {
 	finish := func(workers int) simtime.Time {
-		_, cl, host := shardedHarness(t, 4, workers)
-		if err := host.WriteFile(simtime.NewClock(0), "/f", []byte("x"), rwMode); err != nil {
-			t.Fatal(err)
-		}
-		c0 := simtime.NewClock(0)
-		fd, _, err := cl.Open(c0, "/f", hostfs.O_RDONLY, hostfs.ModeRead)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base := c0.Now().Add(simtime.Millisecond)
+		_, cl := shardedHarness(t, 4, workers)
+		base := simtime.Time(simtime.Millisecond)
 		var last simtime.Time
 		for lane := 0; lane < 8; lane++ {
 			clk := simtime.NewClock(base)
-			if _, err := cl.Bind(lane).Stat(clk, fd); err != nil {
+			if err := cl.Bind(lane).Do(clk, OpStat, busy(4*simtime.Microsecond)); err != nil {
 				t.Fatal(err)
 			}
 			if clk.Now() > last {

@@ -9,22 +9,23 @@
 // no cross-bus atomics, there is no one-sided locking anywhere in the
 // protocol: every interaction is a message exchange.
 //
-// The package is layered (ISSUE 3):
+// The package is two layers and knows nothing about files: a request is
+// an Op (the accounting class it is counted under) plus a Handler the
+// caller supplies. What a request means — the syscall table, descriptor
+// table and wire frames — is internal/gsys, layered above.
 //
-//   - protocol (this file): the typed operations — Open, ReadPages,
-//     WritePages, Stat, … — that marshal arguments into request slots and
-//     capture results. A Client is one GPU's endpoint, optionally Bind-ed
-//     to a lane so a threadblock's traffic rides its home ring shard.
-//   - transport (transport.go): N sharded rings per GPU behind the
-//     Transport interface. Blocks hash to shards; the retry/timeout
-//     protocol, sequence-number dedup, and fault-injection hooks all live
-//     here, so every shard inherits the failure handling unchanged. A
-//     completion queue matches responses back by (shard, seq) and records
-//     out-of-order delivery.
-//   - host service (service.go): the daemon worker pool. Ring shard s is
+//   - transport (transport.go): N sharded rings per GPU. A Client is one
+//     GPU's endpoint, optionally Bind-ed to a lane so a threadblock's
+//     traffic rides its home ring shard. Blocks hash to shards; the
+//     retry/timeout protocol, sequence-number dedup, and fault-injection
+//     hooks all live here, so every shard inherits the failure handling
+//     unchanged. A completion queue matches responses back by
+//     (shard, seq) and records out-of-order delivery.
+//   - daemon pool (Server, this file): the CPU worker threads that drain
+//     the rings (§4.2), one simtime.Resource each. Ring shard s is
 //     statically pinned to worker s mod Workers, so each ring keeps FIFO
 //     order on one host timeline while distinct rings overlap in virtual
-//     time — the paper's multi-threaded daemon (§4.2).
+//     time.
 //
 // Bulk data never travels through the rings; the CPU DMAs it directly to
 // or from the GPU buffer-cache pages whose device pointers the GPU
@@ -56,11 +57,9 @@ package rpc
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"gpufs/internal/faults"
-	"gpufs/internal/hostfs"
 	"gpufs/internal/metrics"
 	"gpufs/internal/pcie"
 	"gpufs/internal/simtime"
@@ -180,26 +179,16 @@ type Config struct {
 	MaxAttempts int
 }
 
-// Server is the CPU-side GPUfs daemon process: the host service worker
-// pool plus the file-descriptor table and consistency layer shared by
-// every GPU's rings. One Server serves every GPU of the process.
+// Server is the CPU-side GPUfs daemon process: the worker pool that
+// drains every GPU's rings, plus the consistency layer the daemon manages.
+// One Server serves every GPU of the process.
 type Server struct {
 	cfg   Config
 	layer *wrapfs.Layer
-	svc   *hostService
+	pool  *simtime.WorkerPool
 
 	inj atomic.Pointer[faults.Injector]
 	met *metrics.Registry
-
-	// zeroCopy makes read handlers (here and in the gsys syscall table)
-	// pread file data directly into the pinned device destination and
-	// charge the DMA without the staging pass (pcie.ChargePinned),
-	// instead of copying through a per-request staging buffer.
-	zeroCopy atomic.Bool
-
-	mu     sync.Mutex
-	fds    map[int64]*hostfs.File
-	nextFd int64
 
 	reqCount [numOps]atomic.Int64
 }
@@ -225,11 +214,9 @@ func NewServer(cfg Config, layer *wrapfs.Layer) *Server {
 		cfg.MaxAttempts = 8
 	}
 	return &Server{
-		cfg:    cfg,
-		layer:  layer,
-		svc:    newHostService(cfg.Workers),
-		fds:    make(map[int64]*hostfs.File),
-		nextFd: 3,
+		cfg:   cfg,
+		layer: layer,
+		pool:  simtime.NewWorkerPool("gpufs-cpu-daemon", cfg.Workers),
 	}
 }
 
@@ -237,15 +224,10 @@ func NewServer(cfg Config, layer *wrapfs.Layer) *Server {
 // governing this daemon's request handling.
 func (s *Server) SetFaultInjector(inj *faults.Injector) { s.inj.Store(inj) }
 
-// SetZeroCopyRead toggles the daemon's zero-copy read path: handlers read
-// file data straight into the pinned DMA destination, skipping both the
-// staging buffer and its host-memory-bus pass. Off (the default) keeps
-// the PR-7 staging behavior bit-identically.
-func (s *Server) SetZeroCopyRead(on bool) { s.zeroCopy.Store(on) }
-
-// ZeroCopyRead reports whether the zero-copy read path is enabled; the
-// gsys syscall table consults it so both protocol layers stay in step.
-func (s *Server) ZeroCopyRead() bool { return s.zeroCopy.Load() }
+// FaultInjector returns the injector installed via SetFaultInjector (nil
+// when none is). Handlers layered above consult it where a fault changes
+// what they must do (completing injected short reads).
+func (s *Server) FaultInjector() *faults.Injector { return s.inj.Load() }
 
 // SetMetrics attaches a metrics registry to the daemon. It must be called
 // before NewClient: each client's ring transport resolves per-shard
@@ -261,32 +243,6 @@ func (s *Server) Layer() *wrapfs.Layer { return s.layer }
 // latency instruments from it.
 func (s *Server) Metrics() *metrics.Registry { return s.met }
 
-// AllocFD registers an open host file in the daemon's descriptor table
-// and returns its handle. Syscall-table handlers outside this package
-// (internal/gsys) use it where the in-package handlers touch s.fds
-// directly.
-func (s *Server) AllocFD(f *hostfs.File) int64 {
-	s.mu.Lock()
-	h := s.nextFd
-	s.nextFd++
-	s.fds[h] = f
-	s.mu.Unlock()
-	return h
-}
-
-// FileByFD resolves a descriptor handle to its host file.
-func (s *Server) FileByFD(fd int64) (*hostfs.File, error) { return s.file(fd) }
-
-// ReleaseFD removes a descriptor handle from the table, returning the
-// host file (nil if the handle was unknown). The caller closes the file.
-func (s *Server) ReleaseFD(fd int64) *hostfs.File {
-	s.mu.Lock()
-	f := s.fds[fd]
-	delete(s.fds, fd)
-	s.mu.Unlock()
-	return f
-}
-
 // Requests reports how many requests of the given op have been served
 // (each retry attempt is a separate ring transaction and counts).
 func (s *Server) Requests(op Op) int64 { return s.reqCount[op].Load() }
@@ -301,15 +257,15 @@ func (s *Server) TotalRequests() int64 {
 }
 
 // Workers reports the daemon worker-pool size.
-func (s *Server) Workers() int { return s.svc.Workers() }
+func (s *Server) Workers() int { return s.pool.Size() }
 
 // ResetTime returns every daemon worker's timeline to idle (benchmark
 // harness use).
-func (s *Server) ResetTime() { s.svc.Reset() }
+func (s *Server) ResetTime() { s.pool.Reset() }
 
 // DaemonBusy reports the daemon workers' accumulated busy time, summed
 // over the pool.
-func (s *Server) DaemonBusy() simtime.Duration { return s.svc.Busy() }
+func (s *Server) DaemonBusy() simtime.Duration { return s.pool.Busy() }
 
 // dedupSlots is the server-side dedup table size per ring shard. Sequence
 // numbers index it modulo the size; a slot is only consulted by retries of
@@ -319,18 +275,18 @@ const dedupSlots = 256
 
 // dedupEntry caches the outcome of an applied request so a retry whose
 // response was lost re-delivers the reply instead of re-applying the
-// operation. The reply payload itself lives in the caller's captured
-// result variables, which the first execution already filled.
+// operation. The reply payload itself lives in the variables the handler
+// captured, which the first execution already filled.
 type dedupEntry struct {
 	seq     uint64
 	applied bool
 	err     error
 }
 
-// Client is a GPU's protocol endpoint: typed operations over the GPU's
-// ring transport plus the device's DMA link. The zero lane (an unbound
-// client) routes to ring shard 0; Bind derives per-lane views that route
-// a threadblock's traffic to its home shard.
+// Client is a GPU's transport endpoint: its rings plus the device's DMA
+// link. The zero lane (an unbound client) routes to ring shard 0; Bind
+// derives per-lane views that route a threadblock's traffic to its home
+// shard.
 type Client struct {
 	srv   *Server
 	gpuID int
@@ -400,23 +356,16 @@ func (c *Client) OutOfOrderCompletions() int64 { return c.t.cq.OutOfOrder() }
 // frame; nonzero values indicate a transport bug.
 func (c *Client) UnmatchedCompletions() int64 { return c.t.cq.Unmatched() }
 
-// invoke runs one logical request on this view's ring shard. handler
-// performs the server-side work on a daemon worker's clock and returns the
-// completion time of any asynchronous DMA plus the operation's error; its
-// result values land in variables the caller captured.
-func (c *Client) invoke(blk *simtime.Clock, op Op, handler Handler) error {
-	return c.t.Submit(blk, c.shard, op, handler)
-}
-
 // Server returns the daemon this client talks to.
 func (c *Client) Server() *Server { return c.srv }
 
-// Do runs one blocking request on this view's ring shard: the block's
-// clock advances to response delivery. It is the exported form of invoke
-// for syscall-table handlers layered above this package (internal/gsys);
-// the in-package typed operations are unchanged clients of the same path.
+// Do runs one logical blocking request on this view's ring shard: handler
+// performs the server-side work on a daemon worker's clock and returns the
+// completion time of any asynchronous DMA plus the operation's error (its
+// results land in variables the caller captured); the block's clock
+// advances to response delivery.
 func (c *Client) Do(blk *simtime.Clock, op Op, handler Handler) error {
-	return c.invoke(blk, op, handler)
+	return c.t.Submit(blk, c.shard, op, handler)
 }
 
 // DoAsync runs one non-blocking request: it is enqueued at the block's
@@ -425,331 +374,4 @@ func (c *Client) Do(blk *simtime.Clock, op Op, handler Handler) error {
 // detached submissions it is never retried.
 func (c *Client) DoAsync(blk *simtime.Clock, op Op, handler Handler) (simtime.Time, error) {
 	return c.t.SubmitAsync(blk, c.shard, op, handler)
-}
-
-// ReadFull is the exported form of readFull for handlers layered above
-// this package: it reads into staging at off, looping past injected short
-// reads (n == 0 is true EOF).
-func (c *Client) ReadFull(cclk *simtime.Clock, f *hostfs.File, staging []byte, off int64) (int, error) {
-	return c.readFull(cclk, f, staging, off)
-}
-
-// Open opens the host file and returns a server-side descriptor handle and
-// the file's metadata (size is captured at open time, per gfstat semantics).
-func (c *Client) Open(blk *simtime.Clock, path string, flags int, mode hostfs.Mode) (int64, hostfs.FileInfo, error) {
-	var fd int64 = -1
-	var info hostfs.FileInfo
-	err := c.invoke(blk, OpOpen, func(cclk *simtime.Clock) (simtime.Time, error) {
-		f, err := c.srv.layer.FS().Open(cclk, path, flags, mode)
-		if err != nil {
-			return 0, err
-		}
-		fi, err := f.Fstat(cclk)
-		if err != nil {
-			f.Close()
-			return 0, err
-		}
-		c.srv.mu.Lock()
-		h := c.srv.nextFd
-		c.srv.nextFd++
-		c.srv.fds[h] = f
-		c.srv.mu.Unlock()
-		fd, info = h, fi
-		return 0, nil
-	})
-	if err != nil {
-		return -1, hostfs.FileInfo{}, err
-	}
-	return fd, info, nil
-}
-
-func (s *Server) file(fd int64) (*hostfs.File, error) {
-	s.mu.Lock()
-	f, ok := s.fds[fd]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("rpc: unknown host fd %d", fd)
-	}
-	return f, nil
-}
-
-// Close closes a host descriptor.
-func (c *Client) Close(blk *simtime.Clock, fd int64) error {
-	return c.invoke(blk, OpClose, func(cclk *simtime.Clock) (simtime.Time, error) {
-		c.srv.mu.Lock()
-		f, ok := c.srv.fds[fd]
-		delete(c.srv.fds, fd)
-		c.srv.mu.Unlock()
-		if !ok {
-			return 0, fmt.Errorf("rpc: unknown host fd %d", fd)
-		}
-		return 0, f.Close()
-	})
-}
-
-// readFull reads into staging at off, looping past injected short reads
-// (n == 0 is true EOF). With no injector the single pread below is already
-// full-or-EOF, so the loop never iterates and the happy-path timing is
-// untouched.
-func (c *Client) readFull(cclk *simtime.Clock, f *hostfs.File, staging []byte, off int64) (int, error) {
-	n, err := f.Pread(cclk, staging, off)
-	if err != nil || n == len(staging) || !c.srv.inj.Load().Enabled() {
-		return n, err
-	}
-	for n < len(staging) {
-		m, err := f.Pread(cclk, staging[n:], off+int64(n))
-		if err != nil {
-			return n, err
-		}
-		if m == 0 {
-			break // true EOF
-		}
-		n += m
-	}
-	return n, nil
-}
-
-// ReadPages reads len(dst) bytes from the host file at off and DMAs them
-// into the device memory slice dst. The daemon worker performs the file
-// read synchronously (ordering file accesses per ring) and then hands the
-// bulk transfer to an asynchronous DMA channel; the caller's clock advances
-// to DMA completion, while the worker is free as soon as the read finishes.
-func (c *Client) ReadPages(blk *simtime.Clock, fd int64, off int64, dst []byte) (int, error) {
-	var got int
-	err := c.invoke(blk, OpReadPages, func(cclk *simtime.Clock) (simtime.Time, error) {
-		f, err := c.srv.file(fd)
-		if err != nil {
-			return 0, err
-		}
-		if c.srv.zeroCopy.Load() {
-			// Zero-copy: pread lands directly in the pinned frame; the
-			// DMA skips the staging pass.
-			n, err := c.readFull(cclk, f, dst, off)
-			if err != nil {
-				return 0, err
-			}
-			got = n
-			return c.link.ChargePinned(cclk.Now(), pcie.HostToDevice, int64(n)), nil
-		}
-		staging := make([]byte, len(dst)) // pinned staging buffer
-		n, err := c.readFull(cclk, f, staging, off)
-		if err != nil {
-			return 0, err
-		}
-		copy(dst[:n], staging[:n])
-		got = n
-		return c.link.Charge(cclk.Now(), pcie.HostToDevice, int64(n)), nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return got, nil
-}
-
-// ReadPagesAsync is ReadPages for prefetching: the request is enqueued at
-// the block's current time and handled by a daemon worker identically, but
-// the BLOCK DOES NOT WAIT — its clock is untouched and the returned
-// completion time says when the prefetched page becomes usable. This is the
-// buffer-cache read-ahead the paper lists among the optimizations a GPU
-// buffer cache enables (§3.3). Speculative reads are not retried: there is
-// no block waiting on the result, and a lost prefetch costs only the
-// optimization.
-func (c *Client) ReadPagesAsync(blk *simtime.Clock, fd int64, off int64, dst []byte) (int, simtime.Time, error) {
-	var got int
-	done, err := c.t.SubmitAsync(blk, c.shard, OpReadPages, func(cclk *simtime.Clock) (simtime.Time, error) {
-		f, err := c.srv.file(fd)
-		if err != nil {
-			return 0, err
-		}
-		if c.srv.zeroCopy.Load() {
-			n, err := c.readFull(cclk, f, dst, off)
-			if err != nil {
-				return 0, err
-			}
-			got = n
-			return c.link.ChargePinned(cclk.Now(), pcie.HostToDevice, int64(n)), nil
-		}
-		staging := make([]byte, len(dst))
-		n, err := c.readFull(cclk, f, staging, off)
-		if err != nil {
-			return 0, err
-		}
-		copy(dst[:n], staging[:n])
-		got = n
-		return c.link.Charge(cclk.Now(), pcie.HostToDevice, int64(n)), nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	return got, done, nil
-}
-
-// ReadPagesVecAsync is ReadPagesAsync over several CONTIGUOUS pages: one
-// ring transaction, one host read covering the whole extent, and one DMA
-// whose completion time every page shares. This is the coalescing that
-// lets small-page sequential read-ahead amortize the per-transaction PCIe
-// cost (ISSUE 4): N pages cost one poll/handle/return cycle instead of N.
-// dsts are the destination frames of consecutive pages starting at off;
-// the returned slice holds per-page byte counts (short at EOF). Like all
-// speculative reads, the request is never retried.
-func (c *Client) ReadPagesVecAsync(blk *simtime.Clock, fd int64, off int64, dsts [][]byte) ([]int, simtime.Time, error) {
-	total := 0
-	for _, d := range dsts {
-		total += len(d)
-	}
-	ns := make([]int, len(dsts))
-	done, err := c.t.SubmitAsync(blk, c.shard, OpReadPages, func(cclk *simtime.Clock) (simtime.Time, error) {
-		f, err := c.srv.file(fd)
-		if err != nil {
-			return 0, err
-		}
-		staging := make([]byte, total)
-		n, err := c.readFull(cclk, f, staging, off)
-		if err != nil {
-			return 0, err
-		}
-		got := 0
-		for i, d := range dsts {
-			take := n - got
-			if take > len(d) {
-				take = len(d)
-			}
-			if take < 0 {
-				take = 0
-			}
-			copy(d[:take], staging[got:got+take])
-			ns[i] = take
-			got += take
-		}
-		if c.srv.zeroCopy.Load() {
-			// Zero-copy: the host read is a preadv over an iovec of pinned
-			// frames (the staging slice above is only this simulation's
-			// scattering mechanism, not a modelled copy), so the DMA skips
-			// the staging pass.
-			return c.link.ChargeScatterPinned(cclk.Now(), pcie.HostToDevice, int64(n), len(dsts)), nil
-		}
-		return c.link.ChargeScatter(cclk.Now(), pcie.HostToDevice, int64(n), len(dsts)), nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return ns, done, nil
-}
-
-// WritePages DMAs len(src) bytes out of device memory and writes them to
-// the host file at off. The D2H transfer must complete before the file
-// write begins (the daemon worker needs the bytes), so the worker's file
-// access is ordered after the DMA.
-func (c *Client) WritePages(blk *simtime.Clock, fd int64, off int64, src []byte) (int, error) {
-	var wrote int
-	err := c.invoke(blk, OpWritePages, func(cclk *simtime.Clock) (simtime.Time, error) {
-		f, err := c.srv.file(fd)
-		if err != nil {
-			return 0, err
-		}
-		staging := make([]byte, len(src))
-		copy(staging, src)
-		done := c.link.Charge(cclk.Now(), pcie.DeviceToHost, int64(len(src)))
-		cclk.AdvanceTo(done)
-		n, err := f.Pwrite(cclk, staging, off)
-		wrote = n
-		return 0, err
-	})
-	if err != nil {
-		return 0, err
-	}
-	return wrote, nil
-}
-
-// Truncate truncates the host file behind fd.
-func (c *Client) Truncate(blk *simtime.Clock, fd int64, size int64) error {
-	return c.invoke(blk, OpTruncate, func(cclk *simtime.Clock) (simtime.Time, error) {
-		f, err := c.srv.file(fd)
-		if err != nil {
-			return 0, err
-		}
-		return 0, f.Ftruncate(cclk, size)
-	})
-}
-
-// Unlink removes the file at path on the host.
-func (c *Client) Unlink(blk *simtime.Clock, path string) error {
-	return c.invoke(blk, OpUnlink, func(cclk *simtime.Clock) (simtime.Time, error) {
-		return 0, c.srv.layer.FS().Unlink(path)
-	})
-}
-
-// Stat returns host metadata for fd.
-func (c *Client) Stat(blk *simtime.Clock, fd int64) (hostfs.FileInfo, error) {
-	var info hostfs.FileInfo
-	err := c.invoke(blk, OpStat, func(cclk *simtime.Clock) (simtime.Time, error) {
-		f, err := c.srv.file(fd)
-		if err != nil {
-			return 0, err
-		}
-		fi, err := f.Fstat(cclk)
-		info = fi
-		return 0, err
-	})
-	if err != nil {
-		return hostfs.FileInfo{}, err
-	}
-	return info, nil
-}
-
-// Fsync forces the host file to stable storage (the disk), providing the
-// "equivalent to fsync on CPUs" strong flush of §3.3.
-func (c *Client) Fsync(blk *simtime.Clock, fd int64) error {
-	return c.invoke(blk, OpFsync, func(cclk *simtime.Clock) (simtime.Time, error) {
-		f, err := c.srv.file(fd)
-		if err != nil {
-			return 0, err
-		}
-		return 0, f.Fsync(cclk)
-	})
-}
-
-// Validate asks the consistency layer whether the GPU's cached copy of ino
-// at generation gen is still current (lazy invalidation check at gopen).
-// Under fault injection a request that exhausts its retry budget reports
-// "not valid" — the conservative answer, costing only a refetch.
-func (c *Client) Validate(blk *simtime.Clock, ino, gen int64) bool {
-	var valid bool
-	err := c.invoke(blk, OpValidate, func(cclk *simtime.Clock) (simtime.Time, error) {
-		valid = c.srv.layer.Validate(c.gpuID, ino, gen)
-		return 0, nil
-	})
-	return err == nil && valid
-}
-
-// PeekValid checks the GPU's cached copy of ino against the host through
-// the generation table the consistency module keeps in write-shared memory
-// — a single PCIe read, with no daemon involvement (this is what makes
-// reopening a closed-file-table entry cheap, §4.1/§5.1.3).
-func (c *Client) PeekValid(blk *simtime.Clock, ino, gen int64) bool {
-	blk.Advance(2 * simtime.Microsecond) // uncached read over the bus
-	return c.srv.layer.PeekValid(c.gpuID, ino, gen)
-}
-
-// RecordCached registers this GPU as caching ino at generation gen with the
-// consistency layer. Metadata-only; piggybacked on other traffic in the
-// real system, so it costs no separate round trip here.
-func (c *Client) RecordCached(ino, gen int64) {
-	c.srv.layer.RecordCached(c.gpuID, ino, gen)
-}
-
-// Forget drops the consistency layer's record of this GPU caching ino.
-func (c *Client) Forget(ino int64) {
-	c.srv.layer.Forget(c.gpuID, ino)
-}
-
-// BeginWrite registers this GPU as a writer of ino (single-writer unless
-// multiWriter).
-func (c *Client) BeginWrite(ino int64, multiWriter bool) error {
-	return c.srv.layer.BeginWrite(c.gpuID, ino, multiWriter)
-}
-
-// EndWrite releases the writer registration.
-func (c *Client) EndWrite(ino int64) {
-	c.srv.layer.EndWrite(c.gpuID, ino)
 }

@@ -1,127 +1,42 @@
 package rpc
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
 	"gpufs/internal/faults"
-	"gpufs/internal/hostfs"
 	"gpufs/internal/simtime"
 )
 
-// TestServerErrorPaths drives the daemon's error returns table-style:
-// unknown descriptors across every fd-taking op, double close, and a
-// truncation racing an in-flight read.
-func TestServerErrorPaths(t *testing.T) {
-	t.Run("unknown fd", func(t *testing.T) {
-		_, cl, _ := harness(t)
-		c := simtime.NewClock(0)
-		cases := []struct {
-			name string
-			call func() error
-		}{
-			{"close", func() error { return cl.Close(c, 404) }},
-			{"read", func() error { _, err := cl.ReadPages(c, 404, 0, make([]byte, 8)); return err }},
-			{"readAsync", func() error { _, _, err := cl.ReadPagesAsync(c, 404, 0, make([]byte, 8)); return err }},
-			{"write", func() error { _, err := cl.WritePages(c, 404, 0, []byte("x")); return err }},
-			{"truncate", func() error { return cl.Truncate(c, 404, 0) }},
-			{"stat", func() error { _, err := cl.Stat(c, 404); return err }},
-			{"fsync", func() error { return cl.Fsync(c, 404) }},
-		}
-		for _, tc := range cases {
-			err := tc.call()
-			if err == nil {
-				t.Errorf("%s on unknown fd succeeded", tc.name)
-			} else if Retryable(err) || errors.Is(err, ErrTimeout) {
-				t.Errorf("%s: unknown fd classified transient: %v", tc.name, err)
-			}
-		}
-	})
-
-	t.Run("double close", func(t *testing.T) {
-		_, cl, host := harness(t)
-		c := simtime.NewClock(0)
-		host.WriteFile(simtime.NewClock(0), "/f", []byte("x"), rwMode)
-		fd, _, err := cl.Open(c, "/f", hostfs.O_RDONLY, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.Close(c, fd); err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.Close(c, fd); err == nil {
-			t.Fatalf("second close of %d succeeded", fd)
-		}
-	})
-
-	t.Run("truncate while read in flight", func(t *testing.T) {
-		_, cl, host := harness(t)
-		host.WriteFile(simtime.NewClock(0), "/f", bytes.Repeat([]byte("ab"), 4096), rwMode)
-		cr, ct := simtime.NewClock(0), simtime.NewClock(0)
-		fd, _, err := cl.Open(cr, "/f", hostfs.O_RDWR, rwMode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Both requests enter the ring at the same instant; the
-		// single-threaded daemon serializes them in either order. The
-		// read must return a prefix of the original content (full or
-		// truncated), never garbage, and never a protocol error.
-		type res struct {
-			n   int
-			err error
-		}
-		readDone := make(chan res)
-		dst := make([]byte, 8192)
-		go func() {
-			n, err := cl.ReadPages(cr, fd, 0, dst)
-			readDone <- res{n, err}
-		}()
-		if err := cl.Truncate(ct, fd, 16); err != nil {
-			t.Fatal(err)
-		}
-		r := <-readDone
-		if r.err != nil {
-			t.Fatalf("in-flight read failed: %v", r.err)
-		}
-		if r.n != 16 && r.n != 8192 {
-			t.Fatalf("read observed a partial truncate: n=%d", r.n)
-		}
-		want := bytes.Repeat([]byte("ab"), 4096)
-		if !bytes.Equal(dst[:r.n], want[:r.n]) {
-			t.Fatalf("read returned corrupt data")
-		}
-	})
-}
-
 // faultyHarness is harness with an injector installed on the server.
-func faultyHarness(t *testing.T, cfg faults.Config) (*Server, *Client, *hostfs.FS, *faults.Injector) {
+func faultyHarness(t *testing.T, cfg faults.Config) (*Server, *Client, *faults.Injector) {
 	t.Helper()
-	srv, cl, host := harness(t)
+	srv, cl := harness(t)
 	inj := faults.New(cfg)
 	srv.SetFaultInjector(inj)
-	host.SetFaultInjector(inj)
-	return srv, cl, host, inj
+	return srv, cl, inj
 }
 
 func TestTransientFailuresAreRetried(t *testing.T) {
-	srv, cl, host, inj := faultyHarness(t, faults.Config{Seed: 1, RPCTransientProb: 0.5})
-	host.WriteFile(simtime.NewClock(0), "/f", bytes.Repeat([]byte("z"), 1024), rwMode)
+	srv, cl, inj := faultyHarness(t, faults.Config{Seed: 1, RPCTransientProb: 0.5})
 	c := simtime.NewClock(0)
 
-	fd, _, err := cl.Open(c, "/f", hostfs.O_RDONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]byte, 1024)
+	applied := 0
 	for i := 0; i < 50; i++ {
-		n, err := cl.ReadPages(c, fd, 0, dst)
-		if err != nil || n != 1024 {
-			t.Fatalf("read %d under 0.5 transient rate: n=%d err=%v", i, n, err)
+		err := cl.Do(c, OpReadPages, func(*simtime.Clock) (simtime.Time, error) {
+			applied++
+			return 0, nil
+		})
+		if err != nil {
+			t.Fatalf("request %d under 0.5 transient rate: %v", i, err)
 		}
 	}
+	// A bounced attempt never reaches the handler.
+	if applied != 50 {
+		t.Fatalf("50 requests applied %d times", applied)
+	}
 	if cl.Retries() == 0 {
-		t.Fatalf("0.5 transient rate over 50 reads caused no retries")
+		t.Fatalf("0.5 transient rate over 50 requests caused no retries")
 	}
 	if inj.Injected(faults.RPCTransient) == 0 {
 		t.Fatalf("injector never fired")
@@ -133,29 +48,27 @@ func TestTransientFailuresAreRetried(t *testing.T) {
 }
 
 func TestDroppedResponsesDedupExactlyOnce(t *testing.T) {
-	// Every write's response has a 40% chance of being lost. The client
-	// retries; the server's dedup table must keep retries from re-applying
-	// the pwrite. The host inode's generation counts every applied
-	// mutation, so N logical writes must move it by exactly N.
-	srv, cl, host, _ := faultyHarness(t, faults.Config{Seed: 2, RPCDropResponseProb: 0.4})
+	// Every response has a 40% chance of being lost. The client retries;
+	// the server's dedup table must keep retries from re-applying the
+	// handler (a pwrite, an O_TRUNC open), so N logical requests run it
+	// exactly N times.
+	srv, cl, _ := faultyHarness(t, faults.Config{Seed: 2, RPCDropResponseProb: 0.4})
 	srv.cfg.MaxAttempts = 12 // drive per-op give-up odds to ~0
-	host.WriteFile(simtime.NewClock(0), "/f", nil, rwMode)
-	before, _ := host.Stat("/f")
 	c := simtime.NewClock(0)
 
-	fd, _, err := cl.Open(c, "/f", hostfs.O_RDWR, rwMode)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const writes = 40
+	applied := 0
 	for i := 0; i < writes; i++ {
-		if _, err := cl.WritePages(c, fd, int64(i), []byte{byte(i)}); err != nil {
+		err := cl.Do(c, OpWritePages, func(*simtime.Clock) (simtime.Time, error) {
+			applied++
+			return 0, nil
+		})
+		if err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
-	after, _ := host.Stat("/f")
-	if got := after.Generation - before.Generation; got != writes {
-		t.Fatalf("%d writes moved generation by %d: dedup broken", writes, got)
+	if applied != writes {
+		t.Fatalf("%d writes applied %d times: dedup broken", writes, applied)
 	}
 	if cl.Timeouts() == 0 {
 		t.Fatalf("0.4 drop rate over %d writes caused no timeouts", writes)
@@ -167,13 +80,12 @@ func TestDroppedResponsesDedupExactlyOnce(t *testing.T) {
 }
 
 func TestRetryBudgetExhaustion(t *testing.T) {
-	srv, cl, host, _ := faultyHarness(t, faults.Config{Seed: 3, RPCDropResponseProb: 1.0})
-	host.WriteFile(simtime.NewClock(0), "/f", []byte("x"), rwMode)
+	srv, cl, _ := faultyHarness(t, faults.Config{Seed: 3, RPCDropResponseProb: 1.0})
 	c := simtime.NewClock(0)
 
-	_, _, err := cl.Open(c, "/f", hostfs.O_RDONLY, 0)
+	err := cl.Do(c, OpOpen, nop)
 	if err == nil {
-		t.Fatalf("open with every response dropped succeeded")
+		t.Fatalf("request with every response dropped succeeded")
 	}
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("exhaustion error is %v, want ErrTimeout", err)
@@ -184,51 +96,29 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 }
 
 func TestEIOIsNotRetried(t *testing.T) {
-	// A real I/O error is a valid reply: it must come back on the first
-	// attempt, not burn the retry budget.
-	srv, cl, host, _ := faultyHarness(t, faults.Config{Seed: 4, HostReadEIOProb: 1.0})
-	host.WriteFile(simtime.NewClock(0), "/f", []byte("data"), rwMode)
-	c := simtime.NewClock(0)
-
-	fd, _, err := cl.Open(c, "/f", hostfs.O_RDONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := cl.Retries()
-	_, err = cl.ReadPages(c, fd, 0, make([]byte, 4))
-	if !errors.Is(err, hostfs.ErrIO) {
-		t.Fatalf("read error = %v, want ErrIO", err)
-	}
-	if cl.Retries() != base {
-		t.Fatalf("EIO consumed retries")
-	}
-	_ = srv
-}
-
-func TestShortReadsAreCompleted(t *testing.T) {
-	// The daemon's read loop must assemble full pages despite injected
-	// short reads, or fillPage would zero-fill mid-file data.
-	_, cl, host, inj := faultyHarness(t, faults.Config{Seed: 5, HostShortReadProb: 0.7})
-	want := bytes.Repeat([]byte{0xA5, 0x5A, 0x33}, 3000)
-	host.WriteFile(simtime.NewClock(0), "/f", want, rwMode)
-	c := simtime.NewClock(0)
-
-	fd, _, err := cl.Open(c, "/f", hostfs.O_RDONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		dst := make([]byte, len(want))
-		n, err := cl.ReadPages(c, fd, 0, dst)
-		if err != nil || n != len(want) {
-			t.Fatalf("read %d: n=%d err=%v", i, n, err)
+	// An error the handler returns is a valid reply: it must come back on
+	// the first attempt, not burn the retry budget. That holds for a real
+	// I/O error and equally for a handler's own ErrAgain — only the
+	// daemon's injected bounce, which precedes the handler, is retried by
+	// the transport. (The injector is live so the request takes the
+	// retrying path.)
+	errIO := errors.New("EIO")
+	for _, want := range []error{errIO, ErrAgain} {
+		_, cl, _ := faultyHarness(t, faults.Config{Seed: 4, RPCPollDelayProb: 1.0})
+		applied := 0
+		err := cl.Do(simtime.NewClock(0), OpReadPages, func(*simtime.Clock) (simtime.Time, error) {
+			applied++
+			return 0, want
+		})
+		if !errors.Is(err, want) || errors.Is(err, ErrTimeout) {
+			t.Fatalf("handler returned %v, caller saw %v", want, err)
 		}
-		if !bytes.Equal(dst, want) {
-			t.Fatalf("short-read completion returned corrupt data")
+		if applied != 1 || cl.Retries() != 0 {
+			t.Fatalf("%v consumed retries: applied=%d retries=%d", want, applied, cl.Retries())
 		}
 	}
-	if inj.Injected(faults.HostShortRead) == 0 {
-		t.Fatalf("short reads never fired")
+	if Retryable(errIO) {
+		t.Fatalf("EIO classified transient")
 	}
 }
 
@@ -236,29 +126,27 @@ func TestHappyPathUnchangedByDisabledInjector(t *testing.T) {
 	// With the injector disabled, request counts AND virtual timing must be
 	// bit-identical to a server with no injector at all.
 	run := func(install bool) (simtime.Time, int64) {
-		srv, cl, host := harness(t)
+		srv, cl := harness(t)
 		if install {
 			inj := faults.New(faults.Config{Seed: 9, RPCDropResponseProb: 0.5})
 			inj.SetEnabled(false)
 			srv.SetFaultInjector(inj)
-			host.SetFaultInjector(inj)
 		}
-		host.WriteFile(simtime.NewClock(0), "/f", bytes.Repeat([]byte("q"), 1<<16), rwMode)
 		c := simtime.NewClock(0)
-		fd, _, err := cl.Open(c, "/f", hostfs.O_RDWR, rwMode)
-		if err != nil {
+		if err := cl.Do(c, OpOpen, nop); err != nil {
 			t.Fatal(err)
 		}
-		buf := make([]byte, 4096)
-		for i := int64(0); i < 16; i++ {
-			if _, err := cl.ReadPages(c, fd, i*4096, buf); err != nil {
+		for i := 0; i < 16; i++ {
+			if err := cl.Do(c, OpReadPages, busy(3*simtime.Microsecond)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := cl.WritePages(c, fd, 0, buf); err != nil {
+		if _, err := cl.DoAsync(c, OpReadPages, busy(3*simtime.Microsecond)); err != nil {
 			t.Fatal(err)
 		}
-		cl.Close(c, fd)
+		if err := cl.Do(c, OpClose, nop); err != nil {
+			t.Fatal(err)
+		}
 		return c.Now(), srv.TotalRequests()
 	}
 	bareT, bareN := run(false)
@@ -266,16 +154,5 @@ func TestHappyPathUnchangedByDisabledInjector(t *testing.T) {
 	if bareT != injT || bareN != injN {
 		t.Fatalf("disabled injector perturbed the happy path: time %v vs %v, requests %d vs %d",
 			bareT, injT, bareN, injN)
-	}
-}
-
-func TestValidateConservativeUnderTimeout(t *testing.T) {
-	_, cl, host, _ := faultyHarness(t, faults.Config{Seed: 6, RPCDropResponseProb: 1.0})
-	host.WriteFile(simtime.NewClock(0), "/f", []byte("x"), rwMode)
-	info, _ := host.Stat("/f")
-	cl.RecordCached(info.Ino, info.Generation)
-	c := simtime.NewClock(0)
-	if cl.Validate(c, info.Ino, info.Generation) {
-		t.Fatalf("validate with all responses lost reported valid")
 	}
 }

@@ -1,19 +1,16 @@
 package rpc
 
 // The transport layer: framed request/response slots over N sharded rings
-// per GPU. This is layer (1) of the RPC stack —
-//
-//	protocol (typed ops on Client)          rpc.go
-//	transport (rings, retry, dedup)         this file
-//	host service (daemon worker pool)       service.go
+// per GPU, drained by the daemon pool (rpc.go).
 //
 // Each ring shard is an independent FIFO in write-shared host memory with
 // its own sequence-number space, its own server-side dedup table, and its
 // own daemon worker affinity; blocks hash to shards. Because the retry,
-// timeout, and dedup protocol lives HERE rather than in the protocol
-// layer, every shard inherits the failure handling unchanged, and a fault
-// injected on one shard's ring (a lost response, a transient bounce)
-// cannot corrupt another shard: dedup state is never shared across rings.
+// timeout, and dedup protocol lives HERE rather than with the callers'
+// handlers, every shard inherits the failure handling unchanged, and a
+// fault injected on one shard's ring (a lost response, a transient
+// bounce) cannot corrupt another shard: dedup state is never shared
+// across rings.
 //
 // Responses are delivered through a completion queue that matches each
 // response back to its waiting request by (shard, sequence-number) frame
@@ -37,32 +34,14 @@ import (
 // Handler performs the server-side work of one request on a daemon
 // worker's clock. It returns the completion time of any asynchronous DMA
 // belonging to the request plus the operation's error; result payloads
-// land in variables the protocol layer captured.
+// land in variables the caller captured.
 type Handler func(cclk *simtime.Clock) (simtime.Time, error)
 
-// Transport moves framed request/response slots between one GPU and the
-// host service. A Submit is one LOGICAL request: implementations own the
-// per-request timeout, bounded-backoff retry, and sequence-number dedup,
-// so the operation is applied exactly once regardless of injected faults.
-type Transport interface {
-	// Shards reports the number of request rings.
-	Shards() int
-	// ShardFor reports the ring that the given lane (threadblock index)
-	// hashes to. The mapping is stable: the same lane always routes to
-	// the same shard, on every client and every run.
-	ShardFor(lane int) int
-	// Submit sends one logical request on the given ring shard and spins
-	// on its response slot: the block's clock advances to response
-	// delivery.
-	Submit(blk *simtime.Clock, shard int, op Op, h Handler) error
-	// SubmitAsync enqueues a request without waiting (prefetch): the
-	// block's clock is untouched and the returned time says when the
-	// response lands. Speculative requests are never retried.
-	SubmitAsync(blk *simtime.Clock, shard int, op Op, h Handler) (simtime.Time, error)
-}
-
 // ringTransport is the per-GPU transport: Shards independent rings sharing
-// one DMA link and one host service.
+// one DMA link and one daemon pool. A Submit is one LOGICAL request: the
+// transport owns the per-request timeout, bounded-backoff retry, and
+// sequence-number dedup, so the operation is applied exactly once
+// regardless of injected faults.
 type ringTransport struct {
 	srv    *Server
 	gpuID  int
@@ -103,7 +82,7 @@ func newRingTransport(srv *Server, gpuID int) *ringTransport {
 	t := &ringTransport{srv: srv, gpuID: gpuID}
 	for i := 0; i < srv.cfg.Shards; i++ {
 		t.shards = append(t.shards, &ringShard{
-			t: t, id: i, worker: srv.svc.workerFor(i),
+			t: t, id: i, worker: srv.pool.Worker(i),
 		})
 	}
 	t.cq.init()
@@ -152,6 +131,9 @@ func shardMix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// ShardFor reports the ring that the given lane (threadblock index) hashes
+// to. The mapping is stable: the same lane always routes to the same
+// shard, on every client and every run.
 func (t *ringTransport) ShardFor(lane int) int {
 	n := len(t.shards)
 	if n == 1 {

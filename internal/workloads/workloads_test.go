@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gpufs"
+	"gpufs/internal/simtime/simtest"
 )
 
 const testScale = 1.0 / 256
@@ -88,6 +89,7 @@ func TestGrepAgreement(t *testing.T) {
 }
 
 func TestImageSearchAgainstTruth(t *testing.T) {
+	simtest.OneP(t)
 	sys := newSystem(t)
 	w, err := MakeImageWorkload(sys.Host(), sys.HostClock(), ImageSpec{
 		Dir:      "/img",
@@ -221,6 +223,7 @@ func TestMatVecAgreement(t *testing.T) {
 }
 
 func TestMicroSequentialShapes(t *testing.T) {
+	simtest.OneP(t)
 	sys := newSystem(t)
 	cfgv := sys.Config()
 	size := cfgv.ScaleBytes(1800 << 20)
@@ -255,6 +258,7 @@ func TestMicroSequentialShapes(t *testing.T) {
 }
 
 func TestCacheHitLockFreeBeatsLocked(t *testing.T) {
+	simtest.OneP(t)
 	size := int64(8 << 20)
 	run := func(forceLocked bool) *MicroResult {
 		cfg := gpufs.ScaledConfig(testScale)

@@ -3,13 +3,13 @@ package gpufs_test
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
 	"gpufs"
 	"gpufs/internal/metrics"
 	"gpufs/internal/serve"
+	"gpufs/internal/simtime/simtest"
 )
 
 // metricsWorkload runs a fixed multi-GPU read/write/sync workload and
@@ -94,12 +94,8 @@ func metricsWorkload(t *testing.T, sys *gpufs.System) (ends []gpufs.Time, stats 
 // are observation-only, so enabling them must not move a single virtual
 // timestamp or counter.
 func TestMetricsDisabledBitIdentical(t *testing.T) {
-	// Two multi-block virtual timelines are compared tick for tick, and
-	// which block books a shared resource first is the Go scheduler's
-	// choice (ROADMAP item 1). Until virtual time is deterministic, one P
-	// makes both runs interleave the same way.
-	prev := runtime.GOMAXPROCS(1)
-	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	// Two multi-block virtual timelines are compared tick for tick.
+	simtest.OneP(t)
 
 	run := func(enabled bool) ([]gpufs.Time, []gpufs.Stats) {
 		cfg := gpufs.ScaledConfig(1.0 / 128)
