@@ -29,6 +29,15 @@ func Readahead(scale float64) (*Table, error) {
 	}
 	const readBytes = 32 << 10
 	const stridePages = 4
+	// The sequential and strided rows read one page per gread. A longer
+	// gread fetches its own later pages as one vectored RPC, which would
+	// credit the "off" column with coalescing the engine did not do, and
+	// on the strided row would overlap the skipped pages and degenerate
+	// into a sequential scan.
+	pageRead := int64(readBytes)
+	if pageRead > ps {
+		pageRead = ps
+	}
 
 	t := &Table{
 		ID: "Readahead",
@@ -54,16 +63,10 @@ func Readahead(scale float64) (*Table, error) {
 		run  func(sys *gpufs.System) (*workloads.MicroResult, error)
 	}{
 		{"sequential", func(sys *gpufs.System) (*workloads.MicroResult, error) {
-			return workloads.SeqReadGPUfsGread(sys, 0, "/bench/ra.bin", fileBytes, blocks, 256, readBytes)
+			return workloads.SeqReadGPUfsGread(sys, 0, "/bench/ra.bin", fileBytes, blocks, 256, pageRead)
 		}},
 		{fmt.Sprintf("stride-%d", stridePages), func(sys *gpufs.System) (*workloads.MicroResult, error) {
-			// One page per strided touch: a longer read would overlap
-			// the skipped pages and degenerate into a sequential scan.
-			sr := int64(readBytes)
-			if sr > ps {
-				sr = ps
-			}
-			return workloads.StrideReadGPUfs(sys, 0, "/bench/ra.bin", fileBytes, blocks, 256, stridePages, sr)
+			return workloads.StrideReadGPUfs(sys, 0, "/bench/ra.bin", fileBytes, blocks, 256, stridePages, pageRead)
 		}},
 		{"random", func(sys *gpufs.System) (*workloads.MicroResult, error) {
 			reads := int(fileBytes / 4 / readBytes / int64(blocks))

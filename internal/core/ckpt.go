@@ -452,7 +452,7 @@ func (fs *FS) restoreFile(b *gpu.Block, fi *ckpt.FileImage) error {
 			if start+count-1 > lastFile {
 				count = lastFile - start + 1
 			}
-			fs.spanFetch(b, f, start, count, pcache.SpecNone, fs.lane(b))
+			fs.spanFetch(b, f, start, count, 1, pcache.SpecNone, gsys.GranBlock)
 		}
 		// Spans are issued asynchronously; wait for residency so the
 		// restored cache is warm (and its ReadyAt times charged) before

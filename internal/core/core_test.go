@@ -23,37 +23,47 @@ type harness struct {
 	fss    []*FS
 }
 
-func newHarness(t *testing.T, gpus int, opt Options) *harness {
-	t.Helper()
-	host := hostfs.New(hostfs.Options{
+// The rig's timing parameters, named so the golden cost tests can compute
+// expected values from them.
+var (
+	rigHost = hostfs.Options{
 		DiskBandwidth:   132 * simtime.MBps,
 		DiskSeek:        simtime.Millisecond,
 		MemBandwidth:    6600 * simtime.MBps,
 		CacheBytes:      256 << 20,
 		SyscallOverhead: 4 * simtime.Microsecond,
-	})
-	layer := wrapfs.New(host)
-	bus := pcie.New(pcie.Config{
+	}
+	rigBus = pcie.Config{
 		Bandwidth:        5731 * simtime.MBps,
 		DMALatency:       15 * simtime.Microsecond,
 		Channels:         4,
 		HostMemBandwidth: 6600 * simtime.MBps,
-	}, host.MemBus())
-	server := rpc.NewServer(rpc.Config{
+	}
+	rigRPC = rpc.Config{
 		PollInterval:  10 * simtime.Microsecond,
 		HandleCost:    12 * simtime.Microsecond,
 		ReturnLatency: 2 * simtime.Microsecond,
-	}, layer)
+	}
+)
+
+const rigDevMemBandwidth = 144_000 * simtime.MBps
+
+func newHarness(t *testing.T, gpus int, opt Options) *harness {
+	t.Helper()
+	host := hostfs.New(rigHost)
+	layer := wrapfs.New(host)
+	bus := pcie.New(rigBus, host.MemBus())
+	server := rpc.NewServer(rigRPC, layer)
 
 	h := &harness{host: host, layer: layer, server: server}
 	for i := 0; i < gpus; i++ {
 		dev := gpu.New(gpu.Config{
 			ID: i, MPs: 4, BlocksPerMP: 2, WarpSize: 32,
 			MemBytes:     opt.CacheBytes * 2,
-			MemBandwidth: 144_000 * simtime.MBps,
+			MemBandwidth: rigDevMemBandwidth,
 			Flops:        1e9, ScratchpadBytes: 48 << 10,
 		})
-		link := bus.NewLink(i, dev.MemBandwidthResource(), 144_000*simtime.MBps)
+		link := bus.NewLink(i, dev.MemBandwidthResource(), rigDevMemBandwidth)
 		fs, err := New(i, opt, server.NewClient(i, link), dev.Mem)
 		if err != nil {
 			t.Fatal(err)
@@ -64,6 +74,9 @@ func newHarness(t *testing.T, gpus int, opt Options) *harness {
 	return h
 }
 
+// defaultOpt is what ships (params.Default): in-place hit reads and a
+// sharded frame allocator. A test that needs the copying charge or a single
+// free list says so.
 func defaultOpt() Options {
 	return Options{
 		PageSize:            16 << 10,
@@ -71,6 +84,8 @@ func defaultOpt() Options {
 		APICostPerPage:      7 * simtime.Microsecond,
 		RadixLookupLockFree: 35,
 		RadixLookupLocked:   550,
+		ZeroCopyRead:        true,
+		FrameShards:         4,
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
 	"sync/atomic"
 	"testing"
 
@@ -13,7 +12,6 @@ import (
 	"gpufs/internal/hostfs"
 	"gpufs/internal/pcie"
 	"gpufs/internal/rpc"
-	"gpufs/internal/simtime"
 	"gpufs/internal/wrapfs"
 )
 
@@ -28,28 +26,12 @@ type faultHarness struct {
 
 func newFaultHarness(t *testing.T, opt Options, fcfg faults.Config, shards, workers int) *faultHarness {
 	t.Helper()
-	host := hostfs.New(hostfs.Options{
-		DiskBandwidth:   132 * simtime.MBps,
-		DiskSeek:        simtime.Millisecond,
-		MemBandwidth:    6600 * simtime.MBps,
-		CacheBytes:      256 << 20,
-		SyscallOverhead: 4 * simtime.Microsecond,
-	})
+	host := hostfs.New(rigHost)
 	layer := wrapfs.New(host)
-	bus := pcie.New(pcie.Config{
-		Bandwidth:        5731 * simtime.MBps,
-		DMALatency:       15 * simtime.Microsecond,
-		Channels:         4,
-		HostMemBandwidth: 6600 * simtime.MBps,
-	}, host.MemBus())
-	server := rpc.NewServer(rpc.Config{
-		PollInterval:  10 * simtime.Microsecond,
-		HandleCost:    12 * simtime.Microsecond,
-		ReturnLatency: 2 * simtime.Microsecond,
-		MaxAttempts:   12,
-		Shards:        shards,
-		Workers:       workers,
-	}, layer)
+	bus := pcie.New(rigBus, host.MemBus())
+	rcfg := rigRPC
+	rcfg.MaxAttempts, rcfg.Shards, rcfg.Workers = 12, shards, workers
+	server := rpc.NewServer(rcfg, layer)
 
 	inj := faults.New(fcfg)
 	server.SetFaultInjector(inj)
@@ -60,10 +42,10 @@ func newFaultHarness(t *testing.T, opt Options, fcfg faults.Config, shards, work
 	dev := gpu.New(gpu.Config{
 		ID: 0, MPs: 4, BlocksPerMP: 2, WarpSize: 32,
 		MemBytes:     opt.CacheBytes * 2,
-		MemBandwidth: 144_000 * simtime.MBps,
+		MemBandwidth: rigDevMemBandwidth,
 		Flops:        1e9, ScratchpadBytes: 48 << 10,
 	})
-	link := bus.NewLink(0, dev.MemBandwidthResource(), 144_000*simtime.MBps)
+	link := bus.NewLink(0, dev.MemBandwidthResource(), rigDevMemBandwidth)
 	fs, err := New(0, opt, server.NewClient(0, link), dev.Mem)
 	if err != nil {
 		t.Fatal(err)
@@ -171,12 +153,11 @@ func runFaultStress(t *testing.T, seed int64, shards, workers int, totalInjected
 	// 6-frame pool, and the open/close cycles below keep recording
 	// profiles and seeding from them while the tiny cache immediately
 	// evicts their pages.
-	// GPUFS_FAULT_ZEROCOPY=1 (the nightly CI variant) reruns the whole
-	// oracle with the ISSUE 8 hot path on: zero-copy completions landing in
-	// pinned frames and a sharded allocator, under the same fault schedules.
-	if os.Getenv("GPUFS_FAULT_ZEROCOPY") != "" {
-		opt.ZeroCopyRead = true
-		opt.FrameShards = 4
+	// The oracle runs what ships (defaultOpt: in-place hit reads, a sharded
+	// allocator). One seed in four puts the single free list under the same
+	// fault schedules; the seed picks, so a failing seed replays.
+	if seed%4 == 0 {
+		opt.FrameShards = 1
 	}
 	h := newFaultHarness(t, opt, fcfg, shards, workers)
 	fs := h.fss[0]

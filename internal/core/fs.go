@@ -105,15 +105,14 @@ type Options struct {
 	DisableFastReopen bool
 	// EvictBatch is how many pages one paging pass tries to reclaim.
 	EvictBatch int
-	// ZeroCopyRead makes cache-hit reads serve bytes by aliasing the
-	// pinned page frame (one device-memory pass — the gmmap mechanism)
-	// instead of a two-pass copy through a staging buffer, and makes the
-	// host daemon pread RPC completions directly into the pinned DMA
-	// region (skipping the staging pass on the host memory bus). The host
-	// half lives in the syscall service: New passes the flag to the
-	// private service it builds when Syscalls is nil, and a shared service
-	// must have been built with the same value. Off selects the copying
-	// path.
+	// ZeroCopyRead selects two charges; the bytes move the same way either
+	// way. Set, a read of a resident page costs one device-memory pass (the
+	// caller reads the pinned frame in place — the gmmap mechanism) and a
+	// fill's DMA skips the staging pass on the host memory bus (the daemon
+	// preads into the pinned frame). Clear, the hit costs a two-pass copy
+	// and the DMA is staged. The DMA half lives in the syscall service: New
+	// passes the flag to the private service it builds when Syscalls is
+	// nil, and a shared service must have been built with the same value.
 	ZeroCopyRead bool
 	// FrameShards is the number of free-list shards in the frame
 	// allocator; lanes hash to shards and steal on empty. Values < 1
@@ -204,10 +203,10 @@ type FS struct {
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
 
-	// zeroCopyReads counts cache-hit page reads served by aliasing the
-	// pinned frame (one device-memory pass) instead of the two-pass copy.
-	// Kept out of CacheStats: the metamorphic suite asserts CacheStats
-	// equality across the ZeroCopyRead knob.
+	// zeroCopyReads counts page reads charged as in place (one
+	// device-memory pass, see copyOut), one per page served. Kept out of
+	// CacheStats: the metamorphic suite asserts CacheStats equality across
+	// the ZeroCopyRead knob.
 	zeroCopyReads atomic.Int64
 
 	// gpread_warp accounting (ISSUE 7): calls, warps coalesced into one
@@ -826,34 +825,16 @@ func (fs *FS) lookupFd(fd int) (*file, error) {
 }
 
 // discardCache drops every resident page of fc without write-back
-// (invalidation or unlink) and retires the tree's stats.
+// (invalidation or unlink), retires the tree's stats and closes the
+// descriptor kept for reopening.
 func (fs *FS) discardCache(b *gpu.Block, fc *fileCache) {
-	fc.tree.ForEachReadyPage(func(_ uint64, p *radix.FPage) bool {
-		for !p.TryEvict() {
-			if !p.Ready() {
-				// A concurrent paging pass already took it.
-				return true
-			}
-			// Briefly referenced (invalidation runs at open time,
-			// so holders are transient); wait it out.
-			runtime.Gosched()
-		}
-		if fi := p.Frame(); fi >= 0 {
-			fr := fs.cache.Frame(fi)
-			fs.noteSpecDrop(fc, fr)
-			fs.cache.Release(fr, false)
-			fc.frames.Add(-1)
-		}
-		p.FinishEvict()
-		return true
-	})
+	fs.dropCacheNoWriteback(fc)
 	lf, lk := fc.tree.Stats()
 	fs.retiredLockFree.Add(lf)
 	fs.retiredLocked.Add(lk)
 	if old := fc.keepFd.Swap(0); old != 0 {
 		fs.lane(b).Close(b.Clock, old)
 	}
-	fs.sys.Forget(fc.ino)
 }
 
 // ResidentPages reports how many buffer-cache pages of path are resident
@@ -976,7 +957,7 @@ func (fs *FS) CkptStats() CkptStats {
 	}
 }
 
-// ZeroCopyReads reports how many cache-hit page reads were served in place
+// ZeroCopyReads reports how many page reads were charged as served in place
 // from the pinned frame (zero when the ZeroCopyRead knob is off).
 func (fs *FS) ZeroCopyReads() int64 { return fs.zeroCopyReads.Load() }
 
@@ -1089,13 +1070,17 @@ func (fs *FS) Restart(b *gpu.Block) {
 }
 
 // dropCacheNoWriteback releases every frame of fc without propagating any
-// dirty data — the content is gone with the card.
+// dirty data — the content is stale, unlinked, or gone with the card — and
+// tells the host to forget this GPU caches the file.
 func (fs *FS) dropCacheNoWriteback(fc *fileCache) {
 	fc.tree.ForEachReadyPage(func(_ uint64, p *radix.FPage) bool {
 		for !p.TryEvict() {
 			if !p.Ready() {
+				// A concurrent paging pass already took it.
 				return true
 			}
+			// Briefly referenced (invalidation runs at open time, so
+			// holders are transient); wait it out.
 			runtime.Gosched()
 		}
 		if fi := p.Frame(); fi >= 0 {

@@ -7,6 +7,7 @@ import (
 	"gpufs/internal/core/pcache"
 	"gpufs/internal/core/radix"
 	"gpufs/internal/gpu"
+	"gpufs/internal/gsys"
 	"gpufs/internal/simtime"
 )
 
@@ -80,15 +81,14 @@ func (fs *FS) getPage(b *gpu.Block, f *file, pageIdx int64) (pageRef, error) {
 						// First demand consumer claims the
 						// speculation as a hit (the adaptive
 						// window's ramp-up signal).
-						if fr.Spec.CompareAndSwap(pcache.SpecPending, pcache.SpecUsed) {
+						replay := fr.Spec.CompareAndSwap(pcache.SpecReplay, pcache.SpecUsed)
+						if replay || fr.Spec.CompareAndSwap(pcache.SpecPending, pcache.SpecUsed) {
 							fs.prefetchUsed.Add(1)
 							fc.prefetchUsed.Add(1)
 							fs.specPending.Add(-1)
-						} else if fr.Spec.CompareAndSwap(pcache.SpecReplay, pcache.SpecUsed) {
-							fs.prefetchUsed.Add(1)
-							fc.prefetchUsed.Add(1)
-							fs.historyUsed.Add(1)
-							fs.specPending.Add(-1)
+							if replay {
+								fs.historyUsed.Add(1)
+							}
 						}
 					}
 					fs.cacheHits.Add(1)
@@ -100,78 +100,91 @@ func (fs *FS) getPage(b *gpu.Block, f *file, pageIdx int64) (pageRef, error) {
 			continue // stale frame; retry
 		}
 
-		// Slow path: try to become the initializer.
-		if fp.TryBeginInit() {
-			if leaf.Detached() {
-				// Claim/detach race (see radix.RemoveLeaf): the leaf
-				// left the tree between our lookup and the claim.
-				// Initializing a frame here would strand it on an
-				// unreachable node; retry through a fresh lookup.
-				fp.AbortInit()
-				g.Exit()
-				continue
-			}
-			// The Init claim pins the leaf (RemoveLeaf requires every
-			// slot Empty); drop the guard before the slow fault work.
-			g.Exit()
+		// Slow path: try to become the initializer. The Init claim pins
+		// the leaf, so the guard is dropped before the slow fault work.
+		claimed := claim(fp, leaf)
+		g.Exit()
+		if claimed {
 			fr, err := fs.allocFrame(b, fc, offset)
 			if err != nil {
 				fp.AbortInit()
 				return pageRef{}, err
 			}
-			if err := fs.fillPage(b, f, fr, offset); err != nil {
-				fs.cache.Release(fr, false)
-				fc.frames.Add(-1)
-				fp.AbortInit()
-				return pageRef{}, err
+			n := 0
+			if f.writeOnce {
+				// O_GWRONCE: never fetch; the pristine copy is implicitly
+				// all zeros (§3.1), publish's zero tail. O_NOSYNC files do
+				// NOT take this shortcut: a page spilled to the host under
+				// cache pressure must be fetched back on the next touch.
+				fr.WriteOnce.Store(true)
+			} else {
+				ns, err := fs.lane(b).Read(b.Clock, f.hostFd, offset, [][]byte{fr.Data})
+				if err != nil {
+					fs.abort(fc, fp, fr)
+					return pageRef{}, fmt.Errorf("gpufs: faulting page at %d of %q: %w", offset, f.path, err)
+				}
+				n = ns[0]
 			}
+			fs.publish(b, f, fr, n, b.Clock.Now(), false, pcache.SpecNone)
 			b.Busy(fs.opt.APICostPerPage)
 			fp.FinishInit(fr.Index) // holds our reference
 			fs.cacheMisses.Add(1)
 			return pageRef{fr: fr, fp: fp}, nil
 		}
 
-		// Another block is initializing or evicting this slot; yield
-		// and retry. (Warps multiplex on the MP while blocked, §2.)
-		g.Exit()
+		// Another block is initializing or evicting this slot, or the leaf
+		// was detached under us; yield and retry through a fresh lookup.
+		// (Warps multiplex on the MP while blocked, §2.)
 		runtime.Gosched()
 	}
 }
 
-// fillPage initializes a freshly allocated frame: zero-fill for O_GWRONCE
-// files (whose pristine content is implicitly zero, so nothing is fetched
-// from the CPU, §3.1), or an RPC read of the page's file content otherwise.
-// Threads of the block perform the copy or zeroing collaboratively (§4.1).
-func (fs *FS) fillPage(b *gpu.Block, f *file, fr *pcache.Frame, offset int64) error {
-	if f.writeOnce {
-		// O_GWRONCE: never fetch; the pristine copy is implicitly all
-		// zeros (§3.1). O_NOSYNC files do NOT take this shortcut: a
-		// page spilled to the host under cache pressure must be
-		// fetched back on the next touch.
-		b.ZeroBytes(fr.Data)
-		fr.WriteOnce.Store(true)
-		fr.ValidBytes.Store(0)
-		fr.ReadyAt.Store(int64(b.Clock.Now()))
-		return nil
-	}
+// Every page enters the cache — by the demand fault above or by spanFetch —
+// through claim, a fill, then publish or abort.
 
-	n, err := fs.lane(b).ReadPages(b.Clock, f.hostFd, offset, fr.Data)
-	if err != nil {
-		return fmt.Errorf("gpufs: faulting page at %d of %q: %w", offset, f.path, err)
+// claim tries to make the caller the initializer of slot fp of leaf, both
+// found under an epoch guard the caller still holds. On success the Init
+// state pins the leaf (RemoveLeaf requires every slot Empty) and the guard
+// may be dropped. It fails when the page is resident, in flight or being
+// evicted, and on the claim/detach race (see radix.RemoveLeaf): the leaf
+// left the tree after the lookup, and a frame initialized there would be
+// stranded — unreachable by eviction and by Restart's cache drop.
+func claim(fp *radix.FPage, leaf *radix.Node) bool {
+	if !fp.TryBeginInit() {
+		return false
 	}
+	if leaf.Detached() {
+		fp.AbortInit()
+		return false
+	}
+	return true
+}
+
+// publish stamps a filled frame for FinishInit: its first n bytes hold the
+// page's file content (0 for a page never fetched). Threads of the block
+// zero the tail collaboratively (§4.1), so reads past EOF (after local
+// extension) observe zeros rather than a previous tenant's bytes. readyAt is
+// when the content is usable; prefetched says consumers must wait for it.
+func (fs *FS) publish(b *gpu.Block, f *file, fr *pcache.Frame, n int, readyAt simtime.Time, prefetched bool, spec int32) {
 	if n < len(fr.Data) {
-		// Zero the tail so reads past EOF (after local extension)
-		// observe zeros rather than a previous tenant's bytes.
 		b.ZeroBytes(fr.Data[n:])
 	}
 	fr.ValidBytes.Store(int64(n))
-	fr.ReadyAt.Store(int64(b.Clock.Now()))
+	fr.ReadyAt.Store(int64(readyAt))
+	fr.Prefetched.Store(prefetched)
+	fr.Spec.Store(spec)
 	if f.writeShrd {
 		// General write-sharing: preserve the pristine copy the
 		// diff-and-merge protocol diffs against at sync time.
 		fr.SetPristine(fr.Data[:n])
 	}
-	return nil
+}
+
+// abort undoes a claim whose frame could not be filled.
+func (fs *FS) abort(fc *fileCache, fp *radix.FPage, fr *pcache.Frame) {
+	fs.cache.Release(fr, false)
+	fc.frames.Add(-1)
+	fp.AbortInit()
 }
 
 // extendValid raises fr.ValidBytes to at least n (atomic max).
@@ -211,36 +224,44 @@ func (fs *FS) readImpl(b *gpu.Block, fd int, dst []byte, off int64) (int, error)
 	if !f.readable {
 		return 0, fmt.Errorf("%w: %q", ErrWriteOnly, f.path)
 	}
+	done, err := fs.readSpan(b, f, off, [][]byte{dst}, gsys.GranBlock)
+	if err == nil && done > 0 && fs.opt.ReadAheadAdaptive {
+		ps := fs.opt.PageSize
+		fs.adaptiveReadAhead(b, f, off/ps, (off+done-1)/ps)
+	}
+	return int(done), err
+}
 
+// readSpan is the page walk of every read: it moves the file extent at off
+// into dsts, in order, clamped to end of file, and returns the bytes moved.
+// It consumes dsts (see copyOut); gran is the granularity its fetches are
+// stamped with on the wire.
+//
+// A read spanning several pages issues the later pages' fetches
+// asynchronously BEFORE faulting the first page, so all of them are in
+// flight on the block's ring shard at once: the daemon worker pipelines the
+// file reads and the DMAs overlap, instead of one blocking round trip per
+// page. The walk then finds the frames resident (or initializing) and
+// advances the block's clock to each transfer's completion through
+// Frame.ReadyAt — the same mechanism read-ahead uses. The batch is bounded
+// (fetchBudget): pages past it fall back to synchronous faults in the walk.
+func (fs *FS) readSpan(b *gpu.Block, f *file, off int64, dsts [][]byte, gran gsys.Granularity) (int64, error) {
+	var want int64
+	for _, d := range dsts {
+		want += int64(len(d))
+	}
 	size := f.fc.size.Load()
 	if off >= size {
 		return 0, nil
 	}
-	want := int64(len(dst))
 	if off+want > size {
 		want = size - off
 	}
-
 	ps := fs.opt.PageSize
-	firstPage := off / ps
-	lastPage := (off + want - 1) / ps
-
-	// A read spanning several pages issues the later pages' fetches
-	// asynchronously BEFORE faulting the first page, so all of them are
-	// in flight on the block's ring shard at once: the daemon worker
-	// pipelines the file reads and the DMAs overlap, instead of one
-	// blocking round trip per page. The copy loop below then finds the
-	// frames resident (or initializing) and advances the block's clock to
-	// each transfer's completion through Frame.ReadyAt — the same
-	// mechanism read-ahead uses. Speculation is bounded: pages past the
-	// budget fall back to synchronous faults in the loop.
-	if lastPage > firstPage && !f.writeOnce {
-		budget := fs.fetchBudget()
-		for pageIdx := firstPage + 1; pageIdx <= lastPage && budget > 0; pageIdx++ {
-			// SpecNone: these pages are known-needed by this very read,
-			// not speculation — they stay out of the prefetch counters.
-			fs.prefetchPage(b, f, pageIdx, pcache.SpecNone)
-			budget--
+	first, last := off/ps, (off+want-1)/ps
+	if last > first && !f.writeOnce {
+		if n := min(last-first, int64(fs.fetchBudget())); n > 0 {
+			fs.spanFetch(b, f, first+1, n, 1, pcache.SpecNone, gran)
 		}
 	}
 
@@ -249,35 +270,46 @@ func (fs *FS) readImpl(b *gpu.Block, fd int, dst []byte, off int64) (int, error)
 		cur := off + done
 		pageIdx := cur / ps
 		inPage := cur - pageIdx*ps
-		n := ps - inPage
-		if n > want-done {
-			n = want - done
-		}
+		n := min(ps-inPage, want-done)
 
 		ref, err := fs.getPage(b, f, pageIdx)
 		if err != nil {
-			return int(done), err
+			return done, err
 		}
 		ref.fr.Lock()
-		if fs.opt.ZeroCopyRead {
-			// Zero-copy hit: the caller reads the pinned frame in place, so
-			// the only modelled cost is one device-memory pass over the
-			// bytes (the Go copy below just materializes the API contract
-			// that dst owns the data).
-			copy(dst[done:done+n], ref.fr.Data[inPage:inPage+n])
-			b.TouchBytes(n)
-			fs.zeroCopyReads.Add(1)
-		} else {
-			b.CopyBytes(dst[done:done+n], ref.fr.Data[inPage:inPage+n])
-		}
+		dsts = fs.copyOut(b, dsts, ref.fr.Data[inPage:inPage+n])
 		ref.fr.Unlock()
 		ref.release()
 		done += n
 	}
-	if fs.opt.ReadAheadAdaptive {
-		fs.adaptiveReadAhead(b, f, firstPage, (off+done-1)/ps)
+	return done, nil
+}
+
+// copyOut moves src — bytes of one locked, referenced page frame — into
+// dsts, which must have room, and returns the destinations still unfilled
+// (it advances the slices of dsts past what it wrote). Options.ZeroCopyRead
+// takes effect here and only as a charge: set, the caller reads the pinned
+// frame in place, one device-memory pass (the Go copy only materializes the
+// API contract that the destination owns the data); clear, a copy's two.
+func (fs *FS) copyOut(b *gpu.Block, dsts [][]byte, src []byte) [][]byte {
+	inPlace := fs.opt.ZeroCopyRead
+	for len(src) > 0 {
+		for len(dsts[0]) == 0 {
+			dsts = dsts[1:]
+		}
+		var n int
+		if inPlace {
+			n = copy(dsts[0], src)
+			b.TouchBytes(int64(n))
+		} else {
+			n = b.CopyBytes(dsts[0], src)
+		}
+		dsts[0], src = dsts[0][n:], src[n:]
 	}
-	return int(done), nil
+	if inPlace {
+		fs.zeroCopyReads.Add(1)
+	}
+	return dsts
 }
 
 // Write implements gwrite: a positional write of len(src) bytes at offset

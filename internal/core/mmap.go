@@ -164,9 +164,8 @@ func (m *Mapping) Write(b *gpu.Block, at int64, data []byte) (int, error) {
 	return n, nil
 }
 
-// Read copies from the mapping into dst, accounting device-memory cost.
-// Under the ZeroCopyRead knob the mapping is read in place (the mapping IS
-// an alias of the pinned frame), charging one device-memory pass.
+// Read copies from the mapping into dst at the cost of any other read of a
+// resident page (FS.copyOut): the mapping IS an alias of the pinned frame.
 func (m *Mapping) Read(b *gpu.Block, at int64, dst []byte) (int, error) {
 	if !m.valid {
 		return 0, ErrBadMapping
@@ -174,15 +173,9 @@ func (m *Mapping) Read(b *gpu.Block, at int64, dst []byte) (int, error) {
 	if at < 0 || at >= int64(len(m.Data)) {
 		return 0, fmt.Errorf("%w: mapping read at %d of %d", ErrInvalid, at, len(m.Data))
 	}
+	n := min(len(dst), len(m.Data)-int(at))
 	m.ref.fr.Lock()
-	var n int
-	if m.fs.opt.ZeroCopyRead {
-		n = copy(dst, m.Data[at:])
-		b.TouchBytes(int64(n))
-		m.fs.zeroCopyReads.Add(1)
-	} else {
-		n = b.CopyBytes(dst, m.Data[at:])
-	}
+	m.fs.copyOut(b, [][]byte{dst}, m.Data[at:int(at)+n])
 	m.ref.fr.Unlock()
 	return n, nil
 }

@@ -199,10 +199,3 @@ func runOracle(t *testing.T, seed int64) {
 		t.Fatalf("oracle run exerted no eviction pressure; shrink the cache")
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

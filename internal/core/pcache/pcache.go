@@ -71,6 +71,13 @@ type Frame struct {
 	// gfsync never race on the same bytes.
 	mu       sync.Mutex
 	pristine []byte
+
+	// WriteBack serializes the write-backs of this page: each holds it from
+	// clearing Dirty until its last RPC returns, or an older snapshot could
+	// land on the host after a newer one and stay there under a clean page.
+	// It is separate from mu, which the data plane takes per copy and must
+	// not hold across an RPC.
+	WriteBack sync.Mutex
 }
 
 // Lock serializes data access to the frame's page.

@@ -22,7 +22,7 @@ func TestClaimDetachRace(t *testing.T) {
 		var wg sync.WaitGroup
 		var claimed bool
 		wg.Add(2)
-		go func() { // claimant: getPage/prefetchPage's claim sequence
+		go func() { // claimant: core's claim sequence (getPage, spanFetch)
 			defer wg.Done()
 			if !fp.TryBeginInit() {
 				return

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"gpufs/internal/core/pcache"
-	"gpufs/internal/core/radix"
 	"gpufs/internal/gpu"
 	"gpufs/internal/gsys"
 	"gpufs/internal/simtime"
@@ -20,9 +19,9 @@ import (
 // accesses confirm a stride (or a profile recorded by the previous open
 // vouches for it, see history.go), ramps its window up Linux-style while
 // the streak holds, shrinks it when the file's wasted-prefetch counter
-// overtakes its used counter, and — for stride-1 runs — coalesces the whole
-// window into multi-page RPCs, amortizing per-transaction PCIe latency at
-// small page sizes.
+// overtakes its used counter, and issues the window through spanFetch, the
+// one asynchronous fill, which coalesces stride-1 runs into multi-page RPCs,
+// amortizing per-transaction PCIe latency at small page sizes.
 
 // Adaptive read-ahead parameters.
 const (
@@ -40,10 +39,11 @@ const (
 	// beyond it the stream is considered random and nothing is
 	// speculated.
 	maxRAStride = 64
-	// probeCostShift scales the per-page cost of probing a speculative
+	// probeCostShift scales the per-page bookkeeping cost of an
+	// asynchronous fill — claiming a slot, or probing a speculative
 	// candidate that turns out to be resident (or claimed):
-	// APICostPerPage >> probeCostShift. The skip path is a few metadata
-	// loads, far cheaper than frame initialization.
+	// APICostPerPage >> probeCostShift. It is a few metadata loads, far
+	// cheaper than an RPC issue.
 	probeCostShift = 3
 	// raMaxSpanBytes bounds one coalesced vectored RPC (the daemon stages
 	// the whole span contiguously, so unbounded spans would model
@@ -80,8 +80,8 @@ type raStream struct {
 	frontierOK bool
 }
 
-// probeCost is the virtual cost of one resident-page probe in a
-// read-ahead loop (satellite: skips are charged too, not just launches).
+// probeCost is the virtual cost of one page's bookkeeping in spanFetch; see
+// the cost rule there.
 func (fs *FS) probeCost() simtime.Duration {
 	return fs.opt.APICostPerPage >> probeCostShift
 }
@@ -153,10 +153,9 @@ func (fs *FS) adaptiveReadAhead(b *gpu.Block, f *file, first, last int64) {
 
 // raIssue is the issue half of the engine: it sizes slot st's window from
 // the file's used/wasted feedback and issues the part of it not yet in
-// flight, given that the stream's predicted next access is page base —
-// stride-1 windows as coalesced multi-page RPCs, larger strides page by
-// page. spec is the speculation state stamped on the fetched frames. The
-// caller holds st.mu; raIssue releases it.
+// flight, given that the stream's predicted next access is page base. spec
+// is the speculation state stamped on the fetched frames. The caller holds
+// st.mu; raIssue releases it.
 func (fs *FS) raIssue(b *gpu.Block, f *file, st *raStream, base int64, spec int32) {
 	fc := f.fc
 	ps := fs.opt.PageSize
@@ -262,122 +261,36 @@ func (fs *FS) raIssue(b *gpu.Block, f *file, st *raStream, base int64, spec int3
 	st.frontierOK = true
 	st.mu.Unlock()
 
-	if stride == 1 {
-		fs.spanFetch(b, f, start, n, spec, fs.lane(b))
-		return
-	}
-	for i := int64(0); i < n; i++ {
-		if !fs.prefetchPage(b, f, start+i*stride, spec) {
-			b.Busy(fs.probeCost())
-		}
-	}
+	fs.spanFetch(b, f, start, n, stride, spec, gsys.GranBlock)
 }
 
-// prefetchPage faults one page in without blocking the caller. Pages that
-// are already resident (or being faulted by someone else) are skipped; a
-// full buffer cache aborts rather than evicting on behalf of speculative
-// data. Reports whether a fetch was actually launched — skips are the
-// caller's to account (a cheap probe), so the synchronous batched-fetch
-// path in gread, which calls this directly, stays cost-identical.
+// spanFetch is the one asynchronous fill: it fetches the count pages start,
+// start+stride, … without blocking the caller, coalescing adjacent claimable
+// pages into single multi-page syscalls (gsys.Client.ReadAsync) — one ring
+// transaction and one DMA per run, which closes the per-transaction latency
+// gap at small page sizes. A page that cannot be claimed (resident or in
+// flight), a stride past the next page, or raMaxSpanBytes splits the run; a
+// dry frame pool stops the span: only the demand fault may evict.
 //
-// spec is the speculation state stamped on the fetched frame:
-// pcache.SpecPending (a stride this open's own accesses confirmed) and
-// pcache.SpecReplay (a stride only the previous open's profile vouches for:
-// the open-time pre-warm and a seeded stream's first access) join the
-// prefetch-issued/used/wasted accounting and the global in-flight cap;
-// pcache.SpecNone is the batched-fetch path — those pages are known-needed
-// pipelining of the current gread, not a guess, and counting them would
-// report a flattering hit rate the engine didn't earn.
-func (fs *FS) prefetchPage(b *gpu.Block, f *file, pageIdx int64, spec int32) bool {
-	fc := f.fc
-	g := fc.tree.Pin()
-	fp, leaf := fc.tree.LookupLeaf(uint64(pageIdx))
-	if fp == nil {
-		fp, leaf = fc.tree.Insert(uint64(pageIdx))
-	}
-	if !fp.TryBeginInit() {
-		g.Exit()
-		return false // resident, in flight, or evicting: nothing to do
-	}
-	if leaf.Detached() {
-		// Claim/detach race (see radix.RemoveLeaf): a frame initialized
-		// on a detached leaf is unreachable by eviction and by Restart's
-		// cache drop — it would leak until process exit. Speculative
-		// reads just give up.
-		fp.AbortInit()
-		g.Exit()
-		return false
-	}
-	g.Exit() // the Init claim pins the leaf (see getPage)
-
-	fr := fs.cache.TryAllocOn(b.Idx, fc.tree.ID(), pageIdx*fs.opt.PageSize)
-	if fr == nil {
-		// No free frame: speculative reads never trigger eviction.
-		fp.AbortInit()
-		return false
-	}
-	fc.frames.Add(1)
-
-	start := b.Clock.Now()
-	n, done, err := fs.lane(b).ReadPagesAsync(b.Clock, f.hostFd, pageIdx*fs.opt.PageSize, fr.Data)
-	if err != nil {
-		fs.cache.Release(fr, false)
-		fc.frames.Add(-1)
-		fp.AbortInit()
-		return false
-	}
-	if n < len(fr.Data) {
-		b.ZeroBytes(fr.Data[n:])
-	}
-	fr.ValidBytes.Store(int64(n))
-	fr.ReadyAt.Store(int64(done))
-	fr.Prefetched.Store(true)
-	if spec != pcache.SpecNone {
-		fr.Spec.Store(spec)
-	}
-	if f.writeShrd {
-		fr.SetPristine(fr.Data[:n])
-	}
-	b.Busy(fs.opt.APICostPerPage)
-	fp.FinishInit(fr.Index)
-	fp.Unref()
-	if spec != pcache.SpecNone {
-		fs.prefetchIssued.Add(1)
-		fs.specPending.Add(1)
-		if spec == pcache.SpecReplay {
-			fs.historyIssued.Add(1)
-		}
-		fs.record(b, trace.OpPrefetch, f.path, pageIdx*fs.opt.PageSize, fs.opt.PageSize, start, nil)
-	}
-	return true
-}
-
-// spanFetch fetches count consecutive pages starting at start without
-// blocking the caller, coalescing adjacent claimable pages into single
-// multi-page syscalls (gsys.Client.ReadPagesVecAsync): one ring transaction
-// and one DMA per run instead of one per page, which is what closes the
-// per-transaction latency gap at small page sizes. Pages that cannot be
-// claimed (already resident or in flight) split the run; a dry frame pool
-// stops the span — speculation never evicts.
+// spec is stamped on the fetched frames. pcache.SpecPending (a stride this
+// open's own accesses confirmed) and pcache.SpecReplay (a stride only the
+// previous open's profile vouches for) join the prefetch accounting, the
+// in-flight cap and the OpPrefetch trace; pcache.SpecNone is for pages known
+// to be needed — the later pages of a multi-page read, checkpoint restores —
+// which are pipelining, not a guess, and would flatter the hit rate. gran is
+// the granularity the RPCs are stamped with (gpread_warp's is GranWarp).
 //
-// spec selects the speculation state (prefetch counters, the Spec flag, the
-// OpPrefetch trace — pcache.SpecNone for known-needed warp reads and
-// checkpoint restores), and cli is the syscall view the vectored RPCs ride
-// — gpread_warp passes a warp-granularity view so its coalesced descriptors
-// are stamped GranWarp on the wire.
-func (fs *FS) spanFetch(b *gpu.Block, f *file, start, count int64, spec int32, cli *gsys.Client) {
+// Cost on the block's clock: a fetched page costs its claim bookkeeping
+// (probeCost) and each RPC APICostPerPage — amortizing the call over a run
+// is the point of coalescing. A page skipped as resident or in flight costs
+// probeCost only when the fetch is speculative: a known-needed batch is
+// followed by a page walk that pays that page's radix lookup anyway.
+func (fs *FS) spanFetch(b *gpu.Block, f *file, start, count, stride int64, spec int32, gran gsys.Granularity) {
 	fc := f.fc
 	ps := fs.opt.PageSize
 
-	type claimed struct {
-		fp *radix.FPage
-		fr *pcache.Frame
-	}
-	maxRun := int(raMaxSpanBytes / ps)
-	if maxRun < 1 {
-		maxRun = 1
-	}
-	var run []claimed
+	maxRun := max(int(raMaxSpanBytes/ps), 1)
+	var run []pageRef // claimed, allocated, not yet issued
 	var runFirst int64
 	flush := func() {
 		if len(run) == 0 {
@@ -388,33 +301,16 @@ func (fs *FS) spanFetch(b *gpu.Block, f *file, start, count int64, spec int32, c
 		for i, cl := range run {
 			dsts[i] = cl.fr.Data
 		}
-		ns, done, err := cli.ReadPagesVecAsync(b.Clock, f.hostFd, runFirst*ps, dsts)
+		ns, done, err := fs.lane(b).Gran(gran).ReadAsync(b.Clock, f.hostFd, runFirst*ps, dsts)
 		if err != nil {
 			for _, cl := range run {
-				fs.cache.Release(cl.fr, false)
-				fc.frames.Add(-1)
-				cl.fp.AbortInit()
+				fs.abort(fc, cl.fp, cl.fr)
 			}
 			run = run[:0]
 			return
 		}
 		for i, cl := range run {
-			n := ns[i]
-			if n < len(cl.fr.Data) {
-				b.ZeroBytes(cl.fr.Data[n:])
-			}
-			cl.fr.ValidBytes.Store(int64(n))
-			cl.fr.ReadyAt.Store(int64(done))
-			cl.fr.Prefetched.Store(true)
-			if spec != pcache.SpecNone {
-				cl.fr.Spec.Store(spec)
-			}
-			if f.writeShrd {
-				cl.fr.SetPristine(cl.fr.Data[:n])
-			}
-			// Per-page cost is only the claim bookkeeping; the API-call
-			// overhead is paid once per vectored RPC below — that
-			// amortization is the point of coalescing.
+			fs.publish(b, f, cl.fr, ns[i], done, true, spec)
 			b.Busy(fs.probeCost())
 			cl.fp.FinishInit(cl.fr.Index)
 			cl.fp.Unref()
@@ -432,37 +328,34 @@ func (fs *FS) spanFetch(b *gpu.Block, f *file, start, count int64, spec int32, c
 	}
 
 	for i := int64(0); i < count; i++ {
-		idx := start + i
+		idx := start + i*stride
 		g := fc.tree.Pin()
 		fp, leaf := fc.tree.LookupLeaf(uint64(idx))
 		if fp == nil {
 			fp, leaf = fc.tree.Insert(uint64(idx))
 		}
-		if !fp.TryBeginInit() {
-			g.Exit()
-			b.Busy(fs.probeCost())
+		ok := claim(fp, leaf)
+		g.Exit()
+		if !ok {
+			if spec != pcache.SpecNone {
+				b.Busy(fs.probeCost())
+			}
 			flush()
 			continue
 		}
-		if leaf.Detached() {
-			fp.AbortInit()
-			g.Exit()
-			b.Busy(fs.probeCost())
-			flush()
-			continue
-		}
-		g.Exit() // the Init claim pins the leaf (see getPage)
 		fr := fs.cache.TryAllocOn(b.Idx, fc.tree.ID(), idx*ps)
 		if fr == nil {
 			fp.AbortInit()
-			flush()
-			return // pool dry: stop speculating entirely
+			break
 		}
 		fc.frames.Add(1)
+		if len(run) > 0 && idx != runFirst+int64(len(run)) {
+			flush()
+		}
 		if len(run) == 0 {
 			runFirst = idx
 		}
-		run = append(run, claimed{fp: fp, fr: fr})
+		run = append(run, pageRef{fr: fr, fp: fp})
 		if len(run) >= maxRun {
 			flush()
 		}

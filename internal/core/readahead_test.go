@@ -7,6 +7,7 @@ import (
 	"gpufs/internal/core/pcache"
 	"gpufs/internal/faults"
 	"gpufs/internal/gpu"
+	"gpufs/internal/gsys"
 )
 
 // TestEvictFromFileLargeTargetSingleCall is the regression test for the
@@ -52,39 +53,6 @@ func TestEvictFromFileLargeTargetSingleCall(t *testing.T) {
 	}
 }
 
-// TestReadAheadChargesProbeCost pins the satellite accounting fix: a
-// read-ahead pass over already-resident pages is not free — each skipped
-// page charges the probing block probeCost (a few metadata loads), where
-// it used to cost nothing.
-func TestReadAheadChargesProbeCost(t *testing.T) {
-	opt := defaultOpt()
-	h := newHarness(t, 1, opt)
-	fs := h.fss[0]
-	h.write(t, "/f", pattern(16*16<<10, 2))
-
-	h.run(t, 0, func(b *gpu.Block) error {
-		fd, err := fs.Open(b, "/f", O_RDONLY)
-		if err != nil {
-			return err
-		}
-		defer fs.Close(b, fd)
-		buf := make([]byte, 16<<10)
-		for i := int64(0); i < 16; i++ {
-			if _, err := fs.Read(b, fd, buf, i*int64(len(buf))); err != nil {
-				return err
-			}
-		}
-		f := fs.fds[fd]
-		before := b.Clock.Now()
-		fs.spanFetch(b, f, 0, 8, pcache.SpecPending, fs.lane(b)) // all 8 pages resident: 8 skips
-		got := b.Clock.Now().Sub(before)
-		if want := 8 * fs.probeCost(); got != want {
-			t.Errorf("8 resident-page probes cost %v, want %v", got, want)
-		}
-		return nil
-	})
-}
-
 // TestFetchBudgetScaling covers the multi-page gread pipelining budget:
 // the full cap with a healthy pool, half the free frames when nearly
 // drained, zero when empty (demand faults keep absolute priority).
@@ -119,8 +87,8 @@ func TestFetchBudgetScaling(t *testing.T) {
 }
 
 // TestPrefetchNeverEvictsFullCache: speculation aborts rather than paging
-// out resident data — with the pool 100% occupied, prefetchPage and
-// spanFetch must allocate nothing and evict nothing.
+// out resident data — with the pool 100% occupied, spanFetch (adjacent or
+// strided) must allocate nothing and evict nothing.
 func TestPrefetchNeverEvictsFullCache(t *testing.T) {
 	opt := defaultOpt() // 64 frames of 16K
 	h := newHarness(t, 1, opt)
@@ -148,10 +116,8 @@ func TestPrefetchNeverEvictsFullCache(t *testing.T) {
 		defer fs.Close(b, fdB)
 		fB := fs.fds[fdB]
 		allocs := fs.cache.Allocs()
-		if fs.prefetchPage(b, fB, 0, pcache.SpecPending) {
-			t.Error("prefetchPage launched a fetch with a full pool")
-		}
-		fs.spanFetch(b, fB, 0, 4, pcache.SpecPending, fs.lane(b))
+		fs.spanFetch(b, fB, 0, 4, 1, pcache.SpecPending, gsys.GranBlock)
+		fs.spanFetch(b, fB, 0, 2, 2, pcache.SpecPending, gsys.GranBlock)
 		if got := fs.cache.Allocs(); got != allocs {
 			t.Errorf("speculation allocated %d frames from a full pool", got-allocs)
 		}

@@ -37,6 +37,10 @@ func (fs *FS) writeBackFrame(b *gpu.Block, hostFd int64, fr *pcache.Frame) error
 // and clock, so the background cleaner can write pages back on its own
 // timeline instead of a faulting threadblock's.
 func (fs *FS) writeBackFrameOn(lane *gsys.Client, clk *simtime.Clock, hostFd int64, fr *pcache.Frame) error {
+	// One write-back of a page at a time, from before the dirty flag
+	// clears until the last range is on the host (see Frame.WriteBack).
+	fr.WriteBack.Lock()
+	defer fr.WriteBack.Unlock()
 	// Clear the dirty flag BEFORE snapshotting: a write racing with this
 	// sync either lands in the snapshot (shipped now, re-flagged
 	// harmlessly) or re-dirties the page for the next sync. Either way

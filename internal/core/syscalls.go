@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"gpufs/internal/core/pcache"
 	"gpufs/internal/gpu"
 	"gpufs/internal/gsys"
 	"gpufs/internal/hostfs"
@@ -178,11 +177,12 @@ func warpContiguous(warp []WarpReq) bool {
 
 // readWarpImpl services one positioned read per thread, coalescing each
 // warp whose requests form a contiguous ascending span into ONE syscall
-// descriptor: the span's pages beyond the first ride a single vectored
-// relaxed RPC (stamped warp-granularity on the wire) issued before the
-// copy loop, so the whole warp pays one descriptor's API cost instead of
-// one per thread. Warps with gaps, overlaps, or descending offsets fall
-// back to per-thread gread semantics. Returns the total bytes read.
+// descriptor: the warp pays one descriptor's API cost instead of one per
+// thread, and the span goes through the same page walk as a gread
+// (readSpan) with the per-thread buffers as its scatter list, its fetches
+// stamped warp-granularity on the wire. Warps with gaps, overlaps, or
+// descending offsets fall back to per-thread gread semantics. Returns the
+// total bytes read.
 func (fs *FS) readWarpImpl(b *gpu.Block, fd int, reqs []WarpReq) (int64, error) {
 	fs.warpReadCalls.Add(1)
 	if len(reqs) == 0 {
@@ -197,17 +197,25 @@ func (fs *FS) readWarpImpl(b *gpu.Block, fd int, reqs []WarpReq) (int64, error) 
 	}
 
 	ws := b.Device().WarpSize()
+	var dsts [][]byte // one warp's scatter list
 	var total int64
 	for wstart := 0; wstart < len(reqs); wstart += ws {
-		wend := wstart + ws
-		if wend > len(reqs) {
-			wend = len(reqs)
-		}
-		warp := reqs[wstart:wend]
+		warp := reqs[wstart:min(wstart+ws, len(reqs))]
 		if warpContiguous(warp) {
 			fs.warpCoalesced.Add(1)
 			fs.warpDescriptors.Add(1)
-			n, err := fs.warpSpanRead(b, f, warp)
+			if warp[0].Off >= f.fc.size.Load() {
+				continue // at or past EOF: nothing to describe
+			}
+			b.Busy(fs.opt.APICostPerPage) // one descriptor per warp
+			if dsts == nil {
+				dsts = make([][]byte, 0, ws)
+			}
+			dsts = dsts[:0]
+			for _, r := range warp {
+				dsts = append(dsts, r.Dst)
+			}
+			n, err := fs.readSpan(b, f, warp[0].Off, dsts, gsys.GranWarp)
 			total += n
 			if err != nil {
 				return total, err
@@ -225,87 +233,6 @@ func (fs *FS) readWarpImpl(b *gpu.Block, fd int, reqs []WarpReq) (int64, error) 
 		}
 	}
 	return total, nil
-}
-
-// warpSpanRead reads one coalesced warp span, scattering the bytes into
-// the per-thread destination buffers.
-func (fs *FS) warpSpanRead(b *gpu.Block, f *file, warp []WarpReq) (int64, error) {
-	off := warp[0].Off
-	var want int64
-	for _, r := range warp {
-		want += int64(len(r.Dst))
-	}
-	size := f.fc.size.Load()
-	if off >= size {
-		return 0, nil
-	}
-	if off+want > size {
-		want = size - off
-	}
-	ps := fs.opt.PageSize
-	firstPage := off / ps
-	lastPage := (off + want - 1) / ps
-
-	// One descriptor per warp: its bookkeeping is paid once here, and the
-	// span's later pages ride one vectored relaxed RPC (budget permitting)
-	// so the daemon pipelines the file reads while the warp copies the
-	// first page.
-	b.Busy(fs.opt.APICostPerPage)
-	if lastPage > firstPage && !f.writeOnce {
-		n := lastPage - firstPage
-		if budget := int64(fs.fetchBudget()); n > budget {
-			n = budget
-		}
-		if n > 0 {
-			fs.spanFetch(b, f, firstPage+1, n, pcache.SpecNone, fs.lane(b).Gran(gsys.GranWarp))
-		}
-	}
-
-	var done int64
-	ri, rOff := 0, 0 // scatter cursor: position within warp[ri].Dst
-	for done < want {
-		cur := off + done
-		pageIdx := cur / ps
-		inPage := cur - pageIdx*ps
-		n := ps - inPage
-		if n > want-done {
-			n = want - done
-		}
-		ref, err := fs.getPage(b, f, pageIdx)
-		if err != nil {
-			return done, err
-		}
-		ref.fr.Lock()
-		for copied := int64(0); copied < n; {
-			for rOff >= len(warp[ri].Dst) {
-				ri++
-				rOff = 0
-			}
-			c := int64(len(warp[ri].Dst) - rOff)
-			if c > n-copied {
-				c = n - copied
-			}
-			if fs.opt.ZeroCopyRead {
-				// Zero-copy hit: warp lanes read the pinned frame in
-				// place (one device-memory pass); see readImpl.
-				copy(warp[ri].Dst[rOff:rOff+int(c)],
-					ref.fr.Data[inPage+copied:inPage+copied+c])
-				b.TouchBytes(c)
-			} else {
-				b.CopyBytes(warp[ri].Dst[rOff:rOff+int(c)],
-					ref.fr.Data[inPage+copied:inPage+copied+c])
-			}
-			rOff += int(c)
-			copied += c
-		}
-		if fs.opt.ZeroCopyRead {
-			fs.zeroCopyReads.Add(1)
-		}
-		ref.fr.Unlock()
-		ref.release()
-		done += n
-	}
-	return done, nil
 }
 
 // WarpStats reports gpread_warp activity: calls, warps coalesced into one

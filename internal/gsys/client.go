@@ -30,15 +30,13 @@ import (
 //     never joined.
 
 // rpcOp maps a syscall to the ring-transport op it rides, which is the
-// class the daemon counts it under (SysRead and SysReadVec are both
-// "read" transactions). The length assignment below is the drift guard:
-// a Sysno appended without an entry here fails to compile instead of
-// riding the zero Op.
+// class the daemon counts it under. The length assignment below is the
+// drift guard: a Sysno appended without an entry here fails to compile
+// instead of riding the zero Op.
 var rpcOp = [...]rpc.Op{
 	SysOpen:      rpc.OpOpen,
 	SysClose:     rpc.OpClose,
 	SysRead:      rpc.OpReadPages,
-	SysReadVec:   rpc.OpReadPages,
 	SysWrite:     rpc.OpWritePages,
 	SysTruncate:  rpc.OpTruncate,
 	SysUnlink:    rpc.OpUnlink,
@@ -237,34 +235,28 @@ func (c *Client) Close(blk *simtime.Clock, fd int64) error {
 	return c.do(blk, SysClose, []uint64{uint64(fd)}, "", nil, &call{})
 }
 
-// ReadPages reads len(dst) bytes from the host file at off and DMAs them
-// into the device memory slice dst.
-func (c *Client) ReadPages(blk *simtime.Clock, fd, off int64, dst []byte) (int, error) {
-	cl := &call{dst: dst}
+// Read reads the contiguous file extent starting at off into the device
+// memory segments dsts, in order: one ring transaction, one host read and
+// one DMA scattered over the segments, whatever their number. It returns the
+// bytes that landed in each segment (short, then zero, past end of file).
+// Read is strong: the lane's clock blocks until the DMA lands, and the
+// transport retries transient faults. On error no counts are returned and
+// the contents of dsts are undefined — the caller must not publish them.
+func (c *Client) Read(blk *simtime.Clock, fd, off int64, dsts [][]byte) ([]int, error) {
+	cl := readCall(dsts)
 	if err := c.do(blk, SysRead, []uint64{uint64(fd), uint64(off)}, "", nil, cl); err != nil {
-		return 0, err
+		return nil, err
 	}
-	return cl.reply.N, nil
+	return cl.reply.Ns, nil
 }
 
-// ReadPagesAsync is detached relaxed speculation (prefetch): the block
-// does not wait and nobody joins; the returned time says when the page
-// becomes usable. Never retried.
-func (c *Client) ReadPagesAsync(blk *simtime.Clock, fd, off int64, dst []byte) (int, simtime.Time, error) {
-	cl := &call{dst: dst}
+// ReadAsync is Read as detached relaxed speculation (prefetch, batched
+// fetch): the block does not wait and nobody joins; the returned time says
+// when the segments become usable. Never retried; the error contract is
+// Read's.
+func (c *Client) ReadAsync(blk *simtime.Clock, fd, off int64, dsts [][]byte) ([]int, simtime.Time, error) {
+	cl := readCall(dsts)
 	fut := c.doRelaxed(blk, SysRead, []uint64{uint64(fd), uint64(off)}, "", nil, cl)
-	if fut.err != nil {
-		return 0, 0, fut.err
-	}
-	return cl.reply.N, fut.done, nil
-}
-
-// ReadPagesVecAsync is detached relaxed speculation over several
-// CONTIGUOUS pages: one ring transaction, one host read, one scattered
-// DMA whose completion every page shares.
-func (c *Client) ReadPagesVecAsync(blk *simtime.Clock, fd, off int64, dsts [][]byte) ([]int, simtime.Time, error) {
-	cl := &call{dsts: dsts}
-	fut := c.doRelaxed(blk, SysReadVec, []uint64{uint64(fd), uint64(off)}, "", nil, cl)
 	if fut.err != nil {
 		return nil, 0, fut.err
 	}
@@ -399,7 +391,7 @@ func (c *Client) PipeWrite(blk *simtime.Clock, pd int64, data []byte) (int, erro
 // declared writers all closed, buffer drained — it returns io.EOF.
 func (c *Client) PipeRead(blk *simtime.Clock, pd int64, dst []byte) (int, error) {
 	for {
-		cl := &call{dst: dst}
+		cl := readCall([][]byte{dst})
 		err := c.do(blk, SysPipeRead, []uint64{uint64(pd)}, "", nil, cl)
 		if err == nil {
 			if cl.reply.EOF {

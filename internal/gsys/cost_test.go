@@ -67,9 +67,9 @@ func TestCostSinglePageStrongRead(t *testing.T) {
 		r := newRig(t, zeroCopy)
 		fd, c := costFile(t, r, 1)
 		start := c.Now()
-		n, err := r.cl.ReadPages(c, fd, 0, make([]byte, costPage))
-		if err != nil || n != costPage {
-			t.Fatalf("read: n=%d err=%v", n, err)
+		ns, err := r.cl.Read(c, fd, 0, [][]byte{make([]byte, costPage)})
+		if err != nil || ns[0] != costPage {
+			t.Fatalf("read: ns=%v err=%v", ns, err)
 		}
 		return c.Now().Sub(start)
 	}
@@ -93,7 +93,7 @@ func TestCostVecReadIsOneCycle(t *testing.T) {
 	for i := range dsts {
 		dsts[i] = make([]byte, costPage)
 	}
-	_, done, err := r.cl.ReadPagesVecAsync(c, fd, 0, dsts)
+	_, done, err := r.cl.ReadAsync(c, fd, 0, dsts)
 	if err != nil {
 		t.Fatal(err)
 	}

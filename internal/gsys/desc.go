@@ -27,7 +27,6 @@ const (
 	SysOpen Sysno = iota
 	SysClose
 	SysRead
-	SysReadVec
 	SysWrite
 	SysTruncate
 	SysUnlink
@@ -46,7 +45,7 @@ const (
 // adding a Sysno without extending String() (and this constant) fails the
 // array-length assignment below instead of rendering as "sys(15)" at
 // runtime.
-const knownSysno = 15
+const knownSysno = 14
 
 var _ [knownSysno]struct{} = [numSysno]struct{}{}
 
@@ -60,8 +59,6 @@ func (s Sysno) String() string {
 		return "gclose"
 	case SysRead:
 		return "gread"
-	case SysReadVec:
-		return "gread_vec"
 	case SysWrite:
 		return "gwrite"
 	case SysTruncate:

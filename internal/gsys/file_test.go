@@ -3,6 +3,7 @@ package gsys
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"gpufs/internal/faults"
@@ -14,8 +15,9 @@ import (
 )
 
 // The file syscalls, driven through Client against the handlers that run
-// in production. Tests whose handler path branches on the zero-copy flag
-// (sysRead, sysReadVec) run in both modes.
+// in production. There is one read syscall; the tests that read take the
+// DMA charge (staged or pinned) and the destination vector's segment count
+// as inputs, see readVariants.
 
 // The rig's timing parameters, named so the golden cost tests can compute
 // expected values from them.
@@ -72,12 +74,39 @@ func newFaultyRig(t *testing.T, zeroCopy bool, cfg faults.Config) *rig {
 	return r
 }
 
-// bothReadPaths runs fn against the copying and the zero-copy read
-// handlers.
-func bothReadPaths(t *testing.T, fn func(t *testing.T, zeroCopy bool)) {
+// readVariants runs fn under both DMA charges and with a one- and a
+// four-segment destination vector: the one handler preads straight into a
+// single segment and scatters several from a pooled buffer, and every
+// property of a read must hold either way.
+func readVariants(t *testing.T, fn func(t *testing.T, zeroCopy bool, segs int)) {
 	t.Helper()
-	t.Run("copying", func(t *testing.T) { fn(t, false) })
-	t.Run("zerocopy", func(t *testing.T) { fn(t, true) })
+	for _, zeroCopy := range []bool{false, true} {
+		for _, segs := range []int{1, 4} {
+			t.Run(fmt.Sprintf("zerocopy=%v/segs=%d", zeroCopy, segs), func(t *testing.T) { fn(t, zeroCopy, segs) })
+		}
+	}
+}
+
+// segments cuts buf into segs equal contiguous destination segments (the
+// last takes the remainder), so a test reads into one buffer through any
+// vector shape.
+func segments(buf []byte, segs int) [][]byte {
+	out := make([][]byte, segs)
+	each := len(buf) / segs
+	for i := range out {
+		out[i] = buf[i*each : (i+1)*each : (i+1)*each]
+	}
+	out[segs-1] = buf[(segs-1)*each:]
+	return out
+}
+
+// sum totals per-segment byte counts.
+func sum(ns []int) int {
+	n := 0
+	for _, v := range ns {
+		n += v
+	}
+	return n
 }
 
 const rwMode = hostfs.ModeRead | hostfs.ModeWrite
@@ -99,7 +128,7 @@ func (r *rig) open(t *testing.T, c *simtime.Clock, path string, flags int) int64
 }
 
 func TestOpenReadWriteRoundTrip(t *testing.T) {
-	bothReadPaths(t, func(t *testing.T, zeroCopy bool) {
+	readVariants(t, func(t *testing.T, zeroCopy bool, segs int) {
 		r := newRig(t, zeroCopy)
 		cl, srv := r.cl, r.srv
 		c := simtime.NewClock(0)
@@ -115,9 +144,9 @@ func TestOpenReadWriteRoundTrip(t *testing.T) {
 		}
 
 		dst := make([]byte, len(want))
-		n, err := cl.ReadPages(c, fd, 0, dst)
-		if err != nil || n != len(want) {
-			t.Fatalf("read: n=%d err=%v", n, err)
+		ns, err := cl.Read(c, fd, 0, segments(dst, segs))
+		if err != nil || len(ns) != segs || sum(ns) != len(want) {
+			t.Fatalf("read: ns=%v err=%v", ns, err)
 		}
 		if !bytes.Equal(dst, want) {
 			t.Fatalf("payload mismatch")
@@ -155,7 +184,7 @@ func TestOpenReadWriteRoundTrip(t *testing.T) {
 func TestUnknownFd(t *testing.T) {
 	r := newRig(t, false)
 	c := simtime.NewClock(0)
-	if _, err := r.cl.ReadPages(c, 999, 0, make([]byte, 8)); err == nil {
+	if _, err := r.cl.Read(c, 999, 0, [][]byte{make([]byte, 8)}); err == nil {
 		t.Fatalf("unknown fd read must fail")
 	}
 	if _, err := r.cl.Stat(c, 999); err == nil {
@@ -235,8 +264,8 @@ func TestWriterRegistration(t *testing.T) {
 	cl2.EndWrite(info.Ino)
 }
 
-func TestReadPagesAsync(t *testing.T) {
-	bothReadPaths(t, func(t *testing.T, zeroCopy bool) {
+func TestReadAsync(t *testing.T) {
+	readVariants(t, func(t *testing.T, zeroCopy bool, segs int) {
 		r := newRig(t, zeroCopy)
 		want := []byte("prefetch me")
 		r.write(t, "/f", want)
@@ -245,9 +274,9 @@ func TestReadPagesAsync(t *testing.T) {
 		fd := r.open(t, c, "/f", hostfs.O_RDONLY)
 		before := c.Now()
 		dst := make([]byte, len(want))
-		n, done, err := r.cl.ReadPagesAsync(c, fd, 0, dst)
-		if err != nil || n != len(want) {
-			t.Fatalf("async read: n=%d err=%v", n, err)
+		ns, done, err := r.cl.ReadAsync(c, fd, 0, segments(dst, segs))
+		if err != nil || len(ns) != segs || sum(ns) != len(want) {
+			t.Fatalf("async read: ns=%v err=%v", ns, err)
 		}
 		if !bytes.Equal(dst, want) {
 			t.Fatalf("payload")
@@ -258,7 +287,7 @@ func TestReadPagesAsync(t *testing.T) {
 		if done <= before {
 			t.Fatalf("completion time %v not in the future of %v", done, before)
 		}
-		if _, _, err := r.cl.ReadPagesAsync(c, 999, 0, dst); err == nil {
+		if _, _, err := r.cl.ReadAsync(c, 999, 0, segments(dst, segs)); err == nil {
 			t.Fatalf("unknown fd must fail")
 		}
 		if got := r.cl.RelaxedCalls(); got != 2 {
@@ -271,7 +300,7 @@ func TestReadPagesAsync(t *testing.T) {
 // unknown descriptors across every fd-taking op, double close, and a
 // truncation racing an in-flight read.
 func TestServerErrorPaths(t *testing.T) {
-	bothReadPaths(t, func(t *testing.T, zeroCopy bool) {
+	readVariants(t, func(t *testing.T, zeroCopy bool, segs int) {
 		t.Run("unknown fd", func(t *testing.T) {
 			cl := newRig(t, zeroCopy).cl
 			c := simtime.NewClock(0)
@@ -280,12 +309,8 @@ func TestServerErrorPaths(t *testing.T) {
 				call func() error
 			}{
 				{"close", func() error { return cl.Close(c, 404) }},
-				{"read", func() error { _, err := cl.ReadPages(c, 404, 0, make([]byte, 8)); return err }},
-				{"readAsync", func() error { _, _, err := cl.ReadPagesAsync(c, 404, 0, make([]byte, 8)); return err }},
-				{"readVecAsync", func() error {
-					_, _, err := cl.ReadPagesVecAsync(c, 404, 0, [][]byte{make([]byte, 8)})
-					return err
-				}},
+				{"read", func() error { _, err := cl.Read(c, 404, 0, segments(make([]byte, 8), segs)); return err }},
+				{"readAsync", func() error { _, _, err := cl.ReadAsync(c, 404, 0, segments(make([]byte, 8), segs)); return err }},
 				{"write", func() error { _, err := cl.WritePages(c, 404, 0, []byte("x")); return err }},
 				{"truncate", func() error { return cl.Truncate(c, 404, 0) }},
 				{"stat", func() error { _, err := cl.Stat(c, 404); return err }},
@@ -331,8 +356,8 @@ func TestServerErrorPaths(t *testing.T) {
 			readDone := make(chan res)
 			dst := make([]byte, 8192)
 			go func() {
-				n, err := r.cl.ReadPages(cr, fd, 0, dst)
-				readDone <- res{n, err}
+				ns, err := r.cl.Read(cr, fd, 0, segments(dst, segs))
+				readDone <- res{sum(ns), err}
 			}()
 			if err := r.cl.Truncate(ct, fd, 16); err != nil {
 				t.Fatal(err)
@@ -352,27 +377,37 @@ func TestServerErrorPaths(t *testing.T) {
 }
 
 func TestShortReadsAreCompleted(t *testing.T) {
-	// The daemon's read loop must assemble full pages despite injected
-	// short reads, or fillPage would zero-fill mid-file data.
-	bothReadPaths(t, func(t *testing.T, zeroCopy bool) {
-		r := newFaultyRig(t, zeroCopy, faults.Config{Seed: 5, HostShortReadProb: 0.7})
-		want := bytes.Repeat([]byte{0xA5, 0x5A, 0x33}, 3000)
-		r.write(t, "/f", want)
-		c := simtime.NewClock(0)
+	// The daemon's read loop must assemble the full extent despite injected
+	// short reads — some of the preads (0.7) or every one of them (1) — or
+	// the fill engine would zero-fill mid-file data. Short reads are a host
+	// artifact the read syscall hides, not a result the GPU ever sees.
+	readVariants(t, func(t *testing.T, zeroCopy bool, segs int) {
+		for _, prob := range []float64{0.7, 1} {
+			r := newFaultyRig(t, zeroCopy, faults.Config{Seed: 5, HostShortReadProb: prob})
+			want := bytes.Repeat([]byte{0xA5, 0x5A, 0x33}, 3000)
+			r.write(t, "/f", want)
+			c := simtime.NewClock(0)
 
-		fd := r.open(t, c, "/f", hostfs.O_RDONLY)
-		for i := 0; i < 20; i++ {
-			dst := make([]byte, len(want))
-			n, err := r.cl.ReadPages(c, fd, 0, dst)
-			if err != nil || n != len(want) {
-				t.Fatalf("read %d: n=%d err=%v", i, n, err)
+			fd := r.open(t, c, "/f", hostfs.O_RDONLY)
+			for i := 0; i < 20; i++ {
+				dst := make([]byte, len(want))
+				ns, err := r.cl.Read(c, fd, 0, segments(dst, segs))
+				if err != nil || sum(ns) != len(want) {
+					t.Fatalf("prob %v read %d: ns=%v err=%v", prob, i, ns, err)
+				}
+				for j, d := range segments(dst, segs) {
+					if ns[j] != len(d) {
+						t.Fatalf("prob %v read %d: segment %d count = %d under short reads, want %d", prob, i, j, ns[j], len(d))
+					}
+				}
+				if !bytes.Equal(dst, want) {
+					t.Fatalf("short-read completion returned corrupt data")
+				}
 			}
-			if !bytes.Equal(dst, want) {
-				t.Fatalf("short-read completion returned corrupt data")
+			if r.inj.Injected(faults.HostShortRead) < 2 {
+				t.Fatalf("only %d short reads injected; the reassembly loop never ran",
+					r.inj.Injected(faults.HostShortRead))
 			}
-		}
-		if r.inj.Injected(faults.HostShortRead) == 0 {
-			t.Fatalf("short reads never fired")
 		}
 	})
 }
@@ -380,16 +415,19 @@ func TestShortReadsAreCompleted(t *testing.T) {
 func TestHostEIOIsNotRetried(t *testing.T) {
 	// A real I/O error from the host fs is a valid reply: it must come
 	// back on the first attempt, not burn the retry budget.
-	bothReadPaths(t, func(t *testing.T, zeroCopy bool) {
+	readVariants(t, func(t *testing.T, zeroCopy bool, segs int) {
 		r := newFaultyRig(t, zeroCopy, faults.Config{Seed: 4, HostReadEIOProb: 1.0})
 		r.write(t, "/f", []byte("data"))
 		c := simtime.NewClock(0)
 
 		fd := r.open(t, c, "/f", hostfs.O_RDONLY)
 		base := r.cl.RPC().Retries()
-		_, err := r.cl.ReadPages(c, fd, 0, make([]byte, 4))
+		ns, err := r.cl.Read(c, fd, 0, segments(make([]byte, 4), segs))
 		if !errors.Is(err, hostfs.ErrIO) {
 			t.Fatalf("read error = %v, want ErrIO", err)
+		}
+		if len(ns) != 0 {
+			t.Fatalf("failed read reported counts %v", ns)
 		}
 		if r.cl.RPC().Retries() != base {
 			t.Fatalf("EIO consumed retries")
@@ -457,108 +495,74 @@ func vecFile(t *testing.T, r *rig, size int) (int64, []byte) {
 	return r.open(t, simtime.NewClock(0), "/vec", hostfs.O_RDONLY), data
 }
 
-// sentinelVec builds pages destination frames of pageBytes each, filled
-// with a sentinel so an untouched byte is distinguishable from a copied
-// zero.
-func sentinelVec(pages, pageBytes int) [][]byte {
-	dsts := make([][]byte, pages)
-	for i := range dsts {
-		dsts[i] = bytes.Repeat([]byte{0xEE}, pageBytes)
-	}
-	return dsts
-}
+// sentinel is the fill of a destination buffer before a read, so an
+// untouched byte is distinguishable from a copied zero.
+const sentinel = 0xEE
 
-// TestReadPagesVecShortAtEOF pins the per-page count contract when the
-// vector runs past end of file: full counts for covered pages, a short
-// count for the page straddling EOF, zero for pages wholly past it — and
+// TestReadShortAtEOF pins the per-segment count contract when the vector
+// runs past end of file: full counts for covered segments, a short count
+// for the segment straddling EOF, zero for segments wholly past it — and
 // the bytes of every untouched tail still hold the caller's sentinel.
-func TestReadPagesVecShortAtEOF(t *testing.T) {
-	bothReadPaths(t, func(t *testing.T, zeroCopy bool) {
+func TestReadShortAtEOF(t *testing.T) {
+	readVariants(t, func(t *testing.T, zeroCopy bool, segs int) {
 		r := newRig(t, zeroCopy)
 		const page = 1024
 		fd, data := vecFile(t, r, 2*page+512) // 2.5 pages
 
-		dsts := sentinelVec(4, page)
+		buf := bytes.Repeat([]byte{sentinel}, 4*page)
+		dsts := segments(buf, segs)
 		c := simtime.NewClock(0)
-		ns, done, err := r.cl.ReadPagesVecAsync(c, fd, 0, dsts)
+		ns, done, err := r.cl.ReadAsync(c, fd, 0, dsts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if done <= 0 {
 			t.Fatalf("completion time %v not in the future", done)
 		}
-		want := []int{page, page, 512, 0}
-		if len(ns) != len(want) {
-			t.Fatalf("ns = %v, want %v", ns, want)
+		if len(ns) != segs {
+			t.Fatalf("%d counts for %d segments", len(ns), segs)
 		}
-		for i, n := range ns {
-			if n != want[i] {
-				t.Fatalf("page %d count = %d, want %d (ns=%v)", i, n, want[i], ns)
+		left := len(data)
+		for i, d := range dsts {
+			want := len(d)
+			if want > left {
+				want = left
 			}
-			if n > 0 && !bytes.Equal(dsts[i][:n], data[i*page:i*page+n]) {
-				t.Fatalf("page %d bytes differ from file content", i)
+			left -= want
+			if ns[i] != want {
+				t.Fatalf("segment %d count = %d, want %d (ns=%v)", i, ns[i], want, ns)
 			}
-			for j := n; j < page; j++ {
-				if dsts[i][j] != 0xEE {
-					t.Fatalf("page %d byte %d overwritten past the short count", i, j)
-				}
+		}
+		if !bytes.Equal(buf[:len(data)], data) {
+			t.Fatalf("bytes differ from file content")
+		}
+		for j := len(data); j < len(buf); j++ {
+			if buf[j] != sentinel {
+				t.Fatalf("byte %d overwritten past the short count", j)
 			}
 		}
 		// Speculative reads must not advance the issuing block's clock.
 		if c.Now() != 0 {
-			t.Fatalf("async vec read advanced the block clock to %v", c.Now())
+			t.Fatalf("async read advanced the block clock to %v", c.Now())
 		}
 	})
 }
 
-// TestReadPagesVecPersistentShortReads forces EVERY host pread short
-// (probability 1) and checks the daemon's reassembly loop still delivers
-// the full extent: short reads are a host artifact the vec op must hide,
-// not a result the GPU ever sees.
-func TestReadPagesVecPersistentShortReads(t *testing.T) {
-	bothReadPaths(t, func(t *testing.T, zeroCopy bool) {
-		r := newFaultyRig(t, zeroCopy, faults.Config{Seed: 7, HostShortReadProb: 1})
-		const page = 1024
-		fd, data := vecFile(t, r, 4*page)
-
-		dsts := sentinelVec(4, page)
-		ns, _, err := r.cl.ReadPagesVecAsync(simtime.NewClock(0), fd, 0, dsts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ns) != len(dsts) {
-			t.Fatalf("%d counts for %d pages", len(ns), len(dsts))
-		}
-		for i, n := range ns {
-			if n != page {
-				t.Fatalf("page %d count = %d under short reads, want %d", i, n, page)
-			}
-			if !bytes.Equal(dsts[i], data[i*page:(i+1)*page]) {
-				t.Fatalf("page %d bytes differ after short-read reassembly", i)
-			}
-		}
-		if r.inj.Injected(faults.HostShortRead) < 2 {
-			t.Fatalf("only %d short reads injected; the reassembly loop never ran",
-				r.inj.Injected(faults.HostShortRead))
-		}
-	})
-}
-
-// TestReadPagesVecMidVectorEIO is the partial-failure oracle: short reads
-// at probability 1 force the daemon's reassembly loop to issue several
-// preads per vec op, and a 30% EIO rate makes some of those CONTINUATION
-// preads fail — an error striking after part of the extent has already
-// been read. The contract under any such fault is all-or-nothing: either
-// the call succeeds with exact per-page counts and bytes, or it returns
-// the error with no counts and every destination frame untouched. No seed
-// may leak a partially filled vector.
-func TestReadPagesVecMidVectorEIO(t *testing.T) {
+// TestReadMidVectorEIO is the partial-failure oracle: short reads at
+// probability 1 force the daemon's reassembly loop to issue several preads
+// per read, and a 30% EIO rate makes some of those CONTINUATION preads fail
+// — an error striking after part of the extent has already been read. The
+// contract under any such fault: either the call succeeds with exact
+// per-segment counts and bytes, or it returns the error with NO counts —
+// the destination is then undefined and the caller publishes nothing. No
+// seed may report counts for a partially filled vector.
+func TestReadMidVectorEIO(t *testing.T) {
 	const (
 		page  = 1024
 		pages = 4
 		seeds = 120
 	)
-	bothReadPaths(t, func(t *testing.T, zeroCopy bool) {
+	readVariants(t, func(t *testing.T, zeroCopy bool, segs int) {
 		var sawClean, sawFirst, sawMid int
 		for seed := int64(1); seed <= seeds; seed++ {
 			r := newFaultyRig(t, zeroCopy, faults.Config{
@@ -568,28 +572,23 @@ func TestReadPagesVecMidVectorEIO(t *testing.T) {
 			})
 			fd, data := vecFile(t, r, pages*page)
 
-			dsts := sentinelVec(pages, page)
-			ns, _, err := r.cl.ReadPagesVecAsync(simtime.NewClock(0), fd, 0, dsts)
+			buf := bytes.Repeat([]byte{sentinel}, pages*page)
+			ns, _, err := r.cl.ReadAsync(simtime.NewClock(0), fd, 0, segments(buf, segs))
 			if err == nil {
 				sawClean++
-				if len(ns) != pages {
-					t.Fatalf("seed %d: clean run returned %d counts", seed, len(ns))
+				if len(ns) != segs || sum(ns) != len(data) {
+					t.Fatalf("seed %d: clean run returned counts %v", seed, ns)
 				}
-				for i, n := range ns {
-					if n != page {
-						t.Fatalf("seed %d: clean run page %d count = %d, want %d", seed, i, n, page)
-					}
-					if !bytes.Equal(dsts[i], data[i*page:(i+1)*page]) {
-						t.Fatalf("seed %d: clean run page %d bytes differ", seed, i)
-					}
+				if !bytes.Equal(buf, data) {
+					t.Fatalf("seed %d: clean run bytes differ", seed)
 				}
 				continue
 			}
 			// Failed run: the fault may have hit the first pread or a
-			// continuation pread after bytes were already staged; the
+			// continuation pread after bytes were already read; the
 			// caller-visible result must be identical either way.
 			if r.inj.Injected(faults.HostReadEIO) == 0 {
-				t.Fatalf("seed %d: vec read failed without an injected EIO: %v", seed, err)
+				t.Fatalf("seed %d: read failed without an injected EIO: %v", seed, err)
 			}
 			if r.inj.Injected(faults.HostShortRead) > 0 {
 				sawMid++ // a short pread landed before the EIO: mid-vector failure
@@ -597,15 +596,10 @@ func TestReadPagesVecMidVectorEIO(t *testing.T) {
 				sawFirst++
 			}
 			if len(ns) != 0 {
-				t.Fatalf("seed %d: failed vec read leaked counts %v", seed, ns)
-			}
-			for i := range dsts {
-				if !bytes.Equal(dsts[i], bytes.Repeat([]byte{0xEE}, page)) {
-					t.Fatalf("seed %d: failed vec read wrote into page %d", seed, i)
-				}
+				t.Fatalf("seed %d: failed read leaked counts %v", seed, ns)
 			}
 		}
-		t.Logf("vec EIO oracle: %d clean, %d failed on first pread, %d failed mid-vector", sawClean, sawFirst, sawMid)
+		t.Logf("EIO oracle: %d clean, %d failed on first pread, %d failed mid-vector", sawClean, sawFirst, sawMid)
 		if sawClean == 0 || sawMid == 0 {
 			t.Fatalf("seed sweep unbalanced (clean=%d first=%d mid=%d); faults not exercising the mid-vector path",
 				sawClean, sawFirst, sawMid)

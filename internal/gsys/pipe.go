@@ -238,7 +238,8 @@ func (s *Service) sysPipeRead(c *call, cclk *simtime.Clock) (simtime.Time, error
 	if err != nil {
 		return 0, err
 	}
-	if len(c.dst) == 0 {
+	dst := c.dsts[0]
+	if len(dst) == 0 {
 		return 0, nil
 	}
 	p.mu.Lock()
@@ -259,13 +260,13 @@ func (s *Service) sysPipeRead(c *call, cclk *simtime.Clock) (simtime.Time, error
 	}
 	n := 0
 	var avail simtime.Time
-	for n < len(c.dst) && len(p.chunks) > 0 {
+	for n < len(dst) && len(p.chunks) > 0 {
 		ch := &p.chunks[0]
 		take := len(ch.data)
-		if take > len(c.dst)-n {
-			take = len(c.dst) - n
+		if take > len(dst)-n {
+			take = len(dst) - n
 		}
-		copy(c.dst[n:n+take], ch.data[:take])
+		copy(dst[n:n+take], ch.data[:take])
 		n += take
 		if ch.availAt > avail {
 			avail = ch.availAt

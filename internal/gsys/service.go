@@ -41,10 +41,22 @@ type Reply struct {
 type call struct {
 	cli   *Client
 	fr    *Frame
-	dst   []byte   // read destination (device memory)
-	dsts  [][]byte // vectored read destinations
+	dsts  [][]byte // read destination segments (device memory)
 	src   []byte   // write source (device memory)
 	reply Reply
+
+	// seg and n back dsts and reply.Ns of a one-segment read, so the demand
+	// fault allocates nothing for its vector.
+	seg [1][]byte
+	n   [1]int
+}
+
+// readCall builds the call of a read into dsts, copying the vector (not the
+// bytes) so the caller's need not outlive the call.
+func readCall(dsts [][]byte) *call {
+	c := &call{}
+	c.dsts = append(c.seg[:0], dsts...)
+	return c
 }
 
 // handlerFunc is one syscall-table entry.
@@ -59,10 +71,9 @@ type Service struct {
 	table [numSysno]handlerFunc
 	pipes pipeTable
 
-	// zeroCopy makes read handlers pread file data directly into the
-	// pinned device destination and charge the DMA without the staging
-	// pass (pcie.ChargePinned), instead of copying through a per-request
-	// staging buffer.
+	// zeroCopy says the read destinations are pinned for DMA, so sysRead
+	// charges its transfer without the staging pass through host DRAM. It
+	// selects a charge only; the bytes move the same way either way.
 	zeroCopy bool
 
 	mu     sync.Mutex
@@ -71,7 +82,7 @@ type Service struct {
 }
 
 // NewService builds the syscall table over the given rpc daemon.
-// zeroCopyRead selects the read handlers' zero-copy path (the host half of
+// zeroCopyRead selects the read handler's DMA charge (the host half of
 // params.Config.ZeroCopyRead).
 func NewService(srv *rpc.Server, zeroCopyRead bool) *Service {
 	s := &Service{srv: srv, zeroCopy: zeroCopyRead, fds: make(map[int64]*hostfs.File), nextFd: 3}
@@ -80,7 +91,6 @@ func NewService(srv *rpc.Server, zeroCopyRead bool) *Service {
 		SysOpen:      (*Service).sysOpen,
 		SysClose:     (*Service).sysClose,
 		SysRead:      (*Service).sysRead,
-		SysReadVec:   (*Service).sysReadVec,
 		SysWrite:     (*Service).sysWrite,
 		SysTruncate:  (*Service).sysTruncate,
 		SysUnlink:    (*Service).sysUnlink,
@@ -169,85 +179,53 @@ func (s *Service) sysClose(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 	return 0, f.Close()
 }
 
-// sysRead reads len(dst) bytes from the host file and DMAs them into the
-// device memory slice dst. The daemon worker performs the file read
-// synchronously (ordering file accesses per ring) and then hands the bulk
-// transfer to an asynchronous DMA channel; a blocking caller's clock
-// advances to DMA completion, while the worker is free as soon as the
-// read finishes.
+// scatterPool recycles the contiguous buffer sysRead scatters a
+// multi-segment read from. It is only this simulation's scattering mechanism
+// (the modelled staging pass is the DMA charge); nothing reads it after the
+// handler returns.
+var scatterPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// sysRead reads the contiguous file extent at Args[1] and DMAs it into the
+// call's destination segments. The daemon worker performs the file read
+// synchronously (ordering file accesses per ring) — one pread, straight into
+// the destination when there is one segment — and hands the bulk transfer to
+// an asynchronous DMA channel; a blocking caller's clock advances to DMA
+// completion, while the worker is free as soon as the read finishes. A
+// failed read reports no counts.
 func (s *Service) sysRead(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 	f, err := s.file(int64(c.fr.Args[0]))
 	if err != nil {
 		return 0, err
 	}
-	if s.zeroCopy {
-		// Zero-copy: the daemon preads straight into the pinned page
-		// frame the GPU supplied, so the DMA charge skips the staging
-		// pass on the host memory bus.
-		n, err := s.readFull(cclk, f, c.dst, int64(c.fr.Args[1]))
-		if err != nil {
+	off := int64(c.fr.Args[1])
+	var n int
+	if len(c.dsts) == 1 {
+		if n, err = s.readFull(cclk, f, c.dsts[0], off); err != nil {
 			return 0, err
 		}
-		c.reply.N = n
-		return c.cli.rpc.Link().ChargePinned(cclk.Now(), pcie.HostToDevice, int64(n)), nil
-	}
-	staging := make([]byte, len(c.dst)) // pinned staging buffer
-	n, err := s.readFull(cclk, f, staging, int64(c.fr.Args[1]))
-	if err != nil {
-		return 0, err
-	}
-	copy(c.dst[:n], staging[:n])
-	c.reply.N = n
-	return c.cli.rpc.Link().Charge(cclk.Now(), pcie.HostToDevice, int64(n)), nil
-}
-
-// stagingPool recycles sysReadVec's contiguous read buffer. The buffer is
-// only this simulation's scattering mechanism (one pread, then a copy-out
-// per destination frame); nothing reads it after the handler returns.
-var stagingPool = sync.Pool{New: func() any { return new([]byte) }}
-
-func (s *Service) sysReadVec(c *call, cclk *simtime.Clock) (simtime.Time, error) {
-	f, err := s.file(int64(c.fr.Args[0]))
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	for _, d := range c.dsts {
-		total += len(d)
-	}
-	bp := stagingPool.Get().(*[]byte)
-	defer stagingPool.Put(bp)
-	if cap(*bp) < total {
-		*bp = make([]byte, total)
-	}
-	staging := (*bp)[:total]
-	n, err := s.readFull(cclk, f, staging, int64(c.fr.Args[1]))
-	if err != nil {
-		return 0, err
-	}
-	ns := make([]int, len(c.dsts))
-	got := 0
-	for i, d := range c.dsts {
-		take := n - got
-		if take > len(d) {
-			take = len(d)
+		c.reply.Ns = append(c.n[:0], n)
+	} else {
+		total := 0
+		for _, d := range c.dsts {
+			total += len(d)
 		}
-		if take < 0 {
-			take = 0
+		bp := scatterPool.Get().(*[]byte)
+		defer scatterPool.Put(bp)
+		if cap(*bp) < total {
+			*bp = make([]byte, total)
 		}
-		copy(d[:take], staging[got:got+take])
-		ns[i] = take
-		got += take
+		buf := (*bp)[:total]
+		if n, err = s.readFull(cclk, f, buf, off); err != nil {
+			return 0, err
+		}
+		c.reply.Ns = make([]int, len(c.dsts))
+		rest := buf[:n]
+		for i, d := range c.dsts {
+			c.reply.Ns[i] = copy(d, rest)
+			rest = rest[c.reply.Ns[i]:]
+		}
 	}
-	c.reply.Ns = ns
-	if s.zeroCopy {
-		// Zero-copy: the host read is a preadv over an iovec of pinned
-		// frames (the staging slice above is only this simulation's
-		// scattering mechanism, not a modelled copy), so the vectored DMA
-		// skips the staging pass.
-		return c.cli.rpc.Link().ChargeScatterPinned(cclk.Now(), pcie.HostToDevice, int64(n), len(c.dsts)), nil
-	}
-	return c.cli.rpc.Link().ChargeScatter(cclk.Now(), pcie.HostToDevice, int64(n), len(c.dsts)), nil
+	return c.cli.rpc.Link().ChargeScatter(cclk.Now(), pcie.HostToDevice, int64(n), len(c.dsts), s.zeroCopy), nil
 }
 
 // sysWrite DMAs len(src) bytes out of device memory and writes them to

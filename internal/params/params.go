@@ -156,15 +156,13 @@ type Config struct {
 	// full host RPC path (ablation of the §4.1 closed-table
 	// optimization).
 	DisableFastReopen bool
-	// ZeroCopyRead serves buffer-cache hits and lands RPC read completions
-	// directly in pinned page frames instead of copying through a staging
-	// buffer: a cache-hit gread/gpread_warp charges one device-memory pass
-	// (the application's own read of the aliased frame, the gmmap
-	// mechanism) rather than a two-pass copy, and the host daemon preads
-	// straight into the pinned DMA region, skipping the staging pass on
-	// the host memory bus. On by default; false selects the copying read
-	// path: a staging buffer and one extra host-memory-bus pass per read
-	// RPC, two device-memory passes per cache hit.
+	// ZeroCopyRead selects two charges of the one read path; the bytes
+	// move the same way either way. On (the default), a read of a resident
+	// page charges one device-memory pass (the application's own read of
+	// the pinned frame, the gmmap mechanism) and a read RPC's DMA skips the
+	// staging pass on the host memory bus (the daemon preads straight into
+	// the pinned frame). Off, the hit charges a two-pass copy and the DMA
+	// one extra host-memory-bus pass.
 	ZeroCopyRead bool
 	// MigrateOnDrain selects migrate-first remediation in the fleet
 	// control plane: a cordoned host is checkpointed (buffer caches,
@@ -215,15 +213,6 @@ type Config struct {
 	GrepGPURate float64
 	// GrepCPURate is the 8-core CPU rate; Table 4 has the GPU ~7x faster.
 	GrepCPURate float64
-
-	// ---- Cost-component toggles (Figure 5) ----
-
-	// ExcludeDMA, when set, makes PCIe DMA transfers free. Used by the
-	// Figure 5 breakdown ("CPU DMA excluded").
-	ExcludeDMA bool
-	// ExcludeCPUFileIO, when set, makes host file reads free ("CPU file
-	// I/O excluded").
-	ExcludeCPUFileIO bool
 
 	// Scale is the uniform down-scaling factor applied to capacities and
 	// (by convention) to workload sizes. 1.0 reproduces paper-scale runs.

@@ -156,50 +156,30 @@ func (l *Link) Copy(now simtime.Time, dir Direction, dst, src []byte) (simtime.T
 	return l.Charge(now, dir, int64(len(src))), nil
 }
 
-// ChargeScatter accounts a DMA of n bytes scattered across segs separate
-// destination buffers: one transaction, plus a per-descriptor surcharge
-// (an eighth of the transaction setup latency per extra segment) for the
-// additional scatter-gather entries the engine walks. Coalesced multi-page
-// read-ahead uses this so a vectored transfer amortizes — but does not
-// erase — the per-page transfer cost that separates Figure 4's page sizes.
-func (l *Link) ChargeScatter(now simtime.Time, dir Direction, n int64, segs int) simtime.Time {
-	return l.Charge(l.scatterSetup(now, segs), dir, n)
-}
-
-// ChargeScatterPinned is ChargeScatter for zero-copy transfers (see
-// ChargePinned): the staging pass through host DRAM is skipped.
-func (l *Link) ChargeScatterPinned(now simtime.Time, dir Direction, n int64, segs int) simtime.Time {
-	return l.ChargePinned(l.scatterSetup(now, segs), dir, n)
-}
-
-// scatterSetup accounts the scatter-gather descriptor surcharge shared by
-// both scatter variants.
-func (l *Link) scatterSetup(now simtime.Time, segs int) simtime.Time {
-	if m := l.met; m != nil {
-		m.scatterSegs.Add(int64(segs))
-	}
-	if segs > 1 && !l.bus.exclude.Load() {
-		now = now.Add(l.bus.cfg.DMALatency / 8 * simtime.Duration(segs-1))
-	}
-	return now
-}
-
-// Charge accounts a DMA of n bytes without moving data (for transfers whose
-// payload is modelled elsewhere) and returns the completion time.
+// Charge accounts a staged DMA of n bytes into or out of one buffer without
+// moving data (for transfers whose payload is modelled elsewhere) and
+// returns the completion time.
 func (l *Link) Charge(now simtime.Time, dir Direction, n int64) simtime.Time {
-	return l.charge(now, dir, n, false)
+	return l.ChargeScatter(now, dir, n, 1, false)
 }
 
-// ChargePinned accounts a DMA whose payload the daemon read or wrote
-// DIRECTLY in pinned host memory (the zero-copy read path): the hostfs
-// pread's own memory-bus pass already covered the landing copy, so the
-// extra staging pass through host DRAM is skipped. The channel-pool,
-// PCIe-bandwidth, and device-memory costs are identical to Charge.
-func (l *Link) ChargePinned(now simtime.Time, dir Direction, n int64) simtime.Time {
-	return l.charge(now, dir, n, true)
-}
-
-func (l *Link) charge(now simtime.Time, dir Direction, n int64, pinned bool) simtime.Time {
+// ChargeScatter accounts a DMA of n bytes scattered across segs separate
+// device buffers: one transaction, plus a per-descriptor surcharge (an
+// eighth of the setup latency per extra segment) for the scatter-gather
+// entries the engine walks, so a vectored transfer amortizes — but does not
+// erase — the per-page transfer cost that separates Figure 4's page sizes.
+// pinned marks a payload the daemon read or wrote DIRECTLY in pinned host
+// memory: the hostfs pread's own memory-bus pass covered the landing copy,
+// so the staging pass through host DRAM is skipped and nothing else.
+func (l *Link) ChargeScatter(now simtime.Time, dir Direction, n int64, segs int, pinned bool) simtime.Time {
+	if segs > 1 {
+		if m := l.met; m != nil {
+			m.scatterSegs.Add(int64(segs))
+		}
+		if !l.bus.exclude.Load() {
+			now = now.Add(l.bus.cfg.DMALatency / 8 * simtime.Duration(segs-1))
+		}
+	}
 	if n < 0 {
 		n = 0
 	}

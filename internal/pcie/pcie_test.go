@@ -114,6 +114,30 @@ func TestStagingContendsOnHostMemBus(t *testing.T) {
 	}
 }
 
+// TestChargeScatter: one segment costs a plain transfer, every further
+// segment an eighth of the setup latency, and a pinned payload skips the
+// staging pass (and only that).
+func TestChargeScatter(t *testing.T) {
+	const n = 1 << 20
+	cost := func(segs int, pinned bool) (simtime.Duration, simtime.Duration) {
+		membus := simtime.NewResource("membus")
+		l := testBus(membus).NewLink(0, nil, 0)
+		return simtime.Duration(l.ChargeScatter(0, HostToDevice, n, segs, pinned)), membus.Busy()
+	}
+	plain, staged := cost(1, false)
+	if want := simtime.Duration(testBus(simtime.NewResource("membus")).NewLink(0, nil, 0).Charge(0, HostToDevice, n)); plain != want {
+		t.Errorf("one-segment scatter cost %v, Charge %v", plain, want)
+	}
+	if got, _ := cost(5, false); got-plain != 4*(15*simtime.Microsecond/8) {
+		t.Errorf("four extra segments cost %v more, want 4 x latency/8", got-plain)
+	}
+	pinned, pinnedStaged := cost(1, true)
+	if pinnedStaged != 0 || plain-pinned != staged {
+		t.Errorf("pinned transfer cost %v (membus %v), staged %v (membus %v): want them to differ by the staging pass alone",
+			pinned, pinnedStaged, plain, staged)
+	}
+}
+
 func TestDeviceMemoryPass(t *testing.T) {
 	devbw := simtime.NewResource("devbw")
 	l := testBus(nil).NewLink(0, devbw, 144_000*simtime.MBps)
