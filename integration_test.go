@@ -417,6 +417,11 @@ func TestTracingPublicAPI(t *testing.T) {
 		if e.End < e.Start {
 			t.Fatalf("event with negative span: %+v", e)
 		}
+		// Calls that name their file by descriptor still report its path
+		// (gclose resolves it before the descriptor dies).
+		if op := e.Op.String(); e.Path != "/tr.bin" && (op == "gread" || op == "gclose") {
+			t.Fatalf("traced %s carries path %q, want /tr.bin", op, e.Path)
+		}
 	}
 	for _, want := range []string{"gopen", "gread", "gclose"} {
 		if !ops[want] {

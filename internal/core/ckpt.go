@@ -204,17 +204,8 @@ func (ck *Ckpt) Walk() {
 
 		writeOnce := e.img.Flags&O_GWRONCE != 0
 		fc.tree.ForEachReadyPage(func(idx uint64, p *radix.FPage) bool {
-			if !p.TryRef() {
-				return true
-			}
-			fi := p.Frame()
-			if fi < 0 {
-				p.Unref()
-				return true
-			}
-			fr := fs.cache.Frame(fi)
-			if fr.FileID.Load() != fc.tree.ID() {
-				p.Unref()
+			fr := fs.hold(fc, p)
+			if fr == nil {
 				return true
 			}
 			pageIdx := int64(idx)

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"gpufs/internal/core/radix"
-	"gpufs/internal/gsys"
 	"gpufs/internal/simtime"
 	"gpufs/internal/trace"
 )
@@ -25,8 +24,8 @@ import (
 // failed write records the file's sticky deferred error
 // (fileCache.recordWriteErr), surfaced at the next gfsync or final gclose,
 // and the page stays resident and dirty so no data is lost. The
-// claim/detach protocol is reused verbatim through evictFromFileOn and the
-// FPage TryRef/TryEvict state machine.
+// claim/detach protocol is reused verbatim: a lane is one more actor running
+// the lifecycle steps of page.go.
 
 // cleanerLaneBase offsets cleaner lane ids past any plausible threadblock
 // index, so cleaner RPC traffic hashes onto ring shards independently of
@@ -47,10 +46,8 @@ type cleaner struct {
 }
 
 type cleanLane struct {
-	id   int
 	busy atomic.Bool
-	clk  *simtime.Clock
-	lane *gsys.Client
+	a    actor
 }
 
 func newCleaner(fs *FS, workers int) *cleaner {
@@ -65,11 +62,13 @@ func newCleaner(fs *FS, workers int) *cleaner {
 	}
 	c := &cleaner{low: low, high: high}
 	for i := 0; i < workers; i++ {
-		c.lanes = append(c.lanes, &cleanLane{
-			id:   i,
-			clk:  simtime.NewClock(0),
-			lane: fs.sys.Bind(cleanerLaneBase + i),
-		})
+		clk := simtime.NewClock(0)
+		c.lanes = append(c.lanes, &cleanLane{a: actor{
+			lane:  fs.sys.Bind(cleanerLaneBase + i),
+			clk:   clk,
+			busy:  func(d simtime.Duration) { clk.Advance(d) },
+			block: -1 - i,
+		}})
 	}
 	return c
 }
@@ -92,10 +91,8 @@ func (fs *FS) maybeClean(now simtime.Time) {
 		if ln.busy.CompareAndSwap(false, true) {
 			fs.cleanerKicks.Add(1)
 			// The lane cannot act before the kick that woke it.
-			if ln.clk.Now() < now {
-				ln.clk.AdvanceTo(now)
-			}
-			fs.runCleanerPass(ln)
+			ln.a.clk.AdvanceTo(now)
+			fs.runCleanerPass(ln.a)
 			ln.busy.Store(false)
 			return
 		}
@@ -109,15 +106,9 @@ func (fs *FS) maybeClean(now simtime.Time) {
 // back through the retained descriptor, frames freed), open files have
 // their cold dirty pages cleaned in place so a later eviction finds them
 // clean.
-func (fs *FS) runCleanerPass(ln *cleanLane) {
+func (fs *FS) runCleanerPass(a actor) {
 	c := fs.cleaner
-	start := ln.clk.Now()
-	a := evictActor{
-		lane:  ln.lane,
-		clk:   ln.clk,
-		busy:  func(d simtime.Duration) { ln.clk.Advance(d) },
-		block: -1 - ln.id,
-	}
+	start := a.clk.Now()
 	evicted := 0
 	cleaned := 0
 
@@ -129,31 +120,31 @@ func (fs *FS) runCleanerPass(ln *cleanLane) {
 		if v.class == 0 {
 			// Dirty-only: clean frames of a closed file are cheap for a
 			// faulting block to reclaim and may yet be re-hit by a reopen.
-			evicted += fs.evictFromFileOn(a, v, c.high-free, true)
+			evicted += fs.evictFromFile(a, v, c.high-free, true)
 			continue
 		}
 		if cleaned < maxCleanPerPass {
-			cleaned += fs.cleanFileOn(a, v, maxCleanPerPass-cleaned)
+			cleaned += fs.cleanFile(a, v, maxCleanPerPass-cleaned)
 		}
 	}
 	if evicted+cleaned > 0 {
 		fs.cleanedPages.Add(int64(evicted + cleaned))
 		fs.recordAt(a.block, trace.OpClean, "", 0,
-			int64(evicted+cleaned)*fs.opt.PageSize, start, ln.clk.Now(), nil)
+			int64(evicted+cleaned)*fs.opt.PageSize, start, a.clk.Now(), nil)
 	}
 }
 
-// cleanFileOn writes back up to max dirty, unreferenced pages of v
+// cleanFile writes back up to max dirty, unreferenced pages of v
 // without evicting them. Failures record the file's deferred write error
 // (POSIX errseq semantics — identical to eviction-driven write-back) and
 // leave the page dirty and resident.
-func (fs *FS) cleanFileOn(a evictActor, v victim, max int) int {
+func (fs *FS) cleanFile(a actor, v victim, max int) int {
 	if max <= 0 || v.hostFd == 0 {
 		return 0
 	}
 	fc := v.fc
 	cleaned := 0
-	wrote := false
+	wb := writeBack{fs: fs, a: a, fc: fc, hostFd: v.hostFd}
 	fc.tree.ForEachReadyPage(func(_ uint64, p *radix.FPage) bool {
 		if cleaned >= max {
 			return false
@@ -161,31 +152,21 @@ func (fs *FS) cleanFileOn(a evictActor, v victim, max int) int {
 		if p.Refs() > 0 {
 			return true // hot: mapped or mid-access
 		}
-		if !p.TryRef() {
+		fr := fs.hold(fc, p)
+		if fr == nil {
 			return true
 		}
-		fi := p.Frame()
-		if fi < 0 {
-			p.Unref()
-			return true
-		}
-		fr := fs.cache.Frame(fi)
-		if fr.FileID.Load() != fc.tree.ID() || !fr.Dirty.Load() {
-			p.Unref()
-			return true
-		}
-		if err := fs.writeBackFrameOn(a.lane, a.clk, v.hostFd, fr); err != nil {
-			fc.recordWriteErr(err)
-		} else {
-			wrote = true
-			cleaned++
-			a.busy(fs.opt.APICostPerPage)
+		if fr.Dirty.Load() {
+			if err := wb.frame(fr); err != nil {
+				fc.recordWriteErr(err)
+			} else {
+				cleaned++
+				a.busy(fs.opt.APICostPerPage)
+			}
 		}
 		p.Unref()
 		return true
 	})
-	if wrote {
-		fs.refreshGenerationOn(a.lane, a.clk, fc, v.hostFd)
-	}
+	wb.done()
 	return cleaned
 }

@@ -116,7 +116,7 @@ type Options struct {
 	ZeroCopyRead bool
 	// FrameShards is the number of free-list shards in the frame
 	// allocator; lanes hash to shards and steal on empty. Values < 1
-	// select 1 (a single LIFO free list).
+	// select 1.
 	FrameShards int
 	// CkptMaxBytes bounds the bytes a checkpoint may capture by value
 	// (dirty pages plus pipe buffers); a capture that would exceed it
@@ -347,9 +347,6 @@ func (fc *fileCache) takeWriteErr() error {
 func New(gpuID int, opt Options, client *rpc.Client, mem *memsys.Arena) (*FS, error) {
 	if opt.EvictBatch <= 0 {
 		opt.EvictBatch = 16
-	}
-	if opt.FrameShards < 1 {
-		opt.FrameShards = 1
 	}
 	cache, err := pcache.NewSharded(mem, opt.CacheBytes, opt.PageSize, opt.FrameShards)
 	if err != nil {
@@ -883,26 +880,6 @@ type Stats struct {
 	FaultsInjected int64
 }
 
-// noteSpecDrop records a speculative page leaving the cache before any
-// demand access consumed it — wasted prefetch, the adaptive window's
-// shrink signal. Reports whether the page was indeed unconsumed.
-func (fs *FS) noteSpecDrop(fc *fileCache, fr *pcache.Frame) bool {
-	switch fr.Spec.Swap(pcache.SpecNone) {
-	case pcache.SpecPending:
-		fs.prefetchWasted.Add(1)
-		fc.prefetchWasted.Add(1)
-		fs.specPending.Add(-1)
-		return true
-	case pcache.SpecReplay:
-		fs.prefetchWasted.Add(1)
-		fc.prefetchWasted.Add(1)
-		fs.historyWasted.Add(1)
-		fs.specPending.Add(-1)
-		return true
-	}
-	return false
-}
-
 // CacheStats are the speculation and cleaning counters of ISSUE 4,
 // surfaced per GPU by the serving layer next to its affinity hit rate.
 type CacheStats struct {
@@ -1074,7 +1051,8 @@ func (fs *FS) Restart(b *gpu.Block) {
 // tells the host to forget this GPU caches the file.
 func (fs *FS) dropCacheNoWriteback(fc *fileCache) {
 	fc.tree.ForEachReadyPage(func(_ uint64, p *radix.FPage) bool {
-		for !p.TryEvict() {
+		fr := fs.beginEvict(p)
+		for ; fr == nil; fr = fs.beginEvict(p) {
 			if !p.Ready() {
 				// A concurrent paging pass already took it.
 				return true
@@ -1083,13 +1061,7 @@ func (fs *FS) dropCacheNoWriteback(fc *fileCache) {
 			// holders are transient); wait it out.
 			runtime.Gosched()
 		}
-		if fi := p.Frame(); fi >= 0 {
-			fr := fs.cache.Frame(fi)
-			fs.noteSpecDrop(fc, fr)
-			fs.cache.Release(fr, false)
-			fc.frames.Add(-1)
-		}
-		p.FinishEvict()
+		fs.reclaim(fc, p, fr, false)
 		return true
 	})
 	fs.sys.Forget(fc.ino)

@@ -11,15 +11,6 @@ import (
 	"gpufs/internal/simtime"
 )
 
-// pageRef is a referenced buffer-cache page: the caller holds one reference
-// on fp, protecting fr against reclamation, and must release it.
-type pageRef struct {
-	fr *pcache.Frame
-	fp *radix.FPage
-}
-
-func (r pageRef) release() { r.fp.Unref() }
-
 // getPage locates (or faults in) the page of f covering pageIdx and returns
 // it referenced. It implements the paper's retry protocol: two lock-free
 // lookup attempts, then a locked lookup; initialization and page-out
@@ -76,8 +67,8 @@ func (fs *FS) getPage(b *gpu.Block, f *file, pageIdx int64) (pageRef, error) {
 					// A read-ahead transfer is usable only once
 					// it completes; synchronous faults were paid
 					// for by the faulting block.
-					if fr.Prefetched.Load() {
-						b.Clock.AdvanceTo(simtime.Time(fr.ReadyAt.Load()))
+					if at := fr.ReadyAt.Load(); at != 0 {
+						b.Clock.AdvanceTo(simtime.Time(at))
 						// First demand consumer claims the
 						// speculation as a hit (the adaptive
 						// window's ramp-up signal).
@@ -105,31 +96,30 @@ func (fs *FS) getPage(b *gpu.Block, f *file, pageIdx int64) (pageRef, error) {
 		claimed := claim(fp, leaf)
 		g.Exit()
 		if claimed {
+			ref := pageRef{fp: fp}
 			fr, err := fs.allocFrame(b, fc, offset)
 			if err != nil {
-				fp.AbortInit()
+				fs.abort(fc, ref)
 				return pageRef{}, err
 			}
+			ref.fr = fr
+			// O_GWRONCE: never fetch; the pristine copy is implicitly all
+			// zeros (§3.1), publish's zero tail. O_NOSYNC files do NOT take
+			// this shortcut: a page spilled to the host under cache
+			// pressure must be fetched back on the next touch.
 			n := 0
-			if f.writeOnce {
-				// O_GWRONCE: never fetch; the pristine copy is implicitly
-				// all zeros (§3.1), publish's zero tail. O_NOSYNC files do
-				// NOT take this shortcut: a page spilled to the host under
-				// cache pressure must be fetched back on the next touch.
-				fr.WriteOnce.Store(true)
-			} else {
+			if !f.writeOnce {
 				ns, err := fs.lane(b).Read(b.Clock, f.hostFd, offset, [][]byte{fr.Data})
 				if err != nil {
-					fs.abort(fc, fp, fr)
+					fs.abort(fc, ref)
 					return pageRef{}, fmt.Errorf("gpufs: faulting page at %d of %q: %w", offset, f.path, err)
 				}
 				n = ns[0]
 			}
-			fs.publish(b, f, fr, n, b.Clock.Now(), false, pcache.SpecNone)
+			fs.publish(b, f, ref, n, 0, pcache.SpecNone) // holds our reference
 			b.Busy(fs.opt.APICostPerPage)
-			fp.FinishInit(fr.Index) // holds our reference
 			fs.cacheMisses.Add(1)
-			return pageRef{fr: fr, fp: fp}, nil
+			return ref, nil
 		}
 
 		// Another block is initializing or evicting this slot, or the leaf
@@ -137,54 +127,6 @@ func (fs *FS) getPage(b *gpu.Block, f *file, pageIdx int64) (pageRef, error) {
 		// (Warps multiplex on the MP while blocked, §2.)
 		runtime.Gosched()
 	}
-}
-
-// Every page enters the cache — by the demand fault above or by spanFetch —
-// through claim, a fill, then publish or abort.
-
-// claim tries to make the caller the initializer of slot fp of leaf, both
-// found under an epoch guard the caller still holds. On success the Init
-// state pins the leaf (RemoveLeaf requires every slot Empty) and the guard
-// may be dropped. It fails when the page is resident, in flight or being
-// evicted, and on the claim/detach race (see radix.RemoveLeaf): the leaf
-// left the tree after the lookup, and a frame initialized there would be
-// stranded — unreachable by eviction and by Restart's cache drop.
-func claim(fp *radix.FPage, leaf *radix.Node) bool {
-	if !fp.TryBeginInit() {
-		return false
-	}
-	if leaf.Detached() {
-		fp.AbortInit()
-		return false
-	}
-	return true
-}
-
-// publish stamps a filled frame for FinishInit: its first n bytes hold the
-// page's file content (0 for a page never fetched). Threads of the block
-// zero the tail collaboratively (§4.1), so reads past EOF (after local
-// extension) observe zeros rather than a previous tenant's bytes. readyAt is
-// when the content is usable; prefetched says consumers must wait for it.
-func (fs *FS) publish(b *gpu.Block, f *file, fr *pcache.Frame, n int, readyAt simtime.Time, prefetched bool, spec int32) {
-	if n < len(fr.Data) {
-		b.ZeroBytes(fr.Data[n:])
-	}
-	fr.ValidBytes.Store(int64(n))
-	fr.ReadyAt.Store(int64(readyAt))
-	fr.Prefetched.Store(prefetched)
-	fr.Spec.Store(spec)
-	if f.writeShrd {
-		// General write-sharing: preserve the pristine copy the
-		// diff-and-merge protocol diffs against at sync time.
-		fr.SetPristine(fr.Data[:n])
-	}
-}
-
-// abort undoes a claim whose frame could not be filled.
-func (fs *FS) abort(fc *fileCache, fp *radix.FPage, fr *pcache.Frame) {
-	fs.cache.Release(fr, false)
-	fc.frames.Add(-1)
-	fp.AbortInit()
 }
 
 // extendValid raises fr.ValidBytes to at least n (atomic max).
@@ -355,7 +297,7 @@ func (fs *FS) writeImpl(b *gpu.Block, fd int, src []byte, off int64) (int, error
 		b.CopyBytes(ref.fr.Data[inPage:inPage+n], src[done:done+n])
 		extendValid(ref.fr, inPage+n)
 		ref.fr.Unlock()
-		ref.fr.Dirty.Store(true)
+		ref.markDirty()
 		ref.release()
 		done += n
 	}

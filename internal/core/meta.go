@@ -49,7 +49,8 @@ func (fs *FS) ftruncateImpl(b *gpu.Block, fd int, size int64) error {
 	if !f.writable {
 		return fmt.Errorf("%w: %q", ErrReadOnly, f.path)
 	}
-	if err := fs.lane(b).Truncate(b.Clock, f.hostFd, size); err != nil {
+	a := fs.blockActor(b)
+	if err := a.lane.Truncate(a.clk, f.hostFd, size); err != nil {
 		return err
 	}
 
@@ -61,38 +62,30 @@ func (fs *FS) ftruncateImpl(b *gpu.Block, fd int, size int64) error {
 		if pageOff+ps <= size {
 			return true
 		}
-		if !p.TryEvict() {
+		fr := fs.beginEvict(p)
+		if fr == nil {
 			return true // in use; its stale tail is masked by fc.size
 		}
-		if fi := p.Frame(); fi >= 0 {
-			fr := fs.cache.Frame(fi)
-			if pageOff >= size {
-				// Wholly beyond the new end: reclaim.
-				fs.noteSpecDrop(fc, fr)
-				fs.cache.Release(fr, false)
-				fc.frames.Add(-1)
-				p.FinishEvict()
-				b.Busy(fs.opt.APICostPerPage)
-				return true
-			}
-			// Straddling page: clamp the valid extent and zero the
-			// tail, so a later local write past the new end cannot
-			// re-expose pre-truncation bytes.
-			v := size - pageOff
-			fr.Lock()
-			if fr.ValidBytes.Load() > v {
-				fr.ValidBytes.Store(v)
-			}
-			b.ZeroBytes(fr.Data[v:])
-			fr.Unlock()
-			p.FinishInit(fi)
-			p.Unref()
+		if pageOff >= size {
+			// Wholly beyond the new end: reclaim.
+			fs.reclaim(fc, p, fr, false)
+			b.Busy(fs.opt.APICostPerPage)
 			return true
 		}
-		p.FinishEvict()
+		// Straddling page: clamp the valid extent and zero the tail, so a
+		// later local write past the new end cannot re-expose
+		// pre-truncation bytes.
+		v := size - pageOff
+		fr.Lock()
+		if fr.ValidBytes.Load() > v {
+			fr.ValidBytes.Store(v)
+		}
+		b.ZeroBytes(fr.Data[v:])
+		fr.Unlock()
+		cancelEvict(p)
 		return true
 	})
-	fs.refreshGeneration(b, fc, f.hostFd)
+	fs.refreshGeneration(a, fc, f.hostFd)
 	return nil
 }
 
@@ -112,17 +105,10 @@ func (fs *FS) unlinkImpl(b *gpu.Block, path string) error {
 		fs.mu.Unlock()
 		return nil
 	}
-	var victimIno int64 = -1
-	for ino, fc := range fs.closed {
-		if fc.path == path {
-			victimIno = ino
-			break
-		}
-	}
 	var fc *fileCache
-	if victimIno >= 0 {
-		fc = fs.closed[victimIno]
-		delete(fs.closed, victimIno)
+	if ino, ok := fs.closedByPath[path]; ok {
+		fc = fs.closed[ino]
+		delete(fs.closed, ino)
 		delete(fs.closedByPath, path)
 	}
 	fs.mu.Unlock()

@@ -118,7 +118,7 @@ func (m *Mapping) munmapImpl(b *gpu.Block) error {
 // MarkDirty on such a mapping is a no-op.
 func (m *Mapping) MarkDirty() {
 	if m.valid && m.f.writable {
-		m.ref.fr.Dirty.Store(true)
+		m.ref.markDirty()
 		extendValid(m.ref.fr, m.FileOffset-m.ref.fr.Offset.Load()+int64(len(m.Data)))
 		extendSize(m.f.fc, m.FileOffset+int64(len(m.Data)))
 	}
@@ -138,11 +138,10 @@ func (m *Mapping) msyncImpl(b *gpu.Block) error {
 	if !m.ref.fr.Dirty.Load() {
 		return nil
 	}
-	if err := m.fs.writeBackFrame(b, m.f.hostFd, m.ref.fr); err != nil {
-		return err
-	}
-	m.fs.refreshGeneration(b, m.f.fc, m.f.hostFd)
-	return nil
+	wb := writeBack{fs: m.fs, a: m.fs.blockActor(b), fc: m.f.fc, hostFd: m.f.hostFd}
+	err := wb.frame(m.ref.fr)
+	wb.done()
+	return err
 }
 
 // Write copies data into the mapping at the given offset relative to the

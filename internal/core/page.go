@@ -1,0 +1,256 @@
+package core
+
+import (
+	"fmt"
+
+	"gpufs/internal/core/pcache"
+	"gpufs/internal/core/radix"
+	"gpufs/internal/gpu"
+	"gpufs/internal/gsys"
+	"gpufs/internal/simtime"
+)
+
+// The page lifecycle (DESIGN.md §16 has the diagram and the table). A cached
+// page is a radix slot plus, from claim to reclaim, a pcache frame. radix
+// checks the slot transitions; this file composes them with what they imply
+// for the frame, fileCache.frames and the speculation counters, and is the
+// only file of the package that moves a page between states, takes or frees a
+// frame, or stores Frame.Dirty (`make tier2` greps for it). The hit path of
+// getPage takes its reference inline: a reference is a count, not a move.
+
+// pageRef is a page the caller has a claim on: a reference (from getPage or
+// publish), protecting fr against reclamation until release, or the Init
+// claim of a page being filled (publish or abort).
+type pageRef struct {
+	fr *pcache.Frame
+	fp *radix.FPage
+}
+
+func (r pageRef) release() { r.fp.Unref() }
+
+// markDirty records local writes the host does not have yet; the caller
+// holds a reference. Only write-back clears it.
+func (r pageRef) markDirty() { r.fr.Dirty.Store(true) }
+
+// actor is who runs a lifecycle step that talks to the host or costs time: a
+// threadblock (its clock, its MP, its home ring shard) or a background
+// cleaner lane (its own clock, which per-page bookkeeping advances directly
+// since no MP is occupied).
+type actor struct {
+	lane  *gsys.Client
+	clk   *simtime.Clock
+	busy  func(simtime.Duration)
+	block int // trace attribution; negative for cleaner lanes
+}
+
+func (fs *FS) blockActor(b *gpu.Block) actor {
+	return actor{lane: fs.lane(b), clk: b.Clock, busy: b.Busy, block: b.Idx}
+}
+
+// Every page enters the cache — by getPage's demand fault or by spanFetch —
+// through claim, takeFrame, a fill, then publish or abort.
+
+// claim tries to make the caller the initializer of slot fp of leaf, both
+// found under an epoch guard the caller still holds. On success the Init
+// state pins the leaf (RemoveLeaf requires every slot Empty) and the guard
+// may be dropped. It fails when the page is resident, in flight or being
+// evicted, and on the claim/detach race (see radix.RemoveLeaf): the leaf
+// left the tree after the lookup, and a frame initialized there would be
+// stranded — unreachable by eviction and by Restart's cache drop.
+func claim(fp *radix.FPage, leaf *radix.Node) bool {
+	if !fp.TryBeginInit() {
+		return false
+	}
+	if leaf.Detached() {
+		fp.AbortInit()
+		return false
+	}
+	return true
+}
+
+// takeFrame pops a free frame for the page of fc at offset, steered by the
+// caller's lane, or returns nil when the pool is dry.
+func (fs *FS) takeFrame(lane int, fc *fileCache, offset int64) *pcache.Frame {
+	fr := fs.cache.TryAllocOn(lane, fc.tree.ID(), offset)
+	if fr != nil {
+		fc.frames.Add(1)
+	}
+	return fr
+}
+
+// publish makes a claimed, filled page Ready, the caller keeping the
+// initializer's reference. The frame's first n bytes hold the page's file
+// content (0 for a page never fetched); threads of the block zero the tail
+// collaboratively (§4.1), so reads past EOF (after local extension) observe
+// zeros rather than a previous tenant's bytes. readyAt is when an
+// asynchronous fill's content is usable, 0 for a synchronous one (see
+// pcache.Frame.ReadyAt).
+func (fs *FS) publish(b *gpu.Block, f *file, r pageRef, n int, readyAt simtime.Time, spec int32) {
+	fr := r.fr
+	if n < len(fr.Data) {
+		b.ZeroBytes(fr.Data[n:])
+	}
+	fr.ValidBytes.Store(int64(n))
+	fr.ReadyAt.Store(int64(readyAt))
+	fr.Spec.Store(spec)
+	fr.WriteOnce.Store(f.writeOnce)
+	if f.writeShrd {
+		// General write-sharing: preserve the pristine copy the
+		// diff-and-merge protocol diffs against at sync time.
+		fr.SetPristine(fr.Data[:n])
+	}
+	r.fp.FinishInit(fr.Index)
+}
+
+// abort gives a claim up: the frame could not be filled, or (r.fr nil) there
+// was none to take.
+func (fs *FS) abort(fc *fileCache, r pageRef) {
+	if r.fr != nil {
+		fs.cache.Release(r.fr, false)
+		fc.frames.Add(-1)
+	}
+	r.fp.AbortInit()
+}
+
+// hold takes a reference on a resident page met by a walk of fc's tree
+// (gfsync, the cleaner, the checkpoint) and returns its frame; the caller
+// drops the reference with p.Unref. It returns nil, holding nothing, unless
+// the slot is Ready and its frame is still fc's — the walks are lock-free and
+// best-effort.
+func (fs *FS) hold(fc *fileCache, p *radix.FPage) *pcache.Frame {
+	if p.TryRef() {
+		// A reference on a Ready slot pins its frame index.
+		if fr := fs.cache.Frame(p.Frame()); fr.FileID.Load() == fc.tree.ID() {
+			return fr
+		}
+		p.Unref()
+	}
+	return nil
+}
+
+// writeBackGap is how close two dirty ranges must be before write-back
+// coalesces them into one RPC write.
+const writeBackGap = 512
+
+// writeBack is one actor propagating dirty pages of one file to the host
+// through hostFd: any number of frame calls, then done, which re-reads the
+// host generation once if anything was written.
+type writeBack struct {
+	fs     *FS
+	a      actor
+	fc     *fileCache
+	hostFd int64
+	wrote  bool
+}
+
+// frame writes back one page the caller keeps from reclamation (a reference,
+// or the Evicting state), sending only the bytes this GPU actually modified:
+//
+//   - O_GWRONCE pages diff against implicit zeros (no pristine copy is
+//     stored), so write-back reduces to transferring non-zero ranges.
+//   - Write-shared pages diff against the pristine copy preserved at first
+//     read, so concurrent modifications of other portions of the same page
+//     by other processors are not reverted (the false-sharing hazard of
+//     §3.1).
+//   - Exclusively written pages are sent whole over their valid extent.
+//
+// On success the frame is clean and, for write-shared pages, the pristine
+// copy is advanced to the page's current content so future diffs are
+// relative to this sync. On failure it is dirty again.
+func (w *writeBack) frame(fr *pcache.Frame) error {
+	// One write-back of a page at a time, from before the dirty flag
+	// clears until the last range is on the host (see Frame.WriteBack).
+	fr.WriteBack.Lock()
+	defer fr.WriteBack.Unlock()
+	// Clear the dirty flag BEFORE snapshotting: a write racing with this
+	// sync either lands in the snapshot (shipped now, re-flagged
+	// harmlessly) or re-dirties the page for the next sync. Either way
+	// nothing is lost.
+	fr.Dirty.Store(false)
+	data, pristine, valid := fr.Snapshot()
+	base := fr.Offset.Load()
+
+	var ranges []Range
+	switch {
+	case fr.WriteOnce.Load():
+		ranges = nonZeroRanges(data, writeBackGap)
+	case pristine != nil:
+		ranges = diffRanges(data, pristine, writeBackGap)
+	default:
+		if valid > 0 {
+			ranges = []Range{{0, valid}}
+		}
+	}
+
+	for _, r := range ranges {
+		if _, err := w.a.lane.WritePages(w.a.clk, w.hostFd, base+r.Start, data[r.Start:r.End]); err != nil {
+			fr.Dirty.Store(true)
+			return fmt.Errorf("gpufs: writing back page at %d: %w", base, err)
+		}
+	}
+	if pristine != nil {
+		fr.SetPristine(data)
+	}
+	w.wrote = true
+	return nil
+}
+
+// done closes the write-back: having propagated writes, this GPU re-reads
+// the host file's generation so the consistency layer keeps considering its
+// cached copy current.
+func (w *writeBack) done() {
+	if w.wrote {
+		w.fs.refreshGeneration(w.a, w.fc, w.hostFd)
+	}
+}
+
+// refreshGeneration adopts the host file's current generation as the one
+// fc's pages correspond to. If another processor wrote concurrently, the
+// generations will not line up and the next gopen will (correctly)
+// invalidate us.
+func (fs *FS) refreshGeneration(a actor, fc *fileCache, hostFd int64) {
+	info, err := a.lane.Stat(a.clk, hostFd)
+	if err != nil {
+		return // stale generation only costs an extra invalidation
+	}
+	fc.gen.Store(info.Generation)
+	fs.sys.RecordCached(fc.ino, info.Generation)
+}
+
+// A page leaves the cache through beginEvict, then reclaim — or cancelEvict,
+// when the evictor changes its mind.
+
+// beginEvict claims an unreferenced resident page for eviction and returns
+// its frame, which the caller now owns; nil when the slot is not Ready or
+// somebody holds a reference.
+func (fs *FS) beginEvict(fp *radix.FPage) *pcache.Frame {
+	if !fp.TryEvict() {
+		return nil
+	}
+	return fs.cache.Frame(fp.Frame())
+}
+
+// cancelEvict puts the page back: Ready, resident, as dirty as it was.
+func cancelEvict(fp *radix.FPage) { fp.CancelEvict() }
+
+// reclaim completes an eviction: the frame goes back to the pool and the slot
+// empties. byPaging says the paging algorithm wanted the frame (counted in
+// Table 2's "pages reclaimed") rather than truncate, unlink or invalidation.
+// It reports whether the page was wasted speculation — prefetched and never
+// consumed, the adaptive window's shrink signal.
+func (fs *FS) reclaim(fc *fileCache, fp *radix.FPage, fr *pcache.Frame, byPaging bool) bool {
+	spec := fr.Spec.Swap(pcache.SpecNone)
+	wasted := spec == pcache.SpecPending || spec == pcache.SpecReplay
+	if wasted {
+		fs.prefetchWasted.Add(1)
+		fc.prefetchWasted.Add(1)
+		fs.specPending.Add(-1)
+		if spec == pcache.SpecReplay {
+			fs.historyWasted.Add(1)
+		}
+	}
+	fs.cache.Release(fr, byPaging)
+	fc.frames.Add(-1)
+	fp.FinishEvict()
+	return wasted
+}

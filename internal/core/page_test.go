@@ -1,0 +1,179 @@
+package core
+
+import (
+	"bytes"
+	"testing"
+
+	"gpufs/internal/core/pcache"
+	"gpufs/internal/core/radix"
+	"gpufs/internal/faults"
+	"gpufs/internal/gpu"
+	"gpufs/internal/gsys"
+)
+
+// The composite steps of page.go that no other test drives directly.
+
+// slotOf returns the slot of page idx of the open file fd, which must be
+// materialized.
+func slotOf(t *testing.T, fs *FS, fd int, idx uint64) (*fileCache, *radix.FPage) {
+	t.Helper()
+	fc := fs.fds[fd].fc
+	fp := fc.tree.LookupLocked(idx)
+	if fp == nil {
+		t.Fatalf("page %d has no slot", idx)
+	}
+	return fc, fp
+}
+
+// TestPutBackKeepsThePage: an eviction whose write-back fails changes its
+// mind, and the page must come out of it exactly as it went in — Ready,
+// dirty, resident, unreferenced, counted once — so that the next pass can
+// evict it for real and the bytes reach the host.
+func TestPutBackKeepsThePage(t *testing.T) {
+	const pages = 4
+	opt := defaultOpt()
+	h := newFaultHarness(t, opt, faults.Config{Seed: 1, HostWriteEIOProb: 1.0}, 1, 1)
+	fs := h.fss[0]
+	h.inj.SetEnabled(false)
+	dirty := pattern(pages*int(opt.PageSize), 5)
+	h.write(t, "/w", make([]byte, len(dirty)))
+
+	h.run(t, 0, func(b *gpu.Block) error {
+		fd, err := fs.Open(b, "/w", O_RDWR)
+		if err != nil {
+			return err
+		}
+		if _, err := fs.Write(b, fd, dirty, 0); err != nil {
+			return err
+		}
+		fc, _ := slotOf(t, fs, fd, 0)
+		v := victim{fc: fc, hostFd: fs.fds[fd].hostFd, class: 2}
+		free := fs.cache.FreeFrames()
+
+		h.inj.SetEnabled(true) // every write-back fails with EIO
+		n := fs.evictFromFile(fs.blockActor(b), v, pages, false)
+		h.inj.SetEnabled(false)
+		if n != 0 {
+			t.Errorf("reclaimed %d pages whose write-back failed", n)
+		}
+		if got := fc.frames.Load(); got != pages {
+			t.Errorf("fc.frames = %d after put-back, want %d", got, pages)
+		}
+		if got := fs.cache.FreeFrames(); got != free {
+			t.Errorf("free frames = %d after put-back, want %d", got, free)
+		}
+		for idx := uint64(0); idx < pages; idx++ {
+			_, fp := slotOf(t, fs, fd, idx)
+			if !fp.Ready() || fp.Refs() != 0 || fp.Frame() < 0 {
+				t.Fatalf("page %d after put-back: ready=%v refs=%d frame=%d", idx, fp.Ready(), fp.Refs(), fp.Frame())
+			}
+			if fr := fs.cache.Frame(fp.Frame()); !fr.Dirty.Load() || !fr.Matches(fc.tree.ID(), int64(idx)*opt.PageSize) {
+				t.Errorf("page %d after put-back: dirty=%v, or its frame changed hands", idx, fr.Dirty.Load())
+			}
+		}
+		if fc.takeWriteErr() == nil {
+			t.Error("the failed write-back left no deferred error on the file")
+		}
+
+		if n := fs.evictFromFile(fs.blockActor(b), v, pages, false); n != pages {
+			t.Errorf("second pass reclaimed %d of %d put-back pages", n, pages)
+		}
+		if got := fc.frames.Load(); got != 0 {
+			t.Errorf("fc.frames = %d after eviction", got)
+		}
+		return fs.Close(b, fd)
+	})
+	if got := h.read(t, "/w"); !bytes.Equal(got, dirty) {
+		t.Error("dirty data lost between the failed eviction and the one that worked")
+	}
+}
+
+// TestReclaimCountsWastedSpeculation: reclaiming a prefetched page nobody
+// consumed is the one event behind prefetch_wasted and the specPending gauge,
+// and each moves by exactly one; a demand-faulted page moves neither.
+func TestReclaimCountsWastedSpeculation(t *testing.T) {
+	opt := defaultOpt()
+	h := newHarness(t, 1, opt)
+	fs := h.fss[0]
+	h.write(t, "/a", pattern(2*int(opt.PageSize), 3))
+
+	h.run(t, 0, func(b *gpu.Block) error {
+		fd, err := fs.Open(b, "/a", O_RDONLY)
+		if err != nil {
+			return err
+		}
+		f := fs.fds[fd]
+		fs.spanFetch(b, f, 0, 1, 1, pcache.SpecPending, gsys.GranBlock)
+		if _, err := fs.Read(b, fd, make([]byte, opt.PageSize), opt.PageSize); err != nil {
+			return err
+		}
+		if got := fs.specPending.Load(); got != 1 {
+			t.Fatalf("specPending = %d after one speculative page", got)
+		}
+		for idx, speculative := range []bool{true, false} {
+			fc, fp := slotOf(t, fs, fd, uint64(idx))
+			fr := fs.beginEvict(fp)
+			if fr == nil {
+				t.Fatalf("page %d not evictable", idx)
+			}
+			wasted, pending := fs.prefetchWasted.Load(), fs.specPending.Load()
+			if got := fs.reclaim(fc, fp, fr, true); got != speculative {
+				t.Errorf("reclaim(page %d) reported wasted=%v", idx, got)
+			}
+			var want int64
+			if speculative {
+				want = 1
+			}
+			if d := fs.prefetchWasted.Load() - wasted; d != want {
+				t.Errorf("page %d: prefetch_wasted moved by %d, want %d", idx, d, want)
+			}
+			if d := pending - fs.specPending.Load(); d != want {
+				t.Errorf("page %d: specPending fell by %d, want %d", idx, d, want)
+			}
+			if !fp.Empty() || fr.FileID.Load() != 0 {
+				t.Errorf("page %d not empty and free after reclaim", idx)
+			}
+		}
+		if got := f.fc.prefetchWasted.Load(); got != 1 {
+			t.Errorf("the file's own wasted count = %d, want 1", got)
+		}
+		return fs.Close(b, fd)
+	})
+	if free := fs.cache.FreeFrames(); free != fs.cache.NumFrames() {
+		t.Errorf("%d of %d frames free after reclaiming everything", free, fs.cache.NumFrames())
+	}
+}
+
+// TestHoldRefusesRecycledFrame: the tree walks are best-effort, and what
+// keeps them honest is hold's identity check — a slot whose frame now
+// belongs to another file yields nothing and keeps no reference.
+func TestHoldRefusesRecycledFrame(t *testing.T) {
+	opt := defaultOpt()
+	h := newHarness(t, 1, opt)
+	fs := h.fss[0]
+	h.write(t, "/a", pattern(int(opt.PageSize), 3))
+
+	h.run(t, 0, func(b *gpu.Block) error {
+		fd, err := fs.Open(b, "/a", O_RDONLY)
+		if err != nil {
+			return err
+		}
+		if _, err := fs.Read(b, fd, make([]byte, opt.PageSize), 0); err != nil {
+			return err
+		}
+		fc, fp := slotOf(t, fs, fd, 0)
+		fr := fs.cache.Frame(fp.Frame())
+
+		if got := fs.hold(fc, fp); got != fr || fp.Refs() != 1 {
+			t.Fatalf("hold of a resident page = %v with %d refs, want its frame and one", got, fp.Refs())
+		}
+		fp.Unref()
+
+		fr.FileID.Store(fc.tree.ID() + 1) // the frame changed hands
+		if got := fs.hold(fc, fp); got != nil || fp.Refs() != 0 {
+			t.Errorf("hold of a recycled frame = %v with %d refs, want nothing held", got, fp.Refs())
+		}
+		fr.FileID.Store(fc.tree.ID())
+		return fs.Close(b, fd)
+	})
+}

@@ -8,8 +8,6 @@ import (
 	"gpufs/internal/core/pcache"
 	"gpufs/internal/core/radix"
 	"gpufs/internal/gpu"
-	"gpufs/internal/gsys"
-	"gpufs/internal/simtime"
 	"gpufs/internal/trace"
 )
 
@@ -44,13 +42,12 @@ func (fs *FS) allocFrame(b *gpu.Block, fc *fileCache, offset int64) (*pcache.Fra
 	fs.maybeClean(b.Clock.Now())
 	lastAllocs := fs.cache.Allocs()
 	for idle := 0; idle < maxIdleRounds; {
-		if fr := fs.cache.TryAllocOn(b.Idx, fc.tree.ID(), offset); fr != nil {
-			fc.frames.Add(1)
+		if fr := fs.takeFrame(b.Idx, fc, offset); fr != nil {
 			return fr, nil
 		}
 		// Escalate the reclamation window as we starve, so heavy
 		// thrash (28 blocks through a tiny cache) still converges.
-		n := fs.evictPages(b, fs.opt.EvictBatch+idle/64)
+		n := fs.evictPages(fs.blockActor(b), fs.opt.EvictBatch+idle/64)
 		if n > 0 {
 			idle = 0
 			continue
@@ -141,48 +138,29 @@ func (fs *FS) pickVictims() []victim {
 // trigger paging: the error is recorded on the owning file's cache and
 // surfaced at that file's next gfsync or final gclose, and the dirty page
 // stays resident so the data is not lost.
-func (fs *FS) evictPages(b *gpu.Block, target int) int {
+func (fs *FS) evictPages(a actor, target int) int {
 	reclaimed := 0
 	for _, v := range fs.pickVictims() {
 		if reclaimed >= target {
 			break
 		}
-		reclaimed += fs.evictFromFile(b, v, target-reclaimed)
+		reclaimed += fs.evictFromFile(a, v, target-reclaimed, false)
 	}
 	return reclaimed
 }
 
-// evictActor abstracts who runs reclamation: a faulting threadblock (its
-// clock, MP, and home ring shard) or a background cleaner lane (its own
-// clock; per-page bookkeeping advances it directly since no MP is
-// occupied).
-type evictActor struct {
-	lane  *gsys.Client
-	clk   *simtime.Clock
-	busy  func(simtime.Duration)
-	block int // trace attribution; negative for cleaner lanes
-}
-
-func (fs *FS) actorFor(b *gpu.Block) evictActor {
-	return evictActor{lane: fs.lane(b), clk: b.Clock, busy: b.Busy, block: b.Idx}
-}
-
-func (fs *FS) evictFromFile(b *gpu.Block, v victim, target int) int {
-	return fs.evictFromFileOn(fs.actorFor(b), v, target, false)
-}
-
-// evictFromFileOn reclaims up to target pages from v on behalf of actor a.
+// evictFromFile reclaims up to target pages from v on behalf of actor a.
 // With dirtyOnly set (the cleaner's pre-eviction mode) clean frames are
 // left resident: evicting a clean frame costs a faulting block no RPC, so
 // pre-evicting it early only destroys cache that a reopen would still hit —
 // the cleaner's win is taking the write-back, not the release, off the
 // critical path.
-func (fs *FS) evictFromFileOn(a evictActor, v victim, target int, dirtyOnly bool) int {
+func (fs *FS) evictFromFile(a actor, v victim, target int, dirtyOnly bool) int {
 	start := a.clk.Now()
 	fc := v.fc
 	reclaimed := 0
 	wasted := 0
-	wroteBack := false
+	wb := writeBack{fs: fs, a: a, fc: fc, hostFd: v.hostFd}
 
 	// Bound the traversal: we look at enough leaves to cover the target
 	// plus slack for referenced pages. Leaves hold 64 slots each, so
@@ -222,48 +200,31 @@ func (fs *FS) evictFromFileOn(a evictActor, v victim, target int, dirtyOnly bool
 				}
 				continue
 			}
-			if !fp.TryEvict() {
+			fr := fs.beginEvict(fp)
+			if fr == nil {
 				live++
 				continue
 			}
-			fi := fp.Frame()
-			if fi < 0 {
-				fp.FinishEvict()
-				continue
-			}
-			fr := fs.cache.Frame(fi)
-			if dirtyOnly && !fr.Dirty.Load() {
-				fp.FinishInit(fi)
-				fp.Unref()
-				live++
-				continue
-			}
-			if fr.Dirty.Load() {
-				if v.hostFd == 0 {
-					// No descriptor to write through — put the
-					// page back rather than lose data.
-					fp.FinishInit(fi)
-					fp.Unref()
-					live++
-					continue
-				}
-				if err := fs.writeBackFrameOn(a.lane, a.clk, v.hostFd, fr); err != nil {
-					// Keep the page (still dirty) and move on; the
-					// owner learns of the failure at its next sync.
+			// Put the page back rather than pre-evict a clean frame, lose
+			// dirty data for want of a descriptor to write through, or
+			// drop a page whose write-back failed: it stays dirty and
+			// the owner learns of the failure at its next sync.
+			dirty := fr.Dirty.Load()
+			keep := dirtyOnly && !dirty || dirty && v.hostFd == 0
+			if dirty && !keep {
+				if err := wb.frame(fr); err != nil {
 					fc.recordWriteErr(err)
-					fp.FinishInit(fi)
-					fp.Unref()
-					live++
-					continue
+					keep = true
 				}
-				wroteBack = true
 			}
-			if fs.noteSpecDrop(fc, fr) {
+			if keep {
+				cancelEvict(fp)
+				live++
+				continue
+			}
+			if fs.reclaim(fc, fp, fr, true) {
 				wasted++
 			}
-			fs.cache.Release(fr, true)
-			fc.frames.Add(-1)
-			fp.FinishEvict()
 			a.busy(fs.opt.APICostPerPage)
 			reclaimed++
 		}
@@ -275,9 +236,7 @@ func (fs *FS) evictFromFileOn(a evictActor, v victim, target int, dirtyOnly bool
 		}
 	}
 
-	if wroteBack {
-		fs.refreshGenerationOn(a.lane, a.clk, fc, v.hostFd)
-	}
+	wb.done()
 	if reclaimed > 0 {
 		fs.recordAt(a.block, trace.OpEvict, fc.path, 0, int64(reclaimed)*fs.opt.PageSize, start, a.clk.Now(), nil)
 	}

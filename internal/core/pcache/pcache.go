@@ -50,17 +50,15 @@ type Frame struct {
 	// WriteOnce marks pages of O_GWRONCE files, whose pristine copy is
 	// implicitly all zeros (diff-against-zeros write-back, §3.1).
 	WriteOnce atomic.Bool
-	// ReadyAt is the virtual instant the page's content transfer
-	// completed. Prefetched is set when the transfer was an asynchronous
-	// read-ahead: only then do consumers wait for ReadyAt — a page
-	// faulted synchronously by a racing block is charged to that block,
-	// and a virtually-earlier consumer would have faulted it itself (the
-	// same virtual-order idealization the block scheduler uses).
-	ReadyAt    atomic.Int64
-	Prefetched atomic.Bool
-	// Spec tracks speculative-read accounting separately from Prefetched
-	// (which must survive consumption so every later consumer still waits
-	// for ReadyAt): SpecNone for demand-faulted frames, SpecPending from
+	// ReadyAt is the virtual instant an asynchronous fill's transfer
+	// completes, which every consumer of the page waits for; 0 for a page
+	// faulted synchronously — that transfer was charged to the faulting
+	// block, and a virtually-earlier consumer would have faulted it itself
+	// (the same virtual-order idealization the block scheduler uses).
+	ReadyAt atomic.Int64
+	// Spec tracks speculative-read accounting separately from ReadyAt
+	// (which must survive consumption so every later consumer still
+	// waits): SpecNone for demand-faulted frames, SpecPending from
 	// prefetch issue until the first consumer claims the transfer as a
 	// hit, SpecUsed after. A frame reclaimed while still SpecPending was
 	// wasted speculation.
@@ -156,17 +154,11 @@ type frameShard struct {
 	free []int32
 }
 
-// New carves a single-shard cache of totalBytes (rounded down to whole
-// pages) out of the given device-memory arena. With one shard the
-// allocator is ONE LIFO free list handing out frame 0 first.
-func New(mem *memsys.Arena, totalBytes, pageSize int64) (*Cache, error) {
-	return NewSharded(mem, totalBytes, pageSize, 1)
-}
-
-// NewSharded is New with the free list split across nshards shards
-// (values < 1 select 1). Frames are distributed round-robin by index, and
-// each shard's list is built in reverse so its lowest frame index is
-// handed out first.
+// NewSharded carves a cache of totalBytes (rounded down to whole pages) out
+// of the given device-memory arena, its free list split across nshards
+// shards (values < 1 select 1). Frames are distributed round-robin by
+// index, and each shard's list is built in reverse so its lowest frame
+// index is handed out first.
 func NewSharded(mem *memsys.Arena, totalBytes, pageSize int64, nshards int) (*Cache, error) {
 	if pageSize <= 0 {
 		return nil, fmt.Errorf("pcache: invalid page size %d", pageSize)
@@ -265,19 +257,13 @@ func (c *Cache) FrameForData(off int64) *Frame {
 // RawOffset reports the offset of frame i's page within the raw data array.
 func (c *Cache) RawOffset(i int32) int64 { return int64(i) * c.pageSize }
 
-// TryAlloc pops a free frame and stamps it with the owner's identity.
-// It returns nil if no frame is free — the caller must then run the paging
-// algorithm (eviction is performed by the calling thread; GPUfs has no
-// daemon threads, §4.2). Unhinted callers allocate from shard 0.
-func (c *Cache) TryAlloc(fileID uint64, offset int64) *Frame {
-	return c.TryAllocOn(0, fileID, offset)
-}
-
-// TryAllocOn is TryAlloc steered by a lane hint: the allocation is served
-// from the shard the lane hashes to, falling back to stealing from the
-// other shards in ring order when the home shard is empty. Returns nil
-// only when EVERY shard is empty — a pinned-up home shard alone never
-// produces a spurious cache-full.
+// TryAllocOn pops a free frame and stamps it with the owner's identity,
+// steered by a lane hint: the allocation is served from the shard the lane
+// hashes to, falling back to stealing from the other shards in ring order
+// when the home shard is empty. It returns nil only when EVERY shard is
+// empty — a pinned-up home shard alone never produces a spurious
+// cache-full — and the caller must then run the paging algorithm (eviction
+// is performed by the calling thread; GPUfs has no daemon threads, §4.2).
 func (c *Cache) TryAllocOn(lane int, fileID uint64, offset int64) *Frame {
 	n := len(c.shards)
 	if lane < 0 {
@@ -304,17 +290,28 @@ func (c *Cache) TryAllocOn(lane int, fileID uint64, offset int64) *Frame {
 	}
 
 	f := &c.frames[idx]
+	f.reset(fileID, offset)
+	c.allocs.Add(1)
+	return f
+}
+
+// reset hands the frame to a new tenant — or, with (0, -1), to nobody, so any
+// stale lock-free reader fails validation — clearing everything the previous
+// one left on it.
+func (f *Frame) reset(fileID uint64, offset int64) {
 	f.FileID.Store(fileID)
 	f.Offset.Store(offset)
 	f.ValidBytes.Store(0)
 	f.Dirty.Store(false)
 	f.WriteOnce.Store(false)
-	f.ReadyAt.Store(0)
-	f.Prefetched.Store(false)
-	f.Spec.Store(SpecNone)
 	f.ClearPristine()
-	c.allocs.Add(1)
-	return f
+	f.resetTimes()
+}
+
+// resetTimes is the part of reset that ResetTimes applies to frames in use.
+func (f *Frame) resetTimes() {
+	f.ReadyAt.Store(0)
+	f.Spec.Store(SpecNone)
 }
 
 // ResetTimes clears every frame's transfer-completion timestamp; the
@@ -323,23 +320,16 @@ func (c *Cache) TryAllocOn(lane int, fileID uint64, offset int64) *Frame {
 // timeline.
 func (c *Cache) ResetTimes() {
 	for i := range c.frames {
-		c.frames[i].ReadyAt.Store(0)
-		c.frames[i].Prefetched.Store(false)
-		c.frames[i].Spec.Store(SpecNone)
+		c.frames[i].resetTimes()
 	}
 }
 
 // Release returns a frame to its HOME shard's free list (index mod shard
-// count — keeping each shard's frame population stable under churn),
-// clearing its identity so any stale lock-free reader fails validation.
+// count — keeping each shard's frame population stable under churn).
 // reclaimedByPaging distinguishes eviction-driven releases (counted in
 // Reclaimed) from releases on unlink or truncate.
 func (c *Cache) Release(f *Frame, reclaimedByPaging bool) {
-	f.FileID.Store(0)
-	f.Offset.Store(-1)
-	f.Dirty.Store(false)
-	f.WriteOnce.Store(false)
-	f.ClearPristine()
+	f.reset(0, -1)
 	if reclaimedByPaging {
 		c.reclaimed.Add(1)
 	}

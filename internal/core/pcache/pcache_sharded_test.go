@@ -74,7 +74,7 @@ func TestSingleShardMatchesLIFO(t *testing.T) {
 	a := newShardedCache(t, 8, 1)
 	b := newShardedCache(t, 8, 1)
 	for i := 0; i < 8; i++ {
-		fa := a.TryAlloc(1, int64(i)*4096)
+		fa := a.TryAllocOn(0, 1, int64(i)*4096)
 		fb := b.TryAllocOn(int(3+i), 1, int64(i)*4096) // lane must be irrelevant at 1 shard
 		if fa == nil || fb == nil || fa.Index != fb.Index {
 			t.Fatalf("alloc %d: order diverges (%v vs %v)", i, fa, fb)

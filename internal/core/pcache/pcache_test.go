@@ -10,7 +10,7 @@ import (
 func newCache(t *testing.T, total, page int64) *Cache {
 	t.Helper()
 	mem := memsys.NewArena("gpu", memsys.DeviceMemory, total*2)
-	c, err := New(mem, total, page)
+	c, err := NewSharded(mem, total, page, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,13 +19,13 @@ func newCache(t *testing.T, total, page int64) *Cache {
 
 func TestNewValidation(t *testing.T) {
 	mem := memsys.NewArena("gpu", memsys.DeviceMemory, 1<<20)
-	if _, err := New(mem, 1<<20, 0); err == nil {
+	if _, err := NewSharded(mem, 1<<20, 0, 1); err == nil {
 		t.Fatalf("zero page size accepted")
 	}
-	if _, err := New(mem, 100, 4096); err == nil {
+	if _, err := NewSharded(mem, 100, 4096, 1); err == nil {
 		t.Fatalf("cache smaller than one page accepted")
 	}
-	if _, err := New(mem, 1<<30, 4096); err == nil {
+	if _, err := NewSharded(mem, 1<<30, 4096, 1); err == nil {
 		t.Fatalf("cache bigger than arena accepted")
 	}
 }
@@ -35,7 +35,7 @@ func TestAllocReleaseCycle(t *testing.T) {
 	if c.NumFrames() != 4 || c.FreeFrames() != 4 {
 		t.Fatalf("frames: %d/%d", c.NumFrames(), c.FreeFrames())
 	}
-	f := c.TryAlloc(42, 8192)
+	f := c.TryAllocOn(0, 42, 8192)
 	if f == nil {
 		t.Fatal("alloc failed")
 	}
@@ -56,16 +56,16 @@ func TestAllocReleaseCycle(t *testing.T) {
 
 func TestExhaustion(t *testing.T) {
 	c := newCache(t, 8<<10, 4<<10)
-	a := c.TryAlloc(1, 0)
-	b := c.TryAlloc(1, 4096)
+	a := c.TryAllocOn(0, 1, 0)
+	b := c.TryAllocOn(0, 1, 4096)
 	if a == nil || b == nil {
 		t.Fatal("allocs failed")
 	}
-	if c.TryAlloc(1, 8192) != nil {
+	if c.TryAllocOn(0, 1, 8192) != nil {
 		t.Fatalf("alloc beyond capacity succeeded")
 	}
 	c.Release(a, false)
-	if c.TryAlloc(1, 8192) == nil {
+	if c.TryAllocOn(0, 1, 8192) == nil {
 		t.Fatalf("alloc after release failed")
 	}
 }
@@ -105,7 +105,7 @@ func TestFramePagesDisjoint(t *testing.T) {
 
 func TestPristineLifecycle(t *testing.T) {
 	c := newCache(t, 8<<10, 4<<10)
-	f := c.TryAlloc(1, 0)
+	f := c.TryAllocOn(0, 1, 0)
 	if f.Pristine() != nil {
 		t.Fatalf("fresh frame has pristine")
 	}
@@ -128,7 +128,7 @@ func TestPristineLifecycle(t *testing.T) {
 
 func TestSnapshotConsistency(t *testing.T) {
 	c := newCache(t, 8<<10, 4<<10)
-	f := c.TryAlloc(1, 0)
+	f := c.TryAllocOn(0, 1, 0)
 	copy(f.Data, []byte("hello"))
 	f.ValidBytes.Store(5)
 	f.SetPristine([]byte("help!"))
@@ -145,12 +145,12 @@ func TestSnapshotConsistency(t *testing.T) {
 
 func TestReleaseResetsFlags(t *testing.T) {
 	c := newCache(t, 8<<10, 4<<10)
-	f := c.TryAlloc(1, 0)
+	f := c.TryAllocOn(0, 1, 0)
 	f.Dirty.Store(true)
 	f.WriteOnce.Store(true)
 	f.ValidBytes.Store(100)
 	c.Release(f, false)
-	f2 := c.TryAlloc(2, 4096)
+	f2 := c.TryAllocOn(0, 2, 4096)
 	if f2.Dirty.Load() || f2.WriteOnce.Load() || f2.ValidBytes.Load() != 0 {
 		t.Fatalf("recycled frame carries stale flags")
 	}
@@ -158,7 +158,7 @@ func TestReleaseResetsFlags(t *testing.T) {
 
 func TestResetTimesClearsReadyAt(t *testing.T) {
 	c := newCache(t, 8<<10, 4<<10)
-	f := c.TryAlloc(1, 0)
+	f := c.TryAllocOn(0, 1, 0)
 	f.ReadyAt.Store(12345)
 	c.ResetTimes()
 	if f.ReadyAt.Load() != 0 {

@@ -36,6 +36,7 @@
 package radix
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -84,6 +85,17 @@ func (p *FPage) Empty() bool { return p.state.Load() == slotEmpty }
 // Refs reports the current reference count (for tests and stats).
 func (p *FPage) Refs() int32 { return p.refs.Load() }
 
+// move is a transition only the slot's owner may take — the initializer of an
+// Init slot, the evictor of an Evicting one: a compare-and-swap from the one
+// state it may leave, so the check is the transition itself, and a lifecycle
+// bug stops the run instead of corrupting a page. (TryBeginInit and TryEvict
+// race for ownership and report a loss by returning false.)
+func (p *FPage) move(name string, from, to int32) {
+	if !p.state.CompareAndSwap(from, to) {
+		panic(fmt.Sprintf("radix: %s on a slot in state %d, want %d", name, p.state.Load(), from))
+	}
+}
+
 // TryBeginInit attempts to claim an empty slot for initialization. The
 // winner must attach a frame and call FinishInit (or AbortInit).
 func (p *FPage) TryBeginInit() bool {
@@ -101,13 +113,13 @@ func (p *FPage) TryBeginInit() bool {
 func (p *FPage) FinishInit(frame int32) {
 	p.frame.Store(frame)
 	p.refs.Add(1)
-	p.state.Store(slotReady)
+	p.move("FinishInit", slotInit, slotReady)
 }
 
 // AbortInit returns a claimed slot to empty (initialization failed).
 func (p *FPage) AbortInit() {
 	p.frame.Store(-1)
-	p.state.Store(slotEmpty)
+	p.move("AbortInit", slotInit, slotEmpty)
 }
 
 // TryRef attempts to take a read/write reference on a Ready slot. It can
@@ -148,23 +160,30 @@ func (p *FPage) Mapped() bool { return p.maps.Load() > 0 }
 
 // TryEvict attempts to transition a Ready, unreferenced slot to Evicting.
 // On success the caller owns the frame and must call FinishEvict once the
-// frame is released. Fails if any reference is held.
+// frame is released, or CancelEvict to keep the page. Fails if any
+// reference is held.
 func (p *FPage) TryEvict() bool {
 	if !p.state.CompareAndSwap(slotReady, slotEvicting) {
 		return false
 	}
 	if p.refs.Load() != 0 {
 		// A racing TryRef got in before our CAS; back off.
-		p.state.Store(slotReady)
+		p.CancelEvict()
 		return false
 	}
 	return true
 }
 
+// CancelEvict puts a page claimed by TryEvict back: the slot is Ready again
+// with the frame it had, and no reference is taken or dropped.
+func (p *FPage) CancelEvict() {
+	p.move("CancelEvict", slotEvicting, slotReady)
+}
+
 // FinishEvict completes a successful TryEvict, emptying the slot.
 func (p *FPage) FinishEvict() {
 	p.frame.Store(-1)
-	p.state.Store(slotEmpty)
+	p.move("FinishEvict", slotEvicting, slotEmpty)
 }
 
 // Node is a radix-tree node. Interior nodes hold child pointers; last-level

@@ -8,7 +8,7 @@ import (
 // FuzzRadixTree interprets the fuzz input as an op program against one tree
 // and checks every observation against a reference model of the slot state
 // machine. It covers the full lifecycle — Insert, Lookup (lock-free and
-// locked), init/abort, ref/unref, evict, leaf removal (including the
+// locked), init/abort, ref/unref, evict and cancel, leaf removal (including the
 // refuse-when-occupied rule RemoveLeaf enforces against frame stranding),
 // and racing initializers — then sweeps the final tree for invariant
 // violations.
@@ -21,6 +21,7 @@ func FuzzRadixTree(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 0, 1, 4, 0, 1, 5, 0, 1, 6, 0, 64})
 	f.Add([]byte{2, 0, 0, 6, 0, 0, 5, 0, 0, 6, 0, 0, 2, 0, 0})
 	f.Add([]byte{7, 0, 7, 7, 0, 7, 5, 0, 7, 3, 1, 0, 6, 1, 0, 1, 0, 7})
+	f.Add([]byte{2, 0, 3, 13, 0, 3, 4, 0, 3, 6, 0, 3, 5, 0, 3, 6, 0, 3}) // evict, cancel, evict again
 	// One full leaf drained and removed.
 	full := []byte{}
 	for i := byte(0); i < fanout; i++ {
@@ -128,13 +129,18 @@ func FuzzRadixTree(f *testing.F) {
 					m.fp.Unref()
 				}
 
-			case 5: // evict
+			case 5: // evict; bit 3 of the op byte makes the evictor change its mind
 				m := track(idx)
 				ok := m.fp.TryEvict()
 				if ok != (m.state == stReady) {
 					t.Fatalf("TryEvict(%d) = %v in state %d", idx, ok, m.state)
 				}
-				if ok {
+				if ok && in[i]&8 != 0 {
+					m.fp.CancelEvict()
+					if !m.fp.Ready() || m.fp.Frame() != int32(idx) || m.fp.Refs() != 0 {
+						t.Fatalf("CancelEvict(%d): ready=%v frame=%d refs=%d", idx, m.fp.Ready(), m.fp.Frame(), m.fp.Refs())
+					}
+				} else if ok {
 					m.fp.FinishEvict()
 					if !m.fp.Empty() || m.fp.Frame() != -1 {
 						t.Fatalf("FinishEvict(%d) left a non-empty slot", idx)

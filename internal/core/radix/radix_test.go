@@ -2,7 +2,9 @@ package radix
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -160,44 +162,143 @@ func TestFinishInitKeepsRacingRef(t *testing.T) {
 	}
 }
 
+// TestRefEvictExclusion tortures the one rule everything else leans on: a
+// held reference and a won eviction never coexist. Each goroutine alternates
+// between the two roles, retries until it wins (holding nothing meanwhile)
+// and parks while it holds the page, so the other role runs against a held
+// page constantly. The two sides watch each other through
+// counters of their own, because the slot's fields flicker under attempts
+// that are about to fail: a losing TryRef bumps Refs() for an instant, a
+// losing TryEvict passes through Evicting.
 func TestRefEvictExclusion(t *testing.T) {
-	// Torture: referencing and evicting must never both succeed at once.
 	var p FPage
 	p.frame.Store(-1)
 	p.TryBeginInit()
 	p.FinishInit(1)
 	p.Unref()
 
-	var violations int32
-	var mu sync.Mutex
+	var holders, evictors, refWins, evictWins, violations atomic.Int32
+	// during parks inside a won claim and counts the other side's winners
+	// seen on either edge of the park.
+	during := func(mine, theirs *atomic.Int32) {
+		mine.Add(1)
+		before := theirs.Load()
+		runtime.Gosched()
+		violations.Add(before + theirs.Load())
+		mine.Add(-1)
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 5000; i++ {
-				if p.TryRef() {
-					if !p.Ready() {
-						mu.Lock()
-						violations++
-						mu.Unlock()
+				if (g+i)%2 == 0 {
+					for !p.TryRef() {
+						runtime.Gosched()
 					}
+					refWins.Add(1)
+					during(&holders, &evictors)
 					p.Unref()
-				} else if p.TryEvict() {
-					if p.Refs() != 0 {
-						mu.Lock()
-						violations++
-						mu.Unlock()
+				} else {
+					for !p.TryEvict() {
+						runtime.Gosched()
 					}
-					p.FinishInit(1) // reinstate for the next round
-					p.Unref()
+					evictWins.Add(1)
+					during(&evictors, &holders)
+					p.CancelEvict()
 				}
 			}
-		}()
+		}(g)
 	}
 	wg.Wait()
-	if violations != 0 {
-		t.Fatalf("%d exclusion violations", violations)
+	if n := violations.Load(); n != 0 {
+		t.Fatalf("%d exclusion violations", n)
+	}
+	// Vacuousness guard: a run in which one side never won checked nothing.
+	if refWins.Load() == 0 || evictWins.Load() == 0 {
+		t.Fatalf("arms ran %d (ref) and %d (evict) times; both must run", refWins.Load(), evictWins.Load())
+	}
+	t.Logf("ref arm won %d times, evict arm %d", refWins.Load(), evictWins.Load())
+}
+
+// TestFPageTransitionTable drives every transition from every state: the
+// legal move lands in its target state with the expected count and frame, a
+// Try* form from the wrong state returns false and changes nothing, and a
+// checked transition from the wrong state panics.
+func TestFPageTransitionTable(t *testing.T) {
+	const attached, fresh, same = 7, 9, -2
+	states := []struct {
+		name  string
+		state int32
+		refs  int32
+		frame int32
+	}{
+		{"Empty", slotEmpty, 0, -1},
+		{"Init", slotInit, 0, -1},
+		{"Ready", slotReady, 0, attached},
+		{"Ready+ref", slotReady, 1, attached},
+		{"Evicting", slotEvicting, 0, attached},
+	}
+	always := func(f func(*FPage)) func(*FPage) bool {
+		return func(p *FPage) bool { f(p); return true }
+	}
+	ops := []struct {
+		name     string
+		run      func(*FPage) bool
+		from, to int32
+		checked  bool  // wrong state panics, rather than returning false
+		refs     int32 // added to the count by the legal move
+		frame    int32 // attached after the legal move, or same
+	}{
+		{"TryBeginInit", (*FPage).TryBeginInit, slotEmpty, slotInit, false, 0, same},
+		{"FinishInit", always(func(p *FPage) { p.FinishInit(fresh) }), slotInit, slotReady, true, 1, fresh},
+		{"AbortInit", always((*FPage).AbortInit), slotInit, slotEmpty, true, 0, -1},
+		{"TryRef", (*FPage).TryRef, slotReady, slotReady, false, 1, same},
+		{"TryEvict", (*FPage).TryEvict, slotReady, slotEvicting, false, 0, same},
+		{"CancelEvict", always((*FPage).CancelEvict), slotEvicting, slotReady, true, 0, same},
+		{"FinishEvict", always((*FPage).FinishEvict), slotEvicting, slotEmpty, true, 0, -1},
+	}
+	for _, st := range states {
+		for _, op := range ops {
+			t.Run(st.name+"/"+op.name, func(t *testing.T) {
+				var p FPage
+				p.state.Store(st.state)
+				p.refs.Store(st.refs)
+				p.frame.Store(st.frame)
+
+				// A reference is the one thing besides the state that makes
+				// a move illegal: it turns TryEvict away.
+				legal := st.state == op.from && !(op.name == "TryEvict" && st.refs > 0)
+				var ok, panicked bool
+				func() {
+					defer func() { panicked = recover() != nil }()
+					ok = op.run(&p)
+				}()
+				if panicked != (op.checked && !legal) {
+					t.Fatalf("panicked = %v", panicked)
+				}
+				if panicked {
+					return // the slot is wreckage; the run is over
+				}
+				if ok != legal {
+					t.Fatalf("returned %v, want %v", ok, legal)
+				}
+				want := st
+				if legal {
+					want.state, want.refs = op.to, st.refs+op.refs
+					if op.frame != same {
+						want.frame = op.frame
+					}
+				}
+				if got := p.state.Load(); got != want.state {
+					t.Errorf("state = %d, want %d", got, want.state)
+				}
+				if p.Refs() != want.refs || p.Frame() != want.frame {
+					t.Errorf("refs = %d frame = %d, want %d and %d", p.Refs(), p.Frame(), want.refs, want.frame)
+				}
+			})
+		}
 	}
 }
 

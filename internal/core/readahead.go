@@ -304,16 +304,15 @@ func (fs *FS) spanFetch(b *gpu.Block, f *file, start, count, stride int64, spec 
 		ns, done, err := fs.lane(b).Gran(gran).ReadAsync(b.Clock, f.hostFd, runFirst*ps, dsts)
 		if err != nil {
 			for _, cl := range run {
-				fs.abort(fc, cl.fp, cl.fr)
+				fs.abort(fc, cl)
 			}
 			run = run[:0]
 			return
 		}
 		for i, cl := range run {
-			fs.publish(b, f, cl.fr, ns[i], done, true, spec)
+			fs.publish(b, f, cl, ns[i], done, spec)
 			b.Busy(fs.probeCost())
-			cl.fp.FinishInit(cl.fr.Index)
-			cl.fp.Unref()
+			cl.release()
 		}
 		b.Busy(fs.opt.APICostPerPage)
 		if spec != pcache.SpecNone {
@@ -343,12 +342,11 @@ func (fs *FS) spanFetch(b *gpu.Block, f *file, start, count, stride int64, spec 
 			flush()
 			continue
 		}
-		fr := fs.cache.TryAllocOn(b.Idx, fc.tree.ID(), idx*ps)
+		fr := fs.takeFrame(b.Idx, fc, idx*ps)
 		if fr == nil {
-			fp.AbortInit()
+			fs.abort(fc, pageRef{fp: fp})
 			break
 		}
-		fc.frames.Add(1)
 		if len(run) > 0 && idx != runFirst+int64(len(run)) {
 			flush()
 		}

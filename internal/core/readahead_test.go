@@ -11,7 +11,7 @@ import (
 )
 
 // TestEvictFromFileLargeTargetSingleCall is the regression test for the
-// leaf-traversal bound in evictFromFileOn: with the old fixed bound a
+// leaf-traversal bound in evictFromFile: with the old fixed bound a
 // single call could never reclaim more than ~128 pages from one file (two
 // full leaves plus slack), so large targets silently under-delivered and
 // the caller spun. The bound now scales with the target.
@@ -43,7 +43,7 @@ func TestEvictFromFileLargeTargetSingleCall(t *testing.T) {
 		if len(victims) != 1 || victims[0].class != 0 {
 			t.Fatalf("victims = %+v", victims)
 		}
-		if n := fs.evictFromFile(b, victims[0], pages); n != pages {
+		if n := fs.evictFromFile(fs.blockActor(b), victims[0], pages, false); n != pages {
 			t.Errorf("one evictFromFile call reclaimed %d of %d pages", n, pages)
 		}
 		return nil
@@ -66,7 +66,7 @@ func TestFetchBudgetScaling(t *testing.T) {
 	}
 	// Drain to 20 free: below the 2*cap threshold, budget = free/2.
 	for i := 0; i < 44; i++ {
-		if fs.cache.TryAlloc(99, int64(i)*opt.PageSize) == nil {
+		if fs.cache.TryAllocOn(0, 99, int64(i)*opt.PageSize) == nil {
 			t.Fatal("TryAlloc failed with free frames available")
 		}
 	}
@@ -75,12 +75,12 @@ func TestFetchBudgetScaling(t *testing.T) {
 	}
 	// Drain to 1 and then 0: budget hits zero before the pool does.
 	for i := 44; i < 63; i++ {
-		fs.cache.TryAlloc(99, int64(i)*opt.PageSize)
+		fs.cache.TryAllocOn(0, 99, int64(i)*opt.PageSize)
 	}
 	if got := fs.fetchBudget(); got != 0 {
 		t.Fatalf("1-free budget = %d, want 0", got)
 	}
-	fs.cache.TryAlloc(99, 63*opt.PageSize)
+	fs.cache.TryAllocOn(0, 99, 63*opt.PageSize)
 	if got := fs.fetchBudget(); got != 0 {
 		t.Fatalf("drained budget = %d, want 0", got)
 	}

@@ -43,8 +43,13 @@ func (fs *FS) recordAt(block int, op trace.Op, path string, off, n int64, start,
 	fs.tracer.Record(e)
 }
 
-// pathOf resolves a descriptor's path for tracing, best-effort.
+// pathOf resolves a descriptor's path for tracing, best-effort. With no
+// tracer listening it resolves nothing: the lookup takes the table lock, which
+// the hit path otherwise takes once per call.
 func (fs *FS) pathOf(fd int) string {
+	if !fs.tracer.Enabled() {
+		return ""
+	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fd >= 0 && fd < len(fs.fds) && fs.fds[fd] != nil {

@@ -207,9 +207,6 @@ func New(cfg Config, numHosts int, factory HostFactory) (*ControlPlane, error) {
 // Config returns the control plane's defaulted configuration.
 func (cp *ControlPlane) Config() Config { return cp.cfg }
 
-// NumHosts reports the fleet size (including dead hosts).
-func (cp *ControlPlane) NumHosts() int { return len(cp.hosts) }
-
 // subscribeXID routes the injector's XID events into the health monitor,
 // tagged with the incarnation so a replaced machine's stragglers are
 // ignored.

@@ -183,8 +183,7 @@ type Config struct {
 	// FrameShards is the number of free-list shards in the per-GPU frame
 	// allocator. Lanes (threadblocks, cleaner workers) allocate from the
 	// shard they hash to and steal from neighbors when it is empty. 0
-	// (the default) auto-sizes to the GPU's multiprocessor count; 1 is
-	// a single LIFO free list: no lane steering and nothing to steal.
+	// (the default) auto-sizes to the GPU's multiprocessor count.
 	FrameShards int
 	// MetricsEnabled attaches a metrics registry (internal/metrics) to
 	// the system: per-op latency histograms and counters across the rpc,

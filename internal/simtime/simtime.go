@@ -212,13 +212,6 @@ func (r *Resource) Occupy(from, to Time) {
 	r.cal = append(r.cal[:i], append([]ival{merged}, r.cal[j:]...)...)
 }
 
-// AcquireAt is like Acquire but also returns the queueing delay the caller
-// experienced before its reservation began.
-func (r *Resource) AcquireAt(now Time, d Duration) (start, end Time, queued Duration) {
-	start, end = r.Acquire(now, d)
-	return start, end, start.Sub(now)
-}
-
 // Probe reports when a reservation of d starting no earlier than now could
 // begin, without booking it.
 func (r *Resource) Probe(now Time, d Duration) Time {
