@@ -11,7 +11,8 @@
 #                internal/core/page.go still the one owner of the page
 #                lifecycle (no other non-test file of the package takes a
 #                slot transition, allocates or releases a frame, moves
-#                fileCache.frames or stores Frame.Dirty), the full
+#                fileCache.frames, or moves Frame.Dirty or the dirty-page
+#                counts kept beside it), the full
 #                suite under the race detector (the stress/oracle tests
 #                run 500 seeds concurrently, so this is where sync bugs
 #                die), the bench guardrail pinning the Fig4 16K/32K
@@ -66,7 +67,7 @@ tier2:
 	@leaked=$$($(GO) list -f '{{join .Imports "\n"}}' ./internal/rpc | \
 		grep -xE 'gpufs/internal/(hostfs|gsys)'); if [ -n "$$leaked" ]; then \
 		echo "internal/rpc is the ring transport and may not import:"; echo "$$leaked"; exit 1; fi
-	@strays=$$(grep -nE '\.(TryBeginInit|FinishInit|AbortInit|TryEvict|CancelEvict|FinishEvict)\(|cache\.(TryAllocOn|Release)\(|frames\.Add\(|Dirty\.Store\(' \
+	@strays=$$(grep -nE '\.(TryBeginInit|FinishInit|AbortInit|TryEvict|CancelEvict|FinishEvict)\(|cache\.(TryAllocOn|Release)\(|frames\.Add\(|Dirty\.(Store|Swap|CompareAndSwap)\(|(dirty|dirtyPages)\.Add\(' \
 		$$(ls internal/core/*.go | grep -v -e '_test\.go$$' -e '/page\.go$$')); if [ -n "$$strays" ]; then \
 		echo "internal/core/page.go owns the page lifecycle; these call sites bypass it:"; echo "$$strays"; exit 1; fi
 	$(GO) test -race -timeout 30m ./...

@@ -100,24 +100,30 @@ func TestFig4ShapeTiny(t *testing.T) {
 	}
 }
 
-// TestTable3ShapeTiny checks multi-GPU scaling monotonicity at tiny scale.
+// TestTable3ShapeTiny checks multi-GPU scaling monotonicity at tiny scale, on
+// the unrounded times: at this scale two cells can print as the same
+// hundredth. It compares free-running multi-block timelines, so until virtual
+// time is a function of the inputs (ROADMAP item 1) it runs at one P: at two,
+// 3 of 15 runs had 4 GPUs no faster than 1, or 1 GPU no faster than the CPU.
 func TestTable3ShapeTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness in -short mode")
 	}
-	tb, err := Table3(1.0 / 256)
+	simtest.OneP(t)
+	tb, times, err := table3(1.0 / 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range tb.Rows {
-		one := numericCell(t, row[2])
-		four := numericCell(t, row[5])
-		if four >= one {
-			t.Fatalf("%s: 4 GPUs (%v) not faster than 1 (%v)", row[0], four, one)
+	if len(times) != len(tb.Rows) {
+		t.Fatalf("%d rows rendered from %d rows of times", len(tb.Rows), len(times))
+	}
+	for i, tm := range times {
+		name := tb.Rows[i][0]
+		if one, four := tm.gpus[0], tm.gpus[3]; four >= one {
+			t.Fatalf("%s: 4 GPUs (%v) not faster than 1 (%v)", name, four, one)
 		}
-		cpu := numericCell(t, row[1])
-		if one >= cpu {
-			t.Fatalf("%s: 1 GPU (%v) not faster than CPUx8 (%v)", row[0], one, cpu)
+		if one := tm.gpus[0]; one >= tm.cpu {
+			t.Fatalf("%s: 1 GPU (%v) not faster than CPUx8 (%v)", name, one, tm.cpu)
 		}
 	}
 }

@@ -114,7 +114,7 @@ type Ckpt struct {
 	fs    *FS
 	cap   *ckptCapture
 	clk   *simtime.Clock
-	lane  *gsys.Client
+	lane  gsys.Client
 	files []ckptFileEntry
 }
 
@@ -190,6 +190,7 @@ func (ck *Ckpt) Walk() {
 	fs.mu.Unlock()
 
 	cap := ck.cap
+	var snap []byte // every page is copied through it, then out of it
 	for i := range ck.files {
 		e := &ck.files[i]
 		fc := e.fc
@@ -220,7 +221,7 @@ func (ck *Ckpt) Walk() {
 			}
 			// Copy OUTSIDE cap.mu: Snapshot takes the frame lock, which
 			// a concurrent writer holds while taking cap.mu in the hook.
-			data, _, valid := fr.Snapshot()
+			data, _, valid := fr.Snapshot(&snap)
 			dirty := fr.Dirty.Load()
 			if valid > int64(len(data)) {
 				valid = int64(len(data))

@@ -106,13 +106,26 @@ func (fs *FS) maybeClean(now simtime.Time) {
 // back through the retained descriptor, frames freed), open files have
 // their cold dirty pages cleaned in place so a later eviction finds them
 // clean.
+//
+// A pass has work only where a page is dirty, so it visits only the files
+// whose dirty count (setDirty) is non-zero and, when the FS has no dirty page
+// at all, not even the file tables: its host cost follows the dirty files, not
+// the cached ones. Walking a clean file booked nothing and sent nothing, so
+// skipping the walk moves no clock; the kick is counted and the lane's clock
+// advanced by maybeClean either way.
 func (fs *FS) runCleanerPass(a actor) {
+	if fs.dirtyPages.Load() == 0 {
+		return
+	}
 	c := fs.cleaner
 	start := a.clk.Now()
 	evicted := 0
 	cleaned := 0
 
 	for _, v := range fs.pickVictims() {
+		if v.fc.dirty.Load() == 0 {
+			continue
+		}
 		free := fs.cache.FreeFrames()
 		if free >= c.high && v.class == 0 {
 			continue // pool recovered: no need to pre-evict more

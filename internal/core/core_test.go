@@ -48,7 +48,7 @@ var (
 
 const rigDevMemBandwidth = 144_000 * simtime.MBps
 
-func newHarness(t *testing.T, gpus int, opt Options) *harness {
+func newHarness(t testing.TB, gpus int, opt Options) *harness {
 	t.Helper()
 	host := hostfs.New(rigHost)
 	layer := wrapfs.New(host)
@@ -91,14 +91,14 @@ func defaultOpt() Options {
 
 const hostRW = hostfs.ModeRead | hostfs.ModeWrite
 
-func (h *harness) write(t *testing.T, path string, data []byte) {
+func (h *harness) write(t testing.TB, path string, data []byte) {
 	t.Helper()
 	if err := h.host.WriteFile(simtime.NewClock(0), path, data, hostRW); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func (h *harness) read(t *testing.T, path string) []byte {
+func (h *harness) read(t testing.TB, path string) []byte {
 	t.Helper()
 	data, err := h.host.ReadFile(simtime.NewClock(0), path)
 	if err != nil {
@@ -1222,6 +1222,7 @@ func TestOracleConcurrentDisjoint(t *testing.T) {
 		}
 		return nil
 	})
+	h.checkDirtyCounts(t)
 }
 
 func TestFsyncRange(t *testing.T) {

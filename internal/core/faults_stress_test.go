@@ -436,4 +436,5 @@ func runFaultStress(t *testing.T, seed int64, shards, workers int, totalInjected
 	if fs.Cache().Reclaimed() == 0 {
 		t.Fatalf("stress run exerted no eviction pressure; shrink the cache")
 	}
+	h.checkDirtyCounts(t)
 }

@@ -176,6 +176,10 @@ type FS struct {
 	cleanedPages   atomic.Int64
 	cleanerKicks   atomic.Int64
 
+	// dirtyPages counts resident pages whose Frame.Dirty is set, over every
+	// file: the sum of fileCache.dirty, kept by setDirty for the cleaner.
+	dirtyPages atomic.Int64
+
 	// History accounting (ISSUE 9), surfaced as CacheStats.Replay* and
 	// History*: pages issued on a recorded profile's word (a subset of
 	// prefetchIssued), their used/wasted outcomes, opens that started from
@@ -293,6 +297,10 @@ type fileCache struct {
 	// frames counts resident pages, so the eviction policy can skip
 	// empty caches cheaply.
 	frames atomic.Int64
+
+	// dirty counts resident pages with local writes the host lacks, so a
+	// cleaner pass can skip a file that has none (see setDirty).
+	dirty atomic.Int64
 
 	// keepFd is the host descriptor retained after the last gclose (the
 	// open file table stores "the CPU file descriptor used for data
@@ -489,7 +497,8 @@ func (fs *FS) Syscalls() *gsys.Client { return fs.sys }
 // shard, so a threadblock's calls keep FIFO order on one ring while
 // blocks on different shards overlap across daemon workers. Strong
 // ordering (the default for every call below) blocks the lane's clock.
-func (fs *FS) lane(b *gpu.Block) *gsys.Client { return fs.sys.Bind(b.Idx) }
+// The view is a value: binding per call costs a copy, not an allocation.
+func (fs *FS) lane(b *gpu.Block) gsys.Client { return fs.sys.Bind(b.Idx) }
 
 // newFileCache builds an empty cache for a file.
 func (fs *FS) newFileCache(path string, ino, gen, size int64) *fileCache {

@@ -297,7 +297,7 @@ func (fs *FS) writeImpl(b *gpu.Block, fd int, src []byte, off int64) (int, error
 		b.CopyBytes(ref.fr.Data[inPage:inPage+n], src[done:done+n])
 		extendValid(ref.fr, inPage+n)
 		ref.fr.Unlock()
-		ref.markDirty()
+		fs.markDirty(f.fc, ref)
 		ref.release()
 		done += n
 	}

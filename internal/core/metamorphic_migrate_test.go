@@ -183,6 +183,9 @@ func TestMetamorphicMigrateEquality(t *testing.T) {
 						t.Errorf("speculation counters moved under the %q policy: control %+v migrated %+v",
 							pol.name, deltaC, deltaM)
 					}
+					for _, h := range []*harness{hc, ha, hb} {
+						h.checkDirtyCounts(t)
+					}
 				})
 			}
 		})

@@ -92,6 +92,7 @@ func runShape(t *testing.T, pol readPolicy, shape readShape, want []byte) ([]byt
 		}
 		return fs.Close(b, fd)
 	})
+	h.checkDirtyCounts(t)
 	return got, fs.CacheStats()
 }
 

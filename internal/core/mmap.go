@@ -118,7 +118,7 @@ func (m *Mapping) munmapImpl(b *gpu.Block) error {
 // MarkDirty on such a mapping is a no-op.
 func (m *Mapping) MarkDirty() {
 	if m.valid && m.f.writable {
-		m.ref.markDirty()
+		m.fs.markDirty(m.f.fc, m.ref)
 		extendValid(m.ref.fr, m.FileOffset-m.ref.fr.Offset.Load()+int64(len(m.Data)))
 		extendSize(m.f.fc, m.FileOffset+int64(len(m.Data)))
 	}

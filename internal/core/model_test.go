@@ -385,6 +385,7 @@ func runModelSchedule(t *testing.T, seed int64, zeroCopy, migrate bool) {
 			t.Fatalf("gpu%d evicted %d pages; the model assumes none (grow the cache)", g, n)
 		}
 	}
+	h.checkDirtyCounts(t)
 }
 
 // migrateModelHarness checkpoints every GPU mid-schedule, builds a whole

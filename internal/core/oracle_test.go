@@ -198,4 +198,5 @@ func runOracle(t *testing.T, seed int64) {
 	if fs.Cache().Reclaimed() == 0 {
 		t.Fatalf("oracle run exerted no eviction pressure; shrink the cache")
 	}
+	h.checkDirtyCounts(t)
 }

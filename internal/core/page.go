@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"gpufs/internal/core/pcache"
 	"gpufs/internal/core/radix"
@@ -15,8 +16,9 @@ import (
 // checks the slot transitions; this file composes them with what they imply
 // for the frame, fileCache.frames and the speculation counters, and is the
 // only file of the package that moves a page between states, takes or frees a
-// frame, or stores Frame.Dirty (`make tier2` greps for it). The hit path of
-// getPage takes its reference inline: a reference is a count, not a move.
+// frame, or moves Frame.Dirty and the dirty-page counts (`make tier2` greps
+// for it). The hit path of getPage takes its reference inline: a reference is
+// a count, not a move.
 
 // pageRef is a page the caller has a claim on: a reference (from getPage or
 // publish), protecting fr against reclamation until release, or the Init
@@ -28,16 +30,34 @@ type pageRef struct {
 
 func (r pageRef) release() { r.fp.Unref() }
 
-// markDirty records local writes the host does not have yet; the caller
-// holds a reference. Only write-back clears it.
-func (r pageRef) markDirty() { r.fr.Dirty.Store(true) }
+// markDirty records local writes the host does not have yet on a page of fc;
+// the caller holds a reference. Only write-back clears it.
+func (fs *FS) markDirty(fc *fileCache, r pageRef) { fs.setDirty(fc, r.fr, true) }
+
+// setDirty moves fr's dirty flag and, when the flag really changed, the
+// counts of dirty pages resident for fc and for the whole FS. The counts are
+// the cleaner's hint and nothing else: a pass skips a file that has none and
+// does not start when the FS has none. Durability never reads them — gfsync,
+// gclose, eviction and the checkpoint walk pages and read Frame.Dirty — so a
+// count that lags a racing flag can delay a cleaning, not lose a write.
+func (fs *FS) setDirty(fc *fileCache, fr *pcache.Frame, dirty bool) {
+	if fr.Dirty.Swap(dirty) == dirty {
+		return
+	}
+	d := int64(1)
+	if !dirty {
+		d = -1
+	}
+	fc.dirty.Add(d)
+	fs.dirtyPages.Add(d)
+}
 
 // actor is who runs a lifecycle step that talks to the host or costs time: a
 // threadblock (its clock, its MP, its home ring shard) or a background
 // cleaner lane (its own clock, which per-page bookkeeping advances directly
 // since no MP is occupied).
 type actor struct {
-	lane  *gsys.Client
+	lane  gsys.Client
 	clk   *simtime.Clock
 	busy  func(simtime.Duration)
 	block int // trace attribution; negative for cleaner lanes
@@ -141,7 +161,14 @@ type writeBack struct {
 	fc     *fileCache
 	hostFd int64
 	wrote  bool
+	// buf is the one buffer every page of this walk is snapshotted through,
+	// drawn from snapBufs at the first dirty page and returned by done.
+	buf *[]byte
 }
+
+// snapBufs recycles write-back snapshot buffers across walks: most walks
+// write one or two pages, so a buffer per walk would still be one per page.
+var snapBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // frame writes back one page the caller keeps from reclamation (a reference,
 // or the Evicting state), sending only the bytes this GPU actually modified:
@@ -166,8 +193,11 @@ func (w *writeBack) frame(fr *pcache.Frame) error {
 	// sync either lands in the snapshot (shipped now, re-flagged
 	// harmlessly) or re-dirties the page for the next sync. Either way
 	// nothing is lost.
-	fr.Dirty.Store(false)
-	data, pristine, valid := fr.Snapshot()
+	w.fs.setDirty(w.fc, fr, false)
+	if w.buf == nil {
+		w.buf = snapBufs.Get().(*[]byte)
+	}
+	data, pristine, valid := fr.Snapshot(w.buf)
 	base := fr.Offset.Load()
 
 	var ranges []Range
@@ -184,7 +214,8 @@ func (w *writeBack) frame(fr *pcache.Frame) error {
 
 	for _, r := range ranges {
 		if _, err := w.a.lane.WritePages(w.a.clk, w.hostFd, base+r.Start, data[r.Start:r.End]); err != nil {
-			fr.Dirty.Store(true)
+			// A racing writer may have re-dirtied it already.
+			w.fs.setDirty(w.fc, fr, true)
 			return fmt.Errorf("gpufs: writing back page at %d: %w", base, err)
 		}
 	}
@@ -199,6 +230,10 @@ func (w *writeBack) frame(fr *pcache.Frame) error {
 // the host file's generation so the consistency layer keeps considering its
 // cached copy current.
 func (w *writeBack) done() {
+	if w.buf != nil {
+		snapBufs.Put(w.buf)
+		w.buf = nil
+	}
 	if w.wrote {
 		w.fs.refreshGeneration(w.a, w.fc, w.hostFd)
 	}
@@ -249,6 +284,9 @@ func (fs *FS) reclaim(fc *fileCache, fp *radix.FPage, fr *pcache.Frame, byPaging
 			fs.historyWasted.Add(1)
 		}
 	}
+	// Dirty here means dropped, not written back: truncate, unlink,
+	// invalidation, the card's restart.
+	fs.setDirty(fc, fr, false)
 	fs.cache.Release(fr, byPaging)
 	fc.frames.Add(-1)
 	fp.FinishEvict()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"gpufs/internal/core/pcache"
@@ -9,6 +10,7 @@ import (
 	"gpufs/internal/faults"
 	"gpufs/internal/gpu"
 	"gpufs/internal/gsys"
+	"gpufs/internal/simtime/simtest"
 )
 
 // The composite steps of page.go that no other test drives directly.
@@ -176,4 +178,53 @@ func TestHoldRefusesRecycledFrame(t *testing.T) {
 		fr.FileID.Store(fc.tree.ID())
 		return fs.Close(b, fd)
 	})
+}
+
+// TestWriteBackAllocatesNoPageBuffer: write-back snapshots a page through a
+// buffer recycled across walks and the daemon stages it in another, so at
+// steady state dirtying and syncing a page allocates the two RPCs' frames,
+// calls and clocks — a small fraction of the page (ISSUE 17; the parent made
+// two fresh page copies per page written).
+func TestWriteBackAllocatesNoPageBuffer(t *testing.T) {
+	opt := defaultOpt()
+	opt.PageSize = 64 << 10
+	opt.CacheBytes = 8 * opt.PageSize
+	h := newHarness(t, 1, opt)
+	fs := h.fss[0]
+	h.write(t, "/w", make([]byte, opt.PageSize))
+	page := pattern(int(opt.PageSize), 3)
+
+	h.run(t, 0, func(b *gpu.Block) error {
+		fd, err := fs.Open(b, "/w", O_RDWR)
+		if err != nil {
+			return err
+		}
+		dirtyAndSync := func() error {
+			if _, err := fs.Write(b, fd, page, 0); err != nil {
+				return err
+			}
+			return fs.Fsync(b, fd)
+		}
+		if err := dirtyAndSync(); err != nil {
+			return err
+		}
+		const rounds = 400
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			if err := dirtyAndSync(); err != nil {
+				return err
+			}
+		}
+		runtime.ReadMemStats(&after)
+		// Two pooled buffers per page: the snapshot's and the daemon's.
+		bound := opt.PageSize/8 + 2*simtest.PoolSlack(opt.PageSize)
+		if perPage := int64(after.TotalAlloc-before.TotalAlloc) / rounds; perPage >= bound {
+			t.Errorf("writing back a page allocates %d B at steady state, want < %d (the page is %d)", perPage, bound, opt.PageSize)
+		}
+		return fs.Close(b, fd)
+	})
+	if got := h.read(t, "/w"); !bytes.Equal(got, page) {
+		t.Error("the page did not reach the host")
+	}
 }

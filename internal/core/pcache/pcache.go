@@ -84,17 +84,20 @@ func (f *Frame) Lock() { f.mu.Lock() }
 // Unlock releases Lock.
 func (f *Frame) Unlock() { f.mu.Unlock() }
 
-// Snapshot returns consistent copies of the page's valid content and of
-// the pristine copy (nil if none), for race-free diffing during write-back.
-func (f *Frame) Snapshot() (data, pristine []byte, valid int64) {
+// Snapshot copies the page's valid content and its pristine copy (nil if
+// none) consistently, for race-free diffing during write-back. Both land in
+// *buf, overwritten from its start and grown if too small, so a walk over
+// many pages copies through one buffer; the results alias it.
+func (f *Frame) Snapshot(buf *[]byte) (data, pristine []byte, valid int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	valid = f.ValidBytes.Load()
-	data = append([]byte(nil), f.Data[:valid]...)
-	if f.pristine != nil {
-		pristine = append([]byte(nil), f.pristine...)
+	*buf = append((*buf)[:0], f.Data[:valid]...)
+	if len(f.pristine) > 0 {
+		*buf = append(*buf, f.pristine...)
+		pristine = (*buf)[valid:]
 	}
-	return data, pristine, valid
+	return (*buf)[:valid], pristine, valid
 }
 
 // Matches validates the frame's identity: owning tree id and file offset.
@@ -141,6 +144,9 @@ type Cache struct {
 	frames   []Frame
 
 	shards []frameShard
+	// free is the frames on the shards' lists, summed: moved with each pop
+	// and push so that FreeFrames, asked per fault, takes no lock.
+	free atomic.Int64
 
 	allocs    atomic.Int64
 	reclaimed atomic.Int64
@@ -195,6 +201,7 @@ func NewSharded(mem *memsys.Arena, totalBytes, pageSize int64, nshards int) (*Ca
 		s := &c.shards[int(i)%nshards]
 		s.free = append(s.free, i)
 	}
+	c.free.Store(n)
 	return c, nil
 }
 
@@ -209,16 +216,7 @@ func (c *Cache) NumFrames() int { return len(c.frames) }
 
 // FreeFrames reports how many frames are currently unallocated, summed
 // across shards.
-func (c *Cache) FreeFrames() int {
-	total := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		total += len(s.free)
-		s.mu.Unlock()
-	}
-	return total
-}
+func (c *Cache) FreeFrames() int { return int(c.free.Load()) }
 
 // Shards reports the number of free-list shards.
 func (c *Cache) Shards() int { return len(c.shards) }
@@ -277,6 +275,7 @@ func (c *Cache) TryAllocOn(lane int, fileID uint64, offset int64) *Frame {
 		if k := len(s.free); k > 0 {
 			idx = s.free[k-1]
 			s.free = s.free[:k-1]
+			c.free.Add(-1)
 			s.mu.Unlock()
 			if d > 0 {
 				c.steals.Add(1)
@@ -336,5 +335,6 @@ func (c *Cache) Release(f *Frame, reclaimedByPaging bool) {
 	s := &c.shards[int(f.Index)%len(c.shards)]
 	s.mu.Lock()
 	s.free = append(s.free, f.Index)
+	c.free.Add(1)
 	s.mu.Unlock()
 }

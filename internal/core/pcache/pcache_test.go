@@ -132,7 +132,8 @@ func TestSnapshotConsistency(t *testing.T) {
 	copy(f.Data, []byte("hello"))
 	f.ValidBytes.Store(5)
 	f.SetPristine([]byte("help!"))
-	data, pristine, valid := f.Snapshot()
+	var buf []byte
+	data, pristine, valid := f.Snapshot(&buf)
 	if valid != 5 || string(data) != "hello" || string(pristine) != "help!" {
 		t.Fatalf("snapshot: %q %q %d", data, pristine, valid)
 	}
@@ -140,6 +141,52 @@ func TestSnapshotConsistency(t *testing.T) {
 	f.Data[0] = 'X'
 	if data[0] != 'h' {
 		t.Fatalf("snapshot aliases frame data")
+	}
+	// The next snapshot lands in the same buffer, whatever it held; a page
+	// with no pristine copy reports none.
+	g := c.TryAllocOn(0, 1, 4<<10)
+	copy(g.Data, []byte("bye"))
+	g.ValidBytes.Store(3)
+	again, pristine, valid := g.Snapshot(&buf)
+	if valid != 3 || string(again) != "bye" || pristine != nil {
+		t.Fatalf("second snapshot: %q %q %d", again, pristine, valid)
+	}
+	if &again[0] != &data[0] {
+		t.Fatalf("snapshot did not reuse the buffer it was given")
+	}
+}
+
+// TestFreeFramesTracksEveryShard: FreeFrames is a count the allocator keeps,
+// not a walk of the shards; it must agree with the lists through steals,
+// exhaustion and releases to home shards.
+func TestFreeFramesTracksEveryShard(t *testing.T) {
+	c := newShardedCache(t, 16, 4)
+	listed := func() int {
+		n := 0
+		for i := range c.shards {
+			n += len(c.shards[i].free)
+		}
+		return n
+	}
+	var held []*Frame
+	for i := 0; ; i++ {
+		f := c.TryAllocOn(1, 1, int64(i)) // one lane: drains its shard, then steals
+		if f == nil {
+			break
+		}
+		held = append(held, f)
+		if c.FreeFrames() != listed() || c.FreeFrames() != 16-len(held) {
+			t.Fatalf("after %d allocs: FreeFrames %d, lists hold %d", len(held), c.FreeFrames(), listed())
+		}
+	}
+	if len(held) != 16 || c.FreeFrames() != 0 {
+		t.Fatalf("drained %d frames, FreeFrames %d", len(held), c.FreeFrames())
+	}
+	for i, f := range held {
+		c.Release(f, i%2 == 0)
+		if c.FreeFrames() != listed() || c.FreeFrames() != i+1 {
+			t.Fatalf("after %d releases: FreeFrames %d, lists hold %d", i+1, c.FreeFrames(), listed())
+		}
 	}
 }
 

@@ -88,6 +88,62 @@ type slot struct {
 	mp       *simtime.Resource // the MP this slot executes on
 	at       simtime.Time      // virtual time the slot becomes free (freeMu)
 	assigned int64             // blocks dispatched to this slot (freeMu)
+
+	// scratch and rng are the on-die state a block finds on its slot rather
+	// than allocates: handed to one block at a time (blocks of a slot run
+	// back to back, launches serialize) and returned to their start-of-block
+	// state by blockScratch and blockRand. The scratchpad is made at the
+	// slot's first block, not with the device, so creating a device costs
+	// what it did.
+	scratch []byte
+	src     lazySource
+	rng     *rand.Rand // over src
+}
+
+// blockScratch returns the slot's scratchpad as a block must find it: n
+// zeroed bytes, whatever the previous block left there.
+func (s *slot) blockScratch(n int64) []byte {
+	if n <= 0 {
+		return nil
+	}
+	if s.scratch == nil {
+		s.scratch = make([]byte, n)
+	} else {
+		clear(s.scratch)
+	}
+	return s.scratch
+}
+
+// blockRand returns the slot's generator re-armed to yield the stream of
+// rand.New(rand.NewSource(seed)).
+func (s *slot) blockRand(seed int64) *rand.Rand {
+	s.rng.Seed(seed) // also drops bytes a previous block's Read left buffered
+	return s.rng
+}
+
+// lazySource is a rand.Source64 seeded at its first draw: seeding fills a
+// 607-word state, which costs more host time than most blocks' whole body,
+// and most kernels never draw. The stream is rand.NewSource(seed)'s.
+type lazySource struct {
+	src    rand.Source64 // nil until the first draw
+	seed   int64
+	seeded bool
+}
+
+func (l *lazySource) Seed(seed int64) { l.seed, l.seeded = seed, false }
+func (l *lazySource) Int63() int64    { return l.draw().Int63() }
+func (l *lazySource) Uint64() uint64  { return l.draw().Uint64() }
+
+func (l *lazySource) draw() rand.Source64 {
+	if !l.seeded {
+		if l.src == nil {
+			l.src = rand.NewSource(l.seed).(rand.Source64)
+		} else {
+			l.src.Seed(l.seed)
+		}
+		l.seeded = true
+	}
+	return l.src
 }
 
 // New creates a device.
@@ -119,6 +175,7 @@ func New(cfg Config) *Device {
 	d.slots = make([]slot, n)
 	for i := 0; i < n; i++ {
 		d.slots[i].mp = mps[i%cfg.MPs]
+		d.slots[i].rng = rand.New(&d.slots[i].src)
 	}
 	return d
 }
@@ -258,12 +315,10 @@ func (d *Device) Launch(start simtime.Time, blocks, threads int, fn BlockFunc) (
 					Blocks:  blocks,
 					Threads: threads,
 					Clock:   simtime.NewClock(startAt),
-					Rand:    rand.New(rand.NewSource(seq<<20 ^ int64(idx)*0x9e3779b9)),
+					Scratch: s.blockScratch(d.cfg.ScratchpadBytes),
+					Rand:    s.blockRand(seq<<20 ^ int64(idx)*0x9e3779b9),
 					dev:     d,
 					mp:      s.mp,
-				}
-				if d.cfg.ScratchpadBytes > 0 {
-					b.Scratch = make([]byte, d.cfg.ScratchpadBytes)
 				}
 
 				err := runBlock(b, fn)
@@ -379,9 +434,12 @@ type Block struct {
 	Threads int
 	// Clock is the block's local virtual clock.
 	Clock *simtime.Clock
-	// Scratch is the block's on-die scratchpad memory.
+	// Scratch is the block's on-die scratchpad memory: zeroed when the
+	// block starts, the next block's on this slot when it returns.
 	Scratch []byte
-	// Rand is a per-block deterministic random source.
+	// Rand is a per-block deterministic random source, a function of the
+	// launch's sequence number and Idx; like Scratch it is the block's only
+	// until it returns.
 	Rand *rand.Rand
 
 	dev *Device

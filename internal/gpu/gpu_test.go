@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -369,5 +370,132 @@ func TestSchedulerQualityProperty(t *testing.T) {
 		if makespan > upper {
 			t.Fatalf("seed %d: makespan %.4fs exceeds list-scheduling bound %.4fs", seed, makespan, upper)
 		}
+	}
+}
+
+// TestBlockRandStreamMatchesEagerSeed pins the lazily seeded Block.Rand to the
+// generator it replaced: for a fixed (launch seq, block idx) every kind of
+// draw yields what rand.New(rand.NewSource(seed)) yields, on a slot's first
+// block and on the ones that find its generator used.
+func TestBlockRandStreamMatchesEagerSeed(t *testing.T) {
+	d := New(Config{ID: 0, MPs: 1, BlocksPerMP: 2, MemBytes: 1 << 20})
+	for seq := int64(0); seq < 3; seq++ {
+		_, err := d.Launch(0, 8, 32, func(b *Block) error {
+			want := rand.New(rand.NewSource(seq<<20 ^ int64(b.Idx)*0x9e3779b9))
+			// An odd-length Read leaves bytes buffered in the Rand, which the
+			// slot's next block must not see.
+			got3, want3 := make([]byte, 3), make([]byte, 3)
+			b.Rand.Read(got3)
+			want.Read(want3)
+			if string(got3) != string(want3) {
+				return fmt.Errorf("seq %d block %d: Read = %x, want %x", seq, b.Idx, got3, want3)
+			}
+			if g, w := b.Rand.Int63n(1<<40), want.Int63n(1<<40); g != w {
+				return fmt.Errorf("seq %d block %d: Int63n = %d, want %d", seq, b.Idx, g, w)
+			}
+			if g, w := fmt.Sprint(b.Rand.Perm(9)), fmt.Sprint(want.Perm(9)); g != w {
+				return fmt.Errorf("seq %d block %d: Perm = %s, want %s", seq, b.Idx, g, w)
+			}
+			if g, w := b.Rand.Uint64(), want.Uint64(); g != w {
+				return fmt.Errorf("seq %d block %d: Uint64 = %d, want %d", seq, b.Idx, g, w)
+			}
+			if g, w := b.Rand.Float64(), want.Float64(); g != w {
+				return fmt.Errorf("seq %d block %d: Float64 = %v, want %v", seq, b.Idx, g, w)
+			}
+			got3 = got3[:2]
+			b.Rand.Read(got3)
+			want.Read(want3[:2])
+			if string(got3) != string(want3[:2]) {
+				return fmt.Errorf("seq %d block %d: second Read = %x, want %x", seq, b.Idx, got3, want3[:2])
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestScratchZeroedAtBlockStart: the scratchpad belongs to the slot, so block
+// k+1 on a slot gets the memory block k wrote — and must find it zeroed.
+func TestScratchZeroedAtBlockStart(t *testing.T) {
+	d := New(Config{ID: 0, MPs: 1, BlocksPerMP: 1, MemBytes: 1 << 20, ScratchpadBytes: 4 << 10})
+	var prev *byte
+	reused := 0
+	for launch := 0; launch < 2; launch++ {
+		_, err := d.Launch(0, 4, 32, func(b *Block) error {
+			if len(b.Scratch) != 4<<10 {
+				return fmt.Errorf("scratchpad %d", len(b.Scratch))
+			}
+			for i, v := range b.Scratch {
+				if v != 0 {
+					return fmt.Errorf("launch %d block %d: scratch[%d] = %#x at block start", launch, b.Idx, i, v)
+				}
+			}
+			if prev == &b.Scratch[0] {
+				reused++
+			}
+			prev = &b.Scratch[0]
+			for i := range b.Scratch {
+				b.Scratch[i] = 0xA5
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if reused != 7 {
+		t.Fatalf("one slot ran 8 blocks but handed its scratchpad on %d times, want 7", reused)
+	}
+}
+
+// launchBlocks is the steady-state launch of the allocation guardrail and
+// the benchmark: every slot busy, a body that touches its scratchpad and
+// never draws from Rand — the shape of the serving and file kernels.
+func launchBlocks(tb testing.TB, d *Device, blocks int) {
+	_, err := d.Launch(0, blocks, 256, func(b *Block) error {
+		b.Scratch[b.Idx%len(b.Scratch)] = 1
+		b.Compute(1e3)
+		return nil
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestLaunchAllocatesNoScratchOrGenerator is the guardrail of ISSUE 17's
+// first gain: a block finds its 48 KiB scratchpad and its generator on the
+// slot. What a block still allocates is its Block and Clock, and its share of
+// the launch's dispatch state and worker goroutines.
+func TestLaunchAllocatesNoScratchOrGenerator(t *testing.T) {
+	d := testDevice()
+	const blocks = 64
+	launchBlocks(t, d, blocks) // every slot makes its scratchpad once
+	var before, after runtime.MemStats
+	const launches = 20
+	runtime.ReadMemStats(&before)
+	for i := 0; i < launches; i++ {
+		launchBlocks(t, d, blocks)
+	}
+	runtime.ReadMemStats(&after)
+	perBlock := float64(after.TotalAlloc-before.TotalAlloc) / (launches * blocks)
+	if perBlock >= 1024 {
+		t.Fatalf("steady-state launch allocates %.0f B per block, want < 1024 (scratchpad is %d)",
+			perBlock, 48<<10)
+	}
+	if n := testing.AllocsPerRun(10, func() { launchBlocks(t, d, blocks) }); n > 8*blocks {
+		t.Fatalf("steady-state launch makes %.0f allocations for %d blocks", n, blocks)
+	}
+}
+
+func BenchmarkLaunchBlocks(b *testing.B) {
+	d := testDevice()
+	const blocks = 64
+	launchBlocks(b, d, blocks)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		launchBlocks(b, d, blocks)
 	}
 }

@@ -94,8 +94,10 @@ func (f *Future) Wait(blk *simtime.Clock) error {
 }
 
 // Client is one GPU's syscall endpoint: a thin dispatcher over the GPU's
-// rpc ring transport. Like rpc.Client, Bind (and Gran) derive cheap
-// views; views share the root's sequence space and counters.
+// rpc ring transport. It is a small value: Bind and Gran derive views by
+// copy, one per syscall on the file paths, so a view never reaches the heap
+// (no method lets its receiver escape); views share the root's sequence space
+// and counters.
 type Client struct {
 	svc  *Service
 	rpc  *rpc.Client
@@ -126,64 +128,61 @@ const sysLatencyMetric = "gpufs_sys_latency_seconds"
 
 // Bind returns a view of the client whose calls ride the ring shard that
 // lane hashes to.
-func (c *Client) Bind(lane int) *Client {
-	view := *c
-	view.lane = lane
-	view.rpc = c.rpc.Bind(lane)
-	return &view
+func (c Client) Bind(lane int) Client {
+	c.lane = lane
+	c.rpc = c.rpc.Bind(lane)
+	return c
 }
 
 // Gran returns a view whose descriptors carry the given issue
 // granularity.
-func (c *Client) Gran(g Granularity) *Client {
-	if g == c.gran {
-		return c
-	}
-	view := *c
-	view.gran = g
-	return &view
+func (c Client) Gran(g Granularity) Client {
+	c.gran = g
+	return c
 }
 
 // RPC returns the underlying transport endpoint of this view.
-func (c *Client) RPC() *rpc.Client { return c.rpc }
+func (c Client) RPC() *rpc.Client { return c.rpc }
 
 // StrongCalls and RelaxedCalls report how many calls each ordering class
 // has dispatched on this GPU.
-func (c *Client) StrongCalls() int64  { return c.root.strong.Load() }
-func (c *Client) RelaxedCalls() int64 { return c.root.relaxed.Load() }
+func (c Client) StrongCalls() int64  { return c.root.strong.Load() }
+func (c Client) RelaxedCalls() int64 { return c.root.relaxed.Load() }
 
-func (c *Client) observe(sys Sysno, ord Ordering, start, end simtime.Time) {
+func (c Client) observe(sys Sysno, ord Ordering, start, end simtime.Time) {
 	if h := c.root.latency[sys][ord]; h != nil {
 		h.ObserveSpan(start, end)
 	}
 }
 
 // frame builds and encodes the wire frame of one call.
-func (c *Client) frame(d Desc, args []uint64, path string, data []byte) []byte {
+func (c Client) frame(d Desc, args []uint64, path string, data []byte) []byte {
 	return (&Frame{
 		Desc: d, Lane: int32(c.lane), Seq: c.root.seq.Add(1),
 		Args: args, Path: path, Data: data,
 	}).Encode()
 }
 
-// handlerFor wraps a call for the ring transport: the daemon side decodes
-// the wire frame (a retry decodes again — the frame is immutable) and
-// dispatches through the syscall table.
-func (c *Client) handlerFor(wire []byte, cl *call) rpc.Handler {
+// handlerFor wraps a call for the ring transport, stamping it with the
+// transport view it rides: the daemon side decodes the wire frame (a retry
+// decodes again — the frame is immutable) and dispatches through the
+// syscall table.
+func (c Client) handlerFor(wire []byte, cl *call) rpc.Handler {
+	cl.rpc = c.rpc
+	svc := c.svc
 	return func(cclk *simtime.Clock) (simtime.Time, error) {
 		fr, err := DecodeFrame(wire)
 		if err != nil {
 			return 0, err
 		}
 		cl.fr = fr
-		return c.svc.dispatch(cl, cclk)
+		return svc.dispatch(cl, cclk)
 	}
 }
 
 // do dispatches one strong-ordered blocking call: the lane's clock
 // advances to response delivery.
-func (c *Client) do(blk *simtime.Clock, sys Sysno, args []uint64, path string, data []byte, cl *call) error {
-	cl.cli = c
+func (c Client) do(blk *simtime.Clock, sys Sysno, args []uint64, path string, data []byte, cl *call) error {
 	d := Desc{Sysno: sys, Gran: c.gran, Order: OrderStrong, Block: CallBlocking}
 	wire := c.frame(d, args, path, data)
 	c.root.strong.Add(1)
@@ -195,8 +194,7 @@ func (c *Client) do(blk *simtime.Clock, sys Sysno, args []uint64, path string, d
 
 // doRelaxed dispatches one relaxed non-blocking call: the block's clock
 // is untouched and the returned Future joins it.
-func (c *Client) doRelaxed(blk *simtime.Clock, sys Sysno, args []uint64, path string, data []byte, cl *call) *Future {
-	cl.cli = c
+func (c Client) doRelaxed(blk *simtime.Clock, sys Sysno, args []uint64, path string, data []byte, cl *call) *Future {
 	d := Desc{Sysno: sys, Gran: c.gran, Order: OrderRelaxed, Block: CallNonBlocking}
 	wire := c.frame(d, args, path, data)
 	c.root.relaxed.Add(1)
@@ -212,7 +210,7 @@ func (c *Client) doRelaxed(blk *simtime.Clock, sys Sysno, args []uint64, path st
 
 // Open opens the host file, returning a daemon descriptor handle and the
 // file's metadata.
-func (c *Client) Open(blk *simtime.Clock, path string, flags int, mode hostfs.Mode) (int64, hostfs.FileInfo, error) {
+func (c Client) Open(blk *simtime.Clock, path string, flags int, mode hostfs.Mode) (int64, hostfs.FileInfo, error) {
 	cl := &call{}
 	if err := c.do(blk, SysOpen, []uint64{uint64(flags), uint64(mode)}, path, nil, cl); err != nil {
 		return -1, hostfs.FileInfo{}, err
@@ -225,13 +223,13 @@ func (c *Client) Open(blk *simtime.Clock, path string, flags int, mode hostfs.Mo
 // valid on return) while the block's clock is untouched; the returned
 // Future completes at the open's virtual completion. Never retried; on a
 // transient fault the caller falls back to a strong Open.
-func (c *Client) OpenRelaxed(blk *simtime.Clock, path string, flags int, mode hostfs.Mode) *Future {
+func (c Client) OpenRelaxed(blk *simtime.Clock, path string, flags int, mode hostfs.Mode) *Future {
 	cl := &call{}
 	return c.doRelaxed(blk, SysOpen, []uint64{uint64(flags), uint64(mode)}, path, nil, cl)
 }
 
 // Close closes a daemon descriptor handle.
-func (c *Client) Close(blk *simtime.Clock, fd int64) error {
+func (c Client) Close(blk *simtime.Clock, fd int64) error {
 	return c.do(blk, SysClose, []uint64{uint64(fd)}, "", nil, &call{})
 }
 
@@ -242,7 +240,7 @@ func (c *Client) Close(blk *simtime.Clock, fd int64) error {
 // Read is strong: the lane's clock blocks until the DMA lands, and the
 // transport retries transient faults. On error no counts are returned and
 // the contents of dsts are undefined — the caller must not publish them.
-func (c *Client) Read(blk *simtime.Clock, fd, off int64, dsts [][]byte) ([]int, error) {
+func (c Client) Read(blk *simtime.Clock, fd, off int64, dsts [][]byte) ([]int, error) {
 	cl := readCall(dsts)
 	if err := c.do(blk, SysRead, []uint64{uint64(fd), uint64(off)}, "", nil, cl); err != nil {
 		return nil, err
@@ -254,7 +252,7 @@ func (c *Client) Read(blk *simtime.Clock, fd, off int64, dsts [][]byte) ([]int, 
 // fetch): the block does not wait and nobody joins; the returned time says
 // when the segments become usable. Never retried; the error contract is
 // Read's.
-func (c *Client) ReadAsync(blk *simtime.Clock, fd, off int64, dsts [][]byte) ([]int, simtime.Time, error) {
+func (c Client) ReadAsync(blk *simtime.Clock, fd, off int64, dsts [][]byte) ([]int, simtime.Time, error) {
 	cl := readCall(dsts)
 	fut := c.doRelaxed(blk, SysRead, []uint64{uint64(fd), uint64(off)}, "", nil, cl)
 	if fut.err != nil {
@@ -265,7 +263,7 @@ func (c *Client) ReadAsync(blk *simtime.Clock, fd, off int64, dsts [][]byte) ([]
 
 // WritePages DMAs len(src) bytes out of device memory and writes them to
 // the host file at off.
-func (c *Client) WritePages(blk *simtime.Clock, fd, off int64, src []byte) (int, error) {
+func (c Client) WritePages(blk *simtime.Clock, fd, off int64, src []byte) (int, error) {
 	cl := &call{src: src}
 	if err := c.do(blk, SysWrite, []uint64{uint64(fd), uint64(off)}, "", nil, cl); err != nil {
 		return 0, err
@@ -274,17 +272,17 @@ func (c *Client) WritePages(blk *simtime.Clock, fd, off int64, src []byte) (int,
 }
 
 // Truncate truncates the host file behind fd.
-func (c *Client) Truncate(blk *simtime.Clock, fd, size int64) error {
+func (c Client) Truncate(blk *simtime.Clock, fd, size int64) error {
 	return c.do(blk, SysTruncate, []uint64{uint64(fd), uint64(size)}, "", nil, &call{})
 }
 
 // Unlink removes the file at path on the host.
-func (c *Client) Unlink(blk *simtime.Clock, path string) error {
+func (c Client) Unlink(blk *simtime.Clock, path string) error {
 	return c.do(blk, SysUnlink, nil, path, nil, &call{})
 }
 
 // Stat returns host metadata for fd.
-func (c *Client) Stat(blk *simtime.Clock, fd int64) (hostfs.FileInfo, error) {
+func (c Client) Stat(blk *simtime.Clock, fd int64) (hostfs.FileInfo, error) {
 	cl := &call{}
 	if err := c.do(blk, SysStat, []uint64{uint64(fd)}, "", nil, cl); err != nil {
 		return hostfs.FileInfo{}, err
@@ -293,14 +291,14 @@ func (c *Client) Stat(blk *simtime.Clock, fd int64) (hostfs.FileInfo, error) {
 }
 
 // Fsync forces the host file to stable storage.
-func (c *Client) Fsync(blk *simtime.Clock, fd int64) error {
+func (c Client) Fsync(blk *simtime.Clock, fd int64) error {
 	return c.do(blk, SysFsync, []uint64{uint64(fd)}, "", nil, &call{})
 }
 
 // Validate asks the consistency layer whether the GPU's cached copy of
 // ino at generation gen is still current. A call that fails (retry budget
 // exhausted under faults) reports "not valid" — the conservative answer.
-func (c *Client) Validate(blk *simtime.Clock, ino, gen int64) bool {
+func (c Client) Validate(blk *simtime.Clock, ino, gen int64) bool {
 	cl := &call{}
 	err := c.do(blk, SysValidate, []uint64{uint64(ino), uint64(gen)}, "", nil, cl)
 	return err == nil && cl.reply.Valid
@@ -313,7 +311,7 @@ func (c *Client) Validate(blk *simtime.Clock, ino, gen int64) bool {
 // the generation table the consistency module keeps in write-shared memory
 // — a single PCIe read, with no daemon involvement (this is what makes
 // reopening a closed-file-table entry cheap, §4.1/§5.1.3).
-func (c *Client) PeekValid(blk *simtime.Clock, ino, gen int64) bool {
+func (c Client) PeekValid(blk *simtime.Clock, ino, gen int64) bool {
 	blk.Advance(2 * simtime.Microsecond) // uncached read over the bus
 	return c.svc.srv.Layer().PeekValid(c.rpc.GPUID(), ino, gen)
 }
@@ -321,28 +319,28 @@ func (c *Client) PeekValid(blk *simtime.Clock, ino, gen int64) bool {
 // RecordCached registers this GPU as caching ino at generation gen with the
 // consistency layer. Metadata-only; piggybacked on other traffic in the
 // real system, so it costs no separate round trip here.
-func (c *Client) RecordCached(ino, gen int64) {
+func (c Client) RecordCached(ino, gen int64) {
 	c.svc.srv.Layer().RecordCached(c.rpc.GPUID(), ino, gen)
 }
 
 // Forget drops the consistency layer's record of this GPU caching ino.
-func (c *Client) Forget(ino int64) { c.svc.srv.Layer().Forget(c.rpc.GPUID(), ino) }
+func (c Client) Forget(ino int64) { c.svc.srv.Layer().Forget(c.rpc.GPUID(), ino) }
 
 // BeginWrite registers this GPU as a writer of ino (single-writer unless
 // multiWriter).
-func (c *Client) BeginWrite(ino int64, multiWriter bool) error {
+func (c Client) BeginWrite(ino int64, multiWriter bool) error {
 	return c.svc.srv.Layer().BeginWrite(c.rpc.GPUID(), ino, multiWriter)
 }
 
 // EndWrite releases the writer registration.
-func (c *Client) EndWrite(ino int64) { c.svc.srv.Layer().EndWrite(c.rpc.GPUID(), ino) }
+func (c Client) EndWrite(ino int64) { c.svc.srv.Layer().EndWrite(c.rpc.GPUID(), ino) }
 
 // --- Directory and pipe syscalls ---
 
 // Readdir enumerates one page of directory entries starting at cookie
 // (0 for the first call), returning up to max entries and the next
 // cookie (-1 when the enumeration is complete).
-func (c *Client) Readdir(blk *simtime.Clock, path string, cookie int64, max int) ([]hostfs.FileInfo, int64, error) {
+func (c Client) Readdir(blk *simtime.Clock, path string, cookie int64, max int) ([]hostfs.FileInfo, int64, error) {
 	cl := &call{}
 	if err := c.do(blk, SysReaddir, []uint64{uint64(cookie), uint64(max)}, path, nil, cl); err != nil {
 		return nil, 0, err
@@ -353,7 +351,7 @@ func (c *Client) Readdir(blk *simtime.Clock, path string, cookie int64, max int)
 // PipeOpen opens (creating on first open) the named pipe with the given
 // buffer capacity and declared writer count, returning its handle. Every
 // opener must declare the same capacity and writer count.
-func (c *Client) PipeOpen(blk *simtime.Clock, name string, mode PipeMode, capBytes, writers int) (int64, error) {
+func (c Client) PipeOpen(blk *simtime.Clock, name string, mode PipeMode, capBytes, writers int) (int64, error) {
 	cl := &call{}
 	err := c.do(blk, SysPipeOpen, []uint64{uint64(mode), uint64(capBytes), uint64(writers)}, name, nil, cl)
 	if err != nil {
@@ -364,7 +362,7 @@ func (c *Client) PipeOpen(blk *simtime.Clock, name string, mode PipeMode, capByt
 
 // PipeWrite writes data as one atomic record, blocking (on virtual time)
 // while the pipe lacks room for the whole record.
-func (c *Client) PipeWrite(blk *simtime.Clock, pd int64, data []byte) (int, error) {
+func (c Client) PipeWrite(blk *simtime.Clock, pd int64, data []byte) (int, error) {
 	for {
 		cl := &call{}
 		err := c.do(blk, SysPipeWrite, []uint64{uint64(pd)}, "", data, cl)
@@ -389,7 +387,7 @@ func (c *Client) PipeWrite(blk *simtime.Clock, pd int64, data []byte) (int, erro
 // PipeRead reads up to len(dst) buffered bytes, blocking (on virtual
 // time) while the pipe is empty with live writers. At end of stream —
 // declared writers all closed, buffer drained — it returns io.EOF.
-func (c *Client) PipeRead(blk *simtime.Clock, pd int64, dst []byte) (int, error) {
+func (c Client) PipeRead(blk *simtime.Clock, pd int64, dst []byte) (int, error) {
 	for {
 		cl := readCall([][]byte{dst})
 		err := c.do(blk, SysPipeRead, []uint64{uint64(pd)}, "", nil, cl)
@@ -414,6 +412,6 @@ func (c *Client) PipeRead(blk *simtime.Clock, pd int64, dst []byte) (int, error)
 
 // PipeClose closes one end of the pipe. Closing the last declared writer
 // end releases readers into EOF once the buffer drains.
-func (c *Client) PipeClose(blk *simtime.Clock, pd int64, mode PipeMode) error {
+func (c Client) PipeClose(blk *simtime.Clock, pd int64, mode PipeMode) error {
 	return c.do(blk, SysPipeClose, []uint64{uint64(pd), uint64(mode)}, "", nil, &call{})
 }

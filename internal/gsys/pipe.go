@@ -224,7 +224,7 @@ func (s *Service) sysPipeWrite(c *call, cclk *simtime.Clock) (simtime.Time, erro
 	// The record's bytes land in host memory when the D2H transfer of the
 	// frame payload completes; a reader consuming this chunk can finish
 	// no earlier.
-	done := c.cli.rpc.Link().Charge(cclk.Now(), pcie.DeviceToHost, int64(n))
+	done := c.rpc.Link().Charge(cclk.Now(), pcie.DeviceToHost, int64(n))
 	p.chunks = append(p.chunks, pipeChunk{data: append([]byte(nil), c.fr.Data...), availAt: done})
 	p.buffered += n
 	p.bytesIn += int64(n)
@@ -283,7 +283,7 @@ func (s *Service) sysPipeRead(c *call, cclk *simtime.Clock) (simtime.Time, error
 	if avail > start {
 		start = avail // cannot consume bytes before their write landed
 	}
-	done := c.cli.rpc.Link().Charge(start, pcie.HostToDevice, int64(n))
+	done := c.rpc.Link().Charge(start, pcie.HostToDevice, int64(n))
 	if done > p.spaceAt {
 		p.spaceAt = done // space frees when the consuming DMA drained it
 	}

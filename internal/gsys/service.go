@@ -35,11 +35,11 @@ type Reply struct {
 	WaitAt simtime.Time
 }
 
-// call is one in-flight syscall: the client view that issued it, the
+// call is one in-flight syscall: the transport view it was issued on, the
 // frame as decoded from the wire, the out-of-band device buffers, and the
 // reply under construction.
 type call struct {
-	cli   *Client
+	rpc   *rpc.Client
 	fr    *Frame
 	dsts  [][]byte // read destination segments (device memory)
 	src   []byte   // write source (device memory)
@@ -179,11 +179,22 @@ func (s *Service) sysClose(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 	return 0, f.Close()
 }
 
-// scatterPool recycles the contiguous buffer sysRead scatters a
-// multi-segment read from. It is only this simulation's scattering mechanism
-// (the modelled staging pass is the DMA charge); nothing reads it after the
+// stagingPool recycles the daemon's host-side staging buffers: the contiguous
+// one sysRead scatters a multi-segment read from and the one sysWrite lands
+// its D2H transfer in. They are only this simulation's way of moving the bytes
+// (the modelled staging pass is the DMA charge); nothing reads one after its
 // handler returns.
-var scatterPool = sync.Pool{New: func() any { return new([]byte) }}
+var stagingPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// staging draws a staging buffer of n bytes, contents undefined; the handler
+// puts bp back into stagingPool when it returns.
+func staging(n int) (bp *[]byte, buf []byte) {
+	bp = stagingPool.Get().(*[]byte)
+	if cap(*bp) < n {
+		*bp = make([]byte, n)
+	}
+	return bp, (*bp)[:n]
+}
 
 // sysRead reads the contiguous file extent at Args[1] and DMAs it into the
 // call's destination segments. The daemon worker performs the file read
@@ -209,12 +220,8 @@ func (s *Service) sysRead(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 		for _, d := range c.dsts {
 			total += len(d)
 		}
-		bp := scatterPool.Get().(*[]byte)
-		defer scatterPool.Put(bp)
-		if cap(*bp) < total {
-			*bp = make([]byte, total)
-		}
-		buf := (*bp)[:total]
+		bp, buf := staging(total)
+		defer stagingPool.Put(bp)
 		if n, err = s.readFull(cclk, f, buf, off); err != nil {
 			return 0, err
 		}
@@ -225,7 +232,7 @@ func (s *Service) sysRead(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 			rest = rest[c.reply.Ns[i]:]
 		}
 	}
-	return c.cli.rpc.Link().ChargeScatter(cclk.Now(), pcie.HostToDevice, int64(n), len(c.dsts), s.zeroCopy), nil
+	return c.rpc.Link().ChargeScatter(cclk.Now(), pcie.HostToDevice, int64(n), len(c.dsts), s.zeroCopy), nil
 }
 
 // sysWrite DMAs len(src) bytes out of device memory and writes them to
@@ -237,11 +244,12 @@ func (s *Service) sysWrite(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 	if err != nil {
 		return 0, err
 	}
-	staging := make([]byte, len(c.src))
-	copy(staging, c.src)
-	done := c.cli.rpc.Link().Charge(cclk.Now(), pcie.DeviceToHost, int64(len(c.src)))
+	bp, buf := staging(len(c.src))
+	defer stagingPool.Put(bp)
+	copy(buf, c.src)
+	done := c.rpc.Link().Charge(cclk.Now(), pcie.DeviceToHost, int64(len(c.src)))
 	cclk.AdvanceTo(done)
-	n, err := f.Pwrite(cclk, staging, int64(c.fr.Args[1]))
+	n, err := f.Pwrite(cclk, buf, int64(c.fr.Args[1]))
 	c.reply.N = n
 	return 0, err
 }
@@ -277,7 +285,7 @@ func (s *Service) sysFsync(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 }
 
 func (s *Service) sysValidate(c *call, cclk *simtime.Clock) (simtime.Time, error) {
-	c.reply.Valid = s.srv.Layer().Validate(c.cli.rpc.GPUID(), int64(c.fr.Args[0]), int64(c.fr.Args[1]))
+	c.reply.Valid = s.srv.Layer().Validate(c.rpc.GPUID(), int64(c.fr.Args[0]), int64(c.fr.Args[1]))
 	return 0, nil
 }
 
@@ -310,5 +318,5 @@ func (s *Service) sysReaddir(c *call, cclk *simtime.Clock) (simtime.Time, error)
 	if total == 0 {
 		return 0, nil
 	}
-	return c.cli.rpc.Link().Charge(cclk.Now(), pcie.HostToDevice, total), nil
+	return c.rpc.Link().Charge(cclk.Now(), pcie.HostToDevice, total), nil
 }

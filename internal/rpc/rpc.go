@@ -299,22 +299,20 @@ type Client struct {
 // NewClient creates the RPC endpoint for one GPU, with the server's
 // configured number of ring shards.
 func (s *Server) NewClient(gpuID int, link *pcie.Link) *Client {
-	return &Client{srv: s, gpuID: gpuID, link: link, t: newRingTransport(s, gpuID)}
+	t := newRingTransport(s, gpuID)
+	// A view differs from the endpoint in its shard and nothing else, so all
+	// of them exist from the start and Bind, called per syscall, makes none.
+	t.views = make([]Client, t.Shards())
+	for i := range t.views {
+		t.views[i] = Client{srv: s, gpuID: gpuID, link: link, t: t, shard: i}
+	}
+	return &t.views[0]
 }
 
-// Bind returns a view of the client whose requests ride the ring shard
+// Bind returns the view of the client whose requests ride the ring shard
 // that lane (a threadblock index) hashes to. Views share the transport —
-// rings, dedup tables, counters — so Bind is cheap and safe to call per
-// operation.
-func (c *Client) Bind(lane int) *Client {
-	shard := c.t.ShardFor(lane)
-	if shard == c.shard {
-		return c
-	}
-	view := *c
-	view.shard = shard
-	return &view
-}
+// rings, dedup tables, counters.
+func (c *Client) Bind(lane int) *Client { return &c.t.views[c.t.ShardFor(lane)] }
 
 // GPUID reports the owning GPU's index.
 func (c *Client) GPUID() int { return c.gpuID }

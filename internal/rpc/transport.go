@@ -46,6 +46,9 @@ type ringTransport struct {
 	srv    *Server
 	gpuID  int
 	shards []*ringShard
+	// views are the endpoint's per-shard Client views, index = shard (see
+	// Server.NewClient).
+	views []Client
 
 	// inflight/maxDepth aggregate across shards: the device-wide count of
 	// outstanding ring slots, which is what bounds GPU-side slot memory.

@@ -673,6 +673,12 @@ func (s *Server) idleLocked() bool {
 	return true
 }
 
+// jobBufs recycles the buffers execJob reads files into. A pool, not a buffer
+// per execution slot: a job's file is as large as the tenant made it, not a
+// property of the device, and internal/gpu knows nothing of jobs. Nothing
+// reads a buffer after its job returns (a transform's output is a copy).
+var jobBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // execJob runs one job's kernel inside a threadblock: read the file
 // through the GPUfs API (hitting this GPU's buffer cache when resident),
 // charge the scan, and compute the real answer. Errors are captured into
@@ -692,17 +698,25 @@ func (s *Server) execJob(c *gpufs.BlockCtx, j *job) {
 		j.err = err
 		return
 	}
-	buf := make([]byte, info.Size)
-	if _, err := c.Gread(fd, buf, 0); err != nil {
+	bp := jobBufs.Get().(*[]byte)
+	defer jobBufs.Put(bp)
+	if int64(cap(*bp)) < info.Size {
+		*bp = make([]byte, info.Size)
+	}
+	// The buffer still holds whatever job used it last, any tenant's: the
+	// job sees the bytes this read returned and nothing past them.
+	n, err := c.Gread(fd, (*bp)[:info.Size], 0)
+	if err != nil {
 		c.Gclose(fd)
 		j.err = err
 		return
 	}
+	buf := (*bp)[:n]
 	if err := c.Gclose(fd); err != nil {
 		j.err = err
 		return
 	}
-	c.ComputeBytes(info.Size, simtime.Rate(s.cfg.ScanRate))
+	c.ComputeBytes(int64(n), simtime.Rate(s.cfg.ScanRate))
 
 	switch j.spec.Kind {
 	case JobGrep:
@@ -714,8 +728,8 @@ func (s *Server) execJob(c *gpufs.BlockCtx, j *job) {
 		if limit <= 0 || limit > s.cfg.MaxOutputBytes {
 			limit = s.cfg.MaxOutputBytes
 		}
-		if limit > info.Size {
-			limit = info.Size
+		if limit > int64(n) {
+			limit = int64(n)
 		}
 		j.output = bytes.ToUpper(buf[:limit])
 	}

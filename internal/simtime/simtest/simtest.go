@@ -1,9 +1,10 @@
 // Package simtest holds the test helpers shared by packages whose tests
-// compare virtual timelines.
+// compare virtual timelines or bound what the simulator allocates.
 package simtest
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -16,4 +17,22 @@ func OneP(t testing.TB) {
 	t.Helper()
 	prev := runtime.GOMAXPROCS(1)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// PoolSlack is how many bytes per use a test must allow code that recycles a
+// buffer of n bytes through a sync.Pool: none — except under the race
+// detector, where sync.Pool drops one Put in four on purpose and the buffer
+// is made again: then 3n/8, the expected quarter plus room for a run's luck
+// (measure over a few hundred uses). The allocation guardrails add it to
+// their bounds so that they mean the same thing in `go test` and in
+// `go test -race`.
+func PoolSlack(n int64) int64 {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				return n * 3 / 8
+			}
+		}
+	}
+	return 0
 }
