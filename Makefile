@@ -5,7 +5,8 @@
 #                that imports this one's internals, so a change that
 #                breaks what it uses fails here rather than in the bench
 #                pipeline.
-#   tier2      — the merge gate: gofmt-clean, vet clean, internal/rpc
+#   tier2      — the merge gate: gofmt-clean, vet clean (benchmark/ too:
+#                `go vet ./...` stops at the module boundary), internal/rpc
 #                still only a transport (it imports neither hostfs nor
 #                gsys: the file protocol lives above it),
 #                internal/core/page.go still the one owner of the page
@@ -64,6 +65,7 @@ tier2:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
+	cd benchmark && GOFLAGS=-mod=mod GOWORK=off $(GO) vet ./...
 	@leaked=$$($(GO) list -f '{{join .Imports "\n"}}' ./internal/rpc | \
 		grep -xE 'gpufs/internal/(hostfs|gsys)'); if [ -n "$$leaked" ]; then \
 		echo "internal/rpc is the ring transport and may not import:"; echo "$$leaked"; exit 1; fi

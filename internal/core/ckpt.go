@@ -455,7 +455,7 @@ func (fs *FS) restoreFile(b *gpu.Block, fi *ckpt.FileImage) error {
 			if clean[j] < 0 || clean[j] > lastFile {
 				continue
 			}
-			if ref, err := fs.getPage(b, f, clean[j]); err == nil {
+			if ref, _, err := fs.getPage(b, f, clean[j], nil); err == nil {
 				ref.release()
 			}
 		}

@@ -9,6 +9,7 @@ import (
 
 	"gpufs/internal/ckpt"
 	"gpufs/internal/gpu"
+	"gpufs/internal/rpc"
 )
 
 // ckptPage returns the dirty PageImage for index idx, or nil.
@@ -94,6 +95,12 @@ func TestCkptRoundTrip(t *testing.T) {
 	h2.run(t, 0, func(b *gpu.Block) error {
 		return h2.fss[0].RestoreImage(b, img)
 	})
+	// The dirty page travels by value and is the page's whole content: the
+	// restore fills its frame from the image, and only the two clean pages
+	// are fetched (they are not adjacent, so one request each).
+	if got := h2.server.Requests(rpc.OpReadPages); got != 2 {
+		t.Errorf("restore sent %d reads, want 2: the clean pages, not the dirty one", got)
+	}
 
 	want := append([]byte(nil), orig...)
 	copy(want[ps:], overlay)
@@ -175,6 +182,74 @@ func TestCkptCoWPreWriteCut(t *testing.T) {
 		t.Errorf("CoWFaults = %d, want >= 1", st.CoWFaults)
 	}
 	h.run(t, 0, func(b *gpu.Block) error { return fs.Close(b, fd) })
+}
+
+// TestCkptOverwriteDuringCapture: a gwrite that brings a page in by overwrite
+// while a capture is installed has no pre-write image to preserve — the page
+// was not resident, and the host's copy is what it held before — so the hook
+// is not called and, above all, never sees the frame before the writer's bytes
+// are in it. The page's cut is the walk's, which finds it filled: the image
+// holds exactly the written bytes, and a restore reproduces the source's view.
+func TestCkptOverwriteDuringCapture(t *testing.T) {
+	opt := defaultOpt()
+	h := newHarness(t, 1, opt)
+	fs := h.fss[0]
+	ps := int(opt.PageSize)
+
+	orig := pattern(2*ps, 3)
+	h.write(t, "/ck-over", orig)
+	var fd int
+	h.run(t, 0, func(b *gpu.Block) error {
+		var err error
+		fd, err = fs.Open(b, "/ck-over", O_RDWR)
+		return err
+	})
+
+	ck, err := fs.BeginCheckpoint(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := pattern(ps, 60)
+	h.run(t, 0, func(b *gpu.Block) error {
+		_, err := fs.Write(b, fd, written, 0)
+		return err
+	})
+	if got := h.server.Requests(rpc.OpReadPages); got != 0 {
+		t.Fatalf("the whole-page write fetched %d pages: the test no longer takes the overwrite edge", got)
+	}
+	ck.Walk()
+	img, err := ck.Commit()
+	if err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	if st := fs.CkptStats(); st.CoWFaults != 0 {
+		t.Errorf("CoWFaults = %d: the hook ran on a page that had no pre-write image", st.CoWFaults)
+	}
+	pg := ckptPage(&img.Files[0], 0)
+	if pg == nil || pg.Valid != int64(ps) || !bytes.Equal(pg.Data[:ps], written) {
+		t.Fatalf("page 0 in the image is not the written page (present=%v)", pg != nil)
+	}
+	h.run(t, 0, func(b *gpu.Block) error { return fs.Close(b, fd) })
+
+	h2 := newHarness(t, 1, opt)
+	h2.write(t, "/ck-over", orig)
+	h2.run(t, 0, func(b *gpu.Block) error {
+		if err := h2.fss[0].RestoreImage(b, img); err != nil {
+			return err
+		}
+		fd, err := h2.fss[0].Open(b, "/ck-over", O_RDWR)
+		if err != nil {
+			return err
+		}
+		buf := make([]byte, 2*ps)
+		if n, err := h2.fss[0].Read(b, fd, buf, 0); err != nil || n != len(buf) {
+			return err
+		}
+		if !bytes.Equal(buf[:ps], written) || !bytes.Equal(buf[ps:], orig[ps:]) {
+			t.Error("restored view diverges from the source's: page 0 as written, page 1 as on the host")
+		}
+		return h2.fss[0].Close(b, fd)
+	})
 }
 
 // TestCkptCoWCleanReference: a write hitting a still-clean page during the

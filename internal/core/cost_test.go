@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"gpufs/internal/core/pcache"
@@ -10,8 +11,9 @@ import (
 	"gpufs/internal/simtime"
 )
 
-// Golden cost tests for the read path: what one cache hit, one page fault
-// and one vectored fill cost in virtual time on an idle machine, with every
+// Golden cost tests for the read and write paths: what one cache hit, one
+// page fault, one vectored fill, one gwrite miss, one gfsync and one gftruncate
+// cost in virtual time and in requests on an idle machine, with every
 // expected value derived from Options and the rig's rpc, pcie and hostfs
 // parameters (internal/gsys/cost_test.go pins the syscall below the fault
 // the same way). A change to where a layer charges its time fails here by
@@ -38,10 +40,17 @@ func warmRead(n int64, segs int) simtime.Duration {
 // host memory bus at t=0, so the measured call finds every resource idle.
 func costRig(t *testing.T, opt Options, pages int64, fn func(h *harness, b *gpu.Block, fd int)) {
 	t.Helper()
+	costRigFlags(t, opt, pages*opt.PageSize, O_RDONLY, fn)
+}
+
+// costRigFlags is costRig over a file of size bytes, opened as the write-path
+// tests need.
+func costRigFlags(t *testing.T, opt Options, size int64, flags int, fn func(h *harness, b *gpu.Block, fd int)) {
+	t.Helper()
 	h := newHarness(t, 1, opt)
-	h.write(t, "/f", pattern(int(pages*opt.PageSize), 1))
+	h.write(t, "/f", pattern(int(size), 1))
 	_, err := h.devs[0].Launch(simtime.Time(simtime.Second), 1, 64, func(b *gpu.Block) error {
-		fd, err := h.fss[0].Open(b, "/f", O_RDONLY)
+		fd, err := h.fss[0].Open(b, "/f", flags)
 		if err != nil {
 			return err
 		}
@@ -51,6 +60,7 @@ func costRig(t *testing.T, opt Options, pages int64, fn func(h *harness, b *gpu.
 	if err != nil {
 		t.Fatal(err)
 	}
+	h.checkDirtyCounts(t)
 }
 
 // elapsed runs fn and reports what it cost the block.
@@ -61,9 +71,12 @@ func elapsed(b *gpu.Block, fn func()) simtime.Duration {
 }
 
 // gread reads n bytes at offset 0, reporting a failed or short read.
-func gread(t *testing.T, fs *FS, b *gpu.Block, fd int, n int64) {
-	if got, err := fs.Read(b, fd, make([]byte, n), 0); err != nil || int64(got) != n {
-		t.Errorf("gread of %d bytes: n=%d err=%v", n, got, err)
+func gread(t *testing.T, fs *FS, b *gpu.Block, fd int, n int64) { greadAt(t, fs, b, fd, n, 0) }
+
+// greadAt reads n bytes at off, reporting a failed or short read.
+func greadAt(t *testing.T, fs *FS, b *gpu.Block, fd int, n, off int64) {
+	if got, err := fs.Read(b, fd, make([]byte, n), off); err != nil || int64(got) != n {
+		t.Errorf("gread of %d bytes at %d: n=%d err=%v", n, off, got, err)
 	}
 }
 
@@ -107,7 +120,7 @@ func TestCostPageFault(t *testing.T) {
 			fs := h.fss[0]
 			reads := h.server.Requests(rpc.OpReadPages)
 			cost = elapsed(b, func() {
-				if ref, err := fs.getPage(b, fs.fds[fd], 0); err != nil {
+				if ref, _, err := fs.getPage(b, fs.fds[fd], 0, nil); err != nil {
 					t.Error(err)
 				} else {
 					ref.release()
@@ -189,4 +202,182 @@ func TestCostSkipRule(t *testing.T) {
 			t.Errorf("%d-page resident gread cost %v, want %d single-page hits = %v", k, got, k, want)
 		}
 	})
+}
+
+// memFence is gpu.Block.MemFence's charge, which ends every gwrite.
+const memFence = 200 * simtime.Nanosecond
+
+// gwrite writes src at off, reporting a failed or short write.
+func gwrite(t *testing.T, fs *FS, b *gpu.Block, fd int, src []byte, off int64) {
+	if n, err := fs.Write(b, fd, src, off); err != nil || n != len(src) {
+		t.Errorf("gwrite of %d bytes at %d: n=%d err=%v", len(src), off, n, err)
+	}
+}
+
+// TestCostWholePageWriteMiss: a gwrite that determines every byte of a page
+// not resident — it covers the page, or starts at its boundary and reaches end
+// of file — fills the frame from the caller's bytes: no request to the host,
+// and the cost of the lookup that missed, the copy, the zeroing of what the
+// write does not cover, the page's bookkeeping and the fence. With the pool dry
+// it also pays for the eviction that finds it a frame, still without a request
+// when the victims are clean.
+func TestCostWholePageWriteMiss(t *testing.T) {
+	opt := defaultOpt()
+	ps := opt.PageSize
+	pages := 2 * opt.CacheBytes / ps
+	size := pages*ps - ps/2 // the last page is half a page
+	costRigFlags(t, opt, size, O_RDWR, func(h *harness, b *gpu.Block, fd int) {
+		fs := h.fss[0]
+		miss := func(what string, n, off int64, extra simtime.Duration) {
+			t.Helper()
+			src := pattern(int(n), 9)
+			requests, allocs := h.server.TotalRequests(), fs.cache.Allocs()
+			got := elapsed(b, func() { gwrite(t, fs, b, fd, src, off) })
+			if d := h.server.TotalRequests() - requests; d != 0 {
+				t.Errorf("%s sent %d requests to the host, want none", what, d)
+			}
+			if d := fs.cache.Allocs() - allocs; d != 1 {
+				t.Errorf("%s took %d frames, want 1", what, d)
+			}
+			want := opt.RadixLookupLockFree + extra + devPass(2*n) + devPass(ps-n) + opt.APICostPerPage + memFence
+			if got != want {
+				t.Errorf("%s cost %v, want lookup + copy + tail zeroing + API + fence = %v", what, got, want)
+			}
+			ref, _, err := fs.getPage(b, fs.fds[fd], off/ps, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fr := ref.fr; !bytes.Equal(fr.Data[:n], src) || !bytes.Equal(fr.Data[n:], make([]byte, ps-n)) ||
+				fr.ValidBytes.Load() != n || !fr.Dirty.Load() {
+				t.Errorf("%s: the page is not the written bytes then zeros, valid to %d and dirty (valid %d, dirty %v)",
+					what, n, fr.ValidBytes.Load(), fr.Dirty.Load())
+			}
+			ref.release()
+		}
+		miss("whole-page write miss", ps, 0, 0)
+		miss("write miss reaching end of file", ps/2, (pages-1)*ps, 0)
+
+		// Dry pool: make the victims clean, fill the cache with clean pages,
+		// then miss again.
+		if err := fs.Fsync(b, fd); err != nil {
+			t.Fatal(err)
+		}
+		for p := int64(1); fs.cache.FreeFrames() > 0; p++ {
+			greadAt(t, fs, b, fd, ps, p*ps)
+		}
+		evict := simtime.Duration(fs.opt.EvictBatch) * opt.APICostPerPage
+		miss("whole-page write miss on a dry pool", ps, (pages-2)*ps, evict)
+	})
+}
+
+// TestCostPartialPageWriteMiss: a gwrite that leaves bytes of the page to the
+// host's copy still faults it in — one read — and then pays its copy.
+func TestCostPartialPageWriteMiss(t *testing.T) {
+	opt := defaultOpt()
+	ps := opt.PageSize
+	ring := rigRPC.PollInterval + rigRPC.HandleCost + rigRPC.ReturnLatency
+	fault := opt.RadixLookupLockFree + ring + warmRead(ps, 1) + opt.APICostPerPage
+	for _, c := range []struct {
+		what   string
+		off, n int64
+	}{
+		{"write inside a page", ps / 4, ps / 2},
+		{"write from the page boundary, short of the page and of end of file", ps, ps / 2},
+		{"write to the end of a page from inside it", 2*ps + ps/2, ps / 2},
+	} {
+		costRigFlags(t, opt, 4*ps, O_RDWR, func(h *harness, b *gpu.Block, fd int) {
+			fs := h.fss[0]
+			reads, requests := h.server.Requests(rpc.OpReadPages), h.server.TotalRequests()
+			got := elapsed(b, func() { gwrite(t, fs, b, fd, pattern(int(c.n), 9), c.off) })
+			if r, all := h.server.Requests(rpc.OpReadPages)-reads, h.server.TotalRequests()-requests; r != 1 || all != 1 {
+				t.Errorf("%s: %d read requests of %d requests, want 1 of 1", c.what, r, all)
+			}
+			if want := fault + devPass(2*c.n) + memFence; got != want {
+				t.Errorf("%s cost %v, want fault + copy + fence = %v", c.what, got, want)
+			}
+		})
+	}
+}
+
+// TestCostWriteSharedWholePageStillFetches: O_GWRSHARED write-back diffs
+// against the pristine copy, so even a whole-page overwrite fetches the page.
+func TestCostWriteSharedWholePageStillFetches(t *testing.T) {
+	opt := defaultOpt()
+	costRigFlags(t, opt, 2*opt.PageSize, O_RDWR|O_GWRSHARED, func(h *harness, b *gpu.Block, fd int) {
+		reads := h.server.Requests(rpc.OpReadPages)
+		gwrite(t, h.fss[0], b, fd, pattern(int(opt.PageSize), 9), 0)
+		if got := h.server.Requests(rpc.OpReadPages) - reads; got != 1 {
+			t.Errorf("write-shared whole-page write miss was %d reads, want 1", got)
+		}
+	})
+}
+
+// TestCostFsyncAndTruncate: gfsync of k dirty pages is k writes, each costing
+// the block a ring cycle, the staged D2H transfer and the pwrite, and nothing
+// else — the write's reply carries the generation a stat used to fetch — and
+// gftruncate is one request. The fast reopen that follows shows the
+// generations were adopted.
+func TestCostFsyncAndTruncate(t *testing.T) {
+	const k = 5
+	opt := defaultOpt()
+	ps := opt.PageSize
+	h := newHarness(t, 1, opt)
+	fs := h.fss[0]
+	h.write(t, "/f", pattern(int(2*k*ps), 1))
+	ops := func() [3]int64 {
+		return [3]int64{h.server.Requests(rpc.OpWritePages), h.server.Requests(rpc.OpStat), h.server.TotalRequests()}
+	}
+	_, err := h.devs[0].Launch(simtime.Time(simtime.Second), 1, 64, func(b *gpu.Block) error {
+		fd, err := fs.Open(b, "/f", O_RDWR)
+		if err != nil {
+			return err
+		}
+		for p := int64(0); p < k; p++ {
+			gwrite(t, fs, b, fd, pattern(int(ps), 9), 2*p*ps)
+		}
+		before := ops()
+		cost := elapsed(b, func() {
+			if err := fs.Fsync(b, fd); err != nil {
+				t.Error(err)
+			}
+		})
+		after := ops()
+		if after[0]-before[0] != k || after[1] != before[1] || after[2]-before[2] != k {
+			t.Errorf("gfsync of %d dirty pages: %d writes, %d stats, %d requests; want %d, 0, %d",
+				k, after[0]-before[0], after[1]-before[1], after[2]-before[2], k, k)
+		}
+		ring := rigRPC.PollInterval + rigRPC.HandleCost + rigRPC.ReturnLatency
+		d2h := simtime.TransferTime(ps, rigBus.HostMemBandwidth) + rigBus.DMALatency +
+			simtime.TransferTime(ps, rigBus.Bandwidth) + devPass(ps)
+		pwrite := rigHost.SyscallOverhead + simtime.TransferTime(ps, rigHost.MemBandwidth)
+		if want := k * (ring + d2h + pwrite); cost != want {
+			t.Errorf("gfsync of %d dirty pages cost %v, want %d x (ring cycle + D2H DMA + pwrite) = %v", k, cost, k, want)
+		}
+
+		before = ops()
+		if err := fs.Ftruncate(b, fd, (2*k-1)*ps); err != nil {
+			t.Error(err)
+		}
+		if after := ops(); after[2]-before[2] != 1 {
+			t.Errorf("gftruncate was %d requests, want 1", after[2]-before[2])
+		}
+		return fs.Close(b, fd)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.run(t, 0, func(b *gpu.Block) error {
+		fd, err := fs.Open(b, "/f", O_RDWR)
+		if err != nil {
+			return err
+		}
+		return fs.Close(b, fd)
+	})
+	if s := fs.Snapshot(); s.ClosedTableReuses != 1 || s.HostOpens != 1 {
+		t.Errorf("reopen after gfsync and gftruncate: %d closed-table reuses, %d host opens; want 1 and 1", s.ClosedTableReuses, s.HostOpens)
+	}
+	if _, inv := h.layer.Stats(); inv != 0 {
+		t.Errorf("%d invalidations: the cached generation fell behind the host's", inv)
+	}
+	h.checkDirtyCounts(t)
 }

@@ -279,8 +279,7 @@ func runFaultStress(t *testing.T, seed int64, shards, workers int, totalInjected
 				if err := ensureOpen(b); err != nil {
 					return err
 				}
-				off := rng.Intn(maxFile - 1)
-				n := rng.Intn(min(8<<10, maxFile-off)) + 1
+				off, n := writeExtent(rng, maxFile, 8<<10, int(gpuSize), int(opt.PageSize))
 				data := make([]byte, n)
 				rng.Read(data)
 				got, err := fs.Write(b, fd, data, int64(off))

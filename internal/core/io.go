@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 
 	"gpufs/internal/core/pcache"
 	"gpufs/internal/core/radix"
@@ -24,7 +25,13 @@ import (
 // (an Init slot pins it likewise) makes the leaf's identity stable without
 // it. The guard is dropped before the slow work — frame allocation,
 // eviction, the fill RPC — so a faulting block never delays leaf recycling.
-func (fs *FS) getPage(b *gpu.Block, f *file, pageIdx int64) (pageRef, error) {
+//
+// A non-nil whole is a gwrite that determines every byte of the page (see
+// writeImpl): when the page has to be brought in, it is filled from those
+// bytes instead of from the host (publishOverwrite) and the bool result is
+// true — the bytes are in the frame and the page is dirty. A resident page is
+// returned as for any other caller and the write is the caller's to apply.
+func (fs *FS) getPage(b *gpu.Block, f *file, pageIdx int64, whole []byte) (pageRef, bool, error) {
 	fc := f.fc
 	offset := pageIdx * fs.opt.PageSize
 
@@ -83,7 +90,7 @@ func (fs *FS) getPage(b *gpu.Block, f *file, pageIdx int64) (pageRef, error) {
 						}
 					}
 					fs.cacheHits.Add(1)
-					return pageRef{fr: fr, fp: fp}, nil
+					return pageRef{fr: fr, fp: fp}, false, nil
 				}
 			}
 			fp.Unref()
@@ -100,26 +107,30 @@ func (fs *FS) getPage(b *gpu.Block, f *file, pageIdx int64) (pageRef, error) {
 			fr, err := fs.allocFrame(b, fc, offset)
 			if err != nil {
 				fs.abort(fc, ref)
-				return pageRef{}, err
+				return pageRef{}, false, err
 			}
 			ref.fr = fr
-			// O_GWRONCE: never fetch; the pristine copy is implicitly all
-			// zeros (§3.1), publish's zero tail. O_NOSYNC files do NOT take
-			// this shortcut: a page spilled to the host under cache
-			// pressure must be fetched back on the next touch.
-			n := 0
-			if !f.writeOnce {
-				ns, err := fs.lane(b).Read(b.Clock, f.hostFd, offset, [][]byte{fr.Data})
-				if err != nil {
-					fs.abort(fc, ref)
-					return pageRef{}, fmt.Errorf("gpufs: faulting page at %d of %q: %w", offset, f.path, err)
+			if whole != nil {
+				fs.publishOverwrite(b, f, ref, whole) // holds our reference
+			} else {
+				// O_GWRONCE: never fetch; the pristine copy is implicitly all
+				// zeros (§3.1), publish's zero tail. O_NOSYNC files do NOT
+				// take this shortcut: a page spilled to the host under cache
+				// pressure must be fetched back on the next touch.
+				n := 0
+				if !f.writeOnce {
+					ns, err := fs.lane(b).Read(b.Clock, f.hostFd, offset, [][]byte{fr.Data})
+					if err != nil {
+						fs.abort(fc, ref)
+						return pageRef{}, false, fmt.Errorf("gpufs: faulting page at %d of %q: %w", offset, f.path, err)
+					}
+					n = ns[0]
 				}
-				n = ns[0]
+				fs.publish(b, f, ref, n, 0, pcache.SpecNone) // holds our reference
 			}
-			fs.publish(b, f, ref, n, 0, pcache.SpecNone) // holds our reference
 			b.Busy(fs.opt.APICostPerPage)
 			fs.cacheMisses.Add(1)
-			return ref, nil
+			return ref, whole != nil, nil
 		}
 
 		// Another block is initializing or evicting this slot, or the leaf
@@ -129,25 +140,22 @@ func (fs *FS) getPage(b *gpu.Block, f *file, pageIdx int64) (pageRef, error) {
 	}
 }
 
-// extendValid raises fr.ValidBytes to at least n (atomic max).
-func extendValid(fr *pcache.Frame, n int64) {
+// raise lifts v to at least n (atomic max): the valid extent of a frame, the
+// size of a file and its generation only ever grow under concurrent updates.
+func raise(v *atomic.Int64, n int64) {
 	for {
-		cur := fr.ValidBytes.Load()
-		if n <= cur || fr.ValidBytes.CompareAndSwap(cur, n) {
+		cur := v.Load()
+		if n <= cur || v.CompareAndSwap(cur, n) {
 			return
 		}
 	}
 }
 
-// extendSize raises fc.size to at least n (atomic max).
-func extendSize(fc *fileCache, n int64) {
-	for {
-		cur := fc.size.Load()
-		if n <= cur || fc.size.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
+// extendValid raises fr.ValidBytes to at least n.
+func extendValid(fr *pcache.Frame, n int64) { raise(&fr.ValidBytes, n) }
+
+// extendSize raises fc.size to at least n.
+func extendSize(fc *fileCache, n int64) { raise(&fc.size, n) }
 
 // Read implements gread: a positional read of len(dst) bytes at offset off
 // (the pread-style call of Table 1 — no seek pointer exists to share).
@@ -214,7 +222,7 @@ func (fs *FS) readSpan(b *gpu.Block, f *file, off int64, dsts [][]byte, gran gsy
 		inPage := cur - pageIdx*ps
 		n := min(ps-inPage, want-done)
 
-		ref, err := fs.getPage(b, f, pageIdx)
+		ref, _, err := fs.getPage(b, f, pageIdx, nil)
 		if err != nil {
 			return done, err
 		}
@@ -283,21 +291,34 @@ func (fs *FS) writeImpl(b *gpu.Block, fd int, src []byte, off int64) (int, error
 			n = want - done
 		}
 
-		ref, err := fs.getPage(b, f, pageIdx)
+		// A write that starts at the page boundary and covers the page, or
+		// reaches the file's end, determines every byte of it: a page not
+		// resident is then filled from these bytes rather than fetched to be
+		// overwritten. O_GWRSHARED pages are fetched regardless, for the
+		// pristine copy their write-back diffs against.
+		var whole []byte
+		if inPage == 0 && !f.writeShrd && (n == ps || cur+n >= f.fc.size.Load()) {
+			whole = src[done : done+n]
+		}
+		ref, wrote, err := fs.getPage(b, f, pageIdx, whole)
 		if err != nil {
 			return int(done), err
 		}
-		ref.fr.Lock()
-		// Checkpoint copy-on-write (ISSUE 10): with a capture installed,
-		// preserve the pre-write page into the in-progress image before
-		// the new bytes land. One atomic load when no checkpoint runs.
-		if cc := fs.capture.Load(); cc != nil {
-			fs.ckptCopyOnWrite(cc, f.fc, pageIdx, ref.fr)
+		if !wrote {
+			ref.fr.Lock()
+			// Checkpoint copy-on-write (ISSUE 10): with a capture installed,
+			// preserve the pre-write page into the in-progress image before
+			// the new bytes land. One atomic load when no checkpoint runs.
+			// (A page filled by overwrite has no pre-write image on this
+			// GPU: the host copy is the pre-write image.)
+			if cc := fs.capture.Load(); cc != nil {
+				fs.ckptCopyOnWrite(cc, f.fc, pageIdx, ref.fr)
+			}
+			b.CopyBytes(ref.fr.Data[inPage:inPage+n], src[done:done+n])
+			extendValid(ref.fr, inPage+n)
+			ref.fr.Unlock()
+			fs.markDirty(f.fc, ref)
 		}
-		b.CopyBytes(ref.fr.Data[inPage:inPage+n], src[done:done+n])
-		extendValid(ref.fr, inPage+n)
-		ref.fr.Unlock()
-		fs.markDirty(f.fc, ref)
 		ref.release()
 		done += n
 	}

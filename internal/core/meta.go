@@ -49,12 +49,13 @@ func (fs *FS) ftruncateImpl(b *gpu.Block, fd int, size int64) error {
 	if !f.writable {
 		return fmt.Errorf("%w: %q", ErrReadOnly, f.path)
 	}
-	a := fs.blockActor(b)
-	if err := a.lane.Truncate(a.clk, f.hostFd, size); err != nil {
+	gen, err := fs.lane(b).Truncate(b.Clock, f.hostFd, size)
+	if err != nil {
 		return err
 	}
 
 	fc := f.fc
+	fs.adoptGeneration(fc, gen)
 	fc.size.Store(size)
 	ps := fs.opt.PageSize
 	fc.tree.ForEachReadyPage(func(idx uint64, p *radix.FPage) bool {
@@ -85,7 +86,6 @@ func (fs *FS) ftruncateImpl(b *gpu.Block, fd int, size int64) error {
 		cancelEvict(p)
 		return true
 	})
-	fs.refreshGeneration(a, fc, f.hostFd)
 	return nil
 }
 

@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"gpufs/internal/gpu"
+	"gpufs/internal/rpc"
 )
 
 // Metamorphic read-path tests: the same extent fetched through different
@@ -135,5 +137,123 @@ func TestMetamorphicReadShapes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// Metamorphic write-path tests: the same bytes written through different
+// call shapes — one gwrite of everything, page-aligned pages in file order
+// and in reverse (each determines its whole page, so a page not resident is
+// filled from the caller's bytes), and odd-sized chunks that straddle page
+// boundaries (each page is fetched, then overwritten piecewise) — over a host
+// file shorter than what is written, so the later pages reach or lie past end
+// of file, must leave the same view on the GPU and, after gfsync, the same
+// bytes on the host, whether the cache holds the file or evicts it several
+// times over. The shapes differ in what they cost, not in what they mean: the
+// page-aligned ones must not read a page from the host when nothing is evicted.
+
+// writeShape writes src at offset 0 using one particular call shape.
+type writeShape struct {
+	name string
+	// aligned says every gwrite of the shape covers whole pages from their
+	// boundaries (or the file's tail from one).
+	aligned bool
+	write   func(fs *FS, b *gpu.Block, fd int, src []byte) error
+}
+
+func chunkedWrite(fs *FS, b *gpu.Block, fd int, src []byte, offs []int, chunk int) error {
+	for _, off := range offs {
+		n := min(chunk, len(src)-off)
+		if got, err := fs.Write(b, fd, src[off:off+n], int64(off)); err != nil || got != n {
+			return fmt.Errorf("write at %d: %d of %d, err=%v", off, got, n, err)
+		}
+	}
+	return nil
+}
+
+// chunkOffsets lists the offsets of size/chunk chunks, in file order or in
+// reverse.
+func chunkOffsets(size, chunk int, reverse bool) []int {
+	var offs []int
+	for off := 0; off < size; off += chunk {
+		offs = append(offs, off)
+	}
+	if reverse {
+		slices.Reverse(offs)
+	}
+	return offs
+}
+
+func writeShapes(pageSize int) []writeShape {
+	chunked := func(chunk int, reverse bool) func(fs *FS, b *gpu.Block, fd int, src []byte) error {
+		return func(fs *FS, b *gpu.Block, fd int, src []byte) error {
+			return chunkedWrite(fs, b, fd, src, chunkOffsets(len(src), chunk, reverse), chunk)
+		}
+	}
+	return []writeShape{
+		{"whole", true, func(fs *FS, b *gpu.Block, fd int, src []byte) error {
+			return chunkedWrite(fs, b, fd, src, []int{0}, len(src))
+		}},
+		{"single-page", true, chunked(pageSize, false)},
+		{"single-page-reverse", true, chunked(pageSize, true)},
+		{"odd-chunks", false, chunked(3333, false)},
+	}
+}
+
+func TestMetamorphicWriteShapes(t *testing.T) {
+	ps := int(defaultOpt().PageSize)
+	want := pattern(10*ps+777, 5)    // ~10.05 pages
+	initial := pattern(6*ps+100, 23) // the host file before: shorter, and different
+
+	for _, frames := range []int{64, 6} {
+		for _, shape := range writeShapes(ps) {
+			t.Run(fmt.Sprintf("frames=%d/%s", frames, shape.name), func(t *testing.T) {
+				run := func() (view []byte, reads int64, cs CacheStats) {
+					opt := defaultOpt()
+					opt.CacheBytes = int64(frames * ps)
+					h := newHarness(t, 1, opt)
+					fs := h.fss[0]
+					h.write(t, "/meta-w", initial)
+					view = make([]byte, len(want)+ps)
+					h.run(t, 0, func(b *gpu.Block) error {
+						fd, err := fs.Open(b, "/meta-w", O_RDWR)
+						if err != nil {
+							return err
+						}
+						reads = h.server.Requests(rpc.OpReadPages)
+						if err := shape.write(fs, b, fd, want); err != nil {
+							return err
+						}
+						reads = h.server.Requests(rpc.OpReadPages) - reads
+						n, err := fs.Read(b, fd, view, 0)
+						if err != nil {
+							return err
+						}
+						view = view[:n]
+						if err := fs.Fsync(b, fd); err != nil {
+							return err
+						}
+						return fs.Close(b, fd)
+					})
+					if host := h.read(t, "/meta-w"); !bytes.Equal(host, want) {
+						t.Errorf("host content after gfsync diverges from the bytes written (%d bytes, want %d)", len(host), len(want))
+					}
+					h.checkDirtyCounts(t)
+					return view, reads, fs.CacheStats()
+				}
+				view, reads, cs := run()
+				if !bytes.Equal(view, want) {
+					t.Errorf("the GPU's view after the writes diverges from the bytes written (%d bytes, want %d)", len(view), len(want))
+				}
+				if shape.aligned && frames > len(want)/ps+1 && reads != 0 {
+					t.Errorf("page-aligned writes over a cache that holds the file fetched %d pages, want none", reads)
+				}
+				if !shape.aligned && reads == 0 {
+					t.Errorf("writes that straddle pages fetched none: the shape no longer exercises the fetch path")
+				}
+				if view2, reads2, cs2 := run(); !bytes.Equal(view, view2) || reads != reads2 || cs != cs2 {
+					t.Errorf("two identical runs differ: reads %d vs %d, CacheStats %+v vs %+v", reads, reads2, cs, cs2)
+				}
+			})
+		}
 	}
 }

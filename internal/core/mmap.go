@@ -69,7 +69,7 @@ func (fs *FS) mmapImpl(b *gpu.Block, fd int, off, length int64) (*Mapping, error
 		}
 	}
 
-	ref, err := fs.getPage(b, f, pageIdx)
+	ref, _, err := fs.getPage(b, f, pageIdx, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -265,8 +265,7 @@ func runModelSchedule(t *testing.T, seed int64, zeroCopy, migrate bool) {
 			if !st.open || !st.wr {
 				continue
 			}
-			off := rng.Intn(modelMaxFile - 1)
-			n := 1 + rng.Intn(min(4<<10, modelMaxFile-off))
+			off, n := writeExtent(rng, modelMaxFile, 4<<10, len(st.view), int(opt.PageSize))
 			data := make([]byte, n)
 			rng.Read(data)
 			h.run(t, g, func(b *gpu.Block) error {

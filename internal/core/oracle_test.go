@@ -30,6 +30,31 @@ func TestOracleRandomOps(t *testing.T) {
 	}
 }
 
+// writeExtent draws a gwrite's extent for the random-op generators (this
+// oracle, the model schedules, the fault stress). Three draws in four are what
+// the generators always drew: any offset below maxFile and up to maxLen bytes,
+// which is nearly always a partial page. The fourth takes the edge such a draw
+// essentially never does, the write that determines every byte of its page
+// (publishOverwrite when the page is not resident): a whole page at its
+// boundary or, from the boundary of the page the view's end lies in, a tail
+// that reaches or passes that end. size is the file size as the GPU sees it,
+// ps the page size.
+func writeExtent(rng *rand.Rand, maxFile, maxLen, size, ps int) (off, n int) {
+	switch rng.Intn(8) {
+	case 0:
+		off = rng.Intn(maxFile/ps) * ps
+		return off, ps
+	case 1:
+		off = size / ps * ps
+		lo, hi := max(size-off, 1), min(ps, maxFile-off)
+		if lo <= hi {
+			return off, lo + rng.Intn(hi-lo+1)
+		}
+	}
+	off = rng.Intn(maxFile - 1)
+	return off, rng.Intn(min(maxLen, maxFile-off)) + 1
+}
+
 func runOracle(t *testing.T, seed int64) {
 	opt := defaultOpt()
 	opt.CacheBytes = 6 * opt.PageSize // constant eviction pressure
@@ -80,8 +105,7 @@ func runOracle(t *testing.T, seed int64) {
 				if err := ensureOpen(b); err != nil {
 					return err
 				}
-				off := rng.Intn(maxFile - 1)
-				n := rng.Intn(min(8<<10, maxFile-off)) + 1
+				off, n := writeExtent(rng, maxFile, 8<<10, len(model), int(opt.PageSize))
 				data := make([]byte, n)
 				rng.Read(data)
 				logf("%d: write off=%d n=%d", step, off, n)

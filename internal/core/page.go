@@ -122,6 +122,22 @@ func (fs *FS) publish(b *gpu.Block, f *file, r pageRef, n int, readyAt simtime.T
 	r.fp.FinishInit(fr.Index)
 }
 
+// publishOverwrite brings a claimed page in as the bytes a gwrite is putting
+// there: src is the page's whole content from its first byte (anything past
+// it lies beyond end of file), so nothing is fetched and only what src does
+// not cover is zeroed. The copy happens while the slot is still Init — no
+// reader may see the frame between the claim and the writer's bytes, since
+// what it held before is neither the old page nor the new one — and the
+// caller keeps the initializer's reference from publish through markDirty, so
+// no evictor can take the page while it is Ready and not yet dirty. The
+// checkpoint's copy-on-write hook is not called: the frame never held a
+// pre-write image (the host copy is the pre-write image).
+func (fs *FS) publishOverwrite(b *gpu.Block, f *file, r pageRef, src []byte) {
+	b.CopyBytes(r.fr.Data, src)
+	fs.publish(b, f, r, len(src), 0, pcache.SpecNone)
+	fs.markDirty(f.fc, r)
+}
+
 // abort gives a claim up: the frame could not be filled, or (r.fr nil) there
 // was none to take.
 func (fs *FS) abort(fc *fileCache, r pageRef) {
@@ -153,14 +169,12 @@ func (fs *FS) hold(fc *fileCache, p *radix.FPage) *pcache.Frame {
 const writeBackGap = 512
 
 // writeBack is one actor propagating dirty pages of one file to the host
-// through hostFd: any number of frame calls, then done, which re-reads the
-// host generation once if anything was written.
+// through hostFd: any number of frame calls, then done.
 type writeBack struct {
 	fs     *FS
 	a      actor
 	fc     *fileCache
 	hostFd int64
-	wrote  bool
 	// buf is the one buffer every page of this walk is snapshotted through,
 	// drawn from snapBufs at the first dirty page and returned by done.
 	buf *[]byte
@@ -183,7 +197,8 @@ var snapBufs = sync.Pool{New: func() any { return new([]byte) }}
 //
 // On success the frame is clean and, for write-shared pages, the pristine
 // copy is advanced to the page's current content so future diffs are
-// relative to this sync. On failure it is dirty again.
+// relative to this sync. On failure it is dirty again. Either way the file
+// adopts the generation of every range that did reach the host.
 func (w *writeBack) frame(fr *pcache.Frame) error {
 	// One write-back of a page at a time, from before the dirty flag
 	// clears until the last range is on the host (see Frame.WriteBack).
@@ -213,43 +228,41 @@ func (w *writeBack) frame(fr *pcache.Frame) error {
 	}
 
 	for _, r := range ranges {
-		if _, err := w.a.lane.WritePages(w.a.clk, w.hostFd, base+r.Start, data[r.Start:r.End]); err != nil {
+		_, gen, err := w.a.lane.WritePages(w.a.clk, w.hostFd, base+r.Start, data[r.Start:r.End])
+		if err != nil {
 			// A racing writer may have re-dirtied it already.
 			w.fs.setDirty(w.fc, fr, true)
 			return fmt.Errorf("gpufs: writing back page at %d: %w", base, err)
 		}
+		w.fs.adoptGeneration(w.fc, gen)
 	}
 	if pristine != nil {
 		fr.SetPristine(data)
 	}
-	w.wrote = true
 	return nil
 }
 
-// done closes the write-back: having propagated writes, this GPU re-reads
-// the host file's generation so the consistency layer keeps considering its
-// cached copy current.
+// done closes the write-back.
 func (w *writeBack) done() {
 	if w.buf != nil {
 		snapBufs.Put(w.buf)
 		w.buf = nil
 	}
-	if w.wrote {
-		w.fs.refreshGeneration(w.a, w.fc, w.hostFd)
-	}
 }
 
-// refreshGeneration adopts the host file's current generation as the one
-// fc's pages correspond to. If another processor wrote concurrently, the
-// generations will not line up and the next gopen will (correctly)
-// invalidate us.
-func (fs *FS) refreshGeneration(a actor, fc *fileCache, hostFd int64) {
-	info, err := a.lane.Stat(a.clk, hostFd)
-	if err != nil {
-		return // stale generation only costs an extra invalidation
-	}
-	fc.gen.Store(info.Generation)
-	fs.sys.RecordCached(fc.ino, info.Generation)
+// adoptGeneration takes gen — what the reply to this GPU's own write or
+// truncate says the host file became — as the generation fc's pages
+// correspond to, so the consistency layer keeps considering the cached copy
+// current. If another processor wrote concurrently, the generations will not
+// line up and the next gopen will (correctly) invalidate us. It is the one
+// place a cached generation moves after gopen, and it only moves it forward,
+// here (raise) and in the layer's record: write-backs of one file run
+// concurrently (evicting blocks, the cleaner, gfsync) and their replies
+// arrive in any order, and a generation that lags the host makes the next
+// reopen drop the file's cache, dirty pages included.
+func (fs *FS) adoptGeneration(fc *fileCache, gen int64) {
+	raise(&fc.gen, gen)
+	fs.sys.RecordCached(fc.ino, gen)
 }
 
 // A page leaves the cache through beginEvict, then reclaim — or cancelEvict,

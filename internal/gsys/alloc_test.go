@@ -62,7 +62,7 @@ func TestWritePagesRecyclesStaging(t *testing.T) {
 	fd := r.open(t, c, "/w", hostfs.O_RDWR)
 	page := make([]byte, costPage)
 	write := func() {
-		if n, err := r.cl.WritePages(c, fd, 0, page); err != nil || n != costPage {
+		if n, _, err := r.cl.WritePages(c, fd, 0, page); err != nil || n != costPage {
 			t.Fatalf("WritePages: n=%d err=%v", n, err)
 		}
 	}

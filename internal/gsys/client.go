@@ -163,21 +163,26 @@ func (c Client) frame(d Desc, args []uint64, path string, data []byte) []byte {
 	}).Encode()
 }
 
-// handlerFor wraps a call for the ring transport, stamping it with the
+// requestFor wraps a call for the ring transport, stamping it with the
 // transport view it rides: the daemon side decodes the wire frame (a retry
 // decodes again — the frame is immutable) and dispatches through the
-// syscall table.
-func (c Client) handlerFor(wire []byte, cl *call) rpc.Handler {
+// syscall table. A syscall whose host work continues after a DMA (the
+// service's resume table) becomes a request of two stretches.
+func (c Client) requestFor(sys Sysno, wire []byte, cl *call) rpc.Request {
 	cl.rpc = c.rpc
 	svc := c.svc
-	return func(cclk *simtime.Clock) (simtime.Time, error) {
+	req := rpc.Request{Handle: func(cclk *simtime.Clock) (simtime.Time, error) {
 		fr, err := DecodeFrame(wire)
 		if err != nil {
 			return 0, err
 		}
 		cl.fr = fr
 		return svc.dispatch(cl, cclk)
+	}}
+	if resume := svc.resume[sys]; resume != nil {
+		req.Resume = func(cclk *simtime.Clock) (simtime.Time, error) { return resume(svc, cl, cclk) }
 	}
+	return req
 }
 
 // do dispatches one strong-ordered blocking call: the lane's clock
@@ -187,7 +192,7 @@ func (c Client) do(blk *simtime.Clock, sys Sysno, args []uint64, path string, da
 	wire := c.frame(d, args, path, data)
 	c.root.strong.Add(1)
 	sent := blk.Now()
-	err := c.rpc.Do(blk, rpcOp[sys], c.handlerFor(wire, cl))
+	err := c.rpc.Submit(blk, rpcOp[sys], c.requestFor(sys, wire, cl))
 	c.observe(sys, OrderStrong, sent, blk.Now())
 	return err
 }
@@ -199,7 +204,7 @@ func (c Client) doRelaxed(blk *simtime.Clock, sys Sysno, args []uint64, path str
 	wire := c.frame(d, args, path, data)
 	c.root.relaxed.Add(1)
 	sent := blk.Now()
-	done, err := c.rpc.DoAsync(blk, rpcOp[sys], c.handlerFor(wire, cl))
+	done, err := c.rpc.SubmitAsync(blk, rpcOp[sys], c.requestFor(sys, wire, cl))
 	if err == nil {
 		c.observe(sys, OrderRelaxed, sent, done)
 	}
@@ -262,18 +267,24 @@ func (c Client) ReadAsync(blk *simtime.Clock, fd, off int64, dsts [][]byte) ([]i
 }
 
 // WritePages DMAs len(src) bytes out of device memory and writes them to
-// the host file at off.
-func (c Client) WritePages(blk *simtime.Clock, fd, off int64, src []byte) (int, error) {
+// the host file at off. It returns the byte count and the generation the
+// host file has with the write applied (Reply.Gen).
+func (c Client) WritePages(blk *simtime.Clock, fd, off int64, src []byte) (int, int64, error) {
 	cl := &call{src: src}
 	if err := c.do(blk, SysWrite, []uint64{uint64(fd), uint64(off)}, "", nil, cl); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	return cl.reply.N, nil
+	return cl.reply.N, cl.reply.Gen, nil
 }
 
-// Truncate truncates the host file behind fd.
-func (c Client) Truncate(blk *simtime.Clock, fd, size int64) error {
-	return c.do(blk, SysTruncate, []uint64{uint64(fd), uint64(size)}, "", nil, &call{})
+// Truncate truncates the host file behind fd and returns the generation the
+// file has with the truncation applied (Reply.Gen).
+func (c Client) Truncate(blk *simtime.Clock, fd, size int64) (int64, error) {
+	cl := &call{}
+	if err := c.do(blk, SysTruncate, []uint64{uint64(fd), uint64(size)}, "", nil, cl); err != nil {
+		return 0, err
+	}
+	return cl.reply.Gen, nil
 }
 
 // Unlink removes the file at path on the host.
@@ -281,7 +292,10 @@ func (c Client) Unlink(blk *simtime.Clock, path string) error {
 	return c.do(blk, SysUnlink, nil, path, nil, &call{})
 }
 
-// Stat returns host metadata for fd.
+// Stat returns host metadata for fd. No production path calls it: gfstat is
+// served from GPU-resident state and the mutating calls' replies carry the
+// generation a stat used to be sent for. It stays in the table as the
+// protocol's metadata query.
 func (c Client) Stat(blk *simtime.Clock, fd int64) (hostfs.FileInfo, error) {
 	cl := &call{}
 	if err := c.do(blk, SysStat, []uint64{uint64(fd)}, "", nil, cl); err != nil {

@@ -110,3 +110,81 @@ func TestCostVecReadIsOneCycle(t *testing.T) {
 		t.Fatalf("4-page vec read completes after %v, want one cycle = %v", got, want)
 	}
 }
+
+// writeFile stages a warm one-page file and opens it for writing, like
+// costFile; it also returns the generation the file was opened at.
+func writeFile(t *testing.T, r *rig) (fd, gen int64, c *simtime.Clock) {
+	t.Helper()
+	r.write(t, "/f", make([]byte, costPage))
+	c = simtime.NewClock(simtime.Time(simtime.Second))
+	fd, info, err := r.cl.Open(c, "/f", hostfs.O_RDWR, rwMode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fd, info.Generation, c
+}
+
+// d2h is the link cost of one staged n-byte transfer out of device memory:
+// the landing pass through host DRAM, then the bus.
+func d2h(n int64) simtime.Duration { return stagingPass(n) + dma(n) }
+
+// TestCostWritePages: a write is one ring transaction of two stretches. The
+// block waits for the dispatch, the D2H transfer, the pwrite (which costs what
+// a warm pread of as many bytes does) and the response; the worker is busy
+// for the dispatch and the pwrite and free while the transfer is in flight.
+func TestCostWritePages(t *testing.T) {
+	r := newRig(t, false)
+	fd, opened, c := writeFile(t, r)
+	start, requests, busy := c.Now(), r.srv.TotalRequests(), r.srv.DaemonBusy()
+
+	n, gen, err := r.cl.WritePages(c, fd, 0, make([]byte, costPage))
+	if err != nil || n != costPage {
+		t.Fatalf("write: n=%d err=%v", n, err)
+	}
+	if gen != opened+1 {
+		t.Errorf("write's reply carries generation %d, want the one it produced, %d", gen, opened+1)
+	}
+	if got := r.srv.TotalRequests() - requests; got != 1 {
+		t.Errorf("one write was %d ring transactions, want 1", got)
+	}
+	if got, want := c.Now().Sub(start), ringCycle()+d2h(costPage)+warmPread(costPage); got != want {
+		t.Errorf("write cost the block %v, want ring cycle + D2H DMA + pwrite = %v", got, want)
+	}
+	if got, want := r.srv.DaemonBusy()-busy, rigRPC.HandleCost+warmPread(costPage); got != want {
+		t.Errorf("write kept the worker busy %v, want dispatch + pwrite = %v (it does not sit through the DMA)", got, want)
+	}
+}
+
+// TestCostWritesOverlapOnOneRing: two blocks write through the same ring at
+// the same instant. The worker dispatches the second write while the first's
+// transfer is in flight, so the second waits for the host memory bus (both
+// transfers stage through it) and for the first's pwrite, never for the
+// first's DMA.
+func TestCostWritesOverlapOnOneRing(t *testing.T) {
+	r := newRig(t, false)
+	fd, _, c1 := writeFile(t, r)
+	c2 := simtime.NewClock(c1.Now())
+	start := c1.Now()
+	for _, c := range []*simtime.Clock{c1, c2} {
+		if _, _, err := r.cl.WritePages(c, fd, 0, make([]byte, costPage)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stage, pwrite := stagingPass(costPage), warmPread(costPage)
+	dispatched1 := start.Add(rigRPC.PollInterval + rigRPC.HandleCost)
+	landed1 := dispatched1.Add(d2h(costPage))
+	if want := landed1.Add(pwrite + rigRPC.ReturnLatency); c1.Now() != want {
+		t.Fatalf("first write observed at %v, want %v", c1.Now(), want)
+	}
+	// The second is dispatched right behind the first; its staging pass
+	// queues behind the first's on the memory bus, its bus transfer takes
+	// another DMA channel, and its pwrite takes the worker's first free
+	// instant once it has landed.
+	dispatched2 := dispatched1.Add(rigRPC.HandleCost)
+	landed2 := max(dispatched2, dispatched1.Add(stage)).Add(stage + dma(costPage))
+	resumed2 := max(landed2, landed1.Add(pwrite))
+	if want := resumed2.Add(pwrite + rigRPC.ReturnLatency); c2.Now() != want {
+		held := landed1.Add(pwrite + rigRPC.HandleCost + d2h(costPage) + pwrite + rigRPC.ReturnLatency)
+		t.Fatalf("second write observed at %v, want %v (a worker held through the first's DMA gives %v)", c2.Now(), want, held)
+	}
+}

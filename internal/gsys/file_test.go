@@ -152,7 +152,7 @@ func TestOpenReadWriteRoundTrip(t *testing.T) {
 			t.Fatalf("payload mismatch")
 		}
 
-		if _, err := cl.WritePages(c, fd, int64(len(want)), []byte("!")); err != nil {
+		if _, _, err := cl.WritePages(c, fd, int64(len(want)), []byte("!")); err != nil {
 			t.Fatal(err)
 		}
 		st, err := cl.Stat(c, fd)
@@ -198,12 +198,16 @@ func TestTruncateAndUnlink(t *testing.T) {
 	r.write(t, "/f", make([]byte, 100))
 
 	fd := r.open(t, c, "/f", hostfs.O_RDWR)
-	if err := r.cl.Truncate(c, fd, 10); err != nil {
+	gen, err := r.cl.Truncate(c, fd, 10)
+	if err != nil {
 		t.Fatal(err)
 	}
 	st, _ := r.cl.Stat(c, fd)
 	if st.Size != 10 {
 		t.Fatalf("truncate: size %d", st.Size)
+	}
+	if gen != st.Generation {
+		t.Fatalf("truncate replied generation %d, a stat right after reads %d", gen, st.Generation)
 	}
 	r.cl.Close(c, fd)
 	if err := r.cl.Unlink(c, "/f"); err != nil {
@@ -311,8 +315,8 @@ func TestServerErrorPaths(t *testing.T) {
 				{"close", func() error { return cl.Close(c, 404) }},
 				{"read", func() error { _, err := cl.Read(c, 404, 0, segments(make([]byte, 8), segs)); return err }},
 				{"readAsync", func() error { _, _, err := cl.ReadAsync(c, 404, 0, segments(make([]byte, 8), segs)); return err }},
-				{"write", func() error { _, err := cl.WritePages(c, 404, 0, []byte("x")); return err }},
-				{"truncate", func() error { return cl.Truncate(c, 404, 0) }},
+				{"write", func() error { _, _, err := cl.WritePages(c, 404, 0, []byte("x")); return err }},
+				{"truncate", func() error { _, err := cl.Truncate(c, 404, 0); return err }},
 				{"stat", func() error { _, err := cl.Stat(c, 404); return err }},
 				{"fsync", func() error { return cl.Fsync(c, 404) }},
 			}
@@ -359,7 +363,7 @@ func TestServerErrorPaths(t *testing.T) {
 				ns, err := r.cl.Read(cr, fd, 0, segments(dst, segs))
 				readDone <- res{sum(ns), err}
 			}()
-			if err := r.cl.Truncate(ct, fd, 16); err != nil {
+			if _, err := r.cl.Truncate(ct, fd, 16); err != nil {
 				t.Fatal(err)
 			}
 			got := <-readDone
@@ -440,8 +444,9 @@ func TestDroppedResponsesApplySyscallsOnce(t *testing.T) {
 	// answered from the ring's dedup table, so the handler's side effects
 	// land once — the host inode's generation counts every applied
 	// mutation, so N logical writes must move it by exactly N — and the
-	// reply the first execution filled (descriptor, byte count) is what
-	// the caller sees after the retry.
+	// reply the first execution filled (descriptor, byte count, the
+	// generation the write produced) is what the caller sees after the
+	// retry: it lives in the captured call, not in the dedup table.
 	r := newFaultyRig(t, false, faults.Config{Seed: 2, RPCDropResponseProb: 0.4})
 	r.write(t, "/f", nil)
 	before, _ := r.host.Stat("/f")
@@ -455,9 +460,12 @@ func TestDroppedResponsesApplySyscallsOnce(t *testing.T) {
 			t.Fatalf("open %d returned descriptor %d (seen: %v)", i, fd, fds[fd])
 		}
 		fds[fd] = true
-		n, err := r.cl.WritePages(c, fd, int64(i), []byte{byte(i)})
+		n, gen, err := r.cl.WritePages(c, fd, int64(i), []byte{byte(i)})
 		if err != nil || n != 1 {
 			t.Fatalf("write %d: n=%d err=%v", i, n, err)
+		}
+		if want := before.Generation + int64(i) + 1; gen != want {
+			t.Fatalf("write %d replied generation %d, want %d", i, gen, want)
 		}
 		if err := r.cl.Close(c, fd); err != nil {
 			t.Fatalf("close %d: %v (a re-applied close reports an unknown descriptor)", i, err)

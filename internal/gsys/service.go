@@ -30,6 +30,11 @@ type Reply struct {
 	Dirents []hostfs.FileInfo
 	Next    int64
 	EOF     bool
+	// Gen is the generation the host file has with the call's modification
+	// applied: what a stat issued right after it would have read. The two
+	// mutating file syscalls (SysWrite, SysTruncate) fill it, so a caching
+	// GPU learns what its own write made of the file from the write's reply.
+	Gen int64
 	// WaitAt is a would-block hint: the virtual time at which the
 	// blocking condition was last known to clear (pipe space freed).
 	WaitAt simtime.Time
@@ -49,6 +54,11 @@ type call struct {
 	// fault allocates nothing for its vector.
 	seg [1][]byte
 	n   [1]int
+
+	// file and stage carry a write from its first stretch to its second:
+	// the resolved host file and the staging buffer the D2H transfer lands in.
+	file  *hostfs.File
+	stage *[]byte
 }
 
 // readCall builds the call of a read into dsts, copying the vector (not the
@@ -69,7 +79,11 @@ type handlerFunc func(s *Service, c *call, cclk *simtime.Clock) (simtime.Time, e
 type Service struct {
 	srv   *rpc.Server
 	table [numSysno]handlerFunc
-	pipes pipeTable
+	// resume holds the second stretch of the syscalls whose host work
+	// continues once a DMA they started has landed (rpc.Request.Resume); nil
+	// for every syscall that is one stretch.
+	resume [numSysno]handlerFunc
+	pipes  pipeTable
 
 	// zeroCopy says the read destinations are pinned for DMA, so sysRead
 	// charges its transfer without the staging pass through host DRAM. It
@@ -103,6 +117,7 @@ func NewService(srv *rpc.Server, zeroCopyRead bool) *Service {
 		SysPipeWrite: (*Service).sysPipeWrite,
 		SysPipeClose: (*Service).sysPipeClose,
 	}
+	s.resume[SysWrite] = (*Service).sysWriteLanded
 	return s
 }
 
@@ -183,7 +198,7 @@ func (s *Service) sysClose(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 // one sysRead scatters a multi-segment read from and the one sysWrite lands
 // its D2H transfer in. They are only this simulation's way of moving the bytes
 // (the modelled staging pass is the DMA charge); nothing reads one after its
-// handler returns.
+// request's last handler returns.
 var stagingPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // staging draws a staging buffer of n bytes, contents undefined; the handler
@@ -235,22 +250,30 @@ func (s *Service) sysRead(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 	return c.rpc.Link().ChargeScatter(cclk.Now(), pcie.HostToDevice, int64(n), len(c.dsts), s.zeroCopy), nil
 }
 
-// sysWrite DMAs len(src) bytes out of device memory and writes them to
-// the host file. The D2H transfer must complete before the file write
-// begins (the daemon worker needs the bytes), so the worker's file access
-// is ordered after the DMA.
+// sysWrite is the first stretch of a write: it resolves the file and starts
+// the D2H transfer of len(src) bytes out of device memory on an asynchronous
+// DMA channel. The file write needs the bytes, so it is the second stretch
+// (sysWriteLanded), ordered after the transfer; the worker is free in
+// between, as it is while a read's H2D transfer is in flight.
 func (s *Service) sysWrite(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 	f, err := s.file(int64(c.fr.Args[0]))
 	if err != nil {
 		return 0, err
 	}
-	bp, buf := staging(len(c.src))
-	defer stagingPool.Put(bp)
+	c.file = f
+	var buf []byte
+	c.stage, buf = staging(len(c.src))
 	copy(buf, c.src)
-	done := c.rpc.Link().Charge(cclk.Now(), pcie.DeviceToHost, int64(len(c.src)))
-	cclk.AdvanceTo(done)
-	n, err := f.Pwrite(cclk, buf, int64(c.fr.Args[1]))
-	c.reply.N = n
+	return c.rpc.Link().Charge(cclk.Now(), pcie.DeviceToHost, int64(len(c.src))), nil
+}
+
+// sysWriteLanded is the second stretch of a write: the transfer has landed
+// in the staging buffer and the worker writes it to the host file. The reply
+// carries the byte count and the generation the write produced.
+func (s *Service) sysWriteLanded(c *call, cclk *simtime.Clock) (simtime.Time, error) {
+	defer stagingPool.Put(c.stage)
+	n, gen, err := c.file.Pwrite(cclk, (*c.stage)[:len(c.src)], int64(c.fr.Args[1]))
+	c.reply.N, c.reply.Gen = n, gen
 	return 0, err
 }
 
@@ -259,7 +282,9 @@ func (s *Service) sysTruncate(c *call, cclk *simtime.Clock) (simtime.Time, error
 	if err != nil {
 		return 0, err
 	}
-	return 0, f.Ftruncate(cclk, int64(c.fr.Args[1]))
+	gen, err := f.Ftruncate(cclk, int64(c.fr.Args[1]))
+	c.reply.Gen = gen
+	return 0, err
 }
 
 func (s *Service) sysUnlink(c *call, cclk *simtime.Clock) (simtime.Time, error) {

@@ -580,18 +580,21 @@ func (f *File) Pread(c *simtime.Clock, p []byte, off int64) (int, error) {
 
 // Pwrite writes len(p) bytes at offset off, extending the file if needed.
 // Data lands in the page cache (dirty); it reaches the disk on Fsync or
-// under cache pressure.
-func (f *File) Pwrite(c *simtime.Clock, p []byte, off int64) (int, error) {
+// under cache pressure. Besides the byte count it returns the generation the
+// file has with this write applied (FileInfo.Generation as an Fstat would
+// read it before any later modification), which is what lets a caching
+// client keep its copy current without a second call.
+func (f *File) Pwrite(c *simtime.Clock, p []byte, off int64) (int, int64, error) {
 	if err := f.check(true); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if off < 0 {
-		return 0, fmt.Errorf("%w: negative offset %d", ErrInvalid, off)
+		return 0, 0, fmt.Errorf("%w: negative offset %d", ErrInvalid, off)
 	}
 	f.fs.chargeSyscall(c)
 
 	if inj := f.fs.inj.Load(); inj.Should(faults.HostWriteEIO, c.Now()) {
-		return 0, fmt.Errorf("%w: write %q at %d", ErrIO, f.name, off)
+		return 0, 0, fmt.Errorf("%w: write %q at %d", ErrIO, f.name, off)
 	}
 
 	n := f.node
@@ -614,6 +617,7 @@ func (f *File) Pwrite(c *simtime.Clock, p []byte, off int64) (int, error) {
 	}
 	copy(n.data[off:], p)
 	n.gen++
+	gen := n.gen
 	n.mu.Unlock()
 
 	if !f.fs.timingFree.Load() {
@@ -621,7 +625,7 @@ func (f *File) Pwrite(c *simtime.Clock, p []byte, off int64) (int, error) {
 		c.AdvanceTo(end)
 		c.Use(f.fs.membus, simtime.TransferTime(int64(len(p)), f.fs.memRate))
 	}
-	return len(p), nil
+	return len(p), gen, nil
 }
 
 func grow(cur int, need int64) int64 {
@@ -649,13 +653,15 @@ func (f *File) Fsync(c *simtime.Clock) error {
 	return nil
 }
 
-// Ftruncate sets the file size, discarding data and cached units beyond it.
-func (f *File) Ftruncate(c *simtime.Clock, size int64) error {
+// Ftruncate sets the file size, discarding data and cached units beyond it,
+// and returns the generation the file has with the truncation applied (see
+// Pwrite).
+func (f *File) Ftruncate(c *simtime.Clock, size int64) (int64, error) {
 	if err := f.check(true); err != nil {
-		return err
+		return 0, err
 	}
 	if size < 0 {
-		return fmt.Errorf("%w: negative size %d", ErrInvalid, size)
+		return 0, fmt.Errorf("%w: negative size %d", ErrInvalid, size)
 	}
 	f.fs.chargeSyscall(c)
 
@@ -678,9 +684,10 @@ func (f *File) Ftruncate(c *simtime.Clock, size int64) error {
 		}
 	}
 	n.gen++
+	gen := n.gen
 	n.mu.Unlock()
 	f.fs.cache.truncate(n.ino, size)
-	return nil
+	return gen, nil
 }
 
 // Fstat returns the file's metadata.
@@ -711,7 +718,7 @@ func (fs *FS) WriteFile(c *simtime.Clock, p string, data []byte, mode Mode) erro
 		return err
 	}
 	defer f.Close()
-	if _, err := f.Pwrite(c, data, 0); err != nil {
+	if _, _, err := f.Pwrite(c, data, 0); err != nil {
 		return err
 	}
 	return nil

@@ -93,7 +93,7 @@ func TestAccessModeEnforcement(t *testing.T) {
 	fs.WriteFile(c, "/f", []byte("data"), rw)
 
 	ro, _ := fs.Open(c, "/f", O_RDONLY, 0)
-	if _, err := ro.Pwrite(c, []byte("x"), 0); !errors.Is(err, ErrReadOnly) {
+	if _, _, err := ro.Pwrite(c, []byte("x"), 0); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("write through O_RDONLY: %v", err)
 	}
 	wo, _ := fs.Open(c, "/f", O_WRONLY, 0)
@@ -134,7 +134,8 @@ func TestPwriteExtendsAndGenerationBumps(t *testing.T) {
 	defer f.Close()
 
 	g0, _ := fs.InodeGeneration(f.Ino())
-	if _, err := f.Pwrite(c, []byte("abc"), 10); err != nil {
+	_, gen, err := f.Pwrite(c, []byte("abc"), 10)
+	if err != nil {
 		t.Fatal(err)
 	}
 	info, _ := f.Fstat(c)
@@ -144,6 +145,9 @@ func TestPwriteExtendsAndGenerationBumps(t *testing.T) {
 	g1, _ := fs.InodeGeneration(f.Ino())
 	if g1 <= g0 {
 		t.Fatalf("generation must advance on write: %d -> %d", g0, g1)
+	}
+	if gen != info.Generation {
+		t.Fatalf("Pwrite returned generation %d, an Fstat right after reads %d", gen, info.Generation)
 	}
 	// The gap reads as zeros.
 	buf := make([]byte, 13)
@@ -162,13 +166,17 @@ func TestFtruncate(t *testing.T) {
 	defer f.Close()
 	f.Pwrite(c, []byte("0123456789"), 0)
 
-	if err := f.Ftruncate(c, 4); err != nil {
+	gen, err := f.Ftruncate(c, 4)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if f.Size() != 4 {
 		t.Fatalf("shrink failed: %d", f.Size())
 	}
-	if err := f.Ftruncate(c, 8); err != nil {
+	if info, _ := f.Fstat(c); gen != info.Generation {
+		t.Fatalf("Ftruncate returned generation %d, an Fstat right after reads %d", gen, info.Generation)
+	}
+	if _, err := f.Ftruncate(c, 8); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 8)
@@ -176,7 +184,7 @@ func TestFtruncate(t *testing.T) {
 	if !bytes.Equal(buf, []byte{'0', '1', '2', '3', 0, 0, 0, 0}) {
 		t.Fatalf("grow should zero-fill: %q", buf)
 	}
-	if err := f.Ftruncate(c, -1); !errors.Is(err, ErrInvalid) {
+	if _, err := f.Ftruncate(c, -1); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("negative truncate: %v", err)
 	}
 }
@@ -390,7 +398,7 @@ func TestTruncateThenExtendReadsZeros(t *testing.T) {
 	defer f.Close()
 
 	f.Pwrite(c, bytes.Repeat([]byte{0xE6}, 1000), 0)
-	if err := f.Ftruncate(c, 100); err != nil {
+	if _, err := f.Ftruncate(c, 100); err != nil {
 		t.Fatal(err)
 	}
 	// Extend past the old end with a distant write.

@@ -50,7 +50,7 @@ func runHostfsOracle(t *testing.T, seed int64) {
 			n := rng.Intn(8<<10) + 1
 			data := make([]byte, n)
 			rng.Read(data)
-			if _, err := f.Pwrite(c, data, int64(off)); err != nil {
+			if _, _, err := f.Pwrite(c, data, int64(off)); err != nil {
 				t.Fatalf("step %d pwrite: %v", step, err)
 			}
 			f.Close()
@@ -103,7 +103,7 @@ func runHostfsOracle(t *testing.T, seed int64) {
 				t.Fatalf("step %d open: %v", step, err)
 			}
 			size := rng.Intn(maxLen)
-			if err := f.Ftruncate(c, int64(size)); err != nil {
+			if _, err := f.Ftruncate(c, int64(size)); err != nil {
 				t.Fatalf("step %d truncate: %v", step, err)
 			}
 			f.Close()

@@ -10,9 +10,10 @@
 // protocol: every interaction is a message exchange.
 //
 // The package is two layers and knows nothing about files: a request is
-// an Op (the accounting class it is counted under) plus a Handler the
-// caller supplies. What a request means — the syscall table, descriptor
-// table and wire frames — is internal/gsys, layered above.
+// an Op (the accounting class it is counted under) plus the host work the
+// caller supplies — a Handler, or a Request of two Handlers around a DMA
+// the worker does not wait for. What a request means — the syscall table,
+// descriptor table and wire frames — is internal/gsys, layered above.
 //
 //   - transport (transport.go): N sharded rings per GPU. A Client is one
 //     GPU's endpoint, optionally Bind-ed to a lane so a threadblock's
@@ -363,7 +364,7 @@ func (c *Client) Server() *Server { return c.srv }
 // results land in variables the caller captured); the block's clock
 // advances to response delivery.
 func (c *Client) Do(blk *simtime.Clock, op Op, handler Handler) error {
-	return c.t.Submit(blk, c.shard, op, handler)
+	return c.t.Submit(blk, c.shard, op, Request{Handle: handler})
 }
 
 // DoAsync runs one non-blocking request: it is enqueued at the block's
@@ -371,5 +372,17 @@ func (c *Client) Do(blk *simtime.Clock, op Op, handler Handler) error {
 // untouched and the returned time says when the response lands. Like all
 // detached submissions it is never retried.
 func (c *Client) DoAsync(blk *simtime.Clock, op Op, handler Handler) (simtime.Time, error) {
-	return c.t.SubmitAsync(blk, c.shard, op, handler)
+	return c.t.SubmitAsync(blk, c.shard, op, Request{Handle: handler})
+}
+
+// Submit is Do for a request that may be two stretches of host work (see
+// Request); the block's clock advances to the delivery of the response that
+// follows the last stretch.
+func (c *Client) Submit(blk *simtime.Clock, op Op, req Request) error {
+	return c.t.Submit(blk, c.shard, op, req)
+}
+
+// SubmitAsync is DoAsync for a Request.
+func (c *Client) SubmitAsync(blk *simtime.Clock, op Op, req Request) (simtime.Time, error) {
+	return c.t.SubmitAsync(blk, c.shard, op, req)
 }

@@ -156,3 +156,24 @@ func TestHappyPathUnchangedByDisabledInjector(t *testing.T) {
 			bareT, injT, bareN, injN)
 	}
 }
+
+// TestDroppedResponseChargesBothStretchesOnce: a two-stretch request whose
+// responses are all lost is applied once — both stretches, by the first
+// attempt — and the worker is charged for a dispatch per attempt plus exactly
+// those two stretches, never for the transfer window between them.
+func TestDroppedResponseChargesBothStretchesOnce(t *testing.T) {
+	const first, dma, second = 3 * simtime.Microsecond, 100 * simtime.Microsecond, 7 * simtime.Microsecond
+	srv, cl, _ := faultyHarness(t, faults.Config{Seed: 5, RPCDropResponseProb: 1.0})
+	var runs [2]int
+	err := cl.Submit(simtime.NewClock(0), OpWritePages, twoStretch(first, dma, second, &runs))
+	if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("every response dropped, got %v", err)
+	}
+	if runs != [2]int{1, 1} {
+		t.Fatalf("stretches ran %v times over %d attempts, want once each", runs, srv.cfg.MaxAttempts)
+	}
+	want := simtime.Duration(srv.cfg.MaxAttempts)*srv.cfg.HandleCost + first + second
+	if got := srv.DaemonBusy(); got != want {
+		t.Fatalf("worker busy %v, want %d dispatches + the two stretches = %v", got, srv.cfg.MaxAttempts, want)
+	}
+}

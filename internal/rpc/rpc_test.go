@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"errors"
 	"testing"
 
 	"gpufs/internal/hostfs"
@@ -109,5 +110,147 @@ func TestOpString(t *testing.T) {
 	}
 	if Op(99).String() == "" {
 		t.Fatalf("unknown op must render")
+	}
+}
+
+// twoStretch builds a request of two stretches: first of host work, a
+// transfer of dma that the worker does not wait for, then second of host work.
+// runs counts how often each stretch ran.
+func twoStretch(first, dma, second simtime.Duration, runs *[2]int) Request {
+	return Request{
+		Handle: func(cclk *simtime.Clock) (simtime.Time, error) {
+			runs[0]++
+			cclk.Advance(first)
+			return cclk.Now().Add(dma), nil
+		},
+		Resume: func(cclk *simtime.Clock) (simtime.Time, error) {
+			runs[1]++
+			cclk.Advance(second)
+			return 0, nil
+		},
+	}
+}
+
+// TestRequestOfTwoStretches: the block waits for both stretches and the
+// transfer between them; the worker is booked for the dispatch and the two
+// stretches only — the continuation pays no second dispatch — and serves
+// another ring slot inside the transfer window.
+func TestRequestOfTwoStretches(t *testing.T) {
+	const first, dma, second = 3 * simtime.Microsecond, 100 * simtime.Microsecond, 7 * simtime.Microsecond
+	srv, cl := harness(t)
+	cfg := srv.cfg
+	var runs [2]int
+
+	c1 := simtime.NewClock(0)
+	if err := cl.Submit(c1, OpWritePages, twoStretch(first, dma, second, &runs)); err != nil {
+		t.Fatal(err)
+	}
+	if runs != [2]int{1, 1} {
+		t.Fatalf("stretches ran %v times, want once each", runs)
+	}
+	dispatched := cfg.PollInterval + cfg.HandleCost
+	if got, want := simtime.Duration(c1.Now()), dispatched+first+dma+second+cfg.ReturnLatency; got != want {
+		t.Errorf("block observed the response after %v, want dispatch + both stretches + the transfer + return = %v", got, want)
+	}
+	if got, want := srv.DaemonBusy(), cfg.HandleCost+first+second; got != want {
+		t.Errorf("worker busy %v, want dispatch + both stretches = %v", got, want)
+	}
+
+	// A request sent at the same instant is dispatched right behind the first
+	// stretch, inside the transfer window.
+	const short = 5 * simtime.Microsecond
+	c2 := simtime.NewClock(0)
+	if err := cl.Do(c2, OpReadPages, busy(short)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := simtime.Duration(c2.Now()), dispatched+first+cfg.HandleCost+short+cfg.ReturnLatency; got != want {
+		t.Errorf("second request observed after %v, want %v: the worker is free across the transfer", got, want)
+	}
+
+	// The continuation takes the worker's first free instant at or after the
+	// transfer's completion: a third request whose transfer lands while the
+	// worker is busy resumes when the worker frees up.
+	srv.ResetTime()
+	c3, c4 := simtime.NewClock(0), simtime.NewClock(0)
+	if err := cl.Do(c3, OpReadPages, busy(dma)); err != nil { // worker busy [dispatched, dispatched+dma)
+		t.Fatal(err)
+	}
+	if err := cl.Submit(c4, OpWritePages, twoStretch(0, first, second, &runs)); err != nil {
+		t.Fatal(err)
+	}
+	// c4's dispatch backfills nothing (the worker is booked from poll to the
+	// end of c3's handler), so it follows c3's handler; its transfer then
+	// lands on an idle worker.
+	if got, want := simtime.Duration(c4.Now()), dispatched+dma+cfg.HandleCost+first+second+cfg.ReturnLatency; got != want {
+		t.Errorf("queued two-stretch request observed after %v, want %v", got, want)
+	}
+}
+
+// TestRequestResumeWaitsForTheWorker: a transfer that lands while the worker
+// is inside another request's stretch resumes at that stretch's end.
+func TestRequestResumeWaitsForTheWorker(t *testing.T) {
+	const dma, second, long = 20 * simtime.Microsecond, 7 * simtime.Microsecond, 50 * simtime.Microsecond
+	srv, cl := harness(t)
+	cfg := srv.cfg
+	var runs [2]int
+
+	// The long request is sent second in virtual time but booked first here:
+	// the calendar, not the call order, decides.
+	cLong := simtime.NewClock(simtime.Time(cfg.HandleCost))
+	if err := cl.Do(cLong, OpReadPages, busy(long)); err != nil {
+		t.Fatal(err)
+	}
+	c := simtime.NewClock(0)
+	if err := cl.Submit(c, OpWritePages, twoStretch(0, dma, second, &runs)); err != nil {
+		t.Fatal(err)
+	}
+	longEnd := cfg.HandleCost + cfg.PollInterval + cfg.HandleCost + long
+	if landed := cfg.PollInterval + cfg.HandleCost + dma; landed >= longEnd {
+		t.Fatalf("test shape: transfer lands at %v, after the long stretch ends at %v", landed, longEnd)
+	}
+	if got, want := simtime.Duration(c.Now()), longEnd+second+cfg.ReturnLatency; got != want {
+		t.Errorf("resumed request observed after %v, want the worker's first free instant + second stretch + return = %v", got, want)
+	}
+}
+
+// TestRequestFailedHandleDoesNotResume: the second stretch belongs to a
+// transfer the first one started; no transfer, no continuation.
+func TestRequestFailedHandleDoesNotResume(t *testing.T) {
+	_, cl := harness(t)
+	resumed := false
+	failed := errors.New("no such descriptor")
+	err := cl.Submit(simtime.NewClock(0), OpWritePages, Request{
+		Handle: func(*simtime.Clock) (simtime.Time, error) { return 0, failed },
+		Resume: func(*simtime.Clock) (simtime.Time, error) { resumed = true; return 0, nil },
+	})
+	if !errors.Is(err, failed) || resumed {
+		t.Fatalf("err=%v resumed=%v, want the first stretch's error and no second stretch", err, resumed)
+	}
+}
+
+// TestRequestAsyncTwoStretches: a detached two-stretch request completes at
+// the end of its second stretch and books the worker the same way.
+func TestRequestAsyncTwoStretches(t *testing.T) {
+	const first, dma, second = 3 * simtime.Microsecond, 100 * simtime.Microsecond, 7 * simtime.Microsecond
+	srv, cl := harness(t)
+	cfg := srv.cfg
+	var runs [2]int
+	c := simtime.NewClock(0)
+	_, err := cl.SubmitAsync(c, OpWritePages, twoStretch(first, dma, second, &runs))
+	if err != nil || c.Now() != 0 {
+		t.Fatalf("err=%v, issuing clock at %v (want untouched)", err, c.Now())
+	}
+	if got, want := srv.DaemonBusy(), cfg.HandleCost+first+second; got != want {
+		t.Errorf("worker busy %v, want dispatch + both stretches = %v", got, want)
+	}
+	// Its host work ends with the second stretch: a request the worker
+	// notices at that instant is dispatched at once.
+	end := simtime.Time(cfg.PollInterval + cfg.HandleCost + first + dma + second)
+	probe := simtime.NewClock(end - simtime.Time(cfg.PollInterval))
+	if err := cl.Do(probe, OpStat, nop); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := probe.Now(), end.Add(cfg.HandleCost+cfg.ReturnLatency); got != want {
+		t.Errorf("request arriving at the second stretch's end observed at %v, want %v", got, want)
 	}
 }

@@ -37,6 +37,19 @@ import (
 // land in variables the caller captured.
 type Handler func(cclk *simtime.Clock) (simtime.Time, error)
 
+// Request is the host work of one ring transaction: one stretch on the
+// ring's daemon worker (Handle alone) or, with Resume set, two stretches
+// around a DMA the worker does not wait for (§4.3: bulk transfers overlap
+// with subsequent request handling). Handle runs at dispatch and returns the
+// completion time of the transfer it started; the worker serves other ring
+// slots meanwhile and runs Resume at its first free instant at or after that
+// completion. Resume's return is then the request's (see Handler); it does
+// not run when Handle fails.
+type Request struct {
+	Handle Handler
+	Resume Handler
+}
+
 // ringTransport is the per-GPU transport: Shards independent rings sharing
 // one DMA link and one daemon pool. A Submit is one LOGICAL request: the
 // transport owns the per-request timeout, bounded-backoff retry, and
@@ -169,13 +182,32 @@ func (sh *ringShard) begin(blk *simtime.Clock, op Op, extra simtime.Duration) *s
 	return simtime.NewClock(end)
 }
 
-// finish releases the ring slot (the worker stays occupied from the
-// handling slot through the end of the host work) and advances the block's
-// clock to when it observes the response; done is the completion time of
-// any asynchronous DMA belonging to the request.
-func (sh *ringShard) finish(blk, cclk *simtime.Clock, handleEnd, done simtime.Time) {
+// serve runs req's host work on the worker-side clock begin returned and
+// books it: the worker stays occupied from the handling slot through the end
+// of each stretch, and is not booked in between. The second stretch is a
+// continuation, not a dispatch: it pays no HandleCost — a DMA's completion
+// needs no CPU, which the response of a read already assumes — and the CPU
+// work that follows the completion is what gets booked.
+func (sh *ringShard) serve(cclk *simtime.Clock, req Request) (simtime.Time, error) {
+	from := cclk.Now()
+	done, err := req.Handle(cclk)
+	if req.Resume != nil && err == nil {
+		sh.worker.Occupy(from, cclk.Now())
+		// First instant at or after the transfer's completion at which the
+		// worker is free.
+		from = sh.worker.Probe(max(done, cclk.Now()), simtime.Nanosecond)
+		cclk.AdvanceTo(from)
+		done, err = req.Resume(cclk)
+	}
+	sh.worker.Occupy(from, cclk.Now())
+	return done, err
+}
+
+// finish releases the ring slot and advances the block's clock to when it
+// observes the response; done is the completion time of any asynchronous
+// DMA belonging to the request.
+func (sh *ringShard) finish(blk, cclk *simtime.Clock, done simtime.Time) {
 	sh.t.inflight.Add(-1)
-	sh.worker.Occupy(handleEnd, cclk.Now())
 	if cclk.Now() > done {
 		done = cclk.Now()
 	}
@@ -202,7 +234,7 @@ func (sh *ringShard) dedupStore(seq uint64, err error) {
 // Submit runs one logical request on the shard. With no (enabled) fault
 // injector the fast path is the plain one-attempt exchange; otherwise the
 // retry protocol of the package comment applies.
-func (t *ringTransport) Submit(blk *simtime.Clock, shard int, op Op, h Handler) error {
+func (t *ringTransport) Submit(blk *simtime.Clock, shard int, op Op, req Request) error {
 	sh := t.shards[shard]
 	seq := sh.seq.Add(1)
 	inj := t.srv.inj.Load()
@@ -214,14 +246,13 @@ func (t *ringTransport) Submit(blk *simtime.Clock, shard int, op Op, h Handler) 
 	if !inj.Enabled() {
 		t.cq.send(sh.id, seq, sent)
 		cclk := sh.begin(blk, op, 0)
-		handleEnd := cclk.Now()
-		done, err := h(cclk)
-		sh.finish(blk, cclk, handleEnd, done)
+		done, err := sh.serve(cclk, req)
+		sh.finish(blk, cclk, done)
 		t.cq.deliver(sh.id, seq, blk.Now())
 		sh.svcTime[op].ObserveSpan(sent, blk.Now())
 		return err
 	}
-	err := t.submitFaulty(blk, sh, seq, op, inj, h)
+	err := t.submitFaulty(blk, sh, seq, op, inj, req)
 	sh.svcTime[op].ObserveSpan(sent, blk.Now())
 	return err
 }
@@ -229,7 +260,7 @@ func (t *ringTransport) Submit(blk *simtime.Clock, shard int, op Op, h Handler) 
 // submitFaulty is Submit's slow path: timeouts, backoff, and per-shard
 // dedup under fault injection.
 func (t *ringTransport) submitFaulty(blk *simtime.Clock, sh *ringShard, seq uint64, op Op,
-	inj *faults.Injector, h Handler) error {
+	inj *faults.Injector, req Request) error {
 
 	cfg := &t.srv.cfg
 	t.cq.send(sh.id, seq, blk.Now())
@@ -258,12 +289,11 @@ func (t *ringTransport) submitFaulty(blk *simtime.Clock, sh *ringShard, seq uint
 			extra = inj.Delay(faults.RPCPollDelay)
 		}
 		cclk := sh.begin(blk, op, extra)
-		handleEnd := cclk.Now()
 
 		if inj.ShouldOn(faults.RPCTransient, cclk.Now(), t.gpuID, sh.id+1) {
 			// EAGAIN: the worker bounces the request before touching
 			// the dedup table or the file system — nothing applied.
-			sh.finish(blk, cclk, handleEnd, 0)
+			sh.finish(blk, cclk, 0)
 			lastErr = ErrAgain
 			continue
 		}
@@ -276,16 +306,15 @@ func (t *ringTransport) submitFaulty(blk *simtime.Clock, sh *ringShard, seq uint
 			// re-executing (exactly-once application).
 			err = cachedErr
 		} else {
-			done, err = h(cclk)
+			done, err = sh.serve(cclk, req)
 			sh.dedupStore(seq, err)
 		}
 
 		if inj.ShouldOn(faults.RPCDropResponse, cclk.Now(), t.gpuID, sh.id+1) {
 			// The work is done but the response never reaches the
-			// spinning block: the worker is still charged, the block
-			// spins until its timeout, then retries.
+			// spinning block: the worker stays charged for it (serve), the
+			// block spins until its timeout, then retries.
 			t.inflight.Add(-1)
-			sh.worker.Occupy(handleEnd, cclk.Now())
 			t.timeouts.Add(1)
 			blk.AdvanceTo(sent.Add(cfg.Timeout))
 			lastErr = fmt.Errorf("%w: %s shard %d seq %d", ErrTimeout, op, sh.id, seq)
@@ -299,7 +328,7 @@ func (t *ringTransport) submitFaulty(blk *simtime.Clock, sh *ringShard, seq uint
 			// effect, which is the point.
 			_ = seq
 		}
-		sh.finish(blk, cclk, handleEnd, done)
+		sh.finish(blk, cclk, done)
 		t.cq.deliver(sh.id, seq, blk.Now())
 		return err
 	}
@@ -311,7 +340,7 @@ func (t *ringTransport) submitFaulty(blk *simtime.Clock, sh *ringShard, seq uint
 // advancing the block's clock; the returned time says when the response
 // lands. Speculative requests are never retried: no block waits on the
 // result, and a lost prefetch costs only the optimization.
-func (t *ringTransport) SubmitAsync(blk *simtime.Clock, shard int, op Op, h Handler) (simtime.Time, error) {
+func (t *ringTransport) SubmitAsync(blk *simtime.Clock, shard int, op Op, req Request) (simtime.Time, error) {
 	sh := t.shards[shard]
 	seq := sh.seq.Add(1)
 	inj := t.srv.inj.Load()
@@ -321,12 +350,10 @@ func (t *ringTransport) SubmitAsync(blk *simtime.Clock, shard int, op Op, h Hand
 	}
 	t.cq.send(sh.id, seq, blk.Now())
 	cclk := sh.begin(blk, op, extra)
-	handleEnd := cclk.Now()
 	var done simtime.Time
 	var err error
 	defer func() {
 		t.inflight.Add(-1)
-		sh.worker.Occupy(handleEnd, cclk.Now())
 		at := done
 		if at < cclk.Now() {
 			at = cclk.Now()
@@ -337,7 +364,7 @@ func (t *ringTransport) SubmitAsync(blk *simtime.Clock, shard int, op Op, h Hand
 	if inj.Enabled() && inj.ShouldOn(faults.RPCTransient, cclk.Now(), t.gpuID, sh.id+1) {
 		return 0, ErrAgain
 	}
-	done, err = h(cclk)
+	done, err = sh.serve(cclk, req)
 	if err != nil {
 		return 0, err
 	}

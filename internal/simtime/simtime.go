@@ -187,18 +187,19 @@ func (r *Resource) insertLocked(iv ival, i int) {
 // Occupy books the half-open interval [from, to) regardless of existing
 // reservations (merging overlaps). It models work whose duration is known
 // only after the fact, such as the RPC daemon staying busy through a host
-// file operation.
+// file operation. Only the time no earlier booking covers counts as busy, so
+// Busy stays the summed length of the calendar's intervals.
 func (r *Resource) Occupy(from, to Time) {
 	if to <= from {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.busy += to.Sub(from)
 
 	i := sort.Search(len(r.cal), func(i int) bool { return r.cal[i].end >= from })
 	j := i
 	start, end := from, to
+	var covered Duration // already booked within what the merge absorbs
 	for j < len(r.cal) && r.cal[j].start <= end {
 		if r.cal[j].start < start {
 			start = r.cal[j].start
@@ -206,8 +207,10 @@ func (r *Resource) Occupy(from, to Time) {
 		if r.cal[j].end > end {
 			end = r.cal[j].end
 		}
+		covered += r.cal[j].end.Sub(r.cal[j].start)
 		j++
 	}
+	r.busy += end.Sub(start) - covered
 	merged := ival{start, end}
 	r.cal = append(r.cal[:i], append([]ival{merged}, r.cal[j:]...)...)
 }

@@ -205,6 +205,35 @@ func TestResourceCalendarInvariants(t *testing.T) {
 	}
 }
 
+// TestResourceBusyIsCalendarLength checks, over seeded mixes of Acquire and
+// Occupy, that Busy is the summed length of the calendar's intervals: an
+// Occupy that lands on time already booked adds only what it newly covers.
+func TestResourceBusyIsCalendarLength(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r := NewResource("prop")
+		for i := 0; i < 300; i++ {
+			at := Time(rng.Int63n(20_000))
+			d := Duration(rng.Int63n(400) + 1)
+			if rng.Intn(2) == 0 {
+				r.Acquire(at, d)
+			} else {
+				r.Occupy(at, at.Add(d))
+			}
+			var want Duration
+			for j, iv := range r.cal {
+				if iv.end <= iv.start || j > 0 && iv.start <= r.cal[j-1].end {
+					t.Fatalf("seed %d step %d: calendar not sorted and disjoint: %v", seed, i, r.cal)
+				}
+				want += iv.end.Sub(iv.start)
+			}
+			if got := r.Busy(); got != want {
+				t.Fatalf("seed %d step %d: Busy %v, calendar holds %v", seed, i, got, want)
+			}
+		}
+	}
+}
+
 func TestResourceConcurrent(t *testing.T) {
 	r := NewResource("x")
 	const goroutines = 16

@@ -76,7 +76,7 @@ func MakeMatVec(fs *hostfs.FS, clock *simtime.Clock, dir string, rows, cols int,
 		for i := 0; i < cols; i++ {
 			binary.LittleEndian.PutUint32(batch[i*4:], math.Float32bits(rng.Float32()-0.5))
 		}
-		if _, err := mf.Pwrite(clock, batch, int64(r)*rowBytes); err != nil {
+		if _, _, err := mf.Pwrite(clock, batch, int64(r)*rowBytes); err != nil {
 			return nil, err
 		}
 	}

@@ -60,7 +60,7 @@ func MakeDataFile(fs *hostfs.FS, clock *simtime.Clock, path string, size int64, 
 				buf[i+j] = byte(v >> (8 * uint(j)))
 			}
 		}
-		if _, err := f.Pwrite(clock, buf[:n], off); err != nil {
+		if _, _, err := f.Pwrite(clock, buf[:n], off); err != nil {
 			return err
 		}
 	}

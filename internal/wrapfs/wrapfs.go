@@ -61,11 +61,18 @@ func (l *Layer) state(ino int64) *fileState {
 }
 
 // RecordCached notes that the given GPU now caches the file's content as of
-// generation gen (called when the GPU fetches pages or closes the file with
-// its cache retained).
+// generation gen (called when the GPU opens the file and with every reply
+// that tells it what its own write made of the host file). A record only
+// moves forward: host generations only grow, and a GPU's write-backs of one
+// file finish in no particular order, so a report older than the record is
+// late, not news. Forget and a failed Validate drop the record; the next
+// RecordCached starts it afresh.
 func (l *Layer) RecordCached(gpu int, ino, gen int64) {
 	l.mu.Lock()
-	l.state(ino).cachedGen[gpu] = gen
+	st := l.state(ino)
+	if cur, ok := st.cachedGen[gpu]; !ok || gen > cur {
+		st.cachedGen[gpu] = gen
+	}
 	l.mu.Unlock()
 }
 

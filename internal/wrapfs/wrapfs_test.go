@@ -94,6 +94,25 @@ func TestPeekValid(t *testing.T) {
 	}
 }
 
+// TestRecordCachedOnlyMovesForward: a GPU's write-backs report the
+// generations they produced in no particular order, and a late report of an
+// older one must not make the record lag the host; dropping the record (Forget,
+// a failed Validate) is what lets it start again from anywhere.
+func TestRecordCachedOnlyMovesForward(t *testing.T) {
+	l, _, _ := newLayer(t)
+	const ino = 7
+	l.RecordCached(0, ino, 6)
+	l.RecordCached(0, ino, 5)
+	if !l.Validate(0, ino, 6) {
+		t.Fatalf("record moved backwards: 6 then 5 no longer validates at 6")
+	}
+	l.Forget(0, ino)
+	l.RecordCached(0, ino, 5)
+	if !l.Validate(0, ino, 5) {
+		t.Fatalf("a record dropped by Forget must restart at whatever is reported next")
+	}
+}
+
 func TestForget(t *testing.T) {
 	l, fs, c := newLayer(t)
 	info := fileInfo(t, fs, c, "/f", nil)
