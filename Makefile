@@ -46,11 +46,13 @@
 #                migration happened, or fewer than 80% of the jobs in
 #                flight at the cordon finish in place on the old host.
 #   bench-smoke — the Readahead policy, syscall Ordering, hot-path
-#                Contention, and open-loop Saturation experiments at
-#                1/256 scale, one rep: a seconds-long CI check that the
-#                bench harness, the adaptive read-ahead engine, the
-#                ordering-aware transport, the lock-free read path, and
-#                the open-loop serving driver still run end to end.
+#                Contention, open-loop Saturation and closed-loop Serve
+#                experiments at 1/256 scale, one rep: a seconds-long CI
+#                check that the bench harness, the adaptive read-ahead
+#                engine, the ordering-aware transport, the lock-free
+#                read path, the open-loop serving driver, and the Serve
+#                table's two shapes (fault-bound, launch-bound) still run
+#                end to end.
 
 GO ?= go
 
@@ -110,3 +112,4 @@ bench-smoke:
 	$(GO) run ./cmd/gpufs-bench -exp ordering -scale 0.00390625 -reps 1
 	$(GO) run ./cmd/gpufs-bench -exp contention -scale 0.00390625 -reps 1
 	$(GO) run ./cmd/gpufs-bench -exp saturation -scale 0.00390625 -reps 1
+	$(GO) run ./cmd/gpufs-bench -exp serve -scale 0.00390625 -reps 1

@@ -157,10 +157,11 @@ func saturationCapacity(scale float64) (float64, error) {
 
 // saturationFracs are the offered loads swept, as fractions of the probed
 // capacity: two comfortably under the knee, one at it, and three past it.
-// The probe's backlogged rate understates what continuous batching reaches
-// under a live queue, so the knee typically falls between 1.25x and 2x —
-// the sweep must extend past it or the "max" row would just be the sweep
-// edge, not a measured saturation point.
+// With launches overlapping, a backlogged device is a full one, so the
+// probe reads what the machine can do and the knee sits at about 1x:
+// points past it plateau at the probe's rate while their latency grows.
+// The sweep extends past the knee so that the "max" row is a measured
+// saturation point, not the sweep's edge.
 var saturationFracs = []float64{0.5, 0.75, 1.0, 1.25, 1.5, 2.0}
 
 // Saturation runs the open-loop sweep and emits the table.

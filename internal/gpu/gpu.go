@@ -28,6 +28,13 @@ import (
 	"gpufs/internal/simtime"
 )
 
+// MaxResidentKernels is how many kernels a device holds at once: FERMI's
+// concurrent-kernel limit. Like the warp's lockstep it is a property of the
+// modelled hardware, not something a configuration chooses. A kernel is
+// resident from the end of its launch overhead until its last block ends,
+// whether its blocks are running or waiting for an execution slot.
+const MaxResidentKernels = 16
+
 // ErrKernelFault is wrapped by errors returned from faulting kernels. The
 // paper notes a GPU program failure may require restarting the whole card,
 // losing device memory (§3.3); Device.Faulted models that sticky state.
@@ -70,10 +77,19 @@ type Device struct {
 	membw *simtime.Resource
 	slots []slot
 
-	// launchMu serializes kernel launches; slots persist virtual
-	// availability across launches.
+	// launchMu serializes launches in HOST time only: one kernel's blocks run
+	// as goroutines at a time, which keeps block placement a function of
+	// virtual availability (see pullTurn). In virtual time kernels overlap:
+	// slots, MP calendars and the resident-kernel table persist across
+	// launches, so a kernel issued while an earlier one's tail still runs
+	// takes the slots that tail leaves free.
 	launchMu sync.Mutex
-	slotMu   sync.Mutex // guards slot.at / slot.assigned
+	slotMu   sync.Mutex // guards slot.at / slot.assigned / resident
+
+	// resident is the device's kernel table: entry i holds the virtual end
+	// of the last kernel that occupied it. A launch takes the entry that
+	// frees earliest, exactly as a block takes a slot.
+	resident [MaxResidentKernels]simtime.Time
 
 	mu        sync.Mutex
 	rng       *rand.Rand
@@ -220,11 +236,12 @@ func (d *Device) ResetFault() {
 	d.mu.Unlock()
 }
 
-// ResetTime returns the device's execution-slot and bandwidth timelines to
-// idle. Memory contents and fault state are untouched.
+// ResetTime returns the device's execution-slot, kernel-table and bandwidth
+// timelines to idle. Memory contents and fault state are untouched.
 func (d *Device) ResetTime() {
 	seen := make(map[*simtime.Resource]bool)
 	d.slotMu.Lock()
+	d.resident = [MaxResidentKernels]simtime.Time{}
 	for i := range d.slots {
 		d.slots[i].at = 0
 		if !seen[d.slots[i].mp] {
@@ -248,17 +265,35 @@ func (d *Device) KernelsRun() int64 { return d.kernels.Load() }
 // by Launch.
 type BlockFunc func(b *Block) error
 
-// Launch enqueues blocks threadblocks of threads threads each and executes
-// them, dispatching in a non-deterministic (seeded-random) order onto
-// execution slots, like the hardware scheduler of §2: blocks run to
-// completion and dispatch is driven only by slot availability. One
-// persistent worker goroutine drains the queue per slot, so real-time Go
-// scheduling quirks cannot skew which slot a block lands on.
+// Launch issues a kernel of blocks threadblocks of threads threads each at
+// virtual time start and executes it, dispatching in a non-deterministic
+// (seeded-random) order onto execution slots, like the hardware scheduler of
+// §2: blocks run to completion and dispatch is driven only by slot
+// availability. One persistent worker goroutine drains the queue per slot,
+// so real-time Go scheduling quirks cannot skew which slot a block lands on.
 //
 // Launch blocks the calling goroutine until the kernel completes and
-// returns the kernel's virtual completion time. Launches on one device
-// serialize (we do not model FERMI's concurrent-kernel execution; the
-// workloads in this repository never need it on a single device).
+// returns the kernel's virtual completion time; launches on one device
+// serialize in host time. In VIRTUAL time start is when the launch is
+// issued, not a promise that the device is idle, and kernels overlap the
+// way a stream of asynchronous launches does:
+//
+//   - the kernel becomes resident at start + LaunchOverhead, or, with
+//     MaxResidentKernels earlier kernels still resident then, when the first
+//     of them ends;
+//   - a block starts no earlier than that, and no earlier than the end of
+//     the block that last ran on its slot, whichever kernel it belonged to;
+//   - an MP's calendar is booked once per instant, so co-resident blocks of
+//     two kernels multiplex an MP exactly as two blocks of one kernel do;
+//   - launches issued at nondecreasing times dispatch in launch order: every
+//     block of the earlier kernel has been placed before the first block of
+//     the later one is, and none of the later kernel's blocks starts before
+//     the earlier kernel's last dispatch.
+//
+// A caller that issues each launch at or after the previous one's end — or
+// at 0 after ResetTime — never meets another kernel and sees none of this.
+// A launch issued EARLIER than a previous one (a second stream's position,
+// the host-driven restart at 0) is placed by its own issue time.
 func (d *Device) Launch(start simtime.Time, blocks, threads int, fn BlockFunc) (simtime.Time, error) {
 	if blocks < 1 || threads < 1 {
 		return start, fmt.Errorf("gpu: invalid launch geometry %dx%d", blocks, threads)
@@ -277,6 +312,17 @@ func (d *Device) Launch(start simtime.Time, blocks, threads int, fn BlockFunc) (
 	d.kernels.Add(1)
 
 	launchAt := start.Add(d.cfg.LaunchOverhead)
+	d.slotMu.Lock()
+	entry := 0
+	for i, end := range d.resident {
+		if end < d.resident[entry] {
+			entry = i
+		}
+	}
+	if free := d.resident[entry]; free > launchAt {
+		launchAt = free
+	}
+	d.slotMu.Unlock()
 
 	var (
 		wg      sync.WaitGroup
@@ -351,6 +397,9 @@ func (d *Device) Launch(start simtime.Time, blocks, threads int, fn BlockFunc) (
 		}(si)
 	}
 	wg.Wait()
+	d.slotMu.Lock()
+	d.resident[entry] = meter.Max()
+	d.slotMu.Unlock()
 	return meter.Max(), kerr
 }
 

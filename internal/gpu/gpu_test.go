@@ -295,8 +295,9 @@ func TestBlockRandDeterministicPerLaunch(t *testing.T) {
 }
 
 func TestConcurrentLaunchesSerializePerDevice(t *testing.T) {
-	// Launches on one device serialize (documented simplification); both
-	// kernels must still run all their blocks exactly once.
+	// Launches on one device serialize in host time (in virtual time they
+	// overlap: overlap_test.go); both kernels must still run all their
+	// blocks exactly once.
 	d := testDevice()
 	var mu sync.Mutex
 	counts := map[string]int{}

@@ -321,12 +321,16 @@ func (c Client) Validate(blk *simtime.Clock, ino, gen int64) bool {
 // The consistency-metadata operations below are not ring syscalls: they
 // ride write-shared memory or piggyback on other traffic.
 
+// PeekCost is what PeekValid charges the caller: one uncached read over the
+// bus.
+const PeekCost = 2 * simtime.Microsecond
+
 // PeekValid checks the GPU's cached copy of ino against the host through
 // the generation table the consistency module keeps in write-shared memory
 // — a single PCIe read, with no daemon involvement (this is what makes
 // reopening a closed-file-table entry cheap, §4.1/§5.1.3).
 func (c Client) PeekValid(blk *simtime.Clock, ino, gen int64) bool {
-	blk.Advance(2 * simtime.Microsecond) // uncached read over the bus
+	blk.Advance(PeekCost)
 	return c.svc.srv.Layer().PeekValid(c.rpc.GPUID(), ino, gen)
 }
 

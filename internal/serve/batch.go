@@ -132,16 +132,25 @@ func (s *Server) takeLocked(g int) []*job {
 // whose blocks stride over the jobs, recover from device faults by
 // restarting the GPU, and sort each job into completed vs retry. It
 // returns the jobs to requeue.
+//
+// The launch is asynchronous in virtual time. It is issued as soon as the
+// GPU's launch thread is free (cursors[g]) and every job of the batch is
+// ready — has arrived, and, for a retry, has been seen to fail — and the
+// thread is free again one launch overhead later: what earlier kernels still
+// have running is the device's to arbitrate (gpu.Device.Launch), not a
+// reason to wait here. Results are per kernel — every job of the batch is
+// Done when the kernel ends — which is what lets a faulted launch requeue
+// whole.
 func (s *Server) runBatch(g int, batch []*job) (retries []*job) {
 	s.mu.Lock()
 	start := s.cursors[g]
 	batchID := s.batchSeq
 	s.batchSeq++
 	s.mu.Unlock()
-	if now := simtime.Time(s.vnow.Load()); now > start {
-		// The device was idle past its last launch: batches never start
-		// before the server-wide virtual now that stamped their arrivals.
-		start = now
+	for _, j := range batch {
+		if j.ready > start {
+			start = j.ready
+		}
 	}
 
 	// Deadline triage before spending GPU time.
@@ -169,7 +178,7 @@ func (s *Server) runBatch(g int, batch []*job) (retries []*job) {
 
 	if s.tr.Enabled() {
 		s.tr.Record(trace.Event{
-			GPU: g, Op: trace.OpBatch, Path: fmt.Sprintf("batch-%d", batchID),
+			GPU: g, Block: trace.LaunchQueue, Op: trace.OpBatch, Path: fmt.Sprintf("batch-%d", batchID),
 			Bytes: int64(len(run)), Start: start, End: start,
 		})
 	}
@@ -191,6 +200,9 @@ func (s *Server) runBatch(g int, batch []*job) (retries []*job) {
 	if len(lanes) > s.gstats[g].ShardLanes {
 		s.gstats[g].ShardLanes = len(lanes)
 	}
+	// Issuing costs the launch thread one overhead whether or not the
+	// device survives the kernel; then it is free for the next batch.
+	s.cursors[g] = start.Add(s.launchGap)
 	s.mu.Unlock()
 	end, lerr := gpu.Launch(start, blocks, s.cfg.ThreadsPerBlock, func(c *gpufs.BlockCtx) error {
 		for ji := c.Idx; ji < len(run); ji += blocks {
@@ -205,15 +217,14 @@ func (s *Server) runBatch(g int, batch []*job) (retries []*job) {
 		gpu.Restart()
 		s.mu.Lock()
 		s.gstats[g].Restarts++
-		s.cursors[g] = start
 		s.mu.Unlock()
 		if m := s.met; m != nil {
 			m.restarts[g].Inc()
 		}
 		for _, j := range run {
-			j.lastErr = lerr
+			j.lastErr, j.ready = lerr, end
 			if j.attempts >= s.cfg.MaxAttempts {
-				s.completeJob(j, g, batchID, start, start,
+				s.completeJob(j, g, batchID, start, end,
 					fmt.Errorf("serve: gpu %d faulted %d times running job: %w", g, j.attempts, lerr))
 			} else {
 				retries = append(retries, j)
@@ -224,25 +235,19 @@ func (s *Server) runBatch(g int, batch []*job) (retries []*job) {
 
 	if s.tr.Enabled() {
 		s.tr.Record(trace.Event{
-			GPU: g, Op: trace.OpDispatch, Path: fmt.Sprintf("batch-%d", batchID),
-			Bytes: int64(len(run)), Start: start, End: end,
+			GPU: g, Block: trace.LaunchQueue, Op: trace.OpDispatch, Path: fmt.Sprintf("batch-%d", batchID),
+			Bytes: int64(len(run)), Start: start, End: start.Add(s.launchGap),
 		})
 	}
 
 	s.mu.Lock()
-	s.cursors[g] = end
 	s.gstats[g].Batches++
 	s.gstats[g].Launched += int64(len(run))
 	if len(run) > s.gstats[g].MaxBatch {
 		s.gstats[g].MaxBatch = len(run)
 	}
 	s.mu.Unlock()
-	for {
-		v := s.vnow.Load()
-		if int64(end) <= v || s.vnow.CompareAndSwap(v, int64(end)) {
-			break
-		}
-	}
+	s.advanceNow(end)
 
 	for _, j := range run {
 		switch {
@@ -254,7 +259,7 @@ func (s *Server) runBatch(g int, batch []*job) (retries []*job) {
 		case j.err == nil:
 			s.completeJob(j, g, batchID, start, end, nil)
 		case retryable(j.err) && j.attempts < s.cfg.MaxAttempts:
-			j.lastErr = j.err
+			j.lastErr, j.ready = j.err, end
 			retries = append(retries, j)
 		default:
 			s.completeJob(j, g, batchID, start, end,

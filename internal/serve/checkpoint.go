@@ -159,12 +159,7 @@ func (s *Server) Restore(img *ckpt.Image) error {
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
-		for {
-			v := s.vnow.Load()
-			if int64(end) <= v || s.vnow.CompareAndSwap(v, int64(end)) {
-				break
-			}
-		}
+		s.advanceNow(end)
 	}
 	s.sys.Syscalls().RestorePipes(img.Pipes)
 	return firstErr

@@ -14,21 +14,24 @@
 //     cold files hash to a stable home so a partition emerges), falling
 //     back to the least-loaded GPU when the affine queue is saturated —
 //     or by round-robin, the baseline policy the bench table compares.
-//   - Continuous batching. One worker per GPU drains its queue: whenever
-//     the GPU falls idle the worker coalesces up to MaxBatch queued jobs
-//     (round-robin across tenants for fairness) into ONE kernel launch
-//     whose threadblocks stride over the jobs — not one launch per
-//     request. An idle worker with an empty queue steals work from the
-//     longest queue.
+//   - Continuous batching. One worker per GPU drains its queue: each round
+//     coalesces up to MaxBatch queued jobs (round-robin across tenants for
+//     fairness) into ONE kernel launch whose threadblocks stride over the
+//     jobs — not one launch per request. Launches are asynchronous: the
+//     worker issues the next one a launch overhead after the last, while
+//     that kernel's tail still runs, and the device gives the new kernel's
+//     blocks the execution slots the tail leaves free. An idle worker with
+//     an empty queue steals work from the longest queue.
 //   - Completion. Every job completes or fails exactly once through its
 //     Future. Failed attempts retry within the job's MaxAttempts budget
 //     and virtual-time deadline (fault-injected EIO/EAGAIN survivors fail
 //     with explicit errors; nothing hangs). A device fault restarts the
 //     GPU (losing its caches, §3.3) and re-runs the interrupted batch.
 //
-// All timing is virtual (internal/simtime): each GPU worker carries a
-// virtual cursor that advances with its launches, and job latency is
-// measured from admission stamp to batch completion.
+// All timing is virtual (internal/simtime): each GPU worker carries the
+// clock of its launch thread, which a launch advances by the launch
+// overhead, and job latency is measured from admission stamp to the
+// completion of the kernel that ran the job.
 package serve
 
 import (
@@ -207,8 +210,10 @@ type Config struct {
 	// in-flight); Submit rejects beyond it. Default 32.
 	QueueDepth int
 	// MaxBatch is the most jobs one scheduling round coalesces into a
-	// single kernel launch. 1 degenerates to one-launch-per-request (the
-	// bench baseline). Default 16.
+	// single kernel launch. What it buys is launches: a GPU's launch thread
+	// issues one kernel per launch overhead, so 1 — one launch per request,
+	// the bench baseline — caps a GPU near 1/KernelLaunchOverhead jobs per
+	// second however short the jobs are. Default 16.
 	MaxBatch int
 	// ThreadsPerBlock is the launch geometry's block width. Default 256.
 	ThreadsPerBlock int
@@ -304,6 +309,10 @@ type job struct {
 	fut      *Future
 	arrival  simtime.Time
 	deadline simtime.Time // zero = none
+	// ready is the earliest the job's next attempt may be issued: its
+	// arrival, then the end of the launch whose failure requeued it — the
+	// server learns how a kernel went when the kernel ends.
+	ready    simtime.Time
 	attempts int
 	lastErr  error
 
@@ -337,13 +346,18 @@ type Server struct {
 	tenants  map[string]*tenant
 	queues   []*gpuQueue // per-GPU pending jobs
 	inflight []int       // per-GPU jobs inside a running batch
-	cursors  []simtime.Time
 	gstats   []GPUStats
 	lat      []simtime.Duration
 	svcEst   simtime.Duration // EWMA of per-job service time
 	rr       int
 	batchSeq int64
 	draining bool
+	// cursors is each GPU's launch thread's clock: when it can issue its
+	// next kernel, one launchGap (the machine's KernelLaunchOverhead) after
+	// it issued the last. When that kernel ends is not its concern (see
+	// runBatch).
+	cursors   []simtime.Time
+	launchGap simtime.Duration
 	// handoff freezes dispatch: takeLocked assembles no new batches while
 	// it is set, so every queued job — including a retry requeued by an
 	// in-flight batch — is flushed with ErrHandedOff instead of being
@@ -366,6 +380,8 @@ func New(sys *gpufs.System, cfg Config) *Server {
 		tr:      sys.Tracer(),
 		tenants: make(map[string]*tenant),
 		svcEst:  500 * simtime.Microsecond,
+
+		launchGap: sys.Config().KernelLaunchOverhead,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	n := sys.NumGPUs()
@@ -393,6 +409,16 @@ func (s *Server) Config() Config { return s.cfg }
 // observed on any GPU.
 func (s *Server) Now() simtime.Time { return simtime.Time(s.vnow.Load()) }
 
+// advanceNow moves the server's virtual time forward to t, if it is behind.
+func (s *Server) advanceNow(t simtime.Time) {
+	for {
+		cur := s.vnow.Load()
+		if int64(t) <= cur || s.vnow.CompareAndSwap(cur, int64(t)) {
+			return
+		}
+	}
+}
+
 // Submit admits one job for tenant. It never blocks: the job is either
 // admitted (returning its Future) or rejected — with an OverloadError
 // carrying a retry-after hint when the tenant's queue is full, or
@@ -409,7 +435,7 @@ func (s *Server) Submit(tenantName string, spec Job) (*Future, error) {
 	}
 	if s.tr.Enabled() {
 		s.tr.Record(trace.Event{
-			GPU: g, Op: trace.OpEnqueue, Path: spec.Path,
+			GPU: g, Block: trace.LaunchQueue, Op: trace.OpEnqueue, Path: spec.Path,
 			Start: simtime.Time(s.vnow.Load()), End: simtime.Time(s.vnow.Load()),
 		})
 	}
@@ -422,8 +448,11 @@ func (s *Server) Submit(tenantName string, spec Job) (*Future, error) {
 // The job's latency — and its deadline, if any — is measured from at, so
 // when the machine has fallen behind the arrival process (vnow past at),
 // the time spent waiting to be submitted counts as queueing delay, which
-// is exactly the signal a saturation sweep is after. Callers generate
-// arrivals in nondecreasing order and pace them with WaitUntil.
+// is exactly the signal a saturation sweep is after. Drivers generate
+// arrivals in nondecreasing order and pace them with WaitUntil so that the
+// queue holds what has arrived and no more; a job submitted ahead of Now()
+// is still safe — no batch is launched before every job in it has arrived —
+// but it holds back the jobs batched with it until then.
 func (s *Server) SubmitAt(tenantName string, spec Job, at simtime.Time) (*Future, error) {
 	if err := validateJob(spec); err != nil {
 		return nil, err
@@ -436,7 +465,7 @@ func (s *Server) SubmitAt(tenantName string, spec Job, at simtime.Time) (*Future
 	}
 	if s.tr.Enabled() {
 		s.tr.Record(trace.Event{
-			GPU: g, Op: trace.OpEnqueue, Path: spec.Path,
+			GPU: g, Block: trace.LaunchQueue, Op: trace.OpEnqueue, Path: spec.Path,
 			Start: at, End: at,
 		})
 	}
@@ -452,12 +481,7 @@ func (s *Server) WaitUntil(at simtime.Time) {
 	s.mu.Lock()
 	for simtime.Time(s.vnow.Load()) < at {
 		if s.idleLocked() {
-			for {
-				cur := s.vnow.Load()
-				if int64(at) <= cur || s.vnow.CompareAndSwap(cur, int64(at)) {
-					break
-				}
-			}
+			s.advanceNow(at)
 			break
 		}
 		s.cond.Wait()
@@ -516,6 +540,7 @@ func (s *Server) enqueueAtLocked(tenantName string, spec Job, arrival simtime.Ti
 		spec:    spec,
 		fut:     &Future{ch: make(chan Result, 1)},
 		arrival: arrival,
+		ready:   arrival,
 	}
 	if d := spec.Deadline; d > 0 {
 		j.deadline = j.arrival.Add(d)

@@ -396,30 +396,74 @@ func TestServeDrain(t *testing.T) {
 }
 
 func TestServeRecoversFromDeviceFault(t *testing.T) {
-	sys, paths := testSystem(t, 1, 1)
+	sys, paths := testSystem(t, 1, 4)
+	srv := New(sys, Config{MaxBatch: 4})
+	defer srv.Drain()
+	gap := sys.Config().KernelLaunchOverhead
 
-	// Latch a fault on the device before the server's first launch, the
-	// way a crashed kernel would (§3.3).
+	// One kernel runs and returns, its jobs delivered.
+	var delivered []Result
+	firstFuts := enqueueTogether(t, srv, "first", paths, 0)
+	for _, fut := range firstFuts {
+		res := fut.Wait()
+		checkResult(t, res, oracle(t, sys, res.Job, srv.Config().MaxOutputBytes))
+		delivered = append(delivered, res)
+	}
+	firstEnd := delivered[0].Done
+	if firstEnd <= simtime.Time(0).Add(2*gap) {
+		t.Fatalf("first kernel ended at %v: too short for the next launch to overlap it", firstEnd)
+	}
+
+	// A kernel then crashes and latches its fault on the device (§3.3), and
+	// the server's next batch — whose jobs arrived long ago — is issued one
+	// launch overhead after its first: in virtual time both the crash and
+	// the launch that finds it fall inside the kernel that already returned.
 	if _, err := sys.GPU(0).Launch(0, 1, 1, func(c *gpufs.BlockCtx) error {
 		return errors.New("boom")
 	}); err == nil {
 		t.Fatal("fault-latching launch did not fail")
 	}
+	faultedAt := simtime.Time(0).Add(gap)
+	var batch int64 = -1
+	for i, fut := range enqueueTogether(t, srv, "second", paths, 0) {
+		res := fut.Wait()
+		if res.Err != nil {
+			t.Fatalf("job did not recover from device fault: %v", res.Err)
+		}
+		checkResult(t, res, oracle(t, sys, res.Job, srv.Config().MaxOutputBytes))
+		if res.Attempts != 2 {
+			t.Fatalf("attempts = %d, want 2 (first launch hit the latched fault)", res.Attempts)
+		}
+		if i == 0 {
+			batch = res.Batch
+		} else if res.Batch != batch {
+			t.Fatalf("retried jobs ran in batches %d and %d: the faulted batch was not requeued whole", batch, res.Batch)
+		}
+		// The retry is a later launch than the one that restarted the
+		// device — and still overlaps the first kernel.
+		if res.Started < faultedAt.Add(gap) {
+			t.Fatalf("retry launched at %v, before the faulted launch at %v had been issued", res.Started, faultedAt)
+		}
+		if res.Started >= firstEnd {
+			t.Fatalf("retry launched at %v, after the first kernel ended at %v: launches did not overlap", res.Started, firstEnd)
+		}
+	}
 
-	srv := New(sys, Config{})
-	defer srv.Drain()
-
-	res := mustSubmit(t, srv, "t", Job{Kind: JobSearch, Path: paths[0], Word: "a"}).Wait()
-	if res.Err != nil {
-		t.Fatalf("job did not recover from device fault: %v", res.Err)
+	st := srv.Stats()
+	if g := st.GPUs[0]; g.Restarts != 1 || g.Requeued != int64(len(paths)) {
+		t.Fatalf("restarts = %d, requeued = %d; want 1 and %d", g.Restarts, g.Requeued, len(paths))
 	}
-	if res.Attempts < 2 {
-		t.Fatalf("attempts = %d, want ≥2 (first launch hit the latched fault)", res.Attempts)
+	// What was delivered before the fault stays delivered, once.
+	if got, want := st.Completed(), int64(2*len(paths)); got != want {
+		t.Fatalf("completed = %d, want %d", got, want)
 	}
-	if restarts := srv.Stats().GPUs[0].Restarts; restarts < 1 {
-		t.Fatalf("restarts = %d, want ≥1", restarts)
+	for i, fut := range firstFuts {
+		select {
+		case res := <-fut.Done():
+			t.Fatalf("job %d delivered twice: %+v", delivered[i].ID, res)
+		default:
+		}
 	}
-	checkResult(t, res, oracle(t, sys, res.Job, srv.Config().MaxOutputBytes))
 }
 
 func TestServeStatsString(t *testing.T) {
@@ -470,6 +514,24 @@ func TestServeEnqueueTraceOps(t *testing.T) {
 		t.Fatalf("missing serve trace ops: enqueue=%v batch=%v dispatch=%v",
 			haveEnq, haveBatch, haveDispatch)
 	}
+}
+
+// enqueueTogether admits one search job per path in one critical section,
+// all arriving at the given instant, so the worker's next rounds see a full
+// queue: len(paths) / MaxBatch launches, whatever the host scheduler does.
+func enqueueTogether(t *testing.T, srv *Server, tenant string, paths []string, arrival simtime.Time) []*Future {
+	t.Helper()
+	futs := make([]*Future, len(paths))
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	for i, p := range paths {
+		fut, _, err := srv.enqueueAtLocked(tenant, Job{Kind: JobSearch, Path: p, Word: "a"}, arrival)
+		if err != nil {
+			t.Fatalf("enqueue: %v", err)
+		}
+		futs[i] = fut
+	}
+	return futs
 }
 
 func mustSubmit(t *testing.T, srv *Server, tenant string, spec Job) *Future {

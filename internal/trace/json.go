@@ -12,9 +12,10 @@ import (
 // layer's enqueue/batch/dispatch spans — can be inspected visually.
 //
 // Mapping: one trace "process" per GPU (host-side events, which carry
-// GPU == -1, appear under a "host" process), one "thread" per threadblock,
-// timestamps and durations in microseconds of virtual time. Events with a
-// zero-length span (faults, enqueues) become instant events.
+// GPU == -1, appear under a "host" process), one "thread" per threadblock
+// plus one per RPC ring shard and one for the launch queue, timestamps and
+// durations in microseconds of virtual time. Events with a zero-length span
+// (faults, enqueues) become instant events.
 
 // jsonEvent is one Chrome trace_event record.
 type jsonEvent struct {
@@ -52,14 +53,33 @@ func pid(gpu int) int {
 // without colliding with block timelines.
 const shardTIDBase = 1 << 10
 
+// launchQueueTID is the launch queue's thread id: just under the shard
+// lanes, so the rows that are not threadblocks sit together.
+const launchQueueTID = shardTIDBase - 1
+
 // tid maps an event to a trace thread id: shard-stamped events (RPC
-// retries, shard-attributed faults) land on a per-shard lane; everything
-// else stays on its threadblock's timeline.
+// retries, shard-attributed faults) land on a per-shard lane, the serving
+// layer's on the launch queue's; everything else stays on its threadblock's
+// timeline.
 func tid(e Event) int {
-	if e.Shard > 0 {
+	switch {
+	case e.Shard > 0:
 		return shardTIDBase + e.Shard - 1
+	case e.Block == LaunchQueue:
+		return launchQueueTID
 	}
 	return e.Block
+}
+
+// laneName names a thread row that is not a threadblock's, or returns "".
+func laneName(tid int) string {
+	switch {
+	case tid >= shardTIDBase:
+		return fmt.Sprintf("rpc-shard-%d", tid-shardTIDBase)
+	case tid == launchQueueTID:
+		return "launch-queue"
+	}
+	return ""
 }
 
 // WriteJSON writes the retained events as Chrome trace_event JSON. The
@@ -90,25 +110,24 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 		})
 	}
 
-	// Thread-name metadata for RPC shard lanes, one per (process, shard)
-	// that actually carries events.
-	seenShard := make(map[[2]int]bool)
+	// Thread-name metadata for the rows that are not threadblocks (RPC shard
+	// lanes, launch queues), one per (process, row) that actually carries
+	// events.
+	seenLane := make(map[[2]int]bool)
 	for _, e := range events {
-		if e.Shard <= 0 {
+		key := [2]int{e.GPU, tid(e)}
+		lane := laneName(key[1])
+		if lane == "" || seenLane[key] {
 			continue
 		}
-		key := [2]int{e.GPU, e.Shard}
-		if seenShard[key] {
-			continue
-		}
-		seenShard[key] = true
+		seenLane[key] = true
 		doc.TraceEvents = append(doc.TraceEvents, jsonEvent{
 			Name:  "thread_name",
 			Cat:   "__metadata",
 			Phase: "M",
 			PID:   pid(e.GPU),
-			TID:   tid(e),
-			Args:  map[string]any{"name": fmt.Sprintf("rpc-shard-%d", e.Shard-1)},
+			TID:   key[1],
+			Args:  map[string]any{"name": lane},
 		})
 	}
 

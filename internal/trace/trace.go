@@ -47,8 +47,10 @@ const (
 	// OpBatch marks a serving-layer batch assembly; Bytes carries the
 	// number of jobs coalesced into the batch.
 	OpBatch
-	// OpDispatch marks a serving-layer kernel dispatch: the span covers
-	// the batched launch from start to completion.
+	// OpDispatch marks a serving-layer kernel dispatch: the span is the
+	// launch thread's, from the batch's issue to one launch overhead
+	// later. The kernel outlives it and may overlap the next one's; its
+	// blocks draw their own spans on their own rows.
 	OpDispatch
 	// OpPrefetch marks a speculative read issue (read-ahead, ISSUE 4);
 	// Bytes is the coalesced extent of the issue.
@@ -142,11 +144,18 @@ func (o Op) String() string {
 	return fmt.Sprintf("Op(%d)", int(o))
 }
 
+// LaunchQueue is the Block of an event that belongs to a GPU's launch queue
+// (the serving layer's enqueue, batch and dispatch) rather than to one of its
+// threadblocks. Trace exports render such events on a per-GPU "launch-queue"
+// thread.
+const LaunchQueue = -1 << 16
+
 // Event is one traced operation.
 type Event struct {
 	// Seq is the event's global sequence number.
 	Seq uint64
-	// GPU and Block locate the caller.
+	// GPU and Block locate the caller; Block is LaunchQueue for the GPU's
+	// launch thread.
 	GPU, Block int
 	// Shard is the RPC ring shard the event belongs to, 1-based; zero
 	// means the event is not tied to a ring lane. Trace exports render
@@ -170,8 +179,12 @@ func (e Event) Duration() simtime.Duration { return e.End.Sub(e.Start) }
 
 // String renders the event in one line.
 func (e Event) String() string {
-	s := fmt.Sprintf("%10.3fms gpu%d/b%-3d %-10s %s", e.Start.Seconds()*1e3,
-		e.GPU, e.Block, e.Op, e.Path)
+	lane := fmt.Sprintf("b%-3d", e.Block)
+	if e.Block == LaunchQueue {
+		lane = "lq  "
+	}
+	s := fmt.Sprintf("%10.3fms gpu%d/%s %-10s %s", e.Start.Seconds()*1e3,
+		e.GPU, lane, e.Op, e.Path)
 	if e.Bytes > 0 {
 		s += fmt.Sprintf(" off=%d n=%d", e.Offset, e.Bytes)
 	}
