@@ -13,7 +13,11 @@
 #                lifecycle (no other non-test file of the package takes a
 #                slot transition, allocates or releases a frame, moves
 #                fileCache.frames, or moves Frame.Dirty or the dirty-page
-#                counts kept beside it), the full
+#                counts kept beside it), internal/core/ftable.go still the
+#                one owner of the file tables (no other non-test file of
+#                the package names the open or closed table, their
+#                indexes, the truncated-once set, or a cache's retained
+#                descriptor and flags), the full
 #                suite under the race detector (the stress/oracle tests
 #                run 500 seeds concurrently, so this is where sync bugs
 #                die), the bench guardrail pinning the Fig4 16K/32K
@@ -74,6 +78,9 @@ tier2:
 	@strays=$$(grep -nE '\.(TryBeginInit|FinishInit|AbortInit|TryEvict|CancelEvict|FinishEvict)\(|cache\.(TryAllocOn|Release)\(|frames\.Add\(|Dirty\.(Store|Swap|CompareAndSwap)\(|(dirty|dirtyPages)\.Add\(' \
 		$$(ls internal/core/*.go | grep -v -e '_test\.go$$' -e '/page\.go$$')); if [ -n "$$strays" ]; then \
 		echo "internal/core/page.go owns the page lifecycle; these call sites bypass it:"; echo "$$strays"; exit 1; fi
+	@strays=$$(grep -nE '\.fds|\.byPath|\.closed\[|range [a-z.]*\.closed\b|\.closedByPath|\.truncated|keepFd|lastFlags' \
+		$$(ls internal/core/*.go | grep -v -e '_test\.go$$' -e '/ftable\.go$$')); if [ -n "$$strays" ]; then \
+		echo "internal/core/ftable.go owns the file tables; these lines reach past it:"; echo "$$strays"; exit 1; fi
 	$(GO) test -race -timeout 30m ./...
 	GPUFS_BENCH_GUARDRAIL=1 $(GO) test -count=1 -run TestBenchGuardrail ./internal/bench
 	mkdir -p artifacts

@@ -66,7 +66,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	faults := flag.Bool("faults", false, "inject the standard RPC/host fault mix")
 	migrate := flag.Bool("migrate", false, "fleet mode: live-migration demo — checkpoint host 0 and restore onto its replacement instead of a cold replace")
-	ordering := flag.String("ordering", "", `syscall ordering class: "strong" or "relaxed" (empty = config default)`)
+	ordering := flag.String("ordering", "strong", `syscall ordering class: "strong" or "relaxed"`)
 	pipeline := flag.Bool("pipeline", false, "run the two-stage gpipe pipeline workload instead of the soak")
 	pipelineGran := flag.String("pipeline-gran", "thread", "pipeline producer read granularity: thread, warp, or block")
 	pipeCap := flag.Int("pipe-cap", 16<<10, "pipeline gpipe buffer capacity in bytes")

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sort"
 	"sync"
 
 	"gpufs/internal/ckpt"
@@ -150,44 +149,22 @@ func (fs *FS) BeginCheckpoint(start simtime.Time) (*Ckpt, error) {
 func (ck *Ckpt) Walk() {
 	fs := ck.fs
 
-	// Enumerate both tables under the table lock; page copies happen
-	// after it is dropped. Temporary (O_NOSYNC) and unlinked files die
-	// with the host by definition; pending opens have no cache yet.
-	fs.mu.Lock()
-	for _, f := range fs.fds {
-		if f == nil || f.fc == nil || f.err != nil || f.noSync || f.unlinked {
-			continue
+	// Enumerate both tables; page copies happen after the table lock is
+	// dropped. Temporary (O_NOSYNC) and unlinked files die with the host by
+	// definition. Retired files go in retirement order: the restore opens
+	// and closes the image's files in turn, so its closed table ends in it.
+	fs.ft.each(func(fc *fileCache, path string, flags int, f *file) {
+		if f != nil && (f.noSync || f.unlinked) {
+			return
 		}
-		select {
-		case <-f.ready:
-		default:
-			continue // still opening
-		}
-		ck.files = append(ck.files, ckptFileEntry{fc: f.fc, img: ckpt.FileImage{
-			Path:  f.path,
-			Ino:   f.fc.ino,
-			Gen:   f.fc.gen.Load(),
-			Size:  f.fc.size.Load(),
-			Flags: int64(f.flags),
-		}})
-	}
-	retired := make([]*fileCache, 0, len(fs.closed))
-	for _, fc := range fs.closed {
-		retired = append(retired, fc)
-	}
-	// Deterministic order (map iteration is not): the image layout, and
-	// therefore the restore's open order, must not vary run to run.
-	sort.Slice(retired, func(i, j int) bool { return retired[i].ino < retired[j].ino })
-	for _, fc := range retired {
-		ck.files = append(ck.files, ckptFileEntry{fc: fc, closed: true, img: ckpt.FileImage{
-			Path:  fc.path,
+		ck.files = append(ck.files, ckptFileEntry{fc: fc, closed: f == nil, img: ckpt.FileImage{
+			Path:  path,
 			Ino:   fc.ino,
 			Gen:   fc.gen.Load(),
 			Size:  fc.size.Load(),
-			Flags: int64(fc.lastFlags),
+			Flags: int64(flags),
 		}})
-	}
-	fs.mu.Unlock()
+	})
 
 	cap := ck.cap
 	var snap []byte // every page is copied through it, then out of it
@@ -384,13 +361,10 @@ func (fs *FS) restoreFile(b *gpu.Block, fi *ckpt.FileImage) error {
 	if flags&O_TRUNC != 0 {
 		// The truncation happened on the source's timeline; replaying it
 		// here would destroy the very content the image's clean pages
-		// reference. Record it as already-performed instead, so a tenant
-		// re-open with O_TRUNC does not truncate again (the same
-		// once-only rule hostOpen enforces on the source).
-		flags &^= O_TRUNC
-		fs.mu.Lock()
-		fs.truncated[fi.Path] = true
-		fs.mu.Unlock()
+		// reference. Record it as already performed instead: hostOpen then
+		// leaves O_TRUNC out of this open and of a tenant's re-open (the
+		// once-only rule it enforces on the source).
+		fs.ft.truncateOnce(fi.Path)
 	}
 	fd, err := fs.openImpl(b, fi.Path, flags)
 	if err != nil && len(fi.Dirty) > 0 && flags&O_CREATE == 0 {
@@ -402,7 +376,7 @@ func (fs *FS) restoreFile(b *gpu.Block, fi *ckpt.FileImage) error {
 	if err != nil {
 		return err
 	}
-	f, err := fs.lookupFd(fd)
+	f, err := fs.ft.lookup(fd)
 	if err != nil {
 		return err
 	}
@@ -464,14 +438,6 @@ func (fs *FS) restoreFile(b *gpu.Block, fi *ckpt.FileImage) error {
 	if err := fs.closeImpl(b, fd); err != nil {
 		return err
 	}
-	// closeImpl retired the cache with OUR flags (possibly O_TRUNC
-	// stripped); pin the original so a tenant re-open with the source's
-	// exact flags takes the free fast-reopen path.
-	fs.mu.Lock()
-	if cur, ok := fs.closed[fc.ino]; ok && cur == fc {
-		fc.lastFlags = int(fi.Flags)
-	}
-	fs.mu.Unlock()
 	// Re-arm the sticky write-back error AFTER the close, which would
 	// otherwise have consumed it: the tenant's next gfsync/gclose on the
 	// restored host must still learn the source's data didn't make it.

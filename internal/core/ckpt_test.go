@@ -396,7 +396,7 @@ func TestCkptWbErrRoundTrip(t *testing.T) {
 		_, err = fs.Write(b, fd, pattern(ps, 3), 0)
 		return err
 	})
-	f, err := fs.lookupFd(fd)
+	f, err := fs.ft.lookup(fd)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,7 +122,7 @@ func (fs *FS) runCleanerPass(a actor) {
 	evicted := 0
 	cleaned := 0
 
-	for _, v := range fs.pickVictims() {
+	for _, v := range fs.ft.victims() {
 		if v.fc.dirty.Load() == 0 {
 			continue
 		}

@@ -1157,13 +1157,8 @@ func TestEvictionPolicyOrdering(t *testing.T) {
 	})
 
 	frames := func(path string) int64 {
-		fs.mu.Lock()
-		defer fs.mu.Unlock()
-		if fd, ok := fs.byPath[path]; ok {
-			return fs.fds[fd].fc.frames.Load()
-		}
-		if ino, ok := fs.closedByPath[path]; ok {
-			return fs.closed[ino].frames.Load()
+		if fc := fs.ft.cacheOf(path); fc != nil {
+			return fc.frames.Load()
 		}
 		return -1
 	}

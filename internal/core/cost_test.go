@@ -120,7 +120,7 @@ func TestCostPageFault(t *testing.T) {
 			fs := h.fss[0]
 			reads := h.server.Requests(rpc.OpReadPages)
 			cost = elapsed(b, func() {
-				if ref, _, err := fs.getPage(b, fs.fds[fd], 0, nil); err != nil {
+				if ref, _, err := fs.getPage(b, fs.ft.fds[fd], 0, nil); err != nil {
 					t.Error(err)
 				} else {
 					ref.release()
@@ -154,7 +154,7 @@ func TestCostVectoredFill(t *testing.T) {
 	opt := defaultOpt()
 	opt.PageSize = raMaxSpanBytes / k
 	costRig(t, opt, k, func(h *harness, b *gpu.Block, fd int) {
-		fs, f := h.fss[0], h.fss[0].fds[fd]
+		fs, f := h.fss[0], h.fss[0].ft.fds[fd]
 		issued, reads := b.Clock.Now(), h.server.Requests(rpc.OpReadPages)
 		cost := elapsed(b, func() { fs.spanFetch(b, f, 0, k, 1, pcache.SpecNone, gsys.GranBlock) })
 
@@ -189,7 +189,7 @@ func TestCostSkipRule(t *testing.T) {
 	const k = 8
 	opt := defaultOpt()
 	costRig(t, opt, k, func(h *harness, b *gpu.Block, fd int) {
-		fs, f := h.fss[0], h.fss[0].fds[fd]
+		fs, f := h.fss[0], h.fss[0].ft.fds[fd]
 		gread(t, fs, b, fd, k*opt.PageSize) // make all k resident
 		if got := elapsed(b, func() { fs.spanFetch(b, f, 0, k, 1, pcache.SpecNone, gsys.GranBlock) }); got != 0 {
 			t.Errorf("known-needed batch over %d resident pages cost %v, want nothing", k, got)
@@ -243,7 +243,7 @@ func TestCostWholePageWriteMiss(t *testing.T) {
 			if got != want {
 				t.Errorf("%s cost %v, want lookup + copy + tail zeroing + API + fence = %v", what, got, want)
 			}
-			ref, _, err := fs.getPage(b, fs.fds[fd], off/ps, nil)
+			ref, _, err := fs.getPage(b, fs.ft.fds[fd], off/ps, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -21,17 +21,8 @@ import (
 // total is their sum — so no cache that left the tables took a count with it.
 func checkDirtyCounts(t *testing.T, fs *FS) {
 	t.Helper()
-	fs.mu.Lock()
 	seen := make(map[*fileCache]bool)
-	for _, f := range fs.fds {
-		if f != nil && f.fc != nil {
-			seen[f.fc] = true
-		}
-	}
-	for _, fc := range fs.closed {
-		seen[fc] = true
-	}
-	fs.mu.Unlock()
+	fs.ft.each(func(fc *fileCache, _ string, _ int, _ *file) { seen[fc] = true })
 
 	var sum int64
 	for fc := range seen {

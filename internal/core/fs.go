@@ -20,14 +20,11 @@
 package core
 
 import (
-	"fmt"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"gpufs/internal/core/pcache"
-	"gpufs/internal/core/radix"
 	"gpufs/internal/gpu"
 	"gpufs/internal/gsys"
 	"gpufs/internal/hostfs"
@@ -144,18 +141,8 @@ type FS struct {
 	sys   *gsys.Client
 	cache *pcache.Cache
 
-	mu     sync.Mutex
-	byPath map[string]int // path -> fd for open files
-	fds    []*file        // fd -> open file (nil when slot closed)
-	closed map[int64]*fileCache
-	// closedByPath indexes the closed file table by pathname for the
-	// fast-reopen check in Open.
-	closedByPath map[string]int64
-	// truncated records paths already truncated by an O_TRUNC open, so a
-	// re-open by a late-scheduled threadblock (after the reference count
-	// transiently hit zero, §3.2) does not destroy earlier blocks'
-	// output by truncating again.
-	truncated map[string]bool
+	// ft holds the open and closed file tables (ftable.go).
+	ft *ftable
 
 	// Retired-tree stats accumulate counters of trees that were
 	// invalidated or unlinked, so totals survive cache discards.
@@ -233,8 +220,8 @@ type FS struct {
 	ckptPagesDirty      atomic.Int64
 	ckptPagesClean      atomic.Int64
 
-	// pipeNames maps pipe handles to names for tracing (guarded by mu).
-	pipeNames map[int64]string
+	// pipeNames maps pipe handles (int64) to names for tracing.
+	pipeNames sync.Map
 
 	// met holds pre-resolved metrics handles; nil when Options.Metrics is.
 	met *fsMetrics
@@ -245,109 +232,6 @@ type FS struct {
 
 	// tracer, when non-nil and enabled, records every API call.
 	tracer *trace.Tracer
-}
-
-// file is an entry in the open file table.
-type file struct {
-	fc *fileCache
-
-	path      string
-	flags     int
-	writeOnce bool
-	writeShrd bool
-	noSync    bool
-	writable  bool
-	readable  bool
-	unlinked  bool // gunlink'd while open; discard cache at final close
-
-	hostFd int64
-	refs   int // threadblock reference count
-
-	// opening coordination: concurrent gopens of the same file coalesce
-	// into one host open; waiters block on ready.
-	ready chan struct{}
-	err   error
-
-	// ra are the adaptive read-ahead detector slots: threadblocks hash by
-	// index, so each slot sees one (or a few) blocks' access stream
-	// rather than the chaotic interleaving of all of them — the reason
-	// the paper dismissed per-file stride detection (§3.3).
-	ra [raStreams]raStream
-}
-
-// fileCache is a file's GPU-resident cache state. It survives gclose in the
-// closed file table (keyed by host inode) so that threadblocks scheduled
-// later — or subsequent kernels of the same process — reuse the cached
-// pages (§4.1, §5.1.3).
-type fileCache struct {
-	tree    *radix.Tree
-	lockRes *simtime.Resource // serializes locked traversals in virtual time
-
-	ino  int64
-	path string
-
-	// gen is the host generation the cache contents correspond to,
-	// refreshed after this GPU propagates writes.
-	gen atomic.Int64
-
-	// size is the file size as seen by gfstat: captured at the first
-	// gopen and extended by local writes.
-	size atomic.Int64
-
-	// frames counts resident pages, so the eviction policy can skip
-	// empty caches cheaply.
-	frames atomic.Int64
-
-	// dirty counts resident pages with local writes the host lacks, so a
-	// cleaner pass can skip a file that has none (see setDirty).
-	dirty atomic.Int64
-
-	// keepFd is the host descriptor retained after the last gclose (the
-	// open file table stores "the CPU file descriptor used for data
-	// requests", §4.1, and keeping it is what makes reopening a
-	// closed-table entry free of CPU communication); 0 when none.
-	// Atomic: mutated on reuse/discard paths that run outside the table
-	// lock while the paging victim scan reads it.
-	keepFd atomic.Int64
-	// lastFlags records the flags of the retired open, so a reopen with
-	// identical flags can take the fast path.
-	lastFlags int
-
-	// prefetchUsed and prefetchWasted count this file's speculative pages
-	// consumed by a demand access versus reclaimed unconsumed; the
-	// adaptive read-ahead window uses the ratio as its feedback signal.
-	prefetchUsed   atomic.Int64
-	prefetchWasted atomic.Int64
-
-	// wbErr is the sticky asynchronous write-back error (POSIX errseq_t
-	// semantics): when eviction-driven write-back fails, the error is
-	// recorded here and surfaced exactly once — at the next gfsync, or at
-	// the final gclose if no sync intervenes.
-	wbMu  sync.Mutex
-	wbErr error
-}
-
-// recordWriteErr notes an asynchronous write-back failure; the first error
-// wins until a sync reports it.
-func (fc *fileCache) recordWriteErr(err error) {
-	if err == nil {
-		return
-	}
-	fc.wbMu.Lock()
-	if fc.wbErr == nil {
-		fc.wbErr = err
-	}
-	fc.wbMu.Unlock()
-}
-
-// takeWriteErr returns the pending write-back error and clears it, so each
-// failure is reported exactly once.
-func (fc *fileCache) takeWriteErr() error {
-	fc.wbMu.Lock()
-	err := fc.wbErr
-	fc.wbErr = nil
-	fc.wbMu.Unlock()
-	return err
 }
 
 // New creates the GPUfs instance for one GPU, carving the buffer cache out
@@ -365,14 +249,11 @@ func New(gpuID int, opt Options, client *rpc.Client, mem *memsys.Arena) (*FS, er
 		svc = gsys.NewService(client.Server(), opt.ZeroCopyRead)
 	}
 	fs := &FS{
-		gpuID:        gpuID,
-		opt:          opt,
-		sys:          gsys.NewClient(svc, client),
-		cache:        cache,
-		byPath:       make(map[string]int),
-		closed:       make(map[int64]*fileCache),
-		closedByPath: make(map[string]int64),
-		truncated:    make(map[string]bool),
+		gpuID: gpuID,
+		opt:   opt,
+		sys:   gsys.NewClient(svc, client),
+		cache: cache,
+		ft:    newFTable(),
 	}
 	if opt.CleanerWorkers > 0 {
 		fs.cleaner = newCleaner(fs, opt.CleanerWorkers)
@@ -500,366 +381,14 @@ func (fs *FS) Syscalls() *gsys.Client { return fs.sys }
 // The view is a value: binding per call costs a copy, not an allocation.
 func (fs *FS) lane(b *gpu.Block) gsys.Client { return fs.sys.Bind(b.Idx) }
 
-// newFileCache builds an empty cache for a file.
-func (fs *FS) newFileCache(path string, ino, gen, size int64) *fileCache {
-	fc := &fileCache{
-		tree:    radix.NewTree(),
-		lockRes: simtime.NewResource(fmt.Sprintf("gpu%d-treelock-%d", fs.gpuID, ino)),
-		ino:     ino,
-		path:    path,
-	}
-	fc.tree.SetForceLocked(fs.opt.ForceLockedTraversal)
-	fc.gen.Store(gen)
-	fc.size.Store(size)
-	return fc
-}
-
-// Open implements gopen. All threads of the block invoke it collectively;
-// the call runs once per block. Concurrent opens of the same file coalesce:
-// one block performs the host open, the rest wait and share the descriptor,
-// which then merely has its reference count incremented (§3.2, §4.1).
-func (fs *FS) openImpl(b *gpu.Block, path string, flags int) (int, error) {
-	fs.opens.Add(1)
-	b.Busy(fs.opt.APICostPerPage) // control-plane bookkeeping
-
-	writeOnce := flags&O_GWRONCE != 0
-	writeShrd := flags&O_GWRSHARED != 0
-	noSync := flags&O_NOSYNC != 0
-	if writeOnce && writeShrd {
-		return -1, fmt.Errorf("%w: O_GWRONCE with O_GWRSHARED", ErrBadFlags)
-	}
-
-	acc := flags & 0x3
-	if writeOnce {
-		acc = O_WRONLY
-	}
-	writable := acc == O_WRONLY || acc == O_RDWR
-	readable := acc == O_RDONLY || acc == O_RDWR
-	if (writeOnce || writeShrd || noSync) && !writable {
-		return -1, fmt.Errorf("%w: GPUfs write flags require a writable mode", ErrBadFlags)
-	}
-
-	for {
-		fs.mu.Lock()
-		if fd, ok := fs.byPath[path]; ok {
-			f := fs.fds[fd]
-			ready := f.ready
-			fs.mu.Unlock()
-			<-ready // coalesce with the in-flight open
-			fs.mu.Lock()
-			// Identity check, not just slot occupancy: the entry may
-			// have been retired while we waited AND its fd slot and
-			// path reused by a brand-new (still-pending) open — we
-			// must not adopt an entry we never waited on.
-			if fs.byPath[path] != fd || fs.fds[fd] != f {
-				fs.mu.Unlock()
-				continue // restart against the current table state
-			}
-			if f.err != nil {
-				err := f.err
-				fs.mu.Unlock()
-				return -1, err
-			}
-			if f.flags != flags {
-				fs.mu.Unlock()
-				return -1, fmt.Errorf("%w: %q open with flags %#x, requested %#x",
-					ErrFlagConflict, path, f.flags, flags)
-			}
-			f.refs++
-			fs.mu.Unlock()
-			return fd, nil
-		}
-
-		// Fast path: the file is in the closed file table with matching
-		// flags, and the consistency layer's shared-memory generation
-		// table confirms our cached copy is current — move the cache
-		// back to the open file table with no CPU round trip (§4.1).
-		if ino, ok := fs.closedByPath[path]; ok && !fs.opt.DisableFastReopen {
-			fc := fs.closed[ino]
-			if fc != nil && fc.lastFlags == flags && fc.keepFd.Load() != 0 &&
-				fs.sys.PeekValid(b.Clock, fc.ino, fc.gen.Load()) {
-				delete(fs.closed, ino)
-				delete(fs.closedByPath, path)
-				ready := make(chan struct{})
-				close(ready)
-				f := &file{
-					fc:        fc,
-					path:      path,
-					flags:     flags,
-					writeOnce: writeOnce,
-					writeShrd: writeShrd,
-					noSync:    noSync,
-					writable:  writable,
-					readable:  readable,
-					hostFd:    fc.keepFd.Load(),
-					refs:      1,
-					ready:     ready,
-				}
-				fc.keepFd.Store(0)
-				fd := fs.allocFdLocked(f)
-				fs.byPath[path] = fd
-				fs.mu.Unlock()
-
-				if writable {
-					if err := fs.sys.BeginWrite(fc.ino, writeShrd || writeOnce); err != nil {
-						fs.mu.Lock()
-						fs.fds[fd] = nil
-						delete(fs.byPath, path)
-						fc.keepFd.Store(f.hostFd)
-						fs.closed[fc.ino] = fc
-						fs.closedByPath[path] = fc.ino
-						fs.mu.Unlock()
-						return -1, err
-					}
-				}
-				fs.closedReuses.Add(1)
-				fs.historyAttach(b, f)
-				return fd, nil
-			}
-		}
-
-		// We are the opener: insert a pending entry and do the host work
-		// outside the table lock.
-		f := &file{
-			path:      path,
-			flags:     flags,
-			writeOnce: writeOnce,
-			writeShrd: writeShrd,
-			noSync:    noSync,
-			writable:  writable,
-			readable:  readable,
-			refs:      1,
-			ready:     make(chan struct{}),
-		}
-		fd := fs.allocFdLocked(f)
-		fs.byPath[path] = fd
-		fs.mu.Unlock()
-
-		err := fs.hostOpen(b, f)
-		if err != nil {
-			fs.mu.Lock()
-			fs.fds[fd] = nil
-			delete(fs.byPath, path)
-			f.err = err
-			fs.mu.Unlock()
-			close(f.ready)
-			return -1, err
-		}
-		fs.historyAttach(b, f)
-		close(f.ready)
-		return fd, nil
-	}
-}
-
-func (fs *FS) allocFdLocked(f *file) int {
-	for i, slot := range fs.fds {
-		if slot == nil {
-			fs.fds[i] = f
-			return i
-		}
-	}
-	fs.fds = append(fs.fds, f)
-	return len(fs.fds) - 1
-}
-
-// hostOpen forwards the first gopen of a file to the CPU, consults the
-// closed file table for a reusable cache, validates it against the
-// consistency layer, and registers write intent.
-func (fs *FS) hostOpen(b *gpu.Block, f *file) error {
-	fs.hostOpens.Add(1)
-
-	// Writable files other than O_GWRONCE are opened read-write on the
-	// host regardless of the GPU-visible mode: partial-page writes need
-	// read-modify-write fetches, and the diff-and-merge protocol needs
-	// pristine copies.
-	hostFlags := f.flags & hostFlagMask
-	if hostFlags&hostfs.O_TRUNC != 0 {
-		fs.mu.Lock()
-		if fs.truncated[f.path] {
-			hostFlags &^= hostfs.O_TRUNC
-		} else {
-			fs.truncated[f.path] = true
-		}
-		fs.mu.Unlock()
-	}
-	switch {
-	case f.writeOnce:
-		hostFlags = (hostFlags &^ 0x3) | hostfs.O_WRONLY | hostfs.O_CREATE
-	case f.writable:
-		hostFlags = (hostFlags &^ 0x3) | hostfs.O_RDWR
-	}
-	if f.noSync {
-		hostFlags |= hostfs.O_CREATE
-	}
-	hfd, info, err := fs.lane(b).Open(b.Clock, f.path, hostFlags, hostfs.ModeRead|hostfs.ModeWrite)
-	if err != nil {
-		return err
-	}
-
-	if f.writable {
-		// O_GWRONCE files may be write-shared across processors: each
-		// byte is written at most once and diff-against-zeros merges
-		// disjoint updates (§3.1). Other writes are single-writer
-		// unless opened O_GWRSHARED.
-		if err := fs.sys.BeginWrite(info.Ino, f.writeShrd || f.writeOnce); err != nil {
-			fs.lane(b).Close(b.Clock, hfd)
-			return err
-		}
-	}
-
-	// Check the closed file table first: if this GPU still caches the
-	// file and the consistency layer confirms the host copy is
-	// unchanged, move the cache back to the open file table (§4.1).
-	fs.mu.Lock()
-	fc, cached := fs.closed[info.Ino]
-	if cached {
-		delete(fs.closed, info.Ino)
-		delete(fs.closedByPath, fc.path)
-	}
-	fs.mu.Unlock()
-
-	if cached {
-		valid := fs.lane(b).Validate(b.Clock, info.Ino, fc.gen.Load())
-		if valid && info.Generation == fc.gen.Load() {
-			fs.closedReuses.Add(1)
-			// Replace any retained write-back descriptor with the
-			// fresh one.
-			if old := fc.keepFd.Swap(0); old != 0 {
-				fs.lane(b).Close(b.Clock, old)
-			}
-			fs.publishCache(f, fc, hfd)
-			return nil
-		}
-		// Stale: discard the cached pages (lazy invalidation, §4.4).
-		fs.discardCache(b, fc)
-	}
-
-	fs.publishCache(f, fs.newFileCache(f.path, info.Ino, info.Generation, info.Size), hfd)
-	fs.sys.RecordCached(info.Ino, info.Generation)
-	return nil
-}
-
-// publishCache installs a pending open's cache and host descriptor. The
-// entry has been in fs.fds since before the host open, and the table
-// scans (paging victims, stats, checkpoint) read both fields under fs.mu.
-func (fs *FS) publishCache(f *file, fc *fileCache, hostFd int64) {
-	fs.mu.Lock()
-	f.fc, f.hostFd = fc, hostFd
-	fs.mu.Unlock()
-}
-
-// Close implements gclose: it decrements the file's reference count and, at
-// zero, retires the entry to the closed file table with its pages retained
-// for reuse. No data is propagated to the host (§3.2); dirty pages wait for
-// gfsync or eviction.
-func (fs *FS) closeImpl(b *gpu.Block, fd int) error {
-	b.Busy(fs.opt.APICostPerPage)
-
-	fs.mu.Lock()
-	f, err := fs.fileLocked(fd)
-	if err != nil {
-		fs.mu.Unlock()
-		return err
-	}
-	f.refs--
-	if f.refs > 0 {
-		fs.mu.Unlock()
-		return nil
-	}
-	// Last reference: retire to the closed table, retaining the pages
-	// AND the host descriptor so a matching reopen is free.
-	fs.fds[fd] = nil
-	delete(fs.byPath, f.path)
-	fc := f.fc
-	if old, ok := fs.closed[fc.ino]; ok && old != fc {
-		fs.discardCache(b, old)
-	}
-	if staleIno, ok := fs.closedByPath[f.path]; ok && staleIno != fc.ino {
-		if stale := fs.closed[staleIno]; stale != nil {
-			delete(fs.closed, staleIno)
-			defer fs.discardCache(b, stale)
-		}
-	}
-	fs.closed[fc.ino] = fc
-	fs.closedByPath[f.path] = fc.ino
-	fc.keepFd.Store(f.hostFd)
-	fc.lastFlags = f.flags
-	fs.mu.Unlock()
-
-	if fs.history != nil {
-		fs.historyRecord(f)
-	}
-
-	if f.writable {
-		fs.sys.EndWrite(fc.ino)
-	}
-
-	if f.noSync || f.unlinked {
-		// Temporary or unlinked file: never written back; reclaim
-		// local pages immediately.
-		fs.mu.Lock()
-		delete(fs.closed, fc.ino)
-		delete(fs.closedByPath, f.path)
-		fc.keepFd.Store(0)
-		fs.mu.Unlock()
-		fs.discardCache(b, fc)
-		fs.lane(b).Close(b.Clock, f.hostFd)
-		if f.noSync && !f.unlinked {
-			return fs.lane(b).Unlink(b.Clock, f.path)
-		}
-		return fc.takeWriteErr()
-	}
-
-	// Final close surfaces any asynchronous write-back error that no
-	// gfsync reported (POSIX: close is the last chance to learn the data
-	// didn't make it).
-	return fc.takeWriteErr()
-}
-
-func (fs *FS) fileLocked(fd int) (*file, error) {
-	if fd < 0 || fd >= len(fs.fds) || fs.fds[fd] == nil {
-		return nil, fmt.Errorf("%w: %d", ErrBadFD, fd)
-	}
-	return fs.fds[fd], nil
-}
-
-// lookupFd returns the open file for fd.
-func (fs *FS) lookupFd(fd int) (*file, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.fileLocked(fd)
-}
-
-// discardCache drops every resident page of fc without write-back
-// (invalidation or unlink), retires the tree's stats and closes the
-// descriptor kept for reopening.
-func (fs *FS) discardCache(b *gpu.Block, fc *fileCache) {
-	fs.dropCacheNoWriteback(fc)
-	lf, lk := fc.tree.Stats()
-	fs.retiredLockFree.Add(lf)
-	fs.retiredLocked.Add(lk)
-	if old := fc.keepFd.Swap(0); old != 0 {
-		fs.lane(b).Close(b.Clock, old)
-	}
-}
-
 // ResidentPages reports how many buffer-cache pages of path are resident
 // on this GPU, whether the file is currently open or retired to the closed
 // file table. A serving layer uses it as its cache-affinity signal: a job
 // over a file with resident pages is cheaper to run here than anywhere
 // else.
 func (fs *FS) ResidentPages(path string) int64 {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fd, ok := fs.byPath[path]; ok {
-		if f := fs.fds[fd]; f != nil && f.fc != nil {
-			return f.fc.frames.Load()
-		}
-	}
-	if ino, ok := fs.closedByPath[path]; ok {
-		if fc := fs.closed[ino]; fc != nil {
-			return fc.frames.Load()
-		}
+	if fc := fs.ft.cacheOf(path); fc != nil {
+		return fc.frames.Load()
 	}
 	return 0
 }
@@ -954,17 +483,8 @@ func (fs *FS) FrameSteals() int64 { return fs.cache.Steals() }
 // leafRecycles sums recycled-leaf counts across live and closed file
 // caches (metrics collector; recycling only happens under churn).
 func (fs *FS) leafRecycles() int64 {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	var n int64
-	for _, f := range fs.fds {
-		if f != nil && f.fc != nil {
-			n += f.fc.tree.Recycles()
-		}
-	}
-	for _, fc := range fs.closed {
-		n += fc.tree.Recycles()
-	}
+	fs.ft.each(func(fc *fileCache, _ string, _ int, _ *file) { n += fc.tree.Recycles() })
 	return n
 }
 
@@ -996,82 +516,10 @@ func (fs *FS) Snapshot() Stats {
 		RPCRetries:        fs.sys.RPC().Retries(),
 		RPCTimeouts:       fs.sys.RPC().Timeouts(),
 	}
-	fs.mu.Lock()
-	for _, f := range fs.fds {
-		if f != nil && f.fc != nil {
-			lf, lk := f.fc.tree.Stats()
-			s.LockFreeAccesses += lf
-			s.LockedAccesses += lk
-		}
-	}
-	for _, fc := range fs.closed {
+	fs.ft.each(func(fc *fileCache, _ string, _ int, _ *file) {
 		lf, lk := fc.tree.Stats()
 		s.LockFreeAccesses += lf
 		s.LockedAccesses += lk
-	}
-	fs.mu.Unlock()
-	return s
-}
-
-// Restart models the GPU-card restart of §3.3: a GPU software failure can
-// require restarting the card, "thus losing the GPU's entire memory
-// state". Every open descriptor becomes invalid, every cached page —
-// including dirty data never synchronized — is discarded, and the host is
-// told to forget this GPU's caches. Data previously propagated by gfsync
-// or gmsync survives on the host (the failure semantics of the CPU page
-// cache).
-func (fs *FS) Restart(b *gpu.Block) {
-	fs.mu.Lock()
-	open := fs.fds
-	closed := fs.closed
-	fs.fds = nil
-	fs.byPath = make(map[string]int)
-	fs.closed = make(map[int64]*fileCache)
-	fs.closedByPath = make(map[string]int64)
-	fs.truncated = make(map[string]bool)
-	fs.mu.Unlock()
-
-	// Profiles describe caches that died with the card; the next open
-	// re-records from scratch.
-	if fs.history != nil {
-		fs.history.clear()
-	}
-
-	for _, f := range open {
-		if f == nil || f.fc == nil {
-			continue
-		}
-		if f.writable {
-			fs.sys.EndWrite(f.fc.ino)
-		}
-		fs.dropCacheNoWriteback(f.fc)
-		fs.lane(b).Close(b.Clock, f.hostFd)
-	}
-	for _, fc := range closed {
-		fs.dropCacheNoWriteback(fc)
-		if old := fc.keepFd.Swap(0); old != 0 {
-			fs.lane(b).Close(b.Clock, old)
-		}
-	}
-}
-
-// dropCacheNoWriteback releases every frame of fc without propagating any
-// dirty data — the content is stale, unlinked, or gone with the card — and
-// tells the host to forget this GPU caches the file.
-func (fs *FS) dropCacheNoWriteback(fc *fileCache) {
-	fc.tree.ForEachReadyPage(func(_ uint64, p *radix.FPage) bool {
-		fr := fs.beginEvict(p)
-		for ; fr == nil; fr = fs.beginEvict(p) {
-			if !p.Ready() {
-				// A concurrent paging pass already took it.
-				return true
-			}
-			// Briefly referenced (invalidation runs at open time, so
-			// holders are transient); wait it out.
-			runtime.Gosched()
-		}
-		fs.reclaim(fc, p, fr, false)
-		return true
 	})
-	fs.sys.Forget(fc.ino)
+	return s
 }

@@ -105,8 +105,8 @@ func (h *historyTable) clear() {
 // recorded, provided the host generation and size still match: every
 // recorded slot starts confident (streak at the ramp threshold, old
 // window), and its first window is issued now with the recorded first page
-// as the predicted access. Called once per open-table entry, by the opener
-// or the fast-reopen path, never by coalesced waiters.
+// as the predicted access. Called once per open-table entry, by its opener
+// before any waiter is admitted (finishOpen), so no stream is live yet.
 func (fs *FS) historyAttach(b *gpu.Block, f *file) {
 	if fs.history == nil || !f.readable || f.writeOnce || fs.raDeadZone() {
 		return
@@ -135,12 +135,6 @@ func (fs *FS) historyAttach(b *gpu.Block, f *file) {
 		}
 		st := &f.ra[hs.Slot]
 		st.mu.Lock()
-		if st.seen {
-			// A fast reopen publishes the descriptor before attaching;
-			// this stream is already live.
-			st.mu.Unlock()
-			continue
-		}
 		st.stride = hs.Stride
 		st.streak = raRampStreak
 		if st.window = int(hs.Window); st.window < raInitWindow {

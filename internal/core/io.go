@@ -167,7 +167,7 @@ func (fs *FS) readImpl(b *gpu.Block, fd int, dst []byte, off int64) (int, error)
 	if off < 0 {
 		return 0, fmt.Errorf("%w: negative offset %d", ErrInvalid, off)
 	}
-	f, err := fs.lookupFd(fd)
+	f, err := fs.ft.lookup(fd)
 	if err != nil {
 		return 0, err
 	}
@@ -271,7 +271,7 @@ func (fs *FS) writeImpl(b *gpu.Block, fd int, src []byte, off int64) (int, error
 	if off < 0 {
 		return 0, fmt.Errorf("%w: negative offset %d", ErrInvalid, off)
 	}
-	f, err := fs.lookupFd(fd)
+	f, err := fs.ft.lookup(fd)
 	if err != nil {
 		return 0, err
 	}

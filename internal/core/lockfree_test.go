@@ -195,17 +195,8 @@ func TestEpochLeafLeakFree(t *testing.T) {
 		return nil
 	})
 
-	fs.mu.Lock()
 	var trees []*fileCache
-	for _, f := range fs.fds {
-		if f != nil && f.fc != nil {
-			trees = append(trees, f.fc)
-		}
-	}
-	for _, fc := range fs.closed {
-		trees = append(trees, fc)
-	}
-	fs.mu.Unlock()
+	fs.ft.each(func(fc *fileCache, _ string, _ int, _ *file) { trees = append(trees, fc) })
 	for _, fc := range trees {
 		dom := fc.tree.EpochDomain()
 		if !dom.Quiesce() {

@@ -23,7 +23,7 @@ type Info struct {
 // no CPU communication — because the open file table already captured the
 // metadata at first open (Table 1).
 func (fs *FS) fstatImpl(b *gpu.Block, fd int) (Info, error) {
-	f, err := fs.lookupFd(fd)
+	f, err := fs.ft.lookup(fd)
 	if err != nil {
 		return Info{}, err
 	}
@@ -42,7 +42,7 @@ func (fs *FS) ftruncateImpl(b *gpu.Block, fd int, size int64) error {
 	if size < 0 {
 		return fmt.Errorf("%w: truncate to %d", ErrInvalid, size)
 	}
-	f, err := fs.lookupFd(fd)
+	f, err := fs.ft.lookup(fd)
 	if err != nil {
 		return err
 	}
@@ -98,23 +98,8 @@ func (fs *FS) unlinkImpl(b *gpu.Block, path string) error {
 		return err
 	}
 
-	fs.mu.Lock()
-	if fd, ok := fs.byPath[path]; ok {
-		// Still open: mark for discard at final close.
-		fs.fds[fd].unlinked = true
-		fs.mu.Unlock()
-		return nil
-	}
-	var fc *fileCache
-	if ino, ok := fs.closedByPath[path]; ok {
-		fc = fs.closed[ino]
-		delete(fs.closed, ino)
-		delete(fs.closedByPath, path)
-	}
-	fs.mu.Unlock()
-
-	if fc != nil {
-		fs.discardCache(b, fc)
+	if r := fs.ft.unlink(path); r.fc != nil {
+		fs.discardCache(b, r)
 	}
 	return nil
 }

@@ -44,7 +44,7 @@ func (fs *FS) mmapImpl(b *gpu.Block, fd int, off, length int64) (*Mapping, error
 	if off < 0 || length <= 0 {
 		return nil, fmt.Errorf("%w: mmap off=%d len=%d", ErrInvalid, off, length)
 	}
-	f, err := fs.lookupFd(fd)
+	f, err := fs.ft.lookup(fd)
 	if err != nil {
 		return nil, err
 	}

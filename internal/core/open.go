@@ -1,0 +1,213 @@
+package core
+
+import (
+	"fmt"
+
+	"gpufs/internal/core/radix"
+	"gpufs/internal/gpu"
+	"gpufs/internal/hostfs"
+	"gpufs/internal/simtime"
+)
+
+// gopen and gclose over the file tables of ftable.go. Every open is one
+// sequence: enter the open table; host work (none for a fast reopen, a strong
+// Open for a first gopen, OpenRelaxed for an open-ahead); finishOpen.
+
+// Open implements gopen. All threads of the block invoke it collectively;
+// the call runs once per block. Concurrent opens of the same file coalesce:
+// one block performs the open, the rest wait and share the descriptor,
+// which then merely has its reference count incremented (§3.2, §4.1).
+func (fs *FS) openImpl(b *gpu.Block, path string, flags int) (int, error) {
+	fs.opens.Add(1)
+	b.Busy(fs.opt.APICostPerPage) // control-plane bookkeeping
+
+	fd, f, cand, err := fs.ft.enter(path, flags, false)
+	if f == nil {
+		return fd, err
+	}
+	fc, hostFd, err := fs.reopen(b, f, cand)
+	if fc == nil && err == nil {
+		fc, hostFd, err = fs.hostOpen(b, f)
+	}
+	return fs.finishOpen(b, fd, f, fc, hostFd, err)
+}
+
+// finishOpen ends the open of pending entry f with what the host work produced:
+// a cache and host descriptor, or an error. The recorded access profile is
+// attached before any waiter is let in.
+func (fs *FS) finishOpen(b *gpu.Block, fd int, f *file, fc *fileCache, hostFd int64, err error) (int, error) {
+	if err != nil {
+		fs.ft.fail(fd, f, err)
+		return -1, err
+	}
+	fs.ft.complete(fd, f, fc, hostFd)
+	fs.historyAttach(b, f)
+	fs.ft.admit(fd, f)
+	return fd, nil
+}
+
+// reopen is the fast path (§4.1): cand is in the closed file table under f's
+// flags, and if the consistency layer's shared-memory generation table confirms
+// the cached copy current it moves back to the open table with no CPU round
+// trip. Write intent is registered while cand is still retired, so a refused
+// reopen leaves the closed table as it was. Nil, nil sends the caller to the host.
+func (fs *FS) reopen(b *gpu.Block, f *file, cand *fileCache) (*fileCache, int64, error) {
+	if cand == nil || fs.opt.DisableFastReopen || !fs.sys.PeekValid(b.Clock, cand.ino, cand.gen.Load()) {
+		return nil, 0, nil
+	}
+	if f.writable {
+		if err := fs.sys.BeginWrite(cand.ino, f.writeShrd || f.writeOnce); err != nil {
+			return nil, 0, err
+		}
+	}
+	r := fs.ft.take(cand, f)
+	if r.fc == nil {
+		if f.writable {
+			fs.sys.EndWrite(cand.ino)
+		}
+		return nil, 0, nil
+	}
+	fs.closedReuses.Add(1)
+	return r.fc, r.hostFd, nil
+}
+
+// hostOpen forwards the first gopen of a file to the CPU and registers
+// write intent.
+func (fs *FS) hostOpen(b *gpu.Block, f *file) (*fileCache, int64, error) {
+	fs.hostOpens.Add(1)
+
+	// Writable files other than O_GWRONCE are opened read-write on the
+	// host regardless of the GPU-visible mode: partial-page writes need
+	// read-modify-write fetches, and the diff-and-merge protocol needs
+	// pristine copies.
+	hostFlags := f.flags & hostFlagMask
+	if hostFlags&hostfs.O_TRUNC != 0 && !fs.ft.truncateOnce(f.path) {
+		hostFlags &^= hostfs.O_TRUNC
+	}
+	switch {
+	case f.writeOnce:
+		hostFlags = (hostFlags &^ 0x3) | hostfs.O_WRONLY | hostfs.O_CREATE
+	case f.writable:
+		hostFlags = (hostFlags &^ 0x3) | hostfs.O_RDWR
+	}
+	if f.noSync {
+		hostFlags |= hostfs.O_CREATE
+	}
+	hfd, info, err := fs.lane(b).Open(b.Clock, f.path, hostFlags, hostfs.ModeRead|hostfs.ModeWrite)
+	if err != nil {
+		return nil, 0, err
+	}
+
+	if f.writable {
+		// O_GWRONCE files may be write-shared across processors: each
+		// byte is written at most once and diff-against-zeros merges
+		// disjoint updates (§3.1). Other writes are single-writer
+		// unless opened O_GWRSHARED.
+		if err := fs.sys.BeginWrite(info.Ino, f.writeShrd || f.writeOnce); err != nil {
+			fs.lane(b).Close(b.Clock, hfd)
+			return nil, 0, err
+		}
+	}
+	return fs.adopt(b, f.path, info, true), hfd, nil
+}
+
+// adopt picks the cache for a host open that found info. If the closed file
+// table still holds the inode's and the consistency layer confirms the host
+// copy unchanged, it moves back to the open table (§4.1), its retained
+// descriptor giving way to the fresh one; otherwise it is discarded (lazy
+// invalidation, §4.4). Validation is a strong call: an open-ahead, which may
+// not block its lane (validate false), just discards.
+func (fs *FS) adopt(b *gpu.Block, path string, info hostfs.FileInfo, validate bool) *fileCache {
+	if r := fs.ft.takeIno(info.Ino); r.fc != nil {
+		gen := r.fc.gen.Load()
+		if validate && fs.lane(b).Validate(b.Clock, info.Ino, gen) && info.Generation == gen {
+			fs.closedReuses.Add(1)
+			fs.lane(b).Close(b.Clock, r.hostFd)
+			return r.fc
+		}
+		fs.discardCache(b, r)
+	}
+	fc := &fileCache{
+		tree:    radix.NewTree(),
+		lockRes: simtime.NewResource(fmt.Sprintf("gpu%d-treelock-%d", fs.gpuID, info.Ino)),
+		ino:     info.Ino,
+		path:    path,
+	}
+	fc.tree.SetForceLocked(fs.opt.ForceLockedTraversal)
+	fc.gen.Store(info.Generation)
+	fc.size.Store(info.Size)
+	fs.sys.RecordCached(info.Ino, info.Generation)
+	return fc
+}
+
+// Close implements gclose: it decrements the file's reference count and, at
+// zero, retires the entry to the closed file table with its pages and its
+// host descriptor retained, so a matching reopen is free. No data is
+// propagated to the host (§3.2); dirty pages wait for gfsync or eviction.
+func (fs *FS) closeImpl(b *gpu.Block, fd int) error {
+	b.Busy(fs.opt.APICostPerPage)
+
+	f, last, discard, err := fs.ft.release(fd)
+	if err != nil || !last {
+		return err
+	}
+	// Caches this retirement displaced, and a temporary or unlinked file's
+	// own: never written back, local pages reclaimed immediately.
+	for _, r := range discard {
+		fs.discardCache(b, r)
+	}
+	fs.historyRecord(f)
+	if f.writable {
+		fs.sys.EndWrite(f.fc.ino)
+	}
+	if f.noSync && !f.unlinked {
+		return fs.lane(b).Unlink(b.Clock, f.path)
+	}
+	// Final close surfaces any asynchronous write-back error that no
+	// gfsync reported (POSIX: close is the last chance to learn the data
+	// didn't make it).
+	return f.fc.takeWriteErr()
+}
+
+// discardCache drops every resident page of a cache that left the tables
+// without write-back (invalidation or unlink), retires the tree's stats and
+// closes its descriptor.
+func (fs *FS) discardCache(b *gpu.Block, r retiree) {
+	fs.dropCacheNoWriteback(r.fc)
+	lf, lk := r.fc.tree.Stats()
+	fs.retiredLockFree.Add(lf)
+	fs.retiredLocked.Add(lk)
+	fs.lane(b).Close(b.Clock, r.hostFd)
+}
+
+// Restart models the GPU-card restart of §3.3: a GPU software failure can
+// require restarting the card, "thus losing the GPU's entire memory
+// state". Every open descriptor becomes invalid, every cached page —
+// including dirty data never synchronized — is discarded, and the host is
+// told to forget this GPU's caches. Data previously propagated by gfsync
+// or gmsync survives on the host (the failure semantics of the CPU page
+// cache).
+func (fs *FS) Restart(b *gpu.Block) {
+	open, retired := fs.ft.reset()
+
+	// Profiles describe caches that died with the card; the next open
+	// re-records from scratch.
+	if fs.history != nil {
+		fs.history.clear()
+	}
+
+	for _, f := range open {
+		if f == nil || f.fc == nil {
+			continue
+		}
+		if f.writable {
+			fs.sys.EndWrite(f.fc.ino)
+		}
+		fs.dropCacheNoWriteback(f.fc)
+		fs.lane(b).Close(b.Clock, f.hostFd)
+	}
+	for _, r := range retired {
+		fs.dropCacheNoWriteback(r.fc)
+		fs.lane(b).Close(b.Clock, r.hostFd)
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"gpufs/internal/core/pcache"
@@ -304,4 +305,25 @@ func (fs *FS) reclaim(fc *fileCache, fp *radix.FPage, fr *pcache.Frame, byPaging
 	fc.frames.Add(-1)
 	fp.FinishEvict()
 	return wasted
+}
+
+// dropCacheNoWriteback releases every frame of fc without propagating any
+// dirty data — the content is stale, unlinked, or gone with the card — and
+// tells the host to forget this GPU caches the file.
+func (fs *FS) dropCacheNoWriteback(fc *fileCache) {
+	fc.tree.ForEachReadyPage(func(_ uint64, p *radix.FPage) bool {
+		fr := fs.beginEvict(p)
+		for ; fr == nil; fr = fs.beginEvict(p) {
+			if !p.Ready() {
+				// A concurrent paging pass already took it.
+				return true
+			}
+			// Briefly referenced (invalidation runs at open time, so
+			// holders are transient); wait it out.
+			runtime.Gosched()
+		}
+		fs.reclaim(fc, p, fr, false)
+		return true
+	})
+	fs.sys.Forget(fc.ino)
 }

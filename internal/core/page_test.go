@@ -19,7 +19,7 @@ import (
 // materialized.
 func slotOf(t *testing.T, fs *FS, fd int, idx uint64) (*fileCache, *radix.FPage) {
 	t.Helper()
-	fc := fs.fds[fd].fc
+	fc := fs.ft.fds[fd].fc
 	fp := fc.tree.LookupLocked(idx)
 	if fp == nil {
 		t.Fatalf("page %d has no slot", idx)
@@ -49,7 +49,7 @@ func TestPutBackKeepsThePage(t *testing.T) {
 			return err
 		}
 		fc, _ := slotOf(t, fs, fd, 0)
-		v := victim{fc: fc, hostFd: fs.fds[fd].hostFd, class: 2}
+		v := victim{fc: fc, hostFd: fs.ft.fds[fd].hostFd, class: 2}
 		free := fs.cache.FreeFrames()
 
 		h.inj.SetEnabled(true) // every write-back fails with EIO
@@ -104,7 +104,7 @@ func TestReclaimCountsWastedSpeculation(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		f := fs.fds[fd]
+		f := fs.ft.fds[fd]
 		fs.spanFetch(b, f, 0, 1, 1, pcache.SpecPending, gsys.GranBlock)
 		if _, err := fs.Read(b, fd, make([]byte, opt.PageSize), opt.PageSize); err != nil {
 			return err

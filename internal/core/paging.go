@@ -70,7 +70,7 @@ func (fs *FS) allocFrame(b *gpu.Block, fc *fileCache, offset int64) (*pcache.Fra
 func (fs *FS) pagingSummary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "free=%d/%d", fs.cache.FreeFrames(), fs.cache.NumFrames())
-	for _, v := range fs.pickVictims() {
+	for _, v := range fs.ft.victims() {
 		refs := 0
 		ready := 0
 		// The guard keeps the snapshotted leaves from being recycled
@@ -92,46 +92,9 @@ func (fs *FS) pagingSummary() string {
 	return b.String()
 }
 
-// victim describes a reclamation candidate file.
-type victim struct {
-	fc     *fileCache
-	hostFd int64
-	class  int // 0 closed, 1 open read-only, 2 open writable
-}
-
-// pickVictims snapshots the file tables in reclamation-priority order:
-// closed files first (not in use, usually clean, reclaimable without
-// GPU–CPU communication), then read-only open files, and writable open
-// files as a last resort — the policy of §4.2.
-func (fs *FS) pickVictims() []victim {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-
-	var out []victim
-	for _, fc := range fs.closed {
-		if fc.frames.Load() > 0 {
-			out = append(out, victim{fc: fc, hostFd: fc.keepFd.Load(), class: 0})
-		}
-	}
-	var ro, rw []victim
-	for _, f := range fs.fds {
-		if f == nil || f.fc == nil || f.fc.frames.Load() == 0 {
-			continue
-		}
-		if f.writable {
-			rw = append(rw, victim{fc: f.fc, hostFd: f.hostFd, class: 2})
-		} else {
-			ro = append(ro, victim{fc: f.fc, hostFd: f.hostFd, class: 1})
-		}
-	}
-	out = append(out, ro...)
-	out = append(out, rw...)
-	return out
-}
-
 // evictPages reclaims up to target pages, preferring the oldest last-level
 // radix nodes of the highest-priority victim file (FIFO traversal of the
-// per-file leaf list, lock-free, §4.2). Dirty pages are written back to the
+// per-file leaf list, lock-free, §4.2; ftable.victims orders the files). Dirty pages are written back to the
 // host before their frames are released. Returns the number reclaimed.
 //
 // A write-back failure never fails the (innocent) block that happened to
@@ -140,7 +103,7 @@ func (fs *FS) pickVictims() []victim {
 // stays resident so the data is not lost.
 func (fs *FS) evictPages(a actor, target int) int {
 	reclaimed := 0
-	for _, v := range fs.pickVictims() {
+	for _, v := range fs.ft.victims() {
 		if reclaimed >= target {
 			break
 		}

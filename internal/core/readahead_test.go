@@ -39,7 +39,7 @@ func TestEvictFromFileLargeTargetSingleCall(t *testing.T) {
 		if err := fs.Close(b, fd); err != nil {
 			return err
 		}
-		victims := fs.pickVictims()
+		victims := fs.ft.victims()
 		if len(victims) != 1 || victims[0].class != 0 {
 			t.Fatalf("victims = %+v", victims)
 		}
@@ -114,7 +114,7 @@ func TestPrefetchNeverEvictsFullCache(t *testing.T) {
 			return err
 		}
 		defer fs.Close(b, fdB)
-		fB := fs.fds[fdB]
+		fB := fs.ft.fds[fdB]
 		allocs := fs.cache.Allocs()
 		fs.spanFetch(b, fB, 0, 4, 1, pcache.SpecPending, gsys.GranBlock)
 		fs.spanFetch(b, fB, 0, 2, 2, pcache.SpecPending, gsys.GranBlock)

@@ -40,7 +40,7 @@ func (fs *FS) fsyncRangeImpl(b *gpu.Block, fd int, off, n int64) error {
 // syncFile writes back dirty, unmapped pages intersecting [off, off+n);
 // n < 0 means the whole file.
 func (fs *FS) syncFile(b *gpu.Block, fd int, off, n int64) error {
-	f, err := fs.lookupFd(fd)
+	f, err := fs.ft.lookup(fd)
 	if err != nil {
 		return err
 	}
@@ -94,9 +94,32 @@ func (fs *FS) FsyncDisk(b *gpu.Block, fd int) error {
 	if err := fs.Fsync(b, fd); err != nil {
 		return err
 	}
-	f, err := fs.lookupFd(fd)
+	f, err := fs.ft.lookup(fd)
 	if err != nil {
 		return err
 	}
 	return fs.lane(b).Fsync(b.Clock, f.hostFd)
+}
+
+// recordWriteErr notes an asynchronous write-back failure; the first error
+// wins until a sync reports it.
+func (fc *fileCache) recordWriteErr(err error) {
+	if err == nil {
+		return
+	}
+	fc.wbMu.Lock()
+	if fc.wbErr == nil {
+		fc.wbErr = err
+	}
+	fc.wbMu.Unlock()
+}
+
+// takeWriteErr returns the pending write-back error and clears it, so each
+// failure is reported exactly once.
+func (fc *fileCache) takeWriteErr() error {
+	fc.wbMu.Lock()
+	err := fc.wbErr
+	fc.wbErr = nil
+	fc.wbMu.Unlock()
+	return err
 }

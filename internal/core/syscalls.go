@@ -28,11 +28,10 @@ type OpenFuture struct {
 	flags int
 	start simtime.Time
 
-	// eager marks a successfully issued relaxed open; fd and fut are
-	// valid. Otherwise Wait performs a normal strong Open.
-	eager bool
-	fd    int
-	fut   *gsys.Future
+	// fut is a successfully issued relaxed open, of descriptor fd; nil
+	// makes Wait perform a normal strong Open.
+	fd  int
+	fut *gsys.Future
 }
 
 // OpenAhead issues gopen ahead of need: for a cold read-only open it
@@ -48,67 +47,27 @@ func (fs *FS) OpenAhead(b *gpu.Block, path string, flags int) *OpenFuture {
 	if flags != O_RDONLY {
 		return of
 	}
-	fs.mu.Lock()
-	if _, ok := fs.byPath[path]; ok {
-		fs.mu.Unlock()
+	fd, f, _, _ := fs.ft.enter(path, flags, true)
+	if f == nil {
 		return of
 	}
-	if _, ok := fs.closedByPath[path]; ok {
-		fs.mu.Unlock()
-		return of
-	}
-	// Cold open: insert the pending open-table entry (so concurrent
-	// gopens coalesce onto this open, exactly as with a strong opener)
-	// and issue the host open without blocking the lane.
-	f := &file{
-		path:     path,
-		flags:    flags,
-		readable: true,
-		refs:     1,
-		ready:    make(chan struct{}),
-	}
-	fd := fs.allocFdLocked(f)
-	fs.byPath[path] = fd
-	fs.mu.Unlock()
-
+	// Cold: gopens coalesce onto f as with a strong opener; the lane is not blocked.
 	fs.opens.Add(1)
 	b.Busy(fs.opt.APICostPerPage) // control-plane bookkeeping, as in gopen
 
 	fut := fs.lane(b).OpenRelaxed(b.Clock, path, flags&hostFlagMask, hostfs.ModeRead|hostfs.ModeWrite)
-	if fut.Err() != nil {
-		// Relaxed issues are never retried: retract the pending entry and
-		// let Wait run the strong (retrying) open path instead.
-		fs.mu.Lock()
-		fs.fds[fd] = nil
-		delete(fs.byPath, path)
-		f.err = fut.Err()
-		fs.mu.Unlock()
-		close(f.ready)
+	reply, err := fut.Reply(), fut.Err()
+	var fc *fileCache
+	if err == nil {
+		fs.hostOpens.Add(1)
+		fc = fs.adopt(b, path, reply.Info, false)
+	}
+	// Relaxed issues are never retried: a failure retracts the pending
+	// entry and lets Wait run the strong (retrying) open path instead.
+	if _, err := fs.finishOpen(b, fd, f, fc, reply.FD, err); err != nil {
 		return of
 	}
-	fs.hostOpens.Add(1)
-	reply := fut.Reply()
-	info := reply.Info
-
-	// A cached copy of the same inode under another name (the
-	// closedByPath probe above is by pathname) is lazily invalidated, as
-	// hostOpen does for stale caches.
-	fs.mu.Lock()
-	fc, cached := fs.closed[info.Ino]
-	if cached {
-		delete(fs.closed, info.Ino)
-		delete(fs.closedByPath, fc.path)
-	}
-	fs.mu.Unlock()
-	if cached {
-		fs.discardCache(b, fc)
-	}
-
-	fs.publishCache(f, fs.newFileCache(path, info.Ino, info.Generation, info.Size), reply.FD)
-	fs.sys.RecordCached(info.Ino, info.Generation)
-	close(f.ready)
-
-	of.eager, of.fd, of.fut = true, fd, fut
+	of.fd, of.fut = fd, fut
 	return of
 }
 
@@ -117,7 +76,7 @@ func (fs *FS) OpenAhead(b *gpu.Block, path string, flags int) *OpenFuture {
 // owned by the caller (gclose releases it). Fallback futures perform a
 // normal strong Open here.
 func (of *OpenFuture) Wait(b *gpu.Block) (int, error) {
-	if !of.eager {
+	if of.fut == nil {
 		return of.fs.Open(b, of.path, of.flags)
 	}
 	of.fut.Wait(b.Clock)
@@ -188,7 +147,7 @@ func (fs *FS) readWarpImpl(b *gpu.Block, fd int, reqs []WarpReq) (int64, error) 
 	if len(reqs) == 0 {
 		return 0, nil
 	}
-	f, err := fs.lookupFd(fd)
+	f, err := fs.ft.lookup(fd)
 	if err != nil {
 		return 0, err
 	}
@@ -255,9 +214,9 @@ type PipeMode = gsys.PipeMode
 
 // pipeName resolves a pipe handle's name for tracing, best-effort.
 func (fs *FS) pipeName(pd int64) string {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.pipeNames[pd]
+	name, _ := fs.pipeNames.Load(pd)
+	s, _ := name.(string)
+	return s
 }
 
 func (fs *FS) pipeOpenImpl(b *gpu.Block, name string, mode PipeMode, capBytes, writers int) (int64, error) {
@@ -266,12 +225,7 @@ func (fs *FS) pipeOpenImpl(b *gpu.Block, name string, mode PipeMode, capBytes, w
 	if err != nil {
 		return -1, err
 	}
-	fs.mu.Lock()
-	if fs.pipeNames == nil {
-		fs.pipeNames = make(map[int64]string)
-	}
-	fs.pipeNames[pd] = name
-	fs.mu.Unlock()
+	fs.pipeNames.Store(pd, name)
 	return pd, nil
 }
 

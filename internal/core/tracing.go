@@ -50,10 +50,8 @@ func (fs *FS) pathOf(fd int) string {
 	if !fs.tracer.Enabled() {
 		return ""
 	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fd >= 0 && fd < len(fs.fds) && fs.fds[fd] != nil {
-		return fs.fds[fd].path
+	if f, err := fs.ft.lookup(fd); err == nil {
+		return f.path
 	}
 	return ""
 }

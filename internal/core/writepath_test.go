@@ -38,7 +38,7 @@ func TestAdoptGenerationOnlyMovesForward(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		fc := fs.fds[fd].fc
+		fc := fs.ft.fds[fd].fc
 		opened := fc.gen.Load()
 		fs.adoptGeneration(fc, opened+6)
 		fs.adoptGeneration(fc, opened+5)
@@ -102,7 +102,7 @@ func TestConcurrentWriteBackKeepsGenerationCurrent(t *testing.T) {
 			if err := fs.Fsync(b, fd); err != nil {
 				return err
 			}
-			if got, want := fs.fds[fd].fc.gen.Load(), h.hostGen(t, "/g"); got != want {
+			if got, want := fs.ft.fds[fd].fc.gen.Load(), h.hostGen(t, "/g"); got != want {
 				t.Errorf("round %d: cached generation %d after the gfsync, host is at %d", round, got, want)
 			}
 			return fs.Close(b, fd)
@@ -235,7 +235,7 @@ func TestWriteBackUnderDroppedResponses(t *testing.T) {
 		if got := h.hostGen(t, "/d"); got != opened+k {
 			t.Errorf("host generation moved by %d, want %d: a retried write was applied again", got-opened, k)
 		}
-		if got := fs.fds[fd].fc.gen.Load(); got != opened+k {
+		if got := fs.ft.fds[fd].fc.gen.Load(); got != opened+k {
 			t.Errorf("cached generation %d, host is at %d: a retried write's generation was not adopted", got, opened+k)
 		}
 		return fs.Close(b, fd)
@@ -296,7 +296,7 @@ func TestFailedWriteBackOfAnOverwrittenPage(t *testing.T) {
 		opened := h.hostGen(t, "/once")
 
 		h.inj.SetEnabled(true)
-		n := fs.evictFromFile(fs.blockActor(b), victim{fc: fc, hostFd: fs.fds[fd].hostFd, class: 2}, 1, false)
+		n := fs.evictFromFile(fs.blockActor(b), victim{fc: fc, hostFd: fs.ft.fds[fd].hostFd, class: 2}, 1, false)
 		h.inj.SetEnabled(false)
 		if n != 0 {
 			t.Errorf("reclaimed %d pages whose write-back failed", n)

@@ -154,11 +154,10 @@ func (o Ordering) String() string {
 }
 
 // ParseOrdering parses an ordering knob string as used by the cmd flags
-// and params.Config.SyscallOrdering ("strong", "relaxed"; "" defaults to
-// strong).
+// and params.Config.SyscallOrdering ("strong", "relaxed").
 func ParseOrdering(s string) (Ordering, error) {
 	switch s {
-	case "", "strong":
+	case "strong":
 		return OrderStrong, nil
 	case "relaxed":
 		return OrderRelaxed, nil

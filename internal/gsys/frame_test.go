@@ -81,7 +81,7 @@ func TestDescStringsAndParsers(t *testing.T) {
 		in   string
 		want Ordering
 		ok   bool
-	}{{"", OrderStrong, true}, {"strong", OrderStrong, true}, {"relaxed", OrderRelaxed, true}, {"Strong", 0, false}, {"weak", 0, false}} {
+	}{{"", 0, false}, {"strong", OrderStrong, true}, {"relaxed", OrderRelaxed, true}, {"Strong", 0, false}, {"weak", 0, false}} {
 		got, err := ParseOrdering(tc.in)
 		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
 			t.Errorf("ParseOrdering(%q) = %v, %v", tc.in, got, err)

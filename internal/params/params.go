@@ -123,8 +123,8 @@ type Config struct {
 	// single-threaded daemon.
 	DaemonWorkers int
 	// SyscallOrdering selects the ordering class workloads may use for
-	// calls the file API does not require to be strong: "" or "strong"
-	// makes every call block its lane's clock until the response is
+	// calls the file API does not require to be strong: "strong" makes
+	// every call block its lane's clock until the response is
 	// delivered (the prototype's semantics); "relaxed" lets workloads
 	// opt into out-of-order completion (open-ahead: the next file's
 	// gopen is issued without blocking and joined explicitly).
@@ -164,17 +164,6 @@ type Config struct {
 	// the pinned frame). Off, the hit charges a two-pass copy and the DMA
 	// one extra host-memory-bus pass.
 	ZeroCopyRead bool
-	// MigrateOnDrain selects migrate-first remediation in the fleet
-	// control plane: a cordoned host is checkpointed (buffer caches,
-	// file tables, pipes — copy-on-write while its in-flight batches
-	// finish) and the image restored onto its replacement, so tenants
-	// land on a warm cache instead of a cold one. Checkpoint failure, a
-	// budget overrun, or a fatal XID during the snapshot falls back to
-	// the plain drain+restart path. Off by default: with false a
-	// cordoned host is drained and its replacement starts cold (no
-	// checkpoint is ever taken, so the write path's capture hook stays
-	// one nil pointer test).
-	MigrateOnDrain bool
 	// CkptMaxBytes bounds the bytes a checkpoint may capture by value
 	// (dirty pages plus pipe buffers). A capture that exceeds it fails
 	// with ckpt.ErrBudget and the remediator falls back to
@@ -253,6 +242,7 @@ func Default() Config {
 		RadixLookupLocked:   550 * simtime.Nanosecond,
 		RPCPollInterval:     10 * simtime.Microsecond,
 		RPCHandleCost:       12 * simtime.Microsecond,
+		SyscallOrdering:     "strong",
 		ReadAheadAdaptive:   true,
 		CleanerWorkers:      1,
 		ZeroCopyRead:        true,
@@ -348,8 +338,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("params: CleanerWorkers must be >= 0, got %d", c.CleanerWorkers)
 	case c.FrameShards < 0:
 		return fmt.Errorf("params: FrameShards must be >= 0 (0 = auto), got %d", c.FrameShards)
-	case c.SyscallOrdering != "" && c.SyscallOrdering != "strong" && c.SyscallOrdering != "relaxed":
-		return fmt.Errorf("params: SyscallOrdering must be \"\", \"strong\", or \"relaxed\", got %q", c.SyscallOrdering)
+	case c.SyscallOrdering != "strong" && c.SyscallOrdering != "relaxed":
+		return fmt.Errorf("params: SyscallOrdering must be \"strong\" or \"relaxed\", got %q", c.SyscallOrdering)
 	case c.Scale <= 0:
 		return fmt.Errorf("params: Scale must be positive, got %v", c.Scale)
 	}

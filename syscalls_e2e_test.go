@@ -10,7 +10,6 @@ import (
 
 	"gpufs"
 	"gpufs/internal/simtime"
-	"gpufs/internal/workloads"
 )
 
 func syscallTestSystem(t *testing.T) *gpufs.System {
@@ -333,42 +332,10 @@ func TestGopenAheadPipelinesOpens(t *testing.T) {
 	}
 }
 
-// TestDefaultOrderingIsStrong pins the config default: SyscallOrdering ""
-// is the strong class, so a single-block grep — a serial request chain,
-// deterministic because nothing races on daemon arrival order — runs the
-// same virtual timeline and sends the same requests under both spellings.
+// TestDefaultOrderingIsStrong pins the config default: the prototype's
+// semantics, every call blocking its lane.
 func TestDefaultOrderingIsStrong(t *testing.T) {
-	run := func(ordering string) (simtime.Duration, int64) {
-		cfg := gpufs.ScaledConfig(1.0 / 256)
-		cfg.RPCShards, cfg.DaemonWorkers = 1, 1
-		cfg.SyscallOrdering = ordering
-		sys, err := gpufs.NewSystem(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dict := workloads.MakeDictionary(50)
-		if err := sys.WriteHostFile("/base/dict.txt", dict.Encode()); err != nil {
-			t.Fatal(err)
-		}
-		tree, err := workloads.MakeTree(sys.Host(), sys.HostClock(), workloads.TreeSpec{
-			Dir: "/base/src", NumFiles: 64, TotalBytes: 64 * 2048,
-			Text: workloads.TextSpec{Dict: dict, DictFraction: 0.35, Seed: 31},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.ResetTime()
-		res, err := workloads.GrepGPUfs(sys, 0, "/base/dict.txt", tree.ListPath,
-			"/base/out.txt", cfg.GrepGPURate, 1, 64, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Elapsed, sys.Server().TotalRequests()
-	}
-	defElapsed, defRequests := run("")
-	elapsed, requests := run("strong")
-	if elapsed != defElapsed || requests != defRequests {
-		t.Fatalf(`ordering "strong" ran %v with %d requests, the default %v with %d`,
-			elapsed, requests, defElapsed, defRequests)
+	if got := gpufs.DefaultConfig().SyscallOrdering; got != "strong" {
+		t.Fatalf("default SyscallOrdering = %q, want %q", got, "strong")
 	}
 }
