@@ -352,7 +352,7 @@ func (s *System) ResetTime() {
 	for _, g := range s.gpus {
 		g.dev.ResetTime()
 		g.link.Reset()
-		g.fs.Cache().ResetTimes()
+		g.fs.ResetTimes()
 	}
 	s.hostClock = simtime.NewClock(0)
 }
@@ -474,7 +474,11 @@ func (c *BlockCtx) Gwrite(fd int, src []byte, off int64) (int, error) {
 }
 
 // Gfsync synchronously writes back to the host all of the file's dirty
-// pages that are not currently memory-mapped or mid-access.
+// pages that are not currently memory-mapped (those are Gmsync's); pages
+// another block is reading, writing or syncing at the moment are written back
+// too. Every page's write is issued before any is waited for, and the call
+// returns when the last has landed — including a write-back of one of the
+// file's pages that another block or the cleaner still had in flight.
 func (c *BlockCtx) Gfsync(fd int) error { return c.fs.Fsync(c.Block, fd) }
 
 // GfsyncRange synchronizes only the byte range [off, off+n) — the paper's

@@ -73,6 +73,20 @@ func newCleaner(fs *FS, workers int) *cleaner {
 	return c
 }
 
+// ResetTimes forgets every virtual instant the FS remembers — the frames'
+// transfer completions and the cleaner lanes' clocks — for a harness that
+// rewinds virtual time: a lane still standing in the old timeline would stamp
+// its write-backs there (Frame.CleanAt), and whoever joins one would be thrown
+// into it. The caller has quiesced the GPU.
+func (fs *FS) ResetTimes() {
+	fs.cache.ResetTimes()
+	if fs.cleaner != nil {
+		for _, ln := range fs.cleaner.lanes {
+			*ln.a.clk = simtime.Clock{}
+		}
+	}
+}
+
 // maybeClean is the demand-fault hook: when the free pool is below the
 // low watermark it runs a cleaning pass on an idle lane's clock. The
 // faulting block pays nothing but this check — the pass advances the

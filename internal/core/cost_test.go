@@ -312,14 +312,49 @@ func TestCostWriteSharedWholePageStillFetches(t *testing.T) {
 	})
 }
 
-// TestCostFsyncAndTruncate: gfsync of k dirty pages is k writes, each costing
-// the block a ring cycle, the staged D2H transfer and the pwrite, and nothing
-// else — the write's reply carries the generation a stat used to fetch — and
-// gftruncate is one request. The fast reopen that follows shows the
-// generations were adopted.
+// TestCostFsyncAndTruncate: gfsync of k dirty pages is k writes and nothing
+// else — the write's reply carries the generation a stat used to fetch — all
+// issued before any is joined: the block pays k issue charges beside the
+// lane's one daemon worker, and waits for the last write to land. One page
+// costs a ring cycle, the staged D2H transfer and the pwrite, exactly what a
+// blocking write costs. gftruncate is one request, and the fast reopen that
+// follows shows the generations were adopted.
+//
+// The worker's side of k pages, from the rig's parameters: a write is a
+// dispatch, a D2H transfer the worker does not wait for, and a pwrite once it
+// lands. The worker's calendar books in issue order and a later page's
+// dispatch backfills only an idle stretch that holds it whole, so pages go
+// through in groups of m = 1 + d2h/dispatch: m dispatches back to back — those
+// after the first inside the first one's transfer — then the wait for the
+// last one's transfer and its pwrite (the earlier pwrites fall inside that
+// wait, and what they leave of it is too short for a dispatch). A full group
+// is m dispatches, one transfer and one pwrite; the last group has what
+// pages remain. The issue charges are not what bounds it: the block issues a
+// page in less than the worker dispatches one.
 func TestCostFsyncAndTruncate(t *testing.T) {
-	const k = 5
 	opt := defaultOpt()
+	ps := opt.PageSize
+	d2h := simtime.TransferTime(ps, rigBus.HostMemBandwidth) + rigBus.DMALatency +
+		simtime.TransferTime(ps, rigBus.Bandwidth) + devPass(ps)
+	pwrite := rigHost.SyscallOverhead + simtime.TransferTime(ps, rigHost.MemBandwidth)
+	group := func(pages int) simtime.Duration {
+		return simtime.Duration(pages)*rigRPC.HandleCost + d2h + pwrite
+	}
+	const k = 5
+	m := 1 + int(d2h/rigRPC.HandleCost)
+	if opt.APICostPerPage > rigRPC.HandleCost {
+		t.Fatalf("the rig issues a page every %v and dispatches one in %v; the closed form assumes the worker is the bound",
+			opt.APICostPerPage, rigRPC.HandleCost)
+	}
+	full := (k - 1) / m
+	costFsyncAndTruncate(t, opt, k,
+		rigRPC.PollInterval+simtime.Duration(full)*group(m)+group(k-full*m)+rigRPC.ReturnLatency)
+	// One page: what a gfsync of it cost when the block sat through each write.
+	costFsyncAndTruncate(t, opt, 1,
+		rigRPC.PollInterval+rigRPC.HandleCost+rigRPC.ReturnLatency+d2h+pwrite)
+}
+
+func costFsyncAndTruncate(t *testing.T, opt Options, k int64, want simtime.Duration) {
 	ps := opt.PageSize
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
@@ -346,12 +381,8 @@ func TestCostFsyncAndTruncate(t *testing.T) {
 			t.Errorf("gfsync of %d dirty pages: %d writes, %d stats, %d requests; want %d, 0, %d",
 				k, after[0]-before[0], after[1]-before[1], after[2]-before[2], k, k)
 		}
-		ring := rigRPC.PollInterval + rigRPC.HandleCost + rigRPC.ReturnLatency
-		d2h := simtime.TransferTime(ps, rigBus.HostMemBandwidth) + rigBus.DMALatency +
-			simtime.TransferTime(ps, rigBus.Bandwidth) + devPass(ps)
-		pwrite := rigHost.SyscallOverhead + simtime.TransferTime(ps, rigHost.MemBandwidth)
-		if want := k * (ring + d2h + pwrite); cost != want {
-			t.Errorf("gfsync of %d dirty pages cost %v, want %d x (ring cycle + D2H DMA + pwrite) = %v", k, cost, k, want)
+		if cost != want {
+			t.Errorf("gfsync of %d dirty pages cost %v, want poll + the worker's groups of dispatches, one D2H DMA and one pwrite + return = %v", k, cost, want)
 		}
 
 		before = ops()

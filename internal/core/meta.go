@@ -69,7 +69,7 @@ func (fs *FS) ftruncateImpl(b *gpu.Block, fd int, size int64) error {
 		}
 		if pageOff >= size {
 			// Wholly beyond the new end: reclaim.
-			fs.reclaim(fc, p, fr, false)
+			fs.reclaim(b.Clock, fc, p, fr, false)
 			b.Busy(fs.opt.APICostPerPage)
 			return true
 		}

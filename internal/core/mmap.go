@@ -135,9 +135,6 @@ func (m *Mapping) msyncImpl(b *gpu.Block) error {
 	if !m.f.writable {
 		return nil // quasi-read-only: never propagated
 	}
-	if !m.ref.fr.Dirty.Load() {
-		return nil
-	}
 	wb := writeBack{fs: m.fs, a: m.fs.blockActor(b), fc: m.f.fc, hostFd: m.f.hostFd}
 	err := wb.frame(m.ref.fr)
 	wb.done()

@@ -173,7 +173,7 @@ func (fs *FS) closeImpl(b *gpu.Block, fd int) error {
 // without write-back (invalidation or unlink), retires the tree's stats and
 // closes its descriptor.
 func (fs *FS) discardCache(b *gpu.Block, r retiree) {
-	fs.dropCacheNoWriteback(r.fc)
+	fs.dropCacheNoWriteback(b.Clock, r.fc)
 	lf, lk := r.fc.tree.Stats()
 	fs.retiredLockFree.Add(lf)
 	fs.retiredLocked.Add(lk)
@@ -203,11 +203,11 @@ func (fs *FS) Restart(b *gpu.Block) {
 		if f.writable {
 			fs.sys.EndWrite(f.fc.ino)
 		}
-		fs.dropCacheNoWriteback(f.fc)
+		fs.dropCacheNoWriteback(b.Clock, f.fc)
 		fs.lane(b).Close(b.Clock, f.hostFd)
 	}
 	for _, r := range retired {
-		fs.dropCacheNoWriteback(r.fc)
+		fs.dropCacheNoWriteback(b.Clock, r.fc)
 		fs.lane(b).Close(b.Clock, r.hostFd)
 	}
 }

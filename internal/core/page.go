@@ -170,7 +170,10 @@ func (fs *FS) hold(fc *fileCache, p *radix.FPage) *pcache.Frame {
 const writeBackGap = 512
 
 // writeBack is one actor propagating dirty pages of one file to the host
-// through hostFd: any number of frame calls, then done.
+// through hostFd: any number of frame calls, then done. The walk is
+// fork-join in virtual time: frame issues a page's writes without waiting for
+// them, done waits for them all, so a walk of k pages costs the actor k
+// issues beside the daemon's work on them rather than k round trips.
 type writeBack struct {
 	fs     *FS
 	a      actor
@@ -179,14 +182,21 @@ type writeBack struct {
 	// buf is the one buffer every page of this walk is snapshotted through,
 	// drawn from snapBufs at the first dirty page and returned by done.
 	buf *[]byte
+	// fork is the clock each write blocks on, forked from the actor's when the
+	// write is issued; landed is the latest instant any write the walk
+	// depends on reaches the host, which done joins.
+	fork   simtime.Clock
+	landed simtime.Time
 }
 
 // snapBufs recycles write-back snapshot buffers across walks: most walks
 // write one or two pages, so a buffer per walk would still be one per page.
 var snapBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// frame writes back one page the caller keeps from reclamation (a reference,
-// or the Evicting state), sending only the bytes this GPU actually modified:
+// frame makes sure the host has, once the walk is joined (done), the bytes of
+// one page the caller keeps from reclamation (a reference, or the Evicting
+// state). A dirty page is written back, sending only the bytes this GPU
+// actually modified:
 //
 //   - O_GWRONCE pages diff against implicit zeros (no pristine copy is
 //     stored), so write-back reduces to transferring non-zero ranges.
@@ -195,6 +205,14 @@ var snapBufs = sync.Pool{New: func() any { return new([]byte) }}
 //     by other processors are not reverted (the false-sharing hazard of
 //     §3.1).
 //   - Exclusively written pages are sent whole over their valid extent.
+//
+// Each range is a strong write — the transport's whole blocking protocol,
+// retries, timeouts and dedup included — run on a clock forked from the
+// actor's, which pays the issue and moves on while the daemon and the DMA
+// engines work; where the fork ends is when the range is on the host, kept in
+// the walk and in Frame.CleanAt. A clean page has nothing to send, but the
+// write-back that cleaned it may still be in flight on another actor's fork
+// at this actor's time: the walk waits for that one too (landing).
 //
 // On success the frame is clean and, for write-shared pages, the pristine
 // copy is advanced to the page's current content so future diffs are
@@ -205,6 +223,12 @@ func (w *writeBack) frame(fr *pcache.Frame) error {
 	// clears until the last range is on the host (see Frame.WriteBack).
 	fr.WriteBack.Lock()
 	defer fr.WriteBack.Unlock()
+	if !fr.Dirty.Load() {
+		// Whoever cleared the flag held the lock until its writes returned
+		// (or failed, and set the flag again), so CleanAt covers them.
+		w.landed = max(w.landed, landing(fr, w.a.clk.Now()))
+		return nil
+	}
 	// Clear the dirty flag BEFORE snapshotting: a write racing with this
 	// sync either lands in the snapshot (shipped now, re-flagged
 	// harmlessly) or re-dirties the page for the next sync. Either way
@@ -229,7 +253,16 @@ func (w *writeBack) frame(fr *pcache.Frame) error {
 	}
 
 	for _, r := range ranges {
-		_, gen, err := w.a.lane.WritePages(w.a.clk, w.hostFd, base+r.Start, data[r.Start:r.End])
+		issued := w.a.clk.Now()
+		w.fork = w.a.clk.Fork()
+		_, gen, err := w.a.lane.WritePages(&w.fork, w.hostFd, base+r.Start, data[r.Start:r.End])
+		w.a.busy(w.fs.opt.APICostPerPage) // the issue, as spanFetch pays per RPC
+		landed := w.fork.Now()
+		w.landed = max(w.landed, landed)
+		if int64(landed) > fr.CleanAt.Load() {
+			fr.CleanAt.Store(int64(landed))
+			fr.WroteAt.Store(int64(issued))
+		}
 		if err != nil {
 			// A racing writer may have re-dirtied it already.
 			w.fs.setDirty(w.fc, fr, true)
@@ -243,8 +276,24 @@ func (w *writeBack) frame(fr *pcache.Frame) error {
 	return nil
 }
 
-// done closes the write-back.
+// landing is when a write-back of fr in flight at now — issued at or before
+// it, not yet on the host — lands; now when there is none. An actor whose
+// clock is still before the write was issued does not wait for it: in virtual
+// order it met the page as it was before that write, the idealization
+// Frame.ReadyAt makes for a fill. Blocks' clocks lie whole kernels apart while
+// they run side by side in host time, and waiting regardless of that puts
+// every block behind whichever wrote last, one after another.
+func landing(fr *pcache.Frame, now simtime.Time) simtime.Time {
+	if simtime.Time(fr.WroteAt.Load()) <= now {
+		return max(now, simtime.Time(fr.CleanAt.Load()))
+	}
+	return now
+}
+
+// done joins the walk — the actor waits until the last write it issued, or
+// found in flight, is on the host — and closes it.
 func (w *writeBack) done() {
+	w.a.clk.AdvanceTo(w.landed)
 	if w.buf != nil {
 		snapBufs.Put(w.buf)
 		w.buf = nil
@@ -282,12 +331,16 @@ func (fs *FS) beginEvict(fp *radix.FPage) *pcache.Frame {
 // cancelEvict puts the page back: Ready, resident, as dirty as it was.
 func cancelEvict(fp *radix.FPage) { fp.CancelEvict() }
 
-// reclaim completes an eviction: the frame goes back to the pool and the slot
-// empties. byPaging says the paging algorithm wanted the frame (counted in
+// reclaim completes an eviction on clk, the evictor's clock: the frame goes
+// back to the pool and the slot empties — once a write-back of the page in
+// flight at the evictor's time has landed (Frame.CleanAt), since until then
+// the frame is the source of that write's DMA and a new tenant's fill would
+// overwrite it. byPaging says the paging algorithm wanted the frame (counted in
 // Table 2's "pages reclaimed") rather than truncate, unlink or invalidation.
 // It reports whether the page was wasted speculation — prefetched and never
 // consumed, the adaptive window's shrink signal.
-func (fs *FS) reclaim(fc *fileCache, fp *radix.FPage, fr *pcache.Frame, byPaging bool) bool {
+func (fs *FS) reclaim(clk *simtime.Clock, fc *fileCache, fp *radix.FPage, fr *pcache.Frame, byPaging bool) bool {
+	clk.AdvanceTo(landing(fr, clk.Now()))
 	spec := fr.Spec.Swap(pcache.SpecNone)
 	wasted := spec == pcache.SpecPending || spec == pcache.SpecReplay
 	if wasted {
@@ -310,7 +363,7 @@ func (fs *FS) reclaim(fc *fileCache, fp *radix.FPage, fr *pcache.Frame, byPaging
 // dropCacheNoWriteback releases every frame of fc without propagating any
 // dirty data — the content is stale, unlinked, or gone with the card — and
 // tells the host to forget this GPU caches the file.
-func (fs *FS) dropCacheNoWriteback(fc *fileCache) {
+func (fs *FS) dropCacheNoWriteback(clk *simtime.Clock, fc *fileCache) {
 	fc.tree.ForEachReadyPage(func(_ uint64, p *radix.FPage) bool {
 		fr := fs.beginEvict(p)
 		for ; fr == nil; fr = fs.beginEvict(p) {
@@ -322,7 +375,7 @@ func (fs *FS) dropCacheNoWriteback(fc *fileCache) {
 			// holders are transient); wait it out.
 			runtime.Gosched()
 		}
-		fs.reclaim(fc, p, fr, false)
+		fs.reclaim(clk, fc, p, fr, false)
 		return true
 	})
 	fs.sys.Forget(fc.ino)

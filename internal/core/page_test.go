@@ -119,7 +119,7 @@ func TestReclaimCountsWastedSpeculation(t *testing.T) {
 				t.Fatalf("page %d not evictable", idx)
 			}
 			wasted, pending := fs.prefetchWasted.Load(), fs.specPending.Load()
-			if got := fs.reclaim(fc, fp, fr, true); got != speculative {
+			if got := fs.reclaim(b.Clock, fc, fp, fr, true); got != speculative {
 				t.Errorf("reclaim(page %d) reported wasted=%v", idx, got)
 			}
 			var want int64

@@ -185,7 +185,7 @@ func (fs *FS) evictFromFile(a actor, v victim, target int, dirtyOnly bool) int {
 				live++
 				continue
 			}
-			if fs.reclaim(fc, fp, fr, true) {
+			if fs.reclaim(a.clk, fc, fp, fr, true) {
 				wasted++
 			}
 			a.busy(fs.opt.APICostPerPage)

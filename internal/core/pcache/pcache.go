@@ -56,6 +56,16 @@ type Frame struct {
 	// block, and a virtually-earlier consumer would have faulted it itself
 	// (the same virtual-order idealization the block scheduler uses).
 	ReadyAt atomic.Int64
+	// CleanAt is the write-side ReadyAt: the virtual instant the page's
+	// latest write-back reaches the host, and WroteAt the instant that
+	// write was issued; both are moved under WriteBack by the actor that
+	// issued it and are 0 for a page never written back. The issuer does not
+	// wait for its writes one by one, so a clear Dirty flag alone does not
+	// say the host has the bytes: whoever relies on that at a time between
+	// the two — a gfsync that finds the page clean, the evictor that hands
+	// the frame (the DMA's source) to a new tenant — waits for CleanAt.
+	CleanAt atomic.Int64
+	WroteAt atomic.Int64
 	// Spec tracks speculative-read accounting separately from ReadyAt
 	// (which must survive consumption so every later consumer still
 	// waits): SpecNone for demand-faulted frames, SpecPending from
@@ -310,12 +320,14 @@ func (f *Frame) reset(fileID uint64, offset int64) {
 // resetTimes is the part of reset that ResetTimes applies to frames in use.
 func (f *Frame) resetTimes() {
 	f.ReadyAt.Store(0)
+	f.CleanAt.Store(0)
+	f.WroteAt.Store(0)
 	f.Spec.Store(SpecNone)
 }
 
-// ResetTimes clears every frame's transfer-completion timestamp; the
-// benchmark harness calls it when rewinding virtual time, since a ReadyAt
-// from before the rewind would otherwise throw consumers into the old
+// ResetTimes clears every frame's transfer-completion timestamps; the
+// benchmark harness calls it when rewinding virtual time, since a ReadyAt or
+// CleanAt from before the rewind would otherwise throw consumers into the old
 // timeline.
 func (c *Cache) ResetTimes() {
 	for i := range c.frames {

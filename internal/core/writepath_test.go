@@ -249,6 +249,141 @@ func TestWriteBackUnderDroppedResponses(t *testing.T) {
 	h.checkDirtyCounts(t)
 }
 
+// TestPipelinedWriteBackUnderFaults is the pipelined reading of the test
+// above: a gfsync issues all k writes before it waits for any, each running
+// the transport's retry protocol on a timeline of its own. Under dropped
+// responses and under transient bounces every page is applied exactly once,
+// and the gfsync returns when the write that took longest has landed — the
+// latest Frame.CleanAt — not after the retries of all k one behind another.
+func TestPipelinedWriteBackUnderFaults(t *testing.T) {
+	const k = 12
+	for name, cfg := range map[string]faults.Config{
+		"dropped responses": {Seed: 7, RPCDropResponseProb: 0.5},
+		"transient bounces": {Seed: 7, RPCTransientProb: 0.5},
+	} {
+		t.Run(name, func(t *testing.T) {
+			opt := defaultOpt()
+			ps := opt.PageSize
+			h := newFaultHarness(t, opt, cfg, 1, 1)
+			fs := h.fss[0]
+			h.inj.SetEnabled(false)
+			h.write(t, "/p", make([]byte, k*ps))
+			want := pattern(int(k*ps), 5)
+			opened := h.hostGen(t, "/p")
+
+			_, err := h.devs[0].Launch(simtime.Time(simtime.Second), 1, 64, func(b *gpu.Block) error {
+				fd, err := fs.Open(b, "/p", O_RDWR)
+				if err != nil {
+					return err
+				}
+				if _, err := fs.Write(b, fd, want, 0); err != nil {
+					return err
+				}
+				h.inj.SetEnabled(true)
+				start := b.Clock.Now()
+				err = fs.Fsync(b, fd)
+				end := b.Clock.Now()
+				h.inj.SetEnabled(false)
+				if err != nil {
+					return err
+				}
+				if fs.Client().Retries() == 0 {
+					t.Error("no write was retried: the fault schedule injected nothing")
+				}
+				// The block is alone on its MP, so page i was issued i issue
+				// charges into the gfsync.
+				var latest simtime.Time
+				var serial simtime.Duration
+				for i := int64(0); i < k; i++ {
+					_, fp := slotOf(t, fs, fd, uint64(i))
+					landed := simtime.Time(fs.cache.Frame(fp.Frame()).CleanAt.Load())
+					latest = max(latest, landed)
+					serial += landed.Sub(start.Add(simtime.Duration(i) * opt.APICostPerPage))
+				}
+				if end != latest {
+					t.Errorf("gfsync returned at %v, the last of its writes landed at %v", end, latest)
+				}
+				if cost := end.Sub(start); cost >= serial {
+					t.Errorf("gfsync cost %v, its writes one after another would have cost %v", cost, serial)
+				}
+				if got := h.hostGen(t, "/p"); got != opened+k {
+					t.Errorf("host generation moved by %d, want %d: a retried write was applied again", got-opened, k)
+				}
+				return fs.Close(b, fd)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := h.read(t, "/p"); !bytes.Equal(got, want) {
+				t.Error("host content differs from what was written")
+			}
+			h.checkDirtyCounts(t)
+		})
+	}
+}
+
+// TestGfsyncJoinsAnotherBlocksWriteBack (ROADMAP item 2(a)): block A's gfsync
+// clears page p's dirty flag and its write, issued at I, lands at T. Block B
+// gfsyncs the same file with its clock inside [I, T) and finds p clean: it may
+// not return before T — until then the bytes are on their way, not on the
+// host. With its clock still before I, B precedes the write in virtual order
+// and does not wait for it (see landing).
+func TestGfsyncJoinsAnotherBlocksWriteBack(t *testing.T) {
+	opt := defaultOpt()
+	h := newHarness(t, 1, opt)
+	fs := h.fss[0]
+	h.write(t, "/j", make([]byte, opt.PageSize))
+	want := pattern(int(opt.PageSize), 3)
+	var returned simtime.Time // A's clock when its gfsync returned
+	h.run(t, 0, func(b *gpu.Block) error {
+		fd, err := fs.Open(b, "/j", O_RDWR)
+		if err != nil {
+			return err
+		}
+		if _, err := fs.Write(b, fd, want, 0); err != nil {
+			return err
+		}
+		if err := fs.Fsync(b, fd); err != nil {
+			return err
+		}
+		returned = b.Clock.Now()
+		return fs.Close(b, fd)
+	})
+	// B is issued at time 0 as A was: the two overlap in virtual time.
+	h.run(t, 0, func(b *gpu.Block) error {
+		fd, err := fs.Open(b, "/j", O_RDWR)
+		if err != nil {
+			return err
+		}
+		_, fp := slotOf(t, fs, fd, 0)
+		fr := fs.cache.Frame(fp.Frame())
+		issued, landed := simtime.Time(fr.WroteAt.Load()), simtime.Time(fr.CleanAt.Load())
+		if fr.Dirty.Load() || landed != returned || b.Clock.Now() >= issued {
+			t.Errorf("rig: page dirty=%v, its write issued at %v and landing at %v; A's gfsync returned at %v, B is at %v",
+				fr.Dirty.Load(), issued, landed, returned, b.Clock.Now())
+			return fs.Close(b, fd)
+		}
+		if err := fs.Fsync(b, fd); err != nil {
+			return err
+		}
+		if now := b.Clock.Now(); now >= issued {
+			t.Errorf("B's gfsync, begun before the write was issued at %v, returned at %v", issued, now)
+		}
+		b.Clock.AdvanceTo(issued)
+		if err := fs.Fsync(b, fd); err != nil {
+			return err
+		}
+		if now := b.Clock.Now(); now != landed {
+			t.Errorf("B's gfsync, begun with the write in flight, returned at %v; the write landed at %v", now, landed)
+		}
+		return fs.Close(b, fd)
+	})
+	if got := h.read(t, "/j"); !bytes.Equal(got, want) {
+		t.Error("the host does not hold A's bytes")
+	}
+	h.checkDirtyCounts(t)
+}
+
 // failSecondWrite returns a fault schedule under which the first host pwrite
 // succeeds and the second fails.
 func failSecondWrite(t *testing.T) faults.Config {

@@ -229,23 +229,27 @@ func TestRequestFailedHandleDoesNotResume(t *testing.T) {
 }
 
 // TestRequestAsyncTwoStretches: a detached two-stretch request completes at
-// the end of its second stretch and books the worker the same way.
+// the end of its second stretch — which is the landing time it reports, not
+// what the second stretch returned — and books the worker the same way.
 func TestRequestAsyncTwoStretches(t *testing.T) {
 	const first, dma, second = 3 * simtime.Microsecond, 100 * simtime.Microsecond, 7 * simtime.Microsecond
 	srv, cl := harness(t)
 	cfg := srv.cfg
 	var runs [2]int
 	c := simtime.NewClock(0)
-	_, err := cl.SubmitAsync(c, OpWritePages, twoStretch(first, dma, second, &runs))
+	landed, err := cl.SubmitAsync(c, OpWritePages, twoStretch(first, dma, second, &runs))
 	if err != nil || c.Now() != 0 {
 		t.Fatalf("err=%v, issuing clock at %v (want untouched)", err, c.Now())
+	}
+	end := simtime.Time(cfg.PollInterval + cfg.HandleCost + first + dma + second)
+	if landed != end {
+		t.Errorf("detached request reported landing at %v, want the end of its second stretch = %v", landed, end)
 	}
 	if got, want := srv.DaemonBusy(), cfg.HandleCost+first+second; got != want {
 		t.Errorf("worker busy %v, want dispatch + both stretches = %v", got, want)
 	}
 	// Its host work ends with the second stretch: a request the worker
 	// notices at that instant is dispatched at once.
-	end := simtime.Time(cfg.PollInterval + cfg.HandleCost + first + dma + second)
 	probe := simtime.NewClock(end - simtime.Time(cfg.PollInterval))
 	if err := cl.Do(probe, OpStat, nop); err != nil {
 		t.Fatal(err)

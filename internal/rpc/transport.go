@@ -374,7 +374,7 @@ func (t *ringTransport) SubmitAsync(blk *simtime.Clock, shard int, op Op, req Re
 	}
 	// Speculative requests: observe enqueue-to-response-landing.
 	sh.svcTime[op].ObserveSpan(blk.Now(), at)
-	return done, nil
+	return at, nil
 }
 
 // ---- Completion queue ----

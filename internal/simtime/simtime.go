@@ -211,8 +211,16 @@ func (r *Resource) Occupy(from, to Time) {
 		j++
 	}
 	r.busy += end.Sub(start) - covered
-	merged := ival{start, end}
-	r.cal = append(r.cal[:i], append([]ival{merged}, r.cal[j:]...)...)
+	// In place: the calendars are long and a booking in the middle is the
+	// common case once requests overlap, so a copy of the tail per call is
+	// what this costs the host otherwise.
+	if i == j {
+		r.cal = append(r.cal, ival{})
+		copy(r.cal[i+1:], r.cal[i:])
+	} else {
+		r.cal = append(r.cal[:i+1], r.cal[j:]...)
+	}
+	r.cal[i] = ival{start, end}
 }
 
 // Probe reports when a reservation of d starting no earlier than now could
@@ -421,6 +429,12 @@ func (c *Clock) AdvanceTo(t Time) Time {
 	}
 	return c.now
 }
+
+// Fork returns a clock set to c's current time: a second timeline for work the
+// context issues now and joins later (AdvanceTo the fork's Now). Whatever
+// blocks on the fork — a strong RPC, a transfer — overlaps with what the
+// context does on c meanwhile.
+func (c *Clock) Fork() Clock { return Clock{now: c.now} }
 
 // Use reserves d on resource r starting at the clock's current time and
 // advances the clock to the reservation's end.

@@ -143,6 +143,28 @@ func TestResourceOccupy(t *testing.T) {
 	}
 }
 
+// TestResourceOccupyInPlace: a booking in the middle of a long calendar is
+// merged within the calendar's own array. The daemon workers' calendars hold
+// thousands of intervals and every request books its stretches with Occupy,
+// so a copy of the tail per call is host memory per request.
+func TestResourceOccupyInPlace(t *testing.T) {
+	r := NewResource("cal")
+	for i := 0; i < 2048; i++ {
+		r.Occupy(Time(i*100), Time(i*100+10))
+	}
+	k := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		k++
+		r.Occupy(Time(k*100+5), Time(k*100+20)) // extends interval k
+	})
+	if allocs != 0 {
+		t.Errorf("Occupy onto a booked stretch makes %.0f allocations, want 0", allocs)
+	}
+	if got, want := r.Busy(), Duration(2048*10+1001*10); got != want {
+		t.Errorf("Busy %v after the extensions, want %v", got, want)
+	}
+}
+
 func TestResourceProbe(t *testing.T) {
 	r := NewResource("x")
 	r.Acquire(0, 100)
@@ -333,5 +355,10 @@ func TestClock(t *testing.T) {
 	c.UsePool(p, 10)
 	if c.Now() != 120 {
 		t.Fatalf("UsePool: %v", c.Now())
+	}
+	f := c.Fork()
+	f.Advance(5)
+	if f.Now() != 125 || c.Now() != 120 {
+		t.Fatalf("Fork: fork at %v, forked clock at %v", f.Now(), c.Now())
 	}
 }
