@@ -36,11 +36,9 @@
 #                8 tenants over 2 GPUs, race-enabled, fixed seeds; also
 #                the fault and GPU-restart variants.
 #   fleet      — the multi-host control plane pack on its own: the
-#                300-seed fleet chaos oracle (plain and migrate-first
-#                variants) plus the model-based scheduler conformance
-#                suite, race-enabled. GPUFS_MIGRATE_ON_DRAIN=1 (the
-#                nightly CI setting) flips the plain sweep to
-#                migrate-first too.
+#                300-seed fleet chaos oracle (warm migrations and cold
+#                replacements in one sweep) plus the model-based
+#                scheduler conformance suite, race-enabled.
 #   fleet-demo — gpufs-serve -hosts 4: inject a fatal XID mid-traffic,
 #                show cordon/drain/replace, fail if any admitted job is
 #                lost or fault-phase throughput drops below 60% of
@@ -104,7 +102,7 @@ soak:
 	$(GO) test -race -count=1 -run 'TestServeSoak' ./internal/serve
 
 fleet:
-	$(GO) test -race -count=1 -run 'TestFleetChaosOracle|TestFleetModelConformance' ./internal/fleet
+	$(GO) test -race -count=1 -run 'TestFleetChaosOracle$$|TestFleetModelConformance' ./internal/fleet
 
 fleet-demo:
 	$(GO) run ./cmd/gpufs-serve -hosts 4

@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"gpufs/internal/bench"
-	"gpufs/internal/gsys"
 	"gpufs/internal/metrics"
 )
 
@@ -28,7 +27,6 @@ func main() {
 	scale := flag.Float64("scale", 1.0/32, "uniform scale factor for capacities and input sizes")
 	exp := flag.String("exp", "all", "experiment: all, fig4, fig5, fig6, fig7, fig8, table2, table3, table4, readahead, ablation, serve, daemon, ordering, contention, saturation")
 	reps := flag.Int("reps", 3, "runs averaged per measured cell (the paper averages 5)")
-	ordering := flag.String("ordering", "strong", `default syscall ordering for every experiment: "strong" or "relaxed" (the ordering sweep pins its own)`)
 	jsonOut := flag.Bool("json", false, "emit machine-readable NDJSON (one object per table row) instead of text tables")
 	metricsOut := flag.String("metrics", "", `collect metrics across every run and write a Prometheus text exposition to this path at exit ("-" = stderr)`)
 	metricsNDJSON := flag.String("metrics-ndjson", "", `collect metrics and write them as NDJSON to this path at exit ("-" = stderr)`)
@@ -39,10 +37,6 @@ func main() {
 	if *reps < 1 {
 		usageError("-reps must be >= 1, got %d", *reps)
 	}
-	if _, err := gsys.ParseOrdering(*ordering); err != nil {
-		usageError("-ordering: %v", err)
-	}
-	bench.SetDefaultOrdering(*ordering)
 	bench.SetReps(*reps)
 	var reg *metrics.Registry
 	if *metricsOut != "" || *metricsNDJSON != "" {

@@ -13,23 +13,21 @@
 // admitted job was lost, no remediation happened, or the fault-phase rate
 // fell below 60% of steady state.
 //
-// -migrate swaps the middle phase for a live-migration demo: instead of a
-// fatal XID, host 0 is cordoned for planned maintenance (a fatal XID
-// would rightly make the remediator distrust the device's memory and
-// refuse to migrate), the remediator checkpoints it while its in-flight
-// batches finish, and the image is restored onto the replacement. Extra
-// exit gates: at least one migration completed, and at least 80% of the
-// jobs in flight at cordon time finished in place without resubmission.
+// -migrate swaps the middle phase for a live-migration demo. It is the
+// demo's choice of strike and sets no configuration: the remediator always
+// migrates a host it can trust, and a fatal XID rightly makes it distrust
+// the device's memory and replace the host cold. So instead of a fatal
+// XID, host 0 is cordoned for planned maintenance, the remediator
+// checkpoints it while its in-flight batches finish, and the image is
+// restored onto the replacement. Extra exit gates: at least one migration
+// completed, and at least 80% of the jobs in flight at cordon time finished
+// in place without resubmission.
 package main
 
 import (
-	"errors"
 	"fmt"
-	"math/rand"
 	"os"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gpufs"
@@ -38,7 +36,6 @@ import (
 	"gpufs/internal/metrics"
 	"gpufs/internal/serve"
 	"gpufs/internal/simtime"
-	"gpufs/internal/workloads"
 )
 
 // fleetParams carries the parsed flags into fleet mode.
@@ -50,45 +47,21 @@ type fleetParams struct {
 	seed                              int64
 	faults                            bool
 	migrate                           bool
+	reg                               *metrics.Registry // nil unless an exposition was asked for
 	metricsOut, metricsNDJSON         string
 }
 
 func runFleet(p fleetParams) {
 	// Shared deterministic corpus, written into every host (and every
 	// replacement host) by the factory's Setup hook.
-	dict := workloads.MakeDictionary(300)
-	paths := make([]string, p.files)
-	texts := make([][]byte, p.files)
-	words := make([]string, 8)
-	for i := range words {
-		words[i] = workloads.MakeWord(i * 13)
-	}
-	for i := range paths {
-		paths[i] = fmt.Sprintf("/serve/f%03d.txt", i)
-		texts[i] = workloads.MakeText(8<<10, workloads.TextSpec{
-			Dict: dict, DictFraction: 0.8, Seed: p.seed*1000 + int64(i),
-		})
-	}
-
-	var reg *metrics.Registry
-	if p.metricsOut != "" || p.metricsNDJSON != "" {
-		reg = metrics.New()
-	}
+	paths, texts, words := makeCorpus(p.files, p.seed)
 
 	// Every host gets a fault layer (the XID path needs an injector); the
 	// -faults flag adds the standard background mix on top.
 	fc := &faults.Config{Seed: p.seed}
 	if p.faults {
-		fc = &faults.Config{
-			Seed:                p.seed,
-			RPCPollDelayProb:    0.05,
-			RPCDropResponseProb: 0.02,
-			RPCTransientProb:    0.05,
-			HostShortReadProb:   0.05,
-			HostReadEIOProb:     0.02,
-			DiskStallProb:       0.05,
-			DMAStallProb:        0.05,
-		}
+		mix := faultMix(p.seed)
+		fc = &mix
 	}
 
 	// Wrap the factory to retain each slot's current injector and backend,
@@ -113,7 +86,7 @@ func runFleet(p fleetParams) {
 			}
 			return nil
 		},
-		Metrics: reg,
+		Metrics: p.reg,
 	})
 	factory := func(hostID, incarnation int) (serve.Backend, *faults.Injector, error) {
 		b, inj, err := inner(hostID, incarnation)
@@ -131,10 +104,9 @@ func runFleet(p fleetParams) {
 	// slower than idle peers, so widen the factor to keep the timeline
 	// about the injected fault.
 	cp, err := fleet.New(fleet.Config{
-		Metrics:           reg,
+		Metrics:           p.reg,
 		LatencyFactor:     32,
 		LatencyMinSamples: 128,
-		MigrateOnDrain:    p.migrate,
 	}, p.hosts, factory)
 	if err != nil {
 		fatal(err)
@@ -205,7 +177,15 @@ func runFleet(p fleetParams) {
 			fmt.Println("\n>> cordoning host 0 for planned live migration mid-phase")
 		}
 		start := time.Now()
-		completed, failed := runFleetPhase(cp, p, paths, words, jobsPerPhase, pi)
+		completed, failed := closedLoop(p.tenants, p.outstanding, jobsPerPhase, paths, words,
+			func(ti int) int64 { return p.seed*100 + int64(ti)*7 + int64(pi) },
+			func(tenant string, job serve.Job) (func() error, error) {
+				fut, err := cp.Submit(tenant, job)
+				if err != nil {
+					return nil, err
+				}
+				return func() error { return fut.Wait().Err }, nil
+			})
 		st := phaseStat{name: name, completed: completed, failed: failed, elapsed: time.Since(start)}
 		stats = append(stats, st)
 		rate := float64(st.completed) / st.elapsed.Seconds()
@@ -292,70 +272,8 @@ func runFleet(p fleetParams) {
 		}
 	}
 
-	if reg != nil {
-		if err := exportMetrics(reg, p.metricsOut, (*metrics.Registry).WritePrometheus); err != nil {
-			fatal(err)
-		}
-		if err := exportMetrics(reg, p.metricsNDJSON, (*metrics.Registry).WriteNDJSON); err != nil {
-			fatal(err)
-		}
-		fmt.Println("\nmetrics summary (virtual time):")
-		if err := reg.WriteSummary(os.Stdout); err != nil {
-			fatal(err)
-		}
-	}
+	reportMetrics(p.reg, p.metricsOut, p.metricsNDJSON)
 	if !ok {
 		os.Exit(1)
 	}
-}
-
-// runFleetPhase drives one closed-loop traffic phase: every tenant keeps
-// p.outstanding jobs in flight until it has submitted jobsPerPhase, then
-// waits for its tail. Overload and transient no-capacity rejections retry;
-// admitted jobs are all waited on, so completed+failed == admitted.
-func runFleetPhase(cp *fleet.ControlPlane, p fleetParams, paths, words []string, jobsPerPhase, phase int) (completed, failed int64) {
-	var cdone, cfail atomic.Int64
-	var wg sync.WaitGroup
-	for ti := 0; ti < p.tenants; ti++ {
-		wg.Add(1)
-		go func(ti int) {
-			defer wg.Done()
-			name := fmt.Sprintf("tenant-%d", ti)
-			rng := rand.New(rand.NewSource(p.seed*100 + int64(ti)*7 + int64(phase)))
-			sem := make(chan struct{}, p.outstanding)
-			var inner sync.WaitGroup
-			for ji := 0; ji < jobsPerPhase; ji++ {
-				spec := randomJob(rng, paths, words)
-				sem <- struct{}{}
-				var fut *fleet.Future
-				for {
-					var err error
-					fut, err = cp.Submit(name, spec)
-					if err == nil {
-						break
-					}
-					if errors.Is(err, serve.ErrOverloaded) || errors.Is(err, fleet.ErrNoHealthyHosts) {
-						// Queues full, or the fleet is mid-remediation:
-						// back off and retry.
-						runtime.Gosched()
-						continue
-					}
-					fatal(err)
-				}
-				inner.Add(1)
-				go func() {
-					defer inner.Done()
-					if res := fut.Wait(); res.Err != nil {
-						cfail.Add(1)
-					} else {
-						cdone.Add(1)
-					}
-					<-sem
-				}()
-			}
-			inner.Wait()
-		}(ti)
-	}
-	wg.Wait()
-	return cdone.Load(), cfail.Load()
 }

@@ -32,8 +32,7 @@
 // the closed-loop soak: a producer kernel on GPU 0 uppercases the corpus
 // through the GPUfs API and streams it over a gpipe to a consumer kernel
 // on GPU 1, which assembles and fsyncs the output. -pipeline-gran picks
-// the producer's read granularity (thread, warp, or block); -ordering
-// sets the syscall layer's default ordering class for every kernel.
+// the producer's read granularity (thread, warp, or block).
 package main
 
 import (
@@ -45,8 +44,10 @@ import (
 	"os"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"gpufs"
+	"gpufs/internal/fleet"
 	"gpufs/internal/gsys"
 	"gpufs/internal/metrics"
 	"gpufs/internal/serve"
@@ -65,8 +66,7 @@ func main() {
 	scale := flag.Float64("scale", 1.0/256, "uniform scale factor for capacities")
 	seed := flag.Int64("seed", 1, "workload seed")
 	faults := flag.Bool("faults", false, "inject the standard RPC/host fault mix")
-	migrate := flag.Bool("migrate", false, "fleet mode: live-migration demo — checkpoint host 0 and restore onto its replacement instead of a cold replace")
-	ordering := flag.String("ordering", "strong", `syscall ordering class: "strong" or "relaxed"`)
+	migrate := flag.Bool("migrate", false, "fleet mode: live-migration demo — strike host 0 with a planned cordon (checkpointed, restored warm) instead of a fatal XID (replaced cold)")
 	pipeline := flag.Bool("pipeline", false, "run the two-stage gpipe pipeline workload instead of the soak")
 	pipelineGran := flag.String("pipeline-gran", "thread", "pipeline producer read granularity: thread, warp, or block")
 	pipeCap := flag.Int("pipe-cap", 16<<10, "pipeline gpipe buffer capacity in bytes")
@@ -92,9 +92,6 @@ func main() {
 	case *scale <= 0:
 		usageError("-scale must be > 0, got %g", *scale)
 	}
-	if _, err := gsys.ParseOrdering(*ordering); err != nil {
-		usageError("-ordering: %v", err)
-	}
 	if _, err := gsys.ParseGranularity(*pipelineGran); err != nil {
 		usageError("-pipeline-gran: %v", err)
 	}
@@ -117,52 +114,36 @@ func main() {
 	if *migrate && *hosts < 2 {
 		usageError("-migrate needs fleet mode (-hosts >= 2), got -hosts %d", *hosts)
 	}
+	var reg *metrics.Registry
+	if *metricsOut != "" || *metricsNDJSON != "" {
+		reg = metrics.New()
+	}
 	if *hosts > 1 {
 		runFleet(fleetParams{
 			hosts: *hosts, tenants: *tenants, outstanding: *outstanding,
 			jobs: *jobs, gpus: *gpus, files: *files, batch: *batch,
 			pol: pol, scale: *scale, seed: *seed, faults: *faults,
-			migrate:    *migrate,
-			metricsOut: *metricsOut, metricsNDJSON: *metricsNDJSON,
+			migrate: *migrate,
+			reg:     reg, metricsOut: *metricsOut, metricsNDJSON: *metricsNDJSON,
 		})
 		return
 	}
 
 	cfg := gpufs.ScaledConfig(*scale)
 	cfg.NumGPUs = *gpus
-	cfg.SyscallOrdering = *ordering
-	cfg.MetricsEnabled = *metricsOut != "" || *metricsNDJSON != ""
-	sys, err := gpufs.NewSystem(cfg)
+	sys, err := gpufs.NewSystemWithMetrics(cfg, reg)
 	if err != nil {
 		fatal(err)
 	}
 
-	dict := workloads.MakeDictionary(300)
-	paths := make([]string, *files)
-	words := make([]string, 8)
-	for i := range words {
-		words[i] = workloads.MakeWord(i * 13)
-	}
-	for i := range paths {
-		paths[i] = fmt.Sprintf("/serve/f%03d.txt", i)
-		text := workloads.MakeText(8<<10, workloads.TextSpec{
-			Dict: dict, DictFraction: 0.8, Seed: *seed*1000 + int64(i),
-		})
-		if err := sys.WriteHostFile(paths[i], text); err != nil {
+	paths, texts, words := makeCorpus(*files, *seed)
+	for i, path := range paths {
+		if err := sys.WriteHostFile(path, texts[i]); err != nil {
 			fatal(err)
 		}
 	}
 	if *faults {
-		sys.EnableFaults(gpufs.FaultConfig{
-			Seed:                *seed,
-			RPCPollDelayProb:    0.05,
-			RPCDropResponseProb: 0.02,
-			RPCTransientProb:    0.05,
-			HostShortReadProb:   0.05,
-			HostReadEIOProb:     0.02,
-			DiskStallProb:       0.05,
-			DMAStallProb:        0.05,
-		})
+		sys.EnableFaults(faultMix(*seed))
 	}
 
 	if *pipeline {
@@ -180,47 +161,15 @@ func main() {
 	fmt.Printf("gpufs-serve: %d tenants × %d jobs (%d outstanding each) over %d GPU(s), policy %v, batch %d, faults %v\n",
 		*tenants, *jobs, *outstanding, *gpus, pol, *batch, *faults)
 
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var failures int
-	for ti := 0; ti < *tenants; ti++ {
-		wg.Add(1)
-		go func(ti int) {
-			defer wg.Done()
-			name := fmt.Sprintf("tenant-%d", ti)
-			rng := rand.New(rand.NewSource(*seed*100 + int64(ti)))
-			sem := make(chan struct{}, *outstanding)
-			var inner sync.WaitGroup
-			for ji := 0; ji < *jobs; ji++ {
-				sem <- struct{}{}
-				spec := randomJob(rng, paths, words)
-				var fut *serve.Future
-				for {
-					var err error
-					fut, err = srv.Submit(name, spec)
-					if err == nil {
-						break
-					}
-					if !errors.Is(err, serve.ErrOverloaded) {
-						fatal(err)
-					}
-					runtime.Gosched()
-				}
-				inner.Add(1)
-				go func() {
-					defer inner.Done()
-					if res := fut.Wait(); res.Err != nil {
-						mu.Lock()
-						failures++
-						mu.Unlock()
-					}
-					<-sem
-				}()
+	_, failures := closedLoop(*tenants, *outstanding, *jobs, paths, words,
+		func(ti int) int64 { return *seed*100 + int64(ti) },
+		func(tenant string, job serve.Job) (func() error, error) {
+			fut, err := srv.Submit(tenant, job)
+			if err != nil {
+				return nil, err
 			}
-			inner.Wait()
-		}(ti)
-	}
-	wg.Wait()
+			return func() error { return fut.Wait().Err }, nil
+		})
 	srv.Drain()
 
 	st := srv.Stats()
@@ -233,18 +182,109 @@ func main() {
 	if failures > 0 {
 		fmt.Printf("%d job(s) failed with explicit errors\n", failures)
 	}
+	reportMetrics(reg, *metricsOut, *metricsNDJSON)
+}
 
-	if reg := sys.Metrics(); reg != nil {
-		if err := exportMetrics(reg, *metricsOut, (*metrics.Registry).WritePrometheus); err != nil {
-			fatal(err)
-		}
-		if err := exportMetrics(reg, *metricsNDJSON, (*metrics.Registry).WriteNDJSON); err != nil {
-			fatal(err)
-		}
-		fmt.Println("\nmetrics summary (virtual time):")
-		if err := reg.WriteSummary(os.Stdout); err != nil {
-			fatal(err)
-		}
+// makeCorpus builds the deterministic corpus both modes serve: files texts
+// under /serve and the words the jobs look for.
+func makeCorpus(files int, seed int64) (paths []string, texts [][]byte, words []string) {
+	dict := workloads.MakeDictionary(300)
+	paths = make([]string, files)
+	texts = make([][]byte, files)
+	words = make([]string, 8)
+	for i := range words {
+		words[i] = workloads.MakeWord(i * 13)
+	}
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/serve/f%03d.txt", i)
+		texts[i] = workloads.MakeText(8<<10, workloads.TextSpec{
+			Dict: dict, DictFraction: 0.8, Seed: seed*1000 + int64(i),
+		})
+	}
+	return paths, texts, words
+}
+
+// faultMix is the standard background RPC/host fault mix of -faults.
+func faultMix(seed int64) gpufs.FaultConfig {
+	return gpufs.FaultConfig{
+		Seed:                seed,
+		RPCPollDelayProb:    0.05,
+		RPCDropResponseProb: 0.02,
+		RPCTransientProb:    0.05,
+		HostShortReadProb:   0.05,
+		HostReadEIOProb:     0.02,
+		DiskStallProb:       0.05,
+		DMAStallProb:        0.05,
+	}
+}
+
+// closedLoop drives one closed-loop traffic run: every tenant keeps
+// outstanding jobs in flight until it has submitted jobs of them, then waits
+// for its tail. submit admits one job and returns the wait for its result.
+// Overload and transient no-capacity rejections (queues full, or a fleet
+// mid-remediation) retry; admitted jobs are all waited on, so
+// completed+failed == admitted.
+func closedLoop(tenants, outstanding, jobs int, paths, words []string, seedOf func(tenant int) int64,
+	submit func(tenant string, job serve.Job) (wait func() error, err error)) (completed, failed int64) {
+
+	var cdone, cfail atomic.Int64
+	var wg sync.WaitGroup
+	for ti := 0; ti < tenants; ti++ {
+		wg.Add(1)
+		go func(ti int) {
+			defer wg.Done()
+			name := fmt.Sprintf("tenant-%d", ti)
+			rng := rand.New(rand.NewSource(seedOf(ti)))
+			sem := make(chan struct{}, outstanding)
+			var inner sync.WaitGroup
+			for ji := 0; ji < jobs; ji++ {
+				spec := randomJob(rng, paths, words)
+				sem <- struct{}{}
+				var wait func() error
+				for {
+					var err error
+					wait, err = submit(name, spec)
+					if err == nil {
+						break
+					}
+					if !errors.Is(err, serve.ErrOverloaded) && !errors.Is(err, fleet.ErrNoHealthyHosts) {
+						fatal(err)
+					}
+					runtime.Gosched()
+				}
+				inner.Add(1)
+				go func() {
+					defer inner.Done()
+					if wait() != nil {
+						cfail.Add(1)
+					} else {
+						cdone.Add(1)
+					}
+					<-sem
+				}()
+			}
+			inner.Wait()
+		}(ti)
+	}
+	wg.Wait()
+	return cdone.Load(), cfail.Load()
+}
+
+// reportMetrics is the run's epilogue when -metrics or -metrics-ndjson
+// asked for a registry: the expositions, then the summary table.
+func reportMetrics(reg *metrics.Registry, promPath, ndjsonPath string) {
+	if reg == nil {
+		return
+	}
+	if err := exportMetrics(reg, promPath, (*metrics.Registry).WritePrometheus); err != nil {
+		fatal(err)
+	}
+	if err := exportMetrics(reg, ndjsonPath, (*metrics.Registry).WriteNDJSON); err != nil {
+		fatal(err)
+	}
+	fmt.Println("\nmetrics summary (virtual time):")
+	if err := reg.WriteSummary(os.Stdout); err != nil {
+		fatal(err)
 	}
 }
 

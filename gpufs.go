@@ -139,25 +139,19 @@ type GPU struct {
 	fs   *core.FS
 }
 
-// NewSystem builds a simulated machine from the configuration. With
-// cfg.MetricsEnabled set, a fresh metrics registry is created and attached
-// (reachable via Metrics).
+// NewSystem builds a simulated machine from the configuration, with no
+// metrics registry attached.
 func NewSystem(cfg Config) (*System, error) {
 	return NewSystemWithMetrics(cfg, nil)
 }
 
-// NewSystemWithMetrics builds a simulated machine that records into reg.
-// A nil reg falls back to NewSystem behavior: a fresh registry when
-// cfg.MetricsEnabled is set, no metrics otherwise. Passing a non-nil reg
-// attaches it regardless of cfg.MetricsEnabled — the idiom for
-// aggregating several Systems (a benchmark sweep) into one registry.
-// Collection is observation-only and never perturbs virtual timing.
+// NewSystemWithMetrics builds a simulated machine that records into reg;
+// several Systems (a benchmark sweep, a fleet's hosts) may share one
+// registry. A nil reg is NewSystem: no metrics. Collection is
+// observation-only and never perturbs virtual timing.
 func NewSystemWithMetrics(cfg Config, reg *metrics.Registry) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if reg == nil && cfg.MetricsEnabled {
-		reg = metrics.New()
 	}
 
 	host := hostfs.New(hostfs.Options{
@@ -315,8 +309,8 @@ func (s *System) EnableTracing(capacity int) *trace.Tracer {
 // Tracer returns the tracer installed by EnableTracing, or nil.
 func (s *System) Tracer() *trace.Tracer { return s.tracer }
 
-// Metrics returns the system's metrics registry, or nil when metrics are
-// disabled (neither cfg.MetricsEnabled nor NewSystemWithMetrics).
+// Metrics returns the registry the system was built with
+// (NewSystemWithMetrics), or nil.
 func (s *System) Metrics() *metrics.Registry { return s.met }
 
 // EnableFaults installs a seeded fault injector across the whole machine:

@@ -16,18 +16,8 @@ var benchReg *metrics.Registry
 // benchmark is running.
 func SetMetricsRegistry(reg *metrics.Registry) { benchReg = reg }
 
-// benchOrdering is the syscall ordering stamped on every system the bench
-// suite builds, unless an experiment pins its own (the Ordering sweep does).
-var benchOrdering = "strong"
-
-// SetDefaultOrdering sets the syscall ordering ("strong"/"relaxed")
-// applied to subsequently constructed bench systems that do not choose
-// one themselves. Not safe to call while a benchmark is running.
-func SetDefaultOrdering(ordering string) { benchOrdering = ordering }
-
 // newSystem is the bench suite's system constructor: gpufs.NewSystem plus
-// the default ordering and the shared registry, when attached.
+// the shared registry, when attached.
 func newSystem(cfg gpufs.Config) (*gpufs.System, error) {
-	cfg.SyscallOrdering = benchOrdering
 	return gpufs.NewSystemWithMetrics(cfg, benchReg)
 }

@@ -96,7 +96,7 @@ func orderingPoint(scale float64, workers int, ordering string) (simtime.Duratio
 	if need := 4 * cfg.BufferCacheBytes; cfg.CPURAMBytes < need {
 		cfg.CPURAMBytes = need
 	}
-	sys, err := gpufs.NewSystemWithMetrics(cfg, benchReg) // not newSystem: the ordering is this point's
+	sys, err := newSystem(cfg)
 	if err != nil {
 		return 0, err
 	}

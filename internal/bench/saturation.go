@@ -87,7 +87,6 @@ func saturationPoint(scale float64, rate float64, seed int64) (satPoint, error) 
 	if cfg.GPUMemBytes < 2*cfg.BufferCacheBytes {
 		cfg.GPUMemBytes = 2 * cfg.BufferCacheBytes
 	}
-	cfg.SyscallOrdering = benchOrdering
 	// A private registry per point: the latency histograms must describe
 	// this offered load alone, not the sweep's accumulation (the shared
 	// benchReg, when attached, keeps aggregating counters system-wide).

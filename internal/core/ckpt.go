@@ -19,7 +19,8 @@ import (
 //	Begin   installs the capture pointer; from here every gwrite's page,
 //	        the instant before it is overwritten, is offered to the
 //	        capture (one atomic load on the hot path when no capture is
-//	        active — the MigrateOnDrain=false bit-identity guarantee).
+//	        active: a gwrite that no checkpoint overlaps is charged
+//	        nothing for it).
 //	Walk    runs on a host-side actor with its OWN virtual clock and RPC
 //	        lane (the cleaner's discipline), copying dirty pages by value
 //	        and clean pages by reference while threadblocks proceed.

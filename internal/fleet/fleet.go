@@ -85,17 +85,6 @@ type Config struct {
 	// heartbeat. 0 disables; default 4096 (generous: it catches a truly
 	// wedged host in a soak without false-firing on batching skew).
 	StallProbes int
-	// MigrateOnDrain switches the remediator to migrate-first: a
-	// cordoned host is checkpointed and the image restored onto its
-	// replacement, so the new incarnation enters rotation with the old
-	// one's buffer caches, fast-reopen tables, prefetch history, and
-	// pipes. The remediator falls back to plain drain+restart when the
-	// checkpoint fails (budget overrun, capture error), when a fatal
-	// XID fired before or during the snapshot (the device's memory
-	// integrity — and therefore the image — is suspect), or when the
-	// restore fails (the replacement then enters rotation cold).
-	// Default false: bit-identical to the pre-migration control plane.
-	MigrateOnDrain bool
 	// Metrics, when non-nil, receives the fleet metric families
 	// (gpufs_fleet_*).
 	Metrics *metrics.Registry

@@ -246,7 +246,7 @@ func TestFleetCordonDrainReplace(t *testing.T) {
 			kinds = append(kinds, ev.Kind)
 		}
 	}
-	want := []string{"cordon", "drain", "handoff", "replace"}
+	want := []string{"cordon", "drain", "checkpoint", "handoff", "migrate", "replace"}
 	if len(kinds) != len(want) {
 		t.Fatalf("host 0 events %v, want %v", kinds, want)
 	}

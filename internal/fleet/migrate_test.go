@@ -53,7 +53,7 @@ func wantEventKinds(t *testing.T, cp *ControlPlane, hostID int, want []string) {
 func TestFleetMigrateWarmHandoff(t *testing.T) {
 	ff := newFakeFleet(false)
 	reg := metrics.New()
-	cp, err := New(Config{MigrateOnDrain: true, Metrics: reg}, 3, ff.factory)
+	cp, err := New(Config{Metrics: reg}, 3, ff.factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestFleetMigrateWarmHandoff(t *testing.T) {
 // costs warmth, never jobs.
 func TestFleetMigrateFallbackCheckpointError(t *testing.T) {
 	ff := newFakeFleet(false)
-	cp, err := New(Config{MigrateOnDrain: true}, 3, ff.factory)
+	cp, err := New(Config{}, 3, ff.factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestFleetMigrateFallbackCheckpointError(t *testing.T) {
 // was nothing to fall back from).
 func TestFleetMigrateFatalXIDSkipsCheckpoint(t *testing.T) {
 	ff := newFakeFleet(true)
-	cp, err := New(Config{MigrateOnDrain: true}, 2, ff.factory)
+	cp, err := New(Config{}, 2, ff.factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestFleetMigrateFatalXIDSkipsCheckpoint(t *testing.T) {
 // and the replacement enters rotation cold.
 func TestFleetMigrateDiscardMidSnapshotXID(t *testing.T) {
 	ff := newFakeFleet(false)
-	cp, err := New(Config{MigrateOnDrain: true}, 2, ff.factory)
+	cp, err := New(Config{}, 2, ff.factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestFleetMigrateBudgetWedgeRealHost(t *testing.T) {
 			return sys.WriteHostFile("/wedge", []byte("budget wedge corpus, long enough to span a page of capture"))
 		},
 	})
-	cp, err := New(Config{MigrateOnDrain: true}, 2, factory)
+	cp, err := New(Config{}, 2, factory)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,16 +21,16 @@ import (
 //     results are valid — the kernels are read-only — and re-executing
 //     them elsewhere would double-run work the exactly-once story
 //     forbids).
-//   - With Config.MigrateOnDrain set, the drain step is migrate-first:
-//     the backend is Checkpointed instead (the same queue freeze and
-//     handoff semantics, plus a copy-on-write capture of every GPU's
-//     cache and file tables concurrent with the in-flight batches), and
-//     the image is restored onto the replacement so it enters rotation
-//     warm. The fallback to plain drain+restart is automatic and total:
-//     a capture error or budget overrun, a fatal XID before or during
-//     the snapshot (the device's memory — and therefore the image — is
-//     suspect), or a failed restore each degrade to exactly the
-//     non-migrating path, never to a lost job or a stale page.
+//   - The drain step is migrate-first: a host with no fatal XID is
+//     Checkpointed (the same queue freeze and handoff semantics, plus a
+//     copy-on-write capture of every GPU's cache and file tables
+//     concurrent with the in-flight batches), and the image is restored
+//     onto the replacement so it enters rotation warm. Plain
+//     drain+restart is the fallback, automatic and total: a capture
+//     error or budget overrun, a fatal XID before or during the snapshot
+//     (the device's memory — and therefore the image — is suspect), or a
+//     failed restore each degrade to a cold replacement, never to a lost
+//     job or a stale page.
 //   - Replacing calls the host factory, also without the lock (a real
 //     factory provisions a machine; even the simulated one builds a whole
 //     gpufs.System). Success installs the new backend under a bumped
@@ -97,14 +97,14 @@ func (cp *ControlPlane) remediator() {
 		backend := h.backend
 		// A fatal XID means the device fell off the bus or its memory is
 		// uncontained — an image captured from it cannot be trusted.
-		migrate := cp.cfg.MigrateOnDrain && h.health.fatalXIDs == 0
+		migrate := h.health.fatalXIDs == 0
 		cp.eventLocked(h.id, "drain", "incarnation %d draining: %s", oldInc, h.reason)
 		cp.cond.Broadcast()
 		cp.mu.Unlock()
 
 		// Unlocked: queued jobs come back ErrHandedOff (watchers re-route
-		// them concurrently with this call), in-flight jobs finish. The
-		// migrate-first path checkpoints instead — same freeze, plus the
+		// them concurrently with this call), in-flight jobs finish. A
+		// trusted host is checkpointed instead — same freeze, plus the
 		// copy-on-write capture — and a failed checkpoint still drains,
 		// so the DrainForHandoff fallback below is a no-op returning 0.
 		var img *ckpt.Image

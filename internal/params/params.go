@@ -174,15 +174,6 @@ type Config struct {
 	// shard they hash to and steal from neighbors when it is empty. 0
 	// (the default) auto-sizes to the GPU's multiprocessor count.
 	FrameShards int
-	// MetricsEnabled attaches a metrics registry (internal/metrics) to
-	// the system: per-op latency histograms and counters across the rpc,
-	// pcie, core, and serve subsystems, exportable as Prometheus text or
-	// NDJSON. Collection is observation-only — it records virtual
-	// timestamps the simulation already computed and never acquires a
-	// simulated resource — so enabling it does not change virtual timing
-	// at all. Off by default (no registry, hooks compile to one nil
-	// check).
-	MetricsEnabled bool
 
 	// ---- Compute calibration ----
 

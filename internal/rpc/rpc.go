@@ -35,11 +35,12 @@
 //
 // # Failure handling
 //
-// With a fault injector installed (internal/faults), the transport grows
-// the robustness a production daemon needs:
+// The transport has the robustness a production daemon needs, and a fault
+// injector (internal/faults) to exercise it:
 //
 //   - Per-request timeouts in virtual time: a block spinning on a response
-//     slot gives up Timeout after the request was sent and re-enqueues.
+//     slot gives up responseTimeout after the request was sent and
+//     re-enqueues.
 //   - Bounded exponential backoff between attempts, with a MaxAttempts
 //     retry budget; only transient failures (EAGAIN, lost responses) are
 //     retried — real I/O errors are returned immediately.
@@ -51,8 +52,9 @@
 //     O_TRUNC, close, pwrite) are applied exactly once. Dedup state is
 //     per-shard: faults on one ring cannot corrupt another.
 //
-// With no injector the happy path is byte-identical to the fault-free
-// protocol: one atomic pointer load per request.
+// There is one protocol: with no injector installed, or a disabled one,
+// nothing is lost or bounced, so it makes one attempt, stores the outcome
+// in the dedup table and returns.
 package rpc
 
 import (
@@ -147,7 +149,7 @@ var (
 // Real I/O errors (EIO and friends) are not.
 func Retryable(err error) bool { return errors.Is(err, ErrAgain) }
 
-// Config parameterizes the RPC timing model, topology, and retry policy.
+// Config parameterizes the RPC timing model and topology.
 type Config struct {
 	// PollInterval is the mean delay before a polling daemon worker
 	// notices a newly enqueued request.
@@ -166,19 +168,22 @@ type Config struct {
 	// (the original single-threaded daemon).
 	Workers int
 
-	// Timeout is how long (virtual) a block spins on its response slot
-	// before declaring the response lost and retrying. Zero selects the
-	// default (2ms).
-	Timeout simtime.Duration
-	// RetryBase and RetryMax bound the exponential backoff between
-	// attempts: base<<(attempt-1), capped at max. Zeros select defaults
-	// (20µs base, 1ms cap).
-	RetryBase simtime.Duration
-	RetryMax  simtime.Duration
 	// MaxAttempts is the per-request retry budget, counting the first
-	// attempt. Zero selects the default (8).
+	// attempt. Zero selects the default (8), which every shipped caller
+	// runs; the fault oracles deepen it so that their must-succeed
+	// operations do not exhaust it.
 	MaxAttempts int
 }
+
+// The retry policy's timing. responseTimeout is how long (virtual) a block
+// spins on its response slot before declaring the response lost and
+// retrying; retryBase and retryMax bound the exponential backoff between
+// attempts: base<<(attempt-1), capped at max.
+const (
+	responseTimeout = 2 * simtime.Millisecond
+	retryBase       = 20 * simtime.Microsecond
+	retryMax        = simtime.Millisecond
+)
 
 // Server is the CPU-side GPUfs daemon process: the worker pool that
 // drains every GPU's rings, plus the consistency layer the daemon manages.
@@ -201,15 +206,6 @@ func NewServer(cfg Config, layer *wrapfs.Layer) *Server {
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 2 * simtime.Millisecond
-	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 20 * simtime.Microsecond
-	}
-	if cfg.RetryMax <= 0 {
-		cfg.RetryMax = simtime.Millisecond
 	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 8

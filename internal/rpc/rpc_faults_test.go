@@ -74,7 +74,7 @@ func TestDroppedResponsesDedupExactlyOnce(t *testing.T) {
 		t.Fatalf("0.4 drop rate over %d writes caused no timeouts", writes)
 	}
 	// Lost responses cost virtual time: each timeout spins for cfg.Timeout.
-	if c.Now() < simtime.Time(srv.cfg.Timeout) {
+	if c.Now() < simtime.Time(responseTimeout) {
 		t.Fatalf("timeouts cost no virtual time")
 	}
 }

@@ -231,9 +231,10 @@ func (sh *ringShard) dedupStore(seq uint64, err error) {
 	sh.dedupMu.Unlock()
 }
 
-// Submit runs one logical request on the shard. With no (enabled) fault
-// injector the fast path is the plain one-attempt exchange; otherwise the
-// retry protocol of the package comment applies.
+// Submit runs one logical request on the shard under the retry protocol of
+// the package comment: timeouts, bounded backoff and per-shard dedup. Every
+// injector hook is a no-op on a nil or disabled injector, so without one the
+// loop makes one attempt and returns.
 func (t *ringTransport) Submit(blk *simtime.Clock, shard int, op Op, req Request) error {
 	sh := t.shards[shard]
 	seq := sh.seq.Add(1)
@@ -242,37 +243,19 @@ func (t *ringTransport) Submit(blk *simtime.Clock, shard int, op Op, req Request
 	// and after the exchange — never a resource acquisition — so metrics
 	// cannot shift virtual timing. ObserveSpan on a nil histogram (metrics
 	// disabled) is a single pointer test.
-	sent := blk.Now()
-	if !inj.Enabled() {
-		t.cq.send(sh.id, seq, sent)
-		cclk := sh.begin(blk, op, 0)
-		done, err := sh.serve(cclk, req)
-		sh.finish(blk, cclk, done)
-		t.cq.deliver(sh.id, seq, blk.Now())
-		sh.svcTime[op].ObserveSpan(sent, blk.Now())
-		return err
-	}
-	err := t.submitFaulty(blk, sh, seq, op, inj, req)
-	sh.svcTime[op].ObserveSpan(sent, blk.Now())
-	return err
-}
+	start := blk.Now()
 
-// submitFaulty is Submit's slow path: timeouts, backoff, and per-shard
-// dedup under fault injection.
-func (t *ringTransport) submitFaulty(blk *simtime.Clock, sh *ringShard, seq uint64, op Op,
-	inj *faults.Injector, req Request) error {
-
-	cfg := &t.srv.cfg
-	t.cq.send(sh.id, seq, blk.Now())
+	budget := t.srv.cfg.MaxAttempts
+	t.cq.send(sh.id, seq, start)
 	var lastErr error
-	for attempt := 0; attempt < cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < budget; attempt++ {
 		if attempt > 0 {
 			t.retries.Add(1)
 			// Bounded exponential backoff in virtual time before
 			// re-enqueuing on the same ring with the same seq.
-			d := cfg.RetryBase << uint(attempt-1)
-			if d <= 0 || d > cfg.RetryMax {
-				d = cfg.RetryMax
+			d := retryBase << uint(attempt-1)
+			if d <= 0 || d > retryMax {
+				d = retryMax
 			}
 			blk.Advance(d)
 			inj.RecordEvent(trace.Event{
@@ -316,7 +299,7 @@ func (t *ringTransport) submitFaulty(blk *simtime.Clock, sh *ringShard, seq uint
 			// block spins until its timeout, then retries.
 			t.inflight.Add(-1)
 			t.timeouts.Add(1)
-			blk.AdvanceTo(sent.Add(cfg.Timeout))
+			blk.AdvanceTo(sent.Add(responseTimeout))
 			lastErr = fmt.Errorf("%w: %s shard %d seq %d", ErrTimeout, op, sh.id, seq)
 			continue
 		}
@@ -330,10 +313,12 @@ func (t *ringTransport) submitFaulty(blk *simtime.Clock, sh *ringShard, seq uint
 		}
 		sh.finish(blk, cclk, done)
 		t.cq.deliver(sh.id, seq, blk.Now())
+		sh.svcTime[op].ObserveSpan(start, blk.Now())
 		return err
 	}
 	t.cq.deliver(sh.id, seq, blk.Now())
-	return fmt.Errorf("%w: %s gave up after %d attempts: %v", ErrTimeout, op, cfg.MaxAttempts, lastErr)
+	sh.svcTime[op].ObserveSpan(start, blk.Now())
+	return fmt.Errorf("%w: %s gave up after %d attempts: %v", ErrTimeout, op, budget, lastErr)
 }
 
 // SubmitAsync enqueues a request at the block's current time without
@@ -345,7 +330,7 @@ func (t *ringTransport) SubmitAsync(blk *simtime.Clock, shard int, op Op, req Re
 	seq := sh.seq.Add(1)
 	inj := t.srv.inj.Load()
 	var extra simtime.Duration
-	if inj.Enabled() && inj.ShouldOn(faults.RPCPollDelay, blk.Now(), t.gpuID, sh.id+1) {
+	if inj.ShouldOn(faults.RPCPollDelay, blk.Now(), t.gpuID, sh.id+1) {
 		extra = inj.Delay(faults.RPCPollDelay)
 	}
 	t.cq.send(sh.id, seq, blk.Now())
@@ -361,7 +346,7 @@ func (t *ringTransport) SubmitAsync(blk *simtime.Clock, shard int, op Op, req Re
 		t.cq.deliver(sh.id, seq, at)
 	}()
 
-	if inj.Enabled() && inj.ShouldOn(faults.RPCTransient, cclk.Now(), t.gpuID, sh.id+1) {
+	if inj.ShouldOn(faults.RPCTransient, cclk.Now(), t.gpuID, sh.id+1) {
 		return 0, ErrAgain
 	}
 	done, err = sh.serve(cclk, req)

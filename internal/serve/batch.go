@@ -187,8 +187,8 @@ func (s *Server) runBatch(g int, batch []*job) (retries []*job) {
 	}
 
 	blocks := len(run)
-	if blocks > s.cfg.MaxBlocks {
-		blocks = s.cfg.MaxBlocks
+	if blocks > maxBlocks {
+		blocks = maxBlocks
 	}
 	// The round's blocks fan out across the GPU's RPC ring shards by the
 	// blocks' stable lane hash; record how wide this dispatch spreads.
@@ -204,7 +204,7 @@ func (s *Server) runBatch(g int, batch []*job) (retries []*job) {
 	// device survives the kernel; then it is free for the next batch.
 	s.cursors[g] = start.Add(s.launchGap)
 	s.mu.Unlock()
-	end, lerr := gpu.Launch(start, blocks, s.cfg.ThreadsPerBlock, func(c *gpufs.BlockCtx) error {
+	end, lerr := gpu.Launch(start, blocks, threadsPerBlock, func(c *gpufs.BlockCtx) error {
 		for ji := c.Idx; ji < len(run); ji += blocks {
 			s.execJob(c, run[ji])
 		}

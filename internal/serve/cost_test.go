@@ -71,7 +71,7 @@ func newCostRig(t *testing.T, mps, blocksPerMP, files int, size int64, maxBatch 
 	// gclose, and the scan at the job's share of the device's rate.
 	r.hit = cfg.RadixLookupLockFree + simtime.TransferTime(size, cfg.GPUMemBandwidth)
 	r.job = 3*cfg.APICostPerPage + gsys.PeekCost + r.hit +
-		simtime.TransferTime(size, simtime.Rate(r.srv.cfg.ScanRate/float64(mps)))
+		simtime.TransferTime(size, simtime.Rate(cfg.GrepGPURate/float64(mps)))
 	return r
 }
 

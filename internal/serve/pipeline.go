@@ -19,15 +19,18 @@ import (
 // The pipe's bounded buffer provides backpressure in virtual time: a fast
 // producer blocks once it is PipeCap bytes ahead of the consumer.
 
+// producerGPU is the producer stage's device.
+const producerGPU = 0
+
 // PipelineConfig parameterizes RunPipeline.
 type PipelineConfig struct {
 	// Inputs are the producer's input files; Output is the consumer's
 	// output path.
 	Inputs []string
 	Output string
-	// ProducerGPU and ConsumerGPU are the two stages' devices; they must
-	// differ (kernel launches on one device serialize).
-	ProducerGPU, ConsumerGPU int
+	// ConsumerGPU is the consumer stage's device. The producer runs on GPU
+	// 0, and the two must differ (kernel launches on one device serialize).
+	ConsumerGPU int
 	// PipeCap is the pipe's buffer capacity in bytes.
 	PipeCap int
 	// Blocks and Threads shape the producer kernel (the consumer runs one
@@ -38,8 +41,6 @@ type PipelineConfig struct {
 	// thread (coalesced to one descriptor per warp); "thread" or "block"
 	// (the default) issue plain greads.
 	Granularity string
-	// TransformRate is the virtual uppercasing throughput (bytes/s).
-	TransformRate float64
 }
 
 // PipelineResult is one pipeline run's outcome.
@@ -86,8 +87,8 @@ func RunPipeline(sys *gpufs.System, cfg PipelineConfig) (*PipelineResult, error)
 	if sys.NumGPUs() < 2 {
 		return nil, fmt.Errorf("serve: pipeline needs 2 GPUs, have %d", sys.NumGPUs())
 	}
-	if cfg.ProducerGPU == cfg.ConsumerGPU {
-		return nil, fmt.Errorf("serve: pipeline stages must run on different GPUs (both %d)", cfg.ProducerGPU)
+	if cfg.ConsumerGPU == producerGPU {
+		return nil, fmt.Errorf("serve: pipeline stages must run on different GPUs (both %d)", producerGPU)
 	}
 	if len(cfg.Inputs) == 0 {
 		return nil, fmt.Errorf("serve: pipeline needs at least one input")
@@ -138,7 +139,7 @@ func RunPipeline(sys *gpufs.System, cfg PipelineConfig) (*PipelineResult, error)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		prodEnd, prodErr = sys.GPU(cfg.ProducerGPU).Launch(0, cfg.Blocks, cfg.Threads,
+		prodEnd, prodErr = sys.GPU(producerGPU).Launch(0, cfg.Blocks, cfg.Threads,
 			func(c *gpufs.BlockCtx) error {
 				pd, err := c.GpipeOpen(pipeName, gpufs.PipeWriter, cfg.PipeCap, cfg.Blocks)
 				if err != nil {
@@ -243,7 +244,7 @@ func RunPipeline(sys *gpufs.System, cfg PipelineConfig) (*PipelineResult, error)
 		return nil, fmt.Errorf("serve: pipeline moved %d produced / %d consumed bytes, want %d",
 			res.BytesProduced, res.BytesConsumed, total)
 	}
-	_, _, res.WarpDescriptors = sys.GPU(cfg.ProducerGPU).FS().WarpStats()
+	_, _, res.WarpDescriptors = sys.GPU(producerGPU).FS().WarpStats()
 	res.Elapsed = simtime.Duration(prodEnd)
 	if consEnd > prodEnd {
 		res.Elapsed = simtime.Duration(consEnd)
@@ -313,13 +314,12 @@ func pipelineProduceFile(c *gpufs.BlockCtx, cfg PipelineConfig, path string, bas
 		return 0, err
 	}
 
-	// The transform: uppercase, at the calibrated streaming rate.
+	// The transform: uppercase.
 	for i, b := range buf {
 		if b >= 'a' && b <= 'z' {
 			buf[i] = b - 'a' + 'A'
 		}
 	}
-	c.ComputeBytes(info.Size, simtime.Rate(cfg.TransformRate))
 
 	rec := make([]byte, pipeRecHeader+maxPayload)
 	var sent int64

@@ -90,9 +90,9 @@ type Job struct {
 	// MaxOutputBytes.
 	MaxOutput int64
 	// Deadline is the job's virtual-time budget measured from admission;
-	// 0 uses the server's DefaultDeadline (0 = no deadline). A job whose
-	// deadline passes before or during execution fails with
-	// ErrDeadlineExceeded (wrapping the last attempt's error, if any).
+	// 0 means no deadline. A job whose deadline passes before or during
+	// execution fails with ErrDeadlineExceeded (wrapping the last attempt's
+	// error, if any).
 	Deadline simtime.Duration
 }
 
@@ -204,6 +204,13 @@ func (p Policy) String() string {
 	return "affinity"
 }
 
+// A batched launch's geometry: the block width, and the cap on its grid
+// (jobs beyond it stride).
+const (
+	threadsPerBlock = 256
+	maxBlocks       = 64
+)
+
 // Config tunes the server. The zero value gets sensible defaults from New.
 type Config struct {
 	// QueueDepth bounds each tenant's jobs in the system (queued plus
@@ -215,11 +222,6 @@ type Config struct {
 	// the bench baseline — caps a GPU near 1/KernelLaunchOverhead jobs per
 	// second however short the jobs are. Default 16.
 	MaxBatch int
-	// ThreadsPerBlock is the launch geometry's block width. Default 256.
-	ThreadsPerBlock int
-	// MaxBlocks caps a batched launch's grid; jobs beyond it stride.
-	// Default 64.
-	MaxBlocks int
 	// Policy is the placement policy. Default PlaceAffinity.
 	Policy Policy
 	// StealThreshold is the queue length at which the affine GPU counts
@@ -229,12 +231,6 @@ type Config struct {
 	// MaxAttempts is the per-job execution budget under failures.
 	// Default 3.
 	MaxAttempts int
-	// DefaultDeadline applies to jobs that set none; 0 means no deadline.
-	DefaultDeadline simtime.Duration
-	// ScanRate is the virtual per-GPU processing rate (bytes/s) charged
-	// for a job's scan over its file. Default 8.7 GB/s (the paper's grep
-	// rate).
-	ScanRate float64
 	// MaxOutputBytes bounds JobTransform outputs. Default 64 KiB.
 	MaxOutputBytes int64
 }
@@ -247,20 +243,11 @@ func (c *Config) withDefaults() Config {
 	if out.MaxBatch <= 0 {
 		out.MaxBatch = 16
 	}
-	if out.ThreadsPerBlock <= 0 {
-		out.ThreadsPerBlock = 256
-	}
-	if out.MaxBlocks <= 0 {
-		out.MaxBlocks = 64
-	}
 	if out.StealThreshold <= 0 {
 		out.StealThreshold = 4 * out.MaxBatch
 	}
 	if out.MaxAttempts <= 0 {
 		out.MaxAttempts = 3
-	}
-	if out.ScanRate <= 0 {
-		out.ScanRate = 8.7e9
 	}
 	if out.MaxOutputBytes <= 0 {
 		out.MaxOutputBytes = 64 << 10
@@ -358,6 +345,9 @@ type Server struct {
 	// runBatch).
 	cursors   []simtime.Time
 	launchGap simtime.Duration
+	// scanRate is the per-GPU rate charged for a job's scan over its file:
+	// the machine's calibrated grep rate.
+	scanRate simtime.Rate
 	// handoff freezes dispatch: takeLocked assembles no new batches while
 	// it is set, so every queued job — including a retry requeued by an
 	// in-flight batch — is flushed with ErrHandedOff instead of being
@@ -382,6 +372,7 @@ func New(sys *gpufs.System, cfg Config) *Server {
 		svcEst:  500 * simtime.Microsecond,
 
 		launchGap: sys.Config().KernelLaunchOverhead,
+		scanRate:  simtime.Rate(sys.Config().GrepGPURate),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	n := sys.NumGPUs()
@@ -543,8 +534,6 @@ func (s *Server) enqueueAtLocked(tenantName string, spec Job, arrival simtime.Ti
 		ready:   arrival,
 	}
 	if d := spec.Deadline; d > 0 {
-		j.deadline = j.arrival.Add(d)
-	} else if d := s.cfg.DefaultDeadline; d > 0 {
 		j.deadline = j.arrival.Add(d)
 	}
 
@@ -741,7 +730,7 @@ func (s *Server) execJob(c *gpufs.BlockCtx, j *job) {
 		j.err = err
 		return
 	}
-	c.ComputeBytes(int64(n), simtime.Rate(s.cfg.ScanRate))
+	c.ComputeBytes(int64(n), s.scanRate)
 
 	switch j.spec.Kind {
 	case JobGrep:

@@ -484,6 +484,17 @@ func TestServeStatsString(t *testing.T) {
 	if p50, p99 := st.LatencyPercentile(50), st.LatencyPercentile(99); p50 <= 0 || p99 < p50 {
 		t.Fatalf("percentiles: p50=%v p99=%v", p50, p99)
 	}
+
+	// Nearest rank: the tail of ten samples is the largest, not the ninth.
+	ten := Stats{Latencies: []simtime.Duration{7, 3, 10, 1, 9, 4, 8, 2, 6, 5}}
+	for _, c := range []struct {
+		p    float64
+		want simtime.Duration
+	}{{50, 5}, {90, 9}, {91, 10}, {99, 10}, {100, 10}} {
+		if got := ten.LatencyPercentile(c.p); got != c.want {
+			t.Errorf("p%v of 1..10 = %d, want %d", c.p, got, c.want)
+		}
+	}
 }
 
 func TestServeEnqueueTraceOps(t *testing.T) {

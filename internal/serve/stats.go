@@ -2,9 +2,11 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
+	"gpufs/internal/core"
 	"gpufs/internal/simtime"
 )
 
@@ -40,21 +42,11 @@ type GPUStats struct {
 	// HandedOff counts jobs flushed from this device's queue by
 	// DrainForHandoff — never launched here, resubmitted elsewhere.
 	HandedOff int64
-	// PrefetchIssued/PrefetchUsed/PrefetchWasted are this device's
-	// buffer-cache read-ahead counters (core.CacheStats): speculative
-	// pages launched, consumed by a demand access, and reclaimed unused.
-	PrefetchIssued, PrefetchUsed, PrefetchWasted int64
-	// ReplayIssued/ReplayUsed/ReplayWasted are the subset of the counters
-	// above issued on a recorded profile's word (the open-time pre-warm
-	// and a seeded stream's first access); HistoryReplays counts opens
-	// that started from a profile and
-	// HistoryInvalidations counts profiles dropped because the host copy
-	// changed between opens. All 0 with ReadAheadAdaptive off.
-	ReplayIssued, ReplayUsed, ReplayWasted int64
-	HistoryReplays, HistoryInvalidations   int64
-	// CleanedPages counts pages the background writeback cleaner wrote
+	// CacheStats are this device's buffer-cache speculation and cleaning
+	// counters: read-ahead pages issued, used and wasted, the subset issued
+	// on a recorded profile's word, and pages the background cleaner wrote
 	// back or pre-evicted off the fault critical path.
-	CleanedPages int64
+	core.CacheStats
 	// ZeroCopyReads counts cache-hit reads served in place from the
 	// pinned frame (one device-memory pass instead of a copy);
 	// FrameSteals counts allocations that took a frame from another
@@ -99,16 +91,7 @@ func (s *Server) Stats() Stats {
 		st.Inflight += s.inflight[g]
 	}
 	for g := range st.GPUs {
-		cs := s.sys.GPU(g).FS().CacheStats()
-		st.GPUs[g].PrefetchIssued = cs.PrefetchIssued
-		st.GPUs[g].PrefetchUsed = cs.PrefetchUsed
-		st.GPUs[g].PrefetchWasted = cs.PrefetchWasted
-		st.GPUs[g].CleanedPages = cs.CleanedPages
-		st.GPUs[g].ReplayIssued = cs.ReplayIssued
-		st.GPUs[g].ReplayUsed = cs.ReplayUsed
-		st.GPUs[g].ReplayWasted = cs.ReplayWasted
-		st.GPUs[g].HistoryReplays = cs.HistoryReplays
-		st.GPUs[g].HistoryInvalidations = cs.HistoryInvalidations
+		st.GPUs[g].CacheStats = s.sys.GPU(g).FS().CacheStats()
 		st.GPUs[g].ZeroCopyReads = s.sys.GPU(g).FS().ZeroCopyReads()
 		st.GPUs[g].FrameSteals = s.sys.GPU(g).FS().FrameSteals()
 	}
@@ -185,15 +168,25 @@ func (st Stats) BatchFactor() float64 {
 	return float64(jobs) / float64(batches)
 }
 
-// LatencyPercentile returns the p-th percentile (0 < p ≤ 100) of finished
-// jobs' virtual latencies, or 0 with no samples.
+// LatencyPercentile returns the nearest-rank p-th percentile (0 < p ≤ 100)
+// of finished jobs' virtual latencies, or 0 with no samples.
 func (st Stats) LatencyPercentile(p float64) simtime.Duration {
-	if len(st.Latencies) == 0 {
-		return 0
-	}
+	return nearestRank(st.sortedLatencies(), p)
+}
+
+func (st Stats) sortedLatencies() []simtime.Duration {
 	sorted := append([]simtime.Duration(nil), st.Latencies...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p/100*float64(len(sorted))) - 1
+	return sorted
+}
+
+// nearestRank is the smallest sample with at least p percent of the sorted
+// samples at or below it: p99 of ten samples is the largest.
+func nearestRank(sorted []simtime.Duration, p float64) simtime.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	idx := int(math.Ceil(p/100*float64(len(sorted)))) - 1
 	if idx < 0 {
 		idx = 0
 	}
@@ -238,10 +231,9 @@ func (st Stats) String() string {
 		fmt.Fprintf(&b, "history: %d profile replays (%d pages, %d used, %d wasted), %d invalidations\n",
 			hReplays, rIssued, rUsed, rWasted, hInval)
 	}
-	if len(st.Latencies) > 0 {
+	if lat := st.sortedLatencies(); len(lat) > 0 {
 		fmt.Fprintf(&b, "latency: p50 %v  p90 %v  p99 %v  max %v\n",
-			st.LatencyPercentile(50), st.LatencyPercentile(90),
-			st.LatencyPercentile(99), st.LatencyPercentile(100))
+			nearestRank(lat, 50), nearestRank(lat, 90), nearestRank(lat, 99), nearestRank(lat, 100))
 	}
 	for g, gs := range st.GPUs {
 		fmt.Fprintf(&b, "gpu %d: %d launches / %d jobs (max batch %d), %d stolen, %d spilled, %d requeued, %d restarts\n",

@@ -89,33 +89,33 @@ func metricsWorkload(t *testing.T, sys *gpufs.System) (ends []gpufs.Time, stats 
 	return ends, stats
 }
 
-// TestMetricsDisabledBitIdentical asserts the acceptance criterion that
-// MetricsEnabled=false reproduces the metrics-on run bit-for-bit: metrics
+// TestMetricsDisabledBitIdentical asserts that a system built without a
+// registry reproduces the metrics-on run bit-for-bit: metrics
 // are observation-only, so enabling them must not move a single virtual
 // timestamp or counter.
 func TestMetricsDisabledBitIdentical(t *testing.T) {
 	// Two multi-block virtual timelines are compared tick for tick.
 	simtest.OneP(t)
 
-	run := func(enabled bool) ([]gpufs.Time, []gpufs.Stats) {
-		cfg := gpufs.ScaledConfig(1.0 / 128)
-		cfg.NumGPUs = 2
-		cfg.MetricsEnabled = enabled
-		sys, err := gpufs.NewSystem(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if enabled && sys.Metrics() == nil {
-			t.Fatal("MetricsEnabled=true but System.Metrics() is nil")
-		}
-		if !enabled && sys.Metrics() != nil {
-			t.Fatal("MetricsEnabled=false but a registry is attached")
-		}
-		return metricsWorkload(t, sys)
+	cfg := gpufs.ScaledConfig(1.0 / 128)
+	cfg.NumGPUs = 2
+	off, err := gpufs.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off.Metrics() != nil {
+		t.Fatal("NewSystem but a registry is attached")
+	}
+	on, err := gpufs.NewSystemWithMetrics(cfg, metrics.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if on.Metrics() == nil {
+		t.Fatal("NewSystemWithMetrics but System.Metrics() is nil")
 	}
 
-	endsOff, statsOff := run(false)
-	endsOn, statsOn := run(true)
+	endsOff, statsOff := metricsWorkload(t, off)
+	endsOn, statsOn := metricsWorkload(t, on)
 
 	for i := range endsOff {
 		if endsOff[i] != endsOn[i] {
@@ -138,8 +138,7 @@ func TestMetricsDisabledBitIdentical(t *testing.T) {
 func TestPrometheusExportCoverage(t *testing.T) {
 	cfg := gpufs.ScaledConfig(1.0 / 128)
 	cfg.NumGPUs = 2
-	cfg.MetricsEnabled = true
-	sys, err := gpufs.NewSystem(cfg)
+	sys, err := gpufs.NewSystemWithMetrics(cfg, metrics.New())
 	if err != nil {
 		t.Fatal(err)
 	}
