@@ -11,7 +11,8 @@
 #                gsys: the file protocol lives above it),
 #                internal/core/page.go still the one owner of the page
 #                lifecycle (no other non-test file of the package takes a
-#                slot transition, allocates or releases a frame, moves
+#                slot transition, allocates or releases a frame or hands
+#                one an open offered back (pcache's Unalloc), moves
 #                fileCache.frames, or moves Frame.Dirty, the dirty-page
 #                counts kept beside it, or Frame.CleanAt and WroteAt),
 #                internal/core/ftable.go still the
@@ -74,7 +75,7 @@ tier2:
 	@leaked=$$($(GO) list -f '{{join .Imports "\n"}}' ./internal/rpc | \
 		grep -xE 'gpufs/internal/(hostfs|gsys)'); if [ -n "$$leaked" ]; then \
 		echo "internal/rpc is the ring transport and may not import:"; echo "$$leaked"; exit 1; fi
-	@strays=$$(grep -nE '\.(TryBeginInit|FinishInit|AbortInit|TryEvict|CancelEvict|FinishEvict)\(|cache\.(TryAllocOn|Release)\(|frames\.Add\(|Dirty\.(Store|Swap|CompareAndSwap)\(|(dirty|dirtyPages)\.Add\(|(CleanAt|WroteAt)\.(Store|CompareAndSwap)\(' \
+	@strays=$$(grep -nE '\.(TryBeginInit|FinishInit|AbortInit|TryEvict|CancelEvict|FinishEvict)\(|cache\.(TryAllocOn|Release|Unalloc)\(|frames\.Add\(|Dirty\.(Store|Swap|CompareAndSwap)\(|(dirty|dirtyPages)\.Add\(|(CleanAt|WroteAt)\.(Store|CompareAndSwap)\(' \
 		$$(ls internal/core/*.go | grep -v -e '_test\.go$$' -e '/page\.go$$')); if [ -n "$$strays" ]; then \
 		echo "internal/core/page.go owns the page lifecycle; these call sites bypass it:"; echo "$$strays"; exit 1; fi
 	@strays=$$(grep -nE '\.fds|\.byPath|\.closed\[|range [a-z.]*\.closed\b|\.closedByPath|\.truncated|keepFd|lastFlags' \

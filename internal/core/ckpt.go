@@ -367,12 +367,12 @@ func (fs *FS) restoreFile(b *gpu.Block, fi *ckpt.FileImage) error {
 		// once-only rule it enforces on the source).
 		fs.ft.truncateOnce(fi.Path)
 	}
-	fd, err := fs.openImpl(b, fi.Path, flags)
+	fd, _, err := fs.openImpl(b, fi.Path, flags)
 	if err != nil && len(fi.Dirty) > 0 && flags&O_CREATE == 0 {
 		// The new host lacks the file but the image carries content the
 		// host never saw: recreate it rather than drop device writes.
 		flags |= O_CREATE
-		fd, err = fs.openImpl(b, fi.Path, flags)
+		fd, _, err = fs.openImpl(b, fi.Path, flags)
 	}
 	if err != nil {
 		return err

@@ -9,6 +9,7 @@ import (
 	"gpufs/internal/gsys"
 	"gpufs/internal/rpc"
 	"gpufs/internal/simtime"
+	"gpufs/internal/trace"
 )
 
 // Golden cost tests for the read and write paths: what one cache hit, one
@@ -202,6 +203,79 @@ func TestCostSkipRule(t *testing.T) {
 			t.Errorf("%d-page resident gread cost %v, want %d single-page hits = %v", k, got, k, want)
 		}
 	})
+}
+
+// TestCostSmallFileRidesWithItsOpen: with read-ahead on, gopen + gread + gclose
+// of a one-page file is one ring transaction — the open's, which also preads
+// the file and DMAs it into a frame the block offered — and the gread is a
+// hit. A file one byte larger than the offer rides nowhere. With read-ahead
+// off (the prototype's setting) an open is what it was: two transactions.
+func TestCostSmallFileRidesWithItsOpen(t *testing.T) {
+	type cost struct {
+		open, read             simtime.Duration
+		requests, reads        int64
+		hits, misses, filled   int64
+		prefetched, carriedLen int64
+	}
+	scan := func(opt Options, size int64) (c cost) {
+		h := newHarness(t, 1, opt)
+		fs := h.fss[0]
+		tr := trace.New(16)
+		tr.Enable(true)
+		fs.SetTracer(tr)
+		h.write(t, "/f", pattern(int(size), 1))
+		_, err := h.devs[0].Launch(simtime.Time(simtime.Second), 1, 64, func(b *gpu.Block) error {
+			var fd int
+			var err error
+			c.open = elapsed(b, func() { fd, err = fs.Open(b, "/f", O_RDONLY) })
+			if err != nil {
+				return err
+			}
+			c.read = elapsed(b, func() { gread(t, fs, b, fd, opt.PageSize) })
+			return fs.Close(b, fd)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.requests, c.reads = h.server.TotalRequests(), h.server.Requests(rpc.OpReadPages)
+		c.hits, c.misses = fs.cacheHits.Load(), fs.cacheMisses.Load()
+		cs := fs.CacheStats()
+		c.filled, c.prefetched = cs.OpenFilled, cs.PrefetchIssued+cs.PrefetchUsed+cs.PrefetchWasted
+		for _, e := range tr.Snapshot() {
+			if e.Op == trace.OpOpen {
+				c.carriedLen = e.Bytes
+			}
+		}
+		return c
+	}
+	opt := defaultOpt()
+	ps := opt.PageSize
+	ring := rigRPC.PollInterval + rigRPC.HandleCost + rigRPC.ReturnLatency
+	plainOpen := opt.APICostPerPage + ring + 2*rigHost.SyscallOverhead
+	hit := opt.RadixLookupLockFree + devPass(ps)
+	fault := opt.RadixLookupLockFree + ring + warmRead(ps, 1) + opt.APICostPerPage + devPass(ps)
+
+	opt.ReadAheadAdaptive = true
+	probe := opt.APICostPerPage >> probeCostShift
+	if got, want := scan(opt, ps), (cost{
+		open: plainOpen + warmRead(ps, 1) + probe, read: hit,
+		requests: 1, hits: 1, filled: 1, carriedLen: ps,
+	}); got != want {
+		t.Errorf("one-page file, read-ahead on:\n got %+v\nwant %+v (open = plain open + pread + DMA + one claim; gread = a hit)", got, want)
+	}
+	if got, want := scan(opt, raMaxSpanBytes+1), (cost{
+		open: plainOpen, read: fault,
+		requests: 2, reads: 1, misses: 1,
+	}); got != want {
+		t.Errorf("file one byte past the span, read-ahead on:\n got %+v\nwant %+v (nothing rides)", got, want)
+	}
+	opt.ReadAheadAdaptive = false
+	if got, want := scan(opt, ps), (cost{
+		open: plainOpen, read: fault,
+		requests: 2, reads: 1, misses: 1,
+	}); got != want {
+		t.Errorf("one-page file, read-ahead off:\n got %+v\nwant %+v (the open is the parent's)", got, want)
+	}
 }
 
 // memFence is gpu.Block.MemFence's charge, which ends every gwrite.

@@ -163,6 +163,11 @@ type FS struct {
 	cleanedPages   atomic.Int64
 	cleanerKicks   atomic.Int64
 
+	// openFilled counts pages a host open brought in with it (offer/accept in
+	// page.go). They stay out of the prefetch counters above: those are the
+	// stride detector's feedback loop, and it did not issue these.
+	openFilled atomic.Int64
+
 	// dirtyPages counts resident pages whose Frame.Dirty is set, over every
 	// file: the sum of fileCache.dirty, kept by setDirty for the cleaner.
 	dirtyPages atomic.Int64
@@ -289,6 +294,7 @@ func (fs *FS) attachMetrics(reg *metrics.Registry) {
 	reg.SetHelp("gpufs_core_prefetch_issued_total", "Pages issued speculatively by read-ahead")
 	reg.SetHelp("gpufs_core_prefetch_used_total", "Speculative pages later consumed by a demand access")
 	reg.SetHelp("gpufs_core_prefetch_wasted_total", "Speculative pages reclaimed unconsumed")
+	reg.SetHelp("gpufs_core_open_filled_pages_total", "Pages a host gopen carried in with its own ring transaction")
 	reg.SetHelp("gpufs_core_cleaned_pages_total", "Pages the background cleaner wrote back or pre-evicted")
 	reg.SetHelp("gpufs_core_cleaner_kicks_total", "Background-cleaner wake-ups")
 	reg.SetHelp("gpufs_core_opens_total", "gopen calls")
@@ -315,6 +321,7 @@ func (fs *FS) attachMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("gpufs_core_prefetch_issued_total", fs.prefetchIssued.Load, "gpu", gpuL)
 	reg.CounterFunc("gpufs_core_prefetch_used_total", fs.prefetchUsed.Load, "gpu", gpuL)
 	reg.CounterFunc("gpufs_core_prefetch_wasted_total", fs.prefetchWasted.Load, "gpu", gpuL)
+	reg.CounterFunc("gpufs_core_open_filled_pages_total", fs.openFilled.Load, "gpu", gpuL)
 	reg.CounterFunc("gpufs_core_cleaned_pages_total", fs.cleanedPages.Load, "gpu", gpuL)
 	reg.CounterFunc("gpufs_core_cleaner_kicks_total", fs.cleanerKicks.Load, "gpu", gpuL)
 	reg.CounterFunc("gpufs_core_opens_total", fs.opens.Load, "gpu", gpuL)
@@ -444,6 +451,10 @@ type CacheStats struct {
 	ReplayWasted         int64
 	HistoryReplays       int64
 	HistoryInvalidations int64
+	// OpenFilled counts pages that rode in with their file's host gopen: a
+	// file that fits one coalesced span costs one ring transaction, not two.
+	// They are not speculation and appear in no Prefetch* counter.
+	OpenFilled int64
 }
 
 // CkptStats are the checkpoint engine's counters (ISSUE 10).
@@ -501,6 +512,7 @@ func (fs *FS) CacheStats() CacheStats {
 		ReplayWasted:         fs.historyWasted.Load(),
 		HistoryReplays:       fs.historyReplays.Load(),
 		HistoryInvalidations: fs.historyInvalidations.Load(),
+		OpenFilled:           fs.openFilled.Load(),
 	}
 }
 

@@ -63,10 +63,12 @@ func TestModelConformanceMigrated(t *testing.T) {
 	}
 }
 
-// TestModelConformanceZeroCopy reruns the model suite with the ISSUE 8
-// hot path on (zero-copy hit reads, sharded frame allocator): the knobs
-// change how bytes are served and which free list frames come from, never
-// the close-to-open semantics the model checks.
+// TestModelConformanceZeroCopy reruns the model suite on what ships: the
+// ISSUE 8 hot path (zero-copy hit reads, sharded frame allocator) and
+// read-ahead, which at this page size makes every host open carry its file
+// (no model file outgrows a span). The knobs change how bytes are served,
+// which free list frames come from and which transaction brings a page in,
+// never the close-to-open semantics the model checks.
 func TestModelConformanceZeroCopy(t *testing.T) {
 	const schedules = 100
 	for seed := 0; seed < schedules; seed++ {
@@ -75,6 +77,61 @@ func TestModelConformanceZeroCopy(t *testing.T) {
 			t.Parallel()
 			runModelSchedule(t, int64(seed), true, false)
 		})
+	}
+}
+
+// TestModelCarriedOpenIsCloseToOpen pins the close-to-open rules above on the
+// pages a host open carries in with it (read-ahead on): they are the bytes of
+// the generation the open adopts, never of the one the cache held before. A
+// host writer replaces a one-page file between gclose and a re-open under other
+// flags (so no fast reopen: a host open, whose offer is filled) — the reader
+// sees the new bytes under the new generation, with the old page gone. The
+// file then grows past a span between opens, and the next open carries nothing.
+func TestModelCarriedOpenIsCloseToOpen(t *testing.T) {
+	opt := carryOpt()
+	ps := int(opt.PageSize)
+	h := newHarness(t, 1, opt)
+	fs := h.fss[0]
+
+	// openRead opens /m, checks what the open carried and what a whole-file
+	// gread sees, and closes.
+	openRead := func(flags int, want []byte, carried int64) {
+		t.Helper()
+		filled := fs.openFilled.Load()
+		h.run(t, 0, func(b *gpu.Block) error {
+			fd, err := fs.Open(b, "/m", flags)
+			if err != nil {
+				return err
+			}
+			if got := fs.openFilled.Load() - filled; got != carried {
+				t.Errorf("open carried %d pages, want %d", got, carried)
+			}
+			if got := fs.ResidentPages("/m"); got != carried {
+				t.Errorf("%d pages resident after the open, want the %d it carried: the previous generation's survived", got, carried)
+			}
+			if got, host := fs.ft.fds[fd].fc.gen.Load(), h.hostGen(t, "/m"); got != host {
+				t.Errorf("cache adopted generation %d, host is at %d", got, host)
+			}
+			buf := make([]byte, len(want)+ps)
+			n, err := fs.Read(b, fd, buf, 0)
+			if err != nil || !bytes.Equal(buf[:n], want) {
+				t.Errorf("gread n=%d err=%v: not the %d bytes the host holds now", n, err, len(want))
+			}
+			return fs.Close(b, fd)
+		})
+	}
+	old, replaced, grown := pattern(ps, 1), pattern(ps, 2), pattern(raMaxSpanBytes+1, 3)
+	h.write(t, "/m", old)
+	openRead(O_RDONLY, old, 1)
+	h.write(t, "/m", replaced)
+	openRead(O_RDWR, replaced, 1)
+	h.write(t, "/m", grown)
+	openRead(O_RDONLY, grown, 0)
+	if s := fs.Snapshot(); s.HostOpens != 3 || s.ClosedTableReuses != 0 {
+		t.Errorf("%d host opens and %d closed-table reuses, want 3 and 0: a stale cache was kept", s.HostOpens, s.ClosedTableReuses)
+	}
+	if got := fs.CacheStats(); got.PrefetchWasted != 0 || got.PrefetchUsed != 0 {
+		t.Errorf("the carried pages reached the stride detector's feedback: %+v", got)
 	}
 }
 
@@ -137,6 +194,7 @@ func runModelSchedule(t *testing.T, seed int64, zeroCopy, migrate bool) {
 	if zeroCopy {
 		opt.ZeroCopyRead = true
 		opt.FrameShards = 4
+		opt.ReadAheadAdaptive = true
 	}
 	h := newHarness(t, numGPUs, opt)
 

@@ -17,19 +17,24 @@ import (
 // the call runs once per block. Concurrent opens of the same file coalesce:
 // one block performs the open, the rest wait and share the descriptor,
 // which then merely has its reference count incremented (§3.2, §4.1).
-func (fs *FS) openImpl(b *gpu.Block, path string, flags int) (int, error) {
+//
+// The second result is the bytes of the file the host open brought with it
+// (see offer), 0 for every other open.
+func (fs *FS) openImpl(b *gpu.Block, path string, flags int) (int, int64, error) {
 	fs.opens.Add(1)
 	b.Busy(fs.opt.APICostPerPage) // control-plane bookkeeping
 
 	fd, f, cand, err := fs.ft.enter(path, flags, false)
 	if f == nil {
-		return fd, err
+		return fd, 0, err
 	}
+	var carried int64
 	fc, hostFd, err := fs.reopen(b, f, cand)
 	if fc == nil && err == nil {
-		fc, hostFd, err = fs.hostOpen(b, f)
+		fc, hostFd, carried, err = fs.hostOpen(b, f)
 	}
-	return fs.finishOpen(b, fd, f, fc, hostFd, err)
+	fd, err = fs.finishOpen(b, fd, f, fc, hostFd, err)
+	return fd, carried, err
 }
 
 // finishOpen ends the open of pending entry f with what the host work produced:
@@ -72,8 +77,10 @@ func (fs *FS) reopen(b *gpu.Block, f *file, cand *fileCache) (*fileCache, int64,
 }
 
 // hostOpen forwards the first gopen of a file to the CPU and registers
-// write intent.
-func (fs *FS) hostOpen(b *gpu.Block, f *file) (*fileCache, int64, error) {
+// write intent. A file small enough rides back with the open: the call offers
+// frames of a fresh cache, and those that return filled are its first pages
+// before any table shows it.
+func (fs *FS) hostOpen(b *gpu.Block, f *file) (*fileCache, int64, int64, error) {
 	fs.hostOpens.Add(1)
 
 	// Writable files other than O_GWRONCE are opened read-write on the
@@ -93,9 +100,11 @@ func (fs *FS) hostOpen(b *gpu.Block, f *file) (*fileCache, int64, error) {
 	if f.noSync {
 		hostFlags |= hostfs.O_CREATE
 	}
-	hfd, info, err := fs.lane(b).Open(b.Clock, f.path, hostFlags, hostfs.ModeRead|hostfs.ModeWrite)
+	c := fs.offer(b, f, newFileCache(f.path))
+	hfd, info, ns, err := fs.lane(b).Open(b.Clock, f.path, hostFlags, hostfs.ModeRead|hostfs.ModeWrite, c.dsts())
+	fs.settle(b, &c, ns)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 
 	if f.writable {
@@ -104,20 +113,29 @@ func (fs *FS) hostOpen(b *gpu.Block, f *file) (*fileCache, int64, error) {
 		// disjoint updates (§3.1). Other writes are single-writer
 		// unless opened O_GWRSHARED.
 		if err := fs.sys.BeginWrite(info.Ino, f.writeShrd || f.writeOnce); err != nil {
+			fs.settle(b, &c, nil)
 			fs.lane(b).Close(b.Clock, hfd)
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 	}
-	return fs.adopt(b, f.path, info, true), hfd, nil
+	fc := fs.adopt(b, c.fc, info, true)
+	return fc, hfd, fs.accept(b, f, &c, fc, 0), nil
+}
+
+// newFileCache builds the empty cache of a host open of path; adopt gives it
+// the identity the open learns.
+func newFileCache(path string) *fileCache {
+	return &fileCache{tree: radix.NewTree(), path: path}
 }
 
 // adopt picks the cache for a host open that found info. If the closed file
 // table still holds the inode's and the consistency layer confirms the host
 // copy unchanged, it moves back to the open table (§4.1), its retained
 // descriptor giving way to the fresh one; otherwise it is discarded (lazy
-// invalidation, §4.4). Validation is a strong call: an open-ahead, which may
-// not block its lane (validate false), just discards.
-func (fs *FS) adopt(b *gpu.Block, path string, info hostfs.FileInfo, validate bool) *fileCache {
+// invalidation, §4.4) and fresh, built before the call, becomes the file's.
+// Validation is a strong call: an open-ahead, which may not block its lane
+// (validate false), just discards.
+func (fs *FS) adopt(b *gpu.Block, fresh *fileCache, info hostfs.FileInfo, validate bool) *fileCache {
 	if r := fs.ft.takeIno(info.Ino); r.fc != nil {
 		gen := r.fc.gen.Load()
 		if validate && fs.lane(b).Validate(b.Clock, info.Ino, gen) && info.Generation == gen {
@@ -127,17 +145,13 @@ func (fs *FS) adopt(b *gpu.Block, path string, info hostfs.FileInfo, validate bo
 		}
 		fs.discardCache(b, r)
 	}
-	fc := &fileCache{
-		tree:    radix.NewTree(),
-		lockRes: simtime.NewResource(fmt.Sprintf("gpu%d-treelock-%d", fs.gpuID, info.Ino)),
-		ino:     info.Ino,
-		path:    path,
-	}
-	fc.tree.SetForceLocked(fs.opt.ForceLockedTraversal)
-	fc.gen.Store(info.Generation)
-	fc.size.Store(info.Size)
+	fresh.lockRes = simtime.NewResource(fmt.Sprintf("gpu%d-treelock-%d", fs.gpuID, info.Ino))
+	fresh.ino = info.Ino
+	fresh.tree.SetForceLocked(fs.opt.ForceLockedTraversal)
+	fresh.gen.Store(info.Generation)
+	fresh.size.Store(info.Size)
 	fs.sys.RecordCached(info.Ino, info.Generation)
-	return fc
+	return fresh
 }
 
 // Close implements gclose: it decrements the file's reference count and, at

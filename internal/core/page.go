@@ -68,8 +68,9 @@ func (fs *FS) blockActor(b *gpu.Block) actor {
 	return actor{lane: fs.lane(b), clk: b.Clock, busy: b.Busy, block: b.Idx}
 }
 
-// Every page enters the cache — by getPage's demand fault or by spanFetch —
-// through claim, takeFrame, a fill, then publish or abort.
+// Every page enters the cache — by getPage's demand fault, by spanFetch or
+// with its file's host open (offer, below) — through claim, takeFrame, a fill,
+// then publish or abort.
 
 // claim tries to make the caller the initializer of slot fp of leaf, both
 // found under an epoch guard the caller still holds. On success the Init
@@ -147,6 +148,103 @@ func (fs *FS) abort(fc *fileCache, r pageRef) {
 		fc.frames.Add(-1)
 	}
 	r.fp.AbortInit()
+}
+
+// A host open brings a small file in with it (hostOpen, OpenAhead): offer
+// before the call, settle on its reply, accept once the open knows its cache.
+// An offer that comes back empty leaves no trace: the pool, its counters and
+// the tree are as if it had not been made (see settle and accept).
+
+// carry is the frames a host open offers for the file's content, then those of
+// them that received some.
+type carry struct {
+	fc     *fileCache      // the fresh cache the frames were taken for
+	frames []*pcache.Frame // for its pages 0, 1, …
+	ns     []int           // once settled: the bytes that landed in each
+}
+
+// offer takes free frames for the first pages of fc — the fresh cache of f's
+// host open, which no table knows yet — for the open to carry the file's
+// content into: as many as one coalesced span holds, fewer when the pool runs
+// dry, since like every speculative fill an open never evicts. The gate is
+// read-ahead's own; a file being truncated has nothing worth carrying.
+func (fs *FS) offer(b *gpu.Block, f *file, fc *fileCache) carry {
+	c := carry{fc: fc}
+	if !fs.opt.ReadAheadAdaptive || !f.readable || f.writeOnce || f.flags&O_TRUNC != 0 {
+		return c
+	}
+	ps := fs.opt.PageSize
+	n := max(raMaxSpanBytes/ps, 1)
+	c.frames = make([]*pcache.Frame, 0, n)
+	for i := int64(0); i < n; i++ {
+		fr := fs.takeFrame(b.Idx, fc, i*ps)
+		if fr == nil {
+			break
+		}
+		c.frames = append(c.frames, fr)
+	}
+	return c
+}
+
+// dsts lists the offered frames' pages, the open's destination segments.
+func (c *carry) dsts() [][]byte {
+	dsts := make([][]byte, len(c.frames))
+	for i, fr := range c.frames {
+		dsts[i] = fr.Data
+	}
+	return dsts
+}
+
+// settle meets the open's reply — ns[i] bytes landed in the i'th frame, none
+// past len(ns), and nil is an open that failed or carried nothing. The frames
+// that received bytes (a prefix, the read being one extent) stay for accept.
+// The rest go back at once, before anything else the open does touches the
+// pool, and newest first, so each shard's list is in the order it had before
+// the offer; their allocations are uncounted, since the harness reads pages
+// faulted off the allocator and a frame an open merely held was not one.
+func (fs *FS) settle(b *gpu.Block, c *carry, ns []int) {
+	k := 0
+	for k < len(c.frames) && k < len(ns) && ns[k] > 0 {
+		k++
+	}
+	for i := len(c.frames) - 1; i >= k; i-- {
+		fs.cache.Unalloc(b.Idx, c.frames[i])
+		c.fc.frames.Add(-1)
+	}
+	c.frames, c.ns = c.frames[:k], ns[:k]
+}
+
+// accept publishes the settled frames as pages 0, 1, … of fc, the cache the
+// open resolved to, and returns the bytes carried; if that is not the fresh one
+// (the closed table's copy proved current) the frames go back instead. Only
+// now are the slots — and the leaf under them, whose age is eviction's FIFO
+// order — materialized: a tree must not remember an offer that carried
+// nothing. The cache is still the opener's alone, so every claim wins.
+// readyAt is publish's. The pages are nobody's guess (SpecNone): the stride
+// detector did not issue them and its used/wasted feedback must not hear of
+// them.
+func (fs *FS) accept(b *gpu.Block, f *file, c *carry, fc *fileCache, readyAt simtime.Time) int64 {
+	if fc != c.fc {
+		fs.settle(b, c, nil)
+		return 0
+	}
+	var carried int64
+	for i, fr := range c.frames {
+		g := fc.tree.Pin()
+		fp, leaf := fc.tree.Insert(uint64(i))
+		ok := claim(fp, leaf)
+		g.Exit()
+		if !ok {
+			panic(fmt.Sprintf("gpufs: page %d of %q claimed on a cache no table holds yet", i, fc.path))
+		}
+		r := pageRef{fr: fr, fp: fp}
+		fs.publish(b, f, r, c.ns[i], readyAt, pcache.SpecNone)
+		b.Busy(fs.probeCost())
+		r.release()
+		carried += int64(c.ns[i])
+	}
+	fs.openFilled.Add(int64(len(c.frames)))
+	return carried
 }
 
 // hold takes a reference on a resident page met by a walk of fc's tree

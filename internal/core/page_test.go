@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -226,5 +227,128 @@ func TestWriteBackAllocatesNoPageBuffer(t *testing.T) {
 	})
 	if got := h.read(t, "/w"); !bytes.Equal(got, page) {
 		t.Error("the page did not reach the host")
+	}
+}
+
+// poolState is everything an allocation leaves behind in the frame pool: the
+// free frames of every shard, top of its list first (read by draining the pool
+// from lane 0, which empties shard 0, then steals 1, 2, … in ring order, and
+// handing the frames back newest first), and the counters.
+type poolState struct {
+	Free                      []int32
+	Allocs, Steals, Reclaimed int64
+}
+
+func poolOf(t *testing.T, c *pcache.Cache) poolState {
+	t.Helper()
+	s := poolState{Allocs: c.Allocs(), Steals: c.Steals(), Reclaimed: c.Reclaimed()}
+	var taken []*pcache.Frame
+	for fr := c.TryAllocOn(0, 1, 0); fr != nil; fr = c.TryAllocOn(0, 1, 0) {
+		s.Free = append(s.Free, fr.Index)
+		taken = append(taken, fr)
+	}
+	for i := len(taken) - 1; i >= 0; i-- {
+		c.Unalloc(0, taken[i])
+	}
+	if c.Allocs() != s.Allocs || c.Steals() != s.Steals || c.FreeFrames() != len(s.Free) {
+		t.Fatalf("draining and refilling the pool moved its counters: %d allocs, %d steals, %d free; were %d, %d, %d",
+			c.Allocs(), c.Steals(), c.FreeFrames(), s.Allocs, s.Steals, len(s.Free))
+	}
+	return s
+}
+
+// TestEmptyOfferLeavesNoTrace: a host open offers frames for the file to ride
+// in on, and an offer that comes back empty — the file is larger than a span,
+// is being truncated, is write-once, resolves to the closed table's cache, or
+// there was no frame to offer — must leave the machine as an open that offered
+// nothing leaves it. Two things remember otherwise: the radix tree (a slot
+// claimed at offer time materializes its leaf, and leaf age is eviction's FIFO
+// order) and the allocator (each shard's list is a LIFO, and the benchmark
+// reads pages faulted off its counters). The same opens run with the gate open
+// and shut; after every step the pool, the file's tree and its resident count
+// must agree.
+func TestEmptyOfferLeavesNoTrace(t *testing.T) {
+	type step struct {
+		Pool     poolState
+		Leaves   int
+		Resident int64
+		Filled   int64
+	}
+	run := func(gate bool) []step {
+		opt := defaultOpt() // 16K pages: a two-frame offer; 64 frames over 4 shards
+		opt.ReadAheadAdaptive = gate
+		h := newHarness(t, 1, opt)
+		fs := h.fss[0]
+		big := pattern(3*int(opt.PageSize), 9) // one page more than a span
+		for _, path := range []string{"/big", "/trunc", "/warm", "/fill", "/late", "/later"} {
+			h.write(t, path, big)
+		}
+
+		var steps []step
+		// open opens path, faults the given pages in one by one (not through
+		// gread: read-ahead's own hook would tell the two runs apart), records
+		// the state and closes.
+		open := func(path string, flags int, pages ...int64) {
+			h.run(t, 0, func(b *gpu.Block) error {
+				fd, err := fs.Open(b, path, flags)
+				if err != nil {
+					return err
+				}
+				f := fs.ft.fds[fd]
+				for _, idx := range pages {
+					ref, _, err := fs.getPage(b, f, idx, nil)
+					if err != nil {
+						return err
+					}
+					ref.release()
+				}
+				steps = append(steps, step{poolOf(t, fs.cache), f.fc.tree.Leaves(), fs.ResidentPages(path), fs.openFilled.Load()})
+				return fs.Close(b, fd)
+			})
+		}
+		open("/big", O_RDONLY)
+		open("/trunc", O_RDWR|O_TRUNC)
+		open("/once", O_GWRONCE|O_CREATE)
+		open("/warm", O_RDONLY, 0)
+		open("/warm", O_RDWR) // other flags: a host open, which adopt resolves to the cache just retired
+		if got := fs.closedReuses.Load(); got != 1 {
+			t.Fatalf("gate %v: re-opening /warm reused %d closed caches, want 1", gate, got)
+		}
+		// Leave one free frame, then none: the offer takes what there is.
+		var fill []int64
+		for i := int64(0); i < int64(fs.cache.FreeFrames())-1; i++ {
+			fill = append(fill, i)
+		}
+		h.write(t, "/fill", make([]byte, (len(fill)+1)*int(opt.PageSize)))
+		open("/fill", O_RDONLY, fill...)
+		open("/late", O_RDONLY)
+		open("/fill", O_RDONLY, int64(len(fill)))
+		open("/later", O_RDONLY)
+		if free, reclaimed := fs.cache.FreeFrames(), fs.cache.Reclaimed(); free != 0 || reclaimed != 0 {
+			t.Fatalf("gate %v: %d frames free and %d reclaimed with the pool filled to the brim, want 0 and 0: an open evicted", gate, free, reclaimed)
+		}
+		return steps
+	}
+	shut, open := run(false), run(true)
+	for i := range shut {
+		if !reflect.DeepEqual(shut[i], open[i]) {
+			t.Errorf("step %d: an open that offered frames left\n%+v\nand one that offered none\n%+v", i, open[i], shut[i])
+		}
+	}
+
+	// The gate does open: the same machine carries a file that fits.
+	opt := defaultOpt()
+	opt.ReadAheadAdaptive = true
+	h := newHarness(t, 1, opt)
+	h.write(t, "/small", pattern(int(opt.PageSize), 2))
+	h.run(t, 0, func(b *gpu.Block) error {
+		fd, err := h.fss[0].Open(b, "/small", O_RDONLY)
+		if err != nil {
+			return err
+		}
+		return h.fss[0].Close(b, fd)
+	})
+	if got := h.fss[0].openFilled.Load(); got != 1 {
+		t.Errorf("a one-page file's open carried %d pages, want 1: the comparison above offered nothing", got)
 	}
 }

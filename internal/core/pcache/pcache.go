@@ -274,10 +274,7 @@ func (c *Cache) RawOffset(i int32) int64 { return int64(i) * c.pageSize }
 // is performed by the calling thread; GPUfs has no daemon threads, §4.2).
 func (c *Cache) TryAllocOn(lane int, fileID uint64, offset int64) *Frame {
 	n := len(c.shards)
-	if lane < 0 {
-		lane = -lane
-	}
-	home := lane % n
+	home := c.homeShard(lane)
 	var idx int32 = -1
 	for d := 0; d < n; d++ {
 		s := &c.shards[(home+d)%n]
@@ -302,6 +299,27 @@ func (c *Cache) TryAllocOn(lane int, fileID uint64, offset int64) *Frame {
 	f.reset(fileID, offset)
 	c.allocs.Add(1)
 	return f
+}
+
+// Unalloc is the exact inverse of the TryAllocOn(lane, …) that returned f: the
+// frame goes back on top of the list it was popped from (its home shard — a
+// shard only ever lists its own frames) and the allocation, with the steal it
+// may have been, is uncounted. Frames taken one after another and handed back
+// newest first leave the pool as if none had been taken.
+func (c *Cache) Unalloc(lane int, f *Frame) {
+	if int(f.Index)%len(c.shards) != c.homeShard(lane) {
+		c.steals.Add(-1)
+	}
+	c.allocs.Add(-1)
+	c.pushFree(f)
+}
+
+// homeShard is the shard a lane's allocations are served from first.
+func (c *Cache) homeShard(lane int) int {
+	if lane < 0 {
+		lane = -lane
+	}
+	return lane % len(c.shards)
 }
 
 // reset hands the frame to a new tenant — or, with (0, -1), to nobody, so any
@@ -340,10 +358,15 @@ func (c *Cache) ResetTimes() {
 // reclaimedByPaging distinguishes eviction-driven releases (counted in
 // Reclaimed) from releases on unlink or truncate.
 func (c *Cache) Release(f *Frame, reclaimedByPaging bool) {
-	f.reset(0, -1)
 	if reclaimedByPaging {
 		c.reclaimed.Add(1)
 	}
+	c.pushFree(f)
+}
+
+// pushFree strips f of its tenant and puts it on top of its home shard's list.
+func (c *Cache) pushFree(f *Frame) {
+	f.reset(0, -1)
 	s := &c.shards[int(f.Index)%len(c.shards)]
 	s.mu.Lock()
 	s.free = append(s.free, f.Index)

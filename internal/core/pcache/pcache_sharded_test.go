@@ -1,6 +1,7 @@
 package pcache
 
 import (
+	"slices"
 	"testing"
 
 	"gpufs/internal/memsys"
@@ -113,4 +114,43 @@ func TestReleaseReturnsToHomeShard(t *testing.T) {
 		t.Errorf("frame %d came from shard %d, want home shard %d", got.Index, int(got.Index)%2, home)
 	}
 	_ = held
+}
+
+// TestUnallocIsTheInverseOfAlloc: frames taken one after another — from the
+// lane's home shard, then stolen once it runs dry — and handed back newest
+// first leave every shard's list, the free count and the counters as they
+// were, and the frames with no tenant.
+func TestUnallocIsTheInverseOfAlloc(t *testing.T) {
+	c := newShardedCache(t, 8, 4) // two frames a shard
+	before := make([][]int32, len(c.shards))
+	for i := range c.shards {
+		before[i] = slices.Clone(c.shards[i].free)
+	}
+	c.TryAllocOn(3, 9, 0) // history that must survive: one allocation, no steal
+
+	const lane = 1
+	var taken []*Frame
+	for i := 0; i < 5; i++ { // two from home, three stolen
+		taken = append(taken, c.TryAllocOn(lane, 7, int64(i)*4096))
+	}
+	if c.Allocs() != 6 || c.Steals() != 3 || c.FreeFrames() != 2 {
+		t.Fatalf("after five allocations: %d allocs, %d steals, %d free", c.Allocs(), c.Steals(), c.FreeFrames())
+	}
+	for i := len(taken) - 1; i >= 0; i-- {
+		c.Unalloc(lane, taken[i])
+	}
+	if c.Allocs() != 1 || c.Steals() != 0 || c.FreeFrames() != 7 {
+		t.Errorf("after handing them back: %d allocs, %d steals, %d free; want 1, 0, 7", c.Allocs(), c.Steals(), c.FreeFrames())
+	}
+	before[3] = before[3][:1] // lane 3's allocation stands
+	for i := range c.shards {
+		if !slices.Equal(c.shards[i].free, before[i]) {
+			t.Errorf("shard %d lists %v, want %v", i, c.shards[i].free, before[i])
+		}
+	}
+	for _, f := range taken {
+		if !f.Matches(0, -1) {
+			t.Errorf("frame %d still has a tenant", f.Index)
+		}
+	}
 }

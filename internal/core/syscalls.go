@@ -28,10 +28,12 @@ type OpenFuture struct {
 	flags int
 	start simtime.Time
 
-	// fut is a successfully issued relaxed open, of descriptor fd; nil
-	// makes Wait perform a normal strong Open.
-	fd  int
-	fut *gsys.Future
+	// fut is a successfully issued relaxed open, of descriptor fd, that
+	// brought carried bytes of the file with it; nil makes Wait perform a
+	// normal strong Open.
+	fd      int
+	carried int64
+	fut     *gsys.Future
 }
 
 // OpenAhead issues gopen ahead of need: for a cold read-only open it
@@ -55,12 +57,19 @@ func (fs *FS) OpenAhead(b *gpu.Block, path string, flags int) *OpenFuture {
 	fs.opens.Add(1)
 	b.Busy(fs.opt.APICostPerPage) // control-plane bookkeeping, as in gopen
 
-	fut := fs.lane(b).OpenRelaxed(b.Clock, path, flags&hostFlagMask, hostfs.ModeRead|hostfs.ModeWrite)
+	c := fs.offer(b, f, newFileCache(path))
+	fut := fs.lane(b).OpenRelaxed(b.Clock, path, flags&hostFlagMask, hostfs.ModeRead|hostfs.ModeWrite, c.dsts())
 	reply, err := fut.Reply(), fut.Err()
 	var fc *fileCache
 	if err == nil {
 		fs.hostOpens.Add(1)
-		fc = fs.adopt(b, path, reply.Info, false)
+		fs.settle(b, &c, reply.Ns)
+		fc = fs.adopt(b, c.fc, reply.Info, false)
+		// The carried pages are usable when the open completes, which
+		// whoever reads them first waits for, as for any asynchronous fill.
+		of.carried = fs.accept(b, f, &c, fc, fut.Done())
+	} else {
+		fs.settle(b, &c, nil)
 	}
 	// Relaxed issues are never retried: a failure retracts the pending
 	// entry and lets Wait run the strong (retrying) open path instead.
@@ -80,7 +89,7 @@ func (of *OpenFuture) Wait(b *gpu.Block) (int, error) {
 		return of.fs.Open(b, of.path, of.flags)
 	}
 	of.fut.Wait(b.Clock)
-	of.fs.record(b, trace.OpOpen, of.path, 0, 0, of.start, nil)
+	of.fs.record(b, trace.OpOpen, of.path, 0, of.carried, of.start, nil)
 	return of.fd, nil
 }
 

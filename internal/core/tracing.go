@@ -58,11 +58,12 @@ func (fs *FS) pathOf(fd int) string {
 
 // The public API: thin tracing wrappers over the implementations.
 
-// Open implements gopen; see openImpl for semantics.
+// Open implements gopen; see openImpl for semantics. The event's size is the
+// bytes of the file the open carried in.
 func (fs *FS) Open(b *gpu.Block, path string, flags int) (int, error) {
 	start := b.Clock.Now()
-	fd, err := fs.openImpl(b, path, flags)
-	fs.record(b, trace.OpOpen, path, 0, 0, start, err)
+	fd, carried, err := fs.openImpl(b, path, flags)
+	fs.record(b, trace.OpOpen, path, 0, carried, start, err)
 	return fd, err
 }
 

@@ -29,7 +29,7 @@ func TestBindAddsNoAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := simtime.NewClock(0)
-	fd, _, err := root.Open(c, "/f", hostfs.O_RDONLY, rwMode)
+	fd, _, _, err := root.Open(c, "/f", hostfs.O_RDONLY, rwMode, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -214,23 +214,29 @@ func (c Client) doRelaxed(blk *simtime.Clock, sys Sysno, args []uint64, path str
 // --- The file syscalls ---
 
 // Open opens the host file, returning a daemon descriptor handle and the
-// file's metadata.
-func (c Client) Open(blk *simtime.Clock, path string, flags int, mode hostfs.Mode) (int64, hostfs.FileInfo, error) {
-	cl := &call{}
+// file's metadata. dsts, which may be nil, are device memory segments offered
+// for the file's content: a file that is not empty and fits in them whole is
+// read into them by the same transaction (one host read, one scattered DMA
+// that the lane's clock waits for, as Read's), and the bytes that landed in
+// each segment the file reached are returned. They are nil when nothing was
+// carried — the file is empty or larger than the offer, or the read failed,
+// which the open survives — and the contents of dsts are then undefined.
+func (c Client) Open(blk *simtime.Clock, path string, flags int, mode hostfs.Mode, dsts [][]byte) (int64, hostfs.FileInfo, []int, error) {
+	cl := readCall(dsts)
 	if err := c.do(blk, SysOpen, []uint64{uint64(flags), uint64(mode)}, path, nil, cl); err != nil {
-		return -1, hostfs.FileInfo{}, err
+		return -1, hostfs.FileInfo{}, nil, err
 	}
-	return cl.reply.FD, cl.reply.Info, nil
+	return cl.reply.FD, cl.reply.Info, cl.reply.Ns, nil
 }
 
 // OpenRelaxed is the relaxed non-blocking open behind open-ahead: the
-// handler runs immediately in real time (the handle and metadata are
-// valid on return) while the block's clock is untouched; the returned
-// Future completes at the open's virtual completion. Never retried; on a
+// handler runs immediately in real time (the handle, the metadata and the
+// counts of a carried read, Reply.Ns, are valid on return) while the block's
+// clock is untouched; the returned Future completes at the open's virtual
+// completion, which is when carried bytes become usable. Never retried; on a
 // transient fault the caller falls back to a strong Open.
-func (c Client) OpenRelaxed(blk *simtime.Clock, path string, flags int, mode hostfs.Mode) *Future {
-	cl := &call{}
-	return c.doRelaxed(blk, SysOpen, []uint64{uint64(flags), uint64(mode)}, path, nil, cl)
+func (c Client) OpenRelaxed(blk *simtime.Clock, path string, flags int, mode hostfs.Mode, dsts [][]byte) *Future {
+	return c.doRelaxed(blk, SysOpen, []uint64{uint64(flags), uint64(mode)}, path, nil, readCall(dsts))
 }
 
 // Close closes a daemon descriptor handle.

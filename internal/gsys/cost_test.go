@@ -1,6 +1,8 @@
 package gsys
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"gpufs/internal/hostfs"
@@ -89,11 +91,7 @@ func TestCostVecReadIsOneCycle(t *testing.T) {
 	fd, c := costFile(t, r, pages)
 	start, reads := c.Now(), r.srv.Requests(rpc.OpReadPages)
 
-	dsts := make([][]byte, pages)
-	for i := range dsts {
-		dsts[i] = make([]byte, costPage)
-	}
-	_, done, err := r.cl.ReadAsync(c, fd, 0, dsts)
+	_, done, err := r.cl.ReadAsync(c, fd, 0, pageSegments(pages))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,13 +109,105 @@ func TestCostVecReadIsOneCycle(t *testing.T) {
 	}
 }
 
+// TestCostVecReadShortFile: end of file leaves the trailing segments of a
+// vectored read empty, and the DMA engine walks no descriptor for a segment
+// that receives nothing.
+func TestCostVecReadShortFile(t *testing.T) {
+	const size = costPage + costPage/2
+	r := newRig(t, true)
+	r.write(t, "/f", make([]byte, size))
+	c := simtime.NewClock(simtime.Time(simtime.Second))
+	fd := r.open(t, c, "/f", hostfs.O_RDONLY)
+	start := c.Now()
+
+	ns, done, err := r.cl.ReadAsync(c, fd, 0, pageSegments(4))
+	if err != nil || len(ns) != 4 || ns[0] != costPage || ns[1] != costPage/2 || ns[2] != 0 || ns[3] != 0 {
+		t.Fatalf("read: ns=%v err=%v", ns, err)
+	}
+	scatter := rigBus.DMALatency / 8 // two segments received bytes: one extra descriptor
+	want := rigRPC.PollInterval + rigRPC.HandleCost + warmPread(size) + scatter + dma(size)
+	if got := done.Sub(start); got != want {
+		t.Fatalf("short 4-segment read completes after %v, want %v (a descriptor per offered segment gives %v)",
+			got, want, want+2*scatter)
+	}
+}
+
+// pageSegments makes n page-sized destination segments.
+func pageSegments(n int) [][]byte {
+	dsts := make([][]byte, n)
+	for i := range dsts {
+		dsts[i] = make([]byte, costPage)
+	}
+	return dsts
+}
+
+// TestCostCompoundOpen: an open that is offered room for the whole file
+// carries it — one ring transaction whose host work is the open, the stat and
+// one pread, and whose DMA the block waits for as it would for a read's. A
+// file the offer does not hold, an empty file and an open that offers nothing
+// cost the open and the stat alone.
+func TestCostCompoundOpen(t *testing.T) {
+	const size = costPage + costPage/2
+	plain := ringCycle() + 2*rigHost.SyscallOverhead
+	for _, tc := range []struct {
+		name  string
+		size  int
+		offer int
+		want  simtime.Duration
+		ns    []int
+	}{
+		{"fits", size, 3, plain + warmPread(size) + rigBus.DMALatency/8 + dma(size), []int{costPage, costPage / 2}},
+		{"one page", costPage, 1, plain + warmPread(costPage) + dma(costPage), []int{costPage}},
+		{"too large", size, 1, plain, nil},
+		{"empty", 0, 2, plain, nil},
+		{"nothing offered", size, 0, plain, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, true)
+			data := make([]byte, tc.size)
+			for i := range data {
+				data[i] = byte(i/7 + 1)
+			}
+			r.write(t, "/f", data)
+			c := simtime.NewClock(simtime.Time(simtime.Second))
+			start, requests := c.Now(), r.srv.TotalRequests()
+			_, _, dmas := r.link.Stats()
+
+			dsts := pageSegments(tc.offer)
+			_, info, ns, err := r.cl.Open(c, "/f", hostfs.O_RDONLY, rwMode, dsts)
+			if err != nil || info.Size != int64(tc.size) {
+				t.Fatalf("open: size=%d err=%v", info.Size, err)
+			}
+			if !slices.Equal(ns, tc.ns) {
+				t.Fatalf("open carried %v, want %v", ns, tc.ns)
+			}
+			var got []byte
+			for i, n := range ns {
+				got = append(got, dsts[i][:n]...)
+			}
+			if tc.ns != nil && !bytes.Equal(got, data) {
+				t.Error("the carried bytes are not the file's")
+			}
+			if got := r.srv.TotalRequests() - requests; got != 1 {
+				t.Errorf("the open was %d ring transactions, want 1", got)
+			}
+			if _, _, now := r.link.Stats(); now-dmas != int64(min(len(tc.ns), 1)) {
+				t.Errorf("the open started %d DMAs, want %d", now-dmas, min(len(tc.ns), 1))
+			}
+			if got := c.Now().Sub(start); got != tc.want {
+				t.Errorf("open cost %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
 // writeFile stages a warm one-page file and opens it for writing, like
 // costFile; it also returns the generation the file was opened at.
 func writeFile(t *testing.T, r *rig) (fd, gen int64, c *simtime.Clock) {
 	t.Helper()
 	r.write(t, "/f", make([]byte, costPage))
 	c = simtime.NewClock(simtime.Time(simtime.Second))
-	fd, info, err := r.cl.Open(c, "/f", hostfs.O_RDWR, rwMode)
+	fd, info, _, err := r.cl.Open(c, "/f", hostfs.O_RDWR, rwMode, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,7 +120,7 @@ func (r *rig) write(t *testing.T, path string, data []byte) {
 
 func (r *rig) open(t *testing.T, c *simtime.Clock, path string, flags int) int64 {
 	t.Helper()
-	fd, _, err := r.cl.Open(c, path, flags, rwMode)
+	fd, _, _, err := r.cl.Open(c, path, flags, rwMode, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestOpenReadWriteRoundTrip(t *testing.T) {
 		want := []byte("through the ring and back")
 		r.write(t, "/f", want)
 
-		fd, info, err := cl.Open(c, "/f", hostfs.O_RDWR, rwMode)
+		fd, info, _, err := cl.Open(c, "/f", hostfs.O_RDWR, rwMode, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -435,6 +435,41 @@ func TestHostEIOIsNotRetried(t *testing.T) {
 		}
 		if r.cl.RPC().Retries() != base {
 			t.Fatalf("EIO consumed retries")
+		}
+	})
+}
+
+// TestOpenSurvivesItsCarriedRead: the read an open carries is a convenience.
+// When it fails the open still succeeds, with its descriptor and metadata and
+// no counts — the caller reads the file itself and meets the error there — and
+// under short reads it is completed like any other read.
+func TestOpenSurvivesItsCarriedRead(t *testing.T) {
+	readVariants(t, func(t *testing.T, zeroCopy bool, segs int) {
+		want := bytes.Repeat([]byte{0xC3, 0x3C, 0x0F}, 3000)
+
+		r := newFaultyRig(t, zeroCopy, faults.Config{Seed: 4, HostReadEIOProb: 1.0})
+		r.write(t, "/f", want)
+		c := simtime.NewClock(0)
+		fd, info, ns, err := r.cl.Open(c, "/f", hostfs.O_RDONLY, rwMode, segments(make([]byte, len(want)), segs))
+		if err != nil || info.Size != int64(len(want)) {
+			t.Fatalf("open under a failing carried read: size=%d err=%v", info.Size, err)
+		}
+		if ns != nil {
+			t.Fatalf("failed carried read reported counts %v", ns)
+		}
+		if _, err := r.cl.Read(c, fd, 0, [][]byte{make([]byte, 4)}); !errors.Is(err, hostfs.ErrIO) {
+			t.Fatalf("the descriptor's own read error = %v, want ErrIO", err)
+		}
+
+		r = newFaultyRig(t, zeroCopy, faults.Config{Seed: 5, HostShortReadProb: 1})
+		r.write(t, "/f", want)
+		dst := make([]byte, len(want))
+		_, _, ns, err = r.cl.Open(simtime.NewClock(0), "/f", hostfs.O_RDONLY, rwMode, segments(dst, segs))
+		if err != nil || sum(ns) != len(want) || !bytes.Equal(dst, want) {
+			t.Fatalf("carried read under short reads: ns=%v err=%v", ns, err)
+		}
+		if r.inj.Injected(faults.HostShortRead) == 0 {
+			t.Fatal("no short read injected; the reassembly loop never ran")
 		}
 	})
 }

@@ -163,6 +163,14 @@ func (s *Service) readFull(cclk *simtime.Clock, f *hostfs.File, buf []byte, off 
 	return n, nil
 }
 
+// sysOpen opens the file, stats it and — when the call offers destination
+// segments and the whole file fits in them — reads it into them, so a small
+// file's first page rides with its open instead of costing a second ring
+// transaction. The read comes after the stat: the bytes can only be newer than
+// the generation the reply reports, never older, and a caching client that
+// trusts them under that generation is at worst invalidated early. A read that
+// fails leaves the open successful with no counts; the client's own read of
+// the file meets the error itself.
 func (s *Service) sysOpen(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 	f, err := s.srv.Layer().FS().Open(cclk, c.fr.Path, int(c.fr.Args[0]), hostfs.Mode(c.fr.Args[1]))
 	if err != nil {
@@ -179,7 +187,27 @@ func (s *Service) sysOpen(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 	s.fds[c.reply.FD] = f
 	s.mu.Unlock()
 	c.reply.Info = fi
+	if dsts := covering(c.dsts, fi.Size); dsts != nil {
+		if done, err := s.readInto(c, cclk, f, 0, dsts); err == nil {
+			return done, nil
+		}
+	}
 	return 0, nil
+}
+
+// covering returns the leading segments of dsts cut to hold exactly size
+// bytes, or nil when size is zero or more than dsts hold.
+func covering(dsts [][]byte, size int64) [][]byte {
+	if size <= 0 {
+		return nil
+	}
+	for i, d := range dsts {
+		if size <= int64(len(d)) {
+			return append(dsts[:i:i], d[:size])
+		}
+		size -= int64(len(d))
+	}
+	return nil
 }
 
 func (s *Service) sysClose(c *call, cclk *simtime.Clock) (simtime.Time, error) {
@@ -212,27 +240,36 @@ func staging(n int) (bp *[]byte, buf []byte) {
 }
 
 // sysRead reads the contiguous file extent at Args[1] and DMAs it into the
-// call's destination segments. The daemon worker performs the file read
-// synchronously (ordering file accesses per ring) — one pread, straight into
-// the destination when there is one segment — and hands the bulk transfer to
-// an asynchronous DMA channel; a blocking caller's clock advances to DMA
-// completion, while the worker is free as soon as the read finishes. A
-// failed read reports no counts.
+// call's destination segments.
 func (s *Service) sysRead(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 	f, err := s.file(int64(c.fr.Args[0]))
 	if err != nil {
 		return 0, err
 	}
-	off := int64(c.fr.Args[1])
-	var n int
-	if len(c.dsts) == 1 {
-		if n, err = s.readFull(cclk, f, c.dsts[0], off); err != nil {
+	return s.readInto(c, cclk, f, int64(c.fr.Args[1]), c.dsts)
+}
+
+// readInto is the one host read: the contiguous extent of f at off goes into
+// the device memory segments dsts, in order, and the reply reports the bytes
+// each received. The daemon worker performs the file read synchronously
+// (ordering file accesses per ring) — one pread, straight into the destination
+// when there is one segment — and hands the bulk transfer to an asynchronous
+// DMA channel; a blocking caller's clock advances to DMA completion, while the
+// worker is free as soon as the read finishes. The transfer pays a scatter
+// descriptor per segment that received bytes: one that end of file left empty
+// is not walked. A failed read reports no counts.
+func (s *Service) readInto(c *call, cclk *simtime.Clock, f *hostfs.File, off int64, dsts [][]byte) (simtime.Time, error) {
+	var n, segs int
+	var err error
+	if len(dsts) == 1 {
+		if n, err = s.readFull(cclk, f, dsts[0], off); err != nil {
 			return 0, err
 		}
 		c.reply.Ns = append(c.n[:0], n)
+		segs = 1
 	} else {
 		total := 0
-		for _, d := range c.dsts {
+		for _, d := range dsts {
 			total += len(d)
 		}
 		bp, buf := staging(total)
@@ -240,14 +277,17 @@ func (s *Service) sysRead(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 		if n, err = s.readFull(cclk, f, buf, off); err != nil {
 			return 0, err
 		}
-		c.reply.Ns = make([]int, len(c.dsts))
+		c.reply.Ns = make([]int, len(dsts))
 		rest := buf[:n]
-		for i, d := range c.dsts {
+		for i, d := range dsts {
 			c.reply.Ns[i] = copy(d, rest)
 			rest = rest[c.reply.Ns[i]:]
+			if c.reply.Ns[i] > 0 {
+				segs++
+			}
 		}
 	}
-	return c.rpc.Link().ChargeScatter(cclk.Now(), pcie.HostToDevice, int64(n), len(c.dsts), s.zeroCopy), nil
+	return c.rpc.Link().ChargeScatter(cclk.Now(), pcie.HostToDevice, int64(n), segs, s.zeroCopy), nil
 }
 
 // sysWrite is the first stretch of a write: it resolves the file and starts

@@ -202,15 +202,16 @@ func (st Stats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "serve: %d completed, %d failed in %.3fs virtual (%.1f jobs/launch, %.0f%% affinity hits)\n",
 		st.Completed(), st.Failed(), st.Now.Seconds(), st.BatchFactor(), 100*st.AffinityHitRate())
-	var pfIssued, pfUsed, pfWasted, cleaned int64
+	var pfIssued, pfUsed, pfWasted, carried, cleaned int64
 	for _, g := range st.GPUs {
 		pfIssued += g.PrefetchIssued
 		pfUsed += g.PrefetchUsed
 		pfWasted += g.PrefetchWasted
+		carried += g.OpenFilled
 		cleaned += g.CleanedPages
 	}
-	fmt.Fprintf(&b, "cache: %d pages prefetched, %.0f%% hit rate (%d wasted), %d cleaned in background\n",
-		pfIssued, 100*st.PrefetchHitRate(), pfWasted, cleaned)
+	fmt.Fprintf(&b, "cache: %d pages prefetched, %.0f%% hit rate (%d wasted), %d carried in by their gopen, %d cleaned in background\n",
+		pfIssued, 100*st.PrefetchHitRate(), pfWasted, carried, cleaned)
 	var zc, steals int64
 	for _, g := range st.GPUs {
 		zc += g.ZeroCopyReads

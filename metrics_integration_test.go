@@ -184,6 +184,7 @@ func TestPrometheusExportCoverage(t *testing.T) {
 	for _, name := range []string{
 		"gpufs_core_op_seconds",
 		"gpufs_core_cache_hits_total",
+		"gpufs_core_open_filled_pages_total",
 		"gpufs_rpc_service_time_seconds",
 		"gpufs_rpc_requests_total",
 		"gpufs_pcie_bytes_total",
@@ -198,6 +199,17 @@ func TestPrometheusExportCoverage(t *testing.T) {
 		}
 		if len(fam.Samples) == 0 {
 			t.Errorf("family %s present but empty", name)
+		}
+	}
+	// Each corpus file fits one buffer-cache page, so its first gopen on a GPU
+	// carries it (and says so: the family has a help text).
+	if fam := fams["gpufs_core_open_filled_pages_total"]; fam != nil {
+		var filled float64
+		for _, s := range fam.Samples {
+			filled += s.Value
+		}
+		if filled == 0 || fam.Help == "" {
+			t.Errorf("gpufs_core_open_filled_pages_total sums to %v with help %q; want the carried corpus pages and a help text", filled, fam.Help)
 		}
 	}
 	counts := map[string]int{}
