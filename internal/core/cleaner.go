@@ -147,7 +147,7 @@ func (fs *FS) runCleanerPass(a actor) {
 		if v.class == 0 {
 			// Dirty-only: clean frames of a closed file are cheap for a
 			// faulting block to reclaim and may yet be re-hit by a reopen.
-			evicted += fs.evictFromFile(a, v, c.high-free, true)
+			evicted += fs.evictFromFile(a, v, c.high-free, evictDirty)
 			continue
 		}
 		if cleaned < maxCleanPerPass {

@@ -13,10 +13,10 @@ import (
 )
 
 // Golden cost tests for the read and write paths: what one cache hit, one
-// page fault, one vectored fill, one gwrite miss, one gfsync and one gftruncate
-// cost in virtual time and in requests on an idle machine, with every
-// expected value derived from Options and the rig's rpc, pcie and hostfs
-// parameters (internal/gsys/cost_test.go pins the syscall below the fault
+// page fault, one vectored fill (speculative over a dry pool too), one gwrite
+// miss, one gfsync and one gftruncate cost in virtual time and in requests on
+// an idle machine, with every expected value derived from Options and the
+// rig's rpc, pcie and hostfs parameters (internal/gsys/cost_test.go pins the syscall below the fault
 // the same way). A change to where a layer charges its time fails here by
 // layer, before it moves an end-to-end number.
 
@@ -203,6 +203,58 @@ func TestCostSkipRule(t *testing.T) {
 			t.Errorf("%d-page resident gread cost %v, want %d single-page hits = %v", k, got, k, want)
 		}
 	})
+}
+
+// TestCostSpeculativeReclaim: a speculative fill that finds the pool dry
+// reclaims the k frames it wants from a closed file's clean pages and pays the
+// block, for each, the APICostPerPage a demand eviction pays, beside the
+// span's usual charges — a claim per page and an API call per coalesced RPC.
+// It sends the host nothing but those reads.
+func TestCostSpeculativeReclaim(t *testing.T) {
+	const k = 4
+	opt := defaultOpt()
+	ps := opt.PageSize
+	frames := opt.CacheBytes / ps
+	h := newHarness(t, 1, opt)
+	fs := h.fss[0]
+	h.write(t, "/closed", pattern(int(frames*ps), 1))
+	h.write(t, "/f", pattern(k*int(ps), 2))
+	_, err := h.devs[0].Launch(simtime.Time(simtime.Second), 1, 64, func(b *gpu.Block) error {
+		fd, err := fs.Open(b, "/closed", O_RDONLY)
+		if err != nil {
+			return err
+		}
+		gread(t, fs, b, fd, frames*ps) // the whole pool
+		if err := fs.Close(b, fd); err != nil {
+			return err
+		}
+		if fd, err = fs.Open(b, "/f", O_RDONLY); err != nil {
+			return err
+		}
+		if free := fs.cache.FreeFrames(); free != 0 {
+			t.Fatalf("%d frames free, want a dry pool", free)
+		}
+		reads, requests := h.server.Requests(rpc.OpReadPages), h.server.TotalRequests()
+		cost := elapsed(b, func() { fs.spanFetch(b, fs.ft.fds[fd], 0, k, 1, pcache.SpecPending, gsys.GranBlock) })
+
+		rpcs := k * ps / raMaxSpanBytes
+		probe := opt.APICostPerPage >> probeCostShift
+		if want := k*opt.APICostPerPage + k*probe + simtime.Duration(rpcs)*opt.APICostPerPage; cost != want {
+			t.Errorf("a %d-page speculative fill over %d reclaimed pages cost %v, want %d evictions + %d claims + %d API calls = %v",
+				k, k, cost, k, k, rpcs, want)
+		}
+		if r, all := h.server.Requests(rpc.OpReadPages)-reads, h.server.TotalRequests()-requests; r != rpcs || all != rpcs {
+			t.Errorf("%d read requests of %d requests, want %d of %d", r, all, rpcs, rpcs)
+		}
+		if got := fs.CacheStats().SpecReclaimed; got != k {
+			t.Errorf("%d pages reclaimed for speculation, want %d", got, k)
+		}
+		return fs.Close(b, fd)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.checkDirtyCounts(t)
 }
 
 // TestCostSmallFileRidesWithItsOpen: with read-ahead on, gopen + gread + gclose

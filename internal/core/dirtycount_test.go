@@ -19,15 +19,19 @@ import (
 // checkDirtyCounts asserts, on a quiescent fs, that every fileCache's dirty
 // count is the number of its resident frames with Dirty set and that the FS
 // total is their sum — so no cache that left the tables took a count with it.
+// The clean counts are held to the same: a cache's is its resident frames
+// less its dirty ones, flagged exactly while it is retired, and the closed
+// table's total is the retired caches' sum.
 func checkDirtyCounts(t *testing.T, fs *FS) {
 	t.Helper()
-	seen := make(map[*fileCache]bool)
-	fs.ft.each(func(fc *fileCache, _ string, _ int, _ *file) { seen[fc] = true })
+	retired := make(map[*fileCache]bool)
+	fs.ft.each(func(fc *fileCache, _ string, _ int, f *file) { retired[fc] = f == nil })
 
-	var sum int64
-	for fc := range seen {
-		var dirty int64
+	var sum, closedClean int64
+	for fc, isRetired := range retired {
+		var resident, dirty int64
 		fc.tree.ForEachReadyPage(func(_ uint64, p *radix.FPage) bool {
+			resident++
 			if fs.cache.Frame(p.Frame()).Dirty.Load() {
 				dirty++
 			}
@@ -37,9 +41,19 @@ func checkDirtyCounts(t *testing.T, fs *FS) {
 			t.Errorf("gpu%d %s: dirty count %d, but %d resident frames are dirty", fs.gpuID, fc.path, got, dirty)
 		}
 		sum += dirty
+		if w := fc.clean.Load(); w>>1 != resident-dirty || (w&1 != 0) != isRetired {
+			t.Errorf("gpu%d %s: clean count %d (retired bit %d), but %d resident frames are clean (retired %v)",
+				fs.gpuID, fc.path, w>>1, w&1, resident-dirty, isRetired)
+		}
+		if isRetired {
+			closedClean += resident - dirty
+		}
 	}
 	if got := fs.dirtyPages.Load(); got != sum {
 		t.Errorf("gpu%d: FS dirty total %d, its files hold %d dirty frames", fs.gpuID, got, sum)
+	}
+	if got := fs.ft.closedClean.Load(); got != closedClean {
+		t.Errorf("gpu%d: closed table's clean total %d, its caches hold %d clean frames", fs.gpuID, got, closedClean)
 	}
 }
 

@@ -80,19 +80,38 @@ func TestFaultStressOracle(t *testing.T) {
 	if testing.Short() {
 		seeds = 50
 	}
-	var totalInjected atomic.Int64
-	t.Cleanup(func() {
-		if !t.Failed() && totalInjected.Load() == 0 {
-			t.Errorf("no faults fired across %d seeds; the stress test is vacuous", seeds)
-		}
-	})
+	totals := newStressTotals(t, seeds)
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			runFaultStress(t, seed, 1, 1, &totalInjected)
+			runFaultStress(t, seed, 1, 1, totals)
 		})
 	}
+}
+
+// stressTotals sums over a suite's seeds what no one seed is sure to reach
+// and the suite must, or it is vacuous: injected faults, and pages a
+// confirmed stream's speculation reclaimed from a closed file (a failed read
+// can keep a seed's stride from confirming).
+type stressTotals struct {
+	injected, specReclaimed atomic.Int64
+}
+
+func newStressTotals(t *testing.T, seeds int) *stressTotals {
+	s := &stressTotals{}
+	t.Cleanup(func() {
+		if t.Failed() {
+			return
+		}
+		if s.injected.Load() == 0 {
+			t.Errorf("no faults fired across %d seeds; the stress test is vacuous", seeds)
+		}
+		if s.specReclaimed.Load() == 0 {
+			t.Errorf("speculation reclaimed no closed page across %d seeds; the neighbour reader no longer reaches it", seeds)
+		}
+	})
+	return s
 }
 
 // TestFaultStressOracleSharded reruns the full oracle on a sharded
@@ -105,22 +124,17 @@ func TestFaultStressOracleSharded(t *testing.T) {
 	if testing.Short() {
 		seeds = 50
 	}
-	var totalInjected atomic.Int64
-	t.Cleanup(func() {
-		if !t.Failed() && totalInjected.Load() == 0 {
-			t.Errorf("no faults fired across %d seeds; the stress test is vacuous", seeds)
-		}
-	})
+	totals := newStressTotals(t, seeds)
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			runFaultStress(t, seed, 4, 4, &totalInjected)
+			runFaultStress(t, seed, 4, 4, totals)
 		})
 	}
 }
 
-func runFaultStress(t *testing.T, seed int64, shards, workers int, totalInjected *atomic.Int64) {
+func runFaultStress(t *testing.T, seed int64, shards, workers int, totals *stressTotals) {
 	rng := rand.New(rand.NewSource(seed))
 	fcfg := faults.Config{
 		Seed:                seed,
@@ -161,13 +175,20 @@ func runFaultStress(t *testing.T, seed int64, shards, workers int, totalInjected
 	}
 	h := newFaultHarness(t, opt, fcfg, shards, workers)
 	fs := h.fss[0]
-	defer func() { totalInjected.Add(h.inj.TotalInjected()) }()
+	defer func() {
+		totals.injected.Add(h.inj.TotalInjected())
+		totals.specReclaimed.Add(fs.specReclaimed.Load())
+	}()
 
 	const maxFile = 200 << 10 // ~12 pages, double the cache
 	noise := make([]byte, 96<<10)
 	rand.New(rand.NewSource(seed ^ 0x6e015e)).Read(noise)
+	closed := pattern(3*int(opt.PageSize), byte(seed))
+	neighbour := pattern(10*int(opt.PageSize), byte(seed>>8))
 	h.inj.SetEnabled(false)
 	h.write(t, "/stress", nil)
+	h.write(t, "/closed", closed)
+	h.write(t, "/neighbour", neighbour)
 	if shards > 1 {
 		h.write(t, "/noise", noise)
 	}
@@ -260,6 +281,35 @@ func runFaultStress(t *testing.T, seed int64, shards, workers int, totalInjected
 		return nil
 	}
 
+	// neighbourReader is block 0's prelude: it leaves /closed's three pages
+	// retired and clean, then reads /neighbour page by page, so the stride
+	// confirms (third page) as the last free frame goes and the stream's
+	// speculation must reclaim /closed's pages — under the same faults, racing
+	// a failed fill's abort and the cleaner. Any prefix a read returns must be
+	// truthful; a failed read or close is tolerated, both files being
+	// read-only.
+	neighbourReader := func(b *gpu.Block) error {
+		read := func(path string, want []byte, chunk int64) error {
+			fd, err := fs.Open(b, path, O_RDONLY)
+			if err != nil {
+				return nil // an injected give-up: nothing was read
+			}
+			buf := make([]byte, chunk)
+			for off := int64(0); off < int64(len(want)); off += chunk {
+				got, err := fs.Read(b, fd, buf, off)
+				if !bytes.Equal(buf[:got], want[off:off+int64(got)]) {
+					return fmt.Errorf("%s: content mismatch at %d+%d (err=%v)", path, off, got, err)
+				}
+			}
+			_ = fs.Close(b, fd)
+			return nil
+		}
+		if err := read("/closed", closed, int64(len(closed))); err != nil {
+			return err
+		}
+		return read("/neighbour", neighbour, opt.PageSize)
+	}
+
 	blocks := 1
 	if shards > 1 {
 		blocks = 2
@@ -272,6 +322,9 @@ func runFaultStress(t *testing.T, seed int64, shards, workers int, totalInjected
 		}
 		if blocks > 1 {
 			<-noiseDone
+		}
+		if err := neighbourReader(b); err != nil {
+			return err
 		}
 		for step := 0; step < 140; step++ {
 			switch op := rng.Intn(100); {

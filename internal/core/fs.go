@@ -168,6 +168,10 @@ type FS struct {
 	// stride detector's feedback loop, and it did not issue these.
 	openFilled atomic.Int64
 
+	// specReclaimed counts closed files' clean pages a confirmed stream's
+	// speculation reclaimed for itself (reclaimForSpec in paging.go).
+	specReclaimed atomic.Int64
+
 	// dirtyPages counts resident pages whose Frame.Dirty is set, over every
 	// file: the sum of fileCache.dirty, kept by setDirty for the cleaner.
 	dirtyPages atomic.Int64
@@ -295,6 +299,7 @@ func (fs *FS) attachMetrics(reg *metrics.Registry) {
 	reg.SetHelp("gpufs_core_prefetch_used_total", "Speculative pages later consumed by a demand access")
 	reg.SetHelp("gpufs_core_prefetch_wasted_total", "Speculative pages reclaimed unconsumed")
 	reg.SetHelp("gpufs_core_open_filled_pages_total", "Pages a host gopen carried in with its own ring transaction")
+	reg.SetHelp("gpufs_core_spec_reclaimed_pages_total", "Closed files' clean pages reclaimed by read-ahead for its own speculation")
 	reg.SetHelp("gpufs_core_cleaned_pages_total", "Pages the background cleaner wrote back or pre-evicted")
 	reg.SetHelp("gpufs_core_cleaner_kicks_total", "Background-cleaner wake-ups")
 	reg.SetHelp("gpufs_core_opens_total", "gopen calls")
@@ -322,6 +327,7 @@ func (fs *FS) attachMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("gpufs_core_prefetch_used_total", fs.prefetchUsed.Load, "gpu", gpuL)
 	reg.CounterFunc("gpufs_core_prefetch_wasted_total", fs.prefetchWasted.Load, "gpu", gpuL)
 	reg.CounterFunc("gpufs_core_open_filled_pages_total", fs.openFilled.Load, "gpu", gpuL)
+	reg.CounterFunc("gpufs_core_spec_reclaimed_pages_total", fs.specReclaimed.Load, "gpu", gpuL)
 	reg.CounterFunc("gpufs_core_cleaned_pages_total", fs.cleanedPages.Load, "gpu", gpuL)
 	reg.CounterFunc("gpufs_core_cleaner_kicks_total", fs.cleanerKicks.Load, "gpu", gpuL)
 	reg.CounterFunc("gpufs_core_opens_total", fs.opens.Load, "gpu", gpuL)
@@ -455,6 +461,11 @@ type CacheStats struct {
 	// file that fits one coalesced span costs one ring transaction, not two.
 	// They are not speculation and appear in no Prefetch* counter.
 	OpenFilled int64
+	// SpecReclaimed counts pages reclaimed by read-ahead for its own
+	// speculation when the frame pool was dry: clean pages of closed files,
+	// never an open file's and never one that needed a write-back. They are
+	// also in the paging algorithm's pages reclaimed.
+	SpecReclaimed int64
 }
 
 // CkptStats are the checkpoint engine's counters (ISSUE 10).
@@ -513,6 +524,7 @@ func (fs *FS) CacheStats() CacheStats {
 		HistoryReplays:       fs.historyReplays.Load(),
 		HistoryInvalidations: fs.historyInvalidations.Load(),
 		OpenFilled:           fs.openFilled.Load(),
+		SpecReclaimed:        fs.specReclaimed.Load(),
 	}
 }
 

@@ -103,6 +103,13 @@ type fileCache struct {
 	// cleaner pass can skip a file that has none (see setDirty).
 	dirty atomic.Int64
 
+	// clean counts resident pages the host has — frames less dirty — shifted
+	// left one bit, with bit 0 set while the cache is retired. One word, so a
+	// page moving while the cache retires or leaves the closed table lands in
+	// the table's total (closedClean) exactly when it lands here under the bit:
+	// page.go moves the count (addClean), the table the bit (setRetired).
+	clean atomic.Int64
+
 	// The closed table's fields, guarded by its lock. keepFd is the host
 	// descriptor retained after the last gclose ("the CPU file descriptor
 	// used for data requests", §4.1: keeping it makes a reopen free of CPU
@@ -155,6 +162,9 @@ type ftable struct {
 	ring         fileCache
 	closed       map[int64]*fileCache
 	closedByPath map[string]*fileCache
+	// closedClean is the clean pages the retired caches hold — what a
+	// confirmed stream's speculation may reclaim — kept without the lock.
+	closedClean atomic.Int64
 
 	// truncated records paths already truncated by an O_TRUNC open, so a
 	// re-open by a late-scheduled threadblock (after the reference count
@@ -318,8 +328,44 @@ func (t *ftable) release(fd int) (f *file, last bool, discard []retiree, err err
 	fc.older.newer, t.ring.older = fc, fc
 	t.closed[fc.ino] = fc
 	t.closedByPath[f.path] = fc
+	t.setRetired(fc, true)
 	return f, true, discard, nil
 }
+
+// setRetired moves fc's retired bit, and its clean pages into or out of the
+// closed table's total with it. A CAS, not a lock: pages of a retired cache
+// are evicted concurrently, and each one is counted in the total exactly when
+// its addClean saw the bit.
+func (t *ftable) setRetired(fc *fileCache, retired bool) {
+	for {
+		old := fc.clean.Load()
+		if (old&1 != 0) == retired {
+			panic(fmt.Sprintf("gpufs: %q already has retired=%v", fc.path, retired))
+		}
+		if fc.clean.CompareAndSwap(old, old^1) {
+			if retired {
+				t.closedClean.Add(old >> 1)
+			} else {
+				t.closedClean.Add(-(old >> 1))
+			}
+			return
+		}
+	}
+}
+
+// addClean moves fc's count of clean resident pages by d, and the closed
+// table's total with it while fc is retired. page.go calls it wherever a frame
+// or a dirty flag moves.
+func (t *ftable) addClean(fc *fileCache, d int64) {
+	if fc.clean.Add(d<<1)&1 != 0 {
+		t.closedClean.Add(d)
+	}
+}
+
+// closedCleanPages reports how many clean pages the retired caches hold: O(1)
+// and allocation-free, for raIssue's budget clamp. It can lag a page moving
+// right now, never drift.
+func (t *ftable) closedCleanPages() int64 { return max(t.closedClean.Load(), 0) }
 
 // unlink is gunlink's table half: an open file is marked for discard at its
 // final close, a retired one leaves the closed table for the caller to discard.
@@ -355,6 +401,7 @@ func (t *ftable) removeLocked(fc *fileCache) retiree {
 	fc.older, fc.newer = nil, nil
 	delete(t.closed, fc.ino)
 	delete(t.closedByPath, fc.retiredAs)
+	t.setRetired(fc, false)
 	r := retiree{fc: fc, hostFd: fc.keepFd}
 	fc.keepFd = 0
 	return r
@@ -442,4 +489,19 @@ func (t *ftable) victims() []victim {
 		}
 	}
 	return out
+}
+
+// cleanVictims appends to dst, up to its capacity, the closed files that hold
+// clean pages, oldest retirement first: the head of victims' order, for
+// speculation, which may take nothing else. A caller's array keeps it off the
+// heap.
+func (t *ftable) cleanVictims(dst []victim) []victim {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for fc := t.ring.newer; fc != &t.ring && len(dst) < cap(dst); fc = fc.newer {
+		if fc.clean.Load()>>1 > 0 {
+			dst = append(dst, victim{fc: fc, hostFd: fc.keepFd, class: 0})
+		}
+	}
+	return dst
 }

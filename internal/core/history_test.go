@@ -64,8 +64,8 @@ type histWorkload struct {
 	// starts from nothing, as on a first open.
 	cold bool
 	// poolFull leaves the churn file's pages resident, so the re-open
-	// finds no free frame and speculates only into what its own demand
-	// faults evict.
+	// finds no free frame and speculates into the closed churn file's clean
+	// pages.
 	poolFull bool
 	tweak    func(*Options)
 }
@@ -190,12 +190,13 @@ func TestHistoryReplayBeatsColdDetector(t *testing.T) {
 }
 
 // TestHistoryReopenUnderFullPool is the shape the test above steps around
-// by unlinking the churn file: the pool is full at the re-open, so
-// speculation only ever finds the few frames demand eviction has just
-// freed. History must not make that worse — the seeded re-open issues at
-// least as many speculative pages as the cold detector and finishes no
-// later. (The replay engine this replaced issued nothing here and switched
-// the detector off while it waited.)
+// by unlinking the churn file: the pool is full at the re-open, of the
+// closed churn file's clean pages, so speculation reclaims its frames from
+// them (never an open file's page, never a write-back) and the open-time
+// pre-warm does so before the first demand read. History must not make that
+// worse — the seeded re-open issues at least as many speculative pages as the
+// cold detector and finishes no later. (The replay engine this replaced
+// issued nothing here and switched the detector off while it waited.)
 func TestHistoryReopenUnderFullPool(t *testing.T) {
 	for _, shape := range histShapes() {
 		shape := shape

@@ -51,6 +51,16 @@ func (fs *FS) setDirty(fc *fileCache, fr *pcache.Frame, dirty bool) {
 	}
 	fc.dirty.Add(d)
 	fs.dirtyPages.Add(d)
+	fs.ft.addClean(fc, -d)
+}
+
+// addFrames moves fc's resident-page count by d, and its clean count with it:
+// a frame arrives clean and leaves clean (reclaim clears a dropped page's flag
+// first). The clean count is speculation's budget over the closed table
+// (closedCleanPages), read without a walk.
+func (fs *FS) addFrames(fc *fileCache, d int64) {
+	fc.frames.Add(d)
+	fs.ft.addClean(fc, d)
 }
 
 // actor is who runs a lifecycle step that talks to the host or costs time: a
@@ -95,7 +105,7 @@ func claim(fp *radix.FPage, leaf *radix.Node) bool {
 func (fs *FS) takeFrame(lane int, fc *fileCache, offset int64) *pcache.Frame {
 	fr := fs.cache.TryAllocOn(lane, fc.tree.ID(), offset)
 	if fr != nil {
-		fc.frames.Add(1)
+		fs.addFrames(fc, 1)
 	}
 	return fr
 }
@@ -145,7 +155,7 @@ func (fs *FS) publishOverwrite(b *gpu.Block, f *file, r pageRef, src []byte) {
 func (fs *FS) abort(fc *fileCache, r pageRef) {
 	if r.fr != nil {
 		fs.cache.Release(r.fr, false)
-		fc.frames.Add(-1)
+		fs.addFrames(fc, -1)
 	}
 	r.fp.AbortInit()
 }
@@ -166,8 +176,10 @@ type carry struct {
 // offer takes free frames for the first pages of fc — the fresh cache of f's
 // host open, which no table knows yet — for the open to carry the file's
 // content into: as many as one coalesced span holds, fewer when the pool runs
-// dry, since like every speculative fill an open never evicts. The gate is
-// read-ahead's own; a file being truncated has nothing worth carrying.
+// dry, since an open never evicts — not even the closed files' clean pages a
+// confirmed stream's speculation may take (spanFetch): nothing confirmed it.
+// The gate is read-ahead's own; a file being truncated has nothing worth
+// carrying.
 func (fs *FS) offer(b *gpu.Block, f *file, fc *fileCache) carry {
 	c := carry{fc: fc}
 	if !fs.opt.ReadAheadAdaptive || !f.readable || f.writeOnce || f.flags&O_TRUNC != 0 {
@@ -209,7 +221,7 @@ func (fs *FS) settle(b *gpu.Block, c *carry, ns []int) {
 	}
 	for i := len(c.frames) - 1; i >= k; i-- {
 		fs.cache.Unalloc(b.Idx, c.frames[i])
-		c.fc.frames.Add(-1)
+		fs.addFrames(c.fc, -1)
 	}
 	c.frames, c.ns = c.frames[:k], ns[:k]
 }
@@ -453,7 +465,7 @@ func (fs *FS) reclaim(clk *simtime.Clock, fc *fileCache, fp *radix.FPage, fr *pc
 	// invalidation, the card's restart.
 	fs.setDirty(fc, fr, false)
 	fs.cache.Release(fr, byPaging)
-	fc.frames.Add(-1)
+	fs.addFrames(fc, -1)
 	fp.FinishEvict()
 	return wasted
 }

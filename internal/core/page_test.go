@@ -54,7 +54,7 @@ func TestPutBackKeepsThePage(t *testing.T) {
 		free := fs.cache.FreeFrames()
 
 		h.inj.SetEnabled(true) // every write-back fails with EIO
-		n := fs.evictFromFile(fs.blockActor(b), v, pages, false)
+		n := fs.evictFromFile(fs.blockActor(b), v, pages, evictAny)
 		h.inj.SetEnabled(false)
 		if n != 0 {
 			t.Errorf("reclaimed %d pages whose write-back failed", n)
@@ -78,7 +78,7 @@ func TestPutBackKeepsThePage(t *testing.T) {
 			t.Error("the failed write-back left no deferred error on the file")
 		}
 
-		if n := fs.evictFromFile(fs.blockActor(b), v, pages, false); n != pages {
+		if n := fs.evictFromFile(fs.blockActor(b), v, pages, evictAny); n != pages {
 			t.Errorf("second pass reclaimed %d of %d put-back pages", n, pages)
 		}
 		if got := fc.frames.Load(); got != 0 {

@@ -13,15 +13,22 @@ import (
 
 // maxBatchFetch caps how many pages of one multi-page gread are issued as
 // concurrent in-flight fetches ahead of the copy loop. The cap bounds
-// speculative frame pressure: batched fetches use TryAlloc and never evict,
-// so a burst cannot push resident data out of a tight cache.
+// asynchronous frame pressure: a gread's batch only takes free frames and
+// never evicts, so a burst cannot push resident data out of a tight cache.
 const maxBatchFetch = 16
 
-// fetchBudget reports how many concurrent speculative fetches a multi-page
+// fetchBudget reports how many concurrent asynchronous fetches a multi-page
 // read may issue right now, scaled down when the frame pool is nearly
 // drained so demand faults keep priority over pipelining.
-func (fs *FS) fetchBudget() int {
-	free := fs.cache.FreeFrames()
+func (fs *FS) fetchBudget() int { return budgetOf(fs.cache.FreeFrames()) }
+
+// specBudget is fetchBudget for a confirmed stream's speculation, which may
+// also reclaim the closed files' clean pages (spanFetch): they count as free.
+func (fs *FS) specBudget() int {
+	return budgetOf(fs.cache.FreeFrames() + int(fs.ft.closedCleanPages()))
+}
+
+func budgetOf(free int) int {
 	budget := maxBatchFetch
 	if free < budget*2 {
 		budget = free / 2
@@ -107,18 +114,51 @@ func (fs *FS) evictPages(a actor, target int) int {
 		if reclaimed >= target {
 			break
 		}
-		reclaimed += fs.evictFromFile(a, v, target-reclaimed, false)
+		reclaimed += fs.evictFromFile(a, v, target-reclaimed, evictAny)
 	}
 	return reclaimed
 }
 
-// evictFromFile reclaims up to target pages from v on behalf of actor a.
-// With dirtyOnly set (the cleaner's pre-eviction mode) clean frames are
-// left resident: evicting a clean frame costs a faulting block no RPC, so
-// pre-evicting it early only destroys cache that a reopen would still hit —
-// the cleaner's win is taking the write-back, not the release, off the
-// critical path.
-func (fs *FS) evictFromFile(a actor, v victim, target int, dirtyOnly bool) int {
+// reclaimForSpec frees up to target frames for a confirmed stream's
+// speculation (spanFetch), on b's clock: clean pages of closed files, oldest
+// retirement first and oldest leaf first — the head of paging's own order —
+// each at the APICostPerPage a demand eviction pays. Never an open file's
+// page and never a write-back: a guess may not cost resident data its place or
+// the daemon a round trip.
+func (fs *FS) reclaimForSpec(b *gpu.Block, target int) int {
+	var buf [8]victim
+	a := fs.blockActor(b)
+	reclaimed := 0
+	for _, v := range fs.ft.cleanVictims(buf[:0]) {
+		if reclaimed >= target {
+			break
+		}
+		reclaimed += fs.evictFromFile(a, v, target-reclaimed, evictClean)
+	}
+	fs.specReclaimed.Add(int64(reclaimed))
+	return reclaimed
+}
+
+// evictMode says which of a victim's resident pages a pass may take.
+type evictMode int
+
+const (
+	// evictAny is demand paging: dirty pages are written back, then freed.
+	evictAny evictMode = iota
+	// evictDirty is the cleaner's pre-eviction: clean frames stay resident.
+	// Evicting a clean frame costs a faulting block no RPC, so pre-evicting
+	// it early only destroys cache that a reopen would still hit — the
+	// cleaner's win is taking the write-back, not the release, off the
+	// critical path.
+	evictDirty
+	// evictClean is speculation's (reclaimForSpec): dirty frames stay
+	// resident, so the pass sends nothing.
+	evictClean
+)
+
+// evictFromFile reclaims up to target pages from v on behalf of actor a,
+// taking only what mode allows.
+func (fs *FS) evictFromFile(a actor, v victim, target int, mode evictMode) int {
 	start := a.clk.Now()
 	fc := v.fc
 	reclaimed := 0
@@ -138,8 +178,9 @@ func (fs *FS) evictFromFile(a actor, v victim, target int, dirtyOnly bool) int {
 	// would reclaim nothing forever while evictable pages sit in younger
 	// leaves — the faulting block would spin to a spurious ErrCacheFull.
 	// So the scan runs deeper until it frees at least one page. The
-	// cleaner's dirty-only passes keep the hard bound instead: they may
-	// legitimately find nothing to do, and demand eviction follows anyway.
+	// cleaner's dirty-only and speculation's clean-only passes keep the hard
+	// bound instead: they may legitimately find nothing to do, and demand
+	// eviction follows anyway.
 	maxLeaves := target/64 + 8*fs.cache.Shards()
 	scanned := 0
 	// The epoch guard spans the FIFO snapshot AND its use: leaves this
@@ -150,7 +191,7 @@ func (fs *FS) evictFromFile(a actor, v victim, target int, dirtyOnly bool) int {
 	g := fc.tree.Pin()
 	defer g.Exit()
 	for _, leaf := range fc.tree.OldestLeaves(1 << 20) {
-		if scanned >= maxLeaves && (reclaimed > 0 || dirtyOnly) {
+		if scanned >= maxLeaves && (reclaimed > 0 || mode != evictAny) {
 			break
 		}
 		scanned++
@@ -168,12 +209,12 @@ func (fs *FS) evictFromFile(a actor, v victim, target int, dirtyOnly bool) int {
 				live++
 				continue
 			}
-			// Put the page back rather than pre-evict a clean frame, lose
-			// dirty data for want of a descriptor to write through, or
-			// drop a page whose write-back failed: it stays dirty and
+			// Put the page back rather than take one mode leaves alone,
+			// lose dirty data for want of a descriptor to write through,
+			// or drop a page whose write-back failed: it stays dirty and
 			// the owner learns of the failure at its next sync.
 			dirty := fr.Dirty.Load()
-			keep := dirtyOnly && !dirty || dirty && v.hostFd == 0
+			keep := mode == evictDirty && !dirty || mode == evictClean && dirty || dirty && v.hostFd == 0
 			if dirty && !keep {
 				if err := wb.frame(fr); err != nil {
 					fc.recordWriteErr(err)

@@ -122,9 +122,10 @@ func (fs *FS) adaptiveReadAhead(b *gpu.Block, f *file, first, last int64) {
 		// Seeded from the previous open's profile (historyAttach): the
 		// stride is already confirmed, so the first access speculates —
 		// still on the profile's word, so it tops up whatever the
-		// open-time pre-warm could not place (a dry pool, usually) under
-		// the same tag. A stream that changed its pattern breaks the
-		// streak on its next access like any other.
+		// open-time pre-warm could not place (a dry pool with no closed
+		// clean page left to reclaim, usually) under the same tag. A
+		// stream that changed its pattern breaks the streak on its next
+		// access like any other.
 		spec = pcache.SpecReplay
 	} else {
 		delta := first - st.lastPage
@@ -222,8 +223,10 @@ func (fs *FS) raIssue(b *gpu.Block, f *file, st *raStream, base int64, spec int3
 		return
 	}
 	n := int64(st.window) - ahead
-	// Clamp to the file and to the frame-pool budget (speculation never
-	// evicts, so a tight pool shrinks the issue, not resident data).
+	// Clamp to the file and to the frame-pool budget: free frames plus the
+	// closed files' clean pages, the only resident data speculation may
+	// reclaim (spanFetch). An open file's page or a dirty one is never
+	// taken, so past those a tight pool shrinks the issue, not resident data.
 	if lastFile := (fc.size.Load() - 1) / ps; stride > 0 {
 		if start > lastFile {
 			n = 0
@@ -238,7 +241,7 @@ func (fs *FS) raIssue(b *gpu.Block, f *file, st *raStream, base int64, spec int3
 		}
 	}
 	want := n
-	if budget := int64(fs.fetchBudget()); n > budget {
+	if budget := int64(fs.specBudget()); n > budget {
 		n = budget
 	}
 	// Global speculation cap: at most a quarter of the frame pool may
@@ -269,8 +272,7 @@ func (fs *FS) raIssue(b *gpu.Block, f *file, st *raStream, base int64, spec int3
 // pages into single multi-page syscalls (gsys.Client.ReadAsync) — one ring
 // transaction and one DMA per run, which closes the per-transaction latency
 // gap at small page sizes. A page that cannot be claimed (resident or in
-// flight), a stride past the next page, or raMaxSpanBytes splits the run; a
-// dry frame pool stops the span: only the demand fault may evict.
+// flight), a stride past the next page, or raMaxSpanBytes splits the run.
 //
 // spec is stamped on the fetched frames. pcache.SpecPending (a stride this
 // open's own accesses confirmed) and pcache.SpecReplay (a stride only the
@@ -280,9 +282,15 @@ func (fs *FS) raIssue(b *gpu.Block, f *file, st *raStream, base int64, spec int3
 // which are pipelining, not a guess, and would flatter the hit rate. gran is
 // the granularity the RPCs are stamped with (gpread_warp's is GranWarp).
 //
+// A dry frame pool stops a SpecNone span: the page walk that follows faults
+// the rest in. A confirmed stream's span first reclaims what it still wants
+// from the closed files' clean pages (reclaimForSpec) — §4.2's first victims,
+// which cost no round trip — and stops only when they run out too.
+//
 // Cost on the block's clock: a fetched page costs its claim bookkeeping
 // (probeCost) and each RPC APICostPerPage — amortizing the call over a run
-// is the point of coalescing. A page skipped as resident or in flight costs
+// is the point of coalescing — and a reclaimed page APICostPerPage, as it
+// does a demand fault. A page skipped as resident or in flight costs
 // probeCost only when the fetch is speculative: a known-needed batch is
 // followed by a page walk that pays that page's radix lookup anyway.
 func (fs *FS) spanFetch(b *gpu.Block, f *file, start, count, stride int64, spec int32, gran gsys.Granularity) {
@@ -343,6 +351,9 @@ func (fs *FS) spanFetch(b *gpu.Block, f *file, start, count, stride int64, spec 
 			continue
 		}
 		fr := fs.takeFrame(b.Idx, fc, idx*ps)
+		if fr == nil && spec != pcache.SpecNone && fs.reclaimForSpec(b, int(count-i)) > 0 {
+			fr = fs.takeFrame(b.Idx, fc, idx*ps)
+		}
 		if fr == nil {
 			fs.abort(fc, pageRef{fp: fp})
 			break

@@ -2,12 +2,15 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"gpufs/internal/core/pcache"
 	"gpufs/internal/faults"
 	"gpufs/internal/gpu"
 	"gpufs/internal/gsys"
+	"gpufs/internal/rpc"
+	"gpufs/internal/trace"
 )
 
 // TestEvictFromFileLargeTargetSingleCall is the regression test for the
@@ -43,7 +46,7 @@ func TestEvictFromFileLargeTargetSingleCall(t *testing.T) {
 		if len(victims) != 1 || victims[0].class != 0 {
 			t.Fatalf("victims = %+v", victims)
 		}
-		if n := fs.evictFromFile(fs.blockActor(b), victims[0], pages, false); n != pages {
+		if n := fs.evictFromFile(fs.blockActor(b), victims[0], pages, evictAny); n != pages {
 			t.Errorf("one evictFromFile call reclaimed %d of %d pages", n, pages)
 		}
 		return nil
@@ -129,6 +132,179 @@ func TestPrefetchNeverEvictsFullCache(t *testing.T) {
 	if cs := fs.CacheStats(); cs.PrefetchIssued != 0 {
 		t.Errorf("PrefetchIssued = %d under a full cache", cs.PrefetchIssued)
 	}
+}
+
+// TestSpeculationTakesClosedPages: a confirmed stream that finds the pool dry
+// reclaims clean pages of closed files for its window — oldest retirement
+// first and, within the file, oldest leaf first — and nothing else. The pool
+// holds one dirty page of the oldest closed file, a newer closed file that is
+// all clean (its upper leaf read first, so it is the older leaf), an open
+// file's pages, and the first six pages of a reader's file, which the reader
+// brings in with free frames 32K at a time; the sixth confirms the stride with
+// no frame left. At the parent speculation issued nothing from there, and the
+// reader's demand faults evicted the dirty page first, with a write.
+func TestSpeculationTakesClosedPages(t *testing.T) {
+	const (
+		cleanPages  = 128 // two leaves
+		openPages   = 25
+		readerPages = 32
+		warmPages   = 6 // the reader's pages in the pool when its stride confirms
+	)
+	opt := defaultOpt()
+	opt.ReadAheadAdaptive = true
+	opt.CacheBytes = (1 + cleanPages + openPages + warmPages) * opt.PageSize
+	ps := opt.PageSize
+	h := newHarness(t, 1, opt)
+	fs := h.fss[0]
+	tr := trace.New(1 << 12)
+	tr.Enable(true)
+	fs.SetTracer(tr)
+	h.write(t, "/dirty", pattern(int(ps), 1))
+	h.write(t, "/clean", pattern(cleanPages*int(ps), 2))
+	h.write(t, "/open", pattern(openPages*int(ps), 3))
+	want := pattern(readerPages*int(ps), 4)
+	h.write(t, "/reader", want)
+
+	half := int64(cleanPages / 2)
+	var closedHeld int64
+	h.run(t, 0, func(b *gpu.Block) error {
+		fd, err := fs.Open(b, "/dirty", O_RDWR)
+		if err != nil {
+			return err
+		}
+		gwrite(t, fs, b, fd, pattern(int(ps), 9), 0)
+		if err := fs.Close(b, fd); err != nil {
+			return err
+		}
+		if fd, err = fs.Open(b, "/clean", O_RDONLY); err != nil {
+			return err
+		}
+		greadAt(t, fs, b, fd, half*ps, half*ps)
+		greadAt(t, fs, b, fd, half*ps, 0)
+		if err := fs.Close(b, fd); err != nil {
+			return err
+		}
+		if fd, err = fs.Open(b, "/open", O_RDONLY); err != nil {
+			return err
+		}
+		gread(t, fs, b, fd, openPages*ps)
+		closedHeld = fs.ft.closedCleanPages()
+
+		fd, err = fs.Open(b, "/reader", O_RDONLY)
+		if err != nil {
+			return err
+		}
+		got := make([]byte, 2*ps)
+		for p := int64(0); p < readerPages; p += 2 {
+			if _, err := fs.Read(b, fd, got, p*ps); err != nil {
+				return err
+			}
+			if !bytes.Equal(got, want[p*ps:(p+2)*ps]) {
+				t.Errorf("pages %d-%d: wrong bytes", p, p+1)
+			}
+			if p+2 == warmPages {
+				if free := fs.cache.FreeFrames(); free != 0 {
+					t.Fatalf("the stride confirmed with %d frames free, want none", free)
+				}
+			}
+		}
+		return fs.Close(b, fd)
+	})
+
+	if closedHeld != cleanPages {
+		t.Errorf("the closed table counted %d clean pages, want the clean file's %d", closedHeld, cleanPages)
+	}
+	cs := fs.CacheStats()
+	if want := int64(readerPages - warmPages); cs.PrefetchIssued != want || cs.SpecReclaimed != want {
+		t.Errorf("speculation issued %d pages and reclaimed %d, want the reader's last %d both", cs.PrefetchIssued, cs.SpecReclaimed, want)
+	}
+	if got := fs.Cache().Reclaimed(); got != cs.SpecReclaimed {
+		t.Errorf("%d pages reclaimed, %d of them by speculation: a demand fault evicted", got, cs.SpecReclaimed)
+	}
+	for _, e := range tr.Snapshot() {
+		if e.Op == trace.OpPrefetch && e.Bytes != 2*ps {
+			t.Errorf("a speculative span of %d bytes at %d, want two pages", e.Bytes, e.Offset)
+		}
+	}
+	if got := h.server.Requests(rpc.OpWritePages); got != 0 {
+		t.Errorf("speculation sent %d writes", got)
+	}
+	if got := fs.ResidentPages("/dirty"); got != 1 {
+		t.Errorf("the closed file's dirty page is gone (%d resident)", got)
+	}
+	if got := fs.ResidentPages("/open"); got != openPages {
+		t.Errorf("the open file holds %d pages, want its %d", got, openPages)
+	}
+	// Oldest leaf first, in slot order: what is gone of the clean file is the
+	// head of its upper half.
+	fc := fs.ft.cacheOf("/clean")
+	for p := int64(0); p < cleanPages; p++ {
+		fp, _ := fc.tree.LookupLeaf(uint64(p))
+		gone := p >= half && p < half+cs.SpecReclaimed
+		if resident := fp != nil && fp.Ready(); resident == gone {
+			t.Errorf("clean file page %d: resident %v, want %v", p, resident, !gone)
+		}
+	}
+	h.checkDirtyCounts(t)
+}
+
+// TestSpeculationReclaimsUnderChurn is the -race pin for the closed table's
+// clean count: sixteen blocks each scan a file of their own through a pool a
+// quarter of the corpus, three open/close cycles each, the odd ones dirtying
+// a page before every close — so caches retire, are taken back by a fast
+// reopen and lose pages to other blocks' speculation and demand faults all at
+// once. Every byte read must be right, speculation must have reclaimed, and
+// at quiescence the counts must agree with a walk (checkDirtyCounts).
+func TestSpeculationReclaimsUnderChurn(t *testing.T) {
+	const (
+		blocks = 16
+		pages  = 12
+	)
+	opt := defaultOpt()
+	opt.ReadAheadAdaptive = true
+	opt.CacheBytes = blocks * pages / 4 * opt.PageSize
+	ps := opt.PageSize
+	h := newHarness(t, 1, opt)
+	fs := h.fss[0]
+	want := make([][]byte, blocks)
+	for i := range want {
+		want[i] = pattern(pages*int(ps), byte(i))
+		h.write(t, fmt.Sprintf("/churn%d", i), want[i])
+	}
+	h.runBlocks(t, 0, blocks, func(b *gpu.Block) error {
+		path, flags := fmt.Sprintf("/churn%d", b.Idx), O_RDONLY
+		if b.Idx%2 == 1 {
+			flags = O_RDWR
+		}
+		buf := make([]byte, ps)
+		for cycle := 0; cycle < 3; cycle++ {
+			fd, err := fs.Open(b, path, flags)
+			if err != nil {
+				return err
+			}
+			for p := int64(0); p < pages; p++ {
+				if _, err := fs.Read(b, fd, buf, p*ps); err != nil {
+					return err
+				}
+				if !bytes.Equal(buf, want[b.Idx][p*ps:(p+1)*ps]) {
+					return fmt.Errorf("block %d cycle %d page %d: wrong bytes", b.Idx, cycle, p)
+				}
+			}
+			if flags == O_RDWR {
+				if _, err := fs.Write(b, fd, want[b.Idx][:ps], 0); err != nil {
+					return err
+				}
+			}
+			if err := fs.Close(b, fd); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if cs := fs.CacheStats(); cs.SpecReclaimed == 0 {
+		t.Errorf("no speculation reclaimed a closed page (%d issued)", cs.PrefetchIssued)
+	}
+	h.checkDirtyCounts(t)
 }
 
 // TestAdaptiveSequentialSpeculates: a sequential page-by-page scan must

@@ -431,7 +431,7 @@ func TestFailedWriteBackOfAnOverwrittenPage(t *testing.T) {
 		opened := h.hostGen(t, "/once")
 
 		h.inj.SetEnabled(true)
-		n := fs.evictFromFile(fs.blockActor(b), victim{fc: fc, hostFd: fs.ft.fds[fd].hostFd, class: 2}, 1, false)
+		n := fs.evictFromFile(fs.blockActor(b), victim{fc: fc, hostFd: fs.ft.fds[fd].hostFd, class: 2}, 1, evictAny)
 		h.inj.SetEnabled(false)
 		if n != 0 {
 			t.Errorf("reclaimed %d pages whose write-back failed", n)

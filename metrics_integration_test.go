@@ -185,6 +185,7 @@ func TestPrometheusExportCoverage(t *testing.T) {
 		"gpufs_core_op_seconds",
 		"gpufs_core_cache_hits_total",
 		"gpufs_core_open_filled_pages_total",
+		"gpufs_core_spec_reclaimed_pages_total",
 		"gpufs_rpc_service_time_seconds",
 		"gpufs_rpc_requests_total",
 		"gpufs_pcie_bytes_total",
@@ -211,6 +212,11 @@ func TestPrometheusExportCoverage(t *testing.T) {
 		if filled == 0 || fam.Help == "" {
 			t.Errorf("gpufs_core_open_filled_pages_total sums to %v with help %q; want the carried corpus pages and a help text", filled, fam.Help)
 		}
+	}
+	// No stream here confirms a stride, so the family reads zero; it must still
+	// say what it counts.
+	if fam := fams["gpufs_core_spec_reclaimed_pages_total"]; fam != nil && fam.Help == "" {
+		t.Error("gpufs_core_spec_reclaimed_pages_total has no help text")
 	}
 	counts := map[string]int{}
 	for name := range fams {
