@@ -173,7 +173,7 @@ func BenchmarkGreadCacheHit(b *testing.B) {
 	if err := sys.WriteHostFile("/bench.bin", make([]byte, size)); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := workloads.PrefetchGPUfs(sys, 0, "/bench.bin", size, 8, 64); err != nil {
+	if _, err := workloads.SeqReadGPUfs(sys, 0, "/bench.bin", size, 8, 64); err != nil {
 		b.Fatal(err)
 	}
 	buf := make([]byte, 16<<10)

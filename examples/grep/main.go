@@ -47,7 +47,7 @@ func main() {
 
 	blocks := 8 * cfg.MPsPerGPU
 	gpuRes, err := workloads.GrepGPUfs(sys, 0, "/grep/dict.txt", tree.ListPath,
-		"/grep/out.txt", cfg.GrepGPURate, blocks, 512, 0)
+		"/grep/out.txt", cfg.GrepGPURate, blocks, 512, 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -188,7 +188,7 @@ func NewSystemWithMetrics(cfg Config, reg *metrics.Registry) (*System, error) {
 	// One syscall service for the whole machine: the syscall table is
 	// stateless, but the gpipe table must be shared so kernels on
 	// different GPUs can meet at a named pipe.
-	syscalls := gsys.NewService(server, cfg.ZeroCopyRead)
+	syscalls := gsys.NewService(server, !cfg.Prototype)
 
 	sys := &System{
 		cfg:       cfg,
@@ -215,13 +215,13 @@ func NewSystemWithMetrics(cfg Config, reg *metrics.Registry) (*System, error) {
 		})
 		link := bus.NewLink(i, dev.MemBandwidthResource(), cfg.GPUMemBandwidth)
 		client := server.NewClient(i, link)
-		// FrameShards 0 resolves to one allocator shard per multiprocessor:
-		// lanes (threadblocks and cleaner workers) hash by index, so the
-		// shard count that matches the hardware's concurrency is the MP
-		// count.
-		frameShards := cfg.FrameShards
-		if frameShards == 0 {
-			frameShards = cfg.MPsPerGPU
+		// The extended system keeps one allocator shard per multiprocessor:
+		// lanes (threadblocks and the cleaner) hash by index, so the shard
+		// count that matches the hardware's concurrency is the MP count.
+		// The prototype has one free list.
+		frameShards := cfg.MPsPerGPU
+		if cfg.Prototype {
+			frameShards = 1
 		}
 		fs, err := core.New(i, core.Options{
 			PageSize:             cfg.PageSize,
@@ -230,10 +230,10 @@ func NewSystemWithMetrics(cfg Config, reg *metrics.Registry) (*System, error) {
 			RadixLookupLockFree:  cfg.RadixLookupLockFree,
 			RadixLookupLocked:    cfg.RadixLookupLocked,
 			ForceLockedTraversal: cfg.ForceLockedTraversal,
-			ReadAheadAdaptive:    cfg.ReadAheadAdaptive,
-			CleanerWorkers:       cfg.CleanerWorkers,
+			ReadAheadAdaptive:    !cfg.Prototype,
+			Cleaner:              !cfg.Prototype,
 			DisableFastReopen:    cfg.DisableFastReopen,
-			ZeroCopyRead:         cfg.ZeroCopyRead,
+			ZeroCopyRead:         !cfg.Prototype,
 			CkptMaxBytes:         cfg.CkptMaxBytes,
 			FrameShards:          frameShards,
 			Metrics:              reg,

@@ -371,7 +371,7 @@ func TestShapeGrepGPUBeatsCPU(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.ResetTime()
-	gpu, err := workloads.GrepGPUfs(sys, 0, "/g/dict", tree.ListPath, "/g/out", cfg.GrepGPURate, 16, 128, 0)
+	gpu, err := workloads.GrepGPUfs(sys, 0, "/g/dict", tree.ListPath, "/g/out", cfg.GrepGPURate, 16, 128, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

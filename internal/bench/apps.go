@@ -379,7 +379,7 @@ func Table4(scale float64) (*Table, error) {
 
 		blocks := 8 * cfg.MPsPerGPU
 		gres, err := workloads.GrepGPUfs(sys, 0, "/bench/grep/dict.txt", tree.ListPath, "/bench/grep/out.txt",
-			cfg.GrepGPURate, blocks, 512, 0)
+			cfg.GrepGPURate, blocks, 512, 0, 0)
 		if err != nil {
 			return nil, fmt.Errorf("table4 GPUfs on %s: %w", in.name, err)
 		}

@@ -100,6 +100,39 @@ func TestFig4ShapeTiny(t *testing.T) {
 	}
 }
 
+// TestFig7PrototypeMatchesPaper checks Figure 7 against the paper's numbers,
+// not just its shape: under the prototype a lock-free cache hit copies the
+// page as the raw baseline does, so it reaches 85-88% of raw bandwidth and
+// runs ~3x faster than the locked traversal. A zero-copy hit charged one
+// memory pass where raw charges two and read 1.5x raw.
+func TestFig7PrototypeMatchesPaper(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment harness in -short mode")
+	}
+	k := newFig7Kernel(1.0 / 256)
+	raw, err := k.raw()
+	if err != nil {
+		t.Fatal(err)
+	}
+	free, err := k.hit(256<<10, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	locked, err := k.hit(256<<10, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freeFrac := float64(raw.Elapsed) / float64(free.Elapsed)
+	lockedFrac := float64(raw.Elapsed) / float64(locked.Elapsed)
+	t.Logf("of raw: lock-free %.2f, locked %.2f", freeFrac, lockedFrac)
+	if freeFrac < 0.80 || freeFrac > 0.92 {
+		t.Errorf("lock-free hit reads %.2f of raw bandwidth, want 0.80-0.92 (the paper: 0.85-0.88)", freeFrac)
+	}
+	if freeFrac < 2.5*lockedFrac {
+		t.Errorf("lock-free hit (%.2f of raw) is not 2.5x the locked one (%.2f)", freeFrac, lockedFrac)
+	}
+}
+
 // TestTable3ShapeTiny checks multi-GPU scaling monotonicity at tiny scale, on
 // the unrounded times: at this scale two cells can print as the same
 // hundredth. It compares free-running multi-block timelines, so until virtual

@@ -16,10 +16,10 @@ var contentionWorkerSteps = []int{1, 4, 8}
 // reader/writer load on one hot file: reader blocks stream a
 // cache-resident region (pure buffer-cache hits), while writer blocks
 // dirty their own region of the same file and gfsync it through the host
-// daemon. Each row compares the pre-ISSUE-8 configuration (copying hit
-// path, single-shard frame allocator) against the lock-free one
-// (zero-copy hits, per-MP sharded allocator) on an otherwise identical
-// machine, sweeping daemon workers = RPC shards.
+// daemon. Each row compares the paper's prototype (copying hit path,
+// single-shard frame allocator, no read-ahead or cleaner) against the
+// extended system (zero-copy hits, per-MP sharded allocator) on an otherwise
+// identical machine, sweeping daemon workers = RPC shards.
 //
 // The speedup column GROWS with workers: at one worker the writers'
 // serialized fsync round-trips dominate the makespan and mask the GPU-side
@@ -45,7 +45,7 @@ func Contention(scale float64) (*Table, error) {
 			msec(base), msec(fast),
 			fmt.Sprintf("%.2fx", float64(base)/float64(fast)))
 	}
-	t.AddNote("baseline = ZeroCopyRead off + FrameShards 1 (the pre-ISSUE-8 hot path); times in ms")
+	t.AddNote("baseline = Prototype (the paper's copying hit path and single frame list); times in ms")
 	t.AddNote("lock-free = zero-copy cache hits (one device-memory pass per byte) + per-MP sharded frame allocator")
 	t.AddNote("kernel per point: 2×W reader blocks × %d passes over a hot %s region in %s greads, W writer blocks × %d passes dirtying %s each + gfsync",
 		contentionReadPasses, sizeLabel(contentionReadBytes), sizeLabel(contentionChunk), contentionWritePasses, sizeLabel(contentionWriteBytes))
@@ -90,13 +90,7 @@ func contentionPoint(scale float64, workers int, lockfree bool) (simtime.Duratio
 	cfg := gpufs.ScaledConfig(scale)
 	cfg.RPCShards = workers
 	cfg.DaemonWorkers = workers
-	if lockfree {
-		cfg.ZeroCopyRead = true
-		cfg.FrameShards = 0 // auto: one shard per MP
-	} else {
-		cfg.ZeroCopyRead = false
-		cfg.FrameShards = 1
-	}
+	cfg.Prototype = !lockfree
 	// Whole file resident on both sides of the bus: misses and host disk
 	// seeks would drown the hit-path signal under test.
 	if need := fileBytes + 64*cfg.PageSize; cfg.BufferCacheBytes < need {

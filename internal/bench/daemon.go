@@ -108,7 +108,7 @@ func daemonScalingPoint(scale float64, workers, grepFiles int, readBytes int64) 
 	blocks := 4 * cfg.MPsPerGPU // 56 at the paper's 14-MP GPU
 	sys.ResetTime()
 	gres, err := workloads.GrepGPUfs(sys, 0, "/bench/daemon/dict.txt", tree.ListPath,
-		"/bench/daemon/out.txt", cfg.GrepGPURate, blocks, 512, 0)
+		"/bench/daemon/out.txt", cfg.GrepGPURate, blocks, 512, 0, 0)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -251,13 +251,56 @@ func Fig6(scale float64) (*Table, error) {
 
 // Fig7 reproduces Figure 7: in-buffer-cache gread bandwidth relative to raw
 // device-memory access, with the default lock-free radix traversal and with
-// traversal forced to take the tree lock.
+// traversal forced to take the tree lock. Both arms run the paper's
+// prototype, whose gread copies the page like the raw baseline does.
 func Fig7(scale float64) (*Table, error) {
+	k := newFig7Kernel(scale)
+	t := &Table{
+		ID: "Figure 7",
+		Title: fmt.Sprintf("buffer cache hit bandwidth, normalized to raw memory access (%d blocks x %s in %s chunks)",
+			k.blocks, sizeLabel(k.perBlock), sizeLabel(fig7Chunk)),
+		Header: []string{"page", "lock-free (frac of raw)", "locked (frac of raw)"},
+	}
+
+	raw, err := meanMicro(reps, k.raw)
+	if err != nil {
+		return nil, err
+	}
+	for _, ps := range pageSweep {
+		ps := ps
+		free, err := meanMicro(reps, func() (*workloads.MicroResult, error) { return k.hit(ps, false) })
+		if err != nil {
+			return nil, fmt.Errorf("fig7 lock-free at %s: %w", sizeLabel(ps), err)
+		}
+		locked, err := meanMicro(reps, func() (*workloads.MicroResult, error) { return k.hit(ps, true) })
+		if err != nil {
+			return nil, fmt.Errorf("fig7 locked at %s: %w", sizeLabel(ps), err)
+		}
+		t.AddRow(sizeLabel(ps),
+			fmt.Sprintf("%.2f", float64(raw.Elapsed)/float64(free.Elapsed)),
+			fmt.Sprintf("%.2f", float64(raw.Elapsed)/float64(locked.Elapsed)))
+	}
+	t.AddNote("raw memory access time: %v for %s per block", simtime.Duration(raw.Elapsed), sizeLabel(k.perBlock))
+	t.AddNote("paper shape: lock-free achieves 85-88%% of raw bandwidth at >=128K pages and runs ~3x faster than the locked protocol")
+	return t, nil
+}
+
+// fig7Chunk is the size of one Figure 7 gread.
+const fig7Chunk = 16 << 10
+
+// fig7Kernel is Figure 7's measurement at one scale: blocks threadblocks each
+// read perBlock bytes in fig7Chunk pieces out of a fileBytes file.
+type fig7Kernel struct {
+	scale     float64
+	blocks    int
+	perBlock  int64
+	fileBytes int64
+}
+
+func newFig7Kernel(scale float64) fig7Kernel {
 	base := params.Scaled(scale)
-	blocks := 8 * base.MPsPerGPU
 	perBlock := base.ScaleBytes(64 << 20)
-	const chunk = 16 << 10
-	perBlock = (perBlock + chunk - 1) / chunk * chunk
+	perBlock = (perBlock + fig7Chunk - 1) / fig7Chunk * fig7Chunk
 
 	// The file must be fully cache-resident.
 	fileBytes := base.BufferCacheBytes / 2
@@ -266,65 +309,42 @@ func Fig7(scale float64) (*Table, error) {
 	if fileBytes < align {
 		fileBytes = align
 	}
+	return fig7Kernel{scale: scale, blocks: 8 * base.MPsPerGPU, perBlock: perBlock, fileBytes: fileBytes}
+}
 
-	t := &Table{
-		ID: "Figure 7",
-		Title: fmt.Sprintf("buffer cache hit bandwidth, normalized to raw memory access (%d blocks x %s in %s chunks)",
-			blocks, sizeLabel(perBlock), sizeLabel(chunk)),
-		Header: []string{"page", "lock-free (frac of raw)", "locked (frac of raw)"},
+// hit warms a fresh prototype machine's buffer cache with the whole file at
+// page size ps and measures the cache-hit kernel on it.
+func (k fig7Kernel) hit(ps int64, forceLocked bool) (*workloads.MicroResult, error) {
+	cfg := gpufs.ScaledConfig(k.scale)
+	cfg.PageSize = ps
+	cfg.Prototype = true // the paper's gread copies out of the cache
+	cfg.ForceLockedTraversal = forceLocked
+	if cfg.BufferCacheBytes < k.fileBytes+16*ps {
+		cfg.BufferCacheBytes = k.fileBytes + 16*ps
 	}
-
-	run := func(ps int64, forceLocked bool) (*workloads.MicroResult, error) {
-		cfg := gpufs.ScaledConfig(scale)
-		cfg.PageSize = ps
-		cfg.ForceLockedTraversal = forceLocked
-		if cfg.BufferCacheBytes < fileBytes+16*ps {
-			cfg.BufferCacheBytes = fileBytes + 16*ps
-		}
-		if cfg.GPUMemBytes < cfg.BufferCacheBytes+fileBytes {
-			cfg.GPUMemBytes = cfg.BufferCacheBytes + fileBytes
-		}
-		sys, err := newSystem(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := workloads.MakeDataFile(sys.Host(), sys.HostClock(), "/bench/hit.bin", fileBytes, 6); err != nil {
-			return nil, err
-		}
-		if _, err := workloads.PrefetchGPUfs(sys, 0, "/bench/hit.bin", fileBytes, blocks, 128); err != nil {
-			return nil, err
-		}
-		sys.ResetTime()
-		return workloads.CacheHitGPUfs(sys, 0, "/bench/hit.bin", fileBytes, blocks, 128, perBlock, chunk)
+	if cfg.GPUMemBytes < cfg.BufferCacheBytes+k.fileBytes {
+		cfg.GPUMemBytes = cfg.BufferCacheBytes + k.fileBytes
 	}
-
-	// Raw baseline is independent of page size.
-	raw, err := meanMicro(reps, func() (*workloads.MicroResult, error) {
-		rawSys, err := newSystem(params.Scaled(scale))
-		if err != nil {
-			return nil, err
-		}
-		return workloads.CacheHitRaw(rawSys, 0, fileBytes, blocks, 128, perBlock, chunk)
-	})
+	sys, err := newSystem(cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	for _, ps := range pageSweep {
-		ps := ps
-		free, err := meanMicro(reps, func() (*workloads.MicroResult, error) { return run(ps, false) })
-		if err != nil {
-			return nil, fmt.Errorf("fig7 lock-free at %s: %w", sizeLabel(ps), err)
-		}
-		locked, err := meanMicro(reps, func() (*workloads.MicroResult, error) { return run(ps, true) })
-		if err != nil {
-			return nil, fmt.Errorf("fig7 locked at %s: %w", sizeLabel(ps), err)
-		}
-		t.AddRow(sizeLabel(ps),
-			fmt.Sprintf("%.2f", float64(raw.Elapsed)/float64(free.Elapsed)),
-			fmt.Sprintf("%.2f", float64(raw.Elapsed)/float64(locked.Elapsed)))
+	if err := workloads.MakeDataFile(sys.Host(), sys.HostClock(), "/bench/hit.bin", k.fileBytes, 6); err != nil {
+		return nil, err
 	}
-	t.AddNote("raw memory access time: %v for %s per block", simtime.Duration(raw.Elapsed), sizeLabel(perBlock))
-	t.AddNote("paper shape: lock-free achieves 85-88%% of raw bandwidth at >=128K pages and runs ~3x faster than the locked protocol")
-	return t, nil
+	if _, err := workloads.SeqReadGPUfs(sys, 0, "/bench/hit.bin", k.fileBytes, k.blocks, 128); err != nil {
+		return nil, err
+	}
+	sys.ResetTime()
+	return workloads.CacheHitGPUfs(sys, 0, "/bench/hit.bin", k.fileBytes, k.blocks, 128, k.perBlock, fig7Chunk)
+}
+
+// raw measures the same access pattern straight out of device memory; it is
+// independent of page size.
+func (k fig7Kernel) raw() (*workloads.MicroResult, error) {
+	sys, err := newSystem(params.Scaled(k.scale))
+	if err != nil {
+		return nil, err
+	}
+	return workloads.CacheHitRaw(sys, 0, k.fileBytes, k.blocks, 128, k.perBlock, fig7Chunk)
 }

@@ -28,12 +28,15 @@ func Ordering(scale float64) (*Table, error) {
 		Title:  "syscall ordering: strong (FIFO fence) vs relaxed (open-ahead) grep makespan",
 		Header: []string{"workers×shards", "strong", "relaxed", "relaxed speedup"},
 	}
+	// The relaxed arm's open-ahead window: how many of its next files the
+	// grep block opens ahead of need.
+	const openAhead = 4
 	for _, w := range orderingWorkerSteps {
-		strong, err := orderingPoint(scale, w, "strong")
+		strong, err := orderingPoint(scale, w, 0)
 		if err != nil {
 			return nil, fmt.Errorf("ordering strong at %d workers: %w", w, err)
 		}
-		relaxed, err := orderingPoint(scale, w, "relaxed")
+		relaxed, err := orderingPoint(scale, w, openAhead)
 		if err != nil {
 			return nil, fmt.Errorf("ordering relaxed at %d workers: %w", w, err)
 		}
@@ -42,16 +45,12 @@ func Ordering(scale float64) (*Table, error) {
 			fmt.Sprintf("%.2fx", float64(strong)/float64(relaxed)))
 	}
 	t.AddNote("strong = every syscall retires through the per-lane FIFO fence (baseline semantics); times in ms")
-	t.AddNote("relaxed = opens issue ahead of the fence (window %d), overlapping open round-trips with reads and compute on the same lane", orderingOpenAhead)
+	t.AddNote("relaxed = opens issue ahead of the fence (window %d), overlapping open round-trips with reads and compute on the same lane", openAhead)
 	t.AddNote("the speedup is worker-independent by design: a single-lane serial chain gains nothing from daemon parallelism, only from relaxing its order")
 	t.AddNote("grep: 1 block × 64 threads, %d files × %s, %d-word dictionary, cache-resident corpus", orderingGrepFiles,
 		sizeLabel(orderingGrepBytes), orderingDictWords)
 	return t, nil
 }
-
-// orderingOpenAhead mirrors the open-ahead window in the grep workload
-// (see workloads.GrepGPUfs) for the table note.
-const orderingOpenAhead = 4
 
 // Corpus sizing: ordering policy moves the makespan only while the open
 // round-trip is on the critical path, so the corpus is many TINY files
@@ -76,14 +75,13 @@ const (
 	orderingGrepBlocks = 1
 )
 
-// orderingPoint builds a fresh machine with the given worker/shard count
-// and syscall ordering, regenerates the identical corpus, and measures
-// grep warm-cache.
-func orderingPoint(scale float64, workers int, ordering string) (simtime.Duration, error) {
+// orderingPoint builds a fresh machine with the given worker/shard count,
+// regenerates the identical corpus, and measures grep warm-cache with the
+// given open-ahead window (0: every call strong).
+func orderingPoint(scale float64, workers, openAhead int) (simtime.Duration, error) {
 	cfg := gpufs.ScaledConfig(scale)
 	cfg.RPCShards = workers
 	cfg.DaemonWorkers = workers
-	cfg.SyscallOrdering = ordering
 	// Cache-resident corpus on both sides of the bus (see the sizing
 	// comment above): one frame per file plus headroom.
 	frames := int64(orderingGrepFiles + 64)
@@ -117,7 +115,7 @@ func orderingPoint(scale float64, workers int, ordering string) (simtime.Duratio
 
 	sys.ResetTime()
 	res, err := workloads.GrepGPUfs(sys, 0, "/bench/ordering/dict.txt", tree.ListPath,
-		"/bench/ordering/out.txt", cfg.GrepGPURate, orderingGrepBlocks, 64, 0)
+		"/bench/ordering/out.txt", cfg.GrepGPURate, orderingGrepBlocks, 64, 0, openAhead)
 	if err != nil {
 		return 0, err
 	}

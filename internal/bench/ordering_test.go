@@ -8,18 +8,18 @@ import "testing"
 // cache-resident, so both measurements are deterministic.
 func TestOrderingRelaxedBeatsStrong(t *testing.T) {
 	const scale = 1.0 / 256
-	strong, err := orderingPoint(scale, 4, "strong")
+	strong, err := orderingPoint(scale, 4, 0)
 	if err != nil {
 		t.Fatalf("strong: %v", err)
 	}
-	relaxed, err := orderingPoint(scale, 4, "relaxed")
+	relaxed, err := orderingPoint(scale, 4, 4)
 	if err != nil {
 		t.Fatalf("relaxed: %v", err)
 	}
 	if float64(relaxed) > 0.95*float64(strong) {
 		t.Fatalf("relaxed (%v) does not beat strong (%v) by at least 5%%", relaxed, strong)
 	}
-	again, err := orderingPoint(scale, 4, "relaxed")
+	again, err := orderingPoint(scale, 4, 4)
 	if err != nil {
 		t.Fatalf("relaxed rerun: %v", err)
 	}

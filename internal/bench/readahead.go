@@ -8,14 +8,14 @@ import (
 	"gpufs/internal/workloads"
 )
 
-// Readahead quantifies the read-ahead engine against no read-ahead at
-// all, across the three access patterns that matter to it: sequential
-// streams (speculation coalesces into vectored RPCs), fixed-stride scans
-// (the detector follows the stride and skips the pages between), and
-// random reads (any speculation is waste; the detector's confidence gate
-// keeps it quiet). Cells report effective throughput; the prefetch column
-// reports pages speculated and the fraction a demand access actually
-// consumed.
+// Readahead quantifies the read-ahead engine against the paper's prototype
+// (the "off" column), which has none, across the three access patterns that
+// matter to it: sequential streams (speculation coalesces into vectored
+// RPCs), fixed-stride scans (the detector follows the stride and skips the
+// pages between), and random reads (any speculation is waste; the
+// detector's confidence gate keeps it quiet). Cells report effective
+// throughput; the prefetch column reports pages speculated and the fraction
+// a demand access actually consumed.
 func Readahead(scale float64) (*Table, error) {
 	base := params.Scaled(scale)
 	fileBytes := seqFileBytes(&base)
@@ -52,10 +52,7 @@ func Readahead(scale float64) (*Table, error) {
 	}
 	modes := []mode{
 		{"adaptive", func(cfg *gpufs.Config) {}}, // the defaults
-		{"off", func(cfg *gpufs.Config) {
-			cfg.ReadAheadAdaptive = false
-			cfg.CleanerWorkers = 0
-		}},
+		{"off", func(cfg *gpufs.Config) { cfg.Prototype = true }},
 	}
 
 	patterns := []struct {

@@ -12,7 +12,7 @@ import (
 // daemon threads on the GPU side: paging hijacks the faulting threadblock
 // (§4.2), so every dirty victim costs that block a synchronous RPC write.
 // The cleaner takes that work off the fault critical path: when a demand
-// fault finds the free pool below a low watermark, it kicks an idle
+// fault finds the free pool below a low watermark, it kicks the idle
 // cleaner lane, which runs on its OWN virtual clock and RPC lane — the
 // GPU System Calls paper's non-blocking issue discipline — writing back
 // cold dirty pages of open files (clean in place, stay resident) and
@@ -27,30 +27,28 @@ import (
 // claim/detach protocol is reused verbatim: a lane is one more actor running
 // the lifecycle steps of page.go.
 
-// cleanerLaneBase offsets cleaner lane ids past any plausible threadblock
+// cleanerLane is the cleaner's lane id, past any plausible threadblock
 // index, so cleaner RPC traffic hashes onto ring shards independently of
 // the blocks it is cleaning for.
-const cleanerLaneBase = 1 << 20
+const cleanerLane = 1 << 20
 
 // maxCleanPerPass bounds how many open-file dirty pages one cleaner
 // wake-up writes back, so a kick under heavy write load cannot monopolize
 // the daemon workers for unbounded (virtual) time.
 const maxCleanPerPass = 64
 
+// cleaner is the one cleaning lane of a GPU: the actor that runs its passes
+// and whether a pass is in progress.
 type cleaner struct {
-	lanes []*cleanLane
+	busy atomic.Bool
+	a    actor
 	// low and high are the free-frame watermarks: a demand fault below
-	// low kicks a lane; a pass stops pre-evicting at high.
+	// low kicks the lane; a pass stops pre-evicting at high.
 	low  int
 	high int
 }
 
-type cleanLane struct {
-	busy atomic.Bool
-	a    actor
-}
-
-func newCleaner(fs *FS, workers int) *cleaner {
+func newCleaner(fs *FS) *cleaner {
 	n := fs.cache.NumFrames()
 	low := n / 4
 	if low < 2 {
@@ -60,59 +58,48 @@ func newCleaner(fs *FS, workers int) *cleaner {
 	if high <= low {
 		high = low + 1
 	}
-	c := &cleaner{low: low, high: high}
-	for i := 0; i < workers; i++ {
-		clk := simtime.NewClock(0)
-		c.lanes = append(c.lanes, &cleanLane{a: actor{
-			lane:  fs.sys.Bind(cleanerLaneBase + i),
-			clk:   clk,
-			busy:  func(d simtime.Duration) { clk.Advance(d) },
-			block: -1 - i,
-		}})
-	}
-	return c
+	clk := simtime.NewClock(0)
+	return &cleaner{low: low, high: high, a: actor{
+		lane:  fs.sys.Bind(cleanerLane),
+		clk:   clk,
+		busy:  func(d simtime.Duration) { clk.Advance(d) },
+		block: -1,
+	}}
 }
 
 // ResetTimes forgets every virtual instant the FS remembers — the frames'
-// transfer completions and the cleaner lanes' clocks — for a harness that
+// transfer completions and the cleaner lane's clock — for a harness that
 // rewinds virtual time: a lane still standing in the old timeline would stamp
 // its write-backs there (Frame.CleanAt), and whoever joins one would be thrown
 // into it. The caller has quiesced the GPU.
 func (fs *FS) ResetTimes() {
 	fs.cache.ResetTimes()
 	if fs.cleaner != nil {
-		for _, ln := range fs.cleaner.lanes {
-			*ln.a.clk = simtime.Clock{}
-		}
+		*fs.cleaner.a.clk = simtime.Clock{}
 	}
 }
 
 // maybeClean is the demand-fault hook: when the free pool is below the
-// low watermark it runs a cleaning pass on an idle lane's clock. The
+// low watermark it runs a cleaning pass on the idle lane's clock. The
 // faulting block pays nothing but this check — the pass advances the
 // lane's timeline, not the block's, which is what makes the cleaning
 // asynchronous in virtual time. With no cleaner configured this is a nil
 // check.
 func (fs *FS) maybeClean(now simtime.Time) {
 	c := fs.cleaner
-	if c == nil {
+	if c == nil || fs.cache.FreeFrames() >= c.low {
 		return
 	}
-	if fs.cache.FreeFrames() >= c.low {
+	// A busy lane means cleaning is already in progress; the fault falls
+	// through to the normal paging path.
+	if !c.busy.CompareAndSwap(false, true) {
 		return
 	}
-	for _, ln := range c.lanes {
-		if ln.busy.CompareAndSwap(false, true) {
-			fs.cleanerKicks.Add(1)
-			// The lane cannot act before the kick that woke it.
-			ln.a.clk.AdvanceTo(now)
-			fs.runCleanerPass(ln.a)
-			ln.busy.Store(false)
-			return
-		}
-	}
-	// Every lane busy: the pool is under pressure but cleaning is already
-	// in progress; the fault falls through to the normal paging path.
+	fs.cleanerKicks.Add(1)
+	// The lane cannot act before the kick that woke it.
+	c.a.clk.AdvanceTo(now)
+	fs.runCleanerPass(c.a)
+	c.busy.Store(false)
 }
 
 // runCleanerPass walks the victim files in the same priority order as

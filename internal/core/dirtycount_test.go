@@ -193,7 +193,7 @@ func cleanCorpus(t testing.TB, files, dirtyPages int) (*harness, *FS) {
 	opt := defaultOpt()
 	opt.PageSize = 4 << 10
 	opt.CacheBytes = int64(files+dirtyPages+1) * opt.PageSize
-	opt.CleanerWorkers = 1
+	opt.Cleaner = true
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
 	cleaner := fs.cleaner
@@ -296,7 +296,7 @@ func TestCleanerPassCleansOnlyTheDirtyFile(t *testing.T) {
 		if got := fs.dirtyPages.Load(); got != 0 {
 			t.Errorf("%d clean files: %d pages still counted dirty", files, got)
 		}
-		lane := fs.cleaner.lanes[0].a.clk
+		lane := fs.cleaner.a.clk
 		laneClock = lane.Now()
 		// A harness that rewinds virtual time takes the lane back with it,
 		// or its next pass would run, and stamp Frame.CleanAt, where this one

@@ -161,7 +161,7 @@ func runFaultStress(t *testing.T, seed int64, shards, workers int, totals *stres
 	// are exactly the interleavings that bend the claim/detach and
 	// deferred-error protocols.
 	opt.ReadAheadAdaptive = true
-	opt.CleanerWorkers = 1
+	opt.Cleaner = true
 	// History rides along (ISSUE 9): the open-time pre-warm on reopen
 	// races demand faults and injected read errors through the same
 	// 6-frame pool, and the open/close cycles below keep recording

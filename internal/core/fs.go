@@ -88,14 +88,14 @@ type Options struct {
 	// (same host generation and size) starts from it — see history.go.
 	// False is the prototype's setting: no read-ahead.
 	ReadAheadAdaptive bool
-	// CleanerWorkers is the number of background writeback-cleaner lanes.
-	// When the free-frame pool drops below the low watermark, a demand
-	// fault kicks an idle lane, which — on its own virtual clock, so the
-	// faulting threadblock pays nothing — writes back cold dirty pages and
-	// pre-evicts closed-file frames until the high watermark. 0 disables
-	// the cleaner: all write-back happens synchronously under eviction,
-	// on the faulting block's clock.
-	CleanerWorkers int
+	// Cleaner runs the background writeback cleaner. When the free-frame
+	// pool drops below the low watermark, a demand fault kicks its lane,
+	// which — on its own virtual clock, so the faulting threadblock pays
+	// nothing — writes back cold dirty pages and pre-evicts closed-file
+	// frames until the high watermark. False is the prototype's setting:
+	// all write-back happens synchronously under eviction, on the faulting
+	// block's clock.
+	Cleaner bool
 	// DisableFastReopen forces every gopen to take the full host-RPC
 	// path even when the closed file table holds a valid cache
 	// (ablation: the cost of the closed-table optimization of §4.1).
@@ -236,7 +236,7 @@ type FS struct {
 	met *fsMetrics
 
 	// cleaner is the background writeback engine; nil when
-	// Options.CleanerWorkers is 0.
+	// Options.Cleaner is off.
 	cleaner *cleaner
 
 	// tracer, when non-nil and enabled, records every API call.
@@ -264,8 +264,8 @@ func New(gpuID int, opt Options, client *rpc.Client, mem *memsys.Arena) (*FS, er
 		cache: cache,
 		ft:    newFTable(),
 	}
-	if opt.CleanerWorkers > 0 {
-		fs.cleaner = newCleaner(fs, opt.CleanerWorkers)
+	if opt.Cleaner {
+		fs.cleaner = newCleaner(fs)
 	}
 	if opt.ReadAheadAdaptive {
 		fs.history = newHistoryTable(histMaxFiles)

@@ -71,7 +71,7 @@ type actor struct {
 	lane  gsys.Client
 	clk   *simtime.Clock
 	busy  func(simtime.Duration)
-	block int // trace attribution; negative for cleaner lanes
+	block int // trace attribution; negative for the cleaner
 }
 
 func (fs *FS) blockActor(b *gpu.Block) actor {

@@ -386,7 +386,7 @@ func TestAdaptiveRandomStaysQuiet(t *testing.T) {
 func TestCleanerCleansOpenDirtyInPlace(t *testing.T) {
 	opt := defaultOpt()
 	opt.CacheBytes = 8 * opt.PageSize
-	opt.CleanerWorkers = 1
+	opt.Cleaner = true
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
 
@@ -445,7 +445,7 @@ func TestCleanerCleansOpenDirtyInPlace(t *testing.T) {
 func TestCleanerPreEvictsClosedDirty(t *testing.T) {
 	opt := defaultOpt()
 	opt.CacheBytes = 8 * opt.PageSize
-	opt.CleanerWorkers = 1
+	opt.Cleaner = true
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
 
@@ -508,7 +508,7 @@ func TestCleanerPreEvictsClosedDirty(t *testing.T) {
 func TestCleanerDeferredWriteError(t *testing.T) {
 	opt := defaultOpt()
 	opt.CacheBytes = 8 * opt.PageSize
-	opt.CleanerWorkers = 1
+	opt.Cleaner = true
 	h := newFaultHarness(t, opt, faults.Config{Seed: 1, HostWriteEIOProb: 1.0}, 1, 1)
 	fs := h.fss[0]
 	h.inj.SetEnabled(false)

@@ -37,13 +37,13 @@ func TestBindAddsNoAllocation(t *testing.T) {
 	for root.RPC().ShardFor(lane) == root.RPC().Shard() {
 		lane++
 	}
-	stat := func(cl Client) {
-		if _, err := cl.Stat(c, fd); err != nil {
+	fsync := func(cl Client) {
+		if err := cl.Fsync(c, fd); err != nil {
 			t.Fatal(err)
 		}
 	}
-	unbound := testing.AllocsPerRun(200, func() { stat(*root) })
-	bound := testing.AllocsPerRun(200, func() { stat(root.Bind(lane).Gran(GranWarp)) })
+	unbound := testing.AllocsPerRun(200, func() { fsync(*root) })
+	bound := testing.AllocsPerRun(200, func() { fsync(root.Bind(lane).Gran(GranWarp)) })
 	if bound != unbound {
 		t.Fatalf("a call on a freshly bound view makes %.0f allocations, on the root %.0f", bound, unbound)
 	}

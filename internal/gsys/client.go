@@ -40,7 +40,6 @@ var rpcOp = [...]rpc.Op{
 	SysWrite:     rpc.OpWritePages,
 	SysTruncate:  rpc.OpTruncate,
 	SysUnlink:    rpc.OpUnlink,
-	SysStat:      rpc.OpStat,
 	SysFsync:     rpc.OpFsync,
 	SysValidate:  rpc.OpValidate,
 	SysReaddir:   rpc.OpReaddir,
@@ -296,18 +295,6 @@ func (c Client) Truncate(blk *simtime.Clock, fd, size int64) (int64, error) {
 // Unlink removes the file at path on the host.
 func (c Client) Unlink(blk *simtime.Clock, path string) error {
 	return c.do(blk, SysUnlink, nil, path, nil, &call{})
-}
-
-// Stat returns host metadata for fd. No production path calls it: gfstat is
-// served from GPU-resident state and the mutating calls' replies carry the
-// generation a stat used to be sent for. It stays in the table as the
-// protocol's metadata query.
-func (c Client) Stat(blk *simtime.Clock, fd int64) (hostfs.FileInfo, error) {
-	cl := &call{}
-	if err := c.do(blk, SysStat, []uint64{uint64(fd)}, "", nil, cl); err != nil {
-		return hostfs.FileInfo{}, err
-	}
-	return cl.reply.Info, nil
 }
 
 // Fsync forces the host file to stable storage.

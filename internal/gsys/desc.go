@@ -30,7 +30,6 @@ const (
 	SysWrite
 	SysTruncate
 	SysUnlink
-	SysStat
 	SysFsync
 	SysValidate
 	SysReaddir
@@ -45,7 +44,7 @@ const (
 // adding a Sysno without extending String() (and this constant) fails the
 // array-length assignment below instead of rendering as "sys(15)" at
 // runtime.
-const knownSysno = 14
+const knownSysno = 13
 
 var _ [knownSysno]struct{} = [numSysno]struct{}{}
 
@@ -65,8 +64,6 @@ func (s Sysno) String() string {
 		return "gtruncate"
 	case SysUnlink:
 		return "gunlink"
-	case SysStat:
-		return "gstat"
 	case SysFsync:
 		return "gfsync"
 	case SysValidate:
@@ -151,18 +148,6 @@ func (o Ordering) String() string {
 		return "relaxed"
 	}
 	return fmt.Sprintf("ordering(%d)", uint8(o))
-}
-
-// ParseOrdering parses an ordering knob string as used by the cmd flags
-// and params.Config.SyscallOrdering ("strong", "relaxed").
-func ParseOrdering(s string) (Ordering, error) {
-	switch s {
-	case "strong":
-		return OrderStrong, nil
-	case "relaxed":
-		return OrderRelaxed, nil
-	}
-	return 0, fmt.Errorf("unknown ordering %q (want strong or relaxed)", s)
 }
 
 // Blocking is the completion-wait mode of a call.

@@ -155,7 +155,7 @@ func TestOpenReadWriteRoundTrip(t *testing.T) {
 		if _, _, err := cl.WritePages(c, fd, int64(len(want)), []byte("!")); err != nil {
 			t.Fatal(err)
 		}
-		st, err := cl.Stat(c, fd)
+		st, err := r.host.Stat("/f")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,8 +175,8 @@ func TestOpenReadWriteRoundTrip(t *testing.T) {
 		if c.Now() == 0 {
 			t.Fatalf("syscalls should cost virtual time")
 		}
-		if got := cl.StrongCalls(); got != 6 {
-			t.Fatalf("StrongCalls = %d, want 6", got)
+		if got := cl.StrongCalls(); got != 5 {
+			t.Fatalf("StrongCalls = %d, want 5", got)
 		}
 	})
 }
@@ -187,8 +187,8 @@ func TestUnknownFd(t *testing.T) {
 	if _, err := r.cl.Read(c, 999, 0, [][]byte{make([]byte, 8)}); err == nil {
 		t.Fatalf("unknown fd read must fail")
 	}
-	if _, err := r.cl.Stat(c, 999); err == nil {
-		t.Fatalf("unknown fd stat must fail")
+	if err := r.cl.Fsync(c, 999); err == nil {
+		t.Fatalf("unknown fd fsync must fail")
 	}
 }
 
@@ -202,7 +202,7 @@ func TestTruncateAndUnlink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, _ := r.cl.Stat(c, fd)
+	st, _ := r.host.Stat("/f")
 	if st.Size != 10 {
 		t.Fatalf("truncate: size %d", st.Size)
 	}
@@ -317,7 +317,6 @@ func TestServerErrorPaths(t *testing.T) {
 				{"readAsync", func() error { _, _, err := cl.ReadAsync(c, 404, 0, segments(make([]byte, 8), segs)); return err }},
 				{"write", func() error { _, _, err := cl.WritePages(c, 404, 0, []byte("x")); return err }},
 				{"truncate", func() error { _, err := cl.Truncate(c, 404, 0); return err }},
-				{"stat", func() error { _, err := cl.Stat(c, 404); return err }},
 				{"fsync", func() error { return cl.Fsync(c, 404) }},
 			}
 			for _, tc := range cases {

@@ -97,7 +97,7 @@ type Service struct {
 
 // NewService builds the syscall table over the given rpc daemon.
 // zeroCopyRead selects the read handler's DMA charge (the host half of
-// params.Config.ZeroCopyRead).
+// core.Options.ZeroCopyRead).
 func NewService(srv *rpc.Server, zeroCopyRead bool) *Service {
 	s := &Service{srv: srv, zeroCopy: zeroCopyRead, fds: make(map[int64]*hostfs.File), nextFd: 3}
 	s.pipes.init()
@@ -108,7 +108,6 @@ func NewService(srv *rpc.Server, zeroCopyRead bool) *Service {
 		SysWrite:     (*Service).sysWrite,
 		SysTruncate:  (*Service).sysTruncate,
 		SysUnlink:    (*Service).sysUnlink,
-		SysStat:      (*Service).sysStat,
 		SysFsync:     (*Service).sysFsync,
 		SysValidate:  (*Service).sysValidate,
 		SysReaddir:   (*Service).sysReaddir,
@@ -329,16 +328,6 @@ func (s *Service) sysTruncate(c *call, cclk *simtime.Clock) (simtime.Time, error
 
 func (s *Service) sysUnlink(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 	return 0, s.srv.Layer().FS().Unlink(c.fr.Path)
-}
-
-func (s *Service) sysStat(c *call, cclk *simtime.Clock) (simtime.Time, error) {
-	f, err := s.file(int64(c.fr.Args[0]))
-	if err != nil {
-		return 0, err
-	}
-	fi, err := f.Fstat(cclk)
-	c.reply.Info = fi
-	return 0, err
 }
 
 func (s *Service) sysFsync(c *call, cclk *simtime.Clock) (simtime.Time, error) {

@@ -122,58 +122,27 @@ type Config struct {
 	// pinned to worker s mod DaemonWorkers. 0 or 1 reproduces the
 	// single-threaded daemon.
 	DaemonWorkers int
-	// SyscallOrdering selects the ordering class workloads may use for
-	// calls the file API does not require to be strong: "strong" makes
-	// every call block its lane's clock until the response is
-	// delivered (the prototype's semantics); "relaxed" lets workloads
-	// opt into out-of-order completion (open-ahead: the next file's
-	// gopen is issued without blocking and joined explicitly).
-	SyscallOrdering string
+	// Prototype selects the paper's §4 system instead of the extended one:
+	// gread copies out of the buffer cache (gmmap is its zero-copy path, and
+	// a read RPC's DMA is staged through host DRAM), the frame allocator has
+	// one free list, and there is no read-ahead, open carry, speculative
+	// reclaim, history replay or background cleaner. Off (the default), a
+	// resident read is charged in place, the allocator keeps one free list
+	// per multiprocessor, and all five extensions run. gpufs.NewSystem is
+	// the one place the switch is resolved into core.Options.
+	Prototype bool
 	// ForceLockedTraversal disables lock-free radix-tree reads on every
 	// GPU, reproducing Figure 7's locked baseline.
 	ForceLockedTraversal bool
-	// ReadAheadAdaptive enables GPU-side buffer-cache read-ahead on gread
-	// (§3.3 lists read-ahead among the optimizations a GPU buffer cache
-	// enables): a per-open-file, per-stream pattern detector. Sequential
-	// and strided access ramp a Linux-style window up on confirmed
-	// prefetch hits and shrink it on waste, and adjacent speculative pages
-	// coalesce into one multi-page RPC. Random access builds no confidence
-	// and triggers no speculation. What each stream's detector knew at the
-	// final gclose (first page, stride, window) is kept per path in a
-	// bounded FS-level LRU table, validated against file size and
-	// generation, and seeds the detector at the next gopen, which issues
-	// each stream's first window before the demand reads arrive. On by
-	// default; false — the prototype's setting — disables read-ahead.
-	ReadAheadAdaptive bool
-	// CleanerWorkers is the number of background writeback-cleaner lanes
-	// per GPU. When a low watermark on free buffer-cache frames is
-	// crossed, the cleaner writes cold dirty pages back and pre-evicts
-	// closed-file frames on the host daemon's timeline instead of the
-	// faulting threadblock's. 0 disables the cleaner: all write-back
-	// happens synchronously inside eviction, on the faulting block's clock.
-	CleanerWorkers int
 	// DisableFastReopen forces reopens of closed-table files through the
 	// full host RPC path (ablation of the §4.1 closed-table
 	// optimization).
 	DisableFastReopen bool
-	// ZeroCopyRead selects two charges of the one read path; the bytes
-	// move the same way either way. On (the default), a read of a resident
-	// page charges one device-memory pass (the application's own read of
-	// the pinned frame, the gmmap mechanism) and a read RPC's DMA skips the
-	// staging pass on the host memory bus (the daemon preads straight into
-	// the pinned frame). Off, the hit charges a two-pass copy and the DMA
-	// one extra host-memory-bus pass.
-	ZeroCopyRead bool
 	// CkptMaxBytes bounds the bytes a checkpoint may capture by value
 	// (dirty pages plus pipe buffers). A capture that exceeds it fails
 	// with ckpt.ErrBudget and the remediator falls back to
 	// drain+restart. 0 means unlimited.
 	CkptMaxBytes int64
-	// FrameShards is the number of free-list shards in the per-GPU frame
-	// allocator. Lanes (threadblocks, cleaner workers) allocate from the
-	// shard they hash to and steal from neighbors when it is empty. 0
-	// (the default) auto-sizes to the GPU's multiprocessor count.
-	FrameShards int
 
 	// ---- Compute calibration ----
 
@@ -233,11 +202,6 @@ func Default() Config {
 		RadixLookupLocked:   550 * simtime.Nanosecond,
 		RPCPollInterval:     10 * simtime.Microsecond,
 		RPCHandleCost:       12 * simtime.Microsecond,
-		SyscallOrdering:     "strong",
-		ReadAheadAdaptive:   true,
-		CleanerWorkers:      1,
-		ZeroCopyRead:        true,
-		FrameShards:         0, // auto: one shard per multiprocessor
 
 		GPUFlops: 18e9,
 		CPUFlops: 9e9,
@@ -325,12 +289,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("params: RPCShards must be >= 0, got %d", c.RPCShards)
 	case c.DaemonWorkers < 0:
 		return fmt.Errorf("params: DaemonWorkers must be >= 0, got %d", c.DaemonWorkers)
-	case c.CleanerWorkers < 0:
-		return fmt.Errorf("params: CleanerWorkers must be >= 0, got %d", c.CleanerWorkers)
-	case c.FrameShards < 0:
-		return fmt.Errorf("params: FrameShards must be >= 0 (0 = auto), got %d", c.FrameShards)
-	case c.SyscallOrdering != "strong" && c.SyscallOrdering != "relaxed":
-		return fmt.Errorf("params: SyscallOrdering must be \"strong\" or \"relaxed\", got %q", c.SyscallOrdering)
 	case c.Scale <= 0:
 		return fmt.Errorf("params: Scale must be positive, got %v", c.Scale)
 	}

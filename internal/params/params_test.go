@@ -71,7 +71,6 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		{"disk", func(c *Config) { c.DiskBandwidth = 0 }, "DiskBandwidth"},
 		{"mem", func(c *Config) { c.CPUMemBandwidth = 0 }, "CPUMemBandwidth"},
 		{"scale", func(c *Config) { c.Scale = 0 }, "Scale"},
-		{"ordering", func(c *Config) { c.SyscallOrdering = "" }, "SyscallOrdering"},
 	}
 	for _, m := range mutations {
 		c := Default()

@@ -81,6 +81,9 @@ const (
 	OpWritePages
 	OpTruncate
 	OpUnlink
+	// OpStat rides no syscall. It is the empty round trip: what the
+	// benchmark's round-trip probe and the transport's tests send when they
+	// want the ring's own cost with no host work behind it.
 	OpStat
 	OpFsync
 	OpValidate

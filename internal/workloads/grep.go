@@ -79,14 +79,6 @@ func CountWord(data []byte, word string) int {
 	return n
 }
 
-func dictSet(words []string) map[string]struct{} {
-	s := make(map[string]struct{}, len(words))
-	for _, w := range words {
-		s[w] = struct{}{}
-	}
-	return s
-}
-
 // parseFileList splits the newline-separated list file.
 func parseFileList(data []byte) []string {
 	var out []string
@@ -178,7 +170,12 @@ func shardWork(size int64, words, nShards int) int64 {
 // and flushes its per-block output buffer into a shared output file with
 // write-once semantics. This workload stresses gopen/gclose: the number of
 // concurrently open files climbs toward the number of running threadblocks.
-func GrepGPUfs(sys *gpufs.System, gpuID int, dictPath, listPath, outPath string, rate float64, blocks, threads int, outRegion int64) (*GrepResult, error) {
+//
+// openAhead is how many of its next input files a block opens ahead of need
+// (GopenAhead, a relaxed syscall): the host round trips overlap this file's
+// reads and matching compute instead of serializing before each file. 0 is
+// the prototype's loop: one blocking gopen per file.
+func GrepGPUfs(sys *gpufs.System, gpuID int, dictPath, listPath, outPath string, rate float64, blocks, threads int, outRegion int64, openAhead int) (*GrepResult, error) {
 	if outRegion <= 0 {
 		outRegion = DefaultGrepOutRegion
 	}
@@ -248,14 +245,6 @@ func GrepGPUfs(sys *gpufs.System, gpuID int, dictPath, listPath, outPath string,
 			return nil
 		}
 
-		// With the syscall layer in relaxed mode, the block pipelines the
-		// opens of its next few input files past the lane fence
-		// (GopenAhead): the host round trips overlap this file's reads
-		// and matching compute instead of serializing before each file.
-		// Strong mode leaves the loop exactly as the prototype: one
-		// blocking gopen per file.
-		relaxed := sys.Config().SyscallOrdering == "relaxed"
-		const openAheadWindow = 4
 		var mine []int // indices of files this block owns shards for
 		for fi := range files {
 			if len(shardsOf(fi, c.Idx, c.Blocks)) > 0 {
@@ -270,11 +259,9 @@ func GrepGPUfs(sys *gpufs.System, gpuID int, dictPath, listPath, outPath string,
 		for mi, fi := range mine {
 			path := files[fi]
 			myShards := shardsOf(fi, c.Idx, c.Blocks)
-			if relaxed {
-				for j := mi; j < len(mine) && j < mi+openAheadWindow; j++ {
-					if pending[j] == nil {
-						pending[j] = c.GopenAhead(files[mine[j]], gpufs.O_RDONLY)
-					}
+			for j := mi; j < len(mine) && j < mi+openAhead; j++ {
+				if pending[j] == nil {
+					pending[j] = c.GopenAhead(files[mine[j]], gpufs.O_RDONLY)
 				}
 			}
 			// One file at a time: gopen (joining the open-ahead future if

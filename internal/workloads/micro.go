@@ -80,7 +80,8 @@ func dirname(p string) string {
 // in the paper: each threadblock maps the pages of a contiguous file range
 // one page at a time (gmmap/gmunmap) until its share is mapped, then closes
 // the file and exits. The data is not touched; the cost measured is moving
-// file content into the GPU buffer cache.
+// file content into the GPU buffer cache. Run ahead of a cache-hit kernel, it
+// is the warming pass of §5.1.3's cross-kernel data reuse.
 func SeqReadGPUfs(sys *gpufs.System, gpuID int, path string, fileBytes int64, blocks, threads int) (*MicroResult, error) {
 	res := &MicroResult{Bytes: fileBytes}
 	perBlock := (fileBytes + int64(blocks) - 1) / int64(blocks)
@@ -281,41 +282,8 @@ func StrideReadGPUfs(sys *gpufs.System, gpuID int, path string, fileBytes int64,
 	return res, nil
 }
 
-// PrefetchGPUfs warms the GPU buffer cache by reading the whole file once
-// from a separate kernel — the cross-kernel data reuse of §5.1.3. Returns
-// the prefetch kernel's own elapsed time.
-func PrefetchGPUfs(sys *gpufs.System, gpuID int, path string, fileBytes int64, blocks, threads int) (simtime.Duration, error) {
-	ps := sys.GPU(gpuID).FS().PageSize()
-	perBlock := ((fileBytes+int64(blocks)-1)/int64(blocks) + ps - 1) / ps * ps
-	end, err := sys.GPU(gpuID).Launch(0, blocks, threads, func(c *gpufs.BlockCtx) error {
-		fd, err := c.Gopen(path, gpufs.O_RDONLY)
-		if err != nil {
-			return err
-		}
-		base := int64(c.Idx) * perBlock
-		for off := base; off < base+perBlock && off < fileBytes; off += ps {
-			want := ps
-			if off+want > fileBytes {
-				want = fileBytes - off
-			}
-			m, err := c.Gmmap(fd, off, want)
-			if err != nil {
-				return err
-			}
-			if err := c.Gmunmap(m); err != nil {
-				return err
-			}
-		}
-		return c.Gclose(fd)
-	})
-	if err != nil {
-		return 0, err
-	}
-	return simtime.Duration(end), nil
-}
-
 // CacheHitGPUfs is Figure 7's measurement kernel: with the file fully
-// resident in the GPU buffer cache (run PrefetchGPUfs first), each block
+// resident in the GPU buffer cache (warm it with SeqReadGPUfs), each block
 // greads perBlockBytes in chunkBytes pieces from randomized page-aligned
 // offsets into scratchpad memory — the access pattern of tiled linear
 // algebra kernels. No PCI transfers occur; the cost is buffer-cache lookup

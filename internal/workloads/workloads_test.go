@@ -58,7 +58,7 @@ func TestGrepAgreement(t *testing.T) {
 	}
 
 	cfg := sys.Config()
-	gres, err := GrepGPUfs(sys, 0, "/grep/dict.txt", tree.ListPath, "/grep/out.txt", cfg.GrepGPURate, 8, 128, 0)
+	gres, err := GrepGPUfs(sys, 0, "/grep/dict.txt", tree.ListPath, "/grep/out.txt", cfg.GrepGPURate, 8, 128, 0, 0)
 	if err != nil {
 		t.Fatalf("GrepGPUfs: %v", err)
 	}
@@ -271,7 +271,7 @@ func TestCacheHitLockFreeBeatsLocked(t *testing.T) {
 		if err := MakeDataFile(sys.Host(), sys.HostClock(), "/micro/hit.bin", size, 2); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := PrefetchGPUfs(sys, 0, "/micro/hit.bin", size, 8, 128); err != nil {
+		if _, err := SeqReadGPUfs(sys, 0, "/micro/hit.bin", size, 8, 128); err != nil {
 			t.Fatal(err)
 		}
 		res, err := CacheHitGPUfs(sys, 0, "/micro/hit.bin", size, 16, 128, 1<<20, 16<<10)
@@ -521,11 +521,14 @@ func TestMatVecPageRowAlignmentGuard(t *testing.T) {
 func TestMakeTextUsesDictionary(t *testing.T) {
 	dict := MakeDictionary(20)
 	text := MakeText(32<<10, TextSpec{Dict: dict, DictFraction: 1.0, Seed: 1})
-	set := dictSet(dict.Words)
+	set := make(map[string]bool, len(dict.Words))
+	for _, w := range dict.Words {
+		set[w] = true
+	}
 	inDict, total := 0, 0
 	tokenize(text, func(w []byte) {
 		total++
-		if _, ok := set[string(w)]; ok {
+		if set[string(w)] {
 			inDict++
 		}
 	})
@@ -537,7 +540,7 @@ func TestMakeTextUsesDictionary(t *testing.T) {
 	inDict, total = 0, 0
 	tokenize(text, func(w []byte) {
 		total++
-		if _, ok := set[string(w)]; ok {
+		if set[string(w)] {
 			inDict++
 		}
 	})

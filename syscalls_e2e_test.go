@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"gpufs"
+	"gpufs/internal/metrics"
 	"gpufs/internal/simtime"
+	"gpufs/internal/workloads"
 )
 
 func syscallTestSystem(t *testing.T) *gpufs.System {
@@ -332,10 +334,38 @@ func TestGopenAheadPipelinesOpens(t *testing.T) {
 	}
 }
 
-// TestDefaultOrderingIsStrong pins the config default: the prototype's
-// semantics, every call blocking its lane.
+// TestDefaultOrderingIsStrong pins who chooses a relaxed call: the issuing
+// code, never the machine. Grep with an open-ahead window of 0 is the
+// prototype's loop, every gopen blocking its lane; a window of 4 issues
+// relaxed gopens on the same default system.
 func TestDefaultOrderingIsStrong(t *testing.T) {
-	if got := gpufs.DefaultConfig().SyscallOrdering; got != "strong" {
-		t.Fatalf("default SyscallOrdering = %q, want %q", got, "strong")
+	relaxedOpens := func(window int) int64 {
+		reg := metrics.New()
+		sys, err := gpufs.NewSystemWithMetrics(gpufs.ScaledConfig(1.0/256), reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dict := workloads.MakeDictionary(8)
+		if err := sys.WriteHostFile("/g/dict", dict.Encode()); err != nil {
+			t.Fatal(err)
+		}
+		tree, err := workloads.MakeTree(sys.Host(), sys.HostClock(), workloads.TreeSpec{
+			Dir: "/g/src", NumFiles: 16, TotalBytes: 16 << 10,
+			Text: workloads.TextSpec{Dict: dict, DictFraction: 0.4, Seed: 3},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := sys.Config()
+		if _, err := workloads.GrepGPUfs(sys, 0, "/g/dict", tree.ListPath, "/g/out", cfg.GrepGPURate, 1, 64, 0, window); err != nil {
+			t.Fatal(err)
+		}
+		return reg.DurationHistogram("gpufs_sys_latency_seconds", "gpu", "0", "op", "gopen", "ordering", "relaxed").Count()
+	}
+	if n := relaxedOpens(0); n != 0 {
+		t.Errorf("grep with no open-ahead window issued %d relaxed gopens, want 0", n)
+	}
+	if n := relaxedOpens(4); n == 0 {
+		t.Errorf("grep with an open-ahead window of 4 issued no relaxed gopen")
 	}
 }
