@@ -15,6 +15,8 @@
 #                one an open offered back (pcache's Unalloc), moves
 #                fileCache.frames, or moves Frame.Dirty, the dirty-page
 #                counts kept beside it, or Frame.CleanAt and WroteAt),
+#                one WritePages call in non-test internal/core (the
+#                write-back run's flush: every host write is gathered there),
 #                internal/core/ftable.go still the
 #                one owner of the file tables (no other non-test file of
 #                the package names the open or closed table, their
@@ -81,6 +83,9 @@ tier2:
 	@strays=$$(grep -nE '\.(TryBeginInit|FinishInit|AbortInit|TryEvict|CancelEvict|FinishEvict)\(|cache\.(TryAllocOn|Release|Unalloc)\(|frames\.Add\(|Dirty\.(Store|Swap|CompareAndSwap)\(|(dirty|dirtyPages)\.Add\(|(CleanAt|WroteAt)\.(Store|CompareAndSwap)\(' \
 		$$(ls internal/core/*.go | grep -v -e '_test\.go$$' -e '/page\.go$$')); if [ -n "$$strays" ]; then \
 		echo "internal/core/page.go owns the page lifecycle; these call sites bypass it:"; echo "$$strays"; exit 1; fi
+	@writes=$$(grep -n 'WritePages(' $$(ls internal/core/*.go | grep -v '_test\.go$$')); \
+		if [ $$(printf '%s\n' "$$writes" | grep -c .) -ne 1 ]; then \
+		echo "internal/core must write to the host through one WritePages call, the run flush; found:"; echo "$$writes"; exit 1; fi
 	@strays=$$(grep -nE '\.fds|\.byPath|\.closed\[|range [a-z.]*\.closed\b|\.closedByPath|\.truncated|keepFd|lastFlags' \
 		$$(ls internal/core/*.go | grep -v -e '_test\.go$$' -e '/ftable\.go$$')); if [ -n "$$strays" ]; then \
 		echo "internal/core/ftable.go owns the file tables; these lines reach past it:"; echo "$$strays"; exit 1; fi

@@ -199,6 +199,7 @@ func (ck *Ckpt) Walk() {
 			}
 			// Copy OUTSIDE cap.mu: Snapshot takes the frame lock, which
 			// a concurrent writer holds while taking cap.mu in the hook.
+			snap = snap[:0]
 			data, _, valid := fr.Snapshot(&snap)
 			dirty := fr.Dirty.Load()
 			if valid > int64(len(data)) {

@@ -171,7 +171,13 @@ func (fs *FS) cleanFile(a actor, v victim, max int) int {
 			return true
 		}
 		if fr.Dirty.Load() {
-			if err := wb.frame(fr); err != nil {
+			// Issued per page, as eviction's are: an evictor that meets the
+			// page clean waits for that one write to land, not for a run.
+			err := wb.frame(fr, nil)
+			if ferr := wb.flush(); err == nil {
+				err = ferr
+			}
+			if err != nil {
 				fc.recordWriteErr(err)
 			} else {
 				cleaned++
@@ -181,6 +187,6 @@ func (fs *FS) cleanFile(a actor, v victim, max int) int {
 		p.Unref()
 		return true
 	})
-	wb.done()
+	wb.done() // every run is flushed: only the join is left
 	return cleaned
 }

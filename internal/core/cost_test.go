@@ -438,10 +438,11 @@ func TestCostWriteSharedWholePageStillFetches(t *testing.T) {
 	})
 }
 
-// TestCostFsyncAndTruncate: gfsync of k dirty pages is k writes and nothing
-// else — the write's reply carries the generation a stat used to fetch — all
-// issued before any is joined: the block pays k issue charges beside the
-// lane's one daemon worker, and waits for the last write to land. One page
+// TestCostFsyncAndTruncate: gfsync of k dirty pages, no two of them adjacent,
+// is k writes and nothing else — the write's reply carries the generation a
+// stat used to fetch — all issued before any is joined: the block pays k
+// issue charges beside the lane's one daemon worker, and waits for the last
+// write to land. One page
 // costs a ring cycle, the staged D2H transfer and the pwrite, exactly what a
 // blocking write costs. gftruncate is one request, and the fast reopen that
 // follows shows the generations were adopted.
@@ -473,14 +474,34 @@ func TestCostFsyncAndTruncate(t *testing.T) {
 			opt.APICostPerPage, rigRPC.HandleCost)
 	}
 	full := (k - 1) / m
-	costFsyncAndTruncate(t, opt, k,
+	costFsyncAndTruncate(t, opt, k, 2, k,
 		rigRPC.PollInterval+simtime.Duration(full)*group(m)+group(k-full*m)+rigRPC.ReturnLatency)
 	// One page: what a gfsync of it cost when the block sat through each write.
-	costFsyncAndTruncate(t, opt, 1,
+	costFsyncAndTruncate(t, opt, 1, 2, 1,
 		rigRPC.PollInterval+rigRPC.HandleCost+rigRPC.ReturnLatency+d2h+pwrite)
 }
 
-func costFsyncAndTruncate(t *testing.T, opt Options, k int64, want simtime.Duration) {
+// TestCostFsyncAdjacentPages: gfsync of k adjacent dirty pages that fit in
+// wbMaxVec is one write gathered from k segments: one ring cycle, one D2H
+// transfer of the k pages that pays the scatter-gather surcharge of an eighth
+// of the DMA setup per segment past the first, and one pwrite — what a
+// blocking write of the k pages' bytes costs.
+func TestCostFsyncAdjacentPages(t *testing.T) {
+	opt := defaultOpt()
+	ps := opt.PageSize
+	for _, k := range []int64{wbMaxVec / ps / 2, wbMaxVec / ps} {
+		n := k * ps
+		d2h := simtime.TransferTime(n, rigBus.HostMemBandwidth) + rigBus.DMALatency +
+			rigBus.DMALatency/8*simtime.Duration(k-1) + simtime.TransferTime(n, rigBus.Bandwidth) + devPass(n)
+		pwrite := rigHost.SyscallOverhead + simtime.TransferTime(n, rigHost.MemBandwidth)
+		costFsyncAndTruncate(t, opt, k, 1, 1,
+			rigRPC.PollInterval+rigRPC.HandleCost+d2h+pwrite+rigRPC.ReturnLatency)
+	}
+}
+
+// costFsyncAndTruncate dirties k whole pages, stride pages apart, gfsyncs them
+// and checks it costs want and sends writes write requests and nothing else.
+func costFsyncAndTruncate(t *testing.T, opt Options, k, stride, writes int64, want simtime.Duration) {
 	ps := opt.PageSize
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
@@ -494,7 +515,7 @@ func costFsyncAndTruncate(t *testing.T, opt Options, k int64, want simtime.Durat
 			return err
 		}
 		for p := int64(0); p < k; p++ {
-			gwrite(t, fs, b, fd, pattern(int(ps), 9), 2*p*ps)
+			gwrite(t, fs, b, fd, pattern(int(ps), 9), stride*p*ps)
 		}
 		before := ops()
 		cost := elapsed(b, func() {
@@ -503,12 +524,13 @@ func costFsyncAndTruncate(t *testing.T, opt Options, k int64, want simtime.Durat
 			}
 		})
 		after := ops()
-		if after[0]-before[0] != k || after[1] != before[1] || after[2]-before[2] != k {
-			t.Errorf("gfsync of %d dirty pages: %d writes, %d stats, %d requests; want %d, 0, %d",
-				k, after[0]-before[0], after[1]-before[1], after[2]-before[2], k, k)
+		if after[0]-before[0] != writes || after[1] != before[1] || after[2]-before[2] != writes {
+			t.Errorf("gfsync of %d dirty pages %d apart: %d writes, %d stats, %d requests; want %d, 0, %d",
+				k, stride, after[0]-before[0], after[1]-before[1], after[2]-before[2], writes, writes)
 		}
 		if cost != want {
-			t.Errorf("gfsync of %d dirty pages cost %v, want poll + the worker's groups of dispatches, one D2H DMA and one pwrite + return = %v", k, cost, want)
+			t.Errorf("gfsync of %d dirty pages %d apart cost %v, want poll + the worker's groups of dispatches, one D2H DMA and one pwrite + return = %v",
+				k, stride, cost, want)
 		}
 
 		before = ops()

@@ -91,11 +91,12 @@ func TestFaultStressOracle(t *testing.T) {
 }
 
 // stressTotals sums over a suite's seeds what no one seed is sure to reach
-// and the suite must, or it is vacuous: injected faults, and pages a
-// confirmed stream's speculation reclaimed from a closed file (a failed read
-// can keep a seed's stride from confirming).
+// and the suite must, or it is vacuous: injected faults, pages a confirmed
+// stream's speculation reclaimed from a closed file (a failed read can keep a
+// seed's stride from confirming), and write-backs gathered from more than one
+// page (eviction can take a run's pages before its gfsync).
 type stressTotals struct {
-	injected, specReclaimed atomic.Int64
+	injected, specReclaimed, gathered atomic.Int64
 }
 
 func newStressTotals(t *testing.T, seeds int) *stressTotals {
@@ -109,6 +110,9 @@ func newStressTotals(t *testing.T, seeds int) *stressTotals {
 		}
 		if s.specReclaimed.Load() == 0 {
 			t.Errorf("speculation reclaimed no closed page across %d seeds; the neighbour reader no longer reaches it", seeds)
+		}
+		if s.gathered.Load() == 0 {
+			t.Errorf("no write-back was gathered from more than one page across %d seeds; the writer's runs no longer reach a gfsync", seeds)
 		}
 	})
 	return s
@@ -178,6 +182,7 @@ func runFaultStress(t *testing.T, seed int64, shards, workers int, totals *stres
 	defer func() {
 		totals.injected.Add(h.inj.TotalInjected())
 		totals.specReclaimed.Add(fs.specReclaimed.Load())
+		totals.gathered.Add(fs.gatheredWrites.Load())
 	}()
 
 	const maxFile = 200 << 10 // ~12 pages, double the cache
@@ -332,7 +337,13 @@ func runFaultStress(t *testing.T, seed int64, shards, workers int, totals *stres
 				if err := ensureOpen(b); err != nil {
 					return err
 				}
-				off, n := writeExtent(rng, maxFile, 8<<10, int(gpuSize), int(opt.PageSize))
+				ps := int(opt.PageSize)
+				off, n := writeExtent(rng, maxFile, 8<<10, int(gpuSize), ps)
+				if rng.Intn(4) == 0 {
+					// A run of two to four adjacent whole pages, which
+					// write-back gathers into one write.
+					off, n = rng.Intn(maxFile/ps-3)*ps, (2+rng.Intn(3))*ps
+				}
 				data := make([]byte, n)
 				rng.Read(data)
 				got, err := fs.Write(b, fd, data, int64(off))

@@ -168,6 +168,10 @@ type FS struct {
 	// stride detector's feedback loop, and it did not issue these.
 	openFilled atomic.Int64
 
+	// gatheredWrites counts write-backs gathered from more than one segment
+	// (writeBack.flush in page.go), for the fault oracle's coverage guard.
+	gatheredWrites atomic.Int64
+
 	// specReclaimed counts closed files' clean pages a confirmed stream's
 	// speculation reclaimed for itself (reclaimForSpec in paging.go).
 	specReclaimed atomic.Int64

@@ -136,8 +136,10 @@ func (m *Mapping) msyncImpl(b *gpu.Block) error {
 		return nil // quasi-read-only: never propagated
 	}
 	wb := writeBack{fs: m.fs, a: m.fs.blockActor(b), fc: m.f.fc, hostFd: m.f.hostFd}
-	err := wb.frame(m.ref.fr)
-	wb.done()
+	err := wb.frame(m.ref.fr, nil)
+	if derr := wb.done(); err == nil {
+		err = derr
+	}
 	return err
 }
 

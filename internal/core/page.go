@@ -276,37 +276,79 @@ func (fs *FS) hold(fc *fileCache, p *radix.FPage) *pcache.Frame {
 }
 
 // writeBackGap is how close two dirty ranges must be before write-back
-// coalesces them into one RPC write.
+// coalesces them into one range.
 const writeBackGap = 512
 
+// wbMaxVec caps one gathered write-back: a run of adjacent dirty ranges goes
+// to the host as one write of at most this many bytes. It is Linux's default
+// read-ahead bound, which sizes host I/O apart from the GPU page as the
+// read side's coalesced span does.
+const wbMaxVec = 128 << 10
+
+// wbMaxSegs caps a run's segments so the run fits a fixed array on the walk.
+// It binds only at pages of 4 KiB or less, where wbMaxVec can hold more.
+const wbMaxSegs = 32
+
 // writeBack is one actor propagating dirty pages of one file to the host
-// through hostFd: any number of frame calls, then done. The walk is
-// fork-join in virtual time: frame issues a page's writes without waiting for
-// them, done waits for them all, so a walk of k pages costs the actor k
-// issues beside the daemon's work on them rather than k round trips.
+// through hostFd: any number of frame calls, then done. The walk gathers
+// each run of adjacent dirty ranges into one write (flush) and is fork-join
+// in virtual time: a write is issued without waiting for it, done waits for
+// them all, so a walk of k runs costs the actor k issues beside the daemon's
+// work on them rather than k round trips.
 type writeBack struct {
 	fs     *FS
 	a      actor
 	fc     *fileCache
 	hostFd int64
 	// buf is the one buffer every page of this walk is snapshotted through,
-	// drawn from snapBufs at the first dirty page and returned by done.
+	// drawn from snapBufs at the first dirty page and returned by done. The
+	// queued pages' snapshots are its tail; frame drops the rest.
 	buf *[]byte
 	// fork is the clock each write blocks on, forked from the actor's when the
 	// write is issued; landed is the latest instant any write the walk
 	// depends on reaches the host, which done joins.
 	fork   simtime.Clock
 	landed simtime.Time
+
+	// The run: segs, bytes of buf, go to the file at off as one write of n
+	// bytes once flushed. pages are the pages queued for it, in file order;
+	// while frame walks a page's ranges (open) that page is the last, and it
+	// may have no range in the run yet.
+	segs   [wbMaxSegs]wbSeg
+	nsegs  int
+	off, n int64
+	pages  [wbMaxSegs + 1]wbPage
+	npages int
+	open   bool
+}
+
+// wbSeg is one range of a run: bytes [from, to) of the walk's buffer.
+type wbSeg struct{ from, to int }
+
+// wbPage is a page queued in a run. It keeps its Frame.WriteBack lock and,
+// when ref is not nil, that radix reference until its last range is issued:
+// until then its write-back is not even in flight, and an evictor that found
+// the page clean and unreferenced could hand its frame away without waiting
+// for a write that has not started. Its snapshot is bytes [from, to) of the
+// walk's buffer.
+type wbPage struct {
+	fr       *pcache.Frame
+	ref      *radix.FPage
+	from, to int
+	shared   bool // write-shared: success advances the pristine copy
+	inRun    bool // a range of it is in the run not yet issued
+	failed   bool // a run it had a range in failed
 }
 
 // snapBufs recycles write-back snapshot buffers across walks: most walks
-// write one or two pages, so a buffer per walk would still be one per page.
+// write one or two runs, so a buffer per walk would still be one per run.
 var snapBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // frame makes sure the host has, once the walk is joined (done), the bytes of
 // one page the caller keeps from reclamation (a reference, or the Evicting
-// state). A dirty page is written back, sending only the bytes this GPU
-// actually modified:
+// state); ref, when not nil, is such a reference, which the walk takes over
+// and drops once the page is done with. Pages come in file order. A dirty page
+// is written back, sending only the bytes this GPU actually modified:
 //
 //   - O_GWRONCE pages diff against implicit zeros (no pristine copy is
 //     stored), so write-back reduces to transferring non-zero ranges.
@@ -316,39 +358,48 @@ var snapBufs = sync.Pool{New: func() any { return new([]byte) }}
 //     §3.1).
 //   - Exclusively written pages are sent whole over their valid extent.
 //
-// Each range is a strong write — the transport's whole blocking protocol,
-// retries, timeouts and dedup included — run on a clock forked from the
-// actor's, which pays the issue and moves on while the daemon and the DMA
-// engines work; where the fork ends is when the range is on the host, kept in
-// the walk and in Frame.CleanAt. A clean page has nothing to send, but the
-// write-back that cleaned it may still be in flight on another actor's fork
-// at this actor's time: the walk waits for that one too (landing).
+// Each range joins the run: it continues the run iff it starts at the file
+// offset where the run ends and the run stays within wbMaxVec (and
+// wbMaxSegs); otherwise the run is flushed first and the range starts the
+// next. A page with several ranges breaks the run at its gaps. The page stays
+// queued, its lock and reference held, until the run holding its last range
+// is issued; an actor that needs one page's result flushes after it.
 //
-// On success the frame is clean and, for write-shared pages, the pristine
-// copy is advanced to the page's current content so future diffs are
-// relative to this sync. On failure it is dirty again. Either way the file
-// adopts the generation of every range that did reach the host.
-func (w *writeBack) frame(fr *pcache.Frame) error {
-	// One write-back of a page at a time, from before the dirty flag
-	// clears until the last range is on the host (see Frame.WriteBack).
+// A clean page has nothing to send, but the write-back that cleaned it may
+// still be in flight on another actor's fork at this actor's time: the walk
+// waits for that one too (landing). The error is that of any run this call
+// issued.
+func (w *writeBack) frame(fr *pcache.Frame, ref *radix.FPage) error {
+	base := fr.Offset.Load()
+	var err error
+	if !w.continues(base, 1) {
+		// Nothing of this page can continue the run: issue it before taking
+		// the page's lock, so the locks a walk holds while it waits for one
+		// are of the pages just below — ascending, the lock order.
+		err = w.flush()
+	}
+	// One write-back of a page at a time, from before the dirty flag clears
+	// until the last range is on the host (see Frame.WriteBack).
 	fr.WriteBack.Lock()
-	defer fr.WriteBack.Unlock()
 	if !fr.Dirty.Load() {
 		// Whoever cleared the flag held the lock until its writes returned
 		// (or failed, and set the flag again), so CleanAt covers them.
 		w.landed = max(w.landed, landing(fr, w.a.clk.Now()))
-		return nil
+		fr.WriteBack.Unlock()
+		if ref != nil {
+			ref.Unref()
+		}
+		return err
 	}
 	// Clear the dirty flag BEFORE snapshotting: a write racing with this
 	// sync either lands in the snapshot (shipped now, re-flagged
 	// harmlessly) or re-dirties the page for the next sync. Either way
 	// nothing is lost.
 	w.fs.setDirty(w.fc, fr, false)
-	if w.buf == nil {
-		w.buf = snapBufs.Get().(*[]byte)
-	}
-	data, pristine, valid := fr.Snapshot(w.buf)
-	base := fr.Offset.Load()
+	from, data, pristine, valid := w.snapshot(fr)
+	w.pages[w.npages] = wbPage{fr: fr, ref: ref, from: from, to: from + len(data), shared: pristine != nil}
+	w.npages++
+	w.open = true
 
 	var ranges []Range
 	switch {
@@ -361,29 +412,143 @@ func (w *writeBack) frame(fr *pcache.Frame) error {
 			ranges = []Range{{0, valid}}
 		}
 	}
-
 	for _, r := range ranges {
-		issued := w.a.clk.Now()
-		w.fork = w.a.clk.Fork()
-		_, gen, err := w.a.lane.WritePages(&w.fork, w.hostFd, base+r.Start, data[r.Start:r.End])
-		w.a.busy(w.fs.opt.APICostPerPage) // the issue, as spanFetch pays per RPC
-		landed := w.fork.Now()
-		w.landed = max(w.landed, landed)
-		if int64(landed) > fr.CleanAt.Load() {
-			fr.CleanAt.Store(int64(landed))
-			fr.WroteAt.Store(int64(issued))
+		if !w.continues(base+r.Start, r.Len()) {
+			if ferr := w.flush(); ferr != nil && err == nil {
+				err = ferr
+			}
+			if w.pages[0].failed {
+				break // this page is dirty again: send none of the rest
+			}
 		}
-		if err != nil {
-			// A racing writer may have re-dirtied it already.
-			w.fs.setDirty(w.fc, fr, true)
-			return fmt.Errorf("gpufs: writing back page at %d: %w", base, err)
+		if w.nsegs == 0 {
+			w.off, w.n = base+r.Start, 0
 		}
+		w.segs[w.nsegs] = wbSeg{from + int(r.Start), from + int(r.End)}
+		w.nsegs++
+		w.n += r.Len()
+		w.pages[w.npages-1].inRun = true
+	}
+	w.open = false
+	if p := w.pages[w.npages-1]; !p.inRun {
+		w.npages--
+		w.finish(p)
+	}
+	return err
+}
+
+// continues reports whether n bytes at file offset off can join the run: it
+// is empty, or they start where it ends and it stays within wbMaxVec and
+// wbMaxSegs.
+func (w *writeBack) continues(off, n int64) bool {
+	return w.nsegs == 0 || w.off+w.n == off && w.n+n <= wbMaxVec && w.nsegs < wbMaxSegs
+}
+
+// snapshot copies fr's page (and pristine copy) onto the end of the walk's
+// buffer, after the queued pages' snapshots and nothing else, and returns
+// where the page's bytes start; the pristine copy lies past the buffer's
+// length, good until the next snapshot.
+func (w *writeBack) snapshot(fr *pcache.Frame) (from int, data, pristine []byte, valid int64) {
+	if w.buf == nil {
+		w.buf = snapBufs.Get().(*[]byte)
+	}
+	buf := (*w.buf)[:0]
+	if w.npages > 0 {
+		// Drop the snapshots of pages already done with.
+		d := w.pages[0].from
+		buf = (*w.buf)[:copy(*w.buf, (*w.buf)[d:])]
+		for i := range w.pages[:w.npages] {
+			w.pages[i].from -= d
+			w.pages[i].to -= d
+		}
+		for i := range w.segs[:w.nsegs] {
+			w.segs[i].from -= d
+			w.segs[i].to -= d
+		}
+	}
+	// A fresh buffer takes a whole run (or page) at once, not a growth step
+	// per page of it.
+	if run := max(wbMaxVec, int(w.fs.opt.PageSize)); cap(buf) < run {
+		buf = append(make([]byte, 0, run), buf...)
+	}
+	from = len(buf)
+	data, pristine, valid = fr.Snapshot(&buf)
+	*w.buf = buf[:from+len(data)]
+	return from, data, pristine, valid
+}
+
+// flush issues the run as one strong write — the transport's whole blocking
+// protocol, retries, timeouts and dedup included — gathered from its
+// segments, on a clock forked from the actor's, which pays the issue and
+// moves on while the daemon and the DMA engines work; where the fork ends is
+// when the run is on the host, kept in the walk and in every page's
+// Frame.CleanAt. On success the file adopts the generation the write
+// produced; on failure every page of the run is dirty again. Then each
+// queued page but an open one is done with (finish).
+func (w *writeBack) flush() error {
+	if w.nsegs == 0 {
+		return nil
+	}
+	var srcs [wbMaxSegs][]byte
+	for i, s := range w.segs[:w.nsegs] {
+		srcs[i] = (*w.buf)[s.from:s.to]
+	}
+	issued := w.a.clk.Now()
+	w.fork = w.a.clk.Fork()
+	_, gen, err := w.a.lane.WritePages(&w.fork, w.hostFd, w.off, srcs[:w.nsegs])
+	w.a.busy(w.fs.opt.APICostPerPage) // the issue, as spanFetch pays per RPC
+	landed := w.fork.Now()
+	w.landed = max(w.landed, landed)
+	if w.nsegs > 1 {
+		w.fs.gatheredWrites.Add(1)
+	}
+	for i := range w.pages[:w.npages] {
+		p := &w.pages[i]
+		if !p.inRun {
+			continue
+		}
+		p.inRun = false
+		p.failed = p.failed || err != nil
+		if int64(landed) > p.fr.CleanAt.Load() {
+			p.fr.CleanAt.Store(int64(landed))
+			p.fr.WroteAt.Store(int64(issued))
+		}
+	}
+	if err != nil {
+		err = fmt.Errorf("gpufs: writing back %d bytes at %d: %w", w.n, w.off, err)
+	} else {
 		w.fs.adoptGeneration(w.fc, gen)
 	}
-	if pristine != nil {
-		fr.SetPristine(data)
+	w.nsegs, w.n = 0, 0
+	keep := 0
+	if w.open {
+		keep = 1
 	}
-	return nil
+	for _, p := range w.pages[:w.npages-keep] {
+		w.finish(p)
+	}
+	if keep > 0 {
+		w.pages[0] = w.pages[w.npages-1]
+	}
+	w.npages = keep
+	return err
+}
+
+// finish is the end of a queued page's write-back, its last range issued: a
+// failed page is dirty again (a racing writer may have re-dirtied it
+// already), a written write-shared page's pristine copy advances to the bytes
+// sent so future diffs are relative to this sync; then the lock and the
+// reference go.
+func (w *writeBack) finish(p wbPage) {
+	if p.failed {
+		w.fs.setDirty(w.fc, p.fr, true)
+	} else if p.shared {
+		p.fr.SetPristine((*w.buf)[p.from:p.to])
+	}
+	p.fr.WriteBack.Unlock()
+	if p.ref != nil {
+		p.ref.Unref()
+	}
 }
 
 // landing is when a write-back of fr in flight at now — issued at or before
@@ -400,14 +565,17 @@ func landing(fr *pcache.Frame, now simtime.Time) simtime.Time {
 	return now
 }
 
-// done joins the walk — the actor waits until the last write it issued, or
-// found in flight, is on the host — and closes it.
-func (w *writeBack) done() {
+// done issues the run, joins the walk — the actor waits until the last write
+// it issued, or found in flight, is on the host — and closes it. The error is
+// the run's.
+func (w *writeBack) done() error {
+	err := w.flush()
 	w.a.clk.AdvanceTo(w.landed)
 	if w.buf != nil {
 		snapBufs.Put(w.buf)
 		w.buf = nil
 	}
+	return err
 }
 
 // adoptGeneration takes gen — what the reply to this GPU's own write or

@@ -11,6 +11,7 @@ import (
 	"gpufs/internal/faults"
 	"gpufs/internal/gpu"
 	"gpufs/internal/gsys"
+	"gpufs/internal/rpc"
 	"gpufs/internal/simtime/simtest"
 )
 
@@ -182,10 +183,10 @@ func TestHoldRefusesRecycledFrame(t *testing.T) {
 }
 
 // TestWriteBackAllocatesNoPageBuffer: write-back snapshots a page through a
-// buffer recycled across walks and the daemon stages it in another, so at
-// steady state dirtying and syncing a page allocates the two RPCs' frames,
-// calls and clocks — a small fraction of the page (ISSUE 17; the parent made
-// two fresh page copies per page written).
+// buffer recycled across walks and the daemon writes the snapshot as it is, so
+// at steady state dirtying and syncing a page allocates the RPC's frame, call
+// and clocks — a small fraction of the page, where an unpooled write-back
+// would copy the page afresh.
 func TestWriteBackAllocatesNoPageBuffer(t *testing.T) {
 	opt := defaultOpt()
 	opt.PageSize = 64 << 10
@@ -218,8 +219,8 @@ func TestWriteBackAllocatesNoPageBuffer(t *testing.T) {
 			}
 		}
 		runtime.ReadMemStats(&after)
-		// Two pooled buffers per page: the snapshot's and the daemon's.
-		bound := opt.PageSize/8 + 2*simtest.PoolSlack(opt.PageSize)
+		// One pooled buffer per walk, sized for a whole run.
+		bound := opt.PageSize/8 + simtest.PoolSlack(max(wbMaxVec, opt.PageSize))
 		if perPage := int64(after.TotalAlloc-before.TotalAlloc) / rounds; perPage >= bound {
 			t.Errorf("writing back a page allocates %d B at steady state, want < %d (the page is %d)", perPage, bound, opt.PageSize)
 		}
@@ -228,6 +229,125 @@ func TestWriteBackAllocatesNoPageBuffer(t *testing.T) {
 	if got := h.read(t, "/w"); !bytes.Equal(got, page) {
 		t.Error("the page did not reach the host")
 	}
+}
+
+// TestGatheredWriteBackAllocations: a gfsync of k adjacent dirty pages that
+// fit in one run allocates what a one-page gfsync does — the RPC's frame, call
+// and clocks — plus the call's copy of the k-segment vector; the snapshots
+// share one pooled buffer and the run lives on the walk. The per-page
+// write-back this replaced made 41 allocations for 8 pages.
+func TestGatheredWriteBackAllocations(t *testing.T) {
+	opt := defaultOpt()
+	k := int(wbMaxVec / opt.PageSize)
+	gfsync := func(pages int) (allocs float64) {
+		h := newHarness(t, 1, opt)
+		fs := h.fss[0]
+		h.write(t, "/w", make([]byte, pages*int(opt.PageSize)))
+		data := pattern(pages*int(opt.PageSize), 3)
+		h.run(t, 0, func(b *gpu.Block) error {
+			fd, err := fs.Open(b, "/w", O_RDWR)
+			if err != nil {
+				return err
+			}
+			allocs = testing.AllocsPerRun(200, func() {
+				if _, err := fs.Write(b, fd, data, 0); err != nil {
+					t.Error(err)
+				}
+				if err := fs.Fsync(b, fd); err != nil {
+					t.Error(err)
+				}
+			})
+			return fs.Close(b, fd)
+		})
+		if got := h.read(t, "/w"); !bytes.Equal(got, data) {
+			t.Errorf("%d pages: the host does not hold the written bytes", pages)
+		}
+		return allocs
+	}
+	slack := 0.0
+	if simtest.Race() {
+		slack = 2 // both pools' dropped Puts, a quarter of the time each
+	}
+	one, run := gfsync(1), gfsync(k)
+	if run > one+1+slack {
+		t.Errorf("gfsync of %d adjacent pages makes %.0f allocations, one page %.0f: want at most one more, the vector's copy", k, run, one)
+	}
+}
+
+// TestQueuedPageOutlivesItsRun: a page queued in a run keeps its WriteBack
+// lock and the walk's reference on it until the run is issued. Before then
+// its write-back is not even in flight and its dirty flag is already clear: an
+// evictor that could take the page would find it clean with no write to wait
+// for, and hand the frame — the source of the write still to come — to a new
+// tenant.
+func TestQueuedPageOutlivesItsRun(t *testing.T) {
+	const k = 2
+	opt := defaultOpt()
+	ps := int(opt.PageSize)
+	h := newHarness(t, 1, opt)
+	fs := h.fss[0]
+	h.write(t, "/q", make([]byte, k*ps))
+	want := pattern(k*ps, 4)
+	h.run(t, 0, func(b *gpu.Block) error {
+		fd, err := fs.Open(b, "/q", O_RDWR)
+		if err != nil {
+			return err
+		}
+		gwrite(t, fs, b, fd, want, 0)
+		f := fs.ft.fds[fd]
+		wb := writeBack{fs: fs, a: fs.blockActor(b), fc: f.fc, hostFd: f.hostFd}
+		writes := h.server.Requests(rpc.OpWritePages)
+		var frs [k]*pcache.Frame
+		var fps [k]*radix.FPage
+		for i := range frs {
+			_, fps[i] = slotOf(t, fs, fd, uint64(i))
+			if frs[i] = fs.hold(f.fc, fps[i]); frs[i] == nil {
+				t.Fatalf("page %d not resident", i)
+			}
+			if err := wb.frame(frs[i], fps[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := h.server.Requests(rpc.OpWritePages) - writes; got != 0 {
+			t.Fatalf("%d writes issued while the run was still open", got)
+		}
+		for i, fp := range fps {
+			if fp.Refs() != 1 {
+				t.Errorf("queued page %d has %d references before its run is issued, want the walk's 1", i, fp.Refs())
+			}
+			if frs[i].Dirty.Load() {
+				t.Errorf("queued page %d still dirty: the flag clears at snapshot", i)
+			}
+			if fr := fs.beginEvict(fp); fr != nil {
+				t.Errorf("an evictor took queued page %d before its write was issued", i)
+				cancelEvict(fp)
+			}
+			if frs[i].WriteBack.TryLock() {
+				t.Errorf("queued page %d's write-back lock is free before its run is issued", i)
+				frs[i].WriteBack.Unlock()
+			}
+		}
+		if err := wb.done(); err != nil {
+			t.Fatal(err)
+		}
+		if got := h.server.Requests(rpc.OpWritePages) - writes; got != 1 {
+			t.Errorf("%d adjacent pages went out in %d writes, want 1", k, got)
+		}
+		for i, fp := range fps {
+			free := frs[i].WriteBack.TryLock()
+			if free {
+				frs[i].WriteBack.Unlock()
+			}
+			if fp.Refs() != 0 || !free {
+				t.Errorf("page %d after its run was issued: %d references, write-back lock free=%v; want 0 and free", i, fp.Refs(), free)
+			}
+		}
+		return fs.Close(b, fd)
+	})
+	if got := h.read(t, "/q"); !bytes.Equal(got, want) {
+		t.Error("the host does not hold the run's bytes")
+	}
+	h.checkDirtyCounts(t)
 }
 
 // poolState is everything an allocation leaves behind in the frame pool: the

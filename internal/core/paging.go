@@ -216,7 +216,13 @@ func (fs *FS) evictFromFile(a actor, v victim, target int, mode evictMode) int {
 			dirty := fr.Dirty.Load()
 			keep := mode == evictDirty && !dirty || mode == evictClean && dirty || dirty && v.hostFd == 0
 			if dirty && !keep {
-				if err := wb.frame(fr); err != nil {
+				// Issued now, not gathered with the next page: the page is
+				// reclaimed only once its own write has landed.
+				err := wb.frame(fr, nil)
+				if ferr := wb.flush(); err == nil {
+					err = ferr
+				}
+				if err != nil {
 					fc.recordWriteErr(err)
 					keep = true
 				}
@@ -240,7 +246,7 @@ func (fs *FS) evictFromFile(a actor, v victim, target int, mode evictMode) int {
 		}
 	}
 
-	wb.done()
+	wb.done() // every run is flushed: only the join is left
 	if reclaimed > 0 {
 		fs.recordAt(a.block, trace.OpEvict, fc.path, 0, int64(reclaimed)*fs.opt.PageSize, start, a.clk.Now(), nil)
 	}

@@ -95,19 +95,20 @@ func (f *Frame) Lock() { f.mu.Lock() }
 func (f *Frame) Unlock() { f.mu.Unlock() }
 
 // Snapshot copies the page's valid content and its pristine copy (nil if
-// none) consistently, for race-free diffing during write-back. Both land in
-// *buf, overwritten from its start and grown if too small, so a walk over
-// many pages copies through one buffer; the results alias it.
+// none) consistently, for race-free diffing during write-back. Both are
+// appended to *buf, grown if too small, so a walk over many pages copies
+// through one buffer; the results alias it.
 func (f *Frame) Snapshot(buf *[]byte) (data, pristine []byte, valid int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	valid = f.ValidBytes.Load()
-	*buf = append((*buf)[:0], f.Data[:valid]...)
+	from := int64(len(*buf))
+	*buf = append(*buf, f.Data[:valid]...)
 	if len(f.pristine) > 0 {
 		*buf = append(*buf, f.pristine...)
-		pristine = (*buf)[valid:]
+		pristine = (*buf)[from+valid:]
 	}
-	return (*buf)[:valid], pristine, valid
+	return (*buf)[from : from+valid], pristine, valid
 }
 
 // Matches validates the frame's identity: owning tree id and file offset.

@@ -142,16 +142,22 @@ func TestSnapshotConsistency(t *testing.T) {
 	if data[0] != 'h' {
 		t.Fatalf("snapshot aliases frame data")
 	}
-	// The next snapshot lands in the same buffer, whatever it held; a page
-	// with no pristine copy reports none.
+	// The next snapshot is appended to the same buffer, past what it held; a
+	// page with no pristine copy reports none.
 	g := c.TryAllocOn(0, 1, 4<<10)
 	copy(g.Data, []byte("bye"))
 	g.ValidBytes.Store(3)
+	buf = buf[:len(data)]
 	again, pristine, valid := g.Snapshot(&buf)
 	if valid != 3 || string(again) != "bye" || pristine != nil {
 		t.Fatalf("second snapshot: %q %q %d", again, pristine, valid)
 	}
-	if &again[0] != &data[0] {
+	if string(buf) != "hellobye" {
+		t.Fatalf("buffer holds %q after two snapshots, want both pages' bytes", buf)
+	}
+	// Emptied, the buffer is reused.
+	buf = buf[:0]
+	if third, _, _ := g.Snapshot(&buf); &third[0] != &data[0] {
 		t.Fatalf("snapshot did not reuse the buffer it was given")
 	}
 }

@@ -37,10 +37,10 @@ func (fs *FS) fsyncRangeImpl(b *gpu.Block, fd int, off, n int64) error {
 	return fs.syncFile(b, fd, off, n)
 }
 
-// syncFile writes back dirty, unmapped pages intersecting [off, off+n) — every
-// write issued before any is waited for — and returns once they, and any
-// write-back of those pages found in flight, are on the host; n < 0 means the
-// whole file.
+// syncFile writes back dirty, unmapped pages intersecting [off, off+n) — each
+// run of adjacent dirty ranges as one write, every write issued before any is
+// waited for — and returns once they, and any write-back of those pages found
+// in flight, are on the host; n < 0 means the whole file.
 func (fs *FS) syncFile(b *gpu.Block, fd int, off, n int64) error {
 	f, err := fs.ft.lookup(fd)
 	if err != nil {
@@ -75,13 +75,14 @@ func (fs *FS) syncFile(b *gpu.Block, fd int, off, n int64) error {
 		// Clean pages too: one may owe its clean flag to a write-back
 		// another block or the cleaner still has in flight, and "gfsync
 		// returned" means the host has the bytes.
-		if err := wb.frame(fr); err != nil && firstErr == nil {
+		if err := wb.frame(fr, p); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		p.Unref()
 		return true
 	})
-	wb.done()
+	if err := wb.done(); err != nil && firstErr == nil {
+		firstErr = err
+	}
 	if firstErr != nil {
 		return firstErr
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"gpufs/internal/gpu"
 )
@@ -59,4 +60,99 @@ func TestConcurrentFsyncKeepsHostCurrent(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGatheredWriteBacksDoNotDeadlock: a walk holds the WriteBack locks of the
+// pages queued in its run while it takes the next page's. Two blocks gfsync a
+// file whose dirty runs overlap, while a third runs cleaner passes over it; the
+// file's second leaf was made first, so whole-file walks meet its pages before
+// the first leaf's and a run breaks at the leaf boundary. Pages are queued in
+// ascending file order only — the lock order — so nobody waits for a lock
+// held by someone waiting for one of its own. Both writers end on the same
+// last pattern: once every block has returned, a final gfsync leaves it on the
+// host.
+func TestGatheredWriteBacksDoNotDeadlock(t *testing.T) {
+	const (
+		passes = 6
+		first  = 56 // the writers' runs straddle the leaf boundary at page 64
+		span   = 16 // pages each writer dirties per pass
+		skew   = 4  // the second writer's run starts this many pages later
+	)
+	opt := defaultOpt()
+	opt.CacheBytes = 256 * opt.PageSize
+	opt.Cleaner = true
+	ps := int(opt.PageSize)
+	h := newHarness(t, 1, opt)
+	fs := h.fss[0]
+	size := (first + span + skew) * ps
+	h.write(t, "/g", make([]byte, size))
+	fill := func(pass int) []byte { return bytes.Repeat([]byte{byte(pass + 1)}, span*ps) }
+
+	h.run(t, 0, func(b *gpu.Block) error {
+		fd, err := fs.Open(b, "/g", O_RDWR)
+		if err != nil {
+			return err
+		}
+		// The second leaf first: its pages lead every walk of the file.
+		greadAt(t, fs, b, fd, int64(ps), 70*int64(ps))
+		greadAt(t, fs, b, fd, int64(ps), 0)
+		return fs.Close(b, fd)
+	})
+	h.devs[0].ResetTime()
+	done := make(chan error, 1)
+	go func() {
+		_, err := h.devs[0].Launch(0, 3, 64, func(b *gpu.Block) error {
+			fd, err := fs.Open(b, "/g", O_RDWR)
+			if err != nil {
+				return err
+			}
+			for pass := 0; pass < passes; pass++ {
+				if b.Idx == 2 {
+					if fs.cleaner.busy.CompareAndSwap(false, true) {
+						fs.runCleanerPass(fs.cleaner.a)
+						fs.cleaner.busy.Store(false)
+					}
+					continue
+				}
+				off := int64((first + b.Idx*skew) * ps)
+				if _, err := fs.Write(b, fd, fill(pass), off); err != nil {
+					return err
+				}
+				if err := fs.Fsync(b, fd); err != nil {
+					return err
+				}
+			}
+			return fs.Close(b, fd)
+		})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("kernel: %v", err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("the gfsyncs and the cleaner pass did not finish: write-back deadlocked")
+	}
+	if fs.gatheredWrites.Load() == 0 {
+		t.Error("no write-back was gathered from more than one page")
+	}
+	h.run(t, 0, func(b *gpu.Block) error {
+		fd, err := fs.Open(b, "/g", O_RDWR)
+		if err != nil {
+			return err
+		}
+		if err := fs.Fsync(b, fd); err != nil {
+			return err
+		}
+		return fs.Close(b, fd)
+	})
+	host := h.read(t, "/g")
+	last := fill(passes - 1)[0]
+	for p := first; p < first+span+skew; p++ {
+		if got := host[p*ps]; got != last || !bytes.Equal(host[p*ps:(p+1)*ps], bytes.Repeat([]byte{last}, ps)) {
+			t.Errorf("page %d holds %#x on the host, want the last pass's %#x", p, got, last)
+		}
+	}
+	h.checkDirtyCounts(t)
 }

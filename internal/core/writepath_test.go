@@ -191,17 +191,26 @@ func TestOverwriteFillIsNeverSeenUnfilled(t *testing.T) {
 	h.checkDirtyCounts(t)
 }
 
+// runsOf is how many gathered writes a gfsync of k adjacent dirty pages of
+// size ps sends: one per wbMaxVec of them.
+func runsOf(k, ps int64) int64 {
+	per := wbMaxVec / ps
+	return (k + per - 1) / per
+}
+
 // TestWriteBackUnderDroppedResponses: with half of all responses lost, every
-// write-back is retried until its response gets through, and a retry is
-// answered from the ring's dedup table. The host must have been written once
-// per page, the generations those writes produced must have been adopted all
-// the same (the reply lives in the call the first attempt filled), and the
-// worker must have been charged a dispatch per attempt plus one pwrite per
-// page: nothing for the transfers it does not sit through, nothing twice.
+// gathered write-back is retried until its response gets through, and a retry
+// is answered from the ring's dedup table. The host must have been written
+// once per run of adjacent pages, the generations those writes produced must
+// have been adopted all the same (the reply lives in the call the first
+// attempt filled), and the worker must have been charged a dispatch per
+// attempt plus one pwrite per run: nothing for the transfers it does not sit
+// through, nothing twice.
 func TestWriteBackUnderDroppedResponses(t *testing.T) {
-	const k = 12
 	opt := defaultOpt()
 	ps := opt.PageSize
+	const runs = 2
+	k := runs * wbMaxVec / ps // whole runs, one pwrite of wbMaxVec each
 	h := newFaultHarness(t, opt, faults.Config{Seed: 7, RPCDropResponseProb: 0.5}, 1, 1)
 	fs := h.fss[0]
 	h.inj.SetEnabled(false)
@@ -225,18 +234,18 @@ func TestWriteBackUnderDroppedResponses(t *testing.T) {
 			return err
 		}
 		attempts = h.server.Requests(rpc.OpWritePages) - attempts
-		if attempts <= k || fs.Client().Timeouts() == 0 {
-			t.Errorf("%d write attempts for %d pages, %d timeouts: no response was dropped", attempts, k, fs.Client().Timeouts())
+		if attempts <= runs || fs.Client().Timeouts() == 0 {
+			t.Errorf("%d write attempts for %d runs, %d timeouts: no response was dropped", attempts, runs, fs.Client().Timeouts())
 		}
-		pwrite := rigHost.SyscallOverhead + simtime.TransferTime(ps, rigHost.MemBandwidth)
-		if got, want := h.server.DaemonBusy()-busy, simtime.Duration(attempts)*rigRPC.HandleCost+k*pwrite; got != want {
-			t.Errorf("worker busy %v over the gfsync, want %d dispatches + %d pwrites = %v", got, attempts, k, want)
+		pwrite := rigHost.SyscallOverhead + simtime.TransferTime(wbMaxVec, rigHost.MemBandwidth)
+		if got, want := h.server.DaemonBusy()-busy, simtime.Duration(attempts)*rigRPC.HandleCost+runs*pwrite; got != want {
+			t.Errorf("worker busy %v over the gfsync, want %d dispatches + %d pwrites = %v", got, attempts, runs, want)
 		}
-		if got := h.hostGen(t, "/d"); got != opened+k {
-			t.Errorf("host generation moved by %d, want %d: a retried write was applied again", got-opened, k)
+		if got := h.hostGen(t, "/d"); got != opened+runs {
+			t.Errorf("host generation moved by %d, want %d: a retried write was applied again", got-opened, runs)
 		}
-		if got := fs.ft.fds[fd].fc.gen.Load(); got != opened+k {
-			t.Errorf("cached generation %d, host is at %d: a retried write's generation was not adopted", got, opened+k)
+		if got := fs.ft.fds[fd].fc.gen.Load(); got != opened+runs {
+			t.Errorf("cached generation %d, host is at %d: a retried write's generation was not adopted", got, opened+runs)
 		}
 		return fs.Close(b, fd)
 	})
@@ -250,13 +259,14 @@ func TestWriteBackUnderDroppedResponses(t *testing.T) {
 }
 
 // TestPipelinedWriteBackUnderFaults is the pipelined reading of the test
-// above: a gfsync issues all k writes before it waits for any, each running
-// the transport's retry protocol on a timeline of its own. Under dropped
-// responses and under transient bounces every page is applied exactly once,
-// and the gfsync returns when the write that took longest has landed — the
-// latest Frame.CleanAt — not after the retries of all k one behind another.
+// above: a gfsync issues all its gathered writes before it waits for any, each
+// running the transport's retry protocol on a timeline of its own. Under
+// dropped responses and under transient bounces every run is applied exactly
+// once, every page of a run lands when its run does, and the gfsync returns
+// when the write that took longest has landed — the latest Frame.CleanAt —
+// not after the retries of all runs one behind another.
 func TestPipelinedWriteBackUnderFaults(t *testing.T) {
-	const k = 12
+	const k = 24
 	for name, cfg := range map[string]faults.Config{
 		"dropped responses": {Seed: 7, RPCDropResponseProb: 0.5},
 		"transient bounces": {Seed: 7, RPCTransientProb: 0.5},
@@ -264,6 +274,7 @@ func TestPipelinedWriteBackUnderFaults(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			opt := defaultOpt()
 			ps := opt.PageSize
+			per, runs := wbMaxVec/ps, runsOf(k, ps)
 			h := newFaultHarness(t, opt, cfg, 1, 1)
 			fs := h.fss[0]
 			h.inj.SetEnabled(false)
@@ -290,15 +301,23 @@ func TestPipelinedWriteBackUnderFaults(t *testing.T) {
 				if fs.Client().Retries() == 0 {
 					t.Error("no write was retried: the fault schedule injected nothing")
 				}
-				// The block is alone on its MP, so page i was issued i issue
+				// The block is alone on its MP, so run j was issued j issue
 				// charges into the gfsync.
 				var latest simtime.Time
 				var serial simtime.Duration
-				for i := int64(0); i < k; i++ {
-					_, fp := slotOf(t, fs, fd, uint64(i))
-					landed := simtime.Time(fs.cache.Frame(fp.Frame()).CleanAt.Load())
+				for j := int64(0); j < runs; j++ {
+					var landed simtime.Time
+					for i := j * per; i < min(k, (j+1)*per); i++ {
+						_, fp := slotOf(t, fs, fd, uint64(i))
+						at := simtime.Time(fs.cache.Frame(fp.Frame()).CleanAt.Load())
+						if i == j*per {
+							landed = at
+						} else if at != landed {
+							t.Errorf("page %d of run %d landed at %v, the run's first page at %v", i, j, at, landed)
+						}
+					}
 					latest = max(latest, landed)
-					serial += landed.Sub(start.Add(simtime.Duration(i) * opt.APICostPerPage))
+					serial += landed.Sub(start.Add(simtime.Duration(j) * opt.APICostPerPage))
 				}
 				if end != latest {
 					t.Errorf("gfsync returned at %v, the last of its writes landed at %v", end, latest)
@@ -306,8 +325,8 @@ func TestPipelinedWriteBackUnderFaults(t *testing.T) {
 				if cost := end.Sub(start); cost >= serial {
 					t.Errorf("gfsync cost %v, its writes one after another would have cost %v", cost, serial)
 				}
-				if got := h.hostGen(t, "/p"); got != opened+k {
-					t.Errorf("host generation moved by %d, want %d: a retried write was applied again", got-opened, k)
+				if got := h.hostGen(t, "/p"); got != opened+runs {
+					t.Errorf("host generation moved by %d, want %d: a retried write was applied again", got-opened, runs)
 				}
 				return fs.Close(b, fd)
 			})
@@ -380,6 +399,62 @@ func TestGfsyncJoinsAnotherBlocksWriteBack(t *testing.T) {
 	})
 	if got := h.read(t, "/j"); !bytes.Equal(got, want) {
 		t.Error("the host does not hold A's bytes")
+	}
+	h.checkDirtyCounts(t)
+}
+
+// TestFailedGatheredWriteBack: a run of k adjacent dirty pages fails as one
+// write. Every page of it is dirty again and counted once, the gfsync that
+// issued it reports the error and the file adopts no generation from it; the
+// next gfsync, faults gone, is silent and leaves the host equal to what was
+// written.
+func TestFailedGatheredWriteBack(t *testing.T) {
+	opt := defaultOpt()
+	ps := opt.PageSize
+	k := wbMaxVec / ps
+	h := newFaultHarness(t, opt, faults.Config{Seed: 1, HostWriteEIOProb: 1}, 1, 1)
+	fs := h.fss[0]
+	h.inj.SetEnabled(false)
+	h.write(t, "/v", make([]byte, k*ps))
+	want := pattern(int(k*ps), 6)
+	opened := h.hostGen(t, "/v")
+
+	h.run(t, 0, func(b *gpu.Block) error {
+		fd, err := fs.Open(b, "/v", O_RDWR)
+		if err != nil {
+			return err
+		}
+		gwrite(t, fs, b, fd, want, 0)
+		writes := h.server.Requests(rpc.OpWritePages)
+		h.inj.SetEnabled(true)
+		err = fs.Fsync(b, fd)
+		h.inj.SetEnabled(false)
+		if !errors.Is(err, hostfs.ErrIO) {
+			t.Errorf("gfsync of a failing run returned %v, want EIO", err)
+		}
+		if got := h.server.Requests(rpc.OpWritePages) - writes; got != 1 {
+			t.Errorf("%d adjacent pages went out in %d writes, want 1", k, got)
+		}
+		fc := fs.ft.fds[fd].fc
+		for i := uint64(0); i < uint64(k); i++ {
+			if _, fp := slotOf(t, fs, fd, i); !fs.cache.Frame(fp.Frame()).Dirty.Load() {
+				t.Errorf("page %d of the failed run is clean", i)
+			}
+		}
+		checkDirtyCounts(t, fs)
+		if got := fc.gen.Load(); got != opened || h.hostGen(t, "/v") != opened {
+			t.Errorf("generation %d cached, %d on the host after a failed write; want both still %d", got, h.hostGen(t, "/v"), opened)
+		}
+		if err := fs.Fsync(b, fd); err != nil {
+			t.Errorf("the retrying gfsync returned %v, want the error reported once", err)
+		}
+		if got, want := fc.gen.Load(), h.hostGen(t, "/v"); got != want || want != opened+1 {
+			t.Errorf("cached generation %d after the retry, host at %d, want %d", got, want, opened+1)
+		}
+		return fs.Close(b, fd)
+	})
+	if got := h.read(t, "/v"); !bytes.Equal(got, want) {
+		t.Error("host content differs from what was written")
 	}
 	h.checkDirtyCounts(t)
 }

@@ -271,11 +271,14 @@ func (c Client) ReadAsync(blk *simtime.Clock, fd, off int64, dsts [][]byte) ([]i
 	return cl.reply.Ns, fut.done, nil
 }
 
-// WritePages DMAs len(src) bytes out of device memory and writes them to
-// the host file at off. It returns the byte count and the generation the
-// host file has with the write applied (Reply.Gen).
-func (c Client) WritePages(blk *simtime.Clock, fd, off int64, src []byte) (int, int64, error) {
-	cl := &call{src: src}
+// WritePages gathers the device memory segments srcs, in order, into the
+// contiguous file extent starting at off: one ring transaction, one DMA
+// gathered over the segments, whatever their number, and one host write —
+// Read's mirror. It returns the byte count and the generation the host file
+// has with the write applied (Reply.Gen). On error the write was applied
+// nowhere or wholly (a retried one is deduplicated), and no count is returned.
+func (c Client) WritePages(blk *simtime.Clock, fd, off int64, srcs [][]byte) (int, int64, error) {
+	cl := writeCall(srcs)
 	if err := c.do(blk, SysWrite, []uint64{uint64(fd), uint64(off)}, "", nil, cl); err != nil {
 		return 0, 0, err
 	}

@@ -227,7 +227,7 @@ func TestCostWritePages(t *testing.T) {
 	fd, opened, c := writeFile(t, r)
 	start, requests, busy := c.Now(), r.srv.TotalRequests(), r.srv.DaemonBusy()
 
-	n, gen, err := r.cl.WritePages(c, fd, 0, make([]byte, costPage))
+	n, gen, err := r.cl.WritePages(c, fd, 0, [][]byte{make([]byte, costPage)})
 	if err != nil || n != costPage {
 		t.Fatalf("write: n=%d err=%v", n, err)
 	}
@@ -245,6 +245,52 @@ func TestCostWritePages(t *testing.T) {
 	}
 }
 
+// TestCostWritePagesGather: a write gathered from k segments is still one ring
+// transaction, one D2H transfer and one pwrite of the k segments' bytes, in
+// order; the transfer pays the gather surcharge, an eighth of the DMA setup
+// per segment past the first, and the worker is busy for the dispatch and the
+// pwrite alone.
+func TestCostWritePagesGather(t *testing.T) {
+	const k = 4
+	r := newRig(t, false)
+	r.write(t, "/f", make([]byte, k*costPage))
+	c := simtime.NewClock(simtime.Time(simtime.Second))
+	fd := r.open(t, c, "/f", hostfs.O_RDWR)
+	opened, _ := r.host.Stat("/f")
+	want := make([]byte, k*costPage)
+	for i := range want {
+		want[i] = byte(i*13 + 1)
+	}
+	srcs := make([][]byte, k)
+	for i := range srcs {
+		srcs[i] = want[i*costPage : (i+1)*costPage]
+	}
+	start, requests, busy := c.Now(), r.srv.TotalRequests(), r.srv.DaemonBusy()
+
+	n, gen, err := r.cl.WritePages(c, fd, 0, srcs)
+	if err != nil || n != k*costPage {
+		t.Fatalf("write: n=%d err=%v", n, err)
+	}
+	if gen != opened.Generation+1 {
+		t.Errorf("a gathered write's reply carries generation %d, want one write's, %d", gen, opened.Generation+1)
+	}
+	if got := r.srv.TotalRequests() - requests; got != 1 {
+		t.Errorf("a %d-segment write was %d ring transactions, want 1", k, got)
+	}
+	total := int64(k * costPage)
+	gather := rigBus.DMALatency / 8 * (k - 1)
+	if got, want := c.Now().Sub(start), ringCycle()+d2h(total)+gather+warmPread(total); got != want {
+		t.Errorf("%d-segment write cost the block %v, want ring cycle + one D2H DMA + gather surcharge + one pwrite = %v", k, got, want)
+	}
+	if got, want := r.srv.DaemonBusy()-busy, rigRPC.HandleCost+warmPread(total); got != want {
+		t.Errorf("%d-segment write kept the worker busy %v, want dispatch + one pwrite = %v", k, got, want)
+	}
+	got, err := r.host.ReadFile(simtime.NewClock(0), "/f")
+	if err != nil || !bytes.Equal(got, want) {
+		t.Errorf("host file is not the segments in order (err=%v)", err)
+	}
+}
+
 // TestCostWritesOverlapOnOneRing: two blocks write through the same ring at
 // the same instant. The worker dispatches the second write while the first's
 // transfer is in flight, so the second waits for the host memory bus (both
@@ -256,7 +302,7 @@ func TestCostWritesOverlapOnOneRing(t *testing.T) {
 	c2 := simtime.NewClock(c1.Now())
 	start := c1.Now()
 	for _, c := range []*simtime.Clock{c1, c2} {
-		if _, _, err := r.cl.WritePages(c, fd, 0, make([]byte, costPage)); err != nil {
+		if _, _, err := r.cl.WritePages(c, fd, 0, [][]byte{make([]byte, costPage)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -152,7 +152,7 @@ func TestOpenReadWriteRoundTrip(t *testing.T) {
 			t.Fatalf("payload mismatch")
 		}
 
-		if _, _, err := cl.WritePages(c, fd, int64(len(want)), []byte("!")); err != nil {
+		if _, _, err := cl.WritePages(c, fd, int64(len(want)), [][]byte{[]byte("!")}); err != nil {
 			t.Fatal(err)
 		}
 		st, err := r.host.Stat("/f")
@@ -315,7 +315,7 @@ func TestServerErrorPaths(t *testing.T) {
 				{"close", func() error { return cl.Close(c, 404) }},
 				{"read", func() error { _, err := cl.Read(c, 404, 0, segments(make([]byte, 8), segs)); return err }},
 				{"readAsync", func() error { _, _, err := cl.ReadAsync(c, 404, 0, segments(make([]byte, 8), segs)); return err }},
-				{"write", func() error { _, _, err := cl.WritePages(c, 404, 0, []byte("x")); return err }},
+				{"write", func() error { _, _, err := cl.WritePages(c, 404, 0, [][]byte{[]byte("x")}); return err }},
 				{"truncate", func() error { _, err := cl.Truncate(c, 404, 0); return err }},
 				{"fsync", func() error { return cl.Fsync(c, 404) }},
 			}
@@ -494,7 +494,7 @@ func TestDroppedResponsesApplySyscallsOnce(t *testing.T) {
 			t.Fatalf("open %d returned descriptor %d (seen: %v)", i, fd, fds[fd])
 		}
 		fds[fd] = true
-		n, gen, err := r.cl.WritePages(c, fd, int64(i), []byte{byte(i)})
+		n, gen, err := r.cl.WritePages(c, fd, int64(i), [][]byte{{byte(i)}})
 		if err != nil || n != 1 {
 			t.Fatalf("write %d: n=%d err=%v", i, n, err)
 		}
@@ -647,6 +647,59 @@ func TestReadMidVectorEIO(t *testing.T) {
 				sawClean, sawFirst, sawMid)
 		}
 	})
+}
+
+// TestWriteMidVectorEIO is TestReadMidVectorEIO's mirror for a write gathered
+// from several segments: an injected EIO on its one pwrite fails the whole
+// vector. The contract: either every segment's bytes are on the host, in
+// order, under the one generation the reply reports, or the call returns the
+// error with no count and no generation and the host file is untouched.
+func TestWriteMidVectorEIO(t *testing.T) {
+	const (
+		page  = 1024
+		pages = 4
+		seeds = 60
+	)
+	var sawClean, sawFailed int
+	for seed := int64(1); seed <= seeds; seed++ {
+		r := newFaultyRig(t, false, faults.Config{Seed: seed, HostWriteEIOProb: 0.5})
+		r.inj.SetEnabled(false)
+		old := bytes.Repeat([]byte{0x5A}, pages*page)
+		r.write(t, "/vec", old)
+		fd := r.open(t, simtime.NewClock(0), "/vec", hostfs.O_RDWR)
+		before, _ := r.host.Stat("/vec")
+		src := bytes.Repeat([]byte{sentinel}, pages*page)
+		r.inj.SetEnabled(true)
+		n, gen, err := r.cl.WritePages(simtime.NewClock(0), fd, 0, segments(src, pages))
+		r.inj.SetEnabled(false)
+		after, _ := r.host.Stat("/vec")
+		host, rerr := r.host.ReadFile(simtime.NewClock(0), "/vec")
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if err == nil {
+			sawClean++
+			if n != len(src) || gen != before.Generation+1 || after.Generation != gen || !bytes.Equal(host, src) {
+				t.Fatalf("seed %d: clean write n=%d gen=%d (host at %d, was %d), bytes equal %v",
+					seed, n, gen, after.Generation, before.Generation, bytes.Equal(host, src))
+			}
+			continue
+		}
+		sawFailed++
+		if r.inj.Injected(faults.HostWriteEIO) == 0 {
+			t.Fatalf("seed %d: write failed without an injected EIO: %v", seed, err)
+		}
+		if n != 0 || gen != 0 {
+			t.Fatalf("seed %d: failed write reported n=%d gen=%d", seed, n, gen)
+		}
+		if after.Generation != before.Generation || !bytes.Equal(host, old) {
+			t.Fatalf("seed %d: failed write moved the host (generation %d -> %d, bytes equal %v)",
+				seed, before.Generation, after.Generation, bytes.Equal(host, old))
+		}
+	}
+	if sawClean == 0 || sawFailed == 0 {
+		t.Fatalf("seed sweep unbalanced (clean=%d failed=%d)", sawClean, sawFailed)
+	}
 }
 
 // TestSyscallTableComplete is the runtime half of the Sysno drift guard:

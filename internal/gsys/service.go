@@ -47,18 +47,18 @@ type call struct {
 	rpc   *rpc.Client
 	fr    *Frame
 	dsts  [][]byte // read destination segments (device memory)
-	src   []byte   // write source (device memory)
+	srcs  [][]byte // write source segments (device memory)
 	reply Reply
 
-	// seg and n back dsts and reply.Ns of a one-segment read, so the demand
-	// fault allocates nothing for its vector.
+	// seg backs dsts or srcs of a one-segment call and n reply.Ns of a
+	// one-segment read, so a demand fault or a one-page write-back allocates
+	// nothing for its vector.
 	seg [1][]byte
 	n   [1]int
 
-	// file and stage carry a write from its first stretch to its second:
-	// the resolved host file and the staging buffer the D2H transfer lands in.
-	file  *hostfs.File
-	stage *[]byte
+	// file carries a write from its first stretch to its second: the
+	// resolved host file.
+	file *hostfs.File
 }
 
 // readCall builds the call of a read into dsts, copying the vector (not the
@@ -66,6 +66,14 @@ type call struct {
 func readCall(dsts [][]byte) *call {
 	c := &call{}
 	c.dsts = append(c.seg[:0], dsts...)
+	return c
+}
+
+// writeCall builds the call of a write gathered from srcs, copying the vector
+// as readCall does.
+func writeCall(srcs [][]byte) *call {
+	c := &call{}
+	c.srcs = append(c.seg[:0], srcs...)
 	return c
 }
 
@@ -221,11 +229,10 @@ func (s *Service) sysClose(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 	return 0, f.Close()
 }
 
-// stagingPool recycles the daemon's host-side staging buffers: the contiguous
-// one sysRead scatters a multi-segment read from and the one sysWrite lands
-// its D2H transfer in. They are only this simulation's way of moving the bytes
-// (the modelled staging pass is the DMA charge); nothing reads one after its
-// request's last handler returns.
+// stagingPool recycles the daemon's host-side staging buffers, the contiguous
+// one sysRead scatters a multi-segment read from. They are only this
+// simulation's way of moving the bytes (the modelled staging pass is the DMA
+// charge); nothing reads one after its request's last handler returns.
 var stagingPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // staging draws a staging buffer of n bytes, contents undefined; the handler
@@ -290,28 +297,32 @@ func (s *Service) readInto(c *call, cclk *simtime.Clock, f *hostfs.File, off int
 }
 
 // sysWrite is the first stretch of a write: it resolves the file and starts
-// the D2H transfer of len(src) bytes out of device memory on an asynchronous
-// DMA channel. The file write needs the bytes, so it is the second stretch
-// (sysWriteLanded), ordered after the transfer; the worker is free in
-// between, as it is while a read's H2D transfer is in flight.
+// the D2H transfer out of the device memory segments on an asynchronous DMA
+// channel, gathered in order into host memory; each segment past the first
+// pays its descriptor, as a scattered read's does. The file write needs the
+// bytes, so it is the second stretch (sysWriteLanded), ordered after the
+// transfer; the worker is free in between, as it is while a read's H2D
+// transfer is in flight.
 func (s *Service) sysWrite(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 	f, err := s.file(int64(c.fr.Args[0]))
 	if err != nil {
 		return 0, err
 	}
 	c.file = f
-	var buf []byte
-	c.stage, buf = staging(len(c.src))
-	copy(buf, c.src)
-	return c.rpc.Link().Charge(cclk.Now(), pcie.DeviceToHost, int64(len(c.src))), nil
+	total := 0
+	for _, src := range c.srcs {
+		total += len(src)
+	}
+	return c.rpc.Link().ChargeScatter(cclk.Now(), pcie.DeviceToHost, int64(total), len(c.srcs), false), nil
 }
 
 // sysWriteLanded is the second stretch of a write: the transfer has landed
-// in the staging buffer and the worker writes it to the host file. The reply
-// carries the byte count and the generation the write produced.
+// and the worker writes it to the host file with one pwritev. The segments
+// stand in for the landed bytes: the caller blocks until the reply, so they
+// hold what was transferred. The reply carries the byte count and the
+// generation the write produced.
 func (s *Service) sysWriteLanded(c *call, cclk *simtime.Clock) (simtime.Time, error) {
-	defer stagingPool.Put(c.stage)
-	n, gen, err := c.file.Pwrite(cclk, (*c.stage)[:len(c.src)], int64(c.fr.Args[1]))
+	n, gen, err := c.file.Pwritev(cclk, c.srcs, int64(c.fr.Args[1]))
 	c.reply.N, c.reply.Gen = n, gen
 	return 0, err
 }

@@ -585,6 +585,12 @@ func (f *File) Pread(c *simtime.Clock, p []byte, off int64) (int, error) {
 // read it before any later modification), which is what lets a caching
 // client keep its copy current without a second call.
 func (f *File) Pwrite(c *simtime.Clock, p []byte, off int64) (int, int64, error) {
+	return f.Pwritev(c, [][]byte{p}, off)
+}
+
+// Pwritev is pwritev(2): one write of the segments srcs, in order, to the
+// contiguous extent at off, at the cost of one Pwrite of their total length.
+func (f *File) Pwritev(c *simtime.Clock, srcs [][]byte, off int64) (int, int64, error) {
 	if err := f.check(true); err != nil {
 		return 0, 0, err
 	}
@@ -597,9 +603,13 @@ func (f *File) Pwrite(c *simtime.Clock, p []byte, off int64) (int, int64, error)
 		return 0, 0, fmt.Errorf("%w: write %q at %d", ErrIO, f.name, off)
 	}
 
+	total := 0
+	for _, p := range srcs {
+		total += len(p)
+	}
 	n := f.node
 	n.mu.Lock()
-	need := off + int64(len(p))
+	need := off + int64(total)
 	if need > n.size() {
 		old := n.size()
 		if need > int64(cap(n.data)) {
@@ -615,17 +625,20 @@ func (f *File) Pwrite(c *simtime.Clock, p []byte, off int64) (int, int64, error)
 			}
 		}
 	}
-	copy(n.data[off:], p)
+	at := n.data[off:]
+	for _, p := range srcs {
+		at = at[copy(at, p):]
+	}
 	n.gen++
 	gen := n.gen
 	n.mu.Unlock()
 
 	if !f.fs.timingFree.Load() {
-		end := f.fs.cache.charge(c.Now(), n.ino, off, int64(len(p)), need, true)
+		end := f.fs.cache.charge(c.Now(), n.ino, off, int64(total), need, true)
 		c.AdvanceTo(end)
-		c.Use(f.fs.membus, simtime.TransferTime(int64(len(p)), f.fs.memRate))
+		c.Use(f.fs.membus, simtime.TransferTime(int64(total), f.fs.memRate))
 	}
-	return len(p), gen, nil
+	return total, gen, nil
 }
 
 func grow(cur int, need int64) int64 {

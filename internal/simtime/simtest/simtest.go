@@ -27,12 +27,22 @@ func OneP(t testing.TB) {
 // their bounds so that they mean the same thing in `go test` and in
 // `go test -race`.
 func PoolSlack(n int64) int64 {
+	if Race() {
+		return n * 3 / 8
+	}
+	return 0
+}
+
+// Race reports whether the test binary was built with the race detector, for
+// an allocation-count guardrail over pooled buffers: each Put sync.Pool drops
+// there costs the next Get an allocation.
+func Race() bool {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
 			if s.Key == "-race" && s.Value == "true" {
-				return n * 3 / 8
+				return true
 			}
 		}
 	}
-	return 0
+	return false
 }
