@@ -17,6 +17,9 @@
 #                counts kept beside it, or Frame.CleanAt and WroteAt),
 #                one WritePages call in non-test internal/core (the
 #                write-back run's flush: every host write is gathered there),
+#                one host-I/O byte bound in internal/core (maxHostIO: every
+#                coalesced read, open carry and gathered write stays
+#                within it; the read and write caps it replaced are gone),
 #                internal/core/ftable.go still the
 #                one owner of the file tables (no other non-test file of
 #                the package names the open or closed table, their
@@ -86,6 +89,10 @@ tier2:
 	@writes=$$(grep -n 'WritePages(' $$(ls internal/core/*.go | grep -v '_test\.go$$')); \
 		if [ $$(printf '%s\n' "$$writes" | grep -c .) -ne 1 ]; then \
 		echo "internal/core must write to the host through one WritePages call, the run flush; found:"; echo "$$writes"; exit 1; fi
+	@bounds=$$(grep -nE '^[[:space:]]*(const[[:space:]]+)?maxHostIO[[:space:]]*=' $$(ls internal/core/*.go | grep -v '_test\.go$$')); \
+		old=$$(grep -rnwE 'raMaxSpanBytes|wbMaxVec' internal/core); \
+		if [ $$(printf '%s\n' "$$bounds" | grep -c .) -ne 1 ] || [ -n "$$old" ]; then \
+		echo "internal/core must bound every host transaction with one constant, maxHostIO; found:"; echo "$$bounds"; echo "$$old"; exit 1; fi
 	@strays=$$(grep -nE '\.fds|\.byPath|\.closed\[|range [a-z.]*\.closed\b|\.closedByPath|\.truncated|keepFd|lastFlags' \
 		$$(ls internal/core/*.go | grep -v -e '_test\.go$$' -e '/ftable\.go$$')); if [ -n "$$strays" ]; then \
 		echo "internal/core/ftable.go owns the file tables; these lines reach past it:"; echo "$$strays"; exit 1; fi

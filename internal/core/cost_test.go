@@ -153,7 +153,7 @@ func TestCostPageFault(t *testing.T) {
 func TestCostVectoredFill(t *testing.T) {
 	const k = 8
 	opt := defaultOpt()
-	opt.PageSize = raMaxSpanBytes / k
+	opt.PageSize = maxHostIO / k
 	costRig(t, opt, k, func(h *harness, b *gpu.Block, fd int) {
 		fs, f := h.fss[0], h.fss[0].ft.fds[fd]
 		issued, reads := b.Clock.Now(), h.server.Requests(rpc.OpReadPages)
@@ -237,7 +237,7 @@ func TestCostSpeculativeReclaim(t *testing.T) {
 		reads, requests := h.server.Requests(rpc.OpReadPages), h.server.TotalRequests()
 		cost := elapsed(b, func() { fs.spanFetch(b, fs.ft.fds[fd], 0, k, 1, pcache.SpecPending, gsys.GranBlock) })
 
-		rpcs := k * ps / raMaxSpanBytes
+		rpcs := (k*ps + maxHostIO - 1) / maxHostIO // the k adjacent pages, one RPC per span
 		probe := opt.APICostPerPage >> probeCostShift
 		if want := k*opt.APICostPerPage + k*probe + simtime.Duration(rpcs)*opt.APICostPerPage; cost != want {
 			t.Errorf("a %d-page speculative fill over %d reclaimed pages cost %v, want %d evictions + %d claims + %d API calls = %v",
@@ -315,7 +315,7 @@ func TestCostSmallFileRidesWithItsOpen(t *testing.T) {
 	}); got != want {
 		t.Errorf("one-page file, read-ahead on:\n got %+v\nwant %+v (open = plain open + pread + DMA + one claim; gread = a hit)", got, want)
 	}
-	if got, want := scan(opt, raMaxSpanBytes+1), (cost{
+	if got, want := scan(opt, maxHostIO+1), (cost{
 		open: plainOpen, read: fault,
 		requests: 2, reads: 1, misses: 1,
 	}); got != want {
@@ -482,14 +482,14 @@ func TestCostFsyncAndTruncate(t *testing.T) {
 }
 
 // TestCostFsyncAdjacentPages: gfsync of k adjacent dirty pages that fit in
-// wbMaxVec is one write gathered from k segments: one ring cycle, one D2H
+// maxHostIO is one write gathered from k segments: one ring cycle, one D2H
 // transfer of the k pages that pays the scatter-gather surcharge of an eighth
 // of the DMA setup per segment past the first, and one pwrite — what a
 // blocking write of the k pages' bytes costs.
 func TestCostFsyncAdjacentPages(t *testing.T) {
 	opt := defaultOpt()
 	ps := opt.PageSize
-	for _, k := range []int64{wbMaxVec / ps / 2, wbMaxVec / ps} {
+	for _, k := range []int64{maxHostIO / ps / 2, maxHostIO / ps} {
 		n := k * ps
 		d2h := simtime.TransferTime(n, rigBus.HostMemBandwidth) + rigBus.DMALatency +
 			rigBus.DMALatency/8*simtime.Duration(k-1) + simtime.TransferTime(n, rigBus.Bandwidth) + devPass(n)

@@ -222,9 +222,9 @@ func TestHistoryReopenUnderFullPool(t *testing.T) {
 // TestHistoryReplayIsVectored pins the mechanism, not just the outcome:
 // the re-open's speculation must reach the host as a few coalesced
 // vectored ReadPages RPCs covering the recorded footprint, not one RPC per
-// page. Small pages make the coalescing visible: the engine caps a span at
-// raMaxSpanBytes, so at the default 16K pages a "span" is only 2 pages —
-// at 4K pages a consecutive run rides 8 pages per RPC.
+// page. Small pages make the coalescing visible: at 4K pages a span under
+// the host-I/O bound (maxHostIO) holds far more pages than the window's
+// half-refill, so a consecutive run rides several pages per RPC.
 func TestHistoryReplayIsVectored(t *testing.T) {
 	run := runHistoryWorkload(t, histWorkload{
 		shape: histShapes()[0], // sequential: 32 pages
@@ -247,8 +247,8 @@ func TestHistoryReplayIsVectored(t *testing.T) {
 		t.Errorf("re-open speculated %d pages, want within [%d, %d]",
 			run.reopenIssued, histPagesA/2, histPagesA)
 	}
-	// Coalescing: consecutive pages ride one vectored RPC per 8-page span,
-	// so the 32-page re-read needs far fewer host round trips than pages.
+	// Coalescing: consecutive pages ride one vectored RPC per span, so the
+	// 32-page re-read needs far fewer host round trips than pages.
 	// (Cold, the same re-read takes a demand fault or probe per page until
 	// the detector's window opens.)
 	if run.reopenReads > histPagesA/4 {

@@ -120,7 +120,7 @@ func TestModelCarriedOpenIsCloseToOpen(t *testing.T) {
 			return fs.Close(b, fd)
 		})
 	}
-	old, replaced, grown := pattern(ps, 1), pattern(ps, 2), pattern(raMaxSpanBytes+1, 3)
+	old, replaced, grown := pattern(ps, 1), pattern(ps, 2), pattern(maxHostIO+1, 3)
 	h.write(t, "/m", old)
 	openRead(O_RDONLY, old, 1)
 	h.write(t, "/m", replaced)

@@ -175,9 +175,10 @@ type carry struct {
 
 // offer takes free frames for the first pages of fc — the fresh cache of f's
 // host open, which no table knows yet — for the open to carry the file's
-// content into: as many as one coalesced span holds, fewer when the pool runs
-// dry, since an open never evicts — not even the closed files' clean pages a
-// confirmed stream's speculation may take (spanFetch): nothing confirmed it.
+// content into: as many as one host transaction holds (maxHostIO), fewer
+// when the pool runs dry, since an open never evicts — not even the closed
+// files' clean pages a confirmed stream's speculation may take (spanFetch):
+// nothing confirmed it.
 // The gate is read-ahead's own; a file being truncated has nothing worth
 // carrying.
 func (fs *FS) offer(b *gpu.Block, f *file, fc *fileCache) carry {
@@ -186,15 +187,16 @@ func (fs *FS) offer(b *gpu.Block, f *file, fc *fileCache) carry {
 		return c
 	}
 	ps := fs.opt.PageSize
-	n := max(raMaxSpanBytes/ps, 1)
+	n := max(maxHostIO/ps, 1)
 	c.frames = make([]*pcache.Frame, 0, n)
 	for i := int64(0); i < n; i++ {
-		fr := fs.takeFrame(b.Idx, fc, i*ps)
+		fr := fs.cache.TryAllocOn(b.Idx, fc.tree.ID(), i*ps)
 		if fr == nil {
 			break
 		}
 		c.frames = append(c.frames, fr)
 	}
+	fs.addFrames(fc, int64(len(c.frames))) // takeFrame's count, once for the offer
 	return c
 }
 
@@ -221,8 +223,8 @@ func (fs *FS) settle(b *gpu.Block, c *carry, ns []int) {
 	}
 	for i := len(c.frames) - 1; i >= k; i-- {
 		fs.cache.Unalloc(b.Idx, c.frames[i])
-		fs.addFrames(c.fc, -1)
 	}
+	fs.addFrames(c.fc, int64(k-len(c.frames)))
 	c.frames, c.ns = c.frames[:k], ns[:k]
 }
 
@@ -279,14 +281,17 @@ func (fs *FS) hold(fc *fileCache, p *radix.FPage) *pcache.Frame {
 // coalesces them into one range.
 const writeBackGap = 512
 
-// wbMaxVec caps one gathered write-back: a run of adjacent dirty ranges goes
-// to the host as one write of at most this many bytes. It is Linux's default
-// read-ahead bound, which sizes host I/O apart from the GPU page as the
-// read side's coalesced span does.
-const wbMaxVec = 128 << 10
+// maxHostIO bounds the bytes of every host transaction core makes, read and
+// write: a coalesced read (spanFetch), the content an open carries (offer) and
+// a gathered write-back. It is Linux's default read-ahead bound, and it sizes
+// host I/O apart from the GPU page: a page this size or larger is a
+// transaction of its own. Without it a span would model arbitrarily large
+// single transfers — the daemon stages one whole — and erase the
+// per-transaction cost that separates Figure 4's page sizes.
+const maxHostIO = 128 << 10
 
 // wbMaxSegs caps a run's segments so the run fits a fixed array on the walk.
-// It binds only at pages of 4 KiB or less, where wbMaxVec can hold more.
+// It binds only at pages of 4 KiB or less, where maxHostIO can hold more.
 const wbMaxSegs = 32
 
 // writeBack is one actor propagating dirty pages of one file to the host
@@ -359,7 +364,7 @@ var snapBufs = sync.Pool{New: func() any { return new([]byte) }}
 //   - Exclusively written pages are sent whole over their valid extent.
 //
 // Each range joins the run: it continues the run iff it starts at the file
-// offset where the run ends and the run stays within wbMaxVec (and
+// offset where the run ends and the run stays within maxHostIO (and
 // wbMaxSegs); otherwise the run is flushed first and the range starts the
 // next. A page with several ranges breaks the run at its gaps. The page stays
 // queued, its lock and reference held, until the run holding its last range
@@ -438,10 +443,10 @@ func (w *writeBack) frame(fr *pcache.Frame, ref *radix.FPage) error {
 }
 
 // continues reports whether n bytes at file offset off can join the run: it
-// is empty, or they start where it ends and it stays within wbMaxVec and
+// is empty, or they start where it ends and it stays within maxHostIO and
 // wbMaxSegs.
 func (w *writeBack) continues(off, n int64) bool {
-	return w.nsegs == 0 || w.off+w.n == off && w.n+n <= wbMaxVec && w.nsegs < wbMaxSegs
+	return w.nsegs == 0 || w.off+w.n == off && w.n+n <= maxHostIO && w.nsegs < wbMaxSegs
 }
 
 // snapshot copies fr's page (and pristine copy) onto the end of the walk's
@@ -468,7 +473,7 @@ func (w *writeBack) snapshot(fr *pcache.Frame) (from int, data, pristine []byte,
 	}
 	// A fresh buffer takes a whole run (or page) at once, not a growth step
 	// per page of it.
-	if run := max(wbMaxVec, int(w.fs.opt.PageSize)); cap(buf) < run {
+	if run := max(maxHostIO, int(w.fs.opt.PageSize)); cap(buf) < run {
 		buf = append(make([]byte, 0, run), buf...)
 	}
 	from = len(buf)

@@ -220,7 +220,7 @@ func TestWriteBackAllocatesNoPageBuffer(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		// One pooled buffer per walk, sized for a whole run.
-		bound := opt.PageSize/8 + simtest.PoolSlack(max(wbMaxVec, opt.PageSize))
+		bound := opt.PageSize/8 + simtest.PoolSlack(max(maxHostIO, opt.PageSize))
 		if perPage := int64(after.TotalAlloc-before.TotalAlloc) / rounds; perPage >= bound {
 			t.Errorf("writing back a page allocates %d B at steady state, want < %d (the page is %d)", perPage, bound, opt.PageSize)
 		}
@@ -238,7 +238,7 @@ func TestWriteBackAllocatesNoPageBuffer(t *testing.T) {
 // write-back this replaced made 41 allocations for 8 pages.
 func TestGatheredWriteBackAllocations(t *testing.T) {
 	opt := defaultOpt()
-	k := int(wbMaxVec / opt.PageSize)
+	k := int(maxHostIO / opt.PageSize)
 	gfsync := func(pages int) (allocs float64) {
 		h := newHarness(t, 1, opt)
 		fs := h.fss[0]
@@ -378,7 +378,7 @@ func poolOf(t *testing.T, c *pcache.Cache) poolState {
 }
 
 // TestEmptyOfferLeavesNoTrace: a host open offers frames for the file to ride
-// in on, and an offer that comes back empty — the file is larger than a span,
+// in on, and an offer that comes back empty — the file is larger than the offer,
 // is being truncated, is write-once, resolves to the closed table's cache, or
 // there was no frame to offer — must leave the machine as an open that offered
 // nothing leaves it. Two things remember otherwise: the radix tree (a slot
@@ -395,11 +395,11 @@ func TestEmptyOfferLeavesNoTrace(t *testing.T) {
 		Filled   int64
 	}
 	run := func(gate bool) []step {
-		opt := defaultOpt() // 16K pages: a two-frame offer; 64 frames over 4 shards
+		opt := defaultOpt() // 64 frames over 4 shards
 		opt.ReadAheadAdaptive = gate
 		h := newHarness(t, 1, opt)
 		fs := h.fss[0]
-		big := pattern(3*int(opt.PageSize), 9) // one page more than a span
+		big := pattern(int(max(maxHostIO, opt.PageSize)+opt.PageSize), 9) // one page more than an offer
 		for _, path := range []string{"/big", "/trunc", "/warm", "/fill", "/late", "/later"} {
 			h.write(t, path, big)
 		}

@@ -302,17 +302,22 @@ func (c *Cache) TryAllocOn(lane int, fileID uint64, offset int64) *Frame {
 	return f
 }
 
-// Unalloc is the exact inverse of the TryAllocOn(lane, …) that returned f: the
-// frame goes back on top of the list it was popped from (its home shard — a
-// shard only ever lists its own frames) and the allocation, with the steal it
-// may have been, is uncounted. Frames taken one after another and handed back
-// newest first leave the pool as if none had been taken.
+// Unalloc is the exact inverse of the TryAllocOn(lane, …) that returned f, for
+// a frame nobody has used since — its page's bytes aside: the identity
+// TryAllocOn stamped is taken off (every other field is still as its reset
+// left it), the frame goes back on top of the list it was popped from (its
+// home shard — a shard only ever lists its own frames) and the allocation,
+// with the steal it may have been, is uncounted. Frames taken one after
+// another and handed back newest first leave the pool as if none had been
+// taken.
 func (c *Cache) Unalloc(lane int, f *Frame) {
 	if int(f.Index)%len(c.shards) != c.homeShard(lane) {
 		c.steals.Add(-1)
 	}
 	c.allocs.Add(-1)
-	c.pushFree(f)
+	f.FileID.Store(0)
+	f.Offset.Store(-1)
+	c.push(f)
 }
 
 // homeShard is the shard a lane's allocations are served from first.
@@ -354,20 +359,20 @@ func (c *Cache) ResetTimes() {
 	}
 }
 
-// Release returns a frame to its HOME shard's free list (index mod shard
-// count — keeping each shard's frame population stable under churn).
-// reclaimedByPaging distinguishes eviction-driven releases (counted in
-// Reclaimed) from releases on unlink or truncate.
+// Release strips a frame of its tenant and returns it to its HOME shard's free
+// list (index mod shard count — keeping each shard's frame population stable
+// under churn). reclaimedByPaging distinguishes eviction-driven releases
+// (counted in Reclaimed) from releases on unlink or truncate.
 func (c *Cache) Release(f *Frame, reclaimedByPaging bool) {
 	if reclaimedByPaging {
 		c.reclaimed.Add(1)
 	}
-	c.pushFree(f)
+	f.reset(0, -1)
+	c.push(f)
 }
 
-// pushFree strips f of its tenant and puts it on top of its home shard's list.
-func (c *Cache) pushFree(f *Frame) {
-	f.reset(0, -1)
+// push puts f, stripped of its tenant, on top of its home shard's list.
+func (c *Cache) push(f *Frame) {
 	s := &c.shards[int(f.Index)%len(c.shards)]
 	s.mu.Lock()
 	s.free = append(s.free, f.Index)

@@ -10,7 +10,7 @@ import (
 )
 
 // TestMultiPageReadIsVectored: the pages of one gread past the first ride
-// coalesced vectored RPCs bounded by raMaxSpanBytes, not one RPC per page.
+// coalesced vectored RPCs bounded by maxHostIO, not one RPC per page.
 func TestMultiPageReadIsVectored(t *testing.T) {
 	const pages = 16
 	opt := defaultOpt()
@@ -31,10 +31,10 @@ func TestMultiPageReadIsVectored(t *testing.T) {
 			t.Errorf("read: n=%d err=%v equal=%v", n, err, bytes.Equal(got, want))
 		}
 		batch := (pages - 1) * opt.PageSize
-		limit := (batch+raMaxSpanBytes-1)/raMaxSpanBytes + 1
+		limit := (batch+maxHostIO-1)/maxHostIO + 1
 		if got := h.server.Requests(rpc.OpReadPages) - reads; got > limit {
 			t.Errorf("%d-page gread issued %d read RPCs, want at most %d (one fault + %d bytes in %d-byte spans)",
-				pages, got, limit, batch, raMaxSpanBytes)
+				pages, got, limit, batch, maxHostIO)
 		}
 		return fs.Close(b, fd)
 	})

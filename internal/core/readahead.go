@@ -45,21 +45,19 @@ const (
 	// APICostPerPage >> probeCostShift. It is a few metadata loads, far
 	// cheaper than an RPC issue.
 	probeCostShift = 3
-	// raMaxSpanBytes bounds one coalesced vectored RPC (the daemon stages
-	// the whole span contiguously, so unbounded spans would model
-	// arbitrarily large single transfers and erase the per-transaction
-	// cost that separates Figure 4's page sizes). Linux similarly clamps a
-	// single read-ahead I/O; the window can still be deeper than one span
-	// — it just pipelines as several in-flight RPCs.
-	raMaxSpanBytes = 32 << 10
 	// raMaxWindowBytes caps the window in BYTES, like Linux's read-ahead
 	// (which ramps toward a byte budget, not a page count). Small pages
 	// coalesce, so a deep window is nearly free and the full raMaxWindow
-	// applies; at page sizes past raMaxSpanBytes every speculated page is
-	// its own RPC and a deep window just burns the block's API time —
-	// 512K of in-flight speculation is already plenty to hide the host
-	// round trip.
+	// applies; at page sizes past maxHostIO every speculated page is its
+	// own RPC and a deep window just burns the block's API time — 512K of
+	// in-flight speculation is already plenty to hide the host round trip.
+	// The window can be deeper than one span: it pipelines as several
+	// in-flight RPCs.
 	raMaxWindowBytes = 512 << 10
+	// raDeadPage is the page size at which speculation was measured not to
+	// pay (raDeadZone): Figure 4's 32K row, where each speculated page went
+	// to the host as its own RPC.
+	raDeadPage = 32 << 10
 )
 
 // raStream is one adaptive read-ahead detector slot: the access history
@@ -86,17 +84,16 @@ func (fs *FS) probeCost() simtime.Duration {
 	return fs.opt.APICostPerPage >> probeCostShift
 }
 
-// raDeadZone reports whether the page size sits where speculation cannot
-// pay its fixed issue cost (API call + probe on the block's clock) back. It
-// is repaid in one of two ways — coalescing several pages into one RPC
-// (needs 2*PageSize <= raMaxSpanBytes), or hiding a transfer long enough to
-// dwarf the issue itself (one page already spans 2*raMaxSpanBytes). Between
-// the two, every speculated page is its own RPC and too small to amortize
-// it: measured at 32K pages, a 100% hit rate still nets a small throughput
-// LOSS. Such streams speculate nothing.
+// raDeadZone reports whether the page size sits where speculation was
+// measured not to pay its fixed issue cost (API call + probe on the block's
+// clock) back: over half raDeadPage and under twice it. There, at 32K pages
+// with each speculated page its own RPC, a 100% hit rate still netted a ~3 %
+// throughput LOSS, so such streams speculate nothing. The zone is a measured
+// boundary, not one derived from maxHostIO: whether coalescing under the
+// host-I/O bound repays the issue at 32K too is ROADMAP item 6's to measure.
 func (fs *FS) raDeadZone() bool {
 	ps := fs.opt.PageSize
-	return 2*ps > raMaxSpanBytes && ps < 2*raMaxSpanBytes
+	return 2*ps > raDeadPage && ps < 2*raDeadPage
 }
 
 // adaptiveReadAhead is the per-access hook of the engine: the calling
@@ -214,11 +211,11 @@ func (fs *FS) raIssue(b *gpu.Block, f *file, st *raStream, base int64, spec int3
 	// 1-page span per access — forfeiting coalescing. Wait until the
 	// consumer has eaten through half the window, then refill it whole, so
 	// steady state issues window/2-page vectored RPCs. Only worth it when
-	// pages actually coalesce (ps < raMaxSpanBytes): past that, a span is
-	// one RPC per page regardless, and deferred refills just dump the
-	// whole window's API cost on the block in a burst — continuous 1-page
-	// top-up spreads it evenly instead.
-	if ahead > int64(st.window)/2 && ps < raMaxSpanBytes {
+	// pages actually coalesce (ps < maxHostIO): past that, a span is one
+	// RPC per page regardless, and deferred refills just dump the whole
+	// window's API cost on the block in a burst — continuous 1-page top-up
+	// spreads it evenly instead.
+	if ahead > int64(st.window)/2 && ps < maxHostIO {
 		st.mu.Unlock()
 		return
 	}
@@ -256,7 +253,7 @@ func (fs *FS) raIssue(b *gpu.Block, f *file, st *raStream, base int64, spec int3
 	// coalesced span would turn the refill into 1-page RPCs, one per
 	// access, until demand frees more. While runway is in flight nothing
 	// is lost by waiting for a whole span to fit.
-	if n <= 0 || (n < want && ahead > 0 && n < raMaxSpanBytes/ps) {
+	if n <= 0 || (n < want && ahead > 0 && n < maxHostIO/ps) {
 		st.mu.Unlock()
 		return
 	}
@@ -272,7 +269,7 @@ func (fs *FS) raIssue(b *gpu.Block, f *file, st *raStream, base int64, spec int3
 // pages into single multi-page syscalls (gsys.Client.ReadAsync) — one ring
 // transaction and one DMA per run, which closes the per-transaction latency
 // gap at small page sizes. A page that cannot be claimed (resident or in
-// flight), a stride past the next page, or raMaxSpanBytes splits the run.
+// flight), a stride past the next page, or maxHostIO splits the run.
 //
 // spec is stamped on the fetched frames. pcache.SpecPending (a stride this
 // open's own accesses confirmed) and pcache.SpecReplay (a stride only the
@@ -297,7 +294,7 @@ func (fs *FS) spanFetch(b *gpu.Block, f *file, start, count, stride int64, spec 
 	fc := f.fc
 	ps := fs.opt.PageSize
 
-	maxRun := max(int(raMaxSpanBytes/ps), 1)
+	maxRun := max(int(maxHostIO/ps), 1)
 	var run []pageRef // claimed, allocated, not yet issued
 	var runFirst int64
 	flush := func() {

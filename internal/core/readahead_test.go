@@ -221,9 +221,11 @@ func TestSpeculationTakesClosedPages(t *testing.T) {
 	if got := fs.Cache().Reclaimed(); got != cs.SpecReclaimed {
 		t.Errorf("%d pages reclaimed, %d of them by speculation: a demand fault evicted", got, cs.SpecReclaimed)
 	}
+	// Reclaiming one page at a time must not split the window into 1-page
+	// RPCs: each span coalesces, up to one host transaction.
 	for _, e := range tr.Snapshot() {
-		if e.Op == trace.OpPrefetch && e.Bytes != 2*ps {
-			t.Errorf("a speculative span of %d bytes at %d, want two pages", e.Bytes, e.Offset)
+		if e.Op == trace.OpPrefetch && (e.Bytes < 2*ps || e.Bytes > max(maxHostIO, 2*ps)) {
+			t.Errorf("a speculative span of %d bytes at %d, want two pages to %d bytes", e.Bytes, e.Offset, max(maxHostIO, 2*ps))
 		}
 	}
 	if got := h.server.Requests(rpc.OpWritePages); got != 0 {
@@ -347,6 +349,62 @@ func TestAdaptiveSequentialSpeculates(t *testing.T) {
 	}
 	if cs.PrefetchWasted != 0 {
 		t.Errorf("PrefetchWasted = %d with an unpressured cache", cs.PrefetchWasted)
+	}
+}
+
+// TestReadAheadDeadZone: a confirmed sequential gread stream speculates
+// nothing at 32K pages, the measured dead zone, which stands apart from the
+// host-I/O bound; at 16K and 64K pages its spans coalesce up to one host
+// transaction, maxHostIO/PageSize pages, and no further.
+func TestReadAheadDeadZone(t *testing.T) {
+	const pages = 48
+	for _, ps := range []int64{16 << 10, 32 << 10, 64 << 10} {
+		t.Run(fmt.Sprintf("%dK", ps>>10), func(t *testing.T) {
+			opt := defaultOpt()
+			opt.ReadAheadAdaptive = true
+			opt.PageSize = ps
+			opt.CacheBytes = 64 * ps // the 64-frame pool geometry: nothing is evicted
+			h := newHarness(t, 1, opt)
+			fs := h.fss[0]
+			tr := trace.New(1 << 12)
+			tr.Enable(true)
+			fs.SetTracer(tr)
+			want := pattern(pages*int(ps), 5)
+			h.write(t, "/seq", want)
+			h.run(t, 0, func(b *gpu.Block) error {
+				fd, err := fs.Open(b, "/seq", O_RDONLY)
+				if err != nil {
+					return err
+				}
+				buf := make([]byte, ps)
+				for p := int64(0); p < pages; p++ {
+					if _, err := fs.Read(b, fd, buf, p*ps); err != nil {
+						return err
+					}
+					if !bytes.Equal(buf, want[p*ps:(p+1)*ps]) {
+						t.Errorf("page %d: wrong bytes", p)
+					}
+				}
+				return fs.Close(b, fd)
+			})
+			var widest int64
+			for _, e := range tr.Snapshot() {
+				if e.Op == trace.OpPrefetch {
+					widest = max(widest, e.Bytes)
+				}
+			}
+			issued := fs.CacheStats().PrefetchIssued
+			if ps == 32<<10 {
+				if issued != 0 {
+					t.Errorf("PrefetchIssued = %d in the dead zone, want 0", issued)
+				}
+				return
+			}
+			if issued == 0 || widest != maxHostIO {
+				t.Errorf("%d pages speculated, widest span %d pages; want spans of %d pages",
+					issued, widest/ps, maxHostIO/ps)
+			}
+		})
 	}
 }
 

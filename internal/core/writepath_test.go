@@ -192,9 +192,9 @@ func TestOverwriteFillIsNeverSeenUnfilled(t *testing.T) {
 }
 
 // runsOf is how many gathered writes a gfsync of k adjacent dirty pages of
-// size ps sends: one per wbMaxVec of them.
+// size ps sends: one per maxHostIO of them.
 func runsOf(k, ps int64) int64 {
-	per := wbMaxVec / ps
+	per := maxHostIO / ps
 	return (k + per - 1) / per
 }
 
@@ -210,7 +210,7 @@ func TestWriteBackUnderDroppedResponses(t *testing.T) {
 	opt := defaultOpt()
 	ps := opt.PageSize
 	const runs = 2
-	k := runs * wbMaxVec / ps // whole runs, one pwrite of wbMaxVec each
+	k := runs * maxHostIO / ps // whole runs, one pwrite of maxHostIO each
 	h := newFaultHarness(t, opt, faults.Config{Seed: 7, RPCDropResponseProb: 0.5}, 1, 1)
 	fs := h.fss[0]
 	h.inj.SetEnabled(false)
@@ -237,7 +237,7 @@ func TestWriteBackUnderDroppedResponses(t *testing.T) {
 		if attempts <= runs || fs.Client().Timeouts() == 0 {
 			t.Errorf("%d write attempts for %d runs, %d timeouts: no response was dropped", attempts, runs, fs.Client().Timeouts())
 		}
-		pwrite := rigHost.SyscallOverhead + simtime.TransferTime(wbMaxVec, rigHost.MemBandwidth)
+		pwrite := rigHost.SyscallOverhead + simtime.TransferTime(maxHostIO, rigHost.MemBandwidth)
 		if got, want := h.server.DaemonBusy()-busy, simtime.Duration(attempts)*rigRPC.HandleCost+runs*pwrite; got != want {
 			t.Errorf("worker busy %v over the gfsync, want %d dispatches + %d pwrites = %v", got, attempts, runs, want)
 		}
@@ -274,7 +274,7 @@ func TestPipelinedWriteBackUnderFaults(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			opt := defaultOpt()
 			ps := opt.PageSize
-			per, runs := wbMaxVec/ps, runsOf(k, ps)
+			per, runs := maxHostIO/ps, runsOf(k, ps)
 			h := newFaultHarness(t, opt, cfg, 1, 1)
 			fs := h.fss[0]
 			h.inj.SetEnabled(false)
@@ -411,7 +411,7 @@ func TestGfsyncJoinsAnotherBlocksWriteBack(t *testing.T) {
 func TestFailedGatheredWriteBack(t *testing.T) {
 	opt := defaultOpt()
 	ps := opt.PageSize
-	k := wbMaxVec / ps
+	k := maxHostIO / ps
 	h := newFaultHarness(t, opt, faults.Config{Seed: 1, HostWriteEIOProb: 1}, 1, 1)
 	fs := h.fss[0]
 	h.inj.SetEnabled(false)
