@@ -17,6 +17,9 @@
 #                counts kept beside it, or Frame.CleanAt and WroteAt),
 #                one WritePages call in non-test internal/core (the
 #                write-back run's flush: every host write is gathered there),
+#                one synchronous .Read( and one ReadAsync( in it (the demand
+#                fault, which carries its stream's window, and spanFetch:
+#                every host read core makes is one of the two),
 #                one host-I/O byte bound in internal/core (maxHostIO: every
 #                coalesced read, open carry and gathered write stays
 #                within it; the read and write caps it replaced are gone),
@@ -89,6 +92,10 @@ tier2:
 	@writes=$$(grep -n 'WritePages(' $$(ls internal/core/*.go | grep -v '_test\.go$$')); \
 		if [ $$(printf '%s\n' "$$writes" | grep -c .) -ne 1 ]; then \
 		echo "internal/core must write to the host through one WritePages call, the run flush; found:"; echo "$$writes"; exit 1; fi
+	@reads=$$(grep -n '\.Read(' $$(ls internal/core/*.go | grep -v '_test\.go$$')); \
+		asyncs=$$(grep -n 'ReadAsync(' $$(ls internal/core/*.go | grep -v '_test\.go$$')); \
+		if [ $$(printf '%s\n' "$$reads" | grep -c .) -ne 1 ] || [ $$(printf '%s\n' "$$asyncs" | grep -c .) -ne 1 ]; then \
+		echo "internal/core must read from the host through one Read, the demand fault's, and one ReadAsync, spanFetch's; found:"; echo "$$reads"; echo "$$asyncs"; exit 1; fi
 	@bounds=$$(grep -nE '^[[:space:]]*(const[[:space:]]+)?maxHostIO[[:space:]]*=' $$(ls internal/core/*.go | grep -v '_test\.go$$')); \
 		old=$$(grep -rnwE 'raMaxSpanBytes|wbMaxVec' internal/core); \
 		if [ $$(printf '%s\n' "$$bounds" | grep -c .) -ne 1 ] || [ -n "$$old" ]; then \

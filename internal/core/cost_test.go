@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"gpufs/internal/core/pcache"
@@ -144,6 +145,120 @@ func TestCostPageFault(t *testing.T) {
 	staging := simtime.TransferTime(opt.PageSize, rigBus.HostMemBandwidth)
 	if got := fault(false, 1) - want; got != staging {
 		t.Errorf("copying fault costs %v more, want exactly the staging pass %v", got, staging)
+	}
+}
+
+// TestCostCarryingFault: a miss on the page right after its stream's last
+// access carries the stream's window in its own read — ONE strong read of a
+// whole host transaction: a ring cycle, the pread of maxHostIO, one DMA
+// scattered over its pages — and costs the block, beside that and the lookup
+// that missed, the fault's own API call and a claim per carried page. The
+// carried pages are speculation: resident, counted as issued, not yet used.
+func TestCostCarryingFault(t *testing.T) {
+	opt := defaultOpt()
+	opt.ReadAheadAdaptive = true
+	ps := opt.PageSize
+	span := maxHostIO / ps
+	costRig(t, opt, 2*span, func(h *harness, b *gpu.Block, fd int) {
+		fs, f := h.fss[0], h.fss[0].ft.fds[fd]
+		gread(t, fs, b, fd, ps) // page 0: a one-page fault, the stream's first access
+		reads, strong := h.server.Requests(rpc.OpReadPages), fs.sys.StrongCalls()
+		cost := elapsed(b, func() {
+			if ref, _, err := fs.getPage(b, f, 1, nil); err != nil {
+				t.Error(err)
+			} else {
+				ref.release()
+			}
+		})
+		ring := rigRPC.PollInterval + rigRPC.HandleCost + rigRPC.ReturnLatency
+		want := opt.RadixLookupLockFree + ring + warmRead(maxHostIO, int(span)) +
+			opt.APICostPerPage + simtime.Duration(span-1)*fs.probeCost()
+		if cost != want {
+			t.Errorf("the carrying fault cost %v, want lookup + ring cycle + warm read of %d pages + API + %d claims = %v", cost, span, span-1, want)
+		}
+		if r, s := h.server.Requests(rpc.OpReadPages)-reads, fs.sys.StrongCalls()-strong; r != 1 || s != 1 {
+			t.Errorf("the carrying fault was %d read requests, %d strong calls; want 1 and 1", r, s)
+		}
+		if cs := fs.CacheStats(); cs.PrefetchIssued != span-1 || cs.PrefetchUsed != 0 {
+			t.Errorf("%d pages issued, %d used; want the %d carried, none used yet", cs.PrefetchIssued, cs.PrefetchUsed, span-1)
+		}
+		for idx := uint64(2); idx <= uint64(span); idx++ {
+			if fp, _ := f.fc.tree.LookupLeaf(idx); fp == nil || !fp.Ready() ||
+				fs.cache.Frame(fp.Frame()).Spec.Load() != pcache.SpecPending {
+				t.Errorf("page %d is not resident speculation after the carrying fault", idx)
+			}
+		}
+	})
+}
+
+// TestCostColdScanTransactions: a cold page-by-page gread of a 32-page file at
+// 16 KiB pages sends, in order, one open, a one-page fault (page 0: nothing
+// confirms a stream yet), one strong read of a whole host transaction (the
+// fault on page 1, carrying its stream's window), then relaxed reads of whole
+// spans until the file's tail: no read is smaller than a span but page 0's
+// and the tail's.
+func TestCostColdScanTransactions(t *testing.T) {
+	const pages = 32
+	opt := defaultOpt()
+	opt.ReadAheadAdaptive = true
+	ps := opt.PageSize
+	span := maxHostIO / ps
+	h := newHarness(t, 1, opt)
+	fs := h.fss[0]
+	tr := trace.New(1 << 10)
+	tr.Enable(true)
+	fs.SetTracer(tr)
+	h.write(t, "/scan", pattern(pages*int(ps), 3))
+
+	type read struct {
+		strong       bool
+		first, pages int64
+	}
+	want := []read{{true, 0, 1}, {true, 1, span}}
+	for p := 1 + span; p < pages; p += span {
+		want = append(want, read{false, p, min(span, pages-p)})
+	}
+	var got []read
+	h.run(t, 0, func(b *gpu.Block) error {
+		requests := h.server.TotalRequests()
+		fd, err := fs.Open(b, "/scan", O_RDONLY)
+		if err != nil {
+			return err
+		}
+		if opens, all := h.server.Requests(rpc.OpOpen), h.server.TotalRequests()-requests; opens != 1 || all != 1 {
+			t.Errorf("the open was %d opens of %d requests, want 1 of 1", opens, all)
+		}
+		seen := len(tr.Snapshot())
+		for p := int64(0); p < pages; p++ {
+			strong, relaxed, reads := fs.sys.StrongCalls(), fs.sys.RelaxedCalls(), h.server.Requests(rpc.OpReadPages)
+			greadAt(t, fs, b, fd, ps, p*ps)
+			events := tr.Snapshot()
+			var spans []trace.Event
+			for _, e := range events[seen:] {
+				if e.Op == trace.OpPrefetch {
+					spans = append(spans, e)
+				}
+			}
+			seen = len(events)
+			s, r := fs.sys.StrongCalls()-strong, fs.sys.RelaxedCalls()-relaxed
+			if s > 0 {
+				carried := int64(0)
+				if len(spans) > 0 && spans[0].Offset == (p+1)*ps {
+					carried, spans = spans[0].Bytes/ps, spans[1:]
+				}
+				got = append(got, read{true, p, 1 + carried})
+			}
+			for _, e := range spans {
+				got = append(got, read{false, e.Offset / ps, e.Bytes / ps})
+			}
+			if s > 1 || r != int64(len(spans)) || h.server.Requests(rpc.OpReadPages)-reads != s+r {
+				t.Errorf("gread of page %d: %d strong and %d relaxed calls, %d read requests, %d speculative spans", p, s, r, h.server.Requests(rpc.OpReadPages)-reads, len(spans))
+			}
+		}
+		return fs.Close(b, fd)
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("the scan's reads, as (strong, first page, pages):\n got %v\nwant %v", got, want)
 	}
 }
 

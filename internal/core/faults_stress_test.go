@@ -93,10 +93,12 @@ func TestFaultStressOracle(t *testing.T) {
 // stressTotals sums over a suite's seeds what no one seed is sure to reach
 // and the suite must, or it is vacuous: injected faults, pages a confirmed
 // stream's speculation reclaimed from a closed file (a failed read can keep a
-// seed's stride from confirming), and write-backs gathered from more than one
-// page (eviction can take a run's pages before its gfsync).
+// seed's stride from confirming), write-backs gathered from more than one
+// page (eviction can take a run's pages before its gfsync), and pages the
+// neighbour reader's demand faults carried in their stream's window (a failed
+// or resident neighbour page can leave a seed's faults one page each).
 type stressTotals struct {
-	injected, specReclaimed, gathered atomic.Int64
+	injected, specReclaimed, gathered, carried atomic.Int64
 }
 
 func newStressTotals(t *testing.T, seeds int) *stressTotals {
@@ -113,6 +115,9 @@ func newStressTotals(t *testing.T, seeds int) *stressTotals {
 		}
 		if s.gathered.Load() == 0 {
 			t.Errorf("no write-back was gathered from more than one page across %d seeds; the writer's runs no longer reach a gfsync", seeds)
+		}
+		if s.carried.Load() == 0 {
+			t.Errorf("no demand fault carried its stream's window across %d seeds; the neighbour reader's faults no longer continue its stream", seeds)
 		}
 	})
 	return s
@@ -287,10 +292,11 @@ func runFaultStress(t *testing.T, seed int64, shards, workers int, totals *stres
 	}
 
 	// neighbourReader is block 0's prelude: it leaves /closed's three pages
-	// retired and clean, then reads /neighbour page by page, so the stride
-	// confirms (third page) as the last free frame goes and the stream's
-	// speculation must reclaim /closed's pages — under the same faults, racing
-	// a failed fill's abort and the cleaner. Any prefix a read returns must be
+	// retired and clean, then reads /neighbour page by page, so the fault on
+	// its second page carries the stream's window and confirms the stride as
+	// the last free frame goes, and the stream's speculation must reclaim
+	// /closed's pages — under the same faults, racing a failed fill's abort
+	// and the cleaner. Any prefix a read returns must be
 	// truthful; a failed read or close is tolerated, both files being
 	// read-only.
 	neighbourReader := func(b *gpu.Block) error {
@@ -301,7 +307,8 @@ func runFaultStress(t *testing.T, seed int64, shards, workers int, totals *stres
 			}
 			buf := make([]byte, chunk)
 			for off := int64(0); off < int64(len(want)); off += chunk {
-				got, err := fs.Read(b, fd, buf, off)
+				got, carried, err := carriedRead(fs, b, fd, buf, off)
+				totals.carried.Add(carried)
 				if !bytes.Equal(buf[:got], want[off:off+int64(got)]) {
 					return fmt.Errorf("%s: content mismatch at %d+%d (err=%v)", path, off, got, err)
 				}

@@ -106,27 +106,20 @@ func (fs *FS) getPage(b *gpu.Block, f *file, pageIdx int64, whole []byte) (pageR
 			ref := pageRef{fp: fp}
 			fr, err := fs.allocFrame(b, fc, offset)
 			if err != nil {
-				fs.abort(fc, ref)
+				fs.abort(b.Idx, fc, ref)
 				return pageRef{}, false, err
 			}
 			ref.fr = fr
 			if whole != nil {
 				fs.publishOverwrite(b, f, ref, whole) // holds our reference
-			} else {
+			} else if f.writeOnce {
 				// O_GWRONCE: never fetch; the pristine copy is implicitly all
 				// zeros (§3.1), publish's zero tail. O_NOSYNC files do NOT
 				// take this shortcut: a page spilled to the host under cache
 				// pressure must be fetched back on the next touch.
-				n := 0
-				if !f.writeOnce {
-					ns, err := fs.lane(b).Read(b.Clock, f.hostFd, offset, [][]byte{fr.Data})
-					if err != nil {
-						fs.abort(fc, ref)
-						return pageRef{}, false, fmt.Errorf("gpufs: faulting page at %d of %q: %w", offset, f.path, err)
-					}
-					n = ns[0]
-				}
-				fs.publish(b, f, ref, n, 0, pcache.SpecNone) // holds our reference
+				fs.publish(b, f, ref, 0, 0, pcache.SpecNone)
+			} else if err := fs.faultIn(b, f, ref, pageIdx); err != nil {
+				return pageRef{}, false, err
 			}
 			b.Busy(fs.opt.APICostPerPage)
 			fs.cacheMisses.Add(1)
@@ -138,6 +131,29 @@ func (fs *FS) getPage(b *gpu.Block, f *file, pageIdx int64, whole []byte) (pageR
 		// (Warps multiplex on the MP while blocked, §2.)
 		runtime.Gosched()
 	}
+}
+
+// faultIn fills and publishes the claimed page ref, page idx of f, with one
+// strong read that also carries, as speculation, the window raCarry claims.
+func (fs *FS) faultIn(b *gpu.Block, f *file, ref pageRef, idx int64) error {
+	start, off := b.Clock.Now(), idx*fs.opt.PageSize
+	var run [maxSegs]pageRef
+	var segs [maxSegs][]byte
+	run[0] = ref
+	k := 1 + fs.raCarry(b, f, idx, run[1:])
+	for i, r := range run[:k] {
+		segs[i] = r.fr.Data
+	}
+	ns, err := fs.lane(b).Read(b.Clock, f.hostFd, off, segs[:k])
+	if err != nil {
+		fs.abort(b.Idx, f.fc, run[:k]...)
+		return fmt.Errorf("gpufs: faulting page at %d of %q: %w", off, f.path, err)
+	}
+	if k > 1 {
+		fs.publishRun(b, f, run[1:k], ns[1:], b.Clock.Now(), pcache.SpecPending, off+fs.opt.PageSize, start)
+	}
+	fs.publish(b, f, ref, ns[0], 0, pcache.SpecNone)
+	return nil
 }
 
 // raise lifts v to at least n (atomic max): the valid extent of a frame, the

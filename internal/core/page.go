@@ -78,9 +78,9 @@ func (fs *FS) blockActor(b *gpu.Block) actor {
 	return actor{lane: fs.lane(b), clk: b.Clock, busy: b.Busy, block: b.Idx}
 }
 
-// Every page enters the cache — by getPage's demand fault, by spanFetch or
-// with its file's host open (offer, below) — through claim, takeFrame, a fill,
-// then publish or abort.
+// Every page enters the cache — by getPage's demand fault and the window it
+// may carry (raCarry), by spanFetch or with its file's host open (offer,
+// below) — through claim, takeFrame, a fill, then publish or abort.
 
 // claim tries to make the caller the initializer of slot fp of leaf, both
 // found under an epoch guard the caller still holds. On success the Init
@@ -150,14 +150,16 @@ func (fs *FS) publishOverwrite(b *gpu.Block, f *file, r pageRef, src []byte) {
 	fs.markDirty(f.fc, r)
 }
 
-// abort gives a claim up: the frame could not be filled, or (r.fr nil) there
-// was none to take.
-func (fs *FS) abort(fc *fileCache, r pageRef) {
-	if r.fr != nil {
-		fs.cache.Release(r.fr, false)
-		fs.addFrames(fc, -1)
+// abort gives claims up, newest first — unfilled frames or (r.fr nil) none —
+// each frame back uncounted (Unalloc), leaving the pool as the claims found it.
+func (fs *FS) abort(lane int, fc *fileCache, rs ...pageRef) {
+	for i := len(rs) - 1; i >= 0; i-- {
+		if r := rs[i]; r.fr != nil {
+			fs.cache.Unalloc(lane, r.fr)
+			fs.addFrames(fc, -1)
+		}
+		rs[i].fp.AbortInit()
 	}
-	r.fp.AbortInit()
 }
 
 // A host open brings a small file in with it (hostOpen, OpenAhead): offer
@@ -281,18 +283,18 @@ func (fs *FS) hold(fc *fileCache, p *radix.FPage) *pcache.Frame {
 // coalesces them into one range.
 const writeBackGap = 512
 
-// maxHostIO bounds the bytes of every host transaction core makes, read and
-// write: a coalesced read (spanFetch), the content an open carries (offer) and
-// a gathered write-back. It is Linux's default read-ahead bound, and it sizes
+// maxHostIO bounds the bytes of every host transaction core makes: a coalesced
+// read (spanFetch, a fault carrying a window), an open's carry (offer) and a
+// gathered write-back. It is Linux's default read-ahead bound, and it sizes
 // host I/O apart from the GPU page: a page this size or larger is a
 // transaction of its own. Without it a span would model arbitrarily large
 // single transfers — the daemon stages one whole — and erase the
 // per-transaction cost that separates Figure 4's page sizes.
 const maxHostIO = 128 << 10
 
-// wbMaxSegs caps a run's segments so the run fits a fixed array on the walk.
-// It binds only at pages of 4 KiB or less, where maxHostIO can hold more.
-const wbMaxSegs = 32
+// maxSegs caps the segments of a gathered write or a fault's read so either
+// fits a fixed array. It binds only at pages of 4 KiB or less.
+const maxSegs = 32
 
 // writeBack is one actor propagating dirty pages of one file to the host
 // through hostFd: any number of frame calls, then done. The walk gathers
@@ -319,10 +321,10 @@ type writeBack struct {
 	// bytes once flushed. pages are the pages queued for it, in file order;
 	// while frame walks a page's ranges (open) that page is the last, and it
 	// may have no range in the run yet.
-	segs   [wbMaxSegs]wbSeg
+	segs   [maxSegs]wbSeg
 	nsegs  int
 	off, n int64
-	pages  [wbMaxSegs + 1]wbPage
+	pages  [maxSegs + 1]wbPage
 	npages int
 	open   bool
 }
@@ -365,7 +367,7 @@ var snapBufs = sync.Pool{New: func() any { return new([]byte) }}
 //
 // Each range joins the run: it continues the run iff it starts at the file
 // offset where the run ends and the run stays within maxHostIO (and
-// wbMaxSegs); otherwise the run is flushed first and the range starts the
+// maxSegs); otherwise the run is flushed first and the range starts the
 // next. A page with several ranges breaks the run at its gaps. The page stays
 // queued, its lock and reference held, until the run holding its last range
 // is issued; an actor that needs one page's result flushes after it.
@@ -444,9 +446,9 @@ func (w *writeBack) frame(fr *pcache.Frame, ref *radix.FPage) error {
 
 // continues reports whether n bytes at file offset off can join the run: it
 // is empty, or they start where it ends and it stays within maxHostIO and
-// wbMaxSegs.
+// maxSegs.
 func (w *writeBack) continues(off, n int64) bool {
-	return w.nsegs == 0 || w.off+w.n == off && w.n+n <= maxHostIO && w.nsegs < wbMaxSegs
+	return w.nsegs == 0 || w.off+w.n == off && w.n+n <= maxHostIO && w.nsegs < maxSegs
 }
 
 // snapshot copies fr's page (and pristine copy) onto the end of the walk's
@@ -494,7 +496,7 @@ func (w *writeBack) flush() error {
 	if w.nsegs == 0 {
 		return nil
 	}
-	var srcs [wbMaxSegs][]byte
+	var srcs [maxSegs][]byte
 	for i, s := range w.segs[:w.nsegs] {
 		srcs[i] = (*w.buf)[s.from:s.to]
 	}

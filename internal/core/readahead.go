@@ -15,13 +15,14 @@ import (
 // stride detection — GPU access patterns look chaotic because of
 // non-deterministic block scheduling — is worked around by hashing
 // threadblocks onto per-open-file detector slots, so each slot observes one
-// block's access stream in isolation. A slot speculates only after two
-// accesses confirm a stride (or a profile recorded by the previous open
-// vouches for it, see history.go), ramps its window up Linux-style while
-// the streak holds, shrinks it when the file's wasted-prefetch counter
-// overtakes its used counter, and issues the window through spanFetch, the
-// one asynchronous fill, which coalesces stride-1 runs into multi-page RPCs,
-// amortizing per-transaction PCIe latency at small page sizes.
+// block's access stream in isolation. A slot speculates once two matching
+// deltas confirm a stride, when a miss on the page after its last access
+// carries the first window (raCarry), or on the previous open's profile
+// (history.go); it ramps its window up Linux-style while the streak holds,
+// shrinks it when the file's wasted-prefetch counter overtakes its used
+// counter, and refills it through spanFetch, the one asynchronous fill, which
+// coalesces stride-1 runs into multi-page RPCs, amortizing per-transaction
+// PCIe latency at small page sizes.
 
 // Adaptive read-ahead parameters.
 const (
@@ -155,30 +156,14 @@ func (fs *FS) adaptiveReadAhead(b *gpu.Block, f *file, first, last int64) {
 // is the speculation state stamped on the fetched frames. The caller holds
 // st.mu; raIssue releases it.
 func (fs *FS) raIssue(b *gpu.Block, f *file, st *raStream, base int64, spec int32) {
-	fc := f.fc
 	ps := fs.opt.PageSize
 	stride := st.stride
 
 	// Window feedback: wasted prefetch overtaking used prefetch shrinks
 	// the window back toward the initial size; a sustained streak doubles
-	// it toward the ceiling. When waste has outright overtaken use (a
-	// cache too tight for the working set — speculative pages are being
-	// evicted before their consumer returns), the file stands down from
-	// speculation entirely: a prefetch that will be reclaimed unconsumed
-	// costs a daemon round trip, a DMA, and an eviction, and hides
-	// nothing.
-	used, wasted := fc.prefetchUsed.Load(), fc.prefetchWasted.Load()
-	if wasted > used && used+wasted >= 64 {
-		st.mu.Unlock()
-		return
-	}
-	maxWindow := raMaxWindow
-	if byBytes := int(raMaxWindowBytes / ps); byBytes < maxWindow {
-		maxWindow = byBytes
-	}
-	if maxWindow < raInitWindow {
-		maxWindow = raInitWindow
-	}
+	// it toward the ceiling.
+	used, wasted := f.fc.prefetchUsed.Load(), f.fc.prefetchWasted.Load()
+	maxWindow := max(min(raMaxWindow, int(raMaxWindowBytes/ps)), raInitWindow)
 	switch {
 	case wasted > used/2+4:
 		if st.window > raInitWindow {
@@ -193,17 +178,13 @@ func (fs *FS) raIssue(b *gpu.Block, f *file, st *raStream, base int64, spec int3
 		// gain.
 		st.window *= 2
 	}
-	if st.window > maxWindow {
-		st.window = maxWindow
-	}
+	st.window = min(st.window, maxWindow)
 
 	// The window starts at the predicted next access; skip the part
 	// already issued by previous calls (the frontier).
 	start := base
-	if st.frontierOK {
-		if (stride > 0 && st.nextPf > start) || (stride < 0 && st.nextPf < start) {
-			start = st.nextPf
-		}
+	if st.frontierOK && (st.nextPf-base)*stride > 0 {
+		start = st.nextPf
 	}
 	ahead := (start - base) / stride
 	// Hysteresis (Linux's async mark): while more than half the window is
@@ -215,53 +196,86 @@ func (fs *FS) raIssue(b *gpu.Block, f *file, st *raStream, base int64, spec int3
 	// RPC per page regardless, and deferred refills just dump the whole
 	// window's API cost on the block in a burst — continuous 1-page top-up
 	// spreads it evenly instead.
-	if ahead > int64(st.window)/2 && ps < maxHostIO {
-		st.mu.Unlock()
-		return
+	var n int64
+	if ahead <= int64(st.window)/2 || ps >= maxHostIO {
+		n = fs.raClamp(f.fc, start, int64(st.window)-ahead, stride, ahead)
 	}
-	n := int64(st.window) - ahead
+	if n > 0 {
+		st.nextPf, st.frontierOK = start+n*stride, true
+	}
+	st.mu.Unlock()
+	if n > 0 {
+		fs.spanFetch(b, f, start, n, stride, spec, gsys.GranBlock)
+	}
+}
+
+// raClamp sizes an issue of up to n pages from start, stride apart, ahead
+// pages of the window in flight: every refill and every carried window.
+func (fs *FS) raClamp(fc *fileCache, start, n, stride, ahead int64) int64 {
+	// When waste has outright overtaken use (a cache too tight for the
+	// working set — speculative pages are being evicted before their
+	// consumer returns), the file stands down from speculation entirely: a
+	// prefetch that will be reclaimed unconsumed costs a daemon round trip, a
+	// DMA, and an eviction, and hides nothing.
+	if used, wasted := fc.prefetchUsed.Load(), fc.prefetchWasted.Load(); wasted > used && used+wasted >= 64 {
+		return 0
+	}
 	// Clamp to the file and to the frame-pool budget: free frames plus the
 	// closed files' clean pages, the only resident data speculation may
 	// reclaim (spanFetch). An open file's page or a dirty one is never
 	// taken, so past those a tight pool shrinks the issue, not resident data.
-	if lastFile := (fc.size.Load() - 1) / ps; stride > 0 {
-		if start > lastFile {
-			n = 0
-		} else if maxN := (lastFile-start)/stride + 1; n > maxN {
-			n = maxN
-		}
-	} else {
-		if start < 0 {
-			n = 0
-		} else if maxN := start/(-stride) + 1; n > maxN {
-			n = maxN
-		}
+	var toEnd int64
+	if lastFile := (fc.size.Load() - 1) / fs.opt.PageSize; stride > 0 && start <= lastFile {
+		toEnd = (lastFile-start)/stride + 1
+	} else if stride < 0 && start >= 0 {
+		toEnd = start/(-stride) + 1
 	}
 	want := n
-	if budget := int64(fs.specBudget()); n > budget {
-		n = budget
-	}
 	// Global speculation cap: at most a quarter of the frame pool may
 	// hold unconsumed speculative pages at once. Without it, dozens of
 	// confident streams sharing a tight cache prefetch each other's
 	// demand data out of residence — the waste feedback would notice,
 	// but only after the damage.
-	if room := int64(fs.cache.NumFrames()/4) - fs.specPending.Load(); n > room {
-		n = room
+	n = min(n, toEnd, int64(fs.specBudget()), int64(fs.cache.NumFrames()/4)-fs.specPending.Load())
+	// Whole spans: with runway in flight a unit stride refills in whole host
+	// transactions, never 1- or 2-page RPCs, and a pool or cap that leaves
+	// room for less than a span holds the refill until one fits. A window
+	// under a span still refills as is, and the file's tail is exempt.
+	if span := max(maxHostIO/fs.opt.PageSize, 1); ahead > 0 && n < toEnd && n >= span && stride == 1 {
+		n -= n % span
+	} else if ahead > 0 && n < toEnd && n < span && n < want {
+		n = 0
 	}
-	// Hold rule: a pool or cap that leaves room for less than one
-	// coalesced span would turn the refill into 1-page RPCs, one per
-	// access, until demand frees more. While runway is in flight nothing
-	// is lost by waiting for a whole span to fit.
-	if n <= 0 || (n < want && ahead > 0 && n < maxHostIO/ps) {
-		st.mu.Unlock()
-		return
-	}
-	st.nextPf = start + n*stride
-	st.frontierOK = true
-	st.mu.Unlock()
+	return n
+}
 
-	fs.spanFetch(b, f, start, n, stride, spec, gsys.GranBlock)
+// raCarry is read-ahead's synchronous half: a miss on the page after the
+// slot's last access (no other stride confirmed) claims into window what
+// raClamp allows of a host transaction after page for its fault to read, and
+// advances the slot past them so the access's hook issues nothing twice.
+func (fs *FS) raCarry(b *gpu.Block, f *file, page int64, window []pageRef) int {
+	st := &f.ra[b.Idx&(raStreams-1)]
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	// The gate is the hook's: only it marks a slot seen.
+	if !st.seen || page != st.lastPage+1 || st.streak >= 2 && st.stride != 1 {
+		return 0
+	}
+	span := max(maxHostIO/fs.opt.PageSize, 1)
+	n := int(fs.raClamp(f.fc, page+1, min(span-1, int64(len(window))), 1, 0))
+	k := 0
+	for ; k < n; k++ {
+		if window[k] = fs.claimFill(b, f, page+1+int64(k), pcache.SpecPending, n-k); window[k].fr == nil {
+			break
+		}
+	}
+	if k > 0 { // this delta confirms stride 1; the window holds a span at least
+		if st.streak == 0 || st.stride != 1 {
+			st.stride, st.streak, st.window = 1, 1, raInitWindow
+		}
+		st.window, st.nextPf, st.frontierOK = max(st.window, int(span)), page+1+int64(k), true
+	}
+	return k
 }
 
 // spanFetch is the one asynchronous fill: it fetches the count pages start,
@@ -291,9 +305,7 @@ func (fs *FS) raIssue(b *gpu.Block, f *file, st *raStream, base int64, spec int3
 // probeCost only when the fetch is speculative: a known-needed batch is
 // followed by a page walk that pays that page's radix lookup anyway.
 func (fs *FS) spanFetch(b *gpu.Block, f *file, start, count, stride int64, spec int32, gran gsys.Granularity) {
-	fc := f.fc
 	ps := fs.opt.PageSize
-
 	maxRun := max(int(maxHostIO/ps), 1)
 	var run []pageRef // claimed, allocated, not yet issued
 	var runFirst int64
@@ -308,51 +320,26 @@ func (fs *FS) spanFetch(b *gpu.Block, f *file, start, count, stride int64, spec 
 		}
 		ns, done, err := fs.lane(b).Gran(gran).ReadAsync(b.Clock, f.hostFd, runFirst*ps, dsts)
 		if err != nil {
-			for _, cl := range run {
-				fs.abort(fc, cl)
-			}
+			fs.abort(b.Idx, f.fc, run...)
 			run = run[:0]
 			return
 		}
-		for i, cl := range run {
-			fs.publish(b, f, cl, ns[i], done, spec)
-			b.Busy(fs.probeCost())
-			cl.release()
-		}
+		fs.publishRun(b, f, run, ns, done, spec, runFirst*ps, issueStart)
 		b.Busy(fs.opt.APICostPerPage)
-		if spec != pcache.SpecNone {
-			fs.prefetchIssued.Add(int64(len(run)))
-			fs.specPending.Add(int64(len(run)))
-			if spec == pcache.SpecReplay {
-				fs.historyIssued.Add(int64(len(run)))
-			}
-			fs.record(b, trace.OpPrefetch, f.path, runFirst*ps, int64(len(run))*ps, issueStart, nil)
-		}
 		run = run[:0]
 	}
 
 	for i := int64(0); i < count; i++ {
 		idx := start + i*stride
-		g := fc.tree.Pin()
-		fp, leaf := fc.tree.LookupLeaf(uint64(idx))
-		if fp == nil {
-			fp, leaf = fc.tree.Insert(uint64(idx))
-		}
-		ok := claim(fp, leaf)
-		g.Exit()
-		if !ok {
+		r := fs.claimFill(b, f, idx, spec, int(count-i))
+		if r.fp == nil {
 			if spec != pcache.SpecNone {
 				b.Busy(fs.probeCost())
 			}
 			flush()
 			continue
 		}
-		fr := fs.takeFrame(b.Idx, fc, idx*ps)
-		if fr == nil && spec != pcache.SpecNone && fs.reclaimForSpec(b, int(count-i)) > 0 {
-			fr = fs.takeFrame(b.Idx, fc, idx*ps)
-		}
-		if fr == nil {
-			fs.abort(fc, pageRef{fp: fp})
+		if r.fr == nil {
 			break
 		}
 		if len(run) > 0 && idx != runFirst+int64(len(run)) {
@@ -361,10 +348,55 @@ func (fs *FS) spanFetch(b *gpu.Block, f *file, start, count, stride int64, spec 
 		if len(run) == 0 {
 			runFirst = idx
 		}
-		run = append(run, pageRef{fr: fr, fp: fp})
+		run = append(run, r)
 		if len(run) >= maxRun {
 			flush()
 		}
 	}
 	flush()
+}
+
+// claimFill claims page idx of f for a fill and takes it a frame, speculation
+// (spec not SpecNone) reclaiming up to want closed clean pages from a dry pool.
+// fp is nil when the page cannot be claimed, fr when no frame was left.
+func (fs *FS) claimFill(b *gpu.Block, f *file, idx int64, spec int32, want int) pageRef {
+	fc := f.fc
+	g := fc.tree.Pin()
+	fp, leaf := fc.tree.LookupLeaf(uint64(idx))
+	if fp == nil {
+		fp, leaf = fc.tree.Insert(uint64(idx))
+	}
+	ok := claim(fp, leaf)
+	g.Exit()
+	if !ok {
+		return pageRef{}
+	}
+	off := idx * fs.opt.PageSize
+	fr := fs.takeFrame(b.Idx, fc, off)
+	if fr == nil && spec != pcache.SpecNone && fs.reclaimForSpec(b, want) > 0 {
+		fr = fs.takeFrame(b.Idx, fc, off)
+	}
+	if fr == nil {
+		fs.abort(b.Idx, fc, pageRef{fp: fp})
+	}
+	return pageRef{fr: fr, fp: fp}
+}
+
+// publishRun publishes run, the pages from file offset off one read issued at
+// start filled (ns[i] bytes in run[i]), usable at readyAt, as spec, each at a
+// claim's probeCost; speculation joins the prefetch accounting and trace.
+func (fs *FS) publishRun(b *gpu.Block, f *file, run []pageRef, ns []int, readyAt simtime.Time, spec int32, off int64, start simtime.Time) {
+	for i, r := range run {
+		fs.publish(b, f, r, ns[i], readyAt, spec)
+		b.Busy(fs.probeCost())
+		r.release()
+	}
+	if k := int64(len(run)); spec != pcache.SpecNone {
+		fs.prefetchIssued.Add(k)
+		fs.specPending.Add(k)
+		if spec == pcache.SpecReplay {
+			fs.historyIssued.Add(k)
+		}
+		fs.record(b, trace.OpPrefetch, f.path, off, k*fs.opt.PageSize, start, nil)
+	}
 }

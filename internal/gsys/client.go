@@ -222,6 +222,7 @@ func (c Client) doRelaxed(blk *simtime.Clock, sys Sysno, args []uint64, path str
 // which the open survives — and the contents of dsts are then undefined.
 func (c Client) Open(blk *simtime.Clock, path string, flags int, mode hostfs.Mode, dsts [][]byte) (int64, hostfs.FileInfo, []int, error) {
 	cl := readCall(dsts)
+	defer cl.done()
 	if err := c.do(blk, SysOpen, []uint64{uint64(flags), uint64(mode)}, path, nil, cl); err != nil {
 		return -1, hostfs.FileInfo{}, nil, err
 	}
@@ -235,7 +236,9 @@ func (c Client) Open(blk *simtime.Clock, path string, flags int, mode hostfs.Mod
 // completion, which is when carried bytes become usable. Never retried; on a
 // transient fault the caller falls back to a strong Open.
 func (c Client) OpenRelaxed(blk *simtime.Clock, path string, flags int, mode hostfs.Mode, dsts [][]byte) *Future {
-	return c.doRelaxed(blk, SysOpen, []uint64{uint64(flags), uint64(mode)}, path, nil, readCall(dsts))
+	cl := readCall(dsts)
+	defer cl.done()
+	return c.doRelaxed(blk, SysOpen, []uint64{uint64(flags), uint64(mode)}, path, nil, cl)
 }
 
 // Close closes a daemon descriptor handle.
@@ -252,6 +255,7 @@ func (c Client) Close(blk *simtime.Clock, fd int64) error {
 // the contents of dsts are undefined — the caller must not publish them.
 func (c Client) Read(blk *simtime.Clock, fd, off int64, dsts [][]byte) ([]int, error) {
 	cl := readCall(dsts)
+	defer cl.done()
 	if err := c.do(blk, SysRead, []uint64{uint64(fd), uint64(off)}, "", nil, cl); err != nil {
 		return nil, err
 	}
@@ -264,6 +268,7 @@ func (c Client) Read(blk *simtime.Clock, fd, off int64, dsts [][]byte) ([]int, e
 // Read's.
 func (c Client) ReadAsync(blk *simtime.Clock, fd, off int64, dsts [][]byte) ([]int, simtime.Time, error) {
 	cl := readCall(dsts)
+	defer cl.done()
 	fut := c.doRelaxed(blk, SysRead, []uint64{uint64(fd), uint64(off)}, "", nil, cl)
 	if fut.err != nil {
 		return nil, 0, fut.err

@@ -55,18 +55,39 @@ type call struct {
 	// nothing for its vector.
 	seg [1][]byte
 	n   [1]int
+	// vec backs dsts of a longer read, drawn from readVecs.
+	vec *[][]byte
 
 	// file carries a write from its first stretch to its second: the
 	// resolved host file.
 	file *hostfs.File
 }
 
+// readVecs recycles the vector copies of multi-segment reads (readCall).
+var readVecs = sync.Pool{New: func() any { return new([][]byte) }}
+
 // readCall builds the call of a read into dsts, copying the vector (not the
-// bytes) so the caller's need not outlive the call.
+// bytes) so the caller's need not outlive the call. A longer vector than seg
+// holds is copied into a recycled one, which done hands back: a read's handler
+// runs before the client returns, and nothing reads dsts after it.
 func readCall(dsts [][]byte) *call {
 	c := &call{}
-	c.dsts = append(c.seg[:0], dsts...)
+	if len(dsts) <= len(c.seg) {
+		c.dsts = append(c.seg[:0], dsts...)
+		return c
+	}
+	c.vec = readVecs.Get().(*[][]byte)
+	c.dsts = append((*c.vec)[:0], dsts...)
 	return c
+}
+
+// done ends a read call's use of its vector.
+func (c *call) done() {
+	if c.vec != nil {
+		*c.vec = c.dsts[:0]
+		readVecs.Put(c.vec)
+		c.vec, c.dsts = nil, nil
+	}
 }
 
 // writeCall builds the call of a write gathered from srcs, copying the vector
