@@ -28,9 +28,11 @@
 #                the package names the open or closed table, their
 #                indexes, the truncated-once set, or a cache's retained
 #                descriptor and flags), Config.Prototype still resolved
-#                in one place (no non-test file but gpufs.go, which turns
-#                it into core.Options, and internal/bench, which sets it,
-#                names .Prototype: no library package branches on it),
+#                in one place (one line of non-test code outside
+#                internal/bench, which sets it, names .Prototype, and it is
+#                inside core.New, which turns it into FS state: gpufs.go
+#                passes the Config through whole and no other package
+#                branches on it),
 #                the full suite under the race detector (the stress/oracle tests
 #                run 500 seeds concurrently, so this is where sync bugs
 #                die), the bench guardrail pinning the Fig4 16K/32K
@@ -103,9 +105,11 @@ tier2:
 	@strays=$$(grep -nE '\.fds|\.byPath|\.closed\[|range [a-z.]*\.closed\b|\.closedByPath|\.truncated|keepFd|lastFlags' \
 		$$(ls internal/core/*.go | grep -v -e '_test\.go$$' -e '/ftable\.go$$')); if [ -n "$$strays" ]; then \
 		echo "internal/core/ftable.go owns the file tables; these lines reach past it:"; echo "$$strays"; exit 1; fi
-	@strays=$$(grep -n '\.Prototype\b' $$(find . -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print) | \
-		grep -v -e '^\./gpufs\.go:' -e '^\./internal/bench/'); if [ -n "$$strays" ]; then \
-		echo "gpufs.go resolves Config.Prototype; these lines branch on it elsewhere:"; echo "$$strays"; exit 1; fi
+	@reads=$$(grep -n '\.Prototype\b' $$(find . -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print) | \
+		grep -v '^\./internal/bench/'); \
+		if [ $$(printf '%s\n' "$$reads" | grep -c .) -ne 1 ] || \
+		[ $$(awk '/^func New\(/,/^}/' internal/core/fs.go | grep -c '\.Prototype\b') -ne 1 ]; then \
+		echo "core.New reads Config.Prototype once and nothing else does; found:"; echo "$$reads"; exit 1; fi
 	$(GO) test -race -timeout 30m ./...
 	GPUFS_BENCH_GUARDRAIL=1 $(GO) test -count=1 -run TestBenchGuardrail ./internal/bench
 	mkdir -p artifacts

@@ -96,6 +96,14 @@ var censusTestSeams = map[string]bool{
 	"rpc.Config.MaxAttempts":        true, // the fault oracles' deeper retry budget
 }
 
+// censusSharedNames lists the fields below params.Config that share a name
+// with one of its fields and are not a copy of it: each is an argument from
+// which the declaring package builds a Config.
+var censusSharedNames = map[string]bool{
+	"fleet.SimHostConfig.Scale":   true, // the ScaledConfig factor of every host
+	"fleet.SimHostConfig.NumGPUs": true, // overrides the scaled config's GPU count
+}
+
 func TestOptionCensus(t *testing.T) {
 	fset := token.NewFileSet()
 	fields := map[string][]string{} // struct name → exported fields, in order
@@ -149,7 +157,11 @@ func TestOptionCensus(t *testing.T) {
 				return true
 			}
 			for _, fl := range st.Fields.List {
-				for _, id := range fl.Names {
+				names := fl.Names
+				if len(names) == 0 { // embedded: the field is named after its type
+					names = []*ast.Ident{embeddedName(fl.Type)}
+				}
+				for _, id := range names {
 					if id.IsExported() {
 						fields[cs.name] = append(fields[cs.name], id.Name)
 						set[cs.name+"."+id.Name] = &setters{}
@@ -160,6 +172,27 @@ func TestOptionCensus(t *testing.T) {
 		})
 		if len(fields[cs.name]) == 0 {
 			t.Fatalf("%s: no exported fields found in %s/%s", cs.name, cs.dir, cs.file)
+		}
+	}
+
+	// No struct below params.Config copies one of its fields: what the
+	// machine's Config holds is passed down whole (core.Options embeds it),
+	// and a field of the same name is a second copy two callers must keep
+	// equal.
+	machine := map[string]bool{}
+	for _, field := range fields[censusStructs[0].name] {
+		machine[field] = true
+	}
+	for _, cs := range censusStructs[1:] {
+		for _, field := range fields[cs.name] {
+			if key := cs.name + "." + field; machine[field] && !censusSharedNames[key] {
+				t.Errorf("%s copies params.Config.%s: pass the Config down instead", key, field)
+			}
+		}
+	}
+	for key := range censusSharedNames {
+		if field := key[strings.LastIndex(key, ".")+1:]; set[key] == nil || !machine[field] {
+			t.Errorf("census lists %s as sharing a name with params.Config, which it does not", key)
 		}
 	}
 
@@ -278,6 +311,20 @@ func TestOptionCensus(t *testing.T) {
 			}
 		}
 	}
+}
+
+// embeddedName is the name an embedded field of type x goes by: its type
+// name, with any package qualifier and pointer dropped.
+func embeddedName(x ast.Expr) *ast.Ident {
+	switch x := x.(type) {
+	case *ast.StarExpr:
+		return embeddedName(x.X)
+	case *ast.SelectorExpr:
+		return x.Sel
+	case *ast.Ident:
+		return x
+	}
+	return ast.NewIdent("_")
 }
 
 func dedupe(in []string) []string {

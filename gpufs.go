@@ -188,7 +188,7 @@ func NewSystemWithMetrics(cfg Config, reg *metrics.Registry) (*System, error) {
 	// One syscall service for the whole machine: the syscall table is
 	// stateless, but the gpipe table must be shared so kernels on
 	// different GPUs can meet at a named pipe.
-	syscalls := gsys.NewService(server, !cfg.Prototype)
+	syscalls := gsys.NewService(server)
 
 	sys := &System{
 		cfg:       cfg,
@@ -214,31 +214,8 @@ func NewSystemWithMetrics(cfg Config, reg *metrics.Registry) (*System, error) {
 			LaunchOverhead:  cfg.KernelLaunchOverhead,
 		})
 		link := bus.NewLink(i, dev.MemBandwidthResource(), cfg.GPUMemBandwidth)
-		client := server.NewClient(i, link)
-		// The extended system keeps one allocator shard per multiprocessor:
-		// lanes (threadblocks and the cleaner) hash by index, so the shard
-		// count that matches the hardware's concurrency is the MP count.
-		// The prototype has one free list.
-		frameShards := cfg.MPsPerGPU
-		if cfg.Prototype {
-			frameShards = 1
-		}
-		fs, err := core.New(i, core.Options{
-			PageSize:             cfg.PageSize,
-			CacheBytes:           cfg.BufferCacheBytes,
-			APICostPerPage:       cfg.APICostPerPage,
-			RadixLookupLockFree:  cfg.RadixLookupLockFree,
-			RadixLookupLocked:    cfg.RadixLookupLocked,
-			ForceLockedTraversal: cfg.ForceLockedTraversal,
-			ReadAheadAdaptive:    !cfg.Prototype,
-			Cleaner:              !cfg.Prototype,
-			DisableFastReopen:    cfg.DisableFastReopen,
-			ZeroCopyRead:         !cfg.Prototype,
-			CkptMaxBytes:         cfg.CkptMaxBytes,
-			FrameShards:          frameShards,
-			Metrics:              reg,
-			Syscalls:             syscalls,
-		}, client, dev.Mem)
+		opt := core.Options{Config: cfg, Metrics: reg, Syscalls: syscalls}
+		fs, err := core.New(i, opt, server.NewClient(i, link), dev.Mem)
 		if err != nil {
 			return nil, fmt.Errorf("gpufs: initializing GPU %d: %w", i, err)
 		}

@@ -66,7 +66,7 @@ func TestBatchedReadPipelinesFetches(t *testing.T) {
 // the pipelining headroom.
 func TestBatchedReadRespectsCachePressure(t *testing.T) {
 	opt := defaultOpt()
-	opt.CacheBytes = 4 * opt.PageSize // 4 frames
+	opt.BufferCacheBytes = 4 * opt.PageSize // 4 frames
 	pages := 8
 	want := make([]byte, pages*int(opt.PageSize))
 	rand.New(rand.NewSource(10)).Read(want)

@@ -40,7 +40,7 @@ func TestCkptRoundTrip(t *testing.T) {
 	fs := h.fss[0]
 	ps := int(opt.PageSize)
 
-	orig := pattern(3*ps, 1)
+	orig := pattern(int(maxHostIO)+ps, 1) // more than an open carries
 	h.write(t, "/ck-a", orig)
 
 	overlay := pattern(ps, 99)
@@ -96,8 +96,8 @@ func TestCkptRoundTrip(t *testing.T) {
 		return h2.fss[0].RestoreImage(b, img)
 	})
 	// The dirty page travels by value and is the page's whole content: the
-	// restore fills its frame from the image, and only the two clean pages
-	// are fetched (they are not adjacent, so one request each).
+	// restore fills its frame from the image, and only the clean pages are
+	// fetched: page 0 and the run from page 2 on, one request each.
 	if got := h2.server.Requests(rpc.OpReadPages); got != 2 {
 		t.Errorf("restore sent %d reads, want 2: the clean pages, not the dirty one", got)
 	}
@@ -196,7 +196,7 @@ func TestCkptOverwriteDuringCapture(t *testing.T) {
 	fs := h.fss[0]
 	ps := int(opt.PageSize)
 
-	orig := pattern(2*ps, 3)
+	orig := pattern(int(maxHostIO)+ps, 3) // more than an open carries: page 0 stays cold
 	h.write(t, "/ck-over", orig)
 	var fd int
 	h.run(t, 0, func(b *gpu.Block) error {
@@ -241,12 +241,12 @@ func TestCkptOverwriteDuringCapture(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		buf := make([]byte, 2*ps)
+		buf := make([]byte, len(orig))
 		if n, err := h2.fss[0].Read(b, fd, buf, 0); err != nil || n != len(buf) {
 			return err
 		}
 		if !bytes.Equal(buf[:ps], written) || !bytes.Equal(buf[ps:], orig[ps:]) {
-			t.Error("restored view diverges from the source's: page 0 as written, page 1 as on the host")
+			t.Error("restored view diverges from the source's: page 0 as written, the rest as on the host")
 		}
 		return h2.fss[0].Close(b, fd)
 	})
@@ -441,7 +441,6 @@ func TestCkptWbErrRoundTrip(t *testing.T) {
 // so the replacement host's first opens start from the source's streams.
 func TestCkptHistoryProfileRoundTrip(t *testing.T) {
 	opt := defaultOpt()
-	opt.ReadAheadAdaptive = true
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
 

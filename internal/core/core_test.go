@@ -7,6 +7,7 @@ import (
 
 	"gpufs/internal/gpu"
 	"gpufs/internal/hostfs"
+	"gpufs/internal/params"
 	"gpufs/internal/pcie"
 	"gpufs/internal/rpc"
 	"gpufs/internal/simtime"
@@ -58,8 +59,8 @@ func newHarness(t testing.TB, gpus int, opt Options) *harness {
 	h := &harness{host: host, layer: layer, server: server}
 	for i := 0; i < gpus; i++ {
 		dev := gpu.New(gpu.Config{
-			ID: i, MPs: 4, BlocksPerMP: 2, WarpSize: 32,
-			MemBytes:     opt.CacheBytes * 2,
+			ID: i, MPs: opt.MPsPerGPU, BlocksPerMP: 2, WarpSize: 32,
+			MemBytes:     opt.BufferCacheBytes * 2,
 			MemBandwidth: rigDevMemBandwidth,
 			Flops:        1e9, ScratchpadBytes: 48 << 10,
 		})
@@ -74,19 +75,25 @@ func newHarness(t testing.TB, gpus int, opt Options) *harness {
 	return h
 }
 
-// defaultOpt is what ships (params.Default): in-place hit reads and a
-// sharded frame allocator. A test that needs the copying charge or a single
-// free list says so.
+// defaultOpt is what ships: params.Default's extended system — in-place hit
+// reads, one frame-allocator shard per multiprocessor, read-ahead with the
+// open carry and history replay, and the background cleaner — on the rig's
+// four-MP device with 64 pages of 16K. A test that needs the paper's system
+// runs prototypeOpt instead; no test builds a mix of the two.
 func defaultOpt() Options {
-	return Options{
-		PageSize:            16 << 10,
-		CacheBytes:          1 << 20, // 64 pages
-		APICostPerPage:      7 * simtime.Microsecond,
-		RadixLookupLockFree: 35,
-		RadixLookupLocked:   550,
-		ZeroCopyRead:        true,
-		FrameShards:         4,
-	}
+	cfg := params.Default()
+	cfg.MPsPerGPU = 4
+	cfg.PageSize = 16 << 10
+	cfg.BufferCacheBytes = 1 << 20 // 64 pages
+	return Options{Config: cfg}
+}
+
+// prototypeOpt is defaultOpt as the paper's §4 prototype (Config.Prototype):
+// copying reads, one free list, no read-ahead and no cleaner.
+func prototypeOpt() Options {
+	opt := defaultOpt()
+	opt.Prototype = true
+	return opt
 }
 
 const hostRW = hostfs.ModeRead | hostfs.ModeWrite
@@ -696,7 +703,7 @@ func TestEvictionWriteBackAndRefetch(t *testing.T) {
 	// Working set twice the cache: pages are written, evicted (with
 	// write-back), and transparently refetched.
 	opt := defaultOpt()
-	opt.CacheBytes = 8 * opt.PageSize
+	opt.BufferCacheBytes = 8 * opt.PageSize
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
 	total := 32 * opt.PageSize
@@ -837,10 +844,7 @@ func TestStatsSnapshot(t *testing.T) {
 
 func TestReadAheadCorrectAndFaster(t *testing.T) {
 	want := pattern(512<<10, 8) // 32 pages of 16K
-	run := func(ra bool) simtime.Duration {
-		opt := defaultOpt()
-		opt.CacheBytes = 64 * opt.PageSize
-		opt.ReadAheadAdaptive = ra
+	run := func(opt Options) simtime.Duration {
 		h := newHarness(t, 1, opt)
 		fs := h.fss[0]
 		h.write(t, "/ra", want)
@@ -865,10 +869,10 @@ func TestReadAheadCorrectAndFaster(t *testing.T) {
 		})
 		return simtime.Duration(end)
 	}
-	noRA := run(false)
-	withRA := run(true)
+	noRA := run(prototypeOpt())
+	withRA := run(defaultOpt())
 	if withRA >= noRA {
-		t.Fatalf("sequential gread with read-ahead (%v) should beat without (%v)", withRA, noRA)
+		t.Fatalf("sequential gread with read-ahead (%v) should beat the prototype's (%v)", withRA, noRA)
 	}
 }
 
@@ -877,8 +881,7 @@ func TestReadAheadNeverEvicts(t *testing.T) {
 	// than evict real data: the third sequential page confirms the stride
 	// and the detector wants four more pages from a pool with one free.
 	opt := defaultOpt()
-	opt.CacheBytes = 4 * opt.PageSize
-	opt.ReadAheadAdaptive = true
+	opt.BufferCacheBytes = 4 * opt.PageSize
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
 	h.write(t, "/ra2", pattern(int(32*opt.PageSize), 9))
@@ -934,7 +937,7 @@ func TestNoSyncSpillsOnlyUnderPressure(t *testing.T) {
 	// (Table 1). With room in the cache, nothing leaves the GPU; under
 	// pressure, spilled pages must still read back correctly.
 	opt := defaultOpt()
-	opt.CacheBytes = 4 * opt.PageSize
+	opt.BufferCacheBytes = 4 * opt.PageSize
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
 
@@ -968,7 +971,7 @@ func TestWriteOnceManyBlocksDisjoint(t *testing.T) {
 	// 32 blocks write disjoint slices of one O_GWRONCE output under
 	// eviction pressure; the merged host file must be exact.
 	opt := defaultOpt()
-	opt.CacheBytes = 8 * opt.PageSize
+	opt.BufferCacheBytes = 8 * opt.PageSize
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
 
@@ -1096,7 +1099,7 @@ func TestEvictionDrainsWholeLeaves(t *testing.T) {
 	// must fully drain and detach old leaves (FIFO reclamation removes
 	// last-level radix nodes, §4.2).
 	opt := defaultOpt()
-	opt.CacheBytes = 4 * opt.PageSize
+	opt.BufferCacheBytes = 4 * opt.PageSize
 	opt.EvictBatch = 64 // drain eagerly so whole leaves empty out
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
@@ -1124,7 +1127,7 @@ func TestEvictionPolicyOrdering(t *testing.T) {
 	// §4.2: reclaim from closed files first (no write-back needed, not
 	// in use), then read-only opens, and writable opens last.
 	opt := defaultOpt()
-	opt.CacheBytes = 12 * opt.PageSize
+	opt.BufferCacheBytes = 12 * opt.PageSize
 	opt.EvictBatch = 2 // reclaim only what the two-page demand needs
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
@@ -1178,7 +1181,7 @@ func TestOracleConcurrentDisjoint(t *testing.T) {
 	// run random write/read/verify loops concurrently under eviction
 	// pressure; every read must observe only the block's own writes.
 	opt := defaultOpt()
-	opt.CacheBytes = 8 * opt.PageSize
+	opt.BufferCacheBytes = 8 * opt.PageSize
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
 	const blocks = 16

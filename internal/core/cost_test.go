@@ -83,12 +83,10 @@ func greadAt(t *testing.T, fs *FS, b *gpu.Block, fd int, n, off int64) {
 }
 
 // TestCostCacheHit: a hit is one lock-free lookup plus one device-memory
-// pass over the bytes read in place; the copying setting costs exactly one
+// pass over the bytes read in place; the prototype's copy costs exactly one
 // more pass, and sends nothing to the host either way.
 func TestCostCacheHit(t *testing.T) {
-	hit := func(zeroCopy bool) (cost simtime.Duration) {
-		opt := defaultOpt()
-		opt.ZeroCopyRead = zeroCopy
+	hit := func(opt Options) (cost simtime.Duration) {
 		costRig(t, opt, 1, func(h *harness, b *gpu.Block, fd int) {
 			fs := h.fss[0]
 			gread(t, fs, b, fd, opt.PageSize) // fault it in
@@ -101,7 +99,7 @@ func TestCostCacheHit(t *testing.T) {
 		return cost
 	}
 	opt := defaultOpt()
-	inPlace, copying := hit(true), hit(false)
+	inPlace, copying := hit(opt), hit(prototypeOpt())
 	if want := opt.RadixLookupLockFree + devPass(opt.PageSize); inPlace != want {
 		t.Errorf("in-place hit cost %v, want lookup + one device-memory pass = %v", inPlace, want)
 	}
@@ -111,14 +109,13 @@ func TestCostCacheHit(t *testing.T) {
 }
 
 // TestCostPageFault: a demand fault is the lookup that missed, the
-// single-page strong read, and the page's bookkeeping — whatever the number
-// of allocator shards. Copying differs by the staging pass alone, which the
-// DMA pays on the host memory bus.
+// single-page strong read, and the page's bookkeeping. The prototype (one
+// allocator shard, not four) differs by the staging pass alone, which the DMA
+// pays on the host memory bus. The file is one page more than an open
+// carries, so page 0 is not resident when the fault looks.
 func TestCostPageFault(t *testing.T) {
-	fault := func(zeroCopy bool, shards int) (cost simtime.Duration) {
-		opt := defaultOpt()
-		opt.ZeroCopyRead, opt.FrameShards = zeroCopy, shards
-		costRig(t, opt, 1, func(h *harness, b *gpu.Block, fd int) {
+	fault := func(opt Options) (cost simtime.Duration) {
+		costRig(t, opt, maxHostIO/opt.PageSize+1, func(h *harness, b *gpu.Block, fd int) {
 			fs := h.fss[0]
 			reads := h.server.Requests(rpc.OpReadPages)
 			cost = elapsed(b, func() {
@@ -137,14 +134,12 @@ func TestCostPageFault(t *testing.T) {
 	opt := defaultOpt()
 	ring := rigRPC.PollInterval + rigRPC.HandleCost + rigRPC.ReturnLatency
 	want := opt.RadixLookupLockFree + ring + warmRead(opt.PageSize, 1) + opt.APICostPerPage
-	for _, shards := range []int{1, 4} {
-		if got := fault(true, shards); got != want {
-			t.Errorf("fault with %d shards cost %v, want lookup + ring cycle + warm read + API = %v", shards, got, want)
-		}
+	if got := fault(opt); got != want {
+		t.Errorf("fault cost %v, want lookup + ring cycle + warm read + API = %v", got, want)
 	}
 	staging := simtime.TransferTime(opt.PageSize, rigBus.HostMemBandwidth)
-	if got := fault(false, 1) - want; got != staging {
-		t.Errorf("copying fault costs %v more, want exactly the staging pass %v", got, staging)
+	if got := fault(prototypeOpt()) - want; got != staging {
+		t.Errorf("the prototype's fault costs %v more, want exactly the staging pass %v", got, staging)
 	}
 }
 
@@ -156,7 +151,6 @@ func TestCostPageFault(t *testing.T) {
 // carried pages are speculation: resident, counted as issued, not yet used.
 func TestCostCarryingFault(t *testing.T) {
 	opt := defaultOpt()
-	opt.ReadAheadAdaptive = true
 	ps := opt.PageSize
 	span := maxHostIO / ps
 	costRig(t, opt, 2*span, func(h *harness, b *gpu.Block, fd int) {
@@ -200,7 +194,6 @@ func TestCostCarryingFault(t *testing.T) {
 func TestCostColdScanTransactions(t *testing.T) {
 	const pages = 32
 	opt := defaultOpt()
-	opt.ReadAheadAdaptive = true
 	ps := opt.PageSize
 	span := maxHostIO / ps
 	h := newHarness(t, 1, opt)
@@ -264,12 +257,12 @@ func TestCostColdScanTransactions(t *testing.T) {
 
 // TestCostVectoredFill: k adjacent cold pages are k claims and ONE call on
 // the block's clock, one ring transaction, and one DMA whose completion
-// every frame shares.
+// every frame shares. The file is one page more than an open carries.
 func TestCostVectoredFill(t *testing.T) {
 	const k = 8
 	opt := defaultOpt()
 	opt.PageSize = maxHostIO / k
-	costRig(t, opt, k, func(h *harness, b *gpu.Block, fd int) {
+	costRig(t, opt, k+1, func(h *harness, b *gpu.Block, fd int) {
 		fs, f := h.fss[0], h.fss[0].ft.fds[fd]
 		issued, reads := b.Clock.Now(), h.server.Requests(rpc.OpReadPages)
 		cost := elapsed(b, func() { fs.spanFetch(b, f, 0, k, 1, pcache.SpecNone, gsys.GranBlock) })
@@ -329,7 +322,7 @@ func TestCostSpeculativeReclaim(t *testing.T) {
 	const k = 4
 	opt := defaultOpt()
 	ps := opt.PageSize
-	frames := opt.CacheBytes / ps
+	frames := opt.BufferCacheBytes / ps
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
 	h.write(t, "/closed", pattern(int(frames*ps), 1))
@@ -372,11 +365,11 @@ func TestCostSpeculativeReclaim(t *testing.T) {
 	h.checkDirtyCounts(t)
 }
 
-// TestCostSmallFileRidesWithItsOpen: with read-ahead on, gopen + gread + gclose
-// of a one-page file is one ring transaction — the open's, which also preads
-// the file and DMAs it into a frame the block offered — and the gread is a
-// hit. A file one byte larger than the offer rides nowhere. With read-ahead
-// off (the prototype's setting) an open is what it was: two transactions.
+// TestCostSmallFileRidesWithItsOpen: in the extended system, gopen + gread +
+// gclose of a one-page file is one ring transaction — the open's, which also
+// preads the file and DMAs it into a frame the block offered — and the gread
+// is a hit. A file one byte larger than the offer rides nowhere. In the
+// prototype an open is what it was: two transactions.
 func TestCostSmallFileRidesWithItsOpen(t *testing.T) {
 	type cost struct {
 		open, read             simtime.Duration
@@ -422,26 +415,25 @@ func TestCostSmallFileRidesWithItsOpen(t *testing.T) {
 	hit := opt.RadixLookupLockFree + devPass(ps)
 	fault := opt.RadixLookupLockFree + ring + warmRead(ps, 1) + opt.APICostPerPage + devPass(ps)
 
-	opt.ReadAheadAdaptive = true
 	probe := opt.APICostPerPage >> probeCostShift
 	if got, want := scan(opt, ps), (cost{
 		open: plainOpen + warmRead(ps, 1) + probe, read: hit,
 		requests: 1, hits: 1, filled: 1, carriedLen: ps,
 	}); got != want {
-		t.Errorf("one-page file, read-ahead on:\n got %+v\nwant %+v (open = plain open + pread + DMA + one claim; gread = a hit)", got, want)
+		t.Errorf("one-page file, extended:\n got %+v\nwant %+v (open = plain open + pread + DMA + one claim; gread = a hit)", got, want)
 	}
 	if got, want := scan(opt, maxHostIO+1), (cost{
 		open: plainOpen, read: fault,
 		requests: 2, reads: 1, misses: 1,
 	}); got != want {
-		t.Errorf("file one byte past the span, read-ahead on:\n got %+v\nwant %+v (nothing rides)", got, want)
+		t.Errorf("file one byte past the span, extended:\n got %+v\nwant %+v (nothing rides)", got, want)
 	}
-	opt.ReadAheadAdaptive = false
-	if got, want := scan(opt, ps), (cost{
-		open: plainOpen, read: fault,
+	staging := simtime.TransferTime(ps, rigBus.HostMemBandwidth)
+	if got, want := scan(prototypeOpt(), ps), (cost{
+		open: plainOpen, read: fault - devPass(ps) + staging + devPass(2*ps),
 		requests: 2, reads: 1, misses: 1,
 	}); got != want {
-		t.Errorf("one-page file, read-ahead off:\n got %+v\nwant %+v (the open is the parent's)", got, want)
+		t.Errorf("one-page file, prototype:\n got %+v\nwant %+v (the open is the parent's; the fault's DMA is staged and its copy costs a second pass)", got, want)
 	}
 }
 
@@ -465,7 +457,7 @@ func gwrite(t *testing.T, fs *FS, b *gpu.Block, fd int, src []byte, off int64) {
 func TestCostWholePageWriteMiss(t *testing.T) {
 	opt := defaultOpt()
 	ps := opt.PageSize
-	pages := 2 * opt.CacheBytes / ps
+	pages := 2 * opt.BufferCacheBytes / ps
 	size := pages*ps - ps/2 // the last page is half a page
 	costRigFlags(t, opt, size, O_RDWR, func(h *harness, b *gpu.Block, fd int) {
 		fs := h.fss[0]
@@ -512,7 +504,8 @@ func TestCostWholePageWriteMiss(t *testing.T) {
 }
 
 // TestCostPartialPageWriteMiss: a gwrite that leaves bytes of the page to the
-// host's copy still faults it in — one read — and then pays its copy.
+// host's copy still faults it in — one read — and then pays its copy. The file
+// is one page more than an open carries.
 func TestCostPartialPageWriteMiss(t *testing.T) {
 	opt := defaultOpt()
 	ps := opt.PageSize
@@ -526,7 +519,7 @@ func TestCostPartialPageWriteMiss(t *testing.T) {
 		{"write from the page boundary, short of the page and of end of file", ps, ps / 2},
 		{"write to the end of a page from inside it", 2*ps + ps/2, ps / 2},
 	} {
-		costRigFlags(t, opt, 4*ps, O_RDWR, func(h *harness, b *gpu.Block, fd int) {
+		costRigFlags(t, opt, maxHostIO+ps, O_RDWR, func(h *harness, b *gpu.Block, fd int) {
 			fs := h.fss[0]
 			reads, requests := h.server.Requests(rpc.OpReadPages), h.server.TotalRequests()
 			got := elapsed(b, func() { gwrite(t, fs, b, fd, pattern(int(c.n), 9), c.off) })
@@ -541,10 +534,11 @@ func TestCostPartialPageWriteMiss(t *testing.T) {
 }
 
 // TestCostWriteSharedWholePageStillFetches: O_GWRSHARED write-back diffs
-// against the pristine copy, so even a whole-page overwrite fetches the page.
+// against the pristine copy, so even a whole-page overwrite fetches the page
+// (of a file one page more than an open carries).
 func TestCostWriteSharedWholePageStillFetches(t *testing.T) {
 	opt := defaultOpt()
-	costRigFlags(t, opt, 2*opt.PageSize, O_RDWR|O_GWRSHARED, func(h *harness, b *gpu.Block, fd int) {
+	costRigFlags(t, opt, maxHostIO+opt.PageSize, O_RDWR|O_GWRSHARED, func(h *harness, b *gpu.Block, fd int) {
 		reads := h.server.Requests(rpc.OpReadPages)
 		gwrite(t, h.fss[0], b, fd, pattern(int(opt.PageSize), 9), 0)
 		if got := h.server.Requests(rpc.OpReadPages) - reads; got != 1 {

@@ -186,18 +186,16 @@ func TestDirtyCountFollowsTheFlag(t *testing.T) {
 // cleanCorpus caches files one-page read-only files on a cleaner-equipped FS,
 // all closed, and leaves the free pool under the low watermark so that every
 // maybeClean kicks a pass. With dirtyPages > 0 it also leaves that many dirty
-// pages in one open file, "/dirty". The cleaner is unhooked during set-up, or
-// the faults of the set-up would kick it and it would clean them.
+// pages in one open file, "/dirty". Every file comes in with its open and the
+// dirty pages are overwritten in place, so the set-up takes no demand fault:
+// nothing kicks the cleaner before the caller does.
 func cleanCorpus(t testing.TB, files, dirtyPages int) (*harness, *FS) {
 	t.Helper()
 	opt := defaultOpt()
 	opt.PageSize = 4 << 10
-	opt.CacheBytes = int64(files+dirtyPages+1) * opt.PageSize
-	opt.Cleaner = true
+	opt.BufferCacheBytes = int64(files+dirtyPages+1) * opt.PageSize
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
-	cleaner := fs.cleaner
-	fs.cleaner = nil
 	page := pattern(int(opt.PageSize), 9)
 	for i := 0; i < files; i++ {
 		h.write(t, fmt.Sprintf("/clean-%04d", i), page)
@@ -230,9 +228,12 @@ func cleanCorpus(t testing.TB, files, dirtyPages int) (*harness, *FS) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs.cleaner = cleaner
 	if free := fs.cache.FreeFrames(); free >= fs.cleaner.low {
 		t.Fatalf("set-up left %d free frames, want < low watermark %d", free, fs.cleaner.low)
+	}
+	if cs := fs.CacheStats(); cs.CleanerKicks != 0 || cs.OpenFilled != int64(files+dirtyPages) {
+		t.Fatalf("set-up kicked the cleaner %d times and carried %d pages in with opens, want none and %d",
+			cs.CleanerKicks, cs.OpenFilled, files+dirtyPages)
 	}
 	return h, fs
 }

@@ -39,7 +39,7 @@ func carriedRead(fs *FS, b *gpu.Block, fd int, buf []byte, off int64) (n int, ca
 // counters, the tree's leaves and every slot of the window are as they were
 // before the gread. A retry reads the right bytes, carrying the window again.
 func TestCarryingFaultEIO(t *testing.T) {
-	opt := carryOpt()
+	opt := defaultOpt()
 	ps := opt.PageSize
 	span := maxHostIO / ps
 	want := pattern(int(2*span*ps), 8)
@@ -97,7 +97,7 @@ func TestCarryingFaultEIO(t *testing.T) {
 // that the host returns piecemeal, like any other, and every carried page
 // holds the file's bytes.
 func TestCarryingFaultShortReads(t *testing.T) {
-	opt := carryOpt()
+	opt := defaultOpt()
 	ps := opt.PageSize
 	span := maxHostIO / ps
 	want := pattern(int(2*span*ps), 9)
@@ -137,7 +137,7 @@ func TestCarryingFaultShortReads(t *testing.T) {
 // array and the read's segment vector is the one any fault makes; what is
 // left is the reply's count per segment.
 func TestCarryingFaultAllocations(t *testing.T) {
-	opt := carryOpt()
+	opt := defaultOpt()
 	ps := opt.PageSize
 	span := maxHostIO / ps
 	h := newHarness(t, 1, opt)
@@ -196,7 +196,7 @@ func TestCarryingFaultAllocations(t *testing.T) {
 // after its last access, so no fault carries — nothing speculates an odd page,
 // where a carried window would start; the hook's own speculation still runs.
 func TestStrideTwoNeverCarries(t *testing.T) {
-	opt := carryOpt()
+	opt := defaultOpt()
 	ps := opt.PageSize
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
@@ -234,7 +234,7 @@ func TestStrideTwoNeverCarries(t *testing.T) {
 // under the hook's own waste rule, after which no fault carries.
 func TestCarryAfterOneStepIsBounded(t *testing.T) {
 	const pages = 512
-	opt := carryOpt() // 64 frames
+	opt := defaultOpt() // 64 frames
 	ps := opt.PageSize
 	span := maxHostIO / ps
 	h := newHarness(t, 1, opt)
@@ -314,7 +314,7 @@ func TestCarryAfterOneStepIsBounded(t *testing.T) {
 // frontier. After the carrying fault on page 1 the scan faults nothing.
 func TestRefillKeepsRunway(t *testing.T) {
 	const pages = 128
-	opt := carryOpt()
+	opt := defaultOpt()
 	opt.PageSize = 4 << 10
 	ps := opt.PageSize
 	h := newHarness(t, 1, opt)

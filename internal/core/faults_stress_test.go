@@ -40,8 +40,8 @@ func newFaultHarness(t *testing.T, opt Options, fcfg faults.Config, shards, work
 
 	h := &harness{host: host, layer: layer, server: server}
 	dev := gpu.New(gpu.Config{
-		ID: 0, MPs: 4, BlocksPerMP: 2, WarpSize: 32,
-		MemBytes:     opt.CacheBytes * 2,
+		ID: 0, MPs: opt.MPsPerGPU, BlocksPerMP: 2, WarpSize: 32,
+		MemBytes:     opt.BufferCacheBytes * 2,
 		MemBandwidth: rigDevMemBandwidth,
 		Flops:        1e9, ScratchpadBytes: 48 << 10,
 	})
@@ -93,8 +93,8 @@ func TestFaultStressOracle(t *testing.T) {
 // stressTotals sums over a suite's seeds what no one seed is sure to reach
 // and the suite must, or it is vacuous: injected faults, pages a confirmed
 // stream's speculation reclaimed from a closed file (a failed read can keep a
-// seed's stride from confirming), write-backs gathered from more than one
-// page (eviction can take a run's pages before its gfsync), and pages the
+// seed's stride from confirming), gfsyncs that gathered a write-back from more
+// than one page (eviction can take a run's pages before its gfsync), and pages the
 // neighbour reader's demand faults carried in their stream's window (a failed
 // or resident neighbour page can leave a seed's faults one page each).
 type stressTotals struct {
@@ -114,7 +114,7 @@ func newStressTotals(t *testing.T, seeds int) *stressTotals {
 			t.Errorf("speculation reclaimed no closed page across %d seeds; the neighbour reader no longer reaches it", seeds)
 		}
 		if s.gathered.Load() == 0 {
-			t.Errorf("no write-back was gathered from more than one page across %d seeds; the writer's runs no longer reach a gfsync", seeds)
+			t.Errorf("no gfsync gathered a write-back from more than one page across %d seeds; the writer's runs no longer reach a gfsync", seeds)
 		}
 		if s.carried.Load() == 0 {
 			t.Errorf("no demand fault carried its stream's window across %d seeds; the neighbour reader's faults no longer continue its stream", seeds)
@@ -163,32 +163,43 @@ func runFaultStress(t *testing.T, seed int64, shards, workers int, totals *stres
 	}
 
 	opt := defaultOpt()
-	opt.CacheBytes = 6 * opt.PageSize // constant eviction pressure
+	opt.BufferCacheBytes = 6 * opt.PageSize // constant eviction pressure
 	// The adaptive read-ahead engine and the background cleaner run hot in
 	// this suite on purpose: speculation racing demand faults through a
 	// 6-frame pool, and cleaner write-backs racing injected write errors,
 	// are exactly the interleavings that bend the claim/detach and
 	// deferred-error protocols.
-	opt.ReadAheadAdaptive = true
-	opt.Cleaner = true
 	// History rides along (ISSUE 9): the open-time pre-warm on reopen
 	// races demand faults and injected read errors through the same
 	// 6-frame pool, and the open/close cycles below keep recording
 	// profiles and seeding from them while the tiny cache immediately
 	// evicts their pages.
-	// The oracle runs what ships (defaultOpt: in-place hit reads, a sharded
-	// allocator). One seed in four puts the single free list under the same
-	// fault schedules; the seed picks, so a failing seed replays.
-	if seed%4 == 0 {
-		opt.FrameShards = 1
+	// The oracle runs what ships. One seed in four runs it on a one-MP
+	// device, so its single free list takes the same fault schedules, and one
+	// in four runs the paper's prototype (copying reads, write-back under
+	// eviction only); the seed picks, so a failing seed replays.
+	switch seed % 4 {
+	case 0:
+		opt.MPsPerGPU = 1
+	case 2:
+		opt.Prototype = true
 	}
 	h := newFaultHarness(t, opt, fcfg, shards, workers)
 	fs := h.fss[0]
 	defer func() {
 		totals.injected.Add(h.inj.TotalInjected())
 		totals.specReclaimed.Add(fs.specReclaimed.Load())
-		totals.gathered.Add(fs.gatheredWrites.Load())
 	}()
+	// fsync is gfsync, tallying for the suite a gfsync that gathered a
+	// write-back from more than one page.
+	fsync := func(b *gpu.Block, fd int) error {
+		before := tallyWrites(h.harness, fs)
+		err := fs.Fsync(b, fd)
+		if before.gathered(tallyWrites(h.harness, fs), opt.PageSize) {
+			totals.gathered.Add(1)
+		}
+		return err
+	}
 
 	const maxFile = 200 << 10 // ~12 pages, double the cache
 	noise := make([]byte, 96<<10)
@@ -407,7 +418,7 @@ func runFaultStress(t *testing.T, seed int64, shards, workers int, totals *stres
 				if err := ensureOpen(b); err != nil {
 					return err
 				}
-				err := fs.Fsync(b, fd)
+				err := fsync(b, fd)
 				logf("%d: fsync err=%v", step, err)
 				if err != nil {
 					continue // deferred write-back or injected failure: retry later
@@ -480,13 +491,13 @@ func runFaultStress(t *testing.T, seed int64, shards, workers int, totals *stres
 		// The first clean gfsync may surface one deferred write-back error
 		// from an earlier failed eviction — POSIX errno semantics — but it
 		// still flushes everything, so the second must be silent.
-		if err := fs.Fsync(b, fd); err != nil {
+		if err := fsync(b, fd); err != nil {
 			logf("recovery: first fsync drained deferred error: %v", err)
-			if err := fs.Fsync(b, fd); err != nil {
+			if err := fsync(b, fd); err != nil {
 				return fmt.Errorf("recovery: deferred error surfaced twice: %w", err)
 			}
 		}
-		if err := fs.Fsync(b, fd); err != nil {
+		if err := fsync(b, fd); err != nil {
 			return fmt.Errorf("recovery: clean fsync failed: %w", err)
 		}
 		if err := fs.Close(b, fd); err != nil {

@@ -30,6 +30,7 @@ import (
 	"gpufs/internal/hostfs"
 	"gpufs/internal/memsys"
 	"gpufs/internal/metrics"
+	"gpufs/internal/params"
 	"gpufs/internal/rpc"
 	"gpufs/internal/simtime"
 	"gpufs/internal/trace"
@@ -65,61 +66,13 @@ const (
 
 // Options configures one GPU's GPUfs instance.
 type Options struct {
-	// PageSize is the buffer-cache page size.
-	PageSize int64
-	// CacheBytes is the buffer-cache capacity (raw data array size).
-	CacheBytes int64
-	// APICostPerPage is the virtual cost of per-page bookkeeping.
-	APICostPerPage simtime.Duration
-	// RadixLookupLockFree and RadixLookupLocked are per-attempt lookup
-	// costs; locked lookups additionally serialize on the file's tree.
-	RadixLookupLockFree simtime.Duration
-	RadixLookupLocked   simtime.Duration
-	// ForceLockedTraversal disables the lock-free read protocol,
-	// reproducing Figure 7's locked baseline.
-	ForceLockedTraversal bool
-	// ReadAheadAdaptive enables read-ahead (§3.3): a per-open-file pattern
-	// detector whose sequential or strided access streaks ramp a
-	// speculation window up Linux-style (and wasted prefetch shrinks it),
-	// whose stride-1 windows coalesce into multi-page RPCs, and which
-	// speculates nothing on random access. What the detector knew at the
-	// final gclose (per stream: first page, stride, window) is kept in a
-	// bounded FS-level profile table, and a re-open of an unchanged file
-	// (same host generation and size) starts from it — see history.go.
-	// False is the prototype's setting: no read-ahead.
-	ReadAheadAdaptive bool
-	// Cleaner runs the background writeback cleaner. When the free-frame
-	// pool drops below the low watermark, a demand fault kicks its lane,
-	// which — on its own virtual clock, so the faulting threadblock pays
-	// nothing — writes back cold dirty pages and pre-evicts closed-file
-	// frames until the high watermark. False is the prototype's setting:
-	// all write-back happens synchronously under eviction, on the faulting
-	// block's clock.
-	Cleaner bool
-	// DisableFastReopen forces every gopen to take the full host-RPC
-	// path even when the closed file table holds a valid cache
-	// (ablation: the cost of the closed-table optimization of §4.1).
-	DisableFastReopen bool
+	// Config is the machine, passed whole. Core reads the buffer cache's
+	// geometry (PageSize, BufferCacheBytes), the GPUfs cost constants, the
+	// two ablations (ForceLockedTraversal, DisableFastReopen), CkptMaxBytes,
+	// MPsPerGPU and Prototype, which New alone resolves (see there).
+	params.Config
 	// EvictBatch is how many pages one paging pass tries to reclaim.
 	EvictBatch int
-	// ZeroCopyRead selects two charges; the bytes move the same way either
-	// way. Set, a read of a resident page costs one device-memory pass (the
-	// caller reads the pinned frame in place — the gmmap mechanism) and a
-	// fill's DMA skips the staging pass on the host memory bus (the daemon
-	// preads into the pinned frame). Clear, the hit costs a two-pass copy
-	// and the DMA is staged. The DMA half lives in the syscall service: New
-	// passes the flag to the private service it builds when Syscalls is
-	// nil, and a shared service must have been built with the same value.
-	ZeroCopyRead bool
-	// FrameShards is the number of free-list shards in the frame
-	// allocator; lanes hash to shards and steal on empty. Values < 1
-	// select 1.
-	FrameShards int
-	// CkptMaxBytes bounds the bytes a checkpoint may capture by value
-	// (dirty pages plus pipe buffers); a capture that would exceed it
-	// fails with ckpt.ErrBudget and the caller falls back to
-	// drain+restart. 0 means unlimited.
-	CkptMaxBytes int64
 	// Metrics, when non-nil, attaches this GPU's counters and latency
 	// histograms to the registry. Metrics are observation-only: they
 	// record virtual timestamps already computed by the simulation and
@@ -168,10 +121,6 @@ type FS struct {
 	// stride detector's feedback loop, and it did not issue these.
 	openFilled atomic.Int64
 
-	// gatheredWrites counts write-backs gathered from more than one segment
-	// (writeBack.flush in page.go), for the fault oracle's coverage guard.
-	gatheredWrites atomic.Int64
-
 	// specReclaimed counts closed files' clean pages a confirmed stream's
 	// speculation reclaimed for itself (reclaimForSpec in paging.go).
 	specReclaimed atomic.Int64
@@ -192,8 +141,9 @@ type FS struct {
 	historyInvalidations atomic.Int64
 
 	// history is the per-file access-profile table the read-ahead
-	// detector records into at gclose and seeds from at gopen; nil when
-	// Options.ReadAheadAdaptive is off.
+	// detector records into at gclose and seeds from at gopen. It is nil
+	// under the prototype, which has no read-ahead: every read-ahead gate
+	// (the access hook, an open's carry) tests it.
 	history *historyTable
 
 	// specPending gauges speculative pages currently in the cache that no
@@ -207,10 +157,11 @@ type FS struct {
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
 
+	// inPlace charges a read of a resident page as served in place from the
+	// pinned frame (copyOut); off under the prototype, whose gread copies.
+	inPlace bool
 	// zeroCopyReads counts page reads charged as in place (one
-	// device-memory pass, see copyOut), one per page served. Kept out of
-	// CacheStats: the metamorphic suite asserts CacheStats equality across
-	// the ZeroCopyRead knob.
+	// device-memory pass, see copyOut), one per page served.
 	zeroCopyReads atomic.Int64
 
 	// gpread_warp accounting (ISSUE 7): calls, warps coalesced into one
@@ -239,8 +190,9 @@ type FS struct {
 	// met holds pre-resolved metrics handles; nil when Options.Metrics is.
 	met *fsMetrics
 
-	// cleaner is the background writeback engine; nil when
-	// Options.Cleaner is off.
+	// cleaner is the background writeback engine; nil under the prototype,
+	// where all write-back happens under eviction, on the faulting block's
+	// clock.
 	cleaner *cleaner
 
 	// tracer, when non-nil and enabled, records every API call.
@@ -248,30 +200,41 @@ type FS struct {
 }
 
 // New creates the GPUfs instance for one GPU, carving the buffer cache out
-// of the device's memory arena.
+// of the device's memory arena. It is the one place the machine's Prototype
+// switch is read. The extended system (the default) keeps one allocator shard
+// per multiprocessor — lanes (threadblocks and the cleaner) hash by index, so
+// that is the hardware's concurrency — charges a resident read in place and a
+// fill's DMA unstaged (the buffer cache is pinned), and runs read-ahead (§3.3:
+// a per-open-file stride detector, the open carry and history replay) and the
+// background cleaner. The prototype (§4) has one free list, copies out of the
+// cache, stages a fill's DMA through host DRAM and has neither.
 func New(gpuID int, opt Options, client *rpc.Client, mem *memsys.Arena) (*FS, error) {
 	if opt.EvictBatch <= 0 {
 		opt.EvictBatch = 16
 	}
-	cache, err := pcache.NewSharded(mem, opt.CacheBytes, opt.PageSize, opt.FrameShards)
+	extended := !opt.Prototype
+	shards := opt.MPsPerGPU
+	if !extended {
+		shards = 1
+	}
+	cache, err := pcache.NewSharded(mem, opt.BufferCacheBytes, opt.PageSize, shards)
 	if err != nil {
 		return nil, err
 	}
 	svc := opt.Syscalls
 	if svc == nil {
-		svc = gsys.NewService(client.Server(), opt.ZeroCopyRead)
+		svc = gsys.NewService(client.Server())
 	}
 	fs := &FS{
-		gpuID: gpuID,
-		opt:   opt,
-		sys:   gsys.NewClient(svc, client),
-		cache: cache,
-		ft:    newFTable(),
+		gpuID:   gpuID,
+		opt:     opt,
+		sys:     gsys.NewClient(svc, client, extended),
+		cache:   cache,
+		ft:      newFTable(),
+		inPlace: extended,
 	}
-	if opt.Cleaner {
+	if extended {
 		fs.cleaner = newCleaner(fs)
-	}
-	if opt.ReadAheadAdaptive {
 		fs.history = newHistoryTable(histMaxFiles)
 	}
 	if opt.Metrics != nil {
@@ -499,7 +462,7 @@ func (fs *FS) CkptStats() CkptStats {
 }
 
 // ZeroCopyReads reports how many page reads were charged as served in place
-// from the pinned frame (zero when the ZeroCopyRead knob is off).
+// from the pinned frame (zero under the prototype).
 func (fs *FS) ZeroCopyReads() int64 { return fs.zeroCopyReads.Load() }
 
 // FrameSteals reports allocations satisfied by stealing a frame from

@@ -517,8 +517,7 @@ func TestScanRepeatsAtOneP(t *testing.T) {
 	simtest.OneP(t)
 	const files, filePages = 32, 8
 	opt := defaultOpt()
-	opt.CacheBytes = files * filePages / 4 * opt.PageSize
-	opt.ReadAheadAdaptive = true
+	opt.BufferCacheBytes = files * filePages / 4 * opt.PageSize
 	scan := func() (simtime.Time, int64) {
 		h := newHarness(t, 1, opt)
 		fs := h.fss[0]

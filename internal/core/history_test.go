@@ -88,7 +88,6 @@ type histRun struct {
 func runHistoryWorkload(t *testing.T, w histWorkload) histRun {
 	t.Helper()
 	opt := defaultOpt()
-	opt.ReadAheadAdaptive = true
 	if w.tweak != nil {
 		w.tweak(&opt)
 	}
@@ -230,7 +229,7 @@ func TestHistoryReplayIsVectored(t *testing.T) {
 		shape: histShapes()[0], // sequential: 32 pages
 		tweak: func(o *Options) {
 			o.PageSize = 4 << 10
-			o.CacheBytes = 64 * (4 << 10) // keep the 64-frame pool geometry
+			o.BufferCacheBytes = 64 * (4 << 10) // keep the 64-frame pool geometry
 		},
 	})
 
@@ -263,7 +262,6 @@ func TestHistoryReplayIsVectored(t *testing.T) {
 // must see the new bytes through the ordinary demand path.
 func TestHistoryInvalidationOnHostWrite(t *testing.T) {
 	opt := defaultOpt()
-	opt.ReadAheadAdaptive = true
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
 	ps := opt.PageSize
@@ -320,8 +318,9 @@ func TestHistoryInvalidationOnHostWrite(t *testing.T) {
 
 // TestHistoryMetamorphicOnOff extends the metamorphic suite's contract
 // across repeated open/close cycles, where the second open starts from the
-// first one's profile: across read shapes the bytes must be identical with
-// read-ahead on and off, and the CacheStats must be identical once the
+// first one's profile: across read shapes the bytes must be identical in the
+// extended system (read-ahead on) and the prototype (off), and the CacheStats
+// must be identical once the
 // speculation counters — the only state the engine is allowed to move —
 // are masked out.
 func TestHistoryMetamorphicOnOff(t *testing.T) {
@@ -352,9 +351,8 @@ func TestHistoryMetamorphicOnOff(t *testing.T) {
 		t.Run(shape.name, func(t *testing.T) {
 			var bytesBy [2][]byte
 			var statsBy [2]CacheStats
-			for i, on := range []bool{true, false} {
-				opt := defaultOpt()
-				opt.ReadAheadAdaptive = on
+			for i, opt := range []Options{defaultOpt(), prototypeOpt()} {
+				on := !opt.Prototype
 				h := newHarness(t, 1, opt)
 				fs := h.fss[0]
 				ps := opt.PageSize
@@ -416,8 +414,7 @@ func TestAdaptiveManyBlocksOneFile(t *testing.T) {
 		sharedHead = 4 // pages every block also reads, so streams collide
 	)
 	opt := defaultOpt()
-	opt.ReadAheadAdaptive = true
-	opt.CacheBytes = 96 * opt.PageSize // half the file: eviction stays live
+	opt.BufferCacheBytes = 96 * opt.PageSize // half the file: eviction stays live
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
 	ps := opt.PageSize

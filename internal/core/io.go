@@ -191,7 +191,7 @@ func (fs *FS) readImpl(b *gpu.Block, fd int, dst []byte, off int64) (int, error)
 		return 0, fmt.Errorf("%w: %q", ErrWriteOnly, f.path)
 	}
 	done, err := fs.readSpan(b, f, off, [][]byte{dst}, gsys.GranBlock)
-	if err == nil && done > 0 && fs.opt.ReadAheadAdaptive {
+	if err == nil && done > 0 && fs.history != nil {
 		ps := fs.opt.PageSize
 		fs.adaptiveReadAhead(b, f, off/ps, (off+done-1)/ps)
 	}
@@ -253,18 +253,18 @@ func (fs *FS) readSpan(b *gpu.Block, f *file, off int64, dsts [][]byte, gran gsy
 
 // copyOut moves src — bytes of one locked, referenced page frame — into
 // dsts, which must have room, and returns the destinations still unfilled
-// (it advances the slices of dsts past what it wrote). Options.ZeroCopyRead
-// takes effect here and only as a charge: set, the caller reads the pinned
-// frame in place, one device-memory pass (the Go copy only materializes the
-// API contract that the destination owns the data); clear, a copy's two.
+// (it advances the slices of dsts past what it wrote). The preset takes
+// effect here and only as a charge: in the extended system the caller reads
+// the pinned frame in place, one device-memory pass (the Go copy only
+// materializes the API contract that the destination owns the data); the
+// prototype's copy costs two.
 func (fs *FS) copyOut(b *gpu.Block, dsts [][]byte, src []byte) [][]byte {
-	inPlace := fs.opt.ZeroCopyRead
 	for len(src) > 0 {
 		for len(dsts[0]) == 0 {
 			dsts = dsts[1:]
 		}
 		var n int
-		if inPlace {
+		if fs.inPlace {
 			n = copy(dsts[0], src)
 			b.TouchBytes(int64(n))
 		} else {
@@ -272,7 +272,7 @@ func (fs *FS) copyOut(b *gpu.Block, dsts [][]byte, src []byte) [][]byte {
 		}
 		dsts[0], src = dsts[0][n:], src[n:]
 	}
-	if inPlace {
+	if fs.inPlace {
 		fs.zeroCopyReads.Add(1)
 	}
 	return dsts

@@ -9,9 +9,9 @@ import (
 )
 
 // Tests for the ISSUE 8 lock-free hot path: the sharded frame allocator
-// must never re-introduce spurious ErrCacheFull, the zero-copy read path
-// must be metamorphically invisible (same bytes, same CacheStats), and the
-// epoch domains must not leak retired leaves.
+// must never re-introduce spurious ErrCacheFull and must be metamorphically
+// invisible (same bytes, same CacheStats), the zero-copy read path must
+// serve the same bytes, and the epoch domains must not leak retired leaves.
 
 // TestShardedEvictionNoSpuriousCacheFull pins frames with long-lived
 // mappings so reclamation has to dig past whole leaves of referenced pages,
@@ -22,8 +22,7 @@ import (
 // steal-on-empty must make every read succeed.
 func TestShardedEvictionNoSpuriousCacheFull(t *testing.T) {
 	opt := defaultOpt()
-	opt.CacheBytes = 16 * opt.PageSize // 16 frames
-	opt.FrameShards = 4
+	opt.BufferCacheBytes = 16 * opt.PageSize // 16 frames over 4 shards
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
 
@@ -80,74 +79,64 @@ func TestShardedEvictionNoSpuriousCacheFull(t *testing.T) {
 	})
 }
 
-// runShapeZC is runShape for the zero-copy metamorphic check: one run of a
-// read shape with the ZeroCopyRead / FrameShards knobs set as given.
-func runShapeZC(t *testing.T, pol readPolicy, shape readShape, want []byte, zc bool, shards int) ([]byte, CacheStats) {
-	t.Helper()
-	opt := defaultOpt()
-	pol.apply(&opt)
-	opt.ZeroCopyRead = zc
-	opt.FrameShards = shards
-	h := newHarness(t, 1, opt)
-	fs := h.fss[0]
-	h.write(t, "/meta", want)
-
-	got := make([]byte, len(want))
-	h.run(t, 0, func(b *gpu.Block) error {
-		fd, err := fs.Open(b, "/meta", O_RDONLY)
-		if err != nil {
-			return err
-		}
-		if err := shape.read(fs, b, fd, got); err != nil {
-			return fmt.Errorf("shape %s: %w", shape.name, err)
-		}
-		return fs.Close(b, fd)
-	})
-	if zc && fs.ZeroCopyReads() == 0 {
-		t.Errorf("shape %s: zero-copy enabled but no reads took the aliasing path", shape.name)
-	}
-	return got, fs.CacheStats()
-}
-
-// TestMetamorphicZeroCopy runs the PR-5 read-shape suite with the zero-copy
-// read path and the sharded allocator toggled: the knobs change only how
-// bytes are served (aliasing vs copying) and which free list a frame comes
-// from — never WHICH pages are fetched, prefetched, or cleaned. Bytes and
-// CacheStats must be identical across all knob settings.
+// TestMetamorphicZeroCopy runs the PR-5 read-shape suite on both presets:
+// the extended system's in-place reads change how bytes are served (aliasing
+// vs copying), and its read-ahead which transaction brings a page in — never
+// the bytes, nor how much of the file crosses the link: each page exactly
+// once, whatever the shape. Only the extended system serves pages in place.
+// Within a preset the multiprocessor count, which sets the extended system's
+// allocator shards, changes only which free list a frame comes from — never
+// WHICH pages are fetched, prefetched, or cleaned: bytes and CacheStats must
+// be identical on one MP and on four.
 func TestMetamorphicZeroCopy(t *testing.T) {
-	opt := defaultOpt()
-	want := pattern(10*int(opt.PageSize)+777, 5)
-	shapes := readShapes(int(opt.PageSize))
+	ps := int(defaultOpt().PageSize)
+	want := pattern(10*ps+777, 5)
 
-	type knobs struct {
-		name   string
-		zc     bool
-		shards int
-	}
-	variants := []knobs{
-		{"baseline", false, 1},
-		{"zerocopy", true, 1},
-		{"sharded", false, 4},
-		{"zerocopy-sharded", true, 4},
+	run := func(t *testing.T, opt Options, shape readShape) ([]byte, CacheStats) {
+		t.Helper()
+		h := newHarness(t, 1, opt)
+		fs := h.fss[0]
+		h.write(t, "/meta", want)
+		got := make([]byte, len(want))
+		h.run(t, 0, func(b *gpu.Block) error {
+			fd, err := fs.Open(b, "/meta", O_RDONLY)
+			if err != nil {
+				return err
+			}
+			if err := shape.read(fs, b, fd, got); err != nil {
+				return fmt.Errorf("shape %s: %w", shape.name, err)
+			}
+			return fs.Close(b, fd)
+		})
+		if h2d, _, _ := fs.Client().Link().Stats(); h2d != int64(len(want)) {
+			t.Errorf("shape %s on %d MPs: %d bytes crossed the link for a %d-byte file",
+				shape.name, opt.MPsPerGPU, h2d, len(want))
+		}
+		if inPlace := fs.ZeroCopyReads() > 0; inPlace == opt.Prototype {
+			t.Errorf("shape %s on %d MPs: %d page reads served in place; want some in the extended system only",
+				shape.name, opt.MPsPerGPU, fs.ZeroCopyReads())
+		}
+		return got, fs.CacheStats()
 	}
 
 	for _, pol := range readPolicies {
 		pol := pol
 		t.Run(pol.name, func(t *testing.T) {
-			for _, shape := range shapes {
-				baseGot, baseCS := runShapeZC(t, pol, shape, want, variants[0].zc, variants[0].shards)
+			for _, shape := range readShapes(ps) {
+				opt := pol.opt()
+				opt.MPsPerGPU = 1
+				baseGot, baseCS := run(t, opt, shape)
 				if !bytes.Equal(baseGot, want) {
-					t.Errorf("shape %s: baseline bytes diverge from source", shape.name)
+					t.Errorf("shape %s: bytes diverge from source", shape.name)
 				}
-				for _, v := range variants[1:] {
-					got, cs := runShapeZC(t, pol, shape, want, v.zc, v.shards)
-					if !bytes.Equal(got, baseGot) {
-						t.Errorf("shape %s: %s bytes diverge from baseline", shape.name, v.name)
-					}
-					if cs != baseCS {
-						t.Errorf("shape %s: %s CacheStats %+v diverge from baseline %+v",
-							shape.name, v.name, cs, baseCS)
-					}
+				opt.MPsPerGPU = 4
+				got, cs := run(t, opt, shape)
+				if !bytes.Equal(got, baseGot) {
+					t.Errorf("shape %s: bytes on 4 MPs diverge from 1 MP", shape.name)
+				}
+				if cs != baseCS {
+					t.Errorf("shape %s: CacheStats on 4 MPs %+v diverge from 1 MP %+v",
+						shape.name, cs, baseCS)
 				}
 			}
 		})
@@ -160,9 +149,7 @@ func TestMetamorphicZeroCopy(t *testing.T) {
 // retired.
 func TestEpochLeafLeakFree(t *testing.T) {
 	opt := defaultOpt()
-	opt.CacheBytes = 8 * opt.PageSize // tiny: constant eviction
-	opt.FrameShards = 2
-	opt.ZeroCopyRead = true
+	opt.BufferCacheBytes = 8 * opt.PageSize // tiny: constant eviction
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
 

@@ -136,8 +136,7 @@ func TestMetamorphicMigrateEquality(t *testing.T) {
 			for _, shape := range migrateShapes() {
 				shape := shape
 				t.Run(shape.name, func(t *testing.T) {
-					opt := defaultOpt()
-					pol.apply(&opt)
+					opt := pol.opt()
 
 					// Control arm: two passes on one harness.
 					hc := newHarness(t, 1, opt)

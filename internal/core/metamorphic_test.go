@@ -15,7 +15,8 @@ import (
 // pipelines the later pages' fetches), multi-page chunked greads,
 // page-at-a-time greads, and odd-sized chunks that straddle page
 // boundaries — must yield identical bytes under every read-ahead policy
-// (off, adaptive). With read-ahead off the post-run CacheStats
+// (off: the prototype; adaptive: the extended system). With read-ahead off
+// the post-run CacheStats
 // must also be identical across shapes: multi-page gread batching is
 // known-needed pipelining, not speculation, so it must never leak into the
 // prefetch counters. Finally, every (shape, policy) pair must be
@@ -61,25 +62,23 @@ func readShapes(pageSize int) []readShape {
 	}
 }
 
-// readPolicy is one read-ahead configuration.
+// readPolicy is one read-ahead policy: the preset that has it.
 type readPolicy struct {
 	name     string
-	apply    func(*Options)
+	opt      func() Options
 	specFree bool // no speculation: CacheStats must match across shapes
 }
 
 var readPolicies = []readPolicy{
-	{"off", func(o *Options) {}, true},
-	{"adaptive", func(o *Options) { o.ReadAheadAdaptive = true }, false},
+	{"off", prototypeOpt, true},
+	{"adaptive", defaultOpt, false},
 }
 
 // runShape executes one (shape, policy) run on a fresh harness and returns
 // the bytes read and the post-run CacheStats.
 func runShape(t *testing.T, pol readPolicy, shape readShape, want []byte) ([]byte, CacheStats) {
 	t.Helper()
-	opt := defaultOpt()
-	pol.apply(&opt)
-	h := newHarness(t, 1, opt)
+	h := newHarness(t, 1, pol.opt())
 	fs := h.fss[0]
 	h.write(t, "/meta", want)
 
@@ -201,15 +200,17 @@ func writeShapes(pageSize int) []writeShape {
 
 func TestMetamorphicWriteShapes(t *testing.T) {
 	ps := int(defaultOpt().PageSize)
-	want := pattern(10*ps+777, 5)    // ~10.05 pages
-	initial := pattern(6*ps+100, 23) // the host file before: shorter, and different
+	want := pattern(10*ps+777, 5) // ~10.05 pages
+	// The host file before: shorter, and different, and more than an open
+	// carries, so the straddling writes fetch.
+	initial := pattern(int(maxHostIO)+ps+100, 23)
 
 	for _, frames := range []int{64, 6} {
 		for _, shape := range writeShapes(ps) {
 			t.Run(fmt.Sprintf("frames=%d/%s", frames, shape.name), func(t *testing.T) {
 				run := func() (view []byte, reads int64, cs CacheStats) {
 					opt := defaultOpt()
-					opt.CacheBytes = int64(frames * ps)
+					opt.BufferCacheBytes = int64(frames * ps)
 					h := newHarness(t, 1, opt)
 					fs := h.fss[0]
 					h.write(t, "/meta-w", initial)

@@ -8,7 +8,6 @@ import (
 
 	"gpufs/internal/ckpt"
 	"gpufs/internal/gpu"
-	"gpufs/internal/simtime"
 )
 
 // TestModelConformance is the model-based POSIX-conformance suite: it
@@ -33,7 +32,7 @@ import (
 //
 // The model is only sound while nothing leaves the cache behind the
 // schedule's back, so the cache is sized to never evict (asserted at the
-// end) and the background cleaner is off.
+// end). It runs the paper's prototype, which has no background cleaner.
 func TestModelConformance(t *testing.T) {
 	const schedules = 200
 	for seed := 0; seed < schedules; seed++ {
@@ -66,9 +65,10 @@ func TestModelConformanceMigrated(t *testing.T) {
 // TestModelConformanceZeroCopy reruns the model suite on what ships: the
 // ISSUE 8 hot path (zero-copy hit reads, sharded frame allocator) and
 // read-ahead, which at this page size makes every host open carry its file
-// (no model file outgrows a span). The knobs change how bytes are served,
-// which free list frames come from and which transaction brings a page in,
-// never the close-to-open semantics the model checks.
+// (no model file outgrows a span). The cleaner is there too and never wakes:
+// the pool stays above its low watermark. The preset changes how bytes are
+// served, which free list frames come from and which transaction brings a
+// page in, never the close-to-open semantics the model checks.
 func TestModelConformanceZeroCopy(t *testing.T) {
 	const schedules = 100
 	for seed := 0; seed < schedules; seed++ {
@@ -88,7 +88,7 @@ func TestModelConformanceZeroCopy(t *testing.T) {
 // sees the new bytes under the new generation, with the old page gone. The
 // file then grows past a span between opens, and the next open carries nothing.
 func TestModelCarriedOpenIsCloseToOpen(t *testing.T) {
-	opt := carryOpt()
+	opt := defaultOpt()
 	ps := int(opt.PageSize)
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
@@ -177,25 +177,20 @@ func (mf *modelFile) openAnywhere() bool {
 	return false
 }
 
-func runModelSchedule(t *testing.T, seed int64, zeroCopy, migrate bool) {
+func runModelSchedule(t *testing.T, seed int64, extended, migrate bool) {
 	rng := rand.New(rand.NewSource(seed*7919 + 1))
 	numGPUs := 2 + int(seed%2)
 	numFiles := 2 + rng.Intn(2)
 
-	opt := Options{
-		PageSize: 4 << 10,
-		// 32 frames per GPU against at most 12 resident pages: the model
-		// assumes no eviction (asserted below).
-		CacheBytes:          128 << 10,
-		APICostPerPage:      7 * simtime.Microsecond,
-		RadixLookupLockFree: 35,
-		RadixLookupLocked:   550,
+	opt := prototypeOpt()
+	if extended {
+		opt = defaultOpt()
 	}
-	if zeroCopy {
-		opt.ZeroCopyRead = true
-		opt.FrameShards = 4
-		opt.ReadAheadAdaptive = true
-	}
+	opt.PageSize = 4 << 10
+	// 32 frames per GPU against at most 12 resident pages: the model assumes
+	// no eviction (asserted below), and the cleaner's low watermark is never
+	// reached.
+	opt.BufferCacheBytes = 128 << 10
 	h := newHarness(t, numGPUs, opt)
 
 	files := make([]*modelFile, numFiles)

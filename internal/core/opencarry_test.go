@@ -17,22 +17,15 @@ import (
 // faults that can reach it. The contract: the open is never worse off for
 // having offered — a carried read that fails costs the open nothing but the
 // pages, and the gread that wanted them meets the host as it would have
-// without the offer.
-
-// carryOpt is defaultOpt with the gate open: 16 KiB pages, so an open offers
-// two frames.
-func carryOpt() Options {
-	opt := defaultOpt()
-	opt.ReadAheadAdaptive = true
-	return opt
-}
+// without the offer. The extended system (defaultOpt: 16 KiB pages) offers an
+// open eight frames; the prototype offers none.
 
 // TestCarriedReadFailureIsTheGreadsToMeet: the host cannot read the file — a
 // transient EIO on every pread, or bad sectors under it — when the open tries
 // to carry it. The gopen succeeds and brings nothing: no page resident, no
 // frame held, OpenFilled unmoved. The first gread then fails with the host's
 // error, and succeeds once the fault has cleared (where it can), exactly as
-// on a machine whose opens offer nothing.
+// on the prototype, whose opens offer nothing.
 func TestCarriedReadFailureIsTheGreadsToMeet(t *testing.T) {
 	type outcome struct {
 		Filled, Resident, Allocs int64
@@ -76,7 +69,7 @@ func TestCarriedReadFailureIsTheGreadsToMeet(t *testing.T) {
 				}
 				return o
 			}
-			offered, parent := run(carryOpt()), run(defaultOpt())
+			offered, parent := run(defaultOpt()), run(prototypeOpt())
 			if offered != parent {
 				t.Errorf("an open whose carried read failed left\n%+v\nand one that offered nothing\n%+v", offered, parent)
 			}
@@ -94,7 +87,7 @@ func TestCarriedReadFailureIsTheGreadsToMeet(t *testing.T) {
 // published once, and the bytes must be the file's.
 func TestCarriedOpenUnderDroppedResponses(t *testing.T) {
 	const files = 8
-	opt := carryOpt()
+	opt := defaultOpt()
 	ps := opt.PageSize
 	h := newFaultHarness(t, opt, faults.Config{Seed: 11, RPCDropResponseProb: 0.5}, 1, 1)
 	fs := h.fss[0]
@@ -157,7 +150,7 @@ func TestCarriedOpenUnderDroppedResponses(t *testing.T) {
 // TestCarriedReadUnderShortReads: the daemon completes a carried read that the
 // host returns piecemeal, like any other.
 func TestCarriedReadUnderShortReads(t *testing.T) {
-	opt := carryOpt()
+	opt := defaultOpt()
 	want := pattern(2*int(opt.PageSize)-100, 6) // the second page is short of full
 	h := newFaultHarness(t, opt, faults.Config{Seed: 5, HostShortReadProb: 1}, 1, 1)
 	fs := h.fss[0]

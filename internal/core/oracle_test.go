@@ -57,7 +57,7 @@ func writeExtent(rng *rand.Rand, maxFile, maxLen, size, ps int) (off, n int) {
 
 func runOracle(t *testing.T, seed int64) {
 	opt := defaultOpt()
-	opt.CacheBytes = 6 * opt.PageSize // constant eviction pressure
+	opt.BufferCacheBytes = 6 * opt.PageSize // constant eviction pressure
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
 	rng := rand.New(rand.NewSource(seed))

@@ -185,7 +185,7 @@ type carry struct {
 // carrying.
 func (fs *FS) offer(b *gpu.Block, f *file, fc *fileCache) carry {
 	c := carry{fc: fc}
-	if !fs.opt.ReadAheadAdaptive || !f.readable || f.writeOnce || f.flags&O_TRUNC != 0 {
+	if fs.history == nil || !f.readable || f.writeOnce || f.flags&O_TRUNC != 0 {
 		return c
 	}
 	ps := fs.opt.PageSize
@@ -506,9 +506,6 @@ func (w *writeBack) flush() error {
 	w.a.busy(w.fs.opt.APICostPerPage) // the issue, as spanFetch pays per RPC
 	landed := w.fork.Now()
 	w.landed = max(w.landed, landed)
-	if w.nsegs > 1 {
-		w.fs.gatheredWrites.Add(1)
-	}
 	for i := range w.pages[:w.npages] {
 		p := &w.pages[i]
 		if !p.inRun {

@@ -99,7 +99,7 @@ func TestReclaimCountsWastedSpeculation(t *testing.T) {
 	opt := defaultOpt()
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
-	h.write(t, "/a", pattern(2*int(opt.PageSize), 3))
+	h.write(t, "/a", pattern(int(maxHostIO+opt.PageSize), 3)) // more than an open carries
 
 	h.run(t, 0, func(b *gpu.Block) error {
 		fd, err := fs.Open(b, "/a", O_RDONLY)
@@ -190,7 +190,7 @@ func TestHoldRefusesRecycledFrame(t *testing.T) {
 func TestWriteBackAllocatesNoPageBuffer(t *testing.T) {
 	opt := defaultOpt()
 	opt.PageSize = 64 << 10
-	opt.CacheBytes = 8 * opt.PageSize
+	opt.BufferCacheBytes = 8 * opt.PageSize
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
 	h.write(t, "/w", make([]byte, opt.PageSize))
@@ -384,82 +384,78 @@ func poolOf(t *testing.T, c *pcache.Cache) poolState {
 // nothing leaves it. Two things remember otherwise: the radix tree (a slot
 // claimed at offer time materializes its leaf, and leaf age is eviction's FIFO
 // order) and the allocator (each shard's list is a LIFO, and the benchmark
-// reads pages faulted off its counters). The same opens run with the gate open
-// and shut; after every step the pool, the file's tree and its resident count
-// must agree.
+// reads pages faulted off its counters). Each open below offers and comes back
+// empty; the pool, the file's tree, its resident count and the carried-page
+// count must read the same the moment the open returns as just before it.
 func TestEmptyOfferLeavesNoTrace(t *testing.T) {
-	type step struct {
+	type state struct {
 		Pool     poolState
 		Leaves   int
 		Resident int64
 		Filled   int64
 	}
-	run := func(gate bool) []step {
-		opt := defaultOpt() // 64 frames over 4 shards
-		opt.ReadAheadAdaptive = gate
-		h := newHarness(t, 1, opt)
-		fs := h.fss[0]
-		big := pattern(int(max(maxHostIO, opt.PageSize)+opt.PageSize), 9) // one page more than an offer
-		for _, path := range []string{"/big", "/trunc", "/warm", "/fill", "/late", "/later"} {
-			h.write(t, path, big)
+	opt := defaultOpt() // 64 frames over 4 shards
+	h := newHarness(t, 1, opt)
+	fs := h.fss[0]
+	stateOf := func(path string) state {
+		s := state{Pool: poolOf(t, fs.cache), Resident: fs.ResidentPages(path), Filled: fs.openFilled.Load()}
+		if fc := fs.ft.cacheOf(path); fc != nil {
+			s.Leaves = fc.tree.Leaves()
 		}
+		return s
+	}
+	big := pattern(int(max(maxHostIO, opt.PageSize)+opt.PageSize), 9) // one page more than an offer
+	for _, path := range []string{"/big", "/trunc", "/warm", "/fill", "/late", "/later"} {
+		h.write(t, path, big)
+	}
 
-		var steps []step
-		// open opens path, faults the given pages in one by one (not through
-		// gread: read-ahead's own hook would tell the two runs apart), records
-		// the state and closes.
-		open := func(path string, flags int, pages ...int64) {
-			h.run(t, 0, func(b *gpu.Block) error {
-				fd, err := fs.Open(b, path, flags)
+	// open opens path, compares the state around the open, faults the given
+	// pages in one by one and closes.
+	open := func(path string, flags int, pages ...int64) {
+		h.run(t, 0, func(b *gpu.Block) error {
+			before := stateOf(path)
+			fd, err := fs.Open(b, path, flags)
+			if err != nil {
+				return err
+			}
+			if after := stateOf(path); !reflect.DeepEqual(before, after) {
+				t.Errorf("open of %s with flags %#x left\n%+v\nwhere it found\n%+v", path, flags, after, before)
+			}
+			f := fs.ft.fds[fd]
+			for _, idx := range pages {
+				ref, _, err := fs.getPage(b, f, idx, nil)
 				if err != nil {
 					return err
 				}
-				f := fs.ft.fds[fd]
-				for _, idx := range pages {
-					ref, _, err := fs.getPage(b, f, idx, nil)
-					if err != nil {
-						return err
-					}
-					ref.release()
-				}
-				steps = append(steps, step{poolOf(t, fs.cache), f.fc.tree.Leaves(), fs.ResidentPages(path), fs.openFilled.Load()})
-				return fs.Close(b, fd)
-			})
-		}
-		open("/big", O_RDONLY)
-		open("/trunc", O_RDWR|O_TRUNC)
-		open("/once", O_GWRONCE|O_CREATE)
-		open("/warm", O_RDONLY, 0)
-		open("/warm", O_RDWR) // other flags: a host open, which adopt resolves to the cache just retired
-		if got := fs.closedReuses.Load(); got != 1 {
-			t.Fatalf("gate %v: re-opening /warm reused %d closed caches, want 1", gate, got)
-		}
-		// Leave one free frame, then none: the offer takes what there is.
-		var fill []int64
-		for i := int64(0); i < int64(fs.cache.FreeFrames())-1; i++ {
-			fill = append(fill, i)
-		}
-		h.write(t, "/fill", make([]byte, (len(fill)+1)*int(opt.PageSize)))
-		open("/fill", O_RDONLY, fill...)
-		open("/late", O_RDONLY)
-		open("/fill", O_RDONLY, int64(len(fill)))
-		open("/later", O_RDONLY)
-		if free, reclaimed := fs.cache.FreeFrames(), fs.cache.Reclaimed(); free != 0 || reclaimed != 0 {
-			t.Fatalf("gate %v: %d frames free and %d reclaimed with the pool filled to the brim, want 0 and 0: an open evicted", gate, free, reclaimed)
-		}
-		return steps
+				ref.release()
+			}
+			return fs.Close(b, fd)
+		})
 	}
-	shut, open := run(false), run(true)
-	for i := range shut {
-		if !reflect.DeepEqual(shut[i], open[i]) {
-			t.Errorf("step %d: an open that offered frames left\n%+v\nand one that offered none\n%+v", i, open[i], shut[i])
-		}
+	open("/big", O_RDONLY)
+	open("/trunc", O_RDWR|O_TRUNC)
+	open("/once", O_GWRONCE|O_CREATE)
+	open("/warm", O_RDONLY, 0)
+	open("/warm", O_RDWR) // other flags: a host open, which adopt resolves to the cache just retired
+	if got := fs.closedReuses.Load(); got != 1 {
+		t.Fatalf("re-opening /warm reused %d closed caches, want 1", got)
+	}
+	// Leave one free frame, then none: the offer takes what there is.
+	var fill []int64
+	for i := int64(0); i < int64(fs.cache.FreeFrames())-1; i++ {
+		fill = append(fill, i)
+	}
+	h.write(t, "/fill", make([]byte, (len(fill)+1)*int(opt.PageSize)))
+	open("/fill", O_RDONLY, fill...)
+	open("/late", O_RDONLY)
+	open("/fill", O_RDONLY, int64(len(fill)))
+	open("/later", O_RDONLY)
+	if free, reclaimed := fs.cache.FreeFrames(), fs.cache.Reclaimed(); free != 0 || reclaimed != 0 {
+		t.Fatalf("%d frames free and %d reclaimed with the pool filled to the brim, want 0 and 0: an open evicted", free, reclaimed)
 	}
 
 	// The gate does open: the same machine carries a file that fits.
-	opt := defaultOpt()
-	opt.ReadAheadAdaptive = true
-	h := newHarness(t, 1, opt)
+	h = newHarness(t, 1, opt)
 	h.write(t, "/small", pattern(int(opt.PageSize), 2))
 	h.run(t, 0, func(b *gpu.Block) error {
 		fd, err := h.fss[0].Open(b, "/small", O_RDONLY)
@@ -469,6 +465,6 @@ func TestEmptyOfferLeavesNoTrace(t *testing.T) {
 		return h.fss[0].Close(b, fd)
 	})
 	if got := h.fss[0].openFilled.Load(); got != 1 {
-		t.Errorf("a one-page file's open carried %d pages, want 1: the comparison above offered nothing", got)
+		t.Errorf("a one-page file's open carried %d pages, want 1: the opens above offered nothing", got)
 	}
 }

@@ -43,7 +43,7 @@ func TestMultiPageReadIsVectored(t *testing.T) {
 // TestReadEntryPointsAgree: gread, contiguous and divergent gpread_warp, and
 // Mapping.Read are one page walk and one copy-out, so over the same extent —
 // cold, then resident — they return the same bytes and leave the same
-// CacheStats, and with ZeroCopyRead on they count one in-place read per page
+// CacheStats, and in the extended system they count one in-place read per page
 // served, however many destination buffers a page's bytes are split over.
 func TestReadEntryPointsAgree(t *testing.T) {
 	const pages = 8
@@ -99,12 +99,12 @@ func TestReadEntryPointsAgree(t *testing.T) {
 		}},
 	}
 
-	for _, zeroCopy := range []bool{true, false} {
+	// zerocopy=true is the extended system, zerocopy=false the prototype.
+	for _, opt := range []Options{defaultOpt(), prototypeOpt()} {
+		zeroCopy := !opt.Prototype
 		var base CacheStats
 		for i, p := range paths {
 			t.Run(fmt.Sprintf("zerocopy=%v/%s", zeroCopy, p.name), func(t *testing.T) {
-				opt := defaultOpt()
-				opt.ZeroCopyRead = zeroCopy
 				h := newHarness(t, 1, opt)
 				fs := h.fss[0]
 				want := pattern(pages*int(ps), 9)

@@ -21,7 +21,7 @@ import (
 func TestEvictFromFileLargeTargetSingleCall(t *testing.T) {
 	opt := defaultOpt()
 	opt.PageSize = 4 << 10
-	opt.CacheBytes = 192 * opt.PageSize
+	opt.BufferCacheBytes = 192 * opt.PageSize
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
 
@@ -96,7 +96,7 @@ func TestPrefetchNeverEvictsFullCache(t *testing.T) {
 	opt := defaultOpt() // 64 frames of 16K
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
-	h.write(t, "/a", pattern(int(opt.CacheBytes), 3)) // exactly fills the pool
+	h.write(t, "/a", pattern(int(opt.BufferCacheBytes), 3)) // exactly fills the pool
 	h.write(t, "/b", pattern(4*16<<10, 4))
 
 	h.run(t, 0, func(b *gpu.Block) error {
@@ -105,7 +105,7 @@ func TestPrefetchNeverEvictsFullCache(t *testing.T) {
 			return err
 		}
 		defer fs.Close(b, fdA)
-		buf := make([]byte, opt.CacheBytes)
+		buf := make([]byte, opt.BufferCacheBytes)
 		if _, err := fs.Read(b, fdA, buf, 0); err != nil {
 			return err
 		}
@@ -141,8 +141,12 @@ func TestPrefetchNeverEvictsFullCache(t *testing.T) {
 // all clean (its upper leaf read first, so it is the older leaf), an open
 // file's pages, and the first six pages of a reader's file, which the reader
 // brings in with free frames 32K at a time; the sixth confirms the stride with
-// no frame left. At the parent speculation issued nothing from there, and the
-// reader's demand faults evicted the dirty page first, with a write.
+// no frame left. The cleaner's lane is held busy throughout, as while it runs
+// a pass for an earlier kick, so the dirty page stays for speculation to meet:
+// the reader's demand faults come with the pool below the low watermark, and
+// any pass they kicked would pre-evict it.
+// At the parent speculation issued nothing from there, and the reader's
+// demand faults evicted the dirty page first, with a write.
 func TestSpeculationTakesClosedPages(t *testing.T) {
 	const (
 		cleanPages  = 128 // two leaves
@@ -151,11 +155,11 @@ func TestSpeculationTakesClosedPages(t *testing.T) {
 		warmPages   = 6 // the reader's pages in the pool when its stride confirms
 	)
 	opt := defaultOpt()
-	opt.ReadAheadAdaptive = true
-	opt.CacheBytes = (1 + cleanPages + openPages + warmPages) * opt.PageSize
+	opt.BufferCacheBytes = (1 + cleanPages + openPages + warmPages) * opt.PageSize
 	ps := opt.PageSize
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
+	fs.cleaner.busy.Store(true)
 	tr := trace.New(1 << 12)
 	tr.Enable(true)
 	fs.SetTracer(tr)
@@ -263,8 +267,7 @@ func TestSpeculationReclaimsUnderChurn(t *testing.T) {
 		pages  = 12
 	)
 	opt := defaultOpt()
-	opt.ReadAheadAdaptive = true
-	opt.CacheBytes = blocks * pages / 4 * opt.PageSize
+	opt.BufferCacheBytes = blocks * pages / 4 * opt.PageSize
 	ps := opt.PageSize
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
@@ -315,7 +318,6 @@ func TestSpeculationReclaimsUnderChurn(t *testing.T) {
 // used equals issued and nothing is wasted.
 func TestAdaptiveSequentialSpeculates(t *testing.T) {
 	opt := defaultOpt()
-	opt.ReadAheadAdaptive = true
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
 	const pages = 48
@@ -361,9 +363,8 @@ func TestReadAheadDeadZone(t *testing.T) {
 	for _, ps := range []int64{16 << 10, 32 << 10, 64 << 10} {
 		t.Run(fmt.Sprintf("%dK", ps>>10), func(t *testing.T) {
 			opt := defaultOpt()
-			opt.ReadAheadAdaptive = true
 			opt.PageSize = ps
-			opt.CacheBytes = 64 * ps // the 64-frame pool geometry: nothing is evicted
+			opt.BufferCacheBytes = 64 * ps // the 64-frame pool geometry: nothing is evicted
 			h := newHarness(t, 1, opt)
 			fs := h.fss[0]
 			tr := trace.New(1 << 12)
@@ -412,7 +413,6 @@ func TestReadAheadDeadZone(t *testing.T) {
 // clear the detector's confidence gate, so nothing is speculated.
 func TestAdaptiveRandomStaysQuiet(t *testing.T) {
 	opt := defaultOpt()
-	opt.ReadAheadAdaptive = true
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
 	h.write(t, "/rand", pattern(64*16<<10, 6))
@@ -443,8 +443,7 @@ func TestAdaptiveRandomStaysQuiet(t *testing.T) {
 // resident and clean, and the counters record the pass.
 func TestCleanerCleansOpenDirtyInPlace(t *testing.T) {
 	opt := defaultOpt()
-	opt.CacheBytes = 8 * opt.PageSize
-	opt.Cleaner = true
+	opt.BufferCacheBytes = 8 * opt.PageSize
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
 
@@ -502,8 +501,7 @@ func TestCleanerCleansOpenDirtyInPlace(t *testing.T) {
 // frames stay resident for a future reopen.
 func TestCleanerPreEvictsClosedDirty(t *testing.T) {
 	opt := defaultOpt()
-	opt.CacheBytes = 8 * opt.PageSize
-	opt.Cleaner = true
+	opt.BufferCacheBytes = 8 * opt.PageSize
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
 
@@ -565,8 +563,7 @@ func TestCleanerPreEvictsClosedDirty(t *testing.T) {
 // at the next gfsync, page left dirty and resident so no data is lost.
 func TestCleanerDeferredWriteError(t *testing.T) {
 	opt := defaultOpt()
-	opt.CacheBytes = 8 * opt.PageSize
-	opt.Cleaner = true
+	opt.BufferCacheBytes = 8 * opt.PageSize
 	h := newFaultHarness(t, opt, faults.Config{Seed: 1, HostWriteEIOProb: 1.0}, 1, 1)
 	fs := h.fss[0]
 	h.inj.SetEnabled(false)

@@ -14,8 +14,7 @@ import (
 // return to the free list. After a restart, every frame must be free.
 func TestRestartReclaimsPrefetchedFrames(t *testing.T) {
 	opt := defaultOpt()
-	opt.CacheBytes = 8 * opt.PageSize
-	opt.ReadAheadAdaptive = true
+	opt.BufferCacheBytes = 8 * opt.PageSize
 	opt.EvictBatch = 64 // drain whole leaves so RemoveLeaf fires
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"gpufs/internal/gpu"
+	"gpufs/internal/rpc"
 )
 
 // TestConcurrentFsyncKeepsHostCurrent is the regression test for the lost
@@ -62,6 +63,24 @@ func TestConcurrentFsyncKeepsHostCurrent(t *testing.T) {
 	}
 }
 
+// writeTally is what a GPU has sent the host so far: write requests served
+// and bytes moved device to host.
+type writeTally struct{ writes, bytes int64 }
+
+func tallyWrites(h *harness, fs *FS) writeTally {
+	_, d2h, _ := fs.Client().Link().Stats()
+	return writeTally{h.server.Requests(rpc.OpWritePages), d2h}
+}
+
+// gathered reports whether a write-back between t and now was gathered from
+// more than one page: a write of one page moves at most a page, so only one
+// gathered from several moves more per request. A retried or deduplicated
+// resend only adds requests, so faults can hide a gathered write, never fake
+// one.
+func (t writeTally) gathered(now writeTally, pageSize int64) bool {
+	return now.bytes-t.bytes > pageSize*(now.writes-t.writes)
+}
+
 // TestGatheredWriteBacksDoNotDeadlock: a walk holds the WriteBack locks of the
 // pages queued in its run while it takes the next page's. Two blocks gfsync a
 // file whose dirty runs overlap, while a third runs cleaner passes over it; the
@@ -79,8 +98,7 @@ func TestGatheredWriteBacksDoNotDeadlock(t *testing.T) {
 		skew   = 4  // the second writer's run starts this many pages later
 	)
 	opt := defaultOpt()
-	opt.CacheBytes = 256 * opt.PageSize
-	opt.Cleaner = true
+	opt.BufferCacheBytes = 256 * opt.PageSize
 	ps := int(opt.PageSize)
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
@@ -99,6 +117,7 @@ func TestGatheredWriteBacksDoNotDeadlock(t *testing.T) {
 		return fs.Close(b, fd)
 	})
 	h.devs[0].ResetTime()
+	before := tallyWrites(h, fs)
 	done := make(chan error, 1)
 	go func() {
 		_, err := h.devs[0].Launch(0, 3, 64, func(b *gpu.Block) error {
@@ -134,7 +153,7 @@ func TestGatheredWriteBacksDoNotDeadlock(t *testing.T) {
 	case <-time.After(time.Minute):
 		t.Fatal("the gfsyncs and the cleaner pass did not finish: write-back deadlocked")
 	}
-	if fs.gatheredWrites.Load() == 0 {
+	if !before.gathered(tallyWrites(h, fs), opt.PageSize) {
 		t.Error("no write-back was gathered from more than one page")
 	}
 	h.run(t, 0, func(b *gpu.Block) error {

@@ -65,7 +65,7 @@ func TestConcurrentWriteBackKeepsGenerationCurrent(t *testing.T) {
 		rounds = 40
 	)
 	opt := defaultOpt()
-	opt.CacheBytes = 24 * opt.PageSize // smaller than the file: evictions write back as well
+	opt.BufferCacheBytes = 24 * opt.PageSize // smaller than the file: evictions write back as well
 	ps := int(opt.PageSize)
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
@@ -142,7 +142,7 @@ func TestOverwriteFillIsNeverSeenUnfilled(t *testing.T) {
 		blocks = 8
 	)
 	opt := defaultOpt()
-	opt.CacheBytes = 16 * opt.PageSize
+	opt.BufferCacheBytes = 16 * opt.PageSize
 	ps := int(opt.PageSize)
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]

@@ -23,7 +23,7 @@ func TestBindAddsNoAllocation(t *testing.T) {
 	cfg := rigRPC
 	cfg.Shards, cfg.Workers = 4, 4
 	srv := rpc.NewServer(cfg, wrapfs.New(host))
-	root := NewClient(NewService(srv, true), srv.NewClient(0, pcie.New(rigBus, host.MemBus()).NewLink(0, nil, 0)))
+	root := NewClient(NewService(srv), srv.NewClient(0, pcie.New(rigBus, host.MemBus()).NewLink(0, nil, 0)), true)
 	if err := host.WriteFile(simtime.NewClock(0), "/f", []byte("x"), rwMode); err != nil {
 		t.Fatal(err)
 	}

@@ -103,12 +103,16 @@ type Client struct {
 	root *clientRoot
 	gran Granularity
 	lane int
+	// pinned says the GPU's read destinations are pinned for DMA, so a read
+	// is charged without the staging pass through host DRAM. It selects a
+	// charge only; the bytes move the same way either way.
+	pinned bool
 }
 
 // NewClient creates the syscall endpoint for one GPU over its rpc
-// endpoint.
-func NewClient(svc *Service, rc *rpc.Client) *Client {
-	c := &Client{svc: svc, rpc: rc, root: &clientRoot{}, gran: GranBlock}
+// endpoint; pinned says how the GPU's buffer cache is mapped (Client.pinned).
+func NewClient(svc *Service, rc *rpc.Client, pinned bool) *Client {
+	c := &Client{svc: svc, rpc: rc, root: &clientRoot{}, gran: GranBlock, pinned: pinned}
 	if reg := svc.srv.Metrics(); reg != nil {
 		gpu := strconv.Itoa(rc.GPUID())
 		reg.SetHelp(sysLatencyMetric,
@@ -168,7 +172,7 @@ func (c Client) frame(d Desc, args []uint64, path string, data []byte) []byte {
 // syscall table. A syscall whose host work continues after a DMA (the
 // service's resume table) becomes a request of two stretches.
 func (c Client) requestFor(sys Sysno, wire []byte, cl *call) rpc.Request {
-	cl.rpc = c.rpc
+	cl.rpc, cl.pinned = c.rpc, c.pinned
 	svc := c.svc
 	req := rpc.Request{Handle: func(cclk *simtime.Clock) (simtime.Time, error) {
 		fr, err := DecodeFrame(wire)

@@ -58,9 +58,9 @@ func newRig(t *testing.T, zeroCopy bool) *rig {
 	host := hostfs.New(rigHost)
 	bus := pcie.New(rigBus, host.MemBus())
 	srv := rpc.NewServer(rigRPC, wrapfs.New(host))
-	svc := NewService(srv, zeroCopy)
+	svc := NewService(srv)
 	link := bus.NewLink(0, nil, 0)
-	return &rig{host: host, srv: srv, svc: svc, link: link, cl: NewClient(svc, srv.NewClient(0, link))}
+	return &rig{host: host, srv: srv, svc: svc, link: link, cl: NewClient(svc, srv.NewClient(0, link), zeroCopy)}
 }
 
 // newFaultyRig is newRig with an injector installed on the daemon and the
@@ -253,7 +253,7 @@ func TestWriterRegistration(t *testing.T) {
 	r := newRig(t, false)
 	r.write(t, "/f", []byte("x"))
 	info, _ := r.host.Stat("/f")
-	cl, cl2 := r.cl, NewClient(r.svc, r.srv.NewClient(1, r.link))
+	cl, cl2 := r.cl, NewClient(r.svc, r.srv.NewClient(1, r.link), false)
 
 	if err := cl.BeginWrite(info.Ino, false); err != nil {
 		t.Fatal(err)

@@ -44,11 +44,14 @@ type Reply struct {
 // frame as decoded from the wire, the out-of-band device buffers, and the
 // reply under construction.
 type call struct {
-	rpc   *rpc.Client
-	fr    *Frame
-	dsts  [][]byte // read destination segments (device memory)
-	srcs  [][]byte // write source segments (device memory)
-	reply Reply
+	rpc *rpc.Client
+	// pinned is the issuing client's: the read destinations are pinned for
+	// DMA (Client.pinned).
+	pinned bool
+	fr     *Frame
+	dsts   [][]byte // read destination segments (device memory)
+	srcs   [][]byte // write source segments (device memory)
+	reply  Reply
 
 	// seg backs dsts or srcs of a one-segment call and n reply.Ns of a
 	// one-segment read, so a demand fault or a one-page write-back allocates
@@ -114,21 +117,14 @@ type Service struct {
 	resume [numSysno]handlerFunc
 	pipes  pipeTable
 
-	// zeroCopy says the read destinations are pinned for DMA, so sysRead
-	// charges its transfer without the staging pass through host DRAM. It
-	// selects a charge only; the bytes move the same way either way.
-	zeroCopy bool
-
 	mu     sync.Mutex
 	fds    map[int64]*hostfs.File
 	nextFd int64
 }
 
 // NewService builds the syscall table over the given rpc daemon.
-// zeroCopyRead selects the read handler's DMA charge (the host half of
-// core.Options.ZeroCopyRead).
-func NewService(srv *rpc.Server, zeroCopyRead bool) *Service {
-	s := &Service{srv: srv, zeroCopy: zeroCopyRead, fds: make(map[int64]*hostfs.File), nextFd: 3}
+func NewService(srv *rpc.Server) *Service {
+	s := &Service{srv: srv, fds: make(map[int64]*hostfs.File), nextFd: 3}
 	s.pipes.init()
 	s.table = [numSysno]handlerFunc{
 		SysOpen:      (*Service).sysOpen,
@@ -314,7 +310,7 @@ func (s *Service) readInto(c *call, cclk *simtime.Clock, f *hostfs.File, off int
 			}
 		}
 	}
-	return c.rpc.Link().ChargeScatter(cclk.Now(), pcie.HostToDevice, int64(n), segs, s.zeroCopy), nil
+	return c.rpc.Link().ChargeScatter(cclk.Now(), pcie.HostToDevice, int64(n), segs, c.pinned), nil
 }
 
 // sysWrite is the first stretch of a write: it resolves the file and starts

@@ -128,8 +128,8 @@ type Config struct {
 	// one free list, and there is no read-ahead, open carry, speculative
 	// reclaim, history replay or background cleaner. Off (the default), a
 	// resident read is charged in place, the allocator keeps one free list
-	// per multiprocessor, and all five extensions run. gpufs.NewSystem is
-	// the one place the switch is resolved into core.Options.
+	// per multiprocessor, and all five extensions run. core.New, which
+	// receives the Config whole, is the one place the switch is read.
 	Prototype bool
 	// ForceLockedTraversal disables lock-free radix-tree reads on every
 	// GPU, reproducing Figure 7's locked baseline.

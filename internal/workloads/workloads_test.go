@@ -380,6 +380,7 @@ func TestImageWorkloadDeterminism(t *testing.T) {
 }
 
 func TestFirstPagePlanTerminatesEarly(t *testing.T) {
+	simtest.OneP(t) // the check at the end compares two free-running makespans
 	sys := newSystem(t)
 	spec := ImageSpec{Dir: "/fp", DBImages: []int{200, 200}, Queries: 64, Plan: MatchFirstPage, Seed: 7}
 	w, err := MakeImageWorkload(sys.Host(), sys.HostClock(), spec)
