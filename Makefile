@@ -23,6 +23,11 @@
 #                one host-I/O byte bound in internal/core (maxHostIO: every
 #                coalesced read, open carry and gathered write stays
 #                within it; the read and write caps it replaced are gone),
+#                one speculation planner in internal/core/readahead.go (its
+#                gate is the one reader of FS.speculate, and no other file
+#                of the package reads the closed files' clean-page count,
+#                the dead zone or the batch cap; nothing tests the history
+#                table for nil, since it is a table, not a switch),
 #                internal/core/ftable.go still the
 #                one owner of the file tables (no other non-test file of
 #                the package names the open or closed table, their
@@ -102,6 +107,11 @@ tier2:
 		old=$$(grep -rnwE 'raMaxSpanBytes|wbMaxVec' internal/core); \
 		if [ $$(printf '%s\n' "$$bounds" | grep -c .) -ne 1 ] || [ -n "$$old" ]; then \
 		echo "internal/core must bound every host transaction with one constant, maxHostIO; found:"; echo "$$bounds"; echo "$$old"; exit 1; fi
+	@strays=$$(grep -nE '\.speculate\b|\.closedCleanPages\(|\b(raDeadPage|maxBatchFetch)\b' \
+			$$(ls internal/core/*.go | grep -v -e '_test\.go$$' -e '/readahead\.go$$'); \
+			grep -nE 'history [!=]= nil' $$(ls internal/core/*.go | grep -v '_test\.go$$')); \
+		if [ -n "$$strays" ] || [ $$(grep -c '\.speculate\b' internal/core/readahead.go) -ne 1 ]; then \
+		echo "internal/core/readahead.go's planner is the one gate, budget and clamp of every fetch ahead of demand; these lines decide elsewhere:"; echo "$$strays"; exit 1; fi
 	@strays=$$(grep -nE '\.fds|\.byPath|\.closed\[|range [a-z.]*\.closed\b|\.closedByPath|\.truncated|keepFd|lastFlags' \
 		$$(ls internal/core/*.go | grep -v -e '_test\.go$$' -e '/ftable\.go$$')); if [ -n "$$strays" ]; then \
 		echo "internal/core/ftable.go owns the file tables; these lines reach past it:"; echo "$$strays"; exit 1; fi

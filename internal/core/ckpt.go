@@ -320,9 +320,6 @@ func (fs *FS) CheckpointImage(start simtime.Time) (*ckpt.FSImage, simtime.Time, 
 // restore replaying it through store() reproduces the LRU order.
 func (fs *FS) exportProfiles() []ckpt.ProfileImage {
 	h := fs.history
-	if h == nil {
-		return nil
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	var out []ckpt.ProfileImage
@@ -350,10 +347,8 @@ func (fs *FS) RestoreImage(b *gpu.Block, img *ckpt.FSImage) error {
 			firstErr = err
 		}
 	}
-	if fs.history != nil {
-		for i := range img.Profiles {
-			fs.history.store(&img.Profiles[i])
-		}
+	for i := range img.Profiles {
+		fs.history.store(&img.Profiles[i])
 	}
 	return firstErr
 }

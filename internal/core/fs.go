@@ -141,10 +141,13 @@ type FS struct {
 	historyInvalidations atomic.Int64
 
 	// history is the per-file access-profile table the read-ahead
-	// detector records into at gclose and seeds from at gopen. It is nil
-	// under the prototype, which has no read-ahead: every read-ahead gate
-	// (the access hook, an open's carry) tests it.
+	// detector records into at gclose and seeds from at gopen; a table, not
+	// a switch (it stays empty under the prototype).
 	history *historyTable
+
+	// speculate turns on every route ahead of demand but a read's batch;
+	// the planner's gate (ahead) is its one reader.
+	speculate bool
 
 	// specPending gauges speculative pages currently in the cache that no
 	// demand access has consumed yet. The adaptive engine caps it at a
@@ -204,8 +207,8 @@ type FS struct {
 // switch is read. The extended system (the default) keeps one allocator shard
 // per multiprocessor — lanes (threadblocks and the cleaner) hash by index, so
 // that is the hardware's concurrency — charges a resident read in place and a
-// fill's DMA unstaged (the buffer cache is pinned), and runs read-ahead (§3.3:
-// a per-open-file stride detector, the open carry and history replay) and the
+// fill's DMA unstaged (the buffer cache is pinned), and speculates (§3.3: a
+// stride detector, the fault and open carries, history replay) and runs the
 // background cleaner. The prototype (§4) has one free list, copies out of the
 // cache, stages a fill's DMA through host DRAM and has neither.
 func New(gpuID int, opt Options, client *rpc.Client, mem *memsys.Arena) (*FS, error) {
@@ -226,16 +229,17 @@ func New(gpuID int, opt Options, client *rpc.Client, mem *memsys.Arena) (*FS, er
 		svc = gsys.NewService(client.Server())
 	}
 	fs := &FS{
-		gpuID:   gpuID,
-		opt:     opt,
-		sys:     gsys.NewClient(svc, client, extended),
-		cache:   cache,
-		ft:      newFTable(),
-		inPlace: extended,
+		gpuID:     gpuID,
+		opt:       opt,
+		sys:       gsys.NewClient(svc, client, extended),
+		cache:     cache,
+		ft:        newFTable(),
+		history:   newHistoryTable(),
+		speculate: extended,
+		inPlace:   extended,
 	}
 	if extended {
 		fs.cleaner = newCleaner(fs)
-		fs.history = newHistoryTable(histMaxFiles)
 	}
 	if opt.Metrics != nil {
 		fs.attachMetrics(opt.Metrics)

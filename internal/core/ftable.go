@@ -363,7 +363,7 @@ func (t *ftable) addClean(fc *fileCache, d int64) {
 }
 
 // closedCleanPages reports how many clean pages the retired caches hold: O(1)
-// and allocation-free, for raIssue's budget clamp. It can lag a page moving
+// and allocation-free, for the speculation planner's budget. It can lag a page moving
 // right now, never drift.
 func (t *ftable) closedCleanPages() int64 { return max(t.closedClean.Load(), 0) }
 

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"gpufs/internal/ckpt"
-	"gpufs/internal/core/pcache"
 	"gpufs/internal/gpu"
 )
 
@@ -18,7 +17,7 @@ import (
 // start confident, and each stream's first window is issued at open time,
 // before the demand reads arrive (the approach of Dimitsas & Silberstein's
 // readahead prefetcher). There is no second engine: the pre-warm is the
-// detector's own issue routine, under the detector's own clamps.
+// detector's own issue routine, sized by the one planner (plan).
 //
 // Profiles are only ever a hint: pre-warmed pages are fetched through the
 // file's current host descriptor, so a stale profile can waste transfers
@@ -38,17 +37,12 @@ const histMaxFiles = 128
 // stored.
 type historyTable struct {
 	mu      sync.Mutex
-	max     int
 	entries map[string]*list.Element // of *ckpt.ProfileImage
-	lru     *list.List               // front = most recently used
+	lru     list.List                // front = most recently used
 }
 
-func newHistoryTable(max int) *historyTable {
-	return &historyTable{
-		max:     max,
-		entries: make(map[string]*list.Element),
-		lru:     list.New(),
-	}
+func newHistoryTable() *historyTable {
+	return &historyTable{entries: make(map[string]*list.Element)}
 }
 
 // lookup returns the profile recorded for path (and refreshes its LRU
@@ -75,7 +69,7 @@ func (h *historyTable) store(prof *ckpt.ProfileImage) {
 		return
 	}
 	h.entries[prof.Path] = h.lru.PushFront(prof)
-	for h.lru.Len() > h.max {
+	for h.lru.Len() > histMaxFiles {
 		last := h.lru.Back()
 		h.lru.Remove(last)
 		delete(h.entries, last.Value.(*ckpt.ProfileImage).Path)
@@ -108,7 +102,7 @@ func (h *historyTable) clear() {
 // as the predicted access. Called once per open-table entry, by its opener
 // before any waiter is admitted (finishOpen), so no stream is live yet.
 func (fs *FS) historyAttach(b *gpu.Block, f *file) {
-	if fs.history == nil || !f.readable || f.writeOnce || fs.raDeadZone() {
+	if !fs.ahead(onReplay, f) {
 		return
 	}
 	prof := fs.history.lookup(f.path)
@@ -140,7 +134,7 @@ func (fs *FS) historyAttach(b *gpu.Block, f *file) {
 		if st.window = int(hs.Window); st.window < raInitWindow {
 			st.window = raInitWindow
 		}
-		fs.raIssue(b, f, st, hs.First, pcache.SpecReplay)
+		fs.raIssue(b, f, st, hs.First, onReplay)
 		seeded = true
 	}
 	if seeded {
@@ -150,9 +144,10 @@ func (fs *FS) historyAttach(b *gpu.Block, f *file) {
 
 // historyRecord snapshots a closing open into the table: every detector
 // slot holding a confirmed stride. Called at the final gclose; O_NOSYNC and
-// unlinked files record nothing (their content dies with the close).
+// unlinked files record nothing (their content dies with the close), nor does
+// any file under the prototype, whose slots are never confirmed.
 func (fs *FS) historyRecord(f *file) {
-	if fs.history == nil || f.noSync || f.unlinked {
+	if f.noSync || f.unlinked {
 		return
 	}
 	var strides []ckpt.StrideImage

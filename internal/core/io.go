@@ -191,7 +191,7 @@ func (fs *FS) readImpl(b *gpu.Block, fd int, dst []byte, off int64) (int, error)
 		return 0, fmt.Errorf("%w: %q", ErrWriteOnly, f.path)
 	}
 	done, err := fs.readSpan(b, f, off, [][]byte{dst}, gsys.GranBlock)
-	if err == nil && done > 0 && fs.history != nil {
+	if err == nil && done > 0 {
 		ps := fs.opt.PageSize
 		fs.adaptiveReadAhead(b, f, off/ps, (off+done-1)/ps)
 	}
@@ -209,8 +209,8 @@ func (fs *FS) readImpl(b *gpu.Block, fd int, dst []byte, off int64) (int, error)
 // file reads and the DMAs overlap, instead of one blocking round trip per
 // page. The walk then finds the frames resident (or initializing) and
 // advances the block's clock to each transfer's completion through
-// Frame.ReadyAt — the same mechanism read-ahead uses. The batch is bounded
-// (fetchBudget): pages past it fall back to synchronous faults in the walk.
+// Frame.ReadyAt — the same mechanism read-ahead uses. The planner sizes the
+// batch (plan): pages past it fall back to synchronous faults in the walk.
 func (fs *FS) readSpan(b *gpu.Block, f *file, off int64, dsts [][]byte, gran gsys.Granularity) (int64, error) {
 	var want int64
 	for _, d := range dsts {
@@ -225,10 +225,8 @@ func (fs *FS) readSpan(b *gpu.Block, f *file, off int64, dsts [][]byte, gran gsy
 	}
 	ps := fs.opt.PageSize
 	first, last := off/ps, (off+want-1)/ps
-	if last > first && !f.writeOnce {
-		if n := min(last-first, int64(fs.fetchBudget())); n > 0 {
-			fs.spanFetch(b, f, first+1, n, 1, pcache.SpecNone, gran)
-		}
+	if n := fs.plan(onBatch, f, first+1, last-first, 1, 0); n > 0 {
+		fs.spanFetch(b, f, first+1, n, 1, pcache.SpecNone, gran)
 	}
 
 	var done int64

@@ -80,9 +80,7 @@ func (fs *FS) mmapImpl(b *gpu.Block, fd int, off, length int64) (*Mapping, error
 	// gmmap is page-at-a-time by design (prefix semantics), so it is the
 	// adaptive engine's most important hook: sequential mappers touch one
 	// page per call and would otherwise never amortize the RPC latency.
-	if fs.history != nil {
-		fs.adaptiveReadAhead(b, f, pageIdx, pageIdx)
-	}
+	fs.adaptiveReadAhead(b, f, pageIdx, pageIdx)
 	return &Mapping{
 		Data:       ref.fr.Data[inPage : inPage+n],
 		FileOffset: off,

@@ -206,9 +206,7 @@ func (fs *FS) Restart(b *gpu.Block) {
 
 	// Profiles describe caches that died with the card; the next open
 	// re-records from scratch.
-	if fs.history != nil {
-		fs.history.clear()
-	}
+	fs.history.clear()
 
 	for _, f := range open {
 		if f == nil || f.fc == nil {

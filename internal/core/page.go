@@ -177,22 +177,14 @@ type carry struct {
 
 // offer takes free frames for the first pages of fc — the fresh cache of f's
 // host open, which no table knows yet — for the open to carry the file's
-// content into: as many as one host transaction holds (maxHostIO), fewer
-// when the pool runs dry, since an open never evicts — not even the closed
-// files' clean pages a confirmed stream's speculation may take (spanFetch):
-// nothing confirmed it.
-// The gate is read-ahead's own; a file being truncated has nothing worth
-// carrying.
+// content into: one host transaction's worth, as the planner allows an open
+// (plan), fewer when the pool runs dry, since an open never evicts.
 func (fs *FS) offer(b *gpu.Block, f *file, fc *fileCache) carry {
 	c := carry{fc: fc}
-	if fs.history == nil || !f.readable || f.writeOnce || f.flags&O_TRUNC != 0 {
-		return c
-	}
-	ps := fs.opt.PageSize
-	n := max(maxHostIO/ps, 1)
+	n := fs.plan(onOpen, f, 0, fs.spanPages(), 1, 0)
 	c.frames = make([]*pcache.Frame, 0, n)
 	for i := int64(0); i < n; i++ {
-		fr := fs.cache.TryAllocOn(b.Idx, fc.tree.ID(), i*ps)
+		fr := fs.cache.TryAllocOn(b.Idx, fc.tree.ID(), i*fs.opt.PageSize)
 		if fr == nil {
 			break
 		}

@@ -11,31 +11,6 @@ import (
 	"gpufs/internal/trace"
 )
 
-// maxBatchFetch caps how many pages of one multi-page gread are issued as
-// concurrent in-flight fetches ahead of the copy loop. The cap bounds
-// asynchronous frame pressure: a gread's batch only takes free frames and
-// never evicts, so a burst cannot push resident data out of a tight cache.
-const maxBatchFetch = 16
-
-// fetchBudget reports how many concurrent asynchronous fetches a multi-page
-// read may issue right now, scaled down when the frame pool is nearly
-// drained so demand faults keep priority over pipelining.
-func (fs *FS) fetchBudget() int { return budgetOf(fs.cache.FreeFrames()) }
-
-// specBudget is fetchBudget for a confirmed stream's speculation, which may
-// also reclaim the closed files' clean pages (spanFetch): they count as free.
-func (fs *FS) specBudget() int {
-	return budgetOf(fs.cache.FreeFrames() + int(fs.ft.closedCleanPages()))
-}
-
-func budgetOf(free int) int {
-	budget := maxBatchFetch
-	if free < budget*2 {
-		budget = free / 2
-	}
-	return budget
-}
-
 // allocFrame obtains a free frame for (fc, offset), running the paging
 // algorithm on the calling threadblock when the pool is empty. GPUfs has no
 // daemon threads — paging "hijacks" the calling thread and must therefore
@@ -119,8 +94,8 @@ func (fs *FS) evictPages(a actor, target int) int {
 	return reclaimed
 }
 
-// reclaimForSpec frees up to target frames for a confirmed stream's
-// speculation (spanFetch), on b's clock: clean pages of closed files, oldest
+// reclaimForSpec frees up to target frames for a guess (claimFill), on b's
+// clock: clean pages of closed files, oldest
 // retirement first and oldest leaf first — the head of paging's own order —
 // each at the APICostPerPage a demand eviction pays. Never an open file's
 // page and never a write-back: a guess may not cost resident data its place or

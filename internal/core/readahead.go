@@ -24,6 +24,24 @@ import (
 // coalesces stride-1 runs into multi-page RPCs, amortizing per-transaction
 // PCIe latency at small page sizes.
 
+// trigger is a route by which pages arrive ahead of demand. One planner sizes
+// every route: plan, which applies the one gate (ahead) and the one budget
+// rule (budget). A checkpoint restore fetches what its image lists unplanned.
+type trigger int
+
+const (
+	onOpen   trigger = iota // a host open carries its file's first span (offer)
+	onFault                 // a miss continuing a stream carries its window (raCarry)
+	onRefill                // a confirmed stride's window refills (raIssue)
+	onReplay                // the previous open's profile vouches for a stride (historyAttach)
+	onBatch                 // a multi-page read fetches its later pages (readSpan)
+)
+
+// guess reports whether t fetches on a stride's word — this open's or the
+// previous one's — rather than for a read that asked (a batch) or with a host
+// transaction paid anyway (an open). Only a guess may reclaim.
+func (t trigger) guess() bool { return t == onFault || t == onRefill || t == onReplay }
+
 // Adaptive read-ahead parameters.
 const (
 	// raStreams is the number of detector slots per open file;
@@ -56,9 +74,12 @@ const (
 	// in-flight RPCs.
 	raMaxWindowBytes = 512 << 10
 	// raDeadPage is the page size at which speculation was measured not to
-	// pay (raDeadZone): Figure 4's 32K row, where each speculated page went
-	// to the host as its own RPC.
+	// pay (the dead zone, see ahead): Figure 4's 32K row, where each
+	// speculated page went to the host as its own RPC.
 	raDeadPage = 32 << 10
+	// maxBatchFetch caps the frames a batch or a guess may take at once
+	// (budget), bounding asynchronous frame pressure.
+	maxBatchFetch = 16
 )
 
 // raStream is one adaptive read-ahead detector slot: the access history
@@ -85,16 +106,112 @@ func (fs *FS) probeCost() simtime.Duration {
 	return fs.opt.APICostPerPage >> probeCostShift
 }
 
-// raDeadZone reports whether the page size sits where speculation was
-// measured not to pay its fixed issue cost (API call + probe on the block's
-// clock) back: over half raDeadPage and under twice it. There, at 32K pages
-// with each speculated page its own RPC, a 100% hit rate still netted a ~3 %
-// throughput LOSS, so such streams speculate nothing. The zone is a measured
-// boundary, not one derived from maxHostIO: whether coalescing under the
-// host-I/O bound repays the issue at 32K too is ROADMAP item 6's to measure.
-func (fs *FS) raDeadZone() bool {
+// spanPages is how many pages one host transaction holds: maxHostIO of them,
+// and at least one.
+func (fs *FS) spanPages() int64 { return max(maxHostIO/fs.opt.PageSize, 1) }
+
+// ahead is the planner's gate: whether t may fetch pages of f ahead of demand
+// at all. Never for a file the application cannot read or writes only once
+// (O_GWRONCE pages are never fetched). A batch pipelines what a read asked
+// for, so the prototype batches too; every other route is the extended
+// system's (speculate). An open does not carry a file it truncates.
+//
+// A guess stays out of the dead zone, page sizes over half raDeadPage and under
+// twice it: there speculation was measured not to pay its issue (API call +
+// probe on the block's clock) back — with each speculated 32K page its own
+// RPC, a 100% hit rate still netted a ~3 % throughput LOSS. Whether
+// coalescing under maxHostIO repays it is not yet measured.
+func (fs *FS) ahead(t trigger, f *file) bool {
+	switch {
+	case f.writeOnce || !f.readable:
+		return false
+	case t == onBatch:
+		return true
+	case !fs.speculate:
+		return false
+	case t == onOpen:
+		return f.flags&O_TRUNC == 0
+	}
 	ps := fs.opt.PageSize
-	return 2*ps > raDeadPage && ps < 2*raDeadPage
+	return 2*ps <= raDeadPage || ps >= 2*raDeadPage
+}
+
+// budget is the planner's budget rule: how many frames t may take now. An open
+// takes what is free; it never evicts. Anything else takes maxBatchFetch, or
+// half its frames when it has fewer than twice that, so demand faults keep
+// priority as the pool drains: a batch counts the free frames, a guess those
+// and the closed files' clean pages, the only data it may reclaim (claimFill).
+func (fs *FS) budget(t trigger) int64 {
+	frames := int64(fs.cache.FreeFrames())
+	switch {
+	case t == onOpen:
+		return frames
+	case t.guess():
+		frames += fs.ft.closedCleanPages()
+	}
+	if frames < 2*maxBatchFetch {
+		return frames / 2
+	}
+	return maxBatchFetch
+}
+
+// plan is the planner: how many of the n pages from start, stride apart, t
+// fetches ahead of demand for f now, with ahead pages of the window they
+// extend already in flight. Nothing when the gate (ahead) is shut, and never
+// more than the budget. An open and a batch take that as is: an open does not
+// know its file's size yet, and a batch lies within its read.
+func (fs *FS) plan(t trigger, f *file, start, n, stride, ahead int64) int64 {
+	if !fs.ahead(t, f) {
+		return 0
+	}
+	if !t.guess() {
+		return min(n, fs.budget(t))
+	}
+	fc, ps := f.fc, fs.opt.PageSize
+	// When waste has outright overtaken use (a cache too tight for the
+	// working set — speculative pages are being evicted before their
+	// consumer returns), the file stands down from speculation entirely: a
+	// prefetch that will be reclaimed unconsumed costs a daemon round trip, a
+	// DMA, and an eviction, and hides nothing.
+	if used, wasted := fc.prefetchUsed.Load(), fc.prefetchWasted.Load(); wasted > used && used+wasted >= 64 {
+		return 0
+	}
+	// Linux's async mark: while more than half the window (ahead + n) is still
+	// in flight there is runway, and topping up now would issue a 1-page span
+	// per access — forfeiting coalescing. The refill waits until the consumer
+	// has eaten through half the window, then goes out whole, so steady state
+	// issues window/2-page vectored RPCs. Only while pages coalesce (ps <
+	// maxHostIO): past that a span is one RPC per page regardless, and a
+	// deferred refill dumps the window's API cost on the block in a burst.
+	if ahead > (ahead+n)/2 && ps < maxHostIO {
+		return 0
+	}
+	// Clamp to the file and to the budget. An open file's page or a dirty one
+	// is never taken, so past the budget a tight pool shrinks the guess, not
+	// resident data.
+	var toEnd int64
+	if lastFile := (fc.size.Load() - 1) / ps; stride > 0 && start <= lastFile {
+		toEnd = (lastFile-start)/stride + 1
+	} else if stride < 0 && start >= 0 {
+		toEnd = start/(-stride) + 1
+	}
+	want := n
+	// Global speculation cap: at most a quarter of the frame pool may
+	// hold unconsumed speculative pages at once. Without it, dozens of
+	// confident streams sharing a tight cache prefetch each other's
+	// demand data out of residence — the waste feedback would notice,
+	// but only after the damage.
+	n = min(n, toEnd, fs.budget(t), int64(fs.cache.NumFrames()/4)-fs.specPending.Load())
+	// Whole spans: with runway in flight a unit stride refills in whole host
+	// transactions, never 1- or 2-page RPCs, and a pool or cap that leaves
+	// room for less than a span holds the refill until one fits. A window
+	// under a span still refills as is, and the file's tail is exempt.
+	if span := fs.spanPages(); ahead > 0 && n < toEnd && n >= span && stride == 1 {
+		n -= n % span
+	} else if ahead > 0 && n < toEnd && n < span && n < want {
+		n = 0
+	}
+	return n
 }
 
 // adaptiveReadAhead is the per-access hook of the engine: the calling
@@ -102,11 +219,11 @@ func (fs *FS) raDeadZone() bool {
 // detector slot and, when the slot is confident, issues the speculation
 // window beyond the access.
 func (fs *FS) adaptiveReadAhead(b *gpu.Block, f *file, first, last int64) {
-	if f.writeOnce || !f.readable || fs.raDeadZone() {
-		return
+	if !fs.ahead(onRefill, f) {
+		return // a slot learns nothing its stream may not act on
 	}
 	st := &f.ra[b.Idx&(raStreams-1)]
-	spec := pcache.SpecPending
+	t := onRefill
 
 	st.mu.Lock()
 	if !st.seen {
@@ -124,7 +241,7 @@ func (fs *FS) adaptiveReadAhead(b *gpu.Block, f *file, first, last int64) {
 		// clean page left to reclaim, usually) under the same tag. A
 		// stream that changed its pattern breaks the streak on its next
 		// access like any other.
-		spec = pcache.SpecReplay
+		t = onReplay
 	} else {
 		delta := first - st.lastPage
 		if delta == 0 {
@@ -147,15 +264,14 @@ func (fs *FS) adaptiveReadAhead(b *gpu.Block, f *file, first, last int64) {
 		st.mu.Unlock()
 		return
 	}
-	fs.raIssue(b, f, st, last+st.stride, spec)
+	fs.raIssue(b, f, st, last+st.stride, t)
 }
 
 // raIssue is the issue half of the engine: it sizes slot st's window from
 // the file's used/wasted feedback and issues the part of it not yet in
-// flight, given that the stream's predicted next access is page base. spec
-// is the speculation state stamped on the fetched frames. The caller holds
-// st.mu; raIssue releases it.
-func (fs *FS) raIssue(b *gpu.Block, f *file, st *raStream, base int64, spec int32) {
+// flight, given that the stream's predicted next access is page base, as t (a
+// refill or a replay). The caller holds st.mu; raIssue releases it.
+func (fs *FS) raIssue(b *gpu.Block, f *file, st *raStream, base int64, t trigger) {
 	ps := fs.opt.PageSize
 	stride := st.stride
 
@@ -187,82 +303,33 @@ func (fs *FS) raIssue(b *gpu.Block, f *file, st *raStream, base int64, spec int3
 		start = st.nextPf
 	}
 	ahead := (start - base) / stride
-	// Hysteresis (Linux's async mark): while more than half the window is
-	// still in flight there is runway, and topping up now would issue a
-	// 1-page span per access — forfeiting coalescing. Wait until the
-	// consumer has eaten through half the window, then refill it whole, so
-	// steady state issues window/2-page vectored RPCs. Only worth it when
-	// pages actually coalesce (ps < maxHostIO): past that, a span is one
-	// RPC per page regardless, and deferred refills just dump the whole
-	// window's API cost on the block in a burst — continuous 1-page top-up
-	// spreads it evenly instead.
-	var n int64
-	if ahead <= int64(st.window)/2 || ps >= maxHostIO {
-		n = fs.raClamp(f.fc, start, int64(st.window)-ahead, stride, ahead)
-	}
+	n := fs.plan(t, f, start, int64(st.window)-ahead, stride, ahead)
 	if n > 0 {
 		st.nextPf, st.frontierOK = start+n*stride, true
 	}
 	st.mu.Unlock()
 	if n > 0 {
+		spec := pcache.SpecPending
+		if t == onReplay {
+			spec = pcache.SpecReplay
+		}
 		fs.spanFetch(b, f, start, n, stride, spec, gsys.GranBlock)
 	}
 }
 
-// raClamp sizes an issue of up to n pages from start, stride apart, ahead
-// pages of the window in flight: every refill and every carried window.
-func (fs *FS) raClamp(fc *fileCache, start, n, stride, ahead int64) int64 {
-	// When waste has outright overtaken use (a cache too tight for the
-	// working set — speculative pages are being evicted before their
-	// consumer returns), the file stands down from speculation entirely: a
-	// prefetch that will be reclaimed unconsumed costs a daemon round trip, a
-	// DMA, and an eviction, and hides nothing.
-	if used, wasted := fc.prefetchUsed.Load(), fc.prefetchWasted.Load(); wasted > used && used+wasted >= 64 {
-		return 0
-	}
-	// Clamp to the file and to the frame-pool budget: free frames plus the
-	// closed files' clean pages, the only resident data speculation may
-	// reclaim (spanFetch). An open file's page or a dirty one is never
-	// taken, so past those a tight pool shrinks the issue, not resident data.
-	var toEnd int64
-	if lastFile := (fc.size.Load() - 1) / fs.opt.PageSize; stride > 0 && start <= lastFile {
-		toEnd = (lastFile-start)/stride + 1
-	} else if stride < 0 && start >= 0 {
-		toEnd = start/(-stride) + 1
-	}
-	want := n
-	// Global speculation cap: at most a quarter of the frame pool may
-	// hold unconsumed speculative pages at once. Without it, dozens of
-	// confident streams sharing a tight cache prefetch each other's
-	// demand data out of residence — the waste feedback would notice,
-	// but only after the damage.
-	n = min(n, toEnd, int64(fs.specBudget()), int64(fs.cache.NumFrames()/4)-fs.specPending.Load())
-	// Whole spans: with runway in flight a unit stride refills in whole host
-	// transactions, never 1- or 2-page RPCs, and a pool or cap that leaves
-	// room for less than a span holds the refill until one fits. A window
-	// under a span still refills as is, and the file's tail is exempt.
-	if span := max(maxHostIO/fs.opt.PageSize, 1); ahead > 0 && n < toEnd && n >= span && stride == 1 {
-		n -= n % span
-	} else if ahead > 0 && n < toEnd && n < span && n < want {
-		n = 0
-	}
-	return n
-}
-
 // raCarry is read-ahead's synchronous half: a miss on the page after the
-// slot's last access (no other stride confirmed) claims into window what
-// raClamp allows of a host transaction after page for its fault to read, and
+// slot's last access (no other stride confirmed) claims into window what the
+// planner allows of a host transaction after page for its fault to read, and
 // advances the slot past them so the access's hook issues nothing twice.
 func (fs *FS) raCarry(b *gpu.Block, f *file, page int64, window []pageRef) int {
 	st := &f.ra[b.Idx&(raStreams-1)]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	// The gate is the hook's: only it marks a slot seen.
 	if !st.seen || page != st.lastPage+1 || st.streak >= 2 && st.stride != 1 {
 		return 0
 	}
-	span := max(maxHostIO/fs.opt.PageSize, 1)
-	n := int(fs.raClamp(f.fc, page+1, min(span-1, int64(len(window))), 1, 0))
+	span := fs.spanPages()
+	n := int(fs.plan(onFault, f, page+1, min(span-1, int64(len(window))), 1, 0))
 	k := 0
 	for ; k < n; k++ {
 		if window[k] = fs.claimFill(b, f, page+1+int64(k), pcache.SpecPending, n-k); window[k].fr == nil {
@@ -285,18 +352,16 @@ func (fs *FS) raCarry(b *gpu.Block, f *file, page int64, window []pageRef) int {
 // gap at small page sizes. A page that cannot be claimed (resident or in
 // flight), a stride past the next page, or maxHostIO splits the run.
 //
-// spec is stamped on the fetched frames. pcache.SpecPending (a stride this
-// open's own accesses confirmed) and pcache.SpecReplay (a stride only the
-// previous open's profile vouches for) join the prefetch accounting, the
-// in-flight cap and the OpPrefetch trace; pcache.SpecNone is for pages known
-// to be needed — the later pages of a multi-page read, checkpoint restores —
-// which are pipelining, not a guess, and would flatter the hit rate. gran is
-// the granularity the RPCs are stamped with (gpread_warp's is GranWarp).
+// spec is stamped on the fetched frames: a guess's (SpecPending, SpecReplay
+// on a profile's word) joins the prefetch accounting, the in-flight cap and
+// the OpPrefetch trace; SpecNone — a batch, a checkpoint restore — is
+// pipelining, which would flatter the hit rate. gran is the granularity the
+// RPCs are stamped with (gpread_warp's is GranWarp).
 //
 // A dry frame pool stops a SpecNone span: the page walk that follows faults
-// the rest in. A confirmed stream's span first reclaims what it still wants
-// from the closed files' clean pages (reclaimForSpec) — §4.2's first victims,
-// which cost no round trip — and stops only when they run out too.
+// the rest in. A guess first reclaims what it still wants from the closed
+// files' clean pages (reclaimForSpec) — §4.2's first victims, which cost no
+// round trip — and stops only when they run out too.
 //
 // Cost on the block's clock: a fetched page costs its claim bookkeeping
 // (probeCost) and each RPC APICostPerPage — amortizing the call over a run
@@ -306,7 +371,7 @@ func (fs *FS) raCarry(b *gpu.Block, f *file, page int64, window []pageRef) int {
 // followed by a page walk that pays that page's radix lookup anyway.
 func (fs *FS) spanFetch(b *gpu.Block, f *file, start, count, stride int64, spec int32, gran gsys.Granularity) {
 	ps := fs.opt.PageSize
-	maxRun := max(int(maxHostIO/ps), 1)
+	maxRun := int(fs.spanPages())
 	var run []pageRef // claimed, allocated, not yet issued
 	var runFirst int64
 	flush := func() {

@@ -56,36 +56,105 @@ func TestEvictFromFileLargeTargetSingleCall(t *testing.T) {
 	}
 }
 
-// TestFetchBudgetScaling covers the multi-page gread pipelining budget:
-// the full cap with a healthy pool, half the free frames when nearly
-// drained, zero when empty (demand faults keep absolute priority).
+// TestFetchBudgetScaling covers the planner's budget rule: a batch gets the
+// full cap with a healthy pool, half the free frames when nearly drained,
+// zero when empty (demand faults keep absolute priority); an open gets every
+// free frame. With no closed file holding clean pages a guess's budget is the
+// batch's.
 func TestFetchBudgetScaling(t *testing.T) {
 	opt := defaultOpt() // 64 frames
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
-
-	if got := fs.fetchBudget(); got != maxBatchFetch {
-		t.Fatalf("full pool budget = %d, want %d", got, maxBatchFetch)
+	check := func(free, want int64) {
+		t.Helper()
+		if got := fs.budget(onBatch); got != want {
+			t.Fatalf("%d free: batch budget = %d, want %d", free, got, want)
+		}
+		for _, tr := range []trigger{onFault, onRefill, onReplay} {
+			if got := fs.budget(tr); got != want {
+				t.Fatalf("%d free: guess %d budget = %d, want %d", free, tr, got, want)
+			}
+		}
+		if got := fs.budget(onOpen); got != free {
+			t.Fatalf("%d free: open budget = %d, want %d", free, got, free)
+		}
 	}
+
+	check(64, maxBatchFetch)
 	// Drain to 20 free: below the 2*cap threshold, budget = free/2.
 	for i := 0; i < 44; i++ {
 		if fs.cache.TryAllocOn(0, 99, int64(i)*opt.PageSize) == nil {
 			t.Fatal("TryAlloc failed with free frames available")
 		}
 	}
-	if got := fs.fetchBudget(); got != 10 {
-		t.Fatalf("near-drained budget = %d, want 10", got)
-	}
+	check(20, 10)
 	// Drain to 1 and then 0: budget hits zero before the pool does.
 	for i := 44; i < 63; i++ {
 		fs.cache.TryAllocOn(0, 99, int64(i)*opt.PageSize)
 	}
-	if got := fs.fetchBudget(); got != 0 {
-		t.Fatalf("1-free budget = %d, want 0", got)
-	}
+	check(1, 0)
 	fs.cache.TryAllocOn(0, 99, 63*opt.PageSize)
-	if got := fs.fetchBudget(); got != 0 {
-		t.Fatalf("drained budget = %d, want 0", got)
+	check(0, 0)
+}
+
+// TestSpeculationGate: one gate decides which of the five routes may fetch
+// ahead of demand, and the history table is not it. The prototype batches a
+// multi-page read and nothing else, though it has a table; the extended
+// system runs every route but stays out of the dead zone with its guesses;
+// an open never carries a file it truncates; and nothing is fetched ahead
+// for a file opened write-only or write-once.
+func TestSpeculationGate(t *testing.T) {
+	all := []trigger{onOpen, onFault, onRefill, onReplay, onBatch}
+	only := func(ts ...trigger) map[trigger]bool {
+		m := map[trigger]bool{}
+		for _, tr := range ts {
+			m[tr] = true
+		}
+		return m
+	}
+	for _, c := range []struct {
+		name  string
+		opt   Options
+		ps    int64
+		flags int
+		want  map[trigger]bool
+	}{
+		{"prototype", prototypeOpt(), 16 << 10, O_RDONLY, only(onBatch)},
+		{"extended", defaultOpt(), 16 << 10, O_RDONLY, only(all...)},
+		{"extended/rdwr", defaultOpt(), 16 << 10, O_RDWR, only(all...)},
+		{"extended/32K", defaultOpt(), 32 << 10, O_RDONLY, only(onOpen, onBatch)},
+		{"extended/64K", defaultOpt(), 64 << 10, O_RDONLY, only(all...)},
+		{"extended/trunc", defaultOpt(), 16 << 10, O_RDWR | O_TRUNC, only(onFault, onRefill, onReplay, onBatch)},
+		{"extended/wronly", defaultOpt(), 16 << 10, O_WRONLY, only()},
+		{"extended/gwronce", defaultOpt(), 16 << 10, O_GWRONCE, only()},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			opt := c.opt
+			opt.PageSize = c.ps
+			opt.BufferCacheBytes = 64 * c.ps
+			h := newHarness(t, 1, opt)
+			fs := h.fss[0]
+			if fs.history == nil {
+				t.Fatal("no history table")
+			}
+			h.write(t, "/f", pattern(int(4*c.ps), 1))
+			h.run(t, 0, func(b *gpu.Block) error {
+				fd, err := fs.Open(b, "/f", c.flags)
+				if err != nil {
+					return err
+				}
+				f := fs.ft.fds[fd]
+				for _, tr := range all {
+					if got := fs.ahead(tr, f); got != c.want[tr] {
+						t.Errorf("trigger %d: gate %v, want %v", tr, got, c.want[tr])
+					}
+					if n := fs.plan(tr, f, 1, 2, 1, 0); n != 0 && !c.want[tr] {
+						t.Errorf("trigger %d: planned %d pages past a shut gate", tr, n)
+					}
+				}
+				return fs.Close(b, fd)
+			})
+		})
 	}
 }
 
