@@ -110,35 +110,14 @@ func TestOptionCensus(t *testing.T) {
 	type setters struct{ shipped, tests []string }
 	set := map[string]*setters{} // "struct.Field" → files that set it
 
+	// Examples are not callers of an option (the simplicity-review guide's
+	// Options rule).
 	var files []string
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+	all, parsed := parseTree(t, fset)
+	for _, path := range all {
+		if !strings.HasPrefix(path, "examples/") {
+			files = append(files, path)
 		}
-		if d.IsDir() {
-			// Hidden directories hold build copies; examples are not
-			// callers (the simplicity-review guide's Options rule).
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "examples" || name == "artifacts") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if strings.HasSuffix(path, ".go") {
-			files = append(files, filepath.ToSlash(path))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	parsed := map[string]*ast.File{}
-	for _, path := range files {
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatalf("parse %s: %v", path, err)
-		}
-		parsed[path] = f
 	}
 
 	// Pass 1: the fields.
@@ -311,6 +290,250 @@ func TestOptionCensus(t *testing.T) {
 			}
 		}
 	}
+}
+
+// parseTree parses every Go file of the tree, the benchmark module's too,
+// and returns their slash-separated paths in walk order. Hidden directories
+// hold build copies and artifacts holds outputs: both are skipped.
+func parseTree(t *testing.T, fset *token.FileSet) ([]string, map[string]*ast.File) {
+	t.Helper()
+	var files []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "artifacts") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(path, ".go") {
+			files = append(files, filepath.ToSlash(path))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed := map[string]*ast.File{}
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatalf("parse %s: %v", path, err)
+		}
+		parsed[path] = f
+	}
+	return files, parsed
+}
+
+// The call census (DESIGN.md §18). A file-system call is a promise every
+// layer below it keeps: a trace op, a syscall, a wire op, a host handler.
+// A call on *BlockCtx earns its place by being one of the paper's (§3,
+// Table 1) or by having a shipped caller: an example, a command, the
+// benchmark, or the workloads and serving layer they run. A syscall number
+// earns its place by being issued from a gsys.Client method that non-test
+// code outside internal/gsys calls. A call only a test reaches is code
+// kept alive for its own tests: delete it.
+
+// censusPaperCalls are the paper's file API on *BlockCtx, with gfsync's
+// range and disk forms.
+var censusPaperCalls = map[string]bool{
+	"Gopen": true, "Gclose": true, "Gread": true, "Gwrite": true,
+	"Gfsync": true, "GfsyncRange": true, "GfsyncDisk": true,
+	"Gmmap": true, "Gmunmap": true, "Gmsync": true,
+	"Gftruncate": true, "Gunlink": true, "Gfstat": true,
+}
+
+// censusCallerDirs are where a shipped caller of a *BlockCtx call lives.
+var censusCallerDirs = []string{"examples/", "cmd/", "internal/bench/", "internal/workloads/", "internal/serve/", "benchmark/"}
+
+func TestCallCensus(t *testing.T) {
+	fset := token.NewFileSet()
+	files, parsed := parseTree(t, fset)
+	shipped := func(path string) bool { return !strings.HasSuffix(path, "_test.go") }
+
+	// The calls on *BlockCtx, and the shipped files that call each by
+	// name.
+	var calls []string
+	for _, path := range files {
+		if filepath.Dir(path) != "." || !shipped(path) {
+			continue
+		}
+		for _, d := range parsed[path].Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && recvName(fd) == "*BlockCtx" {
+				calls = append(calls, fd.Name.Name)
+			}
+		}
+	}
+	callers := map[string][]string{}
+	for _, path := range files {
+		if !shipped(path) || !slices.ContainsFunc(censusCallerDirs, func(d string) bool { return strings.HasPrefix(path, d) }) {
+			continue
+		}
+		ast.Inspect(parsed[path], func(n ast.Node) bool {
+			if ce, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := ce.Fun.(*ast.SelectorExpr); ok {
+					callers[sel.Sel.Name] = append(callers[sel.Sel.Name], path)
+				}
+			}
+			return true
+		})
+	}
+	for _, name := range calls {
+		switch {
+		case censusPaperCalls[name]:
+			t.Logf("%-40s paper call", "BlockCtx."+name)
+		case len(callers[name]) > 0:
+			t.Logf("%-40s called by %s", "BlockCtx."+name, strings.Join(dedupe(callers[name]), ", "))
+		default:
+			t.Errorf("BlockCtx.%s is not one of the paper's calls and no example, command, benchmark, workload or serving file calls it: delete it, and what only it reaches", name)
+		}
+	}
+	for name := range censusPaperCalls {
+		if !slices.Contains(calls, name) {
+			t.Errorf("census lists paper call %s, which BlockCtx does not declare", name)
+		}
+	}
+
+	// The syscall numbers, and the Client methods that issue each.
+	var sysnos []string
+	issuers := map[string][]string{} // Sysno → Client methods naming it
+	for _, path := range files {
+		if !strings.HasPrefix(path, "internal/gsys/") || !shipped(path) {
+			continue
+		}
+		for _, d := range parsed[path].Decls {
+			switch d := d.(type) {
+			case *ast.GenDecl:
+				if d.Tok != token.CONST || len(d.Specs) == 0 {
+					continue
+				}
+				if first, ok := d.Specs[0].(*ast.ValueSpec); !ok || !isIdent(first.Type, "Sysno") {
+					continue
+				}
+				for _, spec := range d.Specs {
+					for _, id := range spec.(*ast.ValueSpec).Names {
+						if id.IsExported() {
+							sysnos = append(sysnos, id.Name)
+						}
+					}
+				}
+			case *ast.FuncDecl:
+				if r := recvName(d); r != "Client" && r != "*Client" {
+					continue
+				}
+				ast.Inspect(d.Body, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok && strings.HasPrefix(id.Name, "Sys") {
+						issuers[id.Name] = append(issuers[id.Name], d.Name.Name)
+					}
+					return true
+				})
+			}
+		}
+	}
+	if len(sysnos) == 0 {
+		t.Fatal("no Sysno constants found in internal/gsys")
+	}
+
+	// Outside internal/gsys a client is reached through a function that
+	// returns one or a field that holds one; Bind and Gran derive views of
+	// a client. A method call on such an expression is a call of Client's.
+	clientFuncs, clientFields := map[string]bool{}, map[string]bool{}
+	isClient := func(x ast.Expr) bool {
+		if s, ok := x.(*ast.StarExpr); ok {
+			x = s.X
+		}
+		sel, ok := x.(*ast.SelectorExpr)
+		return ok && isIdent(sel.X, "gsys") && sel.Sel.Name == "Client"
+	}
+	for _, path := range files {
+		if strings.HasPrefix(path, "internal/gsys/") || !shipped(path) {
+			continue
+		}
+		ast.Inspect(parsed[path], func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if res := n.Type.Results; res != nil && len(res.List) == 1 && isClient(res.List[0].Type) {
+					clientFuncs[n.Name.Name] = true
+				}
+			case *ast.Field:
+				if isClient(n.Type) {
+					for _, id := range n.Names {
+						clientFields[id.Name] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	var reaches func(x ast.Expr) bool
+	reaches = func(x ast.Expr) bool {
+		switch x := x.(type) {
+		case *ast.SelectorExpr:
+			return clientFields[x.Sel.Name]
+		case *ast.CallExpr:
+			switch fn := x.Fun.(type) {
+			case *ast.Ident:
+				return clientFuncs[fn.Name]
+			case *ast.SelectorExpr:
+				if fn.Sel.Name == "Bind" || fn.Sel.Name == "Gran" {
+					return reaches(fn.X)
+				}
+				return clientFuncs[fn.Sel.Name]
+			}
+		}
+		return false
+	}
+	clientCallers := map[string][]string{} // Client method → shipped files calling it
+	for _, path := range files {
+		if strings.HasPrefix(path, "internal/gsys/") || !shipped(path) {
+			continue
+		}
+		ast.Inspect(parsed[path], func(n ast.Node) bool {
+			if ce, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := ce.Fun.(*ast.SelectorExpr); ok && reaches(sel.X) {
+					clientCallers[sel.Sel.Name] = append(clientCallers[sel.Sel.Name], path)
+				}
+			}
+			return true
+		})
+	}
+	for _, sys := range sysnos {
+		var by []string
+		for _, m := range dedupe(issuers[sys]) {
+			if c := clientCallers[m]; len(c) > 0 {
+				by = append(by, "Client."+m+" ("+strings.Join(dedupe(c), ", ")+")")
+			}
+		}
+		if len(by) == 0 {
+			t.Errorf("gsys.%s is issued by no gsys.Client method that shipped code outside internal/gsys calls (issuers: %v): delete it, its handler and its wire op", sys, dedupe(issuers[sys]))
+			continue
+		}
+		t.Logf("%-40s issued by %s", "gsys."+sys, strings.Join(by, "; "))
+	}
+}
+
+// recvName spells a method's receiver type ("*T" or "T"), or "" for a
+// function.
+func recvName(fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return ""
+	}
+	switch x := fd.Recv.List[0].Type.(type) {
+	case *ast.StarExpr:
+		if id, ok := x.X.(*ast.Ident); ok {
+			return "*" + id.Name
+		}
+	case *ast.Ident:
+		return x.Name
+	}
+	return ""
+}
+
+func isIdent(x ast.Expr, name string) bool {
+	id, ok := x.(*ast.Ident)
+	return ok && id.Name == name
 }
 
 // embeddedName is the name an embedded field of type x goes by: its type

@@ -88,8 +88,6 @@ type (
 	Time = simtime.Time
 	// Duration is a span of virtual time.
 	Duration = simtime.Duration
-	// Dirent is one directory entry returned by Greaddir.
-	Dirent = core.Dirent
 	// WarpReq is one thread's positioned read within a GpreadWarp call.
 	WarpReq = core.WarpReq
 	// OpenFuture is the join handle of a GopenAhead.
@@ -364,15 +362,6 @@ func (g *GPU) Restart() {
 	})
 }
 
-// CheckpointImage captures this GPU's GPUfs state — buffer cache, file
-// tables, history profiles — into an image, copy-on-write against any
-// kernels still running (ISSUE 10). It returns the image and the capture
-// actor's virtual end time. Use serve.Server.Checkpoint for a whole-host
-// capture with queue freezing.
-func (g *GPU) CheckpointImage(start Time) (*ckpt.FSImage, Time, error) {
-	return g.fs.CheckpointImage(start)
-}
-
 // RestoreImage materializes a checkpoint image onto this (fresh) GPU's
 // GPUfs instance. Like Restart, the work is host-driven: a throwaway
 // single-block launch carries the restore's virtual cost, and the
@@ -503,13 +492,6 @@ func (c *BlockCtx) GopenAhead(path string, flags int) *OpenFuture {
 
 // Gwait joins an open issued by GopenAhead.
 func (c *BlockCtx) Gwait(of *OpenFuture) (int, error) { return of.Wait(c.Block) }
-
-// Greaddir enumerates one page of directory entries of path, starting at
-// cookie (0 for the first call) and returning at most max entries plus
-// the next cookie (-1 once the enumeration is complete).
-func (c *BlockCtx) Greaddir(path string, cookie int64, max int) ([]Dirent, int64, error) {
-	return c.fs.Readdir(c.Block, path, cookie, max)
-}
 
 // GpreadWarp services one positioned read per thread of the block,
 // coalescing each warp whose requests form a contiguous ascending span

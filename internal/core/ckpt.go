@@ -21,9 +21,9 @@ import (
 //	        capture (one atomic load on the hot path when no capture is
 //	        active: a gwrite that no checkpoint overlaps is charged
 //	        nothing for it).
-//	Walk    runs on a host-side actor with its OWN virtual clock and RPC
-//	        lane (the cleaner's discipline), copying dirty pages by value
-//	        and clean pages by reference while threadblocks proceed.
+//	Walk    runs on a host-side actor with its OWN virtual clock (the
+//	        cleaner's discipline), copying dirty pages by value and clean
+//	        pages by reference while threadblocks proceed.
 //	Commit  uninstalls the pointer, merges the write-fault copies with
 //	        the walk's, and validates every file's speculated clean set
 //	        against the live host (ino + generation, PhoenixOS-style):
@@ -38,7 +38,6 @@ import (
 // lock. Files opened after the walk enumerated the tables miss the
 // image entirely; callers that need a consistent cut quiesce first, as
 // the serving layer's queue freeze does.
-const ckptLaneBase = 1 << 21
 
 // ErrCheckpointActive is returned by BeginCheckpoint when a capture is
 // already installed.
@@ -114,7 +113,6 @@ type Ckpt struct {
 	fs    *FS
 	cap   *ckptCapture
 	clk   *simtime.Clock
-	lane  gsys.Client
 	files []ckptFileEntry
 }
 
@@ -134,12 +132,7 @@ func (fs *FS) BeginCheckpoint(start simtime.Time) (*Ckpt, error) {
 	}
 	clk := simtime.NewClock(0)
 	clk.AdvanceTo(start)
-	return &Ckpt{
-		fs:   fs,
-		cap:  cap,
-		clk:  clk,
-		lane: fs.sys.Bind(ckptLaneBase),
-	}, nil
+	return &Ckpt{fs: fs, cap: cap, clk: clk}, nil
 }
 
 // Walk copies the buffer cache into the checkpoint, concurrently with

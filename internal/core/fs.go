@@ -325,7 +325,7 @@ func (fs *FS) attachMetrics(reg *metrics.Registry) {
 		trace.OpFsync, trace.OpMmap, trace.OpMunmap, trace.OpMsync,
 		trace.OpUnlink, trace.OpFstat, trace.OpFtruncate,
 		trace.OpEvict, trace.OpPrefetch, trace.OpClean,
-		trace.OpReaddir, trace.OpReadWarp,
+		trace.OpReadWarp,
 		trace.OpPipeOpen, trace.OpPipeRead, trace.OpPipeWrite, trace.OpPipeClose,
 	} {
 		m.op[op] = reg.DurationHistogram("gpufs_core_op_seconds",

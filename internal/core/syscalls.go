@@ -11,11 +11,10 @@ import (
 	"gpufs/internal/trace"
 )
 
-// The generic syscall surface of ISSUE 7, layered on the gsys dispatcher:
-// open-ahead (relaxed pipelined gopen), greaddir (paginated directory
-// enumeration), gpread_warp (warp-granularity coalesced positioned reads),
-// and the gpipe family (bounded kernel-to-kernel pipes brokered by the
-// host daemon).
+// The generic syscall surface, layered on the gsys dispatcher: open-ahead
+// (relaxed pipelined gopen), gpread_warp (warp-granularity coalesced
+// positioned reads), and the gpipe family (bounded kernel-to-kernel pipes
+// brokered by the host daemon).
 
 // --- Open-ahead -------------------------------------------------------
 
@@ -91,33 +90,6 @@ func (of *OpenFuture) Wait(b *gpu.Block) (int, error) {
 	of.fut.Wait(b.Clock)
 	of.fs.record(b, trace.OpOpen, of.path, 0, of.carried, of.start, nil)
 	return of.fd, nil
-}
-
-// --- greaddir ---------------------------------------------------------
-
-// Dirent is one directory entry as enumerated by Readdir.
-type Dirent struct {
-	Name  string
-	Ino   int64
-	Size  int64
-	IsDir bool
-}
-
-// readdirImpl enumerates one page of host directory entries.
-func (fs *FS) readdirImpl(b *gpu.Block, path string, cookie int64, max int) ([]Dirent, int64, error) {
-	if max <= 0 {
-		return nil, 0, fmt.Errorf("%w: non-positive readdir page size %d", ErrInvalid, max)
-	}
-	b.Busy(fs.opt.APICostPerPage)
-	infos, next, err := fs.lane(b).Readdir(b.Clock, path, cookie, max)
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make([]Dirent, len(infos))
-	for i, fi := range infos {
-		out[i] = Dirent{Name: fi.Name, Ino: fi.Ino, Size: fi.Size, IsDir: fi.IsDir}
-	}
-	return out, next, nil
 }
 
 // --- gpread_warp ------------------------------------------------------
@@ -254,16 +226,6 @@ func (fs *FS) pipeCloseImpl(b *gpu.Block, pd int64, mode PipeMode) error {
 }
 
 // --- The public tracing wrappers --------------------------------------
-
-// Readdir implements greaddir: one page of directory entries of path
-// starting at cookie (0 first), at most max entries, with the next cookie
-// (-1 once the enumeration is complete).
-func (fs *FS) Readdir(b *gpu.Block, path string, cookie int64, max int) ([]Dirent, int64, error) {
-	start := b.Clock.Now()
-	ents, next, err := fs.readdirImpl(b, path, cookie, max)
-	fs.record(b, trace.OpReaddir, path, cookie, int64(len(ents)), start, err)
-	return ents, next, err
-}
 
 // ReadWarp implements gpread_warp; see readWarpImpl for semantics.
 func (fs *FS) ReadWarp(b *gpu.Block, fd int, reqs []WarpReq) (int64, error) {

@@ -42,7 +42,6 @@ var rpcOp = [...]rpc.Op{
 	SysUnlink:    rpc.OpUnlink,
 	SysFsync:     rpc.OpFsync,
 	SysValidate:  rpc.OpValidate,
-	SysReaddir:   rpc.OpReaddir,
 	SysPipeOpen:  rpc.OpPipeOpen,
 	SysPipeRead:  rpc.OpPipeRead,
 	SysPipeWrite: rpc.OpPipeWrite,
@@ -358,18 +357,7 @@ func (c Client) BeginWrite(ino int64, multiWriter bool) error {
 // EndWrite releases the writer registration.
 func (c Client) EndWrite(ino int64) { c.svc.srv.Layer().EndWrite(c.rpc.GPUID(), ino) }
 
-// --- Directory and pipe syscalls ---
-
-// Readdir enumerates one page of directory entries starting at cookie
-// (0 for the first call), returning up to max entries and the next
-// cookie (-1 when the enumeration is complete).
-func (c Client) Readdir(blk *simtime.Clock, path string, cookie int64, max int) ([]hostfs.FileInfo, int64, error) {
-	cl := &call{}
-	if err := c.do(blk, SysReaddir, []uint64{uint64(cookie), uint64(max)}, path, nil, cl); err != nil {
-		return nil, 0, err
-	}
-	return cl.reply.Dirents, cl.reply.Next, nil
-}
+// --- Pipe syscalls ---
 
 // PipeOpen opens (creating on first open) the named pipe with the given
 // buffer capacity and declared writer count, returning its handle. Every

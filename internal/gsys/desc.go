@@ -21,8 +21,7 @@ import "fmt"
 // Sysno identifies a system call in the generic syscall table.
 type Sysno uint8
 
-// System calls: the file operations, then directory enumeration and
-// pipes.
+// System calls: the file operations, then pipes.
 const (
 	SysOpen Sysno = iota
 	SysClose
@@ -32,7 +31,6 @@ const (
 	SysUnlink
 	SysFsync
 	SysValidate
-	SysReaddir
 	SysPipeOpen
 	SysPipeRead
 	SysPipeWrite
@@ -42,9 +40,9 @@ const (
 
 // knownSysno is the compile-time drift guard companion of numSysno:
 // adding a Sysno without extending String() (and this constant) fails the
-// array-length assignment below instead of rendering as "sys(15)" at
+// array-length assignment below instead of rendering as "sys(12)" at
 // runtime.
-const knownSysno = 13
+const knownSysno = 12
 
 var _ [knownSysno]struct{} = [numSysno]struct{}{}
 
@@ -68,8 +66,6 @@ func (s Sysno) String() string {
 		return "gfsync"
 	case SysValidate:
 		return "gvalidate"
-	case SysReaddir:
-		return "greaddir"
 	case SysPipeOpen:
 		return "gpipe_open"
 	case SysPipeRead:

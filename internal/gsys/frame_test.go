@@ -14,7 +14,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Desc: Desc{SysRead, GranWarp, OrderRelaxed, CallNonBlocking}, Lane: -9, Seq: 7, Args: []uint64{1, 2, 3, 4}},
 		{Desc: Desc{SysPipeWrite, GranBlock, OrderStrong, CallBlocking}, Lane: 3, Seq: 9,
 			Args: []uint64{12}, Data: []byte("hello, pipe")},
-		{Desc: Desc{SysReaddir, GranBlock, OrderStrong, CallBlocking}, Lane: 1, Seq: 2,
+		{Desc: Desc{SysPipeOpen, GranBlock, OrderStrong, CallBlocking}, Lane: 1, Seq: 2,
 			Args: []uint64{0, 64}, Path: "/dir"},
 		{Desc: Desc{SysPipeClose, GranThread, OrderRelaxed, CallNonBlocking}, Lane: 1 << 20, Seq: 1<<64 - 1},
 	}

@@ -22,14 +22,12 @@ import (
 // Result scalars ride the response slot; bulk data never does (it is
 // DMA'd straight to the device buffers referenced by the call).
 type Reply struct {
-	FD      int64
-	Info    hostfs.FileInfo
-	N       int
-	Ns      []int
-	Valid   bool
-	Dirents []hostfs.FileInfo
-	Next    int64
-	EOF     bool
+	FD    int64
+	Info  hostfs.FileInfo
+	N     int
+	Ns    []int
+	Valid bool
+	EOF   bool
 	// Gen is the generation the host file has with the call's modification
 	// applied: what a stat issued right after it would have read. The two
 	// mutating file syscalls (SysWrite, SysTruncate) fill it, so a caching
@@ -135,7 +133,6 @@ func NewService(srv *rpc.Server) *Service {
 		SysUnlink:    (*Service).sysUnlink,
 		SysFsync:     (*Service).sysFsync,
 		SysValidate:  (*Service).sysValidate,
-		SysReaddir:   (*Service).sysReaddir,
 		SysPipeOpen:  (*Service).sysPipeOpen,
 		SysPipeRead:  (*Service).sysPipeRead,
 		SysPipeWrite: (*Service).sysPipeWrite,
@@ -369,36 +366,4 @@ func (s *Service) sysFsync(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 func (s *Service) sysValidate(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 	c.reply.Valid = s.srv.Layer().Validate(c.rpc.GPUID(), int64(c.fr.Args[0]), int64(c.fr.Args[1]))
 	return 0, nil
-}
-
-// direntWireBytes is the marshaled size of one directory entry in the
-// response stream: the fixed scalar fields plus the name.
-func direntWireBytes(fi *hostfs.FileInfo) int64 { return 48 + int64(len(fi.Name)) }
-
-func (s *Service) sysReaddir(c *call, cclk *simtime.Clock) (simtime.Time, error) {
-	infos, err := s.srv.Layer().FS().ReadDir(c.fr.Path)
-	if err != nil {
-		return 0, err
-	}
-	cookie, max := int64(c.fr.Args[0]), int(c.fr.Args[1])
-	if cookie < 0 || cookie > int64(len(infos)) {
-		return 0, fmt.Errorf("gsys: readdir cookie %d out of range [0,%d]", cookie, len(infos))
-	}
-	window := infos[cookie:]
-	if max > 0 && len(window) > max {
-		window = window[:max]
-	}
-	c.reply.Dirents = window
-	c.reply.Next = cookie + int64(len(window))
-	if c.reply.Next >= int64(len(infos)) {
-		c.reply.Next = -1 // enumeration complete
-	}
-	var total int64
-	for i := range window {
-		total += direntWireBytes(&window[i])
-	}
-	if total == 0 {
-		return 0, nil
-	}
-	return c.rpc.Link().Charge(cclk.Now(), pcie.HostToDevice, total), nil
 }

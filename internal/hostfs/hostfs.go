@@ -1,6 +1,6 @@
 // Package hostfs implements the host operating system's file system — the
 // substrate underneath GPUfs. It provides a POSIX-flavoured API (Open,
-// Pread, Pwrite, Fsync, Ftruncate, Unlink, Stat, Mkdir, ReadDir) over an
+// Pread, Pwrite, Fsync, Ftruncate, Unlink, Stat, Mkdir) over an
 // in-memory inode store, with a CPU buffer (page) cache in front of a
 // simulated rotational disk.
 //
@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"path"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -60,7 +59,6 @@ var (
 	ErrReadOnly   = errors.New("hostfs: file opened read-only")
 	ErrWriteOnly  = errors.New("hostfs: file opened write-only")
 	ErrInvalid    = errors.New("hostfs: invalid argument")
-	ErrNotEmpty   = errors.New("hostfs: directory not empty")
 	ErrNameTooBig = errors.New("hostfs: path component too long")
 	// ErrIO is the EIO class: a media or device error. Never retried
 	// successfully by the RPC layer — it is a valid (failed) reply, not a
@@ -337,32 +335,6 @@ func (fs *FS) infoLocked(name string, n *inode) FileInfo {
 	}
 }
 
-// ReadDir lists the entries of directory p in lexical order.
-func (fs *FS) ReadDir(p string) ([]FileInfo, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	n, err := fs.lookupLocked(p)
-	if err != nil {
-		return nil, err
-	}
-	if n == nil {
-		return nil, fmt.Errorf("%w: %q", ErrNotExist, p)
-	}
-	if !n.isDir {
-		return nil, fmt.Errorf("%w: %q", ErrNotDir, p)
-	}
-	names := make([]string, 0, len(n.children))
-	for name := range n.children {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	infos := make([]FileInfo, 0, len(names))
-	for _, name := range names {
-		infos = append(infos, fs.infoLocked(name, n.children[name]))
-	}
-	return infos, nil
-}
-
 // Unlink removes the file at p. Open descriptors remain usable (POSIX
 // semantics); the content is dropped when the last descriptor closes.
 func (fs *FS) Unlink(p string) error {
@@ -387,28 +359,6 @@ func (fs *FS) Unlink(p string) error {
 	if drop {
 		fs.cache.forget(n.ino)
 	}
-	return nil
-}
-
-// Rmdir removes an empty directory.
-func (fs *FS) Rmdir(p string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	n, parent, base, err := fs.walkLocked(p)
-	if err != nil {
-		return err
-	}
-	if n == nil {
-		return fmt.Errorf("%w: %q", ErrNotExist, p)
-	}
-	if !n.isDir {
-		return fmt.Errorf("%w: %q", ErrNotDir, p)
-	}
-	if len(n.children) > 0 {
-		return fmt.Errorf("%w: %q", ErrNotEmpty, p)
-	}
-	delete(parent.children, base)
-	delete(fs.byIno, n.ino)
 	return nil
 }
 

@@ -216,41 +216,6 @@ func TestUnlinkSemantics(t *testing.T) {
 	}
 }
 
-func TestRmdir(t *testing.T) {
-	fs := newFS()
-	c := clk()
-	fs.MkdirAll("/d/e", ModeDir|rw)
-	if err := fs.Rmdir("/d"); !errors.Is(err, ErrNotEmpty) {
-		t.Fatalf("rmdir non-empty: %v", err)
-	}
-	if err := fs.Rmdir("/d/e"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Rmdir("/d"); err != nil {
-		t.Fatal(err)
-	}
-	_ = c
-}
-
-func TestReadDir(t *testing.T) {
-	fs := newFS()
-	c := clk()
-	fs.MkdirAll("/d", ModeDir|rw)
-	fs.WriteFile(c, "/d/b", nil, rw)
-	fs.WriteFile(c, "/d/a", nil, rw)
-	fs.MkdirAll("/d/z", ModeDir|rw)
-	infos, err := fs.ReadDir("/d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(infos) != 3 || infos[0].Name != "a" || infos[1].Name != "b" || infos[2].Name != "z" {
-		t.Fatalf("readdir order wrong: %+v", infos)
-	}
-	if !infos[2].IsDir {
-		t.Fatalf("z should be a dir")
-	}
-}
-
 func TestClosedDescriptorRejected(t *testing.T) {
 	fs := newFS()
 	c := clk()

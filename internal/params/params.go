@@ -294,12 +294,3 @@ func (c *Config) Validate() error {
 	}
 	return nil
 }
-
-// NumPages reports how many buffer-cache pages the configuration allows.
-func (c *Config) NumPages() int { return int(c.BufferCacheBytes / c.PageSize) }
-
-// PageAlign rounds an offset down to the containing page boundary.
-func (c *Config) PageAlign(off int64) int64 { return off &^ (c.PageSize - 1) }
-
-// PageIndex reports the page number containing the given file offset.
-func (c *Config) PageIndex(off int64) int64 { return off / c.PageSize }

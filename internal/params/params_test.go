@@ -81,17 +81,3 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		}
 	}
 }
-
-func TestPageHelpers(t *testing.T) {
-	c := Default()
-	c.PageSize = 256 * KB
-	if c.PageAlign(300*KB) != 256*KB {
-		t.Fatalf("PageAlign")
-	}
-	if c.PageIndex(300*KB) != 1 {
-		t.Fatalf("PageIndex")
-	}
-	if c.NumPages() != int(c.BufferCacheBytes/c.PageSize) {
-		t.Fatalf("NumPages")
-	}
-}

@@ -87,7 +87,6 @@ const (
 	OpStat
 	OpFsync
 	OpValidate
-	OpReaddir
 	OpPipeOpen
 	OpPipeRead
 	OpPipeWrite
@@ -97,8 +96,8 @@ const (
 
 // knownOps is the compile-time drift guard companion of numOps: adding an
 // Op without extending String() below (and this constant) fails the
-// array-length assignment instead of rendering as "Op(14)" at runtime.
-const knownOps = 14
+// array-length assignment instead of rendering as "Op(13)" at runtime.
+const knownOps = 13
 
 var _ [knownOps]struct{} = [numOps]struct{}{}
 
@@ -124,8 +123,6 @@ func (o Op) String() string {
 		return "fsync"
 	case OpValidate:
 		return "validate"
-	case OpReaddir:
-		return "readdir"
 	case OpPipeOpen:
 		return "pipe_open"
 	case OpPipeRead:
@@ -366,14 +363,6 @@ func (c *Client) Do(blk *simtime.Clock, op Op, handler Handler) error {
 	return c.t.Submit(blk, c.shard, op, Request{Handle: handler})
 }
 
-// DoAsync runs one non-blocking request: it is enqueued at the block's
-// current time and handled identically, but the block's clock is
-// untouched and the returned time says when the response lands. Like all
-// detached submissions it is never retried.
-func (c *Client) DoAsync(blk *simtime.Clock, op Op, handler Handler) (simtime.Time, error) {
-	return c.t.SubmitAsync(blk, c.shard, op, Request{Handle: handler})
-}
-
 // Submit is Do for a request that may be two stretches of host work (see
 // Request); the block's clock advances to the delivery of the response that
 // follows the last stretch.
@@ -381,7 +370,10 @@ func (c *Client) Submit(blk *simtime.Clock, op Op, req Request) error {
 	return c.t.Submit(blk, c.shard, op, req)
 }
 
-// SubmitAsync is DoAsync for a Request.
+// SubmitAsync runs one non-blocking request: it is enqueued at the block's
+// current time and handled identically, but the block's clock is
+// untouched and the returned time says when the response lands. Like all
+// detached submissions it is never retried.
 func (c *Client) SubmitAsync(blk *simtime.Clock, op Op, req Request) (simtime.Time, error) {
 	return c.t.SubmitAsync(blk, c.shard, op, req)
 }

@@ -141,7 +141,7 @@ func TestHappyPathUnchangedByDisabledInjector(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := cl.DoAsync(c, OpReadPages, busy(3*simtime.Microsecond)); err != nil {
+		if _, err := cl.SubmitAsync(c, OpReadPages, Request{Handle: busy(3 * simtime.Microsecond)}); err != nil {
 			t.Fatal(err)
 		}
 		if err := cl.Do(c, OpClose, nop); err != nil {

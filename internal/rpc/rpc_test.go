@@ -11,7 +11,7 @@ import (
 )
 
 // The transport moves handlers, not file ops: these tests drive Do and
-// DoAsync with inline handlers (a counter where exactly-once matters, a
+// SubmitAsync with inline handlers (a counter where exactly-once matters, a
 // returned error where retry classification does). Tests that need a host
 // file live in internal/gsys, over the syscall handlers that run in
 // production.

@@ -146,8 +146,8 @@ func NewFuture() (*Future, func(Result)) {
 // (internal/fleet): everything the fleet needs to route, observe, and
 // remediate a host, with the host's implementation hidden behind it. The
 // *Server over a simulated gpufs.System is the implementation of record
-// ("real" hardware would slot in the same way); internal/fleet carries a
-// FakeBackend for control-plane tests that need scripted completions.
+// ("real" hardware would slot in the same way); internal/fleet's tests drive
+// the control plane with a fake whose completions they script.
 type Backend interface {
 	// Submit admits one job for tenant (see Server.Submit).
 	Submit(tenant string, job Job) (*Future, error)

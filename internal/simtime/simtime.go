@@ -443,11 +443,3 @@ func (c *Clock) Use(r *Resource, d Duration) Time {
 	c.now = end
 	return end
 }
-
-// UsePool reserves d on the earliest-available member of pool p and advances
-// the clock to the reservation's end.
-func (c *Clock) UsePool(p *Pool, d Duration) Time {
-	_, end := p.Acquire(c.now, d)
-	c.now = end
-	return end
-}

@@ -351,14 +351,9 @@ func TestClock(t *testing.T) {
 	if c.Now() != 110 {
 		t.Fatalf("Use should advance through the queue: %v", c.Now())
 	}
-	p := NewPool("y", 2)
-	c.UsePool(p, 10)
-	if c.Now() != 120 {
-		t.Fatalf("UsePool: %v", c.Now())
-	}
 	f := c.Fork()
 	f.Advance(5)
-	if f.Now() != 125 || c.Now() != 120 {
+	if f.Now() != 115 || c.Now() != 110 {
 		t.Fatalf("Fork: fork at %v, forked clock at %v", f.Now(), c.Now())
 	}
 }

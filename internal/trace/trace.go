@@ -62,9 +62,6 @@ const (
 	// cleaner runs on its own lane, not a threadblock); Bytes is the
 	// extent written back or pre-evicted.
 	OpClean
-	// OpReaddir marks one greaddir page (generic syscall surface,
-	// ISSUE 7); Bytes is the number of entries returned.
-	OpReaddir
 	// OpReadWarp marks one gpread_warp call; Bytes is the total extent
 	// read across the warp's coalesced descriptors.
 	OpReadWarp
@@ -78,8 +75,8 @@ const (
 
 // knownOps is the compile-time drift guard companion of numOps: adding an
 // Op without extending String() below (and this constant) fails the
-// array-length assignment instead of rendering as "Op(26)" at runtime.
-const knownOps = 26
+// array-length assignment instead of rendering as "Op(25)" at runtime.
+const knownOps = 25
 
 var _ [knownOps]struct{} = [numOps]struct{}{}
 
@@ -128,8 +125,6 @@ func (o Op) String() string {
 		return "prefetch-waste"
 	case OpClean:
 		return "clean"
-	case OpReaddir:
-		return "greaddir"
 	case OpReadWarp:
 		return "gread_warp"
 	case OpPipeOpen:

@@ -1,6 +1,6 @@
-// End-to-end tests for the generic syscall surface of ISSUE 7 beyond the
-// pipe family (covered by pipe_conformance_test.go): paginated directory
-// enumeration, warp-granularity coalesced reads, and open-ahead.
+// End-to-end tests for the generic syscall surface beyond the pipe family
+// (covered by pipe_conformance_test.go): warp-granularity coalesced reads
+// and open-ahead.
 package gpufs_test
 
 import (
@@ -22,111 +22,6 @@ func syscallTestSystem(t *testing.T) *gpufs.System {
 		t.Fatal(err)
 	}
 	return sys
-}
-
-// TestGreaddirPagination enumerates a staged directory in small pages
-// from a kernel: every entry appears exactly once across pages, cookies
-// chain until the -1 terminator, sizes and the directory bit are
-// faithful, and a fresh enumeration is bit-identical.
-func TestGreaddirPagination(t *testing.T) {
-	sys := syscallTestSystem(t)
-	const files = 10
-	wantSize := make(map[string]int64, files)
-	for i := 0; i < files; i++ {
-		name := fmt.Sprintf("f%02d.txt", i)
-		data := bytes.Repeat([]byte{'a'}, 100+i*11)
-		if err := sys.WriteHostFile("/dir/"+name, data); err != nil {
-			t.Fatal(err)
-		}
-		wantSize[name] = int64(len(data))
-	}
-	if err := sys.WriteHostFile("/dir/sub/leaf.txt", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-
-	enumerate := func() ([]gpufs.Dirent, int) {
-		var all []gpufs.Dirent
-		pages := 0
-		_, err := sys.GPU(0).Launch(0, 1, 32, func(c *gpufs.BlockCtx) error {
-			if c.Idx != 0 {
-				return nil
-			}
-			cookie := int64(0)
-			for {
-				ents, next, err := c.Greaddir("/dir", cookie, 3)
-				if err != nil {
-					return err
-				}
-				if len(ents) > 3 {
-					return fmt.Errorf("page of %d entries exceeds max 3", len(ents))
-				}
-				all = append(all, ents...)
-				pages++
-				if next == -1 {
-					return nil
-				}
-				if next <= cookie {
-					return fmt.Errorf("cookie did not advance: %d -> %d", cookie, next)
-				}
-				cookie = next
-			}
-		})
-		if err != nil {
-			t.Fatalf("Launch: %v", err)
-		}
-		return all, pages
-	}
-
-	all, pages := enumerate()
-	if len(all) != files+1 {
-		t.Fatalf("enumerated %d entries, want %d", len(all), files+1)
-	}
-	if pages < 4 {
-		t.Fatalf("enumeration took %d pages; max 3 per page over %d entries must paginate", pages, files+1)
-	}
-	seen := make(map[string]bool)
-	for _, e := range all {
-		if seen[e.Name] {
-			t.Fatalf("entry %q appeared twice across pages", e.Name)
-		}
-		seen[e.Name] = true
-		if e.Name == "sub" {
-			if !e.IsDir {
-				t.Fatalf("subdirectory %q not flagged IsDir", e.Name)
-			}
-			continue
-		}
-		if e.IsDir {
-			t.Fatalf("file %q flagged IsDir", e.Name)
-		}
-		if want, ok := wantSize[e.Name]; !ok || e.Size != want {
-			t.Fatalf("entry %q size %d, want %d", e.Name, e.Size, want)
-		}
-	}
-
-	again, _ := enumerate()
-	for i := range all {
-		if all[i] != again[i] {
-			t.Fatalf("re-enumeration differs at %d: %+v vs %+v", i, all[i], again[i])
-		}
-	}
-
-	// Error paths: non-positive page size and a missing directory.
-	_, err := sys.GPU(0).Launch(0, 1, 32, func(c *gpufs.BlockCtx) error {
-		if c.Idx != 0 {
-			return nil
-		}
-		if _, _, err := c.Greaddir("/dir", 0, 0); err == nil {
-			return fmt.Errorf("greaddir with max 0 succeeded")
-		}
-		if _, _, err := c.Greaddir("/no/such/dir", 0, 4); err == nil {
-			return fmt.Errorf("greaddir of a missing directory succeeded")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Launch: %v", err)
-	}
 }
 
 // warpReadRun launches one warp of threads reading against a staged
