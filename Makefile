@@ -27,8 +27,12 @@
 #                gate is the one reader of FS.speculate, and no other file
 #                of the package reads the closed files' clean-page count,
 #                the dead zone or the batch cap; nothing tests the history
-#                table for nil, since it is a table, not a switch),
-#                internal/core/ftable.go still the
+#                table for nil, since it is a table, not a switch), one
+#                call of reclaimForSpec in it (an open's head and every
+#                guess reclaim through the same one), a detector slot's
+#                frontier set by raIssue and by prime, the priming helper
+#                a carrying fault and an open's head share, and nowhere
+#                else, internal/core/ftable.go still the
 #                one owner of the file tables (no other non-test file of
 #                the package names the open or closed table, their
 #                indexes, the truncated-once set, or a cache's retained
@@ -112,6 +116,14 @@ tier2:
 			grep -nE 'history [!=]= nil' $$(ls internal/core/*.go | grep -v '_test\.go$$')); \
 		if [ -n "$$strays" ] || [ $$(grep -c '\.speculate\b' internal/core/readahead.go) -ne 1 ]; then \
 		echo "internal/core/readahead.go's planner is the one gate, budget and clamp of every fetch ahead of demand; these lines decide elsewhere:"; echo "$$strays"; exit 1; fi
+	@calls=$$(grep -nE 'reclaimForSpec\(' $$(ls internal/core/*.go | grep -v '_test\.go$$') | \
+			grep -vE ':[[:space:]]*//|func \(fs \*FS\) reclaimForSpec\('); \
+		if [ $$(printf '%s\n' "$$calls" | grep -c .) -ne 1 ]; then \
+		echo "speculation reclaims through one call of reclaimForSpec, which the open's head and the guesses share; found:"; echo "$$calls"; exit 1; fi
+	@primers=$$(awk '/^func /{fn=$$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/\(.*/, "", fn)} /frontierOK( =|,[^=]*=)[^=].*true/{print fn}' \
+			$$(ls internal/core/*.go | grep -v '_test\.go$$') | sort -u | tr '\n' ' '); \
+		if [ "$$primers" != "prime raIssue " ]; then \
+		echo "a detector slot's frontier is set by raIssue and the shared priming helper (prime) only; found in:"; echo "$$primers"; exit 1; fi
 	@strays=$$(grep -nE '\.fds|\.byPath|\.closed\[|range [a-z.]*\.closed\b|\.closedByPath|\.truncated|keepFd|lastFlags' \
 		$$(ls internal/core/*.go | grep -v -e '_test\.go$$' -e '/ftable\.go$$')); if [ -n "$$strays" ]; then \
 		echo "internal/core/ftable.go owns the file tables; these lines reach past it:"; echo "$$strays"; exit 1; fi

@@ -26,7 +26,8 @@ func TestFaultsEndToEnd(t *testing.T) {
 		DMAStallProb:        0.20,
 	})
 
-	content := make([]byte, 512<<10)
+	// Four pages, so three reach the host past the head the open carries.
+	content := make([]byte, 1<<20)
 	for i := range content {
 		content[i] = byte(i*13 + 7)
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"gpufs/internal/params"
 	"gpufs/internal/simtime/simtest"
 )
 
@@ -187,7 +188,7 @@ func TestAblationShapeTiny(t *testing.T) {
 // TestReadaheadShapeTiny checks the read-ahead policy table's directional
 // claims: adaptive wins sequential streams outright (coalescing), follows
 // a fixed stride without fetching the pages between, and issues nothing on
-// random reads.
+// random reads past the head the file's open carries.
 func TestReadaheadShapeTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness in -short mode")
@@ -218,9 +219,15 @@ func TestReadaheadShapeTiny(t *testing.T) {
 	if ap := usedPct(stride[3]); ap <= 50 {
 		t.Fatalf("stride adaptive used%% %v: the detector is not following the stride", ap)
 	}
-	// Random: the confidence gate keeps the detector silent.
-	if issued := numericCell(t, random[3]); issued != 0 {
-		t.Fatalf("random adaptive speculated %v pages", issued)
+	// Random: the confidence gate keeps the detector silent past the open's
+	// one counted span, 128 KiB of Readahead's page size.
+	base := params.Scaled(1.0 / 256)
+	ps := pow2AtMost(base.ScaleBytes(256 << 10))
+	if ps < 4<<10 {
+		ps = 4 << 10
+	}
+	if issued := numericCell(t, random[3]); issued != float64(128<<10/ps) {
+		t.Fatalf("random adaptive speculated %v pages, want the open's %d", issued, 128<<10/ps)
 	}
 }
 

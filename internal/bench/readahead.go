@@ -119,6 +119,6 @@ func Readahead(scale float64) (*Table, error) {
 		}
 		t.AddRow(append(row, pf)...)
 	}
-	t.AddNote("adaptive coalesces sequential streams into vectored RPCs, follows fixed strides, and stays quiet on random reads where any fixed window would be pure waste")
+	t.AddNote("adaptive coalesces sequential streams into vectored RPCs, follows fixed strides, and on random reads stays quiet past the one span the file's open carries, where any fixed window would be pure waste")
 	return t, nil
 }

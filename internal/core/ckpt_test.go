@@ -39,8 +39,11 @@ func TestCkptRoundTrip(t *testing.T) {
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
 	ps := int(opt.PageSize)
+	span := int64(maxHostIO / ps)
 
-	orig := pattern(int(maxHostIO)+ps, 1) // more than an open carries
+	// Three pages past the head an open carries; the dirty one is the middle
+	// one, so the restore fetches a clean page on either side of it.
+	orig := pattern(int(maxHostIO)+3*ps, 1)
 	h.write(t, "/ck-a", orig)
 
 	overlay := pattern(ps, 99)
@@ -53,7 +56,7 @@ func TestCkptRoundTrip(t *testing.T) {
 		if _, err := fs.Read(b, fd, buf, 0); err != nil {
 			return err
 		}
-		if _, err := fs.Write(b, fd, overlay, int64(ps)); err != nil {
+		if _, err := fs.Write(b, fd, overlay, (span+1)*int64(ps)); err != nil {
 			return err
 		}
 		return fs.Close(b, fd)
@@ -70,18 +73,18 @@ func TestCkptRoundTrip(t *testing.T) {
 		t.Fatalf("image has %d files, want 1", len(img.Files))
 	}
 	fi := &img.Files[0]
-	pg := ckptPage(fi, 1)
+	pg := ckptPage(fi, span+1)
 	if pg == nil {
-		t.Fatalf("page 1 not captured dirty; dirty=%v clean=%v", len(fi.Dirty), fi.Clean)
+		t.Fatalf("page %d not captured dirty; dirty=%v clean=%v", span+1, len(fi.Dirty), fi.Clean)
 	}
 	if !bytes.Equal(pg.Data[:ps], overlay) {
-		t.Error("dirty page 1 content diverges from the written bytes")
+		t.Errorf("dirty page %d content diverges from the written bytes", span+1)
 	}
-	if !ckptHasClean(fi, 0) || !ckptHasClean(fi, 2) {
-		t.Errorf("clean pages 0,2 not captured by reference: clean=%v", fi.Clean)
+	if !ckptHasClean(fi, 0) || !ckptHasClean(fi, span) || !ckptHasClean(fi, span+2) {
+		t.Errorf("clean pages 0, %d, %d not captured by reference: clean=%v", span, span+2, fi.Clean)
 	}
-	if ckptHasClean(fi, 1) {
-		t.Error("dirty page 1 also listed clean")
+	if ckptHasClean(fi, span+1) {
+		t.Errorf("dirty page %d also listed clean", span+1)
 	}
 	st := fs.CkptStats()
 	if st.PagesDirty < 1 || st.PagesClean < 2 || st.SnapshotBytes < int64(ps) {
@@ -96,14 +99,14 @@ func TestCkptRoundTrip(t *testing.T) {
 		return h2.fss[0].RestoreImage(b, img)
 	})
 	// The dirty page travels by value and is the page's whole content: the
-	// restore fills its frame from the image, and only the clean pages are
-	// fetched: page 0 and the run from page 2 on, one request each.
+	// restore fills its frame from the image, and only the clean pages past the
+	// head its open carried are fetched: pages span and span+2, one request each.
 	if got := h2.server.Requests(rpc.OpReadPages); got != 2 {
 		t.Errorf("restore sent %d reads, want 2: the clean pages, not the dirty one", got)
 	}
 
 	want := append([]byte(nil), orig...)
-	copy(want[ps:], overlay)
+	copy(want[(span+1)*int64(ps):], overlay)
 	h2.run(t, 0, func(b *gpu.Block) error {
 		fd, err := h2.fss[0].Open(b, "/ck-a", O_RDWR)
 		if err != nil {
@@ -190,13 +193,15 @@ func TestCkptCoWPreWriteCut(t *testing.T) {
 // is not called and, above all, never sees the frame before the writer's bytes
 // are in it. The page's cut is the walk's, which finds it filled: the image
 // holds exactly the written bytes, and a restore reproduces the source's view.
+// The page is the one past the head the open carries.
 func TestCkptOverwriteDuringCapture(t *testing.T) {
 	opt := defaultOpt()
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
 	ps := int(opt.PageSize)
+	at := int(maxHostIO) // the page past the head: it stays cold
 
-	orig := pattern(int(maxHostIO)+ps, 3) // more than an open carries: page 0 stays cold
+	orig := pattern(at+ps, 3)
 	h.write(t, "/ck-over", orig)
 	var fd int
 	h.run(t, 0, func(b *gpu.Block) error {
@@ -211,7 +216,7 @@ func TestCkptOverwriteDuringCapture(t *testing.T) {
 	}
 	written := pattern(ps, 60)
 	h.run(t, 0, func(b *gpu.Block) error {
-		_, err := fs.Write(b, fd, written, 0)
+		_, err := fs.Write(b, fd, written, int64(at))
 		return err
 	})
 	if got := h.server.Requests(rpc.OpReadPages); got != 0 {
@@ -225,9 +230,9 @@ func TestCkptOverwriteDuringCapture(t *testing.T) {
 	if st := fs.CkptStats(); st.CoWFaults != 0 {
 		t.Errorf("CoWFaults = %d: the hook ran on a page that had no pre-write image", st.CoWFaults)
 	}
-	pg := ckptPage(&img.Files[0], 0)
+	pg := ckptPage(&img.Files[0], int64(at/ps))
 	if pg == nil || pg.Valid != int64(ps) || !bytes.Equal(pg.Data[:ps], written) {
-		t.Fatalf("page 0 in the image is not the written page (present=%v)", pg != nil)
+		t.Fatalf("page %d in the image is not the written page (present=%v)", at/ps, pg != nil)
 	}
 	h.run(t, 0, func(b *gpu.Block) error { return fs.Close(b, fd) })
 
@@ -245,8 +250,8 @@ func TestCkptOverwriteDuringCapture(t *testing.T) {
 		if n, err := h2.fss[0].Read(b, fd, buf, 0); err != nil || n != len(buf) {
 			return err
 		}
-		if !bytes.Equal(buf[:ps], written) || !bytes.Equal(buf[ps:], orig[ps:]) {
-			t.Error("restored view diverges from the source's: page 0 as written, the rest as on the host")
+		if !bytes.Equal(buf[at:], written) || !bytes.Equal(buf[:at], orig[:at]) {
+			t.Error("restored view diverges from the source's: the last page as written, the rest as on the host")
 		}
 		return h2.fss[0].Close(b, fd)
 	})

@@ -112,14 +112,16 @@ func TestCostCacheHit(t *testing.T) {
 // single-page strong read, and the page's bookkeeping. The prototype (one
 // allocator shard, not four) differs by the staging pass alone, which the DMA
 // pays on the host memory bus. The file is one page more than an open
-// carries, so page 0 is not resident when the fault looks.
+// carries, and the fault is on that page: the extended system's open carries
+// the head before it.
 func TestCostPageFault(t *testing.T) {
 	fault := func(opt Options) (cost simtime.Duration) {
-		costRig(t, opt, maxHostIO/opt.PageSize+1, func(h *harness, b *gpu.Block, fd int) {
+		span := maxHostIO / opt.PageSize
+		costRig(t, opt, span+1, func(h *harness, b *gpu.Block, fd int) {
 			fs := h.fss[0]
 			reads := h.server.Requests(rpc.OpReadPages)
 			cost = elapsed(b, func() {
-				if ref, _, err := fs.getPage(b, fs.ft.fds[fd], 0, nil); err != nil {
+				if ref, _, err := fs.getPage(b, fs.ft.fds[fd], span, nil); err != nil {
 					t.Error(err)
 				} else {
 					ref.release()
@@ -149,16 +151,18 @@ func TestCostPageFault(t *testing.T) {
 // scattered over its pages — and costs the block, beside that and the lookup
 // that missed, the fault's own API call and a claim per carried page. The
 // carried pages are speculation: resident, counted as issued, not yet used.
+// The stream starts past the head the open carried.
 func TestCostCarryingFault(t *testing.T) {
 	opt := defaultOpt()
 	ps := opt.PageSize
 	span := maxHostIO / ps
-	costRig(t, opt, 2*span, func(h *harness, b *gpu.Block, fd int) {
+	costRig(t, opt, 3*span, func(h *harness, b *gpu.Block, fd int) {
 		fs, f := h.fss[0], h.fss[0].ft.fds[fd]
-		gread(t, fs, b, fd, ps) // page 0: a one-page fault, the stream's first access
+		greadAt(t, fs, b, fd, ps, span*ps) // a one-page fault, the stream's first access past the head
 		reads, strong := h.server.Requests(rpc.OpReadPages), fs.sys.StrongCalls()
+		issued := fs.CacheStats().PrefetchIssued
 		cost := elapsed(b, func() {
-			if ref, _, err := fs.getPage(b, f, 1, nil); err != nil {
+			if ref, _, err := fs.getPage(b, f, span+1, nil); err != nil {
 				t.Error(err)
 			} else {
 				ref.release()
@@ -173,10 +177,10 @@ func TestCostCarryingFault(t *testing.T) {
 		if r, s := h.server.Requests(rpc.OpReadPages)-reads, fs.sys.StrongCalls()-strong; r != 1 || s != 1 {
 			t.Errorf("the carrying fault was %d read requests, %d strong calls; want 1 and 1", r, s)
 		}
-		if cs := fs.CacheStats(); cs.PrefetchIssued != span-1 || cs.PrefetchUsed != 0 {
-			t.Errorf("%d pages issued, %d used; want the %d carried, none used yet", cs.PrefetchIssued, cs.PrefetchUsed, span-1)
+		if cs := fs.CacheStats(); cs.PrefetchIssued-issued != span-1 || cs.PrefetchUsed != 0 {
+			t.Errorf("%d pages issued, %d used; want the %d carried, none used yet", cs.PrefetchIssued-issued, cs.PrefetchUsed, span-1)
 		}
-		for idx := uint64(2); idx <= uint64(span); idx++ {
+		for idx := uint64(span + 2); idx <= uint64(2*span); idx++ {
 			if fp, _ := f.fc.tree.LookupLeaf(idx); fp == nil || !fp.Ready() ||
 				fs.cache.Frame(fp.Frame()).Spec.Load() != pcache.SpecPending {
 				t.Errorf("page %d is not resident speculation after the carrying fault", idx)
@@ -186,11 +190,9 @@ func TestCostCarryingFault(t *testing.T) {
 }
 
 // TestCostColdScanTransactions: a cold page-by-page gread of a 32-page file at
-// 16 KiB pages sends, in order, one open, a one-page fault (page 0: nothing
-// confirms a stream yet), one strong read of a whole host transaction (the
-// fault on page 1, carrying its stream's window), then relaxed reads of whole
-// spans until the file's tail: no read is smaller than a span but page 0's
-// and the tail's.
+// 16 KiB pages sends, in order, one open, which carries the file's head (pages
+// 0 to span−1, speculation), then relaxed reads of whole spans until the file's
+// tail: no strong read at all, and no read smaller than a span but the tail's.
 func TestCostColdScanTransactions(t *testing.T) {
 	const pages = 32
 	opt := defaultOpt()
@@ -207,8 +209,8 @@ func TestCostColdScanTransactions(t *testing.T) {
 		strong       bool
 		first, pages int64
 	}
-	want := []read{{true, 0, 1}, {true, 1, span}}
-	for p := 1 + span; p < pages; p += span {
+	want := []read{{true, 0, span}}
+	for p := span; p < pages; p += span {
 		want = append(want, read{false, p, min(span, pages-p)})
 	}
 	var got []read
@@ -220,6 +222,11 @@ func TestCostColdScanTransactions(t *testing.T) {
 		}
 		if opens, all := h.server.Requests(rpc.OpOpen), h.server.TotalRequests()-requests; opens != 1 || all != 1 {
 			t.Errorf("the open was %d opens of %d requests, want 1 of 1", opens, all)
+		}
+		for _, e := range tr.Snapshot() {
+			if e.Op == trace.OpPrefetch {
+				got = append(got, read{true, e.Offset / ps, e.Bytes / ps})
+			}
 		}
 		seen := len(tr.Snapshot())
 		for p := int64(0); p < pages; p++ {
@@ -257,15 +264,16 @@ func TestCostColdScanTransactions(t *testing.T) {
 
 // TestCostVectoredFill: k adjacent cold pages are k claims and ONE call on
 // the block's clock, one ring transaction, and one DMA whose completion
-// every frame shares. The file is one page more than an open carries.
+// every frame shares. The file is two spans, and the fill is the one past the
+// head the open carries.
 func TestCostVectoredFill(t *testing.T) {
 	const k = 8
 	opt := defaultOpt()
 	opt.PageSize = maxHostIO / k
-	costRig(t, opt, k+1, func(h *harness, b *gpu.Block, fd int) {
+	costRig(t, opt, 2*k, func(h *harness, b *gpu.Block, fd int) {
 		fs, f := h.fss[0], h.fss[0].ft.fds[fd]
 		issued, reads := b.Clock.Now(), h.server.Requests(rpc.OpReadPages)
-		cost := elapsed(b, func() { fs.spanFetch(b, f, 0, k, 1, pcache.SpecNone, gsys.GranBlock) })
+		cost := elapsed(b, func() { fs.spanFetch(b, f, k, k, 1, pcache.SpecNone, gsys.GranBlock) })
 
 		if want := k*fs.probeCost() + opt.APICostPerPage; cost != want {
 			t.Errorf("%d-page fill cost the block %v, want %d claims + one API call = %v", k, cost, k, want)
@@ -276,7 +284,7 @@ func TestCostVectoredFill(t *testing.T) {
 		// A relaxed call completes when its DMA lands; nobody spins on a
 		// response slot, so there is no return latency.
 		done := issued.Add(rigRPC.PollInterval + rigRPC.HandleCost + warmRead(k*opt.PageSize, k))
-		for idx := uint64(0); idx < k; idx++ {
+		for idx := uint64(k); idx < 2*k; idx++ {
 			fp, _ := f.fc.tree.LookupLeaf(idx)
 			if fp == nil || !fp.Ready() {
 				t.Errorf("page %d not resident after the fill", idx)
@@ -317,16 +325,18 @@ func TestCostSkipRule(t *testing.T) {
 // reclaims the k frames it wants from a closed file's clean pages and pays the
 // block, for each, the APICostPerPage a demand eviction pays, beside the
 // span's usual charges — a claim per page and an API call per coalesced RPC.
-// It sends the host nothing but those reads.
+// It sends the host nothing but those reads. The fill is past the head, which
+// the open reclaimed its own frames for.
 func TestCostSpeculativeReclaim(t *testing.T) {
 	const k = 4
 	opt := defaultOpt()
 	ps := opt.PageSize
+	span := maxHostIO / ps
 	frames := opt.BufferCacheBytes / ps
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
 	h.write(t, "/closed", pattern(int(frames*ps), 1))
-	h.write(t, "/f", pattern(k*int(ps), 2))
+	h.write(t, "/f", pattern(int((span+k)*ps), 2))
 	_, err := h.devs[0].Launch(simtime.Time(simtime.Second), 1, 64, func(b *gpu.Block) error {
 		fd, err := fs.Open(b, "/closed", O_RDONLY)
 		if err != nil {
@@ -343,7 +353,8 @@ func TestCostSpeculativeReclaim(t *testing.T) {
 			t.Fatalf("%d frames free, want a dry pool", free)
 		}
 		reads, requests := h.server.Requests(rpc.OpReadPages), h.server.TotalRequests()
-		cost := elapsed(b, func() { fs.spanFetch(b, fs.ft.fds[fd], 0, k, 1, pcache.SpecPending, gsys.GranBlock) })
+		reclaimed := fs.CacheStats().SpecReclaimed
+		cost := elapsed(b, func() { fs.spanFetch(b, fs.ft.fds[fd], span, k, 1, pcache.SpecPending, gsys.GranBlock) })
 
 		rpcs := (k*ps + maxHostIO - 1) / maxHostIO // the k adjacent pages, one RPC per span
 		probe := opt.APICostPerPage >> probeCostShift
@@ -354,7 +365,7 @@ func TestCostSpeculativeReclaim(t *testing.T) {
 		if r, all := h.server.Requests(rpc.OpReadPages)-reads, h.server.TotalRequests()-requests; r != rpcs || all != rpcs {
 			t.Errorf("%d read requests of %d requests, want %d of %d", r, all, rpcs, rpcs)
 		}
-		if got := fs.CacheStats().SpecReclaimed; got != k {
+		if got := fs.CacheStats().SpecReclaimed - reclaimed; got != k {
 			t.Errorf("%d pages reclaimed for speculation, want %d", got, k)
 		}
 		return fs.Close(b, fd)
@@ -368,8 +379,9 @@ func TestCostSpeculativeReclaim(t *testing.T) {
 // TestCostSmallFileRidesWithItsOpen: in the extended system, gopen + gread +
 // gclose of a one-page file is one ring transaction — the open's, which also
 // preads the file and DMAs it into a frame the block offered — and the gread
-// is a hit. A file one byte larger than the offer rides nowhere. In the
-// prototype an open is what it was: two transactions.
+// is a hit. Of a file one byte larger than the offer, the head rides instead,
+// as speculation that the gread uses. In the prototype an open is what it was:
+// two transactions.
 func TestCostSmallFileRidesWithItsOpen(t *testing.T) {
 	type cost struct {
 		open, read             simtime.Duration
@@ -422,11 +434,12 @@ func TestCostSmallFileRidesWithItsOpen(t *testing.T) {
 	}); got != want {
 		t.Errorf("one-page file, extended:\n got %+v\nwant %+v (open = plain open + pread + DMA + one claim; gread = a hit)", got, want)
 	}
+	span := maxHostIO / ps
 	if got, want := scan(opt, maxHostIO+1), (cost{
-		open: plainOpen, read: fault,
-		requests: 2, reads: 1, misses: 1,
+		open: plainOpen + warmRead(maxHostIO, int(span)) + simtime.Duration(span)*probe, read: hit,
+		requests: 1, hits: 1, filled: span, prefetched: span + 1, carriedLen: maxHostIO,
 	}); got != want {
-		t.Errorf("file one byte past the span, extended:\n got %+v\nwant %+v (nothing rides)", got, want)
+		t.Errorf("file one byte past the span, extended:\n got %+v\nwant %+v (the head rides; gread = a hit on it)", got, want)
 	}
 	staging := simtime.TransferTime(ps, rigBus.HostMemBandwidth)
 	if got, want := scan(prototypeOpt(), ps), (cost{
@@ -487,7 +500,8 @@ func TestCostWholePageWriteMiss(t *testing.T) {
 			}
 			ref.release()
 		}
-		miss("whole-page write miss", ps, 0, 0)
+		span := maxHostIO / ps
+		miss("whole-page write miss past the head", ps, span*ps, 0)
 		miss("write miss reaching end of file", ps/2, (pages-1)*ps, 0)
 
 		// Dry pool: make the victims clean, fill the cache with clean pages,
@@ -504,22 +518,23 @@ func TestCostWholePageWriteMiss(t *testing.T) {
 }
 
 // TestCostPartialPageWriteMiss: a gwrite that leaves bytes of the page to the
-// host's copy still faults it in — one read — and then pays its copy. The file
-// is one page more than an open carries.
+// host's copy still faults it in — one read — and then pays its copy. The
+// writes land past the head the open carries.
 func TestCostPartialPageWriteMiss(t *testing.T) {
 	opt := defaultOpt()
 	ps := opt.PageSize
+	head := int64(maxHostIO)
 	ring := rigRPC.PollInterval + rigRPC.HandleCost + rigRPC.ReturnLatency
 	fault := opt.RadixLookupLockFree + ring + warmRead(ps, 1) + opt.APICostPerPage
 	for _, c := range []struct {
 		what   string
 		off, n int64
 	}{
-		{"write inside a page", ps / 4, ps / 2},
-		{"write from the page boundary, short of the page and of end of file", ps, ps / 2},
-		{"write to the end of a page from inside it", 2*ps + ps/2, ps / 2},
+		{"write inside a page", head + ps/4, ps / 2},
+		{"write from the page boundary, short of the page and of end of file", head + ps, ps / 2},
+		{"write to the end of a page from inside it", head + 2*ps + ps/2, ps / 2},
 	} {
-		costRigFlags(t, opt, maxHostIO+ps, O_RDWR, func(h *harness, b *gpu.Block, fd int) {
+		costRigFlags(t, opt, head+4*ps, O_RDWR, func(h *harness, b *gpu.Block, fd int) {
 			fs := h.fss[0]
 			reads, requests := h.server.Requests(rpc.OpReadPages), h.server.TotalRequests()
 			got := elapsed(b, func() { gwrite(t, fs, b, fd, pattern(int(c.n), 9), c.off) })
@@ -535,12 +550,12 @@ func TestCostPartialPageWriteMiss(t *testing.T) {
 
 // TestCostWriteSharedWholePageStillFetches: O_GWRSHARED write-back diffs
 // against the pristine copy, so even a whole-page overwrite fetches the page
-// (of a file one page more than an open carries).
+// (the page of a file one page more than an open carries that is past the head).
 func TestCostWriteSharedWholePageStillFetches(t *testing.T) {
 	opt := defaultOpt()
 	costRigFlags(t, opt, maxHostIO+opt.PageSize, O_RDWR|O_GWRSHARED, func(h *harness, b *gpu.Block, fd int) {
 		reads := h.server.Requests(rpc.OpReadPages)
-		gwrite(t, h.fss[0], b, fd, pattern(int(opt.PageSize), 9), 0)
+		gwrite(t, h.fss[0], b, fd, pattern(int(opt.PageSize), 9), maxHostIO)
 		if got := h.server.Requests(rpc.OpReadPages) - reads; got != 1 {
 			t.Errorf("write-shared whole-page write miss was %d reads, want 1", got)
 		}

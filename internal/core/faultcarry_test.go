@@ -38,11 +38,12 @@ func carriedRead(fs *FS, b *gpu.Block, fd int, buf []byte, off int64) (n int, ca
 // the host's error and gives every claim up: the pool's free lists and
 // counters, the tree's leaves and every slot of the window are as they were
 // before the gread. A retry reads the right bytes, carrying the window again.
+// The stream starts past the head the open carried.
 func TestCarryingFaultEIO(t *testing.T) {
 	opt := defaultOpt()
 	ps := opt.PageSize
 	span := maxHostIO / ps
-	want := pattern(int(2*span*ps), 8)
+	want := pattern(int(3*span*ps), 8)
 	h := newFaultHarness(t, opt, faults.Config{Seed: 7, HostReadEIOProb: 1}, 1, 1)
 	fs := h.fss[0]
 	h.inj.SetEnabled(false)
@@ -53,13 +54,14 @@ func TestCarryingFaultEIO(t *testing.T) {
 			return err
 		}
 		f := fs.ft.fds[fd]
-		gread(t, fs, b, fd, ps) // page 0, the stream's first access
+		greadAt(t, fs, b, fd, ps, span*ps) // the stream's first access past the head
 		pool, leaves := poolOf(t, fs.cache), f.fc.tree.Leaves()
+		issued, pending := fs.CacheStats().PrefetchIssued, fs.specPending.Load()
 
 		h.inj.SetEnabled(true)
 		buf := make([]byte, ps)
-		if _, err := fs.Read(b, fd, buf, ps); !errors.Is(err, hostfs.ErrIO) {
-			t.Errorf("gread of page 1: %v, want the host's I/O error", err)
+		if _, err := fs.Read(b, fd, buf, (span+1)*ps); !errors.Is(err, hostfs.ErrIO) {
+			t.Errorf("gread of page %d: %v, want the host's I/O error", span+1, err)
 		}
 		h.inj.SetEnabled(false)
 		if got := poolOf(t, fs.cache); !reflect.DeepEqual(got, pool) {
@@ -68,22 +70,22 @@ func TestCarryingFaultEIO(t *testing.T) {
 		if got := f.fc.tree.Leaves(); got != leaves {
 			t.Errorf("%d leaves after the failed fault, %d before", got, leaves)
 		}
-		for idx := uint64(1); idx <= uint64(span); idx++ {
+		for idx := uint64(span + 1); idx <= uint64(2*span); idx++ {
 			if fp, _ := f.fc.tree.LookupLeaf(idx); fp != nil && !fp.Empty() {
 				t.Errorf("page %d of the window is not empty after the failed fault", idx)
 			}
 		}
-		if cs := fs.CacheStats(); cs.PrefetchIssued != 0 || fs.specPending.Load() != 0 {
-			t.Errorf("the failed carry counted %d pages issued, %d pending", cs.PrefetchIssued, fs.specPending.Load())
+		if cs := fs.CacheStats(); cs.PrefetchIssued != issued || fs.specPending.Load() != pending {
+			t.Errorf("the failed carry counted %d pages issued, %d pending", cs.PrefetchIssued-issued, fs.specPending.Load()-pending)
 		}
 
-		for p := int64(1); p <= span; p++ {
+		for p := span + 1; p <= 2*span; p++ {
 			n, carried, err := carriedRead(fs, b, fd, buf, p*ps)
 			if err != nil || int64(n) != ps || !bytes.Equal(buf, want[p*ps:(p+1)*ps]) {
 				t.Errorf("retried gread of page %d: n=%d err=%v, or the bytes are not the file's", p, n, err)
 			}
-			if p == 1 && carried != span-1 {
-				t.Errorf("the retried fault on page 1 carried %d pages, want %d", carried, span-1)
+			if p == span+1 && carried != span-1 {
+				t.Errorf("the retried fault on page %d carried %d pages, want %d", p, carried, span-1)
 			}
 		}
 		return fs.Close(b, fd)
@@ -95,12 +97,12 @@ func TestCarryingFaultEIO(t *testing.T) {
 
 // TestCarryingFaultShortReads: the daemon completes a carrying fault's read
 // that the host returns piecemeal, like any other, and every carried page
-// holds the file's bytes.
+// holds the file's bytes. The stream starts past the head the open carried.
 func TestCarryingFaultShortReads(t *testing.T) {
 	opt := defaultOpt()
 	ps := opt.PageSize
 	span := maxHostIO / ps
-	want := pattern(int(2*span*ps), 9)
+	want := pattern(int(3*span*ps), 9)
 	h := newFaultHarness(t, opt, faults.Config{Seed: 5, HostShortReadProb: 1}, 1, 1)
 	fs := h.fss[0]
 	h.inj.SetEnabled(false)
@@ -112,13 +114,13 @@ func TestCarryingFaultShortReads(t *testing.T) {
 			return err
 		}
 		buf := make([]byte, ps)
-		for p := int64(0); p <= span; p++ {
+		for p := span; p <= 2*span; p++ {
 			n, carried, err := carriedRead(fs, b, fd, buf, p*ps)
 			if err != nil || int64(n) != ps || !bytes.Equal(buf, want[p*ps:(p+1)*ps]) {
 				t.Errorf("gread of page %d: n=%d err=%v, or the bytes are not the file's", p, n, err)
 			}
 			wantCarried := int64(0)
-			if p == 1 {
+			if p == span+1 {
 				wantCarried = span - 1
 			}
 			if carried != wantCarried {
@@ -229,9 +231,10 @@ func TestStrideTwoNeverCarries(t *testing.T) {
 }
 
 // TestCarryAfterOneStepIsBounded: one +1 step followed by random pages costs
-// at most one span of speculation, which the cache reclaims unconsumed and
-// counts as waste. Repeated, such steps stand the file's speculation down
-// under the hook's own waste rule, after which no fault carries.
+// at most one span of speculation past the open's counted head, which the
+// cache reclaims unconsumed with the head and counts as waste. Repeated, such
+// steps stand the file's speculation down under the hook's own waste rule,
+// after which no fault carries.
 func TestCarryAfterOneStepIsBounded(t *testing.T) {
 	const pages = 512
 	opt := defaultOpt() // 64 frames
@@ -241,14 +244,15 @@ func TestCarryAfterOneStepIsBounded(t *testing.T) {
 	fs := h.fss[0]
 	h.write(t, "/r", pattern(pages*int(ps), 5))
 
-	// Random pages after the step at 100: none in its window or next to the
-	// page before it, no delta repeated, and enough of them to cycle the cache.
+	// Random pages after the step at 100: none in its window, in the head or
+	// next to the page before it, no delta repeated, and enough of them to
+	// cycle the cache.
 	rng := rand.New(rand.NewSource(1))
 	walk := []int64{100, 101}
 	used := map[int64]bool{}
 	for len(walk) < 2+80 {
 		p, last := rng.Int63n(pages), walk[len(walk)-1]
-		if used[p] || p >= 100 && p <= 100+span || p == last+1 || p-last == last-walk[len(walk)-2] {
+		if used[p] || p >= 100 && p <= 100+span || p < span || p == last+1 || p-last == last-walk[len(walk)-2] {
 			continue
 		}
 		used[p] = true
@@ -266,9 +270,9 @@ func TestCarryAfterOneStepIsBounded(t *testing.T) {
 				return err
 			}
 		}
-		if cs := fs.CacheStats(); cs.PrefetchIssued == 0 || cs.PrefetchIssued > span-1 || cs.PrefetchUsed != 0 || cs.PrefetchWasted != cs.PrefetchIssued {
-			t.Errorf("one step then random pages: %d issued, %d used, %d wasted; want at most %d issued, all wasted",
-				cs.PrefetchIssued, cs.PrefetchUsed, cs.PrefetchWasted, span-1)
+		if cs := fs.CacheStats(); cs.PrefetchIssued <= span || cs.PrefetchIssued > span+span-1 || cs.PrefetchUsed != 0 || cs.PrefetchWasted != cs.PrefetchIssued {
+			t.Errorf("one step then random pages: %d issued, %d used, %d wasted; want the head's %d and at most %d more issued, all wasted",
+				cs.PrefetchIssued, cs.PrefetchUsed, cs.PrefetchWasted, span, span-1)
 		}
 
 		// Steps far apart: each carries a window the next steps skip.
@@ -281,7 +285,7 @@ func TestCarryAfterOneStepIsBounded(t *testing.T) {
 			}
 			return nil
 		}
-		// The stand-down rule (raClamp): waste has overtaken use over 64 pages.
+		// plan's stand-down: waste has overtaken use over 64 pages.
 		stoodDown := func() bool {
 			used, wasted := f.fc.prefetchUsed.Load(), f.fc.prefetchWasted.Load()
 			return wasted > used && used+wasted >= 64

@@ -86,7 +86,8 @@ func TestModelConformanceZeroCopy(t *testing.T) {
 // host writer replaces a one-page file between gclose and a re-open under other
 // flags (so no fast reopen: a host open, whose offer is filled) — the reader
 // sees the new bytes under the new generation, with the old page gone. The
-// file then grows past a span between opens, and the next open carries nothing.
+// file then grows past a span between opens, and the next open carries the new
+// generation's head: the only pages the stride detector's feedback hears of.
 func TestModelCarriedOpenIsCloseToOpen(t *testing.T) {
 	opt := defaultOpt()
 	ps := int(opt.PageSize)
@@ -126,12 +127,13 @@ func TestModelCarriedOpenIsCloseToOpen(t *testing.T) {
 	h.write(t, "/m", replaced)
 	openRead(O_RDWR, replaced, 1)
 	h.write(t, "/m", grown)
-	openRead(O_RDONLY, grown, 0)
+	span := int64(maxHostIO / ps)
+	openRead(O_RDONLY, grown, span)
 	if s := fs.Snapshot(); s.HostOpens != 3 || s.ClosedTableReuses != 0 {
 		t.Errorf("%d host opens and %d closed-table reuses, want 3 and 0: a stale cache was kept", s.HostOpens, s.ClosedTableReuses)
 	}
-	if got := fs.CacheStats(); got.PrefetchWasted != 0 || got.PrefetchUsed != 0 {
-		t.Errorf("the carried pages reached the stride detector's feedback: %+v", got)
+	if got := fs.CacheStats(); got.PrefetchWasted != 0 || got.PrefetchUsed != span || got.PrefetchIssued != span {
+		t.Errorf("the whole-file carries reached the stride detector's feedback, or the head did not: %+v", got)
 	}
 }
 

@@ -77,9 +77,9 @@ func (fs *FS) reopen(b *gpu.Block, f *file, cand *fileCache) (*fileCache, int64,
 }
 
 // hostOpen forwards the first gopen of a file to the CPU and registers
-// write intent. A file small enough rides back with the open: the call offers
-// frames of a fresh cache, and those that return filled are its first pages
-// before any table shows it.
+// write intent. The file's first span rides back with the open (offer): the
+// call offers frames of a fresh cache, and those that return filled are its
+// first pages before any table shows it.
 func (fs *FS) hostOpen(b *gpu.Block, f *file) (*fileCache, int64, int64, error) {
 	fs.hostOpens.Add(1)
 
@@ -100,8 +100,8 @@ func (fs *FS) hostOpen(b *gpu.Block, f *file) (*fileCache, int64, int64, error) 
 	if f.noSync {
 		hostFlags |= hostfs.O_CREATE
 	}
-	c := fs.offer(b, f, newFileCache(f.path))
-	hfd, info, ns, err := fs.lane(b).Open(b.Clock, f.path, hostFlags, hostfs.ModeRead|hostfs.ModeWrite, c.dsts())
+	c := fs.offer(b, f, newFileCache(f.path), true)
+	hfd, info, ns, err := fs.lane(b).Open(b.Clock, f.path, hostFlags, hostfs.ModeRead|hostfs.ModeWrite, c.dsts(), c.head)
 	fs.settle(b, &c, ns)
 	if err != nil {
 		return nil, 0, 0, err

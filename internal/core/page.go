@@ -100,10 +100,14 @@ func claim(fp *radix.FPage, leaf *radix.Node) bool {
 	return true
 }
 
-// takeFrame pops a free frame for the page of fc at offset, steered by the
-// caller's lane, or returns nil when the pool is dry.
-func (fs *FS) takeFrame(lane int, fc *fileCache, offset int64) *pcache.Frame {
-	fr := fs.cache.TryAllocOn(lane, fc.tree.ID(), offset)
+// takeFrame pops a free frame for the page of fc at offset, steered by b's
+// lane; nil when the pool is dry, once a guess (want > 0) has reclaimed up to
+// want closed clean pages (reclaimForSpec) for it and the frames it takes next.
+func (fs *FS) takeFrame(b *gpu.Block, fc *fileCache, offset int64, want int) *pcache.Frame {
+	fr := fs.cache.TryAllocOn(b.Idx, fc.tree.ID(), offset)
+	if fr == nil && want > 0 && fs.reclaimForSpec(b, want) > 0 {
+		fr = fs.cache.TryAllocOn(b.Idx, fc.tree.ID(), offset)
+	}
 	if fr != nil {
 		fs.addFrames(fc, 1)
 	}
@@ -162,10 +166,10 @@ func (fs *FS) abort(lane int, fc *fileCache, rs ...pageRef) {
 	}
 }
 
-// A host open brings a small file in with it (hostOpen, OpenAhead): offer
-// before the call, settle on its reply, accept once the open knows its cache.
-// An offer that comes back empty leaves no trace: the pool, its counters and
-// the tree are as if it had not been made (see settle and accept).
+// A host open brings its file's first pages in with it (hostOpen, OpenAhead):
+// offer before the call, settle on its reply, accept once the open knows its
+// cache. An offer that comes back empty leaves no trace but what a dry pool
+// reclaimed: the pool, its counters and the tree are as before (settle, accept).
 
 // carry is the frames a host open offers for the file's content, then those of
 // them that received some.
@@ -173,24 +177,23 @@ type carry struct {
 	fc     *fileCache      // the fresh cache the frames were taken for
 	frames []*pcache.Frame // for its pages 0, 1, …
 	ns     []int           // once settled: the bytes that landed in each
+	head   bool            // the open asks for the head of a file the frames do not hold
 }
 
-// offer takes free frames for the first pages of fc — the fresh cache of f's
-// host open, which no table knows yet — for the open to carry the file's
-// content into: one host transaction's worth, as the planner allows an open
-// (plan), fewer when the pool runs dry, since an open never evicts.
-func (fs *FS) offer(b *gpu.Block, f *file, fc *fileCache) carry {
-	c := carry{fc: fc}
-	n := fs.plan(onOpen, f, 0, fs.spanPages(), 1, 0)
-	c.frames = make([]*pcache.Frame, 0, n)
+// offer takes frames for the first pages of fc — the fresh cache of f's host
+// open, which no table knows yet — for the open to carry the file's content
+// into: one host transaction's worth, as the planner allows a strong open or
+// an open-ahead (openPlan), fewer when the pool runs dry.
+func (fs *FS) offer(b *gpu.Block, f *file, fc *fileCache, strong bool) carry {
+	n, reclaim, head := fs.openPlan(f, strong)
+	c := carry{fc: fc, head: head, frames: make([]*pcache.Frame, 0, n)}
 	for i := int64(0); i < n; i++ {
-		fr := fs.cache.TryAllocOn(b.Idx, fc.tree.ID(), i*fs.opt.PageSize)
+		fr := fs.takeFrame(b, fc, i*fs.opt.PageSize, int(reclaim-i))
 		if fr == nil {
 			break
 		}
 		c.frames = append(c.frames, fr)
 	}
-	fs.addFrames(fc, int64(len(c.frames))) // takeFrame's count, once for the offer
 	return c
 }
 
@@ -228,14 +231,15 @@ func (fs *FS) settle(b *gpu.Block, c *carry, ns []int) {
 // now are the slots — and the leaf under them, whose age is eviction's FIFO
 // order — materialized: a tree must not remember an offer that carried
 // nothing. The cache is still the opener's alone, so every claim wins.
-// readyAt is publish's. The pages are nobody's guess (SpecNone): the stride
-// detector did not issue them and its used/wasted feedback must not hear of
-// them.
+// A whole file is nobody's guess (SpecNone; readyAt is publish's): the stride
+// detector's feedback must not hear of it. A head, less than the file, is a
+// guess, usable from the open's completion, and primes the opener's slot.
 func (fs *FS) accept(b *gpu.Block, f *file, c *carry, fc *fileCache, readyAt simtime.Time) int64 {
 	if fc != c.fc {
 		fs.settle(b, c, nil)
 		return 0
 	}
+	run := make([]pageRef, len(c.frames))
 	var carried int64
 	for i, fr := range c.frames {
 		g := fc.tree.Pin()
@@ -245,13 +249,19 @@ func (fs *FS) accept(b *gpu.Block, f *file, c *carry, fc *fileCache, readyAt sim
 		if !ok {
 			panic(fmt.Sprintf("gpufs: page %d of %q claimed on a cache no table holds yet", i, fc.path))
 		}
-		r := pageRef{fr: fr, fp: fp}
-		fs.publish(b, f, r, c.ns[i], readyAt, pcache.SpecNone)
-		b.Busy(fs.probeCost())
-		r.release()
+		run[i] = pageRef{fr: fr, fp: fp}
 		carried += int64(c.ns[i])
 	}
-	fs.openFilled.Add(int64(len(c.frames)))
+	spec := pcache.SpecNone
+	if carried < fc.size.Load() && len(run) > 0 {
+		spec, readyAt = pcache.SpecPending, b.Clock.Now()
+		st := &f.ra[b.Idx&(raStreams-1)]
+		st.mu.Lock()
+		fs.prime(st, -1, int64(len(run)))
+		st.mu.Unlock()
+	}
+	fs.publishRun(b, f, run, c.ns, readyAt, spec, 0, b.Clock.Now())
+	fs.openFilled.Add(int64(len(run)))
 	return carried
 }
 

@@ -94,12 +94,14 @@ func TestPutBackKeepsThePage(t *testing.T) {
 
 // TestReclaimCountsWastedSpeculation: reclaiming a prefetched page nobody
 // consumed is the one event behind prefetch_wasted and the specPending gauge,
-// and each moves by exactly one; a demand-faulted page moves neither.
+// and each moves by exactly one; a demand-faulted page moves neither. Both
+// pages lie past the head the open carries, which stays resident.
 func TestReclaimCountsWastedSpeculation(t *testing.T) {
 	opt := defaultOpt()
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
-	h.write(t, "/a", pattern(int(maxHostIO+opt.PageSize), 3)) // more than an open carries
+	span := maxHostIO / opt.PageSize
+	h.write(t, "/a", pattern(int(maxHostIO+2*opt.PageSize), 3))
 
 	h.run(t, 0, func(b *gpu.Block) error {
 		fd, err := fs.Open(b, "/a", O_RDONLY)
@@ -107,14 +109,16 @@ func TestReclaimCountsWastedSpeculation(t *testing.T) {
 			return err
 		}
 		f := fs.ft.fds[fd]
-		fs.spanFetch(b, f, 0, 1, 1, pcache.SpecPending, gsys.GranBlock)
-		if _, err := fs.Read(b, fd, make([]byte, opt.PageSize), opt.PageSize); err != nil {
+		head := fs.specPending.Load()
+		fs.spanFetch(b, f, span, 1, 1, pcache.SpecPending, gsys.GranBlock)
+		if _, err := fs.Read(b, fd, make([]byte, opt.PageSize), (span+1)*opt.PageSize); err != nil {
 			return err
 		}
-		if got := fs.specPending.Load(); got != 1 {
+		if got := fs.specPending.Load() - head; got != 1 {
 			t.Fatalf("specPending = %d after one speculative page", got)
 		}
-		for idx, speculative := range []bool{true, false} {
+		for i, speculative := range []bool{true, false} {
+			idx := span + int64(i)
 			fc, fp := slotOf(t, fs, fd, uint64(idx))
 			fr := fs.beginEvict(fp)
 			if fr == nil {
@@ -143,8 +147,8 @@ func TestReclaimCountsWastedSpeculation(t *testing.T) {
 		}
 		return fs.Close(b, fd)
 	})
-	if free := fs.cache.FreeFrames(); free != fs.cache.NumFrames() {
-		t.Errorf("%d of %d frames free after reclaiming everything", free, fs.cache.NumFrames())
+	if free := fs.cache.FreeFrames(); int64(free) != int64(fs.cache.NumFrames())-span {
+		t.Errorf("%d of %d frames free after reclaiming everything but the head", free, fs.cache.NumFrames())
 	}
 }
 
@@ -387,6 +391,11 @@ func poolOf(t *testing.T, c *pcache.Cache) poolState {
 // reads pages faulted off its counters). Each open below offers and comes back
 // empty; the pool, the file's tree, its resident count and the carried-page
 // count must read the same the moment the open returns as just before it.
+//
+// It runs in the dead zone (32 KiB pages), where no open asks for the head:
+// elsewhere a file larger than the offer rides in as its head, and a dry pool
+// reclaims closed clean pages for it — the one trace an offer may leave,
+// which TestHeadCarryFromADryPool pins.
 func TestEmptyOfferLeavesNoTrace(t *testing.T) {
 	type state struct {
 		Pool     poolState
@@ -394,7 +403,8 @@ func TestEmptyOfferLeavesNoTrace(t *testing.T) {
 		Resident int64
 		Filled   int64
 	}
-	opt := defaultOpt() // 64 frames over 4 shards
+	opt := defaultOpt()
+	opt.PageSize = raDeadPage // 32 frames over 4 shards
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
 	stateOf := func(path string) state {

@@ -24,7 +24,7 @@ func (fs *FS) allocFrame(b *gpu.Block, fc *fileCache, offset int64) (*pcache.Fra
 	fs.maybeClean(b.Clock.Now())
 	lastAllocs := fs.cache.Allocs()
 	for idle := 0; idle < maxIdleRounds; {
-		if fr := fs.takeFrame(b.Idx, fc, offset); fr != nil {
+		if fr := fs.takeFrame(b, fc, offset, 0); fr != nil {
 			return fr, nil
 		}
 		// Escalate the reclamation window as we starve, so heavy
@@ -94,7 +94,7 @@ func (fs *FS) evictPages(a actor, target int) int {
 	return reclaimed
 }
 
-// reclaimForSpec frees up to target frames for a guess (claimFill), on b's
+// reclaimForSpec frees up to target frames for a guess (takeFrame), on b's
 // clock: clean pages of closed files, oldest
 // retirement first and oldest leaf first — the head of paging's own order —
 // each at the APICostPerPage a demand eviction pays. Never an open file's

@@ -30,7 +30,7 @@ import (
 type trigger int
 
 const (
-	onOpen   trigger = iota // a host open carries its file's first span (offer)
+	onOpen   trigger = iota // a host open carries its file's first span (offer, openPlan)
 	onFault                 // a miss continuing a stream carries its window (raCarry)
 	onRefill                // a confirmed stride's window refills (raIssue)
 	onReplay                // the previous open's profile vouches for a stride (historyAttach)
@@ -39,7 +39,7 @@ const (
 
 // guess reports whether t fetches on a stride's word — this open's or the
 // previous one's — rather than for a read that asked (a batch) or with a host
-// transaction paid anyway (an open). Only a guess may reclaim.
+// transaction paid anyway (an open, but for its head). Only a guess reclaims.
 func (t trigger) guess() bool { return t == onFault || t == onRefill || t == onReplay }
 
 // Adaptive read-ahead parameters.
@@ -137,10 +137,11 @@ func (fs *FS) ahead(t trigger, f *file) bool {
 }
 
 // budget is the planner's budget rule: how many frames t may take now. An open
-// takes what is free; it never evicts. Anything else takes maxBatchFetch, or
-// half its frames when it has fewer than twice that, so demand faults keep
-// priority as the pool drains: a batch counts the free frames, a guess those
-// and the closed files' clean pages, the only data it may reclaim (claimFill).
+// takes what is free; it never evicts (a head in a dry pool is a guess,
+// openPlan). Anything else takes maxBatchFetch, or half its frames when it
+// has fewer than twice that, so demand faults keep priority as the pool
+// drains: a batch counts the free frames, a guess those and the closed files'
+// clean pages, the only data it may reclaim (takeFrame).
 func (fs *FS) budget(t trigger) int64 {
 	frames := int64(fs.cache.FreeFrames())
 	switch {
@@ -212,6 +213,18 @@ func (fs *FS) plan(t trigger, f *file, start, n, stride, ahead int64) int64 {
 		n = 0
 	}
 	return n
+}
+
+// openPlan is plan for a host open of f: the n frames it offers, and whether
+// it asks for the head — a first span that is less than the file, and a guess.
+// Only a strong open asks, where the gate admits a guess. Only a dry pool
+// reclaims for an offer, for a head, up to a guess's budget: reclaim = n.
+func (fs *FS) openPlan(f *file, strong bool) (n, reclaim int64, head bool) {
+	n = fs.plan(onOpen, f, 0, fs.spanPages(), 1, 0)
+	if head = strong && fs.ahead(onOpen, f) && fs.ahead(onFault, f); n == 0 && head {
+		reclaim = min(fs.spanPages(), fs.budget(onFault))
+	}
+	return n + reclaim, reclaim, head
 }
 
 // adaptiveReadAhead is the per-access hook of the engine: the calling
@@ -336,13 +349,21 @@ func (fs *FS) raCarry(b *gpu.Block, f *file, page int64, window []pageRef) int {
 			break
 		}
 	}
-	if k > 0 { // this delta confirms stride 1; the window holds a span at least
-		if st.streak == 0 || st.stride != 1 {
-			st.stride, st.streak, st.window = 1, 1, raInitWindow
-		}
-		st.window, st.nextPf, st.frontierOK = max(st.window, int(span)), page+1+int64(k), true
+	if k > 0 { // this delta confirms stride 1
+		fs.prime(st, st.lastPage, page+1+int64(k))
 	}
 	return k
+}
+
+// prime stands slot st's stream at page last on stride 1 with a span's window at
+// least and its frontier at next, so refills go out as whole spans: after a
+// carrying fault (raCarry), and from page −1 after a head (accept). Holds st.mu.
+func (fs *FS) prime(st *raStream, last, next int64) {
+	if st.streak == 0 || st.stride != 1 {
+		st.stride, st.streak, st.window = 1, 1, raInitWindow
+	}
+	st.seen, st.lastPage = true, last
+	st.window, st.nextPf, st.frontierOK = max(st.window, int(fs.spanPages())), next, true
 }
 
 // spanFetch is the one asynchronous fill: it fetches the count pages start,
@@ -436,11 +457,10 @@ func (fs *FS) claimFill(b *gpu.Block, f *file, idx int64, spec int32, want int) 
 	if !ok {
 		return pageRef{}
 	}
-	off := idx * fs.opt.PageSize
-	fr := fs.takeFrame(b.Idx, fc, off)
-	if fr == nil && spec != pcache.SpecNone && fs.reclaimForSpec(b, want) > 0 {
-		fr = fs.takeFrame(b.Idx, fc, off)
+	if spec == pcache.SpecNone {
+		want = 0
 	}
+	fr := fs.takeFrame(b, fc, idx*fs.opt.PageSize, want)
 	if fr == nil {
 		fs.abort(b.Idx, fc, pageRef{fp: fp})
 	}

@@ -102,7 +102,9 @@ func TestFetchBudgetScaling(t *testing.T) {
 // multi-page read and nothing else, though it has a table; the extended
 // system runs every route but stays out of the dead zone with its guesses;
 // an open never carries a file it truncates; and nothing is fetched ahead
-// for a file opened write-only or write-once.
+// for a file opened write-only or write-once. A host open asks for its file's
+// head where the gate admits the open and a guess both, and an open-ahead
+// never does.
 func TestSpeculationGate(t *testing.T) {
 	all := []trigger{onOpen, onFault, onRefill, onReplay, onBatch}
 	only := func(ts ...trigger) map[trigger]bool {
@@ -118,15 +120,16 @@ func TestSpeculationGate(t *testing.T) {
 		ps    int64
 		flags int
 		want  map[trigger]bool
+		head  bool
 	}{
-		{"prototype", prototypeOpt(), 16 << 10, O_RDONLY, only(onBatch)},
-		{"extended", defaultOpt(), 16 << 10, O_RDONLY, only(all...)},
-		{"extended/rdwr", defaultOpt(), 16 << 10, O_RDWR, only(all...)},
-		{"extended/32K", defaultOpt(), 32 << 10, O_RDONLY, only(onOpen, onBatch)},
-		{"extended/64K", defaultOpt(), 64 << 10, O_RDONLY, only(all...)},
-		{"extended/trunc", defaultOpt(), 16 << 10, O_RDWR | O_TRUNC, only(onFault, onRefill, onReplay, onBatch)},
-		{"extended/wronly", defaultOpt(), 16 << 10, O_WRONLY, only()},
-		{"extended/gwronce", defaultOpt(), 16 << 10, O_GWRONCE, only()},
+		{"prototype", prototypeOpt(), 16 << 10, O_RDONLY, only(onBatch), false},
+		{"extended", defaultOpt(), 16 << 10, O_RDONLY, only(all...), true},
+		{"extended/rdwr", defaultOpt(), 16 << 10, O_RDWR, only(all...), true},
+		{"extended/32K", defaultOpt(), 32 << 10, O_RDONLY, only(onOpen, onBatch), false},
+		{"extended/64K", defaultOpt(), 64 << 10, O_RDONLY, only(all...), true},
+		{"extended/trunc", defaultOpt(), 16 << 10, O_RDWR | O_TRUNC, only(onFault, onRefill, onReplay, onBatch), false},
+		{"extended/wronly", defaultOpt(), 16 << 10, O_WRONLY, only(), false},
+		{"extended/gwronce", defaultOpt(), 16 << 10, O_GWRONCE, only(), false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			opt := c.opt
@@ -151,6 +154,12 @@ func TestSpeculationGate(t *testing.T) {
 					if n := fs.plan(tr, f, 1, 2, 1, 0); n != 0 && !c.want[tr] {
 						t.Errorf("trigger %d: planned %d pages past a shut gate", tr, n)
 					}
+				}
+				if _, _, head := fs.openPlan(f, true); head != c.head {
+					t.Errorf("a host open asks for the head: %v, want %v", head, c.head)
+				}
+				if _, _, head := fs.openPlan(f, false); head {
+					t.Error("an open-ahead asks for the head")
 				}
 				return fs.Close(b, fd)
 			})
@@ -187,7 +196,7 @@ func TestPrefetchNeverEvictsFullCache(t *testing.T) {
 		}
 		defer fs.Close(b, fdB)
 		fB := fs.ft.fds[fdB]
-		allocs := fs.cache.Allocs()
+		allocs, issued := fs.cache.Allocs(), fs.CacheStats().PrefetchIssued
 		fs.spanFetch(b, fB, 0, 4, 1, pcache.SpecPending, gsys.GranBlock)
 		fs.spanFetch(b, fB, 0, 2, 2, pcache.SpecPending, gsys.GranBlock)
 		if got := fs.cache.Allocs(); got != allocs {
@@ -196,21 +205,23 @@ func TestPrefetchNeverEvictsFullCache(t *testing.T) {
 		if free := fs.cache.FreeFrames(); free != 0 {
 			t.Errorf("speculation evicted: %d frames freed", free)
 		}
+		// Counted from after the opens: /a's carried its head.
+		if got := fs.CacheStats().PrefetchIssued - issued; got != 0 {
+			t.Errorf("PrefetchIssued = %d under a full cache", got)
+		}
 		return nil
 	})
-	if cs := fs.CacheStats(); cs.PrefetchIssued != 0 {
-		t.Errorf("PrefetchIssued = %d under a full cache", cs.PrefetchIssued)
-	}
 }
 
 // TestSpeculationTakesClosedPages: a confirmed stream that finds the pool dry
 // reclaims clean pages of closed files for its window — oldest retirement
 // first and, within the file, oldest leaf first — and nothing else. The pool
 // holds one dirty page of the oldest closed file, a newer closed file that is
-// all clean (its upper leaf read first, so it is the older leaf), an open
-// file's pages, and the first six pages of a reader's file, which the reader
-// brings in with free frames 32K at a time; the sixth confirms the stride with
-// no frame left. The cleaner's lane is held busy throughout, as while it runs
+// all clean (its lower leaf holds the head its open carried, so it is the
+// older leaf though its upper half is read first), an open file's pages, and
+// the first six pages of a reader's file, which the reader's open carries in
+// as its head with the last free frames; the reader's first gread confirms the
+// stride with no frame left. The cleaner's lane is held busy throughout, as while it runs
 // a pass for an earlier kick, so the dirty page stays for speculation to meet:
 // the reader's demand faults come with the pool below the low watermark, and
 // any pass they kicked would pre-evict it.
@@ -239,7 +250,7 @@ func TestSpeculationTakesClosedPages(t *testing.T) {
 	h.write(t, "/reader", want)
 
 	half := int64(cleanPages / 2)
-	var closedHeld int64
+	var closedHeld, issued int64
 	h.run(t, 0, func(b *gpu.Block) error {
 		fd, err := fs.Open(b, "/dirty", O_RDWR)
 		if err != nil {
@@ -267,6 +278,10 @@ func TestSpeculationTakesClosedPages(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		if free := fs.cache.FreeFrames(); free != 0 || fs.ResidentPages("/reader") != warmPages {
+			t.Fatalf("the reader's open left %d frames free and carried %d pages, want none and %d", free, fs.ResidentPages("/reader"), warmPages)
+		}
+		issued = fs.CacheStats().PrefetchIssued
 		got := make([]byte, 2*ps)
 		for p := int64(0); p < readerPages; p += 2 {
 			if _, err := fs.Read(b, fd, got, p*ps); err != nil {
@@ -274,11 +289,6 @@ func TestSpeculationTakesClosedPages(t *testing.T) {
 			}
 			if !bytes.Equal(got, want[p*ps:(p+2)*ps]) {
 				t.Errorf("pages %d-%d: wrong bytes", p, p+1)
-			}
-			if p+2 == warmPages {
-				if free := fs.cache.FreeFrames(); free != 0 {
-					t.Fatalf("the stride confirmed with %d frames free, want none", free)
-				}
 			}
 		}
 		return fs.Close(b, fd)
@@ -288,8 +298,8 @@ func TestSpeculationTakesClosedPages(t *testing.T) {
 		t.Errorf("the closed table counted %d clean pages, want the clean file's %d", closedHeld, cleanPages)
 	}
 	cs := fs.CacheStats()
-	if want := int64(readerPages - warmPages); cs.PrefetchIssued != want || cs.SpecReclaimed != want {
-		t.Errorf("speculation issued %d pages and reclaimed %d, want the reader's last %d both", cs.PrefetchIssued, cs.SpecReclaimed, want)
+	if want := int64(readerPages - warmPages); cs.PrefetchIssued-issued != want || cs.SpecReclaimed != want {
+		t.Errorf("speculation issued %d pages past the reader's head and reclaimed %d, want the reader's last %d both", cs.PrefetchIssued-issued, cs.SpecReclaimed, want)
 	}
 	if got := fs.Cache().Reclaimed(); got != cs.SpecReclaimed {
 		t.Errorf("%d pages reclaimed, %d of them by speculation: a demand fault evicted", got, cs.SpecReclaimed)
@@ -311,11 +321,11 @@ func TestSpeculationTakesClosedPages(t *testing.T) {
 		t.Errorf("the open file holds %d pages, want its %d", got, openPages)
 	}
 	// Oldest leaf first, in slot order: what is gone of the clean file is the
-	// head of its upper half.
+	// head of its lower half.
 	fc := fs.ft.cacheOf("/clean")
 	for p := int64(0); p < cleanPages; p++ {
 		fp, _ := fc.tree.LookupLeaf(uint64(p))
-		gone := p >= half && p < half+cs.SpecReclaimed
+		gone := p < cs.SpecReclaimed
 		if resident := fp != nil && fp.Ready(); resident == gone {
 			t.Errorf("clean file page %d: resident %v, want %v", p, resident, !gone)
 		}
@@ -479,7 +489,8 @@ func TestReadAheadDeadZone(t *testing.T) {
 }
 
 // TestAdaptiveRandomStaysQuiet: accesses with no repeated stride never
-// clear the detector's confidence gate, so nothing is speculated.
+// clear the detector's confidence gate, so nothing is speculated past the
+// open's one counted span, the head.
 func TestAdaptiveRandomStaysQuiet(t *testing.T) {
 	opt := defaultOpt()
 	h := newHarness(t, 1, opt)
@@ -502,8 +513,8 @@ func TestAdaptiveRandomStaysQuiet(t *testing.T) {
 		}
 		return nil
 	})
-	if cs := fs.CacheStats(); cs.PrefetchIssued != 0 {
-		t.Errorf("random access speculated %d pages", cs.PrefetchIssued)
+	if cs, head := fs.CacheStats(), maxHostIO/opt.PageSize; cs.PrefetchIssued != head {
+		t.Errorf("random access speculated %d pages past the open's %d", cs.PrefetchIssued-head, head)
 	}
 }
 

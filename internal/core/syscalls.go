@@ -56,7 +56,7 @@ func (fs *FS) OpenAhead(b *gpu.Block, path string, flags int) *OpenFuture {
 	fs.opens.Add(1)
 	b.Busy(fs.opt.APICostPerPage) // control-plane bookkeeping, as in gopen
 
-	c := fs.offer(b, f, newFileCache(path))
+	c := fs.offer(b, f, newFileCache(path), false)
 	fut := fs.lane(b).OpenRelaxed(b.Clock, path, flags&hostFlagMask, hostfs.ModeRead|hostfs.ModeWrite, c.dsts())
 	reply, err := fut.Reply(), fut.Err()
 	var fc *fileCache

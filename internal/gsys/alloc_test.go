@@ -28,7 +28,7 @@ func TestBindAddsNoAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := simtime.NewClock(0)
-	fd, _, _, err := root.Open(c, "/f", hostfs.O_RDONLY, rwMode, nil)
+	fd, _, _, err := root.Open(c, "/f", hostfs.O_RDONLY, rwMode, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -219,14 +219,20 @@ func (c Client) doRelaxed(blk *simtime.Clock, sys Sysno, args []uint64, path str
 // file's metadata. dsts, which may be nil, are device memory segments offered
 // for the file's content: a file that is not empty and fits in them whole is
 // read into them by the same transaction (one host read, one scattered DMA
-// that the lane's clock waits for, as Read's), and the bytes that landed in
-// each segment the file reached are returned. They are nil when nothing was
-// carried — the file is empty or larger than the offer, or the read failed,
-// which the open survives — and the contents of dsts are then undefined.
-func (c Client) Open(blk *simtime.Clock, path string, flags int, mode hostfs.Mode, dsts [][]byte) (int64, hostfs.FileInfo, []int, error) {
+// that the lane's clock waits for, as Read's), and so, with head, is the head
+// of a larger one — as much of it as dsts hold. The bytes that landed in each
+// segment the file reached are returned. They are nil when nothing was
+// carried — the file is empty, or larger than the offer without head, or the
+// read failed, which the open survives — and the contents of dsts are then
+// undefined.
+func (c Client) Open(blk *simtime.Clock, path string, flags int, mode hostfs.Mode, dsts [][]byte, head bool) (int64, hostfs.FileInfo, []int, error) {
 	cl := readCall(dsts)
 	defer cl.done()
-	if err := c.do(blk, SysOpen, []uint64{uint64(flags), uint64(mode)}, path, nil, cl); err != nil {
+	var h uint64
+	if head {
+		h = 1
+	}
+	if err := c.do(blk, SysOpen, []uint64{uint64(flags), uint64(mode), h}, path, nil, cl); err != nil {
 		return -1, hostfs.FileInfo{}, nil, err
 	}
 	return cl.reply.FD, cl.reply.Info, cl.reply.Ns, nil

@@ -145,7 +145,8 @@ func pageSegments(n int) [][]byte {
 // carries it — one ring transaction whose host work is the open, the stat and
 // one pread, and whose DMA the block waits for as it would for a read's. A
 // file the offer does not hold, an empty file and an open that offers nothing
-// cost the open and the stat alone.
+// cost the open and the stat alone, unless the open asks for the head: then a
+// file the offer does not hold costs what one the size of the offer does.
 func TestCostCompoundOpen(t *testing.T) {
 	const size = costPage + costPage/2
 	plain := ringCycle() + 2*rigHost.SyscallOverhead
@@ -153,14 +154,19 @@ func TestCostCompoundOpen(t *testing.T) {
 		name  string
 		size  int
 		offer int
+		head  bool
 		want  simtime.Duration
 		ns    []int
 	}{
-		{"fits", size, 3, plain + warmPread(size) + rigBus.DMALatency/8 + dma(size), []int{costPage, costPage / 2}},
-		{"one page", costPage, 1, plain + warmPread(costPage) + dma(costPage), []int{costPage}},
-		{"too large", size, 1, plain, nil},
-		{"empty", 0, 2, plain, nil},
-		{"nothing offered", size, 0, plain, nil},
+		{"fits", size, 3, false, plain + warmPread(size) + rigBus.DMALatency/8 + dma(size), []int{costPage, costPage / 2}},
+		{"one page", costPage, 1, false, plain + warmPread(costPage) + dma(costPage), []int{costPage}},
+		{"too large", size, 1, false, plain, nil},
+		{"empty", 0, 2, false, plain, nil},
+		{"nothing offered", size, 0, false, plain, nil},
+		{"head", size, 1, true, plain + warmPread(costPage) + dma(costPage), []int{costPage}},
+		{"head fits", size, 3, true, plain + warmPread(size) + rigBus.DMALatency/8 + dma(size), []int{costPage, costPage / 2}},
+		{"head of empty", 0, 2, true, plain, nil},
+		{"head offered nothing", size, 0, true, plain, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig(t, true)
@@ -174,7 +180,7 @@ func TestCostCompoundOpen(t *testing.T) {
 			_, _, dmas := r.link.Stats()
 
 			dsts := pageSegments(tc.offer)
-			_, info, ns, err := r.cl.Open(c, "/f", hostfs.O_RDONLY, rwMode, dsts)
+			_, info, ns, err := r.cl.Open(c, "/f", hostfs.O_RDONLY, rwMode, dsts, tc.head)
 			if err != nil || info.Size != int64(tc.size) {
 				t.Fatalf("open: size=%d err=%v", info.Size, err)
 			}
@@ -185,7 +191,7 @@ func TestCostCompoundOpen(t *testing.T) {
 			for i, n := range ns {
 				got = append(got, dsts[i][:n]...)
 			}
-			if tc.ns != nil && !bytes.Equal(got, data) {
+			if tc.ns != nil && !bytes.Equal(got, data[:len(got)]) {
 				t.Error("the carried bytes are not the file's")
 			}
 			if got := r.srv.TotalRequests() - requests; got != 1 {
@@ -207,7 +213,7 @@ func writeFile(t *testing.T, r *rig) (fd, gen int64, c *simtime.Clock) {
 	t.Helper()
 	r.write(t, "/f", make([]byte, costPage))
 	c = simtime.NewClock(simtime.Time(simtime.Second))
-	fd, info, _, err := r.cl.Open(c, "/f", hostfs.O_RDWR, rwMode, nil)
+	fd, info, _, err := r.cl.Open(c, "/f", hostfs.O_RDWR, rwMode, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

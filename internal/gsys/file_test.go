@@ -120,7 +120,7 @@ func (r *rig) write(t *testing.T, path string, data []byte) {
 
 func (r *rig) open(t *testing.T, c *simtime.Clock, path string, flags int) int64 {
 	t.Helper()
-	fd, _, _, err := r.cl.Open(c, path, flags, rwMode, nil)
+	fd, _, _, err := r.cl.Open(c, path, flags, rwMode, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestOpenReadWriteRoundTrip(t *testing.T) {
 		want := []byte("through the ring and back")
 		r.write(t, "/f", want)
 
-		fd, info, _, err := cl.Open(c, "/f", hostfs.O_RDWR, rwMode, nil)
+		fd, info, _, err := cl.Open(c, "/f", hostfs.O_RDWR, rwMode, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -449,7 +449,7 @@ func TestOpenSurvivesItsCarriedRead(t *testing.T) {
 		r := newFaultyRig(t, zeroCopy, faults.Config{Seed: 4, HostReadEIOProb: 1.0})
 		r.write(t, "/f", want)
 		c := simtime.NewClock(0)
-		fd, info, ns, err := r.cl.Open(c, "/f", hostfs.O_RDONLY, rwMode, segments(make([]byte, len(want)), segs))
+		fd, info, ns, err := r.cl.Open(c, "/f", hostfs.O_RDONLY, rwMode, segments(make([]byte, len(want)), segs), false)
 		if err != nil || info.Size != int64(len(want)) {
 			t.Fatalf("open under a failing carried read: size=%d err=%v", info.Size, err)
 		}
@@ -463,7 +463,7 @@ func TestOpenSurvivesItsCarriedRead(t *testing.T) {
 		r = newFaultyRig(t, zeroCopy, faults.Config{Seed: 5, HostShortReadProb: 1})
 		r.write(t, "/f", want)
 		dst := make([]byte, len(want))
-		_, _, ns, err = r.cl.Open(simtime.NewClock(0), "/f", hostfs.O_RDONLY, rwMode, segments(dst, segs))
+		_, _, ns, err = r.cl.Open(simtime.NewClock(0), "/f", hostfs.O_RDONLY, rwMode, segments(dst, segs), false)
 		if err != nil || sum(ns) != len(want) || !bytes.Equal(dst, want) {
 			t.Fatalf("carried read under short reads: ns=%v err=%v", ns, err)
 		}

@@ -10,6 +10,7 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	frames := []Frame{
 		{Desc: Desc{SysOpen, GranBlock, OrderStrong, CallBlocking}, Lane: 0, Seq: 1, Path: "/a/b"},
+		{Desc: Desc{SysOpen, GranBlock, OrderStrong, CallBlocking}, Lane: 2, Seq: 3, Args: []uint64{2, 6, 1}, Path: "/a/head"},
 		{Desc: Desc{SysRead, GranBlock, OrderStrong, CallBlocking}, Lane: 17, Seq: 42, Args: []uint64{3, 1 << 40, 262144}},
 		{Desc: Desc{SysRead, GranWarp, OrderRelaxed, CallNonBlocking}, Lane: -9, Seq: 7, Args: []uint64{1, 2, 3, 4}},
 		{Desc: Desc{SysPipeWrite, GranBlock, OrderStrong, CallBlocking}, Lane: 3, Seq: 9,

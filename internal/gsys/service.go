@@ -185,13 +185,14 @@ func (s *Service) readFull(cclk *simtime.Clock, f *hostfs.File, buf []byte, off 
 }
 
 // sysOpen opens the file, stats it and — when the call offers destination
-// segments and the whole file fits in them — reads it into them, so a small
-// file's first page rides with its open instead of costing a second ring
-// transaction. The read comes after the stat: the bytes can only be newer than
-// the generation the reply reports, never older, and a caching client that
-// trusts them under that generation is at worst invalidated early. A read that
-// fails leaves the open successful with no counts; the client's own read of
-// the file meets the error itself.
+// segments and the whole file fits in them, or Args[2] asks for the file's head
+// — reads it into them, so a file's first pages ride with its open instead of
+// costing a second ring transaction. The head is as much of the file as the
+// segments hold; a frame of two arguments asks for none. The read comes after
+// the stat: the bytes can only be newer than the generation the reply reports,
+// never older, and a caching client that trusts them under that generation is
+// at worst invalidated early. A read that fails leaves the open successful
+// with no counts; the client's own read of the file meets the error itself.
 func (s *Service) sysOpen(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 	f, err := s.srv.Layer().FS().Open(cclk, c.fr.Path, int(c.fr.Args[0]), hostfs.Mode(c.fr.Args[1]))
 	if err != nil {
@@ -208,7 +209,11 @@ func (s *Service) sysOpen(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 	s.fds[c.reply.FD] = f
 	s.mu.Unlock()
 	c.reply.Info = fi
-	if dsts := covering(c.dsts, fi.Size); dsts != nil {
+	size := fi.Size
+	if len(c.fr.Args) > 2 && c.fr.Args[2] != 0 {
+		size = min(size, totalBytes(c.dsts))
+	}
+	if dsts := covering(c.dsts, size); dsts != nil {
 		if done, err := s.readInto(c, cclk, f, 0, dsts); err == nil {
 			return done, nil
 		}
@@ -229,6 +234,15 @@ func covering(dsts [][]byte, size int64) [][]byte {
 		size -= int64(len(d))
 	}
 	return nil
+}
+
+// totalBytes is the bytes segs hold.
+func totalBytes(segs [][]byte) int64 {
+	var n int64
+	for _, s := range segs {
+		n += int64(len(s))
+	}
+	return n
 }
 
 func (s *Service) sysClose(c *call, cclk *simtime.Clock) (simtime.Time, error) {
@@ -288,11 +302,7 @@ func (s *Service) readInto(c *call, cclk *simtime.Clock, f *hostfs.File, off int
 		c.reply.Ns = append(c.n[:0], n)
 		segs = 1
 	} else {
-		total := 0
-		for _, d := range dsts {
-			total += len(d)
-		}
-		bp, buf := staging(total)
+		bp, buf := staging(int(totalBytes(dsts)))
 		defer stagingPool.Put(bp)
 		if n, err = s.readFull(cclk, f, buf, off); err != nil {
 			return 0, err
@@ -323,11 +333,7 @@ func (s *Service) sysWrite(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 		return 0, err
 	}
 	c.file = f
-	total := 0
-	for _, src := range c.srcs {
-		total += len(src)
-	}
-	return c.rpc.Link().ChargeScatter(cclk.Now(), pcie.DeviceToHost, int64(total), len(c.srcs), false), nil
+	return c.rpc.Link().ChargeScatter(cclk.Now(), pcie.DeviceToHost, totalBytes(c.srcs), len(c.srcs), false), nil
 }
 
 // sysWriteLanded is the second stretch of a write: the transfer has landed
