@@ -26,9 +26,8 @@
 #                one speculation planner in internal/core/readahead.go (its
 #                gate is the one reader of FS.speculate, and no other file
 #                of the package reads the closed files' clean-page count,
-#                the dead zone or the batch cap; nothing tests the history
-#                table for nil, since it is a table, not a switch), one
-#                call of reclaimForSpec in it (an open's head and every
+#                the dead zone or the batch cap), one call of
+#                reclaimForSpec in it (an open's head and every
 #                guess reclaim through the same one), a detector slot's
 #                frontier set by raIssue and by prime, the priming helper
 #                a carrying fault and an open's head share, and nowhere
@@ -112,8 +111,7 @@ tier2:
 		if [ $$(printf '%s\n' "$$bounds" | grep -c .) -ne 1 ] || [ -n "$$old" ]; then \
 		echo "internal/core must bound every host transaction with one constant, maxHostIO; found:"; echo "$$bounds"; echo "$$old"; exit 1; fi
 	@strays=$$(grep -nE '\.speculate\b|\.closedCleanPages\(|\b(raDeadPage|maxBatchFetch)\b' \
-			$$(ls internal/core/*.go | grep -v -e '_test\.go$$' -e '/readahead\.go$$'); \
-			grep -nE 'history [!=]= nil' $$(ls internal/core/*.go | grep -v '_test\.go$$')); \
+			$$(ls internal/core/*.go | grep -v -e '_test\.go$$' -e '/readahead\.go$$')); \
 		if [ -n "$$strays" ] || [ $$(grep -c '\.speculate\b' internal/core/readahead.go) -ne 1 ]; then \
 		echo "internal/core/readahead.go's planner is the one gate, budget and clamp of every fetch ahead of demand; these lines decide elsewhere:"; echo "$$strays"; exit 1; fi
 	@calls=$$(grep -nE 'reclaimForSpec\(' $$(ls internal/core/*.go | grep -v '_test\.go$$') | \

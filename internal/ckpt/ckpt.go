@@ -4,8 +4,8 @@
 // An Image is everything a replacement host needs to impersonate a
 // draining one without the tenants noticing: per-GPU buffer-cache
 // contents (dirty pages by value, clean pages by reference), the
-// closed-file fast-reopen table with its sticky errseq write errors, the
-// history-prefetch profiles, the host-brokered pipe table, and the
+// closed-file fast-reopen table with its sticky errseq write errors and
+// each file's read-ahead profile, the host-brokered pipe table, and the
 // queued-job manifest handed to the fleet's exactly-once watchers.
 //
 // The capture protocol that fills an Image lives in internal/core (the
@@ -25,6 +25,9 @@
 //     file's (ino, generation) is validated against the live host; if
 //     the host moved underneath, the clean set is dropped (restore
 //     simply starts cold for that file) — never served stale.
+//   - A read-ahead profile is a hint: it rides on its file's image, and
+//     the restore attaches it only to a cache whose size and generation
+//     equal the image's.
 package ckpt
 
 import "errors"
@@ -61,13 +64,13 @@ type Image struct {
 
 // FSImage is one GPU's buffer-cache and open-file state.
 type FSImage struct {
-	GPU      int64
-	Files    []FileImage
-	Profiles []ProfileImage
+	GPU   int64
+	Files []FileImage
 }
 
 // FileImage is one file's cached state: identity for validation, the
-// fast-reopen flags, the sticky deferred write error, and the page sets.
+// fast-reopen flags, the sticky deferred write error, the page sets, and
+// the read-ahead profile its cache carries.
 type FileImage struct {
 	Path  string
 	Ino   int64
@@ -83,6 +86,10 @@ type FileImage struct {
 	// Clean holds page indices captured by reference; dropped at commit
 	// if the host (ino, gen) validation fails.
 	Clean []int64
+	// Strides is the read-ahead profile: what the detector knew at the
+	// file's last gclose. A restore attaches it only to a cache whose size
+	// and generation match Size and Gen.
+	Strides []StrideImage
 }
 
 // PageImage is one dirty page's payload.
@@ -90,15 +97,6 @@ type PageImage struct {
 	Index int64
 	Valid int64
 	Data  []byte
-}
-
-// ProfileImage is one file's read-ahead profile: what the detector knew
-// at the file's last gclose.
-type ProfileImage struct {
-	Path    string
-	Size    int64
-	Gen     int64
-	Strides []StrideImage
 }
 
 // StrideImage is one confirmed read-ahead detector slot: the stream's

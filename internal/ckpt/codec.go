@@ -18,7 +18,7 @@ import (
 
 const (
 	codecMagic   = 0x47434B50 // "GCKP"
-	codecVersion = 2
+	codecVersion = 3
 )
 
 // ErrTruncated is returned when the image ends mid-field.
@@ -57,16 +57,9 @@ func (img *Image) Encode() []byte {
 				e.bytes(p.Data)
 			}
 			e.i64s(f.Clean)
-		}
-		e.u64(uint64(len(g.Profiles)))
-		for j := range g.Profiles {
-			p := &g.Profiles[j]
-			e.str(p.Path)
-			e.i64(p.Size)
-			e.i64(p.Gen)
-			e.u64(uint64(len(p.Strides)))
-			for k := range p.Strides {
-				s := &p.Strides[k]
+			e.u64(uint64(len(f.Strides)))
+			for k := range f.Strides {
+				s := &f.Strides[k]
 				e.i64(s.Slot)
 				e.i64(s.First)
 				e.i64(s.Stride)
@@ -146,24 +139,16 @@ func Decode(data []byte) (*Image, error) {
 				})
 			}
 			f.Clean = d.i64s()
-			g.Files = append(g.Files, f)
-		}
-		nprof := d.count()
-		for j := uint64(0); j < nprof && d.err == nil; j++ {
-			var p ProfileImage
-			p.Path = d.str()
-			p.Size = d.i64()
-			p.Gen = d.i64()
 			ns := d.count()
 			for k := uint64(0); k < ns && d.err == nil; k++ {
-				p.Strides = append(p.Strides, StrideImage{
+				f.Strides = append(f.Strides, StrideImage{
 					Slot:   d.i64(),
 					First:  d.i64(),
 					Stride: d.i64(),
 					Window: d.i64(),
 				})
 			}
-			g.Profiles = append(g.Profiles, p)
+			g.Files = append(g.Files, f)
 		}
 		img.GPUs = append(img.GPUs, g)
 	}

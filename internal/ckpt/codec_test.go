@@ -63,23 +63,15 @@ func randImage(seed int64) *Image {
 					Data:  rb(256),
 				})
 			}
-			fi.Files = append(fi.Files, file)
-		}
-		for p := 0; p < rng.Intn(3); p++ {
-			prof := ProfileImage{
-				Path: "/data/" + rs(12),
-				Size: rng.Int63n(1 << 20),
-				Gen:  rng.Int63n(100),
-			}
 			for s := 0; s < rng.Intn(3); s++ {
-				prof.Strides = append(prof.Strides, StrideImage{
+				file.Strides = append(file.Strides, StrideImage{
 					Slot:   int64(rng.Intn(4)),
 					First:  rng.Int63n(256),
 					Stride: int64(rng.Intn(9) - 4),
 					Window: int64(1 + rng.Intn(32)),
 				})
 			}
-			fi.Profiles = append(fi.Profiles, prof)
+			fi.Files = append(fi.Files, file)
 		}
 		img.GPUs = append(img.GPUs, fi)
 	}
@@ -140,11 +132,17 @@ func TestCodecRejectsGarbage(t *testing.T) {
 			t.Errorf("case %d: decode of garbage succeeded", i)
 		}
 	}
-	// An empty image in the version-1 layout (profiles carried a burst, no
-	// first page): an unknown version, not a truncation.
-	v1 := []byte("\xd0\x96\x8d\xba\x04\x01\x00\x00\x00\x00\x00\x00")
-	if _, err := Decode(v1); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("decode of a version-1 image: %v, want ErrCorrupt", err)
+	// Empty images in older layouts are an unknown version, not a
+	// truncation: version 1 (profiles carried a burst, no first page) and
+	// version 2 (profiles in a per-GPU list keyed by path, not on their
+	// file's image).
+	for v, old := range map[int]string{
+		1: "\xd0\x96\x8d\xba\x04\x01\x00\x00\x00\x00\x00\x00",
+		2: "\xd0\x96\x8d\xba\x04\x02\x00\x00\x00\x00\x00\x00",
+	} {
+		if _, err := Decode([]byte(old)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("decode of a version-%d image: %v, want ErrCorrupt", v, err)
+		}
 	}
 	// Trailing junk after a valid image must be rejected too.
 	good := randImage(1).Encode()

@@ -151,13 +151,17 @@ func (ck *Ckpt) Walk() {
 		if f != nil && (f.noSync || f.unlinked) {
 			return
 		}
-		ck.files = append(ck.files, ckptFileEntry{fc: fc, closed: f == nil, img: ckpt.FileImage{
+		e := ckptFileEntry{fc: fc, closed: f == nil, img: ckpt.FileImage{
 			Path:  path,
 			Ino:   fc.ino,
 			Gen:   fc.gen.Load(),
 			Size:  fc.size.Load(),
 			Flags: int64(flags),
-		}})
+		}}
+		if prof := fc.profile.Load(); prof != nil {
+			e.img.Strides = *prof
+		}
+		ck.files = append(ck.files, e)
 	})
 
 	cap := ck.cap
@@ -279,7 +283,6 @@ func (ck *Ckpt) Commit() (*ckpt.FSImage, error) {
 		fs.ckptPagesClean.Add(int64(len(e.img.Clean)))
 		img.Files = append(img.Files, e.img)
 	}
-	img.Profiles = fs.exportProfiles()
 	return img, nil
 }
 
@@ -309,19 +312,6 @@ func (fs *FS) CheckpointImage(start simtime.Time) (*ckpt.FSImage, simtime.Time, 
 	return img, ck.Now(), nil
 }
 
-// exportProfiles lists the read-ahead profile table, oldest first, so a
-// restore replaying it through store() reproduces the LRU order.
-func (fs *FS) exportProfiles() []ckpt.ProfileImage {
-	h := fs.history
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var out []ckpt.ProfileImage
-	for el := h.lru.Back(); el != nil; el = el.Prev() {
-		out = append(out, *el.Value.(*ckpt.ProfileImage))
-	}
-	return out
-}
-
 // RestoreImage materializes a checkpoint image onto this (fresh) FS,
 // driven by a host-launched block so every fetch and write is charged to
 // the restore's virtual timeline. Per file: open with the image's flags,
@@ -339,9 +329,6 @@ func (fs *FS) RestoreImage(b *gpu.Block, img *ckpt.FSImage) error {
 		if err := fs.restoreFile(b, &img.Files[i]); err != nil && firstErr == nil {
 			firstErr = err
 		}
-	}
-	for i := range img.Profiles {
-		fs.history.store(&img.Profiles[i])
 	}
 	return firstErr
 }
@@ -427,6 +414,13 @@ func (fs *FS) restoreFile(b *gpu.Block, fi *ckpt.FileImage) error {
 
 	if err := fs.closeImpl(b, fd); err != nil {
 		return err
+	}
+	// The restore read no stream, so its close recorded no profile; the
+	// image's goes in its place. It is the one profile that comes from
+	// outside, so it is attached only to a cache of the file it was recorded
+	// against: same size, same host generation.
+	if fc.size.Load() == fi.Size && fc.gen.Load() == fi.Gen {
+		fc.setProfile(fi.Strides)
 	}
 	// Re-arm the sticky write-back error AFTER the close, which would
 	// otherwise have consumed it: the tenant's next gfsync/gclose on the

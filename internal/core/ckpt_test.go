@@ -442,39 +442,87 @@ func TestCkptWbErrRoundTrip(t *testing.T) {
 	})
 }
 
-// TestCkptHistoryProfileRoundTrip: the read-ahead profile table migrates,
-// so the replacement host's first opens start from the source's streams.
+// TestCkptHistoryProfileRoundTrip: a file's read-ahead profile migrates on
+// its file image, so the replacement host's first open of it starts from the
+// source's streams — when the replacement's copy is the one the profile was
+// recorded against. A copy of another size gets no profile and replays
+// nothing.
 func TestCkptHistoryProfileRoundTrip(t *testing.T) {
 	opt := defaultOpt()
+	ps := opt.PageSize
+	want := pattern(histPagesA*int(ps), 5)
 	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
-
-	prof := &ckpt.ProfileImage{
-		Path:    "/ck-hist",
-		Size:    1 << 20,
-		Gen:     1,
-		Strides: []ckpt.StrideImage{{Slot: 3, First: 5, Stride: 2, Window: 8}},
+	h.write(t, "/ck-hist", want)
+	h.run(t, 0, func(b *gpu.Block) error {
+		fd, err := fs.Open(b, "/ck-hist", O_RDONLY)
+		if err != nil {
+			return err
+		}
+		if err := histShapes()[0].read(fs, b, fd, ps, want); err != nil {
+			return err
+		}
+		return fs.Close(b, fd)
+	})
+	prof := fs.ft.cacheOf("/ck-hist").profile.Load()
+	if prof == nil {
+		t.Fatal("the sequential open recorded no profile")
 	}
-	fs.history.store(prof)
 
 	img, _, err := fs.CheckpointImage(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(img.Profiles) != 1 || img.Profiles[0].Path != "/ck-hist" {
-		t.Fatalf("profile not exported: %+v", img.Profiles)
+	if len(img.Files) != 1 || !reflect.DeepEqual(img.Files[0].Strides, *prof) {
+		t.Fatalf("profile not on its file image: %+v, want strides %+v", img.Files, *prof)
 	}
 
-	h2 := newHarness(t, 1, opt)
-	h2.run(t, 0, func(b *gpu.Block) error {
-		return h2.fss[0].RestoreImage(b, img)
-	})
-	got := h2.fss[0].history.lookup("/ck-hist")
-	if got == nil {
-		t.Fatal("profile missing after restore")
-	}
-	if !reflect.DeepEqual(got, prof) {
-		t.Errorf("restored profile diverges: %+v vs %+v", got, prof)
+	for _, tc := range []struct {
+		name     string
+		hostCopy []byte
+		attached bool
+	}{
+		{"same-copy", want, true},
+		{"other-size", want[:len(want)/2], false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h2 := newHarness(t, 1, opt)
+			fs2 := h2.fss[0]
+			h2.write(t, "/ck-hist", tc.hostCopy)
+			h2.run(t, 0, func(b *gpu.Block) error {
+				return fs2.RestoreImage(b, img)
+			})
+			got := fs2.ft.cacheOf("/ck-hist").profile.Load()
+			if tc.attached && (got == nil || !reflect.DeepEqual(*got, *prof)) {
+				t.Fatalf("restored profile %v, want %+v", got, *prof)
+			}
+			if !tc.attached && got != nil {
+				t.Fatalf("profile attached to a copy of another size: %+v", *got)
+			}
+			before := fs2.CacheStats()
+			h2.run(t, 0, func(b *gpu.Block) error {
+				fd, err := fs2.Open(b, "/ck-hist", O_RDONLY)
+				if err != nil {
+					return err
+				}
+				buf := make([]byte, len(tc.hostCopy))
+				if _, err := fs2.Read(b, fd, buf, 0); err != nil {
+					return err
+				}
+				if !bytes.Equal(buf, tc.hostCopy) {
+					return errors.New("restored file reads wrong bytes")
+				}
+				return fs2.Close(b, fd)
+			})
+			replays := fs2.CacheStats().HistoryReplays - before.HistoryReplays
+			issued := fs2.CacheStats().ReplayIssued - before.ReplayIssued
+			if tc.attached && replays != 1 {
+				t.Errorf("first open after restore: %d replays, want 1", replays)
+			}
+			if !tc.attached && (replays != 0 || issued != 0) {
+				t.Errorf("first open after restore replayed: %d replays, %d pages", replays, issued)
+			}
+		})
 	}
 }
 

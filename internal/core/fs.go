@@ -130,20 +130,13 @@ type FS struct {
 	dirtyPages atomic.Int64
 
 	// History accounting (ISSUE 9), surfaced as CacheStats.Replay* and
-	// History*: pages issued on a recorded profile's word (a subset of
-	// prefetchIssued), their used/wasted outcomes, opens that started from
-	// a profile, and profiles dropped because the host copy changed
-	// between opens.
-	historyIssued        atomic.Int64
-	historyUsed          atomic.Int64
-	historyWasted        atomic.Int64
-	historyReplays       atomic.Int64
-	historyInvalidations atomic.Int64
-
-	// history is the per-file access-profile table the read-ahead
-	// detector records into at gclose and seeds from at gopen; a table, not
-	// a switch (it stays empty under the prototype).
-	history *historyTable
+	// HistoryReplays: pages issued on a recorded profile's word (a subset of
+	// prefetchIssued), their used/wasted outcomes, and opens that started
+	// from a profile.
+	historyIssued  atomic.Int64
+	historyUsed    atomic.Int64
+	historyWasted  atomic.Int64
+	historyReplays atomic.Int64
 
 	// speculate turns on every route ahead of demand but a read's batch;
 	// the planner's gate (ahead) is its one reader.
@@ -234,7 +227,6 @@ func New(gpuID int, opt Options, client *rpc.Client, mem *memsys.Arena) (*FS, er
 		sys:       gsys.NewClient(svc, client, extended),
 		cache:     cache,
 		ft:        newFTable(),
-		history:   newHistoryTable(),
 		speculate: extended,
 		inPlace:   extended,
 	}
@@ -284,7 +276,6 @@ func (fs *FS) attachMetrics(reg *metrics.Registry) {
 	reg.SetHelp("gpufs_core_replay_used_total", "Profile-issued pages later consumed by a demand access")
 	reg.SetHelp("gpufs_core_replay_wasted_total", "Profile-issued pages reclaimed unconsumed")
 	reg.SetHelp("gpufs_core_history_replays_total", "Opens that started from a recorded access profile")
-	reg.SetHelp("gpufs_core_history_invalidations_total", "Profiles dropped because the host copy changed between opens")
 	reg.SetHelp("gpufs_ckpt_snapshot_bytes_total", "Bytes captured by value into checkpoint images")
 	reg.SetHelp("gpufs_ckpt_cow_faults_total", "Pages preserved by the checkpoint copy-on-write write hook")
 	reg.SetHelp("gpufs_ckpt_validation_drops_total", "Speculated clean pages dropped at commit because the host moved")
@@ -312,7 +303,6 @@ func (fs *FS) attachMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("gpufs_core_replay_used_total", fs.historyUsed.Load, "gpu", gpuL)
 	reg.CounterFunc("gpufs_core_replay_wasted_total", fs.historyWasted.Load, "gpu", gpuL)
 	reg.CounterFunc("gpufs_core_history_replays_total", fs.historyReplays.Load, "gpu", gpuL)
-	reg.CounterFunc("gpufs_core_history_invalidations_total", fs.historyInvalidations.Load, "gpu", gpuL)
 	reg.CounterFunc("gpufs_ckpt_snapshot_bytes_total", fs.ckptSnapshotBytes.Load, "gpu", gpuL)
 	reg.CounterFunc("gpufs_ckpt_cow_faults_total", fs.ckptCoWFaults.Load, "gpu", gpuL)
 	reg.CounterFunc("gpufs_ckpt_validation_drops_total", fs.ckptValidationDrops.Load, "gpu", gpuL)
@@ -420,14 +410,11 @@ type CacheStats struct {
 	// ReplayIssued/Used/Wasted count pages issued on a recorded profile's
 	// word — the open-time pre-warm and a seeded stream's first access
 	// (a subset of the Prefetch* counters above); HistoryReplays counts
-	// opens that started from a profile, and HistoryInvalidations counts
-	// profiles dropped because the host copy changed between opens
-	// (ISSUE 9).
-	ReplayIssued         int64
-	ReplayUsed           int64
-	ReplayWasted         int64
-	HistoryReplays       int64
-	HistoryInvalidations int64
+	// opens that started from a profile (ISSUE 9).
+	ReplayIssued   int64
+	ReplayUsed     int64
+	ReplayWasted   int64
+	HistoryReplays int64
 	// OpenFilled counts pages that rode in with their file's host gopen: a
 	// file that fits one coalesced span costs one ring transaction, not two.
 	// They are not speculation and appear in no Prefetch* counter.
@@ -484,18 +471,17 @@ func (fs *FS) leafRecycles() int64 {
 // CacheStats snapshots the speculation and cleaning counters.
 func (fs *FS) CacheStats() CacheStats {
 	return CacheStats{
-		PrefetchIssued:       fs.prefetchIssued.Load(),
-		PrefetchUsed:         fs.prefetchUsed.Load(),
-		PrefetchWasted:       fs.prefetchWasted.Load(),
-		CleanedPages:         fs.cleanedPages.Load(),
-		CleanerKicks:         fs.cleanerKicks.Load(),
-		ReplayIssued:         fs.historyIssued.Load(),
-		ReplayUsed:           fs.historyUsed.Load(),
-		ReplayWasted:         fs.historyWasted.Load(),
-		HistoryReplays:       fs.historyReplays.Load(),
-		HistoryInvalidations: fs.historyInvalidations.Load(),
-		OpenFilled:           fs.openFilled.Load(),
-		SpecReclaimed:        fs.specReclaimed.Load(),
+		PrefetchIssued: fs.prefetchIssued.Load(),
+		PrefetchUsed:   fs.prefetchUsed.Load(),
+		PrefetchWasted: fs.prefetchWasted.Load(),
+		CleanedPages:   fs.cleanedPages.Load(),
+		CleanerKicks:   fs.cleanerKicks.Load(),
+		ReplayIssued:   fs.historyIssued.Load(),
+		ReplayUsed:     fs.historyUsed.Load(),
+		ReplayWasted:   fs.historyWasted.Load(),
+		HistoryReplays: fs.historyReplays.Load(),
+		OpenFilled:     fs.openFilled.Load(),
+		SpecReclaimed:  fs.specReclaimed.Load(),
 	}
 }
 

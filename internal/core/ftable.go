@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"gpufs/internal/ckpt"
 	"gpufs/internal/core/radix"
 	"gpufs/internal/simtime"
 )
@@ -127,6 +128,12 @@ type fileCache struct {
 	// adaptive read-ahead window uses the ratio as its feedback signal.
 	prefetchUsed   atomic.Int64
 	prefetchWasted atomic.Int64
+
+	// profile is the read-ahead profile the last final gclose recorded
+	// (history.go), replayed by the next open that reuses this cache. Atomic:
+	// a closer records it after release has retired the cache, where a
+	// concurrent opener may already be reading it.
+	profile atomic.Pointer[[]ckpt.StrideImage]
 
 	// wbErr is the sticky asynchronous write-back error (POSIX errseq_t
 	// semantics): when eviction-driven write-back fails, the error is

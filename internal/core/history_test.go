@@ -15,9 +15,8 @@ import (
 // detector from it and issues each stream's first window at open time —
 // and that must (a) be measurably faster than the cold detector, (b) reach
 // the host as a few vectored RPCs rather than page-at-a-time probes, (c)
-// keep working when the frame pool is full at the re-open, (d) die
-// instantly when the host copy changed between opens, and (e) never change
-// a byte read.
+// keep working when the frame pool is full at the re-open, (d) die with
+// the file's cache, and (e) never change a byte read.
 
 const (
 	histPagesA = 32 // the profiled file
@@ -60,8 +59,8 @@ func (s histShape) read(fs *FS, b *gpu.Block, fd int, ps int64, want []byte) err
 // histWorkload selects one variant of the record-churn-reopen workload.
 type histWorkload struct {
 	shape histShape
-	// cold clears the profile table before the re-open: the detector
-	// starts from nothing, as on a first open.
+	// cold clears the profile on A's cache before the re-open: the
+	// detector starts from nothing, as on a first open.
 	cold bool
 	// poolFull leaves the churn file's pages resident, so the re-open
 	// finds no free frame and speculates into the closed churn file's clean
@@ -130,7 +129,7 @@ func runHistoryWorkload(t *testing.T, w histWorkload) histRun {
 		t.Fatalf("prelude kernel: %v", err)
 	}
 	if w.cold {
-		fs.history.clear()
+		fs.ft.cacheOf("/a").setProfile(nil)
 	}
 
 	reads := h.server.Requests(rpc.OpReadPages)
@@ -181,7 +180,7 @@ func TestHistoryReplayBeatsColdDetector(t *testing.T) {
 				t.Errorf("pre-warm issued %d pages but none were consumed", on.cs.ReplayIssued)
 			}
 			if off.cs.HistoryReplays != 0 || off.cs.ReplayIssued != 0 {
-				t.Errorf("cleared table pre-warmed anyway: %d opens, %d pages",
+				t.Errorf("cleared profile pre-warmed anyway: %d opens, %d pages",
 					off.cs.HistoryReplays, off.cs.ReplayIssued)
 			}
 		})
@@ -256,63 +255,105 @@ func TestHistoryReplayIsVectored(t *testing.T) {
 	}
 }
 
-// TestHistoryInvalidationOnHostWrite: an external host write between the
-// recording open and the re-open bumps the file's generation; the stale
-// profile must be dropped — no pre-warm, no seeded slots — and the re-open
-// must see the new bytes through the ordinary demand path.
-func TestHistoryInvalidationOnHostWrite(t *testing.T) {
+// TestHistoryProfileDiesWithItsCache: a profile lives on its file's cache,
+// so whatever ends the cache ends the profile — an external host write (the
+// reopen's validation discards the cache), gunlink and a re-create at the
+// same path and size, a GPU restart — and an open that confirmed no stride
+// leaves none behind. In every arm the next open replays nothing and reads
+// the current bytes through the ordinary demand path.
+func TestHistoryProfileDiesWithItsCache(t *testing.T) {
 	opt := defaultOpt()
-	h := newHarness(t, 1, opt)
-	fs := h.fss[0]
 	ps := opt.PageSize
 	v1 := pattern(histPagesA*int(ps), 3)
-	h.write(t, "/a", v1)
-
-	end1, err := h.devs[0].Launch(0, 1, 64, func(b *gpu.Block) error {
-		fd, err := fs.Open(b, "/a", O_RDONLY)
-		if err != nil {
-			return err
-		}
-		// Page by page: a profile needs a confirmed stride.
-		if err := histShapes()[0].read(fs, b, fd, ps, v1); err != nil {
-			return fmt.Errorf("first read: %w", err)
-		}
-		return fs.Close(b, fd)
-	})
-	if err != nil {
-		t.Fatalf("recording kernel: %v", err)
-	}
-
-	// External host write: same path, same size, new content — only the
-	// generation distinguishes it, which is exactly what the profile's
-	// validation must check.
 	v2 := pattern(histPagesA*int(ps), 9)
-	h.write(t, "/a", v2)
+	for _, arm := range []struct {
+		name string
+		// disrupt runs between the recording kernel and the reopen, and
+		// returns the bytes the reopen must read.
+		disrupt func(t *testing.T, h *harness, launch func(func(b *gpu.Block) error)) []byte
+	}{
+		{"host-write", func(t *testing.T, h *harness, _ func(func(b *gpu.Block) error)) []byte {
+			// Same path, same size, new content: only the generation
+			// distinguishes it.
+			h.write(t, "/a", v2)
+			return v2
+		}},
+		{"unlink-recreate", func(t *testing.T, h *harness, launch func(func(b *gpu.Block) error)) []byte {
+			launch(func(b *gpu.Block) error { return h.fss[0].Unlink(b, "/a") })
+			h.write(t, "/a", v2)
+			return v2
+		}},
+		{"restart", func(t *testing.T, h *harness, launch func(func(b *gpu.Block) error)) []byte {
+			launch(func(b *gpu.Block) error { h.fss[0].Restart(b); return nil })
+			return v1
+		}},
+		{"random-open", func(t *testing.T, h *harness, launch func(func(b *gpu.Block) error)) []byte {
+			// Consecutive deltas never repeat, so the open confirms no
+			// stride (and breaks the one it was seeded with).
+			random := histShape{"random", []int64{7, 2, 11, 5, 0, 9}}
+			launch(func(b *gpu.Block) error {
+				fd, err := h.fss[0].Open(b, "/a", O_RDONLY)
+				if err != nil {
+					return err
+				}
+				if err := random.read(h.fss[0], b, fd, ps, v1); err != nil {
+					return err
+				}
+				return h.fss[0].Close(b, fd)
+			})
+			return v1
+		}},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			h := newHarness(t, 1, opt)
+			fs := h.fss[0]
+			h.write(t, "/a", v1)
+			var end simtime.Time
+			launch := func(fn func(b *gpu.Block) error) {
+				t.Helper()
+				var err error
+				if end, err = h.devs[0].Launch(end, 1, 64, fn); err != nil {
+					t.Fatalf("kernel: %v", err)
+				}
+			}
 
-	if _, err := h.devs[0].Launch(end1, 1, 64, func(b *gpu.Block) error {
-		fd, err := fs.Open(b, "/a", O_RDONLY)
-		if err != nil {
-			return err
-		}
-		buf := make([]byte, len(v2))
-		if _, err := fs.Read(b, fd, buf, 0); err != nil {
-			return err
-		}
-		if !bytes.Equal(buf, v2) {
-			return fmt.Errorf("reopen read: stale bytes survived the host write")
-		}
-		return fs.Close(b, fd)
-	}); err != nil {
-		t.Fatalf("reopen kernel: %v", err)
-	}
+			launch(func(b *gpu.Block) error {
+				fd, err := fs.Open(b, "/a", O_RDONLY)
+				if err != nil {
+					return err
+				}
+				// Page by page: a profile needs a confirmed stride.
+				if err := histShapes()[0].read(fs, b, fd, ps, v1); err != nil {
+					return fmt.Errorf("first read: %w", err)
+				}
+				return fs.Close(b, fd)
+			})
+			if fc := fs.ft.cacheOf("/a"); fc == nil || fc.profile.Load() == nil {
+				t.Fatal("the recording open left no profile on its cache")
+			}
 
-	cs := fs.CacheStats()
-	if cs.HistoryInvalidations != 1 {
-		t.Errorf("HistoryInvalidations = %d, want 1", cs.HistoryInvalidations)
-	}
-	if cs.HistoryReplays != 0 || cs.ReplayIssued != 0 {
-		t.Errorf("stale profile replayed anyway: %d replays, %d pages issued",
-			cs.HistoryReplays, cs.ReplayIssued)
+			want := arm.disrupt(t, h, launch)
+			before := fs.CacheStats()
+			launch(func(b *gpu.Block) error {
+				fd, err := fs.Open(b, "/a", O_RDONLY)
+				if err != nil {
+					return err
+				}
+				buf := make([]byte, len(want))
+				if _, err := fs.Read(b, fd, buf, 0); err != nil {
+					return err
+				}
+				if !bytes.Equal(buf, want) {
+					return fmt.Errorf("reopen read: wrong bytes")
+				}
+				return fs.Close(b, fd)
+			})
+			after := fs.CacheStats()
+			if after.HistoryReplays != before.HistoryReplays || after.ReplayIssued != before.ReplayIssued {
+				t.Errorf("dead profile replayed: %d replays, %d pages issued",
+					after.HistoryReplays-before.HistoryReplays, after.ReplayIssued-before.ReplayIssued)
+			}
+		})
 	}
 }
 
@@ -329,7 +370,7 @@ func TestHistoryMetamorphicOnOff(t *testing.T) {
 		cs.OpenFilled = 0
 		cs.PrefetchIssued, cs.PrefetchUsed, cs.PrefetchWasted = 0, 0, 0
 		cs.ReplayIssued, cs.ReplayUsed, cs.ReplayWasted = 0, 0, 0
-		cs.HistoryReplays, cs.HistoryInvalidations = 0, 0
+		cs.HistoryReplays = 0
 		return cs
 	}
 	shapes := []struct {
@@ -405,7 +446,7 @@ func TestHistoryMetamorphicOnOff(t *testing.T) {
 // TestAdaptiveManyBlocksOneFile is the -race pin for the per-read hook:
 // sixteen blocks gread one open file at once — each through its own
 // detector slot, all through the shared speculation counters, cap and
-// profile table — over two open/close cycles, so the second kernel's opener
+// the cache's profile — over two open/close cycles, so the second kernel's opener
 // seeds slots while other blocks may already be reading through them. (The replay engine's per-open
 // recorder raced here; the detector's slots are the only per-read state
 // now, each behind its own mutex.)

@@ -102,16 +102,15 @@ func runMigratePass(t *testing.T, h *harness, shape migrateShape, pageSize int, 
 // csSub returns b − a field-wise.
 func csSub(a, b CacheStats) CacheStats {
 	return CacheStats{
-		PrefetchIssued:       b.PrefetchIssued - a.PrefetchIssued,
-		PrefetchUsed:         b.PrefetchUsed - a.PrefetchUsed,
-		PrefetchWasted:       b.PrefetchWasted - a.PrefetchWasted,
-		CleanedPages:         b.CleanedPages - a.CleanedPages,
-		CleanerKicks:         b.CleanerKicks - a.CleanerKicks,
-		ReplayIssued:         b.ReplayIssued - a.ReplayIssued,
-		ReplayUsed:           b.ReplayUsed - a.ReplayUsed,
-		ReplayWasted:         b.ReplayWasted - a.ReplayWasted,
-		HistoryReplays:       b.HistoryReplays - a.HistoryReplays,
-		HistoryInvalidations: b.HistoryInvalidations - a.HistoryInvalidations,
+		PrefetchIssued: b.PrefetchIssued - a.PrefetchIssued,
+		PrefetchUsed:   b.PrefetchUsed - a.PrefetchUsed,
+		PrefetchWasted: b.PrefetchWasted - a.PrefetchWasted,
+		CleanedPages:   b.CleanedPages - a.CleanedPages,
+		CleanerKicks:   b.CleanerKicks - a.CleanerKicks,
+		ReplayIssued:   b.ReplayIssued - a.ReplayIssued,
+		ReplayUsed:     b.ReplayUsed - a.ReplayUsed,
+		ReplayWasted:   b.ReplayWasted - a.ReplayWasted,
+		HistoryReplays: b.HistoryReplays - a.HistoryReplays,
 	}
 }
 

@@ -38,8 +38,8 @@ func (fs *FS) openImpl(b *gpu.Block, path string, flags int) (int, int64, error)
 }
 
 // finishOpen ends the open of pending entry f with what the host work produced:
-// a cache and host descriptor, or an error. The recorded access profile is
-// attached before any waiter is let in.
+// a cache and host descriptor, or an error. The access profile the cache
+// carries is replayed before any waiter is let in.
 func (fs *FS) finishOpen(b *gpu.Block, fd int, f *file, fc *fileCache, hostFd int64, err error) (int, error) {
 	if err != nil {
 		fs.ft.fail(fd, f, err)
@@ -203,11 +203,6 @@ func (fs *FS) discardCache(b *gpu.Block, r retiree) {
 // cache).
 func (fs *FS) Restart(b *gpu.Block) {
 	open, retired := fs.ft.reset()
-
-	// Profiles describe caches that died with the card; the next open
-	// re-records from scratch.
-	fs.history.clear()
-
 	for _, f := range open {
 		if f == nil || f.fc == nil {
 			continue

@@ -98,11 +98,10 @@ func TestFetchBudgetScaling(t *testing.T) {
 }
 
 // TestSpeculationGate: one gate decides which of the five routes may fetch
-// ahead of demand, and the history table is not it. The prototype batches a
-// multi-page read and nothing else, though it has a table; the extended
-// system runs every route but stays out of the dead zone with its guesses;
-// an open never carries a file it truncates; and nothing is fetched ahead
-// for a file opened write-only or write-once. A host open asks for its file's
+// ahead of demand. The prototype batches a multi-page read and nothing else;
+// the extended system runs every route but stays out of the dead zone with
+// its guesses; an open never carries a file it truncates; and nothing is
+// fetched ahead for a file opened write-only or write-once. A host open asks for its file's
 // head where the gate admits the open and a guess both, and an open-ahead
 // never does.
 func TestSpeculationGate(t *testing.T) {
@@ -137,9 +136,6 @@ func TestSpeculationGate(t *testing.T) {
 			opt.BufferCacheBytes = 64 * c.ps
 			h := newHarness(t, 1, opt)
 			fs := h.fss[0]
-			if fs.history == nil {
-				t.Fatal("no history table")
-			}
 			h.write(t, "/f", pattern(int(4*c.ps), 1))
 			h.run(t, 0, func(b *gpu.Block) error {
 				fd, err := fs.Open(b, "/f", c.flags)

@@ -220,17 +220,16 @@ func (st Stats) String() string {
 	if zc > 0 || steals > 0 {
 		fmt.Fprintf(&b, "hot path: %d zero-copy hit reads, %d cross-shard frame steals\n", zc, steals)
 	}
-	var rIssued, rUsed, rWasted, hReplays, hInval int64
+	var rIssued, rUsed, rWasted, hReplays int64
 	for _, g := range st.GPUs {
 		rIssued += g.ReplayIssued
 		rUsed += g.ReplayUsed
 		rWasted += g.ReplayWasted
 		hReplays += g.HistoryReplays
-		hInval += g.HistoryInvalidations
 	}
-	if hReplays > 0 || hInval > 0 {
-		fmt.Fprintf(&b, "history: %d profile replays (%d pages, %d used, %d wasted), %d invalidations\n",
-			hReplays, rIssued, rUsed, rWasted, hInval)
+	if hReplays > 0 {
+		fmt.Fprintf(&b, "history: %d profile replays (%d pages, %d used, %d wasted)\n",
+			hReplays, rIssued, rUsed, rWasted)
 	}
 	if lat := st.sortedLatencies(); len(lat) > 0 {
 		fmt.Fprintf(&b, "latency: p50 %v  p90 %v  p99 %v  max %v\n",
