@@ -31,7 +31,11 @@
 #                guess reclaim through the same one), a detector slot's
 #                frontier set by raIssue and by prime, the priming helper
 #                a carrying fault and an open's head share, and nowhere
-#                else, internal/core/ftable.go still the
+#                else, a file's detector slots indexed (.ra[) in
+#                internal/core/ftable.go only (a slot is made by the stream
+#                that writes it, streamFor, and read through stream, which
+#                answers nil for a slot no stream has used),
+#                internal/core/ftable.go still the
 #                one owner of the file tables (no other non-test file of
 #                the package names the open or closed table, their
 #                indexes, the truncated-once set, or a cache's retained
@@ -122,6 +126,8 @@ tier2:
 			$$(ls internal/core/*.go | grep -v '_test\.go$$') | sort -u | tr '\n' ' '); \
 		if [ "$$primers" != "prime raIssue " ]; then \
 		echo "a detector slot's frontier is set by raIssue and the shared priming helper (prime) only; found in:"; echo "$$primers"; exit 1; fi
+	@strays=$$(grep -n '\.ra\[' $$(ls internal/core/*.go | grep -v -e '_test\.go$$' -e '/ftable\.go$$')); if [ -n "$$strays" ]; then \
+		echo "a file's detector slots are made and read through ftable.go's streamFor and stream only; these lines index them:"; echo "$$strays"; exit 1; fi
 	@strays=$$(grep -nE '\.fds|\.byPath|\.closed\[|range [a-z.]*\.closed\b|\.closedByPath|\.truncated|keepFd|lastFlags' \
 		$$(ls internal/core/*.go | grep -v -e '_test\.go$$' -e '/ftable\.go$$')); if [ -n "$$strays" ]; then \
 		echo "internal/core/ftable.go owns the file tables; these lines reach past it:"; echo "$$strays"; exit 1; fi

@@ -152,7 +152,7 @@ func TestCarryingFaultAllocations(t *testing.T) {
 			return err
 		}
 		f := fs.ft.fds[fd]
-		st := &f.ra[b.Idx&(raStreams-1)]
+		st := f.streamFor(b.Idx)
 		gread(t, fs, b, fd, ps)
 		// fault faults page 1 in — as its stream's next access or as a page
 		// nothing precedes — then consumes and drops what came in, so the

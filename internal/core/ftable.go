@@ -73,8 +73,22 @@ type file struct {
 	// ra are the adaptive read-ahead detector slots: threadblocks hash by
 	// index, so each slot sees one (or a few) blocks' access stream
 	// rather than the chaotic interleaving of all of them — the reason
-	// the paper dismissed per-file stride detection (§3.3).
-	ra [raStreams]raStream
+	// the paper dismissed per-file stride detection (§3.3). A slot is made
+	// at its stream's first write: an open that never reads ahead has none.
+	ra [raStreams]atomic.Pointer[raStream]
+}
+
+// stream returns detector slot i of f, or nil if no stream has used it.
+func (f *file) stream(i int) *raStream { return f.ra[i&(raStreams-1)].Load() }
+
+// streamFor returns detector slot i of f, made on first use: blocks that hash
+// to one slot race one CompareAndSwap and share its winner.
+func (f *file) streamFor(i int) *raStream {
+	p := &f.ra[i&(raStreams-1)]
+	if p.Load() == nil {
+		p.CompareAndSwap(nil, new(raStream))
+	}
+	return p.Load()
 }
 
 // fileCache is a file's GPU-resident cache state. It survives gclose in the

@@ -64,7 +64,7 @@ func TestOpenCarriesTheHead(t *testing.T) {
 		if cs := fs.CacheStats(); cs.PrefetchIssued != span || fs.specPending.Load() != span || cs.OpenFilled != span {
 			t.Errorf("the open issued %d, left %d pending and filled %d, want the head's %d each", cs.PrefetchIssued, fs.specPending.Load(), cs.OpenFilled, span)
 		}
-		st := &f.ra[b.Idx&(raStreams-1)]
+		st := f.streamFor(b.Idx)
 		if !st.seen || st.first != 0 || st.lastPage != -1 || st.stride != 1 || st.streak != 1 ||
 			int64(st.window) < span || !st.frontierOK || st.nextPf != span {
 			t.Errorf("the opener's slot is %+v; want it seen at page -1 on stride 1, a span's window and its frontier at %d", st, span)
@@ -331,7 +331,7 @@ func TestHeadCarryEIO(t *testing.T) {
 				}
 				f := fs.ft.fds[fd]
 				if fs.ResidentPages("/e") != 0 || fs.openFilled.Load() != filled || fs.CacheStats().PrefetchIssued != issued ||
-					fs.specPending.Load() != pending || f.ra[b.Idx&(raStreams-1)].seen {
+					fs.specPending.Load() != pending || f.stream(b.Idx) != nil && f.stream(b.Idx).seen {
 					t.Errorf("the failed head left %d pages resident, %d filled, %d issued, %d pending or a primed slot",
 						fs.ResidentPages("/e"), fs.openFilled.Load()-filled, fs.CacheStats().PrefetchIssued-issued, fs.specPending.Load()-pending)
 				}

@@ -48,7 +48,7 @@ func (fs *FS) historyAttach(b *gpu.Block, f *file) {
 			hs.Stride == 0 || hs.Stride > maxRAStride || hs.Stride < -maxRAStride {
 			continue
 		}
-		st := &f.ra[hs.Slot]
+		st := f.streamFor(int(hs.Slot))
 		st.mu.Lock()
 		st.stride = hs.Stride
 		st.streak = raRampStreak
@@ -73,8 +73,11 @@ func (fs *FS) historyRecord(f *file) {
 		return
 	}
 	var strides []ckpt.StrideImage
-	for i := range f.ra {
-		st := &f.ra[i]
+	for i := range raStreams {
+		st := f.stream(i)
+		if st == nil {
+			continue
+		}
 		st.mu.Lock()
 		if st.seen && st.streak >= 2 && st.stride != 0 &&
 			st.stride <= maxRAStride && st.stride >= -maxRAStride {

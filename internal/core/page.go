@@ -255,7 +255,7 @@ func (fs *FS) accept(b *gpu.Block, f *file, c *carry, fc *fileCache, readyAt sim
 	spec := pcache.SpecNone
 	if carried < fc.size.Load() && len(run) > 0 {
 		spec, readyAt = pcache.SpecPending, b.Clock.Now()
-		st := &f.ra[b.Idx&(raStreams-1)]
+		st := f.streamFor(b.Idx)
 		st.mu.Lock()
 		fs.prime(st, -1, int64(len(run)))
 		st.mu.Unlock()

@@ -235,7 +235,7 @@ func (fs *FS) adaptiveReadAhead(b *gpu.Block, f *file, first, last int64) {
 	if !fs.ahead(onRefill, f) {
 		return // a slot learns nothing its stream may not act on
 	}
-	st := &f.ra[b.Idx&(raStreams-1)]
+	st := f.streamFor(b.Idx)
 	t := onRefill
 
 	st.mu.Lock()
@@ -335,7 +335,10 @@ func (fs *FS) raIssue(b *gpu.Block, f *file, st *raStream, base int64, t trigger
 // planner allows of a host transaction after page for its fault to read, and
 // advances the slot past them so the access's hook issues nothing twice.
 func (fs *FS) raCarry(b *gpu.Block, f *file, page int64, window []pageRef) int {
-	st := &f.ra[b.Idx&(raStreams-1)]
+	st := f.stream(b.Idx)
+	if st == nil {
+		return 0
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if !st.seen || page != st.lastPage+1 || st.streak >= 2 && st.stride != 1 {

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 
 	"gpufs/internal/core/pcache"
@@ -482,6 +484,102 @@ func TestReadAheadDeadZone(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestOpenMakesNoDetectorSlotUntilAStreamReads: an open allocates a detector
+// slot only for a stream that reads ahead. Reopening a cached file in the dead
+// zone makes none and allocates well under one slot table per cycle; a
+// one-block reader at 16K makes its own slot and no other; and two blocks
+// that hash to one slot and race their first access share one slot.
+func TestOpenMakesNoDetectorSlotUntilAStreamReads(t *testing.T) {
+	noSlots := func(f *file, except int) error {
+		for i := range raStreams {
+			if st := f.stream(i); (st != nil) != (i == except) {
+				return fmt.Errorf("slot %d is %p, want a slot only at %d", i, st, except)
+			}
+		}
+		return nil
+	}
+	t.Run("dead zone", func(t *testing.T) {
+		opt := defaultOpt()
+		opt.PageSize = raDeadPage
+		h := newHarness(t, 1, opt)
+		fs := h.fss[0]
+		h.write(t, "/dz", pattern(int(2*opt.PageSize), 1))
+		buf := make([]byte, opt.PageSize)
+		cycle := func(b *gpu.Block) error {
+			fd, err := fs.Open(b, "/dz", O_RDONLY)
+			if err != nil {
+				return err
+			}
+			for p := int64(0); p < 2; p++ {
+				if _, err := fs.Read(b, fd, buf, p*opt.PageSize); err != nil {
+					return err
+				}
+			}
+			if err := noSlots(fs.ft.fds[fd], -1); err != nil {
+				t.Error(err)
+			}
+			return fs.Close(b, fd)
+		}
+		h.run(t, 0, func(b *gpu.Block) error {
+			if err := cycle(b); err != nil { // the file comes in cached
+				return err
+			}
+			const cycles = 200
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range cycles {
+				if err := cycle(b); err != nil {
+					return err
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if perCycle := (after.TotalAlloc - before.TotalAlloc) / cycles; perCycle >= 1<<10 {
+				t.Errorf("an open/gread/close cycle of a cached file allocates %d B, want < 1024", perCycle)
+			}
+			return nil
+		})
+	})
+	t.Run("one block", func(t *testing.T) {
+		opt := defaultOpt()
+		h := newHarness(t, 1, opt)
+		fs := h.fss[0]
+		h.write(t, "/one", pattern(int(4*maxHostIO), 2))
+		const reader = 5
+		h.runBlocks(t, 0, 8, func(b *gpu.Block) error {
+			if b.Idx != reader {
+				return nil
+			}
+			fd, err := fs.Open(b, "/one", O_RDONLY)
+			if err != nil {
+				return err
+			}
+			greadAt(t, fs, b, fd, opt.PageSize, maxHostIO)
+			if err := noSlots(fs.ft.fds[fd], reader); err != nil {
+				t.Error(err)
+			}
+			return fs.Close(b, fd)
+		})
+	})
+	t.Run("shared slot", func(t *testing.T) {
+		for range 200 {
+			var f file
+			var got [2]*raStream
+			var wg sync.WaitGroup
+			for i, idx := range []int{3, 3 + raStreams} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[i] = f.streamFor(idx)
+				}()
+			}
+			wg.Wait()
+			if got[0] != got[1] || f.stream(3) != got[0] {
+				t.Fatalf("blocks 3 and %d made slots %p and %p; the file holds %p", 3+raStreams, got[0], got[1], f.stream(3))
+			}
+		}
+	})
 }
 
 // TestAdaptiveRandomStaysQuiet: accesses with no repeated stride never

@@ -85,6 +85,7 @@ type Device struct {
 	// takes the slots that tail leaves free.
 	launchMu sync.Mutex
 	slotMu   sync.Mutex // guards slot.at / slot.assigned / resident
+	cur      *launch    // the launch slot.work runs, set under launchMu
 
 	// resident is the device's kernel table: entry i holds the virtual end
 	// of the last kernel that occupied it. A launch takes the entry that
@@ -114,6 +115,10 @@ type slot struct {
 	scratch []byte
 	src     lazySource
 	rng     *rand.Rand // over src
+
+	// work runs the current launch's worker on this slot, made with the
+	// device: a go statement that passes arguments allocates a wrapper.
+	work func()
 }
 
 // blockScratch returns the slot's scratchpad as a block must find it: n
@@ -192,6 +197,7 @@ func New(cfg Config) *Device {
 	for i := 0; i < n; i++ {
 		d.slots[i].mp = mps[i%cfg.MPs]
 		d.slots[i].rng = rand.New(&d.slots[i].src)
+		d.slots[i].work = func() { d.cur.slotWorker(i) }
 	}
 	return d
 }
@@ -319,19 +325,8 @@ func (d *Device) Launch(start simtime.Time, blocks, threads int, fn BlockFunc) (
 			entry = i
 		}
 	}
-	if free := d.resident[entry]; free > launchAt {
-		launchAt = free
-	}
+	launchAt = max(launchAt, d.resident[entry])
 	d.slotMu.Unlock()
-
-	var (
-		wg      sync.WaitGroup
-		meter   simtime.Meter
-		errOnce sync.Once
-		kerr    error
-		aborted atomic.Bool
-	)
-	meter.Observe(launchAt)
 
 	// One persistent worker per execution slot drains the block queue.
 	// Pulls are ordered by VIRTUAL slot availability through a turnstile
@@ -339,77 +334,93 @@ func (d *Device) Launch(start simtime.Time, blocks, threads int, fn BlockFunc) (
 	// the next block, exactly like the hardware scheduler — real-time Go
 	// scheduling (which on one OS core is heavily biased) cannot skew
 	// block placement.
-	ds := &dispatchState{
-		order: order,
-		busy:  make([]bool, len(d.slots)),
-	}
-	ds.cond = sync.NewCond(&ds.mu)
+	l := &launch{d: d, fn: fn, blocks: blocks, threads: threads, seq: seq,
+		launchAt: launchAt, order: order, busy: make([]bool, len(d.slots))}
+	l.cond.L = &l.mu
+	l.meter.Observe(launchAt)
 
+	d.cur = l
+	l.wg.Add(len(d.slots))
 	for si := range d.slots {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			s := &d.slots[si]
-			for {
-				idx, startAt, ok := d.pullTurn(ds, si, launchAt, &aborted)
-				if !ok {
-					return
-				}
-
-				b := &Block{
-					Idx:     idx,
-					Blocks:  blocks,
-					Threads: threads,
-					Clock:   simtime.NewClock(startAt),
-					Scratch: s.blockScratch(d.cfg.ScratchpadBytes),
-					Rand:    s.blockRand(seq<<20 ^ int64(idx)*0x9e3779b9),
-					dev:     d,
-					mp:      s.mp,
-				}
-
-				err := runBlock(b, fn)
-				end := b.Clock.Now()
-				meter.Observe(end)
-
-				ds.mu.Lock()
-				d.slotMu.Lock()
-				if end > s.at {
-					s.at = end
-				}
-				d.slotMu.Unlock()
-				ds.busy[si] = false
-				ds.mu.Unlock()
-				ds.cond.Broadcast()
-
-				d.blocksRun.Add(1)
-				if err != nil {
-					aborted.Store(true)
-					errOnce.Do(func() {
-						kerr = fmt.Errorf("%w: block %d: %v", ErrKernelFault, b.Idx, err)
-						d.mu.Lock()
-						d.faulted = kerr
-						d.mu.Unlock()
-					})
-					ds.cond.Broadcast()
-					return
-				}
-			}
-		}(si)
+		go d.slots[si].work()
 	}
-	wg.Wait()
+	l.wg.Wait()
+	d.cur = nil
 	d.slotMu.Lock()
-	d.resident[entry] = meter.Max()
+	d.resident[entry] = l.meter.Max()
 	d.slotMu.Unlock()
-	return meter.Max(), kerr
+	return l.meter.Max(), l.kerr
 }
 
-// dispatchState coordinates virtual-availability-ordered block pulls.
-type dispatchState struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	order []int // remaining block indices
-	next  int
-	busy  []bool
+// launch is one kernel launch's state, one allocation shared by its slot
+// workers, whose goroutines (slot.work) allocate nothing. mu and cond order
+// the pulls of the blocks left in order by virtual availability (pullTurn).
+type launch struct {
+	d               *Device
+	fn              BlockFunc
+	blocks, threads int
+	seq             int64
+	launchAt        simtime.Time
+	mu              sync.Mutex
+	cond            sync.Cond // on mu
+	order           []int     // remaining block indices
+	next            int
+	busy            []bool
+	wg              sync.WaitGroup
+	meter           simtime.Meter
+	errOnce         sync.Once
+	kerr            error
+	aborted         atomic.Bool
+}
+
+// slotWorker is slot si's worker: it runs the blocks pullTurn hands the slot
+// until the queue is empty or a block faults.
+func (l *launch) slotWorker(si int) {
+	defer l.wg.Done()
+	d := l.d
+	s := &d.slots[si]
+	for {
+		idx, startAt, ok := l.pullTurn(si)
+		if !ok {
+			return
+		}
+
+		b := &Block{
+			Idx:     idx,
+			Blocks:  l.blocks,
+			Threads: l.threads,
+			Clock:   simtime.NewClock(startAt),
+			Scratch: s.blockScratch(d.cfg.ScratchpadBytes),
+			Rand:    s.blockRand(l.seq<<20 ^ int64(idx)*0x9e3779b9),
+			dev:     d,
+			mp:      s.mp,
+		}
+
+		err := runBlock(b, l.fn)
+		end := b.Clock.Now()
+		l.meter.Observe(end)
+
+		l.mu.Lock()
+		d.slotMu.Lock()
+		s.at = max(s.at, end)
+		d.slotMu.Unlock()
+		l.busy[si] = false
+		l.mu.Unlock()
+		l.cond.Broadcast()
+
+		d.blocksRun.Add(1)
+		if err != nil {
+			l.aborted.Store(true)
+			l.errOnce.Do(func() {
+				l.kerr = fmt.Errorf("%w: block %d: %v", ErrKernelFault, b.Idx, err)
+				d.mu.Lock()
+				d.faulted = l.kerr
+				d.mu.Unlock()
+			})
+			l.cond.Broadcast()
+			return
+		}
+	}
 }
 
 // pullTurn blocks until slot si is the virtually-earliest available slot,
@@ -418,12 +429,13 @@ type dispatchState struct {
 // last-known availability is strictly smaller (a busy slot can only become
 // available later than that bound, so if the bound is not smaller it cannot
 // beat us).
-func (d *Device) pullTurn(ds *dispatchState, si int, launchAt simtime.Time, aborted *atomic.Bool) (idx int, startAt simtime.Time, ok bool) {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
+func (l *launch) pullTurn(si int) (idx int, startAt simtime.Time, ok bool) {
+	d := l.d
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	for {
-		if ds.next >= len(ds.order) || aborted.Load() {
-			ds.cond.Broadcast()
+		if l.next >= len(l.order) || l.aborted.Load() {
+			l.cond.Broadcast()
 			return 0, 0, false
 		}
 		d.slotMu.Lock()
@@ -434,7 +446,7 @@ func (d *Device) pullTurn(ds *dispatchState, si int, launchAt simtime.Time, abor
 				continue
 			}
 			at := d.slots[j].at
-			if ds.busy[j] {
+			if l.busy[j] {
 				if at < myAt {
 					turn = false
 					break
@@ -446,20 +458,17 @@ func (d *Device) pullTurn(ds *dispatchState, si int, launchAt simtime.Time, abor
 		}
 		d.slotMu.Unlock()
 		if turn {
-			idx = ds.order[ds.next]
-			ds.next++
-			ds.busy[si] = true
+			idx = l.order[l.next]
+			l.next++
+			l.busy[si] = true
 			d.slotMu.Lock()
 			d.slots[si].assigned++
-			startAt = launchAt
-			if d.slots[si].at > startAt {
-				startAt = d.slots[si].at
-			}
+			startAt = max(l.launchAt, d.slots[si].at)
 			d.slotMu.Unlock()
-			ds.cond.Broadcast()
+			l.cond.Broadcast()
 			return idx, startAt, true
 		}
-		ds.cond.Wait()
+		l.cond.Wait()
 	}
 }
 

@@ -468,8 +468,23 @@ func launchBlocks(tb testing.TB, d *Device, blocks int) {
 // TestLaunchAllocatesNoScratchOrGenerator is the guardrail of ISSUE 17's
 // first gain: a block finds its 48 KiB scratchpad and its generator on the
 // slot. What a block still allocates is its Block and Clock, and its share of
-// the launch's dispatch state and worker goroutines.
+// the launch's dispatch state; its share of the worker goroutines costs no
+// allocation, so a one-block launch allocates as much on a device of 56 slots
+// as on one of 8.
 func TestLaunchAllocatesNoScratchOrGenerator(t *testing.T) {
+	oneBlock := func(mps int) float64 {
+		cfg := testDevice().cfg
+		cfg.MPs = mps
+		d := New(cfg)
+		for range 100 { // the runtime's goroutine and waiter caches fill
+			launchBlocks(t, d, 1)
+		}
+		return testing.AllocsPerRun(100, func() { launchBlocks(t, d, 1) })
+	}
+	if small, large := oneBlock(4), oneBlock(28); small != large {
+		t.Errorf("a one-block launch makes %.0f allocations on 8 slots and %.0f on 56", small, large)
+	}
+
 	d := testDevice()
 	const blocks = 64
 	launchBlocks(t, d, blocks) // every slot makes its scratchpad once
