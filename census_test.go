@@ -40,8 +40,6 @@ var censusStructs = []censusStruct{
 		[]string{"gpufs/internal/core"}, []string{"core.Options"}},
 	{"serve.Config", "internal/serve", "serve.go", "Config",
 		[]string{"gpufs/internal/serve"}, []string{"serve.Config"}},
-	{"serve.PipelineConfig", "internal/serve", "pipeline.go", "PipelineConfig",
-		[]string{"gpufs/internal/serve"}, []string{"serve.PipelineConfig"}},
 	{"fleet.Config", "internal/fleet", "fleet.go", "Config",
 		[]string{"gpufs/internal/fleet"}, []string{"fleet.Config"}},
 	{"fleet.SimHostConfig", "internal/fleet", "factory.go", "SimHostConfig",
@@ -60,7 +58,6 @@ var censusCalibration = map[string]bool{
 	"params.Config.NumCPUCores":          true,
 	"params.Config.MPsPerGPU":            true,
 	"params.Config.BlocksPerMP":          true,
-	"params.Config.WarpSize":             true,
 	"params.Config.GPUMemBandwidth":      true,
 	"params.Config.ScratchpadBytes":      true,
 	"params.Config.KernelLaunchOverhead": true,
@@ -437,8 +434,8 @@ func TestCallCensus(t *testing.T) {
 	}
 
 	// Outside internal/gsys a client is reached through a function that
-	// returns one or a field that holds one; Bind and Gran derive views of
-	// a client. A method call on such an expression is a call of Client's.
+	// returns one or a field that holds one; Bind derives a view of a
+	// client. A method call on such an expression is a call of Client's.
 	clientFuncs, clientFields := map[string]bool{}, map[string]bool{}
 	isClient := func(x ast.Expr) bool {
 		if s, ok := x.(*ast.StarExpr); ok {
@@ -477,7 +474,7 @@ func TestCallCensus(t *testing.T) {
 			case *ast.Ident:
 				return clientFuncs[fn.Name]
 			case *ast.SelectorExpr:
-				if fn.Sel.Name == "Bind" || fn.Sel.Name == "Gran" {
+				if fn.Sel.Name == "Bind" {
 					return reaches(fn.X)
 				}
 				return clientFuncs[fn.Sel.Name]

@@ -27,12 +27,6 @@
 // replacement, which enters rotation warm. The run exits non-zero unless
 // the migration happened, no admitted job was lost, and at least 80% of
 // the jobs in flight at cordon time completed without resubmission.
-//
-// -pipeline runs the pipe-connected two-stage kernel workload instead of
-// the closed-loop soak: a producer kernel on GPU 0 uppercases the corpus
-// through the GPUfs API and streams it over a gpipe to a consumer kernel
-// on GPU 1, which assembles and fsyncs the output. -pipeline-gran picks
-// the producer's read granularity (thread, warp, or block).
 package main
 
 import (
@@ -48,7 +42,6 @@ import (
 
 	"gpufs"
 	"gpufs/internal/fleet"
-	"gpufs/internal/gsys"
 	"gpufs/internal/metrics"
 	"gpufs/internal/serve"
 	"gpufs/internal/workloads"
@@ -67,9 +60,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	faults := flag.Bool("faults", false, "inject the standard RPC/host fault mix")
 	migrate := flag.Bool("migrate", false, "fleet mode: live-migration demo — strike host 0 with a planned cordon (checkpointed, restored warm) instead of a fatal XID (replaced cold)")
-	pipeline := flag.Bool("pipeline", false, "run the two-stage gpipe pipeline workload instead of the soak")
-	pipelineGran := flag.String("pipeline-gran", "thread", "pipeline producer read granularity: thread, warp, or block")
-	pipeCap := flag.Int("pipe-cap", 16<<10, "pipeline gpipe buffer capacity in bytes")
 	metricsOut := flag.String("metrics", "", `write a Prometheus text exposition to this path at exit ("-" = stdout)`)
 	metricsNDJSON := flag.String("metrics-ndjson", "", `write metrics as NDJSON (one object per series) to this path at exit ("-" = stdout)`)
 	flag.Parse()
@@ -91,15 +81,6 @@ func main() {
 		usageError("-batch must be >= 1, got %d", *batch)
 	case *scale <= 0:
 		usageError("-scale must be > 0, got %g", *scale)
-	}
-	if _, err := gsys.ParseGranularity(*pipelineGran); err != nil {
-		usageError("-pipeline-gran: %v", err)
-	}
-	if *pipeline && *gpus < 2 {
-		usageError("-pipeline needs at least 2 GPUs (producer and consumer run concurrently), got -gpus %d", *gpus)
-	}
-	if *pipeCap < 512 {
-		usageError("-pipe-cap must be >= 512 bytes, got %d", *pipeCap)
 	}
 	var pol serve.Policy
 	switch *policy {
@@ -144,11 +125,6 @@ func main() {
 	}
 	if *faults {
 		sys.EnableFaults(faultMix(*seed))
-	}
-
-	if *pipeline {
-		runPipeline(sys, paths, *pipelineGran, *pipeCap)
-		return
 	}
 
 	srv := serve.New(sys, serve.Config{
@@ -286,31 +262,6 @@ func reportMetrics(reg *metrics.Registry, promPath, ndjsonPath string) {
 	if err := reg.WriteSummary(os.Stdout); err != nil {
 		fatal(err)
 	}
-}
-
-// runPipeline drives the two-stage gpipe workload over the staged corpus
-// and reports its virtual-time result.
-func runPipeline(sys *gpufs.System, paths []string, gran string, pipeCap int) {
-	fmt.Printf("gpufs-serve: pipeline over %d input(s), granularity %s, pipe %d bytes\n",
-		len(paths), gran, pipeCap)
-	res, err := serve.RunPipeline(sys, serve.PipelineConfig{
-		Inputs:      paths,
-		Output:      "/serve/pipeline.out",
-		ConsumerGPU: 1,
-		PipeCap:     pipeCap,
-		Blocks:      2,
-		Threads:     64,
-		Granularity: gran,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("pipeline: %d bytes through the pipe in %d records, output verified\n",
-		res.BytesConsumed, res.Records)
-	if res.WarpDescriptors > 0 {
-		fmt.Printf("pipeline: %d coalesced warp read descriptors\n", res.WarpDescriptors)
-	}
-	fmt.Printf("pipeline: virtual makespan %.3fs\n", res.Elapsed.Seconds())
 }
 
 // exportMetrics writes one exposition format to path ("-" = stdout; empty =

@@ -88,18 +88,8 @@ type (
 	Time = simtime.Time
 	// Duration is a span of virtual time.
 	Duration = simtime.Duration
-	// WarpReq is one thread's positioned read within a GpreadWarp call.
-	WarpReq = core.WarpReq
 	// OpenFuture is the join handle of a GopenAhead.
 	OpenFuture = core.OpenFuture
-	// PipeMode selects the end of a pipe (PipeReader or PipeWriter).
-	PipeMode = core.PipeMode
-)
-
-// Pipe ends for GpipeOpen and GpipeClose.
-const (
-	PipeReader = core.PipeReader
-	PipeWriter = core.PipeWriter
 )
 
 // DefaultConfig returns the paper-testbed configuration at full scale.
@@ -113,13 +103,12 @@ func ScaledConfig(scale float64) Config { return params.Scaled(scale) }
 // System is one simulated machine: the host (CPU, RAM, disk, file system,
 // GPUfs consistency layer and RPC daemon) plus its GPUs.
 type System struct {
-	cfg      Config
-	host     *hostfs.FS
-	layer    *wrapfs.Layer
-	bus      *pcie.Bus
-	server   *rpc.Server
-	syscalls *gsys.Service
-	gpus     []*GPU
+	cfg    Config
+	host   *hostfs.FS
+	layer  *wrapfs.Layer
+	bus    *pcie.Bus
+	server *rpc.Server
+	gpus   []*GPU
 
 	// hostClock orders host-side setup operations (workload generation).
 	hostClock *simtime.Clock
@@ -183,9 +172,8 @@ func NewSystemWithMetrics(cfg Config, reg *metrics.Registry) (*System, error) {
 	bus.SetMetrics(reg)
 	server.SetMetrics(reg)
 
-	// One syscall service for the whole machine: the syscall table is
-	// stateless, but the gpipe table must be shared so kernels on
-	// different GPUs can meet at a named pipe.
+	// One syscall service for the whole machine: it holds the host
+	// descriptor table every GPU's file calls resolve against.
 	syscalls := gsys.NewService(server)
 
 	sys := &System{
@@ -194,7 +182,6 @@ func NewSystemWithMetrics(cfg Config, reg *metrics.Registry) (*System, error) {
 		layer:     layer,
 		bus:       bus,
 		server:    server,
-		syscalls:  syscalls,
 		hostClock: simtime.NewClock(0),
 		met:       reg,
 	}
@@ -204,7 +191,6 @@ func NewSystemWithMetrics(cfg Config, reg *metrics.Registry) (*System, error) {
 			ID:              i,
 			MPs:             cfg.MPsPerGPU,
 			BlocksPerMP:     cfg.BlocksPerMP,
-			WarpSize:        cfg.WarpSize,
 			MemBytes:        cfg.GPUMemBytes,
 			MemBandwidth:    cfg.GPUMemBandwidth,
 			Flops:           cfg.GPUFlops,
@@ -240,10 +226,6 @@ func (s *System) HostClock() *simtime.Clock { return s.hostClock }
 
 // Server exposes the CPU-side GPUfs daemon (stats).
 func (s *System) Server() *rpc.Server { return s.server }
-
-// Syscalls exposes the machine's shared syscall service (the syscall
-// table and the gpipe table).
-func (s *System) Syscalls() *gsys.Service { return s.syscalls }
 
 // Bus exposes the interconnect (Figure 5 cost toggles).
 func (s *System) Bus() *pcie.Bus { return s.bus }
@@ -477,7 +459,7 @@ func (c *BlockCtx) Gftruncate(fd int, size int64) error {
 	return c.fs.Ftruncate(c.Block, fd, size)
 }
 
-// ---- The generic syscall surface (ISSUE 7) ----
+// ---- Open-ahead: the one call beyond Table 1 ----
 
 // GopenAhead issues Gopen ahead of need: a cold read-only open is
 // dispatched as a relaxed non-blocking syscall — the block does not wait
@@ -492,37 +474,3 @@ func (c *BlockCtx) GopenAhead(path string, flags int) *OpenFuture {
 
 // Gwait joins an open issued by GopenAhead.
 func (c *BlockCtx) Gwait(of *OpenFuture) (int, error) { return of.Wait(c.Block) }
-
-// GpreadWarp services one positioned read per thread of the block,
-// coalescing each warp whose requests form a contiguous ascending span
-// into a single warp-granularity syscall descriptor. Returns the total
-// bytes read.
-func (c *BlockCtx) GpreadWarp(fd int, reqs []WarpReq) (int64, error) {
-	return c.fs.ReadWarp(c.Block, fd, reqs)
-}
-
-// GpipeOpen opens (creating on first open) the named bounded pipe with
-// the given buffer capacity and declared writer count; every opener must
-// declare the same capacity and writer count. Pipes live in host memory,
-// so the two ends may be kernels on different GPUs.
-func (c *BlockCtx) GpipeOpen(name string, mode PipeMode, capBytes, writers int) (int64, error) {
-	return c.fs.PipeOpen(c.Block, name, mode, capBytes, writers)
-}
-
-// GpipeWrite writes data into the pipe as one atomic record, blocking on
-// virtual time while the pipe lacks room for the whole record.
-func (c *BlockCtx) GpipeWrite(pd int64, data []byte) (int, error) {
-	return c.fs.PipeWrite(c.Block, pd, data)
-}
-
-// GpipeRead reads up to len(dst) buffered bytes, blocking on virtual time
-// while the pipe is empty with live writers; io.EOF marks end of stream.
-func (c *BlockCtx) GpipeRead(pd int64, dst []byte) (int, error) {
-	return c.fs.PipeRead(c.Block, pd, dst)
-}
-
-// GpipeClose closes one end of the pipe; when the last declared writer
-// closes, readers drain the buffer and then see io.EOF.
-func (c *BlockCtx) GpipeClose(pd int64, mode PipeMode) error {
-	return c.fs.PipeClose(c.Block, pd, mode)
-}

@@ -5,8 +5,8 @@
 // draining one without the tenants noticing: per-GPU buffer-cache
 // contents (dirty pages by value, clean pages by reference), the
 // closed-file fast-reopen table with its sticky errseq write errors and
-// each file's read-ahead profile, the host-brokered pipe table, and the
-// queued-job manifest handed to the fleet's exactly-once watchers.
+// each file's read-ahead profile, and the queued-job manifest handed to the
+// fleet's exactly-once watchers.
 //
 // The capture protocol that fills an Image lives in internal/core (the
 // copy-on-write walk) and internal/serve (the queue freeze); this package
@@ -49,11 +49,6 @@ type Image struct {
 	// GPUs holds one FS image per GPU, index-aligned with the source
 	// host's GPU numbering.
 	GPUs []FSImage
-	// Pipes is the host-brokered pipe table. Pipes whose writers were
-	// still live at capture are marked Broken: restoring them replays the
-	// declared-writer EOF protocol's failure arm (clean EPIPE), never a
-	// silent truncation.
-	Pipes []PipeImage
 	// Queued is the manifest of jobs that were admitted but never
 	// dispatched on the source. They are NOT re-executed at restore: the
 	// source completed them with ErrHandedOff, and the fleet's
@@ -108,24 +103,6 @@ type StrideImage struct {
 	Window int64
 }
 
-// PipeImage is one host-brokered pipe's state.
-type PipeImage struct {
-	Name            string
-	Cap             int64
-	WritersDeclared int64
-	WritersAttached int64
-	WritersClosed   int64
-	ReaderClosed    bool
-	// Broken, when non-empty, restores the pipe in the broken state: the
-	// next read observes EPIPE before any buffered data. Live writers at
-	// capture force this — their unwritten tail cannot be reconstructed,
-	// and a pipe must fail loudly rather than deliver a truncated stream.
-	Broken   string
-	Chunks   [][]byte
-	BytesIn  int64
-	BytesOut int64
-}
-
 // JobImage is one queued job's manifest entry.
 type JobImage struct {
 	ID       int64
@@ -145,11 +122,6 @@ func (img *Image) Bytes() int64 {
 			for k := range img.GPUs[i].Files[j].Dirty {
 				n += int64(len(img.GPUs[i].Files[j].Dirty[k].Data))
 			}
-		}
-	}
-	for i := range img.Pipes {
-		for _, c := range img.Pipes[i].Chunks {
-			n += int64(len(c))
 		}
 	}
 	return n

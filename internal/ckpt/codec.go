@@ -18,7 +18,7 @@ import (
 
 const (
 	codecMagic   = 0x47434B50 // "GCKP"
-	codecVersion = 3
+	codecVersion = 4
 )
 
 // ErrTruncated is returned when the image ends mid-field.
@@ -66,24 +66,6 @@ func (img *Image) Encode() []byte {
 				e.i64(s.Window)
 			}
 		}
-	}
-
-	e.u64(uint64(len(img.Pipes)))
-	for i := range img.Pipes {
-		p := &img.Pipes[i]
-		e.str(p.Name)
-		e.i64(p.Cap)
-		e.i64(p.WritersDeclared)
-		e.i64(p.WritersAttached)
-		e.i64(p.WritersClosed)
-		e.bool(p.ReaderClosed)
-		e.str(p.Broken)
-		e.u64(uint64(len(p.Chunks)))
-		for _, c := range p.Chunks {
-			e.bytes(c)
-		}
-		e.i64(p.BytesIn)
-		e.i64(p.BytesOut)
 	}
 
 	e.u64(uint64(len(img.Queued)))
@@ -153,25 +135,6 @@ func Decode(data []byte) (*Image, error) {
 		img.GPUs = append(img.GPUs, g)
 	}
 
-	npipe := d.count()
-	for i := uint64(0); i < npipe && d.err == nil; i++ {
-		var p PipeImage
-		p.Name = d.str()
-		p.Cap = d.i64()
-		p.WritersDeclared = d.i64()
-		p.WritersAttached = d.i64()
-		p.WritersClosed = d.i64()
-		p.ReaderClosed = d.bool()
-		p.Broken = d.str()
-		nc := d.count()
-		for j := uint64(0); j < nc && d.err == nil; j++ {
-			p.Chunks = append(p.Chunks, d.bytes())
-		}
-		p.BytesIn = d.i64()
-		p.BytesOut = d.i64()
-		img.Pipes = append(img.Pipes, p)
-	}
-
 	nq := d.count()
 	for i := uint64(0); i < nq && d.err == nil; i++ {
 		img.Queued = append(img.Queued, JobImage{
@@ -200,13 +163,6 @@ func (e *enc) str(s string) { e.u64(uint64(len(s))); e.buf = append(e.buf, s...)
 func (e *enc) bytes(b []byte) {
 	e.u64(uint64(len(b)))
 	e.buf = append(e.buf, b...)
-}
-func (e *enc) bool(v bool) {
-	if v {
-		e.u64(1)
-	} else {
-		e.u64(0)
-	}
 }
 func (e *enc) i64s(vs []int64) {
 	e.u64(uint64(len(vs)))
@@ -283,8 +239,6 @@ func (d *dec) bytes() []byte {
 	copy(out, b)
 	return out
 }
-
-func (d *dec) bool() bool { return d.u64() != 0 }
 
 func (d *dec) i64s() []int64 {
 	n := d.count()

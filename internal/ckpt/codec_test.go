@@ -75,25 +75,6 @@ func randImage(seed int64) *Image {
 		}
 		img.GPUs = append(img.GPUs, fi)
 	}
-	for p := 0; p < rng.Intn(3); p++ {
-		pipe := PipeImage{
-			Name:            "pipe-" + rs(6),
-			Cap:             int64(1 + rng.Intn(1<<16)),
-			WritersDeclared: int64(1 + rng.Intn(4)),
-			ReaderClosed:    rng.Intn(4) == 0,
-			BytesIn:         rng.Int63n(1 << 20),
-		}
-		pipe.WritersAttached = pipe.WritersDeclared
-		pipe.WritersClosed = int64(rng.Intn(int(pipe.WritersDeclared) + 1))
-		pipe.BytesOut = pipe.BytesIn - rng.Int63n(pipe.BytesIn+1)
-		if rng.Intn(3) == 0 {
-			pipe.Broken = "checkpoint severed live writer"
-		}
-		for c := 0; c < rng.Intn(4); c++ {
-			pipe.Chunks = append(pipe.Chunks, rb(128))
-		}
-		img.Pipes = append(img.Pipes, pipe)
-	}
 	for q := 0; q < rng.Intn(5); q++ {
 		img.Queued = append(img.Queued, JobImage{
 			ID:       rng.Int63n(1 << 20),
@@ -133,12 +114,14 @@ func TestCodecRejectsGarbage(t *testing.T) {
 		}
 	}
 	// Empty images in older layouts are an unknown version, not a
-	// truncation: version 1 (profiles carried a burst, no first page) and
+	// truncation: version 1 (profiles carried a burst, no first page),
 	// version 2 (profiles in a per-GPU list keyed by path, not on their
-	// file's image).
+	// file's image) and version 3 (a pipe table between the GPUs and the
+	// queued jobs).
 	for v, old := range map[int]string{
 		1: "\xd0\x96\x8d\xba\x04\x01\x00\x00\x00\x00\x00\x00",
 		2: "\xd0\x96\x8d\xba\x04\x02\x00\x00\x00\x00\x00\x00",
+		3: "\xd0\x96\x8d\xba\x04\x03\x00\x00\x00\x00\x00\x00",
 	} {
 		if _, err := Decode([]byte(old)); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("decode of a version-%d image: %v, want ErrCorrupt", v, err)
@@ -166,10 +149,9 @@ func TestImageAccounting(t *testing.T) {
 			Dirty: []PageImage{{Data: make([]byte, 100)}, {Data: make([]byte, 28)}},
 			Clean: []int64{1, 2, 3},
 		}}}},
-		Pipes: []PipeImage{{Chunks: [][]byte{make([]byte, 10)}}},
 	}
-	if got := img.Bytes(); got != 138 {
-		t.Errorf("Bytes() = %d, want 138", got)
+	if got := img.Bytes(); got != 128 {
+		t.Errorf("Bytes() = %d, want 128", got)
 	}
 	if got := img.DirtyPages(); got != 2 {
 		t.Errorf("DirtyPages() = %d, want 2", got)

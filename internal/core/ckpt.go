@@ -8,7 +8,6 @@ import (
 	"gpufs/internal/core/pcache"
 	"gpufs/internal/core/radix"
 	"gpufs/internal/gpu"
-	"gpufs/internal/gsys"
 	"gpufs/internal/simtime"
 )
 
@@ -395,7 +394,7 @@ func (fs *FS) restoreFile(b *gpu.Block, fi *ckpt.FileImage) error {
 			if start+count-1 > lastFile {
 				count = lastFile - start + 1
 			}
-			fs.spanFetch(b, f, start, count, 1, pcache.SpecNone, gsys.GranBlock)
+			fs.spanFetch(b, f, start, count, 1, pcache.SpecNone)
 		}
 		// Spans are issued asynchronously; wait for residency so the
 		// restored cache is warm (and its ReadyAt times charged) before

@@ -59,7 +59,7 @@ func newHarness(t testing.TB, gpus int, opt Options) *harness {
 	h := &harness{host: host, layer: layer, server: server}
 	for i := 0; i < gpus; i++ {
 		dev := gpu.New(gpu.Config{
-			ID: i, MPs: opt.MPsPerGPU, BlocksPerMP: 2, WarpSize: 32,
+			ID: i, MPs: opt.MPsPerGPU, BlocksPerMP: 2,
 			MemBytes:     opt.BufferCacheBytes * 2,
 			MemBandwidth: rigDevMemBandwidth,
 			Flops:        1e9, ScratchpadBytes: 48 << 10,

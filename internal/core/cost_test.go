@@ -7,7 +7,6 @@ import (
 
 	"gpufs/internal/core/pcache"
 	"gpufs/internal/gpu"
-	"gpufs/internal/gsys"
 	"gpufs/internal/rpc"
 	"gpufs/internal/simtime"
 	"gpufs/internal/trace"
@@ -273,7 +272,7 @@ func TestCostVectoredFill(t *testing.T) {
 	costRig(t, opt, 2*k, func(h *harness, b *gpu.Block, fd int) {
 		fs, f := h.fss[0], h.fss[0].ft.fds[fd]
 		issued, reads := b.Clock.Now(), h.server.Requests(rpc.OpReadPages)
-		cost := elapsed(b, func() { fs.spanFetch(b, f, k, k, 1, pcache.SpecNone, gsys.GranBlock) })
+		cost := elapsed(b, func() { fs.spanFetch(b, f, k, k, 1, pcache.SpecNone) })
 
 		if want := k*fs.probeCost() + opt.APICostPerPage; cost != want {
 			t.Errorf("%d-page fill cost the block %v, want %d claims + one API call = %v", k, cost, k, want)
@@ -308,10 +307,10 @@ func TestCostSkipRule(t *testing.T) {
 	costRig(t, opt, k, func(h *harness, b *gpu.Block, fd int) {
 		fs, f := h.fss[0], h.fss[0].ft.fds[fd]
 		gread(t, fs, b, fd, k*opt.PageSize) // make all k resident
-		if got := elapsed(b, func() { fs.spanFetch(b, f, 0, k, 1, pcache.SpecNone, gsys.GranBlock) }); got != 0 {
+		if got := elapsed(b, func() { fs.spanFetch(b, f, 0, k, 1, pcache.SpecNone) }); got != 0 {
 			t.Errorf("known-needed batch over %d resident pages cost %v, want nothing", k, got)
 		}
-		if got, want := elapsed(b, func() { fs.spanFetch(b, f, 0, k, 1, pcache.SpecPending, gsys.GranBlock) }), k*fs.probeCost(); got != want {
+		if got, want := elapsed(b, func() { fs.spanFetch(b, f, 0, k, 1, pcache.SpecPending) }), k*fs.probeCost(); got != want {
 			t.Errorf("speculative probe of %d resident pages cost %v, want %d x probeCost = %v", k, got, k, want)
 		}
 		got := elapsed(b, func() { gread(t, fs, b, fd, k*opt.PageSize) })
@@ -354,7 +353,7 @@ func TestCostSpeculativeReclaim(t *testing.T) {
 		}
 		reads, requests := h.server.Requests(rpc.OpReadPages), h.server.TotalRequests()
 		reclaimed := fs.CacheStats().SpecReclaimed
-		cost := elapsed(b, func() { fs.spanFetch(b, fs.ft.fds[fd], span, k, 1, pcache.SpecPending, gsys.GranBlock) })
+		cost := elapsed(b, func() { fs.spanFetch(b, fs.ft.fds[fd], span, k, 1, pcache.SpecPending) })
 
 		rpcs := (k*ps + maxHostIO - 1) / maxHostIO // the k adjacent pages, one RPC per span
 		probe := opt.APICostPerPage >> probeCostShift

@@ -40,7 +40,7 @@ func newFaultHarness(t *testing.T, opt Options, fcfg faults.Config, shards, work
 
 	h := &harness{host: host, layer: layer, server: server}
 	dev := gpu.New(gpu.Config{
-		ID: 0, MPs: opt.MPsPerGPU, BlocksPerMP: 2, WarpSize: 32,
+		ID: 0, MPs: opt.MPsPerGPU, BlocksPerMP: 2,
 		MemBytes:     opt.BufferCacheBytes * 2,
 		MemBandwidth: rigDevMemBandwidth,
 		Flops:        1e9, ScratchpadBytes: 48 << 10,

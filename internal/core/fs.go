@@ -20,8 +20,8 @@
 package core
 
 import (
+	"slices"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"gpufs/internal/core/pcache"
@@ -79,10 +79,9 @@ type Options struct {
 	// never acquire resources, so timing is bit-identical with or without
 	// them. Nil keeps every hook at a single pointer test.
 	Metrics *metrics.Registry
-	// Syscalls is the host syscall service (table + pipes) shared by the
-	// system's GPUs. Nil builds a private service over the client's
-	// server — file semantics are identical; only cross-GPU pipes need
-	// the shared table.
+	// Syscalls is the host syscall service (the syscall table and the host
+	// descriptor table) shared by the system's GPUs. Nil builds a private
+	// service over the client's server; file semantics are identical.
 	Syscalls *gsys.Service
 }
 
@@ -160,12 +159,6 @@ type FS struct {
 	// device-memory pass, see copyOut), one per page served.
 	zeroCopyReads atomic.Int64
 
-	// gpread_warp accounting (ISSUE 7): calls, warps coalesced into one
-	// descriptor, and total descriptors issued.
-	warpReadCalls   atomic.Int64
-	warpCoalesced   atomic.Int64
-	warpDescriptors atomic.Int64
-
 	// capture is the in-progress checkpoint's copy-on-write rendezvous
 	// (ISSUE 10); nil whenever no checkpoint is running, which keeps the
 	// gwrite hot path at a single atomic load.
@@ -179,9 +172,6 @@ type FS struct {
 	ckptValidationDrops atomic.Int64
 	ckptPagesDirty      atomic.Int64
 	ckptPagesClean      atomic.Int64
-
-	// pipeNames maps pipe handles (int64) to names for tracing.
-	pipeNames sync.Map
 
 	// met holds pre-resolved metrics handles; nil when Options.Metrics is.
 	met *fsMetrics
@@ -309,15 +299,14 @@ func (fs *FS) attachMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("gpufs_ckpt_pages_dirty_total", fs.ckptPagesDirty.Load, "gpu", gpuL)
 	reg.CounterFunc("gpufs_ckpt_pages_clean_total", fs.ckptPagesClean.Load, "gpu", gpuL)
 
-	m := &fsMetrics{op: make([]*metrics.Histogram, int(trace.OpPipeClose)+1)}
-	for _, op := range []trace.Op{
+	ops := []trace.Op{
 		trace.OpOpen, trace.OpClose, trace.OpRead, trace.OpWrite,
 		trace.OpFsync, trace.OpMmap, trace.OpMunmap, trace.OpMsync,
 		trace.OpUnlink, trace.OpFstat, trace.OpFtruncate,
 		trace.OpEvict, trace.OpPrefetch, trace.OpClean,
-		trace.OpReadWarp,
-		trace.OpPipeOpen, trace.OpPipeRead, trace.OpPipeWrite, trace.OpPipeClose,
-	} {
+	}
+	m := &fsMetrics{op: make([]*metrics.Histogram, slices.Max(ops)+1)}
+	for _, op := range ops {
 		m.op[op] = reg.DurationHistogram("gpufs_core_op_seconds",
 			"gpu", gpuL, "op", op.String())
 	}

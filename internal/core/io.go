@@ -8,7 +8,6 @@ import (
 	"gpufs/internal/core/pcache"
 	"gpufs/internal/core/radix"
 	"gpufs/internal/gpu"
-	"gpufs/internal/gsys"
 	"gpufs/internal/simtime"
 )
 
@@ -190,7 +189,7 @@ func (fs *FS) readImpl(b *gpu.Block, fd int, dst []byte, off int64) (int, error)
 	if !f.readable {
 		return 0, fmt.Errorf("%w: %q", ErrWriteOnly, f.path)
 	}
-	done, err := fs.readSpan(b, f, off, [][]byte{dst}, gsys.GranBlock)
+	done, err := fs.readSpan(b, f, off, dst)
 	if err == nil && done > 0 {
 		ps := fs.opt.PageSize
 		fs.adaptiveReadAhead(b, f, off/ps, (off+done-1)/ps)
@@ -199,9 +198,7 @@ func (fs *FS) readImpl(b *gpu.Block, fd int, dst []byte, off int64) (int, error)
 }
 
 // readSpan is the page walk of every read: it moves the file extent at off
-// into dsts, in order, clamped to end of file, and returns the bytes moved.
-// It consumes dsts (see copyOut); gran is the granularity its fetches are
-// stamped with on the wire.
+// into dst, clamped to end of file, and returns the bytes moved.
 //
 // A read spanning several pages issues the later pages' fetches
 // asynchronously BEFORE faulting the first page, so all of them are in
@@ -211,11 +208,8 @@ func (fs *FS) readImpl(b *gpu.Block, fd int, dst []byte, off int64) (int, error)
 // advances the block's clock to each transfer's completion through
 // Frame.ReadyAt — the same mechanism read-ahead uses. The planner sizes the
 // batch (plan): pages past it fall back to synchronous faults in the walk.
-func (fs *FS) readSpan(b *gpu.Block, f *file, off int64, dsts [][]byte, gran gsys.Granularity) (int64, error) {
-	var want int64
-	for _, d := range dsts {
-		want += int64(len(d))
-	}
+func (fs *FS) readSpan(b *gpu.Block, f *file, off int64, dst []byte) (int64, error) {
+	want := int64(len(dst))
 	size := f.fc.size.Load()
 	if off >= size {
 		return 0, nil
@@ -226,7 +220,7 @@ func (fs *FS) readSpan(b *gpu.Block, f *file, off int64, dsts [][]byte, gran gsy
 	ps := fs.opt.PageSize
 	first, last := off/ps, (off+want-1)/ps
 	if n := fs.plan(onBatch, f, first+1, last-first, 1, 0); n > 0 {
-		fs.spanFetch(b, f, first+1, n, 1, pcache.SpecNone, gran)
+		fs.spanFetch(b, f, first+1, n, 1, pcache.SpecNone)
 	}
 
 	var done int64
@@ -241,7 +235,7 @@ func (fs *FS) readSpan(b *gpu.Block, f *file, off int64, dsts [][]byte, gran gsy
 			return done, err
 		}
 		ref.fr.Lock()
-		dsts = fs.copyOut(b, dsts, ref.fr.Data[inPage:inPage+n])
+		fs.copyOut(b, dst[done:], ref.fr.Data[inPage:inPage+n])
 		ref.fr.Unlock()
 		ref.release()
 		done += n
@@ -250,30 +244,18 @@ func (fs *FS) readSpan(b *gpu.Block, f *file, off int64, dsts [][]byte, gran gsy
 }
 
 // copyOut moves src — bytes of one locked, referenced page frame — into
-// dsts, which must have room, and returns the destinations still unfilled
-// (it advances the slices of dsts past what it wrote). The preset takes
-// effect here and only as a charge: in the extended system the caller reads
-// the pinned frame in place, one device-memory pass (the Go copy only
-// materializes the API contract that the destination owns the data); the
-// prototype's copy costs two.
-func (fs *FS) copyOut(b *gpu.Block, dsts [][]byte, src []byte) [][]byte {
-	for len(src) > 0 {
-		for len(dsts[0]) == 0 {
-			dsts = dsts[1:]
-		}
-		var n int
-		if fs.inPlace {
-			n = copy(dsts[0], src)
-			b.TouchBytes(int64(n))
-		} else {
-			n = b.CopyBytes(dsts[0], src)
-		}
-		dsts[0], src = dsts[0][n:], src[n:]
-	}
+// dst, which must have room. The preset takes effect here and only as a
+// charge: in the extended system the caller reads the pinned frame in
+// place, one device-memory pass (the Go copy only materializes the API
+// contract that the destination owns the data); the prototype's copy costs
+// two.
+func (fs *FS) copyOut(b *gpu.Block, dst, src []byte) {
 	if fs.inPlace {
+		b.TouchBytes(int64(copy(dst, src)))
 		fs.zeroCopyReads.Add(1)
+		return
 	}
-	return dsts
+	b.CopyBytes(dst, src)
 }
 
 // Write implements gwrite: a positional write of len(src) bytes at offset

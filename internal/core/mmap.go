@@ -171,7 +171,7 @@ func (m *Mapping) Read(b *gpu.Block, at int64, dst []byte) (int, error) {
 	}
 	n := min(len(dst), len(m.Data)-int(at))
 	m.ref.fr.Lock()
-	m.fs.copyOut(b, [][]byte{dst}, m.Data[at:int(at)+n])
+	m.fs.copyOut(b, dst, m.Data[at:int(at)+n])
 	m.ref.fr.Unlock()
 	return n, nil
 }

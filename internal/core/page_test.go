@@ -10,7 +10,6 @@ import (
 	"gpufs/internal/core/radix"
 	"gpufs/internal/faults"
 	"gpufs/internal/gpu"
-	"gpufs/internal/gsys"
 	"gpufs/internal/rpc"
 	"gpufs/internal/simtime/simtest"
 )
@@ -110,7 +109,7 @@ func TestReclaimCountsWastedSpeculation(t *testing.T) {
 		}
 		f := fs.ft.fds[fd]
 		head := fs.specPending.Load()
-		fs.spanFetch(b, f, span, 1, 1, pcache.SpecPending, gsys.GranBlock)
+		fs.spanFetch(b, f, span, 1, 1, pcache.SpecPending)
 		if _, err := fs.Read(b, fd, make([]byte, opt.PageSize), (span+1)*opt.PageSize); err != nil {
 			return err
 		}

@@ -40,33 +40,14 @@ func TestMultiPageReadIsVectored(t *testing.T) {
 	})
 }
 
-// TestReadEntryPointsAgree: gread, contiguous and divergent gpread_warp, and
-// Mapping.Read are one page walk and one copy-out, so over the same extent —
-// cold, then resident — they return the same bytes and leave the same
-// CacheStats, and in the extended system they count one in-place read per page
-// served, however many destination buffers a page's bytes are split over.
+// TestReadEntryPointsAgree: gread and Mapping.Read are one page walk and one
+// copy-out, so over the same extent — cold, then resident — they return the
+// same bytes and leave the same CacheStats, and in the extended system they
+// count one in-place read per page served.
 func TestReadEntryPointsAgree(t *testing.T) {
 	const pages = 8
 	type readFn func(fs *FS, b *gpu.Block, fd int, dst []byte) error
 	ps := defaultOpt().PageSize
-	warp := func(chunk int64, reverse bool) readFn {
-		return func(fs *FS, b *gpu.Block, fd int, dst []byte) error {
-			var reqs []WarpReq
-			for off := int64(0); off < int64(len(dst)); off += chunk {
-				reqs = append(reqs, WarpReq{Dst: dst[off : off+chunk], Off: off})
-			}
-			if reverse {
-				for i, j := 0, len(reqs)-1; i < j; i, j = i+1, j-1 {
-					reqs[i], reqs[j] = reqs[j], reqs[i]
-				}
-			}
-			n, err := fs.ReadWarp(b, fd, reqs)
-			if err == nil && n != int64(len(dst)) {
-				err = fmt.Errorf("gpread_warp returned %d of %d bytes", n, len(dst))
-			}
-			return err
-		}
-	}
 	paths := []struct {
 		name string
 		read readFn
@@ -78,10 +59,6 @@ func TestReadEntryPointsAgree(t *testing.T) {
 			}
 			return err
 		}},
-		// Half-page requests: two destination buffers per page.
-		{"warp-contiguous", warp(ps/2, false)},
-		// Descending page-sized requests: the per-thread fallback.
-		{"warp-divergent", warp(ps, true)},
 		{"mmap", func(fs *FS, b *gpu.Block, fd int, dst []byte) error {
 			for off := int64(0); off < int64(len(dst)); off += ps {
 				m, err := fs.Mmap(b, fd, off, ps)
@@ -142,9 +119,8 @@ func TestReadEntryPointsAgree(t *testing.T) {
 	}
 }
 
-// TestReadAtEOFIsFree: a gread and a coalesced gpread_warp that start at or
-// past end of file return zero bytes and charge the block nothing — the
-// warp's descriptor is billed only when there is an extent to describe.
+// TestReadAtEOFIsFree: a gread that starts at or past end of file returns
+// zero bytes and charges the block nothing.
 func TestReadAtEOFIsFree(t *testing.T) {
 	opt := defaultOpt()
 	costRig(t, opt, 1, func(h *harness, b *gpu.Block, fd int) {
@@ -158,15 +134,6 @@ func TestReadAtEOFIsFree(t *testing.T) {
 			})
 			if cost != 0 {
 				t.Errorf("gread at %d (EOF %d) cost %v", off, opt.PageSize, cost)
-			}
-			cost = elapsed(b, func() {
-				reqs := []WarpReq{{Dst: buf[:64], Off: off}, {Dst: buf[64:], Off: off + 64}}
-				if n, err := fs.ReadWarp(b, fd, reqs); n != 0 || err != nil {
-					t.Errorf("gpread_warp at %d: n=%d err=%v", off, n, err)
-				}
-			})
-			if cost != 0 {
-				t.Errorf("coalesced gpread_warp at %d (EOF %d) cost %v", off, opt.PageSize, cost)
 			}
 		}
 	})

@@ -5,7 +5,6 @@ import (
 
 	"gpufs/internal/core/pcache"
 	"gpufs/internal/gpu"
-	"gpufs/internal/gsys"
 	"gpufs/internal/simtime"
 	"gpufs/internal/trace"
 )
@@ -326,7 +325,7 @@ func (fs *FS) raIssue(b *gpu.Block, f *file, st *raStream, base int64, t trigger
 		if t == onReplay {
 			spec = pcache.SpecReplay
 		}
-		fs.spanFetch(b, f, start, n, stride, spec, gsys.GranBlock)
+		fs.spanFetch(b, f, start, n, stride, spec)
 	}
 }
 
@@ -379,8 +378,7 @@ func (fs *FS) prime(st *raStream, last, next int64) {
 // spec is stamped on the fetched frames: a guess's (SpecPending, SpecReplay
 // on a profile's word) joins the prefetch accounting, the in-flight cap and
 // the OpPrefetch trace; SpecNone — a batch, a checkpoint restore — is
-// pipelining, which would flatter the hit rate. gran is the granularity the
-// RPCs are stamped with (gpread_warp's is GranWarp).
+// pipelining, which would flatter the hit rate.
 //
 // A dry frame pool stops a SpecNone span: the page walk that follows faults
 // the rest in. A guess first reclaims what it still wants from the closed
@@ -393,7 +391,7 @@ func (fs *FS) prime(st *raStream, last, next int64) {
 // does a demand fault. A page skipped as resident or in flight costs
 // probeCost only when the fetch is speculative: a known-needed batch is
 // followed by a page walk that pays that page's radix lookup anyway.
-func (fs *FS) spanFetch(b *gpu.Block, f *file, start, count, stride int64, spec int32, gran gsys.Granularity) {
+func (fs *FS) spanFetch(b *gpu.Block, f *file, start, count, stride int64, spec int32) {
 	ps := fs.opt.PageSize
 	maxRun := int(fs.spanPages())
 	var run []pageRef // claimed, allocated, not yet issued
@@ -407,7 +405,7 @@ func (fs *FS) spanFetch(b *gpu.Block, f *file, start, count, stride int64, spec 
 		for i, cl := range run {
 			dsts[i] = cl.fr.Data
 		}
-		ns, done, err := fs.lane(b).Gran(gran).ReadAsync(b.Clock, f.hostFd, runFirst*ps, dsts)
+		ns, done, err := fs.lane(b).ReadAsync(b.Clock, f.hostFd, runFirst*ps, dsts)
 		if err != nil {
 			fs.abort(b.Idx, f.fc, run...)
 			run = run[:0]

@@ -10,7 +10,6 @@ import (
 	"gpufs/internal/core/pcache"
 	"gpufs/internal/faults"
 	"gpufs/internal/gpu"
-	"gpufs/internal/gsys"
 	"gpufs/internal/rpc"
 	"gpufs/internal/trace"
 )
@@ -195,8 +194,8 @@ func TestPrefetchNeverEvictsFullCache(t *testing.T) {
 		defer fs.Close(b, fdB)
 		fB := fs.ft.fds[fdB]
 		allocs, issued := fs.cache.Allocs(), fs.CacheStats().PrefetchIssued
-		fs.spanFetch(b, fB, 0, 4, 1, pcache.SpecPending, gsys.GranBlock)
-		fs.spanFetch(b, fB, 0, 2, 2, pcache.SpecPending, gsys.GranBlock)
+		fs.spanFetch(b, fB, 0, 4, 1, pcache.SpecPending)
+		fs.spanFetch(b, fB, 0, 2, 2, pcache.SpecPending)
 		if got := fs.cache.Allocs(); got != allocs {
 			t.Errorf("speculation allocated %d frames from a full pool", got-allocs)
 		}

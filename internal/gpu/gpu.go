@@ -48,8 +48,6 @@ type Config struct {
 	MPs int
 	// BlocksPerMP is the residency limit per MP.
 	BlocksPerMP int
-	// WarpSize is the number of lockstep threads per warp.
-	WarpSize int
 	// MemBytes is the device memory capacity.
 	MemBytes int64
 	// MemBandwidth is the aggregate device memory bandwidth.
@@ -175,9 +173,6 @@ func New(cfg Config) *Device {
 	if cfg.BlocksPerMP < 1 {
 		cfg.BlocksPerMP = 1
 	}
-	if cfg.WarpSize < 1 {
-		cfg.WarpSize = 32
-	}
 	seed := cfg.SchedSeed
 	if seed == 0 {
 		seed = 0x6702 + int64(cfg.ID)
@@ -204,9 +199,6 @@ func New(cfg Config) *Device {
 
 // ID reports the device index.
 func (d *Device) ID() int { return d.cfg.ID }
-
-// WarpSize reports the number of lockstep threads per warp.
-func (d *Device) WarpSize() int { return d.cfg.WarpSize }
 
 // MaxResidentBlocks reports how many blocks can execute concurrently.
 func (d *Device) MaxResidentBlocks() int { return len(d.slots) }
@@ -504,15 +496,6 @@ type Block struct {
 	mp  *simtime.Resource
 }
 
-// Device returns the device executing the block.
-func (b *Block) Device() *Device { return b.dev }
-
-// Warps reports the number of warps in the block.
-func (b *Block) Warps() int {
-	ws := b.dev.cfg.WarpSize
-	return (b.Threads + ws - 1) / ws
-}
-
 // SyncThreads is the block-wide barrier (__syncthreads). All simulated
 // threads are already in lockstep at block granularity, so this only
 // charges the barrier's virtual cost.
@@ -533,14 +516,6 @@ func (b *Block) MemFence() {
 func (b *Block) ForEachThread(fn func(tid int)) {
 	for t := 0; t < b.Threads; t++ {
 		fn(t)
-	}
-}
-
-// ForEachWarp runs fn once per warp with the warp's first thread id.
-func (b *Block) ForEachWarp(fn func(warp, firstTid int)) {
-	ws := b.dev.cfg.WarpSize
-	for w, t := 0, 0; t < b.Threads; w, t = w+1, t+ws {
-		fn(w, t)
 	}
 }
 

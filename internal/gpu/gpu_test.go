@@ -16,7 +16,6 @@ func testDevice() *Device {
 		ID:              0,
 		MPs:             4,
 		BlocksPerMP:     2,
-		WarpSize:        32,
 		MemBytes:        64 << 20,
 		MemBandwidth:    100_000 * simtime.MBps,
 		Flops:           8e9,
@@ -35,9 +34,6 @@ func TestLaunchGeometry(t *testing.T) {
 	}
 	if d.MaxResidentBlocks() != 8 {
 		t.Fatalf("resident = %d", d.MaxResidentBlocks())
-	}
-	if d.WarpSize() != 32 {
-		t.Fatalf("warp size")
 	}
 }
 
@@ -180,9 +176,6 @@ func TestPanicBecomesFault(t *testing.T) {
 func TestBlockContext(t *testing.T) {
 	d := testDevice()
 	_, err := d.Launch(0, 1, 100, func(b *Block) error {
-		if b.Warps() != 4 {
-			return fmt.Errorf("warps = %d, want 4 (100 threads / 32)", b.Warps())
-		}
 		if len(b.Scratch) != 48<<10 {
 			return fmt.Errorf("scratchpad %d", len(b.Scratch))
 		}
@@ -190,14 +183,6 @@ func TestBlockContext(t *testing.T) {
 		b.ForEachThread(func(tid int) { count++ })
 		if count != 100 {
 			return fmt.Errorf("ForEachThread ran %d", count)
-		}
-		warps := 0
-		b.ForEachWarp(func(w, first int) { warps++ })
-		if warps != 4 {
-			return fmt.Errorf("ForEachWarp ran %d", warps)
-		}
-		if b.Device() != d {
-			return fmt.Errorf("device accessor")
 		}
 		b.SyncThreads()
 		b.MemFence()

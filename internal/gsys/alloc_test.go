@@ -42,7 +42,7 @@ func TestBindAddsNoAllocation(t *testing.T) {
 		}
 	}
 	unbound := testing.AllocsPerRun(200, func() { fsync(*root) })
-	bound := testing.AllocsPerRun(200, func() { fsync(root.Bind(lane).Gran(GranWarp)) })
+	bound := testing.AllocsPerRun(200, func() { fsync(root.Bind(lane)) })
 	if bound != unbound {
 		t.Fatalf("a call on a freshly bound view makes %.0f allocations, on the root %.0f", bound, unbound)
 	}

@@ -1,8 +1,6 @@
 package gsys
 
 import (
-	"errors"
-	"io"
 	"strconv"
 	"sync/atomic"
 
@@ -34,24 +32,20 @@ import (
 // drift guard: a Sysno appended without an entry here fails to compile
 // instead of riding the zero Op.
 var rpcOp = [...]rpc.Op{
-	SysOpen:      rpc.OpOpen,
-	SysClose:     rpc.OpClose,
-	SysRead:      rpc.OpReadPages,
-	SysWrite:     rpc.OpWritePages,
-	SysTruncate:  rpc.OpTruncate,
-	SysUnlink:    rpc.OpUnlink,
-	SysFsync:     rpc.OpFsync,
-	SysValidate:  rpc.OpValidate,
-	SysPipeOpen:  rpc.OpPipeOpen,
-	SysPipeRead:  rpc.OpPipeRead,
-	SysPipeWrite: rpc.OpPipeWrite,
-	SysPipeClose: rpc.OpPipeClose,
+	SysOpen:     rpc.OpOpen,
+	SysClose:    rpc.OpClose,
+	SysRead:     rpc.OpReadPages,
+	SysWrite:    rpc.OpWritePages,
+	SysTruncate: rpc.OpTruncate,
+	SysUnlink:   rpc.OpUnlink,
+	SysFsync:    rpc.OpFsync,
+	SysValidate: rpc.OpValidate,
 }
 
 var _ [numSysno]struct{} = [len(rpcOp)]struct{}{}
 
-// clientRoot is the state shared by every Bind/Gran view of one GPU's
-// syscall client.
+// clientRoot is the state shared by every Bind view of one GPU's syscall
+// client.
 type clientRoot struct {
 	seq atomic.Uint64
 
@@ -92,15 +86,14 @@ func (f *Future) Wait(blk *simtime.Clock) error {
 }
 
 // Client is one GPU's syscall endpoint: a thin dispatcher over the GPU's
-// rpc ring transport. It is a small value: Bind and Gran derive views by
-// copy, one per syscall on the file paths, so a view never reaches the heap
+// rpc ring transport. It is a small value: Bind derives views by copy, one
+// per syscall on the file paths, so a view never reaches the heap
 // (no method lets its receiver escape); views share the root's sequence space
 // and counters.
 type Client struct {
 	svc  *Service
 	rpc  *rpc.Client
 	root *clientRoot
-	gran Granularity
 	lane int
 	// pinned says the GPU's read destinations are pinned for DMA, so a read
 	// is charged without the staging pass through host DRAM. It selects a
@@ -111,7 +104,7 @@ type Client struct {
 // NewClient creates the syscall endpoint for one GPU over its rpc
 // endpoint; pinned says how the GPU's buffer cache is mapped (Client.pinned).
 func NewClient(svc *Service, rc *rpc.Client, pinned bool) *Client {
-	c := &Client{svc: svc, rpc: rc, root: &clientRoot{}, gran: GranBlock, pinned: pinned}
+	c := &Client{svc: svc, rpc: rc, root: &clientRoot{}, pinned: pinned}
 	if reg := svc.srv.Metrics(); reg != nil {
 		gpu := strconv.Itoa(rc.GPUID())
 		reg.SetHelp(sysLatencyMetric,
@@ -136,13 +129,6 @@ func (c Client) Bind(lane int) Client {
 	return c
 }
 
-// Gran returns a view whose descriptors carry the given issue
-// granularity.
-func (c Client) Gran(g Granularity) Client {
-	c.gran = g
-	return c
-}
-
 // RPC returns the underlying transport endpoint of this view.
 func (c Client) RPC() *rpc.Client { return c.rpc }
 
@@ -158,10 +144,10 @@ func (c Client) observe(sys Sysno, ord Ordering, start, end simtime.Time) {
 }
 
 // frame builds and encodes the wire frame of one call.
-func (c Client) frame(d Desc, args []uint64, path string, data []byte) []byte {
+func (c Client) frame(d Desc, args []uint64, path string) []byte {
 	return (&Frame{
 		Desc: d, Lane: int32(c.lane), Seq: c.root.seq.Add(1),
-		Args: args, Path: path, Data: data,
+		Args: args, Path: path,
 	}).Encode()
 }
 
@@ -189,9 +175,9 @@ func (c Client) requestFor(sys Sysno, wire []byte, cl *call) rpc.Request {
 
 // do dispatches one strong-ordered blocking call: the lane's clock
 // advances to response delivery.
-func (c Client) do(blk *simtime.Clock, sys Sysno, args []uint64, path string, data []byte, cl *call) error {
-	d := Desc{Sysno: sys, Gran: c.gran, Order: OrderStrong, Block: CallBlocking}
-	wire := c.frame(d, args, path, data)
+func (c Client) do(blk *simtime.Clock, sys Sysno, args []uint64, path string, cl *call) error {
+	d := Desc{Sysno: sys, Gran: GranBlock, Order: OrderStrong, Block: CallBlocking}
+	wire := c.frame(d, args, path)
 	c.root.strong.Add(1)
 	sent := blk.Now()
 	err := c.rpc.Submit(blk, rpcOp[sys], c.requestFor(sys, wire, cl))
@@ -201,9 +187,9 @@ func (c Client) do(blk *simtime.Clock, sys Sysno, args []uint64, path string, da
 
 // doRelaxed dispatches one relaxed non-blocking call: the block's clock
 // is untouched and the returned Future joins it.
-func (c Client) doRelaxed(blk *simtime.Clock, sys Sysno, args []uint64, path string, data []byte, cl *call) *Future {
-	d := Desc{Sysno: sys, Gran: c.gran, Order: OrderRelaxed, Block: CallNonBlocking}
-	wire := c.frame(d, args, path, data)
+func (c Client) doRelaxed(blk *simtime.Clock, sys Sysno, args []uint64, path string, cl *call) *Future {
+	d := Desc{Sysno: sys, Gran: GranBlock, Order: OrderRelaxed, Block: CallNonBlocking}
+	wire := c.frame(d, args, path)
 	c.root.relaxed.Add(1)
 	sent := blk.Now()
 	done, err := c.rpc.SubmitAsync(blk, rpcOp[sys], c.requestFor(sys, wire, cl))
@@ -232,7 +218,7 @@ func (c Client) Open(blk *simtime.Clock, path string, flags int, mode hostfs.Mod
 	if head {
 		h = 1
 	}
-	if err := c.do(blk, SysOpen, []uint64{uint64(flags), uint64(mode), h}, path, nil, cl); err != nil {
+	if err := c.do(blk, SysOpen, []uint64{uint64(flags), uint64(mode), h}, path, cl); err != nil {
 		return -1, hostfs.FileInfo{}, nil, err
 	}
 	return cl.reply.FD, cl.reply.Info, cl.reply.Ns, nil
@@ -247,12 +233,12 @@ func (c Client) Open(blk *simtime.Clock, path string, flags int, mode hostfs.Mod
 func (c Client) OpenRelaxed(blk *simtime.Clock, path string, flags int, mode hostfs.Mode, dsts [][]byte) *Future {
 	cl := readCall(dsts)
 	defer cl.done()
-	return c.doRelaxed(blk, SysOpen, []uint64{uint64(flags), uint64(mode)}, path, nil, cl)
+	return c.doRelaxed(blk, SysOpen, []uint64{uint64(flags), uint64(mode)}, path, cl)
 }
 
 // Close closes a daemon descriptor handle.
 func (c Client) Close(blk *simtime.Clock, fd int64) error {
-	return c.do(blk, SysClose, []uint64{uint64(fd)}, "", nil, &call{})
+	return c.do(blk, SysClose, []uint64{uint64(fd)}, "", &call{})
 }
 
 // Read reads the contiguous file extent starting at off into the device
@@ -265,7 +251,7 @@ func (c Client) Close(blk *simtime.Clock, fd int64) error {
 func (c Client) Read(blk *simtime.Clock, fd, off int64, dsts [][]byte) ([]int, error) {
 	cl := readCall(dsts)
 	defer cl.done()
-	if err := c.do(blk, SysRead, []uint64{uint64(fd), uint64(off)}, "", nil, cl); err != nil {
+	if err := c.do(blk, SysRead, []uint64{uint64(fd), uint64(off)}, "", cl); err != nil {
 		return nil, err
 	}
 	return cl.reply.Ns, nil
@@ -278,7 +264,7 @@ func (c Client) Read(blk *simtime.Clock, fd, off int64, dsts [][]byte) ([]int, e
 func (c Client) ReadAsync(blk *simtime.Clock, fd, off int64, dsts [][]byte) ([]int, simtime.Time, error) {
 	cl := readCall(dsts)
 	defer cl.done()
-	fut := c.doRelaxed(blk, SysRead, []uint64{uint64(fd), uint64(off)}, "", nil, cl)
+	fut := c.doRelaxed(blk, SysRead, []uint64{uint64(fd), uint64(off)}, "", cl)
 	if fut.err != nil {
 		return nil, 0, fut.err
 	}
@@ -293,7 +279,7 @@ func (c Client) ReadAsync(blk *simtime.Clock, fd, off int64, dsts [][]byte) ([]i
 // nowhere or wholly (a retried one is deduplicated), and no count is returned.
 func (c Client) WritePages(blk *simtime.Clock, fd, off int64, srcs [][]byte) (int, int64, error) {
 	cl := writeCall(srcs)
-	if err := c.do(blk, SysWrite, []uint64{uint64(fd), uint64(off)}, "", nil, cl); err != nil {
+	if err := c.do(blk, SysWrite, []uint64{uint64(fd), uint64(off)}, "", cl); err != nil {
 		return 0, 0, err
 	}
 	return cl.reply.N, cl.reply.Gen, nil
@@ -303,7 +289,7 @@ func (c Client) WritePages(blk *simtime.Clock, fd, off int64, srcs [][]byte) (in
 // file has with the truncation applied (Reply.Gen).
 func (c Client) Truncate(blk *simtime.Clock, fd, size int64) (int64, error) {
 	cl := &call{}
-	if err := c.do(blk, SysTruncate, []uint64{uint64(fd), uint64(size)}, "", nil, cl); err != nil {
+	if err := c.do(blk, SysTruncate, []uint64{uint64(fd), uint64(size)}, "", cl); err != nil {
 		return 0, err
 	}
 	return cl.reply.Gen, nil
@@ -311,12 +297,12 @@ func (c Client) Truncate(blk *simtime.Clock, fd, size int64) (int64, error) {
 
 // Unlink removes the file at path on the host.
 func (c Client) Unlink(blk *simtime.Clock, path string) error {
-	return c.do(blk, SysUnlink, nil, path, nil, &call{})
+	return c.do(blk, SysUnlink, nil, path, &call{})
 }
 
 // Fsync forces the host file to stable storage.
 func (c Client) Fsync(blk *simtime.Clock, fd int64) error {
-	return c.do(blk, SysFsync, []uint64{uint64(fd)}, "", nil, &call{})
+	return c.do(blk, SysFsync, []uint64{uint64(fd)}, "", &call{})
 }
 
 // Validate asks the consistency layer whether the GPU's cached copy of
@@ -324,7 +310,7 @@ func (c Client) Fsync(blk *simtime.Clock, fd int64) error {
 // exhausted under faults) reports "not valid" — the conservative answer.
 func (c Client) Validate(blk *simtime.Clock, ino, gen int64) bool {
 	cl := &call{}
-	err := c.do(blk, SysValidate, []uint64{uint64(ino), uint64(gen)}, "", nil, cl)
+	err := c.do(blk, SysValidate, []uint64{uint64(ino), uint64(gen)}, "", cl)
 	return err == nil && cl.reply.Valid
 }
 
@@ -362,73 +348,3 @@ func (c Client) BeginWrite(ino int64, multiWriter bool) error {
 
 // EndWrite releases the writer registration.
 func (c Client) EndWrite(ino int64) { c.svc.srv.Layer().EndWrite(c.rpc.GPUID(), ino) }
-
-// --- Pipe syscalls ---
-
-// PipeOpen opens (creating on first open) the named pipe with the given
-// buffer capacity and declared writer count, returning its handle. Every
-// opener must declare the same capacity and writer count.
-func (c Client) PipeOpen(blk *simtime.Clock, name string, mode PipeMode, capBytes, writers int) (int64, error) {
-	cl := &call{}
-	err := c.do(blk, SysPipeOpen, []uint64{uint64(mode), uint64(capBytes), uint64(writers)}, name, nil, cl)
-	if err != nil {
-		return -1, err
-	}
-	return cl.reply.FD, nil
-}
-
-// PipeWrite writes data as one atomic record, blocking (on virtual time)
-// while the pipe lacks room for the whole record.
-func (c Client) PipeWrite(blk *simtime.Clock, pd int64, data []byte) (int, error) {
-	for {
-		cl := &call{}
-		err := c.do(blk, SysPipeWrite, []uint64{uint64(pd)}, "", data, cl)
-		if err == nil {
-			return cl.reply.N, nil
-		}
-		if !errors.Is(err, ErrPipeFull) {
-			return 0, err
-		}
-		// Would block: wait in real time for space, advance to the
-		// virtual time it freed, and poll again with a fresh request.
-		p, perr := c.svc.pipes.get(pd)
-		if perr != nil {
-			return 0, perr
-		}
-		if wakeAt := p.waitWritable(len(data)); blk.Now() < wakeAt {
-			blk.AdvanceTo(wakeAt)
-		}
-	}
-}
-
-// PipeRead reads up to len(dst) buffered bytes, blocking (on virtual
-// time) while the pipe is empty with live writers. At end of stream —
-// declared writers all closed, buffer drained — it returns io.EOF.
-func (c Client) PipeRead(blk *simtime.Clock, pd int64, dst []byte) (int, error) {
-	for {
-		cl := readCall([][]byte{dst})
-		err := c.do(blk, SysPipeRead, []uint64{uint64(pd)}, "", nil, cl)
-		if err == nil {
-			if cl.reply.EOF {
-				return 0, io.EOF
-			}
-			return cl.reply.N, nil
-		}
-		if !errors.Is(err, ErrPipeEmpty) {
-			return 0, err
-		}
-		p, perr := c.svc.pipes.get(pd)
-		if perr != nil {
-			return 0, perr
-		}
-		if wakeAt := p.waitReadable(); blk.Now() < wakeAt {
-			blk.AdvanceTo(wakeAt)
-		}
-	}
-}
-
-// PipeClose closes one end of the pipe. Closing the last declared writer
-// end releases readers into EOF once the buffer drains.
-func (c Client) PipeClose(blk *simtime.Clock, pd int64, mode PipeMode) error {
-	return c.do(blk, SysPipeClose, []uint64{uint64(pd), uint64(mode)}, "", nil, &call{})
-}

@@ -1,10 +1,9 @@
-// Package gsys is the generic GPU system-call subsystem (ROADMAP item 3,
-// after "GPU System Calls", Veselý et al.). It generalizes the file-only
-// RPC protocol of internal/rpc into an arbitrary syscall surface: every
-// call carries a typed descriptor — operation, issue granularity (thread,
-// warp, or block), ordering class (strong or relaxed), and blocking mode —
-// and is framed into a wire format before a host-side handler registered
-// in a syscall table executes it on a daemon worker's clock.
+// Package gsys is the GPU system-call subsystem: the file protocol GPUfs
+// speaks to its host daemon. Every call carries a typed descriptor —
+// operation, ordering class (strong or relaxed), and blocking mode — and
+// is framed into a wire format before a host-side handler registered in a
+// syscall table executes it on a daemon worker's clock. Every call is
+// block-collective, as in the paper (§4): a threadblock issues it once.
 //
 // The split of responsibilities with internal/rpc is deliberate: rpc is
 // the transport (sharded rings, retry/timeout/dedup, completion queue,
@@ -21,7 +20,7 @@ import "fmt"
 // Sysno identifies a system call in the generic syscall table.
 type Sysno uint8
 
-// System calls: the file operations, then pipes.
+// System calls: the file operations.
 const (
 	SysOpen Sysno = iota
 	SysClose
@@ -31,18 +30,14 @@ const (
 	SysUnlink
 	SysFsync
 	SysValidate
-	SysPipeOpen
-	SysPipeRead
-	SysPipeWrite
-	SysPipeClose
 	numSysno
 )
 
 // knownSysno is the compile-time drift guard companion of numSysno:
 // adding a Sysno without extending String() (and this constant) fails the
-// array-length assignment below instead of rendering as "sys(12)" at
+// array-length assignment below instead of rendering as "sys(8)" at
 // runtime.
-const knownSysno = 12
+const knownSysno = 8
 
 var _ [knownSysno]struct{} = [numSysno]struct{}{}
 
@@ -66,22 +61,14 @@ func (s Sysno) String() string {
 		return "gfsync"
 	case SysValidate:
 		return "gvalidate"
-	case SysPipeOpen:
-		return "gpipe_open"
-	case SysPipeRead:
-		return "gpipe_read"
-	case SysPipeWrite:
-		return "gpipe_write"
-	case SysPipeClose:
-		return "gpipe_close"
 	}
 	return fmt.Sprintf("sys(%d)", uint8(s))
 }
 
-// Granularity is the issue granularity of a call: how many data-parallel
-// threads collaborated to issue this one descriptor. The warp-level
-// parallelism literature motivates warp as the natural unit for divergent
-// I/O; GPUfs's own API is block-collective.
+// Granularity is the issue granularity a descriptor records: how many
+// data-parallel threads collaborated to issue it. Every client call is
+// block-collective and carries GranBlock; the field stays on the wire
+// because the frame format and its committed fuzz corpus decode it.
 type Granularity uint8
 
 // Issue granularities.
@@ -103,20 +90,6 @@ func (g Granularity) String() string {
 		return "block"
 	}
 	return fmt.Sprintf("gran(%d)", uint8(g))
-}
-
-// ParseGranularity parses a granularity knob string as used by the cmd
-// flags ("thread", "warp", "block").
-func ParseGranularity(s string) (Granularity, error) {
-	switch s {
-	case "thread":
-		return GranThread, nil
-	case "warp":
-		return GranWarp, nil
-	case "block":
-		return GranBlock, nil
-	}
-	return 0, fmt.Errorf("unknown granularity %q (want thread, warp, or block)", s)
 }
 
 // Ordering is the memory-ordering class of a call with respect to other

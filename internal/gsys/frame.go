@@ -6,12 +6,13 @@ import (
 	"fmt"
 )
 
-// The wire framing. A request frame is what a threadblock (or warp)
-// writes into its ring slot in write-shared host memory: a fixed header
-// carrying the descriptor, lane, and sequence number, followed by a small
+// The wire framing. A request frame is what a threadblock writes into its
+// ring slot in write-shared host memory: a fixed header carrying the
+// descriptor, lane, and sequence number, followed by a small
 // scalar-argument vector, an optional path, and an optional inline data
-// payload (gpipe writes ride the frame; bulk page data never does — the
-// host DMAs it directly to and from device pointers, as in the paper).
+// payload. No file call fills the payload: bulk page data never rides the
+// frame — the host DMAs it directly to and from device pointers, as in the
+// paper.
 //
 // Layout (little-endian):
 //
@@ -34,7 +35,7 @@ const (
 	MaxFrameArgs = 16
 	// MaxFramePath bounds the path length (PATH_MAX-ish).
 	MaxFramePath = 4096
-	// MaxFrameData bounds the inline data payload (gpipe records).
+	// MaxFrameData bounds the inline data payload.
 	MaxFrameData = 1 << 26
 
 	frameHeaderLen = 2 + 1 + 1 + 1 + 1 + 4 + 8

@@ -14,8 +14,8 @@ func FuzzSyscallFrame(f *testing.F) {
 		{Desc: Desc{SysOpen, GranBlock, OrderStrong, CallBlocking}, Lane: 1, Seq: 1, Path: "/seed"},
 		{Desc: Desc{SysOpen, GranBlock, OrderStrong, CallBlocking}, Lane: 1, Seq: 2, Args: []uint64{0, 6, 1}, Path: "/head"},
 		{Desc: Desc{SysRead, GranWarp, OrderRelaxed, CallNonBlocking}, Lane: -2, Seq: 99, Args: []uint64{4, 0, 1 << 18}},
-		{Desc: Desc{SysPipeWrite, GranBlock, OrderStrong, CallBlocking}, Seq: 3, Args: []uint64{7}, Data: []byte("payload")},
-		{Desc: Desc{SysPipeOpen, GranBlock, OrderStrong, CallBlocking}, Seq: 5, Args: []uint64{0, 16}, Path: "/d"},
+		{Desc: Desc{SysWrite, GranBlock, OrderStrong, CallBlocking}, Seq: 3, Args: []uint64{7}, Data: []byte("payload")},
+		{Desc: Desc{SysUnlink, GranBlock, OrderStrong, CallBlocking}, Seq: 5, Args: []uint64{0, 16}, Path: "/d"},
 	}
 	for i := range seeds {
 		f.Add(seeds[i].Encode())

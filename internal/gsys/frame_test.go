@@ -13,11 +13,11 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Desc: Desc{SysOpen, GranBlock, OrderStrong, CallBlocking}, Lane: 2, Seq: 3, Args: []uint64{2, 6, 1}, Path: "/a/head"},
 		{Desc: Desc{SysRead, GranBlock, OrderStrong, CallBlocking}, Lane: 17, Seq: 42, Args: []uint64{3, 1 << 40, 262144}},
 		{Desc: Desc{SysRead, GranWarp, OrderRelaxed, CallNonBlocking}, Lane: -9, Seq: 7, Args: []uint64{1, 2, 3, 4}},
-		{Desc: Desc{SysPipeWrite, GranBlock, OrderStrong, CallBlocking}, Lane: 3, Seq: 9,
-			Args: []uint64{12}, Data: []byte("hello, pipe")},
-		{Desc: Desc{SysPipeOpen, GranBlock, OrderStrong, CallBlocking}, Lane: 1, Seq: 2,
+		{Desc: Desc{SysWrite, GranBlock, OrderStrong, CallBlocking}, Lane: 3, Seq: 9,
+			Args: []uint64{12}, Data: []byte("hello, file")},
+		{Desc: Desc{SysUnlink, GranBlock, OrderStrong, CallBlocking}, Lane: 1, Seq: 2,
 			Args: []uint64{0, 64}, Path: "/dir"},
-		{Desc: Desc{SysPipeClose, GranThread, OrderRelaxed, CallNonBlocking}, Lane: 1 << 20, Seq: 1<<64 - 1},
+		{Desc: Desc{SysValidate, GranThread, OrderRelaxed, CallNonBlocking}, Lane: 1 << 20, Seq: 1<<64 - 1},
 	}
 	for i, in := range frames {
 		wire := in.Encode()
@@ -76,16 +76,6 @@ func TestDescStringsAndParsers(t *testing.T) {
 	for s := Sysno(0); s < numSysno; s++ {
 		if name := s.String(); name == "" || strings.HasPrefix(name, "sys(") {
 			t.Errorf("Sysno %d has no name", s)
-		}
-	}
-	for _, tc := range []struct {
-		in   string
-		want Granularity
-		ok   bool
-	}{{"thread", GranThread, true}, {"warp", GranWarp, true}, {"block", GranBlock, true}, {"", 0, false}, {"wavefront", 0, false}} {
-		got, err := ParseGranularity(tc.in)
-		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
-			t.Errorf("ParseGranularity(%q) = %v, %v", tc.in, got, err)
 		}
 	}
 }

@@ -27,15 +27,11 @@ type Reply struct {
 	N     int
 	Ns    []int
 	Valid bool
-	EOF   bool
 	// Gen is the generation the host file has with the call's modification
 	// applied: what a stat issued right after it would have read. The two
 	// mutating file syscalls (SysWrite, SysTruncate) fill it, so a caching
 	// GPU learns what its own write made of the file from the write's reply.
 	Gen int64
-	// WaitAt is a would-block hint: the virtual time at which the
-	// blocking condition was last known to clear (pipe space freed).
-	WaitAt simtime.Time
 }
 
 // call is one in-flight syscall: the transport view it was issued on, the
@@ -103,9 +99,9 @@ func writeCall(srcs [][]byte) *call {
 type handlerFunc func(s *Service, c *call, cclk *simtime.Clock) (simtime.Time, error)
 
 // Service is the host-side syscall service shared by every GPU of a
-// system: the syscall table, the daemon's descriptor table, and the pipe
-// table. It layers over the rpc daemon, which keeps the worker pool and
-// the consistency layer.
+// system: the syscall table and the daemon's descriptor table. It layers
+// over the rpc daemon, which keeps the worker pool and the consistency
+// layer.
 type Service struct {
 	srv   *rpc.Server
 	table [numSysno]handlerFunc
@@ -113,7 +109,6 @@ type Service struct {
 	// continues once a DMA they started has landed (rpc.Request.Resume); nil
 	// for every syscall that is one stretch.
 	resume [numSysno]handlerFunc
-	pipes  pipeTable
 
 	mu     sync.Mutex
 	fds    map[int64]*hostfs.File
@@ -123,20 +118,15 @@ type Service struct {
 // NewService builds the syscall table over the given rpc daemon.
 func NewService(srv *rpc.Server) *Service {
 	s := &Service{srv: srv, fds: make(map[int64]*hostfs.File), nextFd: 3}
-	s.pipes.init()
 	s.table = [numSysno]handlerFunc{
-		SysOpen:      (*Service).sysOpen,
-		SysClose:     (*Service).sysClose,
-		SysRead:      (*Service).sysRead,
-		SysWrite:     (*Service).sysWrite,
-		SysTruncate:  (*Service).sysTruncate,
-		SysUnlink:    (*Service).sysUnlink,
-		SysFsync:     (*Service).sysFsync,
-		SysValidate:  (*Service).sysValidate,
-		SysPipeOpen:  (*Service).sysPipeOpen,
-		SysPipeRead:  (*Service).sysPipeRead,
-		SysPipeWrite: (*Service).sysPipeWrite,
-		SysPipeClose: (*Service).sysPipeClose,
+		SysOpen:     (*Service).sysOpen,
+		SysClose:    (*Service).sysClose,
+		SysRead:     (*Service).sysRead,
+		SysWrite:    (*Service).sysWrite,
+		SysTruncate: (*Service).sysTruncate,
+		SysUnlink:   (*Service).sysUnlink,
+		SysFsync:    (*Service).sysFsync,
+		SysValidate: (*Service).sysValidate,
 	}
 	s.resume[SysWrite] = (*Service).sysWriteLanded
 	return s

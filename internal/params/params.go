@@ -40,8 +40,6 @@ type Config struct {
 	MPsPerGPU int
 	// BlocksPerMP is how many threadblocks may be resident on one MP.
 	BlocksPerMP int
-	// WarpSize is the number of threads executed in lockstep (32 on NVIDIA).
-	WarpSize int
 	// GPUMemBytes is the device memory capacity (6 GB on the C2075).
 	GPUMemBytes int64
 	// GPUMemBandwidth is aggregate device-memory bandwidth (~144 GB/s).
@@ -139,7 +137,7 @@ type Config struct {
 	// optimization).
 	DisableFastReopen bool
 	// CkptMaxBytes bounds the bytes a checkpoint may capture by value
-	// (dirty pages plus pipe buffers). A capture that exceeds it fails
+	// (its dirty pages). A capture that exceeds it fails
 	// with ckpt.ErrBudget and the remediator falls back to
 	// drain+restart. 0 means unlimited.
 	CkptMaxBytes int64
@@ -178,7 +176,6 @@ func Default() Config {
 
 		MPsPerGPU:            14,
 		BlocksPerMP:          2,
-		WarpSize:             32,
 		GPUMemBytes:          6 * GB,
 		GPUMemBandwidth:      144_000 * simtime.MBps,
 		ScratchpadBytes:      48 * KB,
@@ -267,8 +264,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("params: MPsPerGPU must be >= 1, got %d", c.MPsPerGPU)
 	case c.BlocksPerMP < 1:
 		return fmt.Errorf("params: BlocksPerMP must be >= 1, got %d", c.BlocksPerMP)
-	case c.WarpSize < 1:
-		return fmt.Errorf("params: WarpSize must be >= 1, got %d", c.WarpSize)
 	case c.PageSize < 512:
 		return fmt.Errorf("params: PageSize must be >= 512, got %d", c.PageSize)
 	case c.PageSize&(c.PageSize-1) != 0:

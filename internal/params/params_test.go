@@ -62,7 +62,6 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		{"gpus", func(c *Config) { c.NumGPUs = 0 }, "NumGPUs"},
 		{"mps", func(c *Config) { c.MPsPerGPU = 0 }, "MPsPerGPU"},
 		{"blocks", func(c *Config) { c.BlocksPerMP = 0 }, "BlocksPerMP"},
-		{"warp", func(c *Config) { c.WarpSize = 0 }, "WarpSize"},
 		{"pagesize", func(c *Config) { c.PageSize = 100 }, "PageSize"},
 		{"pagepow2", func(c *Config) { c.PageSize = 3000 }, "power of two"},
 		{"cache", func(c *Config) { c.BufferCacheBytes = 1024 }, "smaller than one page"},

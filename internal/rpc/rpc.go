@@ -87,17 +87,13 @@ const (
 	OpStat
 	OpFsync
 	OpValidate
-	OpPipeOpen
-	OpPipeRead
-	OpPipeWrite
-	OpPipeClose
 	numOps
 )
 
 // knownOps is the compile-time drift guard companion of numOps: adding an
 // Op without extending String() below (and this constant) fails the
-// array-length assignment instead of rendering as "Op(13)" at runtime.
-const knownOps = 13
+// array-length assignment instead of rendering as "Op(9)" at runtime.
+const knownOps = 9
 
 var _ [knownOps]struct{} = [numOps]struct{}{}
 
@@ -123,14 +119,6 @@ func (o Op) String() string {
 		return "fsync"
 	case OpValidate:
 		return "validate"
-	case OpPipeOpen:
-		return "pipe_open"
-	case OpPipeRead:
-		return "pipe_read"
-	case OpPipeWrite:
-		return "pipe_write"
-	case OpPipeClose:
-		return "pipe_close"
 	}
 	return fmt.Sprintf("Op(%d)", int(o))
 }

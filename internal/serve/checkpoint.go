@@ -21,8 +21,8 @@ import (
 //	3. Walk every GPU's cache concurrently with those kernels.
 //	4. Flush the queues (jobs complete with ErrHandedOff, exactly as
 //	   DrainForHandoff), wait for in-flight work, stop the workers.
-//	5. Commit: validate speculated clean pages against the live host,
-//	   merge the write-fault copies, export the pipe table.
+//	5. Commit: validate speculated clean pages against the live host and
+//	   merge the write-fault copies.
 //
 // The serving kernels are read-only (execJob), so nothing an in-flight
 // batch does after its page's cut can invalidate the image; general
@@ -113,7 +113,6 @@ func (s *Server) Checkpoint() (*ckpt.Image, error) {
 		return nil, commitErr
 	}
 
-	img.Pipes = s.sys.Syscalls().ExportPipes()
 	for _, f := range flushed {
 		img.Queued = append(img.Queued, ckpt.JobImage{
 			ID:       int64(f.j.id),
@@ -133,11 +132,11 @@ func (s *Server) Checkpoint() (*ckpt.Image, error) {
 
 // Restore implements Backend: materialize img onto this freshly built
 // host — per-GPU cache contents and file tables via the core restore
-// engine, then the host-brokered pipe table. The restore's virtual cost
-// advances the server clock, so migration latency is visible in Now().
-// Best-effort per GPU image: a file that no longer restores leaves its
-// tenants with a cold miss, not a dead host; the first error is
-// reported after everything restorable is in place.
+// engine. The restore's virtual cost advances the server clock, so
+// migration latency is visible in Now(). Best-effort per GPU image: a file
+// that no longer restores leaves its tenants with a cold miss, not a dead
+// host; the first error is reported after everything restorable is in
+// place.
 func (s *Server) Restore(img *ckpt.Image) error {
 	s.mu.Lock()
 	fresh := !s.draining && !s.closed && s.idleLocked() && s.vnow.Load() == 0
@@ -161,6 +160,5 @@ func (s *Server) Restore(img *ckpt.Image) error {
 		}
 		s.advanceNow(end)
 	}
-	s.sys.Syscalls().RestorePipes(img.Pipes)
 	return firstErr
 }

@@ -62,21 +62,13 @@ const (
 	// cleaner runs on its own lane, not a threadblock); Bytes is the
 	// extent written back or pre-evicted.
 	OpClean
-	// OpReadWarp marks one gpread_warp call; Bytes is the total extent
-	// read across the warp's coalesced descriptors.
-	OpReadWarp
-	// The gpipe operations: Path names the pipe; Bytes the record size.
-	OpPipeOpen
-	OpPipeRead
-	OpPipeWrite
-	OpPipeClose
 	numOps
 )
 
 // knownOps is the compile-time drift guard companion of numOps: adding an
 // Op without extending String() below (and this constant) fails the
-// array-length assignment instead of rendering as "Op(25)" at runtime.
-const knownOps = 25
+// array-length assignment instead of rendering as "Op(20)" at runtime.
+const knownOps = 20
 
 var _ [knownOps]struct{} = [numOps]struct{}{}
 
@@ -125,16 +117,6 @@ func (o Op) String() string {
 		return "prefetch-waste"
 	case OpClean:
 		return "clean"
-	case OpReadWarp:
-		return "gread_warp"
-	case OpPipeOpen:
-		return "gpipe_open"
-	case OpPipeRead:
-		return "gpipe_read"
-	case OpPipeWrite:
-		return "gpipe_write"
-	case OpPipeClose:
-		return "gpipe_close"
 	}
 	return fmt.Sprintf("Op(%d)", int(o))
 }

@@ -1,6 +1,5 @@
-// End-to-end tests for the generic syscall surface beyond the pipe family
-// (covered by pipe_conformance_test.go): warp-granularity coalesced reads
-// and open-ahead.
+// End-to-end tests for open-ahead, the one relaxed file call beyond the
+// paper's API.
 package gpufs_test
 
 import (
@@ -10,7 +9,6 @@ import (
 
 	"gpufs"
 	"gpufs/internal/metrics"
-	"gpufs/internal/simtime"
 	"gpufs/internal/workloads"
 )
 
@@ -22,121 +20,6 @@ func syscallTestSystem(t *testing.T) *gpufs.System {
 		t.Fatal(err)
 	}
 	return sys
-}
-
-// warpReadRun launches one warp of threads reading against a staged
-// file, one PAGE per thread so the coalesced span covers many pages and
-// the vectored relaxed prefetch actually runs. Offsets are chosen by
-// layout ("coalesced" = a contiguous ascending span; "divergent" = the
-// same offsets reversed within the warp), and the run returns the virtual
-// end time plus the system's warp stats.
-func warpReadRun(t *testing.T, layout string) (simtime.Time, int64, int64, int64) {
-	t.Helper()
-	cfg := gpufs.ScaledConfig(1.0 / 256)
-	// One (partial) warp, one page per thread, and a span that fits the
-	// paging layer's batch-fetch budget so the whole tail rides a single
-	// vectored warp-granularity RPC. (A wider span falls back to demand
-	// misses past the budget, which the per-thread path's adaptive
-	// read-ahead — it ramps on stride ±1 — would beat; that trade-off is
-	// the read-ahead engine's test, not this one.)
-	const threads = 16
-	chunk := cfg.PageSize
-	// Hold the whole corpus on both sides of the bus so timing reflects
-	// transport, not eviction.
-	if need := (threads + 16) * chunk; cfg.BufferCacheBytes < need {
-		cfg.BufferCacheBytes = need
-	}
-	if need := 2 * cfg.BufferCacheBytes; cfg.GPUMemBytes < need {
-		cfg.GPUMemBytes = need
-	}
-	if need := 4 * cfg.BufferCacheBytes; cfg.CPURAMBytes < need {
-		cfg.CPURAMBytes = need
-	}
-	sys, err := gpufs.NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, int(chunk)*threads)
-	for i := range data {
-		data[i] = byte(i * 13)
-	}
-	if err := sys.WriteHostFile("/warp/in.bin", data); err != nil {
-		t.Fatal(err)
-	}
-
-	dsts := make([][]byte, threads)
-	for i := range dsts {
-		dsts[i] = make([]byte, chunk)
-	}
-	end, err := sys.GPU(0).Launch(0, 1, threads, func(c *gpufs.BlockCtx) error {
-		if c.Idx != 0 {
-			return nil
-		}
-		fd, err := c.Gopen("/warp/in.bin", gpufs.O_RDONLY)
-		if err != nil {
-			return err
-		}
-		defer c.Gclose(fd)
-		reqs := make([]gpufs.WarpReq, threads)
-		for i := range reqs {
-			reqs[i] = gpufs.WarpReq{Dst: dsts[i], Off: int64(i) * chunk}
-		}
-		if layout == "divergent" {
-			// Reverse offsets within the warp: same bytes, same
-			// per-thread sizes, but a descending span the coalescer
-			// must reject.
-			for a, b := 0, threads-1; a < b; a, b = a+1, b-1 {
-				reqs[a].Off, reqs[b].Off = reqs[b].Off, reqs[a].Off
-			}
-		}
-		n, err := c.GpreadWarp(fd, reqs)
-		if err != nil {
-			return err
-		}
-		if n != int64(len(data)) {
-			return fmt.Errorf("gpread_warp read %d bytes, want %d", n, len(data))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Launch(%s): %v", layout, err)
-	}
-
-	// Every thread's buffer must hold the bytes at ITS offset, whichever
-	// thread's request that was after the in-warp shuffle.
-	for i := range dsts {
-		off := int64(i) * chunk
-		if layout == "divergent" {
-			off = int64(threads-1-i) * chunk
-		}
-		if !bytes.Equal(dsts[i], data[off:off+chunk]) {
-			t.Fatalf("%s: thread %d bytes differ from file at offset %d", layout, i, off)
-		}
-	}
-	calls, coalesced, descriptors := sys.GPU(0).FS().WarpStats()
-	return end, calls, coalesced, descriptors
-}
-
-// TestGpreadWarpCoalescing pins the descriptor accounting and the
-// performance claim of warp-granularity reads: a contiguous warp costs
-// ONE syscall descriptor, a divergent warp one per thread, and the
-// coalesced layout finishes sooner in virtual time for identical bytes.
-func TestGpreadWarpCoalescing(t *testing.T) {
-	endCo, callsCo, coalescedCo, descCo := warpReadRun(t, "coalesced")
-	endDiv, callsDiv, coalescedDiv, descDiv := warpReadRun(t, "divergent")
-
-	if callsCo != 1 || callsDiv != 1 {
-		t.Fatalf("warp read calls = %d/%d, want 1/1", callsCo, callsDiv)
-	}
-	if coalescedCo != 1 || descCo != 1 { // one warp, one descriptor
-		t.Fatalf("coalesced run: %d warps coalesced, %d descriptors; want 1, 1", coalescedCo, descCo)
-	}
-	if coalescedDiv != 0 || descDiv != 16 { // per-thread fallback
-		t.Fatalf("divergent run: %d warps coalesced, %d descriptors; want 0, 16", coalescedDiv, descDiv)
-	}
-	if endCo >= endDiv {
-		t.Fatalf("coalesced run (%v) not faster than divergent (%v)", endCo, endDiv)
-	}
 }
 
 // TestGopenAheadPipelinesOpens checks open-ahead semantics end to end:
