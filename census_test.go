@@ -1,6 +1,7 @@
 package gpufs_test
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -550,4 +551,73 @@ func embeddedName(x ast.Expr) *ast.Ident {
 func dedupe(in []string) []string {
 	sort.Strings(in)
 	return slices.Compact(in)
+}
+
+// The structure census (ROADMAP item 12). Some rules of the code's shape are
+// about who may call what: one function owns a host call, and a call that
+// would reintroduce a second path is banned outright. Each rule is one row,
+// checked on the parsed tree, so a comment or a string never matches and a
+// method value counts as a use. A use outside the owner, or an owner that
+// makes a different number of uses, fails with the row's reason.
+
+// structureRule is one row: in the non-test files of dir, x.selector appears
+// count times, all of them in the function owner ("" when nothing may use it).
+type structureRule struct {
+	what     string // the rule, as the log and a failure name it
+	dir      string // the package directory, relative to the repo root
+	owner    string // the one function (or method) allowed the uses
+	selector string // the selected name: a method, field or package member
+	count    int    // the uses the owner makes
+	why      string // why the rule exists
+}
+
+var structureRules = []structureRule{
+	{"the daemon's host read", "internal/gsys", "readFull", "Preadv", 1,
+		"every read handler (a fault, a read-ahead span, an open's head) goes through readInto, whose readFull preadvs straight into the device segments and completes short reads: one host syscall per read, and the bytes are moved once"},
+	{"the daemon's host write", "internal/gsys", "sysWriteLanded", "Pwritev", 1,
+		"a write's second stretch gathers its landed segments into one pwritev, as a read scatters with one preadv"},
+	{"no host pread in the daemon", "internal/gsys", "", "Pread", 0,
+		"a pread fills one buffer, so a read of several segments would stage its bytes on the host and copy them again into the frames; read with Preadv in readFull"},
+	{"no host pwrite in the daemon", "internal/gsys", "", "Pwrite", 0,
+		"a pwrite drains one buffer, so a write of several segments would stage them on the host first; write with Pwritev in sysWriteLanded"},
+}
+
+func TestStructureCensus(t *testing.T) {
+	fset := token.NewFileSet()
+	files, parsed := parseTree(t, fset)
+	for _, r := range structureRules {
+		uses := map[string][]string{} // function → positions of its uses
+		for _, path := range files {
+			if filepath.ToSlash(filepath.Dir(path)) != r.dir || strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			for _, d := range parsed[path].Decls {
+				fn := "package scope"
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					fn = fd.Name.Name
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == r.selector {
+						uses[fn] = append(uses[fn], fset.Position(sel.Sel.Pos()).String())
+					}
+					return true
+				})
+			}
+		}
+		allowed := "only " + r.owner + " may"
+		if r.owner == "" {
+			allowed = "no function may"
+		}
+		for fn, at := range uses {
+			if fn != r.owner {
+				t.Errorf("%s: %s uses .%s at %s; %s, because %s",
+					r.what, fn, r.selector, strings.Join(at, ", "), allowed, r.why)
+			}
+		}
+		if r.owner != "" && len(uses[r.owner]) != r.count {
+			t.Errorf("%s: %s uses .%s %d times, want %d, because %s",
+				r.what, r.owner, r.selector, len(uses[r.owner]), r.count, r.why)
+		}
+		t.Logf("%-30s %s: .%s, %d use(s) in %s", r.what, r.dir, r.selector, r.count, cmp.Or(r.owner, "no function"))
+	}
 }

@@ -81,11 +81,15 @@ func numericCell(t *testing.T, s string) float64 {
 // smallest power of two whose file (32 MiB) spans more than one 16M page:
 // below it the file is a single page, which one block reads while the rest
 // idle and the pipeline has no chunks to overlap, so the last row measures
-// neither.
+// neither. It compares free-running multi-block timelines, so until virtual
+// time is a function of the inputs (ROADMAP item 1) it runs at one P: at two
+// cores the 16K cell read 2983–5086 MB/s over six runs, three of them above
+// the 16M cell's 4072; at one P it reads 3321 every run.
 func TestFig4ShapeTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness in -short mode")
 	}
+	simtest.OneP(t)
 	tb, err := Fig4(1.0 / 64)
 	if err != nil {
 		t.Fatal(err)

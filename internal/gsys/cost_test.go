@@ -111,24 +111,39 @@ func TestCostVecReadIsOneCycle(t *testing.T) {
 
 // TestCostVecReadShortFile: end of file leaves the trailing segments of a
 // vectored read empty, and the DMA engine walks no descriptor for a segment
-// that receives nothing.
+// that receives nothing. A read that end of file leaves wholly empty, of one
+// segment or several, still pays its one transaction: the syscall and one
+// DMA setup.
 func TestCostVecReadShortFile(t *testing.T) {
 	const size = costPage + costPage/2
-	r := newRig(t, true)
-	r.write(t, "/f", make([]byte, size))
-	c := simtime.NewClock(simtime.Time(simtime.Second))
-	fd := r.open(t, c, "/f", hostfs.O_RDONLY)
-	start := c.Now()
+	scatter := rigBus.DMALatency / 8
+	for _, tc := range []struct {
+		name string
+		off  int64
+		segs int
+		ns   []int
+		want simtime.Duration
+	}{
+		{"two of four filled", 0, 4, []int{costPage, costPage / 2, 0, 0}, warmPread(size) + scatter + dma(size)},
+		{"one at EOF", size, 1, []int{0}, rigHost.SyscallOverhead + dma(0)},
+		{"four at EOF", size, 4, []int{0, 0, 0, 0}, rigHost.SyscallOverhead + dma(0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, true)
+			r.write(t, "/f", make([]byte, size))
+			c := simtime.NewClock(simtime.Time(simtime.Second))
+			fd := r.open(t, c, "/f", hostfs.O_RDONLY)
+			start := c.Now()
 
-	ns, done, err := r.cl.ReadAsync(c, fd, 0, pageSegments(4))
-	if err != nil || len(ns) != 4 || ns[0] != costPage || ns[1] != costPage/2 || ns[2] != 0 || ns[3] != 0 {
-		t.Fatalf("read: ns=%v err=%v", ns, err)
-	}
-	scatter := rigBus.DMALatency / 8 // two segments received bytes: one extra descriptor
-	want := rigRPC.PollInterval + rigRPC.HandleCost + warmPread(size) + scatter + dma(size)
-	if got := done.Sub(start); got != want {
-		t.Fatalf("short 4-segment read completes after %v, want %v (a descriptor per offered segment gives %v)",
-			got, want, want+2*scatter)
+			ns, done, err := r.cl.ReadAsync(c, fd, tc.off, pageSegments(tc.segs))
+			if err != nil || !slices.Equal(ns, tc.ns) {
+				t.Fatalf("read: ns=%v err=%v, want %v", ns, err, tc.ns)
+			}
+			want := rigRPC.PollInterval + rigRPC.HandleCost + tc.want
+			if got := done.Sub(start); got != want {
+				t.Fatalf("read completes after %v, want %v", got, want)
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"gpufs/internal/faults"
@@ -75,9 +76,9 @@ func newFaultyRig(t *testing.T, zeroCopy bool, cfg faults.Config) *rig {
 }
 
 // readVariants runs fn under both DMA charges and with a one- and a
-// four-segment destination vector: the one handler preads straight into a
-// single segment and scatters several from a pooled buffer, and every
-// property of a read must hold either way.
+// four-segment destination vector: the one handler preadvs straight into
+// either, and every property of a read must hold whatever the vector's
+// shape.
 func readVariants(t *testing.T, fn func(t *testing.T, zeroCopy bool, segs int)) {
 	t.Helper()
 	for _, zeroCopy := range []bool{false, true} {
@@ -383,16 +384,20 @@ func TestShortReadsAreCompleted(t *testing.T) {
 	// The daemon's read loop must assemble the full extent despite injected
 	// short reads — some of the preads (0.7) or every one of them (1) — or
 	// the fill engine would zero-fill mid-file data. Short reads are a host
-	// artifact the read syscall hides, not a result the GPU ever sees.
+	// artifact the read syscall hides, not a result the GPU ever sees. Over
+	// several segments a short read stops inside one, and the continuation
+	// must fill that segment's rest and then the ones after it, in order.
+	const reads = 20
 	readVariants(t, func(t *testing.T, zeroCopy bool, segs int) {
 		for _, prob := range []float64{0.7, 1} {
-			r := newFaultyRig(t, zeroCopy, faults.Config{Seed: 5, HostShortReadProb: prob})
+			cfg := faults.Config{Seed: 5, HostShortReadProb: prob}
+			r := newFaultyRig(t, zeroCopy, cfg)
 			want := bytes.Repeat([]byte{0xA5, 0x5A, 0x33}, 3000)
 			r.write(t, "/f", want)
 			c := simtime.NewClock(0)
 
 			fd := r.open(t, c, "/f", hostfs.O_RDONLY)
-			for i := 0; i < 20; i++ {
+			for i := 0; i < reads; i++ {
 				dst := make([]byte, len(want))
 				ns, err := r.cl.Read(c, fd, 0, segments(dst, segs))
 				if err != nil || sum(ns) != len(want) {
@@ -411,8 +416,37 @@ func TestShortReadsAreCompleted(t *testing.T) {
 				t.Fatalf("only %d short reads injected; the reassembly loop never ran",
 					r.inj.Injected(faults.HostShortRead))
 			}
+			stops := shortStops(cfg, len(want), reads)
+			if int64(len(stops)) != r.inj.Injected(faults.HostShortRead) {
+				t.Fatalf("replayed %d short reads, the daemon met %d", len(stops), r.inj.Injected(faults.HostShortRead))
+			}
+			each := len(want) / segs
+			if segs > 1 && !slices.ContainsFunc(stops, func(at int) bool { return at%each != 0 }) {
+				t.Fatalf("no short read stopped inside a segment (stops %v): a continuation mid-segment never ran", stops)
+			}
 		}
 	})
+}
+
+// shortStops replays the short-read schedule of an injector built from cfg
+// over reads reads of a whole size-byte file, each completed as the daemon's
+// loop completes it, and returns the offset at which each short pread
+// stopped. The host fs draws a short read for every pread of more than one
+// byte, and nothing else draws on that site.
+func shortStops(cfg faults.Config, size, reads int) []int {
+	inj := faults.New(cfg)
+	var stops []int
+	for range reads {
+		for n := 0; n < size; {
+			left := size - n
+			if left > 1 && inj.Should(faults.HostShortRead, 0) {
+				left = 1 + int(inj.Fraction(faults.HostShortRead)*float64(left-1))
+				stops = append(stops, n+left)
+			}
+			n += left
+		}
+	}
+	return stops
 }
 
 func TestHostEIOIsNotRetried(t *testing.T) {

@@ -15,8 +15,7 @@ import (
 // decoded request frame and the call's out-of-band device buffers, and
 // returns the completion time of any asynchronous DMA it started. These
 // handlers are the only place a file op's host work is defined: which
-// host-fs calls run on which clock, the staging copies, and the link
-// charges.
+// host-fs calls run on which clock, and the link charges.
 
 // Reply carries a syscall's typed results back to the issuing client.
 // Result scalars ride the response slot; bulk data never does (it is
@@ -152,26 +151,36 @@ func (s *Service) file(fd int64) (*hostfs.File, error) {
 	return f, nil
 }
 
-// readFull reads into buf at off, looping past injected short reads
-// (n == 0 is true EOF). With no injector the single pread below is already
-// full-or-EOF, so the loop never iterates and the happy-path timing is
-// untouched.
-func (s *Service) readFull(cclk *simtime.Clock, f *hostfs.File, buf []byte, off int64) (int, error) {
-	n, err := f.Pread(cclk, buf, off)
-	if err != nil || n == len(buf) || !s.srv.FaultInjector().Enabled() {
-		return n, err
-	}
-	for n < len(buf) {
-		m, err := f.Pread(cclk, buf[n:], off+int64(n))
+// readFull reads the extent at off into dsts, in order, and under an injector
+// preadvs the rest again from wherever a short read stopped (m == 0 is true
+// EOF). With no injector the first preadv is already full-or-EOF, so the loop
+// never iterates and the happy-path timing is untouched.
+func (s *Service) readFull(cclk *simtime.Clock, f *hostfs.File, dsts [][]byte, off int64) (int, error) {
+	n := 0
+	for rest := dsts; rest != nil; {
+		m, err := f.Preadv(cclk, rest, off+int64(n))
 		if err != nil {
 			return n, err
 		}
-		if m == 0 {
-			break // true EOF
-		}
 		n += m
+		if m == 0 || !s.srv.FaultInjector().Enabled() {
+			break
+		}
+		rest = past(rest, m)
 	}
 	return n, nil
+}
+
+// past is the part of the vector dsts after its first n bytes, nil when
+// nothing is left.
+func past(dsts [][]byte, n int) [][]byte {
+	for i, d := range dsts {
+		if n < len(d) {
+			return append([][]byte{d[n:]}, dsts[i+1:]...)
+		}
+		n -= len(d)
+	}
+	return nil
 }
 
 // sysOpen opens the file, stats it and — when the call offers destination
@@ -247,22 +256,6 @@ func (s *Service) sysClose(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 	return 0, f.Close()
 }
 
-// stagingPool recycles the daemon's host-side staging buffers, the contiguous
-// one sysRead scatters a multi-segment read from. They are only this
-// simulation's way of moving the bytes (the modelled staging pass is the DMA
-// charge); nothing reads one after its request's last handler returns.
-var stagingPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// staging draws a staging buffer of n bytes, contents undefined; the handler
-// puts bp back into stagingPool when it returns.
-func staging(n int) (bp *[]byte, buf []byte) {
-	bp = stagingPool.Get().(*[]byte)
-	if cap(*bp) < n {
-		*bp = make([]byte, n)
-	}
-	return bp, (*bp)[:n]
-}
-
 // sysRead reads the contiguous file extent at Args[1] and DMAs it into the
 // call's destination segments.
 func (s *Service) sysRead(c *call, cclk *simtime.Clock) (simtime.Time, error) {
@@ -276,38 +269,33 @@ func (s *Service) sysRead(c *call, cclk *simtime.Clock) (simtime.Time, error) {
 // readInto is the one host read: the contiguous extent of f at off goes into
 // the device memory segments dsts, in order, and the reply reports the bytes
 // each received. The daemon worker performs the file read synchronously
-// (ordering file accesses per ring) — one pread, straight into the destination
-// when there is one segment — and hands the bulk transfer to an asynchronous
-// DMA channel; a blocking caller's clock advances to DMA completion, while the
-// worker is free as soon as the read finishes. The transfer pays a scatter
-// descriptor per segment that received bytes: one that end of file left empty
-// is not walked. A failed read reports no counts.
+// (ordering file accesses per ring) — one preadv, straight into the
+// destination segments — and hands the bulk transfer to an asynchronous DMA
+// channel; a blocking caller's clock advances to DMA completion, while the
+// worker is free as soon as the read finishes. A failed read reports no
+// counts.
 func (s *Service) readInto(c *call, cclk *simtime.Clock, f *hostfs.File, off int64, dsts [][]byte) (simtime.Time, error) {
-	var n, segs int
-	var err error
-	if len(dsts) == 1 {
-		if n, err = s.readFull(cclk, f, dsts[0], off); err != nil {
-			return 0, err
-		}
-		c.reply.Ns = append(c.n[:0], n)
-		segs = 1
-	} else {
-		bp, buf := staging(int(totalBytes(dsts)))
-		defer stagingPool.Put(bp)
-		if n, err = s.readFull(cclk, f, buf, off); err != nil {
-			return 0, err
-		}
-		c.reply.Ns = make([]int, len(dsts))
-		rest := buf[:n]
-		for i, d := range dsts {
-			c.reply.Ns[i] = copy(d, rest)
-			rest = rest[c.reply.Ns[i]:]
-			if c.reply.Ns[i] > 0 {
-				segs++
-			}
+	n, err := s.readFull(cclk, f, dsts, off)
+	if err != nil {
+		return 0, err
+	}
+	ns := c.n[:0]
+	if len(dsts) > len(c.n) {
+		ns = make([]int, 0, len(dsts))
+	}
+	segs, rest := 0, n
+	for _, d := range dsts {
+		got := min(len(d), rest)
+		ns = append(ns, got)
+		rest -= got
+		if got > 0 {
+			segs++
 		}
 	}
-	return c.rpc.Link().ChargeScatter(cclk.Now(), pcie.HostToDevice, int64(n), segs, c.pinned), nil
+	c.reply.Ns = ns
+	// A scatter descriptor per segment that received bytes, and never fewer
+	// than one: a read end of file left wholly empty is still a transaction.
+	return c.rpc.Link().ChargeScatter(cclk.Now(), pcie.HostToDevice, int64(n), max(segs, 1), c.pinned), nil
 }
 
 // sysWrite is the first stretch of a write: it resolves the file and starts

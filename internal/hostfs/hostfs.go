@@ -1,8 +1,8 @@
 // Package hostfs implements the host operating system's file system — the
 // substrate underneath GPUfs. It provides a POSIX-flavoured API (Open,
-// Pread, Pwrite, Fsync, Ftruncate, Unlink, Stat, Mkdir) over an
-// in-memory inode store, with a CPU buffer (page) cache in front of a
-// simulated rotational disk.
+// Pread, Preadv, Pwrite, Pwritev, Fsync, Ftruncate, Unlink, Stat, Mkdir)
+// over an in-memory inode store, with a CPU buffer (page) cache in front of
+// a simulated rotational disk.
 //
 // File *contents* are real bytes; *timing* is virtual. Reads of ranges that
 // are resident in the CPU page cache are charged at CPU memory bandwidth
@@ -485,6 +485,14 @@ func (f *File) check(write bool) error {
 // Pread reads len(p) bytes at offset off, charging page-cache or disk time
 // as appropriate, and returns the byte count (short at EOF).
 func (f *File) Pread(c *simtime.Clock, p []byte, off int64) (int, error) {
+	return f.Preadv(c, [][]byte{p}, off)
+}
+
+// Preadv is preadv(2): one read of the contiguous extent at off into the
+// segments dsts, in order, at the cost of one Pread of their total length.
+// The count is short at EOF, and the segments fill in order, so it covers a
+// prefix of the vector.
+func (f *File) Preadv(c *simtime.Clock, dsts [][]byte, off int64) (int, error) {
 	if err := f.check(false); err != nil {
 		return 0, err
 	}
@@ -499,7 +507,10 @@ func (f *File) Pread(c *simtime.Clock, p []byte, off int64) (int, error) {
 		n.mu.Unlock()
 		return 0, nil
 	}
-	cnt := copy(p, n.data[off:])
+	cnt, src := 0, n.data[off:]
+	for _, p := range dsts {
+		cnt += copy(p, src[cnt:])
+	}
 	size := n.size()
 	n.mu.Unlock()
 

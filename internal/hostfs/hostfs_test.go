@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"gpufs/internal/faults"
 	"gpufs/internal/simtime"
 )
 
@@ -437,6 +438,107 @@ func TestConcurrentFilesIndependent(t *testing.T) {
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("goroutine %d: %v", i, err)
+		}
+	}
+}
+
+// TestPreadvIsOnePread: a preadv over any split of a buffer is one pread of
+// the whole buffer — the same bytes in it (past a short count too), the same
+// count and error, the same clock, and the same fault draws — with the
+// injector off and on at fixed seeds. Each side reads a fresh copy of the
+// file several times, so the page cache warms and the injector's schedule
+// advances identically on both.
+func TestPreadvIsOnePread(t *testing.T) {
+	const size = 10*sectorSize + 100
+	content := make([]byte, size)
+	for i := range content {
+		content[i] = byte(i*31 + 7)
+	}
+	splits := []struct {
+		name string
+		off  int64
+		lens []int
+	}{
+		{"one segment", 0, []int{8192}},
+		{"halves", 1000, []int{4096, 4096}},
+		{"uneven", 333, []int{1, 4095, 17, 9000}},
+		{"empty segments", 4096, []int{0, 1000, 0, 0, 7192, 0}},
+		{"no segments", 0, nil},
+		{"only empty segments", 0, []int{0, 0}},
+		{"straddles EOF", size - 300, []int{100, 150, 200, 50}},
+		{"past EOF", size + 10, []int{64, 64}},
+		{"bytes", 5, []int{1, 1, 1, 1, 1, 1, 1, 1}},
+	}
+	injectors := []struct {
+		name string
+		cfg  *faults.Config
+	}{
+		{"off", nil},
+		{"short reads", &faults.Config{Seed: 3, HostShortReadProb: 0.6}},
+		{"EIO", &faults.Config{Seed: 7, HostReadEIOProb: 0.4}},
+		{"bad sectors", &faults.Config{Seed: 11, BadSectorRate: 0.15}},
+		{"all three", &faults.Config{Seed: 13, HostShortReadProb: 0.5, HostReadEIOProb: 0.2, BadSectorRate: 0.05}},
+	}
+	fired := map[string]int64{}
+	for _, sp := range splits {
+		for _, ic := range injectors {
+			t.Run(sp.name+"/"+ic.name, func(t *testing.T) {
+				open := func() (*File, *faults.Injector) {
+					fs := newFS()
+					if err := fs.WriteFile(clk(), "/f", content, rw); err != nil {
+						t.Fatal(err)
+					}
+					var inj *faults.Injector
+					if ic.cfg != nil {
+						inj = faults.New(*ic.cfg)
+						fs.SetFaultInjector(inj)
+					}
+					f, err := fs.Open(clk(), "/f", O_RDONLY, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return f, inj
+				}
+				one, oneInj := open()
+				vec, vecInj := open()
+				total := 0
+				for _, l := range sp.lens {
+					total += l
+				}
+				c1, cv := simtime.NewClock(simtime.Time(simtime.Second)), simtime.NewClock(simtime.Time(simtime.Second))
+				for rep := 0; rep < 6; rep++ {
+					want := bytes.Repeat([]byte{0xEE}, total)
+					got := bytes.Repeat([]byte{0xEE}, total)
+					var dsts [][]byte
+					at := 0
+					for _, l := range sp.lens {
+						dsts = append(dsts, got[at:at+l:at+l])
+						at += l
+					}
+					n1, err1 := one.Pread(c1, want, sp.off)
+					nv, errv := vec.Preadv(cv, dsts, sp.off)
+					if n1 != nv || fmt.Sprint(err1) != fmt.Sprint(errv) {
+						t.Fatalf("read %d: preadv gave (%d, %v), pread (%d, %v)", rep, nv, errv, n1, err1)
+					}
+					if !bytes.Equal(got, want) {
+						t.Fatalf("read %d: the segments hold other bytes than the one buffer", rep)
+					}
+					if c1.Now() != cv.Now() {
+						t.Fatalf("read %d: preadv's clock reads %v, pread's %v", rep, cv.Now(), c1.Now())
+					}
+				}
+				for s := faults.Site(0); int(s) < faults.NumSites(); s++ {
+					if a, b := oneInj.Injected(s), vecInj.Injected(s); a != b {
+						t.Errorf("%v fired %d times under preadv, %d under pread", s, b, a)
+					}
+				}
+				fired[ic.name] += vecInj.TotalInjected()
+			})
+		}
+	}
+	for _, ic := range injectors[1:] {
+		if fired[ic.name] == 0 {
+			t.Errorf("injector %q never fired: its comparison checked nothing", ic.name)
 		}
 	}
 }
