@@ -553,71 +553,269 @@ func dedupe(in []string) []string {
 	return slices.Compact(in)
 }
 
-// The structure census (ROADMAP item 12). Some rules of the code's shape are
-// about who may call what: one function owns a host call, and a call that
-// would reintroduce a second path is banned outright. Each rule is one row,
-// checked on the parsed tree, so a comment or a string never matches and a
-// method value counts as a use. A use outside the owner, or an owner that
-// makes a different number of uses, fails with the row's reason.
+// The structure census (DESIGN.md §18). Some rules of the code's shape are
+// about who may use what: page.go owns the page lifecycle, ftable.go the file
+// tables, one function owns each host call, and a name that would bring back
+// a second path is banned outright. Each rule is one row, checked on the
+// parsed tree, so a comment or a string never matches and a method value
+// counts as a use. A use outside the owner, or an owner that makes a
+// different number of uses, fails with the row's reason.
 
-// structureRule is one row: in the non-test files of dir, x.selector appears
-// count times, all of them in the function owner ("" when nothing may use it).
+// structureRule is one row: in the non-test files of dir, every use lies in
+// owner, and each owner makes count of them.
 type structureRule struct {
-	what     string // the rule, as the log and a failure name it
-	dir      string // the package directory, relative to the repo root
-	owner    string // the one function (or method) allowed the uses
-	selector string // the selected name: a method, field or package member
-	count    int    // the uses the owner makes
-	why      string // why the rule exists
+	what   string  // the rule, as the log and a failure name it
+	dir    string  // the package directory, relative to the repo root; "" for the whole tree
+	except string  // a directory whose files the rule does not read
+	owner  string  // a file of dir ("page.go"), or functions separated by spaces; "" when no use is allowed
+	count  int     // the uses each owner makes, or anyCount
+	use    matcher // what a use is
+	why    string  // why the rule exists
+}
+
+// anyCount is a row's count when its owner may make any number of uses.
+const anyCount = -1
+
+// matcher is what a row counts as a use: how the log spells it, and how a
+// node that is one spells it ("" for a node that is not).
+type matcher struct {
+	spell string
+	hit   func(ast.Node) string
+}
+
+// sel matches a selector x.name, for each "name" or "qual.name" given, where
+// qual is x's last name: fs.cache.Release is a cache.Release.
+func sel(names ...string) matcher {
+	spelled := make([]string, len(names))
+	for i, name := range names {
+		if spelled[i] = name; !strings.Contains(name, ".") {
+			spelled[i] = "." + name
+		}
+	}
+	return matcher{strings.Join(spelled, ", "), func(n ast.Node) string {
+		s, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return ""
+		}
+		for i, name := range names {
+			qual, field, ok := strings.Cut(name, ".")
+			if !ok && s.Sel.Name == name || ok && s.Sel.Name == field && lastName(s.X) == qual {
+				return spelled[i]
+			}
+		}
+		return ""
+	}}
+}
+
+// ident matches every appearance of the names: a use, a selected field, a
+// declaration or a composite literal's key.
+func ident(names ...string) matcher {
+	return matcher{strings.Join(names, ", "), func(n ast.Node) string {
+		if id, ok := n.(*ast.Ident); ok && slices.Contains(names, id.Name) {
+			return id.Name
+		}
+		return ""
+	}}
+}
+
+// def matches a declaration of name: a const or var, or a := definition.
+func def(name string) matcher {
+	spell := "definition of " + name
+	return matcher{spell, func(n ast.Node) string {
+		var names []ast.Expr
+		switch n := n.(type) {
+		case *ast.ValueSpec:
+			for _, id := range n.Names {
+				names = append(names, id)
+			}
+		case *ast.AssignStmt:
+			if n.Tok == token.DEFINE {
+				names = n.Lhs
+			}
+		}
+		if slices.ContainsFunc(names, func(x ast.Expr) bool { return isIdent(x, name) }) {
+			return spell
+		}
+		return ""
+	}}
+}
+
+// index matches an index of a selected field, x.name[i].
+func index(name string) matcher {
+	spell := "." + name + "["
+	return matcher{spell, func(n ast.Node) string {
+		if ix, ok := n.(*ast.IndexExpr); ok {
+			if s, ok := ix.X.(*ast.SelectorExpr); ok && s.Sel.Name == name {
+				return spell
+			}
+		}
+		return ""
+	}}
+}
+
+// setTrue matches name set to true, by an assignment or a composite
+// literal's key.
+func setTrue(name string) matcher {
+	spell := name + " = true"
+	return matcher{spell, func(n ast.Node) string {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				if len(n.Lhs) == len(n.Rhs) && lastName(lhs) == name && isIdent(n.Rhs[i], "true") {
+					return spell
+				}
+			}
+		case *ast.KeyValueExpr:
+			if isIdent(n.Key, name) && isIdent(n.Value, "true") {
+				return spell
+			}
+		}
+		return ""
+	}}
+}
+
+// imports matches an import of any of the paths.
+func imports(paths ...string) matcher {
+	return matcher{"import " + strings.Join(paths, ", "), func(n ast.Node) string {
+		if im, ok := n.(*ast.ImportSpec); ok && slices.Contains(paths, strings.Trim(im.Path.Value, `"`)) {
+			return "import " + im.Path.Value
+		}
+		return ""
+	}}
+}
+
+// lastName is the name an expression ends in: x for x, and for a.b.x.
+func lastName(x ast.Expr) string {
+	switch x := x.(type) {
+	case *ast.Ident:
+		return x.Name
+	case *ast.SelectorExpr:
+		return x.Sel.Name
+	}
+	return ""
 }
 
 var structureRules = []structureRule{
-	{"the daemon's host read", "internal/gsys", "readFull", "Preadv", 1,
-		"every read handler (a fault, a read-ahead span, an open's head) goes through readInto, whose readFull preadvs straight into the device segments and completes short reads: one host syscall per read, and the bytes are moved once"},
-	{"the daemon's host write", "internal/gsys", "sysWriteLanded", "Pwritev", 1,
-		"a write's second stretch gathers its landed segments into one pwritev, as a read scatters with one preadv"},
-	{"no host pread in the daemon", "internal/gsys", "", "Pread", 0,
-		"a pread fills one buffer, so a read of several segments would stage its bytes on the host and copy them again into the frames; read with Preadv in readFull"},
-	{"no host pwrite in the daemon", "internal/gsys", "", "Pwrite", 0,
-		"a pwrite drains one buffer, so a write of several segments would stage them on the host first; write with Pwritev in sysWriteLanded"},
+	{what: "rpc is a transport", dir: "internal/rpc",
+		use: imports("gpufs/internal/hostfs", "gpufs/internal/gsys"),
+		why: "internal/rpc is the ring transport and the daemon pool: it knows an Op and a Handler, and the file protocol lives above it, in internal/gsys"},
+	{what: "page.go moves a page", dir: "internal/core", owner: "page.go", count: anyCount,
+		use: sel("TryBeginInit", "FinishInit", "AbortInit", "TryEvict", "CancelEvict", "FinishEvict"),
+		why: "page.go is the one owner of the page lifecycle (DESIGN.md §16): it composes each radix slot transition with what it implies for the frame, fileCache.frames and the speculation counters, which a transition taken elsewhere leaves behind"},
+	{what: "page.go takes a frame", dir: "internal/core", owner: "page.go", count: anyCount,
+		use: sel("cache.TryAllocOn", "cache.Release", "cache.Unalloc", "frames.Add"),
+		why: "page.go is the one file that takes or frees a frame, hands back one an open offered (pcache's Unalloc) or moves fileCache.frames, so the pool and the resident counts agree"},
+	{what: "page.go dirties a page", dir: "internal/core", owner: "page.go", count: anyCount,
+		use: sel("Dirty.Store", "Dirty.Swap", "Dirty.CompareAndSwap", "dirty.Add", "dirtyPages.Add",
+			"CleanAt.Store", "CleanAt.CompareAndSwap", "WroteAt.Store", "WroteAt.CompareAndSwap"),
+		why: "page.go is the one file that moves Frame.Dirty, the dirty-page counts kept beside it, or Frame.CleanAt and WroteAt, so the cleaner's hint and a write-back's landing times move with the flag"},
+	{what: "core's host write", dir: "internal/core", owner: "flush", count: 1, use: sel("WritePages"),
+		why: "every host write core makes is gathered into the write-back run's flush, one WritePages call"},
+	{what: "core's demand read", dir: "internal/core", owner: "faultIn", count: 1, use: sel("Read"),
+		why: "every host read core makes is the demand fault's, which carries its stream's window, or spanFetch's"},
+	{what: "core's read ahead", dir: "internal/core", owner: "spanFetch", count: 1, use: sel("ReadAsync"),
+		why: "every host read core makes is the demand fault's, which carries its stream's window, or spanFetch's"},
+	{what: "one host-I/O bound", dir: "internal/core", owner: "page.go", count: 1, use: def("maxHostIO"),
+		why: "one constant, maxHostIO, bounds every host transaction: every coalesced read, open carry and gathered write stays within it"},
+	{what: "no second host-I/O bound", dir: "internal/core", use: ident("raMaxSpanBytes", "wbMaxVec"),
+		why: "maxHostIO replaced the read-ahead span cap and the write-back gather cap: a second bound would let reads and writes drift apart again"},
+	{what: "the planner's gate", dir: "internal/core", owner: "readahead.go", count: 1, use: sel("speculate"),
+		why: "readahead.go's planner is the one gate, budget and clamp of every fetch ahead of demand, and its gate is the one reader of FS.speculate"},
+	{what: "the planner's budget", dir: "internal/core", owner: "readahead.go", count: anyCount, use: sel("closedCleanPages"),
+		why: "readahead.go's planner is the one gate, budget and clamp of every fetch ahead of demand: no other file sizes a fetch from the closed files' clean pages"},
+	{what: "the planner's clamp", dir: "internal/core", owner: "readahead.go", count: anyCount, use: ident("raDeadPage", "maxBatchFetch"),
+		why: "readahead.go's planner is the one gate, budget and clamp of every fetch ahead of demand: no other file applies the dead zone or the batch cap"},
+	{what: "speculation's reclaim", dir: "internal/core", owner: "takeFrame", count: 1, use: sel("reclaimForSpec"),
+		why: "an open's head and every guess reclaim closed clean pages through the same one call, takeFrame's"},
+	{what: "a slot's frontier", dir: "internal/core", owner: "prime raIssue", count: 1, use: setTrue("frontierOK"),
+		why: "a detector slot's frontier is set by raIssue and by prime, the priming helper a carrying fault and an open's head share, and nowhere else"},
+	{what: "a file's detector slots", dir: "internal/core", owner: "ftable.go", count: anyCount, use: index("ra"),
+		why: "a slot is made by the stream that writes it, streamFor, and read through stream, which answers nil for a slot no stream has used"},
+	{what: "ftable.go's tables", dir: "internal/core", owner: "ftable.go", count: anyCount,
+		use: sel("fds", "byPath", "closed", "closedByPath", "truncated"),
+		why: "ftable.go owns the open and closed file tables, their indexes and the truncated-once set: every move of an entry is one method there, under the table lock"},
+	{what: "a retired cache's descriptor", dir: "internal/core", owner: "ftable.go", count: anyCount, use: ident("keepFd", "lastFlags"),
+		why: "a cache's retained descriptor and flags are the closed table's fields, guarded by its lock and non-zero exactly while the cache is retired"},
+	{what: "one reader of Prototype", except: "internal/bench", owner: "New", count: 1, use: sel("Prototype"),
+		why: "core.New reads Config.Prototype once and turns it into FS state: gpufs.go passes the Config through whole, internal/bench sets it, and no other package branches on it"},
+	{what: "the daemon's host read", dir: "internal/gsys", owner: "readFull", count: 1, use: sel("Preadv"),
+		why: "every read handler (a fault, a read-ahead span, an open's head) goes through readInto, whose readFull preadvs straight into the device segments and completes short reads: one host syscall per read, and the bytes are moved once"},
+	{what: "the daemon's host write", dir: "internal/gsys", owner: "sysWriteLanded", count: 1, use: sel("Pwritev"),
+		why: "a write's second stretch gathers its landed segments into one pwritev, as a read scatters with one preadv"},
+	{what: "no host pread in the daemon", dir: "internal/gsys", use: sel("Pread"),
+		why: "a pread fills one buffer, so a read of several segments would stage its bytes on the host and copy them again into the frames; read with Preadv in readFull"},
+	{what: "no host pwrite in the daemon", dir: "internal/gsys", use: sel("Pwrite"),
+		why: "a pwrite drains one buffer, so a write of several segments would stage them on the host first; write with Pwritev in sysWriteLanded"},
 }
 
 func TestStructureCensus(t *testing.T) {
 	fset := token.NewFileSet()
 	files, parsed := parseTree(t, fset)
 	for _, r := range structureRules {
-		uses := map[string][]string{} // function → positions of its uses
+		dirName := cmp.Or(r.dir, "the tree")
+		var scope []string
 		for _, path := range files {
-			if filepath.ToSlash(filepath.Dir(path)) != r.dir || strings.HasSuffix(path, "_test.go") {
-				continue
+			dir := filepath.ToSlash(filepath.Dir(path))
+			if (r.dir == "" || dir == r.dir) && !strings.HasSuffix(path, "_test.go") &&
+				(r.except == "" || dir != r.except && !strings.HasPrefix(dir, r.except+"/")) {
+				scope = append(scope, path)
 			}
+		}
+		if len(scope) == 0 {
+			t.Errorf("%s: %s has no non-test Go files: the row checks nothing", r.what, dirName)
+			continue
+		}
+
+		// An owner that is a file holds the uses anywhere in it; otherwise
+		// each owning function must be declared in the rule's files.
+		byFile := strings.HasSuffix(r.owner, ".go")
+		owners := strings.Fields(r.owner)
+		declared := map[string]bool{}
+		uses := map[string][]string{} // function or file → its uses, spelled with their positions
+		for _, path := range scope {
+			declared[filepath.Base(path)] = true
 			for _, d := range parsed[path].Decls {
-				fn := "package scope"
+				where := "package scope"
 				if fd, ok := d.(*ast.FuncDecl); ok {
-					fn = fd.Name.Name
+					where = fd.Name.Name
+					declared[where] = true
+				}
+				if byFile {
+					where = filepath.Base(path)
 				}
 				ast.Inspect(d, func(n ast.Node) bool {
-					if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == r.selector {
-						uses[fn] = append(uses[fn], fset.Position(sel.Sel.Pos()).String())
+					if n == nil {
+						return false
+					}
+					if hit := r.use.hit(n); hit != "" {
+						uses[where] = append(uses[where], hit+" at "+fset.Position(n.Pos()).String())
 					}
 					return true
 				})
 			}
 		}
-		allowed := "only " + r.owner + " may"
-		if r.owner == "" {
-			allowed = "no function may"
-		}
-		for fn, at := range uses {
-			if fn != r.owner {
-				t.Errorf("%s: %s uses .%s at %s; %s, because %s",
-					r.what, fn, r.selector, strings.Join(at, ", "), allowed, r.why)
+		for _, o := range owners {
+			if !declared[o] {
+				t.Errorf("%s: owner %s is not declared in %s: the row checks nothing", r.what, o, dirName)
 			}
 		}
-		if r.owner != "" && len(uses[r.owner]) != r.count {
-			t.Errorf("%s: %s uses .%s %d times, want %d, because %s",
-				r.what, r.owner, r.selector, len(uses[r.owner]), r.count, r.why)
+
+		allowed := "only " + strings.Join(owners, " and ") + " may"
+		if len(owners) == 0 {
+			allowed = "nothing may"
 		}
-		t.Logf("%-30s %s: .%s, %d use(s) in %s", r.what, r.dir, r.selector, r.count, cmp.Or(r.owner, "no function"))
+		for where, at := range uses {
+			if !slices.Contains(owners, where) {
+				t.Errorf("%s: %s uses %s; %s, because %s",
+					r.what, where, strings.Join(at, ", "), allowed, r.why)
+			}
+		}
+		for _, o := range owners {
+			if r.count != anyCount && len(uses[o]) != r.count {
+				t.Errorf("%s: %s uses %s %d times, want %d, because %s",
+					r.what, o, r.use.spell, len(uses[o]), r.count, r.why)
+			}
+		}
+		t.Logf("%-30s %s: %s, in %s", r.what, dirName, r.use.spell, cmp.Or(r.owner, "nothing"))
 	}
 }

@@ -102,9 +102,9 @@ func (fs *FS) ckptCopyOnWrite(cap *ckptCapture, fc *fileCache, pageIdx int64, fr
 
 // ckptFileEntry is one file's walk state, held between Walk and Commit.
 type ckptFileEntry struct {
-	fc     *fileCache
-	closed bool // from the closed-file table, not a live descriptor
-	img    ckpt.FileImage
+	fc      *fileCache
+	retired bool // from the closed-file table, not a live descriptor
+	img     ckpt.FileImage
 }
 
 // Ckpt is one in-progress checkpoint of a single FS.
@@ -150,7 +150,7 @@ func (ck *Ckpt) Walk() {
 		if f != nil && (f.noSync || f.unlinked) {
 			return
 		}
-		e := ckptFileEntry{fc: fc, closed: f == nil, img: ckpt.FileImage{
+		e := ckptFileEntry{fc: fc, retired: f == nil, img: ckpt.FileImage{
 			Path:  path,
 			Ino:   fc.ino,
 			Gen:   fc.gen.Load(),
@@ -256,14 +256,14 @@ func (ck *Ckpt) Commit() (*ckpt.FSImage, error) {
 		e.img.Dirty = append(e.img.Dirty, cow...)
 		e.img.Clean = append(e.img.Clean, cowClean...)
 
-		needsCheck := len(e.img.Clean) > 0 || (e.closed && len(e.img.Dirty) > 0)
+		needsCheck := len(e.img.Clean) > 0 || (e.retired && len(e.img.Dirty) > 0)
 		if needsCheck && !fs.sys.PeekValid(ck.clk, e.img.Ino, e.img.Gen) {
 			// The host moved underneath the speculation window: the
 			// clean pages' by-reference capture is worthless (a restore
 			// would fetch the NEW host content and call it the old).
 			fs.ckptValidationDrops.Add(int64(len(e.img.Clean)))
 			e.img.Clean = nil
-			if e.closed {
+			if e.retired {
 				// A retired file with a stale generation is already
 				// condemned on the source: its next reopen — on any host —
 				// discards the view and adopts the host content (the

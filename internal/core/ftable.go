@@ -16,9 +16,10 @@ import (
 // the closed file table, which keeps a file's cache and CPU descriptor after
 // the last gclose for later blocks and kernels to reuse (§4.1). No other file
 // of the package touches either, the truncated-once set, or a cache's retained
-// descriptor and flags (`make tier2` greps for it). Every move of an entry is
-// one method here, under the table lock, panicking if its precondition fails;
-// a cache leaving the closed table is handed to the caller as a retiree.
+// descriptor and flags (TestStructureCensus holds it). Every move of an entry
+// is one method here, under the table lock, panicking if its precondition
+// fails; a cache leaving the closed table is handed to the caller as a
+// retiree.
 
 // openMode is what a gopen's flags ask of the file.
 type openMode struct {

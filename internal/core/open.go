@@ -147,7 +147,6 @@ func (fs *FS) adopt(b *gpu.Block, fresh *fileCache, info hostfs.FileInfo, valida
 	}
 	fresh.lockRes = simtime.NewResource(fmt.Sprintf("gpu%d-treelock-%d", fs.gpuID, info.Ino))
 	fresh.ino = info.Ino
-	fresh.tree.SetForceLocked(fs.opt.ForceLockedTraversal)
 	fresh.gen.Store(info.Generation)
 	fresh.size.Store(info.Size)
 	fs.sys.RecordCached(info.Ino, info.Generation)

@@ -17,9 +17,9 @@ import (
 // checks the slot transitions; this file composes them with what they imply
 // for the frame, fileCache.frames and the speculation counters, and is the
 // only file of the package that moves a page between states, takes or frees a
-// frame, or moves Frame.Dirty and the dirty-page counts (`make tier2` greps
-// for it). The hit path of getPage takes its reference inline: a reference is
-// a count, not a move.
+// frame, or moves Frame.Dirty and the dirty-page counts (TestStructureCensus
+// holds it). The hit path of getPage takes its reference inline: a reference
+// is a count, not a move.
 
 // pageRef is a page the caller has a claim on: a reference (from getPage or
 // publish), protecting fr against reclamation until release, or the Init

@@ -241,10 +241,6 @@ type Tree struct {
 	pool     []*Node
 	recycles atomic.Int64
 
-	// forceLocked makes every lookup take the tree lock — the comparison
-	// baseline of Figure 7.
-	forceLocked atomic.Bool
-
 	lockFreeHits atomic.Int64
 	lockedHits   atomic.Int64
 }
@@ -275,10 +271,6 @@ func (t *Tree) EpochDomain() *epoch.Domain { return &t.dom }
 // and were reused by a later Insert.
 func (t *Tree) Recycles() int64 { return t.recycles.Load() }
 
-// SetForceLocked switches the tree into locked-traversal mode (Figure 7's
-// baseline).
-func (t *Tree) SetForceLocked(on bool) { t.forceLocked.Store(on) }
-
 // CountRetry records a failed unlocked attempt that forced a retry; the
 // paper's Table 2 lumps these into the locked-access count ("Locked access
 // count also includes unlocked retries").
@@ -289,13 +281,6 @@ func (t *Tree) CountRetry() { t.lockedHits.Add(1) }
 // after failed unlocked retries).
 func (t *Tree) Stats() (lockFree, locked int64) {
 	return t.lockFreeHits.Load(), t.lockedHits.Load()
-}
-
-// AddStats folds another counter pair into the tree's (used when a file's
-// cache is recycled through the closed-file table).
-func (t *Tree) AddStats(lockFree, locked int64) {
-	t.lockFreeHits.Add(lockFree)
-	t.lockedHits.Add(locked)
 }
 
 func capacityForHeight(h int32) uint64 {
@@ -337,9 +322,6 @@ func (t *Tree) Lookup(idx uint64) *FPage {
 // that claim the slot for initialization can check leaf.Detached() after
 // TryBeginInit (the claim/detach Dekker protocol of RemoveLeaf).
 func (t *Tree) LookupLeaf(idx uint64) (*FPage, *Node) {
-	if t.forceLocked.Load() {
-		return t.LookupLockedLeaf(idx)
-	}
 	leaf := t.lookupLeaf(idx)
 	if leaf == nil {
 		return nil, nil

@@ -378,22 +378,6 @@ func TestStatsCounting(t *testing.T) {
 	if lf != 2 || lk != 2 {
 		t.Fatalf("stats: lockfree=%d locked=%d, want 2/2", lf, lk)
 	}
-	tr.AddStats(10, 20)
-	lf, lk = tr.Stats()
-	if lf != 12 || lk != 22 {
-		t.Fatalf("AddStats: %d/%d", lf, lk)
-	}
-}
-
-func TestForceLocked(t *testing.T) {
-	tr := NewTree()
-	tr.SetForceLocked(true)
-	tr.Insert(1)
-	tr.Lookup(1)
-	lf, lk := tr.Stats()
-	if lf != 0 || lk != 1 {
-		t.Fatalf("forced-locked lookup counted wrong: %d/%d", lf, lk)
-	}
 }
 
 func TestConcurrentInsertLookup(t *testing.T) {

@@ -410,32 +410,17 @@ func (s *Server) advanceNow(t simtime.Time) {
 	}
 }
 
-// Submit admits one job for tenant. It never blocks: the job is either
-// admitted (returning its Future) or rejected — with an OverloadError
-// carrying a retry-after hint when the tenant's queue is full, or
-// ErrDraining after Drain began.
+// Submit admits one job for tenant, arriving at the server's virtual time. It
+// never blocks: the job is either admitted (returning its Future) or rejected
+// — with an OverloadError carrying a retry-after hint when the tenant's queue
+// is full, or ErrDraining after Drain began.
 func (s *Server) Submit(tenantName string, spec Job) (*Future, error) {
-	if err := validateJob(spec); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	fut, g, err := s.enqueueLocked(tenantName, spec)
-	s.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	if s.tr.Enabled() {
-		s.tr.Record(trace.Event{
-			GPU: g, Block: trace.LaunchQueue, Op: trace.OpEnqueue, Path: spec.Path,
-			Start: simtime.Time(s.vnow.Load()), End: simtime.Time(s.vnow.Load()),
-		})
-	}
-	return fut, nil
+	return s.admit(tenantName, spec, nil)
 }
 
 // SubmitAt is Submit with an explicit virtual arrival instant, for
 // open-loop drivers whose arrival schedule is generated independently of
-// the server's progress (Poisson arrivals, ISSUE 9's saturation bench).
+// the server's progress (Poisson arrivals, the saturation bench).
 // The job's latency — and its deadline, if any — is measured from at, so
 // when the machine has fallen behind the arrival process (vnow past at),
 // the time spent waiting to be submitted counts as queueing delay, which
@@ -445,11 +430,22 @@ func (s *Server) Submit(tenantName string, spec Job) (*Future, error) {
 // is still safe — no batch is launched before every job in it has arrived —
 // but it holds back the jobs batched with it until then.
 func (s *Server) SubmitAt(tenantName string, spec Job, at simtime.Time) (*Future, error) {
+	return s.admit(tenantName, spec, &at)
+}
+
+// admit is Submit and SubmitAt: it checks spec, enqueues it under the lock
+// arriving at *at, or when at is nil at the virtual time read under the lock,
+// and records the enqueue.
+func (s *Server) admit(tenantName string, spec Job, at *simtime.Time) (*Future, error) {
 	if err := validateJob(spec); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
-	fut, g, err := s.enqueueAtLocked(tenantName, spec, at)
+	arrival := simtime.Time(s.vnow.Load())
+	if at != nil {
+		arrival = *at
+	}
+	fut, g, err := s.enqueueLocked(tenantName, spec, arrival)
 	s.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -457,7 +453,7 @@ func (s *Server) SubmitAt(tenantName string, spec Job, at simtime.Time) (*Future
 	if s.tr.Enabled() {
 		s.tr.Record(trace.Event{
 			GPU: g, Block: trace.LaunchQueue, Op: trace.OpEnqueue, Path: spec.Path,
-			Start: at, End: at,
+			Start: arrival, End: arrival,
 		})
 	}
 	return fut, nil
@@ -480,7 +476,7 @@ func (s *Server) WaitUntil(at simtime.Time) {
 	s.mu.Unlock()
 }
 
-// validateJob is the Submit-time spec check shared by Submit and SubmitAt.
+// validateJob is admission's spec check.
 func validateJob(spec Job) error {
 	if spec.Path == "" {
 		return fmt.Errorf("%w: empty path", ErrBadJob)
@@ -494,16 +490,9 @@ func validateJob(spec Job) error {
 	return nil
 }
 
-// enqueueLocked is Submit's admission + placement step, callable with
-// s.mu held so several jobs can be enqueued atomically (one scheduling
-// round sees them all). It broadcasts to wake workers on success.
-func (s *Server) enqueueLocked(tenantName string, spec Job) (*Future, int, error) {
-	return s.enqueueAtLocked(tenantName, spec, simtime.Time(s.vnow.Load()))
-}
-
-// enqueueAtLocked is enqueueLocked with an explicit arrival stamp (see
-// SubmitAt).
-func (s *Server) enqueueAtLocked(tenantName string, spec Job, arrival simtime.Time) (*Future, int, error) {
+// enqueueLocked is admission and placement of a job arriving at arrival; the
+// caller holds s.mu. It broadcasts to wake workers on success.
+func (s *Server) enqueueLocked(tenantName string, spec Job, arrival simtime.Time) (*Future, int, error) {
 	if s.draining || s.closed {
 		return nil, -1, ErrDraining
 	}

@@ -317,19 +317,11 @@ func TestServeBatching(t *testing.T) {
 
 	// Enqueue 16 jobs atomically so the single worker's first round sees
 	// a full queue and must coalesce MaxBatch of them into one launch.
-	var futs []*Future
-	srv.mu.Lock()
+	var sixteen []string
 	for i := 0; i < 16; i++ {
-		fut, _, err := srv.enqueueLocked("t", Job{Kind: JobSearch, Path: paths[i%2], Word: "a"})
-		if err != nil {
-			srv.mu.Unlock()
-			t.Fatalf("enqueue: %v", err)
-		}
-		futs = append(futs, fut)
+		sixteen = append(sixteen, paths[i%2])
 	}
-	srv.mu.Unlock()
-
-	for _, fut := range futs {
+	for _, fut := range enqueueTogether(t, srv, "t", sixteen, srv.Now()) {
 		if res := fut.Wait(); res.Err != nil {
 			t.Fatal(res.Err)
 		}
@@ -536,7 +528,7 @@ func enqueueTogether(t *testing.T, srv *Server, tenant string, paths []string, a
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
 	for i, p := range paths {
-		fut, _, err := srv.enqueueAtLocked(tenant, Job{Kind: JobSearch, Path: p, Word: "a"}, arrival)
+		fut, _, err := srv.enqueueLocked(tenant, Job{Kind: JobSearch, Path: p, Word: "a"}, arrival)
 		if err != nil {
 			t.Fatalf("enqueue: %v", err)
 		}
