@@ -73,7 +73,16 @@ type Device struct {
 	Mem *memsys.Arena
 
 	membw *simtime.Resource
+	mps   []*simtime.Resource
 	slots []slot
+
+	// pads is the device's stack of block scratchpads, every one zeroed. A
+	// launch tops it up to the blocks it can run at once, min(blocks, slots),
+	// before its workers start; a block pops the pad last pushed, still hot,
+	// and its worker clears and pushes it back when the block returns, both
+	// under the launch's mu. The count is a function of the launches alone,
+	// not of host interleaving.
+	pads [][]byte
 
 	// launchMu serializes launches in HOST time only: one kernel's blocks run
 	// as goroutines at a time, which keeps block placement a function of
@@ -104,33 +113,15 @@ type slot struct {
 	at       simtime.Time      // virtual time the slot becomes free (freeMu)
 	assigned int64             // blocks dispatched to this slot (freeMu)
 
-	// scratch and rng are the on-die state a block finds on its slot rather
-	// than allocates: handed to one block at a time (blocks of a slot run
-	// back to back, launches serialize) and returned to their start-of-block
-	// state by blockScratch and blockRand. The scratchpad is made at the
-	// slot's first block, not with the device, so creating a device costs
-	// what it did.
-	scratch []byte
-	src     lazySource
-	rng     *rand.Rand // over src
+	// src and rng are the generator a block finds on its slot rather than
+	// allocates: handed to one block at a time (blocks of a slot run back to
+	// back, launches serialize) and re-armed by blockRand.
+	src lazySource
+	rng *rand.Rand // over src
 
 	// work runs the current launch's worker on this slot, made with the
 	// device: a go statement that passes arguments allocates a wrapper.
 	work func()
-}
-
-// blockScratch returns the slot's scratchpad as a block must find it: n
-// zeroed bytes, whatever the previous block left there.
-func (s *slot) blockScratch(n int64) []byte {
-	if n <= 0 {
-		return nil
-	}
-	if s.scratch == nil {
-		s.scratch = make([]byte, n)
-	} else {
-		clear(s.scratch)
-	}
-	return s.scratch
 }
 
 // blockRand returns the slot's generator re-armed to yield the stream of
@@ -173,6 +164,7 @@ func New(cfg Config) *Device {
 	if cfg.BlocksPerMP < 1 {
 		cfg.BlocksPerMP = 1
 	}
+	cfg.ScratchpadBytes = max(cfg.ScratchpadBytes, 0)
 	seed := cfg.SchedSeed
 	if seed == 0 {
 		seed = 0x6702 + int64(cfg.ID)
@@ -182,15 +174,16 @@ func New(cfg Config) *Device {
 		Mem:   memsys.NewArena(fmt.Sprintf("gpu%d", cfg.ID), memsys.DeviceMemory, cfg.MemBytes),
 		membw: simtime.NewResource(fmt.Sprintf("gpu%d-membw", cfg.ID)),
 		rng:   rand.New(rand.NewSource(seed)),
+		mps:   make([]*simtime.Resource, cfg.MPs),
 	}
-	mps := make([]*simtime.Resource, cfg.MPs)
-	for i := range mps {
-		mps[i] = simtime.NewResource(fmt.Sprintf("gpu%d-mp%d", cfg.ID, i))
+	for i := range d.mps {
+		d.mps[i] = simtime.NewResource(fmt.Sprintf("gpu%d-mp%d", cfg.ID, i))
 	}
 	n := cfg.MPs * cfg.BlocksPerMP
 	d.slots = make([]slot, n)
+	d.pads = make([][]byte, 0, n)
 	for i := 0; i < n; i++ {
-		d.slots[i].mp = mps[i%cfg.MPs]
+		d.slots[i].mp = d.mps[i%cfg.MPs]
 		d.slots[i].rng = rand.New(&d.slots[i].src)
 		d.slots[i].work = func() { d.cur.slotWorker(i) }
 	}
@@ -237,15 +230,13 @@ func (d *Device) ResetFault() {
 // ResetTime returns the device's execution-slot, kernel-table and bandwidth
 // timelines to idle. Memory contents and fault state are untouched.
 func (d *Device) ResetTime() {
-	seen := make(map[*simtime.Resource]bool)
 	d.slotMu.Lock()
 	d.resident = [MaxResidentKernels]simtime.Time{}
 	for i := range d.slots {
 		d.slots[i].at = 0
-		if !seen[d.slots[i].mp] {
-			seen[d.slots[i].mp] = true
-			d.slots[i].mp.Reset()
-		}
+	}
+	for _, mp := range d.mps {
+		mp.Reset()
 	}
 	d.slotMu.Unlock()
 	d.membw.Reset()
@@ -331,6 +322,10 @@ func (d *Device) Launch(start simtime.Time, blocks, threads int, fn BlockFunc) (
 	l.cond.L = &l.mu
 	l.meter.Observe(launchAt)
 
+	// No worker runs yet: the stack is this goroutine's until they start.
+	for len(d.pads) < min(blocks, len(d.slots)) {
+		d.pads = append(d.pads, make([]byte, d.cfg.ScratchpadBytes))
+	}
 	d.cur = l
 	l.wg.Add(len(d.slots))
 	for si := range d.slots {
@@ -372,7 +367,7 @@ func (l *launch) slotWorker(si int) {
 	d := l.d
 	s := &d.slots[si]
 	for {
-		idx, startAt, ok := l.pullTurn(si)
+		idx, startAt, pad, ok := l.pullTurn(si)
 		if !ok {
 			return
 		}
@@ -382,17 +377,19 @@ func (l *launch) slotWorker(si int) {
 			Blocks:  l.blocks,
 			Threads: l.threads,
 			Clock:   simtime.NewClock(startAt),
-			Scratch: s.blockScratch(d.cfg.ScratchpadBytes),
+			Scratch: pad,
 			Rand:    s.blockRand(l.seq<<20 ^ int64(idx)*0x9e3779b9),
 			dev:     d,
 			mp:      s.mp,
 		}
 
 		err := runBlock(b, l.fn)
+		clear(pad) // while it is still hot
 		end := b.Clock.Now()
 		l.meter.Observe(end)
 
 		l.mu.Lock()
+		d.pads = append(d.pads, pad)
 		d.slotMu.Lock()
 		s.at = max(s.at, end)
 		d.slotMu.Unlock()
@@ -416,19 +413,19 @@ func (l *launch) slotWorker(si int) {
 }
 
 // pullTurn blocks until slot si is the virtually-earliest available slot,
-// then takes the next block index. A slot may pull when no idle slot has a
+// then takes the next block index and the scratchpad last pushed. A slot may pull when no idle slot has a
 // (smaller, or equal with lower index) availability and no busy slot's
 // last-known availability is strictly smaller (a busy slot can only become
 // available later than that bound, so if the bound is not smaller it cannot
 // beat us).
-func (l *launch) pullTurn(si int) (idx int, startAt simtime.Time, ok bool) {
+func (l *launch) pullTurn(si int) (idx int, startAt simtime.Time, pad []byte, ok bool) {
 	d := l.d
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for {
 		if l.next >= len(l.order) || l.aborted.Load() {
 			l.cond.Broadcast()
-			return 0, 0, false
+			return 0, 0, nil, false
 		}
 		d.slotMu.Lock()
 		myAt := d.slots[si].at
@@ -453,12 +450,16 @@ func (l *launch) pullTurn(si int) (idx int, startAt simtime.Time, ok bool) {
 			idx = l.order[l.next]
 			l.next++
 			l.busy[si] = true
+			// The launch reserved a pad for each block that can run at once:
+			// an empty stack is a broken invariant, and the index panics.
+			n := len(d.pads) - 1
+			pad, d.pads = d.pads[n], d.pads[:n]
 			d.slotMu.Lock()
 			d.slots[si].assigned++
 			startAt = max(l.launchAt, d.slots[si].at)
 			d.slotMu.Unlock()
 			l.cond.Broadcast()
-			return idx, startAt, true
+			return idx, startAt, pad, true
 		}
 		l.cond.Wait()
 	}
@@ -485,7 +486,8 @@ type Block struct {
 	// Clock is the block's local virtual clock.
 	Clock *simtime.Clock
 	// Scratch is the block's on-die scratchpad memory: zeroed when the
-	// block starts, the next block's on this slot when it returns.
+	// block starts, back on the device's stack for another block when it
+	// returns.
 	Scratch []byte
 	// Rand is a per-block deterministic random source, a function of the
 	// launch's sequence number and Idx; like Scratch it is the block's only
@@ -605,13 +607,9 @@ func (d *Device) SlotAssignments() []int64 {
 
 // MPBusy reports each multiprocessor's accumulated busy time (diagnostics).
 func (d *Device) MPBusy() []simtime.Duration {
-	seen := make(map[*simtime.Resource]bool)
-	var out []simtime.Duration
-	for i := range d.slots {
-		if !seen[d.slots[i].mp] {
-			seen[d.slots[i].mp] = true
-			out = append(out, d.slots[i].mp.Busy())
-		}
+	out := make([]simtime.Duration, len(d.mps))
+	for i, mp := range d.mps {
+		out[i] = mp.Busy()
 	}
 	return out
 }

@@ -402,37 +402,166 @@ func TestBlockRandStreamMatchesEagerSeed(t *testing.T) {
 	}
 }
 
-// TestScratchZeroedAtBlockStart: the scratchpad belongs to the slot, so block
-// k+1 on a slot gets the memory block k wrote — and must find it zeroed.
+// TestScratchZeroedAtBlockStart: a block gets the pad a block before it wrote
+// — on its own slot or, through the device's stack, on another — and must
+// find it zeroed.
 func TestScratchZeroedAtBlockStart(t *testing.T) {
-	d := New(Config{ID: 0, MPs: 1, BlocksPerMP: 1, MemBytes: 1 << 20, ScratchpadBytes: 4 << 10})
-	var prev *byte
-	reused := 0
-	for launch := 0; launch < 2; launch++ {
-		_, err := d.Launch(0, 4, 32, func(b *Block) error {
-			if len(b.Scratch) != 4<<10 {
-				return fmt.Errorf("scratchpad %d", len(b.Scratch))
-			}
-			for i, v := range b.Scratch {
-				if v != 0 {
-					return fmt.Errorf("launch %d block %d: scratch[%d] = %#x at block start", launch, b.Idx, i, v)
+	type use struct {
+		pad *byte
+		mp  *simtime.Resource
+	}
+	run := func(t *testing.T, d *Device, launches, blocks int) []use {
+		var mu sync.Mutex
+		var uses []use
+		for launch := 0; launch < launches; launch++ {
+			_, err := d.Launch(0, blocks, 32, func(b *Block) error {
+				if len(b.Scratch) != 4<<10 {
+					return fmt.Errorf("scratchpad %d", len(b.Scratch))
 				}
+				for i, v := range b.Scratch {
+					if v != 0 {
+						return fmt.Errorf("launch %d block %d: scratch[%d] = %#x at block start", launch, b.Idx, i, v)
+					}
+				}
+				mu.Lock()
+				uses = append(uses, use{&b.Scratch[0], b.mp})
+				mu.Unlock()
+				b.Compute(1e6)
+				for i := range b.Scratch {
+					b.Scratch[i] = 0xA5
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if prev == &b.Scratch[0] {
+		}
+		return uses
+	}
+
+	t.Run("one slot", func(t *testing.T) {
+		d := New(Config{ID: 0, MPs: 1, BlocksPerMP: 1, MemBytes: 1 << 20, ScratchpadBytes: 4 << 10})
+		uses := run(t, d, 2, 4)
+		reused := 0
+		for i := 1; i < len(uses); i++ {
+			if uses[i].pad == uses[i-1].pad {
 				reused++
 			}
-			prev = &b.Scratch[0]
+		}
+		if reused != 7 {
+			t.Fatalf("one slot ran 8 blocks but was handed the last block's pad %d times, want 7", reused)
+		}
+	})
+
+	// One-block launches on two slots reserve one pad, and each goes to the
+	// slot the previous block left free in virtual time: the one pad
+	// crosses slots at every launch.
+	t.Run("two slots", func(t *testing.T) {
+		d := New(Config{ID: 0, MPs: 2, BlocksPerMP: 1, MemBytes: 1 << 20, Flops: 2e9, ScratchpadBytes: 4 << 10})
+		uses := run(t, d, 6, 1)
+		crossed := 0
+		for i := 1; i < len(uses); i++ {
+			if uses[i].pad == uses[i-1].pad && uses[i].mp != uses[i-1].mp {
+				crossed++
+			}
+		}
+		if crossed != 5 {
+			t.Fatalf("six one-block launches on two slots handed a dirtied pad to the other slot %d times, want 5", crossed)
+		}
+	})
+}
+
+// servingDevice is a fresh device of the shipped geometry (14 MPs of 2
+// slots, 48 KiB scratchpads) with little device memory.
+func servingDevice() *Device {
+	cfg := testDevice().cfg
+	cfg.MPs, cfg.MemBytes = 14, 1<<20
+	return New(cfg)
+}
+
+// launchYielding runs launches launches of blocks blocks whose body yields
+// the processor halfway, so host interleaving varies with GOMAXPROCS.
+func launchYielding(tb testing.TB, d *Device, launches, blocks int) {
+	for range launches {
+		_, err := d.Launch(0, blocks, 32, func(b *Block) error {
+			b.Scratch[0] = 1
+			runtime.Gosched()
+			b.Compute(1e5)
+			return nil
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestPadStackHoldsWhatLaunchesReserve: a launch reserves the pads its blocks
+// can use at once, min(blocks, slots), so a 28-slot device that only runs
+// 16-block launches makes 16 pads however its blocks rotate through the
+// slots, and the count does not depend on how the host interleaves them.
+// What the fresh device allocates beyond the same launches on it once warm
+// (each block's Block and Clock) is its pads: under 17 of them.
+func TestPadStackHoldsWhatLaunchesReserve(t *testing.T) {
+	const launches, blocks = 40, 16
+	launchYielding(t, servingDevice(), launches, blocks) // the runtime's goroutine caches fill
+	d := servingDevice()
+	alloc := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		launchYielding(t, d, launches, blocks)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	fresh := alloc()
+	if n := len(d.pads); n != blocks {
+		t.Fatalf("%d launches of %d blocks left %d pads, want %d", launches, blocks, n, blocks)
+	}
+	if pads := int64(fresh) - int64(alloc()); pads >= 17*48<<10 {
+		t.Fatalf("%d launches of %d blocks on a fresh device allocate %d B more than on a warm one, want < 17 pads (%d)",
+			launches, blocks, pads, 17*48<<10)
+	}
+
+	for _, procs := range []int{1, 4} {
+		d := servingDevice()
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			launchYielding(t, d, launches, blocks)
+		}()
+		if n := len(d.pads); n != blocks {
+			t.Errorf("GOMAXPROCS %d: %d launches of %d blocks left %d pads, want %d", procs, launches, blocks, n, blocks)
+		}
+	}
+}
+
+// TestPadNeverSharedByLiveBlocks: every block stamps its pad with its own
+// index, yields while other blocks run, and finds the stamp intact, so no two
+// live blocks ever hold one pad.
+func TestPadNeverSharedByLiveBlocks(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	cfg := testDevice().cfg
+	cfg.ScratchpadBytes = 4 << 10
+	d := New(cfg)
+	for launch := 0; launch < 8; launch++ {
+		_, err := d.Launch(0, 200, 32, func(b *Block) error {
+			stamp := byte(b.Idx + 1)
 			for i := range b.Scratch {
-				b.Scratch[i] = 0xA5
+				if b.Scratch[i] != 0 {
+					return fmt.Errorf("block %d: scratch[%d] = %#x at block start", b.Idx, i, b.Scratch[i])
+				}
+				b.Scratch[i] = stamp
+			}
+			runtime.Gosched()
+			b.Compute(1e5)
+			for i, v := range b.Scratch {
+				if v != stamp {
+					return fmt.Errorf("block %d: scratch[%d] = %#x, another block's stamp", b.Idx, i, v)
+				}
 			}
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if reused != 7 {
-		t.Fatalf("one slot ran 8 blocks but handed its scratchpad on %d times, want 7", reused)
 	}
 }
 
@@ -451,11 +580,11 @@ func launchBlocks(tb testing.TB, d *Device, blocks int) {
 }
 
 // TestLaunchAllocatesNoScratchOrGenerator is the guardrail of ISSUE 17's
-// first gain: a block finds its 48 KiB scratchpad and its generator on the
-// slot. What a block still allocates is its Block and Clock, and its share of
-// the launch's dispatch state; its share of the worker goroutines costs no
-// allocation, so a one-block launch allocates as much on a device of 56 slots
-// as on one of 8.
+// first gain: a block takes its 48 KiB scratchpad from the device's stack and
+// finds its generator on the slot. What a block still allocates is its Block
+// and Clock, and its share of the launch's dispatch state; its share of the
+// worker goroutines costs no allocation, so a one-block launch allocates as
+// much on a device of 56 slots as on one of 8.
 func TestLaunchAllocatesNoScratchOrGenerator(t *testing.T) {
 	oneBlock := func(mps int) float64 {
 		cfg := testDevice().cfg
@@ -472,7 +601,7 @@ func TestLaunchAllocatesNoScratchOrGenerator(t *testing.T) {
 
 	d := testDevice()
 	const blocks = 64
-	launchBlocks(t, d, blocks) // every slot makes its scratchpad once
+	launchBlocks(t, d, blocks) // the first launch makes the device's pads
 	var before, after runtime.MemStats
 	const launches = 20
 	runtime.ReadMemStats(&before)
@@ -490,13 +619,30 @@ func TestLaunchAllocatesNoScratchOrGenerator(t *testing.T) {
 	}
 }
 
+// BenchmarkLaunchBlocks measures a launch: "steady" is 64 blocks on a warm
+// 8-slot device; "fresh-serving" is eight 16-block launches on a fresh device
+// of the shipped 28 slots, the shape of a serving host's first batches, so
+// its B/op shows the scratchpads those launches make.
 func BenchmarkLaunchBlocks(b *testing.B) {
-	d := testDevice()
-	const blocks = 64
-	launchBlocks(b, d, blocks)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	b.Run("steady", func(b *testing.B) {
+		d := testDevice()
+		const blocks = 64
 		launchBlocks(b, d, blocks)
-	}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			launchBlocks(b, d, blocks)
+		}
+	})
+	b.Run("fresh-serving", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			d := servingDevice()
+			b.StartTimer()
+			for range 8 {
+				launchBlocks(b, d, 16)
+			}
+		}
+	})
 }

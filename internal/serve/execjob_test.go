@@ -30,9 +30,10 @@ func searchRig(tb testing.TB) (*Server, []string) {
 	}
 	srv := New(sys, Config{})
 	tb.Cleanup(func() { srv.Drain() })
-	// Fault the files in, fill the pool, and run enough batches that every
-	// execution slot has made its scratchpad (four jobs a file left some to
-	// the measured jobs on a two-core host).
+	// Fault the files in, fill the pool, and run enough batches that the
+	// device holds the scratchpads of the widest launch the measured jobs
+	// make: a launch makes the pads it lacks at its start (four jobs a file
+	// left some to the measured jobs on a two-core host).
 	runSearchJobs(tb, srv, paths, 16*len(paths))
 	return srv, paths
 }
@@ -62,7 +63,8 @@ func runSearchJobs(tb testing.TB, srv *Server, paths []string, n int) {
 // TestExecJobAllocatesNoFileBuffer is the guardrail of ISSUE 17's job-buffer
 // gain: at steady state a job over a 64 KiB file allocates well under its
 // file's size — its future, its result, its share of the launch — because it
-// reads into a recycled buffer, on a slot that owns its scratchpad.
+// reads into a recycled buffer, and its block takes a scratchpad from the
+// device's stack.
 func TestExecJobAllocatesNoFileBuffer(t *testing.T) {
 	srv, paths := searchRig(t)
 	const jobs = 400
