@@ -20,9 +20,11 @@
 #                tables, each host call and the speculation planner)
 #                are rows of TestStructureCensus in census_test.go,
 #                which tier1 runs.
-#   fuzz-smoke — 30s coverage-guided runs of the radix-tree fuzzer and
-#                the syscall wire-frame round-trip fuzzer; CI budget, not
-#                a soak. Extend -fuzztime for real hunts.
+#   fuzz-smoke — 30s coverage-guided runs of the radix-tree fuzzer, the
+#                syscall wire-frame round-trip fuzzer, the checkpoint image
+#                codec fuzzer and the search job's count against
+#                bytes.Count; CI budget, not a soak. Extend -fuzztime for
+#                real hunts.
 #   stress     — the fault-injection oracle at full depth (500 seeds),
 #                race-enabled, on its own for quick iteration.
 #   soak       — the serving-layer soak (internal/serve): 1,000+ jobs from
@@ -79,6 +81,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRadixTree -fuzztime 30s ./internal/core/radix
 	$(GO) test -run '^$$' -fuzz FuzzSyscallFrame -fuzztime 30s ./internal/gsys
 	$(GO) test -run '^$$' -fuzz FuzzCkptImage -fuzztime 30s ./internal/ckpt
+	$(GO) test -run '^$$' -fuzz FuzzSearchCount -fuzztime 30s ./internal/serve
 
 stress:
 	$(GO) test -race -count=1 -run TestFaultStressOracle ./internal/core

@@ -746,6 +746,10 @@ var structureRules = []structureRule{
 		why: "a pread fills one buffer, so a read of several segments would stage its bytes on the host and copy them again into the frames; read with Preadv in readFull"},
 	{what: "no host pwrite in the daemon", dir: "internal/gsys", use: sel("Pwrite"),
 		why: "a pwrite drains one buffer, so a write of several segments would stage them on the host first; write with Pwritev in sysWriteLanded"},
+	{what: "the search job's count", dir: "internal/serve", owner: "searchCount", count: 1, use: sel("bytes.Count"),
+		why: "bytes.Count re-enters bytes.Index for every match, which cost most of serve_open's host time; searchCount steps over a match in place and hands bytes.Count only words of one byte or more than 31 and the rest of a buffer full of false candidates"},
+	{what: "no substring search in serve", dir: "internal/serve", use: sel("bytes.Index"),
+		why: "a count built on bytes.Index pays its set-up per match; count with searchCount"},
 }
 
 func TestStructureCensus(t *testing.T) {

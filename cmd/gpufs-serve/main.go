@@ -287,7 +287,7 @@ func exportMetrics(reg *metrics.Registry, path string, write func(*metrics.Regis
 func randomJob(rng *rand.Rand, paths, words []string) serve.Job {
 	var pi int
 	if rng.Intn(100) < 70 {
-		pi = rng.Intn(minInt(4, len(paths))) // skewed hot set
+		pi = rng.Intn(min(4, len(paths))) // skewed hot set
 	} else {
 		pi = rng.Intn(len(paths))
 	}
@@ -300,13 +300,6 @@ func randomJob(rng *rand.Rand, paths, words []string) serve.Job {
 	default:
 		return serve.Job{Kind: serve.JobTransform, Path: paths[pi], MaxOutput: 256}
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func usageError(format string, args ...any) {

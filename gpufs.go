@@ -37,6 +37,7 @@ package gpufs
 
 import (
 	"fmt"
+	"path"
 
 	"gpufs/internal/ckpt"
 	"gpufs/internal/core"
@@ -230,13 +231,13 @@ func (s *System) Server() *rpc.Server { return s.server }
 // Bus exposes the interconnect (Figure 5 cost toggles).
 func (s *System) Bus() *pcie.Bus { return s.bus }
 
-// WriteHostFile creates path on the host file system with the given
-// content, creating parent directories as needed.
-func (s *System) WriteHostFile(path string, data []byte) error {
-	if err := s.host.MkdirAll(dirOf(path), hostfs.ModeDir|hostfs.ModeRead|hostfs.ModeWrite); err != nil {
+// WriteHostFile creates the file name on the host file system with the
+// given content, creating parent directories as needed.
+func (s *System) WriteHostFile(name string, data []byte) error {
+	if err := s.host.MkdirAll(path.Dir(name), hostfs.ModeDir|hostfs.ModeRead|hostfs.ModeWrite); err != nil {
 		return err
 	}
-	return s.host.WriteFile(s.hostClock, path, data, hostfs.ModeRead|hostfs.ModeWrite)
+	return s.host.WriteFile(s.hostClock, name, data, hostfs.ModeRead|hostfs.ModeWrite)
 }
 
 // ReadHostFile reads path from the host file system.
@@ -306,18 +307,6 @@ func (s *System) ResetTime() {
 		g.fs.ResetTimes()
 	}
 	s.hostClock = simtime.NewClock(0)
-}
-
-func dirOf(p string) string {
-	for i := len(p) - 1; i >= 0; i-- {
-		if p[i] == '/' {
-			if i == 0 {
-				return "/"
-			}
-			return p[:i]
-		}
-	}
-	return "/"
 }
 
 // Device exposes the underlying device model.

@@ -52,8 +52,9 @@ import (
 // JobKind selects the file-processing kernel a job runs.
 type JobKind uint8
 
-// Job kinds, all read-only over one host file (reusing the
-// internal/workloads matchers so results check against the same oracle).
+// Job kinds, all read-only over one host file. JobGrep counts with
+// workloads.CountWord and JobSearch with searchCount; tests check both
+// against references that share no code with them.
 const (
 	// JobGrep counts whole-word occurrences of Word ([a-z] tokens), the
 	// matching rule of the paper's grep application (§5.2.2).
@@ -725,7 +726,7 @@ func (s *Server) execJob(c *gpufs.BlockCtx, j *job) {
 	case JobGrep:
 		j.count = int64(workloads.CountWord(buf, j.spec.Word))
 	case JobSearch:
-		j.count = int64(bytes.Count(buf, []byte(j.spec.Word)))
+		j.count = searchCount(buf, j.spec.Word)
 	case JobTransform:
 		limit := j.spec.MaxOutput
 		if limit <= 0 || limit > s.cfg.MaxOutputBytes {
@@ -736,4 +737,38 @@ func (s *Server) execJob(c *gpufs.BlockCtx, j *job) {
 		}
 		j.output = bytes.ToUpper(buf[:limit])
 	}
+}
+
+// searchCount is bytes.Count(buf, []byte(word)) for a non-empty word: the
+// leftmost matches, none overlapping. bytes.Count re-enters bytes.Index per
+// match; this loop finds a candidate with IndexByte, compares the rest in
+// place and steps over a match. A tenant chooses the word, and none may make
+// a job slower than bytes.Count: once the false candidates pass bytes.Index's
+// own cutover on amd64, (i+16)/8, the rest goes to bytes.Count. Both scans
+// continue leftmost and non-overlapping from i, so the hand-off is exact.
+// That cutover is bytes.Index's only for words of at most bytealg.MaxLen
+// bytes (31 on amd64 without AVX2); a longer word's compare can read most of
+// it per candidate, so it goes to bytes.Count whole, and so does a one-byte
+// word, which bytes.Count counts with SIMD.
+func searchCount(buf []byte, word string) int64 {
+	n, fails, i := 0, 0, 0
+	if len(word) > 1 && len(word) <= 31 {
+		end := len(buf) - len(word) + 1 // one past the last start of a match
+		for i < end {
+			k := bytes.IndexByte(buf[i:end], word[0])
+			if k < 0 {
+				return int64(n)
+			}
+			if i += k; string(buf[i:i+len(word)]) == word {
+				n++
+				i += len(word)
+				continue
+			}
+			i++
+			if fails++; fails > (i+16)/8 {
+				break
+			}
+		}
+	}
+	return int64(n + bytes.Count(buf[i:], []byte(word)))
 }

@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
+	"path"
 	"sync/atomic"
 
 	"gpufs"
@@ -35,13 +36,13 @@ func finishMicro(res *MicroResult) {
 	}
 }
 
-// MakeDataFile writes size bytes of deterministic data at path.
-func MakeDataFile(fs *hostfs.FS, clock *simtime.Clock, path string, size int64, seed int64) error {
+// MakeDataFile creates the file name holding size bytes of deterministic data.
+func MakeDataFile(fs *hostfs.FS, clock *simtime.Clock, name string, size int64, seed int64) error {
 	mode := hostfs.ModeRead | hostfs.ModeWrite
-	if err := fs.MkdirAll(dirname(path), hostfs.ModeDir|mode); err != nil {
+	if err := fs.MkdirAll(path.Dir(name), hostfs.ModeDir|mode); err != nil {
 		return err
 	}
-	f, err := fs.Open(clock, path, hostfs.O_WRONLY|hostfs.O_CREATE|hostfs.O_TRUNC, mode)
+	f, err := fs.Open(clock, name, hostfs.O_WRONLY|hostfs.O_CREATE|hostfs.O_TRUNC, mode)
 	if err != nil {
 		return err
 	}
@@ -65,15 +66,6 @@ func MakeDataFile(fs *hostfs.FS, clock *simtime.Clock, path string, size int64, 
 		}
 	}
 	return nil
-}
-
-func dirname(p string) string {
-	for i := len(p) - 1; i > 0; i-- {
-		if p[i] == '/' {
-			return p[:i]
-		}
-	}
-	return "/"
 }
 
 // SeqReadGPUfs is Figure 4's "GPU File I/O" kernel — 16 lines of GPU code
