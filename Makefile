@@ -9,8 +9,9 @@
 #                `go vet ./...` stops at the module boundary), the full
 #                suite under the race detector (the stress/oracle tests
 #                run 500 seeds concurrently, so this is where sync bugs
-#                die; the scratchpad stack then runs 20 more times at
-#                one P and at four), the bench guardrail pinning the Fig4 16K/32K
+#                die; the scratchpad stack and the radix leaves' dirty
+#                masks then run 20 more times at one P and at four), the
+#                bench guardrail pinning the Fig4 16K/32K
 #                throughputs, daemon-scaling speedup, contention
 #                speedup, and open-loop saturation throughput to
 #                BENCH_6.json, mutex/block profiles harvested from the
@@ -68,6 +69,8 @@ tier2:
 	cd benchmark && GOFLAGS=-mod=mod GOWORK=off $(GO) vet ./...
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -count=20 -cpu 1,4 -run 'TestScratch|TestPad' ./internal/gpu
+	$(GO) test -race -count=20 -cpu 1,4 -run 'TestForEachDirtyPage|FuzzRadixTree|TestDirtyCountFollowsTheFlag' \
+		./internal/core/radix ./internal/core
 	GPUFS_BENCH_GUARDRAIL=1 $(GO) test -count=1 -run TestBenchGuardrail ./internal/bench
 	mkdir -p artifacts
 	$(GO) test -run '^$$' -bench BenchmarkContention -benchtime 1x \

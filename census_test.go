@@ -706,9 +706,9 @@ var structureRules = []structureRule{
 		use: sel("cache.TryAllocOn", "cache.Release", "cache.Unalloc", "frames.Add"),
 		why: "page.go is the one file that takes or frees a frame, hands back one an open offered (pcache's Unalloc) or moves fileCache.frames, so the pool and the resident counts agree"},
 	{what: "page.go dirties a page", dir: "internal/core", owner: "page.go", count: anyCount,
-		use: sel("Dirty.Store", "Dirty.Swap", "Dirty.CompareAndSwap", "dirty.Add", "dirtyPages.Add",
+		use: sel("Dirty.Store", "Dirty.Swap", "Dirty.CompareAndSwap", "dirty.Add", "dirtyPages.Add", "HintDirty",
 			"CleanAt.Store", "CleanAt.CompareAndSwap", "WroteAt.Store", "WroteAt.CompareAndSwap"),
-		why: "page.go is the one file that moves Frame.Dirty, the dirty-page counts kept beside it, or Frame.CleanAt and WroteAt, so the cleaner's hint and a write-back's landing times move with the flag"},
+		why: "page.go is the one file that moves Frame.Dirty, the dirty-page counts and leaf dirty masks kept beside it, or Frame.CleanAt and WroteAt, so the cleaner's hints and a write-back's landing times move with the flag"},
 	{what: "core's host write", dir: "internal/core", owner: "flush", count: 1, use: sel("WritePages"),
 		why: "every host write core makes is gathered into the write-back run's flush, one WritePages call"},
 	{what: "core's demand read", dir: "internal/core", owner: "faultIn", count: 1, use: sel("Read"),

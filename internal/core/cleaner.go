@@ -109,11 +109,12 @@ func (fs *FS) maybeClean(now simtime.Time) {
 // clean.
 //
 // A pass has work only where a page is dirty, so it visits only the files
-// whose dirty count (setDirty) is non-zero and, when the FS has no dirty page
-// at all, not even the file tables: its host cost follows the dirty files, not
-// the cached ones. Walking a clean file booked nothing and sent nothing, so
-// skipping the walk moves no clock; the kick is counted and the lane's clock
-// advanced by maybeClean either way.
+// whose dirty count (setDirty) is non-zero, in an open one only the pages its
+// leaves' dirty masks mark (cleanFile), and, when the FS has no dirty page at
+// all, not even the file tables: its host cost follows the dirty files' leaves
+// and dirty pages, not the cached pages. Visiting a clean page booked nothing
+// and sent nothing, so skipping it moves no clock; the kick is counted and the
+// lane's clock advanced by maybeClean either way.
 func (fs *FS) runCleanerPass(a actor) {
 	if fs.dirtyPages.Load() == 0 {
 		return
@@ -152,6 +153,8 @@ func (fs *FS) runCleanerPass(a actor) {
 // without evicting them. Failures record the file's deferred write error
 // (POSIX errseq semantics — identical to eviction-driven write-back) and
 // leave the page dirty and resident.
+// It visits only the pages their leaf's dirty mask marks (setDirty keeps it):
+// a clean page has nothing for a pass to do.
 func (fs *FS) cleanFile(a actor, v victim, max int) int {
 	if max <= 0 || v.hostFd == 0 {
 		return 0
@@ -159,7 +162,7 @@ func (fs *FS) cleanFile(a actor, v victim, max int) int {
 	fc := v.fc
 	cleaned := 0
 	wb := writeBack{fs: fs, a: a, fc: fc, hostFd: v.hostFd}
-	fc.tree.ForEachReadyPage(func(_ uint64, p *radix.FPage) bool {
+	fc.tree.ForEachDirtyPage(func(_ uint64, p *radix.FPage) bool {
 		if cleaned >= max {
 			return false
 		}

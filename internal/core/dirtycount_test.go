@@ -12,16 +12,17 @@ import (
 	"gpufs/internal/simtime"
 )
 
-// The dirty-page counts of page.go (setDirty) and the cleaner pass that reads
-// them: exact at quiescence, and a pass whose host cost follows the dirty
-// files, not the cached ones (ISSUE 17).
+// The dirty-page counts and leaf masks of page.go (setDirty) and the cleaner
+// pass that reads them: exact at quiescence, and a pass whose host cost
+// follows the dirty files and pages, not the cached ones.
 
 // checkDirtyCounts asserts, on a quiescent fs, that every fileCache's dirty
 // count is the number of its resident frames with Dirty set and that the FS
 // total is their sum — so no cache that left the tables took a count with it.
 // The clean counts are held to the same: a cache's is its resident frames
 // less its dirty ones, flagged exactly while it is retired, and the closed
-// table's total is the retired caches' sum.
+// table's total is the retired caches' sum. Each leaf's dirty mask has a
+// Ready slot's bit set exactly while its frame is dirty, and no other bit.
 func checkDirtyCounts(t *testing.T, fs *FS) {
 	t.Helper()
 	retired := make(map[*fileCache]bool)
@@ -41,6 +42,7 @@ func checkDirtyCounts(t *testing.T, fs *FS) {
 			t.Errorf("gpu%d %s: dirty count %d, but %d resident frames are dirty", fs.gpuID, fc.path, got, dirty)
 		}
 		sum += dirty
+		checkDirtyHints(t, fs, fc)
 		if w := fc.clean.Load(); w>>1 != resident-dirty || (w&1 != 0) != isRetired {
 			t.Errorf("gpu%d %s: clean count %d (retired bit %d), but %d resident frames are clean (retired %v)",
 				fs.gpuID, fc.path, w>>1, w&1, resident-dirty, isRetired)
@@ -57,6 +59,25 @@ func checkDirtyCounts(t *testing.T, fs *FS) {
 	}
 }
 
+// checkDirtyHints asserts, on a quiescent fs, that fc's leaves mark exactly
+// their dirty Ready pages: the cleaner visits only the marked ones.
+func checkDirtyHints(t *testing.T, fs *FS, fc *fileCache) {
+	t.Helper()
+	g := fc.tree.Pin()
+	defer g.Exit()
+	for _, leaf := range fc.tree.OldestLeaves(1 << 20) {
+		mask := leaf.DirtyHint()
+		for i := 0; i < 64; i++ {
+			p := leaf.Page(i)
+			want := p.Ready() && fs.cache.Frame(p.Frame()).Dirty.Load()
+			if got := mask>>i&1 != 0; got != want {
+				t.Errorf("gpu%d %s: page %d's dirty hint is %v, want %v (ready %v)",
+					fs.gpuID, fc.path, leaf.Base()+uint64(i), got, want, p.Ready())
+			}
+		}
+	}
+}
+
 // checkDirtyCounts runs the invariant on every GPU of the harness.
 func (h *harness) checkDirtyCounts(t *testing.T) {
 	t.Helper()
@@ -68,7 +89,8 @@ func (h *harness) checkDirtyCounts(t *testing.T) {
 // TestDirtyCountFollowsTheFlag drives every way Frame.Dirty changes — gwrite,
 // a mapping's MarkDirty, write-back, a failed write-back, and a dirty frame
 // leaving by truncate, unlink, invalidation and restart or arriving by
-// checkpoint restore — and checks the counts after each.
+// checkpoint restore — and checks the counts and the leaves' dirty masks
+// after each.
 func TestDirtyCountFollowsTheFlag(t *testing.T) {
 	opt := defaultOpt()
 	ps := int(opt.PageSize)
@@ -327,5 +349,53 @@ func BenchmarkCleanerPassCleanCorpus(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fs.maybeClean(0)
+	}
+}
+
+// BenchmarkCleanerPassOneDirtyOf2048 is a kicked pass over one open file of
+// 2,048 resident pages with one dirty, on an FS under the low watermark: each
+// iteration writes that page back and dirties it again. What else the pass
+// costs follows the file's 32 leaves, not its resident pages.
+func BenchmarkCleanerPassOneDirtyOf2048(b *testing.B) {
+	const pages = 2048
+	opt := defaultOpt()
+	opt.PageSize = 4 << 10
+	opt.BufferCacheBytes = (pages + 1) * opt.PageSize
+	h := newHarness(b, 1, opt)
+	fs := h.fss[0]
+	size := pages * opt.PageSize
+	h.write(b, "/f", make([]byte, size))
+	_, err := h.devs[0].Launch(0, 1, 64, func(blk *gpu.Block) error {
+		fd, err := fs.Open(blk, "/f", O_RDWR)
+		if err != nil {
+			return err
+		}
+		buf := make([]byte, size)
+		if _, err := fs.Read(blk, fd, buf, 0); err != nil {
+			return err
+		}
+		_, err = fs.Write(blk, fd, pattern(int(opt.PageSize), 7), size-opt.PageSize)
+		return err
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if free := fs.cache.FreeFrames(); free >= fs.cleaner.low || fs.ResidentPages("/f") != pages || fs.dirtyPages.Load() != 1 {
+		b.Fatalf("set-up left %d free frames, %d resident pages, %d dirty; want < %d, %d, 1",
+			free, fs.ResidentPages("/f"), fs.dirtyPages.Load(), fs.cleaner.low, pages)
+	}
+	fc := fs.ft.cacheOf("/f")
+	g := fc.tree.Pin()
+	fr := fs.cache.Frame(fc.tree.Lookup(pages - 1).Frame())
+	g.Exit()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fs.maybeClean(0)
+		fs.setDirty(fc, fr, true)
+	}
+	b.StopTimer()
+	if got := fs.CacheStats().CleanedPages; got != int64(b.N) {
+		b.Fatalf("%d passes cleaned %d pages", b.N, got)
 	}
 }

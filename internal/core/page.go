@@ -36,11 +36,13 @@ func (r pageRef) release() { r.fp.Unref() }
 func (fs *FS) markDirty(fc *fileCache, r pageRef) { fs.setDirty(fc, r.fr, true) }
 
 // setDirty moves fr's dirty flag and, when the flag really changed, the
-// counts of dirty pages resident for fc and for the whole FS. The counts are
-// the cleaner's hint and nothing else: a pass skips a file that has none and
-// does not start when the FS has none. Durability never reads them — gfsync,
-// gclose, eviction and the checkpoint walk pages and read Frame.Dirty — so a
-// count that lags a racing flag can delay a cleaning, not lose a write.
+// counts of dirty pages resident for fc and for the whole FS and the page's
+// bit in its leaf's dirty mask (radix HintDirty). The counts and the mask are
+// the cleaner's hints and nothing else: a pass skips a file that has no dirty
+// page, does not start when the FS has none, and visits only the pages whose
+// bit is set. Durability never reads them — gfsync, gclose, eviction and the
+// checkpoint walk pages and read Frame.Dirty — so a hint that lags a racing
+// flag can delay a cleaning, not lose a write.
 func (fs *FS) setDirty(fc *fileCache, fr *pcache.Frame, dirty bool) {
 	if fr.Dirty.Swap(dirty) == dirty {
 		return
@@ -52,6 +54,18 @@ func (fs *FS) setDirty(fc *fileCache, fr *pcache.Frame, dirty bool) {
 	fc.dirty.Add(d)
 	fs.dirtyPages.Add(d)
 	fs.ft.addClean(fc, -d)
+	// Two racing moves of the flag may set the bit in the other order; the
+	// one that sets it last re-reads the flag after and follows it, so the
+	// bit and the flag agree once the page is quiet.
+	idx := uint64(fr.Offset.Load() / fs.opt.PageSize)
+	for {
+		fc.tree.HintDirty(idx, dirty)
+		now := fr.Dirty.Load()
+		if now == dirty {
+			return
+		}
+		dirty = now
+	}
 }
 
 // addFrames moves fc's resident-page count by d, and its clean count with it:

@@ -37,6 +37,7 @@ package radix
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -195,6 +196,9 @@ type Node struct {
 
 	children [fanout]atomic.Pointer[Node] // interior only
 	pages    [fanout]FPage                // leaf only
+	// dirty is the leaf's dirty hint: bit i is set while pages[i]'s frame
+	// holds writes the host lacks, as far as HintDirty has been told.
+	dirty atomic.Uint64 // leaf only
 
 	// FIFO hooks, managed by the tree under its lock; traversed
 	// lock-free by the paging algorithm.
@@ -209,6 +213,9 @@ func (n *Node) Base() uint64 { return n.base }
 
 // Page returns the i'th fpage of a leaf node.
 func (n *Node) Page(i int) *FPage { return &n.pages[i] }
+
+// DirtyHint reports the leaf's dirty mask: bit i for Page(i) (HintDirty).
+func (n *Node) DirtyHint() uint64 { return n.dirty.Load() }
 
 // Detached reports whether the leaf has been removed from its tree.
 func (n *Node) Detached() bool { return n.detached.Load() }
@@ -426,6 +433,7 @@ func (t *Tree) newLeafLocked(base uint64) *Node {
 		t.recycles.Add(1)
 		leaf.base = base
 		leaf.detached.Store(false)
+		leaf.dirty.Store(0)
 		leaf.fifoNext.Store(nil)
 		leaf.fifoPrev.Store(nil)
 		for i := range leaf.pages {
@@ -569,10 +577,12 @@ func (t *Tree) RemoveLeaf(leaf *Node) {
 	})
 }
 
-// ForEachReadyPage calls fn for every Ready slot in the tree (best-effort,
-// lock-free; used by gfsync to find dirty pages and by tests). The walk
-// runs under its own epoch guard, which also covers fn — a leaf detached
-// mid-walk keeps its identity until fn returns.
+// ForEachReadyPage calls fn for every Ready slot in the tree, oldest leaf
+// first (best-effort, lock-free). Its callers are the walks that must see
+// every resident page: gfsync (syncFile), the checkpoint capture, gftruncate
+// and the cache drop of unlink, invalidation and restart. The walk runs
+// under its own epoch guard, which also covers fn — a leaf detached mid-walk
+// keeps its identity until fn returns.
 func (t *Tree) ForEachReadyPage(fn func(idx uint64, p *FPage) bool) {
 	g := t.Pin()
 	defer g.Exit()
@@ -587,6 +597,50 @@ func (t *Tree) ForEachReadyPage(fn func(idx uint64, p *FPage) bool) {
 					return
 				}
 			}
+		}
+	}
+}
+
+// HintDirty sets page idx's bit of its leaf's dirty mask, or clears it. The
+// caller keeps the slot non-Empty (a reference, an Init claim or an Evicting
+// one), so the leaf exists and cannot be detached under it. The mask is a
+// hint for ForEachDirtyPage: the caller keeps it in step with the frame's
+// flag.
+func (t *Tree) HintDirty(idx uint64, dirty bool) {
+	g := t.Pin()
+	defer g.Exit()
+	leaf := t.lookupLeaf(idx)
+	bit := uint64(1) << (idx & levelMask)
+	for {
+		old := leaf.dirty.Load()
+		m := old &^ bit
+		if dirty {
+			m = old | bit
+		}
+		if m == old || leaf.dirty.CompareAndSwap(old, m) {
+			return
+		}
+	}
+}
+
+// ForEachDirtyPage is ForEachReadyPage over the slots whose dirty hint is set
+// (HintDirty): the same leaves in the same order, and within a leaf the Ready
+// slots with their bit set, lowest first. After each call of fn it re-reads
+// the mask above the slot just visited, so a bit that moves mid-walk is seen
+// as a walk of every slot would see the flag beside it.
+func (t *Tree) ForEachDirtyPage(fn func(idx uint64, p *FPage) bool) {
+	g := t.Pin()
+	defer g.Exit()
+	for n := t.fifoTail.Load(); n != nil; n = n.fifoPrev.Load() {
+		if n.detached.Load() {
+			continue
+		}
+		for m := n.dirty.Load(); m != 0; {
+			i := bits.TrailingZeros64(m)
+			if p := &n.pages[i]; p.Ready() && !fn(n.base+uint64(i), p) {
+				return
+			}
+			m = n.dirty.Load() & (^uint64(0) << (i + 1))
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package radix
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
@@ -9,9 +10,10 @@ import (
 // and checks every observation against a reference model of the slot state
 // machine. It covers the full lifecycle — Insert, Lookup (lock-free and
 // locked), init/abort, ref/unref, evict and cancel, leaf removal (including the
-// refuse-when-occupied rule RemoveLeaf enforces against frame stranding),
-// and racing initializers — then sweeps the final tree for invariant
-// violations.
+// refuse-when-occupied rule RemoveLeaf enforces against frame stranding, and
+// the recycling of a removed leaf), dirty hints set and cleared, and racing
+// initializers — then sweeps the final tree for invariant violations and
+// compares the dirty walk with the walk over every Ready slot.
 //
 // Byte program: each step consumes 3 bytes [op, idxHi, idxLo]; the index
 // space is folded into 4 leaves' worth of slots so collisions, re-inserts
@@ -22,6 +24,9 @@ func FuzzRadixTree(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 6, 0, 0, 5, 0, 0, 6, 0, 0, 2, 0, 0})
 	f.Add([]byte{7, 0, 7, 7, 0, 7, 5, 0, 7, 3, 1, 0, 6, 1, 0, 1, 0, 7})
 	f.Add([]byte{2, 0, 3, 13, 0, 3, 4, 0, 3, 6, 0, 3, 5, 0, 3, 6, 0, 3}) // evict, cancel, evict again
+	f.Add([]byte{2, 0, 5, 28, 0, 5, 2, 0, 9, 28, 0, 9, 12, 0, 9})        // mark two pages, clear one
+	// A marked page evicted, its leaf removed and recycled, the slot reused.
+	f.Add([]byte{2, 0, 5, 28, 0, 5, 5, 0, 5, 6, 0, 5, 2, 0, 5})
 	// One full leaf drained and removed.
 	full := []byte{}
 	for i := byte(0); i < fanout; i++ {
@@ -41,6 +46,7 @@ func FuzzRadixTree(f *testing.F) {
 		type slotModel struct {
 			fp    *FPage
 			state int
+			dirty bool // its bit of the leaf's dirty mask
 		}
 		tr := NewTree()
 		model := map[uint64]*slotModel{}
@@ -116,11 +122,15 @@ func FuzzRadixTree(f *testing.F) {
 					}
 				}
 
-			case 4: // ref/unref round trip
+			case 4: // ref/unref round trip; bit 3 of the op byte also sets the dirty hint to bit 4
 				m := track(idx)
 				ok := m.fp.TryRef()
 				if ok != (m.state == stReady) {
 					t.Fatalf("TryRef(%d) = %v in state %d", idx, ok, m.state)
+				}
+				if in[i]&8 != 0 {
+					m.dirty = in[i]&16 != 0
+					tr.HintDirty(idx, m.dirty)
 				}
 				if ok {
 					if m.fp.Refs() < 1 {
@@ -184,10 +194,12 @@ func FuzzRadixTree(f *testing.F) {
 						t.Fatalf("leaf count %d after removal, want %d", tr.Leaves(), before-1)
 					}
 					// Dead slots must not be resurrected: forget them so a
-					// later Insert materializes (and we track) a fresh leaf.
+					// later Insert materializes (and we track) a fresh leaf,
+					// which the grace period just ended lets be this one.
 					for s := uint64(0); s < fanout; s++ {
 						delete(model, base+s)
 					}
+					tr.EpochDomain().Quiesce()
 				}
 
 			case 7: // racing initializers: exactly one side may win a claim
@@ -236,16 +248,30 @@ func FuzzRadixTree(f *testing.F) {
 			}
 		}
 		gotReady := 0
+		var wantDirty, gotDirty []uint64
 		tr.ForEachReadyPage(func(idx uint64, p *FPage) bool {
 			gotReady++
 			m := model[idx]
 			if m == nil || m.fp != p || m.state != stReady {
 				t.Fatalf("ForEachReadyPage visited untracked slot %d", idx)
 			}
+			if m.dirty {
+				wantDirty = append(wantDirty, idx)
+			}
 			return true
 		})
 		if gotReady != wantReady {
 			t.Fatalf("ready sweep saw %d pages, model has %d", gotReady, wantReady)
+		}
+		tr.ForEachDirtyPage(func(idx uint64, p *FPage) bool {
+			if m := model[idx]; m == nil || m.fp != p {
+				t.Fatalf("ForEachDirtyPage visited untracked slot %d", idx)
+			}
+			gotDirty = append(gotDirty, idx)
+			return true
+		})
+		if !slices.Equal(gotDirty, wantDirty) {
+			t.Fatalf("dirty sweep visited %v, the ready sweep's marked pages are %v", gotDirty, wantDirty)
 		}
 	})
 }

@@ -3,6 +3,7 @@ package radix
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -451,6 +452,100 @@ func TestForEachReadyPage(t *testing.T) {
 	})
 	if count != 3 {
 		t.Fatalf("early stop visited %d", count)
+	}
+}
+
+// TestForEachDirtyPage: the dirty walk visits exactly the marked Ready slots,
+// in the order of the walk over every Ready slot, across leaves; it sees a
+// bit set or cleared above it mid-walk; and a leaf recycled from the pool
+// starts with no bit set.
+func TestForEachDirtyPage(t *testing.T) {
+	tr := NewTree()
+	ready := func(idx uint64) *FPage {
+		fp, _ := tr.Insert(idx)
+		if !fp.TryBeginInit() {
+			t.Fatalf("slot %d already claimed", idx)
+		}
+		fp.FinishInit(int32(idx))
+		fp.Unref()
+		return fp
+	}
+	for _, idx := range []uint64{130, 3, 64, 5, 0, 191, 70, 63} {
+		ready(idx)
+	}
+	claimed, _ := tr.Insert(7) // Init: marked, but not Ready
+	claimed.TryBeginInit()
+	tr.Insert(8) // Empty
+	marked := map[uint64]bool{}
+	for _, idx := range []uint64{63, 3, 130, 191, 0, 7, 8, 70} {
+		tr.HintDirty(idx, true)
+		marked[idx] = true
+	}
+	tr.HintDirty(0, false)
+	tr.HintDirty(0, false) // clearing a clear bit is a no-op
+	delete(marked, 0)
+
+	var want, got []uint64
+	tr.ForEachReadyPage(func(idx uint64, p *FPage) bool {
+		if marked[idx] {
+			want = append(want, idx)
+		}
+		return true
+	})
+	tr.ForEachDirtyPage(func(idx uint64, p *FPage) bool {
+		if p != tr.Lookup(idx) || !p.Ready() {
+			t.Fatalf("dirty walk passed slot %d not its own or not Ready", idx)
+		}
+		got = append(got, idx)
+		return true
+	})
+	if !slices.Equal(got, want) || len(want) != 5 {
+		t.Fatalf("dirty walk visited %v, want %v (5 marked Ready slots)", got, want)
+	}
+
+	// Mid-walk: the visit of 3 clears a later bit of its leaf and sets one
+	// between; the walk follows the mask as it is then.
+	got = got[:0]
+	tr.ForEachDirtyPage(func(idx uint64, p *FPage) bool {
+		if idx == 3 {
+			tr.HintDirty(63, false)
+			tr.HintDirty(5, true)
+		}
+		got = append(got, idx)
+		return true
+	})
+	if w := []uint64{130, 191, 3, 5, 70}; !slices.Equal(got, w) {
+		t.Fatalf("walk with bits moving visited %v, want %v", got, w)
+	}
+	got = got[:0]
+	tr.ForEachDirtyPage(func(idx uint64, p *FPage) bool {
+		got = append(got, idx)
+		return len(got) < 2
+	})
+	if w := []uint64{130, 191}; !slices.Equal(got, w) {
+		t.Fatalf("walk stopped at the second visit visited %v, want %v", got, w)
+	}
+
+	// Drain leaf 2 (base 128), marked at 130 and 191, and recycle it as a
+	// fresh leaf: none of its bits survive.
+	for _, idx := range []uint64{130, 191} {
+		fp := tr.Lookup(idx)
+		if !fp.TryEvict() {
+			t.Fatalf("evict %d", idx)
+		}
+		fp.FinishEvict()
+	}
+	_, leaf := tr.LookupLeaf(130)
+	tr.RemoveLeaf(leaf)
+	if !leaf.Detached() || !tr.EpochDomain().Quiesce() {
+		t.Fatal("leaf 2 not detached and freed")
+	}
+	_, fresh := tr.Insert(1 << 12)
+	if fresh != leaf || tr.Recycles() != 1 {
+		t.Fatalf("Insert did not recycle the drained leaf (recycles %d)", tr.Recycles())
+	}
+	if m := fresh.DirtyHint(); m != 0 {
+		t.Fatalf("recycled leaf starts with dirty mask %#x", m)
 	}
 }
 
