@@ -10,8 +10,9 @@
 #                suite under the race detector (the stress/oracle tests
 #                run 500 seeds concurrently, so this is where sync bugs
 #                die; the scratchpad stack and the radix leaves' dirty
-#                masks then run 20 more times at one P and at four), the
-#                bench guardrail pinning the Fig4 16K/32K
+#                masks then run 20 more times at one P and at four),
+#                MakeWord checked against math/rand on every index the
+#                corpora use, the bench guardrail pinning the Fig4 16K/32K
 #                throughputs, daemon-scaling speedup, contention
 #                speedup, and open-loop saturation throughput to
 #                BENCH_6.json, mutex/block profiles harvested from the
@@ -71,6 +72,7 @@ tier2:
 	$(GO) test -race -count=20 -cpu 1,4 -run 'TestScratch|TestPad' ./internal/gpu
 	$(GO) test -race -count=20 -cpu 1,4 -run 'TestForEachDirtyPage|FuzzRadixTree|TestDirtyCountFollowsTheFlag' \
 		./internal/core/radix ./internal/core
+	GPUFS_MAKEWORD_FULL=1 $(GO) test -count=1 -run TestMakeWordMatchesMathRandFullRange ./internal/workloads
 	GPUFS_BENCH_GUARDRAIL=1 $(GO) test -count=1 -run TestBenchGuardrail ./internal/bench
 	mkdir -p artifacts
 	$(GO) test -run '^$$' -bench BenchmarkContention -benchtime 1x \

@@ -31,6 +31,31 @@ func cell(tb *bench.Table, row, col int) float64 {
 	return v
 }
 
+// BenchmarkNewSystem measures building a machine, the setup every
+// benchmark rep and test pays: "scaled" is ScaledConfig(1/64) with four
+// GPUs whose device memory is three times the buffer cache, "serve" the
+// serving workloads' config (32K pages, device memory one MiB past the
+// cache).
+func BenchmarkNewSystem(b *testing.B) {
+	scaled := gpufs.ScaledConfig(benchScale)
+	serve := scaled
+	serve.PageSize = 32 << 10
+	serve.GPUMemBytes = serve.BufferCacheBytes + 1<<20
+	for _, arm := range []struct {
+		name string
+		cfg  gpufs.Config
+	}{{"scaled", scaled}, {"serve", serve}} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := gpufs.NewSystem(arm.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFig4SequentialRead regenerates Figure 4 (sequential read
 // throughput vs page size: GPUfs, CUDA pipeline, whole-file transfer).
 func BenchmarkFig4SequentialRead(b *testing.B) {

@@ -87,6 +87,24 @@ func TestFrameForData(t *testing.T) {
 	}
 }
 
+// TestFramesAliasRaw: the raw data array is one allocation carved into
+// frames, so a write through the array at RawOffset(i) is seen through
+// frame i's Data, and a write through the frame through the array.
+func TestFramesAliasRaw(t *testing.T) {
+	c := newCache(t, 16<<10, 4<<10)
+	for i := int32(0); i < 4; i++ {
+		off := c.RawOffset(i)
+		c.raw.Data[off+7] = byte(i + 1)
+		if got := c.FrameForData(off).Data[7]; got != byte(i+1) {
+			t.Fatalf("frame %d reads %d after a write through the raw array, want %d", i, got, i+1)
+		}
+		c.Frame(i).Data[9] = byte(i + 100)
+		if got := c.raw.Data[off+9]; got != byte(i+100) {
+			t.Fatalf("raw array reads %d at frame %d after a write through the frame, want %d", got, i, i+100)
+		}
+	}
+}
+
 func TestFramePagesDisjoint(t *testing.T) {
 	c := newCache(t, 16<<10, 4<<10)
 	for i := 0; i < 4; i++ {

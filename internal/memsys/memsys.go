@@ -3,10 +3,12 @@
 // staging, and the write-shared host region through which the GPU and CPU
 // exchange RPC messages (§4.3 of the paper).
 //
-// Memory is modelled as real Go byte slices carved out of fixed-capacity
-// arenas, so capacity limits are enforced exactly: a kernel that tries to
-// allocate more device memory than the simulated card has fails just like
-// cudaMalloc would.
+// An arena is a fixed-capacity address space with a first-fit allocator,
+// so capacity limits are enforced exactly: a kernel that tries to allocate
+// more device memory than the simulated card has fails just like
+// cudaMalloc would. Each allocation is backed by its own Go byte slice,
+// zeroed when it is allocated, so a card's unallocated bytes cost the host
+// nothing.
 package memsys
 
 import (
@@ -46,9 +48,10 @@ func (k Kind) String() string {
 	}
 }
 
-// Block is an allocation from an Arena. Data aliases the arena's backing
-// store, so writes through Block.Data are visible to anyone else holding the
-// same offsets — which is exactly how DMA into buffer-cache pages behaves.
+// Block is an allocation from an Arena. Its Data is its own zeroed slice:
+// every view cut from it (a buffer-cache frame is a sub-slice of the raw
+// data array) shares its bytes, which is how DMA into buffer-cache pages
+// behaves. A freed block's bytes are gone; the next Alloc reads zero.
 type Block struct {
 	// Data is the allocated byte range.
 	Data []byte
@@ -73,14 +76,14 @@ func (b *Block) Free() error {
 	return err
 }
 
-// Arena is a fixed-capacity memory with a first-fit free-list allocator.
-// It is safe for concurrent use.
+// Arena is a fixed-capacity memory with a first-fit free-list allocator
+// over offsets. It is safe for concurrent use.
 type Arena struct {
-	name string
-	kind Kind
+	name     string
+	kind     Kind
+	capacity int64
 
 	mu       sync.Mutex
-	backing  []byte
 	freeList []span // sorted by offset, coalesced
 	used     int64
 	allocs   map[int64]int64 // offset -> length of live allocations
@@ -97,7 +100,7 @@ func NewArena(name string, kind Kind, capacity int64) *Arena {
 	return &Arena{
 		name:     name,
 		kind:     kind,
-		backing:  make([]byte, capacity),
+		capacity: capacity,
 		freeList: []span{{0, capacity}},
 		allocs:   make(map[int64]int64),
 	}
@@ -110,7 +113,7 @@ func (a *Arena) Name() string { return a.name }
 func (a *Arena) Kind() Kind { return a.kind }
 
 // Capacity reports the arena's total size in bytes.
-func (a *Arena) Capacity() int64 { return int64(len(a.backing)) }
+func (a *Arena) Capacity() int64 { return a.capacity }
 
 // Used reports the currently allocated byte count.
 func (a *Arena) Used() int64 {
@@ -129,8 +132,9 @@ func (a *Arena) Peak() int64 {
 // Free reports the number of unallocated bytes (possibly fragmented).
 func (a *Arena) Free() int64 { return a.Capacity() - a.Used() }
 
-// Alloc carves size bytes out of the arena, aligned to align (which must be
-// a power of two; 0 or 1 means unaligned).
+// Alloc reserves size bytes of the arena, aligned to align (which must be
+// a power of two; 0 or 1 means unaligned), and backs them with a zeroed
+// slice of their own.
 func (a *Arena) Alloc(size, align int64) (*Block, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("memsys: invalid allocation size %d", size)
@@ -141,7 +145,18 @@ func (a *Arena) Alloc(size, align int64) (*Block, error) {
 	if align&(align-1) != 0 {
 		return nil, fmt.Errorf("memsys: alignment %d not a power of two", align)
 	}
+	start, err := a.reserve(size, align)
+	if err != nil {
+		return nil, err
+	}
+	// Zero the bytes outside the lock: a large allocation does not stall
+	// the arena's other users.
+	return &Block{Data: make([]byte, size), Offset: start, arena: a}, nil
+}
 
+// reserve takes the first free span that fits [pad][size] and returns the
+// block's offset.
+func (a *Arena) reserve(size, align int64) (int64, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 
@@ -165,14 +180,10 @@ func (a *Arena) Alloc(size, align int64) (*Block, error) {
 		if a.used > a.peak {
 			a.peak = a.used
 		}
-		return &Block{
-			Data:   a.backing[start : start+size : start+size],
-			Offset: start,
-			arena:  a,
-		}, nil
+		return start, nil
 	}
-	return nil, fmt.Errorf("%w: %s arena %q: need %d, free %d (fragmented)",
-		ErrOutOfMemory, a.kind, a.name, size, a.Capacity()-a.used)
+	return 0, fmt.Errorf("%w: %s arena %q: need %d, free %d (fragmented)",
+		ErrOutOfMemory, a.kind, a.name, size, a.capacity-a.used)
 }
 
 func (a *Arena) release(b *Block) error {

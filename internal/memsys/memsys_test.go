@@ -3,6 +3,7 @@ package memsys
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -149,14 +150,46 @@ func TestKindString(t *testing.T) {
 }
 
 func TestDataAliasing(t *testing.T) {
-	// Two views of the same offsets share bytes — DMA into a buffer-cache
-	// page must be visible through the page's own slice.
-	a := NewArena("t", DeviceMemory, 128)
-	b, _ := a.Alloc(128, 0)
-	b.Data[5] = 42
-	b.Free()
-	b2, _ := a.Alloc(128, 0)
-	if b2.Data[5] != 42 {
-		t.Fatalf("arena backing store should persist across alloc cycles")
+	// (a) Two views of one live block share bytes: DMA into the buffer
+	// cache's raw array must be visible through a frame's sub-slice, cut
+	// the way pcache cuts frames.
+	a := NewArena("t", DeviceMemory, 256)
+	raw, _ := a.Alloc(128, 0)
+	frame := raw.Data[64:128:128]
+	raw.Data[64+5] = 42
+	if frame[5] != 42 {
+		t.Fatalf("a write through the block is not seen through its sub-slice")
 	}
+	// (b) Every Alloc reads zero, even at offsets a freed block wrote.
+	for i := range raw.Data {
+		raw.Data[i] = 0xFF
+	}
+	off := raw.Offset
+	raw.Free()
+	b, _ := a.Alloc(256, 0)
+	if b.Offset != off {
+		t.Fatalf("re-Alloc at offset %d, want the freed block's %d", b.Offset, off)
+	}
+	for i, v := range b.Data {
+		if v != 0 {
+			t.Fatalf("byte %d of a fresh Alloc reads %#x, want 0", i, v)
+		}
+	}
+}
+
+// TestArenaBacksOnlyAllocations: an arena's capacity costs the host
+// nothing; only its allocations are backed.
+func TestArenaBacksOnlyAllocations(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a := NewArena("card", DeviceMemory, 1<<30)
+	b, err := a.Alloc(1<<20, 256)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+		t.Fatalf("a 1 GiB arena with a 1 MiB allocation allocated %d B on the host, want < 2 MiB", got)
+	}
+	b.Free()
 }

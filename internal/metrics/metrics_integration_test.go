@@ -1,4 +1,4 @@
-package gpufs_test
+package metrics_test
 
 import (
 	"bytes"

@@ -34,13 +34,16 @@ const letters = "abcdefghijklmnopqrstuvwxyz"
 const WordAlign = 32
 
 // MakeWord deterministically generates the i'th synthetic word: 3-12
-// lowercase letters, unique per index.
+// lowercase letters, unique per index. Its letters are the draws of
+// rand.New(rand.NewSource(int64(i)*2654435761 + 12345)), computed by
+// wordRand without seeding the source.
 func MakeWord(i int) string {
-	rng := rand.New(rand.NewSource(int64(i)*2654435761 + 12345))
-	n := 3 + rng.Intn(10)
-	b := make([]byte, n)
-	for j := range b {
-		b[j] = letters[rng.Intn(len(letters))]
+	rng := newWordRand(int64(i)*2654435761 + 12345)
+	n := 3 + rng.intn(10)
+	var buf [2 * WordAlign]byte // 12 letters and a suffix of at most 14
+	b := buf[:0]
+	for j := 0; j < n; j++ {
+		b = append(b, letters[rng.intn(len(letters))])
 	}
 	// Suffix with a base-26 encoding of i to guarantee uniqueness.
 	for v := i; ; v /= 26 {
@@ -53,6 +56,121 @@ func MakeWord(i int) string {
 		b = b[:WordAlign-1]
 	}
 	return string(b)
+}
+
+// wordDraws is how many draws of a freshly seeded source wordRand computes
+// directly. A word takes one draw for its length and 3-12 for its letters,
+// plus Int31n's rejections (fewer than one draw in 10⁸).
+const wordDraws = 32
+
+// lehmerM is the modulus of the Lehmer generator math/rand's Seed steps,
+// x ← 48271·x mod 2³¹−1.
+const lehmerM = 1<<31 - 1
+
+// wordRand yields the draws of rand.New(rand.NewSource(seed)) in order.
+// Draw k (from 0) of a freshly seeded source is vec[333−k] + vec[606−k],
+// and Seed sets vec[i] from the (21+3i)'th to (23+3i)'th Lehmer steps from
+// the seed, XOR rngCooked[i]. With the jump multipliers 48271^(21+3i+j)
+// mod 2³¹−1, each draw is six multiply-mods, where Seed takes 1,841 steps
+// and fills all 607 words. Past wordDraws draws it continues on math/rand.
+type wordRand struct {
+	seed int64
+	x    uint64 // the seed as Seed reduces it, in [1, 2³¹−1)
+	k    int    // draws taken
+	src  rand.Source
+}
+
+func newWordRand(seed int64) wordRand {
+	x := seed % lehmerM
+	if x < 0 {
+		x += lehmerM
+	}
+	if x == 0 {
+		x = 89482311
+	}
+	return wordRand{seed: seed, x: uint64(x)}
+}
+
+// int63 is the source's next Int63.
+func (w *wordRand) int63() int64 {
+	k := w.k
+	w.k++
+	if k < wordDraws {
+		i := wordDraws - 1 - k // vec[302+i] and vec[575+i]
+		return (w.vec(rngCooked302[i], &wordJump[0][i]) + w.vec(rngCooked575[i], &wordJump[1][i])) & (1<<63 - 1)
+	}
+	if w.src == nil {
+		w.src = rand.NewSource(w.seed)
+		for j := 0; j < wordDraws; j++ {
+			w.src.Int63()
+		}
+	}
+	return w.src.Int63()
+}
+
+// vec is one entry of the seeded state: three Lehmer steps, XOR cooked.
+func (w *wordRand) vec(cooked int64, m *[3]uint64) int64 {
+	x1, x2, x3 := w.x*m[0]%lehmerM, w.x*m[1]%lehmerM, w.x*m[2]%lehmerM
+	return int64(x1<<40^x2<<20^x3) ^ cooked
+}
+
+// intn is rand.Rand.Intn for n in [1, 2³¹): Int31n over the top 31 bits
+// of each draw. Int31n masks when n is a power of two, which keeps the
+// same bits as the modulo here, and then nothing is rejected.
+func (w *wordRand) intn(n int) int {
+	max := int64(1<<31 - 1 - (1<<31)%uint32(n))
+	v := w.int63() >> 32
+	for v > max {
+		v = w.int63() >> 32
+	}
+	return int(v % int64(n))
+}
+
+// wordJump[h][i][j] is 48271^(21+3e+j) mod 2³¹−1 for state entry
+// e = 302+i (h = 0) or e = 575+i (h = 1).
+var wordJump = func() (m [2][wordDraws][3]uint64) {
+	p := uint64(1)
+	for n := 1; n <= 20; n++ {
+		p = p * 48271 % lehmerM
+	}
+	for e := 0; e < 607; e++ {
+		for j := 0; j < 3; j++ {
+			p = p * 48271 % lehmerM
+			switch {
+			case e >= 575:
+				m[1][e-575][j] = p
+			case e >= 302 && e < 302+wordDraws:
+				m[0][e-302][j] = p
+			}
+		}
+	}
+	return m
+}()
+
+// rngCooked302 and rngCooked575 are rngCooked[302:334] and
+// rngCooked[575:607], the only entries the first wordDraws draws read,
+// copied from Go's src/math/rand/rng.go (Copyright 2009 The Go Authors;
+// BSD-style license, see Go's LICENSE file).
+var rngCooked302 = [wordDraws]int64{
+	8785882556301281247, -3074039370013608197, -637529855400303673, 6137678347805511274,
+	-7152924852417805802, 5708223427705576541, -3223714144396531304, 4358391411789012426,
+	325123008708389849, 6837621693887290924, 4843721905315627004, -3212720814705499393,
+	-3825019837890901156, 4602025990114250980, 1044646352569048800, 9106614159853161675,
+	-8394115921626182539, -4304087667751778808, 2681532557646850893, 3681559472488511871,
+	-3915372517896561773, -2889241648411946534, -6564663803938238204, -8060058171802589521,
+	581945337509520675, 3648778920718647903, -4799698790548231394, -7602572252857820065,
+	220828013409515943, -1072987336855386047, 4287360518296753003, -4633371852008891965,
+}
+
+var rngCooked575 = [wordDraws]int64{
+	2278447439451174845, 3625338785743880657, 6477479539006708521, 8976185375579272206,
+	-3712000482142939688, 1326024180520890843, 7537449876596048829, 5464680203499696154,
+	3189671183162196045, 6346751753565857109, -8982212049534145501, -6127578587196093755,
+	-245039190118465649, -6320577374581628592, 7208698530190629697, 7276901792339343736,
+	-7490986807540332668, 4133292154170828382, 2918308698224194548, -7703910638917631350,
+	-3929437324238184044, -4300543082831323144, -6344160503358350167, 5896236396443472108,
+	-758328221503023383, -1894351639983151068, -307900319840287220, -6278469401177312761,
+	-2171292963361310674, 8382142935188824023, 9103922860780351547, 4152330101494654406,
 }
 
 // Dictionary is a word list in the paper's aligned on-disk format.

@@ -2,6 +2,7 @@ package gpufs
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 )
 
@@ -13,6 +14,26 @@ func testSystem(t *testing.T, scale float64) *System {
 		t.Fatalf("NewSystem: %v", err)
 	}
 	return sys
+}
+
+// TestNewSystemBacksOnlyTheBufferCache: a new machine allocates each GPU's
+// buffer cache and little else. Its device memory is three times the cache
+// (the C2075's 6 GB against 2 GB), but the arena backs only what is
+// allocated from it.
+func TestNewSystemBacksOnlyTheBufferCache(t *testing.T) {
+	cfg := ScaledConfig(1.0 / 64)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewSystem(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := uint64(cfg.NumGPUs)*uint64(cfg.BufferCacheBytes+1<<20) + 8<<20
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Fatalf("NewSystem allocated %d B for %d GPUs with %d B buffer caches, want <= %d",
+			got, cfg.NumGPUs, cfg.BufferCacheBytes, limit)
+	}
 }
 
 func TestSmokeReadBack(t *testing.T) {
