@@ -5,8 +5,8 @@
 // draining one without the tenants noticing: per-GPU buffer-cache
 // contents (dirty pages by value, clean pages by reference), the
 // closed-file fast-reopen table with its sticky errseq write errors and
-// each file's read-ahead profile, and the queued-job manifest handed to the
-// fleet's exactly-once watchers.
+// each file's read-ahead profile, and the manifest of queued jobs handed
+// back to the fleet, which re-routes each exactly once.
 //
 // The capture protocol that fills an Image lives in internal/core (the
 // copy-on-write walk) and internal/serve (the queue freeze); this package
@@ -51,9 +51,8 @@ type Image struct {
 	GPUs []FSImage
 	// Queued is the manifest of jobs that were admitted but never
 	// dispatched on the source. They are NOT re-executed at restore: the
-	// source completed them with ErrHandedOff, and the fleet's
-	// exactly-once watchers re-route each one (affinity steers them to
-	// the restored host). The manifest exists for audit and metrics.
+	// source completed them with ErrHandedOff, and the fleet re-routes
+	// each one exactly once (affinity steers them to the restored host). The manifest exists for audit and metrics.
 	Queued []JobImage
 }
 

@@ -21,6 +21,7 @@ type FakeBackend struct {
 	queued   []fakeJob
 	auto     bool
 	failWith error
+	depth    int // queued jobs at which Submit rejects as overloaded; 0 = no limit
 	draining bool
 	now      simtime.Time
 	resident map[string]int64
@@ -89,13 +90,25 @@ func (b *FakeBackend) AdvanceTo(t simtime.Time) {
 	b.mu.Unlock()
 }
 
-// Submit implements serve.Backend. Queue-depth admission is not modeled;
-// overload behavior is scripted via SetFailWith if a test needs it.
+// SetQueueDepth scripts admission: while n jobs are queued, Submit rejects
+// with serve's OverloadError, whatever the tenant. 0 removes the limit.
+func (b *FakeBackend) SetQueueDepth(n int) {
+	b.mu.Lock()
+	b.depth = n
+	b.mu.Unlock()
+}
+
+// Submit implements serve.Backend. Admission is unlimited unless
+// SetQueueDepth set a depth.
 func (b *FakeBackend) Submit(tenant string, spec serve.Job) (*serve.Future, error) {
 	b.mu.Lock()
 	if b.draining {
 		b.mu.Unlock()
 		return nil, serve.ErrDraining
+	}
+	if b.depth > 0 && len(b.queued) >= b.depth {
+		b.mu.Unlock()
+		return nil, &serve.OverloadError{Tenant: tenant, RetryAfter: simtime.Millisecond}
 	}
 	b.nextID++
 	b.admitted++

@@ -25,11 +25,13 @@
 //     via serve.Backend.DrainForHandoff (queued jobs come back unexecuted
 //     and re-route to healthy hosts), then rebuilt by the host factory.
 //
-// Every fleet-admitted job completes exactly once: a watcher goroutine per
-// job re-routes handed-off and sick-host failures within a bounded rehome
-// budget, and delivers success or a classified error — never silence, and
-// never a double delivery (the serve layer's Future is single-shot, and a
-// job is only resubmitted after its previous attempt's Future resolved).
+// Every fleet-admitted job completes exactly once. No goroutine waits for
+// it: each attempt's serve-level Future runs the job's settle on the
+// goroutine that resolves it, which delivers success or a classified
+// error, or re-routes a handed-off or sick-host failure within a bounded
+// rehome budget — never silence, and never a double delivery (the serve
+// layer's Future is single-shot, and a job is only resubmitted after its
+// previous attempt's Future resolved).
 package fleet
 
 import (
@@ -137,10 +139,16 @@ func (f *Future) Wait() Result { return <-f.ch }
 
 // fleetJob is the control plane's record of one admitted job.
 type fleetJob struct {
+	cp      *ControlPlane
 	tenant  string
 	spec    serve.Job
 	fut     *Future
 	rehomes int
+	// h and incarnation are the host running the current attempt:
+	// placeLocked writes them before the attempt's Future gets settle,
+	// which reads them.
+	h           *host
+	incarnation int
 }
 
 // ControlPlane owns the fleet: N hosts, the scheduler, the health monitor,
@@ -162,7 +170,7 @@ type ControlPlane struct {
 
 	met *fleetMetrics
 
-	wg    sync.WaitGroup // job watchers
+	wg    sync.WaitGroup // admitted jobs not yet delivered
 	remWG sync.WaitGroup // remediator
 }
 
@@ -220,8 +228,8 @@ func (cp *ControlPlane) Submit(tenant string, spec serve.Job) (*Future, error) {
 		cp.mu.Unlock()
 		return nil, ErrClosed
 	}
-	j := &fleetJob{tenant: tenant, spec: spec, fut: &Future{ch: make(chan Result, 1)}}
-	h, sfut, err := cp.placeLocked(j)
+	j := &fleetJob{cp: cp, tenant: tenant, spec: spec, fut: &Future{ch: make(chan Result, 1)}}
+	sfut, err := cp.placeLocked(j)
 	if err != nil {
 		cp.mu.Unlock()
 		return nil, err
@@ -229,85 +237,88 @@ func (cp *ControlPlane) Submit(tenant string, spec serve.Job) (*Future, error) {
 	cp.admitted++
 	cp.met.admitted.Inc()
 	cp.wg.Add(1)
-	inc := h.incarnation
 	cp.mu.Unlock()
-	go cp.watch(j, h, inc, sfut)
+	// Attached unlocked: a backend may resolve inside its Submit, and then
+	// settle runs here and takes cp.mu.
+	sfut.Then(j.settle)
 	return j.fut, nil
 }
 
-// watch shepherds one admitted job: it waits for the host-level Future,
-// re-routes handoffs and sick-host failures, and delivers the final
-// result exactly once.
-func (cp *ControlPlane) watch(j *fleetJob, h *host, incarnation int, sfut *serve.Future) {
-	defer cp.wg.Done()
-	for {
-		res := sfut.Wait()
+// settle ends one attempt of j. It runs on the goroutine that resolved the
+// attempt's host-level Future (a serve worker, the remediator inside a
+// handoff, or the attaching goroutine if the result was already in), with no
+// backend lock held, and takes only cp.mu. It delivers success and
+// classified failures there; a handoff or a sick-host failure within the
+// rehome budget goes to rehome, on a goroutine of its own, because finding
+// the job a new host may wait for capacity.
+func (j *fleetJob) settle(res serve.Result) {
+	cp := j.cp
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	h, incarnation := j.h, j.incarnation
+	cp.met.openJobs.Add(-1)
+	if h.incarnation == incarnation {
+		h.open--
+	}
+	hostHealthy := h.state == HostHealthy && h.incarnation == incarnation
+	cp.cond.Broadcast()
 
-		cp.mu.Lock()
-		cp.met.openJobs.Add(-1)
-		if h.incarnation == incarnation {
-			h.open--
-		}
-		hostHealthy := h.state == HostHealthy && h.incarnation == incarnation
-		cp.cond.Broadcast()
-		cp.mu.Unlock()
+	switch {
+	case res.Err == nil:
+	case errors.Is(res.Err, serve.ErrHandedOff),
+		!hostHealthy && j.rehomes < cp.cfg.MaxRehomes:
+		// A handoff never executed on h: move it wholesale. A job that
+		// failed on a host the monitor has since condemned (or that was
+		// already being drained) more likely met the host's fault than
+		// its own: re-run it elsewhere — safe for these read-only
+		// kernels, and delivery stays exactly-once because this
+		// attempt's Future resolved without reaching the client.
+		go cp.rehome(j)
+		return
+	}
+	cp.noteCompletionLocked(h, incarnation, res)
+	cp.deliverLocked(j, res, h.id)
+}
 
-		switch {
-		case res.Err == nil:
-			cp.noteCompletion(h, incarnation, res)
-			cp.deliver(j, res, h.id)
-			return
-		case errors.Is(res.Err, serve.ErrHandedOff):
-			// Never executed on h; move it wholesale.
-		case !hostHealthy && j.rehomes < cp.cfg.MaxRehomes:
-			// The job failed on a host the monitor has since condemned
-			// (or that was already being drained): the failure is more
-			// likely the host's fault than the job's. Re-run elsewhere —
-			// safe for these read-only kernels, and delivery stays
-			// exactly-once because this attempt's Future resolved without
-			// reaching the client.
-		default:
-			cp.noteCompletion(h, incarnation, res)
-			cp.deliver(j, res, h.id)
-			return
-		}
-
-		j.rehomes++
-		var ok bool
-		h, incarnation, sfut, ok = cp.resubmit(j)
-		if !ok {
-			return // resubmit delivered a classified failure
-		}
+// rehome moves j to a new host and attaches settle to the new attempt. It
+// runs on its own goroutine, never on the one that resolved the previous
+// attempt: that may be a serve worker or the remediator mid-handoff, and
+// resubmit may wait on cp.cond for capacity that only their progress frees.
+func (cp *ControlPlane) rehome(j *fleetJob) {
+	j.rehomes++
+	if sfut := cp.resubmit(j); sfut != nil {
+		sfut.Then(j.settle)
 	}
 }
 
 // resubmit places an already-admitted job on a new host, waiting out
 // transient no-capacity windows (every wait is bounded by fleet progress:
 // a completion, a state transition, or shutdown re-checks the condition).
-// It returns ok=false after delivering a terminal failure itself.
-func (cp *ControlPlane) resubmit(j *fleetJob) (*host, int, *serve.Future, bool) {
+// It returns the new attempt's Future, or nil after delivering a terminal
+// failure itself.
+func (cp *ControlPlane) resubmit(j *fleetJob) *serve.Future {
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
 	if j.rehomes > cp.cfg.MaxRehomes {
-		cp.deliver(j, serve.Result{
+		cp.deliverLocked(j, serve.Result{
 			Tenant: j.tenant, Job: j.spec,
 			Err: fmt.Errorf("%w (%d rehomes)", ErrRehomedTooOften, j.rehomes),
 		}, -1)
-		return nil, 0, nil, false
+		return nil
 	}
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
 	cp.rebalanced++
 	cp.met.rebalanced.Inc()
 	for {
-		h, sfut, err := cp.placeLocked(j)
+		sfut, err := cp.placeLocked(j)
 		if err == nil {
-			return h, h.incarnation, sfut, true
+			return sfut
 		}
 		if errors.Is(err, ErrNoHealthyHosts) && !cp.remediationPendingLocked() {
 			// Capacity is gone and nothing is coming back: fail loudly.
 			cp.deliverLocked(j, serve.Result{
 				Tenant: j.tenant, Job: j.spec, Err: err,
 			}, -1)
-			return nil, 0, nil, false
+			return nil
 		}
 		// Overloaded everywhere, or hosts mid-remediation: progress is
 		// guaranteed (admitted jobs complete; the remediator always
@@ -328,14 +339,8 @@ func (cp *ControlPlane) remediationPendingLocked() bool {
 	return false
 }
 
-// deliver completes the fleet Future exactly once and folds the outcome
-// into the fleet counters.
-func (cp *ControlPlane) deliver(j *fleetJob, res serve.Result, hostID int) {
-	cp.mu.Lock()
-	cp.deliverLocked(j, res, hostID)
-	cp.mu.Unlock()
-}
-
+// deliverLocked completes the fleet Future exactly once, folds the outcome
+// into the fleet counters, and ends the job's count in cp.wg. cp.mu held.
 func (cp *ControlPlane) deliverLocked(j *fleetJob, res serve.Result, hostID int) {
 	if res.Err == nil {
 		cp.succeeded++
@@ -346,6 +351,7 @@ func (cp *ControlPlane) deliverLocked(j *fleetJob, res serve.Result, hostID int)
 	}
 	cp.cond.Broadcast()
 	j.fut.ch <- Result{Result: res, Host: hostID, Rehomes: j.rehomes}
+	cp.wg.Done()
 }
 
 // Drain stops admission, waits for every admitted job to deliver, winds

@@ -56,12 +56,10 @@ func (cp *ControlPlane) onXID(hostID, incarnation int, ev faults.XIDEvent) {
 	}
 }
 
-// noteCompletion feeds one successful-or-failed host completion into the
-// latency EWMA and the fleet heartbeat. Handed-off jobs never reach here
-// (they did not execute), so the signals measure real service.
-func (cp *ControlPlane) noteCompletion(h *host, incarnation int, res serve.Result) {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
+// noteCompletionLocked feeds one successful-or-failed host completion into
+// the latency EWMA and the fleet heartbeat. Handed-off jobs never reach here
+// (they did not execute), so the signals measure real service. cp.mu held.
+func (cp *ControlPlane) noteCompletionLocked(h *host, incarnation int, res serve.Result) {
 	if h.incarnation != incarnation {
 		return
 	}

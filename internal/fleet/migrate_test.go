@@ -99,7 +99,7 @@ func TestFleetMigrateWarmHandoff(t *testing.T) {
 		t.Fatalf("image manifests %d queued jobs, want 5", len(img.Queued))
 	}
 
-	// The handed-off jobs were re-routed by their watchers and complete on
+	// The handed-off jobs were re-routed and complete on
 	// whichever healthy machine they landed on.
 	waitFor(t, "rerouted jobs to queue", func() bool {
 		n := ff.fake(1, 0).Load() + ff.fake(2, 0).Load() + nb.Load()

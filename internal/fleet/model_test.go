@@ -157,8 +157,9 @@ func runModelSchedule(t *testing.T, seed int64) {
 				open += int64(h.Open)
 				if h.State == HostHealthy {
 					openHealthy += int64(h.Open)
-					// Watchers of resolved-but-unprocessed completions lag
-					// the backend's queue; quiescence means they caught up.
+					// A completion settles on the goroutine that resolved
+					// it, after the backend's queue shrank; quiescence
+					// means the two agree again.
 					if b := m.current(h.ID); b != nil && b.Load() != h.Open {
 						matched = false
 					}

@@ -70,7 +70,8 @@ type host struct {
 	state       HostState
 	reason      string // why the host left Healthy
 	// open counts fleet-admitted jobs outstanding on the CURRENT
-	// incarnation; watchers for a replaced incarnation do not touch it.
+	// incarnation; an attempt that ran on a replaced incarnation does not
+	// touch it when it settles.
 	open   int
 	health hostHealth
 }

@@ -16,11 +16,11 @@ import (
 //   - Draining calls the backend's DrainForHandoff WITHOUT the control
 //     plane lock — admission, routing, and snapshots proceed throughout.
 //     Jobs the host had queued but never launched come back completed
-//     with serve.ErrHandedOff; their fleet watchers re-route each one to
-//     a healthy host. Jobs already in flight finish where they are (their
-//     results are valid — the kernels are read-only — and re-executing
-//     them elsewhere would double-run work the exactly-once story
-//     forbids).
+//     with serve.ErrHandedOff, and settle re-routes each one to a healthy
+//     host from a goroutine of its own. Jobs already in flight finish
+//     where they are (their results are valid — the kernels are
+//     read-only — and re-executing them elsewhere would double-run work
+//     the exactly-once story forbids).
 //   - The drain step is migrate-first: a host with no fatal XID is
 //     Checkpointed (the same queue freeze and handoff semantics, plus a
 //     copy-on-write capture of every GPU's cache and file tables
@@ -102,8 +102,9 @@ func (cp *ControlPlane) remediator() {
 		cp.cond.Broadcast()
 		cp.mu.Unlock()
 
-		// Unlocked: queued jobs come back ErrHandedOff (watchers re-route
-		// them concurrently with this call), in-flight jobs finish. A
+		// Unlocked: queued jobs come back ErrHandedOff (settled on this
+		// goroutine, re-routed on others concurrently with this call),
+		// in-flight jobs finish. A
 		// trusted host is checkpointed instead — same freeze, plus the
 		// copy-on-write capture — and a failed checkpoint still drains,
 		// so the DrainForHandoff fallback below is a no-op returning 0.

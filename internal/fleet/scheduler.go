@@ -93,7 +93,8 @@ func (cp *ControlPlane) routeOrderLocked(path string) []*host {
 }
 
 // placeLocked routes one job: it tries each healthy host in preference
-// order and returns the first admission. A host rejecting with serve's
+// order, and the first admission becomes j's current attempt (j.h and
+// j.incarnation). A host rejecting with serve's
 // OverloadError (that tenant's queue is full there) just moves the probe
 // along; if every healthy host is overloaded the first such rejection —
 // from the host the job actually wanted — is returned with its RetryAfter
@@ -101,10 +102,10 @@ func (cp *ControlPlane) routeOrderLocked(path string) []*host {
 // mid-drain) are returned immediately. cp.mu held; backend Submit never
 // calls back into the control plane, so holding the lock across it is
 // safe.
-func (cp *ControlPlane) placeLocked(j *fleetJob) (*host, *serve.Future, error) {
+func (cp *ControlPlane) placeLocked(j *fleetJob) (*serve.Future, error) {
 	order := cp.routeOrderLocked(j.spec.Path)
 	if len(order) == 0 {
-		return nil, nil, ErrNoHealthyHosts
+		return nil, ErrNoHealthyHosts
 	}
 	var overload error
 	for _, h := range order {
@@ -112,7 +113,8 @@ func (cp *ControlPlane) placeLocked(j *fleetJob) (*host, *serve.Future, error) {
 		if err == nil {
 			h.open++
 			cp.met.openJobs.Add(1)
-			return h, sfut, nil
+			j.h, j.incarnation = h, h.incarnation
+			return sfut, nil
 		}
 		if errors.Is(err, serve.ErrOverloaded) {
 			if overload == nil {
@@ -125,11 +127,11 @@ func (cp *ControlPlane) placeLocked(j *fleetJob) (*host, *serve.Future, error) {
 			// the submit — treat as not-a-candidate and move on.
 			continue
 		}
-		return nil, nil, err
+		return nil, err
 	}
 	if overload == nil {
 		// Every candidate vanished mid-probe (all caught draining).
-		return nil, nil, ErrNoHealthyHosts
+		return nil, ErrNoHealthyHosts
 	}
-	return nil, nil, overload
+	return nil, overload
 }

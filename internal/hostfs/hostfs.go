@@ -279,7 +279,14 @@ func (fs *FS) Mkdir(p string, mode Mode) error {
 	if parent == nil {
 		return fmt.Errorf("%w: %q", ErrInvalid, p)
 	}
-	child := &inode{
+	parent.children[base] = fs.newDirLocked(mode)
+	return nil
+}
+
+// newDirLocked makes an empty directory inode; the caller links it into its
+// parent. fs.mu held.
+func (fs *FS) newDirLocked(mode Mode) *inode {
+	n := &inode{
 		ino:      fs.nextIno,
 		mode:     mode | ModeDir,
 		isDir:    true,
@@ -287,23 +294,38 @@ func (fs *FS) Mkdir(p string, mode Mode) error {
 		nlink:    1,
 	}
 	fs.nextIno++
-	parent.children[base] = child
-	fs.byIno[child.ino] = child
-	return nil
+	fs.byIno[n.ino] = n
+	return n
 }
 
-// MkdirAll creates a directory and any missing parents.
+// MkdirAll creates a directory and any missing parents, in one walk. It
+// fails with ErrNotDir where the path runs through, or ends at, something
+// that is not a directory.
 func (fs *FS) MkdirAll(p string, mode Mode) error {
 	clean := path.Clean("/" + p)
 	if clean == "/" {
 		return nil
 	}
 	parts := strings.Split(clean[1:], "/")
-	for i := range parts {
-		prefix := "/" + strings.Join(parts[:i+1], "/")
-		if err := fs.Mkdir(prefix, mode); err != nil && !errors.Is(err, ErrExist) {
-			return err
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	cur := fs.root
+	for i, part := range parts {
+		if len(part) > maxNameLen {
+			return fmt.Errorf("%w: %q", ErrNameTooBig, part)
 		}
+		if !cur.isDir {
+			return fmt.Errorf("%w: %q", ErrNotDir, strings.Join(parts[:i], "/"))
+		}
+		next := cur.children[part]
+		if next == nil {
+			next = fs.newDirLocked(mode)
+			cur.children[part] = next
+		}
+		cur = next
+	}
+	if !cur.isDir {
+		return fmt.Errorf("%w: %q", ErrNotDir, clean)
 	}
 	return nil
 }

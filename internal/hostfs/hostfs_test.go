@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -540,5 +541,142 @@ func TestPreadvIsOnePread(t *testing.T) {
 		if fired[ic.name] == 0 {
 			t.Errorf("injector %q never fired: its comparison checked nothing", ic.name)
 		}
+	}
+}
+
+func TestMkdirAllThroughAFile(t *testing.T) {
+	fs := newFS()
+	c := clk()
+	if err := fs.MkdirAll("/a", ModeDir|rw); err != nil {
+		t.Fatal(err)
+	}
+	fs.WriteFile(c, "/a/file", []byte("x"), rw)
+	if err := fs.MkdirAll("/a/file/b/c", ModeDir|rw); !errors.Is(err, ErrNotDir) {
+		t.Fatalf("MkdirAll through a regular file: %v", err)
+	}
+	if err := fs.MkdirAll("/a/file", ModeDir|rw); !errors.Is(err, ErrNotDir) {
+		t.Fatalf("MkdirAll onto a regular file: %v", err)
+	}
+	if _, err := fs.Stat("/a/file/b"); !errors.Is(err, ErrNotDir) {
+		t.Fatalf("stat under the file: %v", err)
+	}
+	if err := fs.MkdirAll("/a/"+strings.Repeat("x", 300)+"/b", ModeDir|rw); !errors.Is(err, ErrNameTooBig) {
+		t.Fatalf("overlong component: %v", err)
+	}
+	// Existing directories are walked, missing ones made, and a repeat is
+	// a no-op.
+	for i := 0; i < 2; i++ {
+		if err := fs.MkdirAll("/a/d/e", ModeDir|rw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if info, err := fs.Stat("/a/d/e"); err != nil || !info.IsDir {
+		t.Fatalf("made path: %+v %v", info, err)
+	}
+}
+
+// checkUnitCounts holds the page cache's per-inode unit counts to what is
+// resident: each equals its inode's units in the index, and they sum to
+// resident()/cacheUnit.
+func checkUnitCounts(t *testing.T, pc *pageCache, step string) {
+	t.Helper()
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	want := make(map[int64]int64)
+	for key := range pc.index {
+		want[key.ino]++
+	}
+	var sum int64
+	for ino, n := range pc.units {
+		if n != want[ino] {
+			t.Fatalf("%s: inode %d counts %d units, %d resident", step, ino, n, want[ino])
+		}
+		sum += n
+	}
+	if len(want) != len(pc.units) {
+		t.Fatalf("%s: %d inodes resident, %d counted", step, len(want), len(pc.units))
+	}
+	if sum != pc.bytes/cacheUnit {
+		t.Fatalf("%s: counts sum to %d units, %d bytes resident", step, sum, pc.bytes)
+	}
+}
+
+// residentUnits lists inode ino's resident units, and how many are dirty.
+func residentUnits(pc *pageCache, ino int64) (units []int64, dirty int) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	for key, el := range pc.index {
+		if key.ino == ino {
+			units = append(units, key.unit)
+			if el.Value.(*cacheEntry).dirty {
+				dirty++
+			}
+		}
+	}
+	return units, dirty
+}
+
+// TestPageCacheUnitCounts drives creates, reads, writes, syncs, truncates,
+// unlinks and drops through a cache small enough to evict, and checks the
+// per-inode unit counts after each, plus that the walks they shorten still
+// reach every unit they must: a truncate leaves nothing past the new end, a
+// sync nothing dirty, an unlink nothing at all.
+func TestPageCacheUnitCounts(t *testing.T) {
+	fs := New(Options{
+		DiskBandwidth:   132 * simtime.MBps,
+		DiskSeek:        8 * simtime.Millisecond,
+		MemBandwidth:    6600 * simtime.MBps,
+		CacheBytes:      24 * cacheUnit, // small enough that charges evict
+		SyscallOverhead: 4 * simtime.Microsecond,
+	})
+	c := clk()
+	rng := rand.New(rand.NewSource(7))
+	names := []string{"/u0", "/u1", "/u2", "/u3", "/u4"}
+	for step := 0; step < 400; step++ {
+		name := names[rng.Intn(len(names))]
+		var what string
+		switch op := rng.Intn(10); {
+		case op < 3:
+			what = "create"
+			fs.WriteFile(c, name, make([]byte, rng.Int63n(12*cacheUnit)), rw)
+		case op < 5:
+			what = "read"
+			fs.ReadFile(c, name)
+		case op < 6:
+			what = "drop"
+			fs.DropCaches()
+		case op < 7:
+			what = "write+sync"
+			if f, err := fs.Open(c, name, O_RDWR|O_CREATE, rw); err == nil {
+				f.Pwrite(c, make([]byte, cacheUnit), rng.Int63n(16*cacheUnit))
+				f.Fsync(c)
+				if _, dirty := residentUnits(fs.cache, f.Ino()); dirty != 0 {
+					t.Fatalf("step %d: %d dirty units of %s after fsync", step, dirty, name)
+				}
+				f.Close()
+			}
+		case op < 9:
+			what = "truncate"
+			if f, err := fs.Open(c, name, O_RDWR, 0); err == nil {
+				size := rng.Int63n(8 * cacheUnit)
+				f.Ftruncate(c, size)
+				units, _ := residentUnits(fs.cache, f.Ino())
+				for _, u := range units {
+					if u*cacheUnit >= size {
+						t.Fatalf("step %d: unit %d of %s resident past truncation to %d", step, u, name, size)
+					}
+				}
+				f.Close()
+			}
+		default:
+			what = "unlink"
+			if info, err := fs.Stat(name); err == nil {
+				fs.Unlink(name)
+				if units, _ := residentUnits(fs.cache, info.Ino); len(units) != 0 {
+					t.Fatalf("step %d: %d units of unlinked %s resident", step, len(units), name)
+				}
+			}
+		}
+		checkUnitCounts(t, fs.cache, fmt.Sprintf("step %d (%s %s)", step, what, name))
 	}
 }

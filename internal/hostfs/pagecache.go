@@ -37,6 +37,10 @@ type pageCache struct {
 	lru   *list.List // of *cacheEntry, front = most recent
 	index map[unitKey]*list.Element
 	bytes int64
+	// units counts each inode's resident units, so that dropping or
+	// syncing one inode skips the LRU walk when it has none (creating a
+	// file truncates it) and stops the walk once it has seen them all.
+	units map[int64]int64
 
 	hits, misses int64
 }
@@ -60,7 +64,26 @@ func newPageCache(capacity int64, d *disk.Disk) *pageCache {
 		d:        d,
 		lru:      list.New(),
 		index:    make(map[unitKey]*list.Element),
+		units:    make(map[int64]int64),
 	}
+}
+
+// insertLocked makes key resident at the front of the LRU. pc.mu held.
+func (pc *pageCache) insertLocked(key unitKey, dirty bool) {
+	pc.index[key] = pc.lru.PushFront(&cacheEntry{key: key, dirty: dirty})
+	pc.units[key.ino]++
+	pc.bytes += cacheUnit
+}
+
+// removeLocked drops the resident unit el. pc.mu held.
+func (pc *pageCache) removeLocked(el *list.Element) {
+	key := el.Value.(*cacheEntry).key
+	pc.lru.Remove(el)
+	delete(pc.index, key)
+	if pc.units[key.ino]--; pc.units[key.ino] == 0 {
+		delete(pc.units, key.ino)
+	}
+	pc.bytes -= cacheUnit
 }
 
 // charge makes the byte range [off, off+n) of inode ino resident and returns
@@ -94,9 +117,7 @@ func (pc *pageCache) charge(now simtime.Time, ino, off, n, fileSize int64, write
 		pc.misses++
 		if write {
 			// Write miss: the data is new; no disk read needed.
-			el := pc.lru.PushFront(&cacheEntry{key: key, dirty: true})
-			pc.index[key] = el
-			pc.bytes += cacheUnit
+			pc.insertLocked(key, true)
 			continue
 		}
 		// Read miss: bring in a readahead window in one contiguous
@@ -115,9 +136,7 @@ func (pc *pageCache) charge(now simtime.Time, ino, off, n, fileSize int64, write
 			if _, ok := pc.index[wkey]; ok {
 				break // already resident: keep the read contiguous
 			}
-			el := pc.lru.PushFront(&cacheEntry{key: wkey, dirty: false})
-			pc.index[wkey] = el
-			pc.bytes += cacheUnit
+			pc.insertLocked(wkey, false)
 			bytes += cacheUnit
 		}
 		if t := pc.d.Read(now, ino, u*cacheUnit, bytes); t > end {
@@ -139,9 +158,7 @@ func (pc *pageCache) charge(now simtime.Time, ino, off, n, fileSize int64, write
 				end = t
 			}
 		}
-		pc.lru.Remove(el)
-		delete(pc.index, ent.key)
-		pc.bytes -= cacheUnit
+		pc.removeLocked(el)
 	}
 	pc.mu.Unlock()
 	return end
@@ -151,9 +168,14 @@ func (pc *pageCache) charge(now simtime.Time, ino, off, n, fileSize int64, write
 func (pc *pageCache) sync(now simtime.Time, ino int64) simtime.Time {
 	end := now
 	pc.mu.Lock()
-	for el := pc.lru.Front(); el != nil; el = el.Next() {
+	left := pc.units[ino]
+	for el := pc.lru.Front(); el != nil && left > 0; el = el.Next() {
 		ent := el.Value.(*cacheEntry)
-		if ent.key.ino == ino && ent.dirty {
+		if ent.key.ino != ino {
+			continue
+		}
+		left--
+		if ent.dirty {
 			t := pc.d.Write(now, ino, ent.key.unit*cacheUnit, cacheUnit)
 			if t > end {
 				end = t
@@ -167,33 +189,23 @@ func (pc *pageCache) sync(now simtime.Time, ino int64) simtime.Time {
 
 // forget drops all units of ino without write-back (unlink of an inode with
 // no remaining links).
-func (pc *pageCache) forget(ino int64) {
-	pc.mu.Lock()
-	var next *list.Element
-	for el := pc.lru.Front(); el != nil; el = next {
-		next = el.Next()
-		ent := el.Value.(*cacheEntry)
-		if ent.key.ino == ino {
-			pc.lru.Remove(el)
-			delete(pc.index, ent.key)
-			pc.bytes -= cacheUnit
-		}
-	}
-	pc.mu.Unlock()
-}
+func (pc *pageCache) forget(ino int64) { pc.truncate(ino, 0) }
 
 // truncate drops units entirely beyond the new size.
 func (pc *pageCache) truncate(ino, size int64) {
 	keep := (size + cacheUnit - 1) / cacheUnit
 	pc.mu.Lock()
+	left := pc.units[ino]
 	var next *list.Element
-	for el := pc.lru.Front(); el != nil; el = next {
+	for el := pc.lru.Front(); el != nil && left > 0; el = next {
 		next = el.Next()
 		ent := el.Value.(*cacheEntry)
-		if ent.key.ino == ino && ent.key.unit >= keep {
-			pc.lru.Remove(el)
-			delete(pc.index, ent.key)
-			pc.bytes -= cacheUnit
+		if ent.key.ino != ino {
+			continue
+		}
+		left--
+		if ent.key.unit >= keep {
+			pc.removeLocked(el)
 		}
 	}
 	pc.mu.Unlock()
@@ -206,6 +218,7 @@ func (pc *pageCache) drop() {
 	pc.mu.Lock()
 	pc.lru.Init()
 	pc.index = make(map[unitKey]*list.Element)
+	pc.units = make(map[int64]int64)
 	pc.bytes = 0
 	pc.mu.Unlock()
 }

@@ -87,6 +87,7 @@ func (s *Server) worker(g int) {
 			s.met.noteQueueDepth(g, s.queues[g].size)
 		}
 		s.inflight[g] -= len(batch)
+		s.finished[g] = 0
 		s.cond.Broadcast()
 		s.mu.Unlock()
 	}
@@ -223,7 +224,7 @@ func (s *Server) runBatch(g int, batch []*job) (retries []*job) {
 		}
 		for _, j := range run {
 			j.lastErr, j.ready = lerr, end
-			if j.attempts >= s.cfg.MaxAttempts {
+			if int(j.attempts) >= s.cfg.MaxAttempts {
 				s.completeJob(j, g, batchID, start, end,
 					fmt.Errorf("serve: gpu %d faulted %d times running job: %w", g, j.attempts, lerr))
 			} else {
@@ -258,7 +259,7 @@ func (s *Server) runBatch(g int, batch []*job) (retries []*job) {
 					ErrDeadlineExceeded, end.Sub(j.deadline), j.err))
 		case j.err == nil:
 			s.completeJob(j, g, batchID, start, end, nil)
-		case retryable(j.err) && j.attempts < s.cfg.MaxAttempts:
+		case retryable(j.err) && int(j.attempts) < s.cfg.MaxAttempts:
 			j.lastErr, j.ready = j.err, end
 			retries = append(retries, j)
 		default:
@@ -290,7 +291,7 @@ func (s *Server) completeJob(j *job, g int, batchID int64, started, done simtime
 		Err:         err,
 		GPU:         g,
 		Batch:       batchID,
-		Attempts:    j.attempts,
+		Attempts:    int(j.attempts),
 		Enqueued:    j.arrival,
 		Started:     started,
 		Done:        done,
@@ -301,6 +302,9 @@ func (s *Server) completeJob(j *job, g int, batchID int64, started, done simtime
 	}
 
 	s.mu.Lock()
+	if batchID >= 0 {
+		s.finished[g]++ // a job of the batch in flight, not a handoff
+	}
 	tn := s.tenants[j.tenant]
 	tn.open--
 	if errors.Is(err, ErrHandedOff) {
@@ -336,5 +340,5 @@ func (s *Server) completeJob(j *job, g int, batchID int64, started, done simtime
 		}
 	}
 
-	j.fut.ch <- res
+	j.fut.resolve(res)
 }

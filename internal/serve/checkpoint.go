@@ -100,7 +100,7 @@ func (s *Server) Checkpoint() (*ckpt.Image, error) {
 
 	// The flushed jobs complete with ErrHandedOff whether or not the
 	// capture succeeded: the freeze already stopped this host from ever
-	// running them, and their watchers must re-route them exactly once.
+	// running them, and the fleet must re-route them exactly once.
 	now := simtime.Time(s.vnow.Load())
 	for _, f := range flushed {
 		s.completeJob(f.j, f.g, -1, now, now, ErrHandedOff)

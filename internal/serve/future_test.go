@@ -1,0 +1,71 @@
+package serve
+
+import (
+	"sync"
+	"sync/atomic"
+	"testing"
+	"unsafe"
+)
+
+// TestFutureThen hands a Future's result to a handler attached before the
+// result, after it, and racing it: the handler runs exactly once with the
+// result, on the resolving goroutine or on the attaching one.
+func TestFutureThen(t *testing.T) {
+	t.Run("before", func(t *testing.T) {
+		fut, resolve := NewFuture()
+		var got []uint64
+		fut.Then(func(r Result) { got = append(got, r.ID) })
+		if len(got) != 0 {
+			t.Fatal("handler ran before the result")
+		}
+		resolve(Result{ID: 7})
+		if len(got) != 1 || got[0] != 7 {
+			t.Fatalf("handler saw %v, want [7] on the resolving goroutine", got)
+		}
+	})
+	t.Run("after", func(t *testing.T) {
+		fut, resolve := NewFuture()
+		resolve(Result{ID: 9})
+		var got []uint64
+		fut.Then(func(r Result) { got = append(got, r.ID) })
+		if len(got) != 1 || got[0] != 9 {
+			t.Fatalf("handler saw %v, want [9] at once", got)
+		}
+	})
+	t.Run("racing", func(t *testing.T) {
+		const n = 2000
+		var ran, wrong atomic.Int64
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			fut, resolve := NewFuture()
+			id := uint64(i)
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				resolve(Result{ID: id})
+			}()
+			go func() {
+				defer wg.Done()
+				fut.Then(func(r Result) {
+					ran.Add(1)
+					if r.ID != id {
+						wrong.Add(1)
+					}
+				})
+			}()
+		}
+		wg.Wait()
+		if ran.Load() != n || wrong.Load() != 0 {
+			t.Fatalf("%d futures: handlers ran %d times, %d with another's result", n, ran.Load(), wrong.Load())
+		}
+	})
+}
+
+// TestJobFitsItsSizeClass pins the job record, its Future inline, to the
+// 192-byte allocation size class it had when the Future was a separate
+// allocation, so the handler field costs Server.Submit no bytes.
+func TestJobFitsItsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(job{}); n > 192 {
+		t.Fatalf("job is %d bytes, past the 192-byte size class", n)
+	}
+}

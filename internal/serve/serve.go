@@ -126,7 +126,16 @@ type Result struct {
 func (r Result) Latency() simtime.Duration { return r.Done.Sub(r.Enqueued) }
 
 // Future is the pending result of a submitted job.
-type Future struct{ ch chan Result }
+type Future struct {
+	ch chan Result
+	// then is the handler Then attached, or resolvedMark once the result
+	// is in ch. Whichever of Then and resolve swaps second runs the
+	// handler, so it runs exactly once and no goroutine parks for it.
+	then atomic.Pointer[func(Result)]
+}
+
+// resolvedMark is then's value after resolve.
+var resolvedMark = new(func(Result))
 
 // Done returns a channel that receives the result exactly once.
 func (f *Future) Done() <-chan Result { return f.ch }
@@ -134,13 +143,34 @@ func (f *Future) Done() <-chan Result { return f.ch }
 // Wait blocks for the result.
 func (f *Future) Wait() Result { return <-f.ch }
 
+// Then hands the result to fn instead of the channel. fn runs once: on the
+// goroutine that resolves the Future, or at once on the caller's if the
+// result has already arrived. The resolving goroutine holds no lock of the
+// Backend's, so fn may take the caller's own locks; it must not block. Call
+// Then at most once, and do not also use Done or Wait.
+func (f *Future) Then(fn func(Result)) {
+	if f.then.Swap(&fn) == resolvedMark {
+		fn(<-f.ch)
+	}
+}
+
+// resolve completes f: it delivers r to the channel, or to the handler
+// Then attached.
+func (f *Future) resolve(r Result) {
+	f.ch <- r
+	if fn := f.then.Swap(resolvedMark); fn != nil {
+		(*fn)(<-f.ch)
+	}
+}
+
 // NewFuture returns an unresolved Future plus the function that completes
 // it. Alternative Backend implementations (fakes, remote proxies) use it to
 // mint futures with the same exactly-once delivery contract the Server
-// provides; the resolve function must be called exactly once.
+// provides; the resolve function must be called exactly once, with none of
+// the Backend's locks held.
 func NewFuture() (*Future, func(Result)) {
 	f := &Future{ch: make(chan Result, 1)}
-	return f, func(r Result) { f.ch <- r }
+	return f, f.resolve
 }
 
 // Backend is the seam between one serving host and a cluster control plane
@@ -294,15 +324,14 @@ type job struct {
 	id       uint64
 	tenant   string
 	spec     Job
-	fut      *Future
+	fut      Future
 	arrival  simtime.Time
 	deadline simtime.Time // zero = none
 	// ready is the earliest the job's next attempt may be issued: its
 	// arrival, then the end of the launch whose failure requeued it — the
 	// server learns how a kernel went when the kernel ends.
-	ready    simtime.Time
-	attempts int
-	lastErr  error
+	ready   simtime.Time
+	lastErr error
 
 	// Per-attempt execution scratch, written by exactly one threadblock
 	// during a launch and read by the worker after Launch returns.
@@ -310,6 +339,10 @@ type job struct {
 	count  int64
 	output []byte
 	hit    bool
+
+	// attempts counts the job's kernel executions. An int32 shares hit's
+	// word, so the job, its Future included, fits a 192-byte size class.
+	attempts int32
 }
 
 // tenant is one client's admission-control state.
@@ -334,6 +367,11 @@ type Server struct {
 	tenants  map[string]*tenant
 	queues   []*gpuQueue // per-GPU pending jobs
 	inflight []int       // per-GPU jobs inside a running batch
+	// finished counts the jobs of GPU g's running batch already completed.
+	// They stay in inflight until the worker releases the batch, which
+	// keeps Drain from seeing a retry neither queued nor in flight; Stats
+	// subtracts them, so no job is completed and in flight at once.
+	finished []int
 	gstats   []GPUStats
 	lat      []simtime.Duration
 	svcEst   simtime.Duration // EWMA of per-job service time
@@ -382,6 +420,7 @@ func New(sys *gpufs.System, cfg Config) *Server {
 		s.queues[i] = newGPUQueue()
 	}
 	s.inflight = make([]int, n)
+	s.finished = make([]int, n)
 	s.cursors = make([]simtime.Time, n)
 	s.gstats = make([]GPUStats, n)
 	if reg := sys.Metrics(); reg != nil {
@@ -519,7 +558,7 @@ func (s *Server) enqueueLocked(tenantName string, spec Job, arrival simtime.Time
 		id:      s.ids.Add(1),
 		tenant:  tenantName,
 		spec:    spec,
-		fut:     &Future{ch: make(chan Result, 1)},
+		fut:     Future{ch: make(chan Result, 1)},
 		arrival: arrival,
 		ready:   arrival,
 	}
@@ -532,7 +571,7 @@ func (s *Server) enqueueLocked(tenantName string, spec Job, arrival simtime.Time
 	s.gstats[g].Routed++
 	s.met.noteQueueDepth(g, s.queues[g].size)
 	s.cond.Broadcast()
-	return j.fut, g, nil
+	return &j.fut, g, nil
 }
 
 // retryAfterLocked estimates the virtual time until admission capacity

@@ -614,3 +614,45 @@ func TestServeShardLanesFanOut(t *testing.T) {
 		t.Fatalf("ShardLanes = %d exceeds the shard count 4", lanes)
 	}
 }
+
+// TestStatsBacklogBalances polls Stats while jobs run: in every snapshot the
+// admitted jobs not yet finished are exactly the queued ones plus the ones
+// in flight. A job of a running batch that has completed counts as
+// finished, not also as in flight.
+func TestStatsBacklogBalances(t *testing.T) {
+	sys, paths := testSystem(t, 2, 8)
+	srv := New(sys, Config{MaxBatch: 8, QueueDepth: 1 << 10})
+	const jobs = 600
+	futs := make([]*Future, 0, jobs)
+	for i := 0; i < jobs; i++ {
+		fut, err := srv.Submit(fmt.Sprintf("t%d", i%3), Job{Kind: JobSearch, Path: paths[i%len(paths)], Word: "e"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		futs = append(futs, fut)
+	}
+	done := make(chan struct{})
+	go func() {
+		for _, f := range futs {
+			f.Wait()
+		}
+		close(done)
+	}()
+	for polls := 0; ; polls++ {
+		st := srv.Stats()
+		var open int64
+		for _, ts := range st.Tenants {
+			open += ts.Submitted - ts.Completed - ts.Failed - ts.HandedOff
+		}
+		if open != int64(st.Queued+st.Inflight) {
+			t.Fatalf("poll %d: %d jobs admitted and unfinished, but %d queued + %d in flight",
+				polls, open, st.Queued, st.Inflight)
+		}
+		select {
+		case <-done:
+			srv.Drain()
+			return
+		default:
+		}
+	}
+}

@@ -65,7 +65,8 @@ type Stats struct {
 	Tenants map[string]TenantStats
 	// GPUs holds per-device counters, indexed by GPU id.
 	GPUs []GPUStats
-	// Queued and Inflight are the instantaneous backlog.
+	// Queued and Inflight are the instantaneous backlog: jobs waiting, and
+	// jobs launched and not yet completed.
 	Queued, Inflight int
 	// Latencies are the virtual admission-to-completion times of all
 	// finished jobs, in completion order.
@@ -88,7 +89,7 @@ func (s *Server) Stats() Stats {
 	}
 	for g, q := range s.queues {
 		st.Queued += q.size
-		st.Inflight += s.inflight[g]
+		st.Inflight += s.inflight[g] - s.finished[g]
 	}
 	for g := range st.GPUs {
 		st.GPUs[g].CacheStats = s.sys.GPU(g).FS().CacheStats()
