@@ -9,9 +9,10 @@
 #                `go vet ./...` stops at the module boundary), the full
 #                suite under the race detector (the stress/oracle tests
 #                run 500 seeds concurrently, so this is where sync bugs
-#                die; the scratchpad stack, the radix leaves' dirty
-#                masks and the fleet's settle-on-completion path then run
-#                20 more times at one P and at four),
+#                die; the scratchpad stack, the launch's turn hand-off
+#                and worker exits, the radix leaves' dirty masks and the
+#                fleet's settle-on-completion path then run 20 more times
+#                at one P and at four),
 #                MakeWord checked against math/rand on every index the
 #                corpora use, the bench guardrail pinning the Fig4 16K/32K
 #                throughputs, daemon-scaling speedup, contention
@@ -71,6 +72,7 @@ tier2:
 	cd benchmark && GOFLAGS=-mod=mod GOWORK=off $(GO) vet ./...
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -count=20 -cpu 1,4 -run 'TestScratch|TestPad' ./internal/gpu
+	$(GO) test -race -count=20 -cpu 1,4 -run 'TestDispatch|TestLaunch|TestKernelFault|TestOverlapping|TestConcurrentLaunches' ./internal/gpu
 	$(GO) test -race -count=20 -cpu 1,4 -run 'TestFleetNoGoroutinePerJob|TestFleetRehomeOffTheResolvingGoroutine' ./internal/fleet
 	$(GO) test -race -count=20 -cpu 1,4 -run 'TestForEachDirtyPage|FuzzRadixTree|TestDirtyCountFollowsTheFlag' \
 		./internal/core/radix ./internal/core

@@ -20,7 +20,9 @@ package gpu
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -86,13 +88,14 @@ type Device struct {
 
 	// launchMu serializes launches in HOST time only: one kernel's blocks run
 	// as goroutines at a time, which keeps block placement a function of
-	// virtual availability (see pullTurn). In virtual time kernels overlap:
+	// virtual availability (see nextTurn). In virtual time kernels overlap:
 	// slots, MP calendars and the resident-kernel table persist across
 	// launches, so a kernel issued while an earlier one's tail still runs
 	// takes the slots that tail leaves free.
 	launchMu sync.Mutex
 	slotMu   sync.Mutex // guards slot.at / slot.assigned / resident
 	cur      *launch    // the launch slot.work runs, set under launchMu
+	byRank   []int      // slot indices, sorted by (at, index) at a launch's start (launchMu)
 
 	// resident is the device's kernel table: entry i holds the virtual end
 	// of the last kernel that occupied it. A launch takes the entry that
@@ -110,8 +113,14 @@ type Device struct {
 
 type slot struct {
 	mp       *simtime.Resource // the MP this slot executes on
-	at       simtime.Time      // virtual time the slot becomes free (freeMu)
-	assigned int64             // blocks dispatched to this slot (freeMu)
+	at       simtime.Time      // virtual time the slot becomes free (slotMu)
+	assigned int64             // blocks dispatched to this slot (slotMu)
+
+	// state and wake are the slot's part in the running launch, under its mu:
+	// wake tells the slot's worker that its turn has come or that it must
+	// exit. Every slot is idle between launches.
+	state slotState
+	wake  sync.Cond // on the running launch's mu
 
 	// src and rng are the generator a block finds on its slot rather than
 	// allocates: handed to one block at a time (blocks of a slot run back to
@@ -182,7 +191,9 @@ func New(cfg Config) *Device {
 	n := cfg.MPs * cfg.BlocksPerMP
 	d.slots = make([]slot, n)
 	d.pads = make([][]byte, 0, n)
+	d.byRank = make([]int, n)
 	for i := 0; i < n; i++ {
+		d.byRank[i] = i
 		d.slots[i].mp = d.mps[i%cfg.MPs]
 		d.slots[i].rng = rand.New(&d.slots[i].src)
 		d.slots[i].work = func() { d.cur.slotWorker(i) }
@@ -228,8 +239,12 @@ func (d *Device) ResetFault() {
 }
 
 // ResetTime returns the device's execution-slot, kernel-table and bandwidth
-// timelines to idle. Memory contents and fault state are untouched.
+// timelines to idle. Memory contents and fault state are untouched. It waits
+// for a launch in flight: a launch's workers were chosen by the slot
+// availabilities at its start.
 func (d *Device) ResetTime() {
+	d.launchMu.Lock()
+	defer d.launchMu.Unlock()
 	d.slotMu.Lock()
 	d.resident = [MaxResidentKernels]simtime.Time{}
 	for i := range d.slots {
@@ -258,8 +273,10 @@ type BlockFunc func(b *Block) error
 // virtual time start and executes it, dispatching in a non-deterministic
 // (seeded-random) order onto execution slots, like the hardware scheduler of
 // §2: blocks run to completion and dispatch is driven only by slot
-// availability. One persistent worker goroutine drains the queue per slot,
-// so real-time Go scheduling quirks cannot skew which slot a block lands on.
+// availability. Each launch starts a worker goroutine on every slot that can
+// be handed one of its blocks, and one decision per pull or block end says
+// whose turn it is to take the next block, so real-time Go scheduling quirks
+// cannot skew which slot a block lands on.
 //
 // Launch blocks the calling goroutine until the kernel completes and
 // returns the kernel's virtual completion time; launches on one device
@@ -311,24 +328,43 @@ func (d *Device) Launch(start simtime.Time, blocks, threads int, fn BlockFunc) (
 	launchAt = max(launchAt, d.resident[entry])
 	d.slotMu.Unlock()
 
-	// One persistent worker per execution slot drains the block queue.
-	// Pulls are ordered by VIRTUAL slot availability through a turnstile
-	// (see pullTurn): the slot that frees earliest in virtual time takes
-	// the next block, exactly like the hardware scheduler — real-time Go
-	// scheduling (which on one OS core is heavily biased) cannot skew
-	// block placement.
+	// Pulls are ordered by VIRTUAL slot availability (see nextTurn): the slot
+	// that frees earliest in virtual time takes the next block, exactly like
+	// the hardware scheduler, and real-time Go scheduling (which on one OS
+	// core is heavily biased) cannot skew block placement. A worker starts
+	// only on a slot that can be handed one of the blocks: the min(blocks,
+	// slots) that rank first in (availability, index).
 	l := &launch{d: d, fn: fn, blocks: blocks, threads: threads, seq: seq,
-		launchAt: launchAt, order: order, busy: make([]bool, len(d.slots))}
-	l.cond.L = &l.mu
+		launchAt: launchAt, order: order}
 	l.meter.Observe(launchAt)
 
-	// No worker runs yet: the stack is this goroutine's until they start.
-	for len(d.pads) < min(blocks, len(d.slots)) {
+	// No worker runs yet: the stack and the slots are this goroutine's until
+	// they start.
+	workers := min(blocks, len(d.slots))
+	for len(d.pads) < workers {
 		d.pads = append(d.pads, make([]byte, d.cfg.ScratchpadBytes))
 	}
+	d.slotMu.Lock()
+	if workers < len(d.slots) {
+		slices.SortFunc(d.byRank, func(a, b int) int {
+			switch {
+			case a == b:
+				return 0
+			case d.ranksAhead(a, b):
+				return -1
+			}
+			return 1
+		})
+	}
+	for _, si := range d.byRank[:workers] {
+		d.slots[si].state = waiting
+		d.slots[si].wake.L = &l.mu
+	}
+	l.turn = l.nextTurn()
+	d.slotMu.Unlock()
 	d.cur = l
-	l.wg.Add(len(d.slots))
-	for si := range d.slots {
+	l.wg.Add(workers)
+	for _, si := range d.byRank[:workers] {
 		go d.slots[si].work()
 	}
 	l.wg.Wait()
@@ -340,28 +376,39 @@ func (d *Device) Launch(start simtime.Time, blocks, threads int, fn BlockFunc) (
 }
 
 // launch is one kernel launch's state, one allocation shared by its slot
-// workers, whose goroutines (slot.work) allocate nothing. mu and cond order
-// the pulls of the blocks left in order by virtual availability (pullTurn).
+// workers, whose goroutines (slot.work) allocate nothing. Under mu, the
+// goroutine that pulls a block or ends one decides whose turn is next
+// (handOff) and wakes only that slot's worker, through slot.wake.
 type launch struct {
 	d               *Device
 	fn              BlockFunc
 	blocks, threads int
 	seq             int64
 	launchAt        simtime.Time
-	mu              sync.Mutex
-	cond            sync.Cond // on mu
-	order           []int     // remaining block indices
-	next            int
-	busy            []bool
-	wg              sync.WaitGroup
 	meter           simtime.Meter
-	errOnce         sync.Once
-	kerr            error
-	aborted         atomic.Bool
+	wg              sync.WaitGroup
+
+	mu    sync.Mutex
+	order []int // remaining block indices
+	next  int
+	turn  int   // the slot whose worker pulls next; -1 while none may
+	kerr  error // the first block fault; no block is pulled after it
 }
 
-// slotWorker is slot si's worker: it runs the blocks pullTurn hands the slot
-// until the queue is empty or a block faults.
+type slotState uint8
+
+const (
+	// idle slots have no worker: none was started, or it exited because the
+	// slot can no longer be handed a block of the launch.
+	idle slotState = iota
+	// waiting slots are idle with a worker that waits for the slot's turn.
+	waiting
+	// busy slots run a block.
+	busy
+)
+
+// slotWorker is slot si's worker: it runs the blocks the slot is handed
+// until it can be handed no more.
 func (l *launch) slotWorker(si int) {
 	defer l.wg.Done()
 	d := l.d
@@ -385,83 +432,161 @@ func (l *launch) slotWorker(si int) {
 
 		err := runBlock(b, l.fn)
 		clear(pad) // while it is still hot
-		end := b.Clock.Now()
-		l.meter.Observe(end)
-
-		l.mu.Lock()
-		d.pads = append(d.pads, pad)
-		d.slotMu.Lock()
-		s.at = max(s.at, end)
-		d.slotMu.Unlock()
-		l.busy[si] = false
-		l.mu.Unlock()
-		l.cond.Broadcast()
-
+		l.meter.Observe(b.Clock.Now())
 		d.blocksRun.Add(1)
-		if err != nil {
-			l.aborted.Store(true)
-			l.errOnce.Do(func() {
-				l.kerr = fmt.Errorf("%w: block %d: %v", ErrKernelFault, b.Idx, err)
-				d.mu.Lock()
-				d.faulted = l.kerr
-				d.mu.Unlock()
-			})
-			l.cond.Broadcast()
+		if !l.finish(si, pad, b, err) {
 			return
 		}
 	}
 }
 
-// pullTurn blocks until slot si is the virtually-earliest available slot,
-// then takes the next block index and the scratchpad last pushed. A slot may pull when no idle slot has a
-// (smaller, or equal with lower index) availability and no busy slot's
-// last-known availability is strictly smaller (a busy slot can only become
-// available later than that bound, so if the bound is not smaller it cannot
-// beat us).
+// pullTurn waits until it is slot si's turn, then takes the next block index
+// and the scratchpad last pushed and hands the turn on. It reports false once
+// the slot's worker must exit instead.
 func (l *launch) pullTurn(si int) (idx int, startAt simtime.Time, pad []byte, ok bool) {
+	d := l.d
+	ls := &d.slots[si]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.turn != si {
+		if ls.state != waiting {
+			return 0, 0, nil, false
+		}
+		ls.wake.Wait()
+	}
+	idx = l.order[l.next]
+	l.next++
+	ls.state = busy
+	// The launch reserved a pad for each block that can run at once: an
+	// empty stack is a broken invariant, and the index panics.
+	n := len(d.pads) - 1
+	pad, d.pads = d.pads[n], d.pads[:n]
+	d.slotMu.Lock()
+	d.slots[si].assigned++
+	startAt = max(l.launchAt, d.slots[si].at)
+	l.handOff()
+	d.slotMu.Unlock()
+	return idx, startAt, pad, true
+}
+
+// finish records the end of slot si's block b and reports whether the slot's
+// worker waits for another turn. A fault stops the launch.
+func (l *launch) finish(si int, pad []byte, b *Block, err error) bool {
 	d := l.d
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for {
-		if l.next >= len(l.order) || l.aborted.Load() {
-			l.cond.Broadcast()
-			return 0, 0, nil, false
+	d.pads = append(d.pads, pad)
+	d.slots[si].state = idle
+	d.slotMu.Lock()
+	defer d.slotMu.Unlock()
+	d.slots[si].at = max(d.slots[si].at, b.Clock.Now())
+	if err != nil && l.kerr == nil {
+		l.kerr = fmt.Errorf("%w: block %d: %v", ErrKernelFault, b.Idx, err)
+		d.mu.Lock()
+		d.faulted = l.kerr
+		d.mu.Unlock()
+		l.stop()
+	}
+	if l.kerr != nil || l.next == len(l.order) {
+		return false
+	}
+	stay := l.keep(si)
+	l.handOff()
+	return stay
+}
+
+// keep decides whether slot si, whose block just ended, waits for another
+// turn. A slot can never be handed a block, and its worker exits, once at
+// least as many idle slots rank ahead of it as there are blocks left: each
+// of them pulls before it does. So the waiting slots are always the first
+// idle slots in rank order, at most as many as there are blocks left (a
+// pull takes a block and the first of them, which moves no one past that
+// line; only an end can), and one scan of them decides. When si stays, the
+// waiting slot that ranked last is pushed past the line, and its worker is
+// woken to exit. Called with l.mu and d.slotMu held.
+func (l *launch) keep(si int) bool {
+	d := l.d
+	left := len(l.order) - l.next
+	waiters, ahead, last := 0, 0, -1
+	for j := range d.slots {
+		if d.slots[j].state != waiting {
+			continue
 		}
-		d.slotMu.Lock()
-		myAt := d.slots[si].at
-		turn := true
-		for j := range d.slots {
-			if j == si {
-				continue
-			}
-			at := d.slots[j].at
-			if l.busy[j] {
-				if at < myAt {
-					turn = false
-					break
-				}
-			} else if at < myAt || (at == myAt && j < si) {
-				turn = false
-				break
-			}
+		waiters++
+		if d.ranksAhead(j, si) {
+			ahead++
 		}
-		d.slotMu.Unlock()
-		if turn {
-			idx = l.order[l.next]
-			l.next++
-			l.busy[si] = true
-			// The launch reserved a pad for each block that can run at once:
-			// an empty stack is a broken invariant, and the index panics.
-			n := len(d.pads) - 1
-			pad, d.pads = d.pads[n], d.pads[:n]
-			d.slotMu.Lock()
-			d.slots[si].assigned++
-			startAt = max(l.launchAt, d.slots[si].at)
-			d.slotMu.Unlock()
-			l.cond.Broadcast()
-			return idx, startAt, pad, true
+		if last < 0 || d.ranksAhead(last, j) {
+			last = j
 		}
-		l.cond.Wait()
+	}
+	if ahead >= left {
+		return false
+	}
+	if waiters == left {
+		d.slots[last].state = idle
+		d.slots[last].wake.Signal()
+	}
+	d.slots[si].state = waiting
+	return true
+}
+
+// ranksAhead reports whether slot a ranks ahead of slot b in (availability,
+// index), the order in which idle slots take blocks. Called with d.slotMu
+// held.
+func (d *Device) ranksAhead(a, b int) bool {
+	at, bt := d.slots[a].at, d.slots[b].at
+	return at < bt || at == bt && a < b
+}
+
+// handOff passes the turn on after a pull or a block's end: it decides whose
+// turn it is and wakes only that slot's worker. An empty queue stops the
+// launch. Called with l.mu and d.slotMu held.
+func (l *launch) handOff() {
+	d := l.d
+	if l.next == len(l.order) {
+		l.stop()
+		return
+	}
+	if l.turn = l.nextTurn(); l.turn >= 0 {
+		if d.slots[l.turn].state != waiting {
+			panic(fmt.Sprintf("gpu: the turn fell to slot %d, which has no worker", l.turn))
+		}
+		d.slots[l.turn].wake.Signal()
+	}
+}
+
+// nextTurn is the turn rule, the one place it is decided: the idle slot
+// lowest in (availability, index) may pull once no busy slot's last-known
+// availability is below its own. A busy slot frees no earlier than that
+// bound, so if the bound is not smaller it cannot rank ahead. It returns -1
+// while one could. Called with l.mu and d.slotMu held.
+func (l *launch) nextTurn() int {
+	d := l.d
+	first, busyAt := -1, simtime.Time(math.MaxInt64)
+	for j := range d.slots {
+		if d.slots[j].state == busy {
+			busyAt = min(busyAt, d.slots[j].at)
+		} else if first < 0 || d.ranksAhead(j, first) {
+			first = j
+		}
+	}
+	if first < 0 || busyAt < d.slots[first].at {
+		return -1
+	}
+	return first
+}
+
+// stop ends the launch's dispatch, on a fault or an empty queue: no slot has
+// the turn, and every waiting worker is woken to exit. Called with l.mu held.
+func (l *launch) stop() {
+	d := l.d
+	l.turn = -1
+	for j := range d.slots {
+		if d.slots[j].state == waiting {
+			d.slots[j].state = idle
+			d.slots[j].wake.Signal()
+		}
 	}
 }
 

@@ -620,20 +620,24 @@ func TestLaunchAllocatesNoScratchOrGenerator(t *testing.T) {
 }
 
 // BenchmarkLaunchBlocks measures a launch: "steady" is 64 blocks on a warm
-// 8-slot device; "fresh-serving" is eight 16-block launches on a fresh device
-// of the shipped 28 slots, the shape of a serving host's first batches, so
-// its B/op shows the scratchpads those launches make.
+// 8-slot device; "serving-steady" is 16 blocks on a warm device of the
+// shipped 28 slots, the launch a serving host repeats; "fresh-serving" is
+// eight 16-block launches on a fresh device of the shipped 28 slots, the
+// shape of a serving host's first batches, so its B/op shows the scratchpads
+// those launches make.
 func BenchmarkLaunchBlocks(b *testing.B) {
-	b.Run("steady", func(b *testing.B) {
-		d := testDevice()
-		const blocks = 64
-		launchBlocks(b, d, blocks)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+	steady := func(d *Device, blocks int) func(b *testing.B) {
+		return func(b *testing.B) {
 			launchBlocks(b, d, blocks)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				launchBlocks(b, d, blocks)
+			}
 		}
-	})
+	}
+	b.Run("steady", steady(testDevice(), 64))
+	b.Run("serving-steady", steady(servingDevice(), 16))
 	b.Run("fresh-serving", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
