@@ -9,7 +9,8 @@
 #                `go vet ./...` stops at the module boundary), the full
 #                suite under the race detector (the stress/oracle tests
 #                run 500 seeds concurrently, so this is where sync bugs
-#                die; the scratchpad stack, the launch's turn hand-off
+#                die; the scratchpad pool (one device's launches and
+#                two devices' at once), the launch's turn hand-off
 #                and worker exits, the radix leaves' dirty masks and the
 #                fleet's settle-on-completion path then run 20 more times
 #                at one P and at four),

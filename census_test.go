@@ -640,19 +640,6 @@ func def(name string) matcher {
 	}}
 }
 
-// index matches an index of a selected field, x.name[i].
-func index(name string) matcher {
-	spell := "." + name + "["
-	return matcher{spell, func(n ast.Node) string {
-		if ix, ok := n.(*ast.IndexExpr); ok {
-			if s, ok := ix.X.(*ast.SelectorExpr); ok && s.Sel.Name == name {
-				return spell
-			}
-		}
-		return ""
-	}}
-}
-
 // setTrue matches name set to true, by an assignment or a composite
 // literal's key.
 func setTrue(name string) matcher {
@@ -729,8 +716,8 @@ var structureRules = []structureRule{
 		why: "an open's head and every guess reclaim closed clean pages through the same one call, takeFrame's"},
 	{what: "a slot's frontier", dir: "internal/core", owner: "prime raIssue", count: 1, use: setTrue("frontierOK"),
 		why: "a detector slot's frontier is set by raIssue and by prime, the priming helper a carrying fault and an open's head share, and nowhere else"},
-	{what: "a file's detector slots", dir: "internal/core", owner: "ftable.go", count: anyCount, use: index("ra"),
-		why: "a slot is made by the stream that writes it, streamFor, and read through stream, which answers nil for a slot no stream has used"},
+	{what: "a file's detector slots", dir: "internal/core", owner: "ftable.go", count: anyCount, use: sel("ra"),
+		why: "a file's slot array and each slot are made by the stream that writes them, streamFor, and read through stream, which answers nil for a slot no stream has used"},
 	{what: "ftable.go's tables", dir: "internal/core", owner: "ftable.go", count: anyCount,
 		use: sel("fds", "byPath", "closed", "closedByPath", "truncated"),
 		why: "ftable.go owns the open and closed file tables, their indexes and the truncated-once set: every move of an entry is one method there, under the table lock"},

@@ -52,7 +52,8 @@ func parseOpenFlags(flags int) (openMode, error) {
 	return m, nil
 }
 
-// file is an entry in the open file table.
+// file is an entry in the open file table: 96 bytes, and its detector slots
+// only once a stream of its blocks reads ahead.
 type file struct {
 	fc *fileCache
 
@@ -71,21 +72,34 @@ type file struct {
 	admitted bool
 	err      error
 
-	// ra are the adaptive read-ahead detector slots: threadblocks hash by
+	// ra holds the adaptive read-ahead detector slots: threadblocks hash by
 	// index, so each slot sees one (or a few) blocks' access stream
 	// rather than the chaotic interleaving of all of them — the reason
-	// the paper dismissed per-file stride detection (§3.3). A slot is made
-	// at its stream's first write: an open that never reads ahead has none.
-	ra [raStreams]atomic.Pointer[raStream]
+	// the paper dismissed per-file stride detection (§3.3). The array is
+	// made at the file's first stream write and a slot at its stream's:
+	// an open that never reads ahead has neither.
+	ra atomic.Pointer[raSlots]
 }
 
-// stream returns detector slot i of f, or nil if no stream has used it.
-func (f *file) stream(i int) *raStream { return f.ra[i&(raStreams-1)].Load() }
+// raSlots is a file's array of detector slots.
+type raSlots [raStreams]atomic.Pointer[raStream]
 
-// streamFor returns detector slot i of f, made on first use: blocks that hash
-// to one slot race one CompareAndSwap and share its winner.
+// stream returns detector slot i of f, or nil if no stream has used it.
+func (f *file) stream(i int) *raStream {
+	if s := f.ra.Load(); s != nil {
+		return s[i&(raStreams-1)].Load()
+	}
+	return nil
+}
+
+// streamFor returns detector slot i of f, made on first use: blocks that
+// race to make the file's slot array or one slot race one CompareAndSwap
+// each and share its winner.
 func (f *file) streamFor(i int) *raStream {
-	p := &f.ra[i&(raStreams-1)]
+	if f.ra.Load() == nil {
+		f.ra.CompareAndSwap(nil, new(raSlots))
+	}
+	p := &f.ra.Load()[i&(raStreams-1)]
 	if p.Load() == nil {
 		p.CompareAndSwap(nil, new(raStream))
 	}

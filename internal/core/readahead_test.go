@@ -486,12 +486,16 @@ func TestReadAheadDeadZone(t *testing.T) {
 }
 
 // TestOpenMakesNoDetectorSlotUntilAStreamReads: an open allocates a detector
-// slot only for a stream that reads ahead. Reopening a cached file in the dead
-// zone makes none and allocates well under one slot table per cycle; a
-// one-block reader at 16K makes its own slot and no other; and two blocks
-// that hash to one slot and race their first access share one slot.
+// slot, and the file's array of slots, only for a stream that reads ahead.
+// Reopening a cached file in the dead zone makes neither and allocates well
+// under one slot array per cycle; a one-block reader at 16K makes its own
+// slot and no other; and two blocks that hash to one slot and race their
+// first access share one array and one slot.
 func TestOpenMakesNoDetectorSlotUntilAStreamReads(t *testing.T) {
 	noSlots := func(f *file, except int) error {
+		if arr := f.ra.Load(); (arr != nil) != (except >= 0) {
+			return fmt.Errorf("the file's slot array is %p, want one only with a slot at %d", arr, except)
+		}
 		for i := range raStreams {
 			if st := f.stream(i); (st != nil) != (i == except) {
 				return fmt.Errorf("slot %d is %p, want a slot only at %d", i, st, except)
@@ -534,8 +538,8 @@ func TestOpenMakesNoDetectorSlotUntilAStreamReads(t *testing.T) {
 				}
 			}
 			runtime.ReadMemStats(&after)
-			if perCycle := (after.TotalAlloc - before.TotalAlloc) / cycles; perCycle >= 1<<10 {
-				t.Errorf("an open/gread/close cycle of a cached file allocates %d B, want < 1024", perCycle)
+			if perCycle := (after.TotalAlloc - before.TotalAlloc) / cycles; perCycle >= 512 {
+				t.Errorf("an open/gread/close cycle of a cached file allocates %d B, want < 512 (a slot array is 256)", perCycle)
 			}
 			return nil
 		})

@@ -78,13 +78,11 @@ type Device struct {
 	mps   []*simtime.Resource
 	slots []slot
 
-	// pads is the device's stack of block scratchpads, every one zeroed. A
-	// launch tops it up to the blocks it can run at once, min(blocks, slots),
-	// before its workers start; a block pops the pad last pushed, still hot,
-	// and its worker clears and pushes it back when the block returns, both
-	// under the launch's mu. The count is a function of the launches alone,
-	// not of host interleaving.
-	pads [][]byte
+	// reserved is the running launch's stack of zeroed scratchpads, taken
+	// from padPool at its start and given back at its end, so it is empty
+	// between launches. Its backing array is made with the device: a launch
+	// allocates no stack.
+	reserved [][]byte
 
 	// launchMu serializes launches in HOST time only: one kernel's blocks run
 	// as goroutines at a time, which keeps block placement a function of
@@ -190,7 +188,7 @@ func New(cfg Config) *Device {
 	}
 	n := cfg.MPs * cfg.BlocksPerMP
 	d.slots = make([]slot, n)
-	d.pads = make([][]byte, 0, n)
+	d.reserved = make([][]byte, 0, n)
 	d.byRank = make([]int, n)
 	for i := 0; i < n; i++ {
 		d.byRank[i] = i
@@ -341,9 +339,7 @@ func (d *Device) Launch(start simtime.Time, blocks, threads int, fn BlockFunc) (
 	// No worker runs yet: the stack and the slots are this goroutine's until
 	// they start.
 	workers := min(blocks, len(d.slots))
-	for len(d.pads) < workers {
-		d.pads = append(d.pads, make([]byte, d.cfg.ScratchpadBytes))
-	}
+	d.reservePads(workers)
 	d.slotMu.Lock()
 	if workers < len(d.slots) {
 		slices.SortFunc(d.byRank, func(a, b int) int {
@@ -368,11 +364,49 @@ func (d *Device) Launch(start simtime.Time, blocks, threads int, fn BlockFunc) (
 		go d.slots[si].work()
 	}
 	l.wg.Wait()
+	d.returnPads()
 	d.cur = nil
 	d.slotMu.Lock()
 	d.resident[entry] = l.meter.Max()
 	d.slotMu.Unlock()
 	return l.meter.Max(), l.kerr
+}
+
+// padPool is the process's free scratchpads, every one zeroed, by size. A
+// pad is on-die state a block holds only while it runs (§2), so it outlives
+// its device: a fresh machine's launches take the pads an earlier one's gave
+// back. The pool keeps the peak of the pads reserved at once and never
+// shrinks. It is not a sync.Pool, whose contents the collector drops.
+var padPool = struct {
+	sync.Mutex
+	free map[int64][][]byte
+}{free: map[int64][][]byte{}}
+
+// reservePads puts n zeroed pads of the device's size on the launch's stack,
+// taking them from padPool and making only those it lacks.
+func (d *Device) reservePads(n int) {
+	size := d.cfg.ScratchpadBytes
+	padPool.Lock()
+	free := padPool.free[size]
+	k := len(free) - min(n, len(free))
+	d.reserved = append(d.reserved, free[k:]...)
+	clear(free[k:])
+	padPool.free[size] = free[:k]
+	padPool.Unlock()
+	for len(d.reserved) < n {
+		d.reserved = append(d.reserved, make([]byte, size))
+	}
+}
+
+// returnPads gives every pad on the launch's stack, each cleared by the
+// block that held it, back to padPool.
+func (d *Device) returnPads() {
+	size := d.cfg.ScratchpadBytes
+	padPool.Lock()
+	padPool.free[size] = append(padPool.free[size], d.reserved...)
+	padPool.Unlock()
+	clear(d.reserved)
+	d.reserved = d.reserved[:0]
 }
 
 // launch is one kernel launch's state, one allocation shared by its slot
@@ -459,8 +493,8 @@ func (l *launch) pullTurn(si int) (idx int, startAt simtime.Time, pad []byte, ok
 	ls.state = busy
 	// The launch reserved a pad for each block that can run at once: an
 	// empty stack is a broken invariant, and the index panics.
-	n := len(d.pads) - 1
-	pad, d.pads = d.pads[n], d.pads[:n]
+	n := len(d.reserved) - 1
+	pad, d.reserved = d.reserved[n], d.reserved[:n]
 	d.slotMu.Lock()
 	d.slots[si].assigned++
 	startAt = max(l.launchAt, d.slots[si].at)
@@ -475,7 +509,7 @@ func (l *launch) finish(si int, pad []byte, b *Block, err error) bool {
 	d := l.d
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	d.pads = append(d.pads, pad)
+	d.reserved = append(d.reserved, pad)
 	d.slots[si].state = idle
 	d.slotMu.Lock()
 	defer d.slotMu.Unlock()
@@ -611,7 +645,7 @@ type Block struct {
 	// Clock is the block's local virtual clock.
 	Clock *simtime.Clock
 	// Scratch is the block's on-die scratchpad memory: zeroed when the
-	// block starts, back on the device's stack for another block when it
+	// block starts, back on its launch's stack for another block when it
 	// returns.
 	Scratch []byte
 	// Rand is a per-block deterministic random source, a function of the

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -473,9 +474,12 @@ func TestScratchZeroedAtBlockStart(t *testing.T) {
 
 // servingDevice is a fresh device of the shipped geometry (14 MPs of 2
 // slots, 48 KiB scratchpads) with little device memory.
-func servingDevice() *Device {
+func servingDevice() *Device { return servingDeviceWithPads(48 << 10) }
+
+// servingDeviceWithPads is servingDevice with pads of size bytes.
+func servingDeviceWithPads(size int64) *Device {
 	cfg := testDevice().cfg
-	cfg.MPs, cfg.MemBytes = 14, 1<<20
+	cfg.MPs, cfg.MemBytes, cfg.ScratchpadBytes = 14, 1<<20, size
 	return New(cfg)
 }
 
@@ -495,74 +499,157 @@ func launchYielding(tb testing.TB, d *Device, launches, blocks int) {
 	}
 }
 
-// TestPadStackHoldsWhatLaunchesReserve: a launch reserves the pads its blocks
-// can use at once, min(blocks, slots), so a 28-slot device that only runs
-// 16-block launches makes 16 pads however its blocks rotate through the
-// slots, and the count does not depend on how the host interleaves them.
-// What the fresh device allocates beyond the same launches on it once warm
-// (each block's Block and Clock) is its pads: under 17 of them.
-func TestPadStackHoldsWhatLaunchesReserve(t *testing.T) {
-	const launches, blocks = 40, 16
-	launchYielding(t, servingDevice(), launches, blocks) // the runtime's goroutine caches fill
-	d := servingDevice()
-	alloc := func() uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		launchYielding(t, d, launches, blocks)
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	fresh := alloc()
-	if n := len(d.pads); n != blocks {
-		t.Fatalf("%d launches of %d blocks left %d pads, want %d", launches, blocks, n, blocks)
-	}
-	if pads := int64(fresh) - int64(alloc()); pads >= 17*48<<10 {
-		t.Fatalf("%d launches of %d blocks on a fresh device allocate %d B more than on a warm one, want < 17 pads (%d)",
-			launches, blocks, pads, 17*48<<10)
-	}
-
-	for _, procs := range []int{1, 4} {
-		d := servingDevice()
-		func() {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			launchYielding(t, d, launches, blocks)
-		}()
-		if n := len(d.pads); n != blocks {
-			t.Errorf("GOMAXPROCS %d: %d launches of %d blocks left %d pads, want %d", procs, launches, blocks, n, blocks)
-		}
+// pooledPads empties padPool's pads of size bytes and returns a func that
+// counts them: a test keys the pool by a size no other test uses, so what it
+// counts is what its own launches reserve and give back.
+func pooledPads(size int64) func() int {
+	padPool.Lock()
+	delete(padPool.free, size)
+	padPool.Unlock()
+	return func() int {
+		padPool.Lock()
+		defer padPool.Unlock()
+		return len(padPool.free[size])
 	}
 }
 
-// TestPadNeverSharedByLiveBlocks: every block stamps its pad with its own
-// index, yields while other blocks run, and finds the stamp intact, so no two
-// live blocks ever hold one pad.
-func TestPadNeverSharedByLiveBlocks(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	cfg := testDevice().cfg
-	cfg.ScratchpadBytes = 4 << 10
-	d := New(cfg)
-	for launch := 0; launch < 8; launch++ {
-		_, err := d.Launch(0, 200, 32, func(b *Block) error {
-			stamp := byte(b.Idx + 1)
-			for i := range b.Scratch {
-				if b.Scratch[i] != 0 {
-					return fmt.Errorf("block %d: scratch[%d] = %#x at block start", b.Idx, i, b.Scratch[i])
-				}
-				b.Scratch[i] = stamp
-			}
-			runtime.Gosched()
-			b.Compute(1e5)
-			for i, v := range b.Scratch {
-				if v != stamp {
-					return fmt.Errorf("block %d: scratch[%d] = %#x, another block's stamp", b.Idx, i, v)
-				}
+// TestPadStackHoldsWhatLaunchesReserve: a launch reserves the pads its blocks
+// can use at once, min(blocks, slots), from the process's pool before its
+// workers start and gives them all back when it ends, so a 28-slot device
+// that only runs 16-block launches leaves 16 pads in the pool however its
+// blocks rotate through the slots, and the count does not depend on how the
+// host interleaves them. A fresh device that launches after a warm one gave
+// its pads back makes none: its first launch allocates its blocks' Block and
+// Clock and its dispatch state, well under one pad.
+func TestPadStackHoldsWhatLaunchesReserve(t *testing.T) {
+	const launches, blocks, size = 40, 16, 48<<10 + 1
+	pooled := pooledPads(size)
+	d := servingDeviceWithPads(size)
+	for _, n := range []int{blocks, 1, 40, blocks} {
+		want := min(n, d.MaxResidentBlocks())
+		before := pooled()
+		inLaunch := -1
+		_, err := d.Launch(0, n, 32, func(b *Block) error {
+			if b.Idx == 0 {
+				inLaunch = pooled()
 			}
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if got := max(before-want, 0); inLaunch != got {
+			t.Errorf("a %d-block launch left %d pads of %d in the pool while it ran, want %d (it reserves %d)",
+				n, inLaunch, before, got, want)
+		}
+		if after := pooled(); after != max(before, want) {
+			t.Errorf("a %d-block launch left %d pads in the pool, want %d", n, after, max(before, want))
+		}
 	}
+
+	pooled = pooledPads(size)
+	launchYielding(t, servingDeviceWithPads(size), launches, blocks) // the pool and the runtime's goroutine caches fill
+	if n := pooled(); n != blocks {
+		t.Fatalf("%d launches of %d blocks left %d pads, want %d", launches, blocks, n, blocks)
+	}
+	fresh := servingDeviceWithPads(size)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	launchYielding(t, fresh, 1, blocks)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= size/4 {
+		t.Fatalf("a fresh device's first %d-block launch allocates %d B after a warm one gave its pads back, want < %d (a pad is %d)",
+			blocks, n, size/4, size)
+	}
+
+	for _, procs := range []int{1, 4} {
+		pooled := pooledPads(size)
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			launchYielding(t, servingDeviceWithPads(size), launches, blocks)
+		}()
+		if n := pooled(); n != blocks {
+			t.Errorf("GOMAXPROCS %d: %d launches of %d blocks left %d pads, want %d", procs, launches, blocks, n, blocks)
+		}
+	}
+}
+
+// stampPads runs launches of 200 blocks on every device at once. Each block
+// stamps its pad with its device and index, one word every stampStride
+// bytes, yields while other blocks run, and finds the stamp intact, so no
+// two live blocks ever hold one pad. Each block also checks that its pad is
+// its device's size.
+func stampPads(t *testing.T, devs ...*Device) {
+	const stampStride = 256
+	t.Helper()
+	var wg sync.WaitGroup
+	errs := make([]error, len(devs))
+	for di, d := range devs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for launch := 0; launch < 8 && errs[di] == nil; launch++ {
+				_, errs[di] = d.Launch(0, 200, 32, func(b *Block) error {
+					if int64(len(b.Scratch)) != d.cfg.ScratchpadBytes {
+						return fmt.Errorf("device %d block %d: a %d B pad, want %d", di, b.Idx, len(b.Scratch), d.cfg.ScratchpadBytes)
+					}
+					stamp := uint64(di)<<32 | uint64(b.Idx) + 1
+					for i := 0; i+8 <= len(b.Scratch); i += stampStride {
+						if v := binary.LittleEndian.Uint64(b.Scratch[i:]); v != 0 {
+							return fmt.Errorf("device %d block %d: scratch[%d:] = %#x at block start", di, b.Idx, i, v)
+						}
+						binary.LittleEndian.PutUint64(b.Scratch[i:], stamp)
+					}
+					runtime.Gosched()
+					b.Compute(1e5)
+					for i := 0; i+8 <= len(b.Scratch); i += stampStride {
+						if v := binary.LittleEndian.Uint64(b.Scratch[i:]); v != stamp {
+							return fmt.Errorf("device %d block %d: scratch[%d:] = %#x, another block's stamp", di, b.Idx, i, v)
+						}
+					}
+					return nil
+				})
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPadNeverSharedByLiveBlocks: at GOMAXPROCS 4 no two live blocks of one
+// device hold one pad.
+func TestPadNeverSharedByLiveBlocks(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	cfg := testDevice().cfg
+	cfg.ScratchpadBytes = 4 << 10
+	stampPads(t, New(cfg))
+}
+
+// TestPadNeverSharedAcrossDevices: two devices launching at once at
+// GOMAXPROCS 4 take their pads from one pool, and no two live blocks of
+// either hold one pad.
+func TestPadNeverSharedAcrossDevices(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	cfg := testDevice().cfg
+	cfg.ScratchpadBytes = 4 << 10
+	a := New(cfg)
+	cfg.ID = 1
+	stampPads(t, a, New(cfg))
+}
+
+// TestPadPoolKeyedBySize: a 4 KiB-pad device and a 48 KiB-pad device share
+// the pool, one after the other and at once, and each block gets a pad of
+// its own device's size.
+func TestPadPoolKeyedBySize(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	small, large := testDevice().cfg, testDevice().cfg
+	small.ScratchpadBytes, large.ID = 4<<10, 1
+	a, b := New(small), New(large)
+	stampPads(t, a)
+	stampPads(t, b)
+	stampPads(t, a, b)
 }
 
 // launchBlocks is the steady-state launch of the allocation guardrail and
@@ -579,12 +666,12 @@ func launchBlocks(tb testing.TB, d *Device, blocks int) {
 	}
 }
 
-// TestLaunchAllocatesNoScratchOrGenerator is the guardrail of ISSUE 17's
-// first gain: a block takes its 48 KiB scratchpad from the device's stack and
+// TestLaunchAllocatesNoScratchOrGenerator: a block takes its 48 KiB
+// scratchpad from the pads its launch reserved from the process's pool, and
 // finds its generator on the slot. What a block still allocates is its Block
 // and Clock, and its share of the launch's dispatch state; its share of the
-// worker goroutines costs no allocation, so a one-block launch allocates as
-// much on a device of 56 slots as on one of 8.
+// worker goroutines and of the launch's pad stack costs no allocation, so a
+// one-block launch allocates as much on a device of 56 slots as on one of 8.
 func TestLaunchAllocatesNoScratchOrGenerator(t *testing.T) {
 	oneBlock := func(mps int) float64 {
 		cfg := testDevice().cfg
@@ -601,7 +688,7 @@ func TestLaunchAllocatesNoScratchOrGenerator(t *testing.T) {
 
 	d := testDevice()
 	const blocks = 64
-	launchBlocks(t, d, blocks) // the first launch makes the device's pads
+	launchBlocks(t, d, blocks) // the first launch fills the pool with the pads it lacks
 	var before, after runtime.MemStats
 	const launches = 20
 	runtime.ReadMemStats(&before)
@@ -623,8 +710,8 @@ func TestLaunchAllocatesNoScratchOrGenerator(t *testing.T) {
 // 8-slot device; "serving-steady" is 16 blocks on a warm device of the
 // shipped 28 slots, the launch a serving host repeats; "fresh-serving" is
 // eight 16-block launches on a fresh device of the shipped 28 slots, the
-// shape of a serving host's first batches, so its B/op shows the scratchpads
-// those launches make.
+// shape of a serving host's first batches: its B/op shows what a fresh
+// device costs once the process's pad pool holds the pads they reserve.
 func BenchmarkLaunchBlocks(b *testing.B) {
 	steady := func(d *Device, blocks int) func(b *testing.B) {
 		return func(b *testing.B) {

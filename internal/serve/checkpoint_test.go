@@ -160,16 +160,20 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 		}
 		futs = append(futs, fut)
 	}
-	time.Sleep(2 * time.Millisecond) // let some batches dispatch
+	// Checkpoint once a job has run: its pages are resident, so the image
+	// must carry some, however slowly the batches dispatch.
+	if res := futs[0].Wait(); res.Err != nil {
+		t.Fatalf("job 0: %v", res.Err)
+	}
 	img, err := srvA.Checkpoint()
 	if err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	for i, fut := range futs {
+	for i, fut := range futs[1:] {
 		select {
 		case <-fut.Done():
 		default:
-			t.Fatalf("job %d unresolved after Checkpoint", i)
+			t.Fatalf("job %d unresolved after Checkpoint", i+1)
 		}
 	}
 	if len(img.GPUs) != sysA.NumGPUs() {

@@ -30,10 +30,10 @@ func searchRig(tb testing.TB) (*Server, []string) {
 	}
 	srv := New(sys, Config{})
 	tb.Cleanup(func() { srv.Drain() })
-	// Fault the files in, fill the pool, and run enough batches that the
-	// device holds the scratchpads of the widest launch the measured jobs
-	// make: a launch makes the pads it lacks at its start (four jobs a file
-	// left some to the measured jobs on a two-core host).
+	// Fault the files in, fill the buffer pool, and run enough batches that
+	// the process's pad pool holds the scratchpads of the widest launch the
+	// measured jobs make: a launch makes the pads the pool lacks at its start
+	// (four jobs a file left some to the measured jobs on a two-core host).
 	runSearchJobs(tb, srv, paths, 16*len(paths))
 	return srv, paths
 }
@@ -63,8 +63,8 @@ func runSearchJobs(tb testing.TB, srv *Server, paths []string, n int) {
 // TestExecJobAllocatesNoFileBuffer is the guardrail of ISSUE 17's job-buffer
 // gain: at steady state a job over a 64 KiB file allocates well under its
 // file's size — its future, its result, its share of the launch — because it
-// reads into a recycled buffer, and its block takes a scratchpad from the
-// device's stack.
+// reads into a recycled buffer, and its block takes a scratchpad its launch
+// reserved from the process's pad pool.
 func TestExecJobAllocatesNoFileBuffer(t *testing.T) {
 	srv, paths := searchRig(t)
 	const jobs = 400
@@ -99,6 +99,12 @@ func TestExecJobSeesOnlyWhatItRead(t *testing.T) {
 
 	drew := false
 	for round := 0; round < 50 && !drew; round++ {
+		// Empty the pool first (one collection moves what it holds to the
+		// victim cache, a second drops it): a serve worker draws the buffers
+		// its own P kept from earlier jobs ahead of any other P's, so with
+		// them left in place no job might draw a poisoned one.
+		runtime.GC()
+		runtime.GC()
 		var bufs [4]*[]byte
 		for i := range bufs {
 			b := bytes.Clone(poison)
