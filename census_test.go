@@ -737,6 +737,8 @@ var structureRules = []structureRule{
 		why: "bytes.Count re-enters bytes.Index for every match, which cost most of serve_open's host time; searchCount steps over a match in place and hands bytes.Count only words of one byte or more than 31 and the rest of a buffer full of false candidates"},
 	{what: "no substring search in serve", dir: "internal/serve", use: sel("bytes.Index"),
 		why: "a count built on bytes.Index pays its set-up per match; count with searchCount"},
+	{what: "one placement hash", owner: "place.go", count: 1, use: sel("fnv.New32a"),
+		why: "a cold file's GPU inside a host and its fleet home both read serve.PathHash (internal/serve/place.go): with one index the host and the GPU never pick the same bit, and a second hash would split the files over the GPUs unevenly again"},
 }
 
 func TestStructureCensus(t *testing.T) {

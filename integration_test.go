@@ -558,3 +558,54 @@ func TestGPURestartLosesUnsyncedState(t *testing.T) {
 		t.Fatalf("un-synced data survived the restart: %x", second)
 	}
 }
+
+// TestColdScanDoubleBooksTheDaemon runs a cold sequential scan shaped like
+// the benchmark's seq_cold (28 blocks, 32 KiB pages and greads, each block
+// its own slice of one file) and reads the daemon's double booking: a
+// request whose dispatch backfills a gap ahead of another's booking lays its
+// host work over that booking. The count is what a single booking primitive
+// must bring to zero.
+func TestColdScanDoubleBooksTheDaemon(t *testing.T) {
+	const pageSize, blocks, fileBytes = 32 << 10, 28, 4 << 20
+	cfg := gpufs.ScaledConfig(1.0 / 64)
+	cfg.NumGPUs = 1
+	cfg.PageSize = pageSize
+	cfg.BufferCacheBytes = fileBytes + 64*pageSize
+	cfg.GPUMemBytes = cfg.BufferCacheBytes + 1<<20
+	sys, err := gpufs.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte("double booked "), fileBytes/14+1)[:fileBytes]
+	if err := sys.WriteHostFile("/seq.bin", data); err != nil {
+		t.Fatal(err)
+	}
+	sys.ResetTime()
+	perBlock := int64(fileBytes/blocks+pageSize-1) / pageSize * pageSize
+	if _, err := sys.GPU(0).Launch(0, blocks, 32, func(c *gpufs.BlockCtx) error {
+		fd, err := c.Gopen("/seq.bin", gpufs.O_RDONLY)
+		if err != nil {
+			return err
+		}
+		buf := c.Scratch[:pageSize]
+		base := int64(c.Idx) * perBlock
+		for off := base; off < base+perBlock && off < fileBytes; off += pageSize {
+			n, err := c.Gread(fd, buf, off)
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(buf[:n], data[off:off+int64(n)]) {
+				return errors.New("scan read wrong bytes")
+			}
+		}
+		return c.Gclose(fd)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	srv := sys.Server()
+	if srv.DaemonOverlap() <= 0 {
+		t.Fatalf("a cold scan of %d blocks booked the daemon twice for %v, want > 0 (busy %v)",
+			blocks, srv.DaemonOverlap(), srv.DaemonBusy())
+	}
+	t.Logf("daemon busy %v, booked twice %v", srv.DaemonBusy(), srv.DaemonOverlap())
+}

@@ -22,6 +22,7 @@ type FakeBackend struct {
 	auto     bool
 	failWith error
 	depth    int // queued jobs at which Submit rejects as overloaded; 0 = no limit
+	gpus     int // NumGPUs; 0 reads as 1
 	draining bool
 	now      simtime.Time
 	resident map[string]int64
@@ -269,8 +270,19 @@ func (b *FakeBackend) Now() simtime.Time {
 	return b.now
 }
 
+// SetGPUs scripts NumGPUs.
+func (b *FakeBackend) SetGPUs(n int) {
+	b.mu.Lock()
+	b.gpus = n
+	b.mu.Unlock()
+}
+
 // NumGPUs implements serve.Backend.
-func (b *FakeBackend) NumGPUs() int { return 1 }
+func (b *FakeBackend) NumGPUs() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return max(b.gpus, 1)
+}
 
 // Stats implements serve.Backend (admission count only).
 func (b *FakeBackend) Stats() serve.Stats {

@@ -30,7 +30,7 @@
 // goroutine that resolves it, which delivers success or a classified
 // error, or re-routes a handed-off or sick-host failure within a bounded
 // rehome budget — never silence, and never a double delivery (the serve
-// layer's Future is single-shot, and a job is only resubmitted after its
+// layer's Future resolves once, and a job is only resubmitted after its
 // previous attempt's Future resolved).
 package fleet
 
@@ -128,14 +128,21 @@ type Result struct {
 	Rehomes int
 }
 
-// Future is the pending result of a fleet-submitted job.
-type Future struct{ ch chan Result }
+// Future is the pending result of a fleet-submitted job. It resolves once,
+// and Wait and Done may then be used any number of times, by any goroutine.
+type Future struct {
+	done chan struct{}
+	res  Result // written once, before done closes
+}
 
-// Done returns a channel receiving the result exactly once.
-func (f *Future) Done() <-chan Result { return f.ch }
+// Done returns a channel that closes when the result is in.
+func (f *Future) Done() <-chan struct{} { return f.done }
 
-// Wait blocks for the result.
-func (f *Future) Wait() Result { return <-f.ch }
+// Wait blocks until the result is in and returns it.
+func (f *Future) Wait() Result {
+	<-f.done
+	return f.res
+}
 
 // fleetJob is the control plane's record of one admitted job.
 type fleetJob struct {
@@ -160,6 +167,7 @@ type ControlPlane struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	hosts    []*host
+	route    []*host // routeOrderLocked's order, reused by every placement
 	events   []Event
 	closed   bool // no new admissions
 	stopping bool // remediator should exit once no host is cordoned
@@ -228,7 +236,7 @@ func (cp *ControlPlane) Submit(tenant string, spec serve.Job) (*Future, error) {
 		cp.mu.Unlock()
 		return nil, ErrClosed
 	}
-	j := &fleetJob{cp: cp, tenant: tenant, spec: spec, fut: &Future{ch: make(chan Result, 1)}}
+	j := &fleetJob{cp: cp, tenant: tenant, spec: spec, fut: &Future{done: make(chan struct{})}}
 	sfut, err := cp.placeLocked(j)
 	if err != nil {
 		cp.mu.Unlock()
@@ -350,7 +358,8 @@ func (cp *ControlPlane) deliverLocked(j *fleetJob, res serve.Result, hostID int)
 		cp.met.failedJobs.Inc()
 	}
 	cp.cond.Broadcast()
-	j.fut.ch <- Result{Result: res, Host: hostID, Rehomes: j.rehomes}
+	j.fut.res = Result{Result: res, Host: hostID, Rehomes: j.rehomes}
+	close(j.fut.done)
 	cp.wg.Done()
 }
 

@@ -430,8 +430,8 @@ func TestFleetStallDetection(t *testing.T) {
 		waitFor(t, "beat delivery", func() bool {
 			other.Complete(-1)
 			select {
-			case res := <-fut.Done():
-				if res.Err != nil {
+			case <-fut.Done():
+				if res := fut.Wait(); res.Err != nil {
 					t.Fatalf("beat job %d failed: %v", i, res.Err)
 				}
 				return true
@@ -454,7 +454,8 @@ func TestFleetStallDetection(t *testing.T) {
 			}
 		}
 		select {
-		case res = <-stuck.Done():
+		case <-stuck.Done():
+			res = stuck.Wait()
 			return true
 		default:
 			return false

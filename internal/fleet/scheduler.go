@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"errors"
-	"hash/fnv"
 
 	"gpufs/internal/serve"
 )
@@ -15,9 +14,12 @@ import (
 //     pages of the job's file goes first — re-reading a warm file on the
 //     host that already paid for it is the cross-machine analogue of
 //     GPUfs's buffer-cache hit.
-//  2. Stable home: a cold file hashes to a deterministic home host, so
-//     repeated traffic for one file converges on one cache instead of
-//     smearing the working set across the fleet.
+//  2. Stable home: a cold file's home is the host that owns GPU
+//     serve.PathHash(path) mod N, where N counts every host's GPUs in id
+//     order. Each host puts the file on GPU PathHash mod its own count, so
+//     in a fleet of equal hosts one index picks both the host and the GPU,
+//     and every GPU is home to an equal share of the files. The home does
+//     not move with load; while it is not Healthy its files have no home.
 //  3. Spill: a host already carrying SpillLoad outstanding fleet jobs is
 //     demoted from preferred target; remaining healthy hosts are tried in
 //     ascending load order, so hot files cannot capsize one machine while
@@ -27,68 +29,57 @@ import (
 // or dead host receives no traffic (the model-based conformance test pins
 // this invariant).
 
-// pathHash gives a path's stable home index basis.
-func pathHash(path string) uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(path))
-	return h.Sum32()
-}
-
 // routeOrderLocked returns the healthy hosts in placement-preference order
 // for path: affinity target, then the path's stable home, then everyone
 // else by ascending outstanding load (ties by id, so the order — and thus
-// the whole fleet schedule — is deterministic). Nil when no host is
-// healthy. cp.mu held.
+// the whole fleet schedule — is deterministic). The order is built in
+// cp.route and read until the next call; empty when no host is healthy.
+// cp.mu held.
 func (cp *ControlPlane) routeOrderLocked(path string) []*host {
-	healthy := make([]*host, 0, len(cp.hosts))
+	n := 0
 	for _, h := range cp.hosts {
-		if h.state == HostHealthy {
-			healthy = append(healthy, h)
-		}
+		n += h.backend.NumGPUs()
 	}
-	if len(healthy) == 0 {
-		return nil
-	}
-
-	// Insertion sort by (open, id): fleets are small and the slice is
-	// rebuilt per placement.
-	for i := 1; i < len(healthy); i++ {
-		for k := i; k > 0; k-- {
-			a, b := healthy[k-1], healthy[k]
-			if a.open < b.open || (a.open == b.open && a.id < b.id) {
-				break
-			}
-			healthy[k-1], healthy[k] = b, a
-		}
-	}
-
-	var preferred []*host
-	// Affinity: most resident pages wins (ties keep the least-loaded,
-	// which the base order already provides).
-	var affine *host
+	g := int(serve.PathHash(path) % uint32(n))
+	var home, affine *host
 	var bestPages int64
-	for _, h := range healthy {
-		if p := h.backend.ResidentPages(path); p > bestPages {
-			affine, bestPages = h, p
+	for _, h := range cp.hosts {
+		if g -= h.backend.NumGPUs(); g < 0 && home == nil {
+			home = h
+		}
+		// Affinity: most resident pages wins, ties to the least loaded.
+		if h.state == HostHealthy {
+			if p := h.backend.ResidentPages(path); p > bestPages || p > 0 && p == bestPages && h.open < affine.open {
+				affine, bestPages = h, p
+			}
 		}
 	}
-	if affine != nil && affine.open < cp.cfg.SpillLoad {
-		preferred = append(preferred, affine)
-	}
-	// Stable home for cold (or evicted-everywhere) files.
-	home := healthy[int(pathHash(path))%len(healthy)]
-	if home.open < cp.cfg.SpillLoad {
-		preferred = append(preferred, home)
-	}
-
-	order := make([]*host, 0, len(healthy))
-	seen := make(map[int]bool, len(healthy))
-	for _, h := range append(preferred, healthy...) {
-		if !seen[h.id] {
-			seen[h.id] = true
-			order = append(order, h)
+	rank := func(h *host) int {
+		switch {
+		case h.open >= cp.cfg.SpillLoad:
+			return 2
+		case h == affine:
+			return 0
+		case h == home:
+			return 1
 		}
+		return 2
 	}
+	// Insertion by (rank, open): hosts arrive in id order, and fleets are
+	// small.
+	order := cp.route[:0]
+	for _, h := range cp.hosts {
+		if h.state != HostHealthy {
+			continue
+		}
+		k := len(order)
+		order = append(order, h)
+		for ; k > 0 && (rank(order[k-1]) > rank(h) || rank(order[k-1]) == rank(h) && order[k-1].open > h.open); k-- {
+			order[k] = order[k-1]
+		}
+		order[k] = h
+	}
+	cp.route = order
 	return order
 }
 

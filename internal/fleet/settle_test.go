@@ -34,22 +34,18 @@ func TestFleetNoGoroutinePerJob(t *testing.T) {
 	}
 
 	// Complete settles on the calling goroutine, so every job has been
-	// delivered by the time it returns.
+	// delivered by the time it returns. A second delivery would panic on
+	// the closed Done.
 	ff.fake(0, 0).Complete(-1)
 	ff.fake(1, 0).Complete(-1)
 	for i, f := range futs {
 		select {
-		case res := <-f.Done():
-			if res.Err != nil {
+		case <-f.Done():
+			if res := f.Wait(); res.Err != nil {
 				t.Fatalf("job %d failed: %v", i, res.Err)
 			}
 		default:
 			t.Fatalf("job %d not delivered after its host completed it", i)
-		}
-		select {
-		case <-f.Done():
-			t.Fatalf("job %d delivered twice", i)
-		default:
 		}
 	}
 	cp.Drain()
@@ -124,8 +120,8 @@ func TestFleetRehomeOffTheResolvingGoroutine(t *testing.T) {
 	})
 	for i, f := range moved {
 		select {
-		case res := <-f.Done():
-			t.Fatalf("re-homed job %d delivered before host 1 had room: %+v", i, res)
+		case <-f.Done():
+			t.Fatalf("re-homed job %d delivered before host 1 had room: %+v", i, f.Wait())
 		default:
 		}
 	}
@@ -140,15 +136,10 @@ func TestFleetRehomeOffTheResolvingGoroutine(t *testing.T) {
 		if i >= depth {
 			rehomes = 1
 		}
-		res := <-f.Done()
+		res := f.Wait()
 		if res.Err != nil || res.Host != 1 || res.Rehomes != rehomes {
 			t.Fatalf("job %d: host %d, %d rehomes, err %v; want host 1, %d rehomes, no error",
 				i, res.Host, res.Rehomes, res.Err, rehomes)
-		}
-		select {
-		case <-f.Done():
-			t.Fatalf("job %d delivered twice", i)
-		default:
 		}
 	}
 
@@ -161,5 +152,40 @@ func TestFleetRehomeOffTheResolvingGoroutine(t *testing.T) {
 	case <-drained:
 	case <-time.After(10 * time.Second):
 		t.Fatal("Drain did not return")
+	}
+}
+
+// TestFleetFutureReadsAnyNumberOfTimes waits for a fleet job twice and then
+// checks Done: once the job is delivered, no read of its Future blocks.
+func TestFleetFutureReadsAnyNumberOfTimes(t *testing.T) {
+	ff := newFakeFleet(false)
+	cp, err := New(Config{}, 2, ff.factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cp.Drain()
+	fut, err := cp.Submit("t", job("/twice"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff.fake(0, 0).Complete(-1)
+	ff.fake(1, 0).Complete(-1)
+	reads := make(chan Result, 2)
+	go func() {
+		reads <- fut.Wait()
+		reads <- fut.Wait()
+		<-fut.Done()
+		close(reads)
+	}()
+	n := 0
+	for deadline := time.After(10 * time.Second); n < 3; n++ {
+		select {
+		case res, ok := <-reads:
+			if ok && (res.Err != nil || res.Host < 0) {
+				t.Fatalf("read %d: host %d, err %v", n, res.Host, res.Err)
+			}
+		case <-deadline:
+			t.Fatalf("read %d of a delivered job blocked (two Waits, then Done)", n)
+		}
 	}
 }

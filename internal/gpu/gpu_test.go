@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"gpufs/internal/simtime"
 )
@@ -519,8 +520,8 @@ func pooledPads(size int64) func() int {
 // that only runs 16-block launches leaves 16 pads in the pool however its
 // blocks rotate through the slots, and the count does not depend on how the
 // host interleaves them. A fresh device that launches after a warm one gave
-// its pads back makes none: its first launch allocates its blocks' Block and
-// Clock and its dispatch state, well under one pad.
+// its pads back makes none: every block of its first launch runs on a pad
+// the warm device pooled.
 func TestPadStackHoldsWhatLaunchesReserve(t *testing.T) {
 	const launches, blocks, size = 40, 16, 48<<10 + 1
 	pooled := pooledPads(size)
@@ -552,14 +553,27 @@ func TestPadStackHoldsWhatLaunchesReserve(t *testing.T) {
 	if n := pooled(); n != blocks {
 		t.Fatalf("%d launches of %d blocks left %d pads, want %d", launches, blocks, n, blocks)
 	}
-	fresh := servingDeviceWithPads(size)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	launchYielding(t, fresh, 1, blocks)
-	runtime.ReadMemStats(&after)
-	if n := after.TotalAlloc - before.TotalAlloc; n >= size/4 {
-		t.Fatalf("a fresh device's first %d-block launch allocates %d B after a warm one gave its pads back, want < %d (a pad is %d)",
-			blocks, n, size/4, size)
+	warm := map[*byte]bool{}
+	padPool.Lock()
+	for _, pad := range padPool.free[size] {
+		warm[unsafe.SliceData(pad)] = true
+	}
+	padPool.Unlock()
+	var mu sync.Mutex
+	made := 0
+	if _, err := servingDeviceWithPads(size).Launch(0, blocks, 32, func(b *Block) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if !warm[unsafe.SliceData(b.Scratch)] {
+			made++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if made != 0 || pooled() != blocks {
+		t.Fatalf("a fresh device's first %d-block launch ran %d blocks on pads it made after a warm one gave %d back, and left %d pooled",
+			blocks, made, blocks, pooled())
 	}
 
 	for _, procs := range []int{1, 4} {

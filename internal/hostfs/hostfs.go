@@ -265,24 +265,6 @@ func (fs *FS) walkLocked(p string) (n, parent *inode, base string, err error) {
 	return nil, nil, "", fmt.Errorf("%w: %q", ErrNotExist, clean)
 }
 
-// Mkdir creates a directory. Parent directories must exist.
-func (fs *FS) Mkdir(p string, mode Mode) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	n, parent, base, err := fs.walkLocked(p)
-	if err != nil {
-		return err
-	}
-	if n != nil {
-		return fmt.Errorf("%w: %q", ErrExist, p)
-	}
-	if parent == nil {
-		return fmt.Errorf("%w: %q", ErrInvalid, p)
-	}
-	parent.children[base] = fs.newDirLocked(mode)
-	return nil
-}
-
 // newDirLocked makes an empty directory inode; the caller links it into its
 // parent. fs.mu held.
 func (fs *FS) newDirLocked(mode Mode) *inode {

@@ -185,6 +185,8 @@ type Server struct {
 	met *metrics.Registry
 
 	reqCount [numOps]atomic.Int64
+	// overlap sums what the workers' Occupy calls booked twice, in ns.
+	overlap atomic.Int64
 }
 
 // NewServer creates the host daemon over the given consistency layer.
@@ -218,7 +220,14 @@ func (s *Server) FaultInjector() *faults.Injector { return s.inj.Load() }
 // before NewClient: each client's ring transport resolves per-shard
 // instrument handles at creation. A nil registry (the default) keeps the
 // per-request hooks at a single pointer test.
-func (s *Server) SetMetrics(reg *metrics.Registry) { s.met = reg }
+func (s *Server) SetMetrics(reg *metrics.Registry) {
+	s.met = reg
+	if reg != nil {
+		reg.SetHelp("gpufs_rpc_daemon_overlap_ns_total",
+			"Virtual time the daemon workers were booked twice: host work laid over an earlier booking")
+		reg.CounterFunc("gpufs_rpc_daemon_overlap_ns_total", s.overlap.Load)
+	}
+}
 
 // Layer returns the consistency layer the server manages.
 func (s *Server) Layer() *wrapfs.Layer { return s.layer }
@@ -246,11 +255,19 @@ func (s *Server) Workers() int { return s.pool.Size() }
 
 // ResetTime returns every daemon worker's timeline to idle (benchmark
 // harness use).
-func (s *Server) ResetTime() { s.pool.Reset() }
+func (s *Server) ResetTime() {
+	s.pool.Reset()
+	s.overlap.Store(0)
+}
 
 // DaemonBusy reports the daemon workers' accumulated busy time, summed
 // over the pool.
 func (s *Server) DaemonBusy() simtime.Duration { return s.pool.Busy() }
+
+// DaemonOverlap reports the virtual time the daemon workers were booked
+// twice, summed over the pool: a request's host work booked over time the
+// calendar already held. DaemonBusy counts that time once.
+func (s *Server) DaemonOverlap() simtime.Duration { return simtime.Duration(s.overlap.Load()) }
 
 // dedupSlots is the server-side dedup table size per ring shard. Sequence
 // numbers index it modulo the size; a slot is only consulted by retries of

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gpufs/internal/hostfs"
+	"gpufs/internal/metrics"
 	"gpufs/internal/pcie"
 	"gpufs/internal/simtime"
 	"gpufs/internal/wrapfs"
@@ -256,5 +257,48 @@ func TestRequestAsyncTwoStretches(t *testing.T) {
 	}
 	if got, want := probe.Now(), end.Add(cfg.HandleCost+cfg.ReturnLatency); got != want {
 		t.Errorf("request arriving at the second stretch's end observed at %v, want %v", got, want)
+	}
+}
+
+// TestDaemonOverlapCountsDoubleBooking books the daemon worker twice: a
+// request sent later in virtual time is served first, and a virtually
+// earlier one then backfills its dispatch into the gap ahead of it, which
+// fits the dispatch but not the host work that follows. DaemonBusy counts
+// the calendar once; DaemonOverlap and its metric family count the rest.
+func TestDaemonOverlapCountsDoubleBooking(t *testing.T) {
+	const late, shortWork, longWork = 100 * simtime.Microsecond, 50 * simtime.Microsecond, 150 * simtime.Microsecond
+	srv, cl := harness(t)
+	reg := metrics.New()
+	srv.SetMetrics(reg)
+	cfg := srv.cfg
+
+	if err := cl.Do(simtime.NewClock(simtime.Time(late)), OpReadPages, busy(shortWork)); err != nil {
+		t.Fatal(err)
+	}
+	if srv.DaemonOverlap() != 0 {
+		t.Fatalf("one request overlaps by %v", srv.DaemonOverlap())
+	}
+	if err := cl.Do(simtime.NewClock(0), OpReadPages, busy(longWork)); err != nil {
+		t.Fatal(err)
+	}
+	// The early request's work runs from the end of its dispatch through
+	// the late request's whole booking.
+	earlyWorkEnd := cfg.PollInterval + cfg.HandleCost + longWork
+	lateStart := late + cfg.PollInterval
+	want := earlyWorkEnd - lateStart
+	if got := srv.DaemonOverlap(); got != want {
+		t.Fatalf("overlap %v, want %v", got, want)
+	}
+	if got, booked := srv.DaemonBusy(), 2*cfg.HandleCost+shortWork+longWork; got != booked-want {
+		t.Fatalf("busy %v, want the bookings %v less the overlap %v", got, booked, want)
+	}
+	var family int64 = -1
+	for _, s := range reg.Snapshot() {
+		if s.Name == "gpufs_rpc_daemon_overlap_ns_total" {
+			family = s.Value
+		}
+	}
+	if family != int64(want) {
+		t.Fatalf("gpufs_rpc_daemon_overlap_ns_total reads %d, want %d", family, int64(want))
 	}
 }

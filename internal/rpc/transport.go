@@ -192,15 +192,21 @@ func (sh *ringShard) serve(cclk *simtime.Clock, req Request) (simtime.Time, erro
 	from := cclk.Now()
 	done, err := req.Handle(cclk)
 	if req.Resume != nil && err == nil {
-		sh.worker.Occupy(from, cclk.Now())
+		sh.book(from, cclk.Now())
 		// First instant at or after the transfer's completion at which the
 		// worker is free.
 		from = sh.worker.Probe(max(done, cclk.Now()), simtime.Nanosecond)
 		cclk.AdvanceTo(from)
 		done, err = req.Resume(cclk)
 	}
-	sh.worker.Occupy(from, cclk.Now())
+	sh.book(from, cclk.Now())
 	return done, err
+}
+
+// book occupies the worker over [from, to) and adds what it booked twice
+// to the daemon's overlap.
+func (sh *ringShard) book(from, to simtime.Time) {
+	sh.t.srv.overlap.Add(int64(sh.worker.Occupy(from, to)))
 }
 
 // finish releases the ring slot and advances the block's clock to when it

@@ -52,7 +52,8 @@ func TestHandoffGateFreezesDispatch(t *testing.T) {
 	}
 	for i, fut := range futs {
 		select {
-		case res := <-fut.Done():
+		case <-fut.Done():
+			res := fut.Wait()
 			if !errors.Is(res.Err, ErrHandedOff) {
 				t.Fatalf("job %d resolved %v, want ErrHandedOff", i, res.Err)
 			}
@@ -114,8 +115,8 @@ func TestCheckpointExactlyOnce(t *testing.T) {
 			switch {
 			case o.err == nil:
 				select {
-				case res := <-o.fut.Done():
-					switch {
+				case <-o.fut.Done():
+					switch res := o.fut.Wait(); {
 					case res.Err == nil:
 						completed++
 					case errors.Is(res.Err, ErrHandedOff):

@@ -59,8 +59,8 @@ func TestSubmitDrainRace(t *testing.T) {
 				// Drain returned, so a won admission must already be
 				// serviced: the Future resolves without further help.
 				select {
-				case res := <-o.fut.Done():
-					if res.Err != nil {
+				case <-o.fut.Done():
+					if res := o.fut.Wait(); res.Err != nil {
 						t.Fatalf("round %d: admitted job failed: %v", round, res.Err)
 					}
 				case <-time.After(10 * time.Second):
@@ -108,8 +108,8 @@ func TestDrainForHandoffFlushesQueued(t *testing.T) {
 	var completed, handedOff int
 	for i, fut := range futs {
 		select {
-		case res := <-fut.Done():
-			switch {
+		case <-fut.Done():
+			switch res := fut.Wait(); {
 			case res.Err == nil:
 				completed++
 			case errors.Is(res.Err, ErrHandedOff):
@@ -215,8 +215,7 @@ func TestHandoffResubmitByteIdentical(t *testing.T) {
 	got := make([]string, len(jobsA))
 	var handed int
 	for i, fut := range futsA {
-		res := <-fut.Done()
-		switch {
+		switch res := fut.Wait(); {
 		case res.Err == nil:
 			got[i] = payload(res)
 		case errors.Is(res.Err, ErrHandedOff):

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -67,5 +68,46 @@ func TestFutureThen(t *testing.T) {
 func TestJobFitsItsSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(job{}); n > 192 {
 		t.Fatalf("job is %d bytes, past the 192-byte size class", n)
+	}
+}
+
+// TestFutureReadsAnyNumberOfTimes reads one Future many ways: two Waits
+// parked before the result, a Then handler, two Waits after the result, and
+// Done after Wait. Every read sees the result and none blocks once it is in.
+func TestFutureReadsAnyNumberOfTimes(t *testing.T) {
+	fut, resolve := NewFuture()
+	ids := make(chan uint64, 5)
+	var parked sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		parked.Add(1)
+		go func() {
+			defer parked.Done()
+			ids <- fut.Wait().ID
+		}()
+	}
+	fut.Then(func(r Result) { ids <- r.ID })
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		resolve(Result{ID: 11})
+		parked.Wait()
+		ids <- fut.Wait().ID
+		ids <- fut.Wait().ID
+		<-fut.Done()
+	}()
+	select {
+	case <-finished:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a second Wait, or Done after Wait, blocked on a resolved Future")
+	}
+	close(ids)
+	n := 0
+	for id := range ids {
+		if n++; id != 11 {
+			t.Fatalf("a read returned job %d, want 11", id)
+		}
+	}
+	if n != 5 {
+		t.Fatalf("%d reads returned, want 5", n)
 	}
 }

@@ -48,10 +48,14 @@ func (s *Server) routeLocked(j *job) int {
 	return best
 }
 
-// pathHome is the stable cold-file partition: a path always hashes to the
-// same GPU, independent of submission order or server state.
-func pathHome(path string, n int) int {
+// PathHash is the one hash of cold-file placement: a host's pathHome and
+// the fleet's home host (internal/fleet) read the same index.
+func PathHash(path string) uint32 {
 	h := fnv.New32a()
 	h.Write([]byte(path))
-	return int(h.Sum32() % uint32(n))
+	return h.Sum32()
 }
+
+// pathHome is a cold file's stable GPU among a host's n: it depends on the
+// path alone, not on submission order or server state.
+func pathHome(path string, n int) int { return int(PathHash(path) % uint32(n)) }

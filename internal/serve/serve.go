@@ -125,41 +125,54 @@ type Result struct {
 // Latency is the job's virtual admission-to-completion time.
 func (r Result) Latency() simtime.Duration { return r.Done.Sub(r.Enqueued) }
 
-// Future is the pending result of a submitted job.
+// Future is the pending result of a submitted job. It resolves once, and
+// Wait and Done may then be used any number of times, by any goroutine.
 type Future struct {
-	ch chan Result
+	out *outcome
 	// then is the handler Then attached, or resolvedMark once the result
-	// is in ch. Whichever of Then and resolve swaps second runs the
+	// is in out. Whichever of Then and resolve swaps second runs the
 	// handler, so it runs exactly once and no goroutine parks for it.
 	then atomic.Pointer[func(Result)]
 }
 
+// outcome holds a Future's result, written once before done closes.
+type outcome struct {
+	done chan struct{}
+	r    Result
+}
+
+func newOutcome() *outcome { return &outcome{done: make(chan struct{})} }
+
 // resolvedMark is then's value after resolve.
 var resolvedMark = new(func(Result))
 
-// Done returns a channel that receives the result exactly once.
-func (f *Future) Done() <-chan Result { return f.ch }
+// Done returns a channel that closes when the result is in.
+func (f *Future) Done() <-chan struct{} { return f.out.done }
 
-// Wait blocks for the result.
-func (f *Future) Wait() Result { return <-f.ch }
+// Wait blocks until the result is in and returns it.
+func (f *Future) Wait() Result {
+	<-f.out.done
+	return f.out.r
+}
 
-// Then hands the result to fn instead of the channel. fn runs once: on the
-// goroutine that resolves the Future, or at once on the caller's if the
-// result has already arrived. The resolving goroutine holds no lock of the
-// Backend's, so fn may take the caller's own locks; it must not block. Call
-// Then at most once, and do not also use Done or Wait.
+// Then hands the result to fn. fn runs once: on the goroutine that
+// resolves the Future, or at once on the caller's if the result has
+// already arrived. The resolving goroutine holds no lock of the Backend's,
+// so fn may take the caller's own locks; it must not block. Call Then at
+// most once.
 func (f *Future) Then(fn func(Result)) {
 	if f.then.Swap(&fn) == resolvedMark {
-		fn(<-f.ch)
+		fn(f.out.r)
 	}
 }
 
-// resolve completes f: it delivers r to the channel, or to the handler
-// Then attached.
+// resolve completes f: it stores r, closes Done, and runs the handler Then
+// attached.
 func (f *Future) resolve(r Result) {
-	f.ch <- r
+	f.out.r = r
+	close(f.out.done)
 	if fn := f.then.Swap(resolvedMark); fn != nil {
-		(*fn)(<-f.ch)
+		(*fn)(r)
 	}
 }
 
@@ -169,7 +182,7 @@ func (f *Future) resolve(r Result) {
 // provides; the resolve function must be called exactly once, with none of
 // the Backend's locks held.
 func NewFuture() (*Future, func(Result)) {
-	f := &Future{ch: make(chan Result, 1)}
+	f := &Future{out: newOutcome()}
 	return f, f.resolve
 }
 
@@ -558,7 +571,7 @@ func (s *Server) enqueueLocked(tenantName string, spec Job, arrival simtime.Time
 		id:      s.ids.Add(1),
 		tenant:  tenantName,
 		spec:    spec,
-		fut:     Future{ch: make(chan Result, 1)},
+		fut:     Future{out: newOutcome()},
 		arrival: arrival,
 		ready:   arrival,
 	}

@@ -367,8 +367,8 @@ func TestServeDrain(t *testing.T) {
 	// Every job completed before Drain returned.
 	for i, fut := range futs {
 		select {
-		case res := <-fut.Done():
-			if res.Err != nil {
+		case <-fut.Done():
+			if res := fut.Wait(); res.Err != nil {
 				t.Fatalf("job %d failed: %v", i, res.Err)
 			}
 		default:
@@ -449,11 +449,11 @@ func TestServeRecoversFromDeviceFault(t *testing.T) {
 	if got, want := st.Completed(), int64(2*len(paths)); got != want {
 		t.Fatalf("completed = %d, want %d", got, want)
 	}
+	// A second resolve would panic on the closed Done; the Future still
+	// reads what it delivered.
 	for i, fut := range firstFuts {
-		select {
-		case res := <-fut.Done():
-			t.Fatalf("job %d delivered twice: %+v", delivered[i].ID, res)
-		default:
+		if res := fut.Wait(); res.ID != delivered[i].ID || res.Batch != delivered[i].Batch {
+			t.Fatalf("job %d now reads job %d of batch %d", delivered[i].ID, res.ID, res.Batch)
 		}
 	}
 }

@@ -188,10 +188,12 @@ func (r *Resource) insertLocked(iv ival, i int) {
 // reservations (merging overlaps). It models work whose duration is known
 // only after the fact, such as the RPC daemon staying busy through a host
 // file operation. Only the time no earlier booking covers counts as busy, so
-// Busy stays the summed length of the calendar's intervals.
-func (r *Resource) Occupy(from, to Time) {
+// Busy stays the summed length of the calendar's intervals. It returns the
+// rest of [from, to), which earlier bookings already held: the time the
+// resource is now booked twice.
+func (r *Resource) Occupy(from, to Time) (overlap Duration) {
 	if to <= from {
-		return
+		return 0
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -210,7 +212,8 @@ func (r *Resource) Occupy(from, to Time) {
 		covered += r.cal[j].end.Sub(r.cal[j].start)
 		j++
 	}
-	r.busy += end.Sub(start) - covered
+	added := end.Sub(start) - covered
+	r.busy += added
 	// In place: the calendars are long and a booking in the middle is the
 	// common case once requests overlap, so a copy of the tail per call is
 	// what this costs the host otherwise.
@@ -221,6 +224,7 @@ func (r *Resource) Occupy(from, to Time) {
 		r.cal = append(r.cal[:i+1], r.cal[j:]...)
 	}
 	r.cal[i] = ival{start, end}
+	return to.Sub(from) - added
 }
 
 // Probe reports when a reservation of d starting no earlier than now could

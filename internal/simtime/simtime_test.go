@@ -143,6 +143,36 @@ func TestResourceOccupy(t *testing.T) {
 	}
 }
 
+// TestResourceOccupyOverlap: Occupy returns the part of [from, to) the
+// calendar already held, and Busy plus the overlaps is the length of
+// everything booked.
+func TestResourceOccupyOverlap(t *testing.T) {
+	r := NewResource("x")
+	var booked, overlap Duration
+	for _, c := range []struct {
+		from, to Time
+		overlap  Duration
+	}{
+		{100, 200, 0},   // empty calendar
+		{200, 250, 0},   // touches the end: nothing booked twice
+		{150, 300, 100}, // [150, 250) was booked
+		{50, 400, 200},  // covers [100, 300)
+		{500, 600, 0},
+		{350, 550, 100}, // [350, 400) and [500, 550)
+		{700, 700, 0},   // empty
+	} {
+		got := r.Occupy(c.from, c.to)
+		if got != c.overlap {
+			t.Fatalf("Occupy(%d, %d) overlapped %v, want %v", c.from, c.to, got, c.overlap)
+		}
+		booked += c.to.Sub(c.from)
+		overlap += got
+	}
+	if r.Busy()+overlap != booked || r.Busy() != 600-50 {
+		t.Fatalf("busy %v + overlap %v, want %v booked of which %v busy", r.Busy(), overlap, booked, 600-50)
+	}
+}
+
 // TestResourceOccupyInPlace: a booking in the middle of a long calendar is
 // merged within the calendar's own array. The daemon workers' calendars hold
 // thousands of intervals and every request books its stretches with Occupy,
