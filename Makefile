@@ -75,7 +75,7 @@ tier2:
 	$(GO) test -race -count=20 -cpu 1,4 -run 'TestScratch|TestPad' ./internal/gpu
 	$(GO) test -race -count=20 -cpu 1,4 -run 'TestDispatch|TestLaunch|TestKernelFault|TestOverlapping|TestConcurrentLaunches' ./internal/gpu
 	$(GO) test -race -count=20 -cpu 1,4 -run 'TestFleetNoGoroutinePerJob|TestFleetRehomeOffTheResolvingGoroutine' ./internal/fleet
-	$(GO) test -race -count=20 -cpu 1,4 -run 'TestForEachDirtyPage|FuzzRadixTree|TestDirtyCountFollowsTheFlag' \
+	$(GO) test -race -count=20 -cpu 1,4 -run 'TestForEachDirtyPage|FuzzRadixTree|TestDirtyCountFollowsTheFlag|TestRescanKeepsWhatItRereads|TestLateReopenStillHits' \
 		./internal/core/radix ./internal/core
 	GPUFS_MAKEWORD_FULL=1 $(GO) test -count=1 -run TestMakeWordMatchesMathRandFullRange ./internal/workloads
 	GPUFS_BENCH_GUARDRAIL=1 $(GO) test -count=1 -run TestBenchGuardrail ./internal/bench

@@ -68,7 +68,7 @@ func runFleet(p fleetParams) {
 	// so the demo can attack (or observe) the machine actually in the slot.
 	var injMu sync.Mutex
 	injs := make(map[int]*faults.Injector)
-	backends := make(map[int]serve.Backend)
+	backends := make(map[int]*inPlace)
 	inner := fleet.SimHostFactory(fleet.SimHostConfig{
 		Scale:   p.scale,
 		NumGPUs: p.gpus,
@@ -90,13 +90,15 @@ func runFleet(p fleetParams) {
 	})
 	factory := func(hostID, incarnation int) (serve.Backend, *faults.Injector, error) {
 		b, inj, err := inner(hostID, incarnation)
-		if err == nil {
-			injMu.Lock()
-			injs[hostID] = inj
-			backends[hostID] = b
-			injMu.Unlock()
+		if err != nil {
+			return nil, nil, err
 		}
-		return b, inj, err
+		rec := &inPlace{Backend: b, done: make(map[uint64]bool)}
+		injMu.Lock()
+		injs[hostID] = inj
+		backends[hostID] = rec
+		injMu.Unlock()
+		return rec, inj, nil
 	}
 
 	// The latency detector's defaults are tuned for homogeneous load; this
@@ -123,13 +125,12 @@ func runFleet(p fleetParams) {
 	fmt.Printf("gpufs-serve fleet: %d hosts × %d GPU(s), %d tenants × 3×%d jobs (%d outstanding each), policy %v, batch %d, %s demo\n",
 		p.hosts, p.gpus, p.tenants, jobsPerPhase, p.outstanding, p.pol, p.batch, mode)
 
-	// strikeSample is host 0's serving state the instant before the demo
-	// strikes it, plus the (soon to be replaced) backend so the survival
-	// fraction can be measured against the same incarnation afterwards.
+	// strikeSample is host 0's in-flight jobs the instant before the demo
+	// strikes it, by ID, and the (soon to be replaced) machine that runs
+	// them, so the survival fraction counts exactly those jobs afterwards.
 	type strikeSample struct {
-		backend  serve.Backend
-		inflight int
-		final    int64 // Completed()+Failed() at strike time
+		backend  *inPlace
+		inflight []uint64
 	}
 	strikeCh := make(chan strikeSample, 1)
 
@@ -166,12 +167,7 @@ func runFleet(p fleetParams) {
 				injMu.Lock()
 				b := backends[0]
 				injMu.Unlock()
-				st := b.Stats()
-				strikeCh <- strikeSample{
-					backend:  b,
-					inflight: st.Inflight,
-					final:    st.Completed() + st.Failed(),
-				}
+				strikeCh <- strikeSample{backend: b, inflight: b.Stats().InflightIDs}
 				cp.Cordon(0, "planned migration (demo)")
 			}()
 			fmt.Println("\n>> cordoning host 0 for planned live migration mid-phase")
@@ -220,20 +216,17 @@ func runFleet(p fleetParams) {
 
 	// In-flight survival: of the jobs host 0 was actively running at
 	// cordon time, how many finished in place on the old incarnation
-	// (rather than dying and being resubmitted elsewhere)?
+	// (rather than dying and being resubmitted elsewhere)? Jobs that
+	// launched there after the sample are not among them.
 	survival := 1.0
 	if p.migrate {
 		s := <-strikeCh
-		end := s.backend.Stats()
-		finishedInPlace := end.Completed() + end.Failed() - s.final
-		if s.inflight > 0 {
-			survival = float64(finishedInPlace) / float64(s.inflight)
-			if survival > 1 {
-				survival = 1
-			}
+		finishedInPlace := s.backend.finished(s.inflight)
+		if len(s.inflight) > 0 {
+			survival = float64(finishedInPlace) / float64(len(s.inflight))
 		}
 		fmt.Printf("migration: %d jobs in flight at cordon, %d finished in place on the old host (%.0f%% survival)\n",
-			s.inflight, finishedInPlace, survival*100)
+			len(s.inflight), finishedInPlace, survival*100)
 	}
 
 	steadyRate := float64(stats[0].completed) / stats[0].elapsed.Seconds()
@@ -276,4 +269,43 @@ func runFleet(p fleetParams) {
 	if !ok {
 		os.Exit(1)
 	}
+}
+
+// inPlace is a host's backend that notes, by job ID, each job it finished
+// without error: the fleet re-runs elsewhere a job handed off, or one that
+// failed on a host being drained.
+type inPlace struct {
+	serve.Backend
+	mu   sync.Mutex
+	done map[uint64]bool
+}
+
+func (b *inPlace) Submit(tenant string, job serve.Job) (*serve.Future, error) {
+	inner, err := b.Backend.Submit(tenant, job)
+	if err != nil {
+		return nil, err
+	}
+	fut, resolve := serve.NewFuture()
+	inner.Then(func(res serve.Result) {
+		if res.Err == nil {
+			b.mu.Lock()
+			b.done[res.ID] = true
+			b.mu.Unlock()
+		}
+		resolve(res)
+	})
+	return fut, nil
+}
+
+// finished counts the jobs of ids that b finished without error.
+func (b *inPlace) finished(ids []uint64) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	n := 0
+	for _, id := range ids {
+		if b.done[id] {
+			n++
+		}
+	}
+	return n
 }

@@ -201,6 +201,10 @@ type ftable struct {
 	// closedClean is the clean pages the retired caches hold — what a
 	// confirmed stream's speculation may reclaim — kept without the lock.
 	closedClean atomic.Int64
+	// rescan is whether the latest reuse of a retired cache found it holding
+	// no pages: a reuse distance longer than the cache, a cyclic scan's mark.
+	// It turns cleanVictims' walk around.
+	rescan atomic.Bool
 
 	// truncated records paths already truncated by an O_TRUNC open, so a
 	// re-open by a late-scheduled threadblock (after the reference count
@@ -454,6 +458,10 @@ func (t *ftable) take(fc *fileCache, f *file) retiree {
 	return t.removeLocked(fc)
 }
 
+// reused records that a reopen or a host open took fc back from the closed
+// table, and whether it found fc emptied.
+func (t *ftable) reused(fc *fileCache) { t.rescan.Store(fc.frames.Load() == 0) }
+
 // takeIno removes the cache retired for host inode ino, if any: a host open
 // just learned which inode its path names.
 func (t *ftable) takeIno(ino int64) retiree {
@@ -471,6 +479,7 @@ func (t *ftable) reset() (open []*file, retired []retiree) {
 		retired = append(retired, t.removeLocked(t.ring.newer))
 	}
 	open, t.fds = t.fds, nil
+	t.rescan.Store(false)
 	t.byPath = make(map[string]int)
 	t.truncated = make(map[string]bool)
 	return open, retired
@@ -508,6 +517,8 @@ func (t *ftable) each(visit func(fc *fileCache, path string, flags int, f *file)
 // last resort — the policy of §4.2. Closed files go oldest retirement first
 // (the FIFO of paging's every other level, which keeps longest the file a
 // late-scheduled block is about to reopen, §3.2), open files by descriptor.
+// Demand paging keeps that FIFO whatever the reuses show: only speculation's
+// walk (cleanVictims) turns around.
 func (t *ftable) victims() []victim {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -528,13 +539,21 @@ func (t *ftable) victims() []victim {
 }
 
 // cleanVictims appends to dst, up to its capacity, the closed files that hold
-// clean pages, oldest retirement first: the head of victims' order, for
-// speculation, which may take nothing else. A caller's array keeps it off the
-// heap.
+// clean pages, for speculation, which may take nothing else. They go oldest
+// retirement first, the head of victims' order, unless the latest reuse found
+// its cache emptied (rescan): then newest first. Under a cyclic scan over more
+// files than the cache holds, FIFO takes exactly the file the scan reopens
+// next; newest first keeps the oldest retirements, which it reopens soonest.
+// A reuse that finds its pages is the late-block reopen FIFO protects (§3.2),
+// and turns the walk back. A caller's array keeps it off the heap.
 func (t *ftable) cleanVictims(dst []victim) []victim {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for fc := t.ring.newer; fc != &t.ring && len(dst) < cap(dst); fc = fc.newer {
+	step := func(fc *fileCache) *fileCache { return fc.newer }
+	if t.rescan.Load() {
+		step = func(fc *fileCache) *fileCache { return fc.older }
+	}
+	for fc := step(&t.ring); fc != &t.ring && len(dst) < cap(dst); fc = step(fc) {
 		if fc.clean.Load()>>1 > 0 {
 			dst = append(dst, victim{fc: fc, hostFd: fc.keepFd, class: 0})
 		}

@@ -72,6 +72,7 @@ func (fs *FS) reopen(b *gpu.Block, f *file, cand *fileCache) (*fileCache, int64,
 		}
 		return nil, 0, nil
 	}
+	fs.ft.reused(r.fc)
 	fs.closedReuses.Add(1)
 	return r.fc, r.hostFd, nil
 }
@@ -139,6 +140,7 @@ func (fs *FS) adopt(b *gpu.Block, fresh *fileCache, info hostfs.FileInfo, valida
 	if r := fs.ft.takeIno(info.Ino); r.fc != nil {
 		gen := r.fc.gen.Load()
 		if validate && fs.lane(b).Validate(b.Clock, info.Ino, gen) && info.Generation == gen {
+			fs.ft.reused(r.fc)
 			fs.closedReuses.Add(1)
 			fs.lane(b).Close(b.Clock, r.hostFd)
 			return r.fc

@@ -95,11 +95,12 @@ func (fs *FS) evictPages(a actor, target int) int {
 }
 
 // reclaimForSpec frees up to target frames for a guess (takeFrame), on b's
-// clock: clean pages of closed files, oldest
-// retirement first and oldest leaf first — the head of paging's own order —
-// each at the APICostPerPage a demand eviction pays. Never an open file's
-// page and never a write-back: a guess may not cost resident data its place or
-// the daemon a round trip.
+// clock: clean pages of closed files in cleanVictims' order — oldest
+// retirement first, the head of paging's own, unless the latest reuse found
+// its cache emptied, then newest first — and oldest leaf first, each at the
+// APICostPerPage a demand eviction pays. Never an open file's page and never
+// a write-back: a guess may not cost resident data its place or the daemon a
+// round trip.
 func (fs *FS) reclaimForSpec(b *gpu.Block, target int) int {
 	var buf [8]victim
 	a := fs.blockActor(b)

@@ -24,6 +24,9 @@ type fakeFleet struct {
 	injs     map[[2]int]*faults.Injector
 	failNext map[int]error // hostID → error the next build returns
 	builds   int
+	// hold, if set before New, keeps every replacement build (incarnation
+	// past 0) waiting until it is closed.
+	hold chan struct{}
 }
 
 func newFakeFleet(auto bool) *fakeFleet {
@@ -36,6 +39,9 @@ func newFakeFleet(auto bool) *fakeFleet {
 }
 
 func (ff *fakeFleet) factory(hostID, incarnation int) (serve.Backend, *faults.Injector, error) {
+	if ff.hold != nil && incarnation > 0 {
+		<-ff.hold
+	}
 	ff.mu.Lock()
 	defer ff.mu.Unlock()
 	if err := ff.failNext[hostID]; err != nil {
@@ -172,9 +178,12 @@ func TestFleetSchedulerAffinityAndSpill(t *testing.T) {
 // TestFleetCordonDrainReplace walks one full remediation: a cordoned host
 // hands its queued jobs off unexecuted (the dedup half of the chaos
 // invariant), the jobs land on healthy hosts and complete, and the slot
-// returns with a new incarnation and a clean record.
+// returns with a new incarnation and a clean record. The replacement waits
+// until the second Cordon has returned: a replaced host 0 is healthy again,
+// and would take that Cordon.
 func TestFleetCordonDrainReplace(t *testing.T) {
 	ff := newFakeFleet(false)
+	ff.hold = make(chan struct{})
 	cp, err := New(Config{}, 3, ff.factory)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +205,9 @@ func TestFleetCordonDrainReplace(t *testing.T) {
 	if !cp.Cordon(0, "test kill") {
 		t.Fatal("Cordon(0) refused")
 	}
-	if cp.Cordon(0, "again") {
+	again := cp.Cordon(0, "again")
+	close(ff.hold)
+	if again {
 		t.Fatal("Cordon(0) accepted twice")
 	}
 	cp.AwaitRemediation()

@@ -70,7 +70,7 @@ func (s *Server) worker(g int) {
 			s.cond.Wait()
 			batch = s.takeLocked(g)
 		}
-		s.inflight[g] += len(batch)
+		s.running[g] = append(s.running[g], batch...) // runBatch reorders batch unlocked
 		s.mu.Unlock()
 
 		retries := s.runBatch(g, batch)
@@ -86,8 +86,8 @@ func (s *Server) worker(g int) {
 		if len(retries) > 0 {
 			s.met.noteQueueDepth(g, s.queues[g].size)
 		}
-		s.inflight[g] -= len(batch)
-		s.finished[g] = 0
+		clear(s.running[g])
+		s.running[g] = s.running[g][:0]
 		s.cond.Broadcast()
 		s.mu.Unlock()
 	}
@@ -302,9 +302,7 @@ func (s *Server) completeJob(j *job, g int, batchID int64, started, done simtime
 	}
 
 	s.mu.Lock()
-	if batchID >= 0 {
-		s.finished[g]++ // a job of the batch in flight, not a handoff
-	}
+	j.completed = true
 	tn := s.tenants[j.tenant]
 	tn.open--
 	if errors.Is(err, ErrHandedOff) {

@@ -32,11 +32,11 @@ func (s *Server) routeLocked(j *job) int {
 	if best < 0 {
 		best = pathHome(j.spec.Path, n)
 	}
-	if s.queues[best].size+s.inflight[best] >= s.cfg.StealThreshold {
+	if s.queues[best].size+len(s.running[best]) >= s.cfg.StealThreshold {
 		spill := best
-		load := s.queues[best].size + s.inflight[best]
+		load := s.queues[best].size + len(s.running[best])
 		for g := 0; g < n; g++ {
-			if l := s.queues[g].size + s.inflight[g]; l < load {
+			if l := s.queues[g].size + len(s.running[g]); l < load {
 				spill, load = g, l
 			}
 		}

@@ -352,6 +352,9 @@ type job struct {
 	count  int64
 	output []byte
 	hit    bool
+	// completed is set, under the server lock, when the job's result is
+	// delivered (completeJob).
+	completed bool
 
 	// attempts counts the job's kernel executions. An int32 shares hit's
 	// word, so the job, its Future included, fits a 192-byte size class.
@@ -375,16 +378,15 @@ type Server struct {
 	tr  *trace.Tracer
 	met *serveMetrics // nil when the system carries no registry
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	tenants  map[string]*tenant
-	queues   []*gpuQueue // per-GPU pending jobs
-	inflight []int       // per-GPU jobs inside a running batch
-	// finished counts the jobs of GPU g's running batch already completed.
-	// They stay in inflight until the worker releases the batch, which
-	// keeps Drain from seeing a retry neither queued nor in flight; Stats
-	// subtracts them, so no job is completed and in flight at once.
-	finished []int
+	mu      sync.Mutex
+	cond    *sync.Cond
+	tenants map[string]*tenant
+	queues  []*gpuQueue // per-GPU pending jobs
+	// running is GPU g's running batch, empty between batches. Its jobs
+	// already completed stay in it until the worker releases the batch,
+	// which keeps Drain from seeing a retry neither queued nor in flight;
+	// Stats skips them, so no job is completed and in flight at once.
+	running  [][]*job
 	gstats   []GPUStats
 	lat      []simtime.Duration
 	svcEst   simtime.Duration // EWMA of per-job service time
@@ -429,11 +431,11 @@ func New(sys *gpufs.System, cfg Config) *Server {
 	s.cond = sync.NewCond(&s.mu)
 	n := sys.NumGPUs()
 	s.queues = make([]*gpuQueue, n)
+	s.running = make([][]*job, n)
 	for i := range s.queues {
 		s.queues[i] = newGPUQueue()
+		s.running[i] = make([]*job, 0, s.cfg.MaxBatch)
 	}
-	s.inflight = make([]int, n)
-	s.finished = make([]int, n)
 	s.cursors = make([]simtime.Time, n)
 	s.gstats = make([]GPUStats, n)
 	if reg := sys.Metrics(); reg != nil {
@@ -595,8 +597,8 @@ func (s *Server) retryAfterLocked() simtime.Duration {
 	for _, q := range s.queues {
 		queued += q.size
 	}
-	for _, n := range s.inflight {
-		queued += n
+	for _, r := range s.running {
+		queued += len(r)
 	}
 	round := s.cfg.MaxBatch * len(s.queues)
 	est := s.svcEst * simtime.Duration(1+queued/round)
@@ -695,7 +697,7 @@ func (s *Server) Load() int {
 	defer s.mu.Unlock()
 	n := 0
 	for g, q := range s.queues {
-		n += q.size + s.inflight[g]
+		n += q.size + len(s.running[g])
 	}
 	return n
 }
@@ -722,7 +724,7 @@ var _ Backend = (*Server)(nil)
 // idleLocked reports whether no work is queued or in flight anywhere.
 func (s *Server) idleLocked() bool {
 	for g := range s.queues {
-		if s.queues[g].size > 0 || s.inflight[g] > 0 {
+		if s.queues[g].size > 0 || len(s.running[g]) > 0 {
 			return false
 		}
 	}

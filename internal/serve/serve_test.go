@@ -296,11 +296,11 @@ func TestServeSaturationSpill(t *testing.T) {
 	// With the affine queue artificially saturated, routing must spill
 	// to the less-loaded GPU.
 	srv.mu.Lock()
-	srv.inflight[home] = srv.cfg.StealThreshold
+	srv.running[home] = make([]*job, srv.cfg.StealThreshold)
 	j := &job{spec: Job{Kind: JobSearch, Path: paths[0], Word: "a"}}
 	got := srv.routeLocked(j)
 	spilled := srv.gstats[home].Spilled
-	srv.inflight[home] = 0
+	srv.running[home] = nil
 	srv.mu.Unlock()
 
 	if got != other {
@@ -554,9 +554,9 @@ func TestServeVirtualDurationEstimate(t *testing.T) {
 
 	srv.mu.Lock()
 	idle := srv.retryAfterLocked()
-	srv.inflight[0] = 10 * srv.cfg.MaxBatch
+	srv.running[0] = make([]*job, 10*srv.cfg.MaxBatch)
 	loaded := srv.retryAfterLocked()
-	srv.inflight[0] = 0
+	srv.running[0] = nil
 	srv.mu.Unlock()
 
 	if idle <= 0 || loaded < idle {
@@ -618,7 +618,8 @@ func TestServeShardLanesFanOut(t *testing.T) {
 // TestStatsBacklogBalances polls Stats while jobs run: in every snapshot the
 // admitted jobs not yet finished are exactly the queued ones plus the ones
 // in flight. A job of a running batch that has completed counts as
-// finished, not also as in flight.
+// finished, not also as in flight, and InflightIDs names each job in flight
+// once.
 func TestStatsBacklogBalances(t *testing.T) {
 	sys, paths := testSystem(t, 2, 8)
 	srv := New(sys, Config{MaxBatch: 8, QueueDepth: 1 << 10})
@@ -647,6 +648,16 @@ func TestStatsBacklogBalances(t *testing.T) {
 		if open != int64(st.Queued+st.Inflight) {
 			t.Fatalf("poll %d: %d jobs admitted and unfinished, but %d queued + %d in flight",
 				polls, open, st.Queued, st.Inflight)
+		}
+		seen := make(map[uint64]bool, len(st.InflightIDs))
+		for _, id := range st.InflightIDs {
+			if seen[id] || id < 1 || id > jobs {
+				t.Fatalf("poll %d: in-flight IDs %v repeat or name no job", polls, st.InflightIDs)
+			}
+			seen[id] = true
+		}
+		if len(st.InflightIDs) != st.Inflight {
+			t.Fatalf("poll %d: %d jobs in flight, IDs %v", polls, st.Inflight, st.InflightIDs)
 		}
 		select {
 		case <-done:

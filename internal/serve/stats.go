@@ -68,6 +68,8 @@ type Stats struct {
 	// Queued and Inflight are the instantaneous backlog: jobs waiting, and
 	// jobs launched and not yet completed.
 	Queued, Inflight int
+	// InflightIDs are the IDs of the Inflight jobs, by GPU and batch order.
+	InflightIDs []uint64
 	// Latencies are the virtual admission-to-completion times of all
 	// finished jobs, in completion order.
 	Latencies []simtime.Duration
@@ -89,8 +91,13 @@ func (s *Server) Stats() Stats {
 	}
 	for g, q := range s.queues {
 		st.Queued += q.size
-		st.Inflight += s.inflight[g] - s.finished[g]
+		for _, j := range s.running[g] {
+			if !j.completed {
+				st.InflightIDs = append(st.InflightIDs, j.id)
+			}
+		}
 	}
+	st.Inflight = len(st.InflightIDs)
 	for g := range st.GPUs {
 		st.GPUs[g].CacheStats = s.sys.GPU(g).FS().CacheStats()
 		st.GPUs[g].ZeroCopyReads = s.sys.GPU(g).FS().ZeroCopyReads()
