@@ -3,15 +3,18 @@
 // remediation demo in three equal phases:
 //
 //	steady    — all hosts healthy; baseline served-jobs/s
-//	fault     — a fatal XID is injected on host 0 at phase start; the
-//	            health monitor cordons it, the remediator drains and
-//	            replaces it while traffic keeps flowing
+//	fault     — a fatal XID is injected on host 0 once it runs a job
+//	            and holds a queue; the health monitor cordons it, the
+//	            remediator drains and replaces it while traffic keeps
+//	            flowing
 //	recovered — after AwaitRemediation; the rebuilt fleet's rate
 //
-// The run then prints the remediation event timeline, the per-host state
-// table, and the phase throughput ratio, and exits non-zero if any
-// admitted job was lost, no remediation happened, or the fault-phase rate
-// fell below 60% of steady state.
+// The strike waits for host 0 to report a job in flight and one queued,
+// and the run fails if none shows before the phase ends. The run then
+// prints the remediation event timeline, the per-host state table, and
+// the phase throughput ratio, and exits non-zero if any admitted job was
+// lost, no remediation happened, or the fault-phase rate fell below 60%
+// of steady state.
 //
 // -migrate swaps the middle phase for a live-migration demo. It is the
 // demo's choice of strike and sets no configuration: the remediator always
@@ -144,32 +147,36 @@ func runFleet(p fleetParams) {
 		elapsed           time.Duration
 	}
 	var stats []phaseStat
+	host0 := func() *inPlace {
+		injMu.Lock()
+		defer injMu.Unlock()
+		return backends[0]
+	}
 	for pi, name := range phases {
+		var struck <-chan bool
+		phaseDone := make(chan struct{})
 		switch name {
 		case "fault":
-			// Strike mid-phase, while host 0 holds a queue: the drain then
-			// hands real jobs back for re-routing, with traffic still
-			// flowing.
-			go func(at simtime.Time) {
-				time.Sleep(3 * time.Millisecond)
+			// Strike mid-phase, while host 0 runs a job and holds a
+			// queue: the drain then hands real jobs back for re-routing,
+			// with traffic still flowing.
+			struck = strikeWhenBusy(host0, phaseDone, func(*inPlace, []uint64) {
 				injMu.Lock()
 				inj := injs[0]
 				injMu.Unlock()
-				inj.InjectXID(0, 79, at)
-			}(simtime.Time(pi))
+				inj.InjectXID(0, 79, simtime.Time(pi))
+			})
 			fmt.Println("\n>> injecting XID 79 (GPU has fallen off the bus) on host 0 mid-phase")
 		case "migrate":
 			// Cordon mid-phase for planned maintenance. Deliberately not an
 			// XID: a fatal XID taints the device's memory and the remediator
 			// would (correctly) refuse to trust a checkpoint taken from it.
-			go func() {
-				time.Sleep(3 * time.Millisecond)
-				injMu.Lock()
-				b := backends[0]
-				injMu.Unlock()
-				strikeCh <- strikeSample{backend: b, inflight: b.Stats().InflightIDs}
+			// The cordon waits, like the XID, for host 0 to run a job and
+			// hold a queue, so the survival gate always has jobs to count.
+			struck = strikeWhenBusy(host0, phaseDone, func(b *inPlace, inflight []uint64) {
+				strikeCh <- strikeSample{backend: b, inflight: inflight}
 				cp.Cordon(0, "planned migration (demo)")
-			}()
+			})
 			fmt.Println("\n>> cordoning host 0 for planned live migration mid-phase")
 		}
 		start := time.Now()
@@ -187,6 +194,11 @@ func runFleet(p fleetParams) {
 		rate := float64(st.completed) / st.elapsed.Seconds()
 		fmt.Printf("phase %-9s %5d jobs, %d failed, %8.3fms wall, %8.0f jobs/s\n",
 			st.name, st.completed, st.failed, float64(st.elapsed.Microseconds())/1000, rate)
+		close(phaseDone)
+		if struck != nil && !<-struck {
+			fmt.Fprintf(os.Stderr, "gpufs-serve fleet: FAIL: host 0 never ran a job with another queued during the %s phase, so no strike tested anything\n", name)
+			os.Exit(1)
+		}
 		if pi == 1 {
 			// Let the replacement finish before measuring the recovered
 			// rate, so phase 3 demonstrates the rebuilt fleet.
@@ -217,14 +229,13 @@ func runFleet(p fleetParams) {
 	// In-flight survival: of the jobs host 0 was actively running at
 	// cordon time, how many finished in place on the old incarnation
 	// (rather than dying and being resubmitted elsewhere)? Jobs that
-	// launched there after the sample are not among them.
+	// launched there after the sample are not among them. The strike
+	// sampled at least one.
 	survival := 1.0
 	if p.migrate {
 		s := <-strikeCh
 		finishedInPlace := s.backend.finished(s.inflight)
-		if len(s.inflight) > 0 {
-			survival = float64(finishedInPlace) / float64(len(s.inflight))
-		}
+		survival = float64(finishedInPlace) / float64(len(s.inflight))
 		fmt.Printf("migration: %d jobs in flight at cordon, %d finished in place on the old host (%.0f%% survival)\n",
 			len(s.inflight), finishedInPlace, survival*100)
 	}
@@ -269,6 +280,35 @@ func runFleet(p fleetParams) {
 	if !ok {
 		os.Exit(1)
 	}
+}
+
+// strikeWhenBusy calls strike once host 0 reports a job in flight and
+// one queued, with the backend that runs them and the in-flight IDs it
+// sampled: the strike then has launched jobs to finish or lose and queued
+// ones to hand back. It polls until then or until stop closes (the
+// phase's end bounds the wait), and the channel it returns reports
+// whether it struck.
+func strikeWhenBusy(host0 func() *inPlace, stop <-chan struct{}, strike func(b *inPlace, inflight []uint64)) <-chan bool {
+	struck := make(chan bool, 1)
+	go func() {
+		tick := time.NewTicker(50 * time.Microsecond)
+		defer tick.Stop()
+		for {
+			b := host0()
+			if st := b.Stats(); st.Inflight > 0 && st.Queued > 0 {
+				strike(b, st.InflightIDs)
+				struck <- true
+				return
+			}
+			select {
+			case <-stop:
+				struck <- false
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	return struck
 }
 
 // inPlace is a host's backend that notes, by job ID, each job it finished

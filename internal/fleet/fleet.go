@@ -15,7 +15,7 @@
 //   - scheduler.go: tenant-aware placement — jobs route to the healthy
 //     host whose GPU buffer caches already hold their file (cache
 //     affinity across machines), cold files hash to a stable home, and
-//     saturated hosts spill to the least-loaded one.
+//     a busy host over its share spills to the least-loaded one.
 //   - health.go: the monitor — consumes XID-style device-error events
 //     from each host's fault layer (fatal ⇒ cordon now; a burst of
 //     criticals ⇒ cordon), plus virtual-time heartbeat and latency
@@ -68,9 +68,12 @@ type Config struct {
 	// hosts (handoffs plus sick-host retries) before it fails with
 	// ErrRehomedTooOften. Default 8.
 	MaxRehomes int
-	// SpillLoad is the outstanding-job count at which a host stops being
-	// the affinity target and jobs spill to the least-loaded healthy
-	// host. Default 64.
+	// SpillLoad is the floor of the spill rule: a host carrying fewer
+	// outstanding jobs always keeps its rank as affinity target or home.
+	// At SpillLoad or more it loses that rank once it also carries
+	// (1+ε) times its share of the healthy hosts' jobs, by GPU count
+	// (ε = 1/10; scheduler.go), and its jobs spill to the least-loaded
+	// healthy host. Default 64.
 	SpillLoad int
 	// CriticalXIDLimit cordons a host after this many critical XID
 	// events on one incarnation. Default 3.

@@ -20,14 +20,23 @@ import (
 //     in a fleet of equal hosts one index picks both the host and the GPU,
 //     and every GPU is home to an equal share of the files. The home does
 //     not move with load; while it is not Healthy its files have no home.
-//  3. Spill: a host already carrying SpillLoad outstanding fleet jobs is
-//     demoted from preferred target; remaining healthy hosts are tried in
-//     ascending load order, so hot files cannot capsize one machine while
-//     others idle.
+//  3. Spill (bounded loads): a host loses its rank as affinity target or
+//     home only when it is both busy (SpillLoad outstanding fleet jobs or
+//     more) and over its share: ⌈(1+ε)·(O+1)·g/G⌉ jobs or more, where O
+//     is the outstanding jobs on healthy hosts, g the host's GPUs, G the
+//     healthy hosts' GPUs and ε = 1/10 (consistent hashing with bounded
+//     loads, Mirrokni, Thorup & Zadimoghaddam). Below SpillLoad locality
+//     always wins; above it a host sheds real imbalance, so a hot file
+//     cannot capsize one machine while others idle, but not the ripple
+//     of a balanced burst. A demoted host ranks with everyone else, in
+//     ascending load order.
 //
 // Only Healthy hosts are ever candidates: a cordoned, draining, replacing,
 // or dead host receives no traffic (the model-based conformance test pins
 // this invariant).
+
+// shareNum/shareDen is 1+ε, the bounded-loads slack: ε = 1/10.
+const shareNum, shareDen = 11, 10
 
 // routeOrderLocked returns the healthy hosts in placement-preference order
 // for path: affinity target, then the path's stable home, then everyone
@@ -36,9 +45,16 @@ import (
 // cp.route and read until the next call; empty when no host is healthy.
 // cp.mu held.
 func (cp *ControlPlane) routeOrderLocked(path string) []*host {
-	n := 0
+	// n counts every host's GPUs (the home index); healthyGPUs and open
+	// the healthy hosts' GPUs and outstanding jobs (the bounded share).
+	n, healthyGPUs, open := 0, 0, 0
 	for _, h := range cp.hosts {
-		n += h.backend.NumGPUs()
+		gpus := h.backend.NumGPUs()
+		n += gpus
+		if h.state == HostHealthy {
+			healthyGPUs += gpus
+			open += h.open
+		}
 	}
 	g := int(serve.PathHash(path) % uint32(n))
 	var home, affine *host
@@ -56,7 +72,9 @@ func (cp *ControlPlane) routeOrderLocked(path string) []*host {
 	}
 	rank := func(h *host) int {
 		switch {
-		case h.open >= cp.cfg.SpillLoad:
+		// Busy and over its share: h.open >= ⌈(1+ε)·(open+1)·g/G⌉, in
+		// integers.
+		case h.open >= cp.cfg.SpillLoad && shareDen*healthyGPUs*h.open >= shareNum*(open+1)*h.backend.NumGPUs():
 			return 2
 		case h == affine:
 			return 0

@@ -108,3 +108,102 @@ func TestFleetHomeIgnoresLoad(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetBalancedBusyHostsKeepTheirFiles holds two 1-GPU hosts at or
+// past SpillLoad with equal loads, each warm for its own file, and routes
+// jobs of both files in runs of up to eight while completions bring the
+// loads back: every job must stay on its warm host, since neither host
+// carries more than (1+ε) times its share. A rule that demotes every busy
+// host ranks both by load and sends host 1's file to host 0 on the tie.
+func TestFleetBalancedBusyHostsKeepTheirFiles(t *testing.T) {
+	const spill = 64
+	ff := newFakeFleet(false)
+	cp, err := New(Config{SpillLoad: spill}, 2, ff.factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fakes := [2]*FakeBackend{ff.fake(0, 0), ff.fake(1, 0)}
+	defer func() {
+		for _, f := range fakes {
+			f.Complete(-1)
+		}
+		cp.Drain()
+	}()
+	warm := [2]string{"/warm0", "/warm1"}
+	for h, f := range fakes {
+		f.SetResident(warm[h], 1)
+		for i := 0; i < spill; i++ {
+			if _, err := cp.Submit("load", job(warm[h])); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for round, run := range []int{1, 1, 2, 8, 3, 8, 1} {
+		for _, h := range []int{1, 0} {
+			for i := 0; i < run; i++ {
+				before := [2]int{fakes[0].Load(), fakes[1].Load()}
+				if _, err := cp.Submit("t", job(warm[h])); err != nil {
+					t.Fatal(err)
+				}
+				if fakes[h].Load() != before[h]+1 {
+					t.Fatalf("round %d: %s (warm on host %d) left it at open counts %v",
+						round, warm[h], h, before)
+				}
+			}
+		}
+		// Settles decrement the open counts that routing reads.
+		for _, f := range fakes {
+			f.Complete(run)
+		}
+	}
+}
+
+// TestFleetHotFileShedsOnlyItsExcess routes jobs of one file, warm on host
+// 0, into four idle 2-GPU hosts and completes none. After each submit no
+// host may carry more than max(SpillLoad, ⌈(1+ε)·O·g/G⌉) jobs, O counting
+// them all, and the warm host must carry exactly that bound (or every job,
+// while fewer were sent): it sheds its excess and nothing more. A fleet
+// that never spills breaks the ceiling; one that sheds at SpillLoad
+// whatever the others carry breaks the floor.
+func TestFleetHotFileShedsOnlyItsExcess(t *testing.T) {
+	const spill, hosts, gpus, jobs = 16, 4, 2, 400
+	ff := newFakeFleet(false)
+	cp, err := New(Config{SpillLoad: spill}, hosts, ff.factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fakes [hosts]*FakeBackend
+	for h := range fakes {
+		fakes[h] = ff.fake(h, 0)
+		fakes[h].SetGPUs(gpus)
+	}
+	defer func() {
+		for _, f := range fakes {
+			f.Complete(-1)
+		}
+		cp.Drain()
+	}()
+	fakes[0].SetResident("/hot", 8)
+	for o := 1; o <= jobs; o++ {
+		if _, err := cp.Submit("t", job("/hot")); err != nil {
+			t.Fatal(err)
+		}
+		// ⌈1.1·o·gpus/(hosts·gpus)⌉ in integers.
+		bound := max(spill, (shareNum*o*gpus+shareDen*hosts*gpus-1)/(shareDen*hosts*gpus))
+		var loads [hosts]int
+		for h, f := range fakes {
+			loads[h] = f.Load()
+			if loads[h] > bound {
+				t.Fatalf("after %d jobs host %d carries %d, over its bound %d (loads %v)", o, h, loads[h], bound, loads)
+			}
+		}
+		if want := min(o, bound); loads[0] != want {
+			t.Fatalf("after %d jobs the warm host carries %d, want %d (loads %v)", o, loads[0], want, loads)
+		}
+	}
+	for h, f := range fakes {
+		if f.Load() == 0 {
+			t.Fatalf("host %d took none of the hot file's excess", h)
+		}
+	}
+}
