@@ -13,8 +13,9 @@
 #                two devices' at once), the launch's turn hand-off
 #                and worker exits, the radix leaves' dirty masks, the
 #                fleet's settle-on-completion path and the bounded-loads
-#                routing that reads the open counts settles decrement
-#                then run 20 more times at one P and at four),
+#                routing that reads the open counts settles decrement,
+#                and the checkpoint walk against concurrent gwrites and
+#                gfsyncs then run 20 more times at one P and at four),
 #                MakeWord checked against math/rand on every index the
 #                corpora use, the bench guardrail pinning the Fig4 16K/32K
 #                throughputs, daemon-scaling speedup, contention
@@ -76,7 +77,7 @@ tier2:
 	$(GO) test -race -count=20 -cpu 1,4 -run 'TestScratch|TestPad' ./internal/gpu
 	$(GO) test -race -count=20 -cpu 1,4 -run 'TestDispatch|TestLaunch|TestKernelFault|TestOverlapping|TestConcurrentLaunches' ./internal/gpu
 	$(GO) test -race -count=20 -cpu 1,4 -run 'TestFleetNoGoroutinePerJob|TestFleetRehomeOffTheResolvingGoroutine|TestFleetBalancedBusyHostsKeepTheirFiles|TestFleetHotFileShedsOnlyItsExcess' ./internal/fleet
-	$(GO) test -race -count=20 -cpu 1,4 -run 'TestForEachDirtyPage|FuzzRadixTree|TestDirtyCountFollowsTheFlag|TestRescanKeepsWhatItRereads|TestLateReopenStillHits' \
+	$(GO) test -race -count=20 -cpu 1,4 -run 'TestForEachDirtyPage|FuzzRadixTree|TestDirtyCountFollowsTheFlag|TestRescanKeepsWhatItRereads|TestLateReopenStillHits|TestCkptNeverUndoesAReturnedGfsync|TestCkptWalkNeverTearsAPage' \
 		./internal/core/radix ./internal/core
 	GPUFS_MAKEWORD_FULL=1 $(GO) test -count=1 -run TestMakeWordMatchesMathRandFullRange ./internal/workloads
 	GPUFS_BENCH_GUARDRAIL=1 $(GO) test -count=1 -run TestBenchGuardrail ./internal/bench

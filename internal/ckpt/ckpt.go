@@ -9,16 +9,18 @@
 // back to the fleet, which re-routes each exactly once.
 //
 // The capture protocol that fills an Image lives in internal/core (the
-// copy-on-write walk) and internal/serve (the queue freeze); this package
-// is deliberately leaf-level — plain data plus a codec — so that the
-// image can cross any boundary (fleet node, file on disk, fuzzer corpus)
-// without dragging the simulator along.
+// cache walk and its validating commit) and internal/serve (the queue
+// freeze); this package is deliberately leaf-level — plain data plus a
+// codec — so that the image can cross any boundary (fleet node, file on
+// disk, fuzzer corpus) without dragging the simulator along.
 //
 // Speculation rules (PhoenixOS-style validated speculation):
 //
 //   - Dirty pages are the correctness payload: they hold device writes
 //     the host file does not have yet. They are always copied by value
-//     and always restored.
+//     and always restored. A capture in which the source wrote a file
+//     back after copying its dirty pages is refused at commit, so a
+//     restore never writes old bytes over ones a gfsync put there.
 //   - Clean pages are an optimization: the host file holds the same
 //     bytes, so the image records only their indices and the restore
 //     re-fetches them through the new host's descriptor. At commit each
@@ -42,8 +44,8 @@ type Image struct {
 	// SourceHost is the fleet slot the image was captured from (-1 when
 	// captured outside a fleet).
 	SourceHost int64
-	// CaptureStart and CaptureEnd bound the copy-on-write capture window
-	// in virtual nanoseconds on the source host's timeline.
+	// CaptureStart and CaptureEnd bound the capture window in virtual
+	// nanoseconds on the source host's timeline.
 	CaptureStart int64
 	CaptureEnd   int64
 	// GPUs holds one FS image per GPU, index-aligned with the source

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"errors"
-	"sync"
+	"fmt"
 
 	"gpufs/internal/ckpt"
 	"gpufs/internal/core/pcache"
@@ -11,136 +12,54 @@ import (
 	"gpufs/internal/simtime"
 )
 
-// Checkpointing a live FS (ISSUE 10). The engine produces a ckpt.FSImage
-// of this GPU's buffer cache and file tables while kernels keep running,
-// with copy-on-write over the device arena:
+// Checkpointing a live FS. The engine produces a ckpt.FSImage of this
+// GPU's buffer cache and file tables while kernels keep running:
 //
-//	Begin   installs the capture pointer; from here every gwrite's page,
-//	        the instant before it is overwritten, is offered to the
-//	        capture (one atomic load on the hot path when no capture is
-//	        active: a gwrite that no checkpoint overlaps is charged
-//	        nothing for it).
-//	Walk    runs on a host-side actor with its OWN virtual clock (the
-//	        cleaner's discipline), copying dirty pages by value and clean
-//	        pages by reference while threadblocks proceed.
-//	Commit  uninstalls the pointer, merges the write-fault copies with
-//	        the walk's, and validates every file's speculated clean set
-//	        against the live host (ino + generation, PhoenixOS-style):
-//	        if the host moved underneath, the clean references are
-//	        dropped — the restore simply starts cold for that file.
-//	        Dirty pages are never dropped; they are the payload.
+//	WalkCheckpoint  runs on a host-side actor with its OWN virtual
+//	        clock (the cleaner's discipline): it enumerates the file
+//	        tables, then copies dirty pages by value and clean pages by
+//	        reference while threadblocks proceed.
+//	Commit  validates the speculation (PhoenixOS-style). A file whose
+//	        dirty pages this GPU wrote back after the walk enumerated it
+//	        fails the capture (ErrCaptureRaced). Every speculated clean
+//	        set is checked against the live host (ino + generation): if
+//	        the host moved underneath, the clean references are dropped
+//	        and the restore simply starts cold for that file. Dirty pages
+//	        are otherwise never dropped; they are the payload.
 //
-// The snapshot is fuzzy at page granularity: each page's cut lands
-// somewhere between Begin and Commit (the walk's copy, or the pre-write
-// copy taken by the first overlapping gwrite — whichever comes first),
-// and no page is ever torn, because both copies run under the frame
-// lock. Files opened after the walk enumerated the tables miss the
-// image entirely; callers that need a consistent cut quiesce first, as
-// the serving layer's queue freeze does.
+// The snapshot is fuzzy at page granularity: each page's cut is the
+// walk's copy, taken under the frame lock a gwrite holds while its bytes
+// land, so no page is ever torn. Files opened after the walk enumerated
+// the tables miss the image entirely; callers that need a consistent
+// cut quiesce first, as the serving layer's queue freeze does.
 
-// ErrCheckpointActive is returned by BeginCheckpoint when a capture is
-// already installed.
-var ErrCheckpointActive = errors.New("gpufs: checkpoint already in progress")
+// ErrCaptureRaced fails a checkpoint whose walk copied a file's dirty
+// pages before this GPU wrote that file back: a copy may predate bytes a
+// returned gfsync put on the host, and restoring it would write it back
+// over them. The caller falls back to drain and cold replace.
+var ErrCaptureRaced = errors.New("gpufs: checkpoint raced a write-back")
 
-// ckptPageKey identifies one captured page.
-type ckptPageKey struct {
-	fc   *fileCache
-	page int64
-}
-
-// ckptCapture is the CoW rendezvous between the walk and concurrent
-// writers. The write hook holds the frame lock when it takes mu; the
-// walk NEVER holds mu while touching a frame, so the order is acyclic.
-type ckptCapture struct {
-	mu   sync.Mutex
-	done map[ckptPageKey]struct{}
-	// cow and cowClean hold pages captured by the write hook before the
-	// walk reached them: value copies of pre-write dirty content, and
-	// by-reference records of pre-write clean pages.
-	cow      map[*fileCache][]ckpt.PageImage
-	cowClean map[*fileCache][]int64
-	bytes    int64
-	maxBytes int64
-	err      error
-}
-
-// ckptCopyOnWrite is the gwrite hook: called with the frame lock held,
-// immediately before the new bytes land, so fr.Data still holds the
-// pre-write content. First capture of a page wins; later writes to the
-// same page find it done and pay only the map probe.
-func (fs *FS) ckptCopyOnWrite(cap *ckptCapture, fc *fileCache, pageIdx int64, fr *pcache.Frame) {
-	key := ckptPageKey{fc, pageIdx}
-	cap.mu.Lock()
-	if _, ok := cap.done[key]; ok || cap.err != nil {
-		cap.mu.Unlock()
-		return
-	}
-	cap.done[key] = struct{}{}
-	if !fr.Dirty.Load() {
-		// Clean at the cut: the host holds these bytes; record by
-		// reference (validated at commit). O_GWRONCE pages are implicit
-		// zeros — a restore re-materializes them by faulting, so they
-		// need no record at all.
-		if !fr.WriteOnce.Load() {
-			cap.cowClean[fc] = append(cap.cowClean[fc], pageIdx)
-		}
-		cap.mu.Unlock()
-		fs.ckptCoWFaults.Add(1)
-		return
-	}
-	valid := fr.ValidBytes.Load()
-	data := append([]byte(nil), fr.Data[:valid]...)
-	cap.bytes += valid
-	if cap.maxBytes > 0 && cap.bytes > cap.maxBytes {
-		cap.err = ckpt.ErrBudget
-	}
-	cap.cow[fc] = append(cap.cow[fc], ckpt.PageImage{Index: pageIdx, Valid: valid, Data: data})
-	cap.mu.Unlock()
-	fs.ckptCoWFaults.Add(1)
-	fs.ckptSnapshotBytes.Add(valid)
-}
-
-// ckptFileEntry is one file's walk state, held between Walk and Commit.
+// ckptFileEntry is one file's walk state, held until Commit.
 type ckptFileEntry struct {
 	fc      *fileCache
 	retired bool // from the closed-file table, not a live descriptor
 	img     ckpt.FileImage
 }
 
-// Ckpt is one in-progress checkpoint of a single FS.
+// Ckpt is one walked, not yet committed, checkpoint of a single FS.
 type Ckpt struct {
 	fs    *FS
-	cap   *ckptCapture
 	clk   *simtime.Clock
 	files []ckptFileEntry
+	bytes int64 // captured by value, against Options.CkptMaxBytes
+	err   error // ckpt.ErrBudget once bytes overran the budget
 }
 
-// BeginCheckpoint installs the copy-on-write capture and returns the
-// checkpoint handle, whose actor clock starts at start. Kernels keep
-// running; their writes from this moment on preserve pre-write pages
-// into the image.
-func (fs *FS) BeginCheckpoint(start simtime.Time) (*Ckpt, error) {
-	cap := &ckptCapture{
-		done:     make(map[ckptPageKey]struct{}),
-		cow:      make(map[*fileCache][]ckpt.PageImage),
-		cowClean: make(map[*fileCache][]int64),
-		maxBytes: fs.opt.CkptMaxBytes,
-	}
-	if !fs.capture.CompareAndSwap(nil, cap) {
-		return nil, ErrCheckpointActive
-	}
-	clk := simtime.NewClock(0)
-	clk.AdvanceTo(start)
-	return &Ckpt{fs: fs, cap: cap, clk: clk}, nil
-}
-
-// Walk copies the buffer cache into the checkpoint, concurrently with
-// running kernels: dirty pages by value, clean pages by reference. Each
-// page's copy runs under the frame lock and races the write hook
-// through the capture's done set — whichever records the page first
-// wins, so the page's cut is unique and untorn.
-func (ck *Ckpt) Walk() {
-	fs := ck.fs
+// WalkCheckpoint copies the buffer cache into a new checkpoint,
+// concurrently with running kernels, on an actor clock that starts at
+// start: dirty pages by value, clean pages by reference.
+func (fs *FS) WalkCheckpoint(start simtime.Time) *Ckpt {
+	ck := &Ckpt{fs: fs, clk: simtime.NewClock(start)}
 
 	// Enumerate both tables; page copies happen after the table lock is
 	// dropped. Temporary (O_NOSYNC) and unlinked files die with the host by
@@ -163,13 +82,12 @@ func (ck *Ckpt) Walk() {
 		ck.files = append(ck.files, e)
 	})
 
-	cap := ck.cap
-	var snap []byte // every page is copied through it, then out of it
-	for i := range ck.files {
+	var snap []byte // every page is copied through it
+	for i := 0; i < len(ck.files) && ck.err == nil; i++ {
 		e := &ck.files[i]
 		fc := e.fc
 		// Peek (do not consume) the sticky errseq mark: the image must
-		// carry it, but if the checkpoint aborts the source still owes
+		// carry it, but if the checkpoint fails the source still owes
 		// the error to the next gfsync/gclose.
 		fc.wbMu.Lock()
 		if fc.wbErr != nil {
@@ -183,79 +101,59 @@ func (ck *Ckpt) Walk() {
 			if fr == nil {
 				return true
 			}
-			pageIdx := int64(idx)
-			key := ckptPageKey{fc, pageIdx}
-			cap.mu.Lock()
-			_, dup := cap.done[key]
-			failed := cap.err != nil
-			cap.mu.Unlock()
-			if dup || failed {
-				p.Unref()
-				return !failed
-			}
-			// Copy OUTSIDE cap.mu: Snapshot takes the frame lock, which
-			// a concurrent writer holds while taking cap.mu in the hook.
 			snap = snap[:0]
 			data, _, valid := fr.Snapshot(&snap)
 			dirty := fr.Dirty.Load()
-			if valid > int64(len(data)) {
-				valid = int64(len(data))
-			}
-			cap.mu.Lock()
-			if _, dup := cap.done[key]; !dup && cap.err == nil {
-				// A writer that beat us to the done set holds the
-				// earlier (pre-write) cut; ours would be post-write.
-				cap.done[key] = struct{}{}
-				switch {
-				case dirty:
-					e.img.Dirty = append(e.img.Dirty, ckpt.PageImage{
-						Index: pageIdx,
-						Valid: valid,
-						Data:  append([]byte(nil), data[:valid]...),
-					})
-					cap.bytes += valid
-					if cap.maxBytes > 0 && cap.bytes > cap.maxBytes {
-						cap.err = ckpt.ErrBudget
-					}
-					fs.ckptSnapshotBytes.Add(valid)
-				case !writeOnce:
-					e.img.Clean = append(e.img.Clean, pageIdx)
-				}
-			}
-			cap.mu.Unlock()
 			p.Unref()
 			ck.clk.Advance(fs.opt.APICostPerPage)
+			switch {
+			case dirty:
+				e.img.Dirty = append(e.img.Dirty, ckpt.PageImage{
+					Index: int64(idx),
+					Valid: valid,
+					Data:  bytes.Clone(data),
+				})
+				ck.bytes += valid
+				fs.ckptSnapshotBytes.Add(valid)
+				if fs.opt.CkptMaxBytes > 0 && ck.bytes > fs.opt.CkptMaxBytes {
+					ck.err = ckpt.ErrBudget
+					return false
+				}
+			case !writeOnce:
+				// Clean at the cut: the host holds these bytes; record by
+				// reference (validated at commit). O_GWRONCE pages are
+				// implicit zeros — a restore re-materializes them by
+				// faulting, so they need no record at all.
+				e.img.Clean = append(e.img.Clean, int64(idx))
+			}
 			return true
 		})
 	}
+	return ck
 }
 
-// Commit uninstalls the capture, merges the write-fault copies into the
-// walk's image, and validates every speculated clean set against the
+// Commit validates the walk's image and returns it. A file whose cached
+// generation moved since the walk enumerated it was written back by
+// this GPU meanwhile (adoptGeneration is the one place it moves after
+// gopen); if the walk copied dirty pages of it, the capture fails with
+// ErrCaptureRaced. Every speculated clean set is validated against the
 // live host: a file whose (ino, generation) no longer checks out keeps
 // its dirty pages (device writes the host never saw — the payload) but
 // drops the clean references, so a restore can never serve stale bytes.
 func (ck *Ckpt) Commit() (*ckpt.FSImage, error) {
-	fs := ck.fs
-	cap := ck.cap
-	fs.capture.CompareAndSwap(cap, nil)
-	cap.mu.Lock()
-	err := cap.err
-	cap.mu.Unlock()
-	if err != nil {
-		return nil, err
+	if ck.err != nil {
+		return nil, ck.err
+	}
+	for i := range ck.files {
+		if e := &ck.files[i]; len(e.img.Dirty) > 0 && e.fc.gen.Load() != e.img.Gen {
+			return nil, fmt.Errorf("%w: %q", ErrCaptureRaced, e.img.Path)
+		}
 	}
 
+	fs := ck.fs
 	img := &ckpt.FSImage{GPU: int64(fs.gpuID)}
 	for i := range ck.files {
 		e := &ck.files[i]
-		cap.mu.Lock()
-		cow := cap.cow[e.fc]
-		cowClean := cap.cowClean[e.fc]
-		cap.mu.Unlock()
-		e.img.Dirty = append(e.img.Dirty, cow...)
-		e.img.Clean = append(e.img.Clean, cowClean...)
-
 		needsCheck := len(e.img.Clean) > 0 || (e.retired && len(e.img.Dirty) > 0)
 		if needsCheck && !fs.sys.PeekValid(ck.clk, e.img.Ino, e.img.Gen) {
 			// The host moved underneath the speculation window: the
@@ -285,31 +183,9 @@ func (ck *Ckpt) Commit() (*ckpt.FSImage, error) {
 	return img, nil
 }
 
-// Abort uninstalls the capture and discards everything gathered.
-func (ck *Ckpt) Abort() {
-	ck.fs.capture.CompareAndSwap(ck.cap, nil)
-	ck.files = nil
-}
-
-// Now reports the checkpoint actor's virtual time.
+// Now reports the checkpoint actor's virtual time: start plus the walk
+// and validation costs, the capture half of the migration latency.
 func (ck *Ckpt) Now() simtime.Time { return ck.clk.Now() }
-
-// CheckpointImage is the one-shot capture: Begin + Walk + Commit. It
-// returns the image and the actor's end time (start plus the walk and
-// validation costs — the capture half of the migration latency).
-func (fs *FS) CheckpointImage(start simtime.Time) (*ckpt.FSImage, simtime.Time, error) {
-	ck, err := fs.BeginCheckpoint(start)
-	if err != nil {
-		return nil, start, err
-	}
-	ck.Walk()
-	img, err := ck.Commit()
-	if err != nil {
-		ck.Abort()
-		return nil, ck.Now(), err
-	}
-	return img, ck.Now(), nil
-}
 
 // RestoreImage materializes a checkpoint image onto this (fresh) FS,
 // driven by a host-launched block so every fetch and write is charged to

@@ -62,11 +62,12 @@ func TestCkptRoundTrip(t *testing.T) {
 		return fs.Close(b, fd)
 	})
 
-	img, end, err := fs.CheckpointImage(0)
+	ck := fs.WalkCheckpoint(0)
+	img, err := ck.Commit()
 	if err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	if end <= 0 {
+	if end := ck.Now(); end <= 0 {
 		t.Errorf("checkpoint actor clock did not advance: end=%v", end)
 	}
 	if len(img.Files) != 1 {
@@ -129,71 +130,11 @@ func TestCkptRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCkptCoWPreWriteCut pins the copy-on-write cut: a gwrite racing the
-// snapshot must preserve the PRE-write content in the image, and the walk
-// must not overwrite that earlier cut with post-write bytes.
-func TestCkptCoWPreWriteCut(t *testing.T) {
-	opt := defaultOpt()
-	h := newHarness(t, 1, opt)
-	fs := h.fss[0]
-	ps := int(opt.PageSize)
-
-	h.write(t, "/ck-cow", pattern(2*ps, 3))
-	before := pattern(ps, 50)
-	after := pattern(ps, 51)
-
-	var fd int
-	h.run(t, 0, func(b *gpu.Block) error {
-		var err error
-		fd, err = fs.Open(b, "/ck-cow", O_RDWR)
-		if err != nil {
-			return err
-		}
-		_, err = fs.Write(b, fd, before, 0)
-		return err
-	})
-
-	ck, err := fs.BeginCheckpoint(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// This write lands while the capture is installed: the hook must copy
-	// the pre-write page before the new bytes overwrite it.
-	h.run(t, 0, func(b *gpu.Block) error {
-		_, err := fs.Write(b, fd, after, 0)
-		return err
-	})
-	ck.Walk()
-	img, err := ck.Commit()
-	if err != nil {
-		t.Fatalf("commit: %v", err)
-	}
-	if len(img.Files) != 1 {
-		t.Fatalf("image has %d files, want 1", len(img.Files))
-	}
-	pg := ckptPage(&img.Files[0], 0)
-	if pg == nil {
-		t.Fatal("page 0 missing from the image")
-	}
-	if !bytes.Equal(pg.Data[:ps], before) {
-		if bytes.Equal(pg.Data[:ps], after) {
-			t.Fatal("image holds the POST-write content: the CoW cut failed")
-		}
-		t.Fatal("image page 0 matches neither pre- nor post-write content")
-	}
-	if st := fs.CkptStats(); st.CoWFaults < 1 {
-		t.Errorf("CoWFaults = %d, want >= 1", st.CoWFaults)
-	}
-	h.run(t, 0, func(b *gpu.Block) error { return fs.Close(b, fd) })
-}
-
 // TestCkptOverwriteDuringCapture: a gwrite that brings a page in by overwrite
-// while a capture is installed has no pre-write image to preserve — the page
-// was not resident, and the host's copy is what it held before — so the hook
-// is not called and, above all, never sees the frame before the writer's bytes
-// are in it. The page's cut is the walk's, which finds it filled: the image
-// holds exactly the written bytes, and a restore reproduces the source's view.
-// The page is the one past the head the open carries.
+// fills the frame before the slot is published, so the walk never sees the
+// frame before the writer's bytes are in it: the image holds exactly the
+// written bytes, and a restore reproduces the source's view. The page is the
+// one past the head the open carries.
 func TestCkptOverwriteDuringCapture(t *testing.T) {
 	opt := defaultOpt()
 	h := newHarness(t, 1, opt)
@@ -210,10 +151,6 @@ func TestCkptOverwriteDuringCapture(t *testing.T) {
 		return err
 	})
 
-	ck, err := fs.BeginCheckpoint(0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	written := pattern(ps, 60)
 	h.run(t, 0, func(b *gpu.Block) error {
 		_, err := fs.Write(b, fd, written, int64(at))
@@ -222,13 +159,9 @@ func TestCkptOverwriteDuringCapture(t *testing.T) {
 	if got := h.server.Requests(rpc.OpReadPages); got != 0 {
 		t.Fatalf("the whole-page write fetched %d pages: the test no longer takes the overwrite edge", got)
 	}
-	ck.Walk()
-	img, err := ck.Commit()
+	img, err := fs.WalkCheckpoint(0).Commit()
 	if err != nil {
 		t.Fatalf("commit: %v", err)
-	}
-	if st := fs.CkptStats(); st.CoWFaults != 0 {
-		t.Errorf("CoWFaults = %d: the hook ran on a page that had no pre-write image", st.CoWFaults)
 	}
 	pg := ckptPage(&img.Files[0], int64(at/ps))
 	if pg == nil || pg.Valid != int64(ps) || !bytes.Equal(pg.Data[:ps], written) {
@@ -257,59 +190,7 @@ func TestCkptOverwriteDuringCapture(t *testing.T) {
 	})
 }
 
-// TestCkptCoWCleanReference: a write hitting a still-clean page during the
-// capture records it by reference exactly once (hook and walk dedup
-// through the done set).
-func TestCkptCoWCleanReference(t *testing.T) {
-	opt := defaultOpt()
-	h := newHarness(t, 1, opt)
-	fs := h.fss[0]
-	ps := int(opt.PageSize)
-
-	h.write(t, "/ck-clean", pattern(2*ps, 9))
-	var fd int
-	h.run(t, 0, func(b *gpu.Block) error {
-		var err error
-		fd, err = fs.Open(b, "/ck-clean", O_RDWR)
-		if err != nil {
-			return err
-		}
-		buf := make([]byte, 2*ps)
-		_, err = fs.Read(b, fd, buf, 0) // both pages resident, clean
-		return err
-	})
-
-	ck, err := fs.BeginCheckpoint(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.run(t, 0, func(b *gpu.Block) error {
-		_, err := fs.Write(b, fd, pattern(ps, 77), 0)
-		return err
-	})
-	ck.Walk()
-	img, err := ck.Commit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fi := &img.Files[0]
-	n := 0
-	for _, c := range fi.Clean {
-		if c == 0 {
-			n++
-		}
-	}
-	if n != 1 {
-		t.Errorf("pre-write clean page 0 recorded %d times by reference, want 1 (clean=%v)", n, fi.Clean)
-	}
-	if ckptPage(fi, 0) != nil {
-		t.Error("page 0 was clean at the cut; it must not travel by value")
-	}
-	h.run(t, 0, func(b *gpu.Block) error { return fs.Close(b, fd) })
-}
-
-// TestCkptBudget: a capture exceeding CkptMaxBytes fails with ErrBudget
-// and uninstalls itself, leaving the hot path unhooked.
+// TestCkptBudget: a capture exceeding CkptMaxBytes fails with ErrBudget.
 func TestCkptBudget(t *testing.T) {
 	opt := defaultOpt()
 	opt.CkptMaxBytes = 1
@@ -328,11 +209,8 @@ func TestCkptBudget(t *testing.T) {
 		return fs.Close(b, fd)
 	})
 
-	if _, _, err := fs.CheckpointImage(0); !errors.Is(err, ckpt.ErrBudget) {
+	if _, err := fs.WalkCheckpoint(0).Commit(); !errors.Is(err, ckpt.ErrBudget) {
 		t.Fatalf("checkpoint with 1-byte budget: err = %v, want ErrBudget", err)
-	}
-	if fs.capture.Load() != nil {
-		t.Fatal("failed checkpoint left the capture installed")
 	}
 }
 
@@ -366,7 +244,7 @@ func TestCkptValidationDrop(t *testing.T) {
 	// view is condemned.
 	h.write(t, "/ck-stale", pattern(2*ps, 8))
 
-	img, _, err := fs.CheckpointImage(0)
+	img, err := fs.WalkCheckpoint(0).Commit()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +285,7 @@ func TestCkptWbErrRoundTrip(t *testing.T) {
 	}
 	f.fc.recordWriteErr(errors.New("simulated async write-back EIO"))
 
-	img, _, err := fs.CheckpointImage(0)
+	img, err := fs.WalkCheckpoint(0).Commit()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +347,7 @@ func TestCkptHistoryProfileRoundTrip(t *testing.T) {
 		t.Fatal("the sequential open recorded no profile")
 	}
 
-	img, _, err := fs.CheckpointImage(0)
+	img, err := fs.WalkCheckpoint(0).Commit()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,21 +404,154 @@ func TestCkptHistoryProfileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCkptBeginConflict: one capture at a time; Abort frees the slot.
-func TestCkptBeginConflict(t *testing.T) {
-	h := newHarness(t, 1, defaultOpt())
+// TestCkptNeverUndoesAReturnedGfsync: a migration keeps the first
+// durability invariant, "if gfsync returned, the host holds the bytes".
+// A page holds dirty v1 when the capture starts; a gwrite of v2 and a
+// gfsync that puts v2 on the host then land (a) before the walk reaches the
+// page, or (b) after the walk copied v1 and before Commit. Either Commit
+// refuses the image (ErrCaptureRaced), or restoring it onto a host holding
+// v2 and running gfsync there leaves v2.
+func TestCkptNeverUndoesAReturnedGfsync(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		beforeWalk bool
+	}{{"gfsync-before-walk", true}, {"gfsync-between-walk-and-commit", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := defaultOpt()
+			ps := int(opt.PageSize)
+			h := newHarness(t, 1, opt)
+			fs := h.fss[0]
+			h.write(t, "/ck-sync", pattern(ps, 1))
+			v1, v2 := pattern(ps, 2), pattern(ps, 3)
+			var fd int
+			h.run(t, 0, func(b *gpu.Block) error {
+				var err error
+				if fd, err = fs.Open(b, "/ck-sync", O_RDWR); err != nil {
+					return err
+				}
+				_, err = fs.Write(b, fd, v1, 0)
+				return err
+			})
+			writeAndSync := func() {
+				h.run(t, 0, func(b *gpu.Block) error {
+					if _, err := fs.Write(b, fd, v2, 0); err != nil {
+						return err
+					}
+					return fs.Fsync(b, fd)
+				})
+			}
+
+			if tc.beforeWalk {
+				writeAndSync()
+			}
+			ck := fs.WalkCheckpoint(0)
+			if !tc.beforeWalk {
+				writeAndSync()
+			}
+			img, err := ck.Commit()
+			if errors.Is(err, ErrCaptureRaced) {
+				return
+			}
+			if err != nil {
+				t.Fatalf("commit: %v", err)
+			}
+			if got := h.read(t, "/ck-sync"); !bytes.Equal(got, v2) {
+				t.Fatal("the source host does not hold v2 after gfsync returned")
+			}
+
+			h2 := newHarness(t, 1, opt)
+			fs2 := h2.fss[0]
+			h2.write(t, "/ck-sync", v2)
+			h2.run(t, 0, func(b *gpu.Block) error {
+				if err := fs2.RestoreImage(b, img); err != nil {
+					return err
+				}
+				fd, err := fs2.Open(b, "/ck-sync", O_RDWR)
+				if err != nil {
+					return err
+				}
+				if err := fs2.Fsync(b, fd); err != nil {
+					return err
+				}
+				return fs2.Close(b, fd)
+			})
+			switch got := h2.read(t, "/ck-sync"); {
+			case bytes.Equal(got, v1):
+				t.Fatal("the restored host holds v1: the migration undid a returned gfsync")
+			case !bytes.Equal(got, v2):
+				t.Fatal("the restored host holds neither v1 nor v2")
+			}
+		})
+	}
+}
+
+// TestCkptWalkNeverTearsAPage runs walks while blocks gwrite whole pages,
+// each filled with one byte that names its writer and round, some rounds
+// followed by a gfsync. Every page an image carries by value must be one
+// writer's page, never a mix of two, and every Commit must succeed or
+// refuse the image because a gfsync raced the walk.
+func TestCkptWalkNeverTearsAPage(t *testing.T) {
+	opt := defaultOpt()
+	ps := int(opt.PageSize)
+	const blocks, rounds, pages = 4, 12, 4
+	h := newHarness(t, 1, opt)
 	fs := h.fss[0]
-	ck, err := fs.BeginCheckpoint(0)
-	if err != nil {
-		t.Fatal(err)
+	h.write(t, "/ck-tear", bytes.Repeat([]byte{0xEE}, pages*ps))
+
+	launched := make(chan error, 1)
+	go func() {
+		_, err := h.devs[0].Launch(0, blocks, 64, func(b *gpu.Block) error {
+			fd, err := fs.Open(b, "/ck-tear", O_RDWR)
+			if err != nil {
+				return err
+			}
+			buf := make([]byte, ps)
+			for r := 0; r < rounds; r++ {
+				for i := range buf {
+					buf[i] = byte(1 + b.Idx*rounds + r)
+				}
+				for p := 0; p < pages; p++ {
+					if _, err := fs.Write(b, fd, buf, int64(p*ps)); err != nil {
+						return err
+					}
+				}
+				if r%3 == 2 {
+					if err := fs.Fsync(b, fd); err != nil {
+						return err
+					}
+				}
+			}
+			return fs.Close(b, fd)
+		})
+		launched <- err
+	}()
+
+	walks, raced := 0, 0
+	for done := false; !done; {
+		select {
+		case err := <-launched:
+			if err != nil {
+				t.Fatalf("kernel: %v", err)
+			}
+			done = true
+		default:
+		}
+		walks++
+		img, err := fs.WalkCheckpoint(0).Commit()
+		if errors.Is(err, ErrCaptureRaced) {
+			raced++
+			continue
+		}
+		if err != nil {
+			t.Fatalf("commit: %v", err)
+		}
+		for _, fi := range img.Files {
+			for _, pg := range fi.Dirty {
+				if pg.Valid != int64(ps) || bytes.Count(pg.Data, pg.Data[:1]) != ps {
+					t.Fatalf("walk %d: page %d is torn (valid %d)", walks, pg.Index, pg.Valid)
+				}
+			}
+		}
 	}
-	if _, err := fs.BeginCheckpoint(0); !errors.Is(err, ErrCheckpointActive) {
-		t.Fatalf("second begin: err = %v, want ErrCheckpointActive", err)
-	}
-	ck.Abort()
-	ck2, err := fs.BeginCheckpoint(0)
-	if err != nil {
-		t.Fatalf("begin after abort: %v", err)
-	}
-	ck2.Abort()
+	t.Logf("%d walks, %d refused as raced", walks, raced)
 }

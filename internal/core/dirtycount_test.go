@@ -186,7 +186,7 @@ func TestDirtyCountFollowsTheFlag(t *testing.T) {
 	})
 
 	// Checkpoint restore: the image's dirty page arrives dirty on the new FS.
-	img, _, err := fs.CheckpointImage(0)
+	img, err := fs.WalkCheckpoint(0).Commit()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,16 +159,9 @@ type FS struct {
 	// device-memory pass, see copyOut), one per page served.
 	zeroCopyReads atomic.Int64
 
-	// capture is the in-progress checkpoint's copy-on-write rendezvous
-	// (ISSUE 10); nil whenever no checkpoint is running, which keeps the
-	// gwrite hot path at a single atomic load.
-	capture atomic.Pointer[ckptCapture]
-
-	// Checkpoint accounting (ISSUE 10): bytes captured by value, pages
-	// preserved by the write-fault hook, by-reference pages dropped at
-	// commit validation, and captured page counts by class.
+	// Checkpoint accounting: bytes captured by value, by-reference pages
+	// dropped at commit validation, and captured page counts by class.
 	ckptSnapshotBytes   atomic.Int64
-	ckptCoWFaults       atomic.Int64
 	ckptValidationDrops atomic.Int64
 	ckptPagesDirty      atomic.Int64
 	ckptPagesClean      atomic.Int64
@@ -267,7 +260,6 @@ func (fs *FS) attachMetrics(reg *metrics.Registry) {
 	reg.SetHelp("gpufs_core_replay_wasted_total", "Profile-issued pages reclaimed unconsumed")
 	reg.SetHelp("gpufs_core_history_replays_total", "Opens that started from a recorded access profile")
 	reg.SetHelp("gpufs_ckpt_snapshot_bytes_total", "Bytes captured by value into checkpoint images")
-	reg.SetHelp("gpufs_ckpt_cow_faults_total", "Pages preserved by the checkpoint copy-on-write write hook")
 	reg.SetHelp("gpufs_ckpt_validation_drops_total", "Speculated clean pages dropped at commit because the host moved")
 	reg.SetHelp("gpufs_ckpt_pages_dirty_total", "Dirty pages captured by value into checkpoint images")
 	reg.SetHelp("gpufs_ckpt_pages_clean_total", "Clean pages captured by reference that survived validation")
@@ -294,7 +286,6 @@ func (fs *FS) attachMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("gpufs_core_replay_wasted_total", fs.historyWasted.Load, "gpu", gpuL)
 	reg.CounterFunc("gpufs_core_history_replays_total", fs.historyReplays.Load, "gpu", gpuL)
 	reg.CounterFunc("gpufs_ckpt_snapshot_bytes_total", fs.ckptSnapshotBytes.Load, "gpu", gpuL)
-	reg.CounterFunc("gpufs_ckpt_cow_faults_total", fs.ckptCoWFaults.Load, "gpu", gpuL)
 	reg.CounterFunc("gpufs_ckpt_validation_drops_total", fs.ckptValidationDrops.Load, "gpu", gpuL)
 	reg.CounterFunc("gpufs_ckpt_pages_dirty_total", fs.ckptPagesDirty.Load, "gpu", gpuL)
 	reg.CounterFunc("gpufs_ckpt_pages_clean_total", fs.ckptPagesClean.Load, "gpu", gpuL)
@@ -419,9 +410,6 @@ type CacheStats struct {
 type CkptStats struct {
 	// SnapshotBytes counts bytes captured by value into images.
 	SnapshotBytes int64
-	// CoWFaults counts pages preserved by the gwrite copy-on-write hook
-	// (writes that raced the snapshot walk).
-	CoWFaults int64
 	// ValidationDrops counts by-reference clean pages dropped at commit
 	// because the host (ino, generation) moved underneath.
 	ValidationDrops int64
@@ -434,7 +422,6 @@ type CkptStats struct {
 func (fs *FS) CkptStats() CkptStats {
 	return CkptStats{
 		SnapshotBytes:   fs.ckptSnapshotBytes.Load(),
-		CoWFaults:       fs.ckptCoWFaults.Load(),
 		ValidationDrops: fs.ckptValidationDrops.Load(),
 		PagesDirty:      fs.ckptPagesDirty.Load(),
 		PagesClean:      fs.ckptPagesClean.Load(),

@@ -302,14 +302,6 @@ func (fs *FS) writeImpl(b *gpu.Block, fd int, src []byte, off int64) (int, error
 		}
 		if !wrote {
 			ref.fr.Lock()
-			// Checkpoint copy-on-write (ISSUE 10): with a capture installed,
-			// preserve the pre-write page into the in-progress image before
-			// the new bytes land. One atomic load when no checkpoint runs.
-			// (A page filled by overwrite has no pre-write image on this
-			// GPU: the host copy is the pre-write image.)
-			if cc := fs.capture.Load(); cc != nil {
-				fs.ckptCopyOnWrite(cc, f.fc, pageIdx, ref.fr)
-			}
 			b.CopyBytes(ref.fr.Data[inPage:inPage+n], src[done:done+n])
 			extendValid(ref.fr, inPage+n)
 			ref.fr.Unlock()

@@ -154,7 +154,7 @@ func TestMetamorphicMigrateEquality(t *testing.T) {
 					if got := runMigratePass(t, ha, shape, pageSize, want); !bytes.Equal(got, want) {
 						t.Fatal("migrated pass 1: bytes diverge")
 					}
-					img, _, err := ha.fss[0].CheckpointImage(0)
+					img, err := ha.fss[0].WalkCheckpoint(0).Commit()
 					if err != nil {
 						t.Fatalf("checkpoint: %v", err)
 					}

@@ -464,7 +464,7 @@ func migrateModelHarness(t *testing.T, h *harness, files []*modelFile, numGPUs i
 	}
 	imgs := make([]*ckpt.FSImage, numGPUs)
 	for g := 0; g < numGPUs; g++ {
-		img, _, err := h.fss[g].CheckpointImage(0)
+		img, err := h.fss[g].WalkCheckpoint(0).Commit()
 		if err != nil {
 			t.Fatalf("gpu%d checkpoint: %v", g, err)
 		}

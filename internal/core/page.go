@@ -159,9 +159,7 @@ func (fs *FS) publish(b *gpu.Block, f *file, r pageRef, n int, readyAt simtime.T
 // reader may see the frame between the claim and the writer's bytes, since
 // what it held before is neither the old page nor the new one — and the
 // caller keeps the initializer's reference from publish through markDirty, so
-// no evictor can take the page while it is Ready and not yet dirty. The
-// checkpoint's copy-on-write hook is not called: the frame never held a
-// pre-write image (the host copy is the pre-write image).
+// no evictor can take the page while it is Ready and not yet dirty.
 func (fs *FS) publishOverwrite(b *gpu.Block, f *file, r pageRef, src []byte) {
 	b.CopyBytes(r.fr.Data, src)
 	fs.publish(b, f, r, len(src), 0, pcache.SpecNone)

@@ -23,9 +23,9 @@ import (
 //     the exactly-once story forbids).
 //   - The drain step is migrate-first: a host with no fatal XID is
 //     Checkpointed (the same queue freeze and handoff semantics, plus a
-//     copy-on-write capture of every GPU's cache and file tables
-//     concurrent with the in-flight batches), and the image is restored
-//     onto the replacement so it enters rotation warm. Plain
+//     walk of every GPU's cache and file tables concurrent with the
+//     in-flight batches), and the image is restored onto the
+//     replacement so it enters rotation warm. Plain
 //     drain+restart is the fallback, automatic and total: a capture
 //     error or budget overrun, a fatal XID before or during the snapshot
 //     (the device's memory — and therefore the image — is suspect), or a
@@ -106,8 +106,8 @@ func (cp *ControlPlane) remediator() {
 		// goroutine, re-routed on others concurrently with this call),
 		// in-flight jobs finish. A
 		// trusted host is checkpointed instead — same freeze, plus the
-		// copy-on-write capture — and a failed checkpoint still drains,
-		// so the DrainForHandoff fallback below is a no-op returning 0.
+		// cache walk — and a failed checkpoint still drains, so the
+		// DrainForHandoff fallback below is a no-op returning 0.
 		var img *ckpt.Image
 		if migrate {
 			var err error

@@ -16,17 +16,17 @@ import (
 //
 //	1. Stop admission and dispatch (the handoff freeze begins). Batches
 //	   already launched keep running.
-//	2. BeginCheckpoint on every GPU: from here, copy-on-write preserves
-//	   the pre-write content of any page an in-flight kernel overwrites.
-//	3. Walk every GPU's cache concurrently with those kernels.
-//	4. Flush the queues (jobs complete with ErrHandedOff, exactly as
+//	2. Walk every GPU's cache concurrently with those kernels; each
+//	   page's cut is the walk's copy of it.
+//	3. Flush the queues (jobs complete with ErrHandedOff, exactly as
 //	   DrainForHandoff), wait for in-flight work, stop the workers.
-//	5. Commit: validate speculated clean pages against the live host and
-//	   merge the write-fault copies.
+//	4. Commit: validate speculated clean pages against the live host,
+//	   and fail the capture if a GPU wrote back a file whose dirty pages
+//	   the walk copied (core.ErrCaptureRaced).
 //
 // The serving kernels are read-only (execJob), so nothing an in-flight
-// batch does after its page's cut can invalidate the image; general
-// writer workloads get the same guarantee from the CoW protocol itself.
+// batch does after its page's cut can invalidate the image, and the
+// commit's write-back check never fires here.
 //
 // A failed Checkpoint still leaves the host fully drained with every
 // admitted Future resolved — the caller's fallback (drain + cold
@@ -52,23 +52,9 @@ func (s *Server) Checkpoint() (*ckpt.Image, error) {
 	s.mu.Unlock()
 
 	start := simtime.Time(s.vnow.Load())
-	n := s.sys.NumGPUs()
-	cks := make([]*core.Ckpt, n)
-	var beginErr error
-	for g := 0; g < n; g++ {
-		ck, err := s.sys.GPU(g).FS().BeginCheckpoint(start)
-		if err != nil {
-			beginErr = fmt.Errorf("serve: checkpoint gpu %d: %w", g, err)
-			break
-		}
-		cks[g] = ck
-	}
-	if beginErr == nil {
-		// The walk runs while in-flight batches execute; their writes
-		// fault pre-write copies into the capture.
-		for _, ck := range cks {
-			ck.Walk()
-		}
+	cks := make([]*core.Ckpt, s.sys.NumGPUs())
+	for g := range cks {
+		cks[g] = s.sys.GPU(g).FS().WalkCheckpoint(start)
 	}
 
 	// Freeze: flush the queues, wait out in-flight batches, stop workers.
@@ -78,24 +64,15 @@ func (s *Server) Checkpoint() (*ckpt.Image, error) {
 
 	img := &ckpt.Image{SourceHost: -1, CaptureStart: int64(start)}
 	end := start
-	var commitErr error
+	var err error
 	for g, ck := range cks {
-		if ck == nil {
-			continue
-		}
-		if beginErr != nil || commitErr != nil {
-			ck.Abort()
-			continue
-		}
-		fsImg, err := ck.Commit()
-		if err != nil {
-			commitErr = fmt.Errorf("serve: checkpoint gpu %d: %w", g, err)
-			continue
+		fsImg, cerr := ck.Commit()
+		if cerr != nil {
+			err = fmt.Errorf("serve: checkpoint gpu %d: %w", g, cerr)
+			break
 		}
 		img.GPUs = append(img.GPUs, *fsImg)
-		if t := ck.Now(); t > end {
-			end = t
-		}
+		end = max(end, ck.Now())
 	}
 
 	// The flushed jobs complete with ErrHandedOff whether or not the
@@ -105,12 +82,8 @@ func (s *Server) Checkpoint() (*ckpt.Image, error) {
 	for _, f := range flushed {
 		s.completeJob(f.j, f.g, -1, now, now, ErrHandedOff)
 	}
-
-	if beginErr != nil {
-		return nil, beginErr
-	}
-	if commitErr != nil {
-		return nil, commitErr
+	if err != nil {
+		return nil, err
 	}
 
 	for _, f := range flushed {
@@ -123,10 +96,7 @@ func (s *Server) Checkpoint() (*ckpt.Image, error) {
 			Deadline: int64(f.j.spec.Deadline),
 		})
 	}
-	if end < now {
-		end = now
-	}
-	img.CaptureEnd = int64(end)
+	img.CaptureEnd = int64(max(end, now))
 	return img, nil
 }
 

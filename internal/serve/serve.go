@@ -204,10 +204,10 @@ type Backend interface {
 	DrainForHandoff() int
 	// Checkpoint captures the host into a migratable image: it freezes the
 	// queues (handing queued jobs back exactly as DrainForHandoff does),
-	// snapshots every GPU's buffer-cache and file-table state copy-on-write
-	// while in-flight batches finish, and shuts the host down. On error the
-	// host is still fully drained — the caller falls back to replacing it
-	// cold. Counts as the host's one drain call.
+	// walks every GPU's buffer-cache and file-table state while in-flight
+	// batches finish, and shuts the host down. On error the host is still
+	// fully drained — the caller falls back to replacing it cold. Counts
+	// as the host's one drain call.
 	Checkpoint() (*ckpt.Image, error)
 	// Restore materializes a checkpoint image onto this host. It must be
 	// called on a freshly built host before it takes traffic.
