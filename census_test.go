@@ -85,7 +85,6 @@ var censusCalibration = map[string]bool{
 var censusTestSeams = map[string]bool{
 	"params.Config.CkptMaxBytes":    true, // a budget of a few bytes wedges every capture
 	"core.Options.EvictBatch":       true, // paging one frame at a time
-	"serve.Config.StealThreshold":   true, // spill and steal at a queue of two
 	"serve.Config.MaxAttempts":      true, // a budget of one: the first fault is final
 	"serve.Config.MaxOutputBytes":   true, // transform truncation at a few bytes
 	"fleet.Config.MaxRehomes":       true, // ErrRehomedTooOften within a short schedule
@@ -739,6 +738,8 @@ var structureRules = []structureRule{
 		why: "a count built on bytes.Index pays its set-up per match; count with searchCount"},
 	{what: "one placement hash", owner: "place.go", count: 1, use: sel("fnv.New32a"),
 		why: "a cold file's GPU inside a host and its fleet home both read serve.PathHash (internal/serve/place.go): with one index the host and the GPU never pick the same bit, and a second hash would split the files over the GPUs unevenly again"},
+	{what: "one placement bound", owner: "place.go", count: anyCount, use: ident("shareNum", "shareDen"),
+		why: "a host's GPUs and the fleet's hosts spill by one bound, serve.OverShare (internal/serve/place.go): a second copy of the 1+ε slack lets the two levels drift apart"},
 }
 
 func TestStructureCensus(t *testing.T) {

@@ -238,7 +238,7 @@ func Serve(scale float64) (*Table, error) {
 			fmt.Sprintf("%.1f", row.batchMean))
 	}
 	t.AddNote("affinity keeps each file's pages on one GPU: higher hit rate and fewer faults than round-robin")
-	t.AddNote("launches overlap, so one launch per request no longer idles the device between kernels: on the fault-bound shape what separates batch 1 from batch 16 is its page faults (StealThreshold is 4x MaxBatch, so it spills and steals at a queue of 4), not its launches")
+	t.AddNote("launches overlap, so one launch per request no longer idles the device between kernels: on the fault-bound shape what separates batch 1 from batch 16 is its page faults (a GPU's busy floor is 4x MaxBatch, so it spills and steals from a load of 4 once over its share), not its launches")
 	t.AddNote("what batching buys is launches: a GPU's launch thread issues one kernel per launch overhead, which caps batch 1 on the launch-bound shape")
 	return t, nil
 }

@@ -6,9 +6,9 @@ import (
 	"gpufs/internal/serve"
 )
 
-// The fleet scheduler extends the per-host placement story (serve/place.go:
-// jobs follow their file's pages to the GPU whose buffer cache holds them,
-// spilling when the affine GPU saturates) one level up, across machines:
+// The fleet scheduler applies a host's placement rule (serve/place.go: jobs
+// follow their file's pages to the GPU whose buffer cache holds them,
+// spilling only past a bounded share) one level up, across machines:
 //
 //  1. Cache affinity: the healthy host whose GPUs hold the most resident
 //     pages of the job's file goes first — re-reading a warm file on the
@@ -24,8 +24,8 @@ import (
 //     home only when it is both busy (SpillLoad outstanding fleet jobs or
 //     more) and over its share: ⌈(1+ε)·(O+1)·g/G⌉ jobs or more, where O
 //     is the outstanding jobs on healthy hosts, g the host's GPUs, G the
-//     healthy hosts' GPUs and ε = 1/10 (consistent hashing with bounded
-//     loads, Mirrokni, Thorup & Zadimoghaddam). Below SpillLoad locality
+//     healthy hosts' GPUs and ε = 1/10 (serve.OverShare, the bound a
+//     host applies to its GPUs too). Below SpillLoad locality
 //     always wins; above it a host sheds real imbalance, so a hot file
 //     cannot capsize one machine while others idle, but not the ripple
 //     of a balanced burst. A demoted host ranks with everyone else, in
@@ -34,9 +34,6 @@ import (
 // Only Healthy hosts are ever candidates: a cordoned, draining, replacing,
 // or dead host receives no traffic (the model-based conformance test pins
 // this invariant).
-
-// shareNum/shareDen is 1+ε, the bounded-loads slack: ε = 1/10.
-const shareNum, shareDen = 11, 10
 
 // routeOrderLocked returns the healthy hosts in placement-preference order
 // for path: affinity target, then the path's stable home, then everyone
@@ -72,9 +69,8 @@ func (cp *ControlPlane) routeOrderLocked(path string) []*host {
 	}
 	rank := func(h *host) int {
 		switch {
-		// Busy and over its share: h.open >= ⌈(1+ε)·(open+1)·g/G⌉, in
-		// integers.
-		case h.open >= cp.cfg.SpillLoad && shareDen*healthyGPUs*h.open >= shareNum*(open+1)*h.backend.NumGPUs():
+		// Busy and over its share: h.open >= ⌈(1+ε)·(open+1)·g/G⌉.
+		case h.open >= cp.cfg.SpillLoad && serve.OverShare(h.open, open, h.backend.NumGPUs(), healthyGPUs):
 			return 2
 		case h == affine:
 			return 0

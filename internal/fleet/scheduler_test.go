@@ -188,8 +188,12 @@ func TestFleetHotFileShedsOnlyItsExcess(t *testing.T) {
 		if _, err := cp.Submit("t", job("/hot")); err != nil {
 			t.Fatal(err)
 		}
-		// ⌈1.1·o·gpus/(hosts·gpus)⌉ in integers.
-		bound := max(spill, (shareNum*o*gpus+shareDen*hosts*gpus-1)/(shareDen*hosts*gpus))
+		// max(spill, ⌈1.1·o·gpus/(hosts·gpus)⌉): the least load at or
+		// over the share once o jobs are out.
+		bound := spill
+		for !serve.OverShare(bound, o-1, gpus, hosts*gpus) {
+			bound++
+		}
 		var loads [hosts]int
 		for h, f := range fakes {
 			loads[h] = f.Load()

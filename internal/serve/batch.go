@@ -95,8 +95,8 @@ func (s *Server) worker(g int) {
 
 // takeLocked assembles GPU g's next batch: up to MaxBatch jobs popped
 // fairly from its own queue, or — when that is empty — stolen from the
-// longest SATURATED queue (≥ StealThreshold), so an idle device helps an
-// overwhelmed one without breaking cache locality under light load.
+// longest queue of a GPU over its share (overShareLocked), so an idle device
+// helps an overwhelmed one without breaking locality under balanced load.
 // Returns nil when there is nothing to take.
 func (s *Server) takeLocked(g int) []*job {
 	if s.handoff {
@@ -113,9 +113,9 @@ func (s *Server) takeLocked(g int) []*job {
 		s.met.noteQueueDepth(g, q.size)
 		return batch
 	}
-	victim, longest := -1, s.cfg.StealThreshold-1
+	victim, longest := -1, 0
 	for i, q := range s.queues {
-		if i != g && q.size > longest {
+		if i != g && q.size > longest && s.overShareLocked(i) {
 			victim, longest = i, q.size
 		}
 	}

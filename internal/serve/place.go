@@ -5,11 +5,11 @@ import "hash/fnv"
 // routeLocked picks the GPU queue for a freshly admitted job.
 //
 // Under PlaceAffinity the job goes to the GPU whose buffer cache holds
-// the most pages of its file; a file no GPU holds goes to its stable
-// hash home, so repeated jobs over the same cold file all warm the SAME
-// device and affinity emerges. When the chosen queue is saturated
-// (≥ StealThreshold) the job spills to the least-loaded GPU instead —
-// cache locality is a preference, not a bottleneck.
+// the most pages of its file, ties to the least loaded; a file no GPU
+// holds goes to its stable hash home, so repeated jobs over the same cold
+// file all warm the SAME device and affinity emerges. That GPU keeps the
+// job unless it is busy and over its bounded share (overShareLocked): the
+// fleet's rule for hosts (internal/fleet/scheduler.go), one level down.
 //
 // Under PlaceRoundRobin jobs rotate across GPUs in admission order.
 func (s *Server) routeLocked(j *job) int {
@@ -25,19 +25,18 @@ func (s *Server) routeLocked(j *job) int {
 
 	best, bestPages := -1, int64(0)
 	for g := 0; g < n; g++ {
-		if p := s.sys.GPU(g).ResidentPages(j.spec.Path); p > bestPages {
+		if p := s.sys.GPU(g).ResidentPages(j.spec.Path); p > bestPages || p > 0 && p == bestPages && s.loadLocked(g) < s.loadLocked(best) {
 			best, bestPages = g, p
 		}
 	}
 	if best < 0 {
 		best = pathHome(j.spec.Path, n)
 	}
-	if s.queues[best].size+len(s.running[best]) >= s.cfg.StealThreshold {
+	if s.overShareLocked(best) {
 		spill := best
-		load := s.queues[best].size + len(s.running[best])
 		for g := 0; g < n; g++ {
-			if l := s.queues[g].size + len(s.running[g]); l < load {
-				spill, load = g, l
+			if s.loadLocked(g) < s.loadLocked(spill) {
+				spill = g
 			}
 		}
 		if spill != best {
@@ -46,6 +45,35 @@ func (s *Server) routeLocked(j *job) int {
 		}
 	}
 	return best
+}
+
+// loadLocked is GPU g's load: its queued jobs and its running batch.
+func (s *Server) loadLocked(g int) int { return s.queues[g].size + len(s.running[g]) }
+
+// hostLoadLocked is the host's load: every GPU's queued and running jobs.
+func (s *Server) hostLoadLocked() (n int) {
+	for g := range s.queues {
+		n += s.loadLocked(g)
+	}
+	return n
+}
+
+// overShareLocked reports whether GPU g is busy (4×MaxBatch jobs or more)
+// and over its bounded share of the host's jobs: only such a GPU spills a
+// job it would keep, or is stolen from.
+func (s *Server) overShareLocked(g int) bool {
+	load := s.loadLocked(g)
+	return load >= 4*s.cfg.MaxBatch && OverShare(load, s.hostLoadLocked(), 1, len(s.queues))
+}
+
+// OverShare is the one placement bound, for a host's GPUs and the fleet's
+// hosts: whether a member carrying load of total outstanding jobs is at or
+// over ⌈(1+ε)·(total+1)·units/totalUnits⌉, units being its capacity and
+// totalUnits everyone's (consistent hashing with bounded loads, Mirrokni,
+// Thorup & Zadimoghaddam).
+func OverShare(load, total, units, totalUnits int) bool {
+	const shareNum, shareDen = 11, 10 // 1+ε, ε = 1/10
+	return shareDen*totalUnits*load >= shareNum*(total+1)*units
 }
 
 // PathHash is the one hash of cold-file placement: a host's pathHome and

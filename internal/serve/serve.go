@@ -12,7 +12,7 @@
 //   - Placement. Each admitted job is routed to a GPU: by cache affinity
 //     (the GPU whose buffer cache already holds pages of the job's file;
 //     cold files hash to a stable home so a partition emerges), falling
-//     back to the least-loaded GPU when the affine queue is saturated —
+//     back to the least-loaded GPU only past a bounded share (place.go) —
 //     or by round-robin, the baseline policy the bench table compares.
 //   - Continuous batching. One worker per GPU drains its queue: each round
 //     coalesces up to MaxBatch queued jobs (round-robin across tenants for
@@ -21,7 +21,7 @@
 //     worker issues the next one a launch overhead after the last, while
 //     that kernel's tail still runs, and the device gives the new kernel's
 //     blocks the execution slots the tail leaves free. An idle worker with
-//     an empty queue steals work from the longest queue.
+//     an empty queue steals from the longest queue past its share.
 //   - Completion. Every job completes or fails exactly once through its
 //     Future. Failed attempts retry within the job's MaxAttempts budget
 //     and virtual-time deadline (fault-injected EIO/EAGAIN survivors fail
@@ -233,7 +233,7 @@ type Policy uint8
 const (
 	// PlaceAffinity routes jobs to the GPU whose buffer cache holds their
 	// file (stable-hash home for cold files), with least-loaded spill
-	// when the affine queue is saturated and idle-worker stealing.
+	// and idle-worker stealing only past a GPU's bounded share.
 	PlaceAffinity Policy = iota
 	// PlaceRoundRobin distributes jobs across GPUs in submission order,
 	// ignoring cache residency (the baseline the bench table compares).
@@ -268,10 +268,6 @@ type Config struct {
 	MaxBatch int
 	// Policy is the placement policy. Default PlaceAffinity.
 	Policy Policy
-	// StealThreshold is the queue length at which the affine GPU counts
-	// as saturated and new jobs spill to the least-loaded GPU. Default
-	// 4×MaxBatch.
-	StealThreshold int
 	// MaxAttempts is the per-job execution budget under failures.
 	// Default 3.
 	MaxAttempts int
@@ -286,9 +282,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.MaxBatch <= 0 {
 		out.MaxBatch = 16
-	}
-	if out.StealThreshold <= 0 {
-		out.StealThreshold = 4 * out.MaxBatch
 	}
 	if out.MaxAttempts <= 0 {
 		out.MaxAttempts = 3
@@ -593,15 +586,8 @@ func (s *Server) enqueueLocked(tenantName string, spec Job, arrival simtime.Time
 // frees: the per-job service estimate scaled by how deep the backlog is
 // relative to one scheduling round across the machine.
 func (s *Server) retryAfterLocked() simtime.Duration {
-	queued := 0
-	for _, q := range s.queues {
-		queued += q.size
-	}
-	for _, r := range s.running {
-		queued += len(r)
-	}
 	round := s.cfg.MaxBatch * len(s.queues)
-	est := s.svcEst * simtime.Duration(1+queued/round)
+	est := s.svcEst * simtime.Duration(1+s.hostLoadLocked()/round)
 	if est < 100*simtime.Microsecond {
 		est = 100 * simtime.Microsecond
 	}
@@ -695,11 +681,7 @@ func (s *Server) freezeAndFlush() []flushedJob {
 func (s *Server) Load() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for g, q := range s.queues {
-		n += q.size + len(s.running[g])
-	}
-	return n
+	return s.hostLoadLocked()
 }
 
 // ResidentPages reports the most buffer-cache pages of path any GPU on
@@ -724,7 +706,7 @@ var _ Backend = (*Server)(nil)
 // idleLocked reports whether no work is queued or in flight anywhere.
 func (s *Server) idleLocked() bool {
 	for g := range s.queues {
-		if s.queues[g].size > 0 || len(s.running[g]) > 0 {
+		if s.loadLocked(g) > 0 {
 			return false
 		}
 	}

@@ -287,16 +287,16 @@ func TestServeRoundRobinRouting(t *testing.T) {
 
 func TestServeSaturationSpill(t *testing.T) {
 	sys, paths := testSystem(t, 2, 1)
-	srv := New(sys, Config{Policy: PlaceAffinity, StealThreshold: 2, QueueDepth: 64})
+	srv := New(sys, Config{Policy: PlaceAffinity, MaxBatch: 1, QueueDepth: 64})
 	defer srv.Drain()
 
 	home := pathHome(paths[0], 2)
 	other := 1 - home
 
-	// With the affine queue artificially saturated, routing must spill
-	// to the less-loaded GPU.
+	// With the home GPU artificially busy (4×MaxBatch jobs) and carrying
+	// the whole host's load, routing must spill to the less-loaded GPU.
 	srv.mu.Lock()
-	srv.running[home] = make([]*job, srv.cfg.StealThreshold)
+	srv.running[home] = make([]*job, 4)
 	j := &job{spec: Job{Kind: JobSearch, Path: paths[0], Word: "a"}}
 	got := srv.routeLocked(j)
 	spilled := srv.gstats[home].Spilled
