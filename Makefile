@@ -14,9 +14,11 @@
 #                and worker exits, the radix leaves' dirty masks, the
 #                fleet's settle-on-completion path and the bounded-loads
 #                routing that reads the open counts settles decrement,
-#                the same bound's placement on a host's GPUs,
-#                and the checkpoint walk against concurrent gwrites and
-#                gfsyncs then run 20 more times at one P and at four),
+#                the same bound's placement on a host's GPUs, a
+#                launch taking only the jobs that have arrived by its
+#                issue instant, and the checkpoint walk against
+#                concurrent gwrites and gfsyncs then run 20 more times
+#                at one P and at four),
 #                MakeWord checked against math/rand on every index the
 #                corpora use, the bench guardrail pinning the Fig4 16K/32K
 #                throughputs, daemon-scaling speedup, contention
@@ -78,7 +80,7 @@ tier2:
 	$(GO) test -race -count=20 -cpu 1,4 -run 'TestScratch|TestPad' ./internal/gpu
 	$(GO) test -race -count=20 -cpu 1,4 -run 'TestDispatch|TestLaunch|TestKernelFault|TestOverlapping|TestConcurrentLaunches' ./internal/gpu
 	$(GO) test -race -count=20 -cpu 1,4 -run 'TestFleetNoGoroutinePerJob|TestFleetRehomeOffTheResolvingGoroutine|TestFleetBalancedBusyHostsKeepTheirFiles|TestFleetHotFileShedsOnlyItsExcess' ./internal/fleet
-	$(GO) test -race -count=20 -cpu 1,4 -run 'TestServeAffinityTieGoesToLeastLoaded|TestServeBalancedBusyGPUsKeepTheirFiles|TestServeHotFileShedsOnlyItsExcess' ./internal/serve
+	$(GO) test -race -count=20 -cpu 1,4 -run 'TestServeAffinityTieGoesToLeastLoaded|TestServeBalancedBusyGPUsKeepTheirFiles|TestServeHotFileShedsOnlyItsExcess|TestServeQueuePopsOnlyReadyJobs|TestCostLaterArrivalWaitsForItsOwnLaunch|TestCostArrivalsInsideOneOverheadShareTheNextLaunch' ./internal/serve
 	$(GO) test -race -count=20 -cpu 1,4 -run 'TestForEachDirtyPage|FuzzRadixTree|TestDirtyCountFollowsTheFlag|TestRescanKeepsWhatItRereads|TestLateReopenStillHits|TestCkptNeverUndoesAReturnedGfsync|TestCkptWalkNeverTearsAPage' \
 		./internal/core/radix ./internal/core
 	GPUFS_MAKEWORD_FULL=1 $(GO) test -count=1 -run TestMakeWordMatchesMathRandFullRange ./internal/workloads

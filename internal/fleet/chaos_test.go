@@ -138,10 +138,10 @@ func (ch *chaosHosts) attack(rng *rand.Rand, hostID int) string {
 }
 
 // TestFleetChaosOracle runs the many-seed sweep. Every remediation of a
-// host without a fatal XID checkpoints the live server mid-traffic
-// (copy-on-write capture racing in-flight batches) and restores the image
-// onto the replacement; a fatal-XID host, and any checkpoint that fails,
-// is replaced cold. The oracle is the same on both arms — the answers the
+// host without a fatal XID checkpoints the live server mid-traffic (the
+// cache walk racing in-flight batches, then the commit) and restores the
+// image onto the replacement; a fatal-XID host, and any checkpoint that
+// fails, is replaced cold. The oracle is the same on both arms — the answers the
 // fleet delivers must equal the undisturbed corpus counts, exactly once
 // per admitted job — so any page a migration corrupted, lost, or
 // resurrected stale shows up as a wrong grep count.

@@ -154,7 +154,7 @@ func TestFleetMigrateFallbackCheckpointError(t *testing.T) {
 	}
 	sick := ff.fake(0, 0)
 	sick.SetResident("/pinned", 64)
-	sick.SetCheckpointErr(errors.New("capture wedged: CoW arena exhausted"))
+	sick.SetCheckpointErr(errors.New("capture wedged: commit found the walk raced a write-back"))
 	var futs []*Future
 	for i := 0; i < 5; i++ {
 		fut, err := cp.Submit("t", job("/pinned"))

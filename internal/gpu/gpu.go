@@ -93,6 +93,7 @@ type Device struct {
 	launchMu sync.Mutex
 	slotMu   sync.Mutex // guards slot.at / slot.assigned / resident
 	cur      *launch    // the launch slot.work runs, set under launchMu
+	launch   launch     // the record every launch reuses (launchMu)
 	byRank   []int      // slot indices, sorted by (at, index) at a launch's start (launchMu)
 
 	// resident is the device's kernel table: entry i holds the virtual end
@@ -308,10 +309,13 @@ func (d *Device) Launch(start simtime.Time, blocks, threads int, fn BlockFunc) (
 	d.launchMu.Lock()
 	defer d.launchMu.Unlock()
 
+	// The device's one launch record is reused: launches serialize, and the
+	// last one's workers have all exited (Wait below) before the next starts.
+	l := &d.launch
 	d.mu.Lock()
 	seq := d.launchSeq
 	d.launchSeq++
-	order := d.rng.Perm(blocks)
+	l.order = d.rng.Perm(blocks)
 	d.mu.Unlock()
 	d.kernels.Add(1)
 
@@ -332,8 +336,9 @@ func (d *Device) Launch(start simtime.Time, blocks, threads int, fn BlockFunc) (
 	// core is heavily biased) cannot skew block placement. A worker starts
 	// only on a slot that can be handed one of the blocks: the min(blocks,
 	// slots) that rank first in (availability, index).
-	l := &launch{d: d, fn: fn, blocks: blocks, threads: threads, seq: seq,
-		launchAt: launchAt, order: order}
+	l.d, l.fn, l.blocks, l.threads, l.seq, l.launchAt = d, fn, blocks, threads, seq, launchAt
+	l.next, l.kerr = 0, nil
+	l.meter.Reset()
 	l.meter.Observe(launchAt)
 
 	// No worker runs yet: the stack and the slots are this goroutine's until
@@ -369,6 +374,7 @@ func (d *Device) Launch(start simtime.Time, blocks, threads int, fn BlockFunc) (
 	d.slotMu.Lock()
 	d.resident[entry] = l.meter.Max()
 	d.slotMu.Unlock()
+	l.fn = nil // the kernel's closure holds its caller's state
 	return l.meter.Max(), l.kerr
 }
 
@@ -409,8 +415,9 @@ func (d *Device) returnPads() {
 	d.reserved = d.reserved[:0]
 }
 
-// launch is one kernel launch's state, one allocation shared by its slot
-// workers, whose goroutines (slot.work) allocate nothing. Under mu, the
+// launch is the running kernel launch's state, shared by its slot workers,
+// whose goroutines (slot.work) allocate nothing. It is the device's one
+// record (Device.launch), re-armed by each launch. Under mu, the
 // goroutine that pulls a block or ends one decides whose turn is next
 // (handOff) and wakes only that slot's worker, through slot.wake.
 type launch struct {

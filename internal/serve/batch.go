@@ -3,6 +3,8 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"gpufs"
 	"gpufs/internal/hostfs"
@@ -17,6 +19,7 @@ import (
 type gpuQueue struct {
 	byTenant map[string][]*job
 	rr       []string // tenant rotation order
+	moved    []string // pop's tenants popped from in a round, in order
 	size     int
 }
 
@@ -32,48 +35,89 @@ func (q *gpuQueue) push(j *job) {
 	q.size++
 }
 
-// pop removes up to n jobs, visiting tenants round-robin so each
-// scheduling round interleaves tenants rather than draining one at a time.
-func (q *gpuQueue) pop(n int) []*job {
-	var out []*job
-	for len(out) < n && q.size > 0 {
-		tn := q.rr[0]
-		jobs := q.byTenant[tn]
-		out = append(out, jobs[0])
-		q.size--
-		if len(jobs) == 1 {
-			delete(q.byTenant, tn)
-			q.rr = q.rr[1:]
-		} else {
-			q.byTenant[tn] = jobs[1:]
-			// Rotate so the next pop starts at the following tenant.
-			q.rr = append(q.rr[1:], tn)
+// take appends to out the next batch from q, for a launch thread whose
+// clock reads cursor, and returns it with its issue instant t: cursor if a
+// queued job is ready by then, else the earliest ready instant, to which the
+// idle thread leaps. The batch is up to n of the jobs ready by t, popped
+// fairly. q is not empty.
+func (q *gpuQueue) take(out []*job, n int, cursor simtime.Time) ([]*job, simtime.Time) {
+	if batch := q.pop(out, n, cursor); len(batch) > len(out) {
+		return batch, cursor
+	}
+	t := simtime.Time(math.MaxInt64)
+	for _, jobs := range q.byTenant {
+		for _, j := range jobs {
+			t = min(t, j.ready)
 		}
 	}
+	return q.pop(out, n, t), t
+}
+
+// pop appends to out up to n of the jobs ready by t, visiting tenants
+// round-robin so each scheduling round interleaves tenants rather than
+// draining one at a time. A tenant popped from moves to the back of the
+// rotation; a tenant with no job ready by t keeps its place, and jobs that
+// are not ready stay queued for a later launch. The first round walks the
+// whole rotation and each later one only the tenants the round before popped
+// from, so a pop reads each tenant once, not once per job.
+func (q *gpuQueue) pop(out []*job, n int, t simtime.Time) []*job {
+	// Both lists are compacted in place. stay reuses q.rr's array, which
+	// only the first round reads, and never overtakes that round's reads;
+	// moved reuses q.moved's, and a later round reads it ahead of its writes.
+	stay, walk := q.rr[:0], q.rr
+	for len(walk) > 0 && len(out) < n {
+		moved := q.moved[:0]
+		for k, tn := range walk {
+			if len(out) == n {
+				stay = append(stay, walk[k:]...)
+				break
+			}
+			jobs := q.byTenant[tn]
+			i := slices.IndexFunc(jobs, func(j *job) bool { return j.ready <= t })
+			if i < 0 {
+				stay = append(stay, tn)
+				continue
+			}
+			out = append(out, jobs[i])
+			q.size--
+			if len(jobs) == 1 {
+				delete(q.byTenant, tn)
+				continue
+			}
+			q.byTenant[tn] = slices.Delete(jobs, i, i+1)
+			moved = append(moved, tn)
+		}
+		q.moved, walk = moved, moved
+	}
+	q.rr = append(stay, walk...)
 	return out
 }
 
 // worker is GPU g's scheduling loop: one goroutine per device that
 // repeatedly assembles a batch from the queue (stealing when its own is
 // empty), runs it as a single kernel launch, completes or requeues each
-// job, and sleeps when there is nothing to do.
+// job, and sleeps when there is nothing to do. The batch is popped into a
+// buffer of the worker's own, not of a queue's: a steal pops another GPU's
+// queue while that GPU's worker may be running a batch of it.
 func (s *Server) worker(g int) {
 	defer s.wg.Done()
+	buf := make([]*job, 0, s.cfg.MaxBatch)
 	for {
 		s.mu.Lock()
-		batch := s.takeLocked(g)
-		for batch == nil {
+		batch, start := s.takeLocked(g, buf)
+		for len(batch) == 0 {
 			if s.closed {
 				s.mu.Unlock()
 				return
 			}
 			s.cond.Wait()
-			batch = s.takeLocked(g)
+			batch, start = s.takeLocked(g, buf)
 		}
 		s.running[g] = append(s.running[g], batch...) // runBatch reorders batch unlocked
 		s.mu.Unlock()
 
-		retries := s.runBatch(g, batch)
+		retries := s.runBatch(g, batch, start)
+		clear(batch)
 
 		s.mu.Lock()
 		// Requeue retries and release the in-flight count in one critical
@@ -93,12 +137,16 @@ func (s *Server) worker(g int) {
 	}
 }
 
-// takeLocked assembles GPU g's next batch: up to MaxBatch jobs popped
-// fairly from its own queue, or — when that is empty — stolen from the
-// longest queue of a GPU over its share (overShareLocked), so an idle device
-// helps an overwhelmed one without breaking locality under balanced load.
-// Returns nil when there is nothing to take.
-func (s *Server) takeLocked(g int) []*job {
+// takeLocked assembles GPU g's next batch into buf and returns it with its
+// issue time. It pops from g's own queue, or — when that is empty — steals
+// from the longest queue of a GPU over its share (overShareLocked), so an
+// idle device helps an overwhelmed one without breaking locality under
+// balanced load. Either way the batch is issued at t = max(g's cursor, the
+// earliest ready job of that queue) and holds up to MaxBatch of the jobs
+// ready by t, popped fairly; later arrivals wait for a later launch, so no
+// job of a batch waits for another to arrive. It returns an empty batch
+// when there is nothing to take.
+func (s *Server) takeLocked(g int, buf []*job) ([]*job, simtime.Time) {
 	if s.handoff {
 		// A handoff freeze is flushing the queues: anything still queued
 		// (including retries requeued by in-flight batches) belongs to the
@@ -106,26 +154,28 @@ func (s *Server) takeLocked(g int) []*job {
 		// between a retry's requeue and the drain loop's next pop could
 		// re-execute a job the freeze is about to hand off — the job would
 		// be dispatched here AND appear queued in a checkpoint image.
-		return nil
+		return nil, 0
 	}
-	if q := s.queues[g]; q.size > 0 {
-		batch := q.pop(s.cfg.MaxBatch)
-		s.met.noteQueueDepth(g, q.size)
-		return batch
-	}
-	victim, longest := -1, 0
-	for i, q := range s.queues {
-		if i != g && q.size > longest && s.overShareLocked(i) {
-			victim, longest = i, q.size
+	from := g
+	if s.queues[g].size == 0 {
+		from = -1
+		longest := 0
+		for i, q := range s.queues {
+			if i != g && q.size > longest && s.overShareLocked(i) {
+				from, longest = i, q.size
+			}
+		}
+		if from < 0 {
+			return nil, 0
 		}
 	}
-	if victim < 0 {
-		return nil
+	q := s.queues[from]
+	batch, start := q.take(buf[:0], s.cfg.MaxBatch, s.cursors[g])
+	s.met.noteQueueDepth(from, q.size)
+	if from != g {
+		s.gstats[g].Stolen += int64(len(batch))
 	}
-	batch := s.queues[victim].pop(s.cfg.MaxBatch)
-	s.met.noteQueueDepth(victim, s.queues[victim].size)
-	s.gstats[g].Stolen += int64(len(batch))
-	return batch
+	return batch, start
 }
 
 // runBatch executes one scheduling round on GPU g: fail jobs whose
@@ -134,25 +184,19 @@ func (s *Server) takeLocked(g int) []*job {
 // restarting the GPU, and sort each job into completed vs retry. It
 // returns the jobs to requeue.
 //
-// The launch is asynchronous in virtual time. It is issued as soon as the
-// GPU's launch thread is free (cursors[g]) and every job of the batch is
-// ready — has arrived, and, for a retry, has been seen to fail — and the
-// thread is free again one launch overhead later: what earlier kernels still
-// have running is the device's to arbitrate (gpu.Device.Launch), not a
-// reason to wait here. Results are per kernel — every job of the batch is
-// Done when the kernel ends — which is what lets a faulted launch requeue
-// whole.
-func (s *Server) runBatch(g int, batch []*job) (retries []*job) {
+// The launch is asynchronous in virtual time. It is issued at start, which
+// takeLocked chose: the GPU's launch thread is free (cursors[g]) and every
+// job of the batch is ready — has arrived, and, for a retry, has been seen to
+// fail — and the thread is free again one launch overhead later: what
+// earlier kernels still have running is the device's to arbitrate
+// (gpu.Device.Launch), not a reason to wait here. Results are per kernel —
+// every job of the batch is Done when the kernel ends — which is what lets a
+// faulted launch requeue whole.
+func (s *Server) runBatch(g int, batch []*job, start simtime.Time) (retries []*job) {
 	s.mu.Lock()
-	start := s.cursors[g]
 	batchID := s.batchSeq
 	s.batchSeq++
 	s.mu.Unlock()
-	for _, j := range batch {
-		if j.ready > start {
-			start = j.ready
-		}
-	}
 
 	// Deadline triage before spending GPU time.
 	run := batch[:0:len(batch)]
@@ -191,14 +235,17 @@ func (s *Server) runBatch(g int, batch []*job) (retries []*job) {
 	if blocks > maxBlocks {
 		blocks = maxBlocks
 	}
-	// The round's blocks fan out across the GPU's RPC ring shards by the
-	// blocks' stable lane hash; record how wide this dispatch spreads.
-	lanes := make(map[int]bool, blocks)
-	for blockIdx := 0; blockIdx < blocks; blockIdx++ {
-		lanes[gpu.FS().Client().ShardFor(blockIdx)] = true
-	}
 	s.mu.Lock()
-	if len(lanes) > s.gstats[g].ShardLanes {
+	// The round's blocks fan out across the GPU's RPC ring shards by the
+	// blocks' stable lane hash; record how wide a dispatch spreads. Blocks
+	// 0..blocks-1 reach the same shards in every launch, so only a launch
+	// wider than any before can reach more.
+	if blocks > s.widest[g] {
+		s.widest[g] = blocks
+		lanes := make(map[int]bool, blocks)
+		for blockIdx := 0; blockIdx < blocks; blockIdx++ {
+			lanes[gpu.FS().Client().ShardFor(blockIdx)] = true
+		}
 		s.gstats[g].ShardLanes = len(lanes)
 	}
 	// Issuing costs the launch thread one overhead whether or not the

@@ -192,3 +192,82 @@ func TestCostSeventeenthLaunchWaits(t *testing.T) {
 		}
 	}
 }
+
+// arrive admits one job per arrival instant, job i on file i, all in one
+// scheduling round's view, and returns the results in arrival order.
+func (r *costRig) arrive(t *testing.T, arrivals ...simtime.Duration) []Result {
+	t.Helper()
+	futs := make([]*Future, len(arrivals))
+	r.srv.mu.Lock()
+	for i, a := range arrivals {
+		fut, _, err := r.srv.enqueueLocked("t", Job{Kind: JobSearch, Path: r.paths[i], Word: "a"}, at(a))
+		if err != nil {
+			r.srv.mu.Unlock()
+			t.Fatalf("enqueue: %v", err)
+		}
+		futs[i] = fut
+	}
+	r.srv.mu.Unlock()
+	out := make([]Result, len(futs))
+	for i, fut := range futs {
+		if out[i] = fut.Wait(); out[i].Err != nil {
+			t.Fatalf("job %d: %v", i, out[i].Err)
+		}
+	}
+	return out
+}
+
+// TestCostLaterArrivalWaitsForItsOwnLaunch: a job queued beside one that
+// arrives later is not held back for it. The first launches alone when it
+// arrives; the second launches when it arrives, on an MP of its own, and no
+// read of the two meets the other's at the memory system.
+func TestCostLaterArrivalWaitsForItsOwnLaunch(t *testing.T) {
+	r := newCostRig(t, 14, 2, 2, 64<<10, 16)
+	delta := r.job / 2
+	if delta < r.oh || delta < r.hit {
+		t.Fatalf("rig: the second arrival at %v is inside the launch overhead %v or the first job's read %v", delta, r.oh, r.hit)
+	}
+	res := r.arrive(t, 0, delta)
+	if res[0].Started != 0 || res[0].Done != at(r.oh+r.job) {
+		t.Errorf("job 0: launched at %v, done at %v; want 0 and %v", res[0].Started, res[0].Done, at(r.oh+r.job))
+	}
+	if res[1].Started != at(delta) || res[1].Done != at(delta+r.oh+r.job) {
+		t.Errorf("job 1: launched at %v, done at %v; want %v and %v",
+			res[1].Started, res[1].Done, at(delta), at(delta+r.oh+r.job))
+	}
+	if res[0].Batch == res[1].Batch {
+		t.Errorf("both jobs rode batch %d", res[0].Batch)
+	}
+}
+
+// TestCostArrivalsInsideOneOverheadShareTheNextLaunch: jobs arrive 1 µs
+// apart, all inside one launch overhead. Job 0 launches alone when it
+// arrives, and the launch thread's next issue, one overhead later, carries
+// every job that arrived by then: nine jobs on nine free MPs, whose reads
+// queue for the memory system as TestCostOneLaunch's do.
+func TestCostArrivalsInsideOneOverheadShareTheNextLaunch(t *testing.T) {
+	const gap = simtime.Microsecond
+	oh := gpufs.ScaledConfig(testScale).KernelLaunchOverhead
+	jobs := int(oh / gap)
+	r := newCostRig(t, 14, 2, jobs, 64<<10, 16)
+	if jobs < 3 || jobs > r.mps {
+		t.Fatalf("rig: %d arrivals inside one overhead, want 3 to %d", jobs, r.mps)
+	}
+	arrivals := make([]simtime.Duration, jobs)
+	for i := range arrivals {
+		arrivals[i] = simtime.Duration(i) * gap
+	}
+	res := r.arrive(t, arrivals...)
+	if res[0].Started != 0 || res[0].Done != at(r.oh+r.job) {
+		t.Errorf("job 0: launched at %v, done at %v; want 0 and %v", res[0].Started, res[0].Done, at(r.oh+r.job))
+	}
+	second := 2*r.oh + r.job + simtime.Duration(jobs-2)*r.hit
+	for i, res := range res[1:] {
+		if res.Started != at(r.oh) || res.Done != at(second) {
+			t.Errorf("job %d: launched at %v, done at %v; want %v and %v", i+1, res.Started, res.Done, at(r.oh), at(second))
+		}
+	}
+	if st := r.srv.Stats(); st.GPUs[0].Batches != 2 {
+		t.Errorf("%d jobs took %d launches, want 2", jobs, st.GPUs[0].Batches)
+	}
+}

@@ -38,6 +38,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -392,6 +393,9 @@ type Server struct {
 	// runBatch).
 	cursors   []simtime.Time
 	launchGap simtime.Duration
+	// widest is each GPU's widest launch so far, in blocks: ShardLanes is
+	// recounted only when a launch is wider.
+	widest []int
 	// scanRate is the per-GPU rate charged for a job's scan over its file:
 	// the machine's calibrated grep rate.
 	scanRate simtime.Rate
@@ -430,6 +434,7 @@ func New(sys *gpufs.System, cfg Config) *Server {
 		s.running[i] = make([]*job, 0, s.cfg.MaxBatch)
 	}
 	s.cursors = make([]simtime.Time, n)
+	s.widest = make([]int, n)
 	s.gstats = make([]GPUStats, n)
 	if reg := sys.Metrics(); reg != nil {
 		s.met = newServeMetrics(reg, n)
@@ -473,10 +478,10 @@ func (s *Server) Submit(tenantName string, spec Job) (*Future, error) {
 // when the machine has fallen behind the arrival process (vnow past at),
 // the time spent waiting to be submitted counts as queueing delay, which
 // is exactly the signal a saturation sweep is after. Drivers generate
-// arrivals in nondecreasing order and pace them with WaitUntil so that the
-// queue holds what has arrived and no more; a job submitted ahead of Now()
-// is still safe — no batch is launched before every job in it has arrived —
-// but it holds back the jobs batched with it until then.
+// arrivals in nondecreasing order and pace them with WaitUntil. A job
+// submitted ahead of Now() is safe: a launch takes only jobs that have
+// arrived by its issue instant, so the job waits queued for a launch at or
+// after its arrival and holds back no job that arrived before it.
 func (s *Server) SubmitAt(tenantName string, spec Job, at simtime.Time) (*Future, error) {
 	return s.admit(tenantName, spec, &at)
 }
@@ -511,7 +516,9 @@ func (s *Server) admit(tenantName string, spec Job, at *simtime.Time) (*Future, 
 // is queued or in flight it waits for completions to advance the clock;
 // once the machine goes idle short of at, virtual time leaps forward —
 // an idle gap between open-loop arrivals costs no simulated work, like a
-// sleeping load generator.
+// sleeping load generator. A job submitted before Now() reaches its
+// arrival launches no earlier than that arrival, and no job launched beside
+// it waits for it.
 func (s *Server) WaitUntil(at simtime.Time) {
 	s.mu.Lock()
 	for simtime.Time(s.vnow.Load()) < at {
@@ -660,7 +667,7 @@ func (s *Server) freezeAndFlush() []flushedJob {
 			if q.size == 0 {
 				continue
 			}
-			for _, j := range q.pop(q.size) {
+			for _, j := range q.pop(nil, q.size, math.MaxInt64) {
 				flushed = append(flushed, flushedJob{j, g})
 			}
 			s.met.noteQueueDepth(g, 0)

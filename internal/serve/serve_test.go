@@ -189,7 +189,7 @@ func TestServeQueueFairness(t *testing.T) {
 	q.push(&job{id: 100, tenant: "b"})
 	q.push(&job{id: 200, tenant: "c"})
 
-	got := q.pop(4)
+	got := q.pop(nil, 4, 0)
 	if len(got) != 4 || q.size != 4 {
 		t.Fatalf("pop(4) returned %d jobs, size now %d", len(got), q.size)
 	}
@@ -201,9 +201,63 @@ func TestServeQueueFairness(t *testing.T) {
 	if len(tenants) != 3 {
 		t.Fatalf("first three pops cover %d tenants, want 3: %v", len(tenants), got)
 	}
-	rest := q.pop(10)
+	rest := q.pop(nil, 10, 0)
 	if len(rest) != 4 || q.size != 0 {
 		t.Fatalf("drain returned %d jobs, size %d", len(rest), q.size)
+	}
+}
+
+// TestServeQueuePopsOnlyReadyJobs: a launch at t takes only jobs ready by t,
+// tenant-fair among them. Tenant b's only job has not arrived and does not
+// block a or c; c's retry is ready only when the kernel that failed it
+// ended, and stays queued until a launch at or after that. A tenant with
+// nothing arrived keeps its place in the rotation.
+func TestServeQueuePopsOnlyReadyJobs(t *testing.T) {
+	q := newGPUQueue()
+	for _, j := range []*job{
+		{id: 1, tenant: "a"}, {id: 2, tenant: "b", ready: 100}, {id: 3, tenant: "c"},
+		{id: 4, tenant: "a"}, {id: 5, tenant: "c", ready: 80}, {id: 6, tenant: "a"},
+	} {
+		q.push(j)
+	}
+	ids := func(js []*job) []uint64 {
+		var out []uint64
+		for _, j := range js {
+			out = append(out, j.id)
+		}
+		return out
+	}
+	for _, step := range []struct {
+		cursor, launch simtime.Time
+		want           []uint64
+	}{
+		{10, 10, []uint64{1, 3, 4, 6}}, // a and c share the first round
+		{20, 80, []uint64{5}},          // nothing ready by 20: leap to the retry
+		{0, 100, []uint64{2}},
+	} {
+		batch, launch := q.take(nil, 16, step.cursor)
+		got := ids(batch)
+		if launch != step.launch || fmt.Sprint(got) != fmt.Sprint(step.want) {
+			t.Fatalf("cursor %v: launch at %v with jobs %v; want %v with %v", step.cursor, launch, got, step.launch, step.want)
+		}
+	}
+	if q.size != 0 || len(q.rr) != 0 || len(q.byTenant) != 0 {
+		t.Fatalf("emptied queue holds size %d, rotation %v, %d tenants", q.size, q.rr, len(q.byTenant))
+	}
+
+	// b keeps its place ahead of a, which was popped from: once b's job has
+	// arrived, the next round starts at b.
+	for _, j := range []*job{{id: 7, tenant: "a"}, {id: 8, tenant: "b", ready: 50}, {id: 9, tenant: "c"}, {id: 10, tenant: "a"}} {
+		q.push(j)
+	}
+	for _, step := range []struct {
+		n    int
+		t    simtime.Time
+		want []uint64
+	}{{1, 0, []uint64{7}}, {3, 50, []uint64{8, 9, 10}}} {
+		if got := ids(q.pop(nil, step.n, step.t)); fmt.Sprint(got) != fmt.Sprint(step.want) {
+			t.Fatalf("pop(%d) at %v: jobs %v, want %v", step.n, step.t, got, step.want)
+		}
 	}
 }
 
